@@ -14,7 +14,7 @@ THRESHOLD ?= 10
 # durability work (write-ahead log, recovery, crash harness).
 COVER_FLOORS ?= repro/internal/sqldb:80 repro/internal/cluster:60
 
-.PHONY: build test race vet lint fmt docs-lint bench bench-json bench-smoke bench-gate chaos-smoke wal-torture cover ci
+.PHONY: build test race vet lint fmt docs-lint loc bench bench-json bench-smoke bench-gate chaos-smoke wal-torture cover ci
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,15 @@ docs-lint:
 	$(GO) run ./cmd/doclint README.md DESIGN.md PROTOCOL.md PAPER.md PAPERS.md
 
 lint: fmt vet docs-lint
+
+# Size of the system: non-test Go lines per internal package (nested ones
+# counted on their own) and in total — the number a simplification moves.
+loc:
+	@for d in $$(find internal -type d | sort); do \
+		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+		[ $$n -gt 0 ] && printf '%7d  %s\n' $$n $$d; \
+	done; \
+	printf '%7d  total\n' $$(find internal -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
 
 # Full benchmark run (paper figures + ablations), human-readable.
 bench:

@@ -8,7 +8,8 @@
 //  3. Every `-flag` a markdown line attributes to a daemon (a line naming
 //     servletd, webserver, ... alongside the backticked flag) must be
 //     registered by that daemon's cmd/<name>/main.go — documented flags
-//     that no binary accepts fail the build.
+//     that no binary accepts fail the build. The same walk fails a line
+//     that names an identifier the code no longer has (removedIdents).
 //
 // Usage:
 //
@@ -102,6 +103,11 @@ func checkLinks(path string) int {
 // `-db-cache`, `-db-cache 256`, `-measure 10s`.
 var flagTokRe = regexp.MustCompile("`-([a-z][a-z0-9-]*)[^`]*`")
 
+// removedIdents are identifiers deleted from the code that the docs used to
+// name: a line still mentioning one describes a mode that no longer
+// exists (the LOCK TABLES bracket and its cluster-side routing).
+var removedIdents = []string{"execLock", "HoldsLocks", "bracketAll", "kindLock"}
+
 // checkFlagDocs verifies that every backticked `-flag` token on a
 // non-fenced doc line that names a daemon is registered by that daemon's
 // main.go. A line naming several daemons passes if any of them accepts
@@ -124,6 +130,12 @@ func checkFlagDocs(docs []string) int {
 		}
 		inFence := false
 		for i, line := range strings.Split(string(data), "\n") {
+			for _, id := range removedIdents {
+				if strings.Contains(line, id) {
+					fmt.Fprintf(os.Stderr, "doclint: %s:%d: mentions %s, which the code no longer has\n", path, i+1, id)
+					bad++
+				}
+			}
 			if strings.HasPrefix(strings.TrimSpace(line), "```") {
 				inFence = !inFence
 				continue

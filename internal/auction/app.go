@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/cluster"
 	"repro/internal/httpd"
 	"repro/internal/servlet"
 	"repro/internal/sqldb"
@@ -79,26 +78,6 @@ func (a *App) Register(c *servlet.Container) {
 	for name, fn := range routes {
 		c.Register(BasePath+name, servlet.Func(fn))
 	}
-}
-
-// withLocks mirrors the bookstore helper: engine locks with sync, a real
-// database transaction over the write-intent tables without — the short
-// write transactions of the benchmark (storeBid and friends) commit or roll
-// back atomically on every replica. Read-only sets run without a bracket.
-func (a *App) withLocks(ctx *servlet.Context, set []servlet.TableLock, fn func(ex Execer) error) error {
-	if ctx.DB == nil {
-		return servlet.ErrNoDatabase
-	}
-	if a.cfg.Sync {
-		release := ctx.Locks.Acquire(set)
-		defer release()
-		return fn(ctx.DB)
-	}
-	writes := servlet.WriteTables(set)
-	if len(writes) == 0 {
-		return fn(ctx.DB)
-	}
-	return ctx.Tx(writes, func(tx *cluster.Session) error { return fn(tx) })
 }
 
 // ---- row shapes and rendering ----
@@ -351,9 +330,9 @@ func (a *App) registerItem(ctx *servlet.Context, req *httpd.Request) (*httpd.Res
 	region := intParam(req, "region", 1)
 	price := float64(intParam(req, "price", 10))
 	var itemID int64
-	err := a.withLocks(ctx,
+	err := ctx.WithLocks(a.cfg.Sync,
 		[]servlet.TableLock{{Table: "items", Write: true}, {Table: "users"}},
-		func(ex Execer) error {
+		func(ex sqldb.Execer) error {
 			// Sellers pay a listing fee (§3.2): verify the account exists.
 			if _, err := ex.ExecCached("SELECT balance FROM users WHERE id = ?", sqldb.Int(seller)); err != nil {
 				return err
@@ -387,8 +366,8 @@ func (a *App) registerUser(ctx *servlet.Context, req *httpd.Request) (*httpd.Res
 		nick = fmt.Sprintf("nick%d", intParam(req, "seed", 1))
 	}
 	var uid int64
-	err := a.withLocks(ctx, []servlet.TableLock{{Table: "users", Write: true}},
-		func(ex Execer) error {
+	err := ctx.WithLocks(a.cfg.Sync, []servlet.TableLock{{Table: "users", Write: true}},
+		func(ex sqldb.Execer) error {
 			res, err := ex.ExecCached(
 				`INSERT INTO users (fname, lname, nickname, password, region_id, rating, balance, creation)
 				 VALUES (?, ?, ?, ?, ?, 0, 0, 12000)`,
@@ -419,9 +398,9 @@ func (a *App) storeBuyNow(ctx *servlet.Context, req *httpd.Request) (*httpd.Resp
 	item := intParam(req, "item", 1)
 	buyer := intParam(req, "user", 1)
 	qty := intParam(req, "qty", 1)
-	err := a.withLocks(ctx,
+	err := ctx.WithLocks(a.cfg.Sync,
 		[]servlet.TableLock{{Table: "buy_now", Write: true}, {Table: "items", Write: true}},
-		func(ex Execer) error {
+		func(ex sqldb.Execer) error {
 			if _, err := ex.ExecCached("SELECT buy_now FROM items WHERE id = ?", sqldb.Int(item)); err != nil {
 				return err
 			}
@@ -452,9 +431,9 @@ func (a *App) storeBid(ctx *servlet.Context, req *httpd.Request) (*httpd.Respons
 	item := intParam(req, "item", 1)
 	user := intParam(req, "user", 1)
 	bid := float64(intParam(req, "bid", 0))
-	err := a.withLocks(ctx,
+	err := ctx.WithLocks(a.cfg.Sync,
 		[]servlet.TableLock{{Table: "bids", Write: true}, {Table: "items", Write: true}},
-		func(ex Execer) error {
+		func(ex sqldb.Execer) error {
 			res, err := ex.ExecCached("SELECT max_bid FROM items WHERE id = ?", sqldb.Int(item))
 			if err != nil {
 				return err
@@ -495,9 +474,9 @@ func (a *App) storeComment(ctx *servlet.Context, req *httpd.Request) (*httpd.Res
 	from := intParam(req, "user", 1)
 	to := intParam(req, "to", 1)
 	rating := intParam(req, "rating", 3)
-	err := a.withLocks(ctx,
+	err := ctx.WithLocks(a.cfg.Sync,
 		[]servlet.TableLock{{Table: "comments", Write: true}, {Table: "users", Write: true}},
-		func(ex Execer) error {
+		func(ex sqldb.Execer) error {
 			if _, err := ex.ExecCached(
 				`INSERT INTO comments (from_user, to_user, item_id, rating, comment)
 				 VALUES (?, ?, ?, ?, ?)`,

@@ -9,10 +9,8 @@ package auction
 import (
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/datagen"
 	"repro/internal/sqldb"
-	"repro/internal/sqldb/wire"
 )
 
 // Scale sizes the population. The paper runs 33,000 live items, 500,000
@@ -125,20 +123,6 @@ func SchemaSQL() []string {
 	}
 }
 
-// Execer abstracts pooled and in-process statement execution. Exec ships
-// SQL text; ExecCached is the prepared-statement fast path for statements
-// repeated on every request (identical for in-process sessions, where the
-// database's plan cache already deduplicates the parse).
-type Execer interface {
-	Exec(query string, args ...sqldb.Value) (*sqldb.Result, error)
-	ExecCached(query string, args ...sqldb.Value) (*sqldb.Result, error)
-}
-
-var _ Execer = (*wire.Pool)(nil)
-var _ Execer = (*wire.Conn)(nil)
-var _ Execer = (*cluster.Client)(nil)
-var _ Execer = (*cluster.Session)(nil)
-
 // ShardBy is the benchmark's horizontal partitioning map
 // (cluster.Config.ShardBy): the write-heavy auction tables partition by
 // the key their hot queries pin on — an item's bids and buy-now
@@ -157,7 +141,7 @@ func ShardBy() map[string]string {
 }
 
 // CreateSchema applies the DDL.
-func CreateSchema(db Execer) error {
+func CreateSchema(db sqldb.Execer) error {
 	for _, q := range SchemaSQL() {
 		if _, err := db.Exec(q); err != nil {
 			return fmt.Errorf("auction: schema: %w", err)
@@ -167,7 +151,7 @@ func CreateSchema(db Execer) error {
 }
 
 // Populate fills the database deterministically at the given scale.
-func Populate(db Execer, sc Scale, seed int64) error {
+func Populate(db sqldb.Execer, sc Scale, seed int64) error {
 	g := datagen.New(seed)
 	for i := 0; i < sc.Categories; i++ {
 		if _, err := db.Exec("INSERT INTO categories (name) VALUES (?)",

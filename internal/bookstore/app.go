@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/httpd"
 	"repro/internal/servlet"
 	"repro/internal/sqldb"
@@ -81,35 +80,6 @@ func (a *App) Register(c *servlet.Container) {
 	for name, fn := range routes {
 		c.Register(BasePath+name, servlet.Func(fn))
 	}
-}
-
-// withLocks runs fn under the configuration's concurrency discipline. set
-// lists every table fn touches with its intent. With Sync the engine-side
-// lock manager serializes (the paper's "(sync)" configurations). Without it
-// fn runs inside a real database transaction declaring the write-intent
-// tables: a short transaction whose locks are acquired per written table as
-// the statements arrive and released at COMMIT — strictly narrower than the
-// old LOCK TABLES bracket, which write-locked everything up front and
-// read-locked even the read-only tables for the whole section. An error
-// (or panic) rolls the whole section back on every replica. A set with no
-// write intent needs no bracket at all: its reads take their own short
-// locks statement by statement.
-func (a *App) withLocks(ctx *servlet.Context, set []servlet.TableLock, fn func(ex Execer) error) error {
-	if ctx.DB == nil {
-		return servlet.ErrNoDatabase
-	}
-	if a.cfg.Sync {
-		release := ctx.Locks.Acquire(set)
-		defer release()
-		// Individual statements still take their own implicit short table
-		// locks in the database, which is harmless (§2.2).
-		return fn(ctx.DB)
-	}
-	writes := servlet.WriteTables(set)
-	if len(writes) == 0 {
-		return fn(ctx.DB)
-	}
-	return ctx.Tx(writes, func(tx *cluster.Session) error { return fn(tx) })
 }
 
 // ---- shared row shapes and rendering ----
@@ -393,9 +363,9 @@ func (a *App) shoppingCart(ctx *servlet.Context, req *httpd.Request) (*httpd.Res
 	// non-sync runs them unbracketed (a read-only set opens no
 	// transaction), so each SELECT sees the latest committed prices —
 	// per-statement consistency, like the EJB configuration's reads.
-	err := a.withLocks(ctx,
+	err := ctx.WithLocks(a.cfg.Sync,
 		[]servlet.TableLock{{Table: "items"}, {Table: "authors"}},
-		func(ex Execer) error {
+		func(ex sqldb.Execer) error {
 			ids := make([]int64, 0, len(ct.Lines))
 			for id := range ct.Lines {
 				ids = append(ids, id)
@@ -442,9 +412,9 @@ func (a *App) register(ctx *servlet.Context, req *httpd.Request) (*httpd.Respons
 		uname = fmt.Sprintf("newuser%d", time.Now().UnixNano())
 	}
 	var cid int64
-	err := a.withLocks(ctx,
+	err := ctx.WithLocks(a.cfg.Sync,
 		[]servlet.TableLock{{Table: "customers", Write: true}, {Table: "address", Write: true}},
-		func(ex Execer) error {
+		func(ex sqldb.Execer) error {
 			res, err := ex.ExecCached(
 				"INSERT INTO address (street, city, country_id) VALUES (?, ?, ?)",
 				sqldb.String(f.Get("street")), sqldb.String(f.Get("city")), sqldb.Int(1))
@@ -520,13 +490,13 @@ func (a *App) buyConfirm(ctx *servlet.Context, req *httpd.Request) (*httpd.Respo
 		time.Sleep(a.cfg.PGEDelay)
 	}
 	var orderID int64
-	err := a.withLocks(ctx,
+	err := ctx.WithLocks(a.cfg.Sync,
 		[]servlet.TableLock{
 			{Table: "customers"}, {Table: "items", Write: true},
 			{Table: "orders", Write: true}, {Table: "order_line", Write: true},
 			{Table: "credit_info", Write: true},
 		},
-		func(ex Execer) error {
+		func(ex sqldb.Execer) error {
 			cres, err := ex.ExecCached("SELECT discount FROM customers WHERE id = ?", sqldb.Int(cid))
 			if err != nil {
 				return err
@@ -668,8 +638,8 @@ func (a *App) adminConfirm(ctx *servlet.Context, req *httpd.Request) (*httpd.Res
 	}
 	id := intParam(req, "i_id", 1)
 	cost := float64(intParam(req, "cost", 25))
-	err := a.withLocks(ctx, []servlet.TableLock{{Table: "items", Write: true}},
-		func(ex Execer) error {
+	err := ctx.WithLocks(a.cfg.Sync, []servlet.TableLock{{Table: "items", Write: true}},
+		func(ex sqldb.Execer) error {
 			res, err := ex.ExecCached("SELECT cost FROM items WHERE id = ?", sqldb.Int(id))
 			if err != nil {
 				return err

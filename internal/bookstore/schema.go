@@ -9,10 +9,8 @@ package bookstore
 import (
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/datagen"
 	"repro/internal/sqldb"
-	"repro/internal/sqldb/wire"
 )
 
 // Scale sizes the generated database. The paper's full population is
@@ -115,21 +113,6 @@ func SchemaSQL() []string {
 	}
 }
 
-// Execer abstracts the two ways statements reach the database: a pooled
-// wire client or an in-process session. Exec ships SQL text; ExecCached is
-// the prepared-statement fast path for the statements an interaction
-// repeats on every request (for in-process sessions the two are identical —
-// the database's plan cache already deduplicates the parse).
-type Execer interface {
-	Exec(query string, args ...sqldb.Value) (*sqldb.Result, error)
-	ExecCached(query string, args ...sqldb.Value) (*sqldb.Result, error)
-}
-
-var _ Execer = (*wire.Pool)(nil)
-var _ Execer = (*wire.Conn)(nil)
-var _ Execer = (*cluster.Client)(nil)
-var _ Execer = (*cluster.Session)(nil)
-
 // ShardBy is the benchmark's horizontal partitioning map
 // (cluster.Config.ShardBy): the order-path tables — the only tables TPC-W
 // writes during the run — partition by customer. Strided AUTO_INCREMENT
@@ -147,7 +130,7 @@ func ShardBy() map[string]string {
 }
 
 // CreateSchema applies the DDL.
-func CreateSchema(db Execer) error {
+func CreateSchema(db sqldb.Execer) error {
 	for _, q := range SchemaSQL() {
 		if _, err := db.Exec(q); err != nil {
 			return fmt.Errorf("bookstore: schema: %w", err)
@@ -157,7 +140,7 @@ func CreateSchema(db Execer) error {
 }
 
 // Populate fills the database deterministically at the given scale.
-func Populate(db Execer, sc Scale, seed int64) error {
+func Populate(db sqldb.Execer, sc Scale, seed int64) error {
 	g := datagen.New(seed)
 	for i := 0; i < sc.Countries; i++ {
 		if _, err := db.Exec("INSERT INTO countries (name) VALUES (?)",

@@ -219,9 +219,13 @@ func TestPerConnRule(t *testing.T) {
 	if got, err := roundTrip(c1, "one", time.Second); err != nil || got != "one" {
 		t.Fatalf("conn 1: got %q err %v", got, err)
 	}
-	c2 := dialProxy(t, p) // conn id 2: reset on accept
-	if _, err := roundTrip(c2, "two", 500*time.Millisecond); err == nil {
-		t.Fatal("conn 2 should be reset by its rule")
+	// conn id 2: reset on accept — which the client can already see as a
+	// failed dial, not only as a failed first round trip.
+	if c2, err := net.DialTimeout("tcp", p.Addr(), time.Second); err == nil {
+		defer c2.Close()
+		if _, err := roundTrip(c2, "two", 500*time.Millisecond); err == nil {
+			t.Fatal("conn 2 should be reset by its rule")
+		}
 	}
 	if got, err := roundTrip(c1, "again", time.Second); err != nil || got != "again" {
 		t.Fatalf("conn 1 after conn 2 reset: got %q err %v", got, err)

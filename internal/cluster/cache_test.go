@@ -14,7 +14,7 @@ func cacheStats(c *Client) (hits, misses, invalidations, bypasses int64) {
 	return cs.QueryCacheHits, cs.QueryCacheMisses, cs.QueryCacheInvalidations, cs.QueryCacheBypasses
 }
 
-func queryQty(t *testing.T, ex Execer, id int) int64 {
+func queryQty(t *testing.T, ex sqldb.Execer, id int) int64 {
 	t.Helper()
 	res, err := ex.Exec("SELECT qty FROM items WHERE id = ?", sqldb.Int(int64(id)))
 	if err != nil {

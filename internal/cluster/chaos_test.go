@@ -12,13 +12,13 @@ import (
 
 // slowExecer delays every statement — a stand-in for a stalled sync peer.
 type slowExecer struct {
-	inner Execer
+	sqldb.Execer
 	delay time.Duration
 }
 
 func (s slowExecer) Exec(q string, args ...sqldb.Value) (*sqldb.Result, error) {
 	time.Sleep(s.delay)
-	return s.inner.Exec(q, args...)
+	return s.Execer.Exec(q, args...)
 }
 
 func TestSyncWithinDeadline(t *testing.T) {
@@ -31,7 +31,7 @@ func TestSyncWithinDeadline(t *testing.T) {
 	}
 	// A destination that takes 30ms per statement blows a 20ms budget
 	// within the first table.
-	_, _, err := SyncWithin(src, slowExecer{inner: dst, delay: 30 * time.Millisecond}, 20*time.Millisecond)
+	_, _, err := SyncWithin(src, slowExecer{Execer: dst, delay: 30 * time.Millisecond}, 20*time.Millisecond)
 	if !errors.Is(err, ErrSyncTimeout) {
 		t.Fatalf("err = %v, want ErrSyncTimeout", err)
 	}
@@ -114,13 +114,13 @@ func TestPoolWaitTimeoutDoesNotEject(t *testing.T) {
 		PoolSize: 1,
 		Timeouts: pool.Timeouts{Wait: 40 * time.Millisecond},
 	})
-	// A write-bracket session borrows the single connection to BOTH
-	// replicas and holds them across the bracket.
+	// A write transaction borrows the single connection to BOTH replicas
+	// and holds them until it ends.
 	s, err := c.Get()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Exec("LOCK TABLES audit WRITE"); err != nil {
+	if err := s.Begin("audit"); err != nil {
 		t.Fatal(err)
 	}
 	_, err = c.ExecCached("SELECT name FROM items WHERE id = 1")
@@ -130,12 +130,12 @@ func TestPoolWaitTimeoutDoesNotEject(t *testing.T) {
 	if c.Healthy() != 2 {
 		t.Fatalf("healthy = %d; pool saturation must not eject replicas", c.Healthy())
 	}
-	if _, err := s.Exec("UNLOCK TABLES"); err != nil {
+	if err := s.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	c.Put(s, false)
 	if _, err := c.ExecCached("SELECT name FROM items WHERE id = 1"); err != nil {
-		t.Fatalf("read after the bracket released: %v", err)
+		t.Fatalf("read after the transaction ended: %v", err)
 	}
 }
 

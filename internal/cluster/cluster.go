@@ -6,16 +6,16 @@
 // Routing policy: reads load-balance across healthy replicas (least
 // borrowed connections first, round-robin on ties, using the transport
 // pool's counters, skipping replicas whose rejoin sync is still running);
-// writes — and LOCK/UNLOCK-bracketed sections with write intent — broadcast
-// to every healthy replica, serialized per table by a cluster-wide
-// write-order lock so all backends apply conflicting writes in one global
-// order. The broadcast itself is batched: the statement fans out to all
-// replicas concurrently and the acks are awaited together, so a broadcast
-// costs one round-trip time instead of N sequential ones. Ordering is
-// unaffected — conflicting writes are serialized by the write-order locks
-// held across the whole fan-out, so no replica can observe two conflicting
-// statements in different orders. That plus identical seeding is what keeps
-// replicas bit-identical (AUTO_INCREMENT assignment included) without a
+// writes — and every statement of a write transaction — broadcast to every
+// healthy replica, serialized per table by a cluster-wide write-order lock
+// so all backends apply conflicting writes in one global order. The
+// broadcast itself is batched: the statement fans out to all replicas
+// concurrently and the acks are awaited together, so a broadcast costs one
+// round-trip time instead of N sequential ones. Ordering is unaffected —
+// conflicting writes are serialized by the write-order locks held across
+// the whole fan-out, so no replica can observe two conflicting statements
+// in different orders. That plus identical seeding is what keeps replicas
+// bit-identical (AUTO_INCREMENT assignment included) without a
 // database-level replication log.
 //
 // Read-only transactions (BeginReadOnly / WithReadTx) skip the write-order
@@ -46,6 +46,13 @@ import (
 
 // ErrNoReplicas is returned when every replica has been ejected.
 var ErrNoReplicas = errors.New("cluster: no healthy replicas")
+
+// ErrTxnControlText rejects BEGIN, START TRANSACTION, COMMIT and ROLLBACK
+// sent as statement text, before any connection is borrowed: transactions
+// are demarcated with Session.Begin/BeginReadOnly/Commit/Rollback (or
+// WithTx/WithReadTx), which also take the write-order locks the text
+// cannot declare.
+var ErrTxnControlText = errors.New("cluster: transaction control sent as a statement; use Begin/Commit/Rollback or WithTx")
 
 // ErrDegraded fast-fails writes while a StrictWrites cluster is degraded:
 // one or more replicas are ejected, so no write can satisfy the policy.
@@ -127,8 +134,8 @@ type replica struct {
 
 // Client is the replicated database client. It is safe for concurrent use
 // and presents the same surface as a single wire.Pool: Exec/ExecCached for
-// pool-routed statements, Get/Put for LOCK-bracketed logical sessions, and
-// Prepare for shared statement handles.
+// pool-routed statements, Get/Put for the logical sessions transactions run
+// on, and Prepare for shared statement handles.
 type Client struct {
 	// sh, when non-nil, makes this client a sharded facade (shard.go):
 	// public methods route through the shard set's per-shard inner clients
@@ -511,6 +518,9 @@ func (c *Client) exec(query string, args []sqldb.Value, cached bool) (*sqldb.Res
 		return c.sh.exec(c, query, args, cached)
 	}
 	rt := c.routes.of(query)
+	if rt.kind == kindTxnControl {
+		return nil, ErrTxnControlText
+	}
 	// One replica: no routing decision exists — skip write ordering and
 	// behave like a plain pool. Classification still happens (one memoized
 	// map load): reads consult the query cache, and writes publish their
@@ -525,13 +535,11 @@ func (c *Client) exec(query string, args []sqldb.Value, cached bool) (*sqldb.Res
 				return c.poolExecN(c.replicas[0], query, args, cached, func(int) { restamp() })
 			})
 		}
-		if rt.kind == kindWrite {
-			c.replicas[0].writes.Add(1)
-		}
+		c.replicas[0].writes.Add(1)
 		res, err := c.poolExec(c.replicas[0], query, args, cached)
 		// Publish unless the statement deterministically failed database-side;
 		// a transport failure may have applied before the connection died.
-		if rt.kind == kindWrite && (err == nil || isTransport(err)) {
+		if err == nil || isTransport(err) {
 			c.locks.bump(rt.tables)
 		}
 		return res, err
@@ -540,14 +548,6 @@ func (c *Client) exec(query string, args []sqldb.Value, cached bool) (*sqldb.Res
 		return c.cachedRead(rt, query, args, false, func(restamp func()) (*sqldb.Result, error) {
 			return c.execReadN(query, args, cached, restamp)
 		})
-	}
-	// LOCK/UNLOCK and transaction control arriving outside a Get/Put
-	// session would strand lock or transaction state on pooled connections;
-	// sessions are the supported bracket.
-	switch rt.kind {
-	case kindLock, kindUnlock, kindBegin, kindTxnEnd:
-		return nil, fmt.Errorf("cluster: %s requires a session (Get/Put)",
-			strings.Fields(query)[0])
 	}
 	return c.execWrite(query, args, cached, rt)
 }
@@ -835,6 +835,9 @@ func (s *Stmt) Query() string { return s.query }
 // Exec routes the prepared statement like Client.ExecCached, executing
 // through the pre-resolved per-replica handles.
 func (s *Stmt) Exec(args ...sqldb.Value) (*sqldb.Result, error) {
+	if s.rt.kind == kindTxnControl {
+		return nil, ErrTxnControlText
+	}
 	if s.c.sh != nil {
 		return s.c.sh.exec(s.c, s.query, args, true)
 	}
@@ -845,7 +848,7 @@ func (s *Stmt) Exec(args ...sqldb.Value) (*sqldb.Result, error) {
 			})
 		}
 		res, err := s.per[0].Exec(args...)
-		if s.rt.kind == kindWrite && (err == nil || isTransport(err)) {
+		if err == nil || isTransport(err) {
 			s.c.locks.bump(s.rt.tables)
 		}
 		return res, err
@@ -861,9 +864,9 @@ func (s *Stmt) Exec(args ...sqldb.Value) (*sqldb.Result, error) {
 	return s.c.writeWith(s.rt, run)
 }
 
-// Get opens a logical session for a LOCK/UNLOCK-bracketed section. The
-// session pins reads to one load-balanced replica; a bracket with write
-// intent broadcasts the whole section to every healthy replica in order.
+// Get opens a logical session, the unit a transaction runs on. The session
+// pins reads to one load-balanced replica; a write transaction broadcasts
+// its every statement to every healthy replica in order.
 func (c *Client) Get() (*Session, error) {
 	if c.closed.Load() {
 		return nil, errors.New("cluster: client closed")
@@ -883,9 +886,10 @@ func (c *Client) Get() (*Session, error) {
 	}, nil
 }
 
-// Put returns a session. Pass broken=true when the bracket did not close
-// cleanly: every borrowed connection is discarded, releasing any LOCK
-// TABLES state server-side, exactly like discarding a single connection.
+// Put returns a session. Pass broken=true when its transaction did not end
+// cleanly: every borrowed connection is discarded, so each server rolls the
+// transaction back, exactly like discarding a single connection. A session
+// returned with its transaction still open is treated the same way.
 func (c *Client) Put(s *Session, broken bool) {
 	if s == nil {
 		return
@@ -894,22 +898,20 @@ func (c *Client) Put(s *Session, broken bool) {
 }
 
 // Session is one logical connection over the cluster — what the
-// application borrows around a LOCK TABLES ... UNLOCK TABLES section or a
-// BEGIN ... COMMIT transaction. Not safe for concurrent use, like the wire
-// connection it replaces.
+// application borrows around a transaction, demarcated with Begin (or
+// BeginReadOnly) and Commit/Rollback. Not safe for concurrent use, like the
+// wire connection it replaces.
 type Session struct {
 	c      *Client
 	pinned *replica
 	conns  []*wire.Conn // by replica id; nil = not borrowed yet
 	broken []bool       // transport-failed connections, discarded at end
 
-	inBracket  bool
-	bracketAll bool   // write-intent bracket: section broadcasts
-	inTxn      bool   // open transaction (a broadcast bracket on >1 replica)
-	readOnly   bool   // transaction opened with BeginReadOnly: pinned-only, no locks
-	release    func() // bracket's write-order locks
-	topoHeld   bool
-	failed     bool
+	inTxn    bool   // open transaction; broadcast on >1 replica unless readOnly
+	readOnly bool   // transaction opened with BeginReadOnly: pinned-only, no locks
+	release  func() // the transaction's write-order locks
+	topoHeld bool
+	failed   bool
 
 	// Query-cache bookkeeping (cache.go). writeSet accumulates the tables
 	// this transaction has written — version bumps pending until COMMIT
@@ -931,6 +933,11 @@ type Session struct {
 	allShard bool
 	maxSub   int
 }
+
+var (
+	_ sqldb.Execer = (*Client)(nil)
+	_ sqldb.Execer = (*Session)(nil)
+)
 
 // conn lazily borrows this session's connection to r.
 func (s *Session) conn(r *replica) (*wire.Conn, error) {
@@ -978,20 +985,6 @@ func (s *Session) exec(query string, args []sqldb.Value, cached bool) (*sqldb.Re
 // write order the replicas depend on.
 var errReadOnlyTxn = errors.New("cluster: write in read-only transaction")
 
-// rejectInReadOnly fails mutating statements inside a read-only
-// transaction. Reads pass; COMMIT/ROLLBACK pass (they end it); BEGIN passes
-// because Begin/the engine implicitly commit the open transaction first.
-func (s *Session) rejectInReadOnly(query string) error {
-	if !s.readOnly {
-		return nil
-	}
-	switch s.c.routes.of(query).kind {
-	case kindRead, kindBegin, kindTxnEnd:
-		return nil
-	}
-	return errReadOnlyTxn
-}
-
 // isTxnAbort reports whether a database-side error also aborted the
 // server's transaction (the engine's deadlock wait timeout does; ordinary
 // statement errors leave the transaction open). Server errors cross the
@@ -1005,53 +998,33 @@ func (s *Session) execDispatch(query string, args []sqldb.Value, cached bool) (*
 	if s.failed {
 		return nil, errors.New("cluster: session failed, discard it")
 	}
-	// One replica: the session is an ordinary borrowed connection. The
-	// transaction flag is tracked — so an unmatched BEGIN still discards the
-	// connection at session end instead of returning it to the pool with an
-	// open transaction — along with the cache's version-publication state.
-	if len(s.c.replicas) == 1 {
-		if err := s.rejectInReadOnly(query); err != nil {
-			return nil, err
-		}
-		rt := s.c.routes.of(query)
-		if rt.kind == kindRead {
-			// Session reads run on the session's own borrowed connection with
-			// no retry, so the pre-run stamp is the attempt's stamp.
-			return s.c.cachedRead(rt, query, args, s.cacheBypass(rt), func(func()) (*sqldb.Result, error) {
-				return s.singleExec(query, args, cached, rt)
-			})
-		}
-		return s.singleExec(query, args, cached, rt)
-	}
-	if err := s.rejectInReadOnly(query); err != nil {
-		return nil, err
-	}
 	rt := s.c.routes.of(query)
-	switch rt.kind {
-	case kindRead:
+	if rt.kind == kindTxnControl {
+		return nil, ErrTxnControlText
+	}
+	if rt.kind == kindRead {
+		// Session reads run on the session's own borrowed connection with
+		// no retry, so the pre-run stamp is the attempt's stamp.
 		return s.c.cachedRead(rt, query, args, s.cacheBypass(rt), func(func()) (*sqldb.Result, error) {
+			if len(s.c.replicas) == 1 {
+				return s.singleExec(query, args, cached, rt)
+			}
 			return s.execRead(query, args, cached)
 		})
-	case kindLock:
-		return s.execLock(query, args, cached, rt)
-	case kindUnlock:
-		return s.execUnlock(query, args, cached)
-	case kindBegin:
-		if err := s.Begin(); err != nil {
-			return nil, err
-		}
-		return &sqldb.Result{}, nil
-	case kindTxnEnd:
-		return s.execTxnEndText(query, args, cached)
-	default:
-		return s.execWrite(query, args, cached, rt)
 	}
+	if s.readOnly {
+		return nil, errReadOnlyTxn
+	}
+	// One replica: the session is an ordinary borrowed connection.
+	if len(s.c.replicas) == 1 {
+		return s.singleExec(query, args, cached, rt)
+	}
+	return s.execWrite(query, args, cached, rt)
 }
 
 // singleExec runs one statement on a single-replica session's borrowed
-// connection, tracking the transaction flags and the cache's
-// version-publication bookkeeping that the routing paths handle on a
-// replicated cluster.
+// connection, with the cache's version-publication bookkeeping that the
+// routing paths handle on a replicated cluster.
 func (s *Session) singleExec(query string, args []sqldb.Value, cached bool, rt route) (*sqldb.Result, error) {
 	cn, err := s.conn(s.pinned)
 	if err != nil {
@@ -1072,31 +1045,15 @@ func (s *Session) singleExec(query string, args []sqldb.Value, cached bool, rt r
 		s.discardWrites()
 		return res, err
 	}
-	if err != nil {
-		return res, err
-	}
-	switch rt.kind {
-	case kindBegin:
-		if s.inTxn {
-			s.flushWrites() // BEGIN implicitly commits the open transaction
-		}
-		s.inTxn, s.readOnly = true, false
-	case kindTxnEnd:
-		if toks := tokens(query); len(toks) > 0 && toks[0] == "ROLLBACK" {
-			s.discardWrites()
-		} else {
-			s.flushWrites()
-		}
-		s.inTxn, s.readOnly = false, false
-	case kindWrite:
+	if err == nil && rt.kind == kindWrite {
 		s.notePublish(rt.tables)
 	}
 	return res, err
 }
 
-// execRead runs a read on the pinned replica's connection. Inside a
-// broadcast bracket the pinned replica holds the same locks as the rest,
-// so its answer is canonical.
+// execRead runs a read on the pinned replica's connection. Inside a write
+// transaction the pinned replica has applied the same statements as the
+// rest, so its answer is canonical.
 func (s *Session) execRead(query string, args []sqldb.Value, cached bool) (*sqldb.Result, error) {
 	cn, err := s.conn(s.pinned)
 	if err != nil {
@@ -1110,68 +1067,6 @@ func (s *Session) execRead(query string, args []sqldb.Value, cached bool) (*sqld
 	}
 	s.pinned.reads.Add(1)
 	return res, err
-}
-
-// execLock opens a bracket. Write intent broadcasts the LOCK to every
-// healthy replica and serializes the bracket's tables cluster-wide for its
-// whole duration; a read-only bracket locks the pinned replica only.
-//
-// A LOCK TABLES inside an open bracket mirrors MySQL's implicit release of
-// the previous set: the cluster-side bracket state (write-order locks,
-// topo hold) is released first, and if the previous bracket had broadcast,
-// the new LOCK broadcasts too — whatever its own intent — so every
-// connection that holds the old set receives the statement that releases
-// it.
-func (s *Session) execLock(query string, args []sqldb.Value, cached bool, rt route) (*sqldb.Result, error) {
-	wasAll := s.bracketAll
-	if s.inBracket {
-		s.closeBracket()
-	}
-	if !rt.writeBracket && !wasAll {
-		res, err := s.execRead(query, args, cached)
-		if err == nil {
-			s.inBracket = true
-		}
-		return res, err
-	}
-	if rt.writeBracket {
-		if err := s.c.writeGate(); err != nil {
-			return nil, err
-		}
-	}
-	s.c.topo.RLock()
-	s.topoHeld = true
-	if rt.writeBracket {
-		s.release = s.c.locks.acquire(rt.tables)
-	}
-	res, err := s.broadcast(query, args, cached, false)
-	if err != nil {
-		s.failed = true
-		return nil, err
-	}
-	s.inBracket, s.bracketAll = true, true
-	return res, nil
-}
-
-// execUnlock closes the bracket on every replica it was opened on. Inside
-// a transaction UNLOCK TABLES is a server-side no-op (no LOCK TABLES set is
-// active), so the transaction's bracket state stays untouched.
-func (s *Session) execUnlock(query string, args []sqldb.Value, cached bool) (*sqldb.Result, error) {
-	var res *sqldb.Result
-	var err error
-	if s.bracketAll {
-		res, err = s.broadcast(query, args, cached, false)
-	} else {
-		res, err = s.execRead(query, args, cached)
-	}
-	if err != nil {
-		s.failed = true
-		return nil, err
-	}
-	if !s.inTxn {
-		s.closeBracket()
-	}
-	return res, nil
 }
 
 // Begin opens a transaction across the cluster. tables declares the tables
@@ -1211,21 +1106,17 @@ func (s *Session) Begin(tables ...string) error {
 		// The declared write set serializes here too: the engine only
 		// write-locks a table at the transaction's first write to it, so
 		// without this two read-modify-write transactions could both read
-		// before either writes — the lost update the old up-front
-		// LOCK TABLES bracket excluded.
+		// before either writes — a lost update.
 		s.release = s.c.locks.acquire(ordered)
 		if err := cn.Begin(); err != nil {
 			s.broken[s.pinned.id] = true
 			s.failed = true
-			s.closeBracket()
+			s.closeTxn()
 			return err
 		}
 		s.inTxn = true
 		s.held = ordered
 		return nil
-	}
-	if s.inBracket {
-		s.closeBracket() // a LOCK bracket ends here; the server releases its set on BEGIN
 	}
 	// A write transaction that cannot satisfy the strict policy fails at
 	// BEGIN, before any replica opens transaction state.
@@ -1253,10 +1144,10 @@ func (s *Session) Begin(tables ...string) error {
 	}
 	if opened == 0 {
 		s.failed = true
-		s.closeBracket()
+		s.closeTxn()
 		return ErrNoReplicas
 	}
-	s.inTxn, s.inBracket, s.bracketAll = true, true, true
+	s.inTxn = true
 	s.held = ordered
 	return nil
 }
@@ -1280,16 +1171,6 @@ func (s *Session) BeginReadOnly() error {
 		if err := s.Commit(); err != nil {
 			return err
 		}
-	}
-	if s.bracketAll {
-		// A broadcast LOCK bracket holds server-side lock sets on every
-		// replica; only a broadcast statement can release them all, so a
-		// pinned-only transaction cannot safely follow it. Fall back to a
-		// full transaction, which closes the bracket everywhere.
-		return s.Begin()
-	}
-	if s.inBracket {
-		s.closeBracket()
 	}
 	cn, err := s.conn(s.pinned)
 	if err != nil {
@@ -1329,9 +1210,8 @@ func (s *Session) Rollback() error {
 
 // endTxn runs op (COMMIT or ROLLBACK) on every connection participating in
 // the transaction — concurrently, like the statement broadcasts; the
-// bracket's write-order locks are still held until closeBracket below, so
-// the commit itself stays inside the transaction's serialized window — then
-// releases the bracket state.
+// write-order locks are still held until closeTxn below, so the commit
+// itself stays inside the transaction's serialized window.
 func (s *Session) endTxn(op func(*wire.Conn) error, commit bool) error {
 	if !s.inTxn {
 		return nil
@@ -1348,7 +1228,7 @@ func (s *Session) endTxn(op func(*wire.Conn) error, commit bool) error {
 			s.discardWrites()
 		}
 		s.inTxn = false
-		s.closeBracket()
+		s.closeTxn()
 	}()
 	outs := fanOut(s.c.replicas, func(r *replica) bool {
 		return s.conns[r.id] != nil && !s.broken[r.id]
@@ -1400,50 +1280,20 @@ func (s *Session) endTxn(op func(*wire.Conn) error, commit bool) error {
 	return nil
 }
 
-// execTxnEndText routes a COMMIT/ROLLBACK arriving as statement text
-// through the same path as the Commit/Rollback API.
-func (s *Session) execTxnEndText(query string, args []sqldb.Value, cached bool) (*sqldb.Result, error) {
-	if !s.inTxn {
-		// No cluster-side transaction: let the pinned replica answer the
-		// (no-op) statement deterministically.
-		return s.execRead(query, args, cached)
-	}
-	op, commit := (*wire.Conn).Commit, true
-	if toks := tokens(query); len(toks) > 0 && toks[0] == "ROLLBACK" {
-		op, commit = (*wire.Conn).Rollback, false
-	}
-	if err := s.endTxn(op, commit); err != nil {
-		return nil, err
-	}
-	return &sqldb.Result{}, nil
-}
-
-// execWrite broadcasts a write inside (or, degenerately, outside) a
-// bracket. Inside a write bracket the tables are already serialized by the
-// bracket's locks; outside, the statement takes its own.
+// execWrite broadcasts a write. Inside a transaction the tables are already
+// serialized by the locks Begin took; outside, the statement takes its own.
 func (s *Session) execWrite(query string, args []sqldb.Value, cached bool, rt route) (*sqldb.Result, error) {
-	if s.bracketAll {
-		res, err := s.broadcast(query, args, cached, true)
-		// Publish unless the failure was deterministic database-side: a
-		// transport-failed broadcast may have applied on some replica.
-		if err == nil || !wire.IsServerError(err) {
-			s.notePublish(rt.tables)
+	if !s.inTxn {
+		if err := s.c.writeGate(); err != nil {
+			return nil, err
 		}
-		return res, err
+		s.c.topo.RLock()
+		release := s.c.locks.acquire(rt.tables)
+		defer func() { release(); s.c.topo.RUnlock() }()
 	}
-	if s.inBracket {
-		// Write inside a read-only bracket: the database will reject it
-		// (READ-locked), so route it to the pinned replica alone and let
-		// the deterministic error come back.
-		return s.execRead(query, args, cached)
-	}
-	if err := s.c.writeGate(); err != nil {
-		return nil, err
-	}
-	s.c.topo.RLock()
-	release := s.c.locks.acquire(rt.tables)
-	defer func() { release(); s.c.topo.RUnlock() }()
 	res, err := s.broadcast(query, args, cached, true)
+	// Publish unless the failure was deterministic database-side: a
+	// transport-failed broadcast may have applied on some replica.
 	if err == nil || !wire.IsServerError(err) {
 		s.notePublish(rt.tables)
 	}
@@ -1452,9 +1302,9 @@ func (s *Session) execWrite(query string, args []sqldb.Value, cached bool, rt ro
 
 // broadcast sends one statement to every participating replica over the
 // session's connections — concurrently, like the pool-level fan-out; the
-// caller (or the session's bracket) holds the write-order locks that keep
-// conflicting broadcasts ordered. Transport failures eject the replica and
-// — under the default policy — the broadcast continues; the lowest-id
+// caller (or the session's transaction) holds the write-order locks that
+// keep conflicting broadcasts ordered. Transport failures eject the replica
+// and — under the default policy — the broadcast continues; the lowest-id
 // participating replica's answer is canonical.
 func (s *Session) broadcast(query string, args []sqldb.Value, cached, countWrite bool) (*sqldb.Result, error) {
 	var b bcast
@@ -1478,7 +1328,7 @@ func (s *Session) broadcast(query string, args []sqldb.Value, cached, countWrite
 	if countWrite && b.answered {
 		// The write landed somewhere, so every replica this session could
 		// not reach — a failed borrow above, a connection broken earlier in
-		// the bracket, or this fan-out's failure — has missed it and
+		// the transaction, or this fan-out's failure — has missed it and
 		// diverged: eject it regardless of why the connection broke (even
 		// pool saturation), leaving the rejoin sync as the only way back.
 		for _, r := range s.c.replicas {
@@ -1496,7 +1346,7 @@ func (s *Session) broadcast(query string, args []sqldb.Value, cached, countWrite
 		s.failed = true
 		return nil, err
 	}
-	// The session must keep reading from a replica that holds the bracket.
+	// The session must keep reading from a replica inside the transaction.
 	if !s.pinned.healthy.Load() {
 		for _, r := range s.c.replicas {
 			if r.healthy.Load() && s.conns[r.id] != nil && !s.broken[r.id] {
@@ -1525,13 +1375,14 @@ func (s *Session) fail(r *replica, err error) {
 	}
 }
 
-func (s *Session) closeBracket() {
+// closeTxn releases what the session's transaction held cluster-side: the
+// write-order locks, the topology hold and the cache's write-set state.
+func (s *Session) closeTxn() {
 	if s.inTxn {
-		// Reached with the transaction still open only on an implicit
-		// commit (a LOCK TABLES arriving inside it) or an abandoned
-		// session. The server may have committed the pending writes, so
-		// they are published conservatively — a spurious bump only costs
-		// cache misses, never correctness.
+		// Still open: the session was abandoned and end discards its
+		// connections, so every server rolls back. Publishing the pending
+		// writes anyway is the conservative side — a spurious bump only
+		// costs cache misses, never correctness.
 		s.flushWrites()
 	}
 	s.held = nil
@@ -1543,10 +1394,10 @@ func (s *Session) closeBracket() {
 		s.c.topo.RUnlock()
 		s.topoHeld = false
 	}
-	s.inBracket, s.bracketAll, s.inTxn, s.readOnly = false, false, false, false
+	s.inTxn, s.readOnly = false, false
 }
 
-// end returns every borrowed connection and releases bracket state. A
+// end returns every borrowed connection and releases transaction state. A
 // session abandoned with its transaction still open discards every
 // connection: each server session rolls the transaction back as its
 // connection closes, so no pooled connection ever carries open transaction
@@ -1557,7 +1408,7 @@ func (s *Session) end(broken bool) {
 		return
 	}
 	broken = broken || s.inTxn
-	s.closeBracket()
+	s.closeTxn()
 	for i, cn := range s.conns {
 		if cn == nil {
 			continue
@@ -1571,52 +1422,27 @@ func (s *Session) end(broken bool) {
 // transaction declaring the given write tables is opened on it, and fn's
 // outcome decides the verdict — nil commits, an error (or a panic, which is
 // re-raised after cleanup) rolls back, restoring every replica to its
-// pre-transaction state. This is the short-transaction bracket the
-// application hot paths use in place of LOCK TABLES sections, and the
-// demarcation primitive the EJB container wraps business methods in.
-func (c *Client) WithTx(tables []string, fn func(tx *Session) error) (err error) {
-	s, err := c.Get()
-	if err != nil {
-		return err
-	}
-	broken := false
-	committed := false
-	defer func() {
-		if r := recover(); r != nil {
-			s.Rollback() // best effort; end() discards the conns regardless
-			c.Put(s, true)
-			panic(r)
-		}
-		if !committed && s.inTxn {
-			if rbErr := s.Rollback(); rbErr != nil {
-				broken = true
-			}
-		}
-		c.Put(s, broken)
-	}()
-	if err := s.Begin(tables...); err != nil {
-		broken = true
-		return err
-	}
-	if err := fn(s); err != nil {
-		return err
-	}
-	if err := s.Commit(); err != nil {
-		broken = true
-		return err
-	}
-	committed = true
-	return nil
+// pre-transaction state. This is the short transaction the application hot
+// paths run their critical sections in, and the demarcation primitive the
+// EJB container wraps business methods in.
+func (c *Client) WithTx(tables []string, fn func(tx *Session) error) error {
+	return c.withTx(func(s *Session) error { return s.Begin(tables...) }, fn)
 }
 
 // WithReadTx runs fn inside a read-only transaction (BeginReadOnly): every
 // SELECT in fn is served from an MVCC snapshot on one pinned replica, with
 // no cluster-wide write-order locks and no broadcast traffic. This is the
-// demarcation bracket for read-only business methods — the replication
-// "correctness tax" drops out of their path entirely. fn's writes fail
-// deterministically; its error (or panic, re-raised after cleanup) rolls
-// the transaction back, nil commits it.
-func (c *Client) WithReadTx(fn func(tx *Session) error) (err error) {
+// demarcation for read-only business methods — the replication "correctness
+// tax" drops out of their path entirely. fn's writes fail deterministically;
+// its error (or panic, re-raised after cleanup) rolls the transaction back,
+// nil commits it.
+func (c *Client) WithReadTx(fn func(tx *Session) error) error {
+	return c.withTx((*Session).BeginReadOnly, fn)
+}
+
+// withTx borrows a session, opens a transaction on it with begin, runs fn
+// and commits or rolls back on its outcome.
+func (c *Client) withTx(begin func(*Session) error, fn func(tx *Session) error) (err error) {
 	s, err := c.Get()
 	if err != nil {
 		return err
@@ -1636,7 +1462,7 @@ func (c *Client) WithReadTx(fn func(tx *Session) error) (err error) {
 		}
 		c.Put(s, broken)
 	}()
-	if err := s.BeginReadOnly(); err != nil {
+	if err := begin(s); err != nil {
 		broken = true
 		return err
 	}

@@ -44,7 +44,7 @@ func startReplicas(t *testing.T, n int) []*testReplica {
 	return reps
 }
 
-func mustExec(t *testing.T, ex Execer, q string, args ...sqldb.Value) {
+func mustExec(t *testing.T, ex sqldb.Execer, q string, args ...sqldb.Value) {
 	t.Helper()
 	if _, err := ex.Exec(q, args...); err != nil {
 		t.Fatalf("%s: %v", q, err)
@@ -181,8 +181,12 @@ func TestWriteOrderingUnderConcurrency(t *testing.T) {
 	}
 }
 
-// TestSessionBracketBroadcast drives the LOCK ... UNLOCK path the (non-
-// sync) applications use: the bracketed write must reach both replicas.
+// TestSessionBracketBroadcast drives the borrowed-session path: Get, Begin,
+// statements, Commit, Put. The transaction's writes must reach both
+// replicas, and whatever ends it — Commit, or a second Begin on the same
+// session, which commits the first — must release its cluster-side
+// write-order locks and topology hold (regression: a second bracket on one
+// session leaked the first's, blocking every later writer to the table).
 func TestSessionBracketBroadcast(t *testing.T) {
 	reps := startReplicas(t, 2)
 	c := newTestClient(t, reps, Config{})
@@ -190,31 +194,47 @@ func TestSessionBracketBroadcast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ExecCached("LOCK TABLES items WRITE, audit READ"); err != nil {
+	if err := s.Begin("items"); err != nil {
 		t.Fatal(err)
 	}
 	res, err := s.ExecCached("SELECT qty FROM items WHERE id = 2")
 	if err != nil || len(res.Rows) != 1 {
-		t.Fatalf("read in bracket: %v", err)
+		t.Fatalf("read in transaction: %v", err)
 	}
 	if _, err := s.ExecCached("UPDATE items SET qty = ? WHERE id = 2", sqldb.Int(55)); err != nil {
 		t.Fatal(err)
 	}
-	// A read-locked table rejects writes — deterministically on the one
-	// replica the read is routed to.
-	if _, err := s.ExecCached("INSERT INTO audit (item, delta) VALUES (1, 1)"); err == nil {
-		t.Fatal("write to READ-locked table must fail")
-	} else if !wire.IsServerError(err) {
-		t.Fatalf("want server error, got %v", err)
+	// Nested Begin over a different set: the first transaction commits
+	// and items' locks are released.
+	if err := s.Begin("audit"); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := s.ExecCached("UNLOCK TABLES"); err != nil {
+	if _, err := s.ExecCached("INSERT INTO audit (item, delta) VALUES (2, 5)"); err != nil {
+		t.Fatal(err)
+	}
+	// A pool write to items goes through while the audit transaction is
+	// still open; run under -timeout, a leaked lock hangs it.
+	if _, err := c.ExecCached("UPDATE items SET qty = 3 WHERE id = 1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	c.Put(s, false)
+	// Nothing is ejected, so Rejoin is a no-op — but it takes the topology
+	// lock exclusively, which a leaked topology hold would deadlock.
+	if err := c.Rejoin(1, false); err != nil {
+		t.Fatal(err)
+	}
 	for i, r := range reps {
-		res := queryReplica(t, r, "SELECT qty FROM items WHERE id = 2")
-		if got := res.Rows[0][0].AsInt(); got != 55 {
-			t.Errorf("replica %d qty %d, want 55", i, got)
+		for q, want := range map[string]int64{
+			"SELECT qty FROM items WHERE id = 2": 55,
+			"SELECT qty FROM items WHERE id = 1": 3,
+			"SELECT COUNT(*) FROM audit":         1,
+		} {
+			if got := queryReplica(t, r, q).Rows[0][0].AsInt(); got != want {
+				t.Errorf("replica %d: %s = %d, want %d", i, q, got, want)
+			}
 		}
 	}
 }
@@ -379,21 +399,25 @@ func TestRouteAnalysis(t *testing.T) {
 		q      string
 		kind   stmtKind
 		tables string
-		wb     bool
 	}{
-		{"SELECT * FROM items", kindRead, "", false},
-		{"  select id from items where x = ?", kindRead, "", false},
-		{"SHOW TABLES", kindRead, "", false},
-		{"INSERT INTO orders (a, b) VALUES (?, ?)", kindWrite, "orders", false},
-		{"UPDATE Items SET qty = ? WHERE id = ?", kindWrite, "items", false},
-		{"DELETE FROM cart_items WHERE cart = ?", kindWrite, "cart_items", false},
-		{"CREATE TABLE foo (id INT)", kindWrite, "foo", false},
-		{"CREATE TABLE IF NOT EXISTS foo (id INT)", kindWrite, "foo", false},
-		{"CREATE UNIQUE INDEX idx_x ON bar (col)", kindWrite, "bar", false},
-		{"DROP TABLE IF EXISTS baz", kindWrite, "baz", false},
-		{"LOCK TABLES a READ, b WRITE, c READ", kindLock, "b", true},
-		{"LOCK TABLES a READ", kindLock, "", false},
-		{"UNLOCK TABLES", kindUnlock, "", false},
+		{"SELECT * FROM items", kindRead, ""},
+		{"  select id from items where x = ?", kindRead, ""},
+		{"SHOW TABLES", kindRead, ""},
+		{"INSERT INTO orders (a, b) VALUES (?, ?)", kindWrite, "orders"},
+		{"UPDATE Items SET qty = ? WHERE id = ?", kindWrite, "items"},
+		{"DELETE FROM cart_items WHERE cart = ?", kindWrite, "cart_items"},
+		{"CREATE TABLE foo (id INT)", kindWrite, "foo"},
+		{"CREATE TABLE IF NOT EXISTS foo (id INT)", kindWrite, "foo"},
+		{"CREATE UNIQUE INDEX idx_x ON bar (col)", kindWrite, "bar"},
+		{"DROP TABLE IF EXISTS baz", kindWrite, "baz"},
+		{"BEGIN", kindTxnControl, ""},
+		{"start transaction", kindTxnControl, ""},
+		{"COMMIT", kindTxnControl, ""},
+		{"ROLLBACK WORK", kindTxnControl, ""},
+		// Not in the dialect: an unknown statement is a catch-all write, and
+		// the database's parse error comes back from every replica.
+		{"LOCK TABLES a READ, b WRITE", kindWrite, ""},
+		{"UNLOCK TABLES", kindWrite, ""},
 	}
 	for _, tc := range cases {
 		r := analyze(tc.q)
@@ -402,60 +426,6 @@ func TestRouteAnalysis(t *testing.T) {
 		}
 		if got := strings.Join(r.tables, ","); got != tc.tables {
 			t.Errorf("%q tables %q, want %q", tc.q, got, tc.tables)
-		}
-		if r.writeBracket != tc.wb {
-			t.Errorf("%q writeBracket %v, want %v", tc.q, r.writeBracket, tc.wb)
-		}
-	}
-}
-
-// TestNestedLockBracket: a second LOCK TABLES inside an open bracket
-// mirrors MySQL's implicit release — the first bracket's cluster-side
-// write-order locks must be released (regression: they leaked, blocking
-// every later writer to the table forever).
-func TestNestedLockBracket(t *testing.T) {
-	reps := startReplicas(t, 2)
-	c := newTestClient(t, reps, Config{})
-	s, err := c.Get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.ExecCached("LOCK TABLES items WRITE"); err != nil {
-		t.Fatal(err)
-	}
-	// Nested re-lock of a different set: items' locks must be released.
-	if _, err := s.ExecCached("LOCK TABLES audit WRITE"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.ExecCached("INSERT INTO audit (item, delta) VALUES (1, 5)"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.ExecCached("UNLOCK TABLES"); err != nil {
-		t.Fatal(err)
-	}
-	c.Put(s, false)
-
-	// A write to items from the pool must neither block on a leaked
-	// write-order lock nor on a leaked topo reader (exercised via Rejoin
-	// being a topo writer — nothing is ejected, so it is a no-op, but a
-	// leaked reader would have deadlocked a writer if one were pending).
-	done := make(chan error, 1)
-	go func() {
-		_, err := c.ExecCached("UPDATE items SET qty = 3 WHERE id = 1")
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("write to items blocked: nested LOCK leaked its write-order lock")
-	}
-	for i, r := range reps {
-		res := queryReplica(t, r, "SELECT COUNT(*) FROM audit")
-		if got := res.Rows[0][0].AsInt(); got != 1 {
-			t.Errorf("replica %d audit rows %d, want 1", i, got)
 		}
 	}
 }

@@ -10,22 +10,18 @@ import (
 )
 
 // stmtKind classifies a statement for routing: reads go to one replica,
-// writes broadcast to all, LOCK/UNLOCK open and close a bracketed section,
-// BEGIN opens a transaction and COMMIT/ROLLBACK close it.
+// writes broadcast to all, and transaction-control text (BEGIN, START
+// TRANSACTION, COMMIT, ROLLBACK) is refused — the Session API demarcates.
 type stmtKind int
 
 const (
 	kindRead stmtKind = iota
 	kindWrite
-	kindLock
-	kindUnlock
-	kindBegin
-	kindTxnEnd
+	kindTxnControl
 )
 
 // route is the routing decision for one query text: its kind, and for
-// writes and write-intent LOCK TABLES the tables whose cluster-wide write
-// order must be serialized.
+// writes the tables whose cluster-wide write order must be serialized.
 type route struct {
 	kind stmtKind
 	// tables lists the write-ordered tables (lower-cased, sorted, deduped).
@@ -36,9 +32,6 @@ type route struct {
 	// validated against. nil for non-SELECT reads and for statements the
 	// parser rejects, which makes them uncacheable (see cache.go).
 	readTables []string
-	// writeBracket marks a LOCK TABLES set containing at least one WRITE
-	// intent: the whole bracketed section must broadcast.
-	writeBracket bool
 }
 
 // routes memoizes analyze per query text. The workloads repeat a small
@@ -67,14 +60,8 @@ func analyze(query string) route {
 		return route{kind: kindRead, readTables: selectTables(query)}
 	case "SHOW":
 		return route{kind: kindRead}
-	case "UNLOCK":
-		return route{kind: kindUnlock}
-	case "LOCK":
-		return analyzeLock(toks)
-	case "BEGIN", "START":
-		return route{kind: kindBegin}
-	case "COMMIT", "ROLLBACK":
-		return route{kind: kindTxnEnd}
+	case "BEGIN", "START", "COMMIT", "ROLLBACK":
+		return route{kind: kindTxnControl}
 	case "INSERT": // INSERT INTO <t> ...
 		return writeRoute(tokenAfter(toks, "INTO"))
 	case "UPDATE": // UPDATE <t> SET ...
@@ -117,30 +104,6 @@ func selectTables(query string) []string {
 		tables = append(tables, j.Table.Table)
 	}
 	return normalize(tables)
-}
-
-// analyzeLock parses "LOCK TABLES a READ, b WRITE, ...": the write-intent
-// tables are the ones needing cluster-wide ordering.
-func analyzeLock(toks []string) route {
-	r := route{kind: kindLock}
-	var name string
-	for _, t := range toks[1:] {
-		switch t {
-		case "TABLES":
-		case "READ":
-			name = ""
-		case "WRITE":
-			if name != "" {
-				r.tables = append(r.tables, name)
-			}
-			r.writeBracket = true
-			name = ""
-		default:
-			name = t
-		}
-	}
-	r.tables = normalize(r.tables)
-	return r
 }
 
 func writeRoute(table string) route {

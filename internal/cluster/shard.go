@@ -259,9 +259,8 @@ func shardIndex(v sqldb.Value, n int) int {
 func (sh *shardSet) exec(c *Client, query string, args []sqldb.Value, cached bool) (*sqldb.Result, error) {
 	p := sh.planOf(c, query)
 	switch p.rt.kind {
-	case kindLock, kindUnlock, kindBegin, kindTxnEnd:
-		return nil, fmt.Errorf("cluster: %s requires a session (Get/Put)",
-			strings.Fields(query)[0])
+	case kindTxnControl:
+		return nil, ErrTxnControlText
 	case kindRead:
 		if !p.sharded {
 			// Global tables are replicated on every shard; any one answers.
@@ -665,32 +664,14 @@ func (s *Session) shExec(query string, args []sqldb.Value, cached bool) (*sqldb.
 	}
 	sh := s.c.sh
 	p := sh.planOf(s.c, query)
-	switch p.rt.kind {
-	case kindLock, kindUnlock:
-		return nil, errors.New("cluster: LOCK TABLES is not supported on a sharded cluster; use transactions")
-	case kindBegin:
-		if err := s.Begin(); err != nil {
-			return nil, err
-		}
-		return &sqldb.Result{}, nil
-	case kindTxnEnd:
-		toks := tokens(query)
-		var err error
-		if len(toks) > 0 && toks[0] == "ROLLBACK" {
-			err = s.Rollback()
-		} else {
-			err = s.Commit()
-		}
-		if err != nil {
-			return nil, err
-		}
-		return &sqldb.Result{}, nil
-	}
 	if !s.inTxn {
 		return sh.exec(s.c, query, args, cached)
 	}
-	if err := s.rejectInReadOnly(query); err != nil {
-		return nil, err
+	if p.rt.kind == kindTxnControl {
+		return nil, ErrTxnControlText
+	}
+	if s.readOnly && p.rt.kind != kindRead {
+		return nil, errReadOnlyTxn
 	}
 	if !p.sharded {
 		// Global table: in a transaction it must still run on a

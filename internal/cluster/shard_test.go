@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -452,4 +453,85 @@ func dumpReplica(t *testing.T, r *testReplica) string {
 		}
 	}
 	return b.String()
+}
+
+// TestControlTextRejected pins the one multi-statement mode on every
+// topology (shards × replicas): LOCK/UNLOCK TABLES is the database's parse
+// error like any unknown statement, and transaction-control text is refused
+// with ErrTxnControlText before a connection is borrowed — through the
+// pool paths, a prepared handle and a session, inside a transaction and
+// out. Nothing is left behind on a pooled connection: a following WithTx
+// write to the same table commits on every backend. Run under -timeout: a
+// stranded BEGIN or lock set hangs that write.
+func TestControlTextRejected(t *testing.T) {
+	for _, topo := range [][2]int{{1, 1}, {1, 2}, {2, 1}} {
+		t.Run(fmt.Sprintf("%dx%d", topo[0], topo[1]), func(t *testing.T) {
+			groups := startShards(t, topo[0], topo[1])
+			c := newShardClient(t, groups, Config{PoolSize: 1})
+			s, err := c.Get()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// One connection per backend, so every borrower reuses it — and
+			// the session, which keeps what it borrows, goes last.
+			type surface struct {
+				name string
+				run  func(q string) error
+			}
+			surfaces := []surface{
+				{"Client.Exec", func(q string) error { _, err := c.Exec(q); return err }},
+				{"Client.ExecCached", func(q string) error { _, err := c.ExecCached(q); return err }},
+				{"Stmt.Exec", func(q string) error { _, err := c.Prepare(q).Exec(); return err }},
+				{"Session.Exec", func(q string) error { _, err := s.Exec(q); return err }},
+			}
+			check := func(when string) {
+				t.Helper()
+				for _, sf := range surfaces {
+					for _, q := range []string{"LOCK TABLES customers WRITE", "UNLOCK TABLES"} {
+						if err := sf.run(q); !wire.IsServerError(err) || !strings.Contains(err.Error(), "unsupported statement") {
+							t.Errorf("%s %s(%q) = %v, want the database's parse error", when, sf.name, q, err)
+						}
+					}
+					for _, q := range []string{"BEGIN", "START TRANSACTION", "COMMIT", "ROLLBACK", " begin work"} {
+						if err := sf.run(q); !errors.Is(err, ErrTxnControlText) {
+							t.Errorf("%s %s(%q) = %v, want ErrTxnControlText", when, sf.name, q, err)
+						}
+					}
+				}
+				if c.Healthy() != topo[0]*topo[1] {
+					t.Fatalf("%s: %d healthy backends, want %d: a rejected statement ejected one", when, c.Healthy(), topo[0]*topo[1])
+				}
+			}
+			check("outside a transaction:")
+			// Inside the session's transaction the rejections neither end
+			// it nor poison it. The pool surfaces would queue behind the
+			// session's connections here.
+			surfaces = surfaces[3:]
+			if err := s.Begin("customers"); err != nil {
+				t.Fatal(err)
+			}
+			mustExec(t, s, "INSERT INTO customers (name) VALUES ('in-txn')")
+			check("inside a transaction:")
+			if err := s.Commit(); err != nil {
+				t.Fatalf("commit after rejected statements: %v", err)
+			}
+			c.Put(s, false)
+
+			err = c.WithTx([]string{"customers"}, func(tx *Session) error {
+				_, err := tx.ExecCached("INSERT INTO customers (name) VALUES ('after')")
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for si, g := range groups {
+				for ri, r := range g {
+					res := queryReplica(t, r, "SELECT name FROM customers ORDER BY id")
+					if got := fmt.Sprint(res.Rows); got != `[["in-txn"] ["after"]]` {
+						t.Errorf("shard %d replica %d customers = %s", si, ri, got)
+					}
+				}
+			}
+		})
+	}
 }

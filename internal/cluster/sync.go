@@ -10,13 +10,6 @@ import (
 	"repro/internal/sqldb"
 )
 
-// Execer is the minimal statement surface the sync path needs — satisfied
-// by a pooled wire client, a single wire connection, an in-process
-// sqldb.SessionExecer, and the cluster Client itself.
-type Execer interface {
-	Exec(query string, args ...sqldb.Value) (*sqldb.Result, error)
-}
-
 // syncBatch bounds rows per INSERT during a replica sync.
 const syncBatch = 64
 
@@ -44,7 +37,7 @@ var ErrSyncTimeout = errors.New("cluster: sync deadline exceeded")
 // counter (offset/stride) or a counter advanced past a deleted row would
 // diverge on the next insert, so the status row's next/offset/stride are
 // replayed verbatim. It returns the tables and rows copied.
-func Sync(src, dst Execer) (tables, rows int, err error) {
+func Sync(src, dst sqldb.Execer) (tables, rows int, err error) {
 	return SyncWithin(src, dst, 0)
 }
 
@@ -53,7 +46,7 @@ func Sync(src, dst Execer) (tables, rows int, err error) {
 // of work whose individual round trips the transport deadlines already
 // bound — so expiry surfaces as ErrSyncTimeout within one round trip
 // rather than hanging for the whole copy of a large data set.
-func SyncWithin(src, dst Execer, budget time.Duration) (tables, rows int, err error) {
+func SyncWithin(src, dst sqldb.Execer, budget time.Duration) (tables, rows int, err error) {
 	var deadline time.Time
 	if budget > 0 {
 		deadline = time.Now().Add(budget)
@@ -84,7 +77,7 @@ func SyncWithin(src, dst Execer, budget time.Duration) (tables, rows int, err er
 // syncAutoInc replays one table's id-assignment state onto dst. OFFSET and
 // STRIDE are included only when set on the source — ALTER treats zero as
 // "leave alone", and an unstrided source must not disturb defaults.
-func syncAutoInc(dst Execer, table string, next, offset, stride int64) error {
+func syncAutoInc(dst sqldb.Execer, table string, next, offset, stride int64) error {
 	q := fmt.Sprintf("ALTER TABLE %s AUTO_INCREMENT", table)
 	if offset > 0 {
 		q += fmt.Sprintf(" OFFSET %d", offset)
@@ -115,7 +108,7 @@ type SyncStats struct {
 // (SHOW WAL RECORDS) and replayed, instead of rewriting every table. Any
 // mismatch, unavailability (dst's position rotated out of src's retained
 // log), or mid-ship divergence falls back to the full SyncWithin copy.
-func SyncAuto(src, dst Execer, budget time.Duration) (SyncStats, error) {
+func SyncAuto(src, dst sqldb.Execer, budget time.Duration) (SyncStats, error) {
 	if st, err := syncWALDelta(src, dst, budget); err == nil {
 		return st, nil
 	} else if errors.Is(err, ErrSyncTimeout) {
@@ -131,7 +124,7 @@ func SyncAuto(src, dst Execer, budget time.Duration) (SyncStats, error) {
 var errNoDelta = errors.New("cluster: wal delta sync not applicable")
 
 // walHead reads an Execer's WAL position: attached, last LSN, chain hash.
-func walHead(e Execer) (attached bool, last, chain int64, err error) {
+func walHead(e sqldb.Execer) (attached bool, last, chain int64, err error) {
 	res, err := e.Exec("SHOW WAL STATUS")
 	if err != nil || len(res.Rows) == 0 {
 		return false, 0, 0, fmt.Errorf("%w: status: %v", errNoDelta, err)
@@ -143,7 +136,7 @@ func walHead(e Execer) (attached bool, last, chain int64, err error) {
 // chainMatches asks src for its chain hash at lsn and compares it with
 // want. False covers both divergence and unavailability (lsn below src's
 // retained horizon or past its head).
-func chainMatches(src Execer, lsn, want int64) bool {
+func chainMatches(src sqldb.Execer, lsn, want int64) bool {
 	res, err := src.Exec(fmt.Sprintf("SHOW WAL CHAIN %d", lsn))
 	if err != nil || len(res.Rows) == 0 {
 		return false
@@ -151,7 +144,7 @@ func chainMatches(src Execer, lsn, want int64) bool {
 	return res.Rows[0][2].AsInt() == 1 && res.Rows[0][1].AsInt() == want
 }
 
-func syncWALDelta(src, dst Execer, budget time.Duration) (SyncStats, error) {
+func syncWALDelta(src, dst sqldb.Execer, budget time.Duration) (SyncStats, error) {
 	var deadline time.Time
 	if budget > 0 {
 		deadline = time.Now().Add(budget)
@@ -206,7 +199,7 @@ func syncWALDelta(src, dst Execer, budget time.Duration) (SyncStats, error) {
 	return st, fmt.Errorf("cluster: wal delta: joiner still behind after %d rounds", walShipMaxRounds)
 }
 
-func syncTable(src, dst Execer, table string, deadline time.Time) (int, error) {
+func syncTable(src, dst sqldb.Execer, table string, deadline time.Time) (int, error) {
 	data, err := src.Exec("SELECT * FROM " + table)
 	if err != nil {
 		return 0, err

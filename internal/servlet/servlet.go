@@ -24,6 +24,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/httpd"
 	"repro/internal/pool"
+	"repro/internal/sqldb"
 	"repro/internal/telemetry"
 )
 
@@ -51,6 +52,35 @@ func (c *Context) Tx(writeTables []string, fn func(tx *cluster.Session) error) e
 		return ErrNoDatabase
 	}
 	return c.DB.WithTx(writeTables, fn)
+}
+
+// WithLocks runs fn under one of the two concurrency disciplines the paper
+// compares. set lists every table fn touches with its intent. With
+// engineSync the engine-side lock manager serializes (the "(sync)"
+// configurations); individual statements still take their own implicit
+// short table locks in the database, which is harmless (§2.2). Without it
+// fn runs inside a real database transaction declaring the write-intent
+// tables: a short transaction whose locks are acquired per written table as
+// the statements arrive and released at COMMIT — the role the PHP scripts'
+// LOCK TABLES sections played, and strictly narrower, since those
+// write-locked everything up front and read-locked even the read-only
+// tables for the whole section. An error (or panic) rolls the whole section
+// back on every replica. A set with no write intent opens no transaction:
+// its reads take their own short locks statement by statement.
+func (c *Context) WithLocks(engineSync bool, set []TableLock, fn func(ex sqldb.Execer) error) error {
+	if c.DB == nil {
+		return ErrNoDatabase
+	}
+	if engineSync {
+		release := c.Locks.Acquire(set)
+		defer release()
+		return fn(c.DB)
+	}
+	writes := WriteTables(set)
+	if len(writes) == 0 {
+		return fn(c.DB)
+	}
+	return c.Tx(writes, func(tx *cluster.Session) error { return fn(tx) })
 }
 
 // SetAttr stores a container-scoped attribute (the ServletContext analog).

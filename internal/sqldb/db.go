@@ -85,13 +85,11 @@ func sortStrings(s []string) {
 	}
 }
 
-// Session is one client's connection state: the set of tables held via
-// LOCK TABLES, and the open transaction if any. Sessions are not
-// goroutine-safe; each connection owns one.
+// Session is one client's connection state: the open transaction, if any.
+// Sessions are not goroutine-safe; each connection owns one.
 type Session struct {
-	db   *DB
-	held []heldLock // non-nil while a LOCK TABLES set is active
-	tx   *txn       // non-nil while a transaction is open
+	db *DB
+	tx *txn // non-nil while a transaction is open
 	// pendingLSN is the WAL position of the statement's commit unit, set
 	// while engine locks are held and awaited (group commit) by ExecStmt
 	// after they are released.
@@ -101,21 +99,14 @@ type Session struct {
 // NewSession creates a session on db.
 func (db *DB) NewSession() *Session { return &Session{db: db} }
 
-// Close rolls back any open transaction and releases any locks still held
-// (a disconnecting client implicitly runs ROLLBACK and UNLOCK TABLES).
+// Close rolls back any open transaction, releasing the table locks it
+// holds (a disconnecting client implicitly runs ROLLBACK).
 func (s *Session) Close() {
 	if s.tx != nil {
 		s.rollbackTxn()
 		s.db.txns.rollbacks.Add(1)
 	}
-	if s.held != nil {
-		s.db.locks.releaseSet(s.held)
-		s.held = nil
-	}
 }
-
-// HoldsLocks reports whether a LOCK TABLES set is active.
-func (s *Session) HoldsLocks() bool { return s.held != nil }
 
 // Result is the outcome of a statement: rows for SELECT, counters otherwise.
 type Result struct {
@@ -126,9 +117,9 @@ type Result struct {
 }
 
 // Exec parses and executes one statement with '?' placeholders bound to
-// args, honoring the session's LOCK TABLES state. Parsing goes through the
-// database's shared plan cache, so repeated statements — from any session —
-// are parsed once.
+// args, inside the session's open transaction if there is one. Parsing
+// goes through the database's shared plan cache, so repeated statements —
+// from any session — are parsed once.
 func (s *Session) Exec(query string, args ...Value) (*Result, error) {
 	stmt, err := s.db.Prepare(query)
 	if err != nil {
@@ -137,11 +128,22 @@ func (s *Session) Exec(query string, args ...Value) (*Result, error) {
 	return s.ExecStmt(stmt, args...)
 }
 
-// SessionExecer adapts a Session to the application packages' Execer
-// interfaces. Pooled wire clients distinguish Exec (text) from ExecCached
-// (EXECUTE-by-id); for an in-process session the two coincide — Exec
-// already parses through the shared plan cache.
+// Execer abstracts the ways statements reach the database: a pooled wire
+// client, a borrowed connection, a cluster client or session, or an
+// in-process session. Exec ships SQL text; ExecCached is the
+// prepared-statement fast path for the statements an interaction repeats
+// on every request.
+type Execer interface {
+	Exec(query string, args ...Value) (*Result, error)
+	ExecCached(query string, args ...Value) (*Result, error)
+}
+
+// SessionExecer adapts a Session to Execer. Pooled wire clients distinguish
+// Exec (text) from ExecCached (EXECUTE-by-id); for an in-process session
+// the two coincide — Exec already parses through the shared plan cache.
 type SessionExecer struct{ S *Session }
+
+var _ Execer = SessionExecer{}
 
 // Exec executes one statement on the session.
 func (e SessionExecer) Exec(q string, args ...Value) (*Result, error) {
@@ -207,10 +209,6 @@ func (s *Session) execStmt(stmt sqlparse.Statement, args []Value) (*Result, erro
 	case *sqlparse.DropTable:
 		s.implicitCommit()
 		return s.db.execDropTable(s, st)
-	case *sqlparse.LockTables:
-		return s.execLockTables(st)
-	case *sqlparse.UnlockTables:
-		return s.execUnlockTables()
 	case *sqlparse.ShowTables:
 		return s.db.execShowTables()
 	case *sqlparse.ShowTableStatus:
@@ -252,7 +250,7 @@ func (s *Session) execStmt(stmt sqlparse.Statement, args []Value) (*Result, erro
 }
 
 // implicitCommit commits an open transaction before statements that cannot
-// be part of one (DDL, LOCK TABLES) — MySQL's implicit-commit rule.
+// be part of one (DDL) — MySQL's implicit-commit rule.
 func (s *Session) implicitCommit() {
 	if s.tx != nil {
 		s.commitTxn()
@@ -269,7 +267,22 @@ func (s *Session) execDML(table, src string, args []Value, fn func(*Table) (*Res
 	if s.tx != nil {
 		return s.withTxnLock(table, src, args, fn)
 	}
-	return s.withLock(table, true, src, args, fn)
+	t, err := s.db.table(table)
+	if err != nil {
+		return nil, err
+	}
+	tl := s.db.tableLockOf(t)
+	tl.lock(true)
+	res, err := fn(t)
+	// Publish before releasing the lock: an auto-commit statement's effects
+	// are committed state the moment the lock drops, and a failed one may
+	// still have applied part of its row set. The WAL append happens under
+	// the same lock so log order matches publication order; the fsync wait
+	// comes later, lock-free.
+	s.logAutoCommit(src, args)
+	t.publish()
+	tl.unlock(true)
+	return res, err
 }
 
 // logAutoCommit appends an auto-commit statement to the WAL while the
@@ -281,84 +294,6 @@ func (s *Session) logAutoCommit(src string, args []Value) {
 	if w := s.db.wal; w != nil && src != "" {
 		s.notePending(w.appendOne(src, args))
 	}
-}
-
-// withLock brackets a single-table statement with its implicit MyISAM table
-// lock, unless the session already holds the table via LOCK TABLES.
-func (s *Session) withLock(table string, write bool, src string, args []Value, fn func(*Table) (*Result, error)) (*Result, error) {
-	t, err := s.db.table(table)
-	if err != nil {
-		return nil, err
-	}
-	if held, strong := s.holds(t.name); held {
-		if write && !strong {
-			return nil, fmt.Errorf("sqldb: table %q locked READ, write denied", table)
-		}
-		res, err := fn(t)
-		if write {
-			// MyISAM writes are committed per statement, even under
-			// LOCK TABLES WRITE: publish while the exclusive hold lasts.
-			s.logAutoCommit(src, args)
-			t.publish()
-		}
-		return res, err
-	}
-	if s.held != nil {
-		// MyISAM: with LOCK TABLES active, only locked tables may be used.
-		return nil, fmt.Errorf("sqldb: table %q was not locked with LOCK TABLES", table)
-	}
-	tl := s.db.tableLockOf(t)
-	tl.lock(write)
-	res, err := fn(t)
-	if write {
-		// Publish before releasing the lock: an auto-commit statement's
-		// effects are committed state the moment the lock drops, and a
-		// failed one may still have applied part of its row set. The WAL
-		// append happens under the same lock so log order matches
-		// publication order; the fsync wait comes later, lock-free.
-		s.logAutoCommit(src, args)
-		t.publish()
-	}
-	tl.unlock(write)
-	return res, err
-}
-
-// holds reports whether the session's LOCK TABLES set covers table, and
-// whether the hold is a write lock.
-func (s *Session) holds(table string) (held, write bool) {
-	for _, h := range s.held {
-		if h.table == table {
-			return true, h.write
-		}
-	}
-	return false, false
-}
-
-func (s *Session) execLockTables(st *sqlparse.LockTables) (*Result, error) {
-	s.implicitCommit()
-	if s.held != nil {
-		// MySQL implicitly releases the previous set.
-		s.db.locks.releaseSet(s.held)
-		s.held = nil
-	}
-	want := make([]heldLock, 0, len(st.Items))
-	for _, it := range st.Items {
-		t, err := s.db.table(it.Table)
-		if err != nil {
-			return nil, err
-		}
-		want = append(want, heldLock{table: t.name, write: it.Write})
-	}
-	s.held = s.db.locks.acquireSet(want)
-	return &Result{}, nil
-}
-
-func (s *Session) execUnlockTables() (*Result, error) {
-	if s.held != nil {
-		s.db.locks.releaseSet(s.held)
-		s.held = nil
-	}
-	return &Result{}, nil
 }
 
 // DDL executors log to the WAL inside their exclusive section (catalog or
@@ -488,11 +423,9 @@ func (db *DB) execDropTable(s *Session, st *sqlparse.DropTable) (*Result, error)
 // snapshot path (mvcc.go): every referenced table is served from its frozen
 // last-committed version, with no read locks and no lock-wait — the
 // multi-version read that lets browse traffic bypass the 2PL machinery
-// entirely. Two cases still take the locked path: a LOCK TABLES session
-// reads its held tables directly (the MyISAM bracket demands current state
-// and already holds the locks), and a transaction that has write-locked any
-// referenced table reads live state under statement-scoped timed read locks
-// so it observes its own uncommitted writes.
+// entirely. One case still takes the locked path: a transaction that has
+// write-locked any referenced table reads live state under statement-scoped
+// timed read locks so it observes its own uncommitted writes.
 func (s *Session) execSelect(st *sqlparse.Select, args []Value) (*Result, error) {
 	names := []string{st.From.Table}
 	for _, j := range st.Joins {
@@ -506,39 +439,20 @@ func (s *Session) execSelect(st *sqlparse.Select, args []Value) (*Result, error)
 		}
 		tabs[i] = t
 	}
-	switch {
-	case s.tx != nil:
-		if s.tx.holdsWriteAny(tabs) {
-			// Read-your-writes: the transaction wrote at least one of these
-			// tables, so the statement must see live (uncommitted) state.
-			release, err := s.txnReadLocks(tabs)
-			if err != nil {
-				return nil, err
-			}
-			defer release()
-			return execSelect(tabs, st, args)
-		}
-		views, release, err := s.snapshots(tabs, true)
+	if s.tx != nil && s.tx.holdsWriteAny(tabs) {
+		// Read-your-writes: the transaction wrote at least one of these
+		// tables, so the statement must see live (uncommitted) state.
+		release, err := s.txnReadLocks(tabs)
 		if err != nil {
 			return nil, err
 		}
 		defer release()
-		return execSelect(views, st, args)
-	case s.held != nil:
-		// MyISAM: with LOCK TABLES active, only locked tables may be used —
-		// and reads on them go to live state under the held locks.
-		for i, t := range tabs {
-			if held, _ := s.holds(t.name); !held {
-				return nil, fmt.Errorf("sqldb: table %q was not locked with LOCK TABLES", names[i])
-			}
-		}
 		return execSelect(tabs, st, args)
-	default:
-		views, release, err := s.snapshots(tabs, false)
-		if err != nil {
-			return nil, err
-		}
-		defer release()
-		return execSelect(views, st, args)
 	}
+	views, release, err := s.snapshots(tabs)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	return execSelect(views, st, args)
 }

@@ -1,10 +1,12 @@
 package sqldb
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // testDB builds a small schema used across tests.
@@ -272,45 +274,51 @@ func TestUnknownTableAndColumn(t *testing.T) {
 	}
 }
 
-func TestLockTablesEnforcesCoverage(t *testing.T) {
-	_, s := testDB(t)
-	mustExec(t, s, "LOCK TABLES items WRITE")
-	if _, err := s.Exec("SELECT COUNT(*) FROM bids"); err == nil {
-		t.Fatal("access to unlocked table under LOCK TABLES must fail")
+// TestLockTablesRejected: LOCK TABLES / UNLOCK TABLES are not in the dialect.
+// The statement fails to parse, takes no lock, and leaves the session and
+// any open transaction exactly as they were.
+func TestLockTablesRejected(t *testing.T) {
+	db, s := testDB(t)
+	other := db.NewSession()
+	defer other.Close()
+	mustExec(t, other, "SELECT COUNT(*) FROM items") // builds the snapshot read below
+	mustExec(t, s, "BEGIN")
+	mustExec(t, s, "INSERT INTO items (name) VALUES ('pending')")
+	for _, q := range []string{"LOCK TABLES items WRITE", "LOCK TABLES items READ, bids WRITE", "UNLOCK TABLES"} {
+		if _, err := s.Exec(q); err == nil || !strings.Contains(err.Error(), "unsupported statement") {
+			t.Fatalf("Exec(%q) = %v, want a parse error", q, err)
+		}
+		if !s.InTxn() {
+			t.Fatalf("%q ended the open transaction", q)
+		}
+		// Not committed: the other session still sees nothing. Not holding
+		// bids either: its write goes straight through.
+		if n := mustExec(t, other, "SELECT COUNT(*) FROM items").Rows[0][0].AsInt(); n != 0 {
+			t.Fatalf("%q committed the open transaction: %d items visible", q, n)
+		}
+		mustExec(t, other, "INSERT INTO bids (item_id, user_id) VALUES (1, 1)")
 	}
-	if _, err := s.Exec("INSERT INTO items (name) VALUES ('x')"); err != nil {
-		t.Fatalf("write to write-locked table: %v", err)
+	// Not aborted: the transaction still owns its write and can commit it.
+	mustExec(t, s, "COMMIT")
+	if n := mustExec(t, other, "SELECT COUNT(*) FROM items").Rows[0][0].AsInt(); n != 1 {
+		t.Fatalf("items after COMMIT = %d, want 1", n)
 	}
-	mustExec(t, s, "UNLOCK TABLES")
-	mustExec(t, s, "SELECT COUNT(*) FROM bids")
 }
 
-func TestLockTablesReadBlocksWrite(t *testing.T) {
-	_, s := testDB(t)
-	mustExec(t, s, "LOCK TABLES items READ")
-	if _, err := s.Exec("INSERT INTO items (name) VALUES ('x')"); err == nil {
-		t.Fatal("write under READ lock must fail")
-	}
-	mustExec(t, s, "UNLOCK TABLES")
-}
-
+// TestSessionCloseReleasesLocks: a session that closes with a transaction
+// open rolls it back and frees its table locks for the next writer.
 func TestSessionCloseReleasesLocks(t *testing.T) {
 	db, s := testDB(t)
-	mustExec(t, s, "LOCK TABLES items WRITE")
+	mustExec(t, s, "BEGIN")
+	mustExec(t, s, "INSERT INTO items (name) VALUES ('doomed')")
 	s.Close()
-	// A second session must be able to lock immediately; guard with a
-	// timeout via goroutine.
-	done := make(chan struct{})
-	go func() {
-		s2 := db.NewSession()
-		defer s2.Close()
-		if _, err := s2.Exec("LOCK TABLES items WRITE"); err != nil {
-			t.Errorf("lock after close: %v", err)
-		}
-		s2.Exec("UNLOCK TABLES")
-		close(done)
-	}()
-	<-done
+	// Run under the package -timeout: a leaked lock hangs this write.
+	s2 := db.NewSession()
+	defer s2.Close()
+	mustExec(t, s2, "INSERT INTO items (name) VALUES ('next')")
+	if n := mustExec(t, s2, "SELECT COUNT(*) FROM items").Rows[0][0].AsInt(); n != 1 {
+		t.Fatalf("items = %d, want 1 (the closed session's insert rolled back)", n)
+	}
 }
 
 func TestConcurrentReadersAndWriters(t *testing.T) {
@@ -353,42 +361,53 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	}
 }
 
-func TestConcurrentLockTablesAtomicity(t *testing.T) {
-	// Two sessions locking {items, bids} in different textual orders must
-	// not deadlock (the manager sorts), and increments under the lock pair
-	// must not be lost.
+func TestConcurrentTxnAtomicity(t *testing.T) {
+	// Sessions writing {items, bids} in opposite orders inside transactions
+	// form lock cycles. None may hang — the wait timeout aborts one side,
+	// which retries — and no committed increment may be lost.
 	db, s := testDB(t)
+	db.SetLockWaitTimeout(5 * time.Millisecond)
 	mustExec(t, s, "INSERT INTO items (name, stock) VALUES ('a', 0)")
 	var wg sync.WaitGroup
-	for w := 0; w < 6; w++ {
+	const workers, rounds = 4, 15
+	for w := 0; w < workers; w++ {
 		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			sess := db.NewSession()
 			defer sess.Close()
-			lock := "LOCK TABLES items WRITE, bids WRITE"
-			if w%2 == 1 {
-				lock = "LOCK TABLES bids WRITE, items WRITE"
+			stmts := []string{
+				"UPDATE items SET stock = stock + 1 WHERE id = 1",
+				"INSERT INTO bids (item_id, user_id) VALUES (1, 1)",
 			}
-			for i := 0; i < 20; i++ {
-				if _, err := sess.Exec(lock); err != nil {
-					t.Errorf("lock: %v", err)
+			if w%2 == 1 {
+				stmts[0], stmts[1] = stmts[1], stmts[0]
+			}
+			for i := 0; i < rounds; {
+				err := func() error {
+					for _, q := range append([]string{"BEGIN"}, append(stmts, "COMMIT")...) {
+						if _, err := sess.Exec(q); err != nil {
+							return err
+						}
+					}
+					return nil
+				}()
+				switch {
+				case err == nil:
+					i++
+				case !errors.Is(err, ErrLockWaitTimeout):
+					t.Errorf("txn: %v", err)
 					return
-				}
-				if _, err := sess.Exec("UPDATE items SET stock = stock + 1 WHERE id = 1"); err != nil {
-					t.Errorf("update: %v", err)
-				}
-				if _, err := sess.Exec("UNLOCK TABLES"); err != nil {
-					t.Errorf("unlock: %v", err)
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	got := mustExec(t, s, "SELECT stock FROM items WHERE id = 1")
-	if got.Rows[0][0].AsInt() != 120 {
-		t.Fatalf("stock = %v, want 120", got.Rows[0][0])
+	for _, q := range []string{"SELECT stock FROM items WHERE id = 1", "SELECT COUNT(*) FROM bids"} {
+		if got := mustExec(t, s, q).Rows[0][0].AsInt(); got != workers*rounds {
+			t.Fatalf("%s = %d, want %d", q, got, workers*rounds)
+		}
 	}
 }
 

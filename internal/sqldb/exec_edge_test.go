@@ -213,3 +213,47 @@ func TestConcurrentPreparedExecution(t *testing.T) {
 		t.Fatal("re-prepare missed the plan cache")
 	}
 }
+
+// TestLiveScansShareReadLock: a full scan of a live table writes nothing,
+// so any number run at once under the table's read lock (run with -race) —
+// tombstones left by deletes are skipped, and compacted on the write side.
+func TestLiveScansShareReadLock(t *testing.T) {
+	db, s := testDB(t)
+	defer s.Close()
+	const rows = 40
+	for i := 0; i < rows; i++ {
+		mustExec(t, s, "INSERT INTO items (name) VALUES (?)", String(fmt.Sprint("n", i)))
+	}
+	mustExec(t, s, "DELETE FROM items WHERE id <= 10")
+	tab, err := db.Table("items")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.rowOrder) == tab.RowCount() {
+		t.Fatal("no tombstones left for the scans to skip")
+	}
+	tl := db.tableLockOf(tab)
+	var wg, locked sync.WaitGroup
+	locked.Add(4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tl.lock(false)
+			defer tl.unlock(false)
+			locked.Done()
+			locked.Wait() // all four hold the read lock: the scans overlap
+			n := 0
+			tab.scan(func(int64, Row) error { n++; return nil })
+			if n != rows-10 {
+				t.Errorf("scan visited %d rows, want %d", n, rows-10)
+			}
+		}()
+	}
+	wg.Wait()
+	// Tombstones never outnumber the live rows: deletes compact them away.
+	mustExec(t, s, "DELETE FROM items WHERE id <= 30")
+	if n := tab.RowCount(); n != rows-30 || len(tab.rowOrder) > 2*n {
+		t.Fatalf("rowOrder has %d entries for %d rows", len(tab.rowOrder), n)
+	}
+}

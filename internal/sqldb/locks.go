@@ -1,7 +1,6 @@
 package sqldb
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -9,14 +8,20 @@ import (
 // lockManager implements MyISAM-style table locking for real (goroutine)
 // concurrency: shared read locks, exclusive write locks, and writer
 // priority — a pending write lock blocks later read requests on the same
-// table. Explicit LOCK TABLES acquires a set atomically in sorted order
-// (MySQL's deadlock-avoidance discipline); implicit per-statement locks
-// bracket single statements.
+// table. Implicit per-statement locks bracket single statements; a
+// transaction keeps each write lock it takes until it ends (txn.go).
 //
-// Since the snapshot-read path landed (mvcc.go), plain SELECTs no longer
-// come here at all: the lock manager serves writers, LOCK TABLES brackets,
-// the read-your-writes reads of open transactions, and the brief read lock
-// a snapshot refresh takes to copy committed state. Sessions that hold a
+// Ordering rule. A transaction acquires in statement order, so two of them
+// can form a cycle; every wait of theirs is timed (lockTimed) and a timeout
+// aborts one. Everything else — auto-commit statements, the live-fallback
+// reads of a join (mvcc.go), a checkpoint's quiesce — waits for a lock
+// only while holding none (lockReads), so it can never be part of a cycle
+// and never costs a transaction its timeout.
+//
+// Since the snapshot-read path landed (mvcc.go), plain SELECTs rarely come
+// here: the lock manager serves writers, the read-your-writes reads of open
+// transactions, the reads of write-hot tables, and the brief read lock a
+// snapshot refresh takes to copy committed state. Sessions that hold a
 // *Table should go through DB.tableLockOf, which skips the map lookup via
 // the pointer cached on the table at CREATE time.
 type lockManager struct {
@@ -65,6 +70,18 @@ func (tl *tableLock) lock(write bool) {
 		tl.cond.Wait()
 	}
 	tl.readers++
+}
+
+// tryRLock takes the read lock when that needs no wait, and reports
+// whether it did.
+func (tl *tableLock) tryRLock() bool {
+	tl.mu.Lock()
+	defer tl.mu.Unlock()
+	if tl.writer || tl.wantWriters > 0 {
+		return false
+	}
+	tl.readers++
+	return true
 }
 
 // lockTimed acquires like lock but gives up once timeout elapses, returning
@@ -126,27 +143,40 @@ type heldLock struct {
 	write bool
 }
 
-// acquireSet locks the given tables in sorted name order, upgrading
-// duplicates to the strongest requested mode.
-func (lm *lockManager) acquireSet(items []heldLock) []heldLock {
-	merged := make(map[string]bool, len(items))
-	for _, it := range items {
-		merged[it.table] = merged[it.table] || it.write
+// lockReads takes the read side of every lock in the set — for whoever
+// needs several tables at once outside a transaction. It waits for a lock
+// only while holding none: when one of the set is not free at once,
+// everything taken so far is released and that one is waited for next.
+func lockReads(locks []*tableLock) {
+	for wait := 0; wait < len(locks); {
+		locks[wait].lock(false)
+		busy := -1
+		for i, tl := range locks {
+			if i != wait && !tl.tryRLock() {
+				busy = i
+				break
+			}
+		}
+		if busy < 0 {
+			return
+		}
+		for i := 0; i < busy; i++ {
+			if i != wait {
+				locks[i].unlock(false)
+			}
+		}
+		locks[wait].unlock(false)
+		wait = busy
 	}
-	names := make([]string, 0, len(merged))
-	for n := range merged {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	held := make([]heldLock, 0, len(names))
-	for _, n := range names {
-		lm.lockFor(n).lock(merged[n])
-		held = append(held, heldLock{table: n, write: merged[n]})
-	}
-	return held
 }
 
-// releaseSet unlocks a previously acquired set.
+func unlockReads(locks []*tableLock) {
+	for _, tl := range locks {
+		tl.unlock(false)
+	}
+}
+
+// releaseSet unlocks the set a transaction accumulated.
 func (lm *lockManager) releaseSet(held []heldLock) {
 	// Release in reverse acquisition order.
 	for i := len(held) - 1; i >= 0; i-- {

@@ -2,7 +2,6 @@ package sqldb
 
 import (
 	"errors"
-	"sort"
 	"sync/atomic"
 	"time"
 )
@@ -16,12 +15,11 @@ import (
 //
 // Mechanics. Every table carries a version counter that writers bump while
 // still holding the table's write lock, at the moment their effects become
-// committed state: at the end of an auto-commit DML statement, per
-// statement inside a LOCK TABLES WRITE bracket (MyISAM writes are
-// immediately committed), and at COMMIT for transactional writes — one bump
-// per written table, before the locks release, so within a table a
-// transaction's effects publish atomically. Rollback restores the
-// pre-transaction image and publishes nothing.
+// committed state: at the end of an auto-commit DML statement, and at
+// COMMIT for transactional writes — one bump per written table, before the
+// locks release, so within a table a transaction's effects publish
+// atomically. Rollback restores the pre-transaction image and publishes
+// nothing.
 //
 // The snapshot itself is built lazily by the first reader that notices the
 // published version moved: it takes the table's read lock once (waiting for
@@ -33,10 +31,10 @@ import (
 // per commit per reading table rather than per read. The rebuild is
 // adaptive (snapRefreshMin): a table whose snapshots die before serving
 // enough reads to amortize the clone routes those reads to the classic
-// locked path instead of recloning per commit. While a transaction or
-// LOCK TABLES section holds a table's write lock but has not yet published,
-// readers keep serving the previous version without blocking — the
-// consistent nonlocking read of InnoDB's READ COMMITTED.
+// locked path instead of recloning per commit. While a transaction holds a
+// table's write lock but has not yet published, readers keep serving the
+// previous version without blocking — the consistent nonlocking read of
+// InnoDB's READ COMMITTED.
 //
 // Visibility rules (DESIGN.md §4b): a snapshot read sees every transaction
 // that committed before the statement started and nothing of any
@@ -87,9 +85,8 @@ func (db *DB) MVCCStats() MVCCStats {
 }
 
 // publish marks t's committed state as changed. It must be called while the
-// table's write lock (or an exclusive hold via LOCK TABLES WRITE) is still
-// held, so a concurrent snapshot refresh — which takes the read lock —
-// cannot copy a half-published state.
+// table's write lock is still held, so a concurrent snapshot refresh — which
+// takes the read lock — cannot copy a half-published state.
 func (t *Table) publish() { t.version.Add(1) }
 
 // TableVersion reports a table's commit-time version counter: it advances
@@ -163,11 +160,11 @@ func (t *Table) refreshSnap(db *DB, timed bool) (*Table, error) {
 // lock-manager interaction; a stale one pays one refresh — unless the dying
 // snapshot never amortized its clone (snapRefreshMin), in which case the
 // live table is read under a short statement-scoped read lock instead.
-// timed carries the caller's transaction context into refreshSnap and the
-// fallback locks. The returned release frees the fallback locks (a no-op
-// when every table came from a snapshot) and must be held until the
+// Inside a transaction the refresh and the fallback locks follow its timed
+// lock-wait discipline. The returned release frees the fallback locks (a
+// no-op when every table came from a snapshot) and must be held until the
 // statement finishes executing against the views.
-func (s *Session) snapshots(tabs []*Table, timed bool) ([]*Table, func(), error) {
+func (s *Session) snapshots(tabs []*Table) ([]*Table, func(), error) {
 	views := make([]*Table, len(tabs))
 	bypassed := 0
 	var live []*Table
@@ -181,9 +178,9 @@ func (s *Session) snapshots(tabs []*Table, timed bool) ([]*Table, func(), error)
 			live = append(live, t) // write-hot: views[i] filled below
 			continue
 		}
-		sp, err := t.refreshSnap(s.db, timed)
+		sp, err := t.refreshSnap(s.db, s.tx != nil)
 		if err != nil {
-			if errors.Is(err, errSnapshotWait) && s.tx != nil {
+			if errors.Is(err, errSnapshotWait) {
 				return nil, nil, s.abortTxn(t.name)
 			}
 			return nil, nil, err
@@ -195,7 +192,7 @@ func (s *Session) snapshots(tabs []*Table, timed bool) ([]*Table, func(), error)
 		s.db.mvcc.snapReads.Add(1)
 		return views, func() {}, nil
 	}
-	release, err := s.liveReadLocks(live, timed)
+	release, err := s.liveReadLocks(live)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -208,22 +205,20 @@ func (s *Session) snapshots(tabs []*Table, timed bool) ([]*Table, func(), error)
 	return views, release, nil
 }
 
-// liveReadLocks takes statement-scoped read locks on the fallback tables,
-// in the same sorted deadlock-avoidance order every lock set uses. Inside a
-// transaction the acquisitions are timed and a timeout aborts it.
-func (s *Session) liveReadLocks(live []*Table, timed bool) (func(), error) {
-	if timed && s.tx != nil {
+// liveReadLocks takes statement-scoped read locks on the fallback tables.
+// Inside a transaction the acquisitions are timed and a timeout aborts it.
+// Outside one they go through lockReads: a statement that blocked on a
+// second table while holding the first would be half of a lock cycle with a
+// transaction writing the two in the opposite order, which only that
+// transaction's timeout could break.
+func (s *Session) liveReadLocks(live []*Table) (func(), error) {
+	if s.tx != nil {
 		return s.txnReadLocks(live)
 	}
-	sorted := make([]*Table, len(live))
-	copy(sorted, live)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].name < sorted[j].name })
-	for _, t := range sorted {
-		s.db.tableLockOf(t).lock(false)
+	locks := make([]*tableLock, len(live))
+	for i, t := range live {
+		locks[i] = s.db.tableLockOf(t)
 	}
-	return func() {
-		for _, t := range sorted {
-			s.db.tableLockOf(t).unlock(false)
-		}
-	}, nil
+	lockReads(locks)
+	return func() { unlockReads(locks) }, nil
 }

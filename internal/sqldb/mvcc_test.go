@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // mvccDB builds the transfer ledger the torture tests hammer: two accounts
@@ -30,8 +31,9 @@ func mvccDB(t *testing.T) *DB {
 func TestMVCCSnapshotTorture(t *testing.T) {
 	db := mvccDB(t)
 	const writers, readers, rounds = 4, 4, 200
-	var wg sync.WaitGroup
+	var wg, reading sync.WaitGroup
 	var stop atomic.Bool
+	reading.Add(readers)
 
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -40,6 +42,9 @@ func TestMVCCSnapshotTorture(t *testing.T) {
 			defer stop.Store(true)
 			s := db.NewSession()
 			defer s.Close()
+			// The 200 rounds take a millisecond: without this the writers
+			// can be done before a reader has started.
+			reading.Wait()
 			for i := 0; i < rounds; i++ {
 				if _, err := s.Exec("BEGIN"); err != nil {
 					t.Error(err)
@@ -74,8 +79,11 @@ func TestMVCCSnapshotTorture(t *testing.T) {
 			defer wg.Done()
 			s := db.NewSession()
 			defer s.Close()
-			for !stop.Load() {
+			for n := 0; !stop.Load(); n++ {
 				res, err := s.Exec("SELECT id, bal FROM acct")
+				if n == 0 {
+					reading.Done()
+				}
 				if err != nil {
 					t.Error(err)
 					return
@@ -266,5 +274,79 @@ func TestMVCCResultsImmutableAfterWrite(t *testing.T) {
 	}
 	if got := res.Rows[1][1].AsInt(); got != 100 {
 		t.Fatalf("held result mutated by later writes: bal %d, want 100", got)
+	}
+}
+
+// lockCycleDB is the buyconfirm shape: a transaction writes items and then
+// bids, while other work wants both tables at once.
+func lockCycleDB(t *testing.T) *DB {
+	t.Helper()
+	db, s := testDB(t)
+	defer s.Close()
+	mustExec(t, s, "INSERT INTO items (name, stock) VALUES ('a', 0)")
+	return db
+}
+
+// buyLoop runs BEGIN · UPDATE items · INSERT bids · COMMIT until stop,
+// returning the completed iterations.
+func buyLoop(t *testing.T, db *DB, stop *atomic.Bool) int {
+	s := db.NewSession()
+	defer s.Close()
+	n := 0
+	for ; !stop.Load(); n++ {
+		for _, q := range []string{
+			"BEGIN",
+			"UPDATE items SET stock = stock + 1 WHERE id = 1",
+			"INSERT INTO bids (item_id, user_id, bid) VALUES (1, 1, 1.0)",
+			"COMMIT",
+		} {
+			if _, err := s.Exec(q); err != nil {
+				t.Errorf("txn iteration %d, %s: %v", n, q, err)
+				return n
+			}
+		}
+	}
+	return n
+}
+
+// TestLiveJoinNeverCyclesWithTxn: an auto-commit join over two write-hot
+// tables reads them live under statement-scoped read locks. It must never
+// wait for one of those locks while holding the other — against a
+// transaction writing the same tables in the opposite order that wait is a
+// lock cycle only the transaction's timeout can break, which aborted one
+// purchase per timeout and starved the reader.
+func TestLiveJoinNeverCyclesWithTxn(t *testing.T) {
+	db := lockCycleDB(t)
+	db.SetLockWaitTimeout(100 * time.Millisecond)
+	var stop atomic.Bool
+	var txns, joins int
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		txns = buyLoop(t, db, &stop)
+	}()
+	go func() {
+		defer wg.Done()
+		s := db.NewSession()
+		defer s.Close()
+		for ; !stop.Load(); joins++ {
+			if _, err := s.Exec("SELECT COUNT(*) FROM bids JOIN items ON bids.item_id = items.id"); err != nil {
+				t.Errorf("join %d: %v", joins, err)
+				return
+			}
+		}
+	}()
+	time.Sleep(time.Second)
+	stop.Store(true)
+	wg.Wait()
+	if n := db.TxnStats().DeadlockTimeouts; n != 0 {
+		t.Errorf("%d transactions aborted on a lock-wait timeout", n)
+	}
+	if txns < 20 || joins < 20 {
+		t.Errorf("starved: %d transactions, %d joins in 1s", txns, joins)
+	}
+	if db.MVCCStats().LiveFallbacks == 0 {
+		t.Error("the join never took the live-lock path this test is about")
 	}
 }

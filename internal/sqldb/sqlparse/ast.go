@@ -140,20 +140,6 @@ type OrderItem struct {
 	Desc bool
 }
 
-// LockTables is MyISAM's LOCK TABLES t1 READ, t2 WRITE, ...
-type LockTables struct {
-	Items []LockItem
-}
-
-// LockItem is one table in LOCK TABLES.
-type LockItem struct {
-	Table string
-	Write bool
-}
-
-// UnlockTables is UNLOCK TABLES.
-type UnlockTables struct{}
-
 // ShowTables is SHOW TABLES — the catalog query the cluster replica-sync
 // path uses to enumerate what to copy.
 type ShowTables struct{}
@@ -221,8 +207,6 @@ func (*Insert) stmt()          {}
 func (*Update) stmt()          {}
 func (*Delete) stmt()          {}
 func (*Select) stmt()          {}
-func (*LockTables) stmt()      {}
-func (*UnlockTables) stmt()    {}
 func (*ShowTables) stmt()      {}
 func (*ShowTableStatus) stmt() {}
 func (*ShowWALStatus) stmt()   {}

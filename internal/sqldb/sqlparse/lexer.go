@@ -1,8 +1,8 @@
 // Package sqlparse implements the SQL dialect used by the repro database
 // engine: the subset of MySQL 3.23 the paper's benchmarks rely on —
 // SELECT with joins, WHERE, GROUP BY, ORDER BY and LIMIT; INSERT, UPDATE,
-// DELETE; CREATE TABLE / CREATE INDEX; and MyISAM's LOCK TABLES /
-// UNLOCK TABLES statements.
+// DELETE; CREATE TABLE / CREATE INDEX; and BEGIN / COMMIT / ROLLBACK —
+// the transaction is the dialect's one multi-statement critical section.
 package sqlparse
 
 import (
@@ -41,8 +41,8 @@ var keywords = map[string]bool{
 	"DESC": true, "LIMIT": true, "OFFSET": true, "GROUP": true, "AS": true,
 	"INT": true, "INTEGER": true, "BIGINT": true, "FLOAT": true, "DOUBLE": true,
 	"VARCHAR": true, "TEXT": true, "CHAR": true, "NULL": true, "IS": true,
-	"IN": true, "LIKE": true, "BETWEEN": true, "LOCK": true, "UNLOCK": true,
-	"TABLES": true, "READ": true, "WRITE": true, "COUNT": true, "SUM": true,
+	"IN": true, "LIKE": true, "BETWEEN": true, "TABLES": true,
+	"COUNT": true, "SUM": true,
 	"MIN": true, "MAX": true, "AVG": true, "DISTINCT": true, "DROP": true,
 	"IF": true, "EXISTS": true, "DEFAULT": true, "AUTO_INCREMENT": true,
 	"DATETIME": true, "TRUE": true, "FALSE": true, "SHOW": true, "ALTER": true,

@@ -104,14 +104,6 @@ func (p *parser) parseStatement() (Statement, error) {
 		return p.parseCreate()
 	case p.at(tokKeyword, "DROP"):
 		return p.parseDrop()
-	case p.at(tokKeyword, "LOCK"):
-		return p.parseLock()
-	case p.at(tokKeyword, "UNLOCK"):
-		p.next()
-		if _, err := p.expect(tokKeyword, "TABLES"); err != nil {
-			return nil, err
-		}
-		return &UnlockTables{}, nil
 	case p.at(tokKeyword, "SHOW"):
 		p.next()
 		// WAL, like STATUS below, is contextual: nothing stops a schema
@@ -690,33 +682,6 @@ func (p *parser) parseDrop() (Statement, error) {
 	}
 	dt.Name = name
 	return dt, nil
-}
-
-func (p *parser) parseLock() (Statement, error) {
-	p.next() // LOCK
-	if _, err := p.expect(tokKeyword, "TABLES"); err != nil {
-		return nil, err
-	}
-	lt := &LockTables{}
-	for {
-		name, err := p.parseIdent()
-		if err != nil {
-			return nil, err
-		}
-		item := LockItem{Table: name}
-		switch {
-		case p.accept(tokKeyword, "WRITE"):
-			item.Write = true
-		case p.accept(tokKeyword, "READ"):
-		default:
-			return nil, p.errf("expected READ or WRITE after table name in LOCK TABLES")
-		}
-		lt.Items = append(lt.Items, item)
-		if !p.accept(tokSymbol, ",") {
-			break
-		}
-	}
-	return lt, nil
 }
 
 // Expression grammar, lowest to highest precedence:

@@ -57,13 +57,12 @@ type Table struct {
 	// serializes refreshes so concurrent readers of a stale snapshot build
 	// one copy, not one each; snapHits counts lock-free reads served by the
 	// installed snapshot (reset at refresh) — the adaptive-refresh signal.
-	// On a frozen copy itself, frozen is set and snapSeq records the
-	// version it was built from; the atomics stay zero.
+	// On a frozen copy itself, snapSeq records the version it was built
+	// from; the atomics stay zero.
 	version  atomic.Uint64
 	snap     atomic.Pointer[Table]
 	snapMu   sync.Mutex
 	snapHits atomic.Int64
-	frozen   bool
 	snapSeq  uint64
 }
 
@@ -315,36 +314,33 @@ func (t *Table) deleteRow(id int64) {
 		ix.remove(r[ix.col].key(), id)
 	}
 	delete(t.rows, id)
-	// rowOrder is compacted lazily during scans.
+	// The id stays in rowOrder as a tombstone that scans skip. Compacting
+	// here, under the write lock, once tombstones outnumber live rows keeps
+	// deletes amortized O(1) and scans read-only — any number of them run
+	// concurrently under the table's read lock.
+	if len(t.rowOrder) > 2*len(t.rows) {
+		live := t.rowOrder[:0]
+		for _, id := range t.rowOrder {
+			if _, ok := t.rows[id]; ok {
+				live = append(live, id)
+			}
+		}
+		t.rowOrder = live
+	}
 }
 
-// scan calls fn for each live row in insertion order. fn must not mutate the
-// table. Deleted ids encountered in rowOrder are compacted away — except on
-// frozen snapshots, which many readers scan concurrently: their rowOrder was
-// tombstone-filtered at freeze time and must stay untouched.
+// scan calls fn for each live row in insertion order, skipping the
+// tombstones deleteRow leaves in rowOrder. It writes nothing, and fn must
+// not mutate the table.
 func (t *Table) scan(fn func(id int64, r Row) error) error {
-	if t.frozen {
-		for _, id := range t.rowOrder {
-			if err := fn(id, t.rows[id]); err != nil {
+	for _, id := range t.rowOrder {
+		if r, ok := t.rows[id]; ok {
+			if err := fn(id, r); err != nil {
 				return err
 			}
 		}
-		return nil
 	}
-	live := t.rowOrder[:0]
-	var err error
-	for _, id := range t.rowOrder {
-		r, ok := t.rows[id]
-		if !ok {
-			continue
-		}
-		live = append(live, id)
-		if err == nil {
-			err = fn(id, r)
-		}
-	}
-	t.rowOrder = live
-	return err
+	return nil
 }
 
 // restoreCols reverts columns of the row at id to their pre-statement
@@ -391,8 +387,7 @@ func (t *Table) undoInsert(id, prevNextID, prevNextAI int64) {
 // restoreRow resurrects a deleted row under its original rowid, maintaining
 // indexes and scan order. rowOrder is always ascending (rowids are assigned
 // monotonically), so a sorted insert restores the original scan position;
-// the id may still be present when no scan compacted it away since the
-// delete.
+// the id is still present unless a later delete compacted it away.
 func (t *Table) restoreRow(id int64, r Row) {
 	if _, live := t.rows[id]; live {
 		return
@@ -436,9 +431,8 @@ func (t *Table) lookup(col int, v Value) (ids []int64, ok bool) {
 // colIdx) and the Row slices themselves are shared — rows are never mutated
 // in place once stored — while the row map, scan order and index posting
 // lists are copied so subsequent writers cannot disturb the snapshot.
-// rowOrder is tombstone-filtered up front because frozen scans skip the
-// lazy compaction, and posting lists are pre-sorted so frozen lookups skip
-// the per-lookup copy-and-sort.
+// rowOrder is copied without its tombstones, and posting lists are
+// pre-sorted so frozen lookups skip the per-lookup copy-and-sort.
 func (t *Table) freeze() *Table {
 	sp := &Table{
 		name:     t.name,
@@ -452,7 +446,6 @@ func (t *Table) freeze() *Table {
 		aiStride: t.aiStride,
 		indexes:  make(map[string]*index, len(t.indexes)),
 		rowOrder: make([]int64, 0, len(t.rows)),
-		frozen:   true,
 		snapSeq:  t.version.Load(),
 	}
 	for _, id := range t.rowOrder {

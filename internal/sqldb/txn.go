@@ -182,16 +182,9 @@ func (tx *txn) holdsWriteAny(tabs []*Table) bool {
 func (s *Session) InTxn() bool { return s.tx != nil }
 
 // execBegin opens a transaction. A transaction already open is implicitly
-// committed first, and an active LOCK TABLES set is released — both MySQL's
-// rules for START TRANSACTION.
+// committed first — MySQL's rule for START TRANSACTION.
 func (s *Session) execBegin() (*Result, error) {
-	if s.tx != nil {
-		s.commitTxn()
-	}
-	if s.held != nil {
-		s.db.locks.releaseSet(s.held)
-		s.held = nil
-	}
+	s.implicitCommit()
 	s.tx = &txn{}
 	s.db.txns.begins.Add(1)
 	return &Result{}, nil

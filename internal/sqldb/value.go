@@ -2,7 +2,8 @@
 // MySQL 3.23 / MyISAM substrate the paper measures: typed tables with hash
 // and ordered indexes, a SQL executor over the dialect in sqlparse, and
 // MyISAM's locking discipline — implicit per-statement table locks with
-// writer priority, plus explicit LOCK TABLES / UNLOCK TABLES sessions.
+// writer priority — under BEGIN/COMMIT/ROLLBACK transactions that hold
+// their table write locks to the end.
 //
 // The engine is the storage tier for both benchmark applications and is
 // exposed over TCP by package wire, whose client takes the place of the

@@ -678,11 +678,11 @@ func (w *WAL) Checkpoint() error {
 		names = append(names, n)
 	}
 	sortStrings(names)
-	want := make([]heldLock, 0, len(names))
-	for _, n := range names {
-		want = append(want, heldLock{table: n})
+	locks := make([]*tableLock, len(names))
+	for i, n := range names {
+		locks[i] = db.tableLockOf(db.tables[n])
 	}
-	held := db.locks.acquireSet(want)
+	lockReads(locks)
 	w.mu.Lock()
 	lsn, chain := w.nextLSN-1, w.chain
 	crashed := w.crashed || w.closed
@@ -693,7 +693,7 @@ func (w *WAL) Checkpoint() error {
 			frozen = append(frozen, db.tables[n].freeze())
 		}
 	}
-	db.locks.releaseSet(held)
+	unlockReads(locks)
 	db.mu.RUnlock()
 	if crashed {
 		return ErrWALCrashed

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -679,5 +680,39 @@ func TestWALAutoCheckpoint(t *testing.T) {
 	}
 	if got, want := dbDump(t, db2), dbDump(t, db); got != want {
 		t.Fatal("auto-checkpoint recovery diverged")
+	}
+}
+
+// TestWALCheckpointNeverCyclesWithTxn: a checkpoint quiesces every table at
+// once, but must not wait for one table's lock while holding the others —
+// a transaction that holds the missing one and wants a held one would only
+// get out by timing out.
+func TestWALCheckpointNeverCyclesWithTxn(t *testing.T) {
+	db := lockCycleDB(t)
+	if _, err := db.AttachWAL(testWALOpts(t.TempDir())); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.CloseWAL() })
+	db.SetLockWaitTimeout(100 * time.Millisecond)
+	var stop atomic.Bool
+	var txns int
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		txns = buyLoop(t, db, &stop)
+	}()
+	ckpts := 0
+	for end := time.Now().Add(time.Second); time.Now().Before(end); ckpts++ {
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop.Store(true)
+	<-done
+	if n := db.TxnStats().DeadlockTimeouts; n != 0 {
+		t.Errorf("%d transactions aborted on a lock-wait timeout", n)
+	}
+	if txns < 20 || ckpts < 5 {
+		t.Errorf("starved: %d transactions, %d checkpoints in 1s", txns, ckpts)
 	}
 }

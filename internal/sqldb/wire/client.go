@@ -343,6 +343,12 @@ type Pool struct {
 	stmts map[string]*Stmt
 }
 
+// Both statement surfaces of the client side are sqldb.Execers.
+var (
+	_ sqldb.Execer = (*Pool)(nil)
+	_ sqldb.Execer = (*Conn)(nil)
+)
+
 // NewPool creates a pool of up to size connections to addr with the
 // default timeouts. Connections are opened lazily.
 func NewPool(addr string, size int) *Pool {
@@ -451,19 +457,14 @@ func (s *Stmt) Query() string { return s.query }
 // retryableStmt reports whether a statement may safely run twice. Only
 // idempotent statements absorb a stale pooled connection with a retry: a
 // write retried after a transport failure could double-apply if the server
-// had already executed it before the connection died. (LOCK/UNLOCK TABLES
-// are safe: the dead connection's session lock set was released with it.)
+// had already executed it before the connection died.
 func retryableStmt(query string) bool {
 	q := strings.TrimSpace(query)
 	i := 0
 	for i < len(q) && q[i] != ' ' && q[i] != '\t' && q[i] != '\n' {
 		i++
 	}
-	switch strings.ToUpper(q[:i]) {
-	case "SELECT", "LOCK", "UNLOCK":
-		return true
-	}
-	return false
+	return strings.EqualFold(q[:i], "SELECT")
 }
 
 // Exec borrows a connection and runs the statement by id, preparing it on

@@ -16,11 +16,10 @@ import (
 )
 
 // Server serves a sqldb.DB over TCP. Each connection gets its own session,
-// so LOCK TABLES state, open transactions and prepared statement ids (which
-// map client-assigned u32s to ASTs held by the database's shared plan
-// cache) are all per-connection, as in MySQL. A connection that drops — or
-// is drained by Shutdown — rolls back its open transaction when its session
-// closes.
+// so the open transaction and prepared statement ids (which map
+// client-assigned u32s to ASTs held by the database's shared plan cache)
+// are per-connection, as in MySQL. A connection that drops — or is drained
+// by Shutdown — rolls back its open transaction when its session closes.
 type Server struct {
 	db     *sqldb.DB
 	logger *log.Logger

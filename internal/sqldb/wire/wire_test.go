@@ -196,45 +196,104 @@ func TestServerErrorKeepsConnection(t *testing.T) {
 	}
 }
 
+// TestLockTablesPerConnection: LOCK TABLES / UNLOCK TABLES are not in the
+// dialect. Over the wire that is an ordinary server error: the connection
+// stays usable and its open transaction is neither committed nor aborted.
 func TestLockTablesPerConnection(t *testing.T) {
-	_, addr := startServer(t)
-	c1, _ := Dial(addr)
-	defer c1.Close()
-	c2, _ := Dial(addr)
-	defer c2.Close()
-	if _, err := c1.Exec("LOCK TABLES kv WRITE"); err != nil {
+	db, addr := startServer(t)
+	c, err := Dial(addr)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// c2's read must block until c1 unlocks; verify via goroutine ordering.
-	got := make(chan error, 1)
-	go func() {
-		_, err := c2.Exec("SELECT COUNT(*) FROM kv")
-		got <- err
-	}()
-	if _, err := c1.Exec("INSERT INTO kv VALUES (9, 'nine')"); err != nil {
+	defer c.Close()
+	other := db.NewSession()
+	defer other.Close()
+	count := func(ex sqldb.Execer) int64 {
+		t.Helper()
+		res, err := ex.Exec("SELECT COUNT(*) FROM kv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rows[0][0].AsInt()
+	}
+	before := count(sqldb.SessionExecer{S: other})
+	if err := c.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c1.Exec("UNLOCK TABLES"); err != nil {
+	if _, err := c.Exec("INSERT INTO kv VALUES (9, 'nine')"); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-got; err != nil {
-		t.Fatalf("blocked reader failed: %v", err)
+	for _, q := range []string{"LOCK TABLES kv WRITE", "LOCK TABLES kv READ", "UNLOCK TABLES"} {
+		if _, err := c.Exec(q); !IsServerError(err) || !strings.Contains(err.Error(), "unsupported statement") {
+			t.Fatalf("Exec(%q) = %v, want a server-side parse error", q, err)
+		}
+		if _, err := c.ExecCached(q); !IsServerError(err) {
+			t.Fatalf("ExecCached(%q) = %v, want a server error", q, err)
+		}
+		if got := count(sqldb.SessionExecer{S: other}); got != before {
+			t.Fatalf("%q committed the open transaction: %d rows visible, want %d", q, got, before)
+		}
+		if got := count(c); got != before+1 {
+			t.Fatalf("%q aborted the open transaction: it sees %d rows, want %d", q, got, before+1)
+		}
+	}
+	if err := c.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if got := count(c); got != before {
+		t.Fatalf("rows after ROLLBACK = %d, want %d", got, before)
 	}
 }
 
+// TestDisconnectReleasesLocks: a transaction's table locks last until it
+// ends — a second connection's write waits behind them — and a connection
+// that drops mid-transaction ends it: rolled back, locks released.
 func TestDisconnectReleasesLocks(t *testing.T) {
-	_, addr := startServer(t)
+	db, addr := startServer(t)
 	c1, _ := Dial(addr)
-	if _, err := c1.Exec("LOCK TABLES kv WRITE"); err != nil {
+	if err := c1.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	c1.Close() // server must release the session's locks
+	if _, err := c1.Exec("UPDATE kv SET v = 'c1' WHERE k = 1"); err != nil {
+		t.Fatal(err)
+	}
 	c2, _ := Dial(addr)
 	defer c2.Close()
-	if _, err := c2.Exec("LOCK TABLES kv WRITE"); err != nil {
-		t.Fatalf("lock after disconnect: %v", err)
+	done := make(chan error, 1)
+	go func() {
+		err := c2.Begin()
+		if err == nil {
+			_, err = c2.Exec("UPDATE kv SET v = 'c2' WHERE k = 1")
+		}
+		if err == nil {
+			err = c2.Commit()
+		}
+		done <- err
+	}()
+	// c2's BEGIN rides with its UPDATE, so once the server has counted it
+	// the UPDATE is at (or about to reach) c1's write lock.
+	for deadline := time.Now().Add(5 * time.Second); db.TxnStats().Begins < 2; {
+		if time.Now().After(deadline) {
+			t.Fatal("second transaction never reached the server")
+		}
+		time.Sleep(time.Millisecond)
 	}
-	c2.Exec("UNLOCK TABLES")
+	res, err := c1.Exec("SELECT v FROM kv WHERE k = 1")
+	if err != nil || res.Rows[0][0].AsString() != "c1" {
+		t.Fatalf("c1 re-reads %v, %v: want its own uncommitted 'c1'", res, err)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("second writer finished (%v) while the first transaction was open", err)
+	default:
+	}
+	c1.Close() // server must roll back and release the session's locks
+	if err := <-done; err != nil {
+		t.Fatalf("write after disconnect: %v", err)
+	}
+	if res, err = c2.Exec("SELECT v FROM kv WHERE k = 1"); err != nil || res.Rows[0][0].AsString() != "c2" {
+		t.Fatalf("after disconnect: %v, %v: want 'c2' over the rolled-back 'c1'", res, err)
+	}
 }
 
 func TestPoolConcurrentUse(t *testing.T) {
@@ -500,18 +559,23 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Connection A holds the table write-locked, then goes idle.
+	// Connection A holds the table write-locked by an open transaction,
+	// then goes idle.
 	a, err := Dial(addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	if _, err := a.Exec("LOCK TABLES kv WRITE"); err != nil {
+	if err := a.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Exec("INSERT INTO kv VALUES (2, 'two')"); err != nil {
 		t.Fatal(err)
 	}
 
-	// Connection B's SELECT blocks on A's lock: it is in flight when the
-	// drain starts.
+	// Connection B's SELECT is the table's first read, so it builds the
+	// snapshot under the read lock and blocks on A's write lock: it is in
+	// flight when the drain starts.
 	type reply struct {
 		res *sqldb.Result
 		err error
@@ -528,8 +592,9 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	}()
 	time.Sleep(100 * time.Millisecond) // let B's request reach the server
 
-	// Drain: A is idle, so it is hung up at once — releasing its session
-	// locks — and B's in-flight SELECT completes and is answered.
+	// Drain: A is idle, so it is hung up at once — rolling back, which
+	// releases its locks — and B's in-flight SELECT completes and is
+	// answered.
 	if err := srv.Shutdown(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +606,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 		t.Fatalf("drained reply rows: %+v", r.res.Rows)
 	}
 	// Both connections are gone afterwards.
-	if _, err := a.Exec("UNLOCK TABLES"); err == nil {
+	if err := a.Commit(); err == nil {
 		t.Fatal("idle connection must be closed by the drain")
 	}
 	if _, err := b.Exec("SELECT v FROM kv WHERE k = 1"); err == nil {
