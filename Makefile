@@ -14,7 +14,7 @@ THRESHOLD ?= 10
 # durability work (write-ahead log, recovery, crash harness).
 COVER_FLOORS ?= repro/internal/sqldb:80 repro/internal/cluster:60
 
-.PHONY: build test race vet lint fmt docs-lint loc bench bench-json bench-smoke bench-gate chaos-smoke wal-torture cover ci
+.PHONY: build test race race-db vet lint fmt docs-lint loc bench bench-json bench-smoke bench-gate chaos-smoke wal-torture cover ci
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The race detector over the transaction-bearing packages only — the
+# engine (WAL, MVCC, locks, wire) and the cluster client. Seconds, not
+# minutes: the pre-merge floor beside `make test`.
+race-db:
+	$(GO) test -race ./internal/sqldb/... ./internal/cluster
 
 vet:
 	$(GO) vet ./...

@@ -537,15 +537,12 @@ func BenchmarkCacheSweep(b *testing.B) {
 
 // BenchmarkWALCommitSweep prices durability (DESIGN.md §12): parallel
 // auto-commit INSERTs against one engine, purely in memory versus through
-// the write-ahead log at several group-commit windows. Acks follow fsync,
-// so the wal modes pay real disk latency; the appends/fsync metric is the
-// group-commit amortization — how many commits shared each flush. The
-// window sweep brackets the latency/batching trade: a narrow window holds
-// commits briefly but batches less, a wide one the reverse. No sub-ms
-// window mode: below the scheduler tick its ns/op measures timer jitter
-// on a contended runner, not group commit, and would gate noise.
+// the write-ahead log. Acks follow fsync, so the wal mode pays real disk
+// latency; the appends/fsync metric is the group-commit amortization — how
+// many commits shared each fsync because they arrived while the previous
+// one was in flight.
 func BenchmarkWALCommitSweep(b *testing.B) {
-	for _, mode := range []string{"mem", "wal-1ms", "wal-4ms"} {
+	for _, mode := range []string{"mem", "wal"} {
 		mode := mode
 		b.Run("mode="+mode, func(b *testing.B) {
 			db := sqldb.New()
@@ -555,15 +552,8 @@ func BenchmarkWALCommitSweep(b *testing.B) {
 				b.Fatal(err)
 			}
 			sess.Close()
-			if mode != "mem" {
-				opts := sqldb.WALOptions{Dir: b.TempDir(), CheckpointBytes: -1}
-				switch mode {
-				case "wal-1ms":
-					opts.FlushInterval = time.Millisecond
-				case "wal-4ms":
-					opts.FlushInterval = 4 * time.Millisecond
-				}
-				if _, err := db.AttachWAL(opts); err != nil {
+			if mode == "wal" {
+				if _, err := db.AttachWAL(sqldb.WALOptions{Dir: b.TempDir(), CheckpointBytes: -1}); err != nil {
 					b.Fatal(err)
 				}
 				defer db.CloseWAL()

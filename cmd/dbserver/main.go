@@ -9,8 +9,9 @@
 // in-flight statements finish before the listeners close.
 //
 // With -data the replica is durable: commits go through a write-ahead log
-// under that directory (group commit bounded by -wal-flush-interval,
-// checkpoint-and-rotate every -checkpoint-every log bytes), and a restart
+// under that directory (group commit: a commit waits for one fsync, two if
+// it arrives while one is in flight; checkpoint-and-rotate every
+// -checkpoint-every log bytes), and a restart
 // over a non-empty directory recovers — checkpoint load plus log replay,
 // torn tail truncated — instead of repopulating. A recovered replica with
 // -peers catches up through the WAL delta fast path when its history is
@@ -22,7 +23,7 @@
 //
 //	dbserver -addr :7306 -benchmark bookstore|auction [-scale tiny|default|paper]
 //	         [-seed N] [-replica I] [-peers host:7306,host:7307] [-grace 5s]
-//	         [-data DIR] [-wal-flush-interval 1ms] [-checkpoint-every N]
+//	         [-data DIR] [-checkpoint-every N]
 package main
 
 import (
@@ -55,7 +56,6 @@ func main() {
 		syncTO    = flag.Duration("sync-timeout", 2*time.Minute, "wall-clock budget for the whole startup data sync from a peer (0: unbounded)")
 		grace     = flag.Duration("grace", 5*time.Second, "SIGTERM drain grace for in-flight sessions")
 		data      = flag.String("data", "", "data directory for the write-ahead log; non-empty state there recovers instead of repopulating (empty: purely in-memory)")
-		walFlush  = flag.Duration("wal-flush-interval", 0, "group-commit window: the longest a commit waits to share an fsync (0: the engine default, 1ms)")
 		ckptEvery = flag.Int64("checkpoint-every", 0, "checkpoint-and-rotate after this many log bytes (0: the engine default, 8MiB; negative: never)")
 	)
 	flag.Parse()
@@ -67,7 +67,6 @@ func main() {
 	}
 	walOpts := sqldb.WALOptions{
 		Dir:             *data,
-		FlushInterval:   *walFlush,
 		CheckpointBytes: *ckptEvery,
 		Fault:           fault,
 	}
@@ -131,7 +130,7 @@ func main() {
 		if _, err := db.AttachWAL(walOpts); err != nil {
 			logger.Fatalf("wal attach at %s: %v", *data, err)
 		}
-		logger.Printf("write-ahead log at %s (flush %s)", *data, walOpts.FlushInterval)
+		logger.Printf("write-ahead log at %s", *data)
 	}
 	sess.Close()
 
@@ -153,8 +152,8 @@ func main() {
 		logger.Fatal(err)
 	}
 	// Flush and close the log last: every drained session's commit is
-	// already durable (acks follow fsync), this just retires the flusher
-	// and fsyncs any straggling unacked bytes.
+	// already durable (acks follow fsync), this just writes and fsyncs any
+	// straggling unacked bytes.
 	if err := db.CloseWAL(); err != nil {
 		logger.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/sqldb"
 	"repro/internal/sqldb/wire"
@@ -26,9 +25,7 @@ func startWALReplicas(t *testing.T, n int) []*testReplica {
 				sqldb.String(fmt.Sprintf("item-%d", j)), sqldb.Int(100))
 		}
 		sess.Close()
-		if _, err := db.AttachWAL(sqldb.WALOptions{
-			Dir: t.TempDir(), FlushInterval: 200 * time.Microsecond, CheckpointBytes: -1,
-		}); err != nil {
+		if _, err := db.AttachWAL(sqldb.WALOptions{Dir: t.TempDir(), CheckpointBytes: -1}); err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { db.CloseWAL() })

@@ -110,9 +110,6 @@ type Config struct {
 	// past the last checkpoint) instead of repopulating from the seed.
 	// Empty (the default) runs the backends purely in memory.
 	DBDataDir string
-	// DBWALFlushInterval is the group-commit window: commits wait for the
-	// next flusher tick, sharing one fsync (0: the sqldb default, 1ms).
-	DBWALFlushInterval time.Duration
 	// DBCheckpointEvery triggers an automatic checkpoint-and-rotate after
 	// that many log bytes (0: the sqldb default, 8 MiB; negative
 	// disables automatic checkpoints).
@@ -659,7 +656,6 @@ func (l *Lab) RestartReplica(i int) error {
 func (l *Lab) walOpts(i int, dir string) sqldb.WALOptions {
 	return sqldb.WALOptions{
 		Dir:             dir,
-		FlushInterval:   l.cfg.DBWALFlushInterval,
 		CheckpointBytes: l.cfg.DBCheckpointEvery,
 		Fault:           l.cfg.DBWALFaults[i],
 	}
@@ -713,7 +709,7 @@ func (l *Lab) RestartReplicaFromDisk(i int) (*sqldb.RecoveryInfo, error) {
 		db.CloseWAL()
 		return nil, err
 	}
-	l.dbs[i].CloseWAL() // the predecessor's flusher, if still alive
+	l.dbs[i].CloseWAL() // the predecessor's segment file, if still open
 	l.dbs[i] = db
 	l.dbSrvs[i] = srv
 	return info, nil

@@ -81,20 +81,13 @@ func (db *DB) AttachWAL(opts WALOptions) (*RecoveryInfo, error) {
 		return nil, err
 	}
 	w := &WAL{
-		db:         db,
-		dir:        opts.Dir,
-		fault:      opts.Fault,
-		flushEvery: opts.FlushInterval,
-		groupBytes: opts.GroupBytes,
-		ckptBytes:  opts.CheckpointBytes,
-		nextLSN:    1,
+		db:        db,
+		dir:       opts.Dir,
+		fault:     opts.Fault,
+		ckptBytes: opts.CheckpointBytes,
+		nextLSN:   1,
 	}
-	if w.flushEvery <= 0 {
-		w.flushEvery = defaultFlushInterval
-	}
-	if w.groupBytes <= 0 {
-		w.groupBytes = defaultGroupBytes
-	}
+	w.idle.L = &w.mu
 	if w.ckptBytes == 0 {
 		w.ckptBytes = defaultCheckpointBytes
 	}
@@ -239,7 +232,6 @@ func (db *DB) AttachWAL(opts WALOptions) (*RecoveryInfo, error) {
 		w.recoveries.Store(1)
 		w.replayed.Store(int64(info.ReplayedStmts))
 	}
-	w.startFlusher()
 	db.wal = w
 
 	if !hasState && len(db.TableNames()) > 0 {

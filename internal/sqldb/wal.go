@@ -11,16 +11,20 @@ package sqldb
 //
 // Write path. Appends happen while the committing session still holds its
 // table write locks (or the catalog lock, for DDL), so log order equals
-// publication order per table; the append only copies the encoded record
-// into an in-memory buffer and assigns LSNs — one per statement, so a
-// transaction's record spans [firstLSN, firstLSN+n). Durability is group
-// commit: after releasing its locks the session blocks in WaitDurable until
-// the background flusher has written and fsynced its LSN, which happens on
-// the next flush tick (WALOptions.FlushInterval) or as soon as the buffer
-// exceeds GroupBytes, whichever comes first — concurrent committers share
-// one fsync. Acknowledgement is therefore visible-before-durable within the
-// flush window; the client ack, not the publication, is the durability
-// promise (PROTOCOL.md's commit contract).
+// publication order per table; the append only encodes the record into an
+// in-memory group buffer and assigns LSNs — one per statement, so a
+// transaction's record spans [firstLSN, firstLSN+n). Durability is
+// leader/follower group commit, and no goroutine or clock is involved: after
+// releasing its locks the session calls WaitDurable, and the first committer
+// that finds its LSN not yet durable becomes the leader — it writes and
+// fsyncs everything buffered at that moment, on its own goroutine. Committers
+// that arrive while that fsync is in flight queue behind it; the first of
+// them leads the next group, whose one fsync covers all of them. A lone
+// commit therefore costs one write + one fsync, a commit that arrives
+// mid-fsync waits for at most two, and N concurrent commits share fsyncs.
+// Acknowledgement is visible-before-durable for that long — one or two
+// fsyncs; the client ack, not the publication, is the durability promise
+// (PROTOCOL.md's commit contract).
 //
 // On-disk format. A segment file (wal-<firstLSN>.log) is a 16-byte header
 // followed by records. Each record is one commit unit:
@@ -51,23 +55,21 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/sqldb/walfault"
 )
 
-// Defaults for WALOptions zero values.
-const (
-	defaultFlushInterval   = time.Millisecond
-	defaultGroupBytes      = 256 << 10
-	defaultCheckpointBytes = 8 << 20
-)
+// defaultCheckpointBytes is WALOptions.CheckpointBytes' zero value.
+const defaultCheckpointBytes = 8 << 20
+
+// walBufKeep caps the capacity of a group buffer kept for reuse, so one huge
+// transaction does not pin its encoding for the life of the log.
+const walBufKeep = 1 << 20
 
 // maxWALRecord bounds a single record's payload: recovery refuses larger
 // length prefixes so a corrupt length field cannot become an allocation
@@ -96,12 +98,6 @@ type WALOptions struct {
 	// Dir is the data directory (created if absent). Segments and
 	// checkpoints live directly inside it; one directory per DB.
 	Dir string
-	// FlushInterval is the group-commit tick: the longest a commit waits
-	// for its fsync. Default 1ms.
-	FlushInterval time.Duration
-	// GroupBytes flushes early once the buffer holds this many bytes.
-	// Default 256KiB.
-	GroupBytes int
 	// CheckpointBytes triggers an automatic checkpoint once this many log
 	// bytes accumulate since the last one. Default 8MiB; negative disables
 	// automatic checkpoints (explicit Checkpoint calls still work).
@@ -148,20 +144,22 @@ type walSegment struct {
 // WAL is an attached write-ahead log. All fields after construction are
 // guarded as annotated; sessions only touch append/WaitDurable.
 type WAL struct {
-	db    *DB
-	dir   string
-	fault *walfault.Hook
+	db        *DB
+	dir       string
+	fault     *walfault.Hook
+	ckptBytes int64
 
-	flushEvery time.Duration
-	groupBytes int
-	ckptBytes  int64
-
-	// mu guards the append state: buffer, LSN/chain counters, the active
-	// segment handle and the segment list. Appenders hold it only long
-	// enough to encode into the buffer. Lock order: engine locks (db.mu /
+	// mu guards the append state: the group buffers, LSN/chain counters, the
+	// active segment handle and the segment list. Appenders hold it only
+	// long enough to encode into buf. Lock order: engine locks (db.mu /
 	// table locks) → mu; never the reverse.
-	mu             sync.Mutex
+	mu sync.Mutex
+	// buf collects records no leader has taken yet. A leader swaps it with
+	// flight and writes flight to the segment; flight keeps its bytes until
+	// fSize covers them, so a scanView never finds a batch in neither place.
+	// The two arrays are reused, one filling while the other is written.
 	buf            []byte
+	flight         []byte
 	bufLast        uint64 // last LSN sitting in buf
 	nextLSN        uint64 // LSN the next statement gets
 	chain          uint64 // chain hash through nextLSN-1
@@ -174,26 +172,23 @@ type WAL struct {
 	bytesSinceCkpt int64
 	crashed        bool
 	closed         bool
-
-	// flushMu serializes file I/O on the active segment: the flusher's
-	// write+fsync, rotation's segment swap, and external Crash truncation.
-	flushMu sync.Mutex
+	// derr is sticky: once a write or fsync fails, or the log crashes or
+	// closes, no later group is written and every WaitDurable past the
+	// durability frontier returns it.
+	derr error
+	// busy is the one token for I/O on the active segment: a group leader's
+	// write+fsync, rotation's segment swap and Close hold it, with mu
+	// released while they are in the kernel. idle is signalled when it is
+	// put back; committers whose LSN is not yet durable wait there.
+	busy bool
+	idle sync.Cond // on mu
+	// durableLSN is the durability frontier: every LSN at or below it is
+	// fsynced.
+	durableLSN uint64
 
 	// ckptMu serializes checkpoints.
 	ckptMu   sync.Mutex
 	ckptBusy atomic.Bool
-
-	// Durability frontier: WaitDurable blocks on dcond until durableLSN
-	// covers the caller or derr is set (crash/close).
-	dmu        sync.Mutex
-	dcond      *sync.Cond
-	durableLSN uint64
-	derr       error
-
-	kick     chan struct{}
-	quit     chan struct{}
-	done     chan struct{}
-	stopOnce sync.Once
 
 	appends     atomic.Int64
 	stmts       atomic.Int64
@@ -215,11 +210,8 @@ func (db *DB) WALStats() WALStats {
 		return WALStats{}
 	}
 	w.mu.Lock()
-	last, ckpt := w.nextLSN-1, w.ckptLSN
+	last, durable, ckpt := w.nextLSN-1, w.durableLSN, w.ckptLSN
 	w.mu.Unlock()
-	w.dmu.Lock()
-	durable := w.durableLSN
-	w.dmu.Unlock()
 	return WALStats{
 		Attached:      true,
 		Appends:       w.appends.Load(),
@@ -309,35 +301,48 @@ func decodeWALValue(b []byte) (Value, []byte, error) {
 	}
 }
 
-// chainStep folds one statement into the chain hash. The chain is
-// comparable across replicas because the ROWA cluster delivers every
-// replica the same ordered statement stream.
+// chainStep folds one statement into the chain hash: fnv-64a over the
+// previous hash (8B LE), the query text, a zero byte and the encoded
+// arguments. The chain is comparable across replicas because the ROWA cluster
+// delivers every replica the same ordered statement stream.
 func chainStep(prev uint64, q string, encArgs []byte) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], prev)
-	h.Write(b[:])
-	h.Write([]byte(q))
-	h.Write([]byte{0})
-	h.Write(encArgs)
-	return h.Sum64()
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for i := 0; i < 8; i++ {
+		h = (h ^ uint64(byte(prev>>(8*i)))) * prime64
+	}
+	for i := 0; i < len(q); i++ {
+		h = (h ^ uint64(q[i])) * prime64
+	}
+	h *= prime64 // the zero separator: h ^ 0 == h
+	for _, c := range encArgs {
+		h = (h ^ uint64(c)) * prime64
+	}
+	return h
 }
 
-// encodeRecord builds one record (length + crc + payload) for a commit
-// unit. Statements were pre-encoded by the caller (it also needs the arg
-// bytes for the chain hash).
-func encodeRecord(firstLSN uint64, stmts []walStmt, encArgs [][]byte) []byte {
-	payload := binary.LittleEndian.AppendUint64(nil, firstLSN)
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(stmts)))
-	for i, st := range stmts {
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(st.q)))
-		payload = append(payload, st.q...)
-		payload = binary.LittleEndian.AppendUint16(payload, uint16(len(st.args)))
-		payload = append(payload, encArgs[i]...)
+// appendRecord encodes one commit unit (length + crc + payload) onto b and
+// folds its statements into chain. The record is built in place: the group
+// buffer is the only copy the commit path makes.
+func appendRecord(b []byte, firstLSN uint64, stmts []walStmt, chain uint64) ([]byte, uint64) {
+	start := len(b)
+	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0) // length and crc, set below
+	b = binary.LittleEndian.AppendUint64(b, firstLSN)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(stmts)))
+	for _, st := range stmts {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(st.q)))
+		b = append(b, st.q...)
+		b = binary.LittleEndian.AppendUint16(b, uint16(len(st.args)))
+		args := len(b)
+		for _, v := range st.args {
+			b = appendWALValue(b, v)
+		}
+		chain = chainStep(chain, st.q, b[args:])
 	}
-	rec := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
-	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(payload))
-	return append(rec, payload...)
+	payload := b[start+8:]
+	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[start+4:], crc32.ChecksumIEEE(payload))
+	return b, chain
 }
 
 // walRecStmt is one decoded logged statement.
@@ -429,210 +434,178 @@ func (w *WAL) appendOne(q string, args []Value) uint64 {
 // order.
 func (w *WAL) appendBatch(stmts []walStmt) uint64 {
 	w.fault.Fire(walfault.PreAppend)
-	encArgs := make([][]byte, len(stmts))
-	for i, st := range stmts {
-		encArgs[i] = EncodeWALValues(st.args)
-	}
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	first := w.nextLSN
-	for i, st := range stmts {
-		w.chain = chainStep(w.chain, st.q, encArgs[i])
-	}
 	w.nextLSN = first + uint64(len(stmts))
 	last := w.nextLSN - 1
-	if !w.closed && !w.crashed {
-		rec := encodeRecord(first, stmts, encArgs)
-		w.buf = append(w.buf, rec...)
-		w.bufLast = last
-		w.bytesSinceCkpt += int64(len(rec))
-		w.appends.Add(1)
-		w.stmts.Add(int64(len(stmts)))
-		w.bytes.Add(int64(len(rec)))
-		if len(w.buf) >= w.groupBytes {
-			select {
-			case w.kick <- struct{}{}:
-			default:
-			}
-		}
+	start := len(w.buf)
+	w.buf, w.chain = appendRecord(w.buf, first, stmts, w.chain)
+	if w.closed || w.crashed {
+		// A dead log still numbers and chains the unit (WaitDurable reports
+		// why it is not durable) but keeps none of it.
+		w.buf = w.buf[:start]
+		return last
 	}
-	w.mu.Unlock()
+	n := int64(len(w.buf) - start)
+	w.bufLast = last
+	w.bytesSinceCkpt += n
+	w.appends.Add(1)
+	w.stmts.Add(int64(len(stmts)))
+	w.bytes.Add(n)
 	return last
 }
 
-// WaitDurable blocks until lsn is fsynced — the group-commit wait. It
-// returns ErrWALCrashed/ErrWALClosed if the log died first (the in-memory
-// apply already happened; durability is what failed).
+// ---- group commit ----
+
+// WaitDurable blocks until lsn is fsynced — the group-commit wait. While
+// another committer's group is being written the caller waits for it; if
+// that group did not cover lsn (the record arrived after it was taken), the
+// first waiter to wake leads the next one, which does. It returns the log's
+// sticky error (ErrWALCrashed, ErrWALClosed, or the write/fsync failure) if
+// the log died first: the in-memory apply already happened; durability is
+// what failed.
 func (w *WAL) WaitDurable(lsn uint64) error {
-	w.dmu.Lock()
-	defer w.dmu.Unlock()
-	for w.durableLSN < lsn && w.derr == nil {
-		w.dcond.Wait()
+	w.mu.Lock()
+	for w.busy && w.durableLSN < lsn {
+		w.idle.Wait()
 	}
 	if w.durableLSN >= lsn {
+		w.mu.Unlock()
 		return nil
+	}
+	w.busy = true
+	err := w.flush()
+	w.release()
+	w.mu.Unlock()
+	w.maybeCheckpoint()
+	return err
+}
+
+// acquire takes the segment-I/O token, waiting for its holder; release puts
+// it back and wakes every waiter. Both are called with mu held.
+func (w *WAL) acquire() {
+	for w.busy {
+		w.idle.Wait()
+	}
+	w.busy = true
+}
+
+func (w *WAL) release() {
+	w.busy = false
+	w.idle.Broadcast()
+}
+
+// flush writes every record buffered now to the active segment and fsyncs
+// it — one group, one fsync — then advances the durability frontier. The
+// caller holds mu and the I/O token; the group is taken before mu is first
+// released — around the write, the crash point and the fsync. The error is
+// the sticky one, when the log is dead or dies here.
+func (w *WAL) flush() error {
+	if w.derr != nil || len(w.buf) == 0 {
+		return w.derr
+	}
+	w.buf, w.flight = w.flight[:0], w.buf
+	batch, last, f := w.flight, w.bufLast, w.f
+
+	w.mu.Unlock()
+	_, err := f.Write(batch)
+	w.mu.Lock()
+	if err != nil {
+		// flight stays as it is: the log is dead, and a scan still finds
+		// every record that was numbered.
+		return w.fail(fmt.Errorf("sqldb: wal write: %w", err))
+	}
+	w.fSize += int64(len(batch))
+	if cap(batch) > walBufKeep {
+		batch = nil
+	}
+	w.flight = batch[:0]
+
+	w.mu.Unlock()
+	w.fault.Fire(walfault.PostAppendPreFsync)
+	w.mu.Lock()
+	if w.crashed {
+		// Power cut between write and fsync: the bytes past the last sync
+		// are gone (worst case), and nothing was acknowledged.
+		w.truncateToSynced()
+		return w.derr
+	}
+
+	w.mu.Unlock()
+	err = f.Sync()
+	w.mu.Lock()
+	if err != nil {
+		return w.fail(fmt.Errorf("sqldb: wal fsync: %w", err))
+	}
+	w.fsyncs.Add(1)
+	w.syncedSize = w.fSize
+	w.durableLSN = last
+	return nil
+}
+
+// fail makes err the log's sticky error unless it already has one, and
+// returns the one that stuck. Caller holds mu.
+func (w *WAL) fail(err error) error {
+	if w.derr == nil {
+		w.derr = err
 	}
 	return w.derr
 }
 
-func (w *WAL) failDurable(err error) {
-	w.dmu.Lock()
-	if w.derr == nil {
-		w.derr = err
-	}
-	w.dcond.Broadcast()
-	w.dmu.Unlock()
-}
-
-func (w *WAL) advanceDurable(lsn uint64) {
-	w.dmu.Lock()
-	if lsn > w.durableLSN {
-		w.durableLSN = lsn
-	}
-	w.dcond.Broadcast()
-	w.dmu.Unlock()
-}
-
-// ---- flusher ----
-
-func (w *WAL) startFlusher() {
-	w.kick = make(chan struct{}, 1)
-	w.quit = make(chan struct{})
-	w.done = make(chan struct{})
-	w.dcond = sync.NewCond(&w.dmu)
-	go w.flusher()
-}
-
-func (w *WAL) flusher() {
-	defer close(w.done)
-	t := time.NewTicker(w.flushEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-		case <-w.kick:
-		case <-w.quit:
-			w.flush()
-			return
-		}
-		w.flush()
-		w.maybeCheckpoint()
-	}
-}
-
-// flush writes the buffered records to the active segment and fsyncs,
-// advancing the durability frontier — one fsync for every commit that
-// queued since the last tick.
-func (w *WAL) flush() {
-	w.flushMu.Lock()
-	defer w.flushMu.Unlock()
-	w.mu.Lock()
-	if w.crashed {
-		w.mu.Unlock()
-		w.truncateToSyncedLocked()
-		w.failDurable(ErrWALCrashed)
-		return
-	}
-	buf, last, f := w.buf, w.bufLast, w.f
-	w.buf = nil
-	w.mu.Unlock()
-	if len(buf) == 0 {
-		return
-	}
-	if _, err := f.Write(buf); err != nil {
-		w.failDurable(fmt.Errorf("sqldb: wal write: %w", err))
-		return
-	}
-	w.mu.Lock()
-	w.fSize += int64(len(buf))
-	w.mu.Unlock()
-	w.fault.Fire(walfault.PostAppendPreFsync)
-	w.mu.Lock()
-	crashed := w.crashed
-	w.mu.Unlock()
-	if crashed {
-		// Power cut between write and fsync: the bytes past the last sync
-		// are gone (worst case), and nothing was acknowledged.
-		w.truncateToSyncedLocked()
-		w.failDurable(ErrWALCrashed)
-		return
-	}
-	if err := f.Sync(); err != nil {
-		w.failDurable(fmt.Errorf("sqldb: wal fsync: %w", err))
-		return
-	}
-	w.fsyncs.Add(1)
-	w.mu.Lock()
-	w.syncedSize = w.fSize
-	w.mu.Unlock()
-	w.advanceDurable(last)
-}
-
-// truncateToSyncedLocked models the post-crash disk state: only fsynced
-// bytes survive. Caller must hold flushMu (or be the sole I/O actor).
-func (w *WAL) truncateToSyncedLocked() {
-	w.mu.Lock()
-	f, synced := w.f, w.syncedSize
-	w.buf = nil
-	if f != nil {
-		w.fSize = synced
-	}
-	w.mu.Unlock()
-	if f != nil {
-		f.Truncate(synced)
-	}
+// truncateToSynced models the post-crash disk state: only fsynced bytes
+// survive (Crash already dropped the buffer). Caller holds mu and the I/O
+// token.
+func (w *WAL) truncateToSynced() {
+	w.fSize = w.syncedSize
+	w.f.Truncate(w.syncedSize)
 }
 
 // Crash simulates kill -9 / power loss in-process: the log stops, every
 // byte not yet fsynced is discarded (the pessimal outcome a real crash
 // permits), and pending commits fail with ErrWALCrashed. The DB itself
 // keeps serving from memory — tests then discard it and recover a fresh DB
-// from the directory. Safe to call from a walfault hook on the flusher
-// goroutine: the truncation is deferred to the flusher when a flush is in
-// flight.
+// from the directory. Safe to call from a walfault hook on a group leader's
+// goroutine: while the segment is busy the truncation is left to whoever
+// holds it.
 func (w *WAL) Crash() {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.crashed || w.closed {
-		w.mu.Unlock()
 		return
 	}
 	w.crashed = true
-	w.buf = nil
-	w.mu.Unlock()
-	if w.flushMu.TryLock() {
-		w.truncateToSyncedLocked()
-		w.flushMu.Unlock()
+	w.fail(ErrWALCrashed)
+	w.buf = w.buf[:0]
+	if !w.busy {
+		w.truncateToSynced()
 	}
-	w.failDurable(ErrWALCrashed)
-	w.stopFlusher()
 }
 
-func (w *WAL) stopFlusher() {
-	w.stopOnce.Do(func() { close(w.quit) })
-}
-
-// Close flushes, fsyncs and closes the log — the clean-shutdown path
-// dbserver's SIGTERM drain takes after the wire listeners close.
+// Close flushes the buffered tail, fsyncs and closes the log — the
+// clean-shutdown path dbserver's SIGTERM drain takes after the wire
+// listeners close. A record appended but never waited on is on disk after
+// it.
 func (w *WAL) Close() error {
-	w.stopFlusher()
-	<-w.done
 	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.acquire()
+	defer w.release()
 	if w.closed {
-		w.mu.Unlock()
 		return nil
 	}
+	// From here appends stop buffering, and flush takes the final tail
+	// before mu is next released: a unit that misses it finds derr set by
+	// the time it can lead a group of its own.
 	w.closed = true
-	f, crashed := w.f, w.crashed
-	w.mu.Unlock()
 	var err error
-	if f != nil {
-		if !crashed {
-			err = f.Sync()
-		}
-		if cerr := f.Close(); err == nil && !crashed {
-			err = cerr
-		}
+	if !w.crashed {
+		err = w.flush()
 	}
-	w.failDurable(ErrWALClosed)
+	w.fail(ErrWALClosed)
+	if cerr := w.f.Close(); err == nil && !w.crashed {
+		err = cerr
+	}
 	return err
 }
 
@@ -829,65 +802,50 @@ func (w *WAL) isCrashed() bool {
 	return w.crashed
 }
 
-// rotate seals the active segment and opens a fresh one, then deletes
-// segments and checkpoints wholly covered by the checkpoint at upto.
-func (w *WAL) rotate(upto uint64) error {
-	w.flushMu.Lock()
+// swapSegment seals the active segment and opens a fresh one at the next LSN,
+// holding the I/O token throughout so no group lands in between. It returns
+// the segment list afterwards.
+func (w *WAL) swapSegment() ([]walSegment, error) {
 	w.mu.Lock()
-	if w.crashed || w.closed {
-		w.mu.Unlock()
-		w.flushMu.Unlock()
-		return ErrWALCrashed
-	}
-	buf, last, old := w.buf, w.bufLast, w.f
-	w.buf = nil
+	defer w.mu.Unlock()
+	w.acquire()
+	defer w.release()
+	// Drain the buffer into the old segment — a group like any other, taken
+	// before mu is next released — so every record below newFirst lives
+	// there, sealed by the group's fsync.
 	newFirst := w.nextLSN
+	if err := w.flush(); err != nil {
+		return nil, err
+	}
 	// An active segment that holds no records yet (its firstLSN IS the next
 	// LSN to assign — e.g. the initial checkpoint right after attach, or
 	// back-to-back checkpoints with no writes between) is already the
 	// post-checkpoint segment: creating a "new" one would reuse the same
-	// file name and the GC below would delete the file out from under the
-	// live descriptor. Keep it and only run the GC.
-	sameSeg := len(w.segs) > 0 && w.segs[len(w.segs)-1].firstLSN == newFirst
-	w.mu.Unlock()
-	// Drain the buffer into the old segment so every record < newFirst
-	// lives there, then seal it. (With sameSeg the buffer is necessarily
-	// empty: buffered records always carry LSNs at or past the active
-	// segment's firstLSN, and none below nextLSN exist.)
-	if len(buf) > 0 {
-		if _, err := old.Write(buf); err != nil {
-			w.flushMu.Unlock()
-			w.failDurable(fmt.Errorf("sqldb: wal rotate write: %w", err))
-			return err
-		}
-	}
-	if err := old.Sync(); err != nil {
-		w.flushMu.Unlock()
-		w.failDurable(fmt.Errorf("sqldb: wal rotate fsync: %w", err))
-		return err
-	}
-	w.fsyncs.Add(1)
-	if !sameSeg {
+	// file name and the GC in rotate would delete the file out from under
+	// the live descriptor. Keep it.
+	if w.segs[len(w.segs)-1].firstLSN != newFirst {
+		old := w.f
+		w.mu.Unlock()
 		old.Close()
 		f, err := createSegment(w.dir, newFirst)
-		if err != nil {
-			w.flushMu.Unlock()
-			w.failDurable(err)
-			return err
-		}
 		w.mu.Lock()
+		if err != nil {
+			return nil, w.fail(err)
+		}
 		w.f = f
 		w.fSize = walSegHeaderSize
 		w.syncedSize = walSegHeaderSize
 		w.segs = append(w.segs, walSegment{path: segPath(w.dir, newFirst), firstLSN: newFirst})
-		w.mu.Unlock()
 	}
-	w.mu.Lock()
-	segs := append([]walSegment(nil), w.segs...)
-	w.mu.Unlock()
-	w.flushMu.Unlock()
-	if len(buf) > 0 {
-		w.advanceDurable(last)
+	return append([]walSegment(nil), w.segs...), nil
+}
+
+// rotate swaps in a fresh segment, then deletes segments and checkpoints
+// wholly covered by the checkpoint at upto.
+func (w *WAL) rotate(upto uint64) error {
+	segs, err := w.swapSegment()
+	if err != nil {
+		return err
 	}
 	w.fault.Fire(walfault.MidRotate)
 	if w.isCrashed() {
@@ -957,12 +915,14 @@ func fsyncDir(dir string) error {
 // ---- log scanning (SHOW WAL ... and recovery share this) ----
 
 // scanState captures a consistent read view of the log: finished bytes of
-// every on-disk segment plus the not-yet-flushed buffer tail.
+// every on-disk segment plus the tail not yet counted in fSize — the group in
+// flight, if any, then the buffer behind it.
 type scanState struct {
 	segs    []walSegment
 	activeN int64 // bytes of the active (last) segment to trust
 	tail    []byte
 	lastLSN uint64
+	durable uint64
 	chain   uint64
 	ckptLSN uint64
 	ckptCh  uint64
@@ -974,8 +934,9 @@ func (w *WAL) scanView() scanState {
 	return scanState{
 		segs:    append([]walSegment(nil), w.segs...),
 		activeN: w.fSize,
-		tail:    append([]byte(nil), w.buf...),
+		tail:    append(append([]byte(nil), w.flight...), w.buf...),
 		lastLSN: w.nextLSN - 1,
+		durable: w.durableLSN,
 		chain:   w.chain,
 		ckptLSN: w.ckptLSN,
 		ckptCh:  w.ckptChain,
@@ -1043,11 +1004,8 @@ func (db *DB) execShowWALStatus() (*Result, error) {
 		return res, nil
 	}
 	v := w.scanView()
-	w.dmu.Lock()
-	durable := w.durableLSN
-	w.dmu.Unlock()
 	res.Rows = append(res.Rows, Row{
-		Int(1), Int(int64(v.lastLSN)), Int(int64(durable)),
+		Int(1), Int(int64(v.lastLSN)), Int(int64(v.durable)),
 		Int(int64(v.chain)), Int(int64(v.ckptLSN)),
 	})
 	return res, nil

@@ -8,18 +8,17 @@ import (
 	"path/filepath"
 	"strconv"
 	"testing"
-	"time"
 
 	"repro/internal/sqldb/walfault"
 )
 
 // The hard-kill half of the crash harness: walfault's "exit" action is a
-// real os.Exit(137) mid-commit — no deferred cleanup, no flusher shutdown,
-// the kill -9 stand-in — so it needs a real process to kill. The parent
-// test re-execs the test binary as a child that inserts rows and records
-// every acknowledged id (fsynced to a side file before the next insert),
-// arms SQLDB_WALFAULT so the child dies at a WAL crash point, then
-// recovers the data directory in-process and checks the durability
+// real os.Exit(137) mid-commit, on the committing session's own goroutine —
+// no deferred cleanup, the kill -9 stand-in — so it needs a real process to
+// kill. The parent test re-execs the test binary as a child that inserts
+// rows and records every acknowledged id (fsynced to a side file before the
+// next insert), arms SQLDB_WALFAULT so the child dies at a WAL crash point,
+// then recovers the data directory in-process and checks the durability
 // contract: the surviving rows are a gapless prefix of the insert sequence
 // that contains every acknowledged id.
 
@@ -43,7 +42,7 @@ func TestWALCrashChildProcess(t *testing.T) {
 	if v := os.Getenv("WAL_CRASH_CKPT_BYTES"); v != "" {
 		ckptBytes, _ = strconv.ParseInt(v, 10, 64)
 	}
-	opts := WALOptions{Dir: dir, FlushInterval: 100 * time.Microsecond, CheckpointBytes: ckptBytes, Fault: hook}
+	opts := WALOptions{Dir: dir, CheckpointBytes: ckptBytes, Fault: hook}
 	if _, err := db.AttachWAL(opts); err != nil {
 		fmt.Fprintf(os.Stderr, "child: attach: %v\n", err)
 		os.Exit(3)

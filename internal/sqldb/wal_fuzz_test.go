@@ -41,8 +41,7 @@ func FuzzWALRecord(f *testing.F) {
 			args = append(args, Null())
 		}
 		stmts := []walStmt{{q: q, args: args}, {q: q + "/2", args: nil}}
-		encArgs := [][]byte{EncodeWALValues(args), EncodeWALValues(nil)}
-		rec := encodeRecord(41, stmts, encArgs)
+		rec, _ := appendRecord(nil, 41, stmts, 0)
 
 		got, rest, err := decodeRecord(rec)
 		if err != nil || len(rest) != 0 {

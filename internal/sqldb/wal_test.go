@@ -2,9 +2,13 @@ package sqldb
 
 import (
 	"encoding/base64"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,10 +18,9 @@ import (
 	"repro/internal/sqldb/walfault"
 )
 
-// Fast group-commit settings for tests: a short tick keeps single-threaded
-// test workloads from serializing on 1ms waits.
+// Test logs checkpoint only when a test asks for it.
 func testWALOpts(dir string) WALOptions {
-	return WALOptions{Dir: dir, FlushInterval: 200 * time.Microsecond, CheckpointBytes: -1}
+	return WALOptions{Dir: dir, CheckpointBytes: -1}
 }
 
 func walMustExec(t *testing.T, s *Session, q string, args ...Value) *Result {
@@ -395,7 +398,8 @@ func TestWALPostAppendPreFsyncCrash(t *testing.T) {
 	walMustExec(t, s, "INSERT INTO items (name, qty) VALUES ('kept', 1)")
 	want := dbDump(t, db)
 
-	// The hook runs on the flusher goroutine, between its write and fsync.
+	// The hook runs on this goroutine — the committer leads its own group —
+	// between the write and the fsync.
 	hook.Set(walfault.PostAppendPreFsync, 1, func() { db.WAL().Crash() })
 	if _, err := s.Exec("INSERT INTO items (name, qty) VALUES ('unsynced', 2)"); err == nil {
 		t.Fatal("commit whose fsync died should not be acknowledged")
@@ -469,14 +473,16 @@ func TestWALPopulateThenAttach(t *testing.T) {
 	}
 }
 
-// TestWALGroupCommit: concurrent committers share fsyncs — with many
-// sessions committing at once, the fsync count stays well under the append
-// count.
+// TestWALGroupCommit: concurrent committers share fsyncs — a committer that
+// arrives while a leader's fsync is in flight is covered by the next one,
+// together with everyone else who arrived meanwhile — and sharing loses
+// nothing: every acknowledged row survives a power cut.
 func TestWALGroupCommit(t *testing.T) {
 	dir := t.TempDir()
 	db := New()
+	hook := walfault.New()
 	opts := testWALOpts(dir)
-	opts.FlushInterval = 2 * time.Millisecond // widen the batching window
+	opts.Fault = hook
 	if _, err := db.AttachWAL(opts); err != nil {
 		t.Fatal(err)
 	}
@@ -486,6 +492,18 @@ func TestWALGroupCommit(t *testing.T) {
 	base := db.WALStats()
 
 	const workers, each = 8, 25
+	// Hold the first leader between write and fsync until every worker has
+	// appended: the next group then covers all the others at once, however
+	// fast this disk's fsync is.
+	hook.Set(walfault.PostAppendPreFsync, 1, func() {
+		for deadline := time.Now().Add(5 * time.Second); db.WALStats().Appends-base.Appends < workers; {
+			if time.Now().After(deadline) {
+				t.Error("workers never queued behind the first leader")
+				return
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	})
 	var wg sync.WaitGroup
 	for wkr := 0; wkr < workers; wkr++ {
 		wg.Add(1)
@@ -515,8 +533,177 @@ func TestWALGroupCommit(t *testing.T) {
 	if st.DurableLSN < st.LastLSN {
 		t.Fatalf("acked commits not durable: durable %d < last %d", st.DurableLSN, st.LastLSN)
 	}
+	db.WAL().Crash()
+
+	db2, _ := recoverDB(t, dir)
+	s2 := db2.NewSession()
+	defer s2.Close()
+	res := walMustExec(t, s2, "SELECT item, COUNT(*) FROM audit GROUP BY item")
+	if len(res.Rows) != workers {
+		t.Fatalf("recovered rows for %d workers, want %d", len(res.Rows), workers)
+	}
+	for _, row := range res.Rows {
+		if row[1].AsInt() != each {
+			t.Fatalf("worker %d: %d acked rows survived the crash, want %d", row[0].AsInt(), row[1].AsInt(), each)
+		}
+	}
+}
+
+// TestWALLoneCommitterOneFsyncEach: with nobody to share with, every commit
+// is its own group — one fsync per append, none invented, none skipped —
+// and the log owns no goroutine: the count is the same before AttachWAL and
+// after Close.
+func TestWALLoneCommitterOneFsyncEach(t *testing.T) {
+	before := runtime.NumGoroutine()
+	db := New()
+	if _, err := db.AttachWAL(testWALOpts(t.TempDir())); err != nil {
+		t.Fatal(err)
+	}
+	s := db.NewSession()
+	walSchema(t, s)
+	base := db.WALStats()
+	for i := 0; i < 200; i++ {
+		walMustExec(t, s, "INSERT INTO audit (item, delta) VALUES (?, ?)", Int(1), Int(int64(i)))
+	}
+	s.Close()
+	st := db.WALStats()
+	if a, f := st.Appends-base.Appends, st.Fsyncs-base.Fsyncs; a != 200 || f != a {
+		t.Fatalf("%d appends, %d fsyncs; want 200 of each", a, f)
+	}
+	if st.DurableLSN != st.LastLSN {
+		t.Fatalf("durable %d, last %d", st.DurableLSN, st.LastLSN)
+	}
 	if err := db.CloseWAL(); err != nil {
 		t.Fatal(err)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines before AttachWAL, %d after Close", before, after)
+	}
+}
+
+// TestWALCloseFlushesUnwaitedTail: a record appended but never waited on is
+// written and fsynced by Close.
+func TestWALCloseFlushesUnwaitedTail(t *testing.T) {
+	dir := t.TempDir()
+	db := New()
+	if _, err := db.AttachWAL(testWALOpts(dir)); err != nil {
+		t.Fatal(err)
+	}
+	s := db.NewSession()
+	walSchema(t, s)
+	s.Close()
+	lsn := db.WAL().appendOne("INSERT INTO items (name, qty) VALUES ('tail', 1)", nil)
+	if d := db.WALStats().DurableLSN; d >= lsn {
+		t.Fatalf("record %d durable (%d) before anyone waited", lsn, d)
+	}
+	if err := db.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	db2, info := recoverDB(t, dir)
+	if info.ReplayLSN != lsn {
+		t.Fatalf("replayed through %d, want %d", info.ReplayLSN, lsn)
+	}
+	s2 := db2.NewSession()
+	defer s2.Close()
+	if n := walMustExec(t, s2, "SELECT COUNT(*) FROM items WHERE name = 'tail'").Rows[0][0].AsInt(); n != 1 {
+		t.Fatalf("%d tail rows after recovery, want 1", n)
+	}
+}
+
+// TestWALWriteErrorIsSticky: once a group's write fails, that commit and
+// every later one report the failure, and no later group reaches the file —
+// a log with a hole in it would replay up to the hole and drop acked work.
+func TestWALWriteErrorIsSticky(t *testing.T) {
+	db := New()
+	if _, err := db.AttachWAL(testWALOpts(t.TempDir())); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.CloseWAL() })
+	s := db.NewSession()
+	defer s.Close()
+	walSchema(t, s)
+	durable := db.WALStats().DurableLSN
+	db.WAL().f.Close() // every write from here on fails
+	_, first := s.Exec("INSERT INTO items (name, qty) VALUES ('a', 1)")
+	if first == nil || !errors.Is(first, os.ErrClosed) {
+		t.Fatalf("commit over a failing write: %v", first)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := s.Exec("INSERT INTO items (name, qty) VALUES ('b', 2)"); err != first {
+			t.Fatalf("later commit %d: %v, want the first failure %v", i, err, first)
+		}
+	}
+	if st := db.WALStats(); st.DurableLSN != durable {
+		t.Fatalf("durability frontier moved %d → %d on a dead log", durable, st.DurableLSN)
+	}
+}
+
+// TestShowWALRecordsSeesGroupInFlight: SHOW WAL RECORDS, racing a committer,
+// always returns every LSN up to a last_lsn read before it — the group a
+// leader is writing at that moment included. (A view that has handed the
+// batch to the writer but not yet counted it in the file would ship a
+// rejoining replica a stream with a hole.)
+func TestShowWALRecordsSeesGroupInFlight(t *testing.T) {
+	db := New()
+	if _, err := db.AttachWAL(testWALOpts(t.TempDir())); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.CloseWAL() })
+	s := db.NewSession()
+	defer s.Close()
+	walSchema(t, s)
+
+	var stop atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s2 := db.NewSession()
+		defer s2.Close()
+		for scan := 0; !stop.Load(); scan++ {
+			last := walMustExec(t, s2, "SHOW WAL STATUS").Rows[0][1].AsInt()
+			recs := walMustExec(t, s2, "SHOW WAL RECORDS SINCE 0").Rows
+			if int64(len(recs)) < last {
+				t.Errorf("scan %d: %d records, but last_lsn was already %d", scan, len(recs), last)
+				return
+			}
+			for i, row := range recs {
+				if row[0].AsInt() != int64(i+1) {
+					t.Errorf("scan %d: record %d has lsn %d", scan, i, row[0].AsInt())
+					return
+				}
+			}
+		}
+	}()
+	for i := 0; i < 400; i++ {
+		walMustExec(t, s, "INSERT INTO audit (item, delta) VALUES (?, ?)", Int(1), Int(int64(i)))
+	}
+	stop.Store(true)
+	<-done
+}
+
+// TestChainStepMatchesFNV pins the chain hash to its definition: the replicas
+// of one cluster and the checkpoints on disk all carry this value.
+func TestChainStepMatchesFNV(t *testing.T) {
+	for _, tc := range []struct {
+		prev uint64
+		q    string
+		args []Value
+	}{
+		{0, "", nil},
+		{1, "DELETE FROM t", nil},
+		{0xfedcba9876543210, "INSERT INTO t VALUES (?, ?, ?, ?)", []Value{Int(-7), String("x\x00y"), Float(2.5), Null()}},
+	} {
+		enc := EncodeWALValues(tc.args)
+		h := fnv.New64a()
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], tc.prev)
+		h.Write(b[:])
+		h.Write([]byte(tc.q))
+		h.Write([]byte{0})
+		h.Write(enc)
+		if got, want := chainStep(tc.prev, tc.q, enc), h.Sum64(); got != want {
+			t.Errorf("chainStep(%#x, %q) = %#x, want %#x", tc.prev, tc.q, got, want)
+		}
 	}
 }
 
@@ -648,7 +835,7 @@ func TestWALRefusesNonEmptyRecovery(t *testing.T) {
 }
 
 // TestWALAutoCheckpoint: crossing CheckpointBytes triggers a checkpoint
-// from the flusher without an explicit call.
+// from a group's leader without an explicit call.
 func TestWALAutoCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	db := New()

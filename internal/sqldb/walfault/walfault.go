@@ -6,6 +6,13 @@
 // kill -9. Production leaves the hook nil, which compiles down to one nil
 // check per site.
 //
+// The action runs on the goroutine that reached the point. The log has no
+// goroutine of its own, so for the append and fsync points that is a
+// committing session's — under the wire server, the connection's goroutine,
+// which has no recover(): a panic action takes the process down like any
+// other unhandled panic. An action must not wait for that session to finish
+// (closing its server from the hook would).
+//
 // Tests arm hooks directly with Set; subprocess crash tests arm them from
 // the environment (SQLDB_WALFAULT=point:action[:N]) so a re-exec'd test
 // binary can die mid-commit exactly like a production dbserver would.
@@ -29,8 +36,8 @@ const (
 	// PreAppend fires before a commit's record batch enters the WAL buffer:
 	// a crash here loses the commit entirely — the unacked-write case.
 	PreAppend Point = "pre-append"
-	// PostAppendPreFsync fires after the flusher has written a batch to the
-	// segment file but before fsync: a crash here is the torn-tail case —
+	// PostAppendPreFsync fires after a group's leader has written its batch to
+	// the segment file but before fsync: a crash here is the torn-tail case —
 	// bytes may or may not survive, and none of them were acked.
 	PostAppendPreFsync Point = "post-append-pre-fsync"
 	// MidCheckpoint fires after the checkpoint temp file is written but
