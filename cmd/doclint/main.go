@@ -104,9 +104,14 @@ func checkLinks(path string) int {
 var flagTokRe = regexp.MustCompile("`-([a-z][a-z0-9-]*)[^`]*`")
 
 // removedIdents are identifiers deleted from the code that the docs used to
-// name: a line still mentioning one describes a mode that no longer
-// exists (the LOCK TABLES bracket and its cluster-side routing).
-var removedIdents = []string{"execLock", "HoldsLocks", "bracketAll", "kindLock"}
+// name: a line still mentioning one describes a shape that no longer
+// exists (the LOCK TABLES bracket and its cluster-side routing; the cluster
+// client's sharded method arms, prepared-handle type and byte-scanning
+// scatter rewrite).
+var removedIdents = []string{
+	"execLock", "HoldsLocks", "bracketAll", "kindLock",
+	"shExec", "shBegin", "shCommit", "cluster.Stmt", "Client.Prepare", "topLevelFrom",
+}
 
 // checkFlagDocs verifies that every backticked `-flag` token on a
 // non-fenced doc line that names a daemon is registered by that daemon's

@@ -77,7 +77,7 @@ func TestReadsSkipSyncingReplica(t *testing.T) {
 	b := newTestClient(t, reps, Config{}) // shares the DSN's lock registry
 
 	// Simulate client a's Rejoin holding the sync window open.
-	a.locks.beginSync(reps[1].addr)
+	flat(a).locks.beginSync(reps[1].addr)
 	for i := 0; i < 30; i++ {
 		if _, err := b.ExecCached("SELECT name FROM items WHERE id = 1"); err != nil {
 			t.Fatal(err)
@@ -91,7 +91,7 @@ func TestReadsSkipSyncingReplica(t *testing.T) {
 		t.Fatalf("survivor served %d reads, want 30", rs[0].Reads)
 	}
 
-	a.locks.endSync(reps[1].addr, true)
+	flat(a).locks.endSync(reps[1].addr, true)
 	for i := 0; i < 30; i++ {
 		if _, err := b.ExecCached("SELECT name FROM items WHERE id = 1"); err != nil {
 			t.Fatal(err)

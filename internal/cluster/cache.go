@@ -22,7 +22,7 @@
 //     aborted writes were never visible to any live read, so cache entries
 //     filled concurrently saw pre-txn data that is still correct.
 //   - Inside a transaction that write-holds a referenced table the cache is
-//     bypassed entirely (Session.cacheBypass): read-your-writes stays on
+//     bypassed entirely (replicaTxn.cacheBypass): read-your-writes stays on
 //     the live path, and uncommitted local writes are never published.
 //
 // Results handed out by the cache are defensive copies in both directions
@@ -79,27 +79,6 @@ func (w *writeLocks) stampFor(readTables []string) []uint64 {
 		stamp[i+1] = w.versionOf(t).Load()
 	}
 	return stamp
-}
-
-// ContentEpoch reports the cluster-wide write epoch: it advances on every
-// committed write through any client sharing this DSN. The HTTP page cache
-// keys freshness on it (internal/lb.PageCache); the app tier republishes it
-// per response as the X-Content-Epoch header.
-//
-// On a sharded client the epoch is the SUM of the per-shard epochs — every
-// shard's committed writes advance it, so a page cached under the combined
-// epoch is invalidated by a write through any shard. (A max would not be
-// safe: two shards advancing in lockstep could leave the max unchanged
-// while content moved.)
-func (c *Client) ContentEpoch() uint64 {
-	if c.sh != nil {
-		var e uint64
-		for _, in := range c.sh.shards {
-			e += in.ContentEpoch()
-		}
-		return e
-	}
-	return c.locks.epoch.Load()
 }
 
 // cacheKey builds the lookup key for (statement, args). The statement text
@@ -262,9 +241,9 @@ func (q *queryCache) len() int {
 // inside one it is deferred into the session's writeSet until COMMIT
 // flushes it — an abort must publish nothing, because aborted writes were
 // never visible to any read that could have filled a cache entry.
-func (s *Session) notePublish(tables []string) {
+func (s *replicaTxn) notePublish(tables []string) {
 	if !s.inTxn {
-		s.c.locks.bump(tables)
+		s.rs.locks.bump(tables)
 		return
 	}
 	if s.writeSet == nil {
@@ -277,7 +256,7 @@ func (s *Session) notePublish(tables []string) {
 
 // flushWrites publishes the transaction's accumulated write set (COMMIT,
 // or any path that may have committed server-side).
-func (s *Session) flushWrites() {
+func (s *replicaTxn) flushWrites() {
 	if len(s.writeSet) == 0 {
 		return
 	}
@@ -285,12 +264,12 @@ func (s *Session) flushWrites() {
 	for t := range s.writeSet {
 		tables = append(tables, t)
 	}
-	s.c.locks.bump(tables)
+	s.rs.locks.bump(tables)
 	s.writeSet = nil
 }
 
 // discardWrites drops the pending write set without publishing (ROLLBACK).
-func (s *Session) discardWrites() { s.writeSet = nil }
+func (s *replicaTxn) discardWrites() { s.writeSet = nil }
 
 // cacheBypass reports whether a read must skip the cache: inside an open
 // transaction whose declared (held) or observed (writeSet) write set
@@ -298,7 +277,7 @@ func (s *Session) discardWrites() { s.writeSet = nil }
 // undeclared transaction — the read must run live to see the session's own
 // uncommitted writes, and its result must not be published as what other
 // clients should see.
-func (s *Session) cacheBypass(rt route) bool {
+func (s *replicaTxn) cacheBypass(rt route) bool {
 	if !s.inTxn {
 		return false
 	}
@@ -329,31 +308,32 @@ func (s *Session) cacheBypass(rt route) bool {
 // read must see the session's own uncommitted writes, so it stays live and
 // fills nothing (the txn's result is not what other clients should see).
 //
-// run receives a restamp hook it must invoke immediately before every
-// attempt that could produce the rows — the pool's stale-connection retry,
-// the read router's failover to the next replica. The stamp that fills the
-// entry must belong to the attempt that actually read: a stamp captured
-// before a failed first attempt predates any write that committed during
-// the retry window, so the fill would be born stale and every lookup a
-// spurious miss (monotone versions keep the error conservative, but the
-// cache stops caching). Paths with no retry may ignore the hook — the
-// pre-run capture below still covers them.
-func (c *Client) cachedRead(rt route, query string, args []sqldb.Value, bypass bool, run func(restamp func()) (*sqldb.Result, error)) (*sqldb.Result, error) {
-	q := c.qcache
+// run receives a restamp hook to hand to the pool as its per-attempt
+// callback (nil when nothing will be filled), so it fires immediately
+// before every attempt that could produce the rows — the pool's
+// stale-connection retry, the read router's failover to the next replica.
+// The stamp that fills the entry must belong to the attempt that actually
+// read: a stamp captured before a failed first attempt predates any write
+// that committed during the retry window, so the fill would be born stale
+// and every lookup a spurious miss (monotone versions keep the error
+// conservative, but the cache stops caching). Paths with no retry may
+// ignore the hook — the pre-run capture below still covers them.
+func (rs *replicaSet) cachedRead(rt route, query string, args []sqldb.Value, bypass bool, run func(restamp func(int)) (*sqldb.Result, error)) (*sqldb.Result, error) {
+	q := rs.qcache
 	if q == nil || rt.readTables == nil {
-		return run(func() {})
+		return run(nil)
 	}
 	if bypass {
 		q.bypasses.Add(1)
-		return run(func() {})
+		return run(nil)
 	}
 	key := cacheKey(query, args)
-	if res, ok := q.get(key, c.locks); ok {
+	if res, ok := q.get(key, rs.locks); ok {
 		return res, nil
 	}
 	var stamp []uint64
-	restamp := func() { stamp = c.locks.stampFor(rt.readTables) }
-	restamp()
+	restamp := func(int) { stamp = rs.locks.stampFor(rt.readTables) }
+	restamp(0)
 	res, err := run(restamp)
 	if err != nil {
 		return nil, err

@@ -347,14 +347,15 @@ func TestQueryCacheRestampOnRetry(t *testing.T) {
 	c := newTestClient(t, reps, Config{QueryCache: 8})
 	const q = "SELECT qty FROM items WHERE id = ?"
 	args := []sqldb.Value{sqldb.Int(1)}
-	rt := c.routes.of(q)
+	rs := flat(c)
+	rt := rs.routes.of(q)
 
-	res, err := c.cachedRead(rt, q, args, false, func(restamp func()) (*sqldb.Result, error) {
+	res, err := rs.cachedRead(rt, q, args, false, func(restamp func(int)) (*sqldb.Result, error) {
 		// Attempt 0 failed in transport after the pre-run stamp was taken;
 		// a concurrent client's write commits before the retry.
-		c.locks.bump([]string{"items"})
-		restamp() // attempt 1 (the wire layer fires onAttempt before each try)
-		return c.poolExec(c.replicas[0], q, args, false)
+		rs.locks.bump([]string{"items"})
+		restamp(1) // the wire layer fires onAttempt before each try
+		return rs.replicas[0].pool.ExecCached(q, args...)
 	})
 	if err != nil || len(res.Rows) != 1 {
 		t.Fatalf("filling read: %v %v", err, res)

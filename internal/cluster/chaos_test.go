@@ -84,7 +84,7 @@ func TestRejoinDeadlineLeavesReplicaEjected(t *testing.T) {
 	if c.Healthy() != 1 {
 		t.Fatal("failed rejoin must leave the replica ejected")
 	}
-	if !c.locks.syncing(px.Addr()) {
+	if !flat(c).locks.syncing(px.Addr()) {
 		t.Fatal("failed sync must leave the replica marked half-synced for other clients")
 	}
 
@@ -96,7 +96,7 @@ func TestRejoinDeadlineLeavesReplicaEjected(t *testing.T) {
 	if c.Healthy() != 2 {
 		t.Fatalf("healthy = %d after successful rejoin", c.Healthy())
 	}
-	if c.locks.syncing(px.Addr()) {
+	if flat(c).locks.syncing(px.Addr()) {
 		t.Fatal("successful sync must clear the half-synced mark")
 	}
 	res := queryReplica(t, reps[1], "SELECT qty FROM items WHERE id = 1")
@@ -217,7 +217,7 @@ func TestEndSyncTaintKeepsCountPositive(t *testing.T) {
 func TestStaleDegradedLatchSelfHeals(t *testing.T) {
 	reps := startReplicas(t, 2)
 	c := newTestClient(t, reps, Config{StrictWrites: true})
-	c.degraded.Store(true)
+	flat(c).degraded.Store(true)
 	if _, err := c.ExecCached("UPDATE items SET qty = 11 WHERE id = 4"); err != nil {
 		t.Fatalf("write on a whole healthy cluster = %v, want the stale latch self-healed", err)
 	}
@@ -228,7 +228,7 @@ func TestStaleDegradedLatchSelfHeals(t *testing.T) {
 		t.Fatalf("degraded exits = %d, want 1", cs.DegradedExits)
 	}
 
-	c.degraded.Store(true)
+	flat(c).degraded.Store(true)
 	if err := c.Rejoin(1, false); err != nil {
 		t.Fatal(err)
 	}

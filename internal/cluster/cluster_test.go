@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -58,6 +59,10 @@ func dsnOf(reps []*testReplica) string {
 	}
 	return strings.Join(addrs, ",")
 }
+
+// flat reaches an unsharded client's replica set, for tests that drive its
+// internals.
+func flat(c *Client) *replicaSet { return c.backend.(*replicaSet) }
 
 func newTestClient(t *testing.T, reps []*testReplica, cfg Config) *Client {
 	t.Helper()
@@ -307,21 +312,25 @@ func TestStrictWritePolicy(t *testing.T) {
 func TestReprepareOnReplica(t *testing.T) {
 	reps := startReplicas(t, 2)
 	c := newTestClient(t, reps, Config{PoolSize: 2})
-	st := c.Prepare("SELECT name FROM items WHERE id = ?")
+	st := func(args ...sqldb.Value) (*sqldb.Result, error) {
+		return c.ExecCached("SELECT name FROM items WHERE id = ?", args...)
+	}
 	for i := 0; i < 8; i++ {
-		if _, err := st.Exec(sqldb.Int(1)); err != nil {
+		if _, err := st(sqldb.Int(1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	wr := c.Prepare("UPDATE items SET qty = ? WHERE id = ?")
-	if _, err := wr.Exec(sqldb.Int(9), sqldb.Int(4)); err != nil {
+	wr := func(args ...sqldb.Value) (*sqldb.Result, error) {
+		return c.ExecCached("UPDATE items SET qty = ? WHERE id = ?", args...)
+	}
+	if _, err := wr(sqldb.Int(9), sqldb.Int(4)); err != nil {
 		t.Fatal(err)
 	}
 
 	// Kill and restart replica 1 on the same address: every connection and
 	// server-side statement id it held is gone.
 	reps[1].srv.Close()
-	if _, err := wr.Exec(sqldb.Int(10), sqldb.Int(4)); err != nil {
+	if _, err := wr(sqldb.Int(10), sqldb.Int(4)); err != nil {
 		t.Fatalf("write during outage (available policy): %v", err)
 	}
 	srv2 := wire.NewServer(reps[1].db, nil)
@@ -346,11 +355,11 @@ func TestReprepareOnReplica(t *testing.T) {
 	// connections re-prepare behind the scenes.
 	before := reps[1].srv.QueryCount()
 	for i := 0; i < 20; i++ {
-		if _, err := st.Exec(sqldb.Int(2)); err != nil {
+		if _, err := st(sqldb.Int(2)); err != nil {
 			t.Fatalf("prepared read after rejoin: %v", err)
 		}
 	}
-	if _, err := wr.Exec(sqldb.Int(11), sqldb.Int(5)); err != nil {
+	if _, err := wr(sqldb.Int(11), sqldb.Int(5)); err != nil {
 		t.Fatalf("prepared write after rejoin: %v", err)
 	}
 	if reps[1].srv.QueryCount() == before {
@@ -784,7 +793,7 @@ func TestLockRegistryRefcounts(t *testing.T) {
 	key := registryKey(addrs)
 	a := NewWithConfig(Config{DSN: strings.Join(addrs, ",")})
 	b := NewWithConfig(Config{DSN: addrs[1] + "," + addrs[0]}) // order-insensitive
-	if a.locks != b.locks {
+	if flat(a).locks != flat(b).locks {
 		t.Fatal("clients over the same replica set got distinct write-order locks")
 	}
 	a.Close()
@@ -888,5 +897,44 @@ func TestTxnAbortErrorPoisonsSession(t *testing.T) {
 	res := queryReplica(t, reps[0], "SELECT qty FROM items WHERE id = 1")
 	if got := res.Rows[0][0].AsInt(); got != 100 {
 		t.Fatalf("qty %d, want 100 (aborted transaction leaked a write)", got)
+	}
+}
+
+// TestClientStatsAddCoversEveryField fills every field of a ClientStats with
+// a distinct value by reflection and adds it twice: every counter must have
+// doubled, the Degraded latch OR-ed, and the receiver's Shards — a topology
+// figure, not a counter — been kept. A counter added to the struct later and
+// forgotten in add fails here.
+func TestClientStatsAddCoversEveryField(t *testing.T) {
+	var o ClientStats
+	ov := reflect.ValueOf(&o).Elem()
+	for i := 0; i < ov.NumField(); i++ {
+		switch f := ov.Field(i); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(100 + i))
+		case reflect.Bool:
+			f.SetBool(true)
+		default:
+			t.Fatalf("ClientStats.%s has kind %s: teach add and this test to sum it", ov.Type().Field(i).Name, f.Kind())
+		}
+	}
+	s := ClientStats{Shards: 7}
+	s.add(o)
+	s.add(o)
+	sv := reflect.ValueOf(s)
+	for i := 0; i < sv.NumField(); i++ {
+		name := sv.Type().Field(i).Name
+		switch {
+		case name == "Shards":
+			if s.Shards != 7 {
+				t.Errorf("Shards = %d after add, want the receiver's 7 kept", s.Shards)
+			}
+		case name == "Degraded":
+			if !s.Degraded {
+				t.Error("Degraded not OR-ed in")
+			}
+		case sv.Field(i).Int() != 2*ov.Field(i).Int():
+			t.Errorf("%s = %d after adding %d twice: add does not sum it", name, sv.Field(i).Int(), ov.Field(i).Int())
+		}
 	}
 }

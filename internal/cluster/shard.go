@@ -30,7 +30,7 @@
 // colocates with its parent, because the parent's id carries its shard's
 // congruence class.
 //
-// Transactions: a sharded Session coordinates one sub-session per
+// Transactions: a sharded Session (shardTxn) coordinates one sub-session per
 // participating shard, opened lazily as statements pin shards (in ascending
 // shard order, which is what excludes cross-transaction deadlock on the
 // per-shard write-order locks). COMMIT with more than one participant runs
@@ -48,8 +48,10 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/pool"
 	"repro/internal/sqldb"
 	"repro/internal/sqldb/sqlparse"
+	"repro/internal/telemetry"
 )
 
 // ParseShardDSN splits a DSN into shard groups: shards separated by ';',
@@ -65,10 +67,13 @@ func ParseShardDSN(dsn string) [][]string {
 	return groups
 }
 
-// shardSet is the sharded client's routing core: the per-shard inner
-// clients, the table→key map, and the memoized per-statement plans.
+// shardSet is the backend of a sharded Client: one replica set per shard
+// group (each with its own pools, health tracking and query cache), the
+// table→key map, and the memoized per-statement plans. It keeps no query
+// cache of its own — pinned statements hit the owning shard's cache, and
+// cross-shard merges are recomputed (their invalidation scope spans shards).
 type shardSet struct {
-	shards  []*Client
+	shards  []*replicaSet
 	byTable map[string]string // lower-cased table -> shard key column
 	// outer serializes cross-shard broadcasts (global-table writes, DDL)
 	// over the full address set, so every shard applies them in one order.
@@ -89,30 +94,17 @@ type shardSet struct {
 	betweenPhases func()
 }
 
-// newSharded builds a sharded Client: one inner cluster client per shard
-// group (each with its own pools, health tracking and query cache) behind
-// a thin routing facade. The outer client's own query cache stays nil —
-// pinned statements hit the owning shard's cache, and cross-shard merges
-// are recomputed (their invalidation scope spans shards).
-func newSharded(cfg Config, groups [][]string) *Client {
-	var all []string
-	for _, g := range groups {
-		all = append(all, g...)
-	}
-	sh := &shardSet{
-		byTable: make(map[string]string, len(cfg.ShardBy)),
-		outer:   acquireWriteLocks(all),
-		addrs:   all,
-	}
+func newShardSet(cfg Config, groups [][]string) *shardSet {
+	sh := &shardSet{byTable: make(map[string]string, len(cfg.ShardBy))}
 	for t, col := range cfg.ShardBy {
 		sh.byTable[strings.ToLower(t)] = strings.ToLower(col)
 	}
 	for _, g := range groups {
-		sub := cfg
-		sub.DSN = strings.Join(g, ",")
-		sh.shards = append(sh.shards, NewWithConfig(sub))
+		sh.addrs = append(sh.addrs, g...)
+		sh.shards = append(sh.shards, newReplicaSet(cfg, g))
 	}
-	return &Client{sh: sh, locks: sh.outer}
+	sh.outer = acquireWriteLocks(sh.addrs)
+	return sh
 }
 
 func (sh *shardSet) rrNext() int { return int(sh.rr.Add(1) % uint64(len(sh.shards))) }
@@ -127,19 +119,24 @@ type shardPlan struct {
 	insert  bool
 	sharded bool            // references at least one sharded table
 	exprs   []sqlparse.Expr // nil: not pinned (scatter / broadcast)
+	// scatterSQL is the text each shard runs when a SELECT on a sharded
+	// table scatters, and extra the number of ORDER BY key columns it
+	// appends to the select list for the merge to sort on and project off.
+	scatterSQL string
+	extra      int
 }
 
-func (sh *shardSet) planOf(c *Client, query string) *shardPlan {
+func (sh *shardSet) planOf(query string) *shardPlan {
 	if v, ok := sh.plans.Load(query); ok {
 		return v.(*shardPlan)
 	}
-	p := sh.buildPlan(c, query)
+	p := sh.buildPlan(query)
 	sh.plans.Store(query, p)
 	return p
 }
 
-func (sh *shardSet) buildPlan(c *Client, query string) *shardPlan {
-	p := &shardPlan{rt: c.routes.of(query)}
+func (sh *shardSet) buildPlan(query string) *shardPlan {
+	p := &shardPlan{rt: analyze(query)}
 	st, err := sqlparse.Parse(query)
 	if err != nil {
 		// Unparsable: reads run on one shard, writes broadcast under the
@@ -179,6 +176,9 @@ func (sh *shardSet) buildPlan(c *Client, query string) *shardPlan {
 				p.exprs = exprs
 			}
 		}
+	}
+	if p.sel != nil && p.sharded {
+		p.scatterSQL, p.extra = scatterSQL(query, p.sel)
 	}
 	return p
 }
@@ -255,23 +255,23 @@ func shardIndex(v sqldb.Value, n int) int {
 	}
 }
 
-// exec routes one pool-level statement through the shard set.
-func (sh *shardSet) exec(c *Client, query string, args []sqldb.Value, cached bool) (*sqldb.Result, error) {
-	p := sh.planOf(c, query)
+// Exec routes one pool-level statement through the shard set.
+func (sh *shardSet) Exec(query string, args ...sqldb.Value) (*sqldb.Result, error) {
+	p := sh.planOf(query)
 	switch p.rt.kind {
 	case kindTxnControl:
 		return nil, ErrTxnControlText
 	case kindRead:
 		if !p.sharded {
 			// Global tables are replicated on every shard; any one answers.
-			return sh.shards[sh.rrNext()].exec(query, args, cached)
+			return sh.shards[sh.rrNext()].Exec(query, args...)
 		}
 		if shard, ok := p.shardFor(args, len(sh.shards)); ok {
 			sh.single.Add(1)
-			return sh.shards[shard].exec(query, args, cached)
+			return sh.shards[shard].Exec(query, args...)
 		}
 		sh.scatter.Add(1)
-		return sh.scatterRead(p, query, args, cached, nil)
+		return sh.scatterRead(p, args, nil)
 	default: // writes and DDL
 		if p.sharded && p.exprs != nil {
 			shard, ok := p.shardFor(args, len(sh.shards))
@@ -280,34 +280,43 @@ func (sh *shardSet) exec(c *Client, query string, args []sqldb.Value, cached boo
 			}
 			if ok {
 				sh.single.Add(1)
-				return sh.shards[shard].exec(query, args, cached)
+				return sh.shards[shard].Exec(query, args...)
 			}
 		}
 		if p.sharded && p.insert {
 			// Keyless INSERT on a sharded table: any shard may take it —
 			// its strided counter assigns an id that hashes back here.
 			sh.single.Add(1)
-			return sh.shards[sh.rrNext()].exec(query, args, cached)
+			return sh.shards[sh.rrNext()].Exec(query, args...)
 		}
-		return sh.broadcastAll(query, args, cached, p)
+		return sh.broadcastAll(query, args, p)
 	}
 }
 
 var errInsertSpansShards = errors.New("cluster: INSERT rows span shards (or the shard key is unresolvable); split the statement per shard")
 
-// scatterRead fans a SELECT out to every shard and merges. subs, when
-// non-nil, supplies the per-shard sub-sessions to run on (transactional
-// scatter); otherwise each shard's pool path runs it.
-func (sh *shardSet) scatterRead(p *shardPlan, query string, args []sqldb.Value, cached bool, subs []*Session) (*sqldb.Result, error) {
-	if p.sel == nil {
-		// Non-SELECT read (SHOW ...): shard-local answers are equivalent.
-		return sh.shards[sh.rrNext()].exec(query, args, cached)
-	}
+// scatterRead fans a SELECT on a sharded table out to every shard and
+// merges. subs, when non-nil, supplies the per-shard sub-sessions to run on
+// (transactional scatter); otherwise each shard's pool path runs it.
+func (sh *shardSet) scatterRead(p *shardPlan, args []sqldb.Value, subs []*replicaTxn) (*sqldb.Result, error) {
 	if len(p.sel.GroupBy) > 0 {
 		return nil, errors.New("cluster: GROUP BY across shards is not supported")
 	}
-	q := scatterQuery(query, p.sel)
-	q, extra := appendOrderKeys(q, p.sel)
+	results, err := sh.onEach(func(i int) (*sqldb.Result, error) {
+		if subs != nil {
+			return subs[i].Exec(p.scatterSQL, args...)
+		}
+		return sh.shards[i].Exec(p.scatterSQL, args...)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return mergeScatter(p.sel, results, p.extra)
+}
+
+// onEach runs run once per shard, concurrently, and returns the per-shard
+// results in shard order, or the lowest failing shard's error.
+func (sh *shardSet) onEach(run func(shard int) (*sqldb.Result, error)) ([]*sqldb.Result, error) {
 	results := make([]*sqldb.Result, len(sh.shards))
 	errs := make([]error, len(sh.shards))
 	var wg sync.WaitGroup
@@ -315,11 +324,7 @@ func (sh *shardSet) scatterRead(p *shardPlan, query string, args []sqldb.Value, 
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if subs != nil {
-				results[i], errs[i] = subs[i].exec(q, args, cached)
-			} else {
-				results[i], errs[i] = sh.shards[i].exec(q, args, cached)
-			}
+			results[i], errs[i] = run(i)
 		}(i)
 	}
 	wg.Wait()
@@ -328,17 +333,30 @@ func (sh *shardSet) scatterRead(p *shardPlan, query string, args []sqldb.Value, 
 			return nil, err
 		}
 	}
-	return mergeScatter(p.sel, results, extra)
+	return results, nil
 }
 
-// appendOrderKeys widens the per-shard select list with ORDER BY key
-// columns the statement doesn't already select ("SELECT id FROM items
-// ORDER BY end_date") — the merge needs the key values to re-sort, and it
-// projects the appended columns back off afterward. DISTINCT selects are
-// left alone: standard SQL already requires their ORDER BY keys in the
-// select list, and widening would change what "distinct" means per shard.
-func appendOrderKeys(query string, sel *sqlparse.Select) (string, int) {
-	if sel.Star || sel.Distinct || len(sel.OrderBy) == 0 || isAggSelect(sel) {
+// scatterSQL rewrites a SELECT into the text each shard runs when it
+// scatters, splicing at the byte offsets the parser recorded, and reports
+// how many columns it appended to the select list.
+//
+// A window with an OFFSET only means anything against the merged order, so
+// each shard returns its first offset+limit rows and the merge re-applies
+// the window globally. A plain LIMIT is already correct per shard: the
+// global top-k is a subset of the union of per-shard top-ks.
+//
+// ORDER BY key columns the statement doesn't already select ("SELECT id
+// FROM items ORDER BY end_date") are appended to the select list — the
+// merge needs the key values to re-sort, and projects the appended columns
+// back off afterward. DISTINCT selects are left alone: standard SQL already
+// requires their ORDER BY keys in the select list, and widening would
+// change what "distinct" means per shard.
+func scatterSQL(query string, sel *sqlparse.Select) (string, int) {
+	if sel.Limit >= 0 && sel.Offset > 0 {
+		// The later splice goes first, so FromPos stays valid below.
+		query = query[:sel.LimitPos] + fmt.Sprintf("LIMIT %d", sel.Limit+sel.Offset)
+	}
+	if sel.Star || sel.Distinct || isAggSelect(sel) {
 		return query, 0
 	}
 	var missing []string
@@ -359,69 +377,13 @@ func appendOrderKeys(query string, sel *sqlparse.Select) (string, int) {
 	if len(missing) == 0 {
 		return query, 0
 	}
-	i := topLevelFrom(query)
-	if i < 0 {
-		return query, 0
-	}
-	return query[:i] + ", " + strings.Join(missing, ", ") + " " + query[i:], len(missing)
-}
-
-// topLevelFrom finds the select list's terminating FROM keyword: the first
-// word-boundary "FROM" outside string literals and parentheses.
-func topLevelFrom(query string) int {
-	up := strings.ToUpper(query)
-	depth := 0
-	var inStr byte
-	for i := 0; i < len(up); i++ {
-		c := up[i]
-		switch {
-		case inStr != 0:
-			if c == inStr {
-				inStr = 0
-			}
-		case c == '\'' || c == '"':
-			inStr = c
-		case c == '(':
-			depth++
-		case c == ')':
-			depth--
-		case depth == 0 && c == 'F' && strings.HasPrefix(up[i:], "FROM"):
-			if i > 0 && isWordByte(up[i-1]) {
-				continue
-			}
-			if i+4 < len(up) && isWordByte(up[i+4]) {
-				continue
-			}
-			return i
-		}
-	}
-	return -1
-}
-
-func isWordByte(c byte) bool {
-	return c == '_' || ('0' <= c && c <= '9') || ('A' <= c && c <= 'Z') || ('a' <= c && c <= 'z')
-}
-
-// scatterQuery rewrites the per-shard text of a windowed scatter: OFFSET
-// only means anything against the merged order, so each shard returns its
-// first offset+limit rows and the merge re-applies the window globally.
-// A plain LIMIT (no OFFSET) is already correct per shard: the global top-k
-// is a subset of the union of per-shard top-ks.
-func scatterQuery(query string, sel *sqlparse.Select) string {
-	if sel.Limit < 0 || sel.Offset <= 0 {
-		return query
-	}
-	i := strings.LastIndex(strings.ToUpper(query), "LIMIT")
-	if i < 0 {
-		return query
-	}
-	return query[:i] + fmt.Sprintf("LIMIT %d", sel.Limit+sel.Offset)
+	return query[:sel.FromPos] + ", " + strings.Join(missing, ", ") + " " + query[sel.FromPos:], len(missing)
 }
 
 // mergeScatter combines per-shard partial results into the statement's
 // answer: aggregate combination for no-GROUP-BY aggregates, otherwise
-// concatenate, re-sort, project off the appendOrderKeys columns (the last
-// `extra`), dedup (DISTINCT) and re-window (OFFSET/LIMIT).
+// concatenate, re-sort, project off the columns scatterSQL appended (the
+// last `extra`), dedup (DISTINCT) and re-window (OFFSET/LIMIT).
 func mergeScatter(sel *sqlparse.Select, results []*sqldb.Result, extra int) (*sqldb.Result, error) {
 	if isAggSelect(sel) {
 		return mergeAggs(sel, results)
@@ -606,32 +568,35 @@ func addValues(a, b sqldb.Value) sqldb.Value {
 // and leave the "replicated everywhere" tables diverged between shards.
 // Pinned writes never pass through here: shards own disjoint rows, so the
 // owning shard's inner locks are the complete serialization.
-func (sh *shardSet) broadcastAll(query string, args []sqldb.Value, cached bool, p *shardPlan) (*sqldb.Result, error) {
+func (sh *shardSet) broadcastAll(query string, args []sqldb.Value, p *shardPlan) (*sqldb.Result, error) {
 	sh.broadcast.Add(1)
 	release := sh.outer.acquire(p.rt.tables)
 	defer release()
-	results := make([]*sqldb.Result, len(sh.shards))
-	errs := make([]error, len(sh.shards))
-	var wg sync.WaitGroup
-	for i := range sh.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = sh.shards[i].exec(query, args, cached)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	results, err := sh.onEach(func(i int) (*sqldb.Result, error) {
+		return sh.shards[i].Exec(query, args...)
+	})
+	if err != nil {
+		return nil, err
 	}
 	if ct, ok := p.stmt.(*sqlparse.CreateTable); ok {
 		if err := sh.strideTable(ct.Name); err != nil {
 			return nil, err
 		}
 	}
-	return results[0], nil
+	return p.mergeWrite(results), nil
+}
+
+// mergeWrite is the answer of a write every shard applied. On a global
+// table every shard did the same thing and any one answer is the answer;
+// on a sharded table each shard touched its own disjoint rows, so the
+// statement's row count is the sum.
+func (p *shardPlan) mergeWrite(results []*sqldb.Result) *sqldb.Result {
+	if p.sharded {
+		for _, r := range results[1:] {
+			results[0].RowsAffected += r.RowsAffected
+		}
+	}
+	return results[0]
 }
 
 // strideTable sets a freshly created sharded table's AUTO_INCREMENT stride
@@ -651,22 +616,121 @@ func (sh *shardSet) strideTable(table string) error {
 	return nil
 }
 
+func (sh *shardSet) ClientStats() ClientStats {
+	s := ClientStats{
+		Shards:         len(sh.shards),
+		ShardSingle:    sh.single.Load(),
+		ShardScatter:   sh.scatter.Load(),
+		ShardBroadcast: sh.broadcast.Load(),
+		Shard2PCTxns:   sh.txns2pc.Load(),
+	}
+	for _, rs := range sh.shards {
+		s.add(rs.ClientStats())
+	}
+	return s
+}
+
+func (sh *shardSet) Replicas() int { return len(sh.addrs) }
+
+func (sh *shardSet) Healthy() int {
+	n := 0
+	for _, rs := range sh.shards {
+		n += rs.Healthy()
+	}
+	return n
+}
+
+func (sh *shardSet) Rejoin(id int, syncData bool) error {
+	rest := id
+	for _, rs := range sh.shards {
+		if rest < len(rs.replicas) {
+			return rs.Rejoin(rest, syncData)
+		}
+		rest -= len(rs.replicas)
+	}
+	return fmt.Errorf("cluster: no replica %d", id)
+}
+
+func (sh *shardSet) Stats() pool.Stats {
+	pools := make([]pool.Stats, len(sh.shards))
+	for i, rs := range sh.shards {
+		pools[i] = rs.Stats()
+	}
+	return pool.Sum("db-shards", pools)
+}
+
+// ReplicaStats concatenates the shards' replicas in shard order, renumbered
+// globally, each entry's Shard field set.
+func (sh *shardSet) ReplicaStats() []telemetry.Replica {
+	var out []telemetry.Replica
+	for si, rs := range sh.shards {
+		for _, r := range rs.ReplicaStats() {
+			r.ID = len(out)
+			r.Shard = si
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// ContentEpoch is the SUM of the per-shard epochs — every shard's committed
+// writes advance it, so a page cached under the combined epoch is
+// invalidated by a write through any shard. (A max would not be safe: two
+// shards advancing in lockstep could leave the max unchanged while content
+// moved.)
+func (sh *shardSet) ContentEpoch() uint64 {
+	var e uint64
+	for _, rs := range sh.shards {
+		e += rs.ContentEpoch()
+	}
+	return e
+}
+
+func (sh *shardSet) close() {
+	for _, rs := range sh.shards {
+		rs.close()
+	}
+	releaseWriteLocks(sh.addrs)
+}
+
 // ---- sharded sessions: per-shard sub-sessions and two-phase commit ----
 
 var errShardOrder = errors.New("cluster: transaction touched shards out of ascending order; declare a global table at Begin to open all shards up front")
 
-// shExec routes one session statement. Outside a transaction the session
+// shardTxn is a session over the shard set: the transaction coordinator.
+// subs holds one lazily-opened sub-session per shard; declared is Begin's
+// write set, replayed into each shard-local BEGIN; allShard marks a
+// transaction opened on every shard; maxSub is the highest shard a lazy
+// write transaction has opened (the ascending-order deadlock discipline).
+type shardTxn struct {
+	sh       *shardSet
+	subs     []*replicaTxn
+	declared []string
+	inTxn    bool
+	readOnly bool
+	allShard bool
+	failed   bool
+	maxSub   int
+}
+
+func (sh *shardSet) session() (txn, error) {
+	return &shardTxn{sh: sh, subs: make([]*replicaTxn, len(sh.shards)), maxSub: -1}, nil
+}
+
+func (s *shardTxn) state() (open, failed bool) { return s.inTxn, s.failed }
+
+// Exec routes one session statement. Outside a transaction the session
 // adds nothing over the pool path; inside one, statements run on the
 // participating shards' sub-sessions.
-func (s *Session) shExec(query string, args []sqldb.Value, cached bool) (*sqldb.Result, error) {
+func (s *shardTxn) Exec(query string, args ...sqldb.Value) (*sqldb.Result, error) {
 	if s.failed {
-		return nil, errors.New("cluster: session failed, discard it")
+		return nil, errSessionFailed
 	}
-	sh := s.c.sh
-	p := sh.planOf(s.c, query)
+	sh := s.sh
 	if !s.inTxn {
-		return sh.exec(s.c, query, args, cached)
+		return sh.Exec(query, args...)
 	}
+	p := sh.planOf(query)
 	if p.rt.kind == kindTxnControl {
 		return nil, ErrTxnControlText
 	}
@@ -682,9 +746,9 @@ func (s *Session) shExec(query string, args []sqldb.Value, cached bool) (*sqldb.
 			if err != nil {
 				return nil, err
 			}
-			return s.subExec(sub, query, args, cached)
+			return s.subExec(sub, query, args)
 		}
-		return s.subBroadcast(p, query, args, cached)
+		return s.subBroadcast(p, query, args)
 	}
 	if shard, ok := p.shardFor(args, len(sh.shards)); ok {
 		sub, err := s.sub(shard)
@@ -692,7 +756,7 @@ func (s *Session) shExec(query string, args []sqldb.Value, cached bool) (*sqldb.
 			return nil, err
 		}
 		sh.single.Add(1)
-		return s.subExec(sub, query, args, cached)
+		return s.subExec(sub, query, args)
 	}
 	if p.insert {
 		if p.exprs != nil {
@@ -705,42 +769,39 @@ func (s *Session) shExec(query string, args []sqldb.Value, cached bool) (*sqldb.
 			return nil, err
 		}
 		sh.single.Add(1)
-		return s.subExec(sub, query, args, cached)
+		return s.subExec(sub, query, args)
 	}
 	if p.rt.kind == kindRead {
 		if err := s.allSubs(); err != nil {
 			return nil, err
 		}
 		sh.scatter.Add(1)
-		return sh.scatterRead(p, query, args, cached, s.subs)
+		return sh.scatterRead(p, args, s.subs)
 	}
-	return s.subBroadcast(p, query, args, cached)
+	return s.subBroadcast(p, query, args)
 }
 
 // subBroadcast runs an unpinned write on every shard's sub-session.
-func (s *Session) subBroadcast(p *shardPlan, query string, args []sqldb.Value, cached bool) (*sqldb.Result, error) {
+func (s *shardTxn) subBroadcast(p *shardPlan, query string, args []sqldb.Value) (*sqldb.Result, error) {
 	if err := s.allSubs(); err != nil {
 		return nil, err
 	}
-	s.c.sh.broadcast.Add(1)
-	var first *sqldb.Result
-	for _, sub := range s.subs {
-		res, err := s.subExec(sub, query, args, cached)
-		if err != nil {
+	s.sh.broadcast.Add(1)
+	results := make([]*sqldb.Result, len(s.subs))
+	for i, sub := range s.subs {
+		var err error
+		if results[i], err = s.subExec(sub, query, args); err != nil {
 			return nil, err
 		}
-		if first == nil {
-			first = res
-		}
 	}
-	return first, nil
+	return p.mergeWrite(results), nil
 }
 
 // subExec runs one statement on a sub-session, propagating its poisoning:
 // a sub that aborted or transport-failed takes the whole coordinated
 // transaction with it.
-func (s *Session) subExec(sub *Session, query string, args []sqldb.Value, cached bool) (*sqldb.Result, error) {
-	res, err := sub.exec(query, args, cached)
+func (s *shardTxn) subExec(sub *replicaTxn, query string, args []sqldb.Value) (*sqldb.Result, error) {
+	res, err := sub.Exec(query, args...)
 	if sub.failed {
 		s.failed = true
 	}
@@ -753,8 +814,7 @@ func (s *Session) subExec(sub *Session, query string, args []sqldb.Value, cached
 // ascending order — the same sorted-acquisition discipline the write-order
 // locks use, excluding deadlock between concurrent cross-shard
 // transactions. Read-only transactions hold no locks and open freely.
-func (s *Session) sub(i int) (*Session, error) {
-	sh := s.c.sh
+func (s *shardTxn) sub(i int) (*replicaTxn, error) {
 	sub := s.subs[i]
 	if sub != nil && (!s.inTxn || sub.inTxn) {
 		return sub, nil
@@ -765,7 +825,7 @@ func (s *Session) sub(i int) (*Session, error) {
 	}
 	if sub == nil {
 		var err error
-		sub, err = sh.shards[i].Get()
+		sub, err = s.sh.shards[i].open()
 		if err != nil {
 			s.failed = true
 			return nil, err
@@ -774,10 +834,13 @@ func (s *Session) sub(i int) (*Session, error) {
 	}
 	if s.inTxn {
 		var err error
-		if s.readOnly {
-			err = sub.BeginReadOnly()
-		} else {
-			err = sub.Begin(s.declared...)
+		switch {
+		case sub.failed:
+			err = errSessionFailed
+		case s.readOnly:
+			err = sub.beginReadOnly()
+		default:
+			err = sub.begin(s.declared)
 		}
 		if err != nil {
 			s.failed = true
@@ -793,14 +856,14 @@ func (s *Session) sub(i int) (*Session, error) {
 // anySub returns a participating sub-session for statements any shard can
 // serve: the lowest open one, or — with none open yet — shard 0, so later
 // pinned statements can still open their shard in ascending order.
-func (s *Session) anySub() (*Session, error) {
+func (s *shardTxn) anySub() (*replicaTxn, error) {
 	for _, sub := range s.subs {
 		if sub != nil && (!s.inTxn || sub.inTxn) {
 			return sub, nil
 		}
 	}
 	if s.inTxn && s.readOnly {
-		return s.sub(s.c.sh.rrNext())
+		return s.sub(s.sh.rrNext())
 	}
 	return s.sub(0)
 }
@@ -811,7 +874,7 @@ func (s *Session) anySub() (*Session, error) {
 // order — sub() rejects filling a gap behind maxSub — so a transaction
 // already pinned past a skipped shard fails deterministically instead of
 // risking out-of-order lock acquisition.
-func (s *Session) allSubs() error {
+func (s *shardTxn) allSubs() error {
 	for i := range s.subs {
 		if _, err := s.sub(i); err != nil {
 			return err
@@ -823,58 +886,40 @@ func (s *Session) allSubs() error {
 	return nil
 }
 
-// shBegin opens a coordinated transaction. A declared write set naming
+// begin opens a coordinated transaction. A declared write set naming
 // only sharded tables opens shards lazily as statements pin them (the
 // single-shard fast path: one shard, no 2PC); declaring a global table —
 // or declaring nothing — opens every shard up front, since the write set
 // spans them all.
-func (s *Session) shBegin(readOnly bool, tables []string) error {
-	if s.failed {
-		return errors.New("cluster: session failed, discard it")
-	}
-	if s.inTxn {
-		if err := s.Commit(); err != nil {
-			return err
-		}
-	}
-	sh := s.c.sh
-	s.declared = normalize(tables)
-	s.readOnly = readOnly
-	s.maxSub = -1
-	s.allShard = false
+func (s *shardTxn) begin(declared []string) error {
+	s.declared = declared
 	s.inTxn = true
-	if readOnly {
-		s.c.roTxns.Add(1)
-		return nil
-	}
-	all := len(s.declared) == 0
-	for _, t := range s.declared {
-		if _, sharded := sh.byTable[t]; !sharded {
+	all := len(declared) == 0
+	for _, t := range declared {
+		if _, sharded := s.sh.byTable[t]; !sharded {
 			all = true
 		}
 	}
 	if all {
 		s.allShard = true
 		if err := s.allSubs(); err != nil {
-			s.shAbort()
+			// Best-effort rollback of what did open; the session stays
+			// failed and its conns are discarded at Put.
+			s.Rollback()
 			return err
 		}
 	}
 	return nil
 }
 
-// shAbort best-effort rolls back every open sub-transaction after a
-// failed open; the session stays failed and its conns are discarded at Put.
-func (s *Session) shAbort() {
-	for _, sub := range s.subs {
-		if sub != nil && sub.inTxn {
-			sub.Rollback()
-		}
-	}
-	s.inTxn, s.readOnly = false, false
+// beginReadOnly opens a coordinated read-only transaction: shards open
+// lazily, in any order, each on one replica without locks.
+func (s *shardTxn) beginReadOnly() error {
+	s.inTxn, s.readOnly = true, true
+	return nil
 }
 
-// shCommit resolves the coordinated transaction. One participant (or a
+// Commit resolves the coordinated transaction. One participant (or a
 // read-only transaction) commits directly — the shard's own ROWA commit is
 // the whole story. More than one write participant runs two-phase commit:
 // every shard's transaction is brought to the prepared state (PREPARE
@@ -882,13 +927,13 @@ func (s *Session) shAbort() {
 // longer fail engine-side — and only when every shard has prepared do the
 // COMMITs go out. A prepare failure aborts every shard: no shard commits
 // unless all can, which is what keeps a multi-shard order atomic.
-func (s *Session) shCommit() error {
+func (s *shardTxn) Commit() error {
 	if !s.inTxn {
 		return nil
 	}
-	sh := s.c.sh
-	defer func() { s.inTxn, s.readOnly, s.allShard = false, false, false }()
+	sh := s.sh
 	subs := s.openSubs()
+	defer s.closeTxn()
 	if len(subs) <= 1 || s.readOnly {
 		var err error
 		for _, sub := range subs {
@@ -902,7 +947,7 @@ func (s *Session) shCommit() error {
 		return err
 	}
 	for _, sub := range subs {
-		if err := sub.PrepareTxn(); err != nil {
+		if err := sub.prepare(); err != nil {
 			for _, r := range subs {
 				r.Rollback()
 			}
@@ -930,25 +975,24 @@ func (s *Session) shCommit() error {
 	return nil
 }
 
-// shRollback aborts the coordinated transaction on every open shard.
-func (s *Session) shRollback() error {
-	if !s.inTxn {
-		return nil
-	}
+// Rollback aborts the coordinated transaction on every open shard.
+func (s *shardTxn) Rollback() error {
 	var err error
 	for _, sub := range s.openSubs() {
 		if e := sub.Rollback(); e != nil {
 			err = e
 		}
 	}
-	s.inTxn, s.readOnly, s.allShard = false, false, false
+	s.closeTxn()
 	return err
 }
 
+func (s *shardTxn) closeTxn() { s.inTxn, s.readOnly, s.allShard, s.maxSub = false, false, false, -1 }
+
 // openSubs lists the sub-sessions participating in the open transaction,
 // in shard order.
-func (s *Session) openSubs() []*Session {
-	var out []*Session
+func (s *shardTxn) openSubs() []*replicaTxn {
+	var out []*replicaTxn
 	for _, sub := range s.subs {
 		if sub != nil && sub.inTxn {
 			out = append(out, sub)
@@ -957,54 +1001,14 @@ func (s *Session) openSubs() []*Session {
 	return out
 }
 
-// shEnd returns every sub-session to its shard.
-func (s *Session) shEnd(broken bool) {
+// end returns every sub-session to its shard.
+func (s *shardTxn) end(broken bool) {
 	broken = broken || s.inTxn || s.failed
 	for i, sub := range s.subs {
-		if sub == nil {
-			continue
+		if sub != nil {
+			sub.end(broken)
+			s.subs[i] = nil
 		}
-		s.c.sh.shards[i].Put(sub, broken)
-		s.subs[i] = nil
 	}
-	s.inTxn, s.readOnly, s.allShard = false, false, false
-}
-
-// PrepareTxn brings this (unsharded) session's open transaction to the
-// prepared state on every participating replica — phase one of the
-// sharded coordinator's two-phase commit. Any error means the shard could
-// not promise to commit and the coordinator must abort everywhere; a
-// transport failure additionally poisons that replica's connection (its
-// server-side transaction rolled back with the connection).
-func (s *Session) PrepareTxn() error {
-	if s.c.sh != nil {
-		return errors.New("cluster: PrepareTxn runs on shard sub-sessions; Commit drives it")
-	}
-	if !s.inTxn {
-		return errors.New("cluster: PREPARE TRANSACTION outside a transaction")
-	}
-	outs := fanOut(s.c.replicas, func(r *replica) bool {
-		return s.conns[r.id] != nil && !s.broken[r.id]
-	}, func(r *replica) (*sqldb.Result, error) {
-		return nil, s.conns[r.id].PrepareTxn()
-	})
-	var lastErr error
-	prepared := 0
-	for i, o := range outs {
-		if !o.ran {
-			continue
-		}
-		if o.err != nil {
-			lastErr = o.err
-			if isTransport(o.err) {
-				s.fail(s.c.replicas[i], o.err)
-			}
-			continue
-		}
-		prepared++
-	}
-	if prepared == 0 && lastErr == nil {
-		return ErrNoReplicas
-	}
-	return lastErr
+	s.closeTxn()
 }

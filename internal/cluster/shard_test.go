@@ -189,6 +189,23 @@ func TestShardScatterMerge(t *testing.T) {
 	if len(res.Rows) != 1 || res.Rows[0][0].AsInt() != 4 {
 		t.Fatalf("scatter point lookup: %+v", res.Rows)
 	}
+	// The per-shard rewrite splices at byte offsets of the statement text:
+	// non-ASCII text ahead of the spliced clause (ı upper-cases to a shorter
+	// I) must shift neither the OFFSET window nor the appended ORDER BY key.
+	res, err = c.Exec("SELECT customer_id FROM orders WHERE 'ıı' = 'ıı' ORDER BY customer_id LIMIT 2 OFFSET 3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(res.Rows); got != "[[4] [5]]" {
+		t.Fatalf("offset window behind non-ASCII text: %s", got)
+	}
+	res, err = c.Exec("SELECT customer_id, 'ıı' FROM orders ORDER BY total LIMIT 2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(res.Rows); got != `[[1 "ıı"] [3 "ıı"]]` || len(res.Columns) != 2 {
+		t.Fatalf("unselected ORDER BY key behind non-ASCII text: %v %s", res.Columns, got)
+	}
 	if _, err := c.Exec("SELECT customer_id, COUNT(*) FROM orders GROUP BY customer_id"); err == nil {
 		t.Error("GROUP BY scatter must be rejected, not miscomputed")
 	}
@@ -385,7 +402,8 @@ func TestShardMid2PCReplicaKillRejoin(t *testing.T) {
 	groups := startShards(t, 2, 2)
 	c := newShardClient(t, groups, Config{})
 	victim := groups[0][1] // shard 0, replica 1 -> global replica id 1
-	c.sh.betweenPhases = func() { victim.srv.Close() }
+	sh := c.backend.(*shardSet)
+	sh.betweenPhases = func() { victim.srv.Close() }
 	err := c.WithTx([]string{"orders", "customers"}, func(tx *Session) error {
 		for cust := 1; cust <= 2; cust++ {
 			if _, err := tx.Exec("INSERT INTO orders (customer_id, total) VALUES (?, ?)",
@@ -398,7 +416,7 @@ func TestShardMid2PCReplicaKillRejoin(t *testing.T) {
 	if err != nil {
 		t.Fatalf("2PC commit with mid-window replica death: %v", err)
 	}
-	c.sh.betweenPhases = nil
+	sh.betweenPhases = nil
 	if h := c.Healthy(); h != 3 {
 		t.Fatalf("healthy %d after kill, want 3", h)
 	}
@@ -459,10 +477,10 @@ func dumpReplica(t *testing.T, r *testReplica) string {
 // topology (shards × replicas): LOCK/UNLOCK TABLES is the database's parse
 // error like any unknown statement, and transaction-control text is refused
 // with ErrTxnControlText before a connection is borrowed — through the
-// pool paths, a prepared handle and a session, inside a transaction and
-// out. Nothing is left behind on a pooled connection: a following WithTx
-// write to the same table commits on every backend. Run under -timeout: a
-// stranded BEGIN or lock set hangs that write.
+// pool paths and a session, inside a transaction and out. Nothing is left
+// behind on a pooled connection: a following WithTx write to the same table
+// commits on every backend. Run under -timeout: a stranded BEGIN or lock
+// set hangs that write.
 func TestControlTextRejected(t *testing.T) {
 	for _, topo := range [][2]int{{1, 1}, {1, 2}, {2, 1}} {
 		t.Run(fmt.Sprintf("%dx%d", topo[0], topo[1]), func(t *testing.T) {
@@ -481,7 +499,6 @@ func TestControlTextRejected(t *testing.T) {
 			surfaces := []surface{
 				{"Client.Exec", func(q string) error { _, err := c.Exec(q); return err }},
 				{"Client.ExecCached", func(q string) error { _, err := c.ExecCached(q); return err }},
-				{"Stmt.Exec", func(q string) error { _, err := c.Prepare(q).Exec(); return err }},
 				{"Session.Exec", func(q string) error { _, err := s.Exec(q); return err }},
 			}
 			check := func(when string) {
@@ -506,7 +523,7 @@ func TestControlTextRejected(t *testing.T) {
 			// Inside the session's transaction the rejections neither end
 			// it nor poison it. The pool surfaces would queue behind the
 			// session's connections here.
-			surfaces = surfaces[3:]
+			surfaces = surfaces[2:]
 			if err := s.Begin("customers"); err != nil {
 				t.Fatal(err)
 			}

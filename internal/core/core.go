@@ -904,27 +904,7 @@ func (l *Lab) Telemetry() *telemetry.Snapshot {
 				dbPools = append(dbPools, *cs.DB)
 			}
 			if cl := c.Context().DB; cl != nil {
-				ccs := cl.ClientStats()
-				t.Broadcasts += ccs.Broadcasts
-				t.BroadcastAcks += ccs.BroadcastAcks
-				t.ReadOnlyTxns += ccs.ReadOnlyTxns
-				t.SlowEjections += ccs.SlowEjections
-				t.DegradedEntries += ccs.DegradedEntries
-				t.DegradedExits += ccs.DegradedExits
-				t.DegradedRejects += ccs.DegradedRejects
-				t.Degraded = t.Degraded || ccs.Degraded
-				t.Shards = ccs.Shards
-				t.ShardSingle += ccs.ShardSingle
-				t.ShardScatter += ccs.ShardScatter
-				t.ShardBroadcast += ccs.ShardBroadcast
-				t.Shard2PCTxns += ccs.Shard2PCTxns
-				t.QueryCacheHits += ccs.QueryCacheHits
-				t.QueryCacheMisses += ccs.QueryCacheMisses
-				t.QueryCacheInvalidations += ccs.QueryCacheInvalidations
-				t.QueryCacheBypasses += ccs.QueryCacheBypasses
-				t.WALDeltaSyncs += ccs.WALDeltaSyncs
-				t.WALFullSyncs += ccs.WALFullSyncs
-				t.WALDeltaStmts += ccs.WALDeltaStmts
+				addClusterStats(&t, cl.ClientStats())
 			}
 		}
 		if len(dbPools) > 0 {
@@ -957,27 +937,7 @@ func (l *Lab) Telemetry() *telemetry.Snapshot {
 			// Read-only demarcations: the container's lazy, never-opened
 			// transactions plus any explicit BeginReadOnly the client ran.
 			t.ReadOnlyTxns += es.TxReadOnly
-			ccs := ec.DB().ClientStats()
-			t.Broadcasts += ccs.Broadcasts
-			t.BroadcastAcks += ccs.BroadcastAcks
-			t.ReadOnlyTxns += ccs.ReadOnlyTxns
-			t.SlowEjections += ccs.SlowEjections
-			t.DegradedEntries += ccs.DegradedEntries
-			t.DegradedExits += ccs.DegradedExits
-			t.DegradedRejects += ccs.DegradedRejects
-			t.Degraded = t.Degraded || ccs.Degraded
-			t.Shards = ccs.Shards
-			t.ShardSingle += ccs.ShardSingle
-			t.ShardScatter += ccs.ShardScatter
-			t.ShardBroadcast += ccs.ShardBroadcast
-			t.Shard2PCTxns += ccs.Shard2PCTxns
-			t.QueryCacheHits += ccs.QueryCacheHits
-			t.QueryCacheMisses += ccs.QueryCacheMisses
-			t.QueryCacheInvalidations += ccs.QueryCacheInvalidations
-			t.QueryCacheBypasses += ccs.QueryCacheBypasses
-			t.WALDeltaSyncs += ccs.WALDeltaSyncs
-			t.WALFullSyncs += ccs.WALFullSyncs
-			t.WALDeltaStmts += ccs.WALDeltaStmts
+			addClusterStats(&t, ec.DB().ClientStats())
 			dbPools = append(dbPools, es.DB)
 		}
 		ps := sumPools("db-cluster", dbPools)
@@ -1045,6 +1005,31 @@ func (l *Lab) Telemetry() *telemetry.Snapshot {
 		}
 	}
 	return s
+}
+
+// addClusterStats folds one cluster client's counters into the row of the
+// tier that owns it.
+func addClusterStats(t *telemetry.Tier, cs cluster.ClientStats) {
+	t.Broadcasts += cs.Broadcasts
+	t.BroadcastAcks += cs.BroadcastAcks
+	t.ReadOnlyTxns += cs.ReadOnlyTxns
+	t.SlowEjections += cs.SlowEjections
+	t.DegradedEntries += cs.DegradedEntries
+	t.DegradedExits += cs.DegradedExits
+	t.DegradedRejects += cs.DegradedRejects
+	t.Degraded = t.Degraded || cs.Degraded
+	t.Shards = cs.Shards
+	t.ShardSingle += cs.ShardSingle
+	t.ShardScatter += cs.ShardScatter
+	t.ShardBroadcast += cs.ShardBroadcast
+	t.Shard2PCTxns += cs.Shard2PCTxns
+	t.QueryCacheHits += cs.QueryCacheHits
+	t.QueryCacheMisses += cs.QueryCacheMisses
+	t.QueryCacheInvalidations += cs.QueryCacheInvalidations
+	t.QueryCacheBypasses += cs.QueryCacheBypasses
+	t.WALDeltaSyncs += cs.WALDeltaSyncs
+	t.WALFullSyncs += cs.WALFullSyncs
+	t.WALDeltaStmts += cs.WALDeltaStmts
 }
 
 // clusterClients returns every replication-aware database client in the

@@ -35,17 +35,17 @@ type EntityDef struct {
 	Fields []string
 }
 
-// entityMeta holds the container-generated SQL for one entity, prepared
-// once at deployment: every CMP access (activation SELECT, field-store
-// UPDATE, create INSERT, remove DELETE) runs over the wire protocol's
-// EXECUTE-by-id fast path.
+// entityMeta holds the container-generated SQL for one entity, built once
+// at deployment: every CMP access (activation SELECT, field-store UPDATE,
+// create INSERT, remove DELETE) is one of these fixed texts, which the
+// cluster client runs over the wire protocol's EXECUTE-by-id fast path.
 type entityMeta struct {
 	def        EntityDef
-	load       *cluster.Stmt            // SELECT key, fields WHERE key = ?
-	insert     *cluster.Stmt            // INSERT (fields...)
-	delete     *cluster.Stmt            // DELETE WHERE key = ?
-	update     map[string]*cluster.Stmt // per-field single-column UPDATE
-	fieldIndex map[string]int           // field -> position in load results
+	load       string            // SELECT key, fields WHERE key = ?
+	insert     string            // INSERT (fields...)
+	delete     string            // DELETE WHERE key = ?
+	update     map[string]string // per-field single-column UPDATE
+	fieldIndex map[string]int    // field -> position in load results
 }
 
 // Config configures a container.
@@ -130,19 +130,19 @@ func (c *Container) DefineEntity(def EntityDef) error {
 	}
 	m := &entityMeta{
 		def:        def,
-		update:     make(map[string]*cluster.Stmt, len(def.Fields)),
+		update:     make(map[string]string, len(def.Fields)),
 		fieldIndex: make(map[string]int, len(def.Fields)),
 	}
 	cols := append([]string{def.Key}, def.Fields...)
-	m.load = c.pool.Prepare(fmt.Sprintf("SELECT %s FROM %s WHERE %s = ?",
-		strings.Join(cols, ", "), def.Table, def.Key))
+	m.load = fmt.Sprintf("SELECT %s FROM %s WHERE %s = ?",
+		strings.Join(cols, ", "), def.Table, def.Key)
 	ph := strings.TrimSuffix(strings.Repeat("?, ", len(def.Fields)), ", ")
-	m.insert = c.pool.Prepare(fmt.Sprintf("INSERT INTO %s (%s) VALUES (%s)",
-		def.Table, strings.Join(def.Fields, ", "), ph))
-	m.delete = c.pool.Prepare(fmt.Sprintf("DELETE FROM %s WHERE %s = ?", def.Table, def.Key))
+	m.insert = fmt.Sprintf("INSERT INTO %s (%s) VALUES (%s)",
+		def.Table, strings.Join(def.Fields, ", "), ph)
+	m.delete = fmt.Sprintf("DELETE FROM %s WHERE %s = ?", def.Table, def.Key)
 	for i, f := range def.Fields {
-		m.update[f] = c.pool.Prepare(fmt.Sprintf("UPDATE %s SET %s = ? WHERE %s = ?",
-			def.Table, f, def.Key))
+		m.update[f] = fmt.Sprintf("UPDATE %s SET %s = ? WHERE %s = ?",
+			def.Table, f, def.Key)
 		m.fieldIndex[f] = i + 1 // position 0 is the key
 	}
 	c.mu.Lock()
@@ -330,35 +330,26 @@ func (t *Tx) ensureTxn() error {
 	return nil
 }
 
-// execRead runs a pre-prepared CMP statement: on the transaction's session
-// once one is open (read-your-writes), otherwise over the pool's
-// EXECUTE-by-id fast path.
-func (t *Tx) execRead(st *cluster.Stmt, args ...sqldb.Value) (*sqldb.Result, error) {
-	t.c.queries.Add(1)
-	if t.sess != nil {
-		return t.sess.ExecCached(st.Query(), args...)
-	}
-	return st.Exec(args...)
-}
-
-// execWrite runs a pre-prepared CMP write inside the database transaction,
-// opening it first if needed.
-func (t *Tx) execWrite(st *cluster.Stmt, args ...sqldb.Value) (*sqldb.Result, error) {
-	if err := t.ensureTxn(); err != nil {
-		return nil, err
-	}
-	t.c.queries.Add(1)
-	return t.sess.ExecCached(st.Query(), args...)
-}
-
-// execText runs dynamically built finder SQL (a read). The pool caches a
-// Stmt per distinct text, so even finders run prepared after first use.
-func (t *Tx) execText(query string, args ...sqldb.Value) (*sqldb.Result, error) {
+// execRead runs a read — a CMP load or dynamically built finder SQL: on
+// the transaction's session once one is open (read-your-writes), otherwise
+// through the pool. Either way the cluster client caches a prepared
+// statement per distinct text, so even finders run prepared after first use.
+func (t *Tx) execRead(query string, args ...sqldb.Value) (*sqldb.Result, error) {
 	t.c.queries.Add(1)
 	if t.sess != nil {
 		return t.sess.ExecCached(query, args...)
 	}
 	return t.c.pool.ExecCached(query, args...)
+}
+
+// execWrite runs a CMP write inside the database transaction, opening it
+// first if needed.
+func (t *Tx) execWrite(query string, args ...sqldb.Value) (*sqldb.Result, error) {
+	if err := t.ensureTxn(); err != nil {
+		return nil, err
+	}
+	t.c.queries.Add(1)
+	return t.sess.ExecCached(query, args...)
 }
 
 // end releases the backing session, committing or rolling back first.
@@ -471,7 +462,7 @@ func (t *Tx) FindBy(entity, col string, v sqldb.Value, limit int) ([]sqldb.Value
 	if limit > 0 {
 		q += fmt.Sprintf(" LIMIT %d", limit)
 	}
-	res, err := t.execText(q, v)
+	res, err := t.execRead(q, v)
 	if err != nil {
 		return nil, err
 	}
@@ -495,7 +486,7 @@ func (t *Tx) FindWhere(entity, whereSQL string, args []sqldb.Value, orderBy stri
 	if limit > 0 {
 		q += fmt.Sprintf(" LIMIT %d", limit)
 	}
-	res, err := t.execText(q, args...)
+	res, err := t.execRead(q, args...)
 	if err != nil {
 		return nil, err
 	}

@@ -130,9 +130,13 @@ func (s *Session) Exec(query string, args ...Value) (*Result, error) {
 
 // Execer abstracts the ways statements reach the database: a pooled wire
 // client, a borrowed connection, a cluster client or session, or an
-// in-process session. Exec ships SQL text; ExecCached is the
-// prepared-statement fast path for the statements an interaction repeats
-// on every request.
+// in-process session. Text versus prepared is a real distinction on the
+// wire client only (wire.Pool, wire.Conn): there Exec ships SQL text — for
+// unbounded vocabularies, such as the replica sync's formatted SHOW WAL
+// statements, that must not fill statement maps — and ExecCached is the
+// EXECUTE-by-id fast path for statements repeated on every request. For an
+// in-process session (SessionExecer) and for the cluster client and its
+// sessions, which always prepare, the two are one body under two names.
 type Execer interface {
 	Exec(query string, args ...Value) (*Result, error)
 	ExecCached(query string, args ...Value) (*Result, error)

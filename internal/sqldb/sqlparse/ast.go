@@ -105,6 +105,10 @@ type Select struct {
 	Limit    int // -1 when absent
 	Offset   int
 	Distinct bool
+	// FromPos and LimitPos are the byte offsets of the FROM and LIMIT
+	// keywords in the text given to Parse (LimitPos 0 when Limit is -1),
+	// for callers that rewrite the statement's text around them.
+	FromPos, LimitPos int
 }
 
 // SelectItem is one output expression with an optional alias.

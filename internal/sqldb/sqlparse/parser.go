@@ -275,9 +275,11 @@ func (p *parser) parseSelect() (*Select, error) {
 			}
 		}
 	}
-	if _, err := p.expect(tokKeyword, "FROM"); err != nil {
+	kw, err := p.expect(tokKeyword, "FROM")
+	if err != nil {
 		return nil, err
 	}
+	sel.FromPos = kw.pos
 	from, err := p.parseTableRef()
 	if err != nil {
 		return nil, err
@@ -351,7 +353,8 @@ func (p *parser) parseSelect() (*Select, error) {
 			}
 		}
 	}
-	if p.accept(tokKeyword, "LIMIT") {
+	if kw := p.cur(); p.accept(tokKeyword, "LIMIT") {
+		sel.LimitPos = kw.pos
 		n, err := p.parseInt()
 		if err != nil {
 			return nil, err

@@ -391,16 +391,10 @@ func (p *Pool) Put(c *Conn, broken bool) { p.p.Put(c, broken) }
 
 // Exec borrows a connection, runs the statement as SQL text, and returns
 // it. A server-side error (IsServerError) keeps the connection; a
-// transport error discards it.
+// transport error discards it. The text path never retries.
 func (p *Pool) Exec(query string, args ...sqldb.Value) (*sqldb.Result, error) {
-	return p.ExecNotify(nil, query, args...)
-}
-
-// ExecNotify is Exec with a per-attempt hook (see Stmt.ExecNotify).
-func (p *Pool) ExecNotify(onAttempt func(int), query string, args ...sqldb.Value) (*sqldb.Result, error) {
 	var res *sqldb.Result
-	err := p.p.DoNotify(false, func(err error) bool { return !IsServerError(err) },
-		onAttempt,
+	err := p.p.Do(false, func(err error) bool { return !IsServerError(err) },
 		func(c *Conn) error {
 			var err error
 			res, err = c.Exec(query, args...)
