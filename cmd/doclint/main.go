@@ -107,10 +107,12 @@ var flagTokRe = regexp.MustCompile("`-([a-z][a-z0-9-]*)[^`]*`")
 // name: a line still mentioning one describes a shape that no longer
 // exists (the LOCK TABLES bracket and its cluster-side routing; the cluster
 // client's sharded method arms, prepared-handle type and byte-scanning
-// scatter rewrite).
+// scatter rewrite; core's field-by-field counter copy, the pool's retry
+// backoff and the router's token scanner).
 var removedIdents = []string{
 	"execLock", "HoldsLocks", "bracketAll", "kindLock",
 	"shExec", "shBegin", "shCommit", "cluster.Stmt", "Client.Prepare", "topLevelFrom",
+	"addClusterStats", "RetryAttempts", "RetryBackoff", "RetrySeed", "sleepBackoff", "tokenAfter",
 }
 
 // checkFlagDocs verifies that every backticked `-flag` token on a
@@ -182,8 +184,9 @@ func checkFlagDocs(docs []string) int {
 }
 
 // registeredFlags collects the flag names a main.go registers through
-// flag.String/Int/Bool/Duration/... calls (any flag.X with a literal
-// first argument).
+// flag.String/Int/Bool/Duration/... calls (any flag.X whose first argument
+// is a string literal) and their flag.XVar(&dst, "name", ...) forms (the
+// literal comes second).
 func registeredFlags(path string) map[string]bool {
 	flags := map[string]bool{}
 	af, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
@@ -203,7 +206,11 @@ func registeredFlags(path string) map[string]bool {
 		if !ok || pkg.Name != "flag" {
 			return true
 		}
-		lit, ok := call.Args[0].(*ast.BasicLit)
+		nameArg := call.Args[0]
+		if strings.HasSuffix(sel.Sel.Name, "Var") && len(call.Args) > 1 {
+			nameArg = call.Args[1]
+		}
+		lit, ok := nameArg.(*ast.BasicLit)
 		if !ok || lit.Kind != token.STRING {
 			return true
 		}

@@ -24,46 +24,41 @@ import (
 
 	"repro/internal/auction"
 	"repro/internal/bookstore"
+	"repro/internal/cluster"
 	"repro/internal/ejb"
-	"repro/internal/pool"
 	"repro/internal/rmi"
 	"repro/internal/servlet"
 )
 
 func main() {
+	// The database flags bind straight into the cluster client's own
+	// configuration: a setting is declared there, once.
+	var db cluster.Config
+	flag.StringVar(&db.DSN, "db", "127.0.0.1:7306", "database DSN: one wire address, a comma-separated replica list, or semicolon-separated shard groups of replica lists (\"s0r0,s0r1;s1r0,s1r1\" — sharded tiers partition by the benchmark's ShardBy map)")
+	flag.IntVar(&db.PoolSize, "pool", 12, "database connection pool size, per replica")
+	flag.DurationVar(&db.Timeouts.Dial, "db-dial", 0, "database dial timeout (0: default, negative: none)")
+	flag.DurationVar(&db.Timeouts.Op, "db-op", 0, "per-statement database deadline (0: default, negative: none)")
+	flag.DurationVar(&db.Timeouts.Wait, "db-wait", 0, "max wait for a free pooled connection (0: default, negative: unbounded)")
+	flag.DurationVar(&db.SlowThreshold, "db-slow", 0, "eject replicas whose statements exceed this latency (0: disabled)")
+	flag.DurationVar(&db.SyncTimeout, "db-sync", 0, "wall-clock budget for replica rejoin data sync (0: cluster default)")
+	flag.BoolVar(&db.StrictWrites, "db-strict", false, "refuse writes (degraded read-only mode) instead of ejecting replicas on write failure")
+	flag.IntVar(&db.QueryCache, "db-cache", 0, "query-result cache entries, validated by commit-time table versions (0: disabled)")
 	var (
 		addr      = flag.String("addr", "127.0.0.1:7099", "RMI listen address")
 		ajpAddr   = flag.String("ajp", "", "also serve presentation servlets on this AJP address")
-		dbAddr    = flag.String("db", "127.0.0.1:7306", "database DSN: one wire address, a comma-separated replica list, or semicolon-separated shard groups of replica lists (\"s0r0,s0r1;s1r0,s1r1\" — sharded tiers partition by the benchmark's ShardBy map)")
 		benchmark = flag.String("benchmark", "bookstore", "bookstore or auction")
-		poolSize  = flag.Int("pool", 12, "database connection pool size, per replica")
 		route     = flag.String("route", "", "session-affinity route id for the presentation servlets in a load-balanced tier (requires -ajp)")
-		dbDial    = flag.Duration("db-dial", 0, "database dial timeout (0: default, negative: none)")
-		dbOp      = flag.Duration("db-op", 0, "per-statement database deadline (0: default, negative: none)")
-		dbWait    = flag.Duration("db-wait", 0, "max wait for a free pooled connection (0: default, negative: unbounded)")
-		dbSlow    = flag.Duration("db-slow", 0, "eject replicas whose statements exceed this latency (0: disabled)")
-		dbSync    = flag.Duration("db-sync", 0, "wall-clock budget for replica rejoin data sync (0: cluster default)")
-		dbStrict  = flag.Bool("db-strict", false, "refuse writes (degraded read-only mode) instead of ejecting replicas on write failure")
-		dbCache   = flag.Int("db-cache", 0, "query-result cache entries, validated by commit-time table versions (0: disabled)")
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 
-	dbTimeouts := pool.Timeouts{Dial: *dbDial, Op: *dbOp, Wait: *dbWait}
 	// A sharded -db DSN (semicolon-separated groups) partitions by the
 	// benchmark's own table->column map; tables outside it are global.
-	shardBy := bookstore.ShardBy()
+	db.ShardBy = bookstore.ShardBy()
 	if *benchmark == "auction" {
-		shardBy = auction.ShardBy()
+		db.ShardBy = auction.ShardBy()
 	}
-	ec, err := ejb.NewContainer(ejb.Config{
-		DBAddr: *dbAddr, DBShardBy: shardBy, DBPoolSize: *poolSize,
-		DBStrictWrites:  *dbStrict,
-		DBTimeouts:      dbTimeouts,
-		DBSlowThreshold: *dbSlow,
-		DBSyncTimeout:   *dbSync,
-		DBQueryCache:    *dbCache,
-	})
+	ec, err := ejb.NewContainer(ejb.Config{DB: db})
 	if err != nil {
 		logger.Fatal(err)
 	}
@@ -89,10 +84,10 @@ func main() {
 	if err != nil {
 		logger.Fatal(err)
 	}
-	fmt.Printf("ejbd: %s façade on RMI %s (db %s)\n", *benchmark, bound, *dbAddr)
+	fmt.Printf("ejbd: %s façade on RMI %s (db %s)\n", *benchmark, bound, db.DSN)
 
 	if *ajpAddr != "" {
-		client := rmi.NewClientT(bound.String(), *poolSize, dbTimeouts)
+		client := rmi.NewClientT(bound.String(), db.PoolSize, db.Timeouts)
 		pc := servlet.NewContainer(servlet.Config{Route: *route})
 		switch *benchmark {
 		case "bookstore":

@@ -22,41 +22,38 @@ import (
 
 	"repro/internal/auction"
 	"repro/internal/bookstore"
-	"repro/internal/pool"
+	"repro/internal/cluster"
 	"repro/internal/servlet"
 )
 
 func main() {
+	// The database flags bind straight into the cluster client's own
+	// configuration: a setting is declared there, once.
+	var db cluster.Config
+	flag.StringVar(&db.DSN, "db", "127.0.0.1:7306", "database DSN: one wire address, a comma-separated replica list, or semicolon-separated shard groups of replica lists (\"s0r0,s0r1;s1r0,s1r1\" — sharded tiers partition by the benchmark's ShardBy map)")
+	flag.IntVar(&db.PoolSize, "pool", 12, "database connection pool size, per replica")
+	flag.DurationVar(&db.Timeouts.Dial, "db-dial", 0, "database dial timeout (0: default, negative: none)")
+	flag.DurationVar(&db.Timeouts.Op, "db-op", 0, "per-statement database deadline (0: default, negative: none)")
+	flag.DurationVar(&db.Timeouts.Wait, "db-wait", 0, "max wait for a free pooled connection (0: default, negative: unbounded)")
+	flag.DurationVar(&db.SlowThreshold, "db-slow", 0, "eject replicas whose statements exceed this latency (0: disabled)")
+	flag.DurationVar(&db.SyncTimeout, "db-sync", 0, "wall-clock budget for replica rejoin data sync (0: cluster default)")
+	flag.IntVar(&db.QueryCache, "db-cache", 0, "query-result cache entries, validated by commit-time table versions (0: disabled)")
 	var (
 		addr      = flag.String("addr", "127.0.0.1:7009", "AJP listen address")
-		dbAddr    = flag.String("db", "127.0.0.1:7306", "database DSN: one wire address, a comma-separated replica list, or semicolon-separated shard groups of replica lists (\"s0r0,s0r1;s1r0,s1r1\" — sharded tiers partition by the benchmark's ShardBy map)")
 		benchmark = flag.String("benchmark", "bookstore", "bookstore or auction")
 		sync      = flag.Bool("sync", false, "engine-side locking (the paper's sync variants)")
-		poolSize  = flag.Int("pool", 12, "database connection pool size, per replica")
 		route     = flag.String("route", "", "session-affinity route id in a load-balanced tier (must match the webserver's -ajp entry for this backend)")
-		dbDial    = flag.Duration("db-dial", 0, "database dial timeout (0: default, negative: none)")
-		dbOp      = flag.Duration("db-op", 0, "per-statement database deadline (0: default, negative: none)")
-		dbWait    = flag.Duration("db-wait", 0, "max wait for a free pooled connection (0: default, negative: unbounded)")
-		dbSlow    = flag.Duration("db-slow", 0, "eject replicas whose statements exceed this latency (0: disabled)")
-		dbSync    = flag.Duration("db-sync", 0, "wall-clock budget for replica rejoin data sync (0: cluster default)")
-		dbCache   = flag.Int("db-cache", 0, "query-result cache entries, validated by commit-time table versions (0: disabled)")
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 
 	// A sharded -db DSN (semicolon-separated groups) partitions by the
 	// benchmark's own table->column map; tables outside it are global.
-	shardBy := bookstore.ShardBy()
+	db.ShardBy = bookstore.ShardBy()
 	if *benchmark == "auction" {
-		shardBy = auction.ShardBy()
+		db.ShardBy = auction.ShardBy()
 	}
-	c := servlet.NewContainer(servlet.Config{
-		DBAddr: *dbAddr, DBShardBy: shardBy, DBPoolSize: *poolSize, Route: *route,
-		DBTimeouts:      pool.Timeouts{Dial: *dbDial, Op: *dbOp, Wait: *dbWait},
-		DBSlowThreshold: *dbSlow,
-		DBSyncTimeout:   *dbSync,
-		DBQueryCache:    *dbCache,
-	})
+	c := servlet.NewContainer(servlet.Config{DB: db, Route: *route})
 	switch *benchmark {
 	case "bookstore":
 		bookstore.New(bookstore.DefaultScale(), bookstore.Config{Sync: *sync}).Register(c)
@@ -74,6 +71,6 @@ func main() {
 		routeNote = ", route=" + *route
 	}
 	fmt.Printf("servletd: %s container on AJP %s (db %s, sync=%v%s)\n",
-		*benchmark, bound, *dbAddr, *sync, routeNote)
+		*benchmark, bound, db.DSN, *sync, routeNote)
 	select {}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/ejb"
 	"repro/internal/httpd"
 	"repro/internal/rmi"
@@ -37,7 +38,7 @@ func startDB(t testing.TB) string {
 // newAppContainer builds a container hosting the direct-SQL app.
 func newAppContainer(t testing.TB, sync bool) *servlet.Container {
 	t.Helper()
-	c := servlet.NewContainer(servlet.Config{DBAddr: startDB(t), DBPoolSize: 8})
+	c := servlet.NewContainer(servlet.Config{DB: cluster.Config{DSN: startDB(t), PoolSize: 8}})
 	New(TinyScale(), Config{Sync: sync}).Register(c)
 	if err := c.Init(); err != nil {
 		t.Fatal(err)
@@ -202,7 +203,7 @@ func TestAdminConfirmChangesPrice(t *testing.T) {
 // servlets -> RMI -> session façade -> entity beans -> database.
 func TestEJBDeployment(t *testing.T) {
 	dbAddr := startDB(t)
-	ec, err := ejb.NewContainer(ejb.Config{DBAddr: dbAddr, DBPoolSize: 8})
+	ec, err := ejb.NewContainer(ejb.Config{DB: cluster.Config{DSN: dbAddr, PoolSize: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}

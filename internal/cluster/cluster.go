@@ -9,7 +9,14 @@
 // application sees one surface — Exec/ExecCached, Get/Put, WithTx/WithReadTx
 // — and every statement takes the wire protocol's prepared path: routes and
 // shard plans are memoized per statement text already, so the vocabulary is
-// bounded and Exec and ExecCached are two names for one body.
+// bounded and Exec and ExecCached are two names for one body. A distinct
+// text is parsed once client-side (route.go's analyze); routing, the query
+// cache's table set and the shard planner all read that one parse.
+//
+// Two things the tiers above share are declared once: Config is the only
+// declaration of a database-client setting (servlet and ejb embed it whole),
+// and ClientStats is telemetry.ClusterStats, the struct the owning tier's
+// telemetry row embeds.
 //
 // Routing policy: reads load-balance across healthy replicas (least
 // borrowed connections first, round-robin on ties, using the transport
@@ -175,73 +182,10 @@ type Client struct {
 	closed atomic.Bool
 }
 
-// ClientStats reports the client's broadcast batching and read-only
-// transaction counters: Broadcasts is the number of write fan-outs,
-// BroadcastAcks the per-replica acknowledgements they collected (acks ÷
-// broadcasts = average batch size), ReadOnlyTxns the transactions that ran
-// on one replica without any write-order locks.
-type ClientStats struct {
-	Broadcasts    int64 `json:"broadcasts"`
-	BroadcastAcks int64 `json:"broadcast_acks"`
-	ReadOnlyTxns  int64 `json:"readonly_txns"`
-	// SlowEjections counts replicas ejected for lagging SlowThreshold
-	// behind the pack rather than transport-failing. The Degraded* fields
-	// track the strict-policy read-only latch: entries/exits count mode
-	// flips, rejects counts writes fast-failed with ErrDegraded, and
-	// Degraded is the latch's current state.
-	SlowEjections   int64 `json:"slow_ejections,omitempty"`
-	DegradedEntries int64 `json:"degraded_entries,omitempty"`
-	DegradedExits   int64 `json:"degraded_exits,omitempty"`
-	DegradedRejects int64 `json:"degraded_rejects,omitempty"`
-	Degraded        bool  `json:"degraded,omitempty"`
-	// Query-result cache counters (zero when the cache is disabled):
-	// hits served from a validated entry, misses that went to a replica,
-	// invalidations of entries whose table versions moved, and bypasses —
-	// reads forced live because the session's transaction write-held a
-	// referenced table.
-	QueryCacheHits          int64 `json:"query_cache_hits,omitempty"`
-	QueryCacheMisses        int64 `json:"query_cache_misses,omitempty"`
-	QueryCacheInvalidations int64 `json:"query_cache_invalidations,omitempty"`
-	QueryCacheBypasses      int64 `json:"query_cache_bypasses,omitempty"`
-	// Shard routing counters (set only on a sharded client, shard.go):
-	// statements pinned to one owning shard, scatter-gather SELECT
-	// fan-outs, cross-shard broadcast writes/DDL, and transactions
-	// committed via two-phase commit.
-	Shards         int   `json:"shards,omitempty"`
-	ShardSingle    int64 `json:"shard_single,omitempty"`
-	ShardScatter   int64 `json:"shard_scatter,omitempty"`
-	ShardBroadcast int64 `json:"shard_broadcast,omitempty"`
-	Shard2PCTxns   int64 `json:"shard_2pc_txns,omitempty"`
-	// Rejoin data-copy counters: delta syncs served by WAL log shipping
-	// (and the statements they replayed) versus full table copies.
-	WALDeltaSyncs int64 `json:"wal_delta_syncs,omitempty"`
-	WALFullSyncs  int64 `json:"wal_full_syncs,omitempty"`
-	WALDeltaStmts int64 `json:"wal_delta_stmts,omitempty"`
-}
-
-// add sums o into s: every counter adds and the Degraded latch ORs. Shards
-// is a topology figure, not a counter, and keeps s's value.
-func (s *ClientStats) add(o ClientStats) {
-	s.Broadcasts += o.Broadcasts
-	s.BroadcastAcks += o.BroadcastAcks
-	s.ReadOnlyTxns += o.ReadOnlyTxns
-	s.SlowEjections += o.SlowEjections
-	s.DegradedEntries += o.DegradedEntries
-	s.DegradedExits += o.DegradedExits
-	s.DegradedRejects += o.DegradedRejects
-	s.Degraded = s.Degraded || o.Degraded
-	s.QueryCacheHits += o.QueryCacheHits
-	s.QueryCacheMisses += o.QueryCacheMisses
-	s.QueryCacheInvalidations += o.QueryCacheInvalidations
-	s.QueryCacheBypasses += o.QueryCacheBypasses
-	s.ShardSingle += o.ShardSingle
-	s.ShardScatter += o.ShardScatter
-	s.ShardBroadcast += o.ShardBroadcast
-	s.Shard2PCTxns += o.Shard2PCTxns
-	s.WALDeltaSyncs += o.WALDeltaSyncs
-	s.WALFullSyncs += o.WALFullSyncs
-	s.WALDeltaStmts += o.WALDeltaStmts
-}
+// ClientStats is the client's counters. The struct is declared once, in
+// internal/telemetry, so the tier row that owns a client embeds this very
+// type and nothing between here and /status copies fields.
+type ClientStats = telemetry.ClusterStats
 
 // New creates a client over the DSN's replicas with default policy.
 func New(dsn string, poolSize int) *Client {

@@ -24,18 +24,24 @@ const (
 // writes the tables whose cluster-wide write order must be serialized.
 type route struct {
 	kind stmtKind
+	// stmt is the parsed statement — the one parse the client does per
+	// distinct text, shared with the shard planner (shard.go). nil when the
+	// text is not in the dialect.
+	stmt sqlparse.Statement
 	// tables lists the write-ordered tables (lower-cased, sorted, deduped).
-	// Empty for reads; for an unparsable write it holds the catch-all "".
+	// Empty for reads; for a write whose table is unknown — unparsable text,
+	// ALTER, PREPARE — it holds the catch-all "".
 	tables []string
 	// readTables lists the tables a SELECT references (FROM plus JOINs,
 	// lower-cased, sorted) — the set a cached result for this statement is
-	// validated against. nil for non-SELECT reads and for statements the
+	// validated against. The dialect has no subqueries, so that is the
+	// complete reference set. nil for non-SELECT reads and for statements the
 	// parser rejects, which makes them uncacheable (see cache.go).
 	readTables []string
 }
 
 // routes memoizes analyze per query text. The workloads repeat a small
-// fixed statement set, so this is a one-time cost per distinct text.
+// fixed statement set, so the parse is a one-time cost per distinct text.
 type routes struct{ m sync.Map }
 
 func (rs *routes) of(query string) route {
@@ -47,146 +53,61 @@ func (rs *routes) of(query string) route {
 	return r
 }
 
-// analyze classifies a statement from its leading tokens — the same
-// first-keyword dispatch the SQL parser uses, without paying for a full
-// parse on the routing hot path.
+// analyze classifies a statement by parsing it. Text the parser rejects is
+// classified by its first word alone: a SELECT or SHOW is still a read for
+// one replica, transaction control is still refused, and anything else is a
+// write serialized on the catch-all key, so replicas apply it in one order
+// and the database's parse error comes back from every one of them.
 func analyze(query string) route {
-	toks := tokens(query)
-	if len(toks) == 0 {
-		return route{kind: kindRead}
-	}
-	switch toks[0] {
-	case "SELECT":
-		return route{kind: kindRead, readTables: selectTables(query)}
-	case "SHOW":
-		return route{kind: kindRead}
-	case "BEGIN", "START", "COMMIT", "ROLLBACK":
-		return route{kind: kindTxnControl}
-	case "INSERT": // INSERT INTO <t> ...
-		return writeRoute(tokenAfter(toks, "INTO"))
-	case "UPDATE": // UPDATE <t> SET ...
-		return writeRoute(tokenAt(toks, 1))
-	case "DELETE": // DELETE FROM <t> ...
-		return writeRoute(tokenAfter(toks, "FROM"))
-	case "CREATE": // CREATE TABLE [IF NOT EXISTS] <t> | CREATE [UNIQUE] INDEX <n> ON <t>
-		if contains(toks, "INDEX") {
-			return writeRoute(tokenAfter(toks, "ON"))
-		}
-		return writeRoute(lastToken(skipNoise(toks)))
-	case "DROP": // DROP TABLE [IF EXISTS] <t>
-		return writeRoute(lastToken(toks))
-	default:
-		// Unknown statement: assume a write serialized on the catch-all
-		// table key, so replicas still apply it in one order.
-		return writeRoute("")
-	}
-}
-
-// selectTables extracts the table set a SELECT references via the real SQL
-// parser — routing's first-token dispatch cannot see past the header, but
-// the query cache must know every table whose change invalidates the
-// result. The dialect has no subqueries, so FROM plus the JOIN list is the
-// complete reference set. A parse failure returns nil: the statement stays
-// routable (it is still a read) but uncacheable. The cost is paid once per
-// distinct statement text (routes memoizes).
-func selectTables(query string) []string {
 	st, err := sqlparse.Parse(query)
 	if err != nil {
-		return nil
-	}
-	sel, ok := st.(*sqlparse.Select)
-	if !ok || sel.From.Table == "" {
-		return nil
-	}
-	tables := make([]string, 0, 1+len(sel.Joins))
-	tables = append(tables, sel.From.Table)
-	for _, j := range sel.Joins {
-		tables = append(tables, j.Table.Table)
-	}
-	return normalize(tables)
-}
-
-func writeRoute(table string) route {
-	return route{kind: kindWrite, tables: normalize([]string{table})}
-}
-
-// tokens splits the statement head into upper-cased words, stripping commas
-// and parentheses; 16 tokens cover every header shape above.
-func tokens(query string) []string {
-	var out []string
-	field := func(s string) {
-		s = strings.Trim(s, ",()")
-		if s != "" {
-			out = append(out, strings.ToUpper(s))
+		head := strings.TrimLeft(query, " \t\n")
+		if i := strings.IndexAny(head, " \t\n,("); i >= 0 {
+			head = head[:i]
 		}
+		switch strings.ToUpper(head) {
+		case "", "SELECT", "SHOW":
+			return route{kind: kindRead}
+		case "BEGIN", "START", "COMMIT", "ROLLBACK":
+			return route{kind: kindTxnControl}
+		}
+		return writeRoute(nil, "")
 	}
-	start := -1
-	for i := 0; i < len(query) && len(out) < 16; i++ {
-		c := query[i]
-		if c == ' ' || c == '\t' || c == '\n' || c == ',' || c == '(' {
-			if start >= 0 {
-				field(query[start:i])
-				start = -1
+	switch st := st.(type) {
+	case *sqlparse.Select:
+		rt := route{kind: kindRead, stmt: st}
+		if st.From.Table != "" {
+			tables := []string{st.From.Table}
+			for _, j := range st.Joins {
+				tables = append(tables, j.Table.Table)
 			}
-			continue
+			rt.readTables = normalize(tables)
 		}
-		if start < 0 {
-			start = i
-		}
+		return rt
+	case *sqlparse.ShowTables, *sqlparse.ShowTableStatus,
+		*sqlparse.ShowWALStatus, *sqlparse.ShowWALRecords, *sqlparse.ShowWALChain:
+		return route{kind: kindRead, stmt: st}
+	case *sqlparse.Begin, *sqlparse.Commit, *sqlparse.Rollback:
+		return route{kind: kindTxnControl, stmt: st}
+	case *sqlparse.Insert:
+		return writeRoute(st, st.Table)
+	case *sqlparse.Update:
+		return writeRoute(st, st.Table)
+	case *sqlparse.Delete:
+		return writeRoute(st, st.Table)
+	case *sqlparse.CreateTable:
+		return writeRoute(st, st.Name)
+	case *sqlparse.CreateIndex:
+		return writeRoute(st, st.Table)
+	case *sqlparse.DropTable:
+		return writeRoute(st, st.Name)
+	default:
+		return writeRoute(st, "")
 	}
-	if start >= 0 && len(out) < 16 {
-		field(query[start:])
-	}
-	return out
 }
 
-func tokenAfter(toks []string, word string) string {
-	for i, t := range toks {
-		if t == word && i+1 < len(toks) {
-			return toks[i+1]
-		}
-	}
-	return ""
-}
-
-func tokenAt(toks []string, i int) string {
-	if i < len(toks) {
-		return toks[i]
-	}
-	return ""
-}
-
-func lastToken(toks []string) string {
-	if len(toks) == 0 {
-		return ""
-	}
-	return toks[len(toks)-1]
-}
-
-// skipNoise drops the IF NOT EXISTS decoration so CREATE TABLE's name is
-// the last remaining header token.
-func skipNoise(toks []string) []string {
-	out := toks[:0:0]
-	for _, t := range toks {
-		switch t {
-		case "IF", "NOT", "EXISTS":
-		default:
-			out = append(out, t)
-		}
-		if len(out) >= 3 { // CREATE TABLE <t>
-			break
-		}
-	}
-	return out
-}
-
-func contains(toks []string, word string) bool {
-	for _, t := range toks {
-		if t == word {
-			return true
-		}
-	}
-	return false
+func writeRoute(st sqlparse.Statement, table string) route {
+	return route{kind: kindWrite, stmt: st, tables: []string{strings.ToLower(table)}}
 }
 
 // normalize lower-cases, sorts and dedupes a table list (the acquisition

@@ -110,11 +110,11 @@ func newShardSet(cfg Config, groups [][]string) *shardSet {
 func (sh *shardSet) rrNext() int { return int(sh.rr.Add(1) % uint64(len(sh.shards))) }
 
 // shardPlan is the memoized routing decision for one statement text: its
-// kind, whether it references a sharded table, and — when the predicate
-// structure pins every touched row — the shard-key expressions to hash.
+// route (kind, tables and the parsed statement — route.go's one parse),
+// whether it references a sharded table, and — when the predicate structure
+// pins every touched row — the shard-key expressions to hash.
 type shardPlan struct {
 	rt      route
-	stmt    sqlparse.Statement
 	sel     *sqlparse.Select // non-nil for parsed SELECTs
 	insert  bool
 	sharded bool            // references at least one sharded table
@@ -137,42 +137,29 @@ func (sh *shardSet) planOf(query string) *shardPlan {
 
 func (sh *shardSet) buildPlan(query string) *shardPlan {
 	p := &shardPlan{rt: analyze(query)}
-	st, err := sqlparse.Parse(query)
-	if err != nil {
-		// Unparsable: reads run on one shard, writes broadcast under the
-		// route's (catch-all) tables — conservative, never wrong.
-		return p
-	}
-	p.stmt = st
-	var refs []sqlparse.TableRef
-	switch st := st.(type) {
+	refs := p.rt.tables
+	switch st := p.rt.stmt.(type) {
 	case *sqlparse.Select:
-		p.sel = st
-		refs = append(refs, st.From)
-		for _, j := range st.Joins {
-			refs = append(refs, j.Table)
-		}
+		p.sel, refs = st, p.rt.readTables
 	case *sqlparse.Insert:
 		p.insert = true
-		refs = append(refs, sqlparse.TableRef{Table: st.Table})
-	case *sqlparse.Update:
-		refs = append(refs, sqlparse.TableRef{Table: st.Table})
-	case *sqlparse.Delete:
-		refs = append(refs, sqlparse.TableRef{Table: st.Table})
+	case *sqlparse.Update, *sqlparse.Delete:
 	default:
-		return p // DDL and the rest broadcast
+		// Unparsable text, DDL and the rest: reads run on one shard, writes
+		// broadcast under the route's tables — conservative, never wrong.
+		return p
 	}
 	// First referenced sharded table whose key the statement pins wins:
 	// with colocated tables (order_line by order_id) any pin lands on the
 	// same shard, so "first" is a tie-break, not a semantic choice.
-	for _, ref := range refs {
-		col, sharded := sh.byTable[strings.ToLower(ref.Table)]
+	for _, table := range refs {
+		col, sharded := sh.byTable[table]
 		if !sharded {
 			continue
 		}
 		p.sharded = true
 		if p.exprs == nil {
-			if exprs, ok := sqlparse.ShardExprs(st, ref.Table, col); ok {
+			if exprs, ok := sqlparse.ShardExprs(p.rt.stmt, table, col); ok {
 				p.exprs = exprs
 			}
 		}
@@ -578,7 +565,7 @@ func (sh *shardSet) broadcastAll(query string, args []sqldb.Value, p *shardPlan)
 	if err != nil {
 		return nil, err
 	}
-	if ct, ok := p.stmt.(*sqlparse.CreateTable); ok {
+	if ct, ok := p.rt.stmt.(*sqlparse.CreateTable); ok {
 		if err := sh.strideTable(ct.Name); err != nil {
 			return nil, err
 		}
@@ -625,7 +612,7 @@ func (sh *shardSet) ClientStats() ClientStats {
 		Shard2PCTxns:   sh.txns2pc.Load(),
 	}
 	for _, rs := range sh.shards {
-		s.add(rs.ClientStats())
+		telemetry.Add(&s, rs.ClientStats())
 	}
 	return s
 }
@@ -776,7 +763,13 @@ func (s *shardTxn) Exec(query string, args ...sqldb.Value) (*sqldb.Result, error
 			return nil, err
 		}
 		sh.scatter.Add(1)
-		return sh.scatterRead(p, args, s.subs)
+		res, err := sh.scatterRead(p, args, s.subs)
+		// The fan-out ran the subs concurrently, past subExec: fold their
+		// poisoning in here, once they have all returned.
+		for _, sub := range s.subs {
+			s.failed = s.failed || sub.failed
+		}
+		return res, err
 	}
 	return s.subBroadcast(p, query, args)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/sqldb"
 	"repro/internal/sqldb/wire"
@@ -448,6 +449,69 @@ func TestShardMid2PCReplicaKillRejoin(t *testing.T) {
 	b := queryReplica(t, groups[0][1], "SELECT MAX(id) FROM orders").Rows[0][0].AsInt()
 	if a != b {
 		t.Fatalf("post-rejoin id assignment diverged: %d vs %d", a, b)
+	}
+}
+
+// TestShardTxnScatterPropagatesPoisoning: a scatter read inside a write
+// transaction runs on every shard's sub-session at once; when one of them
+// aborts (lock wait timeout) the server has rolled that shard's whole
+// transaction back, so the coordinator must be poisoned there and then — the
+// next statement is refused client-side instead of running in a transaction
+// that is open on one shard and gone on the other.
+func TestShardTxnScatterPropagatesPoisoning(t *testing.T) {
+	groups := startShards(t, 2, 1)
+	for _, g := range groups {
+		g[0].db.SetLockWaitTimeout(30 * time.Millisecond)
+	}
+	c := newShardClient(t, groups, Config{})
+	for cust := 1; cust <= 4; cust++ {
+		mustExec(t, c, "INSERT INTO orders (customer_id, total) VALUES (?, ?)",
+			sqldb.Int(int64(cust)), sqldb.Int(int64(10*cust)))
+	}
+	before := []string{dumpReplica(t, groups[0][0]), dumpReplica(t, groups[1][0])}
+
+	// Move shard 1's committed version of orders past the snapshot the dump
+	// just built, so the transaction's read there has to go to the table
+	// lock — which a second session then write-holds, on shard 1 only.
+	mustExec(t, c, "UPDATE orders SET total = total WHERE customer_id = ?", sqldb.Int(2))
+	blocker := groups[1][0].db.NewSession()
+	defer blocker.Close()
+	mustExec(t, sqldb.SessionExecer{S: blocker}, "BEGIN")
+	mustExec(t, sqldb.SessionExecer{S: blocker}, "UPDATE orders SET total = 0 WHERE customer_id = 2")
+
+	var scatterErr, nextErr error
+	var served [2]int64
+	err := c.WithTx([]string{"orders"}, func(tx *Session) error {
+		if _, err := tx.Exec("UPDATE orders SET total = total + 1 WHERE customer_id = ?", sqldb.Int(1)); err != nil {
+			t.Fatalf("pinned write on shard 0: %v", err)
+		}
+		_, scatterErr = tx.Exec("SELECT total FROM orders ORDER BY total")
+		for i, g := range groups {
+			served[i] = g[0].srv.QueryCount()
+		}
+		_, nextErr = tx.Exec("SELECT total FROM orders WHERE customer_id = ?", sqldb.Int(1))
+		for i, g := range groups {
+			served[i] = g[0].srv.QueryCount() - served[i]
+		}
+		return scatterErr
+	})
+	if scatterErr == nil || !isTxnAbort(scatterErr) {
+		t.Fatalf("scatter over a write-held shard: %v, want the lock-wait abort", scatterErr)
+	}
+	if !errors.Is(nextErr, errSessionFailed) {
+		t.Fatalf("statement after the aborted scatter: %v, want errSessionFailed", nextErr)
+	}
+	if served != [2]int64{} {
+		t.Errorf("the refused statement reached a server (per shard: %v)", served)
+	}
+	if !errors.Is(err, scatterErr) {
+		t.Fatalf("WithTx returned %v, want the abort %v", err, scatterErr)
+	}
+	mustExec(t, sqldb.SessionExecer{S: blocker}, "ROLLBACK")
+	for i, g := range groups {
+		if got := dumpReplica(t, g[0]); got != before[i] {
+			t.Errorf("shard %d changed across the aborted transaction:\n%s\nwant\n%s", i, got, before[i])
+		}
 	}
 }
 

@@ -147,36 +147,51 @@ func TestChaosMatrix(t *testing.T) {
 // TestChaosScriptedSchedule is the deterministic acceptance run: one
 // seeded schedule slows then stalls db replica 1 while the app backend 1
 // link flaps, all mid-workload, with no goroutine in the test scripting
-// faults — the windows are data. The run must complete, the proxies must
-// show the faults actually fired, and the replicas must converge after
-// rejoin.
+// faults — the windows are data. It asserts what the schedule guarantees on
+// a host of any speed: the run outlasts every window and completes, no
+// interaction outlasts the deadlines that bound it, the proxies show the
+// faults actually fired, and once the windows have closed the replicas
+// rejoin identical and the stack serves again. It does not bound the error
+// ratio: failed requests return in microseconds and completed ones in
+// milliseconds, so under CPU contention that ratio measures the host (8 of
+// 10 runs passed under six busy loops when it was asserted).
 func TestChaosScriptedSchedule(t *testing.T) {
 	t.Parallel()
+	dbSched := chaos.Schedule{Seed: 42, Rules: []chaos.Rule{
+		{Fault: chaos.Fault{Kind: chaos.Latency, Delay: 40 * time.Millisecond, Jitter: 20 * time.Millisecond},
+			From: 100 * time.Millisecond, To: 500 * time.Millisecond},
+		{Fault: chaos.Fault{Kind: chaos.Stall},
+			From: 500 * time.Millisecond, To: 700 * time.Millisecond},
+	}}
 	appSched := chaos.Schedule{Seed: 42}
 	appSched.Flap(300*time.Millisecond, 2, 80*time.Millisecond, 120*time.Millisecond)
+	// Windows are offsets from proxy start, which precedes the run: a
+	// measurement window longer than the last To outlasts the schedule
+	// however long the lab took to finish starting.
+	var scheduleEnd time.Duration
+	for _, r := range append(dbSched.Rules, appSched.Rules...) {
+		scheduleEnd = max(scheduleEnd, r.To)
+	}
 	lab := chaosLab(t, Config{
 		AppReplicas: 2,
-		DBChaos: map[int]chaos.Schedule{
-			1: {Seed: 42, Rules: []chaos.Rule{
-				{Fault: chaos.Fault{Kind: chaos.Latency, Delay: 40 * time.Millisecond, Jitter: 20 * time.Millisecond},
-					From: 100 * time.Millisecond, To: 500 * time.Millisecond},
-				{Fault: chaos.Fault{Kind: chaos.Stall},
-					From: 500 * time.Millisecond, To: 700 * time.Millisecond},
-			}},
-		},
-		AppChaos: map[int]chaos.Schedule{1: appSched},
+		DBChaos:     map[int]chaos.Schedule{1: dbSched},
+		AppChaos:    map[int]chaos.Schedule{1: appSched},
 	})
-	rep := runBounded(t, lab, workload.Config{
+	wcfg := workload.Config{
 		Clients: 6, Mix: "bidding",
 		ThinkMean: time.Millisecond, SessionMean: time.Second,
-		RampUp: 30 * time.Millisecond, Measure: 800 * time.Millisecond,
+		RampUp: 30 * time.Millisecond, Measure: scheduleEnd + 100*time.Millisecond,
 		Seed: 19,
-	})
+	}
+	rep := runBounded(t, lab, wcfg)
 	if rep.Interactions == 0 {
 		t.Fatal("no interactions completed under the scripted schedule")
 	}
-	if rep.Errors > rep.Interactions/3 {
-		t.Fatalf("error rate too high: %d errors / %d completions", rep.Errors, rep.Interactions)
+	// Bounded outcomes: every deadline on the path is at most 500ms
+	// (chaosLab), so an interaction that waited one out and then completed
+	// elsewhere still finishes well inside this.
+	if worst := time.Duration(rep.Latency.Max() * float64(time.Second)); worst > 3*time.Second {
+		t.Errorf("an interaction took %v — it outlasted the transport deadlines", worst)
 	}
 	// The schedule fired for real: replica 1's link saw delayed or stalled
 	// traffic, and the flapping app link reset connections.
@@ -186,10 +201,19 @@ func TestChaosScriptedSchedule(t *testing.T) {
 	if s := lab.AppProxy(1).Stats(); s.Resets == 0 {
 		t.Errorf("app flap schedule never fired: %+v", s)
 	}
+	// Every window has closed: the tier must come back whole, identical,
+	// and serving.
 	if err := lab.RejoinAll(); err != nil {
 		t.Fatalf("rejoin: %v", err)
 	}
+	if cl := lab.Cluster(); cl.Healthy() != cl.Replicas() {
+		t.Fatalf("healthy %d / %d after RejoinAll", cl.Healthy(), cl.Replicas())
+	}
 	assertReplicasIdentical(t, lab, 2, auctionChaosTables)
+	wcfg.Measure = 200 * time.Millisecond
+	if after := runBounded(t, lab, wcfg); after.Interactions == 0 {
+		t.Fatalf("nothing served once the schedule was over (%d errors)", after.Errors)
+	}
 }
 
 // TestChaosDegradedReadOnly: with StrictWrites, partitioning a replica

@@ -428,6 +428,14 @@ func (l *Lab) seedShards() error {
 // write-through session store.
 func (l *Lab) startAppTier(dbAddr string) (httpd.Handler, error) {
 	cfg := l.cfg
+	// Every database client in the tier — one per servlet backend, or one
+	// per EJB container — is configured alike.
+	dbCfg := cluster.Config{
+		DSN: dbAddr, ShardBy: l.shardBy(), PoolSize: cfg.DBPoolSize,
+		StrictWrites: cfg.DBStrictWrites, Timeouts: cfg.DBTimeouts,
+		SlowThreshold: cfg.DBSlowThreshold, SyncTimeout: cfg.DBSyncTimeout,
+		QueryCache: cfg.DBQueryCache,
+	}
 	sync := cfg.Arch.EngineSync()
 	replicas := cfg.AppReplicas
 	// The in-process module has no replication axis (mod_php is pinned to
@@ -462,11 +470,7 @@ func (l *Lab) startAppTier(dbAddr string) (httpd.Handler, error) {
 	}
 	newAppContainer := func(route string) *servlet.Container {
 		c := servlet.NewContainer(servlet.Config{
-			DBAddr: dbAddr, DBShardBy: l.shardBy(), DBPoolSize: cfg.DBPoolSize,
-			DBStrictWrites: cfg.DBStrictWrites, DBTimeouts: cfg.DBTimeouts,
-			DBSlowThreshold: cfg.DBSlowThreshold, DBSyncTimeout: cfg.DBSyncTimeout,
-			DBQueryCache: cfg.DBQueryCache,
-			Route:        route, SessionStore: store(), Locks: sharedLocks,
+			DB: dbCfg, Route: route, SessionStore: store(), Locks: sharedLocks,
 		})
 		switch cfg.Benchmark {
 		case perfsim.Bookstore:
@@ -525,12 +529,7 @@ func (l *Lab) startAppTier(dbAddr string) (httpd.Handler, error) {
 		// façade + entity beans -> database. Each backend is a complete
 		// presentation + EJB container pair, as a JOnAS farm would deploy.
 		for i := 0; i < replicas; i++ {
-			ec, err := ejb.NewContainer(ejb.Config{
-				DBAddr: dbAddr, DBShardBy: l.shardBy(), DBPoolSize: cfg.DBPoolSize,
-				DBStrictWrites: cfg.DBStrictWrites, DBTimeouts: cfg.DBTimeouts,
-				DBSlowThreshold: cfg.DBSlowThreshold, DBSyncTimeout: cfg.DBSyncTimeout,
-				DBQueryCache: cfg.DBQueryCache,
-			})
+			ec, err := ejb.NewContainer(ejb.Config{DB: dbCfg})
 			if err != nil {
 				return nil, err
 			}
@@ -904,7 +903,9 @@ func (l *Lab) Telemetry() *telemetry.Snapshot {
 				dbPools = append(dbPools, *cs.DB)
 			}
 			if cl := c.Context().DB; cl != nil {
-				addClusterStats(&t, cl.ClientStats())
+				cs := cl.ClientStats()
+				t.Shards = cs.Shards // topology, the same on every backend's client
+				telemetry.Add(&t.ClusterStats, cs)
 			}
 		}
 		if len(dbPools) > 0 {
@@ -937,7 +938,9 @@ func (l *Lab) Telemetry() *telemetry.Snapshot {
 			// Read-only demarcations: the container's lazy, never-opened
 			// transactions plus any explicit BeginReadOnly the client ran.
 			t.ReadOnlyTxns += es.TxReadOnly
-			addClusterStats(&t, ec.DB().ClientStats())
+			cs := ec.DB().ClientStats()
+			t.Shards = cs.Shards
+			telemetry.Add(&t.ClusterStats, cs)
 			dbPools = append(dbPools, es.DB)
 		}
 		ps := sumPools("db-cluster", dbPools)
@@ -1007,31 +1010,6 @@ func (l *Lab) Telemetry() *telemetry.Snapshot {
 	return s
 }
 
-// addClusterStats folds one cluster client's counters into the row of the
-// tier that owns it.
-func addClusterStats(t *telemetry.Tier, cs cluster.ClientStats) {
-	t.Broadcasts += cs.Broadcasts
-	t.BroadcastAcks += cs.BroadcastAcks
-	t.ReadOnlyTxns += cs.ReadOnlyTxns
-	t.SlowEjections += cs.SlowEjections
-	t.DegradedEntries += cs.DegradedEntries
-	t.DegradedExits += cs.DegradedExits
-	t.DegradedRejects += cs.DegradedRejects
-	t.Degraded = t.Degraded || cs.Degraded
-	t.Shards = cs.Shards
-	t.ShardSingle += cs.ShardSingle
-	t.ShardScatter += cs.ShardScatter
-	t.ShardBroadcast += cs.ShardBroadcast
-	t.Shard2PCTxns += cs.Shard2PCTxns
-	t.QueryCacheHits += cs.QueryCacheHits
-	t.QueryCacheMisses += cs.QueryCacheMisses
-	t.QueryCacheInvalidations += cs.QueryCacheInvalidations
-	t.QueryCacheBypasses += cs.QueryCacheBypasses
-	t.WALDeltaSyncs += cs.WALDeltaSyncs
-	t.WALFullSyncs += cs.WALFullSyncs
-	t.WALDeltaStmts += cs.WALDeltaStmts
-}
-
 // clusterClients returns every replication-aware database client in the
 // application tier: one per servlet backend (or the in-process module's),
 // plus each EJB container's.
@@ -1059,26 +1037,15 @@ func (l *Lab) clusterClients() []*cluster.Client {
 // healthy only when every client still routes to it, pools sum.
 func aggregateReplicaStats(clients []*cluster.Client) []telemetry.Replica {
 	var out []telemetry.Replica
-	for ci, cl := range clients {
-		rs := cl.ReplicaStats()
-		if ci == 0 {
-			out = rs
-			continue
-		}
-		for i := range rs {
+	for _, cl := range clients {
+		for i, r := range cl.ReplicaStats() {
 			if i >= len(out) {
-				out = append(out, rs[i])
+				out = append(out, r)
 				continue
 			}
-			out[i].Reads += rs[i].Reads
-			out[i].Writes += rs[i].Writes
-			out[i].Ejections += rs[i].Ejections
-			out[i].LagNanos += rs[i].LagNanos
-			out[i].Healthy = out[i].Healthy && rs[i].Healthy
-			if out[i].Pool != nil && rs[i].Pool != nil {
-				ps := sumPools(out[i].Pool.Name, []pool.Stats{*out[i].Pool, *rs[i].Pool})
-				out[i].Pool = &ps
-			}
+			healthy := out[i].Healthy && r.Healthy
+			telemetry.Add(&out[i], r)
+			out[i].Healthy = healthy
 		}
 	}
 	return out

@@ -9,6 +9,9 @@
 // a single value to be read or updated in the database" (§6.1) — falls out
 // of the CMP design: finders return primary keys, each entity activation is
 // a single-row SELECT, and every field store is a single-column UPDATE.
+//
+// The container reaches the database through a cluster.Client built from
+// Config.DB, a cluster.Config it passes through untouched.
 package ejb
 
 import (
@@ -17,7 +20,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/pool"
@@ -50,37 +52,14 @@ type entityMeta struct {
 
 // Config configures a container.
 type Config struct {
-	// DBAddr is the database DSN (required): one wire address, a
-	// comma-separated replica list for a read-one-write-all cluster, or
-	// semicolon-separated shard groups of replica lists for a
-	// horizontally partitioned tier.
-	DBAddr string
-	// DBShardBy maps table name -> partitioning column for a sharded
-	// DSN (cluster.Config.ShardBy semantics; ignored without shards).
-	DBShardBy map[string]string
-	// DBPoolSize bounds concurrent database connections per replica
-	// (default 12).
-	DBPoolSize int
+	// DB configures the container's database client — DSN (required), pool
+	// size, write policy, deadlines, query cache: cluster.Config documents
+	// each, and is the one place a setting is declared.
+	DB cluster.Config
 	// WriteBehind batches field stores until Tx.Commit instead of issuing
 	// one UPDATE per Set — the ablation knob for the CMP-granularity
 	// experiment. The paper's measured system behaves like false.
 	WriteBehind bool
-	// DBStrictWrites selects the cluster's strict write policy: a write
-	// errors when any replica fails mid-broadcast instead of continuing on
-	// the survivors.
-	DBStrictWrites bool
-	// DBTimeouts bounds the cluster transport: dial, per-statement round
-	// trip, and pool-wait deadlines (pool.Timeouts semantics).
-	DBTimeouts pool.Timeouts
-	// DBSlowThreshold ejects a replica whose broadcast acks lag the
-	// fastest replica by more than this (0: disabled).
-	DBSlowThreshold time.Duration
-	// DBSyncTimeout bounds a rejoining replica's data copy (cluster.Config
-	// semantics: 0 is the cluster default, negative is unbounded).
-	DBSyncTimeout time.Duration
-	// DBQueryCache bounds the cluster client's query-result cache in
-	// entries (0 disables; cluster.Config.QueryCache semantics).
-	DBQueryCache int
 }
 
 // Container manages entity beans and hosts session beans over RMI.
@@ -103,20 +82,11 @@ type Container struct {
 
 // NewContainer creates a container connected to the database.
 func NewContainer(cfg Config) (*Container, error) {
-	if cfg.DBAddr == "" {
-		return nil, fmt.Errorf("ejb: DBAddr required")
+	if cfg.DB.DSN == "" {
+		return nil, fmt.Errorf("ejb: DB.DSN required")
 	}
 	return &Container{
-		pool: cluster.NewWithConfig(cluster.Config{
-			DSN:           cfg.DBAddr,
-			ShardBy:       cfg.DBShardBy,
-			PoolSize:      cfg.DBPoolSize,
-			StrictWrites:  cfg.DBStrictWrites,
-			Timeouts:      cfg.DBTimeouts,
-			SlowThreshold: cfg.DBSlowThreshold,
-			SyncTimeout:   cfg.DBSyncTimeout,
-			QueryCache:    cfg.DBQueryCache,
-		}),
+		pool:        cluster.NewWithConfig(cfg.DB),
 		writeBehind: cfg.WriteBehind,
 		entities:    make(map[string]*entityMeta),
 		rmiServer:   rmi.NewServer(),

@@ -39,7 +39,7 @@ func userEntity() EntityDef {
 
 func newTestContainer(t testing.TB, cfg Config) *Container {
 	t.Helper()
-	cfg.DBAddr = startDB(t)
+	cfg.DB.DSN = startDB(t)
 	c, err := NewContainer(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -279,7 +279,7 @@ func (b *Balancer) Stats() []telemetry.AppBackend {
 			Failovers: be.failovers.Load(),
 			Errors:    be.errors.Load(),
 			Ejections: be.ejections.Load(),
-			InFlight:  be.inFlight.Load(),
+			InFlight:  int(be.inFlight.Load()),
 		}
 		if be.poolStats != nil {
 			ps := be.poolStats()

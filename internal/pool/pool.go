@@ -13,12 +13,14 @@
 // as broken is destroyed and its capacity reclaimed immediately (a queued
 // borrower dials a replacement rather than waiting for a healthy return);
 // Close is safe against concurrent Get/Put — the pre-refactor wire.Pool
-// could panic on send-to-closed-channel when Put raced Close.
+// could panic on send-to-closed-channel when Put raced Close. Do retries a
+// transport failure once, immediately, on a fresh connection (the stale
+// pooled connection) and never retries a deadline expiry; that is the whole
+// retry policy.
 package pool
 
 import (
 	"errors"
-	"math/rand/v2"
 	"net"
 	"os"
 	"sync"
@@ -105,25 +107,6 @@ type Config[T any] struct {
 	// failing with ErrWaitTimeout (0: DefaultWaitTimeout; negative: wait
 	// forever, the pre-deadline behavior).
 	WaitTimeout time.Duration
-	// RetryAttempts caps how many times Do retries a transport failure on a
-	// fresh connection (0: default 1, the classic stale-connection retry;
-	// negative: no retries at all, mirroring the Timeouts
-	// negative-disables convention — for strictly non-idempotent traffic).
-	RetryAttempts int
-	// RetryBackoff is the base of the exponential backoff between retry
-	// attempts (default 2ms, doubling per attempt with up to 50% added
-	// jitter); RetryBackoffMax caps it (default 50ms). The first retry of a
-	// round trip is immediate — a stale pooled connection is certain to
-	// fail and certain to be fixed by redialing — and backoff starts with
-	// the second, when the peer itself is suspect.
-	RetryBackoff    time.Duration
-	RetryBackoffMax time.Duration
-	// RetrySeed, when non-zero, draws the backoff jitter from a private
-	// seeded generator instead of the global one, so a fault-injection run
-	// that depends on retry timing replays exactly (the same convention as
-	// chaos.Schedule.Seed). Zero keeps the global source — fine for the
-	// usual goal of de-synchronizing concurrent borrowers.
-	RetrySeed uint64
 }
 
 // Pool is a fixed-capacity lazy connection pool, safe for concurrent use.
@@ -140,12 +123,6 @@ type Pool[T any] struct {
 	limit   int
 
 	waitTimeout time.Duration // 0: wait forever
-	attempts    int           // total Do tries on transport failure
-	backoffBase time.Duration
-	backoffCap  time.Duration
-
-	rngMu sync.Mutex
-	rng   *rand.Rand // nil: global jitter source
 
 	permits chan struct{} // capacity tokens; blocked receivers queue FIFO
 	done    chan struct{} // closed by Close to release waiters
@@ -164,8 +141,6 @@ type Pool[T any] struct {
 	waitTimeouts atomic.Int64
 	opTimeouts   atomic.Int64
 	timeoutNanos atomic.Int64
-	backoffs     atomic.Int64
-	backoffNanos atomic.Int64
 	borrow       *stats.Reservoir // borrow latency, seconds
 }
 
@@ -184,35 +159,15 @@ func New[T any](cfg Config[T]) *Pool[T] {
 	} else if waitTimeout < 0 {
 		waitTimeout = 0
 	}
-	attempts := 1 + cfg.RetryAttempts
-	if cfg.RetryAttempts < 0 {
-		attempts = 1 // negative disables retries, like Timeouts' negatives
-	} else if cfg.RetryAttempts == 0 {
-		attempts = 2 // one retry: the classic stale-connection absorb
-	}
-	backoffBase := cfg.RetryBackoff
-	if backoffBase <= 0 {
-		backoffBase = 2 * time.Millisecond
-	}
-	backoffCap := cfg.RetryBackoffMax
-	if backoffCap <= 0 {
-		backoffCap = 50 * time.Millisecond
-	}
 	p := &Pool[T]{
 		name:        cfg.Name,
 		dial:        cfg.Dial,
 		destroy:     cfg.Destroy,
 		limit:       size,
 		waitTimeout: waitTimeout,
-		attempts:    attempts,
-		backoffBase: backoffBase,
-		backoffCap:  backoffCap,
 		permits:     make(chan struct{}, size),
 		done:        make(chan struct{}),
 		borrow:      stats.NewReservoir(1024, 1),
-	}
-	if cfg.RetrySeed != 0 {
-		p.rng = rand.New(rand.NewPCG(cfg.RetrySeed, 0))
 	}
 	for i := 0; i < size; i++ {
 		p.permits <- struct{}{}
@@ -321,11 +276,10 @@ func (p *Pool[T]) doDestroy(v T) {
 
 // Do borrows a connection, runs fn on it, and returns it — discarded when
 // fn's error is transport-level per isBroken (nil means every error is).
-// With retry true, transport failures are retried on fresh connections up
-// to Config.RetryAttempts times (default once, absorbing a stale pooled
-// connection the peer dropped while idle). The first retry is immediate;
-// later ones back off exponentially with jitter, since by then the peer
-// itself is suspect and hammering it helps nobody.
+// With retry true, a transport failure is retried once, immediately, on a
+// fresh connection: a stale pooled connection the peer dropped while idle is
+// certain to fail and certain to be fixed by redialing. A second failure
+// means the peer itself is suspect, and it surfaces.
 //
 // Deadline expiries are never retried, even with retry true: a round trip
 // that outlived its op deadline may have been fully delivered to a
@@ -339,8 +293,8 @@ func (p *Pool[T]) Do(retry bool, isBroken func(error) bool, fn func(T) error) er
 }
 
 // DoNotify is Do with an attempt hook: onAttempt (when non-nil) runs just
-// before each try of fn — attempt 0 first, then once more per retry, after
-// its backoff sleep. Callers that capture state whose validity is
+// before each try of fn — attempt 0, then attempt 1 if the round trip is
+// retried. Callers that capture state whose validity is
 // "no newer than the attempt" (the cluster's query-cache version stamps)
 // re-capture there, so a retried round trip cannot carry a stamp taken
 // before an intervening write.
@@ -369,48 +323,11 @@ func (p *Pool[T]) DoNotify(retry bool, isBroken func(error) bool, onAttempt func
 			p.timeoutNanos.Add(time.Since(opStart).Nanoseconds())
 			return err // possibly delivered — retrying could double-apply
 		}
-		if !retry || attempt+1 >= p.attempts {
+		if !retry || attempt >= 1 {
 			return err
 		}
 		prev = err
 		p.retries.Add(1)
-		if attempt >= 1 {
-			p.sleepBackoff(attempt - 1)
-		}
-	}
-}
-
-// backoffDelay computes the nth backoff: backoffBase·2^n (capped at
-// backoffCap) plus up to 50% jitter. Jitter de-synchronizes the retrying
-// borrowers of a shared pool so a recovered peer sees a ramp, not a
-// thundering herd; with Config.RetrySeed set it comes from the pool's
-// private generator, so the delay sequence replays exactly.
-func (p *Pool[T]) backoffDelay(n int) time.Duration {
-	d := p.backoffBase << n
-	if d > p.backoffCap || d <= 0 {
-		d = p.backoffCap
-	}
-	span := int64(d)/2 + 1
-	if p.rng != nil {
-		p.rngMu.Lock()
-		d += time.Duration(p.rng.Int64N(span))
-		p.rngMu.Unlock()
-	} else {
-		d += time.Duration(rand.Int64N(span))
-	}
-	return d
-}
-
-// sleepBackoff blocks for the nth backoff delay, or until the pool closes.
-func (p *Pool[T]) sleepBackoff(n int) {
-	d := p.backoffDelay(n)
-	p.backoffs.Add(1)
-	p.backoffNanos.Add(int64(d))
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-	case <-p.done:
 	}
 }
 
@@ -471,13 +388,10 @@ type Stats struct {
 	// WaitTimeouts counts borrows that gave up after the wait deadline;
 	// OpTimeouts counts Do round trips that failed on an expired
 	// read/write deadline, with TimeoutNanos the time those round trips
-	// burned before expiring; Backoffs/BackoffNanos count the retry
-	// backoff sleeps and the time spent in them.
+	// burned before expiring.
 	WaitTimeouts int64 `json:"wait_timeouts,omitempty"`
 	OpTimeouts   int64 `json:"op_timeouts,omitempty"`
 	TimeoutNanos int64 `json:"timeout_nanos,omitempty"`
-	Backoffs     int64 `json:"backoffs,omitempty"`
-	BackoffNanos int64 `json:"backoff_nanos,omitempty"`
 	// Borrow latency from the reservoir, milliseconds.
 	BorrowMeanMillis float64 `json:"borrow_mean_ms"`
 	BorrowP95Millis  float64 `json:"borrow_p95_ms"`
@@ -512,8 +426,6 @@ func (p *Pool[T]) Stats() Stats {
 		WaitTimeouts:     p.waitTimeouts.Load(),
 		OpTimeouts:       p.opTimeouts.Load(),
 		TimeoutNanos:     p.timeoutNanos.Load(),
-		Backoffs:         p.backoffs.Load(),
-		BackoffNanos:     p.backoffNanos.Load(),
 		BorrowMeanMillis: p.borrow.Mean() * 1000,
 		BorrowP95Millis:  p.borrow.Percentile(95) * 1000,
 		BorrowMaxMillis:  p.borrow.Max() * 1000,
@@ -548,8 +460,6 @@ func Sum(name string, pools []Stats) Stats {
 		agg.WaitTimeouts += ps.WaitTimeouts
 		agg.OpTimeouts += ps.OpTimeouts
 		agg.TimeoutNanos += ps.TimeoutNanos
-		agg.Backoffs += ps.Backoffs
-		agg.BackoffNanos += ps.BackoffNanos
 		if ps.BorrowMeanMillis > agg.BorrowMeanMillis {
 			agg.BorrowMeanMillis = ps.BorrowMeanMillis
 		}
@@ -576,7 +486,5 @@ func (s Stats) Sub(prev Stats) Stats {
 	d.WaitTimeouts -= prev.WaitTimeouts
 	d.OpTimeouts -= prev.OpTimeouts
 	d.TimeoutNanos -= prev.TimeoutNanos
-	d.Backoffs -= prev.Backoffs
-	d.BackoffNanos -= prev.BackoffNanos
 	return d
 }

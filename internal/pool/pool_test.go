@@ -3,7 +3,6 @@ package pool
 import (
 	"errors"
 	"os"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -393,15 +392,12 @@ func TestGetWaitTimeoutDisabled(t *testing.T) {
 	p.Put(c, false)
 }
 
-func TestDoBoundedRetriesWithBackoff(t *testing.T) {
+// TestDoSurfacesSecondFailure: the stale-connection retry is the only one —
+// a peer that fails the fresh connection too is down, and the error surfaces
+// after exactly two attempts.
+func TestDoSurfacesSecondFailure(t *testing.T) {
 	h := &harness{}
-	p := New(Config[*fakeConn]{
-		Name:          "test",
-		Dial:          func() (*fakeConn, error) { return &fakeConn{id: int(h.dials.Add(1))}, nil },
-		Size:          2,
-		RetryAttempts: 3,
-		RetryBackoff:  time.Millisecond,
-	})
+	p := h.pool(2)
 	defer p.Close()
 	attempts := 0
 	failure := errors.New("transport down")
@@ -409,19 +405,11 @@ func TestDoBoundedRetriesWithBackoff(t *testing.T) {
 		attempts++
 		return failure
 	})
-	if !errors.Is(err, failure) {
-		t.Fatalf("err = %v, want the transport error", err)
+	if !errors.Is(err, failure) || attempts != 2 {
+		t.Fatalf("err=%v attempts=%d, want the transport error after one retry", err, attempts)
 	}
-	if attempts != 4 { // 1 try + 3 retries
-		t.Fatalf("attempts = %d, want 4", attempts)
-	}
-	s := p.Stats()
-	if s.Retries != 3 || s.Discards != 4 {
-		t.Fatalf("stats = %+v, want 3 retries / 4 discards", s)
-	}
-	// First retry is immediate; the remaining two back off.
-	if s.Backoffs != 2 || s.BackoffNanos <= 0 {
-		t.Fatalf("stats = %+v, want 2 counted backoff sleeps", s)
+	if s := p.Stats(); s.Retries != 1 || s.Discards != 2 {
+		t.Fatalf("stats = %+v, want 1 retry / 2 discards", s)
 	}
 }
 
@@ -445,59 +433,6 @@ func TestDoNeverRetriesTimeouts(t *testing.T) {
 	s := p.Stats()
 	if s.Retries != 0 || s.OpTimeouts != 1 || s.Discards != 1 {
 		t.Fatalf("stats = %+v, want 0 retries / 1 op timeout / 1 discard", s)
-	}
-}
-
-// TestRetryAttemptsNegativeDisablesRetries: negative RetryAttempts means
-// "no retries at all", mirroring the Timeouts negative-disables convention
-// — the config-level escape hatch for strictly non-idempotent traffic.
-func TestRetryAttemptsNegativeDisablesRetries(t *testing.T) {
-	h := &harness{}
-	p := New(Config[*fakeConn]{
-		Name:          "test",
-		Dial:          func() (*fakeConn, error) { return &fakeConn{id: int(h.dials.Add(1))}, nil },
-		Size:          1,
-		RetryAttempts: -1,
-	})
-	defer p.Close()
-	attempts := 0
-	err := p.Do(true, nil, func(c *fakeConn) error {
-		attempts++
-		return errors.New("transport down")
-	})
-	if err == nil || attempts != 1 {
-		t.Fatalf("err=%v attempts=%d, want a single attempt with retries disabled", err, attempts)
-	}
-	if s := p.Stats(); s.Retries != 0 {
-		t.Fatalf("retries = %d, want 0", s.Retries)
-	}
-}
-
-// TestSeededBackoffJitterReplays: with RetrySeed set, the backoff delay
-// sequence is a pure function of the seed, so a fault-injection run that
-// depends on retry timing replays exactly.
-func TestSeededBackoffJitterReplays(t *testing.T) {
-	mk := func(seed uint64) *Pool[*fakeConn] {
-		p := New(Config[*fakeConn]{
-			Name:      "test",
-			Dial:      func() (*fakeConn, error) { return &fakeConn{}, nil },
-			RetrySeed: seed,
-		})
-		t.Cleanup(p.Close)
-		return p
-	}
-	a, b, c := mk(7), mk(7), mk(8)
-	var da, db, dc []time.Duration
-	for i := 0; i < 32; i++ {
-		da = append(da, a.backoffDelay(i%4))
-		db = append(db, b.backoffDelay(i%4))
-		dc = append(dc, c.backoffDelay(i%4))
-	}
-	if !slices.Equal(da, db) {
-		t.Fatalf("same seed must replay the same backoff sequence:\n%v\n%v", da, db)
-	}
-	if slices.Equal(da, dc) {
-		t.Fatal("different seeds should draw different jitter sequences")
 	}
 }
 

@@ -8,6 +8,9 @@
 // The engine-side lock manager is the container's analog of the Java
 // synchronization the paper's "(sync)" configurations use to move table
 // locking out of the database (§2.2).
+//
+// The database client is a cluster.Client built from Config.DB, a
+// cluster.Config the container passes through untouched.
 package servlet
 
 import (
@@ -18,7 +21,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/ajp"
 	"repro/internal/cluster"
@@ -127,35 +129,11 @@ func (Func) Destroy() {}
 
 // Config configures a container.
 type Config struct {
-	// DBAddr is the database DSN: one wire address, a comma-separated
-	// replica list ("host:p1,host:p2") for a read-one-write-all cluster,
-	// or semicolon-separated shard groups of replica lists
-	// ("s0r0,s0r1;s1r0,s1r1") for a horizontally partitioned tier.
-	// Empty means the container's servlets do not use a database (tests).
-	DBAddr string
-	// DBShardBy maps table name -> partitioning column for a sharded
-	// DSN (cluster.Config.ShardBy semantics; ignored without shards).
-	DBShardBy map[string]string
-	// DBPoolSize bounds concurrent database connections per replica
-	// (default 12, the value the perfsim calibration uses).
-	DBPoolSize int
-	// DBStrictWrites selects the cluster's strict write policy: a write
-	// errors when any replica fails mid-broadcast instead of continuing on
-	// the survivors.
-	DBStrictWrites bool
-	// DBTimeouts bounds the cluster transport: dial, per-statement round
-	// trip, and pool-wait deadlines (pool.Timeouts semantics — zero fields
-	// take the transport defaults, negative disables).
-	DBTimeouts pool.Timeouts
-	// DBSlowThreshold ejects a replica whose broadcast acks lag the
-	// fastest replica by more than this (0: disabled).
-	DBSlowThreshold time.Duration
-	// DBSyncTimeout bounds a rejoining replica's data copy (cluster.Config
-	// semantics: 0 is the cluster default, negative is unbounded).
-	DBSyncTimeout time.Duration
-	// DBQueryCache bounds the cluster client's query-result cache in
-	// entries (0 disables; cluster.Config.QueryCache semantics).
-	DBQueryCache int
+	// DB configures the container's database client — DSN, pool size,
+	// write policy, deadlines, query cache: cluster.Config documents each,
+	// and is the one place a setting is declared. An empty DB.DSN means the
+	// container's servlets do not use a database (presentation tiers, tests).
+	DB cluster.Config
 	// Route names this container in a load-balanced application tier (the
 	// jvmRoute of the paper's sticky-session setups): session ids carry it
 	// as a ".route" suffix, and the front-end balancer (internal/lb) pins a
@@ -234,17 +212,8 @@ func NewContainer(cfg Config) *Container {
 		Locks:    locks,
 		Sessions: sm,
 	}
-	if cfg.DBAddr != "" {
-		ctx.DB = cluster.NewWithConfig(cluster.Config{
-			DSN:           cfg.DBAddr,
-			ShardBy:       cfg.DBShardBy,
-			PoolSize:      cfg.DBPoolSize,
-			StrictWrites:  cfg.DBStrictWrites,
-			Timeouts:      cfg.DBTimeouts,
-			SlowThreshold: cfg.DBSlowThreshold,
-			SyncTimeout:   cfg.DBSyncTimeout,
-			QueryCache:    cfg.DBQueryCache,
-		})
+	if cfg.DB.DSN != "" {
+		ctx.DB = cluster.NewWithConfig(cfg.DB)
 	}
 	return &Container{ctx: ctx, mux: httpd.NewMux()}
 }

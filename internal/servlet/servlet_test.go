@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/ajp"
+	"repro/internal/cluster"
 	"repro/internal/httpd"
 	"repro/internal/sqldb"
 	"repro/internal/sqldb/wire"
@@ -90,7 +91,7 @@ func TestContainerWithDatabase(t *testing.T) {
 	}
 	defer dbsrv.Close()
 
-	c := NewContainer(Config{DBAddr: dbAddr.String(), DBPoolSize: 4})
+	c := NewContainer(Config{DB: cluster.Config{DSN: dbAddr.String(), PoolSize: 4}})
 	c.Register("/q", Func(func(ctx *Context, req *httpd.Request) (*httpd.Response, error) {
 		res, err := ctx.DB.Exec("SELECT v FROM t WHERE id = ?", sqldb.Int(1))
 		if err != nil {

@@ -1,0 +1,176 @@
+package telemetry
+
+import (
+	"encoding/json"
+	"fmt"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/pool"
+)
+
+// fill gives every field of the struct v — embedded structs and the pool
+// snapshot behind a pointer included — a distinct non-zero value counting up
+// from *next, and fails on a field kind it does not know: a new kind must be
+// given an accumulate rule and a line here before it can ship.
+func fill(t *testing.T, v reflect.Value, next *int64) {
+	t.Helper()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		*next++
+		switch {
+		case f.Kind() == reflect.Int || f.Kind() == reflect.Int64:
+			f.SetInt(*next)
+		case f.Kind() == reflect.Float64:
+			f.SetFloat(float64(*next))
+		case f.Kind() == reflect.String:
+			f.SetString(fmt.Sprint("s", *next))
+		case f.Kind() == reflect.Bool:
+			f.SetBool(true)
+		case f.Kind() == reflect.Struct:
+			fill(t, f, next)
+		case f.Type() == poolStatsType:
+			p := &pool.Stats{}
+			fill(t, reflect.ValueOf(p).Elem(), next)
+			f.Set(reflect.ValueOf(p))
+		default:
+			t.Fatalf("%s.%s has kind %s: teach accumulate and this test what to do with it",
+				v.Type(), v.Type().Field(i).Name, f.Kind())
+		}
+	}
+}
+
+// filled returns a fully populated snapshot: one tier, one replica, one app
+// backend, values counting up from seed.
+func filled(t *testing.T, seed int64) *Snapshot {
+	t.Helper()
+	s := &Snapshot{Tiers: make([]Tier, 1), Replicas: make([]Replica, 1), AppBackends: make([]AppBackend, 1)}
+	fill(t, reflect.ValueOf(&s.Tiers[0]).Elem(), &seed)
+	fill(t, reflect.ValueOf(&s.Replicas[0]).Elem(), &seed)
+	fill(t, reflect.ValueOf(&s.AppBackends[0]).Elem(), &seed)
+	return s
+}
+
+// checkAccumulated walks got (the result of a += sign·b) against a and b by
+// the rules accumulate documents: int64 counters moved by sign·b, bools set,
+// gauges, names and topology figures still a's, the pool combined by the
+// pool package (spot-checked on one counter, one gauge and the name).
+func checkAccumulated(t *testing.T, path string, got, a, b reflect.Value, sign int64) {
+	t.Helper()
+	for i := 0; i < got.NumField(); i++ {
+		name := path + "." + got.Type().Field(i).Name
+		g, av, bv := got.Field(i), a.Field(i), b.Field(i)
+		switch {
+		case g.Kind() == reflect.Int64:
+			if want := av.Int() + sign*bv.Int(); g.Int() != want {
+				t.Errorf("%s = %d, want counter %d%+d", name, g.Int(), av.Int(), sign*bv.Int())
+			}
+		case g.Kind() == reflect.Bool:
+			if !g.Bool() {
+				t.Errorf("%s cleared", name)
+			}
+		case g.Kind() == reflect.Int || g.Kind() == reflect.String:
+			if !g.Equal(av) {
+				t.Errorf("%s = %v, want the receiver's %v kept", name, g, av)
+			}
+		case g.Kind() == reflect.Struct:
+			checkAccumulated(t, name, g, av, bv, sign)
+		case g.Type() == poolStatsType:
+			gp, ap, bp := g.Interface().(*pool.Stats), av.Interface().(*pool.Stats), bv.Interface().(*pool.Stats)
+			if gp == ap {
+				t.Errorf("%s still points at the input's pool snapshot", name)
+			}
+			if gp.Gets != ap.Gets+sign*bp.Gets || gp.Name != ap.Name {
+				t.Errorf("%s = %+v, want gets %d%+d under the receiver's name", name, gp, ap.Gets, sign*bp.Gets)
+			}
+			if sign < 0 && gp.Capacity != ap.Capacity {
+				t.Errorf("%s capacity = %d, want the receiver's gauge %d kept", name, gp.Capacity, ap.Capacity)
+			}
+		default:
+			t.Fatalf("%s has kind %s: no rule checked", name, g.Kind())
+		}
+	}
+}
+
+// TestAccumulateCoversEveryField populates every field of Tier, Replica and
+// AppBackend by reflection and holds Add and Delta to accumulate's rules
+// field by field, so a counter added to any of the structs is summed and
+// windowed without anyone writing a line for it — and a field of a kind the
+// rules do not cover fails here instead of being skipped.
+func TestAccumulateCoversEveryField(t *testing.T) {
+	a, b := filled(t, 1000), filled(t, 100)
+	// Delta pairs rows by name / id.
+	b.Tiers[0].Name, b.Replicas[0].ID, b.AppBackends[0].ID = a.Tiers[0].Name, a.Replicas[0].ID, a.AppBackends[0].ID
+
+	sum := filled(t, 1000)
+	Add(&sum.Tiers[0], b.Tiers[0])
+	Add(&sum.Replicas[0], b.Replicas[0])
+	Add(&sum.AppBackends[0], b.AppBackends[0])
+	for _, c := range []struct {
+		name string
+		got  *Snapshot
+		sign int64
+	}{{"Add", sum, +1}, {"Delta", a.Delta(b), -1}} {
+		checkAccumulated(t, c.name+" Tier", reflect.ValueOf(c.got.Tiers[0]), reflect.ValueOf(a.Tiers[0]), reflect.ValueOf(b.Tiers[0]), c.sign)
+		checkAccumulated(t, c.name+" Replica", reflect.ValueOf(c.got.Replicas[0]), reflect.ValueOf(a.Replicas[0]), reflect.ValueOf(b.Replicas[0]), c.sign)
+		checkAccumulated(t, c.name+" AppBackend", reflect.ValueOf(c.got.AppBackends[0]), reflect.ValueOf(a.AppBackends[0]), reflect.ValueOf(b.AppBackends[0]), c.sign)
+	}
+	if self := a.Delta(a).Tiers[0]; self.Broadcasts != 0 || self.Requests != 0 || self.Pool.Gets != 0 {
+		t.Errorf("a snapshot's delta against itself keeps counters: %+v", self)
+	}
+
+	// The latch ORs in from either side of an Add; a Delta reports the
+	// current state, not the previous one's.
+	var latch ClusterStats
+	Add(&latch, ClusterStats{Degraded: true})
+	if !latch.Degraded {
+		t.Error("Add did not OR the Degraded latch in")
+	}
+	cleared := filled(t, 1000)
+	cleared.Tiers[0].Degraded = false
+	if cleared.Delta(a).Tiers[0].Degraded {
+		t.Error("Delta took Degraded from the previous snapshot")
+	}
+	// A row the other side has no pool for keeps its own.
+	b.Tiers[0].Pool = nil
+	if got := a.Delta(b).Tiers[0].Pool; got != a.Tiers[0].Pool {
+		t.Errorf("Delta against a pool-less row replaced the pool: %+v", got)
+	}
+}
+
+// TestStatusJSONKeysStable pins the /status key set of a tier, a replica
+// and an app-backend object to the list the hand-declared structs produced
+// before ClusterStats was embedded in Tier: embedding must flatten into the
+// same keys, or cmd/loadgen and anything else decoding the payload breaks.
+func TestStatusJSONKeysStable(t *testing.T) {
+	var m map[string]any
+	if err := json.Unmarshal(filled(t, 100).JSON(), &m); err != nil {
+		t.Fatal(err)
+	}
+	keys := func(obj any) string {
+		var ks []string
+		for k := range obj.(map[string]any) {
+			ks = append(ks, k)
+		}
+		sort.Strings(ks)
+		return strings.Join(ks, " ")
+	}
+	first := func(list string) any { return m[list].([]any)[0] }
+	for _, c := range []struct{ what, got, want string }{
+		{"tier", keys(first("tiers")),
+			"aborts broadcast_acks broadcasts bytes commits deadlock_timeouts degraded degraded_entries degraded_exits degraded_rejects downstream loads lock_bypasses name page_cache_bypasses page_cache_hits page_cache_invalidations page_cache_misses plan_hits plan_misses pool prepared_execs queries query_cache_bypasses query_cache_hits query_cache_invalidations query_cache_misses readonly_txns requests shard_2pc_txns shard_broadcast shard_scatter shard_single shards slow_ejections snapshot_reads snapshot_refreshes stores text_execs txn_lock_wait_nanos wal_appends wal_bytes wal_checkpoints wal_delta_stmts wal_delta_syncs wal_fsyncs wal_full_syncs wal_recoveries"},
+		{"replica", keys(first("replicas")),
+			"addr checkpoints ejections healthy id lag_nanos pool queries reads recoveries shard wal_appends wal_bytes wal_fsyncs writes"},
+		{"app backend", keys(first("app_backends")),
+			"affinity ejections errors failovers healthy id in_flight pool requests routed"},
+		// The pool object lost backoff_nanos and backoffs with the backoff itself.
+		{"pool", keys(first("tiers").(map[string]any)["pool"]),
+			"borrow_max_ms borrow_mean_ms borrow_p95_ms capacity dials discards gets idle in_use name op_timeouts retries timeout_nanos wait_nanos wait_timeouts waits"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s keys changed:\n got %s\nwant %s", c.what, c.got, c.want)
+		}
+	}
+}

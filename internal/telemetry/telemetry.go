@@ -7,17 +7,72 @@
 // The package is a leaf so every layer can speak the same type:
 // core.Lab builds snapshots and serves them as JSON on /status,
 // workload.Report embeds a windowed delta, and cmd/loadgen decodes the
-// JSON from a remote server.
+// JSON from a remote server. A counter that crosses tiers is declared here
+// once: the cluster client fills a ClusterStats (cluster.ClientStats is this
+// type) and the Tier row of whichever tier owns the client embeds it, so
+// nothing in between copies fields. Add and Delta (accumulate, below) are
+// the only code that combines rows, and they walk the struct.
 package telemetry
 
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"time"
 
 	"repro/internal/pool"
 )
+
+// ClusterStats is the cluster client's counters (internal/cluster fills it;
+// cluster.ClientStats is this type). To add one: declare the field here, and
+// count it in the cluster package where ClientStats() is assembled.
+type ClusterStats struct {
+	// Broadcasts counts statements fanned out to all replicas concurrently,
+	// BroadcastAcks the replica acknowledgements they gathered (acks ÷
+	// broadcasts ≈ replicas reached per write), and ReadOnlyTxns the
+	// transactions that declared themselves read-only and skipped the
+	// write-order locks entirely.
+	Broadcasts    int64 `json:"broadcasts,omitempty"`
+	BroadcastAcks int64 `json:"broadcast_acks,omitempty"`
+	ReadOnlyTxns  int64 `json:"readonly_txns,omitempty"`
+	// Robustness counters. The transport-level figures — operation deadlines
+	// hit, pool-wait timeouts — live in Tier.Pool; these are the routing-level
+	// ones: replicas ejected for lagging the broadcast pack, and the
+	// strict-write degraded (read-only) mode's entries, exits, and fast-failed
+	// writes. Degraded is the latch itself: true while the cluster (any
+	// shard, any backend's client) is read-only right now.
+	SlowEjections   int64 `json:"slow_ejections,omitempty"`
+	DegradedEntries int64 `json:"degraded_entries,omitempty"`
+	DegradedExits   int64 `json:"degraded_exits,omitempty"`
+	DegradedRejects int64 `json:"degraded_rejects,omitempty"`
+	Degraded        bool  `json:"degraded,omitempty"`
+	// Sharding counters (a client fronting a horizontally partitioned
+	// database tier): Shards is the shard-group count, ShardSingle the
+	// statements routed to exactly one owning shard, ShardScatter the reads
+	// fanned to every shard and merged client-side, ShardBroadcast the
+	// keyless writes/DDL sent everywhere, and Shard2PCTxns the transactions
+	// that touched several shards and committed through two-phase commit.
+	Shards         int   `json:"shards,omitempty"`
+	ShardSingle    int64 `json:"shard_single,omitempty"`
+	ShardScatter   int64 `json:"shard_scatter,omitempty"`
+	ShardBroadcast int64 `json:"shard_broadcast,omitempty"`
+	Shard2PCTxns   int64 `json:"shard_2pc_txns,omitempty"`
+	// Query-result cache (DESIGN.md §10; zero when disabled): hits were
+	// served without touching the database tier, invalidations are entries
+	// dropped because a referenced table's commit-time version moved, and
+	// bypasses are reads forced live because the session's transaction
+	// write-held a referenced table.
+	QueryCacheHits          int64 `json:"query_cache_hits,omitempty"`
+	QueryCacheMisses        int64 `json:"query_cache_misses,omitempty"`
+	QueryCacheInvalidations int64 `json:"query_cache_invalidations,omitempty"`
+	QueryCacheBypasses      int64 `json:"query_cache_bypasses,omitempty"`
+	// Rejoin data copies by path (DESIGN.md §12): log-shipping delta (and
+	// the statements it replayed) versus full table copy.
+	WALDeltaSyncs int64 `json:"wal_delta_syncs,omitempty"`
+	WALFullSyncs  int64 `json:"wal_full_syncs,omitempty"`
+	WALDeltaStmts int64 `json:"wal_delta_stmts,omitempty"`
+}
 
 // Tier is one tier's counters. The Pool is the tier's client-side pool to
 // the tier below it, so its wait time measures downstream saturation as
@@ -59,70 +114,27 @@ type Tier struct {
 	SnapshotReads     int64 `json:"snapshot_reads,omitempty"`
 	LockBypasses      int64 `json:"lock_bypasses,omitempty"`
 	SnapshotRefreshes int64 `json:"snapshot_refreshes,omitempty"`
-	// Replica-coordination counters (tiers that own a cluster client):
-	// Broadcasts counts statements fanned out to all replicas concurrently,
-	// BroadcastAcks the replica acknowledgements they gathered (acks ÷
-	// broadcasts ≈ replicas reached per write), and ReadOnlyTxns the
-	// transactions that declared themselves read-only and skipped the
-	// write-order locks entirely.
-	Broadcasts    int64 `json:"broadcasts,omitempty"`
-	BroadcastAcks int64 `json:"broadcast_acks,omitempty"`
-	ReadOnlyTxns  int64 `json:"readonly_txns,omitempty"`
-	// Robustness counters (tiers that own a cluster client). The transport-
-	// level figures — operation deadlines hit, pool-wait timeouts, retry
-	// backoff sleeps — live in Pool; these are the routing-level ones:
-	// replicas ejected for lagging the broadcast pack, and the strict-write
-	// degraded (read-only) mode's entries, exits, and fast-failed writes.
-	// Degraded is a gauge: true while the cluster is read-only right now.
-	SlowEjections   int64 `json:"slow_ejections,omitempty"`
-	DegradedEntries int64 `json:"degraded_entries,omitempty"`
-	DegradedExits   int64 `json:"degraded_exits,omitempty"`
-	DegradedRejects int64 `json:"degraded_rejects,omitempty"`
-	Degraded        bool  `json:"degraded,omitempty"`
-	// Sharding counters (tiers whose cluster client fronts a horizontally
-	// partitioned database tier): Shards is the shard-group count,
-	// ShardSingle the statements routed to exactly one owning shard,
-	// ShardScatter the reads fanned to every shard and merged client-side,
-	// ShardBroadcast the keyless writes/DDL sent everywhere, and
-	// Shard2PCTxns the transactions that touched several shards and
-	// committed through two-phase commit.
-	Shards         int   `json:"shards,omitempty"`
-	ShardSingle    int64 `json:"shard_single,omitempty"`
-	ShardScatter   int64 `json:"shard_scatter,omitempty"`
-	ShardBroadcast int64 `json:"shard_broadcast,omitempty"`
-	Shard2PCTxns   int64 `json:"shard_2pc_txns,omitempty"`
-	// Caching-tier counters (DESIGN.md §10). The query-result cache lives
-	// in the tier that owns the cluster client (servlet or ejb): hits were
-	// served without touching the database tier, invalidations are entries
-	// dropped because a referenced table's commit-time version moved, and
-	// bypasses are reads forced live because the session's transaction
-	// write-held a referenced table. The page cache lives in the web tier:
-	// hits were served without touching the app tier at all. A tier below
-	// a hot cache sees only the miss traffic — the Format verdict annotates
-	// the bottleneck line so the shrunken load is not misread.
-	QueryCacheHits          int64 `json:"query_cache_hits,omitempty"`
-	QueryCacheMisses        int64 `json:"query_cache_misses,omitempty"`
-	QueryCacheInvalidations int64 `json:"query_cache_invalidations,omitempty"`
-	QueryCacheBypasses      int64 `json:"query_cache_bypasses,omitempty"`
-	PageCacheHits           int64 `json:"page_cache_hits,omitempty"`
-	PageCacheMisses         int64 `json:"page_cache_misses,omitempty"`
-	PageCacheInvalidations  int64 `json:"page_cache_invalidations,omitempty"`
-	PageCacheBypasses       int64 `json:"page_cache_bypasses,omitempty"`
-	// Durability counters (DESIGN.md §12). For the database tier these
-	// aggregate the replicas' write-ahead logs: record batches appended,
-	// fsyncs issued (appends ÷ fsyncs is the group-commit amortization),
-	// log bytes written, checkpoints taken, and boot-time recoveries. For
-	// a tier that owns a cluster client, the WALDelta*/WALFull* counters
-	// split rejoin data copies by path: log-shipping delta (and the
-	// statements it replayed) versus full table copy.
+	// ClusterStats is the tier's cluster client (servlet or ejb; summed over
+	// a replicated tier's backends). Its fields are promoted, in Go and in
+	// the JSON alike.
+	ClusterStats
+	// The HTTP page cache (DESIGN.md §10) lives in the web tier: hits were
+	// served without touching the app tier at all. A tier below a hot cache
+	// sees only the miss traffic — the Format verdict annotates the
+	// bottleneck line so the shrunken load is not misread.
+	PageCacheHits          int64 `json:"page_cache_hits,omitempty"`
+	PageCacheMisses        int64 `json:"page_cache_misses,omitempty"`
+	PageCacheInvalidations int64 `json:"page_cache_invalidations,omitempty"`
+	PageCacheBypasses      int64 `json:"page_cache_bypasses,omitempty"`
+	// Durability counters (DESIGN.md §12), aggregated over the database
+	// tier's write-ahead logs: record batches appended, fsyncs issued
+	// (appends ÷ fsyncs is the group-commit amortization), log bytes written,
+	// checkpoints taken, and boot-time recoveries.
 	WALAppends     int64 `json:"wal_appends,omitempty"`
 	WALFsyncs      int64 `json:"wal_fsyncs,omitempty"`
 	WALBytes       int64 `json:"wal_bytes,omitempty"`
 	WALCheckpoints int64 `json:"wal_checkpoints,omitempty"`
 	WALRecoveries  int64 `json:"wal_recoveries,omitempty"`
-	WALDeltaSyncs  int64 `json:"wal_delta_syncs,omitempty"`
-	WALFullSyncs   int64 `json:"wal_full_syncs,omitempty"`
-	WALDeltaStmts  int64 `json:"wal_delta_stmts,omitempty"`
 	// Downstream names the tier Pool dials into. Pool wait time is
 	// evidence that *that* tier's connections are all busy, so
 	// Bottleneck charges the wait there, not to the pool's holder.
@@ -181,7 +193,7 @@ type AppBackend struct {
 	Ejections int64  `json:"ejections,omitempty"`
 	// InFlight is the balancer's requests-outstanding gauge at snapshot
 	// time — the least-in-flight routing signal.
-	InFlight int64 `json:"in_flight"`
+	InFlight int `json:"in_flight"`
 	// Requests is the backend container's own served count (container-side
 	// view; 0 when the snapshot was taken from the balancer side only).
 	Requests int64 `json:"requests,omitempty"`
@@ -214,103 +226,89 @@ func (s *Snapshot) Tier(name string) *Tier {
 }
 
 // Delta returns the per-tier counter differences s−prev (for counters
-// accumulated since boot), keeping s's gauges. Tiers missing from prev
-// pass through unchanged.
+// accumulated since boot), keeping s's gauges. Tiers, replicas and backends
+// missing from prev pass through unchanged.
 func (s *Snapshot) Delta(prev *Snapshot) *Snapshot {
+	if prev == nil {
+		prev = &Snapshot{}
+	}
 	out := &Snapshot{Arch: s.Arch, Benchmark: s.Benchmark}
 	for _, t := range s.Tiers {
-		if prev != nil {
-			if pt := prev.Tier(t.Name); pt != nil {
-				t.Requests -= pt.Requests
-				t.Queries -= pt.Queries
-				t.Loads -= pt.Loads
-				t.Stores -= pt.Stores
-				t.Bytes -= pt.Bytes
-				t.PreparedExecs -= pt.PreparedExecs
-				t.TextExecs -= pt.TextExecs
-				t.PlanHits -= pt.PlanHits
-				t.PlanMisses -= pt.PlanMisses
-				t.Commits -= pt.Commits
-				t.Aborts -= pt.Aborts
-				t.DeadlockTimeouts -= pt.DeadlockTimeouts
-				t.TxnLockWaitNanos -= pt.TxnLockWaitNanos
-				t.SnapshotReads -= pt.SnapshotReads
-				t.LockBypasses -= pt.LockBypasses
-				t.SnapshotRefreshes -= pt.SnapshotRefreshes
-				t.Broadcasts -= pt.Broadcasts
-				t.BroadcastAcks -= pt.BroadcastAcks
-				t.ReadOnlyTxns -= pt.ReadOnlyTxns
-				t.SlowEjections -= pt.SlowEjections
-				t.DegradedEntries -= pt.DegradedEntries
-				t.DegradedExits -= pt.DegradedExits
-				t.DegradedRejects -= pt.DegradedRejects
-				t.ShardSingle -= pt.ShardSingle
-				t.ShardScatter -= pt.ShardScatter
-				t.ShardBroadcast -= pt.ShardBroadcast
-				t.Shard2PCTxns -= pt.Shard2PCTxns
-				t.QueryCacheHits -= pt.QueryCacheHits
-				t.QueryCacheMisses -= pt.QueryCacheMisses
-				t.QueryCacheInvalidations -= pt.QueryCacheInvalidations
-				t.QueryCacheBypasses -= pt.QueryCacheBypasses
-				t.PageCacheHits -= pt.PageCacheHits
-				t.PageCacheMisses -= pt.PageCacheMisses
-				t.PageCacheInvalidations -= pt.PageCacheInvalidations
-				t.PageCacheBypasses -= pt.PageCacheBypasses
-				t.WALAppends -= pt.WALAppends
-				t.WALFsyncs -= pt.WALFsyncs
-				t.WALBytes -= pt.WALBytes
-				t.WALCheckpoints -= pt.WALCheckpoints
-				t.WALRecoveries -= pt.WALRecoveries
-				t.WALDeltaSyncs -= pt.WALDeltaSyncs
-				t.WALFullSyncs -= pt.WALFullSyncs
-				t.WALDeltaStmts -= pt.WALDeltaStmts
-				if t.Pool != nil && pt.Pool != nil {
-					d := t.Pool.Sub(*pt.Pool)
-					t.Pool = &d
-				}
-			}
+		if pt := prev.Tier(t.Name); pt != nil {
+			sub(&t, *pt)
 		}
 		out.Tiers = append(out.Tiers, t)
 	}
 	for _, r := range s.Replicas {
-		if prev != nil {
-			if pr := prev.Replica(r.ID); pr != nil {
-				r.Reads -= pr.Reads
-				r.Writes -= pr.Writes
-				r.Ejections -= pr.Ejections
-				r.LagNanos -= pr.LagNanos
-				r.Queries -= pr.Queries
-				r.WALAppends -= pr.WALAppends
-				r.WALFsyncs -= pr.WALFsyncs
-				r.WALBytes -= pr.WALBytes
-				r.Checkpoints -= pr.Checkpoints
-				r.Recoveries -= pr.Recoveries
-				if r.Pool != nil && pr.Pool != nil {
-					d := r.Pool.Sub(*pr.Pool)
-					r.Pool = &d
-				}
-			}
+		if pr := prev.Replica(r.ID); pr != nil {
+			sub(&r, *pr)
 		}
 		out.Replicas = append(out.Replicas, r)
 	}
 	for _, a := range s.AppBackends {
-		if prev != nil {
-			if pa := prev.AppBackend(a.ID); pa != nil {
-				a.Routed -= pa.Routed
-				a.Affinity -= pa.Affinity
-				a.Failovers -= pa.Failovers
-				a.Errors -= pa.Errors
-				a.Ejections -= pa.Ejections
-				a.Requests -= pa.Requests
-				if a.Pool != nil && pa.Pool != nil {
-					d := a.Pool.Sub(*pa.Pool)
-					a.Pool = &d
-				}
-			}
+		if pa := prev.AppBackend(a.ID); pa != nil {
+			sub(&a, *pa)
 		}
 		out.AppBackends = append(out.AppBackends, a)
 	}
 	return out
+}
+
+// Add sums src into dst — two backends' rows for one tier, two clients'
+// views of one replica, a shard's ClusterStats into its client's. T is
+// ClusterStats or one of the Snapshot row types.
+func Add[T any](dst *T, src T) {
+	accumulate(reflect.ValueOf(dst).Elem(), reflect.ValueOf(src), +1)
+}
+
+func sub[T any](dst *T, prev T) {
+	accumulate(reflect.ValueOf(dst).Elem(), reflect.ValueOf(prev), -1)
+}
+
+var poolStatsType = reflect.TypeOf((*pool.Stats)(nil))
+
+// accumulate is the one rule for combining two rows of the same struct type,
+// dst += sign·src, field by field (it runs when a snapshot is taken, never
+// per request):
+//
+//   - int64 fields are cumulative counters: they add, or subtract for a Delta.
+//   - bool fields OR on add — the Degraded latch: one contributor suffices to
+//     set it — and a Delta keeps dst's, the current state. (Healthy means the
+//     opposite, so core ANDs it itself when it merges clients' replica views.)
+//   - int and string fields are gauges, topology figures, ids and names:
+//     dst's value stands.
+//   - *pool.Stats follows the pool package's own rules (Sum, Sub — gauges and
+//     latency estimates included); a nil side leaves dst's pointer alone.
+//   - embedded structs recurse.
+//
+// Any other kind panics: a new float64 or nested type must be given a rule
+// here before it can ship (TestAccumulateCoversEveryField).
+func accumulate(dst, src reflect.Value, sign int64) {
+	for i := 0; i < dst.NumField(); i++ {
+		d, s := dst.Field(i), src.Field(i)
+		if d.Type() == poolStatsType {
+			if dp, sp := d.Interface().(*pool.Stats), s.Interface().(*pool.Stats); dp != nil && sp != nil {
+				// A fresh value: dst may share its pointer with the snapshot it was copied from.
+				sum := dp.Sub(*sp)
+				if sign > 0 {
+					sum = pool.Sum(dp.Name, []pool.Stats{*dp, *sp})
+				}
+				d.Set(reflect.ValueOf(&sum))
+			}
+			continue
+		}
+		switch d.Kind() {
+		case reflect.Int64:
+			d.SetInt(d.Int() + sign*s.Int())
+		case reflect.Bool:
+			d.SetBool(d.Bool() || (sign > 0 && s.Bool()))
+		case reflect.Int, reflect.String:
+		case reflect.Struct:
+			accumulate(d, s, sign)
+		default:
+			panic(fmt.Sprintf("telemetry: no accumulate rule for %s.%s (%s)", dst.Type(), dst.Type().Field(i).Name, d.Type()))
+		}
+	}
 }
 
 // AppBackend returns the application backend with the given id, or nil.
@@ -500,16 +498,15 @@ func (s *Snapshot) Format() string {
 	}
 	for _, t := range s.Tiers {
 		p := t.Pool
-		if p == nil || (p.OpTimeouts == 0 && p.WaitTimeouts == 0 && p.Backoffs == 0) {
+		if p == nil || (p.OpTimeouts == 0 && p.WaitTimeouts == 0) {
 			continue
 		}
 		into := t.Downstream
 		if into == "" {
 			into = t.Name
 		}
-		fmt.Fprintf(&b, "%s->%s faults: %d op timeouts (%s lost), %d pool-wait timeouts, %d backoffs (%s waiting)\n",
-			t.Name, into, p.OpTimeouts, time.Duration(p.TimeoutNanos).Round(time.Microsecond),
-			p.WaitTimeouts, p.Backoffs, time.Duration(p.BackoffNanos).Round(time.Microsecond))
+		fmt.Fprintf(&b, "%s->%s faults: %d op timeouts (%s lost), %d pool-wait timeouts\n",
+			t.Name, into, p.OpTimeouts, time.Duration(p.TimeoutNanos).Round(time.Microsecond), p.WaitTimeouts)
 	}
 	for _, t := range s.Tiers {
 		if t.SlowEjections == 0 && t.DegradedEntries == 0 && t.DegradedRejects == 0 && !t.Degraded {

@@ -130,8 +130,6 @@ func TestDeltaAndFormatDegradedCounters(t *testing.T) {
 	after.Tiers[1].DegradedRejects = 9
 	after.Tiers[1].Degraded = true
 	after.Tiers[1].Pool.WaitTimeouts = 5
-	after.Tiers[1].Pool.Backoffs = 7
-	after.Tiers[1].Pool.BackoffNanos = 2e6
 
 	d := after.Delta(before)
 	sv := d.Tier("servlet")
@@ -145,7 +143,7 @@ func TestDeltaAndFormatDegradedCounters(t *testing.T) {
 	if !strings.Contains(out, "servlet cluster health: 3 slow ejections; degraded mode 1 entries / 1 exits, 9 writes fast-failed [DEGRADED: read-only]") {
 		t.Fatalf("missing cluster-health line:\n%s", out)
 	}
-	if !strings.Contains(out, "5 pool-wait timeouts, 7 backoffs") {
+	if !strings.Contains(out, "5 pool-wait timeouts\n") {
 		t.Fatalf("missing pool fault counters:\n%s", out)
 	}
 }
