@@ -20,10 +20,9 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/auction"
-	"repro/internal/bookstore"
 	"repro/internal/cluster"
 	"repro/internal/pool"
+	"repro/internal/stack"
 )
 
 func main() {
@@ -38,67 +37,19 @@ func main() {
 	flag.Parse()
 	logger := log.New(os.Stderr, "dbinit ", log.LstdFlags)
 
-	shardBy := bookstore.ShardBy()
-	if *benchmark == "auction" {
-		shardBy = auction.ShardBy()
+	app, err := stack.AppByName(*benchmark, *scale)
+	if err != nil {
+		logger.Fatal(err)
 	}
-	cl := cluster.NewWithConfig(cluster.Config{
+	start := time.Now()
+	err = app.SeedCluster(cluster.Config{
 		DSN:      *dbAddr,
-		ShardBy:  shardBy,
 		PoolSize: *poolSize,
 		Timeouts: pool.Timeouts{Op: *opTO},
-	})
-	defer cl.Close()
-
-	start := time.Now()
-	var err error
-	switch *benchmark {
-	case "bookstore":
-		sc, ok := bookScale(*scale)
-		if !ok {
-			logger.Fatalf("unknown scale %q", *scale)
-		}
-		if err = bookstore.CreateSchema(cl); err == nil {
-			err = bookstore.Populate(cl, sc, *seed)
-		}
-	case "auction":
-		sc, ok := auctionScale(*scale)
-		if !ok {
-			logger.Fatalf("unknown scale %q", *scale)
-		}
-		if err = auction.CreateSchema(cl); err == nil {
-			err = auction.Populate(cl, sc, *seed)
-		}
-	default:
-		logger.Fatalf("unknown benchmark %q", *benchmark)
-	}
+	}, *seed)
 	if err != nil {
 		logger.Fatal(err)
 	}
 	fmt.Printf("dbinit: %s (%s scale) seeded via %s in %v\n",
 		*benchmark, *scale, *dbAddr, time.Since(start).Round(time.Millisecond))
-}
-
-func bookScale(name string) (bookstore.Scale, bool) {
-	switch name {
-	case "tiny":
-		return bookstore.TinyScale(), true
-	case "default":
-		return bookstore.DefaultScale(), true
-	case "paper":
-		return bookstore.PaperScale(), true
-	}
-	return bookstore.Scale{}, false
-}
-
-func auctionScale(name string) (auction.Scale, bool) {
-	switch name {
-	case "tiny":
-		return auction.TinyScale(), true
-	case "default":
-		return auction.DefaultScale(), true
-	case "paper":
-		return auction.PaperScale(), true
-	}
-	return auction.Scale{}, false
 }

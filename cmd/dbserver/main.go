@@ -35,13 +35,12 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/auction"
-	"repro/internal/bookstore"
 	"repro/internal/cluster"
 	"repro/internal/pool"
 	"repro/internal/sqldb"
 	"repro/internal/sqldb/walfault"
 	"repro/internal/sqldb/wire"
+	"repro/internal/stack"
 )
 
 func main() {
@@ -71,68 +70,70 @@ func main() {
 		Fault:           fault,
 	}
 
-	db := sqldb.New()
-	recovered := false
-	if *data != "" && sqldb.WALDirHasState(*data) {
-		// The directory already holds a checkpoint or log segments: this is
-		// a restart, and the disk — not the seed — is the source of truth.
-		info, err := db.AttachWAL(walOpts)
-		if err != nil {
-			logger.Fatalf("wal recovery from %s: %v", *data, err)
-		}
-		recovered = true
-		logger.Printf("recovered from %s: checkpoint lsn %d, %d statements replayed to lsn %d (torn tail: %v)",
-			*data, info.CheckpointLSN, info.ReplayedStmts, info.ReplayLSN, info.TornTail)
-	}
-	sess := db.NewSession()
-	local := sqldb.SessionExecer{S: sess}
 	// -scale empty serves a bare engine: a shard group's backend must not
 	// self-populate (every backend would hold every row, and its ids would
 	// not be strided) — schema and data arrive over the wire from a sharded
 	// client instead (cmd/dbinit, or any app tier's population path).
-	if *scale != "empty" && !recovered {
-		switch *benchmark {
-		case "bookstore":
-			if err := bookstore.CreateSchema(local); err != nil {
-				logger.Fatal(err)
-			}
-		case "auction":
-			if err := auction.CreateSchema(local); err != nil {
-				logger.Fatal(err)
-			}
-		default:
-			logger.Fatalf("unknown benchmark %q", *benchmark)
-		}
+	empty := *scale == "empty"
+	appScale := *scale
+	if empty {
+		appScale = "default" // unused: nothing is populated
+	}
+	app, err := stack.AppByName(*benchmark, appScale)
+	if err != nil {
+		logger.Fatalf("%v; dbserver also accepts -scale empty", err)
 	}
 
-	// Initial data: replay a live peer when joining an existing cluster,
+	// Initial data (stack.OpenDB runs it only on a fresh boot, before the
+	// log attaches): replay a live peer when joining an existing cluster,
 	// otherwise populate deterministically from the seed. When -peers was
 	// given, failing to sync is fatal: seeding instead would bring up a
 	// replica that silently diverges from a cluster that has moved past
-	// the seed state. A recovered replica still syncs from its peers — it
-	// was down while they kept committing — but through SyncAuto, which
-	// ships only the missed WAL suffix when the histories still line up.
-	if peerList := cluster.ParseDSN(*peers); len(peerList) > 0 {
-		if !syncFromPeers(logger, local, peerList, *peerOp, *syncTO) {
-			if recovered {
+	// the seed state.
+	peerList := cluster.ParseDSN(*peers)
+	var fill func(sqldb.Execer) error
+	switch {
+	case len(peerList) > 0:
+		fill = func(local sqldb.Execer) error {
+			if !empty {
+				if err := app.CreateSchema(local); err != nil {
+					return err
+				}
+			}
+			if !syncFromPeers(logger, local, peerList, *peerOp, *syncTO) {
+				return fmt.Errorf("no peer in %q reachable; refusing to start from seed data", *peers)
+			}
+			return nil
+		}
+	case !empty:
+		fill = func(local sqldb.Execer) error {
+			logger.Printf("populating %s at %s scale...", app.Name, *scale)
+			return app.Seed(local, *seed)
+		}
+	}
+	db, info, err := stack.OpenDB(walOpts, fill)
+	if err != nil {
+		logger.Fatal(err)
+	}
+	if info.Recovered {
+		// The directory already held a checkpoint or log segments: this is
+		// a restart, and the disk — not the seed — is the source of truth.
+		logger.Printf("recovered from %s: checkpoint lsn %d, %d statements replayed to lsn %d (torn tail: %v)",
+			*data, info.CheckpointLSN, info.ReplayedStmts, info.ReplayLSN, info.TornTail)
+		// A recovered replica still syncs from its peers — it was down
+		// while they kept committing — but through SyncAuto, which ships
+		// only the missed WAL suffix when the histories still line up.
+		if len(peerList) > 0 {
+			sess := db.NewSession()
+			ok := syncFromPeers(logger, sqldb.SessionExecer{S: sess}, peerList, *peerOp, *syncTO)
+			sess.Close()
+			if !ok {
 				logger.Fatalf("no peer in %q reachable; refusing to serve a stale recovered data set", *peers)
 			}
-			logger.Fatalf("no peer in %q reachable; refusing to start from seed data", *peers)
 		}
-	} else if *scale != "empty" && !recovered {
-		populate(logger, local, *benchmark, *scale, *seed)
-	}
-
-	// A fresh durable boot attaches the log only now, so the seed (or peer
-	// copy) lands in the initial checkpoint instead of being replayed
-	// statement by statement on every restart.
-	if *data != "" && !recovered {
-		if _, err := db.AttachWAL(walOpts); err != nil {
-			logger.Fatalf("wal attach at %s: %v", *data, err)
-		}
+	} else if *data != "" {
 		logger.Printf("write-ahead log at %s", *data)
 	}
-	sess.Close()
 
 	srv := wire.NewServer(db, logger)
 	bound, err := srv.Listen(*addr)
@@ -166,7 +167,7 @@ func main() {
 // takes the WAL delta fast path when its log is still a prefix of the
 // peer's; everything else gets the full table copy (cluster.SyncAuto). It
 // reports whether a peer provided the data.
-func syncFromPeers(logger *log.Logger, local sqldb.SessionExecer, peers []string, peerOp, budget time.Duration) bool {
+func syncFromPeers(logger *log.Logger, local sqldb.Execer, peers []string, peerOp, budget time.Duration) bool {
 	for _, peer := range peers {
 		conn, err := wire.DialT(peer, pool.Timeouts{Dial: peerOp, Op: peerOp}.WithDefaults())
 		if err != nil {
@@ -188,35 +189,4 @@ func syncFromPeers(logger *log.Logger, local sqldb.SessionExecer, peers []string
 		return true
 	}
 	return false
-}
-
-func populate(logger *log.Logger, local sqldb.SessionExecer, benchmark, scale string, seed int64) {
-	switch benchmark {
-	case "bookstore":
-		sc := bookstore.DefaultScale()
-		switch scale {
-		case "tiny":
-			sc = bookstore.TinyScale()
-		case "paper":
-			sc = bookstore.PaperScale()
-		}
-		logger.Printf("populating bookstore at %s scale (%d items, %d customers)...",
-			scale, sc.Items, sc.Customers)
-		if err := bookstore.Populate(local, sc, seed); err != nil {
-			logger.Fatal(err)
-		}
-	case "auction":
-		sc := auction.DefaultScale()
-		switch scale {
-		case "tiny":
-			sc = auction.TinyScale()
-		case "paper":
-			sc = auction.PaperScale()
-		}
-		logger.Printf("populating auction at %s scale (%d items, %d users)...",
-			scale, sc.Items, sc.Users)
-		if err := auction.Populate(local, sc, seed); err != nil {
-			logger.Fatal(err)
-		}
-	}
 }

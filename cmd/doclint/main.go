@@ -108,11 +108,13 @@ var flagTokRe = regexp.MustCompile("`-([a-z][a-z0-9-]*)[^`]*`")
 // exists (the LOCK TABLES bracket and its cluster-side routing; the cluster
 // client's sharded method arms, prepared-handle type and byte-scanning
 // scatter rewrite; core's field-by-field counter copy, the pool's retry
-// backoff and the router's token scanner).
+// backoff and the router's token scanner; core's second copy of the
+// assembly and the BENCH_<n>.json perf gate).
 var removedIdents = []string{
 	"execLock", "HoldsLocks", "bracketAll", "kindLock",
 	"shExec", "shBegin", "shCommit", "cluster.Stmt", "Client.Prepare", "topLevelFrom",
 	"addClusterStats", "RetryAttempts", "RetryBackoff", "RetrySeed", "sleepBackoff", "tokenAfter",
+	"seedShards", "staticImages", "bench-gate",
 }
 
 // checkFlagDocs verifies that every backticked `-flag` token on a

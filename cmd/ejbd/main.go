@@ -22,12 +22,9 @@ import (
 	"log"
 	"os"
 
-	"repro/internal/auction"
-	"repro/internal/bookstore"
 	"repro/internal/cluster"
-	"repro/internal/ejb"
-	"repro/internal/rmi"
 	"repro/internal/servlet"
+	"repro/internal/stack"
 )
 
 func main() {
@@ -52,49 +49,23 @@ func main() {
 	flag.Parse()
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 
-	// A sharded -db DSN (semicolon-separated groups) partitions by the
-	// benchmark's own table->column map; tables outside it are global.
-	db.ShardBy = bookstore.ShardBy()
-	if *benchmark == "auction" {
-		db.ShardBy = auction.ShardBy()
+	if err := checkRoute(*route, *ajpAddr); err != nil {
+		logger.Fatal(err)
 	}
-	ec, err := ejb.NewContainer(ejb.Config{DB: db})
+	app, err := stack.AppByName(*benchmark, "default")
 	if err != nil {
 		logger.Fatal(err)
 	}
-	switch *benchmark {
-	case "bookstore":
-		if err := bookstore.RegisterEntities(ec); err != nil {
-			logger.Fatal(err)
-		}
-		if err := ec.RegisterFacade(bookstore.FacadeName, &bookstore.Facade{C: ec}); err != nil {
-			logger.Fatal(err)
-		}
-	case "auction":
-		if err := auction.RegisterEntities(ec); err != nil {
-			logger.Fatal(err)
-		}
-		if err := ec.RegisterFacade(auction.FacadeName, &auction.Facade{C: ec}); err != nil {
-			logger.Fatal(err)
-		}
-	default:
-		logger.Fatalf("unknown benchmark %q", *benchmark)
-	}
-	bound, err := ec.Serve(*addr)
+	// A sharded -db DSN (semicolon-separated groups) partitions by the
+	// benchmark's own table->column map; tables outside it are global.
+	_, bound, err := app.EJBServer(db, *addr)
 	if err != nil {
 		logger.Fatal(err)
 	}
 	fmt.Printf("ejbd: %s façade on RMI %s (db %s)\n", *benchmark, bound, db.DSN)
 
 	if *ajpAddr != "" {
-		client := rmi.NewClientT(bound.String(), db.PoolSize, db.Timeouts)
-		pc := servlet.NewContainer(servlet.Config{Route: *route})
-		switch *benchmark {
-		case "bookstore":
-			bookstore.NewPresentationApp(client, bookstore.DefaultScale()).Register(pc)
-		case "auction":
-			auction.NewPresentationApp(client, auction.DefaultScale()).Register(pc)
-		}
+		_, pc := app.PresentationBackend(bound.String(), db.PoolSize, db.Timeouts, servlet.Config{Route: *route})
 		pbound, err := pc.Start(*ajpAddr)
 		if err != nil {
 			logger.Fatal(err)
@@ -102,4 +73,13 @@ func main() {
 		fmt.Printf("ejbd: presentation servlets on AJP %s\n", pbound)
 	}
 	select {}
+}
+
+// checkRoute rejects a -route that nothing would carry: the route names the
+// presentation servlets' sessions, and those exist only with -ajp.
+func checkRoute(route, ajpAddr string) error {
+	if route != "" && ajpAddr == "" {
+		return fmt.Errorf("ejbd: -route %q requires -ajp", route)
+	}
+	return nil
 }

@@ -15,9 +15,8 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/auction"
-	"repro/internal/bookstore"
 	"repro/internal/httpd/httpclient"
+	"repro/internal/stack"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -98,19 +97,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	var profile *workload.Profile
-	switch *benchmark {
-	case "bookstore":
-		profile = bookstore.Profile(bookstore.DefaultScale())
-	case "auction":
-		profile = auction.Profile(auction.DefaultScale())
-	default:
-		log.Fatalf("unknown benchmark %q", *benchmark)
+	app, err := stack.AppByName(*benchmark, "default")
+	if err != nil {
+		log.Fatal(err)
 	}
 	// Snapshot /status at the measurement-window edges so the saturation
 	// section covers exactly the measured interval, like the throughput.
 	var before, after *telemetry.Snapshot
-	rep, err := workload.Run(*addr, profile, workload.Config{
+	rep, err := workload.Run(*addr, app.Profile, workload.Config{
 		Clients: *clients, Mix: *mix,
 		ThinkMean: *think, SessionMean: *session,
 		RampUp: *ramp, Measure: *measure, RampDown: *rampdown,

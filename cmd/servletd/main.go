@@ -20,10 +20,9 @@ import (
 	"log"
 	"os"
 
-	"repro/internal/auction"
-	"repro/internal/bookstore"
 	"repro/internal/cluster"
 	"repro/internal/servlet"
+	"repro/internal/stack"
 )
 
 func main() {
@@ -47,21 +46,13 @@ func main() {
 	flag.Parse()
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 
+	app, err := stack.AppByName(*benchmark, "default")
+	if err != nil {
+		logger.Fatal(err)
+	}
 	// A sharded -db DSN (semicolon-separated groups) partitions by the
 	// benchmark's own table->column map; tables outside it are global.
-	db.ShardBy = bookstore.ShardBy()
-	if *benchmark == "auction" {
-		db.ShardBy = auction.ShardBy()
-	}
-	c := servlet.NewContainer(servlet.Config{DB: db, Route: *route})
-	switch *benchmark {
-	case "bookstore":
-		bookstore.New(bookstore.DefaultScale(), bookstore.Config{Sync: *sync}).Register(c)
-	case "auction":
-		auction.New(auction.DefaultScale(), auction.Config{Sync: *sync}).Register(c)
-	default:
-		logger.Fatalf("unknown benchmark %q", *benchmark)
-	}
+	c := app.ServletBackend(servlet.Config{DB: db, Route: *route}, *sync)
 	bound, err := c.Start(*addr)
 	if err != nil {
 		logger.Fatal(err)

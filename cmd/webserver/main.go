@@ -22,13 +22,11 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 
-	"repro/internal/ajp"
-	"repro/internal/datagen"
 	"repro/internal/httpd"
 	"repro/internal/lb"
 	"repro/internal/pool"
+	"repro/internal/stack"
 )
 
 func main() {
@@ -47,63 +45,27 @@ func main() {
 	flag.Parse()
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 
-	static := httpd.NewStaticSet()
-	for i := 0; i < 64; i++ {
-		static.Add(fmt.Sprintf("/img/item_%d.gif", i), datagen.Image(i, *imageBytes), "image/gif")
+	backends, err := stack.Connect(*ajpAddr, *conns, pool.Timeouts{Dial: *ajpDial, Op: *ajpOp, Wait: *ajpWait})
+	if err != nil {
+		logger.Fatalf("webserver: -ajp: %v", err)
 	}
-	static.Add("/img/logo.gif", datagen.Image(1000, *imageBytes/2), "image/gif")
-	static.Add("/img/banner.gif", datagen.Image(1001, *imageBytes), "image/gif")
-
-	app, desc := appHandler(*ajpAddr, *conns, pool.Timeouts{Dial: *ajpDial, Op: *ajpOp, Wait: *ajpWait})
-	if *pageCache > 0 {
-		// Cross-process deployment: freshness rides on the X-Content-Epoch
-		// response header the app tier stamps, plus the TTL backstop.
-		app = lb.NewPageCache(app, lb.PageCacheConfig{MaxEntries: *pageCache, TTL: *pageTTL})
+	// Cross-process deployment: page-cache freshness rides on the
+	// X-Content-Epoch response header the app tier stamps, plus the TTL
+	// backstop.
+	front := stack.NewFront(*base, backends, lb.PageCacheConfig{MaxEntries: *pageCache, TTL: *pageTTL}, *imageBytes)
+	desc := "AJP " + *ajpAddr
+	if front.Balancer != nil {
+		desc = fmt.Sprintf("lb over %d AJP backends (%s)", len(backends), *ajpAddr)
+	}
+	if front.PageCache != nil {
 		desc += fmt.Sprintf(" (page cache: %d entries)", *pageCache)
 	}
-	mux := httpd.NewMux()
-	mux.Handle("/img/", static)
-	mux.Handle(*base, app)
 
-	srv := httpd.NewServer(mux, logger)
+	srv := httpd.NewServer(front.Mux, logger)
 	bound, err := srv.Listen(*addr)
 	if err != nil {
 		logger.Fatal(err)
 	}
 	fmt.Printf("webserver: http://%s%s -> %s\n", bound, *base, desc)
 	select {}
-}
-
-// appHandler builds the dynamic-content dispatcher: a single AJP connector
-// for one backend, the load balancer for a list.
-func appHandler(spec string, conns int, timeouts pool.Timeouts) (httpd.Handler, string) {
-	var backends []lb.Backend
-	for _, entry := range strings.Split(spec, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		route, addr, named := strings.Cut(entry, "=")
-		if !named {
-			// Count accepted backends, not list positions: a stray comma
-			// must not shift the documented "backend i gets route a<i>"
-			// contract the matching servletd -route flags rely on.
-			route, addr = fmt.Sprintf("a%d", len(backends)), entry
-		}
-		for _, be := range backends {
-			if be.ID == route {
-				log.Fatalf("webserver: -ajp assigns route %q twice (%q); routes must be unique or affinity pins two backends' sessions to one", route, entry)
-			}
-		}
-		conn := ajp.NewConnectorT(addr, conns, timeouts)
-		backends = append(backends, lb.Backend{ID: route, Handler: conn, PoolStats: conn.Stats})
-	}
-	if len(backends) == 0 {
-		log.Fatal("webserver: -ajp names no backends")
-	}
-	if len(backends) == 1 {
-		return backends[0].Handler, "AJP " + spec
-	}
-	return lb.New(lb.Config{Backends: backends}),
-		fmt.Sprintf("lb over %d AJP backends (%s)", len(backends), spec)
 }

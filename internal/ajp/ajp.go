@@ -11,12 +11,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"net/url"
-	"sync"
-	"time"
 
+	"repro/internal/frame"
 	"repro/internal/httpd"
 	"repro/internal/pool"
 )
@@ -24,40 +21,7 @@ import (
 const (
 	frameRequest  = 0x02
 	frameResponse = 0x03
-	maxFrameLen   = 8 << 20
 )
-
-// writeFrame / readFrame use the same 4-byte length + 1-byte type shape as
-// the database wire protocol.
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	if len(payload) > maxFrameLen {
-		return fmt.Errorf("ajp: frame of %d bytes exceeds limit", len(payload))
-	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-func readFrame(r io.Reader) (byte, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n > maxFrameLen {
-		return 0, nil, fmt.Errorf("ajp: oversized frame (%d bytes)", n)
-	}
-	p := make([]byte, n)
-	if _, err := io.ReadFull(r, p); err != nil {
-		return 0, nil, err
-	}
-	return hdr[4], p, nil
-}
 
 type enc struct{ b []byte }
 
@@ -202,73 +166,19 @@ func decodeResponse(p []byte) (*httpd.Response, error) {
 
 // Listener serves container-side AJP: each accepted connection carries a
 // sequence of request/response frames handled by h.
-type Listener struct {
-	h httpd.Handler
-
-	mu     sync.Mutex
-	ln     net.Listener
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
-}
+type Listener struct{ *frame.Listener }
 
 // NewListener wraps a handler.
 func NewListener(h httpd.Handler) *Listener {
 	if h == nil {
 		panic("ajp: nil handler")
 	}
-	return &Listener{h: h, conns: make(map[net.Conn]struct{})}
+	return &Listener{frame.NewListener("ajp", func(br *bufio.Reader, bw *bufio.Writer) { serve(h, br, bw) })}
 }
 
-// Listen binds addr and serves in the background, returning the bound addr.
-func (l *Listener) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("ajp: listen %s: %w", addr, err)
-	}
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		ln.Close()
-		return nil, errors.New("ajp: listener closed")
-	}
-	l.ln = ln
-	l.mu.Unlock()
-	l.wg.Add(1)
-	go func() {
-		defer l.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			l.mu.Lock()
-			if l.closed {
-				l.mu.Unlock()
-				conn.Close()
-				return
-			}
-			l.conns[conn] = struct{}{}
-			l.mu.Unlock()
-			l.wg.Add(1)
-			go l.serve(conn)
-		}
-	}()
-	return ln.Addr(), nil
-}
-
-func (l *Listener) serve(conn net.Conn) {
-	defer l.wg.Done()
-	defer func() {
-		conn.Close()
-		l.mu.Lock()
-		delete(l.conns, conn)
-		l.mu.Unlock()
-	}()
-	br := bufio.NewReaderSize(conn, 32<<10)
-	bw := bufio.NewWriterSize(conn, 32<<10)
+func serve(h httpd.Handler, br *bufio.Reader, bw *bufio.Writer) {
 	for {
-		typ, payload, err := readFrame(br)
+		typ, payload, err := frame.Read(br)
 		if err != nil {
 			return
 		}
@@ -280,14 +190,14 @@ func (l *Listener) serve(conn net.Conn) {
 		if err != nil {
 			resp = httpd.Error(400, err.Error())
 		} else {
-			resp, err = l.h.ServeHTTP(req)
+			resp, err = h.ServeHTTP(req)
 			if err != nil {
 				resp = httpd.Error(500, "container error")
 			} else if resp == nil {
 				resp = httpd.Error(404, "")
 			}
 		}
-		if err := writeFrame(bw, frameResponse, encodeResponse(resp)); err != nil {
+		if err := frame.Write(bw, frameResponse, encodeResponse(resp)); err != nil {
 			return
 		}
 		if err := bw.Flush(); err != nil {
@@ -296,41 +206,11 @@ func (l *Listener) serve(conn net.Conn) {
 	}
 }
 
-// Close stops accepting and drops connections.
-func (l *Listener) Close() error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return nil
-	}
-	l.closed = true
-	ln := l.ln
-	for c := range l.conns {
-		c.Close()
-	}
-	l.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	l.wg.Wait()
-	return nil
-}
-
 // Connector is the web-server side: an httpd.Handler that forwards requests
 // to a container over pooled persistent connections (internal/pool, sized
 // as mod_jk's connection_pool_size).
 type Connector struct {
-	pool      *pool.Pool[*connectorConn]
-	opTimeout time.Duration
-}
-
-type connectorConn struct {
-	nc net.Conn
-	br *bufio.Reader
-	bw *bufio.Writer
-	// armedUntil amortizes SetDeadline: fast back-to-back round trips
-	// reuse the armed deadline while >3/4 of the op window remains.
-	armedUntil time.Time
+	pool *pool.Pool[*pool.Conn]
 }
 
 // NewConnector creates a connector to a container at addr with up to size
@@ -343,37 +223,7 @@ func NewConnector(addr string, size int) *Connector {
 // round trip with t.Op, and pool borrow waits with t.Wait (zero fields
 // take the pool-package defaults; negative fields disable a bound).
 func NewConnectorT(addr string, size int, t pool.Timeouts) *Connector {
-	if size <= 0 {
-		size = 8
-	}
-	t = t.WithDefaults()
-	waitTimeout := time.Duration(-1)
-	if t.Wait > 0 {
-		waitTimeout = t.Wait
-	}
-	return &Connector{opTimeout: t.Op, pool: pool.New(pool.Config[*connectorConn]{
-		Name: "ajp@" + addr,
-		Dial: func() (*connectorConn, error) {
-			var nc net.Conn
-			var err error
-			if t.Dial > 0 {
-				nc, err = net.DialTimeout("tcp", addr, t.Dial)
-			} else {
-				nc, err = net.Dial("tcp", addr)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("ajp: dial %s: %w", addr, err)
-			}
-			return &connectorConn{
-				nc: nc,
-				br: bufio.NewReaderSize(nc, 32<<10),
-				bw: bufio.NewWriterSize(nc, 32<<10),
-			}, nil
-		},
-		Destroy:     func(cc *connectorConn) { cc.nc.Close() },
-		Size:        size,
-		WaitTimeout: waitTimeout,
-	})}
+	return &Connector{pool: pool.NewTCP("ajp", addr, size, t, func(c *pool.Conn) *pool.Conn { return c })}
 }
 
 // ServeHTTP forwards the request and returns the container's response. Any
@@ -381,8 +231,8 @@ func NewConnectorT(addr string, size int, t pool.Timeouts) *Connector {
 // fresh connection, in case the pooled one was stale.
 func (c *Connector) ServeHTTP(req *httpd.Request) (*httpd.Response, error) {
 	var resp *httpd.Response
-	err := c.pool.Do(true, nil, func(cc *connectorConn) error {
-		r, err := c.roundTrip(cc, req)
+	err := c.pool.Do(true, nil, func(cc *pool.Conn) error {
+		r, err := roundTrip(cc, req)
 		if err != nil {
 			return err
 		}
@@ -398,20 +248,15 @@ func (c *Connector) ServeHTTP(req *httpd.Request) (*httpd.Response, error) {
 // Stats snapshots the connector pool's saturation counters.
 func (c *Connector) Stats() pool.Stats { return c.pool.Stats() }
 
-func (c *Connector) roundTrip(cc *connectorConn, req *httpd.Request) (*httpd.Response, error) {
-	if c.opTimeout > 0 {
-		if now := time.Now(); cc.armedUntil.Sub(now) <= c.opTimeout-c.opTimeout/4 {
-			cc.armedUntil = now.Add(c.opTimeout)
-			cc.nc.SetDeadline(cc.armedUntil)
-		}
-	}
-	if err := writeFrame(cc.bw, frameRequest, encodeRequest(req)); err != nil {
+func roundTrip(cc *pool.Conn, req *httpd.Request) (*httpd.Response, error) {
+	cc.Arm()
+	if err := frame.Write(cc.BW, frameRequest, encodeRequest(req)); err != nil {
 		return nil, err
 	}
-	if err := cc.bw.Flush(); err != nil {
+	if err := cc.BW.Flush(); err != nil {
 		return nil, err
 	}
-	typ, payload, err := readFrame(cc.br)
+	typ, payload, err := frame.Read(cc.BR)
 	if err != nil {
 		return nil, err
 	}

@@ -4,12 +4,14 @@
 // (in-process module, servlet container over AJP, or servlet+EJB over
 // AJP+RMI), and the SQL database (internal/sqldb over its wire protocol) —
 // populates a benchmark database, and drives it with the client emulator.
+// The tiers themselves are built by internal/stack, the constructors the
+// daemons under cmd/ call too; core adds topology, chaos and telemetry.
 //
 // This is the functional half of the reproduction: it demonstrates that
 // every architecture serves both benchmarks correctly and exposes their
 // structural differences (dispatch path, query counts, locking discipline).
 // The performance half — regenerating the paper's figures, which requires
-// the four-machine cluster — lives in internal/perfsim; see DESIGN.md.
+// the four-machine cluster — lives in the perfsim package; see DESIGN.md.
 package core
 
 import (
@@ -19,16 +21,14 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/ajp"
+	"repro/internal/arch"
 	"repro/internal/auction"
 	"repro/internal/bookstore"
 	"repro/internal/chaos"
 	"repro/internal/cluster"
-	"repro/internal/datagen"
 	"repro/internal/ejb"
 	"repro/internal/httpd"
 	"repro/internal/lb"
-	"repro/internal/perfsim"
 	"repro/internal/pool"
 	"repro/internal/rmi"
 	"repro/internal/scriptmod"
@@ -36,16 +36,17 @@ import (
 	"repro/internal/sqldb"
 	"repro/internal/sqldb/walfault"
 	"repro/internal/sqldb/wire"
+	"repro/internal/stack"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
 // Config selects what to assemble.
 type Config struct {
-	// Arch is one of the six configurations (perfsim.Arch names them).
-	Arch perfsim.Arch
+	// Arch is one of the six configurations (perfsim.Arch is this type).
+	Arch arch.Arch
 	// Benchmark selects the application.
-	Benchmark perfsim.Benchmark
+	Benchmark arch.Benchmark
 	// BookScale / AuctionScale size the population; zero values use the
 	// packages' TinyScale, keeping Start fast.
 	BookScale    bookstore.Scale
@@ -179,6 +180,7 @@ func (c Config) withDefaults() Config {
 // Lab is a running configuration.
 type Lab struct {
 	cfg     Config
+	app     *stack.App
 	dbs     []*sqldb.DB    // one per replica, identically seeded
 	dbSrvs  []*wire.Server // closed (but kept, for final counters) once stopped
 	dbAddrs []string
@@ -197,14 +199,24 @@ type Lab struct {
 	// (route "a<i>"). One entry and no balancer in the paper's single
 	// container setups; N entries behind the balancer with AppReplicas.
 	containers []*servlet.Container
-	connectors []*ajp.Connector
 	ejbCs      []*ejb.Container
 	rmiClients []*rmi.Client
-	balancer   *lb.Balancer
-	pageCache  *lb.PageCache
 	sessions   *servlet.MemStore
+	// front is the web tier: the connectors to those backends, the
+	// balancer over them and the page cache (stack.NewFront).
+	front *stack.Front
+}
 
-	profile *workload.Profile
+// app maps the configuration to its application descriptor — the one place
+// core decides which application it runs.
+func (c Config) app() (*stack.App, error) {
+	switch c.Benchmark {
+	case arch.Bookstore:
+		return stack.Bookstore(c.BookScale), nil
+	case arch.Auction:
+		return stack.Auction(c.AuctionScale), nil
+	}
+	return nil, fmt.Errorf("core: unknown benchmark %v", c.Benchmark)
 }
 
 // Start assembles and boots the configuration.
@@ -217,6 +229,12 @@ func Start(cfg Config) (lab *Lab, err error) {
 		}
 	}()
 
+	app, err := cfg.app()
+	if err != nil {
+		return nil, err
+	}
+	l.app = app
+
 	// --- database tier: DBShards × DBReplicas backends. Unsharded, every
 	// backend is populated in-process from the seed (the startup
 	// replica-sync path of a single-process lab — deterministic population
@@ -224,51 +242,23 @@ func Start(cfg Config) (lab *Lab, err error) {
 	// the backends start empty and schema + population are routed through
 	// a sharded cluster client below, so each row lands only on its
 	// owning shard (and global tables on all of them). ---
-	switch cfg.Benchmark {
-	case perfsim.Bookstore:
-		l.profile = bookstore.Profile(cfg.BookScale)
-	case perfsim.Auction:
-		l.profile = auction.Profile(cfg.AuctionScale)
-	default:
-		return nil, fmt.Errorf("core: unknown benchmark %v", cfg.Benchmark)
-	}
 	for i := 0; i < cfg.DBShards*cfg.DBReplicas; i++ {
-		db := sqldb.New()
 		walDir := ""
 		if cfg.DBDataDir != "" {
 			walDir = filepath.Join(cfg.DBDataDir, fmt.Sprintf("r%d", i))
 		}
-		// A backend whose data directory already holds durable state
-		// recovers from it (checkpoint load + log replay) instead of
-		// repopulating; a fresh backend populates in memory first and
-		// attaches after, so the seed data lands in the initial checkpoint
-		// rather than being logged statement by statement.
-		if walDir != "" && sqldb.WALDirHasState(walDir) {
-			if _, err := db.AttachWAL(l.walOpts(i, walDir)); err != nil {
-				return nil, fmt.Errorf("core: recover replica %d: %w", i, err)
-			}
-		} else if cfg.DBShards == 1 {
-			sess := db.NewSession()
-			var err error
-			switch cfg.Benchmark {
-			case perfsim.Bookstore:
-				if err = bookstore.CreateSchema(sqldb.SessionExecer{S: sess}); err == nil {
-					err = bookstore.Populate(sqldb.SessionExecer{S: sess}, cfg.BookScale, cfg.Seed)
-				}
-			default:
-				if err = auction.CreateSchema(sqldb.SessionExecer{S: sess}); err == nil {
-					err = auction.Populate(sqldb.SessionExecer{S: sess}, cfg.AuctionScale, cfg.Seed)
-				}
-			}
-			sess.Close()
-			if err != nil {
-				return nil, err
-			}
-			if walDir != "" {
-				if _, err := db.AttachWAL(l.walOpts(i, walDir)); err != nil {
-					return nil, fmt.Errorf("core: attach wal replica %d: %w", i, err)
-				}
-			}
+		opts := l.walOpts(i, walDir)
+		var fill func(sqldb.Execer) error
+		if cfg.DBShards == 1 {
+			fill = func(db sqldb.Execer) error { return app.Seed(db, cfg.Seed) }
+		} else if !sqldb.WALDirHasState(walDir) {
+			// A fresh shard backend stays bare and unlogged here: it is
+			// seeded through the sharded client below, and only then logged.
+			opts.Dir = ""
+		}
+		db, _, err := stack.OpenDB(opts, fill)
+		if err != nil {
+			return nil, fmt.Errorf("core: replica %d: %w", i, err)
 		}
 		srv := wire.NewServer(db, cfg.Logger)
 		addr, err := srv.Listen("127.0.0.1:0")
@@ -289,10 +279,12 @@ func Start(cfg Config) (lab *Lab, err error) {
 		}
 		switch recovered {
 		case 0:
-			// Sharded backends start empty and are seeded through the
-			// sharded client; the WAL attaches afterwards so the routed
-			// population lands in each shard's initial checkpoint.
-			if err := l.seedShards(); err != nil {
+			// Seeded through a sharded client that dials the replica
+			// servers directly, never the chaos proxies — an injected fault
+			// must not corrupt the population. The WAL attaches afterwards
+			// so the routed rows land in each shard's initial checkpoint.
+			seedCfg := cluster.Config{DSN: l.shardDSN(l.dbAddrs), PoolSize: cfg.DBPoolSize}
+			if err := app.SeedCluster(seedCfg, cfg.Seed); err != nil {
 				return nil, err
 			}
 			for i, db := range l.dbs {
@@ -327,30 +319,21 @@ func Start(cfg Config) (lab *Lab, err error) {
 	}
 
 	// --- application tier ---
-	appHandler, err := l.startAppTier(l.shardDSN(dialAddrs))
+	backends, err := l.startAppTier(l.shardDSN(dialAddrs))
 	if err != nil {
 		return nil, err
 	}
 
-	// --- web tier ---
-	mux := httpd.NewMux()
-	// The page cache mounts between the web server and whatever generates
-	// dynamic content — balancer, single connector, or in-process module —
-	// so every architecture gets the same edge. The content epoch is read
-	// directly off an app-tier cluster client when one exists (all clients
-	// share the per-DSN version registry, so any one of them sees every
-	// committed write); the X-Content-Epoch response header covers the
-	// cross-process deployments (cmd/webserver).
-	if cfg.PageCache > 0 {
-		pcfg := lb.PageCacheConfig{MaxEntries: cfg.PageCache, TTL: cfg.PageCacheTTL}
-		if clients := l.clusterClients(); len(clients) > 0 {
-			pcfg.Epoch = clients[0].ContentEpoch
-		}
-		l.pageCache = lb.NewPageCache(appHandler, pcfg)
-		appHandler = l.pageCache
-	}
-	mux.Handle(l.basePath(), appHandler)
-	mux.Handle("/img/", staticImages(cfg.ImageBytes))
+	// --- web tier: the page cache mounts between the web server and
+	// whatever generates dynamic content — balancer, single connector, or
+	// in-process module — so every architecture gets the same edge. The
+	// content epoch is read directly off an app-tier cluster client (all
+	// clients share the per-DSN version registry, so any one of them sees
+	// every committed write); the X-Content-Epoch response header covers
+	// the cross-process deployments (cmd/webserver). ---
+	pcfg := lb.PageCacheConfig{MaxEntries: cfg.PageCache, TTL: cfg.PageCacheTTL, Epoch: l.Cluster().ContentEpoch}
+	l.front = stack.NewFront(app.BasePath, backends, pcfg, cfg.ImageBytes)
+	mux := l.front.Mux
 	mux.HandleFunc("/status", func(*httpd.Request) (*httpd.Response, error) {
 		resp := httpd.NewResponse()
 		resp.Header.Set("Content-Type", "application/json")
@@ -366,13 +349,6 @@ func Start(cfg Config) (lab *Lab, err error) {
 	return l, nil
 }
 
-func (l *Lab) basePath() string {
-	if l.cfg.Benchmark == perfsim.Bookstore {
-		return bookstore.BasePath
-	}
-	return auction.BasePath
-}
-
 // shardDSN groups the given backend addresses into the cluster DSN:
 // DBShards semicolon-separated shard groups of DBReplicas comma-separated
 // replicas each, in backend order. Unsharded it degenerates to the plain
@@ -386,52 +362,17 @@ func (l *Lab) shardDSN(addrs []string) string {
 	return strings.Join(groups, ";")
 }
 
-// shardBy returns the benchmark's table->column partitioning map, nil
-// when the tier is unsharded.
-func (l *Lab) shardBy() map[string]string {
-	if l.cfg.DBShards <= 1 {
-		return nil
-	}
-	if l.cfg.Benchmark == perfsim.Bookstore {
-		return bookstore.ShardBy()
-	}
-	return auction.ShardBy()
-}
-
-// seedShards creates the schema and populates the benchmark data through
-// a sharded cluster client over the wire, so every row lands only on its
-// owning shard. It dials the replica servers directly, never the chaos
-// proxies — an injected fault must not corrupt the population.
-func (l *Lab) seedShards() error {
-	cl := cluster.NewWithConfig(cluster.Config{
-		DSN:      l.shardDSN(l.dbAddrs),
-		ShardBy:  l.shardBy(),
-		PoolSize: l.cfg.DBPoolSize,
-	})
-	defer cl.Close()
-	if l.cfg.Benchmark == perfsim.Bookstore {
-		if err := bookstore.CreateSchema(cl); err != nil {
-			return err
-		}
-		return bookstore.Populate(cl, l.cfg.BookScale, l.cfg.Seed)
-	}
-	if err := auction.CreateSchema(cl); err != nil {
-		return err
-	}
-	return auction.Populate(cl, l.cfg.AuctionScale, l.cfg.Seed)
-}
-
 // startAppTier builds the dynamic-content generator for the configured
-// architecture and returns the handler the web server dispatches to: the
-// in-process module, a single AJP connector, or — with AppReplicas > 1 —
-// the front-end load balancer over N container backends sharing a
-// write-through session store.
-func (l *Lab) startAppTier(dbAddr string) (httpd.Handler, error) {
-	cfg := l.cfg
+// architecture out of the stack constructors and returns what the web tier
+// dispatches to: the in-process module or one AJP connector as a single
+// backend, or — with AppReplicas > 1 — N container backends sharing a
+// write-through session store, for the front-end load balancer.
+func (l *Lab) startAppTier(dsn string) ([]lb.Backend, error) {
+	cfg, app := l.cfg, l.app
 	// Every database client in the tier — one per servlet backend, or one
 	// per EJB container — is configured alike.
 	dbCfg := cluster.Config{
-		DSN: dbAddr, ShardBy: l.shardBy(), PoolSize: cfg.DBPoolSize,
+		DSN: dsn, PoolSize: cfg.DBPoolSize,
 		StrictWrites: cfg.DBStrictWrites, Timeouts: cfg.DBTimeouts,
 		SlowThreshold: cfg.DBSlowThreshold, SyncTimeout: cfg.DBSyncTimeout,
 		QueryCache: cfg.DBQueryCache,
@@ -440,17 +381,19 @@ func (l *Lab) startAppTier(dbAddr string) (httpd.Handler, error) {
 	replicas := cfg.AppReplicas
 	// The in-process module has no replication axis (mod_php is pinned to
 	// the web server, §2.1): no session store, no shared locks, no routes.
-	if cfg.Arch == perfsim.ArchPHP {
+	if cfg.Arch == arch.PHP {
 		replicas = 1
 	}
 	// Replicated backends share the session store AND the engine-side lock
 	// manager: the (sync) configurations' correctness rests on one
 	// process-wide lock table — per-backend managers would let two
-	// backends' read-modify-write interactions interleave.
+	// backends' read-modify-write interactions interleave. store stays a
+	// properly nil interface when the tier is unreplicated.
+	var store servlet.SessionStore
 	var sharedLocks *servlet.LockManager
 	if replicas > 1 {
 		l.sessions = servlet.NewMemStore()
-		sharedLocks = servlet.NewLockManager()
+		store, sharedLocks = l.sessions, servlet.NewLockManager()
 	}
 	// appRoute names backend i; with one backend there is no balancer and
 	// session ids stay bare (the pre-replication behavior).
@@ -460,113 +403,69 @@ func (l *Lab) startAppTier(dbAddr string) (httpd.Handler, error) {
 		}
 		return fmt.Sprintf("a%d", i)
 	}
-	// store passes the shared MemStore as a properly nil interface when
-	// the tier is unreplicated.
-	store := func() servlet.SessionStore {
-		if l.sessions == nil {
-			return nil
-		}
-		return l.sessions
+	newAppContainer := func(i int) *servlet.Container {
+		return app.ServletBackend(servlet.Config{
+			DB: dbCfg, Route: appRoute(i), SessionStore: store, Locks: sharedLocks,
+		}, sync)
 	}
-	newAppContainer := func(route string) *servlet.Container {
-		c := servlet.NewContainer(servlet.Config{
-			DB: dbCfg, Route: route, SessionStore: store(), Locks: sharedLocks,
-		})
-		switch cfg.Benchmark {
-		case perfsim.Bookstore:
-			bookstore.New(cfg.BookScale, bookstore.Config{Sync: sync}).Register(c)
-		default:
-			auction.New(cfg.AuctionScale, auction.Config{Sync: sync}).Register(c)
-		}
-		return c
-	}
-	// startBackend serves an initialized container over AJP and registers
-	// its connector as the next backend.
+	// startBackend serves an initialized container over AJP as the next
+	// backend; dials collects where the web tier reaches each of them.
+	var dials []string
 	startBackend := func(c *servlet.Container) error {
+		l.containers = append(l.containers, c)
 		addr, err := c.Start("127.0.0.1:0")
 		if err != nil {
 			return err
 		}
 		dial := addr.String()
 		if cfg.Chaos {
-			px, err := chaos.Listen(fmt.Sprintf("app%d", len(l.containers)), dial, cfg.AppChaos[len(l.containers)])
+			i := len(dials)
+			px, err := chaos.Listen(fmt.Sprintf("app%d", i), dial, cfg.AppChaos[i])
 			if err != nil {
 				return err
 			}
 			l.appProxies = append(l.appProxies, px)
 			dial = px.Addr()
 		}
-		l.containers = append(l.containers, c)
-		l.connectors = append(l.connectors, ajp.NewConnectorT(dial, cfg.AppPoolSize, cfg.AppTimeouts))
+		dials = append(dials, dial)
 		return nil
 	}
 
 	switch cfg.Arch {
-	case perfsim.ArchPHP:
+	case arch.PHP:
 		// In-process script module: generator in the web server's address
 		// space, no IPC (§2.1) — and therefore no replication axis.
-		m, err := scriptmod.Mount(newAppContainer(""))
+		m, err := scriptmod.Mount(newAppContainer(0))
 		if err != nil {
 			return nil, err
 		}
 		l.module = m
-		return m, nil
+		return []lb.Backend{{Handler: m}}, nil
 
-	case perfsim.ArchServlet, perfsim.ArchServletSync,
-		perfsim.ArchServletDedicated, perfsim.ArchServletDedicatedSync:
+	case arch.Servlet, arch.ServletSync, arch.ServletDedicated, arch.ServletDedicatedSync:
 		// Servlet containers in their own process boundary, reached over
 		// AJP. Co-located and dedicated differ only in machine placement,
 		// which a single host cannot express; both run the identical
 		// software path here (the placement effect is perfsim's domain).
 		for i := 0; i < replicas; i++ {
-			if err := startBackend(newAppContainer(appRoute(i))); err != nil {
+			if err := startBackend(newAppContainer(i)); err != nil {
 				return nil, err
 			}
 		}
 
-	case perfsim.ArchEJB:
+	case arch.EJB:
 		// Four tiers: web -> (AJP) presentation servlets -> (RMI) session
 		// façade + entity beans -> database. Each backend is a complete
 		// presentation + EJB container pair, as a JOnAS farm would deploy.
 		for i := 0; i < replicas; i++ {
-			ec, err := ejb.NewContainer(ejb.Config{DB: dbCfg})
+			ec, rmiAddr, err := app.EJBServer(dbCfg, "127.0.0.1:0")
 			if err != nil {
 				return nil, err
 			}
 			l.ejbCs = append(l.ejbCs, ec)
-			var pres interface{ Register(*servlet.Container) }
-			switch cfg.Benchmark {
-			case perfsim.Bookstore:
-				if err := bookstore.RegisterEntities(ec); err != nil {
-					return nil, err
-				}
-				if err := ec.RegisterFacade(bookstore.FacadeName, &bookstore.Facade{C: ec}); err != nil {
-					return nil, err
-				}
-			default:
-				if err := auction.RegisterEntities(ec); err != nil {
-					return nil, err
-				}
-				if err := ec.RegisterFacade(auction.FacadeName, &auction.Facade{C: ec}); err != nil {
-					return nil, err
-				}
-			}
-			rmiAddr, err := ec.Serve("127.0.0.1:0")
-			if err != nil {
-				return nil, err
-			}
-			rc := rmi.NewClientT(rmiAddr.String(), cfg.AppPoolSize, cfg.AppTimeouts)
+			rc, pc := app.PresentationBackend(rmiAddr.String(), cfg.AppPoolSize, cfg.AppTimeouts,
+				servlet.Config{Route: appRoute(i), SessionStore: store})
 			l.rmiClients = append(l.rmiClients, rc)
-			switch cfg.Benchmark {
-			case perfsim.Bookstore:
-				pres = bookstore.NewPresentationApp(rc, cfg.BookScale)
-			default:
-				pres = auction.NewPresentationApp(rc, cfg.AuctionScale)
-			}
-			pc := servlet.NewContainer(servlet.Config{
-				Route: appRoute(i), SessionStore: store(),
-			})
-			pres.Register(pc)
 			if err := startBackend(pc); err != nil {
 				return nil, err
 			}
@@ -575,35 +474,14 @@ func (l *Lab) startAppTier(dbAddr string) (httpd.Handler, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown architecture %v", cfg.Arch)
 	}
-
-	if replicas == 1 {
-		return l.connectors[0], nil
-	}
-	backends := make([]lb.Backend, len(l.connectors))
-	for i, conn := range l.connectors {
-		backends[i] = lb.Backend{ID: appRoute(i), Handler: conn, PoolStats: conn.Stats}
-	}
-	l.balancer = lb.New(lb.Config{Backends: backends})
-	return l.balancer, nil
-}
-
-// staticImages builds the synthetic image set: 64 shared item images plus
-// the site chrome.
-func staticImages(size int) *httpd.StaticSet {
-	set := httpd.NewStaticSet()
-	for i := 0; i < 64; i++ {
-		set.Add(fmt.Sprintf("/img/item_%d.gif", i), datagen.Image(i, size), "image/gif")
-	}
-	set.Add("/img/logo.gif", datagen.Image(1000, size/2), "image/gif")
-	set.Add("/img/banner.gif", datagen.Image(1001, size), "image/gif")
-	return set
+	return stack.Connect(strings.Join(dials, ","), cfg.AppPoolSize, cfg.AppTimeouts)
 }
 
 // WebAddr returns the web server's host:port.
 func (l *Lab) WebAddr() string { return l.webAddr }
 
 // Profile returns the benchmark's workload profile.
-func (l *Lab) Profile() *workload.Profile { return l.profile }
+func (l *Lab) Profile() *workload.Profile { return l.app.Profile }
 
 // DB exposes the (first) database for assertions.
 func (l *Lab) DB() *sqldb.DB { return l.dbs[0] }
@@ -698,8 +576,7 @@ func (l *Lab) RestartReplicaFromDisk(i int) (*sqldb.RecoveryInfo, error) {
 	if l.walDirs[i] == "" {
 		return nil, fmt.Errorf("core: replica %d has no data directory (set DBDataDir)", i)
 	}
-	db := sqldb.New()
-	info, err := db.AttachWAL(l.walOpts(i, l.walDirs[i]))
+	db, info, err := stack.OpenDB(l.walOpts(i, l.walDirs[i]), nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: recover replica %d: %w", i, err)
 	}
@@ -719,17 +596,8 @@ func (l *Lab) RestartReplicaFromDisk(i int) (*sqldb.RecoveryInfo, error) {
 // is backend 0's client — every backend speaks to the same database
 // replicas, so any backend's client observes the same logical database.
 func (l *Lab) Cluster() *cluster.Client {
-	var container *servlet.Container
-	if l.module != nil {
-		container = l.module.Container()
-	} else if len(l.containers) > 0 {
-		container = l.containers[0]
-	}
-	if container != nil && container.Context().DB != nil {
-		return container.Context().DB
-	}
-	if len(l.ejbCs) > 0 {
-		return l.ejbCs[0].DB()
+	if clients := l.clusterClients(); len(clients) > 0 {
+		return clients[0]
 	}
 	return nil
 }
@@ -868,17 +736,17 @@ func (l *Lab) Telemetry() *telemetry.Snapshot {
 		web.Requests = l.web.RequestCount()
 		web.Bytes = l.web.ResponseBytes()
 	}
-	if l.pageCache != nil {
-		pcs := l.pageCache.Stats()
+	if l.front.PageCache != nil {
+		pcs := l.front.PageCache.Stats()
 		web.PageCacheHits = pcs.Hits
 		web.PageCacheMisses = pcs.Misses
 		web.PageCacheInvalidations = pcs.Invalidations
 		web.PageCacheBypasses = pcs.Bypasses
 	}
-	if len(l.connectors) > 0 {
+	if l.module == nil {
 		var pools []pool.Stats
-		for _, conn := range l.connectors {
-			pools = append(pools, conn.Stats())
+		for _, be := range l.front.Backends {
+			pools = append(pools, be.PoolStats())
 		}
 		ps := sumPools("ajp", pools)
 		web.Pool = &ps
@@ -999,8 +867,8 @@ func (l *Lab) Telemetry() *telemetry.Snapshot {
 
 	// Per-app-backend breakdown: the balancer's routing view, joined with
 	// each backend container's own request counter.
-	if l.balancer != nil {
-		s.AppBackends = l.balancer.Stats()
+	if l.front.Balancer != nil {
+		s.AppBackends = l.front.Balancer.Stats()
 		for i := range s.AppBackends {
 			if i < len(l.containers) {
 				s.AppBackends[i].Requests = l.containers[i].Stats().Requests
@@ -1078,7 +946,7 @@ func (l *Lab) Run(wcfg workload.Config) (*workload.Report, error) {
 			prevEnd()
 		}
 	}
-	rep, err := workload.Run(l.webAddr, l.profile, wcfg)
+	rep, err := workload.Run(l.webAddr, l.app.Profile, wcfg)
 	if err != nil {
 		return rep, err
 	}
@@ -1093,8 +961,8 @@ func (l *Lab) Close() {
 	if l.web != nil {
 		l.web.Close()
 	}
-	for _, conn := range l.connectors {
-		conn.Close()
+	if l.front != nil {
+		l.front.Close()
 	}
 	if l.module != nil {
 		l.module.Close()

@@ -9,9 +9,11 @@ import (
 	"repro/internal/bookstore"
 	"repro/internal/httpd"
 	"repro/internal/httpd/httpclient"
+	"repro/internal/lb"
 	"repro/internal/perfsim"
 	"repro/internal/sqldb"
 	"repro/internal/sqldb/wire"
+	"repro/internal/stack"
 )
 
 // Failure-injection coverage (DESIGN.md §9): the stack must degrade to
@@ -37,14 +39,8 @@ func TestDatabaseOutageSurfacesAs500(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lab := &Lab{cfg: Config{Arch: perfsim.ArchServlet, Benchmark: perfsim.Auction}.withDefaults()}
-	handler, err := lab.startAppTier(dbAddr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lab.Close()
-	mux := newTestMux(handler)
-	web := newWebServer(t, mux)
+	lab := startAppTierOnly(t, Config{Arch: perfsim.ArchServlet, Benchmark: perfsim.Auction}, dbAddr.String())
+	web := newWebServer(t, lab.front.Mux)
 
 	c := httpclient.New(web, 5*time.Second)
 	defer c.Close()
@@ -86,13 +82,8 @@ func TestDatabaseRestartRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lab := &Lab{cfg: Config{Arch: perfsim.ArchPHP, Benchmark: perfsim.Bookstore}.withDefaults()}
-	handler, err := lab.startAppTier(dbAddr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lab.Close()
-	web := newWebServer(t, newTestMux(handler))
+	lab := startAppTierOnly(t, Config{Arch: perfsim.ArchPHP, Benchmark: perfsim.Bookstore}, dbAddr.String())
+	web := newWebServer(t, lab.front.Mux)
 	c := httpclient.New(web, 5*time.Second)
 	defer c.Close()
 
@@ -145,14 +136,23 @@ func TestAppTierOutage(t *testing.T) {
 	}
 }
 
-// newTestMux builds the web mux the way Start does: app handler plus the
-// synthetic static images.
-func newTestMux(app httpd.Handler) *httpd.Mux {
-	mux := httpd.NewMux()
-	mux.Handle("/rubis/", app)
-	mux.Handle("/tpcw/", app)
-	mux.Handle("/img/", staticImages(512))
-	return mux
+// startAppTierOnly assembles a Lab's application tier and web front the
+// way Start does — startAppTier, then stack.NewFront with the synthetic
+// static images — against a database the test owns.
+func startAppTierOnly(t *testing.T, cfg Config, dsn string) *Lab {
+	t.Helper()
+	lab := &Lab{cfg: cfg.withDefaults()}
+	t.Cleanup(lab.Close)
+	var err error
+	if lab.app, err = lab.cfg.app(); err != nil {
+		t.Fatal(err)
+	}
+	backends, err := lab.startAppTier(dsn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lab.front = stack.NewFront(lab.app.BasePath, backends, lb.PageCacheConfig{}, 512)
+	return lab
 }
 
 // newWebServer boots an httpd server on loopback and returns its address.

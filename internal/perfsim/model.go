@@ -17,94 +17,31 @@
 // the curves peak, and which machine saturates.
 package perfsim
 
-import "fmt"
+import (
+	"fmt"
 
-// Arch identifies one of the six hardware/software configurations of
-// Figure 4 in the paper.
-type Arch int
+	"repro/internal/arch"
+)
+
+// Arch and Benchmark are declared in the leaf internal/arch, which the real
+// stack imports instead of the simulator; perfsim keeps the names callers use.
+type Arch = arch.Arch
+type Benchmark = arch.Benchmark
 
 const (
-	// ArchPHP is WsPhp-DB: the script module runs inside the web server
-	// process; the database is on a separate machine.
-	ArchPHP Arch = iota
-	// ArchServlet is WsServlet-DB: the servlet engine runs on the web
-	// server machine in a separate process (AJP IPC), DB separate.
-	ArchServlet
-	// ArchServletSync is WsServlet-DB(sync): as ArchServlet, but table
-	// locking is performed inside the servlet engine instead of with
-	// LOCK TABLES statements in the database.
-	ArchServletSync
-	// ArchServletDedicated is Ws-Servlet-DB: web server, servlet engine and
-	// database each on their own machine.
-	ArchServletDedicated
-	// ArchServletDedicatedSync is Ws-Servlet-DB(sync).
-	ArchServletDedicatedSync
-	// ArchEJB is Ws-Servlet-EJB-DB: four machines; servlets hold only
-	// presentation logic and call stateless session-façade beans over RMI;
-	// entity beans use container-managed persistence.
-	ArchEJB
+	ArchPHP                  = arch.PHP
+	ArchServlet              = arch.Servlet
+	ArchServletSync          = arch.ServletSync
+	ArchServletDedicated     = arch.ServletDedicated
+	ArchServletDedicatedSync = arch.ServletDedicatedSync
+	ArchEJB                  = arch.EJB
 
-	numArchs = int(ArchEJB) + 1
+	Bookstore = arch.Bookstore
+	Auction   = arch.Auction
 )
 
 // Archs lists all six configurations in the paper's presentation order.
-func Archs() []Arch {
-	return []Arch{ArchPHP, ArchServlet, ArchServletSync,
-		ArchServletDedicated, ArchServletDedicatedSync, ArchEJB}
-}
-
-// String returns the paper's name for the configuration.
-func (a Arch) String() string {
-	switch a {
-	case ArchPHP:
-		return "WsPhp-DB"
-	case ArchServlet:
-		return "WsServlet-DB"
-	case ArchServletSync:
-		return "WsServlet-DB(sync)"
-	case ArchServletDedicated:
-		return "Ws-Servlet-DB"
-	case ArchServletDedicatedSync:
-		return "Ws-Servlet-DB(sync)"
-	case ArchEJB:
-		return "Ws-Servlet-EJB-DB"
-	default:
-		return fmt.Sprintf("Arch(%d)", int(a))
-	}
-}
-
-// EngineSync reports whether the configuration performs table locking in the
-// application engine (the paper's "(sync)" variants).
-func (a Arch) EngineSync() bool {
-	return a == ArchServletSync || a == ArchServletDedicatedSync
-}
-
-// DedicatedEngine reports whether the dynamic-content generator runs on its
-// own machine rather than on the web server.
-func (a Arch) DedicatedEngine() bool {
-	return a == ArchServletDedicated || a == ArchServletDedicatedSync || a == ArchEJB
-}
-
-// Benchmark selects one of the two applications.
-type Benchmark int
-
-const (
-	// Bookstore is the TPC-W online bookstore (stresses the database).
-	Bookstore Benchmark = iota
-	// Auction is the RUBiS-style auction site (stresses the front end).
-	Auction
-)
-
-func (b Benchmark) String() string {
-	switch b {
-	case Bookstore:
-		return "bookstore"
-	case Auction:
-		return "auction"
-	default:
-		return fmt.Sprintf("Benchmark(%d)", int(b))
-	}
-}
+func Archs() []Arch { return arch.Archs() }
 
 // Mix selects a workload mix within a benchmark.
 type Mix int

@@ -21,17 +21,14 @@ package rmi
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"reflect"
 	"strings"
 	"sync"
-	"time"
 
+	"repro/internal/frame"
 	"repro/internal/pool"
 )
 
@@ -39,38 +36,7 @@ const (
 	frameCall  = 0x04
 	frameReply = 0x05
 	frameFault = 0x06
-	maxFrame   = 8 << 20
 )
-
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	if len(payload) > maxFrame {
-		return fmt.Errorf("rmi: frame of %d bytes exceeds limit", len(payload))
-	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-func readFrame(r io.Reader) (byte, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n > maxFrame {
-		return 0, nil, fmt.Errorf("rmi: oversized frame (%d bytes)", n)
-	}
-	p := make([]byte, n)
-	if _, err := io.ReadFull(r, p); err != nil {
-		return 0, nil, err
-	}
-	return hdr[4], p, nil
-}
 
 // method is one dispatchable service method.
 type method struct {
@@ -81,19 +47,20 @@ type method struct {
 
 var errType = reflect.TypeOf((*error)(nil)).Elem()
 
-// Server dispatches calls to registered services.
+// Server dispatches calls to registered services. Listen and Close are the
+// shared listener skeleton's.
 type Server struct {
+	*frame.Listener
+
 	mu      sync.Mutex
 	methods map[string]*method
-	ln      net.Listener
-	conns   map[net.Conn]struct{}
-	closed  bool
-	wg      sync.WaitGroup
 }
 
 // NewServer returns an empty server.
 func NewServer() *Server {
-	return &Server{methods: make(map[string]*method), conns: make(map[net.Conn]struct{})}
+	s := &Server{methods: make(map[string]*method)}
+	s.Listener = frame.NewListener("rmi", s.serve)
+	return s
 }
 
 // Register exposes every suitable exported method of svc under
@@ -131,43 +98,6 @@ func (s *Server) Register(name string, svc any) error {
 	return nil
 }
 
-// Listen binds addr and serves in the background.
-func (s *Server) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("rmi: listen %s: %w", addr, err)
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		ln.Close()
-		return nil, errors.New("rmi: server closed")
-	}
-	s.ln = ln
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			s.mu.Lock()
-			if s.closed {
-				s.mu.Unlock()
-				conn.Close()
-				return
-			}
-			s.conns[conn] = struct{}{}
-			s.mu.Unlock()
-			s.wg.Add(1)
-			go s.serve(conn)
-		}
-	}()
-	return ln.Addr(), nil
-}
-
 // gobStream is one direction's persistent gob state: the decoder reads
 // successive per-frame payloads through a swappable reader, the encoder
 // writes into a reusable buffer. Both survive across calls so gob type
@@ -195,24 +125,15 @@ func (s *swapReader) set(p []byte)               { s.r.Reset(p) }
 func (s *swapReader) Read(p []byte) (int, error) { return s.r.Read(p) }
 func (s *swapReader) ReadByte() (byte, error)    { return s.r.ReadByte() }
 
-func (s *Server) serve(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	br := bufio.NewReaderSize(conn, 32<<10)
-	bw := bufio.NewWriterSize(conn, 32<<10)
+func (s *Server) serve(br *bufio.Reader, bw *bufio.Writer) {
 	gs := newGobStream()
 	for {
-		typ, payload, err := readFrame(br)
+		typ, payload, err := frame.Read(br)
 		if err != nil || typ != frameCall {
 			return
 		}
 		outTyp, out, hangup := s.dispatch(gs, payload)
-		if err := writeFrame(bw, outTyp, out); err != nil {
+		if err := frame.Write(bw, outTyp, out); err != nil {
 			return
 		}
 		if err := bw.Flush(); err != nil {
@@ -265,26 +186,6 @@ func (s *Server) dispatch(gs *gobStream, payload []byte) (outTyp byte, out []byt
 	return frameReply, gs.buf.Bytes(), false
 }
 
-// Close stops the server.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	ln := s.ln
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	s.wg.Wait()
-	return nil
-}
-
 // Fault is an application- or dispatch-level error from the remote side.
 type Fault struct{ Msg string }
 
@@ -300,18 +201,12 @@ func IsFault(err error) bool {
 // Client calls a remote Server over a pool of persistent connections
 // (internal/pool). It is safe for concurrent use.
 type Client struct {
-	pool      *pool.Pool[*clientConn]
-	opTimeout time.Duration
+	pool *pool.Pool[*clientConn]
 }
 
 type clientConn struct {
-	nc net.Conn
-	br *bufio.Reader
-	bw *bufio.Writer
+	*pool.Conn
 	gs *gobStream
-	// armedUntil amortizes SetDeadline: fast back-to-back round trips
-	// reuse the armed deadline while >3/4 of the op window remains.
-	armedUntil time.Time
 }
 
 // NewClient creates a client with up to size pooled connections and the
@@ -324,35 +219,8 @@ func NewClient(addr string, size int) *Client {
 // round trip with t.Op, and pool borrow waits with t.Wait (zero fields
 // take the pool-package defaults; negative fields disable a bound).
 func NewClientT(addr string, size int, t pool.Timeouts) *Client {
-	if size <= 0 {
-		size = 8
-	}
-	t = t.WithDefaults()
-	waitTimeout := time.Duration(-1)
-	if t.Wait > 0 {
-		waitTimeout = t.Wait
-	}
-	return &Client{opTimeout: t.Op, pool: pool.New(pool.Config[*clientConn]{
-		Name: "rmi@" + addr,
-		Dial: func() (*clientConn, error) {
-			var nc net.Conn
-			var err error
-			if t.Dial > 0 {
-				nc, err = net.DialTimeout("tcp", addr, t.Dial)
-			} else {
-				nc, err = net.Dial("tcp", addr)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("rmi: dial %s: %w", addr, err)
-			}
-			return &clientConn{nc: nc,
-				br: bufio.NewReaderSize(nc, 32<<10),
-				bw: bufio.NewWriterSize(nc, 32<<10),
-				gs: newGobStream()}, nil
-		},
-		Destroy:     func(cc *clientConn) { cc.nc.Close() },
-		Size:        size,
-		WaitTimeout: waitTimeout,
+	return &Client{pool: pool.NewTCP("rmi", addr, size, t, func(c *pool.Conn) *clientConn {
+		return &clientConn{Conn: c, gs: newGobStream()}
 	})}
 }
 
@@ -362,20 +230,15 @@ func NewClientT(addr string, size int, t pool.Timeouts) *Client {
 func (c *Client) Call(methodName string, args, reply any) error {
 	return c.pool.Do(true, func(err error) bool { return !IsFault(err) },
 		func(cc *clientConn) error {
-			return c.roundTrip(cc, methodName, args, reply)
+			return roundTrip(cc, methodName, args, reply)
 		})
 }
 
 // Stats snapshots the client pool's saturation counters.
 func (c *Client) Stats() pool.Stats { return c.pool.Stats() }
 
-func (c *Client) roundTrip(cc *clientConn, methodName string, args, reply any) error {
-	if c.opTimeout > 0 {
-		if now := time.Now(); cc.armedUntil.Sub(now) <= c.opTimeout-c.opTimeout/4 {
-			cc.armedUntil = now.Add(c.opTimeout)
-			cc.nc.SetDeadline(cc.armedUntil)
-		}
-	}
+func roundTrip(cc *clientConn, methodName string, args, reply any) error {
+	cc.Arm()
 	gs := cc.gs
 	gs.buf.Reset()
 	gs.buf.WriteString(methodName)
@@ -383,16 +246,16 @@ func (c *Client) roundTrip(cc *clientConn, methodName string, args, reply any) e
 	if err := gs.enc.Encode(args); err != nil {
 		// The encoder may have half-written type or value bytes into the
 		// buffer; the stream is unusable. Close so the pool redials.
-		cc.nc.Close()
+		cc.Close()
 		return fmt.Errorf("rmi: encode args: %w", err)
 	}
-	if err := writeFrame(cc.bw, frameCall, gs.buf.Bytes()); err != nil {
+	if err := frame.Write(cc.BW, frameCall, gs.buf.Bytes()); err != nil {
 		return err
 	}
-	if err := cc.bw.Flush(); err != nil {
+	if err := cc.BW.Flush(); err != nil {
 		return err
 	}
-	typ, payload, err := readFrame(cc.br)
+	typ, payload, err := frame.Read(cc.BR)
 	if err != nil {
 		return err
 	}
@@ -402,7 +265,7 @@ func (c *Client) roundTrip(cc *clientConn, methodName string, args, reply any) e
 			// The reply payload may carry type descriptions our persistent
 			// decoder needs for later calls; since we cannot decode into
 			// nothing, retire the connection instead of desyncing it.
-			cc.nc.Close()
+			cc.Close()
 			return nil
 		}
 		gs.src.set(payload)

@@ -1,10 +1,8 @@
 package wire
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"net"
 	"strings"
 	"sync"
 	"time"
@@ -22,25 +20,12 @@ import (
 // with the first EXECUTE in a single round trip, and a freshly dialed
 // connection simply starts with an empty map and re-prepares.
 type Conn struct {
-	nc   net.Conn
-	r    *bufio.Reader
-	w    *bufio.Writer
+	tc   *pool.Conn // socket, buffers and the per-operation deadline (Arm)
 	fb   frameBuf
 	cols colCache // column-name reuse across responses
 
 	stmts  map[string]uint32
 	nextID uint32
-
-	// opTimeout bounds one public operation (all of its writes, flushes
-	// and reads) with a connection deadline, so a stalled server turns
-	// into a transport error instead of a hang. 0 means unbounded.
-	// armedUntil amortizes SetDeadline: re-arming is a timer-heap
-	// operation per call, so fast back-to-back ops reuse the armed
-	// deadline while it still holds >3/4 of the window (an op observes
-	// between 0.75×Op and Op of budget — bounded is the contract, not
-	// precise).
-	opTimeout  time.Duration
-	armedUntil time.Time
 
 	// pendingBegins counts BEGIN frames written but whose replies have not
 	// been read yet: Begin is pipelined — the frame rides to the server with
@@ -58,44 +43,17 @@ func Dial(addr string) (*Conn, error) {
 // DialT connects to a wire server, bounding the dial with t.Dial and every
 // subsequent operation with t.Op (zero fields: unbounded).
 func DialT(addr string, t pool.Timeouts) (*Conn, error) {
-	var nc net.Conn
-	var err error
-	if t.Dial > 0 {
-		nc, err = net.DialTimeout("tcp", addr, t.Dial)
-	} else {
-		nc, err = net.Dial("tcp", addr)
-	}
+	tc, err := pool.Dial("wire", addr, t)
 	if err != nil {
-		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
+		return nil, err
 	}
-	return &Conn{
-		nc:        nc,
-		r:         bufio.NewReaderSize(nc, 32<<10),
-		w:         bufio.NewWriterSize(nc, 32<<10),
-		stmts:     make(map[string]uint32),
-		opTimeout: t.Op,
-	}, nil
-}
-
-// arm starts the per-operation deadline clock. Called at the top of each
-// public operation — not in flush — so writes that spill the 32KB buffer
-// mid-encode (large sync batches) are bounded too.
-func (c *Conn) arm() {
-	if c.opTimeout <= 0 {
-		return
-	}
-	now := time.Now()
-	if c.armedUntil.Sub(now) > c.opTimeout-c.opTimeout/4 {
-		return
-	}
-	c.armedUntil = now.Add(c.opTimeout)
-	c.nc.SetDeadline(c.armedUntil)
+	return &Conn{tc: tc, stmts: make(map[string]uint32)}, nil
 }
 
 // send writes one request frame from a pooled encoder (unflushed) and
 // returns the encoder to the pool.
 func (c *Conn) send(typ byte, e *enc) error {
-	err := writeFrame(c.w, typ, e.b)
+	err := writeFrame(c.tc.BW, typ, e.b)
 	putEnc(e)
 	if err != nil {
 		return fmt.Errorf("wire: send: %w", err)
@@ -119,7 +77,7 @@ func (c *Conn) sendExecStmt(id uint32, args []sqldb.Value) error {
 
 // flush pushes framed requests to the server.
 func (c *Conn) flush() error {
-	if err := c.w.Flush(); err != nil {
+	if err := c.tc.BW.Flush(); err != nil {
 		return fmt.Errorf("wire: flush: %w", err)
 	}
 	return nil
@@ -127,7 +85,7 @@ func (c *Conn) flush() error {
 
 // readReply reads one response frame and decodes it as a result.
 func (c *Conn) readReply() (*sqldb.Result, error) {
-	typ, payload, err := c.fb.read(c.r)
+	typ, payload, err := c.fb.read(c.tc.BR)
 	if err != nil {
 		return nil, fmt.Errorf("wire: recv: %w", err)
 	}
@@ -160,8 +118,8 @@ func (c *Conn) drainPending() error {
 // is only buffered: it ships with the next statement (or Commit/Rollback),
 // so opening a transaction costs no extra round trip.
 func (c *Conn) Begin() error {
-	c.arm()
-	if err := writeFrame(c.w, msgBegin, nil); err != nil {
+	c.tc.Arm()
+	if err := writeFrame(c.tc.BW, msgBegin, nil); err != nil {
 		return fmt.Errorf("wire: send: %w", err)
 	}
 	c.pendingBegins++
@@ -182,8 +140,8 @@ func (c *Conn) Rollback() error { return c.txnEnd(msgRollback) }
 func (c *Conn) PrepareTxn() error { return c.txnEnd(msgPrepareTxn) }
 
 func (c *Conn) txnEnd(typ byte) error {
-	c.arm()
-	if err := writeFrame(c.w, typ, nil); err != nil {
+	c.tc.Arm()
+	if err := writeFrame(c.tc.BW, typ, nil); err != nil {
 		return fmt.Errorf("wire: send: %w", err)
 	}
 	if err := c.flush(); err != nil {
@@ -199,7 +157,7 @@ func (c *Conn) txnEnd(typ byte) error {
 // Exec sends one statement as SQL text and waits for its result (the v1
 // exchange; the server parses through its plan cache).
 func (c *Conn) Exec(query string, args ...sqldb.Value) (*sqldb.Result, error) {
-	c.arm()
+	c.tc.Arm()
 	e := getEnc()
 	encodeQuery(e, query, args)
 	if err := c.send(msgQuery, e); err != nil {
@@ -221,7 +179,7 @@ func (c *Conn) Prepare(query string) (uint32, error) {
 	if id, ok := c.stmts[query]; ok {
 		return id, nil
 	}
-	c.arm()
+	c.tc.Arm()
 	c.nextID++
 	id := c.nextID
 	if err := c.sendPrepare(id, query); err != nil {
@@ -242,7 +200,7 @@ func (c *Conn) Prepare(query string) (uint32, error) {
 
 // ExecPrepared runs a statement previously registered with Prepare.
 func (c *Conn) ExecPrepared(id uint32, args ...sqldb.Value) (*sqldb.Result, error) {
-	c.arm()
+	c.tc.Arm()
 	if err := c.sendExecStmt(id, args); err != nil {
 		return nil, err
 	}
@@ -260,7 +218,7 @@ func (c *Conn) ExecPrepared(id uint32, args ...sqldb.Value) (*sqldb.Result, erro
 // EXECUTE into one round trip; thereafter only the 4-byte statement id and
 // the arguments cross the wire.
 func (c *Conn) ExecCached(query string, args ...sqldb.Value) (*sqldb.Result, error) {
-	c.arm()
+	c.tc.Arm()
 	id, prepared := c.stmts[query]
 	if !prepared {
 		c.nextID++
@@ -299,7 +257,7 @@ func (c *Conn) CloseStmt(query string) error {
 	if !ok {
 		return nil
 	}
-	c.arm()
+	c.tc.Arm()
 	delete(c.stmts, query)
 	e := getEnc()
 	encodeCloseStmt(e, id)
@@ -318,7 +276,7 @@ func (c *Conn) CloseStmt(query string) error {
 
 // Close closes the underlying connection (the server releases its locks
 // and every statement id prepared on it).
-func (c *Conn) Close() error { return c.nc.Close() }
+func (c *Conn) Close() error { return c.tc.Close() }
 
 // ServerError is an error reported by the database server (as opposed to a
 // transport failure): the connection remains usable.
