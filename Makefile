@@ -87,13 +87,15 @@ chaos-smoke:
 		./internal/core ./internal/cluster ./internal/lb
 
 # WAL torture: the durability battery. Crash points, torn tails, and
-# subprocess kill -9 recovery in sqldb (including a short fuzz pass over
-# the record decoder), the cluster's log-shipping rejoin, and the full-
-# stack crash matrix in core — all under -race with hard timeouts.
+# subprocess kill -9 recovery in sqldb (including short fuzz passes over
+# the record decoder and the copy-on-write tree every table and checkpoint
+# is made of), the cluster's log-shipping rejoin, and the full-stack crash
+# matrix in core — all under -race with hard timeouts.
 wal-torture:
 	$(GO) test -race -timeout 300s -run 'WAL|Recover|TornTail|Checkpoint' \
 		./internal/sqldb ./internal/cluster ./internal/core
 	$(GO) test -timeout 120s -run '^$$' -fuzz FuzzWALRecord -fuzztime 20s ./internal/sqldb
+	$(GO) test -timeout 120s -run '^$$' -fuzz FuzzCowTree -fuzztime 10s ./internal/sqldb
 
 # Coverage run with per-package floors: every package reports, the
 # packages named in COVER_FLOORS must clear their floor.

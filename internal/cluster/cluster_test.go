@@ -877,16 +877,20 @@ func TestTxnAbortErrorPoisonsSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Put(s, false)
-	if err := s.Begin("items"); err != nil {
+	if err := s.Begin("items", "audit"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.ExecCached("UPDATE items SET qty = 1 WHERE id = 1"); err != nil {
 		t.Fatal(err)
 	}
-	// The read against the blocked table times out: the server aborts the
-	// WHOLE transaction.
-	if _, err := s.ExecCached("SELECT delta FROM audit WHERE id = 1"); err == nil {
-		t.Fatal("read against a write-held table must time out")
+	// A read of the held table waits for nothing and sees committed state.
+	if _, err := s.ExecCached("SELECT delta FROM audit WHERE id = 1"); err != nil {
+		t.Fatalf("read of a write-held table: %v", err)
+	}
+	// The write against it times out: the server aborts the WHOLE
+	// transaction.
+	if _, err := s.ExecCached("UPDATE audit SET delta = 1 WHERE id = 1"); err == nil {
+		t.Fatal("write against a write-held table must time out")
 	}
 	// The session is poisoned: further statements must be refused, so the
 	// caller cannot commit a half-aborted transaction.

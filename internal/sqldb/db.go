@@ -11,14 +11,21 @@ import (
 )
 
 // DB is an in-memory database instance. It is safe for concurrent use by
-// multiple sessions. Statement isolation follows MyISAM semantics (table
-// locks); multi-statement atomicity comes from the transaction subsystem
-// (txn.go): BEGIN/COMMIT/ROLLBACK with per-session row-level undo logs.
+// multiple sessions. Writers are isolated by table write locks (locks.go),
+// MyISAM's granularity; reads execute against committed copy-on-write views
+// and take none (mvcc.go); multi-statement atomicity comes from the
+// transaction subsystem (txn.go): BEGIN/COMMIT/ROLLBACK over private forks.
 type DB struct {
 	mu     sync.RWMutex // guards the catalog (tables map), not table data
 	tables map[string]*Table
-	locks  *lockManager
 	plans  *planCache
+
+	// commitMu brackets every commit section — the few instructions in
+	// which a statement or transaction becomes committed state and its WAL
+	// record is appended — on the read side, so they run concurrently, and
+	// a checkpoint's capture on the write side, so it cuts between them
+	// (wal.go). Nothing waits for anything while holding it.
+	commitMu sync.RWMutex
 
 	// wal is the attached write-ahead log, nil for a purely in-memory
 	// instance. Set once by AttachWAL before the DB serves traffic.
@@ -33,7 +40,6 @@ type DB struct {
 func New() *DB {
 	return &DB{
 		tables: make(map[string]*Table),
-		locks:  newLockManager(),
 		plans:  newPlanCache(0),
 	}
 }
@@ -56,19 +62,14 @@ func (db *DB) table(name string) (*Table, error) {
 // Table exposes a table for inspection (tests, data generators).
 func (db *DB) Table(name string) (*Table, error) { return db.table(name) }
 
-// tableLockOf returns t's lock-manager entry without the map lookup when
-// the pointer was cached at CREATE time.
-func (db *DB) tableLockOf(t *Table) *tableLock {
-	if t.tlock != nil {
-		return t.tlock
-	}
-	return db.locks.lockFor(t.name)
-}
-
 // TableNames returns the catalog in sorted order.
 func (db *DB) TableNames() []string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	return db.tableNamesLocked()
+}
+
+func (db *DB) tableNamesLocked() []string {
 	names := make([]string, 0, len(db.tables))
 	for n := range db.tables {
 		names = append(names, n)
@@ -104,7 +105,6 @@ func (db *DB) NewSession() *Session { return &Session{db: db} }
 func (s *Session) Close() {
 	if s.tx != nil {
 		s.rollbackTxn()
-		s.db.txns.rollbacks.Add(1)
 	}
 }
 
@@ -236,15 +236,15 @@ func (s *Session) execStmt(stmt sqlparse.Statement, args []Value) (*Result, erro
 		return s.execRollback()
 	case *sqlparse.Insert:
 		return s.execDML(st.Table, st.Src, args, func(t *Table) (*Result, error) {
-			return execInsert(t, st, args, s.tx)
+			return execInsert(t, st, args)
 		})
 	case *sqlparse.Update:
 		return s.execDML(st.Table, st.Src, args, func(t *Table) (*Result, error) {
-			return execUpdate(t, st, args, s.tx)
+			return execUpdate(t, st, args)
 		})
 	case *sqlparse.Delete:
 		return s.execDML(st.Table, st.Src, args, func(t *Table) (*Result, error) {
-			return execDelete(t, st, args, s.tx)
+			return execDelete(t, st, args)
 		})
 	case *sqlparse.Select:
 		return s.execSelect(st, args)
@@ -261,36 +261,47 @@ func (s *Session) implicitCommit() {
 	}
 }
 
-// execDML routes a write statement: inside a transaction the table's write
-// lock is acquired with the wait timeout and held until commit/rollback,
-// with the statement's effects undone on failure; outside, the statement
-// takes its implicit short MyISAM lock. src is the statement's source text
-// for WAL logging (empty on hand-built ASTs: such statements execute but
-// cannot be logged).
+// execDML routes a write statement: inside a transaction it runs on the
+// transaction's fork of the table, under a write lock acquired with the wait
+// timeout and held until commit/rollback; outside, it takes the write lock
+// for the statement and applies itself to the committed state in place. src
+// is the statement's source text for WAL logging (empty on hand-built ASTs:
+// such statements execute but cannot be logged).
 func (s *Session) execDML(table, src string, args []Value, fn func(*Table) (*Result, error)) (*Result, error) {
-	if s.tx != nil {
-		return s.withTxnLock(table, src, args, fn)
-	}
 	t, err := s.db.table(table)
 	if err != nil {
 		return nil, err
 	}
-	tl := s.db.tableLockOf(t)
-	tl.lock(true)
-	res, err := fn(t)
-	// Publish before releasing the lock: an auto-commit statement's effects
-	// are committed state the moment the lock drops, and a failed one may
-	// still have applied part of its row set. The WAL append happens under
-	// the same lock so log order matches publication order; the fsync wait
-	// comes later, lock-free.
-	s.logAutoCommit(src, args)
-	t.publish()
-	tl.unlock(true)
-	return res, err
+	if s.tx != nil {
+		return s.execTxnDML(t, src, args, fn)
+	}
+	t.lock.lock()
+	defer t.lock.unlock()
+	// The statement is its own commit section: applied, logged and published
+	// under the leaf mutex, so a reader clones the state before it or after
+	// it. A failed statement publishes too — it may have applied part of its
+	// row set. The WAL append sits inside so log order matches publication
+	// order; the fsync wait comes later, with nothing held.
+	return s.db.commitSection(t, func() (*Result, error) {
+		res, err := fn(t)
+		s.logAutoCommit(src, args)
+		return res, err
+	})
 }
 
-// logAutoCommit appends an auto-commit statement to the WAL while the
-// caller still holds the table's write lock. It is called even when the
+// commitSection runs fn — a change to t's committed state in place, with
+// its WAL append — as one commit section, and publishes it.
+func (db *DB) commitSection(t *Table, fn func() (*Result, error)) (*Result, error) {
+	db.commitMu.RLock()
+	defer db.commitMu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	defer t.version.Add(1)
+	return fn()
+}
+
+// logAutoCommit appends an auto-commit statement to the WAL inside the
+// statement's commit section. It is called even when the
 // statement failed: MyISAM's partial application (a multi-row INSERT that
 // dies on row 3 keeps rows 1-2) is committed state, and replaying the
 // statement reproduces exactly the same partial application and error.
@@ -300,8 +311,9 @@ func (s *Session) logAutoCommit(src string, args []Value) {
 	}
 }
 
-// DDL executors log to the WAL inside their exclusive section (catalog or
-// table write lock) so the log's statement order matches apply order, and
+// DDL executors log to the WAL inside their exclusive section (the catalog
+// lock, or the table's commit section) so the log's statement order matches
+// apply order, and
 // only on success with an actual state change — a no-op IF EXISTS / IF NOT
 // EXISTS outcome changed nothing and replays as nothing.
 func (db *DB) execCreateTable(s *Session, st *sqlparse.CreateTable) (*Result, error) {
@@ -319,7 +331,6 @@ func (db *DB) execCreateTable(s *Session, st *sqlparse.CreateTable) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	t.tlock = db.locks.lockFor(t.name)
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if _, dup := db.tables[t.name]; dup {
@@ -355,33 +366,32 @@ func (db *DB) execShowTableStatus() (*Result, error) {
 		if err != nil {
 			continue // dropped between catalog read and lookup
 		}
-		tl := db.tableLockOf(t)
-		tl.lock(false)
+		t.mu.Lock() // four words of the committed state: not worth a view
 		res.Rows = append(res.Rows, Row{
-			String(n), Int(int64(len(t.rows))), Int(t.nextAI),
+			String(n), Int(int64(t.rows.len())), Int(t.nextAI),
 			Int(t.aiOffset), Int(t.aiStride),
 		})
-		tl.unlock(false)
+		t.mu.Unlock()
 	}
 	return res, nil
 }
 
 // execAlterAutoInc applies ALTER TABLE ... AUTO_INCREMENT under the table's
-// write lock. Only the id-assignment counters change, so snapshot versions
-// are left alone: readers never observe the counter.
+// write lock.
 func (db *DB) execAlterAutoInc(s *Session, st *sqlparse.AlterAutoInc) (*Result, error) {
 	t, err := db.table(st.Table)
 	if err != nil {
 		return nil, err
 	}
-	tl := db.tableLockOf(t)
-	tl.lock(true)
-	t.setAutoInc(st.Offset, st.Stride, st.Next)
-	if db.wal != nil && st.Src != "" {
-		s.notePending(db.wal.appendOne(st.Src, nil))
-	}
-	tl.unlock(true)
-	return &Result{}, nil
+	t.lock.lock()
+	defer t.lock.unlock()
+	return db.commitSection(t, func() (*Result, error) {
+		t.setAutoInc(st.Offset, st.Stride, st.Next)
+		if db.wal != nil && st.Src != "" {
+			s.notePending(db.wal.appendOne(st.Src, nil))
+		}
+		return &Result{}, nil
+	})
 }
 
 func (db *DB) execCreateIndex(s *Session, st *sqlparse.CreateIndex) (*Result, error) {
@@ -393,17 +403,17 @@ func (db *DB) execCreateIndex(s *Session, st *sqlparse.CreateIndex) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	tl := db.tableLockOf(t)
-	tl.lock(true)
-	defer tl.unlock(true)
-	if err := t.addIndex(st.Name, col, st.Unique); err != nil {
-		return nil, err
-	}
-	t.publish() // snapshots copy indexes; a new one must invalidate them
-	if db.wal != nil && st.Src != "" {
-		s.notePending(db.wal.appendOne(st.Src, nil))
-	}
-	return &Result{}, nil
+	t.lock.lock()
+	defer t.lock.unlock()
+	return db.commitSection(t, func() (*Result, error) {
+		if err := t.addIndex(st.Name, col, st.Unique); err != nil {
+			return nil, err
+		}
+		if db.wal != nil && st.Src != "" {
+			s.notePending(db.wal.appendOne(st.Src, nil))
+		}
+		return &Result{}, nil
+	})
 }
 
 func (db *DB) execDropTable(s *Session, st *sqlparse.DropTable) (*Result, error) {
@@ -423,40 +433,20 @@ func (db *DB) execDropTable(s *Session, st *sqlparse.DropTable) (*Result, error)
 	return &Result{}, nil
 }
 
-// execSelect routes a query to the right read path. The default is the
-// snapshot path (mvcc.go): every referenced table is served from its frozen
-// last-committed version, with no read locks and no lock-wait — the
-// multi-version read that lets browse traffic bypass the 2PL machinery
-// entirely. One case still takes the locked path: a transaction that has
-// write-locked any referenced table reads live state under statement-scoped
-// timed read locks so it observes its own uncommitted writes.
+// execSelect resolves the statement's tables and executes it against what
+// this session may see of each (mvcc.go): no lock, no wait.
 func (s *Session) execSelect(st *sqlparse.Select, args []Value) (*Result, error) {
-	names := []string{st.From.Table}
-	for _, j := range st.Joins {
-		names = append(names, j.Table.Table)
-	}
-	tabs := make([]*Table, len(names))
-	for i, n := range names {
-		t, err := s.db.table(n)
+	tabs := make([]*Table, 1+len(st.Joins))
+	for i := range tabs {
+		name := st.From.Table
+		if i > 0 {
+			name = st.Joins[i-1].Table.Table
+		}
+		t, err := s.db.table(name)
 		if err != nil {
 			return nil, err
 		}
 		tabs[i] = t
 	}
-	if s.tx != nil && s.tx.holdsWriteAny(tabs) {
-		// Read-your-writes: the transaction wrote at least one of these
-		// tables, so the statement must see live (uncommitted) state.
-		release, err := s.txnReadLocks(tabs)
-		if err != nil {
-			return nil, err
-		}
-		defer release()
-		return execSelect(tabs, st, args)
-	}
-	views, release, err := s.snapshots(tabs)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return execSelect(views, st, args)
+	return execSelect(s.views(tabs), st, args)
 }

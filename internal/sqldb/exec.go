@@ -266,11 +266,11 @@ func likeMatch(s, pattern string) bool {
 
 // ---- INSERT / UPDATE / DELETE ----
 
-// execInsert applies an INSERT. With tx non-nil, one undo record per row is
-// logged before the row lands, capturing the rowid it will take and the
-// pre-statement AUTO_INCREMENT/rowid counters — so rollback restores the
-// counters even when a later row of the statement fails.
-func execInsert(t *Table, st *sqlparse.Insert, args []Value, tx *txn) (*Result, error) {
+// execInsert applies an INSERT to t — the committed table, or a
+// transaction's fork of it. A row that fails leaves the rows before it, and
+// the counters it drew itself, in place; what becomes of them is the
+// caller's policy (db.go execDML, txn.go execTxnDML).
+func execInsert(t *Table, st *sqlparse.Insert, args []Value) (*Result, error) {
 	cols := st.Columns
 	if len(cols) == 0 {
 		cols = make([]string, len(t.columns))
@@ -302,10 +302,6 @@ func execInsert(t *Table, st *sqlparse.Insert, args []Value, tx *txn) (*Result, 
 			}
 			row[colPos[i]] = coerce(v, t.columns[colPos[i]].Type)
 			provided[colPos[i]] = true
-		}
-		if tx != nil {
-			tx.add(undoRec{t: t, kind: undoInsert, id: t.nextID,
-				prevNextID: t.nextID, prevNextAI: t.nextAI})
 		}
 		for i, c := range t.columns {
 			if c.AutoIncrement && (!provided[i] || row[i].IsNull()) {
@@ -340,10 +336,8 @@ func coerce(v Value, t sqlparse.ColType) Value {
 	}
 }
 
-// execUpdate applies an UPDATE. With tx non-nil, each row's pre-image of
-// the assigned columns is logged before the row is touched, so a failing
-// assignment mid-row (or a later row) unwinds cleanly.
-func execUpdate(t *Table, st *sqlparse.Update, args []Value, tx *txn) (*Result, error) {
+// execUpdate applies an UPDATE, row by row in rowid order.
+func execUpdate(t *Table, st *sqlparse.Update, args []Value) (*Result, error) {
 	setPos := make([]int, len(st.Set))
 	for i, a := range st.Set {
 		p, err := t.colOf(a.Column)
@@ -358,7 +352,7 @@ func execUpdate(t *Table, st *sqlparse.Update, args []Value, tx *txn) (*Result, 
 	}
 	res := &Result{}
 	for _, id := range ids {
-		row := t.rows[id]
+		row, _ := t.rows.get(id)
 		ev := &env{aliases: []string{t.name}, tabs: []*Table{t}, rows: []Row{row}, args: args}
 		set := make(map[int]Value, len(st.Set))
 		for i, a := range st.Set {
@@ -368,13 +362,6 @@ func execUpdate(t *Table, st *sqlparse.Update, args []Value, tx *txn) (*Result, 
 			}
 			set[setPos[i]] = coerce(v, t.columns[setPos[i]].Type)
 		}
-		if tx != nil {
-			old := make(map[int]Value, len(set))
-			for col := range set {
-				old[col] = row[col]
-			}
-			tx.add(undoRec{t: t, kind: undoUpdate, id: id, old: old})
-		}
 		if err := t.update(id, set); err != nil {
 			return nil, err
 		}
@@ -383,19 +370,13 @@ func execUpdate(t *Table, st *sqlparse.Update, args []Value, tx *txn) (*Result, 
 	return res, nil
 }
 
-// execDelete applies a DELETE. With tx non-nil, each row is copied into the
-// undo log before removal; rollback resurrects it under its original rowid
-// and scan position.
-func execDelete(t *Table, st *sqlparse.Delete, args []Value, tx *txn) (*Result, error) {
+// execDelete applies a DELETE.
+func execDelete(t *Table, st *sqlparse.Delete, args []Value) (*Result, error) {
 	ids, err := matchRows(t, st.Where, args)
 	if err != nil {
 		return nil, err
 	}
 	for _, id := range ids {
-		if tx != nil {
-			// Stored rows are immutable; the undo image can share the slice.
-			tx.add(undoRec{t: t, kind: undoDelete, id: id, row: t.rows[id]})
-		}
 		t.deleteRow(id)
 	}
 	return &Result{RowsAffected: int64(len(ids))}, nil
@@ -425,7 +406,7 @@ func matchRows(t *Table, where sqlparse.Expr, args []Value) ([]int64, error) {
 	}
 	if indexed {
 		for _, id := range cands {
-			if r, ok := t.rows[id]; ok {
+			if r, ok := t.rows.get(id); ok {
 				if err := check(id, r); err != nil {
 					return nil, err
 				}
@@ -628,7 +609,13 @@ func execSelect(tabs []*Table, st *sqlparse.Select, args []Value) (*Result, erro
 	}
 
 	// Nested-loop join over From and Joins, index-accelerated on the From
-	// table's WHERE equalities and each join's ON equality.
+	// table's WHERE equalities and each join's ON equality. How a join
+	// level is entered depends on the statement, not on the outer row, so
+	// it is worked out here, once.
+	probes := make([]joinProbe, len(tabs))
+	for level := 1; level < len(tabs); level++ {
+		probes[level] = joinLookup(ev, level, st.Joins[level-1].On)
+	}
 	var joinLevel func(level int) error
 	joinLevel = func(level int) error {
 		if level == len(tabs) {
@@ -651,7 +638,7 @@ func execSelect(tabs []*Table, st *sqlparse.Select, args []Value) (*Result, erro
 			}
 			if indexed {
 				for _, id := range cands {
-					if r, ok := t.rows[id]; ok {
+					if r, ok := t.rows.get(id); ok {
 						ev.rows[0] = r
 						if err := joinLevel(1); err != nil {
 							return err
@@ -665,20 +652,17 @@ func execSelect(tabs []*Table, st *sqlparse.Select, args []Value) (*Result, erro
 				return joinLevel(1)
 			})
 		}
-		// Join level: try to use the ON equality with an index.
+		// Join level: use the ON equality with an index when there is one.
 		on := st.Joins[level-1].On
-		if ids, ok, err := joinLookup(ev, t, level, on); err != nil {
+		if p := probes[level]; p.ix != nil {
+			// The range is walked in place: nobody writes what a SELECT reads.
+			var err error
+			t.eachPosted(p.ix, ev.rows[p.tab][p.col].key(), func(_ int64, r Row) bool {
+				ev.rows[level] = r
+				err = joinLevel(level + 1)
+				return err == nil
+			})
 			return err
-		} else if ok {
-			for _, id := range ids {
-				if r, exists := t.rows[id]; exists {
-					ev.rows[level] = r
-					if err := joinLevel(level + 1); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
 		}
 		return t.scan(func(_ int64, r Row) error {
 			ev.rows[level] = r
@@ -716,18 +700,26 @@ func execSelect(tabs []*Table, st *sqlparse.Select, args []Value) (*Result, erro
 	return res, nil
 }
 
+// joinProbe is how a join level finds its rows by index: probe ix with the
+// value of column col of the already-bound table tab. ix is nil when the
+// level has to scan.
+type joinProbe struct {
+	ix       *index
+	tab, col int
+}
+
 // joinLookup resolves "a.x = b.y" where one side references the level's
 // table on an indexed column and the other references an already-bound
-// table; it returns the matching rowids.
-func joinLookup(ev *env, t *Table, level int, on sqlparse.Expr) ([]int64, bool, error) {
+// table.
+func joinLookup(ev *env, level int, on sqlparse.Expr) (none joinProbe) {
 	be, ok := on.(*sqlparse.BinaryExpr)
 	if !ok || be.Op != sqlparse.OpEq {
-		return nil, false, nil
+		return none
 	}
 	lc, lok := be.L.(*sqlparse.ColRefExpr)
 	rc, rok := be.R.(*sqlparse.ColRefExpr)
 	if !lok || !rok {
-		return nil, false, nil
+		return none
 	}
 	levelAlias := ev.aliases[level]
 	var newSide, boundSide *sqlparse.ColRefExpr
@@ -737,23 +729,17 @@ func joinLookup(ev *env, t *Table, level int, on sqlparse.Expr) ([]int64, bool, 
 	case strings.EqualFold(rc.Table, levelAlias):
 		newSide, boundSide = rc, lc
 	default:
-		return nil, false, nil
+		return none
 	}
-	ci, err := t.colOf(newSide.Column)
+	ci, err := ev.tabs[level].colOf(newSide.Column)
 	if err != nil {
-		return nil, false, nil
+		return none
 	}
-	bi, bc, err := (&env{aliases: ev.aliases[:level], tabs: ev.tabs[:level],
-		rows: ev.rows[:level], args: ev.args}).resolve(boundSide.Table, boundSide.Column)
+	bi, bc, err := (&env{aliases: ev.aliases[:level], tabs: ev.tabs[:level]}).resolve(boundSide.Table, boundSide.Column)
 	if err != nil {
-		return nil, false, nil
+		return none
 	}
-	v := ev.rows[bi][bc]
-	ids, ok := t.lookup(ci, v)
-	if !ok {
-		return nil, false, nil
-	}
-	return ids, true, nil
+	return joinProbe{ix: ev.tabs[level].indexOn(ci), tab: bi, col: bc}
 }
 
 // validateCols resolves every column reference in e against the bound

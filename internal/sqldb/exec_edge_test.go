@@ -3,6 +3,7 @@ package sqldb
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/sqldb/sqlparse"
@@ -214,46 +215,59 @@ func TestConcurrentPreparedExecution(t *testing.T) {
 	}
 }
 
-// TestLiveScansShareReadLock: a full scan of a live table writes nothing,
-// so any number run at once under the table's read lock (run with -race) —
-// tombstones left by deletes are skipped, and compacted on the write side.
-func TestLiveScansShareReadLock(t *testing.T) {
+// TestCommittedScansRaceDeletingWriter: a scan reads a committed view that
+// nobody writes, so any number run while a writer deletes from the same
+// table (run with -race) — each sees one committed state whole: the rows
+// that are left are a suffix, in rowid order, with nothing missing inside.
+func TestCommittedScansRaceDeletingWriter(t *testing.T) {
 	db, s := testDB(t)
 	defer s.Close()
-	const rows = 40
+	const rows = 400
 	for i := 0; i < rows; i++ {
-		mustExec(t, s, "INSERT INTO items (name) VALUES (?)", String(fmt.Sprint("n", i)))
+		mustExec(t, s, "INSERT INTO items (name, category) VALUES (?, ?)", String(fmt.Sprint("n", i)), Int(int64(i%7)))
 	}
-	mustExec(t, s, "DELETE FROM items WHERE id <= 10")
-	tab, err := db.Table("items")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.rowOrder) == tab.RowCount() {
-		t.Fatal("no tombstones left for the scans to skip")
-	}
-	tl := db.tableLockOf(tab)
-	var wg, locked sync.WaitGroup
-	locked.Add(4)
+	var wg sync.WaitGroup
+	var done atomic.Bool
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tl.lock(false)
-			defer tl.unlock(false)
-			locked.Done()
-			locked.Wait() // all four hold the read lock: the scans overlap
-			n := 0
-			tab.scan(func(int64, Row) error { n++; return nil })
-			if n != rows-10 {
-				t.Errorf("scan visited %d rows, want %d", n, rows-10)
+			r := db.NewSession()
+			defer r.Close()
+			for last := rows; !done.Load(); {
+				res, err := r.Exec("SELECT id FROM items")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				n := len(res.Rows)
+				if n > last {
+					t.Errorf("scan saw %d rows after an earlier one saw %d", n, last)
+				}
+				last = n
+				for i, row := range res.Rows {
+					if want := int64(rows - n + 1 + i); row[0].AsInt() != want {
+						t.Errorf("scan of %d rows: row %d has id %d, want %d", n, i, row[0].AsInt(), want)
+						return
+					}
+				}
 			}
 		}()
 	}
+	for id := 1; id <= rows; id++ {
+		mustExec(t, s, "DELETE FROM items WHERE id = ?", Int(int64(id)))
+	}
+	done.Store(true)
 	wg.Wait()
-	// Tombstones never outnumber the live rows: deletes compact them away.
-	mustExec(t, s, "DELETE FROM items WHERE id <= 30")
-	if n := tab.RowCount(); n != rows-30 || len(tab.rowOrder) > 2*n {
-		t.Fatalf("rowOrder has %d entries for %d rows", len(tab.rowOrder), n)
+	tab, err := db.Table("items")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := tab.RowCount(); n != 0 {
+		t.Fatalf("%d rows left", n)
+	}
+	// Emptied from one end, the trees give their nodes back.
+	if tab.rows.root != nil || tab.postings[0].root != nil {
+		t.Fatal("an emptied table still holds tree nodes")
 	}
 }

@@ -114,9 +114,8 @@ func (db *DB) AttachWAL(opts WALOptions) (*RecoveryInfo, error) {
 		}
 		db.mu.Lock()
 		for _, t := range tables {
-			t.tlock = db.locks.lockFor(t.name)
 			db.tables[t.name] = t
-			t.publish()
+			t.version.Add(1)
 		}
 		db.mu.Unlock()
 		w.ckptLSN, w.ckptChain = lsn, chain
@@ -445,12 +444,7 @@ func loadCkptTable(r *ckptReader) (*Table, error) {
 		if r.err != nil {
 			return nil, r.err
 		}
-		t.rows[id] = row
-		t.rowOrder = append(t.rowOrder, id)
-		for _, ix := range t.indexes {
-			k := row[ix.col].key()
-			ix.m[k] = append(ix.m[k], id)
-		}
+		t.put(id, row)
 	}
 	return t, r.err
 }

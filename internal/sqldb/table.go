@@ -2,7 +2,9 @@ package sqldb
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,22 +21,21 @@ type Column struct {
 	NotNull       bool
 }
 
-// Table is heap storage plus indexes. Access must be serialized by the
-// database lock manager (MyISAM-style table locks); Table itself is not
-// goroutine-safe — except for the snapshot machinery (mvcc.go): version is
-// bumped by writers under the write lock and read lock-free by the snapshot
-// fast path, and snap holds a frozen copy that any number of readers share
-// without locks.
+// Table is a catalog entry — schema, write lock, the last committed state —
+// or a detached copy of one: the immutable view a reader executes against, or
+// the private fork a transaction writes (mvcc.go). Both are the same type
+// because the executor reads and writes either through the same methods; a
+// detached table never uses the lock, the mutex or the version.
+//
+// Nothing here is goroutine-safe by itself. The committed state of a catalog
+// table is touched only under mu: by an auto-commit statement applying
+// itself in place, by COMMIT swapping a fork in, and by whoever clones it. A
+// detached table belongs to whoever detached it.
 type Table struct {
 	name    string
 	columns []Column
 	colIdx  map[string]int // lower-cased name -> position
-
-	rows    map[int64]Row // rowid -> row
-	nextID  int64         // next rowid
-	nextAI  int64         // next AUTO_INCREMENT value
-	pkCol   int           // -1 when no primary key
-	indexes map[string]*index
+	pkCol   int            // -1 when no primary key
 
 	// aiOffset/aiStride configure strided AUTO_INCREMENT assignment
 	// (MySQL's auto_increment_offset / auto_increment_increment): values are
@@ -44,38 +45,79 @@ type Table struct {
 	aiOffset int64
 	aiStride int64
 
-	// rowOrder preserves insertion order for stable full scans.
-	rowOrder []int64
+	tableState
 
-	// tlock caches the lock-manager entry for this table, set before the
-	// table is published in the catalog (db.tableLockOf falls back to the
-	// name lookup when nil, e.g. on frozen snapshots).
-	tlock *tableLock
-
-	// Snapshot-read state (mvcc.go). version counts committed publications;
-	// snap caches the frozen copy of the last refreshed version; snapMu
-	// serializes refreshes so concurrent readers of a stale snapshot build
-	// one copy, not one each; snapHits counts lock-free reads served by the
-	// installed snapshot (reset at refresh) — the adaptive-refresh signal.
-	// On a frozen copy itself, snapSeq records the version it was built
-	// from; the atomics stay zero.
-	version  atomic.Uint64
-	snap     atomic.Pointer[Table]
-	snapMu   sync.Mutex
-	snapHits atomic.Int64
-	snapSeq  uint64
+	lock    tableLock     // the table's two-phase write lock (locks.go)
+	mu      sync.Mutex    // leaf: guards tableState and view installation
+	version atomic.Uint64 // committed publications, bumped under mu
+	view    atomic.Pointer[Table]
+	seq     uint64 // on a view: the version it was cloned at
 }
 
-// index is a hash index over one column, with lazily maintained sorted keys
-// for range scans. sorted marks frozen-snapshot indexes whose posting lists
-// were sorted at freeze time and are immutable, so lookups can return them
-// without the copy-and-sort.
+// tableState is everything one version of a table consists of: tree headers
+// and two counters, so cloning it is O(indexes) and shares every row.
+type tableState struct {
+	rows cowTree[int64, Row] // rowid -> row; a scan is rowid order
+	// indexes maps lower-cased index name to its definition. The map is
+	// replaced, never written, once the table is in the catalog, so clones
+	// share it; postings[ix.slot] holds that index's entries.
+	indexes  map[string]*index
+	postings []cowTree[ixEntry, Row]
+	nextID   int64 // next rowid
+	nextAI   int64 // next AUTO_INCREMENT value
+}
+
+// index defines an index over one column: its entries are the (column
+// value, rowid) pairs of every row, ordered, so the rows with one value are
+// a contiguous range in rowid order — each entry carrying its row (the
+// slice header, not a copy), so a probe is one descent, not one per tree.
 type index struct {
 	name   string
 	col    int
 	unique bool
-	sorted bool
-	m      map[indexKey][]int64
+	slot   int
+}
+
+// ixEntry is the key of one index entry.
+type ixEntry struct {
+	k  indexKey
+	id int64
+}
+
+// searchEntries is the index trees' key order — by value, then rowid — as
+// the binary search over a node's keys.
+func searchEntries(keys []ixEntry, k ixEntry) (int, bool) {
+	lo, hi := 0, len(keys)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if e := &keys[m]; e.k.ord < k.k.ord ||
+			e.k.ord == k.k.ord && (e.k.s < k.k.s || e.k.s == k.k.s && e.id < k.id) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(keys) && keys[lo] == k
+}
+
+// clone returns a state that shares every node with s; writes to either
+// copy what they touch and never show in the other.
+func (s *tableState) clone() tableState {
+	mine, theirs := new(byte), new(byte)
+	c := *s
+	c.rows = s.rows.clone(mine, theirs)
+	c.postings = make([]cowTree[ixEntry, Row], len(s.postings))
+	for i := range s.postings {
+		c.postings[i] = s.postings[i].clone(mine, theirs)
+	}
+	return c
+}
+
+// detach returns a table of its own holding a clone of t's state. On a
+// catalog table the caller holds t.mu.
+func (t *Table) detach() *Table {
+	return &Table{name: t.name, columns: t.columns, colIdx: t.colIdx, pkCol: t.pkCol,
+		aiOffset: t.aiOffset, aiStride: t.aiStride, tableState: t.tableState.clone()}
 }
 
 func newTable(name string, cols []Column) (*Table, error) {
@@ -86,12 +128,11 @@ func newTable(name string, cols []Column) (*Table, error) {
 		name:    name,
 		columns: cols,
 		colIdx:  make(map[string]int, len(cols)),
-		rows:    make(map[int64]Row),
-		nextID:  1,
-		nextAI:  1,
 		pkCol:   -1,
-		indexes: make(map[string]*index),
+		lock:    make(tableLock, 1),
 	}
+	t.rows.search = slices.BinarySearch[[]int64]
+	t.nextID, t.nextAI = 1, 1
 	for i, c := range cols {
 		lc := strings.ToLower(c.Name)
 		if _, dup := t.colIdx[lc]; dup {
@@ -106,8 +147,7 @@ func newTable(name string, cols []Column) (*Table, error) {
 		}
 	}
 	if t.pkCol >= 0 {
-		t.indexes["primary"] = &index{name: "primary", col: t.pkCol, unique: true,
-			m: make(map[indexKey][]int64)}
+		t.addIndex("primary", t.pkCol, true) // an empty table has no duplicates
 	}
 	return t, nil
 }
@@ -170,8 +210,12 @@ func (t *Table) Name() string { return t.name }
 // Columns returns the schema in declaration order.
 func (t *Table) Columns() []Column { return t.columns }
 
-// RowCount returns the number of stored rows.
-func (t *Table) RowCount() int { return len(t.rows) }
+// RowCount returns the number of committed rows.
+func (t *Table) RowCount() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.rows.len()
+}
 
 // colOf resolves a column name (case-insensitive).
 func (t *Table) colOf(name string) (int, error) {
@@ -181,21 +225,32 @@ func (t *Table) colOf(name string) (int, error) {
 	return 0, fmt.Errorf("sqldb: unknown column %q in table %q", name, t.name)
 }
 
-// addIndex creates a secondary index over col and backfills it.
+// addIndex creates an index over col and backfills it. The table is
+// unchanged when the backfill finds a duplicate.
 func (t *Table) addIndex(name string, col int, unique bool) error {
 	key := strings.ToLower(name)
 	if _, dup := t.indexes[key]; dup {
 		return fmt.Errorf("sqldb: index %q already exists on %q", name, t.name)
 	}
-	ix := &index{name: name, col: col, unique: unique, m: make(map[indexKey][]int64)}
-	for id, r := range t.rows {
-		k := r[col].key()
-		if unique && len(ix.m[k]) > 0 {
-			return fmt.Errorf("sqldb: duplicate value %v building unique index %q", r[col], name)
+	ix := &index{name: name, col: col, unique: unique, slot: len(t.postings)}
+	t.postings = append(t.postings, cowTree[ixEntry, Row]{owner: t.rows.owner, search: searchEntries})
+	var dupVal *Value
+	t.rows.ascend(nil, func(id int64, r Row) bool {
+		if k := r[col].key(); unique && t.posted(ix, k) {
+			dupVal = &r[col]
+		} else {
+			t.postings[ix.slot].set(ixEntry{k, id}, r)
 		}
-		ix.m[k] = append(ix.m[k], id)
+		return dupVal == nil
+	})
+	if dupVal != nil {
+		t.postings = t.postings[:ix.slot]
+		return fmt.Errorf("sqldb: duplicate value %v building unique index %q", *dupVal, name)
 	}
-	t.indexes[key] = ix
+	// Views share the map: extend a copy, never the one they read.
+	defs := map[string]*index{key: ix}
+	maps.Copy(defs, t.indexes)
+	t.indexes = defs
 	return nil
 }
 
@@ -214,6 +269,30 @@ func (t *Table) indexOn(col int) *index {
 	return found
 }
 
+// eachPosted calls fn with every row whose ix column has key k, in rowid
+// order, until fn returns false.
+func (t *Table) eachPosted(ix *index, k indexKey, fn func(id int64, r Row) bool) {
+	from := ixEntry{k, math.MinInt64}
+	t.postings[ix.slot].ascend(&from, func(e ixEntry, r Row) bool {
+		return e.k == k && fn(e.id, r)
+	})
+}
+
+// posted reports whether any row has key k in ix.
+func (t *Table) posted(ix *index, k indexKey) (found bool) {
+	t.eachPosted(ix, k, func(int64, Row) bool { found = true; return false })
+	return found
+}
+
+// put stores r under id and posts it in every index, unchecked. It is also
+// how a row is replaced: entries whose key did not change get the new row.
+func (t *Table) put(id int64, r Row) {
+	t.rows.set(id, r)
+	for _, ix := range t.indexes {
+		t.postings[ix.slot].set(ixEntry{r[ix.col].key(), id}, r)
+	}
+}
+
 // insert stores a row (already in schema order, AUTO_INCREMENT resolved) and
 // maintains indexes. It returns the rowid.
 func (t *Table) insert(r Row) (int64, error) {
@@ -227,30 +306,22 @@ func (t *Table) insert(r Row) (int64, error) {
 		}
 	}
 	for _, ix := range t.indexes {
-		if ix.unique {
-			k := r[ix.col].key()
-			if len(ix.m[k]) > 0 {
-				return 0, fmt.Errorf("sqldb: duplicate key %v for unique index %q on %q",
-					r[ix.col], ix.name, t.name)
-			}
+		if ix.unique && t.posted(ix, r[ix.col].key()) {
+			return 0, fmt.Errorf("sqldb: duplicate key %v for unique index %q on %q",
+				r[ix.col], ix.name, t.name)
 		}
 	}
 	id := t.nextID
 	t.nextID++
-	t.rows[id] = r
-	t.rowOrder = append(t.rowOrder, id)
-	for _, ix := range t.indexes {
-		k := r[ix.col].key()
-		ix.m[k] = append(ix.m[k], id)
-	}
+	t.put(id, r)
 	return id, nil
 }
 
 // update rewrites columns of the row at id, maintaining indexes. The stored
-// row is replaced, never mutated in place: frozen snapshots share Row slices
-// with live storage, so a row that has ever been stored must stay immutable.
+// row is replaced, never mutated in place: views, forks and query results
+// share Row slices, so a row that has ever been stored stays immutable.
 func (t *Table) update(id int64, set map[int]Value) error {
-	r, ok := t.rows[id]
+	r, ok := t.rows.get(id)
 	if !ok {
 		return fmt.Errorf("sqldb: update of missing rowid %d in %q", id, t.name)
 	}
@@ -260,7 +331,7 @@ func (t *Table) update(id int64, set map[int]Value) error {
 		if !changed || Equal(nv, r[ix.col]) {
 			continue
 		}
-		if ix.unique && len(ix.m[nv.key()]) > 0 {
+		if ix.unique && t.posted(ix, nv.key()) {
 			return fmt.Errorf("sqldb: duplicate key %v for unique index %q on %q",
 				nv, ix.name, t.name)
 		}
@@ -274,197 +345,49 @@ func (t *Table) update(id int64, set map[int]Value) error {
 	nr := make(Row, len(r))
 	copy(nr, r)
 	for col, nv := range set {
-		for _, ix := range t.indexes {
-			if ix.col != col {
-				continue
-			}
-			ix.remove(r[col].key(), id)
-			ix.m[nv.key()] = append(ix.m[nv.key()], id)
-		}
 		nr[col] = nv
 	}
-	t.rows[id] = nr
-	return nil
-}
-
-// remove drops id from the posting list of key k.
-func (ix *index) remove(k indexKey, id int64) {
-	list := ix.m[k]
-	for i, v := range list {
-		if v == id {
-			list[i] = list[len(list)-1]
-			list = list[:len(list)-1]
-			break
+	for _, ix := range t.indexes {
+		if old := r[ix.col].key(); old != nr[ix.col].key() {
+			t.postings[ix.slot].delete(ixEntry{old, id})
 		}
 	}
-	if len(list) == 0 {
-		delete(ix.m, k)
-	} else {
-		ix.m[k] = list
-	}
+	t.put(id, nr)
+	return nil
 }
 
 // deleteRow removes the row at id from storage and all indexes.
 func (t *Table) deleteRow(id int64) {
-	r, ok := t.rows[id]
+	r, ok := t.rows.get(id)
 	if !ok {
 		return
 	}
 	for _, ix := range t.indexes {
-		ix.remove(r[ix.col].key(), id)
+		t.postings[ix.slot].delete(ixEntry{r[ix.col].key(), id})
 	}
-	delete(t.rows, id)
-	// The id stays in rowOrder as a tombstone that scans skip. Compacting
-	// here, under the write lock, once tombstones outnumber live rows keeps
-	// deletes amortized O(1) and scans read-only — any number of them run
-	// concurrently under the table's read lock.
-	if len(t.rowOrder) > 2*len(t.rows) {
-		live := t.rowOrder[:0]
-		for _, id := range t.rowOrder {
-			if _, ok := t.rows[id]; ok {
-				live = append(live, id)
-			}
-		}
-		t.rowOrder = live
-	}
+	t.rows.delete(id)
 }
 
-// scan calls fn for each live row in insertion order, skipping the
-// tombstones deleteRow leaves in rowOrder. It writes nothing, and fn must
-// not mutate the table.
-func (t *Table) scan(fn func(id int64, r Row) error) error {
-	for _, id := range t.rowOrder {
-		if r, ok := t.rows[id]; ok {
-			if err := fn(id, r); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+// scan calls fn for each row in rowid order — insertion order, since rowids
+// only grow. fn must not write the table.
+func (t *Table) scan(fn func(id int64, r Row) error) (err error) {
+	t.rows.ascend(nil, func(id int64, r Row) bool {
+		err = fn(id, r)
+		return err == nil
+	})
+	return err
 }
 
-// restoreCols reverts columns of the row at id to their pre-statement
-// values, maintaining indexes. It is the undo path of update: constraints
-// are not rechecked — the old values were valid when the statement ran, and
-// undo applies in reverse order, so the pre-image is always restorable.
-// Like update, it replaces the stored row (copy-on-write) rather than
-// mutating it, since snapshots may share the current slice.
-func (t *Table) restoreCols(id int64, old map[int]Value) {
-	r, ok := t.rows[id]
-	if !ok {
-		return
-	}
-	nr := make(Row, len(r))
-	copy(nr, r)
-	for col, ov := range old {
-		for _, ix := range t.indexes {
-			if ix.col != col {
-				continue
-			}
-			ix.remove(r[col].key(), id)
-			ix.m[ov.key()] = append(ix.m[ov.key()], id)
-		}
-		nr[col] = ov
-	}
-	t.rows[id] = nr
-}
-
-// undoInsert removes an inserted row and restores the rowid/AUTO_INCREMENT
-// counters — the undo path of insert. Unlike a plain delete, the rowid is
-// also compacted out of rowOrder immediately: the restored counters mean
-// the id WILL be reused by the next insert, and a stale entry would make
-// scans emit that future row twice.
-func (t *Table) undoInsert(id, prevNextID, prevNextAI int64) {
-	t.deleteRow(id)
-	pos := sort.Search(len(t.rowOrder), func(i int) bool { return t.rowOrder[i] >= id })
-	if pos < len(t.rowOrder) && t.rowOrder[pos] == id {
-		t.rowOrder = append(t.rowOrder[:pos], t.rowOrder[pos+1:]...)
-	}
-	t.nextID = prevNextID
-	t.nextAI = prevNextAI
-}
-
-// restoreRow resurrects a deleted row under its original rowid, maintaining
-// indexes and scan order. rowOrder is always ascending (rowids are assigned
-// monotonically), so a sorted insert restores the original scan position;
-// the id is still present unless a later delete compacted it away.
-func (t *Table) restoreRow(id int64, r Row) {
-	if _, live := t.rows[id]; live {
-		return
-	}
-	t.rows[id] = r
-	for _, ix := range t.indexes {
-		k := r[ix.col].key()
-		ix.m[k] = append(ix.m[k], id)
-	}
-	pos := sort.Search(len(t.rowOrder), func(i int) bool { return t.rowOrder[i] >= id })
-	if pos < len(t.rowOrder) && t.rowOrder[pos] == id {
-		return
-	}
-	t.rowOrder = append(t.rowOrder, 0)
-	copy(t.rowOrder[pos+1:], t.rowOrder[pos:])
-	t.rowOrder[pos] = id
-}
-
-// lookup returns the rowids matching value v on column col via an index, or
-// ok=false when no index covers the column.
+// lookup returns the rowids matching value v on column col via an index, in
+// rowid order, or ok=false when no index covers the column.
 func (t *Table) lookup(col int, v Value) (ids []int64, ok bool) {
 	ix := t.indexOn(col)
 	if ix == nil {
 		return nil, false
 	}
-	list := ix.m[v.key()]
-	if ix.sorted {
-		// Frozen-snapshot index: the posting list was sorted at freeze time
-		// and nobody mutates it, so it can be returned as-is.
-		return list, true
-	}
-	// Copy and sort for deterministic result order.
-	out := make([]int64, len(list))
-	copy(out, list)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, true
-}
-
-// freeze builds an immutable copy of t's current state for snapshot reads.
-// The caller must hold at least the table's read lock. Schema (columns,
-// colIdx) and the Row slices themselves are shared — rows are never mutated
-// in place once stored — while the row map, scan order and index posting
-// lists are copied so subsequent writers cannot disturb the snapshot.
-// rowOrder is copied without its tombstones, and posting lists are
-// pre-sorted so frozen lookups skip the per-lookup copy-and-sort.
-func (t *Table) freeze() *Table {
-	sp := &Table{
-		name:     t.name,
-		columns:  t.columns,
-		colIdx:   t.colIdx,
-		rows:     make(map[int64]Row, len(t.rows)),
-		nextID:   t.nextID,
-		nextAI:   t.nextAI,
-		pkCol:    t.pkCol,
-		aiOffset: t.aiOffset,
-		aiStride: t.aiStride,
-		indexes:  make(map[string]*index, len(t.indexes)),
-		rowOrder: make([]int64, 0, len(t.rows)),
-		snapSeq:  t.version.Load(),
-	}
-	for _, id := range t.rowOrder {
-		r, ok := t.rows[id]
-		if !ok {
-			continue
-		}
-		sp.rows[id] = r
-		sp.rowOrder = append(sp.rowOrder, id)
-	}
-	for key, ix := range t.indexes {
-		m := make(map[indexKey][]int64, len(ix.m))
-		for k, list := range ix.m {
-			cp := make([]int64, len(list))
-			copy(cp, list)
-			sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-			m[k] = cp
-		}
-		sp.indexes[key] = &index{name: ix.name, col: ix.col, unique: ix.unique, sorted: true, m: m}
-	}
-	return sp
+	t.eachPosted(ix, v.key(), func(id int64, _ Row) bool {
+		ids = append(ids, id)
+		return true
+	})
+	return ids, true
 }

@@ -7,26 +7,27 @@ import (
 	"time"
 )
 
-// This file is the transaction subsystem: BEGIN/COMMIT/ROLLBACK with a
-// per-session row-level undo log over the MyISAM-style storage. A
-// transaction acquires each table's write lock the first time it writes the
-// table and holds it until commit or rollback (table-granular two-phase
-// locking); every lock a transaction takes — including the short read locks
-// of its SELECTs — is acquired with a wait timeout, and a timeout aborts
-// the whole transaction, converting lock cycles between transactions into a
-// deterministic "deadlock wait timeout" error instead of a hang. Within a
-// statement, multi-table lock sets are still acquired in sorted order.
+// This file is the transaction subsystem: BEGIN/COMMIT/ROLLBACK over
+// private forks. A transaction acquires each table's write lock the first
+// time it writes the table and holds it until commit or rollback
+// (table-granular two-phase locking); every lock it takes is acquired with a
+// wait timeout, and a timeout aborts the whole transaction, converting lock
+// cycles between transactions into a deterministic "deadlock wait timeout"
+// error instead of a hang. Its reads take no lock at all (mvcc.go).
+//
+// With the lock comes a fork: an O(1) clone of the table's committed state
+// (table.go) that the transaction's statements write and its SELECTs read.
+// The committed state is untouched until COMMIT swaps each fork in, so
+// ROLLBACK — and a lock-timeout abort, and a dropped connection — is
+// dropping the forks: the database is bit-identical to its pre-transaction
+// state, rows, index postings, scan order, AUTO_INCREMENT and rowid counters
+// included, by construction. That is the property the replicated cluster
+// relies on to keep backends identical across aborts.
 //
 // Statements inside a transaction are individually atomic: a statement that
 // fails midway (say row 3 of a multi-row INSERT hitting a duplicate key)
-// is undone back to its own start, and the transaction continues — MySQL's
-// statement-level atomicity.
-//
-// Rollback is purely deterministic: undo records are applied in reverse,
-// restoring row images, index postings, scan order, and the AUTO_INCREMENT
-// and rowid counters, so an aborted transaction leaves the database
-// bit-identical to its pre-transaction state — the property the replicated
-// cluster relies on to keep backends identical across aborts.
+// drops the fork back to a clone retained at the statement's start, and the
+// transaction continues — MySQL's statement-level atomicity.
 
 // ErrLockWaitTimeout is wrapped by errors returned when a transaction's
 // lock wait times out; the transaction has been rolled back.
@@ -87,95 +88,34 @@ func (db *DB) TxnStats() TxnStats {
 	}
 }
 
-// undoRec is one inverse operation. Records are applied newest-first.
-type undoRec struct {
-	t  *Table
-	id int64
-	// kind discriminates the union below.
-	kind undoKind
-	// old holds the pre-image: changed columns for an update, the full row
-	// for a delete.
-	old map[int]Value
-	row Row
-	// prevNextID / prevNextAI restore the table counters for an insert.
-	prevNextID int64
-	prevNextAI int64
-}
-
-type undoKind int
-
-const (
-	undoInsert undoKind = iota
-	undoUpdate
-	undoDelete
-)
-
-func (r *undoRec) revert() {
-	switch r.kind {
-	case undoInsert:
-		r.t.undoInsert(r.id, r.prevNextID, r.prevNextAI)
-	case undoUpdate:
-		r.t.restoreCols(r.id, r.old)
-	case undoDelete:
-		r.t.restoreRow(r.id, r.row)
-	}
-}
-
-// txn is a session's active transaction: its undo log, the write locks it
-// holds until commit or rollback, and the tables those locks cover (for the
-// snapshot publications at commit).
+// txn is a session's active transaction: the tables whose write lock it
+// holds until commit or rollback, and its private fork of each.
 type txn struct {
-	undo   []undoRec
-	held   []heldLock
-	tables []*Table // write-locked tables, same order as held
+	held  []*Table // catalog tables, in acquisition order
+	forks []*Table // forks[i] is the transaction's copy of held[i]
 	// logged accumulates the transaction's successful write statements for
 	// the WAL: the whole list becomes one record batch at COMMIT. Failed
-	// statements are absent — their effects were reverted (statement
+	// statements are absent — their effects were dropped (statement
 	// atomicity), so replay must not re-run them. A rolled-back
 	// transaction's list is discarded with the txn: it never touches the
 	// log.
 	logged []walStmt
 	// prepared marks phase one of two-phase commit: the transaction holds
-	// its locks and undo log but accepts no further statements until COMMIT
+	// its locks and forks but accepts no further statements until COMMIT
 	// or ROLLBACK. The in-memory engine's commit of a prepared transaction
-	// cannot fail — undo is discarded, publications are lock-protected —
-	// which is the property the cluster's 2PC coordinator relies on.
+	// cannot fail — it is a pointer swap per table under locks already
+	// held — which is the property the cluster's 2PC coordinator relies on.
 	prepared bool
 }
 
-// add appends an undo record.
-func (tx *txn) add(r undoRec) { tx.undo = append(tx.undo, r) }
-
-// mark returns the current undo position (the statement-atomicity anchor).
-func (tx *txn) mark() int { return len(tx.undo) }
-
-// revertTo undoes everything after mark, newest first.
-func (tx *txn) revertTo(mark int) {
-	for i := len(tx.undo) - 1; i >= mark; i-- {
-		tx.undo[i].revert()
-	}
-	tx.undo = tx.undo[:mark]
-}
-
-// holdsWrite reports whether the transaction holds table's write lock.
-func (tx *txn) holdsWrite(table string) bool {
-	for _, h := range tx.held {
-		if h.table == table {
-			return true
+// fork returns the transaction's copy of t, nil when it has not written t.
+func (tx *txn) fork(t *Table) *Table {
+	for i, h := range tx.held {
+		if h == t {
+			return tx.forks[i]
 		}
 	}
-	return false
-}
-
-// holdsWriteAny reports whether the transaction write-locks any of tabs —
-// the read-your-writes test that forces a SELECT off the snapshot path.
-func (tx *txn) holdsWriteAny(tabs []*Table) bool {
-	for _, t := range tabs {
-		if tx.holdsWrite(t.name) {
-			return true
-		}
-	}
-	return false
+	return nil
 }
 
 // InTxn reports whether a transaction is open on the session.
@@ -217,35 +157,45 @@ func (s *Session) execPrepareTxn() (*Result, error) {
 func (s *Session) execRollback() (*Result, error) {
 	if s.tx != nil {
 		s.rollbackTxn()
-		s.db.txns.rollbacks.Add(1)
 	}
 	return &Result{}, nil
 }
 
-// commitTxn discards the undo log and releases the held write locks. Each
-// written table is published first — still under its write lock — so the
-// transaction's effects on a table become visible to snapshot readers
-// atomically, and only at commit. The WAL record — one batch for the whole
-// transaction, so a torn tail drops it atomically — is appended under the
-// same locks; the committer waits for its fsync only after they drop.
+// commitTxn swaps each fork in as its table's committed state and bumps the
+// version — per table under its leaf mutex, so the transaction's effects on
+// a table become visible to readers atomically, and only now — then releases
+// the write locks. The WAL record — one batch for the whole transaction, so
+// a torn tail drops it atomically — is appended in the same commit section,
+// under the same locks; the committer waits for its fsync only after they
+// drop.
 func (s *Session) commitTxn() {
-	if w := s.db.wal; w != nil && len(s.tx.logged) > 0 {
-		s.notePending(w.appendBatch(s.tx.logged))
+	tx := s.tx
+	s.db.commitMu.RLock()
+	for i, t := range tx.held {
+		t.mu.Lock()
+		t.tableState = tx.forks[i].tableState
+		t.version.Add(1)
+		t.mu.Unlock()
 	}
-	for _, t := range s.tx.tables {
-		t.publish()
+	if w := s.db.wal; w != nil && len(tx.logged) > 0 {
+		s.notePending(w.appendBatch(tx.logged))
 	}
-	s.db.locks.releaseSet(s.tx.held)
-	s.tx = nil
+	s.db.commitMu.RUnlock()
+	s.endTxn()
 	s.db.txns.commits.Add(1)
 }
 
-// rollbackTxn applies the undo log in reverse, then releases the locks.
-// Undo runs while the write locks are still held, so no other session
-// observes the intermediate states.
+// rollbackTxn drops the forks: no other session ever saw them.
 func (s *Session) rollbackTxn() {
-	s.tx.revertTo(0)
-	s.db.locks.releaseSet(s.tx.held)
+	s.endTxn()
+	s.db.txns.rollbacks.Add(1)
+}
+
+// endTxn releases the held write locks in reverse acquisition order.
+func (s *Session) endTxn() {
+	for i := len(s.tx.held) - 1; i >= 0; i-- {
+		s.tx.held[i].lock.unlock()
+	}
 	s.tx = nil
 }
 
@@ -253,78 +203,46 @@ func (s *Session) rollbackTxn() {
 // wrapped ErrLockWaitTimeout for the statement that timed out.
 func (s *Session) abortTxn(table string) error {
 	s.rollbackTxn()
-	s.db.txns.rollbacks.Add(1)
 	s.db.txns.deadlockTimeouts.Add(1)
 	return fmt.Errorf("sqldb: %w (table %q)", ErrLockWaitTimeout, table)
 }
 
-// txnWriteLock ensures the transaction holds table's write lock, acquiring
-// it with the wait timeout. On timeout the transaction is aborted and the
-// returned error wraps ErrLockWaitTimeout.
-func (s *Session) txnWriteLock(t *Table) error {
-	if s.tx.holdsWrite(t.name) {
-		return nil
+// txnFork returns the transaction's fork of t, first acquiring t's write
+// lock with the wait timeout and cloning the committed state when this is
+// the transaction's first write to t. On timeout the transaction is aborted
+// and the returned error wraps ErrLockWaitTimeout.
+func (s *Session) txnFork(t *Table) (*Table, error) {
+	if f := s.tx.fork(t); f != nil {
+		return f, nil
 	}
 	start := time.Now()
-	ok := s.db.tableLockOf(t).lockTimed(true, s.db.lockWait())
+	ok := t.lock.lockTimed(s.db.lockWait())
 	s.db.txns.lockWaitNanos.Add(time.Since(start).Nanoseconds())
 	if !ok {
-		return s.abortTxn(t.name)
+		return nil, s.abortTxn(t.name)
 	}
-	s.tx.held = append(s.tx.held, heldLock{table: t.name, write: true})
-	s.tx.tables = append(s.tx.tables, t)
-	return nil
+	t.mu.Lock()
+	f := t.detach()
+	t.mu.Unlock()
+	s.tx.held = append(s.tx.held, t)
+	s.tx.forks = append(s.tx.forks, f)
+	return f, nil
 }
 
-// txnReadLocks takes short (statement-scoped) read locks for the tables a
-// SELECT inside a transaction touches, skipping tables whose write lock the
-// transaction already holds. Names are sorted and deduped first (the same
-// deadlock-avoidance order every lock set uses); each acquisition is timed,
-// and a timeout aborts the transaction. It returns a release for the
-// acquired set.
-func (s *Session) txnReadLocks(tables []*Table) (release func(), err error) {
-	names := make([]string, 0, len(tables))
-	for _, t := range tables {
-		if !s.tx.holdsWrite(t.name) {
-			names = append(names, t.name)
-		}
-	}
-	sortStrings(names)
-	var acquired []heldLock
-	releaseAcquired := func() { s.db.locks.releaseSet(acquired) }
-	for i, n := range names {
-		if i > 0 && n == names[i-1] {
-			continue
-		}
-		start := time.Now()
-		ok := s.db.locks.lockFor(n).lockTimed(false, s.db.lockWait())
-		s.db.txns.lockWaitNanos.Add(time.Since(start).Nanoseconds())
-		if !ok {
-			releaseAcquired()
-			return nil, s.abortTxn(n)
-		}
-		acquired = append(acquired, heldLock{table: n})
-	}
-	return releaseAcquired, nil
-}
-
-// withTxnLock brackets a write statement inside the transaction: the table
-// write lock is acquired (and kept), and the statement's effects are undone
-// if it fails partway — statement-level atomicity. A successful statement
-// joins the transaction's WAL batch (logged at COMMIT); a failed one was
-// reverted and is not replayable state.
-func (s *Session) withTxnLock(table, src string, args []Value, fn func(*Table) (*Result, error)) (*Result, error) {
-	t, err := s.db.table(table)
+// execTxnDML runs a write statement inside the transaction, on its fork of
+// the table, and drops the fork back to where the statement found it if the
+// statement fails partway — statement-level atomicity. A successful
+// statement joins the transaction's WAL batch (logged at COMMIT); a failed
+// one left nothing to replay.
+func (s *Session) execTxnDML(t *Table, src string, args []Value, fn func(*Table) (*Result, error)) (*Result, error) {
+	f, err := s.txnFork(t)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.txnWriteLock(t); err != nil {
-		return nil, err
-	}
-	mark := s.tx.mark()
-	res, err := fn(t)
+	start := f.tableState.clone()
+	res, err := fn(f)
 	if err != nil {
-		s.tx.revertTo(mark)
+		f.tableState = start
 		return nil, err
 	}
 	if s.db.wal != nil && src != "" {

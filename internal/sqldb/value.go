@@ -1,9 +1,10 @@
 // Package sqldb is an in-memory relational database engine modeled on the
-// MySQL 3.23 / MyISAM substrate the paper measures: typed tables with hash
-// and ordered indexes, a SQL executor over the dialect in sqlparse, and
-// MyISAM's locking discipline — implicit per-statement table locks with
-// writer priority — under BEGIN/COMMIT/ROLLBACK transactions that hold
-// their table write locks to the end.
+// MySQL 3.23 / MyISAM substrate the paper measures: typed tables with
+// ordered indexes, a SQL executor over the dialect in sqlparse, and
+// MyISAM's write granularity — one writer per table, an implicit table lock
+// per statement — under BEGIN/COMMIT/ROLLBACK transactions that hold their
+// table write locks to the end, with reads served from committed
+// copy-on-write versions that no lock guards.
 //
 // The engine is the storage tier for both benchmark applications and is
 // exposed over TCP by package wire, whose client takes the place of the
@@ -12,6 +13,7 @@ package sqldb
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -156,30 +158,45 @@ func Equal(a, b Value) bool {
 	return Compare(a, b) == 0
 }
 
-// key returns a map key for index lookups. Numeric kinds normalize so that
-// Int(3) and Float(3) collide, as Compare treats them equal.
+// key returns the value's index key. Numeric kinds normalize so that Int(3)
+// and Float(3) collide, as Compare treats them equal.
 func (v Value) key() indexKey {
 	switch v.kind {
 	case KindNull:
-		return indexKey{kind: KindNull}
+		return indexKey{}
 	case KindString:
-		return indexKey{kind: KindString, s: v.s}
-	default:
-		return indexKey{kind: KindFloat, f: v.AsFloat()}
+		return indexKey{ord: math.MaxUint64, s: v.s}
 	}
+	f := v.AsFloat()
+	switch {
+	case f == 0:
+		f = 0 // -0 and +0 are one key
+	case f != f:
+		f = math.NaN() // every NaN is one key, and not one of the two reserved
+	}
+	// The usual order-preserving map of a float's bits: flip all of a
+	// negative's, the sign of the rest.
+	b := math.Float64bits(f)
+	if b>>63 != 0 {
+		return indexKey{ord: ^b}
+	}
+	return indexKey{ord: b | 1<<63}
 }
 
-// indexKey is the comparable form of a Value used by hash indexes.
+// indexKey is the comparable, ordered form of a Value that index entries
+// are sorted by: one integer compare orders NULL (0) before every number
+// (in numeric order) before every string (all at MaxUint64, told apart by
+// s). Equal keys are equal values; the order among them is only ever used
+// to keep equal keys adjacent.
 type indexKey struct {
-	kind Kind
-	f    float64
-	s    string
+	ord uint64
+	s   string
 }
 
 // Row is one table row. Rows are value slices in schema column order.
 type Row []Value
 
-// Note: results may alias storage rows. That is safe because stored rows
-// are immutable once written — Table.update and Table.restoreCols replace
-// the slice rather than mutating it (the copy-on-write contract snapshots
-// rely on, mvcc.go).
+// Note: results may alias storage rows, as every version of a table that
+// holds a row aliases it — the committed state, views, forks, each index
+// entry. That is safe because a stored row is immutable: Table.update
+// stores a new slice rather than mutating the old one.

@@ -5,7 +5,7 @@ package sqldb
 // *logically* — each committed mutation's statement text plus its bound
 // arguments — because the replicated cluster already relies on the engine
 // being deterministic under an ordered statement stream (seeded populates,
-// strided AUTO_INCREMENT, reverse undo): replaying the log re-derives the
+// strided AUTO_INCREMENT, aborts that leave no trace): replaying the log re-derives the
 // exact pre-crash state the same way a rejoining replica re-derives a
 // peer's.
 //
@@ -41,9 +41,11 @@ package sqldb
 // since LSN 0 — rides along so a rejoining replica can prove its state is a
 // prefix of a peer's stream before asking for a delta (cluster.SyncAuto).
 //
-// Checkpoints. Checkpoint freezes every table at a quiesced point (all
-// table read locks + the catalog lock held, so no append is in flight),
-// serializes the frozen copies to ckpt-<LSN>.snap via a temp file + rename,
+// Checkpoints. Checkpoint clones every table's committed state at a cut
+// between commit sections (DB.commitMu and the catalog lock held for the
+// clones — O(tables), no append in flight, no lock of any open transaction
+// waited for), serializes the clones to ckpt-<LSN>.snap via a temp file +
+// rename,
 // then rotates to a fresh segment and garbage-collects segments and
 // checkpoints wholly superseded. The walfault crash points (pre-append,
 // post-append-pre-fsync, mid-checkpoint, mid-rotate) bracket each of these
@@ -633,46 +635,40 @@ func (w *WAL) maybeCheckpoint() {
 
 // Checkpoint snapshots every table to a sidecar file and rotates the log:
 // recovery then starts from the snapshot and replays only the records past
-// it. Concurrent commits are excluded only for the duration of the table
-// freezes (microseconds), not the file write.
+// it. Commits are excluded only while the tables are cloned (O(1) each), not
+// for the file write, and an open transaction is not waited for at all: its
+// forks are not committed state, and its record will carry a later LSN.
 func (w *WAL) Checkpoint() error {
 	w.ckptMu.Lock()
 	defer w.ckptMu.Unlock()
 	db := w.db
 
-	// Quiesce appends: every append happens under a table write lock or the
-	// catalog write lock, so holding the catalog read lock plus every
-	// table's read lock guarantees no record is in flight while we capture
-	// (LSN, chain) and freeze — the snapshot is exactly the state through
-	// that LSN.
+	// Every append happens inside a commit section or under the catalog
+	// write lock, so with both excluded no record is in flight while we
+	// capture (LSN, chain) and the states — the snapshot is exactly the
+	// state through that LSN.
 	db.mu.RLock()
-	names := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		names = append(names, n)
-	}
-	sortStrings(names)
-	locks := make([]*tableLock, len(names))
-	for i, n := range names {
-		locks[i] = db.tableLockOf(db.tables[n])
-	}
-	lockReads(locks)
+	db.commitMu.Lock()
 	w.mu.Lock()
 	lsn, chain := w.nextLSN-1, w.chain
 	crashed := w.crashed || w.closed
 	w.mu.Unlock()
-	frozen := make([]*Table, 0, len(names))
+	var states []*Table
 	if !crashed {
-		for _, n := range names {
-			frozen = append(frozen, db.tables[n].freeze())
+		for _, n := range db.tableNamesLocked() {
+			t := db.tables[n]
+			t.mu.Lock() // against a reader cloning its view
+			states = append(states, t.detach())
+			t.mu.Unlock()
 		}
 	}
-	unlockReads(locks)
+	db.commitMu.Unlock()
 	db.mu.RUnlock()
 	if crashed {
 		return ErrWALCrashed
 	}
 
-	if err := w.writeCheckpoint(lsn, chain, frozen); err != nil {
+	if err := w.writeCheckpoint(lsn, chain, states); err != nil {
 		return err
 	}
 	w.mu.Lock()
@@ -691,7 +687,7 @@ func segPath(dir string, firstLSN uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("wal-%016x.log", firstLSN))
 }
 
-// writeCheckpoint serializes the frozen tables to ckpt-<lsn>.snap via a
+// writeCheckpoint serializes the captured tables to ckpt-<lsn>.snap via a
 // temp file, fsync, rename, directory fsync — the standard atomic-publish
 // dance, so a crash leaves either the old checkpoint set or the new one,
 // never a half-written file under the real name.
@@ -781,13 +777,14 @@ func appendCkptTable(b []byte, t *Table) []byte {
 			b = append(b, 0)
 		}
 	}
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(t.rowOrder)))
-	for _, id := range t.rowOrder {
+	b = binary.LittleEndian.AppendUint64(b, uint64(t.rows.len()))
+	t.rows.ascend(nil, func(id int64, r Row) bool {
 		b = binary.LittleEndian.AppendUint64(b, uint64(id))
-		for _, v := range t.rows[id] {
+		for _, v := range r {
 			b = appendWALValue(b, v)
 		}
-	}
+		return true
+	})
 	return b
 }
 

@@ -903,3 +903,59 @@ func TestWALCheckpointNeverCyclesWithTxn(t *testing.T) {
 		t.Errorf("starved: %d transactions, %d checkpoints in 1s", txns, ckpts)
 	}
 }
+
+// TestWALCheckpointWhileTxnOpen: a checkpoint captures committed state at a
+// cut between commit sections and waits for no transaction: it returns while
+// one holds its tables, its file holds none of that transaction's rows, and
+// when the transaction then commits, a crash recovers its rows from the log
+// on top of that checkpoint.
+func TestWALCheckpointWhileTxnOpen(t *testing.T) {
+	dir := t.TempDir()
+	db := New()
+	if _, err := db.AttachWAL(testWALOpts(dir)); err != nil {
+		t.Fatal(err)
+	}
+	s := db.NewSession()
+	walSchema(t, s)
+	walMustExec(t, s, "INSERT INTO items (name, qty) VALUES ('committed', 1)")
+	a := db.NewSession()
+	walMustExec(t, a, "BEGIN")
+	walMustExec(t, a, "INSERT INTO items (name, qty) VALUES ('open', 2)")
+	walMustExec(t, a, "INSERT INTO audit (item, delta) VALUES (2, 2)")
+
+	done := make(chan error, 1)
+	go func() { done <- db.Checkpoint() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the checkpoint waited for the open transaction")
+	}
+	lsn := db.WALStats().CheckpointLSN
+	_, _, tables, err := loadCheckpoint(ckptPath(dir, lsn))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tb := range tables {
+		if want := map[string]int{"items": 1, "audit": 0}[tb.name]; tb.RowCount() != want {
+			t.Errorf("checkpoint holds %d rows of %s, want %d: the open transaction's are not committed state",
+				tb.RowCount(), tb.name, want)
+		}
+	}
+
+	walMustExec(t, a, "COMMIT")
+	a.Close()
+	s.Close()
+	want := dbDump(t, db)
+	db.WAL().Crash()
+	db2, info := recoverDB(t, dir)
+	if info.CheckpointLSN != lsn || info.ReplayedStmts != 2 {
+		t.Errorf("recovered from checkpoint %d replaying %d statements, want checkpoint %d and the transaction's 2",
+			info.CheckpointLSN, info.ReplayedStmts, lsn)
+	}
+	if got := dbDump(t, db2); got != want {
+		t.Fatalf("recovery diverged:\n got: %s\nwant: %s", got, want)
+	}
+}

@@ -100,17 +100,18 @@ type Tier struct {
 	// counters (every BEGIN/COMMIT/ROLLBACK served); for the EJB tier they
 	// are container-managed demarcation outcomes. DeadlockTimeouts counts
 	// transactions aborted by the lock wait timeout, and TxnLockWaitNanos
-	// is cumulative time transactions spent blocked on table locks — both
+	// is cumulative time transactions spent blocked on table write locks — both
 	// feed the bottleneck heuristic as database-tier saturation evidence.
 	Commits          int64 `json:"commits,omitempty"`
 	Aborts           int64 `json:"aborts,omitempty"`
 	DeadlockTimeouts int64 `json:"deadlock_timeouts,omitempty"`
 	TxnLockWaitNanos int64 `json:"txn_lock_wait_nanos,omitempty"`
 	// MVCC read-path counters (database tier): SELECT statements served from
-	// committed snapshots, per-table lock-manager bypasses those reads got
-	// for free, and snapshot rebuilds (the slow path — a rebuild takes the
-	// table's read lock once, then every reader until the next write is
-	// lock-free).
+	// committed views (all but a transaction's reads of its own writes),
+	// per-table reads of an installed view that was still current (one
+	// atomic load), and views re-taken after a commit — an O(1) clone under
+	// the table's leaf mutex, then every reader until the next write rides
+	// it.
 	SnapshotReads     int64 `json:"snapshot_reads,omitempty"`
 	LockBypasses      int64 `json:"lock_bypasses,omitempty"`
 	SnapshotRefreshes int64 `json:"snapshot_refreshes,omitempty"`
