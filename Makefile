@@ -83,7 +83,7 @@ bench-smoke:
 chaos-smoke:
 	$(GO) test -race -timeout 120s ./internal/chaos
 	$(GO) test -race -timeout 180s \
-		-run 'Chaos|Degraded|SlowReplica|RejoinDeadline|SyncWithin|PoolWaitTimeout|StalledBackend' \
+		-run 'Chaos|Degraded|SlowReplica|PinnedRead|RejoinDeadline|RejoinExcludes|SyncWithin|PoolWaitTimeout|StalledBackend' \
 		./internal/core ./internal/cluster ./internal/lb
 
 # WAL torture: the durability battery. Crash points, torn tails, and

@@ -110,13 +110,15 @@ var flagTokRe = regexp.MustCompile("`-([a-z][a-z0-9-]*)[^`]*`")
 // scatter rewrite; core's field-by-field counter copy, the pool's retry
 // backoff and the router's token scanner; core's second copy of the
 // assembly and the BENCH_<n>.json perf gate; the engine's second, locked
-// read path with its refresh policy, and the undo log).
+// read path with its refresh policy, and the undo log; the replica set's
+// single-backend statement path and its per-client topology lock).
 var removedIdents = []string{
 	"execLock", "HoldsLocks", "bracketAll", "kindLock",
 	"shExec", "shBegin", "shCommit", "cluster.Stmt", "Client.Prepare", "topLevelFrom",
 	"addClusterStats", "RetryAttempts", "RetryBackoff", "RetrySeed", "sleepBackoff", "tokenAfter",
 	"seedShards", "staticImages", "bench-gate",
 	"snapRefreshMin", "refreshSnap", "liveReadLocks", "txnReadLocks", "lockReads", "live_fallbacks", "undoRec", "rowOrder",
+	"singleExec", "topoHeld",
 }
 
 // checkFlagDocs verifies that every backticked `-flag` token on a

@@ -106,77 +106,73 @@ func TestReadsSkipSyncingReplica(t *testing.T) {
 // cluster-wide write-order locks — a catch-all writer (which excludes every
 // named writer) must proceed while the read-only transaction is open. The
 // transaction's own writes are rejected client-side before touching any
-// replica.
+// replica, whatever the replica count, and once it has committed the same
+// session writes normally again.
 func TestReadOnlyTxnSkipsWriteOrderLocks(t *testing.T) {
-	reps := startReplicas(t, 2)
-	c := newTestClient(t, reps, Config{})
-	err := c.WithReadTx(func(tx *Session) error {
-		res, err := tx.ExecCached("SELECT qty FROM items WHERE id = 1")
+	eachReplicaCount(t, func(t *testing.T, reps []*testReplica) {
+		c := newTestClient(t, reps, Config{})
+		err := c.WithReadTx(func(tx *Session) error {
+			res, err := tx.ExecCached("SELECT qty FROM items WHERE id = 1")
+			if err != nil {
+				return err
+			}
+			if len(res.Rows) != 1 {
+				t.Fatalf("read in RO txn: %d rows", len(res.Rows))
+			}
+			// If the read-only transaction held any write-order lock, this
+			// catch-all-conflicting write from the pool would deadlock here.
+			if _, err := c.ExecCached("UPDATE items SET qty = 1 WHERE id = 5"); err != nil {
+				t.Fatalf("concurrent write blocked by read-only txn: %v", err)
+			}
+			// Writes inside the transaction are rejected without reaching a
+			// replica.
+			if _, err := tx.ExecCached("UPDATE items SET qty = 2 WHERE id = 6"); !errors.Is(err, errReadOnlyTxn) {
+				t.Fatalf("write in RO txn: err %v, want errReadOnlyTxn", err)
+			}
+			return nil
+		})
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		if len(res.Rows) != 1 {
-			t.Fatalf("read in RO txn: %d rows", len(res.Rows))
+		if got := c.ClientStats().ReadOnlyTxns; got != 1 {
+			t.Fatalf("ReadOnlyTxns %d, want 1", got)
 		}
-		// If the read-only transaction held any write-order lock, this
-		// catch-all-conflicting write from the pool would deadlock here.
-		if _, err := c.ExecCached("UPDATE items SET qty = 1 WHERE id = 5"); err != nil {
-			t.Fatalf("concurrent write blocked by read-only txn: %v", err)
+		// The rejected write never reached any replica: id=6 keeps its seed qty.
+		for i, r := range reps {
+			res := queryReplica(t, r, "SELECT qty FROM items WHERE id = 6")
+			if got := res.Rows[0][0].AsInt(); got != 100 {
+				t.Errorf("replica %d: rejected write leaked, qty %d", i, got)
+			}
 		}
-		// Writes inside the transaction are rejected without reaching a
-		// replica.
-		if _, err := tx.ExecCached("UPDATE items SET qty = 2 WHERE id = 6"); !errors.Is(err, errReadOnlyTxn) {
-			t.Fatalf("write in RO txn: err %v, want errReadOnlyTxn", err)
+		// And the concurrent pool write reached every one.
+		for i, r := range reps {
+			res := queryReplica(t, r, "SELECT qty FROM items WHERE id = 5")
+			if got := res.Rows[0][0].AsInt(); got != 1 {
+				t.Errorf("replica %d: concurrent write missing, qty %d", i, got)
+			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.ClientStats().ReadOnlyTxns; got != 1 {
-		t.Fatalf("ReadOnlyTxns %d, want 1", got)
-	}
-	// The rejected write never reached any replica: id=6 keeps its seed qty.
-	for i, r := range reps {
-		res := queryReplica(t, r, "SELECT qty FROM items WHERE id = 6")
-		if got := res.Rows[0][0].AsInt(); got != 100 {
-			t.Errorf("replica %d: rejected write leaked, qty %d", i, got)
-		}
-	}
-	// And the concurrent pool write reached both.
-	for i, r := range reps {
-		res := queryReplica(t, r, "SELECT qty FROM items WHERE id = 5")
-		if got := res.Rows[0][0].AsInt(); got != 1 {
-			t.Errorf("replica %d: concurrent write missing, qty %d", i, got)
-		}
-	}
-}
 
-// TestReadOnlyTxnSingleReplica: the write rejection also guards the
-// single-replica fast path, where statements otherwise skip routing
-// classification entirely.
-func TestReadOnlyTxnSingleReplica(t *testing.T) {
-	reps := startReplicas(t, 1)
-	c := newTestClient(t, reps, Config{})
-	s, err := c.Get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Put(s, false)
-	if err := s.BeginReadOnly(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.ExecCached("SELECT qty FROM items WHERE id = 1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.ExecCached("DELETE FROM items WHERE id = 1"); !errors.Is(err, errReadOnlyTxn) {
-		t.Fatalf("err %v, want errReadOnlyTxn", err)
-	}
-	if err := s.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	// After COMMIT the session writes normally again.
-	if _, err := s.ExecCached("UPDATE items SET qty = 3 WHERE id = 1"); err != nil {
-		t.Fatal(err)
-	}
+		// The same on a borrowed session, which outlives the transaction.
+		s, err := c.Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Put(s, false)
+		if err := s.BeginReadOnly(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.ExecCached("SELECT qty FROM items WHERE id = 1"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.ExecCached("DELETE FROM items WHERE id = 1"); !errors.Is(err, errReadOnlyTxn) {
+			t.Fatalf("err %v, want errReadOnlyTxn", err)
+		}
+		if err := s.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		// After COMMIT the session writes normally again.
+		if _, err := s.ExecCached("UPDATE items SET qty = 3 WHERE id = 1"); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -16,9 +16,11 @@
 //     though its data may in fact be newer — the error is only ever in the
 //     conservative direction (a needless miss, never a stale hit).
 //   - A table's version is bumped strictly AFTER the commit is acked
-//     server-side, and publication is conservative: any outcome that is not
-//     a deterministic server-side failure bumps (a broadcast that died in
-//     transport may still have applied). An abort publishes nothing —
+//     server-side, and publication is conservative, by one rule at every
+//     replica count: any outcome that is not a deterministic server-side
+//     failure bumps (a broadcast that died in transport may still have
+//     applied) — an auto-commit write at once, a transactional one with
+//     its transaction's write set. An abort publishes nothing —
 //     aborted writes were never visible to any live read, so cache entries
 //     filled concurrently saw pre-txn data that is still correct.
 //   - Inside a transaction that write-holds a referenced table the cache is
@@ -236,16 +238,12 @@ func (q *queryCache) len() int {
 	return q.ll.Len()
 }
 
-// notePublish records a write's table set for version publication: outside
-// a transaction the bump is immediate (the write is committed once acked);
-// inside one it is deferred into the session's writeSet until COMMIT
-// flushes it — an abort must publish nothing, because aborted writes were
-// never visible to any read that could have filled a cache entry.
+// notePublish records a transactional write's table set for version
+// publication, deferred into the session's writeSet until COMMIT flushes it
+// — an abort must publish nothing, because aborted writes were never
+// visible to any read that could have filled a cache entry. (An auto-commit
+// write is committed once acked: writeWith bumps at once.)
 func (s *replicaTxn) notePublish(tables []string) {
-	if !s.inTxn {
-		s.rs.locks.bump(tables)
-		return
-	}
 	if s.writeSet == nil {
 		s.writeSet = make(map[string]bool)
 	}
@@ -254,8 +252,10 @@ func (s *replicaTxn) notePublish(tables []string) {
 	}
 }
 
-// flushWrites publishes the transaction's accumulated write set (COMMIT,
-// or any path that may have committed server-side).
+// flushWrites publishes the transaction's accumulated write set: at COMMIT,
+// and when a session is abandoned mid-transaction. That is the one rule for
+// a transport failure at every replica count — the failed statement's
+// tables are in the set like any other's.
 func (s *replicaTxn) flushWrites() {
 	if len(s.writeSet) == 0 {
 		return
@@ -271,16 +271,13 @@ func (s *replicaTxn) flushWrites() {
 // discardWrites drops the pending write set without publishing (ROLLBACK).
 func (s *replicaTxn) discardWrites() { s.writeSet = nil }
 
-// cacheBypass reports whether a read must skip the cache: inside an open
-// transaction whose declared (held) or observed (writeSet) write set
-// intersects the read's tables — including the catch-all "" of an
-// undeclared transaction — the read must run live to see the session's own
-// uncommitted writes, and its result must not be published as what other
-// clients should see.
+// cacheBypass reports whether a transaction's read must skip the cache:
+// when its declared (held) or observed (writeSet) write set intersects the
+// read's tables — including the catch-all "" of an undeclared transaction —
+// the read must run live to see the session's own uncommitted writes, and
+// its result must not be published as what other clients should see. A
+// read-only transaction has neither set and bypasses nothing.
 func (s *replicaTxn) cacheBypass(rt route) bool {
-	if !s.inTxn {
-		return false
-	}
 	if s.writeSet[""] {
 		return true
 	}

@@ -83,62 +83,101 @@ func TestQueryCacheWriteOtherTableKeepsEntry(t *testing.T) {
 	}
 }
 
+// The three version-publication rules of a transaction, each at every
+// replica count: a rollback publishes nothing, a commit publishes once, and a
+// write that died in transport is published when the session is given up.
+
 // TestQueryCacheAbortPublishesNothing: a rolled-back transaction must not
 // invalidate cache entries or advance the page-cache content epoch —
 // nothing committed, so nothing changed.
 func TestQueryCacheAbortPublishesNothing(t *testing.T) {
-	reps := startReplicas(t, 2)
-	c := newTestClient(t, reps, Config{QueryCache: 32})
+	eachReplicaCount(t, func(t *testing.T, reps []*testReplica) {
+		c := newTestClient(t, reps, Config{QueryCache: 32})
 
-	queryQty(t, c, 1) // fill
-	epoch0 := c.ContentEpoch()
+		queryQty(t, c, 1) // fill
+		epoch0 := c.ContentEpoch()
 
-	s, err := c.Get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Begin("items"); err != nil {
-		t.Fatal(err)
-	}
-	mustExec(t, s, "UPDATE items SET qty = -999 WHERE id = 1")
-	if err := s.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-	c.Put(s, false)
+		s, err := c.Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Begin("items"); err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, s, "UPDATE items SET qty = -999 WHERE id = 1")
+		if err := s.Rollback(); err != nil {
+			t.Fatal(err)
+		}
+		c.Put(s, false)
 
-	if got := c.ContentEpoch(); got != epoch0 {
-		t.Fatalf("ContentEpoch advanced %d -> %d across an aborted txn", epoch0, got)
-	}
-	if got := queryQty(t, c, 1); got != 100 {
-		t.Fatalf("qty after abort = %d, want 100", got)
-	}
-	hits, _, invals, _ := cacheStats(c)
-	if hits != 1 || invals != 0 {
-		t.Fatalf("hits=%d invalidations=%d after abort, want 1/0", hits, invals)
-	}
+		if got := c.ContentEpoch(); got != epoch0 {
+			t.Fatalf("ContentEpoch advanced %d -> %d across an aborted txn", epoch0, got)
+		}
+		if got := queryQty(t, c, 1); got != 100 {
+			t.Fatalf("qty after abort = %d, want 100", got)
+		}
+		hits, _, invals, _ := cacheStats(c)
+		if hits != 1 || invals != 0 {
+			t.Fatalf("hits=%d invalidations=%d after abort, want 1/0", hits, invals)
+		}
+	})
 }
 
 // TestQueryCacheCommitAdvancesEpoch: the same transaction, committed, must
-// invalidate and advance the epoch.
+// invalidate and advance the epoch — once for the transaction, not once per
+// statement.
 func TestQueryCacheCommitAdvancesEpoch(t *testing.T) {
-	reps := startReplicas(t, 2)
-	c := newTestClient(t, reps, Config{QueryCache: 32})
+	eachReplicaCount(t, func(t *testing.T, reps []*testReplica) {
+		c := newTestClient(t, reps, Config{QueryCache: 32})
 
-	queryQty(t, c, 1)
-	epoch0 := c.ContentEpoch()
-	err := c.WithTx([]string{"items"}, func(tx *Session) error {
-		_, err := tx.Exec("UPDATE items SET qty = 7 WHERE id = 1")
-		return err
+		queryQty(t, c, 1)
+		epoch0 := c.ContentEpoch()
+		err := c.WithTx([]string{"items"}, func(tx *Session) error {
+			if _, err := tx.Exec("UPDATE items SET qty = 6 WHERE id = 1"); err != nil {
+				return err
+			}
+			_, err := tx.Exec("UPDATE items SET qty = 7 WHERE id = 1")
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.ContentEpoch(); got != epoch0+1 {
+			t.Fatalf("ContentEpoch %d after a committed txn at %d, want one bump", got, epoch0)
+		}
+		if got := queryQty(t, c, 1); got != 7 {
+			t.Fatalf("qty after commit = %d, want 7", got)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.ContentEpoch(); got <= epoch0 {
-		t.Fatalf("ContentEpoch %d not advanced past %d by committed txn", got, epoch0)
-	}
-	if got := queryQty(t, c, 1); got != 7 {
-		t.Fatalf("qty after commit = %d, want 7", got)
-	}
+}
+
+// TestQueryCacheTransportFailedWritePublishes: a transactional write whose
+// broadcast died in transport cannot be proven not to have applied, so its
+// tables' versions advance when the poisoned session is returned — the
+// conservative side, whatever the replica count.
+func TestQueryCacheTransportFailedWritePublishes(t *testing.T) {
+	eachReplicaCount(t, func(t *testing.T, reps []*testReplica) {
+		c := newTestClient(t, reps, Config{QueryCache: 32})
+		epoch0 := c.ContentEpoch()
+		s, err := c.Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Begin("items"); err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, s, "UPDATE items SET qty = 1 WHERE id = 1")
+		for _, r := range reps {
+			r.srv.Close()
+		}
+		if _, err := s.Exec("UPDATE items SET qty = 2 WHERE id = 1"); !isTransport(err) {
+			t.Fatalf("write on dead backends = %v, want a transport error", err)
+		}
+		c.Put(s, true)
+		if got := c.ContentEpoch(); got != epoch0+1 {
+			t.Fatalf("ContentEpoch %d after a transport-failed write at %d, want one bump", got, epoch0)
+		}
+	})
 }
 
 // TestQueryCacheTxnBypass: inside a transaction that write-holds a table,

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -380,6 +381,132 @@ func TestDegradedModeReadOnly(t *testing.T) {
 		res := queryReplica(t, r, "SELECT qty FROM items WHERE id = 3")
 		if got := res.Rows[0][0].AsInt(); got != 9 {
 			t.Fatalf("replica %d qty = %d, want 9 (divergence after recovery)", i, got)
+		}
+	}
+}
+
+// TestTxnPinnedReadFailurePoisonsSession: when the replica a transaction
+// reads from dies under it, that server has rolled its side back; the
+// session is poisoned there and then, at every replica count, instead of
+// the next statement writing into the dead connection.
+func TestTxnPinnedReadFailurePoisonsSession(t *testing.T) {
+	eachReplicaCount(t, func(t *testing.T, reps []*testReplica) {
+		c := newTestClient(t, reps, Config{})
+		s, err := c.Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Put(s, true)
+		if err := s.Begin("items"); err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, s, "UPDATE items SET qty = 1 WHERE id = 1")
+		reps[s.txn.(*replicaTxn).pinned.id].srv.Close()
+		if _, err := s.Exec("SELECT qty FROM items WHERE id = 1"); !isTransport(err) {
+			t.Fatalf("read on the dead pinned replica = %v, want a transport error", err)
+		}
+		if _, err := s.Exec("SELECT qty FROM items WHERE id = 1"); !errors.Is(err, errSessionFailed) {
+			t.Fatalf("statement after the failed read = %v, want errSessionFailed", err)
+		}
+	})
+}
+
+// TestSlowReplicaEjectedByTxnWrite: SlowThreshold covers the writes the
+// applications actually issue, which are transactional. The first broadcast
+// the slow replica trails ejects it and drops it from the transaction,
+// which goes on — reads re-pinned, later writes and the COMMIT on the
+// survivor alone — at the survivor's speed.
+func TestSlowReplicaEjectedByTxnWrite(t *testing.T) {
+	reps := startReplicas(t, 2)
+	px, err := chaos.Listen("replica1", reps[1].addr, chaos.Schedule{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer px.Close()
+	c := NewWithConfig(Config{
+		DSN:           reps[0].addr + "," + px.Addr(),
+		PoolSize:      2,
+		SlowThreshold: 100 * time.Millisecond,
+	})
+	defer c.Close()
+	s, err := c.Get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Put(s, false)
+	s.txn.(*replicaTxn).pinned = flat(c).replicas[1] // reads start on the replica about to lag
+	px.Set(chaos.Fault{Kind: chaos.Latency, Delay: 300 * time.Millisecond})
+	if err := s.Begin("items"); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, s, "UPDATE items SET qty = 1 WHERE id = 2")
+	if c.Healthy() != 1 {
+		t.Fatalf("healthy = %d after the first transactional write, want the slow replica ejected", c.Healthy())
+	}
+	if cs := c.ClientStats(); cs.SlowEjections != 1 {
+		t.Fatalf("slow ejections = %d, want 1", cs.SlowEjections)
+	}
+	start := time.Now()
+	if got := queryQty(t, s, 2); got != 1 {
+		t.Fatalf("read-your-writes after the ejection = %d, want 1", got)
+	}
+	mustExec(t, s, "UPDATE items SET qty = 2 WHERE id = 2")
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 150*time.Millisecond {
+		t.Fatalf("read, write and commit took %v after the slow replica left the transaction", d)
+	}
+	if got := queryReplica(t, reps[0], "SELECT qty FROM items WHERE id = 2").Rows[0][0].AsInt(); got != 2 {
+		t.Fatalf("survivor qty = %d, want the committed 2", got)
+	}
+}
+
+// TestRejoinExcludesOtherClientsWriters: a load-balanced app tier runs one
+// client per backend over the same DSN and rejoins client by client. While
+// one client copies data onto the joiner, the OTHER client — which never
+// ejected it — must not broadcast into the half-copied data set: Rejoin
+// excludes every writer the DSN's shared write-order locks know, not only
+// its own client's.
+func TestRejoinExcludesOtherClientsWriters(t *testing.T) {
+	reps := startReplicas(t, 2)
+	a := newTestClient(t, reps, Config{PoolSize: 8})
+	b := newTestClient(t, reps, Config{PoolSize: 8})
+	for round := 0; round < 5; round++ {
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < 3; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if _, err := a.Exec("INSERT INTO audit (item, delta) VALUES (?, ?)", sqldb.Int(int64(w)), sqldb.Int(int64(i))); err != nil {
+						t.Error(err)
+						return
+					}
+					if _, err := a.Exec("UPDATE items SET qty = qty + 1 WHERE id = ?", sqldb.Int(int64(1+w))); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(w)
+		}
+		for i := 0; i < 20; i++ {
+			flat(b).replicas[1].healthy.Store(false)
+			if err := b.Rejoin(1, true); err != nil {
+				t.Errorf("round %d rejoin %d: %v", round, i, err)
+				break
+			}
+		}
+		close(stop)
+		wg.Wait()
+		if x, y := replicaDump(t, reps[0]), replicaDump(t, reps[1]); x != y {
+			t.Fatalf("round %d: replicas diverged across the rejoins:\n%s\nvs\n%s", round, x, y)
 		}
 	}
 }

@@ -38,6 +38,11 @@
 // the engine's MVCC serves their SELECTs from committed snapshots — no
 // broadcast, no cluster-wide serialization, no lock-table interaction.
 //
+// Which code a statement runs depends on one bit — is a transaction open —
+// not on the replica count and not on whether the caller holds the Client or
+// a Session: outside a transaction a Session's statements take the Client's
+// auto-commit path, and the session holds no connection.
+//
 // A replica that fails at the transport level is ejected: reads fail over
 // transparently, writes continue on the remaining replicas (or error, with
 // StrictWrites). An ejected replica rejoins through Rejoin, which replays a
@@ -83,7 +88,8 @@ const DefaultSyncTimeout = 30 * time.Second
 // Config configures a Client.
 type Config struct {
 	// DSN is the multi-backend address list: "host:port[,host:port...]".
-	// A single address degenerates to a plain pooled client.
+	// A single address runs the same statement paths as any other count —
+	// a broadcast of one — and never ejects its only backend.
 	DSN string
 	// PoolSize bounds connections per replica (default 12).
 	PoolSize int
@@ -149,10 +155,10 @@ type backend interface {
 	Healthy() int
 	// Rejoin brings an ejected replica back: its stale pooled connections
 	// are dropped and, with syncData true, a healthy replica's data is
-	// replayed onto it first (the replica-sync path). Rejoin blocks new
-	// broadcasts until the copy completes, so the joiner comes back
-	// consistent. Ids number shard 0's replicas first, then shard 1's, and
-	// so on — the order ReplicaStats reports.
+	// replayed onto it first (the replica-sync path). Rejoin blocks every
+	// client's broadcasts over the DSN until the copy completes, so the
+	// joiner comes back consistent. Ids number shard 0's replicas first,
+	// then shard 1's, and so on — the order ReplicaStats reports.
 	Rejoin(id int, syncData bool) error
 	// Stats aggregates the per-replica pools into one pool.Stats — the
 	// single "connections into the database tier" figure the cross-tier
@@ -214,9 +220,10 @@ func (c *Client) ExecCached(query string, args ...sqldb.Value) (*sqldb.Result, e
 	return c.Exec(query, args...)
 }
 
-// Get opens a logical session, the unit a transaction runs on. The session
-// pins reads to one load-balanced replica; a write transaction broadcasts
-// its every statement to every healthy replica in order.
+// Get opens a logical session, the unit a transaction runs on. A
+// transaction's reads pin to one load-balanced replica and its writes
+// broadcast to every healthy replica in order; with no transaction open the
+// session's statements are the Client's own.
 func (c *Client) Get() (*Session, error) {
 	if c.closed.Load() {
 		return nil, errors.New("cluster: client closed")
@@ -305,7 +312,7 @@ func (s *Session) Begin(tables ...string) error {
 // BeginReadOnly opens a read-only transaction on the pinned replica alone.
 // Because the engine serves its reads from MVCC snapshots and a read-only
 // transaction writes nothing, the replication machinery has nothing to
-// order: no cluster-wide write-order locks are taken, no topology hold, no
+// order: no cluster-wide write-order locks are taken, there is no
 // broadcast — the transaction costs exactly what it would against a single
 // unreplicated database. Writes inside it are rejected client-side before
 // touching the wire. A transaction already open is committed first, as

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/pool"
 	"repro/internal/sqldb"
 	"repro/internal/sqldb/wire"
 )
@@ -19,7 +20,7 @@ type testReplica struct {
 }
 
 // startReplicas boots n identically seeded backends with a small table.
-func startReplicas(t *testing.T, n int) []*testReplica {
+func startReplicas(t testing.TB, n int) []*testReplica {
 	t.Helper()
 	reps := make([]*testReplica, n)
 	for i := range reps {
@@ -44,7 +45,7 @@ func startReplicas(t *testing.T, n int) []*testReplica {
 	return reps
 }
 
-func mustExec(t *testing.T, ex sqldb.Execer, q string, args ...sqldb.Value) {
+func mustExec(t testing.TB, ex sqldb.Execer, q string, args ...sqldb.Value) {
 	t.Helper()
 	if _, err := ex.Exec(q, args...); err != nil {
 		t.Fatalf("%s: %v", q, err)
@@ -63,7 +64,27 @@ func dsnOf(reps []*testReplica) string {
 // internals.
 func flat(c *Client) *replicaSet { return c.backend.(*replicaSet) }
 
-func newTestClient(t *testing.T, reps []*testReplica, cfg Config) *Client {
+// eachReplicaCount runs a test of count-agnostic behaviour over one backend
+// and over two: the same statement paths serve both, so the replica count is
+// a row of the test, not a test of its own.
+func eachReplicaCount(t *testing.T, body func(t *testing.T, reps []*testReplica)) {
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) { body(t, startReplicas(t, n)) })
+	}
+}
+
+// allReplicasAre reports whether every replica's full dump equals want.
+func allReplicasAre(t *testing.T, reps []*testReplica, want string) bool {
+	t.Helper()
+	for _, r := range reps {
+		if replicaDump(t, r) != want {
+			return false
+		}
+	}
+	return true
+}
+
+func newTestClient(t testing.TB, reps []*testReplica, cfg Config) *Client {
 	t.Helper()
 	cfg.DSN = dsnOf(reps)
 	if cfg.PoolSize == 0 {
@@ -598,66 +619,62 @@ func TestTxnContentionReplicasConverge(t *testing.T) {
 // still open must not leak the transaction to the pool — the connections
 // are discarded and the servers roll back.
 func TestTxnSessionEndDiscardsOpenTxn(t *testing.T) {
-	reps := startReplicas(t, 2)
-	c := newTestClient(t, reps, Config{})
-	before := replicaDump(t, reps[0])
-	s, err := c.Get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Begin("items"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.ExecCached("UPDATE items SET qty = 0 WHERE id = 5"); err != nil {
-		t.Fatal(err)
-	}
-	c.Put(s, false) // abandoned mid-transaction
+	eachReplicaCount(t, func(t *testing.T, reps []*testReplica) {
+		c := newTestClient(t, reps, Config{})
+		before := replicaDump(t, reps[0])
+		s, err := c.Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Begin("items"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.ExecCached("UPDATE items SET qty = 0 WHERE id = 5"); err != nil {
+			t.Fatal(err)
+		}
+		c.Put(s, false) // abandoned mid-transaction
 
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if replicaDump(t, reps[0]) == before && replicaDump(t, reps[1]) == before {
-			break
+		deadline := time.Now().Add(2 * time.Second)
+		for !allReplicasAre(t, reps, before) {
+			if time.Now().After(deadline) {
+				t.Fatal("abandoned transaction survived session end")
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("abandoned transaction survived session end")
+		// The pool stays usable.
+		if _, err := c.ExecCached("SELECT qty FROM items WHERE id = 5"); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	// The pool stays usable.
-	if _, err := c.ExecCached("SELECT qty FROM items WHERE id = 5"); err != nil {
-		t.Fatal(err)
-	}
+	})
 }
 
 // TestWithTxPanicRollsBack: a panic inside the transaction body rolls back
 // and re-panics — the contract container-managed demarcation builds on.
 func TestWithTxPanicRollsBack(t *testing.T) {
-	reps := startReplicas(t, 2)
-	c := newTestClient(t, reps, Config{})
-	before := replicaDump(t, reps[0])
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("panic must propagate out of WithTx")
-			}
+	eachReplicaCount(t, func(t *testing.T, reps []*testReplica) {
+		c := newTestClient(t, reps, Config{})
+		before := replicaDump(t, reps[0])
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("panic must propagate out of WithTx")
+				}
+			}()
+			_ = c.WithTx([]string{"items"}, func(tx *Session) error {
+				if _, err := tx.ExecCached("UPDATE items SET qty = -1 WHERE id = 1"); err != nil {
+					return err
+				}
+				panic("business method exploded")
+			})
 		}()
-		_ = c.WithTx([]string{"items"}, func(tx *Session) error {
-			if _, err := tx.ExecCached("UPDATE items SET qty = -1 WHERE id = 1"); err != nil {
-				return err
+		deadline := time.Now().Add(2 * time.Second)
+		for !allReplicasAre(t, reps, before) {
+			if time.Now().After(deadline) {
+				t.Fatalf("panic path left transaction state:\n%s", replicaDump(t, reps[0]))
 			}
-			panic("business method exploded")
-		})
-	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if replicaDump(t, reps[0]) == before && replicaDump(t, reps[1]) == before {
-			break
+			time.Sleep(5 * time.Millisecond)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("panic path left transaction state:\n%s", replicaDump(t, reps[0]))
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	})
 }
 
 // TestTxnReplicaFailureMidTxn: losing a replica mid-transaction must not
@@ -703,45 +720,49 @@ func TestTxnReplicaFailureMidTxn(t *testing.T) {
 	}
 }
 
-// TestSingleReplicaTxnSerializesDeclaredTables is the lost-update
-// regression test: on a single backend, two read-modify-write transactions
-// declaring the same table must serialize end to end — the engine only
-// write-locks at the first write, so the declared-set cluster lock is what
-// keeps both from reading before either writes.
-func TestSingleReplicaTxnSerializesDeclaredTables(t *testing.T) {
-	reps := startReplicas(t, 1)
-	c := newTestClient(t, reps, Config{PoolSize: 8})
-	const workers, rounds = 8, 15
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				err := c.WithTx([]string{"items"}, func(tx *Session) error {
-					res, err := tx.ExecCached("SELECT qty FROM items WHERE id = 1")
-					if err != nil {
+// TestTxnSerializesDeclaredTables is the lost-update regression test: two
+// read-modify-write transactions declaring the same table must serialize
+// end to end — the engine only write-locks at the first write, so the
+// declared-set cluster lock is what keeps both from reading before either
+// writes. It first failed on a single backend, whose BEGIN then had a path
+// of its own.
+func TestTxnSerializesDeclaredTables(t *testing.T) {
+	eachReplicaCount(t, func(t *testing.T, reps []*testReplica) {
+		c := newTestClient(t, reps, Config{PoolSize: 8})
+		const workers, rounds = 8, 15
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					err := c.WithTx([]string{"items"}, func(tx *Session) error {
+						res, err := tx.ExecCached("SELECT qty FROM items WHERE id = 1")
+						if err != nil {
+							return err
+						}
+						// Write back a value derived from the read: lost
+						// updates would make the final count fall short.
+						_, err = tx.ExecCached("UPDATE items SET qty = ? WHERE id = 1",
+							sqldb.Int(res.Rows[0][0].AsInt()+1))
 						return err
+					})
+					if err != nil {
+						t.Error(err)
+						return
 					}
-					// Write back a value derived from the read: lost
-					// updates would make the final count fall short.
-					_, err = tx.ExecCached("UPDATE items SET qty = ? WHERE id = 1",
-						sqldb.Int(res.Rows[0][0].AsInt()+1))
-					return err
-				})
-				if err != nil {
-					t.Error(err)
-					return
 				}
+			}()
+		}
+		wg.Wait()
+		want := int64(100 + workers*rounds)
+		for i, r := range reps {
+			res := queryReplica(t, r, "SELECT qty FROM items WHERE id = 1")
+			if got := res.Rows[0][0].AsInt(); got != want {
+				t.Fatalf("replica %d qty %d, want %d (read-modify-write transactions lost updates)", i, got, want)
 			}
-		}()
-	}
-	wg.Wait()
-	res := queryReplica(t, reps[0], "SELECT qty FROM items WHERE id = 1")
-	want := int64(100 + workers*rounds)
-	if got := res.Rows[0][0].AsInt(); got != want {
-		t.Fatalf("qty %d, want %d (read-modify-write transactions lost updates)", got, want)
-	}
+		}
+	})
 }
 
 // TestWriteOrderSharedAcrossClients is the replicated-application-tier
@@ -858,7 +879,10 @@ func TestCatchAllTxnExcludesNamedWriters(t *testing.T) {
 // further statements (and discard its connections at end) instead of
 // letting the caller keep executing half in and half out of a transaction.
 func TestTxnAbortErrorPoisonsSession(t *testing.T) {
-	reps := startReplicas(t, 1)
+	eachReplicaCount(t, txnAbortErrorPoisonsSession)
+}
+
+func txnAbortErrorPoisonsSession(t *testing.T, reps []*testReplica) {
 	reps[0].db.SetLockWaitTimeout(30 * time.Millisecond)
 	c := newTestClient(t, reps, Config{})
 
@@ -900,9 +924,73 @@ func TestTxnAbortErrorPoisonsSession(t *testing.T) {
 	if _, err := blocker.Exec("ROLLBACK"); err != nil {
 		t.Fatal(err)
 	}
-	// Nothing from the aborted transaction survived.
-	res := queryReplica(t, reps[0], "SELECT qty FROM items WHERE id = 1")
-	if got := res.Rows[0][0].AsInt(); got != 100 {
-		t.Fatalf("qty %d, want 100 (aborted transaction leaked a write)", got)
+	// Nothing from the aborted transaction survived — nor is visible on a
+	// replica that did not abort, whose side dies with the session.
+	for i, r := range reps {
+		res := queryReplica(t, r, "SELECT qty FROM items WHERE id = 1")
+		if got := res.Rows[0][0].AsInt(); got != 100 {
+			t.Fatalf("replica %d qty %d, want 100 (aborted transaction leaked a write)", i, got)
+		}
+	}
+}
+
+// TestSessionBetweenTransactionsHoldsNoConnection: a session's connections
+// go back to the pools when its transaction ends. With no transaction open
+// its statements take the client's auto-commit path, which borrows per
+// statement — over a one-connection pool it could not if the session still
+// sat on that connection.
+func TestSessionBetweenTransactionsHoldsNoConnection(t *testing.T) {
+	eachReplicaCount(t, func(t *testing.T, reps []*testReplica) {
+		c := newTestClient(t, reps, Config{PoolSize: 1, Timeouts: pool.Timeouts{Wait: 200 * time.Millisecond}})
+		s, err := c.Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Put(s, false)
+		if err := s.Begin("items"); err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, s, "UPDATE items SET qty = 1 WHERE id = 1")
+		if err := s.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if got := queryQty(t, s, 1); got != 1 {
+			t.Fatalf("qty read on the session after its commit = %d, want 1", got)
+		}
+		mustExec(t, s, "UPDATE items SET qty = 2 WHERE id = 1")
+		for _, r := range flat(c).replicas {
+			if n := r.pool.InUse(); n != 0 {
+				t.Errorf("replica %d: %d connections borrowed with no transaction open", r.id, n)
+			}
+		}
+	})
+}
+
+// TestTxnBeginSkipsEjectedPinnedReplica: a session whose read replica was
+// ejected before its transaction began reads inside the transaction from a
+// replica that is in it, not over a fresh connection — outside the
+// transaction — to the ejected one.
+func TestTxnBeginSkipsEjectedPinnedReplica(t *testing.T) {
+	reps := startReplicas(t, 2)
+	c := newTestClient(t, reps, Config{})
+	s, err := c.Get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Put(s, false)
+	pinned := s.txn.(*replicaTxn).pinned.id
+	reps[pinned].srv.Close()
+	mustExec(t, c, "UPDATE items SET qty = 1 WHERE id = 1") // the broadcast finds it dead
+	if c.Healthy() != 1 {
+		t.Fatalf("healthy = %d, want the dead replica ejected", c.Healthy())
+	}
+	if err := s.Begin("items"); err != nil {
+		t.Fatal(err)
+	}
+	if got := queryQty(t, s, 1); got != 1 {
+		t.Fatalf("first read of the transaction = %d, want 1 from the survivor", got)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -28,7 +28,10 @@ type replica struct {
 }
 
 // replicaSet is one read-one-write-all replication group: the backend of an
-// unsharded Client.
+// unsharded Client. A statement takes one of two paths through it, chosen
+// by whether a transaction is open — Exec (auto-commit) or replicaTxn.route
+// (transactional) — and by nothing else: a single backend is a group of
+// one, running the same code.
 type replicaSet struct {
 	replicas []*replica
 	rr       atomic.Uint64
@@ -38,9 +41,6 @@ type replicaSet struct {
 	strict   bool
 	slow     time.Duration // SlowThreshold; 0 = disabled
 	syncTO   time.Duration // resolved SyncTimeout; 0 = unbounded
-	// topo serializes broadcasts (read side) against Rejoin's resync
-	// (write side), so a joining replica never sees a half-applied write.
-	topo sync.RWMutex
 
 	// degraded is the strict-policy read-only latch: set when a write
 	// fails (or would fail) the strict policy, cleared when Rejoin makes
@@ -155,13 +155,17 @@ func (rs *replicaSet) pickRead() *replica {
 	return best
 }
 
+// unreplicated reports a set of one backend. It runs the same two statement
+// paths as any other set; what the count decides is policy, stated where
+// this is called: a set of one never ejects, counts no broadcast, and names
+// its pool after the backend.
+func (rs *replicaSet) unreplicated() bool { return len(rs.replicas) == 1 }
+
 // eject marks a replica unhealthy after a transport failure and reports
-// whether it did. A single-replica set never ejects: there is nothing
-// to fail over to, so it degrades like a plain pool — errors surface and
-// the pool re-dials when the server returns. Its pool keeps its
-// statistics; Rejoin resets the stale connections.
+// whether it did. A set of one never ejects: there is nothing to fail over
+// to, so errors surface and the pool re-dials when the server returns.
 func (rs *replicaSet) eject(r *replica) bool {
-	if len(rs.replicas) == 1 {
+	if rs.unreplicated() {
 		return false
 	}
 	if r.healthy.CompareAndSwap(true, false) {
@@ -175,41 +179,15 @@ func (rs *replicaSet) eject(r *replica) bool {
 // in rotation drags every broadcast — which completes at the slowest ack —
 // down to its speed.
 func (rs *replicaSet) ejectSlow(r *replica) {
-	if len(rs.replicas) == 1 {
-		return
-	}
-	if r.healthy.CompareAndSwap(true, false) {
+	if !rs.unreplicated() && r.healthy.CompareAndSwap(true, false) {
 		r.ejections.Add(1)
 		rs.slowEjections.Add(1)
 	}
 }
 
-// noteSlow applies the latency-based health policy to a finished fan-out:
-// any replica whose successful ack trailed the fastest by more than
-// SlowThreshold is ejected. Transport failures are handled by collect.
-func (rs *replicaSet) noteSlow(outs []fanResult) {
-	if rs.slow <= 0 {
-		return
-	}
-	minDur := time.Duration(-1)
-	for i := range outs {
-		if outs[i].ran && !isTransport(outs[i].err) && (minDur < 0 || outs[i].dur < minDur) {
-			minDur = outs[i].dur
-		}
-	}
-	if minDur < 0 {
-		return
-	}
-	for i := range outs {
-		if outs[i].ran && !isTransport(outs[i].err) && outs[i].dur-minDur > rs.slow {
-			rs.ejectSlow(rs.replicas[i])
-		}
-	}
-}
-
 // enterDegraded latches the strict-policy read-only mode.
 func (rs *replicaSet) enterDegraded() {
-	if rs.strict && len(rs.replicas) > 1 && rs.degraded.CompareAndSwap(false, true) {
+	if rs.strict && rs.degraded.CompareAndSwap(false, true) {
 		rs.degradedEntries.Add(1)
 	}
 }
@@ -235,7 +213,7 @@ func (rs *replicaSet) exitDegradedIfWhole() {
 // rejecting writes on a whole cluster. Under the default
 // write-all-available policy the gate is always open.
 func (rs *replicaSet) writeGate() error {
-	if !rs.strict || len(rs.replicas) == 1 {
+	if !rs.strict {
 		return nil
 	}
 	if rs.Healthy() == len(rs.replicas) {
@@ -264,35 +242,13 @@ func ejectable(err error) bool {
 	return isTransport(err) && !errors.Is(err, pool.ErrWaitTimeout)
 }
 
-// Exec is the pool-level statement router.
+// Exec is the auto-commit path, one of the set's two (replicaTxn.route is
+// the other): a read runs on one load-balanced replica with failover, a
+// write broadcasts under its tables' write-order locks.
 func (rs *replicaSet) Exec(query string, args ...sqldb.Value) (*sqldb.Result, error) {
 	rt := rs.routes.of(query)
 	if rt.kind == kindTxnControl {
 		return nil, ErrTxnControlText
-	}
-	// One replica: no routing decision exists — skip write ordering and
-	// behave like a plain pool. Classification still happens (one memoized
-	// map load): reads consult the query cache, and writes publish their
-	// table versions so caches and the content epoch stay coherent even on
-	// a degenerate single-backend cluster. The read/write counters still
-	// tick — a sharded tier of single-replica groups reports its per-shard
-	// routing split through them.
-	if len(rs.replicas) == 1 {
-		r := rs.replicas[0]
-		if rt.kind == kindRead {
-			r.reads.Add(1)
-			return rs.cachedRead(rt, query, args, false, func(restamp func(int)) (*sqldb.Result, error) {
-				return r.pool.ExecCachedNotify(restamp, query, args...)
-			})
-		}
-		r.writes.Add(1)
-		res, err := r.pool.ExecCached(query, args...)
-		// Publish unless the statement deterministically failed database-side;
-		// a transport failure may have applied before the connection died.
-		if err == nil || isTransport(err) {
-			rs.locks.bump(rt.tables)
-		}
-		return res, err
 	}
 	if rt.kind == kindRead {
 		// restamp fires before every attempt: each pool retry (the wire
@@ -385,9 +341,8 @@ func fanOut(replicas []*replica, eligible func(*replica) bool, run func(*replica
 
 // bcast accumulates one broadcast's outcome: the canonical answer (the
 // lowest-id participating replica's — deterministic regardless of ack
-// arrival order), per-replica lag behind the fastest ack, and whether any
-// replica transport-failed — the accounting shared by pool-level and
-// session-level broadcasts.
+// arrival order) and whether any replica transport-failed — the accounting
+// shared by auto-commit and transactional broadcasts.
 type bcast struct {
 	res      *sqldb.Result
 	first    error
@@ -399,27 +354,40 @@ type bcast struct {
 // fail records a replica's transport failure.
 func (b *bcast) fail(err error) { b.failed, b.lastErr = true, err }
 
-// collect folds a fan-out into the accounting, in replica order: transport
-// failures invoke onFail (ejection at pool level, session poisoning at
-// session level), everything else is a deterministic database answer.
-// onFail's applied flag reports whether some other replica answered this
-// fan-out — the consistency signal: a replica that transport-failed while
-// the statement applied elsewhere has missed a write and must leave the
-// healthy set whatever the error class, or it would keep serving (and
-// re-broadcasting from) a diverged data set.
-func (b *bcast) collect(outs []fanResult, replicas []*replica, onFail func(r *replica, err error, applied bool)) {
+// collect folds a fan-out over rs into the accounting, in replica order:
+// transport failures invoke onFail (ejection on the auto-commit path,
+// dropping the replica from the transaction on the other), everything else
+// is a deterministic database answer. onFail's applied flag reports whether
+// some other replica answered this fan-out — the consistency signal: a
+// replica that transport-failed while the statement applied elsewhere has
+// missed a write and must leave the healthy set whatever the error class,
+// or it would keep serving (and re-broadcasting from) a diverged data set.
+// What holds for every broadcast is done here and nowhere else: the
+// batch-size telemetry, per-replica lag behind the fastest ack, and the
+// latency-based health policy — an ack trailing the fastest by more than
+// SlowThreshold ejects its replica.
+func (b *bcast) collect(rs *replicaSet, outs []fanResult, onFail func(r *replica, err error, applied bool)) {
 	minDur := time.Duration(-1)
+	acks := 0
 	for i := range outs {
-		if outs[i].ran && !isTransport(outs[i].err) && (minDur < 0 || outs[i].dur < minDur) {
-			minDur = outs[i].dur
+		if outs[i].ran && !isTransport(outs[i].err) {
+			acks++
+			if minDur < 0 || outs[i].dur < minDur {
+				minDur = outs[i].dur
+			}
 		}
 	}
-	applied := minDur >= 0
+	applied := acks > 0
+	// A set of one counts none: its fan-out is one round trip, no broadcast.
+	if applied && !rs.unreplicated() {
+		rs.broadcasts.Add(1)
+		rs.broadcastAcks.Add(int64(acks))
+	}
 	for i, o := range outs {
 		if !o.ran {
 			continue
 		}
-		r := replicas[i]
+		r := rs.replicas[i]
 		if isTransport(o.err) {
 			onFail(r, o.err, applied)
 			b.fail(o.err)
@@ -431,22 +399,10 @@ func (b *bcast) collect(outs []fanResult, replicas []*replica, onFail func(r *re
 		}
 		if lag := o.dur - minDur; lag > 0 {
 			r.lagNanos.Add(lag.Nanoseconds())
+			if rs.slow > 0 && lag > rs.slow {
+				rs.ejectSlow(r)
+			}
 		}
-	}
-}
-
-// noteBroadcast counts one fan-out and its successful acknowledgements for
-// the batch-size telemetry.
-func (rs *replicaSet) noteBroadcast(outs []fanResult) {
-	n := 0
-	for i := range outs {
-		if outs[i].ran && !isTransport(outs[i].err) {
-			n++
-		}
-	}
-	if n > 0 {
-		rs.broadcasts.Add(1)
-		rs.broadcastAcks.Add(int64(n))
 	}
 }
 
@@ -474,18 +430,23 @@ func (b *bcast) result(rs *replicaSet) (*sqldb.Result, error) {
 // writeWith broadcasts run to every healthy replica concurrently under the
 // route's table write-order locks (held across the whole fan-out, which is
 // what keeps conflicting writes in one global order on every replica).
+//
+// It stays apart from replicaTxn.broadcast, with which it shares fanOut
+// and collect, because of how long a connection is held: run borrows from
+// each replica's pool and returns at that replica's own ack, while a
+// session holds every replica's connection until the slowest ack — one slow
+// replica would keep the fast replicas' pools exhausted too
+// (TestMissedWriteOnSaturatedPoolEjects).
 func (rs *replicaSet) writeWith(rt route, run func(*replica) (*sqldb.Result, error)) (*sqldb.Result, error) {
 	if err := rs.writeGate(); err != nil {
 		return nil, err
 	}
-	rs.topo.RLock()
-	defer rs.topo.RUnlock()
 	release := rs.locks.acquire(rt.tables)
 	defer release()
 
 	outs := fanOut(rs.replicas, func(r *replica) bool { return r.healthy.Load() }, run)
 	var b bcast
-	b.collect(outs, rs.replicas, func(r *replica, err error, applied bool) {
+	b.collect(rs, outs, func(r *replica, err error, applied bool) {
 		// applied: the write landed on another replica, so this one has
 		// missed it — eject even on a non-ejectable error (pool wait
 		// timeout); only a rejoin sync can make it bit-identical again.
@@ -493,8 +454,6 @@ func (rs *replicaSet) writeWith(rt route, run func(*replica) (*sqldb.Result, err
 			rs.eject(r)
 		}
 	})
-	rs.noteSlow(outs)
-	rs.noteBroadcast(outs)
 	// Publish the write's table versions (cache invalidation + content
 	// epoch) unless it deterministically failed database-side: an answered
 	// broadcast with a nil canonical error committed, and an all-transport-
@@ -529,18 +488,19 @@ func (rs *replicaSet) open() (*replicaTxn, error) {
 	}, nil
 }
 
-// replicaTxn is a session over one replica set: the connections it has
-// borrowed (one per replica at most) and the transaction open on them.
+// replicaTxn is a session over one replica set. With no transaction open it
+// is a handle on the set's auto-commit path and holds nothing; an open
+// transaction holds a connection to every participating replica and the
+// write-order locks, from begin to closeTxn.
 type replicaTxn struct {
 	rs     *replicaSet
 	pinned *replica
-	conns  []*wire.Conn // by replica id; nil = not borrowed yet
-	broken []bool       // transport-failed connections, discarded at end
+	conns  []*wire.Conn // by replica id; nil = not in the transaction
+	broken []bool       // dropped from the transaction; connection discarded at its end
 
-	inTxn    bool   // open transaction; broadcast on >1 replica unless readOnly
+	inTxn    bool   // open transaction; writes broadcast unless readOnly
 	readOnly bool   // transaction opened with beginReadOnly: pinned-only, no locks
 	release  func() // the transaction's write-order locks
-	topoHeld bool
 	failed   bool
 
 	// Query-cache bookkeeping (cache.go). writeSet accumulates the tables
@@ -548,27 +508,23 @@ type replicaTxn struct {
 	// (ROLLBACK discards them: an abort publishes nothing). held is the
 	// write set begin declared up front. A read referencing any table in
 	// either set bypasses the cache, keeping read-your-writes on the live
-	// path; outside a transaction writes publish immediately.
+	// path.
 	writeSet map[string]bool
 	held     []string
 }
 
 func (s *replicaTxn) state() (open, failed bool) { return s.inTxn, s.failed }
 
-// conn lazily borrows this session's connection to r.
-func (s *replicaTxn) conn(r *replica) (*wire.Conn, error) {
-	if s.conns[r.id] != nil {
-		return s.conns[r.id], nil
-	}
-	cn, err := r.pool.Get()
-	if err != nil {
-		return nil, err
-	}
-	s.conns[r.id] = cn
-	return cn, nil
-}
-
+// Exec runs one statement on the path the session's one bit selects: with
+// no transaction open the session adds nothing over the set's auto-commit
+// path; inside one, the statement runs on the transaction's connections.
 func (s *replicaTxn) Exec(query string, args ...sqldb.Value) (*sqldb.Result, error) {
+	if s.failed {
+		return nil, errSessionFailed
+	}
+	if !s.inTxn {
+		return s.rs.Exec(query, args...)
+	}
 	res, err := s.route(query, args)
 	// A lock-wait-timeout abort rolled the WHOLE transaction back on the
 	// replica that reported it, while the others still hold theirs open.
@@ -576,7 +532,7 @@ func (s *replicaTxn) Exec(query string, args ...sqldb.Value) (*sqldb.Result, err
 	// would auto-commit on the aborted replica but stay transactional on
 	// the rest, and a later COMMIT would publish divergent state. Poisoning
 	// the session discards every connection, rolling the stragglers back.
-	if err != nil && s.inTxn && isTxnAbort(err) {
+	if err != nil && isTxnAbort(err) {
 		s.failed = true
 	}
 	return res, err
@@ -597,150 +553,98 @@ func isTxnAbort(err error) bool {
 		strings.Contains(err.Error(), sqldb.ErrLockWaitTimeout.Error())
 }
 
-// route is the session-level statement router.
+// route is the transactional path, the set's other one (see
+// replicaSet.Exec): reads on the pinned replica's connection, writes
+// broadcast on every connection the transaction holds.
 func (s *replicaTxn) route(query string, args []sqldb.Value) (*sqldb.Result, error) {
-	if s.failed {
-		return nil, errSessionFailed
-	}
 	rt := s.rs.routes.of(query)
 	if rt.kind == kindTxnControl {
 		return nil, ErrTxnControlText
 	}
-	// One replica: the session is an ordinary borrowed connection.
-	single := len(s.rs.replicas) == 1
 	if rt.kind == kindRead {
-		// Session reads run on the session's own borrowed connection with
-		// no retry, so the pre-run stamp is the attempt's stamp.
+		// A transaction's read runs once, with no retry, so the pre-run
+		// stamp is the attempt's stamp.
 		return s.rs.cachedRead(rt, query, args, s.cacheBypass(rt), func(func(int)) (*sqldb.Result, error) {
-			if single {
-				return s.singleExec(query, args, rt)
-			}
 			return s.execRead(query, args)
 		})
 	}
 	if s.readOnly {
 		return nil, errReadOnlyTxn
 	}
-	if single {
-		return s.singleExec(query, args, rt)
-	}
 	return s.execWrite(query, args, rt)
-}
-
-// singleExec runs one statement on a single-replica session's borrowed
-// connection, with the cache's version-publication bookkeeping that the
-// routing paths handle on a replicated cluster.
-func (s *replicaTxn) singleExec(query string, args []sqldb.Value, rt route) (*sqldb.Result, error) {
-	cn, err := s.conn(s.pinned)
-	if err != nil {
-		s.failed = true
-		return nil, err
-	}
-	res, err := cn.ExecCached(query, args...)
-	if isTransport(err) {
-		s.broken[s.pinned.id] = true
-		s.failed = true
-		// A non-transactional write may have applied before the connection
-		// died: publish conservatively. An open transaction rolls back
-		// server-side as the dead connection closes, so its pending bumps
-		// are discarded — the abort published nothing.
-		if rt.kind == kindWrite && !s.inTxn {
-			s.rs.locks.bump(rt.tables)
-		}
-		s.discardWrites()
-		return res, err
-	}
-	if err == nil && rt.kind == kindWrite {
-		s.notePublish(rt.tables)
-	}
-	return res, err
 }
 
 // execRead runs a read on the pinned replica's connection. Inside a write
 // transaction the pinned replica has applied the same statements as the
-// rest, so its answer is canonical.
+// rest, so its answer is canonical. A transport failure poisons the
+// session: that server rolled its side of the transaction back as the
+// connection died, and the next statement must not write into it.
 func (s *replicaTxn) execRead(query string, args []sqldb.Value) (*sqldb.Result, error) {
-	cn, err := s.conn(s.pinned)
-	if err != nil {
-		s.fail(s.pinned, err)
-		return nil, err
-	}
-	res, err := cn.ExecCached(query, args...)
+	res, err := s.conns[s.pinned.id].ExecCached(query, args...)
 	if isTransport(err) {
 		s.fail(s.pinned, err)
+		s.failed = true
 		return nil, err
 	}
 	s.pinned.reads.Add(1)
 	return res, err
 }
 
+// join borrows the transaction's connection to r and opens it there.
+func (s *replicaTxn) join(r *replica) error {
+	cn, err := r.pool.Get()
+	if err == nil {
+		s.conns[r.id] = cn
+		err = cn.Begin()
+	}
+	if err != nil {
+		s.fail(r, err)
+	}
+	return err
+}
+
 func (s *replicaTxn) begin(ordered []string) error {
 	if len(ordered) == 0 {
-		ordered = []string{""}
-	}
-	if len(s.rs.replicas) == 1 {
-		cn, err := s.conn(s.pinned)
-		if err != nil {
-			s.failed = true
-			return err
-		}
-		// The declared write set serializes here too: the engine only
-		// write-locks a table at the transaction's first write to it, so
-		// without this two read-modify-write transactions could both read
-		// before either writes — a lost update.
-		s.release = s.rs.locks.acquire(ordered)
-		if err := cn.Begin(); err != nil {
-			s.broken[s.pinned.id] = true
-			s.failed = true
-			s.closeTxn()
-			return err
-		}
-		s.inTxn = true
-		s.held = ordered
-		return nil
+		ordered = catchAll
 	}
 	// A write transaction that cannot satisfy the strict policy fails at
 	// BEGIN, before any replica opens transaction state.
 	if err := s.rs.writeGate(); err != nil {
 		return err
 	}
-	s.rs.topo.RLock()
-	s.topoHeld = true
+	// The declared write set serializes the whole transaction, reads
+	// included, whatever the replica count: the engine only write-locks a
+	// table at the transaction's first write to it, so without this two
+	// read-modify-write transactions could both read before either writes —
+	// a lost update.
 	s.release = s.rs.locks.acquire(ordered)
+	var lastErr error
 	opened := 0
 	for _, r := range s.rs.replicas {
-		if s.broken[r.id] || !r.healthy.Load() {
+		if !r.healthy.Load() {
 			continue
 		}
-		cn, err := s.conn(r)
-		if err != nil {
-			s.fail(r, err)
-			continue
-		}
-		if err := cn.Begin(); err != nil {
-			s.fail(r, err)
+		if err := s.join(r); err != nil {
+			lastErr = err
 			continue
 		}
 		opened++
 	}
 	if opened == 0 {
 		s.failed = true
-		s.closeTxn()
+		s.closeTxn(true)
+		if lastErr != nil {
+			return lastErr
+		}
 		return ErrNoReplicas
 	}
-	s.inTxn = true
-	s.held = ordered
+	s.inTxn, s.held = true, ordered
+	s.repin()
 	return nil
 }
 
 func (s *replicaTxn) beginReadOnly() error {
-	cn, err := s.conn(s.pinned)
-	if err != nil {
-		s.failed = true
-		return err
-	}
-	if err := cn.Begin(); err != nil {
-		s.fail(s.pinned, err)
+	if err := s.join(s.pinned); err != nil {
 		s.failed = true
 		return err
 	}
@@ -757,7 +661,7 @@ func (s *replicaTxn) Rollback() error { return s.endTxn((*wire.Conn).Rollback, f
 // the transaction — concurrently, like the statement broadcasts; the
 // write-order locks are still held until closeTxn below, so the commit
 // itself stays inside the transaction's serialized window.
-func (s *replicaTxn) endTxn(op func(*wire.Conn) error, commit bool) error {
+func (s *replicaTxn) endTxn(op func(*wire.Conn) error, commit bool) (err error) {
 	if !s.inTxn {
 		return nil
 	}
@@ -772,8 +676,9 @@ func (s *replicaTxn) endTxn(op func(*wire.Conn) error, commit bool) error {
 		} else {
 			s.discardWrites()
 		}
-		s.inTxn = false
-		s.closeTxn()
+		// An end that failed anywhere discards every connection — what the
+		// callers' Put(s, err != nil) asks for, done where they go back.
+		s.closeTxn(err != nil)
 	}()
 	outs := s.onConns(op)
 	var lastErr error
@@ -793,7 +698,7 @@ func (s *replicaTxn) endTxn(op func(*wire.Conn) error, commit bool) error {
 			failedTransport = true
 			r := s.rs.replicas[i]
 			s.fail(r, o.err)
-			if done > 0 && r.healthy.Load() {
+			if done > 0 {
 				// The server rolled this replica's transaction back when its
 				// connection died, while others committed it: the replica has
 				// diverged, so eject it whatever the error class.
@@ -821,7 +726,7 @@ func (s *replicaTxn) endTxn(op func(*wire.Conn) error, commit bool) error {
 	return nil
 }
 
-// live reports whether the session holds a working connection to r.
+// live reports whether r is in the session's transaction.
 func (s *replicaTxn) live(r *replica) bool { return s.conns[r.id] != nil && !s.broken[r.id] }
 
 // onConns fans a transaction-control frame out to every live connection of
@@ -860,62 +765,47 @@ func (s *replicaTxn) prepare() error {
 	return lastErr
 }
 
-// execWrite broadcasts a write. Inside a transaction the tables are already
-// serialized by the locks begin took; outside, the statement takes its own.
+// execWrite broadcasts a write; its tables are serialized by the locks
+// begin took. The version bump stays pending until the transaction ends,
+// unless the failure was deterministic database-side: a transport-failed
+// broadcast may have applied on some replica.
 func (s *replicaTxn) execWrite(query string, args []sqldb.Value, rt route) (*sqldb.Result, error) {
-	if !s.inTxn {
-		if err := s.rs.writeGate(); err != nil {
-			return nil, err
-		}
-		s.rs.topo.RLock()
-		release := s.rs.locks.acquire(rt.tables)
-		defer func() { release(); s.rs.topo.RUnlock() }()
-	}
 	res, err := s.broadcast(query, args)
-	// Publish unless the failure was deterministic database-side: a
-	// transport-failed broadcast may have applied on some replica.
 	if err == nil || !wire.IsServerError(err) {
 		s.notePublish(rt.tables)
 	}
 	return res, err
 }
 
-// broadcast sends one write to every participating replica over the
-// session's connections — concurrently, like the pool-level fan-out; the
-// caller (or the session's transaction) holds the write-order locks that
-// keep conflicting broadcasts ordered. Transport failures eject the replica
-// and — under the default policy — the broadcast continues; the lowest-id
-// participating replica's answer is canonical.
+// broadcast sends one write to every replica in the transaction over the
+// session's connections — concurrently, like the auto-commit fan-out.
+// Transport failures eject the replica and — under the default policy — the
+// broadcast continues; the lowest-id participating replica's answer is
+// canonical. No connection is borrowed here: a replica that was not there
+// for BEGIN would run the rest of the transaction in auto-commit.
 func (s *replicaTxn) broadcast(query string, args []sqldb.Value) (*sqldb.Result, error) {
-	var b bcast
-	// Borrow connections first: session state is single-owner, so the
-	// borrowing stays sequential and only the round trips parallelize.
-	for _, r := range s.rs.replicas {
-		if s.broken[r.id] || s.conns[r.id] != nil || !r.healthy.Load() {
-			continue
-		}
-		if _, err := s.conn(r); err != nil {
-			s.fail(r, err)
-			b.fail(err)
-		}
-	}
 	outs := fanOut(s.rs.replicas, s.live, func(r *replica) (*sqldb.Result, error) {
 		return s.conns[r.id].ExecCached(query, args...)
 	})
-	b.collect(outs, s.rs.replicas, func(r *replica, err error, _ bool) { s.fail(r, err) })
+	var b bcast
+	b.collect(s.rs, outs, func(r *replica, err error, _ bool) { s.fail(r, err) })
 	if b.answered {
-		// The write landed somewhere, so every replica this session could
-		// not reach — a failed borrow above, a connection broken earlier in
-		// the transaction, or this fan-out's failure — has missed it and
-		// diverged: eject it regardless of why the connection broke (even
-		// pool saturation), leaving the rejoin sync as the only way back.
+		// The write landed somewhere, so the healthy set and the transaction
+		// must agree on who is in. A replica this session lost — at begin,
+		// earlier in the transaction, or in this fan-out — has missed the
+		// write and diverged: eject it regardless of why the connection
+		// broke (even pool saturation). A replica ejected meanwhile — for
+		// lagging, just above, or by another session — leaves the
+		// transaction: the rejoin sync is its only way back, so its acks
+		// are not worth waiting for and it gets no COMMIT.
 		for _, r := range s.rs.replicas {
-			if s.broken[r.id] && r.healthy.Load() {
+			if s.broken[r.id] {
 				s.rs.eject(r)
+			} else if !r.healthy.Load() {
+				s.broken[r.id] = true
 			}
 		}
 	}
-	s.rs.noteBroadcast(outs)
 	res, err := b.result(s.rs)
 	// A database-side error in `err` is deterministic and leaves the
 	// session usable; only an unanswered or strict-failed broadcast
@@ -924,19 +814,24 @@ func (s *replicaTxn) broadcast(query string, args []sqldb.Value) (*sqldb.Result,
 		s.failed = true
 		return nil, err
 	}
-	// The session must keep reading from a replica inside the transaction.
-	if !s.pinned.healthy.Load() {
-		for _, r := range s.rs.replicas {
-			if r.healthy.Load() && s.live(r) {
-				s.pinned = r
-				break
-			}
-		}
-	}
+	s.repin()
 	return res, err
 }
 
-// fail poisons the session's connection to r and — when err implicates
+// repin keeps the transaction's reads on a replica that is still in it.
+func (s *replicaTxn) repin() {
+	if s.live(s.pinned) {
+		return
+	}
+	for _, r := range s.rs.replicas {
+		if s.live(r) {
+			s.pinned = r
+			return
+		}
+	}
+}
+
+// fail drops r from the session's transaction and — when err implicates
 // the replica rather than this client's own saturation (see ejectable) —
 // ejects r.
 func (s *replicaTxn) fail(r *replica, err error) {
@@ -946,43 +841,39 @@ func (s *replicaTxn) fail(r *replica, err error) {
 	}
 }
 
-// closeTxn releases what the session's transaction held cluster-side: the
-// write-order locks, the topology hold and the cache's write-set state.
-func (s *replicaTxn) closeTxn() {
-	if s.inTxn {
-		// Still open: the session was abandoned and end discards its
-		// connections, so every server rolls back. Publishing the pending
-		// writes anyway is the conservative side — a spurious bump only
-		// costs cache misses, never correctness.
-		s.flushWrites()
+// closeTxn gives back what the transaction held: every borrowed connection
+// — discarded when the transaction did not end cleanly, so each server
+// rolls back as its connection closes and no pooled connection carries open
+// transaction state to its next borrower — and then the write-order locks,
+// so the next writer in order finds the pools free. A session holds nothing
+// between transactions: its auto-commit statements borrow per statement,
+// which a session sitting on a one-connection pool could not.
+func (s *replicaTxn) closeTxn(discard bool) {
+	for i, cn := range s.conns {
+		if cn != nil {
+			s.rs.replicas[i].pool.Put(cn, discard || s.failed || s.broken[i])
+			s.conns[i] = nil
+		}
+		s.broken[i] = false
 	}
-	s.held = nil
 	if s.release != nil {
 		s.release()
 		s.release = nil
 	}
-	if s.topoHeld {
-		s.rs.topo.RUnlock()
-		s.topoHeld = false
-	}
+	s.held = nil
 	s.inTxn, s.readOnly = false, false
 }
 
-// end returns every borrowed connection and releases transaction state. A
-// session abandoned with its transaction still open discards every
-// connection: each server session rolls the transaction back as its
-// connection closes, so no pooled connection ever carries open transaction
-// state to its next borrower.
+// end closes the session. One abandoned with its transaction still open
+// discards its connections; the pending version bumps are published anyway,
+// the conservative side — a spurious bump only costs cache misses, never
+// correctness.
 func (s *replicaTxn) end(broken bool) {
-	broken = broken || s.inTxn
-	s.closeTxn()
-	for i, cn := range s.conns {
-		if cn == nil {
-			continue
-		}
-		s.rs.replicas[i].pool.Put(cn, broken || s.failed || s.broken[i])
-		s.conns[i] = nil
+	if s.inTxn {
+		s.flushWrites()
+		broken = true
 	}
+	s.closeTxn(broken)
 }
 
 func (rs *replicaSet) Rejoin(id int, syncData bool) error {
@@ -997,8 +888,12 @@ func (rs *replicaSet) Rejoin(id int, syncData bool) error {
 		rs.exitDegradedIfWhole()
 		return nil
 	}
-	rs.topo.Lock()
-	defer rs.topo.Unlock()
+	// The catch-all write-order key, held exclusively: every writer over
+	// this DSN — any client's broadcast or open write transaction — holds it
+	// shared, so none lands on the joiner between the pool reset and the end
+	// of the data copy.
+	release := rs.locks.acquire(catchAll)
+	defer release()
 	r.pool.Reset()
 	if syncData {
 		src := rs.pickRead()
@@ -1037,7 +932,7 @@ func (rs *replicaSet) Stats() pool.Stats {
 		pools[i] = r.pool.Stats()
 	}
 	name := "db-cluster"
-	if len(rs.replicas) == 1 {
+	if rs.unreplicated() {
 		name = "db@" + rs.replicas[0].addr
 	}
 	return pool.Sum(name, pools)

@@ -173,6 +173,10 @@ type writeLocks struct {
 	epoch    atomic.Uint64
 }
 
+// catchAll is the table set that excludes every other writer over the DSN:
+// an undeclared transaction's, and a rejoin's for the length of its copy.
+var catchAll = []string{""}
+
 func newWriteLocks() *writeLocks {
 	return &writeLocks{m: make(map[string]*sync.Mutex), syncAddrs: make(map[string]int), tainted: make(map[string]bool)}
 }
