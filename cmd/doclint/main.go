@@ -10,6 +10,10 @@
 //     registered by that daemon's cmd/<name>/main.go — documented flags
 //     that no binary accepts fail the build. The same walk fails a line
 //     that names an identifier the code no longer has (removedIdents).
+//  4. No non-test Go file but internal/sqldb/value.go imports package unsafe:
+//     the engine's packed value and row reference are the one place the
+//     repository reads memory by address, and `make race-db` (checkptr)
+//     is aimed at exactly that file.
 //
 // Usage:
 //
@@ -57,6 +61,7 @@ func main() {
 	}
 	bad += checkPackageComments("internal")
 	bad += checkFlagDocs(files)
+	bad += checkUnsafeImports(".")
 	if bad > 0 {
 		fmt.Fprintf(os.Stderr, "doclint: %d problem(s)\n", bad)
 		os.Exit(1)
@@ -268,6 +273,47 @@ func checkPackageComments(root string) int {
 			fmt.Fprintf(os.Stderr, "doclint: package %s has no package comment\n", dir)
 			bad++
 		}
+	}
+	return bad
+}
+
+// unsafeHome is the one non-test file allowed to import package unsafe.
+const unsafeHome = "internal/sqldb/value.go"
+
+// checkUnsafeImports walks root and reports every non-test Go file other
+// than unsafeHome that imports package unsafe.
+func checkUnsafeImports(root string) int {
+	bad := 0
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir // .git, bench/.build
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") || filepath.ToSlash(path) == unsafeHome {
+			return nil
+		}
+		af, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "doclint: %s: %v\n", path, err)
+			bad++
+			return nil
+		}
+		for _, im := range af.Imports {
+			if name, _ := strconv.Unquote(im.Path.Value); name == `unsafe` {
+				fmt.Fprintf(os.Stderr, "doclint: %s imports unsafe; only %s may\n", path, unsafeHome)
+				bad++
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
+		bad++
 	}
 	return bad
 }

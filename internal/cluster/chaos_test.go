@@ -411,6 +411,41 @@ func TestTxnPinnedReadFailurePoisonsSession(t *testing.T) {
 	})
 }
 
+// TestReadOnlyTxnSkipsEjectedPinnedReplica: a session is pinned at Get, and
+// its replica may be ejected before the transaction opens. BeginReadOnly
+// must then open on a healthy replica, as Begin does, not dial the dead one
+// and fail while a survivor stands.
+func TestReadOnlyTxnSkipsEjectedPinnedReplica(t *testing.T) {
+	reps := startReplicas(t, 2)
+	c := newTestClient(t, reps, Config{})
+	s, err := c.Get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Put(s, false)
+	dead := s.txn.(*replicaTxn).pinned
+	reps[dead.id].srv.Close()
+	flat(c).eject(dead)
+	before := c.ClientStats().ReadOnlyTxns
+	if err := s.BeginReadOnly(); err != nil {
+		t.Fatalf("BeginReadOnly with the pinned replica ejected and one healthy: %v", err)
+	}
+	for id := 1; id <= 3; id++ {
+		if got := queryQty(t, s, id); got != 100 {
+			t.Fatalf("qty of item %d = %d on the survivor, want 100", id, got)
+		}
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.ClientStats().ReadOnlyTxns - before; got != 1 {
+		t.Fatalf("ReadOnlyTxns rose by %d, want 1", got)
+	}
+	if rs := c.ReplicaStats(); rs[dead.id].Reads != 0 || rs[1-dead.id].Reads != 3 {
+		t.Fatalf("reads per replica %d / %d, want all 3 on the survivor", rs[0].Reads, rs[1].Reads)
+	}
+}
+
 // TestSlowReplicaEjectedByTxnWrite: SlowThreshold covers the writes the
 // applications actually issue, which are transactional. The first broadcast
 // the slow replica trails ejects it and drops it from the transaction,

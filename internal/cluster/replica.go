@@ -644,6 +644,15 @@ func (s *replicaTxn) begin(ordered []string) error {
 }
 
 func (s *replicaTxn) beginReadOnly() error {
+	// The replica pinned at open may have been ejected since: pin again, by
+	// the same rule, rather than dial a backend known to be down.
+	if !s.pinned.healthy.Load() {
+		r := s.rs.pickRead()
+		if r == nil {
+			return ErrNoReplicas
+		}
+		s.pinned = r
+	}
 	if err := s.join(s.pinned); err != nil {
 		s.failed = true
 		return err

@@ -352,7 +352,7 @@ func execUpdate(t *Table, st *sqlparse.Update, args []Value) (*Result, error) {
 	}
 	res := &Result{}
 	for _, id := range ids {
-		row, _ := t.rows.get(id)
+		row, _ := t.rowAt(id)
 		ev := &env{aliases: []string{t.name}, tabs: []*Table{t}, rows: []Row{row}, args: args}
 		set := make(map[int]Value, len(st.Set))
 		for i, a := range st.Set {
@@ -406,7 +406,7 @@ func matchRows(t *Table, where sqlparse.Expr, args []Value) ([]int64, error) {
 	}
 	if indexed {
 		for _, id := range cands {
-			if r, ok := t.rows.get(id); ok {
+			if r, ok := t.rowAt(id); ok {
 				if err := check(id, r); err != nil {
 					return nil, err
 				}
@@ -638,7 +638,7 @@ func execSelect(tabs []*Table, st *sqlparse.Select, args []Value) (*Result, erro
 			}
 			if indexed {
 				for _, id := range cands {
-					if r, ok := t.rows.get(id); ok {
+					if r, ok := t.rowAt(id); ok {
 						ev.rows[0] = r
 						if err := joinLevel(1); err != nil {
 							return err

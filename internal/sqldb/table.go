@@ -55,14 +55,16 @@ type Table struct {
 }
 
 // tableState is everything one version of a table consists of: tree headers
-// and two counters, so cloning it is O(indexes) and shares every row.
+// and two counters, so cloning it is O(indexes) and shares every row. The
+// trees hold rows as rowRefs (value.go); scan, eachPosted, rowAt and the
+// checkpoint writer are where they become Rows again.
 type tableState struct {
-	rows cowTree[int64, Row] // rowid -> row; a scan is rowid order
+	rows cowTree[int64, rowRef] // rowid -> row; a scan is rowid order
 	// indexes maps lower-cased index name to its definition. The map is
 	// replaced, never written, once the table is in the catalog, so clones
 	// share it; postings[ix.slot] holds that index's entries.
 	indexes  map[string]*index
-	postings []cowTree[ixEntry, Row]
+	postings []cowTree[ixEntry, rowRef]
 	nextID   int64 // next rowid
 	nextAI   int64 // next AUTO_INCREMENT value
 }
@@ -70,7 +72,7 @@ type tableState struct {
 // index defines an index over one column: its entries are the (column
 // value, rowid) pairs of every row, ordered, so the rows with one value are
 // a contiguous range in rowid order — each entry carrying its row (the
-// slice header, not a copy), so a probe is one descent, not one per tree.
+// reference, not a copy), so a probe is one descent, not one per tree.
 type index struct {
 	name   string
 	col    int
@@ -106,7 +108,7 @@ func (s *tableState) clone() tableState {
 	mine, theirs := new(byte), new(byte)
 	c := *s
 	c.rows = s.rows.clone(mine, theirs)
-	c.postings = make([]cowTree[ixEntry, Row], len(s.postings))
+	c.postings = make([]cowTree[ixEntry, rowRef], len(s.postings))
 	for i := range s.postings {
 		c.postings[i] = s.postings[i].clone(mine, theirs)
 	}
@@ -233,19 +235,18 @@ func (t *Table) addIndex(name string, col int, unique bool) error {
 		return fmt.Errorf("sqldb: index %q already exists on %q", name, t.name)
 	}
 	ix := &index{name: name, col: col, unique: unique, slot: len(t.postings)}
-	t.postings = append(t.postings, cowTree[ixEntry, Row]{owner: t.rows.owner, search: searchEntries})
-	var dupVal *Value
-	t.rows.ascend(nil, func(id int64, r Row) bool {
-		if k := r[col].key(); unique && t.posted(ix, k) {
-			dupVal = &r[col]
-		} else {
-			t.postings[ix.slot].set(ixEntry{k, id}, r)
+	t.postings = append(t.postings, cowTree[ixEntry, rowRef]{owner: t.rows.owner, search: searchEntries})
+	err := t.scan(func(id int64, r Row) error {
+		k := r[col].key()
+		if unique && t.posted(ix, k) {
+			return fmt.Errorf("sqldb: duplicate value %v building unique index %q", r[col], name)
 		}
-		return dupVal == nil
+		t.postings[ix.slot].set(ixEntry{k, id}, refOf(r))
+		return nil
 	})
-	if dupVal != nil {
+	if err != nil {
 		t.postings = t.postings[:ix.slot]
-		return fmt.Errorf("sqldb: duplicate value %v building unique index %q", *dupVal, name)
+		return err
 	}
 	// Views share the map: extend a copy, never the one they read.
 	defs := map[string]*index{key: ix}
@@ -272,9 +273,9 @@ func (t *Table) indexOn(col int) *index {
 // eachPosted calls fn with every row whose ix column has key k, in rowid
 // order, until fn returns false.
 func (t *Table) eachPosted(ix *index, k indexKey, fn func(id int64, r Row) bool) {
-	from := ixEntry{k, math.MinInt64}
-	t.postings[ix.slot].ascend(&from, func(e ixEntry, r Row) bool {
-		return e.k == k && fn(e.id, r)
+	from, width := ixEntry{k, math.MinInt64}, len(t.columns)
+	t.postings[ix.slot].ascend(&from, func(e ixEntry, ref rowRef) bool {
+		return e.k == k && fn(e.id, ref.row(width))
 	})
 }
 
@@ -284,13 +285,30 @@ func (t *Table) posted(ix *index, k indexKey) (found bool) {
 	return found
 }
 
-// put stores r under id and posts it in every index, unchecked. It is also
-// how a row is replaced: entries whose key did not change get the new row.
+// put stores r under id and posts it in every index, checking nothing but
+// its width: the trees keep no length beside a row, so every reader trusts
+// each stored row to be len(t.columns) wide, and only a bug in a caller makes
+// one that is not. It is also how a row is replaced: entries whose key did
+// not change get the new row.
 func (t *Table) put(id int64, r Row) {
-	t.rows.set(id, r)
-	for _, ix := range t.indexes {
-		t.postings[ix.slot].set(ixEntry{r[ix.col].key(), id}, r)
+	if len(r) != len(t.columns) {
+		panic(fmt.Sprintf("sqldb: put of a %d-wide row into %q, which has %d columns",
+			len(r), t.name, len(t.columns)))
 	}
+	ref := refOf(r)
+	t.rows.set(id, ref)
+	for _, ix := range t.indexes {
+		t.postings[ix.slot].set(ixEntry{r[ix.col].key(), id}, ref)
+	}
+}
+
+// rowAt returns the row stored under id.
+func (t *Table) rowAt(id int64) (Row, bool) {
+	ref, ok := t.rows.get(id)
+	if !ok {
+		return nil, false
+	}
+	return ref.row(len(t.columns)), true
 }
 
 // insert stores a row (already in schema order, AUTO_INCREMENT resolved) and
@@ -321,7 +339,7 @@ func (t *Table) insert(r Row) (int64, error) {
 // row is replaced, never mutated in place: views, forks and query results
 // share Row slices, so a row that has ever been stored stays immutable.
 func (t *Table) update(id int64, set map[int]Value) error {
-	r, ok := t.rows.get(id)
+	r, ok := t.rowAt(id)
 	if !ok {
 		return fmt.Errorf("sqldb: update of missing rowid %d in %q", id, t.name)
 	}
@@ -358,7 +376,7 @@ func (t *Table) update(id int64, set map[int]Value) error {
 
 // deleteRow removes the row at id from storage and all indexes.
 func (t *Table) deleteRow(id int64) {
-	r, ok := t.rows.get(id)
+	r, ok := t.rowAt(id)
 	if !ok {
 		return
 	}
@@ -371,8 +389,9 @@ func (t *Table) deleteRow(id int64) {
 // scan calls fn for each row in rowid order — insertion order, since rowids
 // only grow. fn must not write the table.
 func (t *Table) scan(fn func(id int64, r Row) error) (err error) {
-	t.rows.ascend(nil, func(id int64, r Row) bool {
-		err = fn(id, r)
+	width := len(t.columns)
+	t.rows.ascend(nil, func(id int64, ref rowRef) bool {
+		err = fn(id, ref.row(width))
 		return err == nil
 	})
 	return err

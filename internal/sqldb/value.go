@@ -16,6 +16,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind discriminates Value representations.
@@ -28,41 +29,80 @@ const (
 	KindString
 )
 
-// Value is a dynamically typed SQL value. The zero value is NULL.
+// Value is a dynamically typed SQL value, two words wide. The zero value is
+// NULL.
+//
+// p tags the kind and n carries the payload: p nil is NULL (so zeroed memory
+// is NULL); p pointing at one of the three tag bytes below is an integer
+// (n its bits), a float (n its IEEE bits) or the empty string; any other p is
+// the first byte of a string n bytes long, and keeps that string's bytes
+// alive as the string header it came from did. A string never starts at a tag
+// byte: nothing outside this file can name them.
+//
+// The leading [0]func() makes Value non-comparable: == on two of these
+// would compare strings by address, not by content. Use Equal or Compare.
 type Value struct {
-	kind Kind
-	i    int64
-	f    float64
-	s    string
+	_ [0]func()
+	p unsafe.Pointer
+	n uint64
 }
+
+// tags are the addresses that mark the kinds with no string bytes to point at.
+var tags [3]byte
+
+var (
+	tagInt   = unsafe.Pointer(&tags[0])
+	tagFloat = unsafe.Pointer(&tags[1])
+	tagEmpty = unsafe.Pointer(&tags[2])
+)
 
 // Null returns the SQL NULL value.
 func Null() Value { return Value{} }
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return Value{p: tagInt, n: uint64(v)} }
 
 // Float returns a float value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{p: tagFloat, n: math.Float64bits(v)} }
 
 // String returns a string value.
-func String(v string) Value { return Value{kind: KindString, s: v} }
+func String(v string) Value {
+	if v == "" {
+		return Value{p: tagEmpty}
+	}
+	return Value{p: unsafe.Pointer(unsafe.StringData(v)), n: uint64(len(v))}
+}
 
 // Kind reports the value's kind.
-func (v Value) Kind() Kind { return v.kind }
+func (v Value) Kind() Kind {
+	switch v.p {
+	case nil:
+		return KindNull
+	case tagInt:
+		return KindInt
+	case tagFloat:
+		return KindFloat
+	}
+	return KindString
+}
 
 // IsNull reports whether the value is NULL.
-func (v Value) IsNull() bool { return v.kind == KindNull }
+func (v Value) IsNull() bool { return v.p == nil }
+
+// int, float and str read the payload of a value of that kind.
+func (v Value) int() int64     { return int64(v.n) }
+func (v Value) float() float64 { return math.Float64frombits(v.n) }
+func (v Value) str() string    { return unsafe.String((*byte)(v.p), int(v.n)) }
 
 // AsInt converts to int64 (strings parse; NULL is 0).
 func (v Value) AsInt() int64 {
-	switch v.kind {
+	switch v.Kind() {
 	case KindInt:
-		return v.i
+		return v.int()
 	case KindFloat:
-		return int64(v.f)
+		return int64(v.float())
 	case KindString:
-		n, _ := strconv.ParseInt(strings.TrimSpace(v.s), 10, 64)
+		n, _ := strconv.ParseInt(strings.TrimSpace(v.str()), 10, 64)
 		return n
 	default:
 		return 0
@@ -71,13 +111,13 @@ func (v Value) AsInt() int64 {
 
 // AsFloat converts to float64.
 func (v Value) AsFloat() float64 {
-	switch v.kind {
+	switch v.Kind() {
 	case KindInt:
-		return float64(v.i)
+		return float64(v.int())
 	case KindFloat:
-		return v.f
+		return v.float()
 	case KindString:
-		f, _ := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
+		f, _ := strconv.ParseFloat(strings.TrimSpace(v.str()), 64)
 		return f
 	default:
 		return 0
@@ -86,13 +126,13 @@ func (v Value) AsFloat() float64 {
 
 // AsString converts to a string ("" for NULL).
 func (v Value) AsString() string {
-	switch v.kind {
+	switch v.Kind() {
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.int(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindString:
-		return v.s
+		return v.str()
 	default:
 		return ""
 	}
@@ -100,13 +140,13 @@ func (v Value) AsString() string {
 
 // Truthy reports SQL truthiness (non-zero, non-empty, non-NULL).
 func (v Value) Truthy() bool {
-	switch v.kind {
+	switch v.Kind() {
 	case KindInt:
-		return v.i != 0
+		return v.int() != 0
 	case KindFloat:
-		return v.f != 0
+		return v.float() != 0
 	case KindString:
-		return v.s != ""
+		return v.n != 0
 	default:
 		return false
 	}
@@ -117,8 +157,8 @@ func (v Value) String() string {
 	if v.IsNull() {
 		return "NULL"
 	}
-	if v.kind == KindString {
-		return fmt.Sprintf("%q", v.s)
+	if v.Kind() == KindString {
+		return fmt.Sprintf("%q", v.str())
 	}
 	return v.AsString()
 }
@@ -135,8 +175,8 @@ func Compare(a, b Value) int {
 	case bn:
 		return 1
 	}
-	if a.kind == KindString && b.kind == KindString {
-		return strings.Compare(a.s, b.s)
+	if a.Kind() == KindString && b.Kind() == KindString {
+		return strings.Compare(a.str(), b.str())
 	}
 	af, bf := a.AsFloat(), b.AsFloat()
 	switch {
@@ -161,11 +201,11 @@ func Equal(a, b Value) bool {
 // key returns the value's index key. Numeric kinds normalize so that Int(3)
 // and Float(3) collide, as Compare treats them equal.
 func (v Value) key() indexKey {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return indexKey{}
 	case KindString:
-		return indexKey{ord: math.MaxUint64, s: v.s}
+		return indexKey{ord: math.MaxUint64, s: v.str()}
 	}
 	f := v.AsFloat()
 	switch {
@@ -199,4 +239,18 @@ type Row []Value
 // Note: results may alias storage rows, as every version of a table that
 // holds a row aliases it — the committed state, views, forks, each index
 // entry. That is safe because a stored row is immutable: Table.update
-// stores a new slice rather than mutating the old one.
+// stores a new slice rather than mutating the old one, and a row read back
+// from a table has no capacity past its width, so an append to it copies.
+
+// rowRef is a row as the trees store it: the address of its first Value and
+// nothing else, one word where the slice header is three. What it leaves out
+// is the same for every row of a table — len(t.columns), which Table.put
+// enforces — so row can put it back.
+type rowRef struct{ first *Value }
+
+// refOf returns the reference to r, which has at least one column as every
+// table does.
+func refOf(r Row) rowRef { return rowRef{&r[0]} }
+
+// row returns the stored row, given its table's width.
+func (ref rowRef) row(width int) Row { return unsafe.Slice(ref.first, width) }

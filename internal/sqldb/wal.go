@@ -256,16 +256,14 @@ func DecodeWALValues(b []byte) ([]Value, error) {
 }
 
 func appendWALValue(b []byte, v Value) []byte {
-	b = append(b, byte(v.kind))
-	switch v.kind {
+	kind := v.Kind()
+	b = append(b, byte(kind))
+	switch kind {
 	case KindNull:
-	case KindInt:
-		b = binary.LittleEndian.AppendUint64(b, uint64(v.i))
-	case KindFloat:
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.f))
+	case KindInt, KindFloat:
+		b = binary.LittleEndian.AppendUint64(b, v.n) // the integer, or the float's bits
 	case KindString:
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(v.s)))
-		b = append(b, v.s...)
+		b = appendLenStr(b, v.str())
 	}
 	return b
 }
@@ -778,9 +776,9 @@ func appendCkptTable(b []byte, t *Table) []byte {
 		}
 	}
 	b = binary.LittleEndian.AppendUint64(b, uint64(t.rows.len()))
-	t.rows.ascend(nil, func(id int64, r Row) bool {
+	t.rows.ascend(nil, func(id int64, ref rowRef) bool {
 		b = binary.LittleEndian.AppendUint64(b, uint64(id))
-		for _, v := range r {
+		for _, v := range ref.row(len(t.columns)) {
 			b = appendWALValue(b, v)
 		}
 		return true

@@ -55,7 +55,7 @@ func FuzzWALRecord(f *testing.F) {
 			t.Fatalf("arg round trip: %v (%d args)", err, len(gotArgs))
 		}
 		for i := range args {
-			if gotArgs[i] != args[i] {
+			if !identical(gotArgs[i], args[i]) {
 				t.Fatalf("arg %d: got %v want %v", i, gotArgs[i], args[i])
 			}
 		}

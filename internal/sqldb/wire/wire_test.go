@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -56,6 +58,51 @@ func TestQueryEncodingRoundtrip(t *testing.T) {
 	}
 	if got[0].AsInt() != -7 || got[1].AsFloat() != 2.5 || got[2].AsString() != "x" || !got[3].IsNull() {
 		t.Fatalf("args: %v", got)
+	}
+}
+
+// TestValueEncodingEdgeCases is the wire half of sqldb's TestValueModel:
+// the values a packed Value is most likely to get wrong keep the bytes the
+// protocol always gave them (tag, then the payload big-endian or the string
+// length-prefixed) and decode to the same kind and the same bits.
+func TestValueEncodingEdgeCases(t *testing.T) {
+	buf := strings.Repeat("0123456789", 8)
+	be := func(tag byte, n uint64) []byte { return binary.BigEndian.AppendUint64([]byte{tag}, n) }
+	str := func(s string) []byte {
+		return append(binary.BigEndian.AppendUint32([]byte{tagString}, uint32(len(s))), s...)
+	}
+	cases := []struct {
+		v    sqldb.Value
+		want []byte
+	}{
+		{sqldb.Null(), []byte{tagNull}},
+		{sqldb.Value{}, []byte{tagNull}},
+		{sqldb.Int(0), be(tagInt, 0)},
+		{sqldb.Int(math.MinInt64), be(tagInt, 1<<63)},
+		{sqldb.Int(math.MaxInt64), be(tagInt, 1<<63-1)},
+		{sqldb.Int(1<<53 + 1), be(tagInt, 1<<53+1)},
+		{sqldb.Float(math.Copysign(0, -1)), be(tagFloat, 1<<63)},
+		{sqldb.Float(math.Inf(-1)), be(tagFloat, 0xfff0000000000000)},
+		{sqldb.Float(math.Float64frombits(0x7ff0000000000001)), be(tagFloat, 0x7ff0000000000001)},
+		{sqldb.Float(math.Float64frombits(0xffffffffffffffff)), be(tagFloat, 0xffffffffffffffff)},
+		{sqldb.String(""), str("")},
+		{sqldb.String("\x00"), str("\x00")},
+		{sqldb.String(buf[13:29]), str("3456789012345678")},
+		{sqldb.String(buf[40:40]), str("")},
+	}
+	for _, c := range cases {
+		var e enc
+		e.value(c.v)
+		if !bytes.Equal(e.b, c.want) {
+			t.Errorf("%v encodes as %x, want %x", c.v, e.b, c.want)
+			continue
+		}
+		d := dec{b: e.b}
+		got := d.value()
+		if d.err != nil || d.off != len(e.b) || got.Kind() != c.v.Kind() || got.AsInt() != c.v.AsInt() ||
+			math.Float64bits(got.AsFloat()) != math.Float64bits(c.v.AsFloat()) || got.AsString() != c.v.AsString() {
+			t.Errorf("%v decodes as %v (err %v, %d of %d bytes read)", c.v, got, d.err, d.off, len(e.b))
+		}
 	}
 }
 
