@@ -42,7 +42,12 @@ fmt:
 
 # Documentation hygiene: dead relative links in the markdown docs and
 # internal/* packages missing a package comment fail the lint job — as does
-# an `import "unsafe"` in any non-test file but internal/sqldb/value.go.
+# an `import "unsafe"` in any non-test file but internal/sqldb/value.go, and
+# a net.Listen or Accept() call in any non-test file under internal/ or cmd/
+# but internal/frame/frame.go and internal/chaos/chaos.go: a fifth accept
+# loop cannot appear unnoticed. The lint does not see a second frame codec;
+# `binary.BigEndian.PutUint32(hdr` or a 5-byte header read outside
+# internal/frame is what review looks for.
 docs-lint:
 	$(GO) run ./cmd/doclint README.md DESIGN.md PROTOCOL.md PAPER.md PAPERS.md
 

@@ -14,6 +14,10 @@
 //     the engine's packed value and row reference are the one place the
 //     repository reads memory by address, and `make race-db` (checkptr)
 //     is aimed at exactly that file.
+//  5. No non-test Go file under internal/ or cmd/ but internal/frame/frame.go
+//     and internal/chaos/chaos.go calls net.Listen or an Accept() method:
+//     every server accepts, tracks, drains and closes connections through
+//     frame.Listener, and the fault proxy is the one relay.
 //
 // Usage:
 //
@@ -61,7 +65,7 @@ func main() {
 	}
 	bad += checkPackageComments("internal")
 	bad += checkFlagDocs(files)
-	bad += checkUnsafeImports(".")
+	bad += checkConfinedCode(".")
 	if bad > 0 {
 		fmt.Fprintf(os.Stderr, "doclint: %d problem(s)\n", bad)
 		os.Exit(1)
@@ -116,7 +120,8 @@ var flagTokRe = regexp.MustCompile("`-([a-z][a-z0-9-]*)[^`]*`")
 // backoff and the router's token scanner; core's second copy of the
 // assembly and the BENCH_<n>.json perf gate; the engine's second, locked
 // read path with its refresh policy, and the undo log; the replica set's
-// single-backend statement path and its per-client topology lock).
+// single-backend statement path and its per-client topology lock; the wire
+// protocol's private frame reader and cap, and the web server's idle timer).
 var removedIdents = []string{
 	"execLock", "HoldsLocks", "bracketAll", "kindLock",
 	"shExec", "shBegin", "shCommit", "cluster.Stmt", "Client.Prepare", "topLevelFrom",
@@ -124,6 +129,7 @@ var removedIdents = []string{
 	"seedShards", "staticImages", "bench-gate",
 	"snapRefreshMin", "refreshSnap", "liveReadLocks", "txnReadLocks", "lockReads", "live_fallbacks", "undoRec", "rowOrder",
 	"singleExec", "topoHeld",
+	"frameBuf", "maxFrameLen", "IdleTimeout",
 }
 
 // checkFlagDocs verifies that every backticked `-flag` token on a
@@ -280,9 +286,19 @@ func checkPackageComments(root string) int {
 // unsafeHome is the one non-test file allowed to import package unsafe.
 const unsafeHome = "internal/sqldb/value.go"
 
-// checkUnsafeImports walks root and reports every non-test Go file other
-// than unsafeHome that imports package unsafe.
-func checkUnsafeImports(root string) int {
+// acceptHomes are the non-test files allowed to bind and accept: the server
+// skeleton all four servers run on, and the fault proxy — a relay, not a
+// request/response server, and the one documented exception.
+var acceptHomes = map[string]bool{
+	"internal/frame/frame.go": true,
+	"internal/chaos/chaos.go": true,
+}
+
+// checkConfinedCode walks root and reports every non-test Go file that
+// imports package unsafe (other than unsafeHome) or, under internal/ or
+// cmd/, calls net.Listen or an Accept() method (other than acceptHomes): a
+// fifth accept loop is a second copy of frame.Listener.
+func checkConfinedCode(root string) int {
 	bad := 0
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -294,21 +310,43 @@ func checkUnsafeImports(root string) int {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") || filepath.ToSlash(path) == unsafeHome {
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		af, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		fset := token.NewFileSet()
+		af, err := parser.ParseFile(fset, path, nil, 0)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "doclint: %s: %v\n", path, err)
 			bad++
 			return nil
 		}
+		rel := filepath.ToSlash(path)
 		for _, im := range af.Imports {
-			if name, _ := strconv.Unquote(im.Path.Value); name == `unsafe` {
+			if name, _ := strconv.Unquote(im.Path.Value); name == `unsafe` && rel != unsafeHome {
 				fmt.Fprintf(os.Stderr, "doclint: %s imports unsafe; only %s may\n", path, unsafeHome)
 				bad++
 			}
 		}
+		if acceptHomes[rel] || !(strings.HasPrefix(rel, "internal/") || strings.HasPrefix(rel, "cmd/")) {
+			return nil
+		}
+		ast.Inspect(af, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			pkg, _ := sel.X.(*ast.Ident)
+			if (pkg != nil && pkg.Name == "net" && sel.Sel.Name == "Listen") || (sel.Sel.Name == "Accept" && len(call.Args) == 0) {
+				fmt.Fprintf(os.Stderr, "doclint: %s: calls %s; servers accept through frame.Listener (internal/frame/frame.go)\n",
+					fset.Position(call.Pos()), sel.Sel.Name)
+				bad++
+			}
+			return true
+		})
 		return nil
 	})
 	if err != nil {

@@ -8,9 +8,10 @@ package ajp
 
 import (
 	"bufio"
-	"encoding/binary"
+	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"net/url"
 
 	"repro/internal/frame"
@@ -23,73 +24,19 @@ const (
 	frameResponse = 0x03
 )
 
-type enc struct{ b []byte }
-
-func (e *enc) u32(v uint32) { e.b = binary.BigEndian.AppendUint32(e.b, v) }
-func (e *enc) str(s string) { e.u32(uint32(len(s))); e.b = append(e.b, s...) }
-func (e *enc) bytes(p []byte) {
-	e.u32(uint32(len(p)))
-	e.b = append(e.b, p...)
-}
-
-type dec struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *dec) fail(msg string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("ajp: %s at offset %d", msg, d.off)
-	}
-}
-
-func (d *dec) u32() uint32 {
-	if d.err != nil || d.off+4 > len(d.b) {
-		d.fail("truncated u32")
-		return 0
-	}
-	v := binary.BigEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *dec) str() string {
-	n := int(d.u32())
-	if d.err != nil || n < 0 || d.off+n > len(d.b) {
-		d.fail("truncated string")
-		return ""
-	}
-	s := string(d.b[d.off : d.off+n])
-	d.off += n
-	return s
-}
-
-func (d *dec) rawBytes() []byte {
-	n := int(d.u32())
-	if d.err != nil || n < 0 || d.off+n > len(d.b) {
-		d.fail("truncated bytes")
-		return nil
-	}
-	p := make([]byte, n)
-	copy(p, d.b[d.off:d.off+n])
-	d.off += n
-	return p
-}
-
 // encodeRequest flattens an httpd.Request.
 func encodeRequest(req *httpd.Request) []byte {
-	var e enc
-	e.str(req.Method)
-	e.str(req.Path)
-	e.str(req.Query.Encode())
-	e.u32(uint32(len(req.Header)))
+	var e frame.Enc
+	e.Str(req.Method)
+	e.Str(req.Path)
+	e.Str(req.Query.Encode())
+	e.U32(uint32(len(req.Header)))
 	for _, k := range headerKeys(req.Header) {
-		e.str(k)
-		e.str(req.Header[k])
+		e.Str(k)
+		e.Str(req.Header[k])
 	}
-	e.bytes(req.Body)
-	return e.b
+	e.Bytes(req.Body)
+	return e.B
 }
 
 func headerKeys(h httpd.Header) []string {
@@ -106,24 +53,26 @@ func headerKeys(h httpd.Header) []string {
 	return ks
 }
 
+// decodeRequest and decodeResponse copy every field out of p, which aliases
+// the connection's frame.Buf.
 func decodeRequest(p []byte) (*httpd.Request, error) {
-	d := &dec{b: p}
+	d := &frame.Dec{Proto: "ajp", B: p}
 	req := &httpd.Request{Header: httpd.Header{}}
-	req.Method = d.str()
-	req.Path = d.str()
-	rawQ := d.str()
-	n := int(d.u32())
+	req.Method = d.Str()
+	req.Path = d.Str()
+	rawQ := d.Str()
+	n := int(d.U32())
 	if n > 1000 {
 		return nil, errors.New("ajp: absurd header count")
 	}
-	for i := 0; i < n && d.err == nil; i++ {
-		k := d.str()
-		v := d.str()
+	for i := 0; i < n && d.Err == nil; i++ {
+		k := d.Str()
+		v := d.Str()
 		req.Header.Set(k, v)
 	}
-	req.Body = d.rawBytes()
-	if d.err != nil {
-		return nil, d.err
+	req.Body = bytes.Clone(d.Bytes())
+	if d.Err != nil {
+		return nil, d.Err
 	}
 	q, err := url.ParseQuery(rawQ)
 	if err != nil {
@@ -134,32 +83,32 @@ func decodeRequest(p []byte) (*httpd.Request, error) {
 }
 
 func encodeResponse(resp *httpd.Response) []byte {
-	var e enc
-	e.u32(uint32(resp.Status))
-	e.u32(uint32(len(resp.Header)))
+	var e frame.Enc
+	e.U32(uint32(resp.Status))
+	e.U32(uint32(len(resp.Header)))
 	for _, k := range headerKeys(resp.Header) {
-		e.str(k)
-		e.str(resp.Header[k])
+		e.Str(k)
+		e.Str(resp.Header[k])
 	}
-	e.bytes(resp.Body)
-	return e.b
+	e.Bytes(resp.Body)
+	return e.B
 }
 
 func decodeResponse(p []byte) (*httpd.Response, error) {
-	d := &dec{b: p}
-	resp := &httpd.Response{Status: int(d.u32()), Header: httpd.Header{}}
-	n := int(d.u32())
+	d := &frame.Dec{Proto: "ajp", B: p}
+	resp := &httpd.Response{Status: int(d.U32()), Header: httpd.Header{}}
+	n := int(d.U32())
 	if n > 1000 {
 		return nil, errors.New("ajp: absurd header count")
 	}
-	for i := 0; i < n && d.err == nil; i++ {
-		k := d.str()
-		v := d.str()
+	for i := 0; i < n && d.Err == nil; i++ {
+		k := d.Str()
+		v := d.Str()
 		resp.Header.Set(k, v)
 	}
-	resp.Body = d.rawBytes()
-	if d.err != nil {
-		return nil, d.err
+	resp.Body = bytes.Clone(d.Bytes())
+	if d.Err != nil {
+		return nil, d.Err
 	}
 	return resp, nil
 }
@@ -173,12 +122,13 @@ func NewListener(h httpd.Handler) *Listener {
 	if h == nil {
 		panic("ajp: nil handler")
 	}
-	return &Listener{frame.NewListener("ajp", func(br *bufio.Reader, bw *bufio.Writer) { serve(h, br, bw) })}
+	return &Listener{frame.NewListener("ajp", nil, func(_ net.Conn, br *bufio.Reader, bw *bufio.Writer) { serve(h, br, bw) })}
 }
 
 func serve(h httpd.Handler, br *bufio.Reader, bw *bufio.Writer) {
+	var fb frame.Buf
 	for {
-		typ, payload, err := frame.Read(br)
+		typ, payload, err := fb.Read(br)
 		if err != nil {
 			return
 		}
@@ -256,7 +206,7 @@ func roundTrip(cc *pool.Conn, req *httpd.Request) (*httpd.Response, error) {
 	if err := cc.BW.Flush(); err != nil {
 		return nil, err
 	}
-	typ, payload, err := frame.Read(cc.BR)
+	typ, payload, err := cc.Buf.Read(cc.BR)
 	if err != nil {
 		return nil, err
 	}

@@ -251,32 +251,27 @@ func (rs *replicaSet) Exec(query string, args ...sqldb.Value) (*sqldb.Result, er
 		return nil, ErrTxnControlText
 	}
 	if rt.kind == kindRead {
-		// restamp fires before every attempt: each pool retry (the wire
-		// notify path) and each failover replica (readWith re-invokes run).
 		return rs.cachedRead(rt, query, args, false, func(restamp func(int)) (*sqldb.Result, error) {
-			return rs.readWith(func(r *replica) (*sqldb.Result, error) {
-				return r.pool.ExecCachedNotify(restamp, query, args...)
-			})
+			return rs.readWith(restamp, query, args)
 		})
 	}
-	return rs.writeWith(rt, func(r *replica) (*sqldb.Result, error) {
-		return r.pool.ExecCached(query, args...)
-	})
+	return rs.writeWith(rt, query, args)
 }
 
-// readWith runs one read via run on a load-balanced healthy replica,
-// ejecting and failing over on transport errors. A pool wait timeout
-// surfaces without ejection (the replica is fine; this client is
-// saturated), and a read slower than SlowThreshold ejects the replica
-// from future routing while still returning its answer.
-func (rs *replicaSet) readWith(run func(*replica) (*sqldb.Result, error)) (*sqldb.Result, error) {
+// readWith runs one read on a load-balanced healthy replica's pool,
+// ejecting and failing over on transport errors; restamp fires before every
+// attempt — each pool retry (the wire notify path) and each failover
+// replica. A pool wait timeout surfaces without ejection (the replica is
+// fine; this client is saturated), and a read slower than SlowThreshold
+// ejects the replica from future routing while still returning its answer.
+func (rs *replicaSet) readWith(restamp func(int), query string, args []sqldb.Value) (*sqldb.Result, error) {
 	for {
 		r := rs.pickRead()
 		if r == nil {
 			return nil, ErrNoReplicas
 		}
 		start := time.Now()
-		res, err := run(r)
+		res, err := r.pool.ExecCachedNotify(restamp, query, args...)
 		if isTransport(err) {
 			if ejectable(err) && rs.eject(r) {
 				continue // fail over to the next healthy replica
@@ -427,24 +422,26 @@ func (b *bcast) result(rs *replicaSet) (*sqldb.Result, error) {
 	return b.res, b.first
 }
 
-// writeWith broadcasts run to every healthy replica concurrently under the
-// route's table write-order locks (held across the whole fan-out, which is
-// what keeps conflicting writes in one global order on every replica).
+// writeWith broadcasts one write to every healthy replica's pool
+// concurrently under the route's table write-order locks (held across the
+// whole fan-out, which is what keeps conflicting writes in one global order
+// on every replica).
 //
 // It stays apart from replicaTxn.broadcast, with which it shares fanOut
-// and collect, because of how long a connection is held: run borrows from
-// each replica's pool and returns at that replica's own ack, while a
+// and collect, because of how long a connection is held: each replica's
+// pooled connection goes back at that replica's own ack, while a
 // session holds every replica's connection until the slowest ack — one slow
 // replica would keep the fast replicas' pools exhausted too
 // (TestMissedWriteOnSaturatedPoolEjects).
-func (rs *replicaSet) writeWith(rt route, run func(*replica) (*sqldb.Result, error)) (*sqldb.Result, error) {
+func (rs *replicaSet) writeWith(rt route, query string, args []sqldb.Value) (*sqldb.Result, error) {
 	if err := rs.writeGate(); err != nil {
 		return nil, err
 	}
 	release := rs.locks.acquire(rt.tables)
 	defer release()
 
-	outs := fanOut(rs.replicas, func(r *replica) bool { return r.healthy.Load() }, run)
+	outs := fanOut(rs.replicas, func(r *replica) bool { return r.healthy.Load() },
+		func(r *replica) (*sqldb.Result, error) { return r.pool.ExecCached(query, args...) })
 	var b bcast
 	b.collect(rs, outs, func(r *replica, err error, applied bool) {
 		// applied: the write landed on another replica, so this one has

@@ -801,23 +801,24 @@ func (s *shardTxn) subExec(sub *replicaTxn, query string, args []sqldb.Value) (*
 	return res, err
 }
 
-// sub returns shard i's sub-session, opening it (and, inside a
-// transaction, beginning the shard-local transaction with the declared
-// write set) on first touch. Write transactions may only open shards in
-// ascending order — the same sorted-acquisition discipline the write-order
-// locks use, excluding deadlock between concurrent cross-shard
-// transactions. Read-only transactions hold no locks and open freely.
+// sub returns shard i's sub-session, opening it and beginning the
+// shard-local transaction with the declared write set on first touch (Exec
+// reaches a sub only inside a transaction). Write transactions may only
+// open shards in ascending order — the same sorted-acquisition discipline
+// the write-order locks use, excluding deadlock between concurrent
+// cross-shard transactions. Read-only transactions hold no locks and open
+// freely.
 func (s *shardTxn) sub(i int) (*replicaTxn, error) {
 	sub := s.subs[i]
-	if sub != nil && (!s.inTxn || sub.inTxn) {
+	if sub != nil && sub.inTxn {
 		return sub, nil
 	}
-	if s.inTxn && !s.readOnly && !s.allShard && i < s.maxSub {
+	if !s.readOnly && !s.allShard && i < s.maxSub {
 		s.failed = true
 		return nil, errShardOrder
 	}
+	var err error
 	if sub == nil {
-		var err error
 		sub, err = s.sh.shards[i].open()
 		if err != nil {
 			s.failed = true
@@ -825,23 +826,20 @@ func (s *shardTxn) sub(i int) (*replicaTxn, error) {
 		}
 		s.subs[i] = sub
 	}
-	if s.inTxn {
-		var err error
-		switch {
-		case sub.failed:
-			err = errSessionFailed
-		case s.readOnly:
-			err = sub.beginReadOnly()
-		default:
-			err = sub.begin(s.declared)
-		}
-		if err != nil {
-			s.failed = true
-			return nil, err
-		}
-		if i > s.maxSub {
-			s.maxSub = i
-		}
+	switch {
+	case sub.failed:
+		err = errSessionFailed
+	case s.readOnly:
+		err = sub.beginReadOnly()
+	default:
+		err = sub.begin(s.declared)
+	}
+	if err != nil {
+		s.failed = true
+		return nil, err
+	}
+	if i > s.maxSub {
+		s.maxSub = i
 	}
 	return sub, nil
 }
@@ -851,11 +849,11 @@ func (s *shardTxn) sub(i int) (*replicaTxn, error) {
 // pinned statements can still open their shard in ascending order.
 func (s *shardTxn) anySub() (*replicaTxn, error) {
 	for _, sub := range s.subs {
-		if sub != nil && (!s.inTxn || sub.inTxn) {
+		if sub != nil && sub.inTxn {
 			return sub, nil
 		}
 	}
-	if s.inTxn && s.readOnly {
+	if s.readOnly {
 		return s.sub(s.sh.rrNext())
 	}
 	return s.sub(0)
@@ -873,7 +871,7 @@ func (s *shardTxn) allSubs() error {
 			return err
 		}
 	}
-	if s.inTxn && !s.readOnly {
+	if !s.readOnly {
 		s.allShard = true
 	}
 	return nil

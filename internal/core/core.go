@@ -538,14 +538,6 @@ func (l *Lab) walOpts(i int, dir string) sqldb.WALOptions {
 	}
 }
 
-// ReplicaWALDir returns replica i's data directory ("" without DBDataDir).
-func (l *Lab) ReplicaWALDir(i int) string {
-	if i < 0 || i >= len(l.walDirs) {
-		return ""
-	}
-	return l.walDirs[i]
-}
-
 // CrashReplica power-cuts a durable database backend: its WAL drops
 // everything unsynced (acknowledged commits survive, in-flight ones fail),
 // and its server goes down. The in-memory engine object is dead after

@@ -141,9 +141,6 @@ func (c *Container) QueryCount() int64 { return c.queries.Load() }
 // LoadCount returns entity activations (single-row SELECTs).
 func (c *Container) LoadCount() int64 { return c.loads.Load() }
 
-// StoreCount returns field stores (single-column UPDATEs).
-func (c *Container) StoreCount() int64 { return c.stores.Load() }
-
 // Stats describes the container's load for the cross-tier telemetry: the
 // CMP statement counters, the database pool's aggregate saturation
 // counters, and the per-replica routing breakdown for clustered databases.

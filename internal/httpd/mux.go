@@ -2,7 +2,6 @@ package httpd
 
 import (
 	"fmt"
-	"os"
 	"path"
 	"sort"
 	"strings"
@@ -71,8 +70,7 @@ func (m *Mux) ServeHTTP(req *Request) (*Response, error) {
 }
 
 // StaticSet serves in-memory static content (the benchmark images are
-// generated synthetically, so no on-disk document root is required; AddFile
-// supports mixing in real files).
+// generated synthetically, so no on-disk document root is required).
 type StaticSet struct {
 	mu    sync.RWMutex
 	files map[string][]byte
@@ -90,16 +88,6 @@ func (s *StaticSet) Add(p string, body []byte, contentType string) {
 	defer s.mu.Unlock()
 	s.files[p] = body
 	s.types[p] = contentType
-}
-
-// AddFile loads an on-disk file into the set.
-func (s *StaticSet) AddFile(p, diskPath string) error {
-	body, err := os.ReadFile(diskPath)
-	if err != nil {
-		return fmt.Errorf("httpd: static %s: %w", diskPath, err)
-	}
-	s.Add(p, body, contentTypeFor(diskPath))
-	return nil
 }
 
 // Len returns the number of files.

@@ -10,9 +10,10 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/frame"
 )
 
 // maxBodyBytes bounds request bodies, as Apache's LimitRequestBody does.
@@ -22,20 +23,11 @@ const maxBodyBytes = 4 << 20
 const maxHeaderLines = 100
 
 // Server accepts HTTP/1.x connections and dispatches requests to a Handler.
+// Accepting, tracking, draining and closing connections are frame.Listener's.
 type Server struct {
 	handler Handler
 	logger  *log.Logger
-
-	// IdleTimeout closes keep-alive connections idle beyond this duration
-	// (zero: no timeout).
-	IdleTimeout time.Duration
-
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	shutdown chan struct{}
-	wg       sync.WaitGroup
+	l       *frame.Listener
 
 	requests  atomic.Int64
 	respBytes atomic.Int64
@@ -53,83 +45,34 @@ func NewServer(handler Handler, logger *log.Logger) *Server {
 	if handler == nil {
 		panic("httpd: nil handler")
 	}
-	return &Server{
-		handler:  handler,
-		logger:   logger,
-		conns:    make(map[net.Conn]struct{}),
-		shutdown: make(chan struct{}),
-	}
+	s := &Server{handler: handler, logger: logger}
+	s.l = frame.NewListener("httpd", s.logf, s.serveConn)
+	return s
 }
 
 // Listen binds addr and serves in background goroutines, returning the
 // bound address (useful with port 0).
-func (s *Server) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("httpd: listen %s: %w", addr, err)
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		ln.Close()
-		return nil, errors.New("httpd: server closed")
-	}
-	s.ln = ln
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
-	return ln.Addr(), nil
-}
+func (s *Server) Listen(addr string) (net.Addr, error) { return s.l.Listen(addr) }
 
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			select {
-			case <-s.shutdown:
-			default:
-				s.logf("accept: %v", err)
-			}
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
+// Shutdown drains the server (frame.Listener.Drain): it stops accepting,
+// lets every connection answer the request it has in flight, and falls back
+// to a hard Close when grace elapses first.
+func (s *Server) Shutdown(grace time.Duration) error { s.l.Drain(grace); return nil }
 
-func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	br := bufio.NewReaderSize(conn, 16<<10)
-	bw := bufio.NewWriterSize(conn, 32<<10)
+// Close stops the listener and all connections.
+func (s *Server) Close() error { return s.l.Close() }
+
+func (s *Server) serveConn(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) {
 	for {
-		if s.IdleTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.IdleTimeout))
-		}
 		req, err := readRequest(br)
 		if err != nil {
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				var ne net.Error
-				if !(errors.As(err, &ne) && ne.Timeout()) {
-					s.logf("parse: %v", err)
-					resp := Error(400, err.Error())
-					_ = writeResponse(bw, resp, "HTTP/1.1", false, "close")
-					_ = bw.Flush()
-				}
+			// A draining server's read deadline ends an idle keep-alive
+			// connection; that is not a malformed request.
+			if err != io.EOF && !errors.Is(err, net.ErrClosed) && !s.l.Draining() {
+				s.logf("parse: %v", err)
+				resp := Error(400, err.Error())
+				_ = writeResponse(bw, resp, "HTTP/1.1", false, "close")
+				_ = bw.Flush()
 			}
 			return
 		}
@@ -289,27 +232,6 @@ func writeResponse(w *bufio.Writer, resp *Response, proto string, headOnly bool,
 	}
 	_, err := w.Write(resp.Body)
 	return err
-}
-
-// Close stops the listener and all connections.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	close(s.shutdown)
-	ln := s.ln
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	s.wg.Wait()
-	return nil
 }
 
 func (s *Server) logf(format string, args ...any) {

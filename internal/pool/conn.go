@@ -6,15 +6,20 @@ import (
 	"io"
 	"net"
 	"time"
+
+	"repro/internal/frame"
 )
 
 // Conn is one TCP connection of a request/response transport (sqldb/wire,
 // internal/ajp, internal/rmi): the socket, a 32 KiB buffered reader/writer
-// pair, and the per-operation deadline from Timeouts.Op.
+// pair, the buffer reply frames are read into (reused across replies: a
+// payload is valid until the next Buf.Read), and the per-operation deadline
+// from Timeouts.Op.
 type Conn struct {
-	NC net.Conn
-	BR *bufio.Reader
-	BW *bufio.Writer
+	NC  net.Conn
+	BR  *bufio.Reader
+	BW  *bufio.Writer
+	Buf frame.Buf
 
 	// op bounds one operation (all of its writes, flushes and reads) with
 	// a connection deadline, so a stalled peer is a transport error, not a

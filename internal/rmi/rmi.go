@@ -24,6 +24,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"net"
 	"reflect"
 	"strings"
 	"sync"
@@ -59,7 +60,7 @@ type Server struct {
 // NewServer returns an empty server.
 func NewServer() *Server {
 	s := &Server{methods: make(map[string]*method)}
-	s.Listener = frame.NewListener("rmi", s.serve)
+	s.Listener = frame.NewListener("rmi", nil, s.serve)
 	return s
 }
 
@@ -125,10 +126,11 @@ func (s *swapReader) set(p []byte)               { s.r.Reset(p) }
 func (s *swapReader) Read(p []byte) (int, error) { return s.r.Read(p) }
 func (s *swapReader) ReadByte() (byte, error)    { return s.r.ReadByte() }
 
-func (s *Server) serve(br *bufio.Reader, bw *bufio.Writer) {
+func (s *Server) serve(_ net.Conn, br *bufio.Reader, bw *bufio.Writer) {
 	gs := newGobStream()
+	var fb frame.Buf // gob copies what it decodes; dispatch keeps nothing of payload
 	for {
-		typ, payload, err := frame.Read(br)
+		typ, payload, err := fb.Read(br)
 		if err != nil || typ != frameCall {
 			return
 		}
@@ -255,7 +257,7 @@ func roundTrip(cc *clientConn, methodName string, args, reply any) error {
 	if err := cc.BW.Flush(); err != nil {
 		return err
 	}
-	typ, payload, err := frame.Read(cc.BR)
+	typ, payload, err := cc.Buf.Read(cc.BR)
 	if err != nil {
 		return err
 	}

@@ -25,11 +25,7 @@ type RWLock struct {
 
 	seq int64 // per-lock arrival counter for FCFS ordering
 
-	// accounting
-	waitAcc    float64 // accumulated waiting time over all grants
-	grants     int64
-	contended  int64 // grants that had to queue
-	writeGrant int64
+	waitAcc float64 // accumulated waiting time over all grants
 }
 
 type lockWaiter struct {
@@ -51,9 +47,6 @@ func NewWriterPriorityRWLock(s *Sim, name string) *RWLock {
 // Name returns the lock name.
 func (l *RWLock) Name() string { return l.name }
 
-// WriterPriority reports the admission policy.
-func (l *RWLock) WriterPriority() bool { return l.writePri }
-
 // Acquire requests the lock. granted runs (synchronously if the lock is
 // immediately available, otherwise when predecessors release) once the lock
 // is held.
@@ -66,9 +59,6 @@ func (l *RWLock) Acquire(write bool, granted func()) {
 		l.wq = append(l.wq, w)
 	} else {
 		l.rq = append(l.rq, w)
-	}
-	if l.writer || l.readers > 0 || len(l.rq)+len(l.wq) > 1 {
-		l.contended++
 	}
 	l.dispatch()
 }
@@ -136,12 +126,10 @@ func (l *RWLock) dispatch() {
 		if write {
 			l.wq = l.wq[1:]
 			l.writer = true
-			l.writeGrant++
 		} else {
 			l.rq = l.rq[1:]
 			l.readers++
 		}
-		l.grants++
 		l.waitAcc += l.sim.Now() - w.since
 		w.granted()
 	}
@@ -157,15 +145,6 @@ func (l *RWLock) Holders() int {
 
 // QueueLen returns the number of waiters not yet granted.
 func (l *RWLock) QueueLen() int { return len(l.rq) + len(l.wq) }
-
-// Grants returns the total number of grants so far.
-func (l *RWLock) Grants() int64 { return l.grants }
-
-// WriteGrants returns how many grants were write locks.
-func (l *RWLock) WriteGrants() int64 { return l.writeGrant }
-
-// ContendedGrants returns how many acquisitions found the lock unavailable.
-func (l *RWLock) ContendedGrants() int64 { return l.contended }
 
 // TotalWait returns the accumulated waiting time across all grants.
 func (l *RWLock) TotalWait() float64 { return l.waitAcc }

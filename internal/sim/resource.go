@@ -25,8 +25,6 @@ type PSResource struct {
 
 	busy     float64 // integral of 1{n>0} dt
 	workDone float64 // integral of speed*1{n>0} dt (work units served)
-	areaN    float64 // integral of n dt (for mean jobs in service)
-	served   int64   // completed jobs
 }
 
 // NewPSResource creates a processor-sharing resource attached to s.
@@ -44,9 +42,6 @@ func (r *PSResource) Name() string { return r.name }
 
 // Speed returns the full-speed service rate.
 func (r *PSResource) Speed() float64 { return r.speed }
-
-// InService returns the number of jobs currently being served.
-func (r *PSResource) InService() int { return r.jobs.Len() }
 
 // Use submits a job with the given demand. done runs (via a scheduled event)
 // when the job's service completes. Zero or negative demands complete after
@@ -75,7 +70,6 @@ func (r *PSResource) advance() {
 			r.v += dt * r.speed / float64(n)
 			r.busy += dt
 			r.workDone += dt * r.speed
-			r.areaN += dt * float64(n)
 		}
 		r.lastT = now
 	} else {
@@ -112,7 +106,6 @@ func (r *PSResource) complete() {
 	for r.jobs.Len() > 0 && r.jobs[0].target <= r.v+eps*(1+math.Abs(r.v)) {
 		j := heap.Pop(&r.jobs).(*psJob)
 		dones = append(dones, j.done)
-		r.served++
 	}
 	r.reschedule()
 	for _, d := range dones {
@@ -126,16 +119,6 @@ func (r *PSResource) BusyTime() float64 {
 	r.advance()
 	return r.busy
 }
-
-// AreaJobs returns the time-integral of the number of jobs in service, used
-// to derive the mean concurrency over a window.
-func (r *PSResource) AreaJobs() float64 {
-	r.advance()
-	return r.areaN
-}
-
-// Served returns the number of completed jobs.
-func (r *PSResource) Served() int64 { return r.served }
 
 // UtilizationSince returns the fraction of time the resource was busy over
 // the window starting at a prior BusyTime snapshot busy0 taken at time t0.

@@ -12,7 +12,6 @@ type Semaphore struct {
 	held  int
 	queue []func()
 
-	grants  int64
 	waitAcc float64
 	waitT   []float64 // arrival times of queued waiters (parallel to queue)
 }
@@ -28,17 +27,8 @@ func NewSemaphore(s *Sim, name string, capacity int) *Semaphore {
 // Name returns the semaphore name.
 func (sem *Semaphore) Name() string { return sem.name }
 
-// Cap returns the capacity.
-func (sem *Semaphore) Cap() int { return sem.cap }
-
-// Held returns the number of slots currently held.
-func (sem *Semaphore) Held() int { return sem.held }
-
 // QueueLen returns the number of waiters.
 func (sem *Semaphore) QueueLen() int { return len(sem.queue) }
-
-// Grants returns the number of acquisitions granted so far.
-func (sem *Semaphore) Grants() int64 { return sem.grants }
 
 // TotalWait returns the accumulated waiting time across grants.
 func (sem *Semaphore) TotalWait() float64 { return sem.waitAcc }
@@ -51,7 +41,6 @@ func (sem *Semaphore) Acquire(granted func()) {
 	}
 	if sem.held < sem.cap && len(sem.queue) == 0 {
 		sem.held++
-		sem.grants++
 		granted()
 		return
 	}
@@ -71,7 +60,6 @@ func (sem *Semaphore) Release() {
 		sem.waitAcc += sem.sim.Now() - sem.waitT[0]
 		sem.waitT = sem.waitT[1:]
 		sem.held++
-		sem.grants++
 		granted()
 	}
 }

@@ -119,17 +119,6 @@ func (s *Sim) RunUntil(t float64) {
 	}
 }
 
-// Pending reports the number of live (non-cancelled) events in the queue.
-func (s *Sim) Pending() int {
-	n := 0
-	for _, ev := range s.events {
-		if !ev.cancelled {
-			n++
-		}
-	}
-	return n
-}
-
 // eventHeap is a min-heap ordered by (time, sequence) so that simultaneous
 // events fire in the order they were scheduled.
 type eventHeap []*Timer

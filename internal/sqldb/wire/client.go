@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/pool"
 	"repro/internal/sqldb"
 )
@@ -21,8 +22,7 @@ import (
 // connection simply starts with an empty map and re-prepares.
 type Conn struct {
 	tc   *pool.Conn // socket, buffers and the per-operation deadline (Arm)
-	fb   frameBuf
-	cols colCache // column-name reuse across responses
+	cols colCache   // column-name reuse across responses
 
 	stmts  map[string]uint32
 	nextID uint32
@@ -53,7 +53,7 @@ func DialT(addr string, t pool.Timeouts) (*Conn, error) {
 // send writes one request frame from a pooled encoder (unflushed) and
 // returns the encoder to the pool.
 func (c *Conn) send(typ byte, e *enc) error {
-	err := writeFrame(c.tc.BW, typ, e.b)
+	err := frame.Write(c.tc.BW, typ, e.B)
 	putEnc(e)
 	if err != nil {
 		return fmt.Errorf("wire: send: %w", err)
@@ -85,7 +85,7 @@ func (c *Conn) flush() error {
 
 // readReply reads one response frame and decodes it as a result.
 func (c *Conn) readReply() (*sqldb.Result, error) {
-	typ, payload, err := c.fb.read(c.tc.BR)
+	typ, payload, err := c.tc.Buf.Read(c.tc.BR)
 	if err != nil {
 		return nil, fmt.Errorf("wire: recv: %w", err)
 	}
@@ -119,7 +119,7 @@ func (c *Conn) drainPending() error {
 // so opening a transaction costs no extra round trip.
 func (c *Conn) Begin() error {
 	c.tc.Arm()
-	if err := writeFrame(c.tc.BW, msgBegin, nil); err != nil {
+	if err := frame.Write(c.tc.BW, msgBegin, nil); err != nil {
 		return fmt.Errorf("wire: send: %w", err)
 	}
 	c.pendingBegins++
@@ -141,7 +141,7 @@ func (c *Conn) PrepareTxn() error { return c.txnEnd(msgPrepareTxn) }
 
 func (c *Conn) txnEnd(typ byte) error {
 	c.tc.Arm()
-	if err := writeFrame(c.tc.BW, typ, nil); err != nil {
+	if err := frame.Write(c.tc.BW, typ, nil); err != nil {
 		return fmt.Errorf("wire: send: %w", err)
 	}
 	if err := c.flush(); err != nil {

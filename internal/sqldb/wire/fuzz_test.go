@@ -5,6 +5,7 @@ import (
 	"io"
 	"testing"
 
+	"repro/internal/frame"
 	"repro/internal/sqldb"
 )
 
@@ -20,7 +21,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		e := &enc{}
 		build(e)
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, typ, e.b); err != nil {
+		if err := frame.Write(&buf, typ, e.B); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
@@ -44,8 +45,8 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x01})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var fb frameBuf
-		typ, payload, err := fb.read(bytes.NewReader(data))
+		var fb frame.Buf
+		typ, payload, err := fb.Read(bytes.NewReader(data))
 		if err != nil {
 			return // truncated or oversized frame: a clean error is the contract
 		}
@@ -57,7 +58,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			}
 			e := &enc{}
 			encodeQuery(e, q, args)
-			q2, args2, err := decodeQuery(e.b)
+			q2, args2, err := decodeQuery(e.B)
 			if err != nil || q2 != q || len(args2) != len(args) {
 				t.Fatalf("query round trip: %v (%q->%q, %d->%d args)", err, q, q2, len(args), len(args2))
 			}
@@ -68,7 +69,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			}
 			e := &enc{}
 			encodePrepare(e, id, q)
-			id2, q2, err := decodePrepare(e.b)
+			id2, q2, err := decodePrepare(e.B)
 			if err != nil || id2 != id || q2 != q {
 				t.Fatalf("prepare round trip: %v", err)
 			}
@@ -79,7 +80,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			}
 			e := &enc{}
 			encodeExecStmt(e, id, args)
-			id2, args2, err := decodeExecStmt(e.b)
+			id2, args2, err := decodeExecStmt(e.B)
 			if err != nil || id2 != id || len(args2) != len(args) {
 				t.Fatalf("exec-stmt round trip: %v", err)
 			}
@@ -90,7 +91,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			}
 			e := &enc{}
 			encodeCloseStmt(e, id)
-			if id2, err := decodeCloseStmt(e.b); err != nil || id2 != id {
+			if id2, err := decodeCloseStmt(e.B); err != nil || id2 != id {
 				t.Fatalf("close-stmt round trip: %v", err)
 			}
 		case msgBegin, msgCommit, msgRollback:
@@ -103,7 +104,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			}
 			e := &enc{}
 			encodeResult(e, r)
-			r2, err := decodeResult(e.b, nil)
+			r2, err := decodeResult(e.B, nil)
 			if err != nil {
 				t.Fatalf("result re-decode: %v", err)
 			}
@@ -116,8 +117,8 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		// panic either (the reader sees the remaining bytes).
 		rest := bytes.NewReader(data)
 		if _, err := io.CopyN(io.Discard, rest, int64(5+len(payload))); err == nil {
-			var fb2 frameBuf
-			_, _, _ = fb2.read(rest)
+			var fb2 frame.Buf
+			_, _, _ = fb2.Read(rest)
 		}
 	})
 }

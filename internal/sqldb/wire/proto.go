@@ -30,16 +30,16 @@
 package wire
 
 import (
-	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"sync"
 
+	"repro/internal/frame"
 	"repro/internal/sqldb"
 )
 
-// Frame layout: 4-byte big-endian payload length, 1-byte type, payload.
+// Frame layout (internal/frame): 4-byte big-endian payload length, 1-byte
+// type, payload.
 //
 // Requests:
 //
@@ -68,7 +68,6 @@ const (
 	msgError      = 0x82
 	msgPrepOK     = 0x83
 	msgTxnOK      = 0x84
-	maxFrameLen   = 16 << 20
 
 	// maxStmtsPerConn bounds one connection's prepared-statement table —
 	// both benchmarks together need a few dozen; the cap only stops a
@@ -84,79 +83,28 @@ const (
 	tagString = 3
 )
 
-// writeFrame emits one frame.
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	var hdr [5]byte
-	if len(payload) > maxFrameLen {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit", len(payload))
-	}
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// readFrame reads one frame into a fresh buffer.
-func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
-	var fb frameBuf
-	return fb.read(r)
-}
-
-// frameBuf reads frames into a buffer reused across calls, so a long-lived
-// connection stops allocating per request once the buffer reaches the
-// conversation's working-set size. Decoded payloads alias the buffer and
-// are only valid until the next read; every decode function below copies
-// what it keeps (string() conversions and value constructors copy).
-type frameBuf struct{ b []byte }
-
-func (fb *frameBuf) read(r io.Reader) (typ byte, payload []byte, err error) {
-	var hdr [5]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	n := int(binary.BigEndian.Uint32(hdr[:4]))
-	if n > maxFrameLen {
-		return 0, nil, fmt.Errorf("wire: oversized frame (%d bytes)", n)
-	}
-	if cap(fb.b) < n {
-		fb.b = make([]byte, n)
-	}
-	payload = fb.b[:n]
-	if _, err = io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
-	}
-	return hdr[4], payload, nil
-}
-
-// enc is an append-style encoder.
-type enc struct{ b []byte }
-
-func (e *enc) u32(v uint32) { e.b = binary.BigEndian.AppendUint32(e.b, v) }
-func (e *enc) u64(v uint64) { e.b = binary.BigEndian.AppendUint64(e.b, v) }
-func (e *enc) str(s string) { e.u32(uint32(len(s))); e.b = append(e.b, s...) }
+// enc appends wire values to a payload; the field primitives are frame's.
+type enc struct{ frame.Enc }
 
 func (e *enc) value(v sqldb.Value) {
 	switch v.Kind() {
 	case sqldb.KindNull:
-		e.b = append(e.b, tagNull)
+		e.Byte(tagNull)
 	case sqldb.KindInt:
-		e.b = append(e.b, tagInt)
-		e.u64(uint64(v.AsInt()))
+		e.Byte(tagInt)
+		e.U64(uint64(v.AsInt()))
 	case sqldb.KindFloat:
-		e.b = append(e.b, tagFloat)
-		e.u64(math.Float64bits(v.AsFloat()))
+		e.Byte(tagFloat)
+		e.U64(math.Float64bits(v.AsFloat()))
 	default:
-		e.b = append(e.b, tagString)
-		e.str(v.AsString())
+		e.Byte(tagString)
+		e.Str(v.AsString())
 	}
 }
 
 // encPool recycles encoder buffers across requests; the frame is written
 // out before the encoder is returned, so buffers never escape.
-var encPool = sync.Pool{New: func() any { return &enc{b: make([]byte, 0, 1024)} }}
+var encPool = sync.Pool{New: func() any { return &enc{frame.Enc{B: make([]byte, 0, 1024)}} }}
 
 // maxPooledEnc keeps the occasional huge result from pinning memory.
 const maxPooledEnc = 1 << 20
@@ -164,100 +112,47 @@ const maxPooledEnc = 1 << 20
 func getEnc() *enc { return encPool.Get().(*enc) }
 
 func putEnc(e *enc) {
-	if cap(e.b) > maxPooledEnc {
+	if cap(e.B) > maxPooledEnc {
 		return
 	}
-	e.b = e.b[:0]
+	e.B = e.B[:0]
 	encPool.Put(e)
 }
 
-// dec is a cursor-style decoder.
-type dec struct {
-	b   []byte
-	off int
-	err error
-}
+// dec reads wire values off a payload cursor; the field primitives and the
+// latched error are frame's.
+type dec struct{ frame.Dec }
 
-func (d *dec) fail(msg string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("wire: %s at offset %d", msg, d.off)
-	}
-}
-
-func (d *dec) u32() uint32 {
-	if d.err != nil || d.off+4 > len(d.b) {
-		d.fail("truncated u32")
-		return 0
-	}
-	v := binary.BigEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *dec) u64() uint64 {
-	if d.err != nil || d.off+8 > len(d.b) {
-		d.fail("truncated u64")
-		return 0
-	}
-	v := binary.BigEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *dec) byte() byte {
-	if d.err != nil || d.off >= len(d.b) {
-		d.fail("truncated byte")
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *dec) str() string { return string(d.strBytes()) }
-
-// strBytes returns the next length-prefixed string's bytes without the
-// string conversion. The slice aliases the frame buffer and is only valid
-// until the next frame read; callers that keep it must copy.
-func (d *dec) strBytes() []byte {
-	n := int(d.u32())
-	if d.err != nil || d.off+n > len(d.b) || n < 0 {
-		d.fail("truncated string")
-		return nil
-	}
-	b := d.b[d.off : d.off+n]
-	d.off += n
-	return b
-}
+func newDec(p []byte) *dec { return &dec{frame.Dec{Proto: "wire", B: p}} }
 
 func (d *dec) value() sqldb.Value {
-	switch d.byte() {
+	switch d.Byte() {
 	case tagNull:
 		return sqldb.Null()
 	case tagInt:
-		return sqldb.Int(int64(d.u64()))
+		return sqldb.Int(int64(d.U64()))
 	case tagFloat:
-		return sqldb.Float(math.Float64frombits(d.u64()))
+		return sqldb.Float(math.Float64frombits(d.U64()))
 	case tagString:
-		return sqldb.String(d.str())
+		return sqldb.String(d.Str())
 	default:
-		d.fail("unknown value tag")
+		d.Fail("unknown value tag")
 		return sqldb.Null()
 	}
 }
 
 // args decodes an argument vector (count-prefixed values).
 func (d *dec) args() []sqldb.Value {
-	n := int(d.u32())
+	n := int(d.U32())
 	if n > 1<<16 {
-		d.fail("absurd arg count")
+		d.Fail("absurd arg count")
 		return nil
 	}
 	if n == 0 {
 		return nil
 	}
 	args := make([]sqldb.Value, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
+	for i := 0; i < n && d.Err == nil; i++ {
 		args = append(args, d.value())
 	}
 	return args
@@ -265,8 +160,8 @@ func (d *dec) args() []sqldb.Value {
 
 // encodeQuery appends a text-query request payload.
 func encodeQuery(e *enc, query string, args []sqldb.Value) {
-	e.str(query)
-	e.u32(uint32(len(args)))
+	e.Str(query)
+	e.U32(uint32(len(args)))
 	for _, a := range args {
 		e.value(a)
 	}
@@ -274,30 +169,30 @@ func encodeQuery(e *enc, query string, args []sqldb.Value) {
 
 // decodeQuery parses a text-query request payload.
 func decodeQuery(p []byte) (string, []sqldb.Value, error) {
-	d := &dec{b: p}
-	q := d.str()
+	d := newDec(p)
+	q := d.Str()
 	args := d.args()
-	return q, args, d.err
+	return q, args, d.Err
 }
 
 // encodePrepare appends a PREPARE payload.
 func encodePrepare(e *enc, id uint32, query string) {
-	e.u32(id)
-	e.str(query)
+	e.U32(id)
+	e.Str(query)
 }
 
 // decodePrepare parses a PREPARE payload.
 func decodePrepare(p []byte) (uint32, string, error) {
-	d := &dec{b: p}
-	id := d.u32()
-	q := d.str()
-	return id, q, d.err
+	d := newDec(p)
+	id := d.U32()
+	q := d.Str()
+	return id, q, d.Err
 }
 
 // encodeExecStmt appends an EXECUTE-by-id payload.
 func encodeExecStmt(e *enc, id uint32, args []sqldb.Value) {
-	e.u32(id)
-	e.u32(uint32(len(args)))
+	e.U32(id)
+	e.U32(uint32(len(args)))
 	for _, a := range args {
 		e.value(a)
 	}
@@ -305,33 +200,33 @@ func encodeExecStmt(e *enc, id uint32, args []sqldb.Value) {
 
 // decodeExecStmt parses an EXECUTE-by-id payload.
 func decodeExecStmt(p []byte) (uint32, []sqldb.Value, error) {
-	d := &dec{b: p}
-	id := d.u32()
+	d := newDec(p)
+	id := d.U32()
 	args := d.args()
-	return id, args, d.err
+	return id, args, d.Err
 }
 
 // encodeCloseStmt appends a CLOSE-STMT payload.
-func encodeCloseStmt(e *enc, id uint32) { e.u32(id) }
+func encodeCloseStmt(e *enc, id uint32) { e.U32(id) }
 
 // decodeCloseStmt parses a CLOSE-STMT payload.
 func decodeCloseStmt(p []byte) (uint32, error) {
-	d := &dec{b: p}
-	id := d.u32()
-	return id, d.err
+	d := newDec(p)
+	id := d.U32()
+	return id, d.Err
 }
 
 // encodeResult appends a result payload.
 func encodeResult(e *enc, r *sqldb.Result) {
-	e.u64(uint64(r.RowsAffected))
-	e.u64(uint64(r.LastInsertID))
-	e.u32(uint32(len(r.Columns)))
+	e.U64(uint64(r.RowsAffected))
+	e.U64(uint64(r.LastInsertID))
+	e.U32(uint32(len(r.Columns)))
 	for _, c := range r.Columns {
-		e.str(c)
+		e.Str(c)
 	}
-	e.u32(uint32(len(r.Rows)))
+	e.U32(uint32(len(r.Rows)))
 	for _, row := range r.Rows {
-		e.u32(uint32(len(row)))
+		e.U32(uint32(len(row)))
 		for _, v := range row {
 			e.value(v)
 		}
@@ -350,29 +245,29 @@ type colCache struct{ cols []string }
 // per response, and per-row allocs dominated the client-side profile.
 // cc, when non-nil, caches column headers across responses (see colCache).
 func decodeResult(p []byte, cc *colCache) (*sqldb.Result, error) {
-	d := &dec{b: p}
+	d := newDec(p)
 	r := &sqldb.Result{
-		RowsAffected: int64(d.u64()),
-		LastInsertID: int64(d.u64()),
+		RowsAffected: int64(d.U64()),
+		LastInsertID: int64(d.U64()),
 	}
-	nc := int(d.u32())
+	nc := int(d.U32())
 	if nc > 1<<16 {
 		return nil, fmt.Errorf("wire: absurd column count %d", nc)
 	}
 	switch {
-	case nc == 0 || d.err != nil:
+	case nc == 0 || d.Err != nil:
 	case cc != nil && len(cc.cols) == nc:
 		// Optimistically compare against the cached header; on the first
 		// mismatch, materialize a fresh slice from the matched prefix.
 		cols := cc.cols
-		for i := 0; i < nc && d.err == nil; i++ {
-			b := d.strBytes()
+		for i := 0; i < nc && d.Err == nil; i++ {
+			b := d.StrBytes()
 			if string(b) != cols[i] {
 				fresh := make([]string, i, nc)
 				copy(fresh, cols[:i])
 				fresh = append(fresh, string(b))
-				for j := i + 1; j < nc && d.err == nil; j++ {
-					fresh = append(fresh, d.str())
+				for j := i + 1; j < nc && d.Err == nil; j++ {
+					fresh = append(fresh, d.Str())
 				}
 				cols = fresh
 				break
@@ -382,25 +277,25 @@ func decodeResult(p []byte, cc *colCache) (*sqldb.Result, error) {
 		cc.cols = cols
 	default:
 		r.Columns = make([]string, 0, min(nc, len(p)/4))
-		for i := 0; i < nc && d.err == nil; i++ {
-			r.Columns = append(r.Columns, d.str())
+		for i := 0; i < nc && d.Err == nil; i++ {
+			r.Columns = append(r.Columns, d.Str())
 		}
 		if cc != nil {
 			cc.cols = r.Columns
 		}
 	}
-	nr := int(d.u32())
-	if nr > maxFrameLen {
+	nr := int(d.U32())
+	if nr > frame.MaxLen {
 		return nil, fmt.Errorf("wire: absurd row count %d", nr)
 	}
-	if nr > 0 && d.err == nil {
+	if nr > 0 && d.Err == nil {
 		// Each encoded row is at least 4 bytes (its width prefix), which
 		// bounds preallocation against a lying header.
 		r.Rows = make([]sqldb.Row, 0, min(nr, len(p)/4))
 	}
 	var slab []sqldb.Value
-	for i := 0; i < nr && d.err == nil; i++ {
-		w := int(d.u32())
+	for i := 0; i < nr && d.Err == nil; i++ {
+		w := int(d.U32())
 		if w > 1<<16 {
 			return nil, fmt.Errorf("wire: absurd row width %d", w)
 		}
@@ -415,7 +310,7 @@ func decodeResult(p []byte, cc *colCache) (*sqldb.Result, error) {
 			if max := 16 * w; n > max {
 				n = max
 			}
-			if left := len(d.b) - d.off; n > left {
+			if left := len(d.B) - d.Off; n > left {
 				n = left
 			}
 			if n < w {
@@ -425,10 +320,10 @@ func decodeResult(p []byte, cc *colCache) (*sqldb.Result, error) {
 		}
 		row := sqldb.Row(slab[:0:w])
 		slab = slab[w:]
-		for j := 0; j < w && d.err == nil; j++ {
+		for j := 0; j < w && d.Err == nil; j++ {
 			row = append(row, d.value())
 		}
 		r.Rows = append(r.Rows, row)
 	}
-	return r, d.err
+	return r, d.Err
 }

@@ -7,10 +7,10 @@ import (
 	"io"
 	"log"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/sqldb"
 	"repro/internal/sqldb/sqlparse"
 )
@@ -20,18 +20,11 @@ import (
 // client-assigned u32s to ASTs held by the database's shared plan cache)
 // are per-connection, as in MySQL. A connection that drops — or is drained
 // by Shutdown — rolls back its open transaction when its session closes.
+// Accepting, tracking, draining and closing connections are frame.Listener's.
 type Server struct {
 	db     *sqldb.DB
 	logger *log.Logger
-
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	draining atomic.Bool
-	shutdown chan struct{}
-	wg       sync.WaitGroup
-	connWG   sync.WaitGroup // connection goroutines only (drain waits here)
+	l      *frame.Listener
 
 	queries       atomic.Int64
 	textExecs     atomic.Int64
@@ -75,63 +68,14 @@ func (s *Server) Stats() Stats {
 
 // NewServer creates a server for db. logger may be nil to discard logs.
 func NewServer(db *sqldb.DB, logger *log.Logger) *Server {
-	return &Server{
-		db:       db,
-		logger:   logger,
-		conns:    make(map[net.Conn]struct{}),
-		shutdown: make(chan struct{}),
-	}
+	s := &Server{db: db, logger: logger}
+	s.l = frame.NewListener("wire", s.logf, s.serveConn)
+	return s
 }
 
 // Listen binds addr (e.g. "127.0.0.1:0") and starts accepting in a
 // background goroutine. It returns the bound address.
-func (s *Server) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("wire: listen %s: %w", addr, err)
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		ln.Close()
-		return nil, errors.New("wire: server already closed")
-	}
-	s.ln = ln
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
-	return ln.Addr(), nil
-}
-
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			select {
-			case <-s.shutdown:
-				return
-			default:
-			}
-			if s.draining.Load() {
-				return
-			}
-			s.logf("accept: %v", err)
-			return
-		}
-		s.mu.Lock()
-		if s.closed || s.draining.Load() {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		s.connWG.Add(1)
-		go s.serveConn(conn)
-	}
-}
+func (s *Server) Listen(addr string) (net.Addr, error) { return s.l.Listen(addr) }
 
 // txnStmts maps the v3/v4 transaction-control frames to their shared,
 // stateless ASTs.
@@ -142,26 +86,16 @@ var txnStmts = map[byte]sqlparse.Statement{
 	msgPrepareTxn: &sqlparse.PrepareTxn{},
 }
 
-func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer s.connWG.Done()
+func (s *Server) serveConn(_ net.Conn, r *bufio.Reader, w *bufio.Writer) {
 	sess := s.db.NewSession()
-	defer func() {
-		sess.Close()
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	r := bufio.NewReaderSize(conn, 32<<10)
-	w := bufio.NewWriterSize(conn, 32<<10)
-	var fb frameBuf // request buffer, reused per frame
+	defer sess.Close()
+	var fb frame.Buf // request buffer, reused per frame
 	// This connection's prepared ids. Bounded: see maxStmtsPerConn.
 	stmts := make(map[uint32]sqlparse.Statement)
 	for {
-		typ, payload, err := fb.read(r)
+		typ, payload, err := fb.Read(r)
 		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !s.draining.Load() {
+			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !s.l.Draining() {
 				s.logf("read: %v", err)
 			}
 			return
@@ -236,11 +170,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		switch {
 		case err != nil:
 			outTyp = msgError
-			e.b = append(e.b, err.Error()...)
+			e.B = append(e.B, err.Error()...)
 		case outTyp == msgResult:
 			encodeResult(e, res)
 		}
-		err = writeFrame(w, outTyp, e.b)
+		err = frame.Write(w, outTyp, e.B)
 		putEnc(e)
 		if err != nil {
 			s.logf("write: %v", err)
@@ -256,88 +190,25 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			// A draining server finishes the in-flight statement (just
 			// answered above) and hangs up before blocking on the next read.
-			if s.draining.Load() {
+			if s.l.Draining() {
 				return
 			}
 		}
 	}
 }
 
-// drainIdleGrace bounds how long Shutdown keeps an idle connection open:
-// long enough for a request already shipped by the client — in a socket
-// buffer or not yet parsed — to arrive and be answered, short enough that
-// pooled-but-quiet client connections don't stall the drain.
-const drainIdleGrace = 200 * time.Millisecond
-
-// Shutdown drains the server: it stops accepting, lets every connection
-// finish and answer work that is in flight (including requests already
-// shipped but not yet read — each connection gets a short read deadline
-// rather than an instant hangup), and falls back to a hard Close when
-// grace elapses first. Transactions still open when their connection drains
-// are aborted: each connection's session rolls back as it closes, so no
-// half-applied transaction survives the shutdown. This is what dbserver
-// runs on SIGTERM, so a cluster replica can leave without cutting off
-// statements the broadcast already shipped — or keeping their effects
-// without the commit that would justify them.
-func (s *Server) Shutdown(grace time.Duration) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.draining.Store(true)
-	ln := s.ln
-	idle := drainIdleGrace
-	if grace < idle {
-		idle = grace
-	}
-	// Deadline instead of close: a connection with a request in flight
-	// reads it, answers, and exits on the draining check; one with
-	// nothing to say fails its read at the deadline and closes.
-	deadline := time.Now().Add(idle)
-	for c := range s.conns {
-		c.SetReadDeadline(deadline)
-	}
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	done := make(chan struct{})
-	go func() {
-		s.connWG.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(grace):
-		s.mu.Lock()
-		n := len(s.conns)
-		s.mu.Unlock()
-		s.logf("drain grace %s elapsed, closing %d connections", grace, n)
-	}
-	return s.Close()
-}
+// Shutdown drains the server (frame.Listener.Drain): it stops accepting,
+// lets every connection finish and answer work that is in flight, and falls
+// back to a hard Close when grace elapses first. Transactions still open
+// when their connection drains are aborted: each connection's session rolls
+// back as it closes, so no half-applied transaction survives the shutdown.
+// This is what dbserver runs on SIGTERM, so a cluster replica can leave
+// without cutting off statements the broadcast already shipped — or keeping
+// their effects without the commit that would justify them.
+func (s *Server) Shutdown(grace time.Duration) error { s.l.Drain(grace); return nil }
 
 // Close stops accepting and closes every connection, releasing their locks.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	close(s.shutdown)
-	ln := s.ln
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	s.wg.Wait()
-	return nil
-}
+func (s *Server) Close() error { return s.l.Close() }
 
 func (s *Server) logf(format string, args ...any) {
 	if s.logger != nil {

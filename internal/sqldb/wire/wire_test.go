@@ -11,6 +11,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/sqldb"
 )
 
@@ -39,10 +40,10 @@ func startServer(t *testing.T) (*sqldb.DB, string) {
 func TestFrameRoundtrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("hello world")
-	if err := writeFrame(&buf, msgQuery, payload); err != nil {
+	if err := frame.Write(&buf, msgQuery, payload); err != nil {
 		t.Fatal(err)
 	}
-	typ, got, err := readFrame(&buf)
+	typ, got, err := new(frame.Buf).Read(&buf)
 	if err != nil || typ != msgQuery || string(got) != "hello world" {
 		t.Fatalf("roundtrip: %v %x %q", err, typ, got)
 	}
@@ -52,7 +53,7 @@ func TestQueryEncodingRoundtrip(t *testing.T) {
 	args := []sqldb.Value{sqldb.Int(-7), sqldb.Float(2.5), sqldb.String("x"), sqldb.Null()}
 	var e enc
 	encodeQuery(&e, "SELECT 1", args)
-	q, got, err := decodeQuery(e.b)
+	q, got, err := decodeQuery(e.B)
 	if err != nil || q != "SELECT 1" || len(got) != 4 {
 		t.Fatalf("roundtrip: %v %q %v", err, q, got)
 	}
@@ -93,15 +94,15 @@ func TestValueEncodingEdgeCases(t *testing.T) {
 	for _, c := range cases {
 		var e enc
 		e.value(c.v)
-		if !bytes.Equal(e.b, c.want) {
-			t.Errorf("%v encodes as %x, want %x", c.v, e.b, c.want)
+		if !bytes.Equal(e.B, c.want) {
+			t.Errorf("%v encodes as %x, want %x", c.v, e.B, c.want)
 			continue
 		}
-		d := dec{b: e.b}
+		d := newDec(e.B)
 		got := d.value()
-		if d.err != nil || d.off != len(e.b) || got.Kind() != c.v.Kind() || got.AsInt() != c.v.AsInt() ||
+		if d.Err != nil || d.Off != len(e.B) || got.Kind() != c.v.Kind() || got.AsInt() != c.v.AsInt() ||
 			math.Float64bits(got.AsFloat()) != math.Float64bits(c.v.AsFloat()) || got.AsString() != c.v.AsString() {
-			t.Errorf("%v decodes as %v (err %v, %d of %d bytes read)", c.v, got, d.err, d.off, len(e.b))
+			t.Errorf("%v decodes as %v (err %v, %d of %d bytes read)", c.v, got, d.Err, d.Off, len(e.B))
 		}
 	}
 }
@@ -109,19 +110,19 @@ func TestValueEncodingEdgeCases(t *testing.T) {
 func TestPreparedFrameRoundtrips(t *testing.T) {
 	var e enc
 	encodePrepare(&e, 42, "SELECT ?")
-	id, q, err := decodePrepare(e.b)
+	id, q, err := decodePrepare(e.B)
 	if err != nil || id != 42 || q != "SELECT ?" {
 		t.Fatalf("prepare roundtrip: %v %d %q", err, id, q)
 	}
 	e = enc{}
 	encodeExecStmt(&e, 7, []sqldb.Value{sqldb.Int(3), sqldb.String("y")})
-	id, args, err := decodeExecStmt(e.b)
+	id, args, err := decodeExecStmt(e.B)
 	if err != nil || id != 7 || len(args) != 2 || args[0].AsInt() != 3 || args[1].AsString() != "y" {
 		t.Fatalf("exec roundtrip: %v %d %v", err, id, args)
 	}
 	e = enc{}
 	encodeCloseStmt(&e, 9)
-	id, err = decodeCloseStmt(e.b)
+	id, err = decodeCloseStmt(e.B)
 	if err != nil || id != 9 {
 		t.Fatalf("close roundtrip: %v %d", err, id)
 	}
@@ -136,7 +137,7 @@ func TestResultEncodingRoundtrip(t *testing.T) {
 	}
 	var e enc
 	encodeResult(&e, in)
-	out, err := decodeResult(e.b, nil)
+	out, err := decodeResult(e.B, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestResultRoundtripProperty(t *testing.T) {
 		}
 		var e enc
 		encodeResult(&e, in)
-		out, err := decodeResult(e.b, nil)
+		out, err := decodeResult(e.B, nil)
 		if err != nil || len(out.Rows) != len(in.Rows) {
 			return false
 		}
@@ -479,13 +480,13 @@ func TestTextProtocolBackwardCompat(t *testing.T) {
 	}
 	defer nc.Close()
 	var e enc
-	e.str("SELECT v FROM kv WHERE k = ?")
-	e.u32(1)
+	e.Str("SELECT v FROM kv WHERE k = ?")
+	e.U32(1)
 	e.value(sqldb.Int(1))
-	if err := writeFrame(nc, msgQuery, e.b); err != nil {
+	if err := frame.Write(nc, msgQuery, e.B); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err := readFrame(nc)
+	typ, payload, err := new(frame.Buf).Read(nc)
 	if err != nil || typ != msgResult {
 		t.Fatalf("v1 exchange: %v type=0x%x", err, typ)
 	}
