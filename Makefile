@@ -1,8 +1,8 @@
-# Paper-reproduction build targets. `make bench-json` records the perf
-# trajectory: it runs the paper-figure and wire-protocol benchmarks and
-# writes BENCH_<n>.json (see cmd/benchjson). `make ci` mirrors the GitHub
-# workflow locally: lint, build, race tests and the bench smoke.
-# Performance claims are made on bench/ (see bench/README.md), not here.
+# Paper-reproduction build targets. `make ci` mirrors the GitHub workflow
+# locally: lint, build, race tests and the bench smoke, which runs every
+# package micro-benchmark (and the perfsim ablations) once. Performance is
+# measured and claimed on bench/ (see bench/README.md); the paper's figures
+# are printed by `go run ./cmd/repro`.
 
 GO ?= go
 
@@ -12,7 +12,7 @@ GO ?= go
 # durability work (write-ahead log, recovery, crash harness).
 COVER_FLOORS ?= repro/internal/sqldb:80 repro/internal/cluster:60
 
-.PHONY: build test race race-db vet lint fmt docs-lint loc bench bench-json bench-smoke chaos-smoke wal-torture cover ci
+.PHONY: build test race race-db vet lint fmt docs-lint loc bench-smoke chaos-smoke wal-torture cover ci
 
 build:
 	$(GO) build ./...
@@ -68,21 +68,9 @@ loc:
 	printf '%7d  internal + cmd\n' $$(find internal cmd -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 	printf '%7d  cluster + core + telemetry\n' $$(find internal/cluster internal/core internal/telemetry -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
 
-# Full benchmark run (paper figures + ablations), human-readable.
-bench:
-	$(GO) test -run '^$$' -bench . -benchmem ./...
-
-# Machine-readable snapshot of the headline benchmarks -> BENCH_<n>.json.
-# Refuses a dirty working tree: a recorded BENCH file must describe a
-# committed state, or the trajectory it documents cannot be reproduced.
-bench-json:
-	@if [ -n "$$(git status --porcelain)" ]; then \
-		echo "bench-json: working tree dirty — commit or stash first:"; \
-		git status --porcelain; exit 1; fi
-	$(GO) run ./cmd/benchjson
-
-# One-iteration smoke run: fails fast when a protocol change breaks a
-# benchmark, without measuring anything (CI runs this).
+# One-iteration smoke run of the package micro-benchmarks: fails fast when
+# a protocol or API change breaks one, without measuring anything (CI runs
+# this).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
@@ -92,7 +80,7 @@ bench-smoke:
 chaos-smoke:
 	$(GO) test -race -timeout 120s ./internal/chaos
 	$(GO) test -race -timeout 180s \
-		-run 'Chaos|Degraded|SlowReplica|PinnedRead|ReadOnlyTxnSkipsEjectedPinnedReplica|RejoinDeadline|RejoinExcludes|SyncWithin|PoolWaitTimeout|StalledBackend' \
+		-run 'Chaos|Degraded|SlowReplica|PinnedRead|ReadOnlyTxnSkipsEjectedPinnedReplica|RejoinDeadline|RejoinExcludes|SyncWithin|PoolWaitTimeout|StalledBackend|DBRestart|Not404' \
 		./internal/core ./internal/cluster ./internal/lb
 
 # WAL torture: the durability battery. Crash points, torn tails, and

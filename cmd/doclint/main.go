@@ -121,7 +121,9 @@ var flagTokRe = regexp.MustCompile("`-([a-z][a-z0-9-]*)[^`]*`")
 // assembly and the BENCH_<n>.json perf gate; the engine's second, locked
 // read path with its refresh policy, and the undo log; the replica set's
 // single-backend statement path and its per-client topology lock; the wire
-// protocol's private frame reader and cap, and the web server's idle timer).
+// protocol's private frame reader and cap, and the web server's idle timer;
+// the BENCH_<n>.json recorder, the root think-timer benchmarks and unset
+// core.Config options).
 var removedIdents = []string{
 	"execLock", "HoldsLocks", "bracketAll", "kindLock",
 	"shExec", "shBegin", "shCommit", "cluster.Stmt", "Client.Prepare", "topLevelFrom",
@@ -130,6 +132,9 @@ var removedIdents = []string{
 	"snapRefreshMin", "refreshSnap", "liveReadLocks", "txnReadLocks", "lockReads", "live_fallbacks", "undoRec", "rowOrder",
 	"singleExec", "topoHeld",
 	"frameBuf", "maxFrameLen", "IdleTimeout",
+	"benchjson", "bench-json", "AppPoolSize", "DBSyncTimeout", "DBCheckpointEvery", "IPCPerCharCost",
+	"EJBQueryTraffic", "RealStackFrontEndCost", "RealStackWorkload", "ClusterReplicaSweep",
+	"ShardSweep", "AppReplicaSweep", "CacheSweep", "TxnContentionSweep", "ReadOnlyTxnSweep",
 }
 
 // checkFlagDocs verifies that every backticked `-flag` token on a

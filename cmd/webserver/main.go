@@ -34,7 +34,7 @@ func main() {
 		addr       = flag.String("addr", "127.0.0.1:8080", "HTTP listen address")
 		ajpAddr    = flag.String("ajp", "127.0.0.1:7009", "servlet container AJP backend(s): addr[,addr...] or route=addr[,route=addr...]; more than one enables the app-tier load balancer")
 		base       = flag.String("base", "/tpcw/", "dynamic content URL prefix (/tpcw/ for bookstore, /rubis/ for auction)")
-		imageBytes = flag.Int("imagebytes", 2048, "size of each synthetic image, bytes")
+		imageBytes = flag.Int("imagebytes", stack.DefaultImageBytes, "size of each synthetic image, bytes")
 		conns      = flag.Int("conns", 16, "AJP connector pool size, per backend")
 		ajpDial    = flag.Duration("ajp-dial", 0, "backend dial timeout (0: default, negative: none)")
 		ajpOp      = flag.Duration("ajp-op", 0, "per-request backend deadline (0: default, negative: none)")

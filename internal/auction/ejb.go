@@ -1,6 +1,7 @@
 package auction
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -113,8 +114,11 @@ type ViewReply struct {
 func (f *Facade) View(args *ViewArgs, reply *ViewReply) error {
 	return f.C.RunInTx(func(tx *ejb.Tx) error {
 		it, err := tx.Load("Item", sqldb.Int(args.ItemID))
-		if err != nil {
+		if errors.Is(err, ejb.ErrNotFound) {
 			return nil
+		}
+		if err != nil {
+			return err
 		}
 		get := func(field string) sqldb.Value { v, _ := it.Get(field); return v }
 		seller, err := tx.Load("User", get("seller_id"))
@@ -179,8 +183,11 @@ type UserReply struct {
 func (f *Facade) UserInfo(args *UserArgs, reply *UserReply) error {
 	return f.C.RunInTx(func(tx *ejb.Tx) error {
 		u, err := tx.Load("User", sqldb.Int(args.UserID))
-		if err != nil {
+		if errors.Is(err, ejb.ErrNotFound) {
 			return nil
+		}
+		if err != nil {
+			return err
 		}
 		nick, _ := u.Get("nickname")
 		rating, _ := u.Get("rating")
@@ -362,8 +369,11 @@ type AboutReply struct {
 func (f *Facade) About(args *AboutArgs, reply *AboutReply) error {
 	return f.C.RunInTx(func(tx *ejb.Tx) error {
 		u, err := tx.Load("User", sqldb.Int(args.UserID))
-		if err != nil {
+		if errors.Is(err, ejb.ErrNotFound) {
 			return nil
+		}
+		if err != nil {
+			return err
 		}
 		nick, _ := u.Get("nickname")
 		reply.Found = true

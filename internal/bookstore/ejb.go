@@ -1,6 +1,7 @@
 package bookstore
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -115,8 +116,11 @@ type DetailReply struct {
 func (f *Facade) Detail(args *DetailArgs, reply *DetailReply) error {
 	return f.C.RunInTx(func(tx *ejb.Tx) error {
 		it, err := tx.Load("Item", sqldb.Int(args.ItemID))
-		if err != nil {
+		if errors.Is(err, ejb.ErrNotFound) {
 			return nil // not found is not a fault
+		}
+		if err != nil {
+			return err
 		}
 		get := func(field string) sqldb.Value { v, _ := it.Get(field); return v }
 		authorID := get("author_id")
@@ -194,8 +198,11 @@ type GreetReply struct{ Greeting string }
 func (f *Facade) Greet(args *GreetArgs, reply *GreetReply) error {
 	return f.C.RunInTx(func(tx *ejb.Tx) error {
 		cst, err := tx.Load("Customer", sqldb.Int(args.CustomerID))
-		if err != nil {
+		if errors.Is(err, ejb.ErrNotFound) {
 			return nil // unknown customer: empty greeting
+		}
+		if err != nil {
+			return err
 		}
 		fn, _ := cst.Get("fname")
 		ln, _ := cst.Get("lname")
@@ -387,8 +394,11 @@ type AdminReply struct{ Updated bool }
 func (f *Facade) Admin(args *AdminArgs, reply *AdminReply) error {
 	return f.C.RunInTx(func(tx *ejb.Tx) error {
 		it, err := tx.Load("Item", sqldb.Int(args.ItemID))
-		if err != nil {
+		if errors.Is(err, ejb.ErrNotFound) {
 			return nil
+		}
+		if err != nil {
+			return err
 		}
 		if err := it.Set("cost", sqldb.Float(args.Cost)); err != nil {
 			return err

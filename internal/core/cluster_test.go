@@ -17,8 +17,8 @@ import (
 // Clustered-database coverage: the lab with DBReplicas > 1 runs the same
 // stack over a read-one-write-all database tier (DESIGN.md §3).
 
-// TestClusterWorkloadReadsBothReplicas is the acceptance run: a 2-replica
-// RealStackWorkload completes with reads observed on both replicas and
+// TestClusterWorkloadReadsBothReplicas is the acceptance run: an emulator
+// workload over 2 replicas completes with reads observed on both replicas and
 // consistent state across them.
 func TestClusterWorkloadReadsBothReplicas(t *testing.T) {
 	for _, arch := range []perfsim.Arch{perfsim.ArchServletSync, perfsim.ArchEJB} {

@@ -41,6 +41,11 @@ import (
 	"repro/internal/workload"
 )
 
+// poolSize bounds every transport pool the lab opens: the database
+// connections per replica, the AJP connector per app backend and, in the
+// EJB architecture, the presentation tier's RMI client.
+const poolSize = 12
+
 // Config selects what to assemble.
 type Config struct {
 	// Arch is one of the six configurations (perfsim.Arch is this type).
@@ -51,16 +56,6 @@ type Config struct {
 	// packages' TinyScale, keeping Start fast.
 	BookScale    bookstore.Scale
 	AuctionScale auction.Scale
-	// DBPoolSize bounds engine->database connections (default 12, per
-	// replica).
-	DBPoolSize int
-	// AppPoolSize bounds the web→app connection pools (the AJP connector
-	// per servlet backend, and the presentation→EJB RMI client pool in
-	// the EJB architecture). Default 0 follows DBPoolSize, the historical
-	// wiring; set it to size the tiers' pools independently — e.g. a
-	// database-bottleneck experiment wants a tiny DB pool behind a wide
-	// app tier.
-	AppPoolSize int
 	// DBReplicas runs the database tier as that many identically seeded
 	// backends behind the read-one-write-all cluster client (default 1 —
 	// the paper's single-database testbed). With DBShards > 1 it is the
@@ -83,8 +78,6 @@ type Config struct {
 	// module (ArchPHP) ignores it: mod_php is pinned to the web server's
 	// address space by construction (§2.1).
 	AppReplicas int
-	// ImageBytes sizes each of the 64 synthetic item images (default 2048).
-	ImageBytes int
 	// Seed drives data generation.
 	Seed int64
 	// DBStrictWrites selects the cluster's strict write policy for the
@@ -99,8 +92,6 @@ type Config struct {
 	// DBSlowThreshold ejects a database replica whose broadcast acks lag
 	// the fastest replica by more than this (0: disabled).
 	DBSlowThreshold time.Duration
-	// DBSyncTimeout bounds a rejoining replica's data copy.
-	DBSyncTimeout time.Duration
 	// DBQueryCache bounds each app-tier cluster client's query-result
 	// cache in entries (0, the default, disables it — the paper's measured
 	// system regenerates every result).
@@ -111,10 +102,6 @@ type Config struct {
 	// past the last checkpoint) instead of repopulating from the seed.
 	// Empty (the default) runs the backends purely in memory.
 	DBDataDir string
-	// DBCheckpointEvery triggers an automatic checkpoint-and-rotate after
-	// that many log bytes (0: the sqldb default, 8 MiB; negative
-	// disables automatic checkpoints).
-	DBCheckpointEvery int64
 	// DBWALFaults arms crash-point hooks on individual backends' logs,
 	// keyed by backend index (the kill-and-recover test harness; see
 	// sqldb/walfault). Only meaningful with DBDataDir.
@@ -153,12 +140,6 @@ func (c Config) withDefaults() Config {
 	if c.AuctionScale == (auction.Scale{}) {
 		c.AuctionScale = auction.TinyScale()
 	}
-	if c.DBPoolSize <= 0 {
-		c.DBPoolSize = 12
-	}
-	if c.AppPoolSize <= 0 {
-		c.AppPoolSize = c.DBPoolSize
-	}
 	if c.DBReplicas <= 0 {
 		c.DBReplicas = 1
 	}
@@ -167,9 +148,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AppReplicas <= 0 {
 		c.AppReplicas = 1
-	}
-	if c.ImageBytes <= 0 {
-		c.ImageBytes = 2048
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -283,7 +261,7 @@ func Start(cfg Config) (lab *Lab, err error) {
 			// servers directly, never the chaos proxies — an injected fault
 			// must not corrupt the population. The WAL attaches afterwards
 			// so the routed rows land in each shard's initial checkpoint.
-			seedCfg := cluster.Config{DSN: l.shardDSN(l.dbAddrs), PoolSize: cfg.DBPoolSize}
+			seedCfg := cluster.Config{DSN: l.shardDSN(l.dbAddrs), PoolSize: poolSize}
 			if err := app.SeedCluster(seedCfg, cfg.Seed); err != nil {
 				return nil, err
 			}
@@ -332,7 +310,7 @@ func Start(cfg Config) (lab *Lab, err error) {
 	// every committed write); the X-Content-Epoch response header covers
 	// the cross-process deployments (cmd/webserver). ---
 	pcfg := lb.PageCacheConfig{MaxEntries: cfg.PageCache, TTL: cfg.PageCacheTTL, Epoch: l.Cluster().ContentEpoch}
-	l.front = stack.NewFront(app.BasePath, backends, pcfg, cfg.ImageBytes)
+	l.front = stack.NewFront(app.BasePath, backends, pcfg, stack.DefaultImageBytes)
 	mux := l.front.Mux
 	mux.HandleFunc("/status", func(*httpd.Request) (*httpd.Response, error) {
 		resp := httpd.NewResponse()
@@ -372,10 +350,9 @@ func (l *Lab) startAppTier(dsn string) ([]lb.Backend, error) {
 	// Every database client in the tier — one per servlet backend, or one
 	// per EJB container — is configured alike.
 	dbCfg := cluster.Config{
-		DSN: dsn, PoolSize: cfg.DBPoolSize,
+		DSN: dsn, PoolSize: poolSize,
 		StrictWrites: cfg.DBStrictWrites, Timeouts: cfg.DBTimeouts,
-		SlowThreshold: cfg.DBSlowThreshold, SyncTimeout: cfg.DBSyncTimeout,
-		QueryCache: cfg.DBQueryCache,
+		SlowThreshold: cfg.DBSlowThreshold, QueryCache: cfg.DBQueryCache,
 	}
 	sync := cfg.Arch.EngineSync()
 	replicas := cfg.AppReplicas
@@ -463,7 +440,7 @@ func (l *Lab) startAppTier(dsn string) ([]lb.Backend, error) {
 				return nil, err
 			}
 			l.ejbCs = append(l.ejbCs, ec)
-			rc, pc := app.PresentationBackend(rmiAddr.String(), cfg.AppPoolSize, cfg.AppTimeouts,
+			rc, pc := app.PresentationBackend(rmiAddr.String(), poolSize, cfg.AppTimeouts,
 				servlet.Config{Route: appRoute(i), SessionStore: store})
 			l.rmiClients = append(l.rmiClients, rc)
 			if err := startBackend(pc); err != nil {
@@ -474,7 +451,7 @@ func (l *Lab) startAppTier(dsn string) ([]lb.Backend, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown architecture %v", cfg.Arch)
 	}
-	return stack.Connect(strings.Join(dials, ","), cfg.AppPoolSize, cfg.AppTimeouts)
+	return stack.Connect(strings.Join(dials, ","), poolSize, cfg.AppTimeouts)
 }
 
 // WebAddr returns the web server's host:port.
@@ -531,11 +508,7 @@ func (l *Lab) RestartReplica(i int) error {
 
 // walOpts builds backend i's WAL options from the config.
 func (l *Lab) walOpts(i int, dir string) sqldb.WALOptions {
-	return sqldb.WALOptions{
-		Dir:             dir,
-		CheckpointBytes: l.cfg.DBCheckpointEvery,
-		Fault:           l.cfg.DBWALFaults[i],
-	}
+	return sqldb.WALOptions{Dir: dir, Fault: l.cfg.DBWALFaults[i]}
 }
 
 // CrashReplica power-cuts a durable database backend: its WAL drops

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -114,6 +116,79 @@ func TestDatabaseRestartRecovers(t *testing.T) {
 			t.Fatalf("stack never recovered after DB restart: %v / %+v", err, resp)
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// TestPagesSurviveDBRestart restarts the one database under warm pools:
+// every pooled connection is stale afterwards, and each read's single retry
+// must run on a freshly dialed one — not on the next stale idle connection —
+// so no page fails after the restart, not even the first few.
+func TestPagesSurviveDBRestart(t *testing.T) {
+	for _, a := range []perfsim.Arch{perfsim.ArchPHP, perfsim.ArchServlet, perfsim.ArchEJB} {
+		a := a
+		t.Run(a.String(), func(t *testing.T) {
+			t.Parallel()
+			lab := startLab(t, a, perfsim.Auction)
+			// Six concurrent clients leave several idle connections per pool.
+			var wg sync.WaitGroup
+			for i := 0; i < 6; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					c := httpclient.New(lab.WebAddr(), 5*time.Second)
+					defer c.Close()
+					for j := 0; j < 10; j++ {
+						c.Get(fmt.Sprintf("/rubis/viewitem?item=%d", 1+(i+j)%20))
+					}
+				}(i)
+			}
+			wg.Wait()
+
+			lab.StopReplica(0)
+			if err := lab.RestartReplica(0); err != nil {
+				t.Skipf("cannot rebind the database: %v", err)
+			}
+			c := httpclient.New(lab.WebAddr(), 5*time.Second)
+			defer c.Close()
+			failed := 0
+			for i := 0; i < 12; i++ {
+				resp, err := c.Get(fmt.Sprintf("/rubis/viewitem?item=%d", 1+i))
+				if err != nil || resp.Status != 200 {
+					failed++
+				}
+			}
+			if failed > 0 {
+				t.Fatalf("%d of 12 pages failed after the database restart", failed)
+			}
+		})
+	}
+}
+
+// TestEJBDatabaseFailureIsNot404: a façade answers "not found" only when
+// the row is missing (ejb.ErrNotFound). With the database down the pages
+// that activate one entity must answer 500, as the servlet path does — not
+// 404 "no such item".
+func TestEJBDatabaseFailureIsNot404(t *testing.T) {
+	for _, tc := range []struct {
+		bench perfsim.Benchmark
+		pages []string
+	}{
+		{perfsim.Auction, []string{"/rubis/viewitem?item=2", "/rubis/viewuserinfo?user=2", "/rubis/aboutme?user=2"}},
+		{perfsim.Bookstore, []string{"/tpcw/productdetail?i_id=2"}},
+	} {
+		lab := startLab(t, perfsim.ArchEJB, tc.bench)
+		lab.StopReplica(0)
+		c := httpclient.New(lab.WebAddr(), 5*time.Second)
+		for _, p := range tc.pages {
+			resp, err := c.Get(p)
+			if err != nil {
+				t.Fatalf("%s: want an HTTP status, got %v", p, err)
+			}
+			if resp.Status != 500 {
+				t.Errorf("%s with the database down: status %d (%s), want 500", p, resp.Status, resp.Body)
+			}
+		}
+		c.Close()
 	}
 }
 

@@ -15,6 +15,7 @@
 package ejb
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -27,6 +28,11 @@ import (
 	"repro/internal/sqldb"
 	"repro/internal/telemetry"
 )
+
+// ErrNotFound is wrapped by Load when no row has the primary key. It is the
+// one Load failure a façade may answer as "no such item": every other error
+// is the database failing, and surfaces.
+var ErrNotFound = errors.New("not found")
 
 // EntityDef declares one entity bean: a table, its primary key and the
 // managed fields.
@@ -409,7 +415,7 @@ func (t *Tx) Load(entity string, pk sqldb.Value) (*Entity, error) {
 		return nil, err
 	}
 	if len(res.Rows) == 0 {
-		return nil, fmt.Errorf("ejb: %s[%v] not found", entity, pk)
+		return nil, fmt.Errorf("ejb: %s[%v] %w", entity, pk, ErrNotFound)
 	}
 	// The entity's field slice is a private copy: SetField mutates it in
 	// place, and the loaded row may be shared — the cluster's query cache

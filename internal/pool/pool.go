@@ -328,12 +328,14 @@ func (p *Pool[T]) DoNotify(retry bool, isBroken func(error) bool, onAttempt func
 		}
 		prev = err
 		p.retries.Add(1)
+		p.Reset() // the idle connections are as stale: the retry dials fresh
 	}
 }
 
 // Reset destroys the idle connections without closing the pool: borrowers
 // keep working and dial fresh. The cluster uses it when a replica rejoins
-// after its server restarted — every idle connection is stale by then.
+// after its server restarted — every idle connection is stale by then —
+// and Do before its retry, for the same reason.
 func (p *Pool[T]) Reset() {
 	p.mu.Lock()
 	idle := p.idle

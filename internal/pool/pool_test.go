@@ -331,6 +331,36 @@ func TestDoRetriesOnceOnBrokenConn(t *testing.T) {
 	}
 }
 
+// TestDoRetryDialsFresh: after a peer restart every idle connection is
+// stale, not just the one that failed — the retry must run on a freshly
+// dialed connection, not on the next idle one.
+func TestDoRetryDialsFresh(t *testing.T) {
+	h := &harness{}
+	p := h.pool(4)
+	defer p.Close()
+	a, _ := p.Get()
+	b, _ := p.Get()
+	p.Put(a, false)
+	p.Put(b, false) // two idle connections, both dialed before the restart
+	var used []int
+	err := p.Do(true, nil, func(c *fakeConn) error {
+		used = append(used, c.id)
+		if c.id <= 2 {
+			return errors.New("connection reset by peer")
+		}
+		return nil
+	})
+	if err != nil || len(used) != 2 || used[1] != 3 {
+		t.Fatalf("err=%v attempts on conns %v, want the retry on fresh conn 3", err, used)
+	}
+	if !b.closed.Load() {
+		t.Fatal("the other stale idle conn was not destroyed")
+	}
+	if s := p.Stats(); s.Retries != 1 || s.Dials != 3 || s.Idle != 1 {
+		t.Fatalf("stats = %+v, want 1 retry / 3 dials / 1 idle", s)
+	}
+}
+
 func TestGetWaitTimeout(t *testing.T) {
 	h := &harness{}
 	p := New(Config[*fakeConn]{

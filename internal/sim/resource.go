@@ -23,8 +23,7 @@ type PSResource struct {
 	v       float64 // virtual time
 	pending *Timer
 
-	busy     float64 // integral of 1{n>0} dt
-	workDone float64 // integral of speed*1{n>0} dt (work units served)
+	busy float64 // integral of 1{n>0} dt
 }
 
 // NewPSResource creates a processor-sharing resource attached to s.
@@ -69,7 +68,6 @@ func (r *PSResource) advance() {
 		if n := r.jobs.Len(); n > 0 {
 			r.v += dt * r.speed / float64(n)
 			r.busy += dt
-			r.workDone += dt * r.speed
 		}
 		r.lastT = now
 	} else {

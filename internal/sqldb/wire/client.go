@@ -403,9 +403,6 @@ type Stmt struct {
 	retry bool
 }
 
-// Query returns the statement's SQL text.
-func (s *Stmt) Query() string { return s.query }
-
 // retryableStmt reports whether a statement may safely run twice. Only
 // idempotent statements absorb a stale pooled connection with a retry: a
 // write retried after a transport failure could double-apply if the server

@@ -235,6 +235,9 @@ type Front struct {
 	PageCache *lb.PageCache // nil when disabled
 }
 
+// DefaultImageBytes sizes each synthetic item image (webserver -imagebytes).
+const DefaultImageBytes = 2048
+
 // NewFront mounts the dynamic-content generator under basePath — one
 // backend directly, several behind the load balancer, either behind the
 // page cache when pc.MaxEntries > 0 — and the synthetic image set (64
