@@ -85,14 +85,17 @@ chaos-smoke:
 
 # WAL torture: the durability battery. Crash points, torn tails, and
 # subprocess kill -9 recovery in sqldb (including short fuzz passes over
-# the record decoder and the copy-on-write tree every table and checkpoint
-# is made of), the cluster's log-shipping rejoin, and the full-stack crash
-# matrix in core — all under -race with hard timeouts.
+# the record decoder, the copy-on-write tree every table and checkpoint is
+# made of, the stored value against its model, and index probes against a
+# scan), the cluster's log-shipping rejoin, and the full-stack crash matrix
+# in core — all under -race with hard timeouts.
 wal-torture:
 	$(GO) test -race -timeout 300s -run 'WAL|Recover|TornTail|Checkpoint' \
 		./internal/sqldb ./internal/cluster ./internal/core
 	$(GO) test -timeout 120s -run '^$$' -fuzz FuzzWALRecord -fuzztime 20s ./internal/sqldb
 	$(GO) test -timeout 120s -run '^$$' -fuzz FuzzCowTree -fuzztime 10s ./internal/sqldb
+	$(GO) test -timeout 120s -run '^$$' -fuzz FuzzValue -fuzztime 10s ./internal/sqldb
+	$(GO) test -timeout 120s -run '^$$' -fuzz FuzzIndexProbe -fuzztime 10s ./internal/sqldb
 
 # Coverage run with per-package floors: every package reports, the
 # packages named in COVER_FLOORS must clear their floor.

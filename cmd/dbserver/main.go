@@ -149,9 +149,7 @@ func main() {
 	signal.Notify(sig, syscall.SIGTERM, os.Interrupt)
 	got := <-sig
 	logger.Printf("%s: draining (grace %s)...", got, *grace)
-	if err := srv.Shutdown(*grace); err != nil {
-		logger.Fatal(err)
-	}
+	srv.Shutdown(*grace)
 	// Flush and close the log last: every drained session's commit is
 	// already durable (acks follow fsync), this just writes and fsyncs any
 	// straggling unacked bytes.

@@ -76,7 +76,7 @@ var servers = []struct {
 	{"httpd", true, func(t *testing.T, g *gate) running {
 		s := httpd.NewServer(page(g), nil)
 		addr := listen(t, s)
-		return running{addr, func() { s.Close() }, func(d time.Duration) { s.Shutdown(d) }, func() error {
+		return running{addr, func() { s.Close() }, s.Shutdown, func() error {
 			c := httpclient.New(addr, 10*time.Second)
 			defer c.Close()
 			_, err := c.Get("/")
@@ -109,7 +109,7 @@ var servers = []struct {
 	{"wire", false, func(t *testing.T, _ *gate) running {
 		s := wire.NewServer(sqldb.New(), nil)
 		addr := listen(t, s)
-		return running{addr, func() { s.Close() }, func(d time.Duration) { s.Shutdown(d) }, func() error {
+		return running{addr, func() { s.Close() }, s.Shutdown, func() error {
 			c, err := wire.Dial(addr)
 			if err != nil {
 				return err

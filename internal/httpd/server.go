@@ -57,7 +57,7 @@ func (s *Server) Listen(addr string) (net.Addr, error) { return s.l.Listen(addr)
 // Shutdown drains the server (frame.Listener.Drain): it stops accepting,
 // lets every connection answer the request it has in flight, and falls back
 // to a hard Close when grace elapses first.
-func (s *Server) Shutdown(grace time.Duration) error { s.l.Drain(grace); return nil }
+func (s *Server) Shutdown(grace time.Duration) { s.l.Drain(grace) }
 
 // Close stops the listener and all connections.
 func (s *Server) Close() error { return s.l.Close() }

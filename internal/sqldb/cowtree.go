@@ -4,10 +4,10 @@ import "slices"
 
 // cowTree is the engine's one storage structure: an ordered B+-tree whose
 // clone is O(1). A table's rows are one tree keyed by rowid (so a scan is
-// rowid order) and each index is one keyed by (column value, rowid) and
-// holding the row (so a lookup is an ordered range, and one descent); a
-// table's state is a handful of tree headers that can be handed to any
-// number of readers.
+// rowid order) and each index is one keyed by (word of the column value,
+// rowid) and holding the row (so a lookup is a contiguous run, and one
+// descent); a table's state is a handful of tree headers that can be handed
+// to any number of readers.
 //
 // Sharing is by ownership token. Every node records the token of the tree
 // that may write it in place; clone gives both sides a fresh token, so every
@@ -31,6 +31,10 @@ type cowTree[K, V any] struct {
 	// each key type's compares are inlined in its own loop, not called
 	// through a func value once per compare.
 	search func(keys []K, k K) (int, bool)
+	// run, when set, reports whether two keys are one run — an index's
+	// entries under one word, its posting list for one value — which is what
+	// the split rule in insert packs (nil for the rows trees).
+	run func(a, b K) bool
 }
 
 // treeFan is the most keys a node holds. A path copy moves fan · height
@@ -57,7 +61,7 @@ type cowNode[K, V any] struct {
 // side continues under (a table state clones all its trees under one pair).
 func (t *cowTree[K, V]) clone(mine, theirs *byte) cowTree[K, V] {
 	t.owner = mine
-	return cowTree[K, V]{root: t.root, n: t.n, owner: theirs, search: t.search}
+	return cowTree[K, V]{root: t.root, n: t.n, owner: theirs, search: t.search, run: t.run}
 }
 
 func (t *cowTree[K, V]) len() int { return t.n }
@@ -163,6 +167,7 @@ func (t *cowTree[K, V]) set(k K, v V) {
 // to the caller.
 func (t *cowTree[K, V]) insert(n *cowNode[K, V], k K, v V) (sep K, right *cowNode[K, V]) {
 	var at int
+	var extends bool // k went in right after a key of its run
 	if n.kids == nil {
 		i, found := t.search(n.keys[:n.n], k)
 		if found {
@@ -173,6 +178,7 @@ func (t *cowTree[K, V]) insert(n *cowNode[K, V], k K, v V) (sep K, right *cowNod
 		insertAt(n.vals[:], n.n, i, v)
 		t.n++
 		at = i
+		extends = t.run != nil && i > 0 && t.run(n.keys[i-1], k)
 	} else {
 		i := t.child(n, k)
 		kid := t.own(n.kids[i])
@@ -191,10 +197,16 @@ func (t *cowTree[K, V]) insert(n *cowNode[K, V], k K, v V) (sep K, right *cowNod
 	// Split in the middle — unless the entry went in at the end, which is
 	// what ascending rowids and AUTO_INCREMENT keys always do: then the left
 	// node stays full and the new one starts with the last entry, so a table
-	// filled in key order is packed, not half empty.
+	// filled in key order is packed, not half empty. Likewise an entry that
+	// extends a run in a leaf, which is what a posting list appended in rowid
+	// order always does: the leaf splits after it, so the run's next entries
+	// go on filling the left node and the keys past the run start the right.
 	mid := n.n / 2
-	if at == n.n-1 {
+	switch {
+	case at == n.n-1:
 		mid = at
+	case extends:
+		mid = at + 1
 	}
 	right = &cowNode[K, V]{owner: t.owner}
 	sep = n.keys[mid]

@@ -346,14 +346,13 @@ func execUpdate(t *Table, st *sqlparse.Update, args []Value) (*Result, error) {
 		}
 		setPos[i] = p
 	}
-	ids, err := matchRows(t, st.Where, args)
+	matches, err := matchRows(t, st.Where, args)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{}
-	for _, id := range ids {
-		row, _ := t.rowAt(id)
-		ev := &env{aliases: []string{t.name}, tabs: []*Table{t}, rows: []Row{row}, args: args}
+	for _, m := range matches {
+		ev := &env{aliases: []string{t.name}, tabs: []*Table{t}, rows: []Row{m.r}, args: args}
 		set := make(map[int]Value, len(st.Set))
 		for i, a := range st.Set {
 			v, err := ev.eval(a.Value)
@@ -362,7 +361,7 @@ func execUpdate(t *Table, st *sqlparse.Update, args []Value) (*Result, error) {
 			}
 			set[setPos[i]] = coerce(v, t.columns[setPos[i]].Type)
 		}
-		if err := t.update(id, set); err != nil {
+		if err := t.update(m.id, m.r, set); err != nil {
 			return nil, err
 		}
 		res.RowsAffected++
@@ -372,102 +371,94 @@ func execUpdate(t *Table, st *sqlparse.Update, args []Value) (*Result, error) {
 
 // execDelete applies a DELETE.
 func execDelete(t *Table, st *sqlparse.Delete, args []Value) (*Result, error) {
-	ids, err := matchRows(t, st.Where, args)
+	matches, err := matchRows(t, st.Where, args)
 	if err != nil {
 		return nil, err
 	}
-	for _, id := range ids {
-		t.deleteRow(id)
+	for _, m := range matches {
+		t.deleteRow(m.id, m.r)
 	}
-	return &Result{RowsAffected: int64(len(ids))}, nil
+	return &Result{RowsAffected: int64(len(matches))}, nil
 }
 
-// matchRows returns the rowids satisfying where (all rows when where is
-// nil), using an index for top-level equality conjuncts when possible.
-func matchRows(t *Table, where sqlparse.Expr, args []Value) ([]int64, error) {
-	cands, indexed, err := candidateIDs(t, where, args)
-	if err != nil {
-		return nil, err
-	}
-	var ids []int64
-	check := func(id int64, r Row) error {
+// match is a row a statement selected, with its rowid.
+type match struct {
+	id int64
+	r  Row
+}
+
+// matchRows returns the rows satisfying where (all rows when where is nil),
+// in rowid order, using an index for a top-level equality conjunct when it
+// can. They are collected before the caller writes any of them.
+func matchRows(t *Table, where sqlparse.Expr, args []Value) ([]match, error) {
+	var out []match
+	ev := &env{aliases: []string{t.name}, tabs: []*Table{t}, rows: make([]Row, 1), args: args}
+	err := eachCandidate(t, where, args, func(id int64, r Row) error {
 		if where != nil {
-			ev := &env{aliases: []string{t.name}, tabs: []*Table{t}, rows: []Row{r}, args: args}
+			ev.rows[0] = r
 			v, err := ev.eval(where)
-			if err != nil {
+			if err != nil || !v.Truthy() {
 				return err
 			}
-			if !v.Truthy() {
-				return nil
-			}
 		}
-		ids = append(ids, id)
+		out = append(out, match{id, r})
 		return nil
-	}
-	if indexed {
-		for _, id := range cands {
-			if r, ok := t.rowAt(id); ok {
-				if err := check(id, r); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return ids, nil
-	}
-	if err := t.scan(check); err != nil {
-		return nil, err
-	}
-	return ids, nil
+	})
+	return out, err
 }
 
-// candidateIDs inspects the WHERE clause for an equality conjunct on an
-// indexed column of t and returns the posting list when one is found.
-func candidateIDs(t *Table, where sqlparse.Expr, args []Value) ([]int64, bool, error) {
-	var walk func(e sqlparse.Expr) ([]int64, bool, error)
-	walk = func(e sqlparse.Expr) ([]int64, bool, error) {
-		be, ok := e.(*sqlparse.BinaryExpr)
-		if !ok {
-			return nil, false, nil
-		}
-		switch be.Op {
-		case sqlparse.OpAnd:
-			if ids, found, err := walk(be.L); found || err != nil {
-				return ids, found, err
-			}
-			return walk(be.R)
-		case sqlparse.OpEq:
-			col, val := be.L, be.R
-			if _, isCol := col.(*sqlparse.ColRefExpr); !isCol {
-				col, val = val, col
-			}
-			cr, isCol := col.(*sqlparse.ColRefExpr)
-			if !isCol || !constExpr(val) {
-				return nil, false, nil
-			}
-			if cr.Table != "" && !strings.EqualFold(cr.Table, t.name) {
-				return nil, false, nil
-			}
-			ci, err := t.colOf(cr.Column)
-			if err != nil {
-				return nil, false, nil // not this table's column
-			}
-			ev := &env{args: args}
-			v, err := ev.eval(val)
-			if err != nil {
-				return nil, false, err
-			}
-			if ids, ok := t.lookup(ci, v); ok {
-				return ids, true, nil
-			}
-			return nil, false, nil
-		default:
-			return nil, false, nil
-		}
+// eachCandidate calls fn, in rowid order until it fails, with the rows of t
+// that where may select: those an index probe returns for a top-level
+// equality conjunct on an indexed column when the index can answer it
+// (Table.probe), every row otherwise. fn still evaluates where: the probe
+// narrows what it sees, it does not decide.
+func eachCandidate(t *Table, where sqlparse.Expr, args []Value, fn func(id int64, r Row) error) error {
+	ix, v, err := equalityProbe(t, where, args)
+	if err != nil {
+		return err
 	}
-	if where == nil {
-		return nil, false, nil
+	if ix != nil && t.probe(ix, v, func(id int64, r Row) bool { err = fn(id, r); return err == nil }) {
+		return err
 	}
-	return walk(where)
+	return t.scan(fn)
+}
+
+// equalityProbe finds the first top-level equality conjunct of where between
+// an indexed column of t and a constant, and returns that index and the
+// constant's value; ix is nil when there is none.
+func equalityProbe(t *Table, where sqlparse.Expr, args []Value) (ix *index, v Value, err error) {
+	be, ok := where.(*sqlparse.BinaryExpr)
+	if !ok {
+		return nil, v, nil
+	}
+	switch be.Op {
+	case sqlparse.OpAnd:
+		if ix, v, err = equalityProbe(t, be.L, args); ix != nil || err != nil {
+			return ix, v, err
+		}
+		return equalityProbe(t, be.R, args)
+	case sqlparse.OpEq:
+		col, val := be.L, be.R
+		if _, isCol := col.(*sqlparse.ColRefExpr); !isCol {
+			col, val = val, col
+		}
+		cr, isCol := col.(*sqlparse.ColRefExpr)
+		if !isCol || !constExpr(val) {
+			return nil, v, nil
+		}
+		if cr.Table != "" && !strings.EqualFold(cr.Table, t.name) {
+			return nil, v, nil
+		}
+		ci, err := t.colOf(cr.Column)
+		if err != nil {
+			return nil, v, nil // not this table's column
+		}
+		if v, err = (&env{args: args}).eval(val); err != nil {
+			return nil, v, err
+		}
+		return t.indexOn(ci), v, nil
+	}
+	return nil, v, nil
 }
 
 // constExpr reports whether e evaluates without row context.
@@ -631,38 +622,25 @@ func execSelect(tabs []*Table, st *sqlparse.Select, args []Value) (*Result, erro
 			return emit()
 		}
 		t := tabs[level]
+		// Index runs are walked in place: nobody writes what a SELECT reads.
 		if level == 0 {
-			cands, indexed, err := candidateIDs(t, st.Where, args)
-			if err != nil {
-				return err
-			}
-			if indexed {
-				for _, id := range cands {
-					if r, ok := t.rowAt(id); ok {
-						ev.rows[0] = r
-						if err := joinLevel(1); err != nil {
-							return err
-						}
-					}
-				}
-				return nil
-			}
-			return t.scan(func(_ int64, r Row) error {
+			return eachCandidate(t, st.Where, args, func(_ int64, r Row) error {
 				ev.rows[0] = r
 				return joinLevel(1)
 			})
 		}
-		// Join level: use the ON equality with an index when there is one.
+		// Join level: probe with the ON equality's outer value when an index
+		// covers it and can answer for that value, scan otherwise.
 		on := st.Joins[level-1].On
 		if p := probes[level]; p.ix != nil {
-			// The range is walked in place: nobody writes what a SELECT reads.
 			var err error
-			t.eachPosted(p.ix, ev.rows[p.tab][p.col].key(), func(_ int64, r Row) bool {
+			if t.probe(p.ix, ev.rows[p.tab][p.col], func(_ int64, r Row) bool {
 				ev.rows[level] = r
 				err = joinLevel(level + 1)
 				return err == nil
-			})
-			return err
+			}) {
+				return err
+			}
 		}
 		return t.scan(func(_ int64, r Row) error {
 			ev.rows[level] = r

@@ -72,8 +72,8 @@ func whereOf(t *testing.T, query string) sqlparse.Expr {
 	return stmt.(*sqlparse.Select).Where
 }
 
-// TestCandidateIDsIndexSelection checks when the executor takes an index
-// posting list versus a full scan.
+// TestCandidateIDsIndexSelection checks when the executor probes an index
+// for its candidate rows (equalityProbe) versus a full scan.
 func TestCandidateIDsIndexSelection(t *testing.T) {
 	db, s := testDB(t)
 	defer s.Close()
@@ -108,14 +108,21 @@ func TestCandidateIDsIndexSelection(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			ids, indexed, err := candidateIDs(tbl, whereOf(t, c.query), c.args)
+			ix, v, err := equalityProbe(tbl, whereOf(t, c.query), c.args)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if indexed != c.indexed {
+			if indexed := ix != nil; indexed != c.indexed {
 				t.Fatalf("indexed = %v, want %v", indexed, c.indexed)
 			}
-			if indexed && len(ids) != c.want {
+			if ix == nil {
+				return
+			}
+			var ids []int64
+			if !tbl.probe(ix, v, func(id int64, _ Row) bool { ids = append(ids, id); return true }) {
+				t.Fatalf("the index declined probe value %v", v)
+			}
+			if len(ids) != c.want {
 				t.Fatalf("candidates = %v, want %d", ids, c.want)
 			}
 		})
@@ -138,7 +145,7 @@ func TestMatchRowsIndexAndScanAgree(t *testing.T) {
 	}
 	for _, q := range queries {
 		indexed := mustExec(t, s, q)
-		// Defeat the index by wrapping the equality so candidateIDs cannot
+		// Defeat the index by wrapping the equality so equalityProbe cannot
 		// see a top-level conjunct (0 + category = 3 is not a ColRef = const).
 		scan := mustExec(t, s, "SELECT id FROM items WHERE NOT (NOT ("+q[len("SELECT id FROM items WHERE "):len(q)-len(" ORDER BY id")]+")) ORDER BY id")
 		if len(indexed.Rows) == 0 {

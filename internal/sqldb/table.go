@@ -56,8 +56,8 @@ type Table struct {
 
 // tableState is everything one version of a table consists of: tree headers
 // and two counters, so cloning it is O(indexes) and shares every row. The
-// trees hold rows as rowRefs (value.go); scan, eachPosted, rowAt and the
-// checkpoint writer are where they become Rows again.
+// trees hold rows as rowRefs (value.go); scan, eachPosted and the checkpoint
+// writer are where they become Rows again.
 type tableState struct {
 	rows cowTree[int64, rowRef] // rowid -> row; a scan is rowid order
 	// indexes maps lower-cased index name to its definition. The map is
@@ -69,9 +69,9 @@ type tableState struct {
 	nextAI   int64 // next AUTO_INCREMENT value
 }
 
-// index defines an index over one column: its entries are the (column
-// value, rowid) pairs of every row, ordered, so the rows with one value are
-// a contiguous range in rowid order — each entry carrying its row (the
+// index defines an index over one column: its entries are the (word of the
+// column value, rowid) pairs of every row, ordered, so the rows under one
+// word are a contiguous run in rowid order — each entry carrying its row (the
 // reference, not a copy), so a probe is one descent, not one per tree.
 type index struct {
 	name   string
@@ -80,20 +80,20 @@ type index struct {
 	slot   int
 }
 
-// ixEntry is the key of one index entry.
+// ixEntry is the key of one index entry, two words: Value.word of the row's
+// value in the indexed column, and the rowid.
 type ixEntry struct {
-	k  indexKey
+	w  uint64
 	id int64
 }
 
-// searchEntries is the index trees' key order — by value, then rowid — as
+// searchEntries is the index trees' key order — by word, then rowid — as
 // the binary search over a node's keys.
 func searchEntries(keys []ixEntry, k ixEntry) (int, bool) {
 	lo, hi := 0, len(keys)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if e := &keys[m]; e.k.ord < k.k.ord ||
-			e.k.ord == k.k.ord && (e.k.s < k.k.s || e.k.s == k.k.s && e.id < k.id) {
+		if e := keys[m]; e.w < k.w || e.w == k.w && e.id < k.id {
 			lo = m + 1
 		} else {
 			hi = m
@@ -101,6 +101,10 @@ func searchEntries(keys []ixEntry, k ixEntry) (int, bool) {
 	}
 	return lo, lo < len(keys) && keys[lo] == k
 }
+
+// sameWord is the index trees' run relation (cowTree.run): the entries of
+// one word are one posting list.
+func sameWord(a, b ixEntry) bool { return a.w == b.w }
 
 // clone returns a state that shares every node with s; writes to either
 // copy what they touch and never show in the other.
@@ -235,13 +239,12 @@ func (t *Table) addIndex(name string, col int, unique bool) error {
 		return fmt.Errorf("sqldb: index %q already exists on %q", name, t.name)
 	}
 	ix := &index{name: name, col: col, unique: unique, slot: len(t.postings)}
-	t.postings = append(t.postings, cowTree[ixEntry, rowRef]{owner: t.rows.owner, search: searchEntries})
+	t.postings = append(t.postings, cowTree[ixEntry, rowRef]{owner: t.rows.owner, search: searchEntries, run: sameWord})
 	err := t.scan(func(id int64, r Row) error {
-		k := r[col].key()
-		if unique && t.posted(ix, k) {
+		if unique && t.posted(ix, r[col]) {
 			return fmt.Errorf("sqldb: duplicate value %v building unique index %q", r[col], name)
 		}
-		t.postings[ix.slot].set(ixEntry{k, id}, refOf(r))
+		t.postings[ix.slot].set(ixEntry{r[col].word(), id}, refOf(r))
 		return nil
 	})
 	if err != nil {
@@ -270,25 +273,82 @@ func (t *Table) indexOn(col int) *index {
 	return found
 }
 
-// eachPosted calls fn with every row whose ix column has key k, in rowid
-// order, until fn returns false.
-func (t *Table) eachPosted(ix *index, k indexKey, fn func(id int64, r Row) bool) {
-	from, width := ixEntry{k, math.MinInt64}, len(t.columns)
-	t.postings[ix.slot].ascend(&from, func(e ixEntry, ref rowRef) bool {
-		return e.k == k && fn(e.id, ref.row(width))
+// hashed reports whether ix's column holds strings — every type but INT
+// and FLOAT, as coerce has it — whose words are hashes.
+func (t *Table) hashed(ix *index) bool {
+	typ := t.columns[ix.col].Type
+	return typ != sqlparse.TypeInt && typ != sqlparse.TypeFloat
+}
+
+// eachPosted calls fn, in rowid order until it returns false, with every row
+// whose ix column holds v's index key: NULL for NULL, the same string, or a
+// number with v's word. The run of entries under v's word is exactly that on
+// a numeric column; on a string column a word may be another string's (or
+// NULL's), so there each row's own value is checked too.
+func (t *Table) eachPosted(ix *index, v Value, fn func(id int64, r Row) bool) {
+	w, width, check := v.word(), len(t.columns), t.hashed(ix)
+	t.postings[ix.slot].ascend(&ixEntry{w, math.MinInt64}, func(e ixEntry, ref rowRef) bool {
+		if e.w != w {
+			return false
+		}
+		r := ref.row(width)
+		if check && !sameKey(r[ix.col], v) {
+			return true // another key under this word
+		}
+		return fn(e.id, r)
 	})
 }
 
-// posted reports whether any row has key k in ix.
-func (t *Table) posted(ix *index, k indexKey) (found bool) {
-	t.eachPosted(ix, k, func(int64, Row) bool { found = true; return false })
+// sameKey reports whether a and b are one index key: both NULL, one string,
+// or numbers with one word.
+func sameKey(a, b Value) bool {
+	as, bs := a.Kind() == KindString, b.Kind() == KindString
+	if as || bs {
+		return as && bs && a.str() == b.str()
+	}
+	return a.word() == b.word()
+}
+
+// posted reports whether any row has v's index key in ix.
+func (t *Table) posted(ix *index, v Value) (found bool) {
+	t.eachPosted(ix, v, func(int64, Row) bool { found = true; return false })
 	return found
+}
+
+// probe calls fn, in rowid order until it returns false, with exactly the
+// rows whose ix column Equal holds equal to v, and reports whether the index
+// could tell; false, with fn never called, leaves the predicate to a scan.
+//
+// NULL equals nothing. A numeric column is probed with v's AsFloat, which is
+// how Compare converts a string it meets a number with — unless a NaN is
+// about, which Compare holds equal to every number: a NaN probe, or a FLOAT
+// column holding one, is left to the scan. A string column is probed with
+// strings only: a number equals every string whose AsFloat it is — "1",
+// " 1 ", "1.0", and for 0 every string that does not parse — which no one
+// word gathers.
+func (t *Table) probe(ix *index, v Value, fn func(id int64, r Row) bool) bool {
+	switch {
+	case v.IsNull():
+		return true
+	case t.hashed(ix):
+		if v.Kind() != KindString {
+			return false
+		}
+	default:
+		f := v.AsFloat()
+		if f != f || t.columns[ix.col].Type == sqlparse.TypeFloat && t.posted(ix, Float(math.NaN())) {
+			return false
+		}
+		v = Float(f)
+	}
+	t.eachPosted(ix, v, fn)
+	return true
 }
 
 // put stores r under id and posts it in every index, checking nothing but
 // its width: the trees keep no length beside a row, so every reader trusts
 // each stored row to be len(t.columns) wide, and only a bug in a caller makes
-// one that is not. It is also how a row is replaced: entries whose key did
+// one that is not. It is also how a row is replaced: entries whose word did
 // not change get the new row.
 func (t *Table) put(id int64, r Row) {
 	if len(r) != len(t.columns) {
@@ -298,17 +358,8 @@ func (t *Table) put(id int64, r Row) {
 	ref := refOf(r)
 	t.rows.set(id, ref)
 	for _, ix := range t.indexes {
-		t.postings[ix.slot].set(ixEntry{r[ix.col].key(), id}, ref)
+		t.postings[ix.slot].set(ixEntry{r[ix.col].word(), id}, ref)
 	}
-}
-
-// rowAt returns the row stored under id.
-func (t *Table) rowAt(id int64) (Row, bool) {
-	ref, ok := t.rows.get(id)
-	if !ok {
-		return nil, false
-	}
-	return ref.row(len(t.columns)), true
 }
 
 // insert stores a row (already in schema order, AUTO_INCREMENT resolved) and
@@ -324,7 +375,7 @@ func (t *Table) insert(r Row) (int64, error) {
 		}
 	}
 	for _, ix := range t.indexes {
-		if ix.unique && t.posted(ix, r[ix.col].key()) {
+		if ix.unique && t.posted(ix, r[ix.col]) {
 			return 0, fmt.Errorf("sqldb: duplicate key %v for unique index %q on %q",
 				r[ix.col], ix.name, t.name)
 		}
@@ -335,21 +386,18 @@ func (t *Table) insert(r Row) (int64, error) {
 	return id, nil
 }
 
-// update rewrites columns of the row at id, maintaining indexes. The stored
-// row is replaced, never mutated in place: views, forks and query results
-// share Row slices, so a row that has ever been stored stays immutable.
-func (t *Table) update(id int64, set map[int]Value) error {
-	r, ok := t.rowAt(id)
-	if !ok {
-		return fmt.Errorf("sqldb: update of missing rowid %d in %q", id, t.name)
-	}
+// update rewrites columns of r, the row stored at id, maintaining indexes.
+// The stored row is replaced, never mutated in place: views, forks and query
+// results share Row slices, so a row that has ever been stored stays
+// immutable.
+func (t *Table) update(id int64, r Row, set map[int]Value) error {
 	// Constraint checks first so a violation leaves row and indexes untouched.
 	for _, ix := range t.indexes {
 		nv, changed := set[ix.col]
 		if !changed || Equal(nv, r[ix.col]) {
 			continue
 		}
-		if ix.unique && t.posted(ix, nv.key()) {
+		if ix.unique && t.posted(ix, nv) {
 			return fmt.Errorf("sqldb: duplicate key %v for unique index %q on %q",
 				nv, ix.name, t.name)
 		}
@@ -366,7 +414,7 @@ func (t *Table) update(id int64, set map[int]Value) error {
 		nr[col] = nv
 	}
 	for _, ix := range t.indexes {
-		if old := r[ix.col].key(); old != nr[ix.col].key() {
+		if old := r[ix.col].word(); old != nr[ix.col].word() {
 			t.postings[ix.slot].delete(ixEntry{old, id})
 		}
 	}
@@ -374,14 +422,10 @@ func (t *Table) update(id int64, set map[int]Value) error {
 	return nil
 }
 
-// deleteRow removes the row at id from storage and all indexes.
-func (t *Table) deleteRow(id int64) {
-	r, ok := t.rowAt(id)
-	if !ok {
-		return
-	}
+// deleteRow removes r, the row stored at id, from storage and all indexes.
+func (t *Table) deleteRow(id int64, r Row) {
 	for _, ix := range t.indexes {
-		t.postings[ix.slot].delete(ixEntry{r[ix.col].key(), id})
+		t.postings[ix.slot].delete(ixEntry{r[ix.col].word(), id})
 	}
 	t.rows.delete(id)
 }
@@ -395,18 +439,4 @@ func (t *Table) scan(fn func(id int64, r Row) error) (err error) {
 		return err == nil
 	})
 	return err
-}
-
-// lookup returns the rowids matching value v on column col via an index, in
-// rowid order, or ok=false when no index covers the column.
-func (t *Table) lookup(col int, v Value) (ids []int64, ok bool) {
-	ix := t.indexOn(col)
-	if ix == nil {
-		return nil, false
-	}
-	t.eachPosted(ix, v.key(), func(id int64, _ Row) bool {
-		ids = append(ids, id)
-		return true
-	})
-	return ids, true
 }

@@ -198,39 +198,37 @@ func Equal(a, b Value) bool {
 	return Compare(a, b) == 0
 }
 
-// key returns the value's index key. Numeric kinds normalize so that Int(3)
-// and Float(3) collide, as Compare treats them equal.
-func (v Value) key() indexKey {
+// word returns the one integer an index entry keeps of the value (table.go's
+// ixEntry). NULL is 0. A number is the usual order-preserving image of its
+// AsFloat, which is never 0: Int(3) and Float(3) share a word, as Compare
+// treats them equal, and so do -0 and +0, and every NaN. A string is its
+// 64-bit FNV-1a hash: equal strings share a word, but so may two different
+// strings, or a string and a number or NULL — an index over strings checks
+// each row's own value (Table.eachPosted).
+func (v Value) word() uint64 {
 	switch v.Kind() {
 	case KindNull:
-		return indexKey{}
+		return 0
 	case KindString:
-		return indexKey{ord: math.MaxUint64, s: v.str()}
+		s, h := v.str(), uint64(14695981039346656037)
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * 1099511628211
+		}
+		return h
 	}
 	f := v.AsFloat()
 	switch {
 	case f == 0:
-		f = 0 // -0 and +0 are one key
+		f = 0 // -0 and +0 are one word
 	case f != f:
-		f = math.NaN() // every NaN is one key, and not one of the two reserved
+		f = math.NaN() // every NaN is one word
 	}
-	// The usual order-preserving map of a float's bits: flip all of a
-	// negative's, the sign of the rest.
+	// Flip all of a negative's bits, the sign of the rest.
 	b := math.Float64bits(f)
 	if b>>63 != 0 {
-		return indexKey{ord: ^b}
+		return ^b
 	}
-	return indexKey{ord: b | 1<<63}
-}
-
-// indexKey is the comparable, ordered form of a Value that index entries
-// are sorted by: one integer compare orders NULL (0) before every number
-// (in numeric order) before every string (all at MaxUint64, told apart by
-// s). Equal keys are equal values; the order among them is only ever used
-// to keep equal keys adjacent.
-type indexKey struct {
-	ord uint64
-	s   string
+	return b | 1<<63
 }
 
 // Row is one table row. Rows are value slices in schema column order.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"runtime"
@@ -123,12 +124,17 @@ func modelEqual(a, b modelValue) bool {
 	return a.kind != KindNull && b.kind != KindNull && modelCompare(a, b) == 0
 }
 
-func (m modelValue) key() indexKey {
+// word is the index word as specified: NULL 0, a string its FNV-1a hash
+// (the standard library's, not the engine's loop), a number the
+// order-preserving image of its float with -0 and every NaN folded.
+func (m modelValue) word() uint64 {
 	switch m.kind {
 	case KindNull:
-		return indexKey{}
+		return 0
 	case KindString:
-		return indexKey{ord: math.MaxUint64, s: m.s}
+		h := fnv.New64a()
+		h.Write([]byte(m.s))
+		return h.Sum64()
 	}
 	f := m.asFloat()
 	switch {
@@ -139,9 +145,9 @@ func (m modelValue) key() indexKey {
 	}
 	b := math.Float64bits(f)
 	if b>>63 != 0 {
-		return indexKey{ord: ^b}
+		return ^b
 	}
-	return indexKey{ord: b | 1<<63}
+	return b | 1<<63
 }
 
 // appendWAL is the log encoding as it was written from the four fields.
@@ -189,8 +195,8 @@ func checkValue(t *testing.T, m modelValue) {
 	if v.Truthy() != m.truthy() || v.String() != m.String() {
 		t.Fatalf("%v: Truthy %v String %s, model %v %s", m, v.Truthy(), v.String(), m.truthy(), m.String())
 	}
-	if v.key() != m.key() {
-		t.Fatalf("%v: key %+v, model %+v", m, v.key(), m.key())
+	if v.word() != m.word() {
+		t.Fatalf("%v: word %#x, model %#x", m, v.word(), m.word())
 	}
 	enc := appendWALValue(nil, v)
 	if want := m.appendWAL(nil); !bytes.Equal(enc, want) {
@@ -347,8 +353,11 @@ func TestLayoutSizes(t *testing.T) {
 	if n := unsafe.Sizeof(rowRef{}); n != 8 {
 		t.Errorf("rowRef is %d bytes, want 8", n)
 	}
-	if n := unsafe.Sizeof(ixEntry{}) + unsafe.Sizeof(rowRef{}); n != 40 {
-		t.Errorf("an index entry and its row are %d bytes, want 40", n)
+	if n := unsafe.Sizeof(ixEntry{}) + unsafe.Sizeof(rowRef{}); n != 24 {
+		t.Errorf("an index entry and its row are %d bytes, want 24", n)
+	}
+	if n := unsafe.Sizeof(cowNode[ixEntry, rowRef]{}); n > 896 {
+		t.Errorf("an index tree node is %d bytes, want at most 896", n)
 	}
 }
 
@@ -371,8 +380,8 @@ func TestPutRejectsWrongWidth(t *testing.T) {
 		t.Fatalf("%d rows stored by refused puts", n)
 	}
 	tab.put(1, Row{Int(1), Int(2)})
-	if r, ok := tab.rowAt(1); !ok || len(r) != 2 || r[1].AsInt() != 2 {
-		t.Fatalf("rowAt(1) = %v, %v", r, ok)
+	if ref, ok := tab.rows.get(1); !ok || ref.row(2)[1].AsInt() != 2 {
+		t.Fatalf("rows.get(1) = %v, %v", ref, ok)
 	}
 }
 

@@ -205,7 +205,7 @@ func (s *Server) serveConn(_ net.Conn, r *bufio.Reader, w *bufio.Writer) {
 // This is what dbserver runs on SIGTERM, so a cluster replica can leave
 // without cutting off statements the broadcast already shipped — or keeping
 // their effects without the commit that would justify them.
-func (s *Server) Shutdown(grace time.Duration) error { s.l.Drain(grace); return nil }
+func (s *Server) Shutdown(grace time.Duration) { s.l.Drain(grace) }
 
 // Close stops accepting and closes every connection, releasing their locks.
 func (s *Server) Close() error { return s.l.Close() }
