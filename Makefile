@@ -75,12 +75,14 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Chaos smoke: the deterministic fault-injection matrix (tier × fault ×
-# timing) plus the slow-failure regressions in cluster and lb, under
-# -race with a hard timeout — a hang past a deadline is itself the bug.
+# timing), the slow-failure regressions in cluster and lb, and replica
+# deaths around a multi-row INSERT split across shards (SplitInsert),
+# under -race with a hard timeout — a hang past a deadline is itself the
+# bug.
 chaos-smoke:
 	$(GO) test -race -timeout 120s ./internal/chaos
 	$(GO) test -race -timeout 180s \
-		-run 'Chaos|Degraded|SlowReplica|PinnedRead|ReadOnlyTxnSkipsEjectedPinnedReplica|RejoinDeadline|RejoinExcludes|SyncWithin|PoolWaitTimeout|StalledBackend|DBRestart|Not404' \
+		-run 'Chaos|SplitInsert|Degraded|SlowReplica|PinnedRead|ReadOnlyTxnSkipsEjectedPinnedReplica|RejoinDeadline|RejoinExcludes|SyncWithin|PoolWaitTimeout|StalledBackend|DBRestart|Not404' \
 		./internal/core ./internal/cluster ./internal/lb
 
 # WAL torture: the durability battery. Crash points, torn tails, and

@@ -7,8 +7,8 @@ import (
 	"repro/internal/sqldb"
 )
 
-// BenchmarkPopulate fills a bare engine at DefaultScale, one auto-commit
-// INSERT per row as every setup does, and reports the cost per stored row —
+// BenchmarkPopulate fills a bare engine at DefaultScale in multi-row
+// auto-commit INSERTs, as every setup does, and reports the cost per stored row —
 // the number the storage layer's in-place write path is held to — and the
 // live heap per stored row once the fill is done: what the engine's
 // representation of a value, a row and an index entry adds up to.

@@ -150,26 +150,30 @@ func CreateSchema(db sqldb.Execer) error {
 	return nil
 }
 
-// Populate fills the database deterministically at the given scale.
+// Populate fills the database deterministically at the given scale, in
+// multi-row batches (sqldb.InsertBatch). Items carry explicit ids 1…Items
+// and their final bid count and maximum bid, computed here as the bids are
+// drawn: a sharded tier then holds exactly the unsharded population, each
+// item on the shard its id routes to, and no bid costs an UPDATE.
 func Populate(db sqldb.Execer, sc Scale, seed int64) error {
 	g := datagen.New(seed)
+	categories := sqldb.NewInsertBatch(db, "categories", "name")
 	for i := 0; i < sc.Categories; i++ {
-		if _, err := db.Exec("INSERT INTO categories (name) VALUES (?)",
-			sqldb.String(g.Name())); err != nil {
+		if err := categories.Add(sqldb.String(g.Name())); err != nil {
 			return err
 		}
 	}
+	regions := sqldb.NewInsertBatch(db, "regions", "name")
 	for i := 0; i < sc.Regions; i++ {
-		if _, err := db.Exec("INSERT INTO regions (name) VALUES (?)",
-			sqldb.String(g.Name())); err != nil {
+		if err := regions.Add(sqldb.String(g.Name())); err != nil {
 			return err
 		}
 	}
+	users := sqldb.NewInsertBatch(db, "users",
+		"fname", "lname", "nickname", "password", "region_id", "rating", "balance", "creation")
 	for i := 0; i < sc.Users; i++ {
 		nick := fmt.Sprintf("bidder%d", i+1)
-		if _, err := db.Exec(
-			`INSERT INTO users (fname, lname, nickname, password, region_id, rating, balance, creation)
-			 VALUES (?, ?, ?, ?, ?, ?, ?, ?)`,
+		if err := users.Add(
 			sqldb.String(g.Name()), sqldb.String(g.Name()), sqldb.String(nick),
 			sqldb.String("pw"+nick), sqldb.Int(int64(1+g.Intn(sc.Regions))),
 			sqldb.Int(int64(g.Intn(10))), sqldb.Float(g.Price(0, 500)),
@@ -177,48 +181,46 @@ func Populate(db sqldb.Execer, sc Scale, seed int64) error {
 			return err
 		}
 	}
-	for i := 0; i < sc.Items; i++ {
+	const nbBids, maxBid = 9, 10            // positions in an items row
+	live := make([][]sqldb.Value, sc.Items) // the items rows, in id order
+	for i := range live {
 		price := g.Price(1, 200)
-		if _, err := db.Exec(
-			`INSERT INTO items (name, description, seller_id, category_id, region_id,
-				init_price, reserve, buy_now, nb_bids, max_bid, start_date, end_date)
-			 VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)`,
-			sqldb.String(g.Sentence(3)), sqldb.String(g.Sentence(20)),
-			sqldb.Int(int64(1+g.Intn(sc.Users))), sqldb.Int(int64(1+g.Intn(sc.Categories))),
-			sqldb.Int(int64(1+g.Intn(sc.Regions))),
-			sqldb.Float(price), sqldb.Float(price*1.2), sqldb.Float(price*2),
-			sqldb.Int(0), sqldb.Float(price), sqldb.Int(12000), sqldb.Int(12007)); err != nil {
-			return err
-		}
+		live[i] = []sqldb.Value{
+			sqldb.Int(int64(i + 1)), sqldb.String(g.Sentence(3)), sqldb.String(g.Sentence(20)),
+			sqldb.Int(int64(1 + g.Intn(sc.Users))), sqldb.Int(int64(1 + g.Intn(sc.Categories))),
+			sqldb.Int(int64(1 + g.Intn(sc.Regions))),
+			sqldb.Float(price), sqldb.Float(price * 1.2), sqldb.Float(price * 2),
+			sqldb.Int(0), sqldb.Float(price), sqldb.Int(12000), sqldb.Int(12007)}
 	}
-	// Bids over the live items, maintaining the denormalized counters.
-	totalBids := sc.Items * sc.BidsPer
-	for i := 0; i < totalBids; i++ {
-		item := int64(1 + g.Intn(sc.Items))
+	// Bids over the live items; each one folds into its item's
+	// denormalized counters.
+	bids := sqldb.NewInsertBatch(db, "bids", "item_id", "user_id", "bid", "max_bid", "qty", "bid_date")
+	for i := 0; i < sc.Items*sc.BidsPer; i++ {
+		item := live[g.Intn(sc.Items)]
 		bid := g.Price(1, 400)
-		if _, err := db.Exec(
-			`INSERT INTO bids (item_id, user_id, bid, max_bid, qty, bid_date)
-			 VALUES (?, ?, ?, ?, ?, ?)`,
-			sqldb.Int(item), sqldb.Int(int64(1+g.Intn(sc.Users))),
+		if err := bids.Add(
+			item[0], sqldb.Int(int64(1+g.Intn(sc.Users))),
 			sqldb.Float(bid), sqldb.Float(bid*1.1), sqldb.Int(1),
 			sqldb.Int(g.Date(12006, 6))); err != nil {
 			return err
 		}
-		if _, err := db.Exec(
-			"UPDATE items SET nb_bids = nb_bids + 1 WHERE id = ?",
-			sqldb.Int(item)); err != nil {
-			return err
+		item[nbBids] = sqldb.Int(item[nbBids].AsInt() + 1)
+		if item[maxBid].AsFloat() < bid {
+			item[maxBid] = sqldb.Float(bid)
 		}
-		if _, err := db.Exec(
-			"UPDATE items SET max_bid = ? WHERE id = ? AND max_bid < ?",
-			sqldb.Float(bid), sqldb.Int(item), sqldb.Float(bid)); err != nil {
+	}
+	items := sqldb.NewInsertBatch(db, "items", "id", "name", "description", "seller_id",
+		"category_id", "region_id", "init_price", "reserve", "buy_now", "nb_bids", "max_bid",
+		"start_date", "end_date")
+	for _, row := range live {
+		if err := items.Add(row...); err != nil {
 			return err
 		}
 	}
+	oldItems := sqldb.NewInsertBatch(db, "old_items",
+		"id", "name", "seller_id", "category_id", "region_id", "max_bid", "end_date")
 	for i := 0; i < sc.OldItems; i++ {
-		if _, err := db.Exec(
-			`INSERT INTO old_items (id, name, seller_id, category_id, region_id, max_bid, end_date)
-			 VALUES (?, ?, ?, ?, ?, ?, ?)`,
+		if err := oldItems.Add(
 			sqldb.Int(int64(1000000+i)), sqldb.String(g.Sentence(3)),
 			sqldb.Int(int64(1+g.Intn(sc.Users))), sqldb.Int(int64(1+g.Intn(sc.Categories))),
 			sqldb.Int(int64(1+g.Intn(sc.Regions))), sqldb.Float(g.Price(1, 400)),
@@ -226,19 +228,20 @@ func Populate(db sqldb.Execer, sc Scale, seed int64) error {
 			return err
 		}
 	}
+	comments := sqldb.NewInsertBatch(db, "comments", "from_user", "to_user", "item_id", "rating", "comment")
 	for i := 0; i < sc.Comments; i++ {
-		if _, err := db.Exec(
-			`INSERT INTO comments (from_user, to_user, item_id, rating, comment)
-			 VALUES (?, ?, ?, ?, ?)`,
+		if err := comments.Add(
 			sqldb.Int(int64(1+g.Intn(sc.Users))), sqldb.Int(int64(1+g.Intn(sc.Users))),
 			sqldb.Int(int64(1+g.Intn(sc.Items))), sqldb.Int(int64(g.Intn(6))),
 			sqldb.String(g.Sentence(8))); err != nil {
 			return err
 		}
 	}
-	if _, err := db.Exec("INSERT INTO ids (name, value) VALUES ('item', ?)",
-		sqldb.Int(int64(sc.Items+1))); err != nil {
-		return err
+	for _, b := range []*sqldb.InsertBatch{categories, regions, users, bids, items, oldItems, comments} {
+		if err := b.Flush(); err != nil {
+			return err
+		}
 	}
-	return nil
+	_, err := db.Exec("INSERT INTO ids (name, value) VALUES ('item', ?)", sqldb.Int(int64(sc.Items+1)))
+	return err
 }

@@ -139,25 +139,28 @@ func CreateSchema(db sqldb.Execer) error {
 	return nil
 }
 
-// Populate fills the database deterministically at the given scale.
+// Populate fills the database deterministically at the given scale, in
+// multi-row batches (sqldb.InsertBatch). Orders are the exception: each
+// one is its own statement, because the id it is assigned is what places
+// its lines and credit information on its shard (DESIGN.md §11).
 func Populate(db sqldb.Execer, sc Scale, seed int64) error {
 	g := datagen.New(seed)
+	countries := sqldb.NewInsertBatch(db, "countries", "name")
 	for i := 0; i < sc.Countries; i++ {
-		if _, err := db.Exec("INSERT INTO countries (name) VALUES (?)",
-			sqldb.String(g.Name())); err != nil {
+		if err := countries.Add(sqldb.String(g.Name())); err != nil {
 			return err
 		}
 	}
+	authors := sqldb.NewInsertBatch(db, "authors", "fname", "lname")
 	for i := 0; i < sc.Authors; i++ {
-		if _, err := db.Exec("INSERT INTO authors (fname, lname) VALUES (?, ?)",
-			sqldb.String(g.Name()), sqldb.String(g.Name())); err != nil {
+		if err := authors.Add(sqldb.String(g.Name()), sqldb.String(g.Name())); err != nil {
 			return err
 		}
 	}
+	items := sqldb.NewInsertBatch(db, "items",
+		"title", "author_id", "pub_date", "subject", "descr", "cost", "stock", "total_sold")
 	for i := 0; i < sc.Items; i++ {
-		if _, err := db.Exec(
-			`INSERT INTO items (title, author_id, pub_date, subject, descr, cost, stock, total_sold)
-			 VALUES (?, ?, ?, ?, ?, ?, ?, ?)`,
+		if err := items.Add(
 			sqldb.String(g.Sentence(3)),
 			sqldb.Int(int64(1+g.Intn(sc.Authors))),
 			sqldb.Int(g.Date(12000, 3000)),
@@ -169,17 +172,17 @@ func Populate(db sqldb.Execer, sc Scale, seed int64) error {
 			return err
 		}
 	}
+	address := sqldb.NewInsertBatch(db, "address", "street", "city", "country_id")
+	customers := sqldb.NewInsertBatch(db, "customers",
+		"uname", "passwd", "fname", "lname", "addr_id", "phone", "email", "discount")
 	for i := 0; i < sc.Customers; i++ {
 		nick := fmt.Sprintf("user%d", i+1)
-		if _, err := db.Exec(
-			"INSERT INTO address (street, city, country_id) VALUES (?, ?, ?)",
+		if err := address.Add(
 			sqldb.String(g.Sentence(2)), sqldb.String(g.Name()),
 			sqldb.Int(int64(1+g.Intn(sc.Countries)))); err != nil {
 			return err
 		}
-		if _, err := db.Exec(
-			`INSERT INTO customers (uname, passwd, fname, lname, addr_id, phone, email, discount)
-			 VALUES (?, ?, ?, ?, ?, ?, ?, ?)`,
+		if err := customers.Add(
 			sqldb.String(nick), sqldb.String("pw"+nick),
 			sqldb.String(g.Name()), sqldb.String(g.Name()),
 			sqldb.Int(int64(i+1)), sqldb.String(g.Digits(10)),
@@ -187,6 +190,8 @@ func Populate(db sqldb.Execer, sc Scale, seed int64) error {
 			return err
 		}
 	}
+	lines := sqldb.NewInsertBatch(db, "order_line", "order_id", "item_id", "qty", "discount")
+	credit := sqldb.NewInsertBatch(db, "credit_info", "order_id", "cc_type", "cc_number", "cc_expiry", "auth_id")
 	for i := 0; i < sc.Orders; i++ {
 		cust := 1 + g.Intn(sc.Customers)
 		res, err := db.Exec(
@@ -198,21 +203,20 @@ func Populate(db sqldb.Execer, sc Scale, seed int64) error {
 		if err != nil {
 			return err
 		}
-		oid := res.LastInsertID
-		lines := 1 + g.Intn(4)
-		for l := 0; l < lines; l++ {
-			if _, err := db.Exec(
-				"INSERT INTO order_line (order_id, item_id, qty, discount) VALUES (?, ?, ?, ?)",
-				sqldb.Int(oid), sqldb.Int(int64(1+g.Intn(sc.Items))),
+		oid := sqldb.Int(res.LastInsertID)
+		for l, n := 0, 1+g.Intn(4); l < n; l++ {
+			if err := lines.Add(oid, sqldb.Int(int64(1+g.Intn(sc.Items))),
 				sqldb.Int(int64(1+g.Intn(4))), sqldb.Float(0)); err != nil {
 				return err
 			}
 		}
-		if _, err := db.Exec(
-			`INSERT INTO credit_info (order_id, cc_type, cc_number, cc_expiry, auth_id)
-			 VALUES (?, ?, ?, ?, ?)`,
-			sqldb.Int(oid), sqldb.String("VISA"), sqldb.String(g.Digits(16)),
+		if err := credit.Add(oid, sqldb.String("VISA"), sqldb.String(g.Digits(16)),
 			sqldb.Int(g.Date(13000, 0)), sqldb.String(g.Digits(8))); err != nil {
+			return err
+		}
+	}
+	for _, b := range []*sqldb.InsertBatch{countries, authors, items, address, customers, lines, credit} {
+		if err := b.Flush(); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/pool"
 	"repro/internal/sqldb"
+	"repro/internal/sqldb/wire"
 )
 
 // slowExecer delays every statement — a stand-in for a stalled sync peer.
@@ -542,6 +544,102 @@ func TestRejoinExcludesOtherClientsWriters(t *testing.T) {
 		wg.Wait()
 		if x, y := replicaDump(t, reps[0]), replicaDump(t, reps[1]); x != y {
 			t.Fatalf("round %d: replicas diverged across the rejoins:\n%s\nvs\n%s", round, x, y)
+		}
+	}
+}
+
+// TestChaosShardSplitInsert: a multi-row INSERT split across a 2×2 tier
+// loses replicas at two timings — before the statement's parts go out
+// (so before PREPARE) and inside 2PC's in-doubt window (betweenPhases) —
+// in auto-commit and in a transaction. The outcome is success or a typed
+// error, never some of the statement's rows without the others; after heal
+// and rejoin every shard's replicas are byte-identical.
+func TestChaosShardSplitInsert(t *testing.T) {
+	const rows = 12 // customers 1…12: six rows per shard
+	cells := []struct {
+		name    string
+		victims [][2]int // (shard, replica)
+		between bool     // kill inside the in-doubt window, not before
+		ok      bool
+	}{
+		{"replica-before", [][2]int{{1, 1}}, false, true},
+		{"replica-between", [][2]int{{0, 1}}, true, true},
+		{"shard-before", [][2]int{{1, 0}, {1, 1}}, false, false},
+	}
+	for _, cell := range cells {
+		for _, inTxn := range []bool{false, true} {
+			name := cell.name + "/autocommit"
+			if inTxn {
+				name = cell.name + "/txn"
+			}
+			t.Run(name, func(t *testing.T) {
+				groups := startShards(t, 2, 2)
+				c := newShardClient(t, groups, Config{Timeouts: pool.Timeouts{Op: 2 * time.Second}})
+				kill := func() {
+					for _, v := range cell.victims {
+						groups[v[0]][v[1]].srv.Close()
+					}
+				}
+				sh := c.backend.(*shardSet)
+				if cell.between {
+					sh.betweenPhases = kill
+				} else {
+					kill()
+				}
+				q := "INSERT INTO orders (customer_id, total) VALUES (?, ?)" + strings.Repeat(", (?, ?)", rows-1)
+				var args []sqldb.Value
+				for i := 1; i <= rows; i++ {
+					args = append(args, sqldb.Int(int64(i)), sqldb.Int(int64(i)))
+				}
+				var err error
+				if inTxn {
+					err = c.WithTx([]string{"orders"}, func(tx *Session) error {
+						_, err := tx.Exec(q, args...)
+						return err
+					})
+				} else {
+					_, err = c.Exec(q, args...)
+				}
+				sh.betweenPhases = nil
+				if cell.ok && err != nil {
+					t.Fatalf("split INSERT with %v down: %v", cell.victims, err)
+				}
+				if !cell.ok && err == nil {
+					t.Fatal("split INSERT succeeded with a whole shard down")
+				}
+				if !cell.ok && inTxn && !errors.Is(err, ErrSplitInsertAborted) {
+					t.Fatalf("in a transaction: %v, want ErrSplitInsertAborted", err)
+				}
+
+				// Heal: rebind every victim on its old address and rejoin it,
+				// the first of a whole dead shard without a sync source.
+				for i, v := range cell.victims {
+					r := groups[v[0]][v[1]]
+					srv := wire.NewServer(r.db, nil)
+					if _, err := srv.Listen(r.addr); err != nil {
+						t.Skipf("cannot rebind %s: %v", r.addr, err)
+					}
+					t.Cleanup(func() { srv.Close() })
+					r.srv = srv
+					if err := c.Rejoin(v[0]*2+v[1], cell.ok || i > 0); err != nil {
+						t.Fatalf("rejoin %v: %v", v, err)
+					}
+				}
+				if h := c.Healthy(); h != 4 {
+					t.Fatalf("healthy %d after rejoin, want 4", h)
+				}
+				landed := 0
+				for si, g := range groups {
+					want := dumpReplica(t, g[0])
+					if got := dumpReplica(t, g[1]); got != want {
+						t.Errorf("shard %d replicas diverged:\n%s\nwant:\n%s", si, got, want)
+					}
+					landed += int(queryReplica(t, g[0], "SELECT COUNT(*) FROM orders").Rows[0][0].AsInt())
+				}
+				if want := map[bool]int{true: rows, false: 0}[err == nil]; landed != want {
+					t.Fatalf("%d of the statement's %d rows landed (err %v), want %d", landed, rows, err, want)
+				}
+			})
 		}
 	}
 }

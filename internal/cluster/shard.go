@@ -11,6 +11,8 @@
 //     time agrees on one shard). It ships to that shard's client alone —
 //     the scaling fast path, for writes especially: a pinned write costs
 //     one shard's broadcast instead of every replica in the system.
+//   - Split: a multi-row INSERT whose rows belong to several shards is cut
+//     into one part per owning shard, run as one unit (shardTxn.split).
 //   - Scatter-gather: a SELECT not pinned to one shard fans out to every
 //     shard and the partial results merge client-side — concatenate,
 //     re-sort by the ORDER BY, re-apply DISTINCT/LIMIT/OFFSET, and combine
@@ -43,6 +45,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -119,6 +122,9 @@ type shardPlan struct {
 	insert  bool
 	sharded bool            // references at least one sharded table
 	exprs   []sqlparse.Expr // nil: not pinned (scatter / broadcast)
+	// keyed marks an INSERT that names its table's shard key column with a
+	// value the router cannot resolve ahead of the engine (exprs is nil).
+	keyed bool
 	// scatterSQL is the text each shard runs when a SELECT on a sharded
 	// table scatters, and extra the number of ORDER BY key columns it
 	// appends to the select list for the merge to sort on and project off.
@@ -161,6 +167,10 @@ func (sh *shardSet) buildPlan(query string) *shardPlan {
 		if p.exprs == nil {
 			if exprs, ok := sqlparse.ShardExprs(p.rt.stmt, table, col); ok {
 				p.exprs = exprs
+			} else if ins, ok := p.rt.stmt.(*sqlparse.Insert); ok {
+				for _, c := range ins.Columns {
+					p.keyed = p.keyed || strings.EqualFold(c, col)
+				}
 			}
 		}
 	}
@@ -192,10 +202,13 @@ func (p *shardPlan) shardFor(args []sqldb.Value, n int) (int, bool) {
 	return shard, shard >= 0
 }
 
-// shardValue resolves one constant key expression: a literal, a '?'
-// parameter from args, or a negation of either.
+// shardValue resolves one constant expression — a key, or a value of a
+// split INSERT's row: a literal, a '?' parameter from args, or a negation
+// of either.
 func shardValue(e sqlparse.Expr, args []sqldb.Value) (sqldb.Value, bool) {
 	switch x := e.(type) {
+	case *sqlparse.NullLit:
+		return sqldb.Null(), true
 	case *sqlparse.IntLit:
 		return sqldb.Int(x.V), true
 	case *sqlparse.FloatLit:
@@ -260,27 +273,90 @@ func (sh *shardSet) Exec(query string, args ...sqldb.Value) (*sqldb.Result, erro
 		sh.scatter.Add(1)
 		return sh.scatterRead(p, args, nil)
 	default: // writes and DDL
+		if p.sharded && p.insert {
+			return sh.insert(p, query, args)
+		}
 		if p.sharded && p.exprs != nil {
-			shard, ok := p.shardFor(args, len(sh.shards))
-			if !ok && p.insert {
-				return nil, errInsertSpansShards
-			}
-			if ok {
+			if shard, ok := p.shardFor(args, len(sh.shards)); ok {
 				sh.single.Add(1)
 				return sh.shards[shard].Exec(query, args...)
 			}
-		}
-		if p.sharded && p.insert {
-			// Keyless INSERT on a sharded table: any shard may take it —
-			// its strided counter assigns an id that hashes back here.
-			sh.single.Add(1)
-			return sh.shards[sh.rrNext()].Exec(query, args...)
 		}
 		return sh.broadcastAll(query, args, p)
 	}
 }
 
-var errInsertSpansShards = errors.New("cluster: INSERT rows span shards (or the shard key is unresolvable); split the statement per shard")
+var errInsertSpansShards = errors.New("cluster: INSERT on a sharded table whose rows' shard keys or values are not literals or '?' parameters")
+
+// ErrSplitInsertAborted is returned when a shard's part of a split
+// multi-row INSERT fails: the parts already applied on other shards cannot
+// be undone one by one, so the whole transaction — inside one, the
+// application's; in auto-commit, the statement's own — has been rolled back.
+var ErrSplitInsertAborted = errors.New("cluster: a shard's part of a multi-row INSERT failed; transaction rolled back")
+
+// insertTarget resolves where an INSERT on a sharded table goes: to one
+// shard (every row's key hashes there), to any shard (keyless, shard -1:
+// the shard's strided counter assigns an id that routes back to it), or
+// split (owners non-nil: each row's owning shard, in statement order).
+func (p *shardPlan) insertTarget(args []sqldb.Value, n int) (shard int, owners []int, err error) {
+	if p.exprs == nil {
+		if p.keyed {
+			return 0, nil, errInsertSpansShards
+		}
+		return -1, nil, nil
+	}
+	for i, e := range p.exprs {
+		v, ok := shardValue(e, args)
+		if !ok {
+			return 0, nil, errInsertSpansShards
+		}
+		s := shardIndex(v, n)
+		switch {
+		case i == 0:
+			shard = s
+		case owners == nil && s != shard:
+			owners = make([]int, i, len(p.exprs))
+			for j := range owners {
+				owners[j] = shard
+			}
+		}
+		if owners != nil {
+			owners = append(owners, s)
+		}
+	}
+	return shard, owners, nil
+}
+
+// insert routes an auto-commit INSERT on a sharded table. A split runs in
+// a coordinated transaction over the owning shards — its parts in
+// ascending shard order, then two-phase commit — so the statement applies
+// on every shard or on none.
+func (sh *shardSet) insert(p *shardPlan, query string, args []sqldb.Value) (*sqldb.Result, error) {
+	shard, owners, err := p.insertTarget(args, len(sh.shards))
+	if err != nil {
+		return nil, err
+	}
+	if owners == nil {
+		if shard < 0 {
+			shard = sh.rrNext()
+		}
+		sh.single.Add(1)
+		return sh.shards[shard].Exec(query, args...)
+	}
+	s := sh.newTxn()
+	defer func() { s.end(false) }()
+	if err := s.begin(p.rt.tables); err != nil {
+		return nil, err
+	}
+	res, err := s.split(p, owners, args)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.Commit(); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
 
 // scatterRead fans a SELECT on a sharded table out to every shard and
 // merges. subs, when non-nil, supplies the per-shard sub-sessions to run on
@@ -700,8 +776,10 @@ type shardTxn struct {
 	maxSub   int
 }
 
-func (sh *shardSet) session() (txn, error) {
-	return &shardTxn{sh: sh, subs: make([]*replicaTxn, len(sh.shards)), maxSub: -1}, nil
+func (sh *shardSet) session() (txn, error) { return sh.newTxn(), nil }
+
+func (sh *shardSet) newTxn() *shardTxn {
+	return &shardTxn{sh: sh, subs: make([]*replicaTxn, len(sh.shards)), maxSub: -1}
 }
 
 func (s *shardTxn) state() (open, failed bool) { return s.inTxn, s.failed }
@@ -737,21 +815,11 @@ func (s *shardTxn) Exec(query string, args ...sqldb.Value) (*sqldb.Result, error
 		}
 		return s.subBroadcast(p, query, args)
 	}
+	if p.insert {
+		return s.insert(p, query, args)
+	}
 	if shard, ok := p.shardFor(args, len(sh.shards)); ok {
 		sub, err := s.sub(shard)
-		if err != nil {
-			return nil, err
-		}
-		sh.single.Add(1)
-		return s.subExec(sub, query, args)
-	}
-	if p.insert {
-		if p.exprs != nil {
-			return nil, errInsertSpansShards
-		}
-		// Keyless INSERT: any participating shard's strided counter
-		// assigns an id that routes back to it.
-		sub, err := s.anySub()
 		if err != nil {
 			return nil, err
 		}
@@ -772,6 +840,86 @@ func (s *shardTxn) Exec(query string, args ...sqldb.Value) (*sqldb.Result, error
 		return res, err
 	}
 	return s.subBroadcast(p, query, args)
+}
+
+// insert routes an INSERT on a sharded table inside the transaction: to
+// its one shard's sub-session, to any participating one when keyless (its
+// strided counter assigns an id that routes back to it), or split across
+// the owning shards' sub-sessions.
+func (s *shardTxn) insert(p *shardPlan, query string, args []sqldb.Value) (*sqldb.Result, error) {
+	shard, owners, err := p.insertTarget(args, len(s.sh.shards))
+	if err != nil {
+		return nil, err
+	}
+	if owners != nil {
+		return s.split(p, owners, args)
+	}
+	var sub *replicaTxn
+	if shard < 0 {
+		sub, err = s.anySub()
+	} else {
+		sub, err = s.sub(shard)
+	}
+	if err != nil {
+		return nil, err
+	}
+	s.sh.single.Add(1)
+	return s.subExec(sub, query, args)
+}
+
+// split runs a multi-row INSERT whose rows belong to several shards as one
+// part per owning shard, in ascending shard order: the shard's rows in
+// statement order, every value re-sent as a '?' argument, in chunks of 2^k
+// rows, largest first — so a column list yields at most log2(rows)+1 texts
+// and no plan cache or per-connection statement table fills with one-off
+// texts. RowsAffected is the sum over shards; LastInsertID is the answer of
+// the shard holding the statement's last row. A part that fails rolls the
+// transaction back and fails the session: the parts already applied on
+// other shards cannot be undone one by one.
+func (s *shardTxn) split(p *shardPlan, owners []int, args []sqldb.Value) (*sqldb.Result, error) {
+	ins := p.rt.stmt.(*sqlparse.Insert)
+	width := len(ins.Columns)
+	vals := make([][]sqldb.Value, len(s.subs)) // by shard, row-major
+	for row, shard := range owners {
+		if len(ins.Rows[row]) != width {
+			return nil, fmt.Errorf("cluster: %d values for %d columns in INSERT into %q", len(ins.Rows[row]), width, ins.Table)
+		}
+		for _, e := range ins.Rows[row] {
+			v, ok := shardValue(e, args)
+			if !ok {
+				return nil, errInsertSpansShards
+			}
+			vals[shard] = append(vals[shard], v)
+		}
+	}
+	fail := func(err error) (*sqldb.Result, error) {
+		s.Rollback()
+		s.failed = true
+		return nil, fmt.Errorf("%w: %w", ErrSplitInsertAborted, err)
+	}
+	out := &sqldb.Result{}
+	for shard, v := range vals {
+		if len(v) == 0 {
+			continue
+		}
+		sub, err := s.sub(shard)
+		if err != nil {
+			return fail(err)
+		}
+		for len(v) > 0 {
+			k := 1 << (bits.Len(uint(len(v)/width)) - 1)
+			res, err := s.subExec(sub, sqldb.InsertSQL(ins.Table, ins.Columns, k), v[:k*width])
+			if err != nil {
+				return fail(err)
+			}
+			v = v[k*width:]
+			out.RowsAffected += res.RowsAffected
+			if shard == owners[len(owners)-1] {
+				out.LastInsertID = res.LastInsertID
+			}
+		}
+	}
+	return out, nil
 }
 
 // subBroadcast runs an unpinned write on every shard's sub-session.

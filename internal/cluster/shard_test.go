@@ -381,15 +381,162 @@ func TestShardReadOnlyTxnScatter(t *testing.T) {
 	}
 }
 
-// TestShardInsertSpanningShardsRejected: one INSERT whose VALUES rows hash
-// to different shards cannot be routed and must fail loudly.
-func TestShardInsertSpanningShardsRejected(t *testing.T) {
-	groups := startShards(t, 2, 1)
-	c := newShardClient(t, groups, Config{})
-	_, err := c.Exec("INSERT INTO orders (customer_id, total) VALUES (1, 1), (2, 2)")
-	if err == nil {
-		t.Fatal("multi-shard INSERT was routed")
+// shardTotals lists each shard's orders totals in id order (replica 0).
+func shardTotals(t *testing.T, groups [][]*testReplica) [][]int64 {
+	t.Helper()
+	out := make([][]int64, len(groups))
+	for si, g := range groups {
+		out[si] = []int64{}
+		for _, row := range queryReplica(t, g[0], "SELECT total FROM orders ORDER BY id").Rows {
+			out[si] = append(out[si], row[0].AsInt())
+		}
 	}
+	return out
+}
+
+// TestShardedMultiRowInsert: a multi-row INSERT whose rows belong to
+// different shards is split by owner — each shard gets its rows in
+// statement order — and runs as one unit: all-or-nothing in auto-commit,
+// a rolled-back transaction with ErrSplitInsertAborted inside one.
+func TestShardedMultiRowInsert(t *testing.T) {
+	// Customers 1, 3 live on shard 0; 2, 4 on shard 1.
+	const spread = "INSERT INTO orders (customer_id, total) VALUES (1, 10), (2, 20), (3, 30), (1, 40), (4, 50)"
+	want := fmt.Sprint([][]int64{{10, 30, 40}, {20, 50}})
+
+	t.Run("autocommit", func(t *testing.T) {
+		groups := startShards(t, 2, 1)
+		c := newShardClient(t, groups, Config{})
+		res, err := c.Exec(spread)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(shardTotals(t, groups)); got != want {
+			t.Fatalf("per-shard rows %s, want %s", got, want)
+		}
+		// The last row (customer 4) is shard 1's: its generated id is the
+		// statement's LastInsertID.
+		last := queryReplica(t, groups[1][0], "SELECT id FROM orders WHERE customer_id = 4").Rows[0][0].AsInt()
+		if res.RowsAffected != 5 || res.LastInsertID != last {
+			t.Fatalf("RowsAffected %d LastInsertID %d, want 5 and %d", res.RowsAffected, res.LastInsertID, last)
+		}
+		if st := c.ClientStats(); st.Shard2PCTxns != 1 {
+			t.Errorf("split INSERT ran %d two-phase commits, want 1", st.Shard2PCTxns)
+		}
+		// Explicit ids: LastInsertID is the last row's, on shard 0 this time.
+		res, err = c.Exec("INSERT INTO orders (id, customer_id, total) VALUES (?, ?, ?), (?, ?, ?), (?, ?, ?)",
+			sqldb.Int(101), sqldb.Int(2), sqldb.Int(60), sqldb.Int(103), sqldb.Int(4), sqldb.Int(70),
+			sqldb.Int(105), sqldb.Int(3), sqldb.Int(80))
+		if err != nil || res.RowsAffected != 3 || res.LastInsertID != 105 {
+			t.Fatalf("explicit ids: %+v, %v; want 3 rows, LastInsertID 105", res, err)
+		}
+
+		// A UNIQUE violation on shard 1 leaves no row on either shard.
+		before := fmt.Sprint(shardTotals(t, groups))
+		_, err = c.Exec("INSERT INTO orders (id, customer_id, total) VALUES (201, 1, 1), (202, 2, 2), (101, 4, 3)")
+		if err == nil {
+			t.Fatal("duplicate primary key accepted")
+		}
+		if got := fmt.Sprint(shardTotals(t, groups)); got != before {
+			t.Fatalf("failed split INSERT left rows behind: %s, was %s", got, before)
+		}
+	})
+
+	t.Run("transaction", func(t *testing.T) {
+		groups := startShards(t, 2, 1)
+		c := newShardClient(t, groups, Config{})
+		err := c.WithTx([]string{"orders"}, func(tx *Session) error {
+			res, err := tx.Exec(spread)
+			if err == nil && res.RowsAffected != 5 {
+				err = fmt.Errorf("RowsAffected %d, want 5", res.RowsAffected)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(shardTotals(t, groups)); got != want {
+			t.Fatalf("per-shard rows %s, want %s", got, want)
+		}
+
+		// A failing part rolls back the whole transaction, statements
+		// before the INSERT included, and fails the session.
+		before := fmt.Sprint(shardTotals(t, groups))
+		var insertErr, nextErr error
+		err = c.WithTx([]string{"orders"}, func(tx *Session) error {
+			if _, err := tx.Exec("UPDATE orders SET total = 0 WHERE customer_id = ?", sqldb.Int(1)); err != nil {
+				return err
+			}
+			// Shard 1 already holds id 2 (customer 2's order).
+			_, insertErr = tx.Exec("INSERT INTO orders (id, customer_id, total) VALUES (301, 3, 1), (2, 4, 2)")
+			_, nextErr = tx.Exec("SELECT total FROM orders WHERE customer_id = ?", sqldb.Int(1))
+			return insertErr
+		})
+		if !errors.Is(insertErr, ErrSplitInsertAborted) || !errors.Is(err, ErrSplitInsertAborted) {
+			t.Fatalf("failed split in a transaction: %v (WithTx %v), want ErrSplitInsertAborted", insertErr, err)
+		}
+		if !errors.Is(nextErr, errSessionFailed) {
+			t.Fatalf("statement after the aborted split: %v, want errSessionFailed", nextErr)
+		}
+		if got := fmt.Sprint(shardTotals(t, groups)); got != before {
+			t.Fatalf("aborted transaction left changes: %s, was %s", got, before)
+		}
+	})
+
+	t.Run("routing", func(t *testing.T) {
+		groups := startShards(t, 2, 1)
+		c := newShardClient(t, groups, Config{})
+		// Keyless rows all go to one shard, as one statement.
+		mustExec(t, c, "INSERT INTO orders (total) VALUES (1), (2), (3)")
+		counts := shardTotals(t, groups)
+		if len(counts[0])+len(counts[1]) != 3 || (len(counts[0]) != 0 && len(counts[1]) != 0) {
+			t.Fatalf("keyless rows spread over shards: %v", counts)
+		}
+		// A key the router cannot resolve is refused, never guessed.
+		for _, q := range []string{
+			"INSERT INTO orders (customer_id, total) VALUES (1, 1), (customer_id + 1, 2)",
+			"INSERT INTO orders (customer_id, total) VALUES (1 + 1, 2)",
+			"INSERT INTO orders (customer_id, total) VALUES (?, 1), (?, 2)",
+		} {
+			if _, err := c.Exec(q, sqldb.Int(1)); !errors.Is(err, errInsertSpansShards) {
+				t.Errorf("%s: %v, want errInsertSpansShards", q, err)
+			}
+		}
+		// A non-constant value outside the key cannot be re-sent as an argument.
+		if _, err := c.Exec("INSERT INTO orders (customer_id, total) VALUES (1, 1), (2, 1 + 1)"); !errors.Is(err, errInsertSpansShards) {
+			t.Errorf("non-constant value in a split: %v, want errInsertSpansShards", err)
+		}
+		// Every part goes out in power-of-two chunks: splits of 2…37 rows
+		// over two shards (parts of at most 19 rows) prepare at most the
+		// chunk sizes 1…16 on each shard, not one text per part size.
+		plans := func(si int) int { return groups[si][0].db.PlanCacheStats().Size }
+		base := []int{plans(0), plans(1)}
+		for n := 2; n <= 37; n++ {
+			var args []sqldb.Value
+			for i := 0; i < n; i++ {
+				args = append(args, sqldb.Int(int64(i+1)), sqldb.Int(int64(1000*n+i)))
+			}
+			q := "INSERT INTO orders (customer_id, total) VALUES (?, ?)" + strings.Repeat(", (?, ?)", n-1)
+			if res, err := c.Exec(q, args...); err != nil || res.RowsAffected != int64(n) {
+				t.Fatalf("%d-row split: %+v, %v", n, res, err)
+			}
+		}
+		for si := range groups {
+			if grew := plans(si) - base[si]; grew > 5 {
+				t.Errorf("shard %d prepared %d new texts for its parts, want at most 5", si, grew)
+			}
+			// The 37-row statement's rows, in statement order.
+			var got, want []int64
+			for _, row := range queryReplica(t, groups[si][0], "SELECT total FROM orders WHERE total >= 37000 ORDER BY id").Rows {
+				got = append(got, row[0].AsInt())
+			}
+			for i := si; i < 37; i += 2 {
+				want = append(want, int64(37000+i))
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("shard %d rows %v, want %v", si, got, want)
+			}
+		}
+	})
 }
 
 // TestShardMid2PCReplicaKillRejoin is the sharded chaos case the PR's

@@ -17,7 +17,9 @@ import (
 // x replicas), each with the query cache off and on, and every statement's
 // outcome and the final row set of every table must be identical across the
 // eight runs. Keys are explicit — generated ids are strided per shard and
-// are the one thing the application is told differs.
+// are the one thing the application is told differs. Multi-row INSERTs
+// whose rows span shards run in auto-commit, in a committed transaction and
+// in a rolled-back one.
 func TestTopologyInvisible(t *testing.T) {
 	var want []string
 	var wantName string
@@ -131,6 +133,23 @@ func topologyScript(c *Client) []string {
 		run(ex, "DELETE FROM bids WHERE amount < ?", i64(100+rng.Intn(6)))
 		run(ex, "UPDATE categories SET name = ? WHERE id = ?", sqldb.String(fmt.Sprintf("cat-v%d", rng.Intn(100))), i64(1+rng.Intn(nCats)))
 	}
+	// Multi-row INSERTs whose rows span shards: split by owner on a
+	// sharded tier, one statement on an unsharded one.
+	bidRows := func(first, n int) (string, []sqldb.Value) {
+		var b strings.Builder
+		var args []sqldb.Value
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			b.WriteString("(?, ?, ?)")
+			args = append(args, i64(first+i), i64(1+rng.Intn(nItems)), i64(500+first+i))
+		}
+		return "INSERT INTO bids (id, item_id, amount) VALUES " + b.String(), args
+	}
+	q, args := bidRows(nBids+1, 7)
+	run(c, q, args...)
+	run(c, "INSERT INTO categories (id, name) VALUES (?, ?), (?, ?)", i64(nCats+1), sqldb.String("cat-x"), i64(nCats+2), sqldb.String("cat-y"))
 	reads(c)
 	reads(c) // again: with the query cache on, these are served from it
 	writes(c)
@@ -141,7 +160,9 @@ func topologyScript(c *Client) []string {
 	note("WithTx commit", c.WithTx([]string{"items", "bids", "categories"}, func(tx *Session) error {
 		run(tx, "UPDATE items SET qty = ? WHERE id = ?", i64(77), i64(3))
 		run(tx, "UPDATE items SET qty = ? WHERE id = ?", i64(78), i64(4))
-		run(tx, "INSERT INTO bids (id, item_id, amount) VALUES (?, ?, ?)", i64(nBids+1), i64(3), i64(900))
+		run(tx, "INSERT INTO bids (id, item_id, amount) VALUES (?, ?, ?)", i64(nBids+8), i64(3), i64(900))
+		q, args := bidRows(nBids+9, 5)
+		run(tx, q, args...)
 		run(tx, "UPDATE categories SET name = ? WHERE id = ?", sqldb.String("cat-txn"), i64(2))
 		writes(tx)
 		reads(tx)
@@ -155,6 +176,14 @@ func topologyScript(c *Client) []string {
 		return errScriptRollback
 	}))
 	run(c, "SELECT qty FROM items WHERE id = ?", i64(5))
+	// A spanning INSERT in a transaction that rolls back leaves nothing.
+	note("WithTx split rollback", c.WithTx([]string{"bids"}, func(tx *Session) error {
+		q, args := bidRows(nBids+20, 6)
+		run(tx, q, args...)
+		run(tx, "SELECT COUNT(*) FROM bids")
+		return errScriptRollback
+	}))
+	run(c, "SELECT COUNT(*), SUM(amount) FROM bids")
 	note("WithReadTx", c.WithReadTx(func(tx *Session) error {
 		reads(tx)
 		run(tx, "UPDATE items SET qty = 0 WHERE id = 1")
