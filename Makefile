@@ -24,13 +24,14 @@ race:
 	$(GO) test -race ./...
 
 # The race detector over the transaction-bearing packages only — the
-# engine (WAL, MVCC, locks, wire) and the cluster client. Seconds, not
+# engine (WAL, MVCC, locks, wire), the cluster client, and internal/lru,
+# where the plan cache's and the query cache's lock lives. Seconds, not
 # minutes: the pre-merge floor beside `make test`. -race also turns on
 # checkptr, which validates every unsafe.String / unsafe.Slice in
 # internal/sqldb/value.go (the one file `make docs-lint` lets import
 # unsafe): this target is what covers the engine's pointer arithmetic.
 race-db:
-	$(GO) test -race ./internal/sqldb/... ./internal/cluster
+	$(GO) test -race ./internal/sqldb/... ./internal/cluster ./internal/lru
 
 vet:
 	$(GO) vet ./...

@@ -123,7 +123,8 @@ var flagTokRe = regexp.MustCompile("`-([a-z][a-z0-9-]*)[^`]*`")
 // single-backend statement path and its per-client topology lock; the wire
 // protocol's private frame reader and cap, and the web server's idle timer;
 // the BENCH_<n>.json recorder, the root think-timer benchmarks and unset
-// core.Config options).
+// core.Config options; the plan cache's whitespace normaliser and the
+// hand-written LRUs internal/lru replaced).
 var removedIdents = []string{
 	"execLock", "HoldsLocks", "bracketAll", "kindLock",
 	"shExec", "shBegin", "shCommit", "cluster.Stmt", "Client.Prepare", "topLevelFrom",
@@ -135,6 +136,7 @@ var removedIdents = []string{
 	"benchjson", "bench-json", "AppPoolSize", "DBSyncTimeout", "DBCheckpointEvery", "IPCPerCharCost",
 	"EJBQueryTraffic", "RealStackFrontEndCost", "RealStackWorkload", "ClusterReplicaSweep",
 	"ShardSweep", "AppReplicaSweep", "CacheSweep", "TxnContentionSweep", "ReadOnlyTxnSweep",
+	"normalizeQuery", "newPlanCache", "newQueryCache",
 }
 
 // checkFlagDocs verifies that every backticked `-flag` token on a

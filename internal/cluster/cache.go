@@ -27,17 +27,16 @@
 //     bypassed entirely (replicaTxn.cacheBypass): read-your-writes stays on
 //     the live path, and uncommitted local writes are never published.
 //
-// Results handed out by the cache are defensive copies in both directions
-// (put copies in, get copies out): callers such as internal/ejb mutate
-// result rows in place, and a shared cached row would corrupt every later
-// reader.
+// The entries live in an lru.Cache; this file owns the key (cacheKey), the
+// freshness test (validLocked) and the copies. Results handed out by the
+// cache are defensive copies in both directions (a fill copies in, a hit
+// copies out): callers such as internal/ejb mutate result rows in place,
+// and a shared cached row would corrupt every later reader.
 package cluster
 
 import (
-	"container/list"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/sqldb"
@@ -85,8 +84,10 @@ func (w *writeLocks) stampFor(readTables []string) []uint64 {
 
 // cacheKey builds the lookup key for (statement, args). The statement text
 // is used verbatim — routes already memoizes per distinct text, and two
-// spellings of the same query simply occupy two entries. Args are appended
-// with a kind tag so Int(1) and String("1") cannot collide.
+// spellings of the same query simply occupy two entries. Each arg follows a
+// NUL byte with a kind tag, so Int(1) and String("1") cannot collide, and a
+// string is length-prefixed, so one holding a NUL cannot run into the next
+// arg. cachedRead caches no text holding a NUL, so the key is injective.
 func cacheKey(query string, args []sqldb.Value) string {
 	if len(args) == 0 {
 		return query
@@ -106,8 +107,11 @@ func cacheKey(query string, args []sqldb.Value) string {
 			b.WriteByte('f')
 			b.WriteString(strconv.FormatFloat(a.AsFloat(), 'g', -1, 64))
 		default:
+			s := a.AsString()
 			b.WriteByte('s')
-			b.WriteString(a.AsString())
+			b.WriteString(strconv.Itoa(len(s)))
+			b.WriteByte(':')
+			b.WriteString(s)
 		}
 	}
 	return b.String()
@@ -140,102 +144,29 @@ func copyResult(r *sqldb.Result) *sqldb.Result {
 	return out
 }
 
+// cacheEntry is one cached result with the stamp it was filled under.
 type cacheEntry struct {
-	key   string
 	res   *sqldb.Result
 	stamp []uint64 // wildcard + per-readTable versions at fill time
 	reads []string // the readTables the stamp covers, in stamp order
 }
 
-// queryCache is a bounded LRU of validated query results. All methods are
-// safe for concurrent use; counters are atomic so Stats never takes the lock.
-type queryCache struct {
-	mu    sync.Mutex
-	max   int
-	ll    *list.List // front = most recently used
-	byKey map[string]*list.Element
-
-	hits          atomic.Int64
-	misses        atomic.Int64
-	invalidations atomic.Int64
-	bypasses      atomic.Int64
-}
-
-func newQueryCache(max int) *queryCache {
-	if max <= 0 {
-		return nil
-	}
-	return &queryCache{max: max, ll: list.New(), byKey: make(map[string]*list.Element)}
-}
-
-// get returns a copy of the entry for key if its stamp still matches the
-// live table versions. A version mismatch deletes the entry (per-entry
-// invalidation, never a wholesale flush) and counts as an invalidation
-// plus the miss the caller is about to take.
-func (q *queryCache) get(key string, locks *writeLocks) (*sqldb.Result, bool) {
-	q.mu.Lock()
-	el, ok := q.byKey[key]
-	if !ok {
-		q.mu.Unlock()
-		q.misses.Add(1)
-		return nil, false
-	}
-	e := el.Value.(*cacheEntry)
-	if !q.validLocked(e, locks) {
-		q.ll.Remove(el)
-		delete(q.byKey, key)
-		q.mu.Unlock()
-		q.invalidations.Add(1)
-		q.misses.Add(1)
-		return nil, false
-	}
-	q.ll.MoveToFront(el)
-	res := copyResult(e.res)
-	q.mu.Unlock()
-	q.hits.Add(1)
-	return res, true
-}
-
-// validLocked re-reads the live versions for the entry's table set and
+// validLocked is the query cache's freshness test, run under the cache's
+// lock: it re-reads the live versions for the entry's table set and
 // compares against the fill-time stamp. Equality — not ordering — is the
 // test: counters only advance, so any difference means a commit landed
-// after the stamp was captured.
-func (q *queryCache) validLocked(e *cacheEntry, locks *writeLocks) bool {
-	if e.stamp[0] != locks.wild.Load() {
+// after the stamp was captured. A stale entry is deleted on lookup
+// (per-entry invalidation, never a wholesale flush).
+func (w *writeLocks) validLocked(e cacheEntry) bool {
+	if e.stamp[0] != w.wild.Load() {
 		return false
 	}
 	for i, t := range e.reads {
-		if e.stamp[i+1] != locks.versionOf(t).Load() {
+		if e.stamp[i+1] != w.versionOf(t).Load() {
 			return false
 		}
 	}
 	return true
-}
-
-// put stores a private copy of res under key with the stamp captured
-// before the filling read was issued, evicting the LRU entry at capacity.
-func (q *queryCache) put(key string, res *sqldb.Result, stamp []uint64, reads []string) {
-	e := &cacheEntry{key: key, res: copyResult(res), stamp: stamp, reads: reads}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if el, ok := q.byKey[key]; ok {
-		el.Value = e
-		q.ll.MoveToFront(el)
-		return
-	}
-	for q.ll.Len() >= q.max {
-		back := q.ll.Back()
-		q.ll.Remove(back)
-		delete(q.byKey, back.Value.(*cacheEntry).key)
-	}
-	q.byKey[key] = q.ll.PushFront(e)
-}
-
-// len reports the current entry count (tests).
-func (q *queryCache) len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.ll.Len()
 }
 
 // notePublish records a transactional write's table set for version
@@ -317,16 +248,18 @@ func (s *replicaTxn) cacheBypass(rt route) bool {
 // ignore the hook — the pre-run capture below still covers them.
 func (rs *replicaSet) cachedRead(rt route, query string, args []sqldb.Value, bypass bool, run func(restamp func(int)) (*sqldb.Result, error)) (*sqldb.Result, error) {
 	q := rs.qcache
-	if q == nil || rt.readTables == nil {
+	// A NUL in the text (legal in a comment or a literal) could run into
+	// cacheKey's argument encoding, so such a text is never cached.
+	if q == nil || rt.readTables == nil || strings.IndexByte(query, 0) >= 0 {
 		return run(nil)
 	}
 	if bypass {
-		q.bypasses.Add(1)
+		rs.cacheBypasses.Add(1)
 		return run(nil)
 	}
 	key := cacheKey(query, args)
-	if res, ok := q.get(key, rs.locks); ok {
-		return res, nil
+	if e, ok := q.Get(key, rs.locks.validLocked); ok {
+		return copyResult(e.res), nil
 	}
 	var stamp []uint64
 	restamp := func(int) { stamp = rs.locks.stampFor(rt.readTables) }
@@ -335,6 +268,6 @@ func (rs *replicaSet) cachedRead(rt route, query string, args []sqldb.Value, byp
 	if err != nil {
 		return nil, err
 	}
-	q.put(key, res, stamp, rt.readTables)
+	q.Put(key, cacheEntry{res: copyResult(res), stamp: stamp, reads: rt.readTables})
 	return res, nil
 }

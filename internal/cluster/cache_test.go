@@ -410,3 +410,74 @@ func TestQueryCacheRestampOnRetry(t *testing.T) {
 		t.Fatalf("hits=%d invalidations=%d, want 1/0 (entry born stale: stamp not re-captured on retry)", hits, invals)
 	}
 }
+
+// TestCacheKeyInjective: distinct argument lists for one statement give
+// distinct keys — in particular string arguments holding the separator
+// byte, which once let ("a\x00sb", "c") and ("a", "b\x00sc") share a key.
+func TestCacheKeyInjective(t *testing.T) {
+	const q = "SELECT id FROM items WHERE name = ? OR name = ?"
+	s, i := sqldb.String, sqldb.Int
+	lists := [][]sqldb.Value{
+		nil,
+		{s("a\x00sb"), s("c")},
+		{s("a"), s("b\x00sc")},
+		{s("a\x00"), s("")},
+		{s("a"), s("\x00")},
+		{s("1"), i(1)},
+		{i(1), s("1")},
+		{i(12), s("")},
+		{s("2:ab"), s("")},
+		{s("2"), s("ab")},
+		{sqldb.Null(), s("")},
+		{s("n"), s("")},
+		{sqldb.Float(1), i(1)},
+	}
+	seen := map[string]int{}
+	for n, args := range lists {
+		k := cacheKey(q, args)
+		if m, dup := seen[k]; dup {
+			t.Fatalf("args %d and %d share the key %q", m, n, k)
+		}
+		seen[k] = n
+	}
+}
+
+// TestQueryCacheDistinctStringArgs: two calls whose string arguments once
+// collided on one cache key each run live and get their own rows; so does
+// a text holding a NUL inside a comment whose bytes spell another call's
+// key.
+func TestQueryCacheDistinctStringArgs(t *testing.T) {
+	reps := startReplicas(t, 1)
+	c := newTestClient(t, reps, Config{QueryCache: 32})
+	const q = "SELECT id FROM items WHERE name = ? OR name = ? -- "
+	ids := func(q string, args ...sqldb.Value) []int64 {
+		t.Helper()
+		res, err := c.Exec(q, args...)
+		if err != nil {
+			t.Fatalf("%q %v: %v", q, args, err)
+		}
+		var out []int64
+		for _, r := range res.Rows {
+			out = append(out, r[0].AsInt())
+		}
+		return out
+	}
+	if got := ids(q, sqldb.String("item-1\x00sb"), sqldb.String("item-2")); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("first call: ids %v, want [2]", got)
+	}
+	if got := ids(q, sqldb.String("item-1"), sqldb.String("b\x00sitem-2")); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("second call: ids %v, want [1] (served the first call's rows?)", got)
+	}
+	// The text below is byte for byte the key of the fill before it; with
+	// no arguments for its placeholders it must fail live, not hit.
+	if got := ids(q, sqldb.String("item-3"), sqldb.String("item-4")); len(got) != 2 {
+		t.Fatalf("third call: ids %v, want items 3 and 4", got)
+	}
+	nul := cacheKey(q, []sqldb.Value{sqldb.String("item-3"), sqldb.String("item-4")})
+	if res, err := c.Exec(nul); err == nil {
+		t.Fatalf("NUL text without arguments: %v rows, want an error", len(res.Rows))
+	}
+	if hits, misses, _, _ := cacheStats(c); hits != 0 || misses != 3 {
+		t.Fatalf("hits=%d misses=%d, want 0/3", hits, misses)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/lru"
 	"repro/internal/pool"
 	"repro/internal/sqldb"
 	"repro/internal/sqldb/wire"
@@ -37,7 +38,7 @@ type replicaSet struct {
 	rr       atomic.Uint64
 	locks    *writeLocks
 	routes   routes
-	qcache   *queryCache // nil when Config.QueryCache == 0
+	qcache   *lru.Cache[cacheEntry] // nil when Config.QueryCache == 0
 	strict   bool
 	slow     time.Duration // SlowThreshold; 0 = disabled
 	syncTO   time.Duration // resolved SyncTimeout; 0 = unbounded
@@ -50,6 +51,10 @@ type replicaSet struct {
 	degradedExits   atomic.Int64
 	degradedRejects atomic.Int64
 	slowEjections   atomic.Int64
+
+	// cacheBypasses counts the reads a transaction kept off the query cache
+	// (replicaTxn.cacheBypass).
+	cacheBypasses atomic.Int64
 
 	// Broadcast batching and read-only transaction counters (telemetry).
 	broadcasts    atomic.Int64
@@ -83,10 +88,12 @@ func newReplicaSet(cfg Config, addrs []string) *replicaSet {
 	// in one process-wide global order — see lockRegistry.
 	rs := &replicaSet{
 		locks:  acquireWriteLocks(addrs),
-		qcache: newQueryCache(cfg.QueryCache),
 		strict: cfg.StrictWrites,
 		slow:   cfg.SlowThreshold,
 		syncTO: syncTO,
+	}
+	if cfg.QueryCache > 0 {
+		rs.qcache = lru.New[cacheEntry](cfg.QueryCache)
 	}
 	for i, addr := range addrs {
 		r := &replica{id: i, addr: addr, pool: wire.NewPoolT(addr, size, cfg.Timeouts)}
@@ -111,10 +118,11 @@ func (rs *replicaSet) ClientStats() ClientStats {
 		WALDeltaStmts:   rs.walDeltaStmts.Load(),
 	}
 	if q := rs.qcache; q != nil {
-		s.QueryCacheHits = q.hits.Load()
-		s.QueryCacheMisses = q.misses.Load()
-		s.QueryCacheInvalidations = q.invalidations.Load()
-		s.QueryCacheBypasses = q.bypasses.Load()
+		st := q.Stats()
+		s.QueryCacheHits = st.Hits
+		s.QueryCacheMisses = st.Misses
+		s.QueryCacheInvalidations = st.Invalidations
+		s.QueryCacheBypasses = rs.cacheBypasses.Load()
 	}
 	return s
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/sqldb"
@@ -210,8 +209,6 @@ func syncTable(src, dst sqldb.Execer, table string, deadline time.Time) (int, er
 	if len(data.Rows) == 0 {
 		return 0, nil
 	}
-	cols := strings.Join(data.Columns, ", ")
-	one := "(" + strings.TrimSuffix(strings.Repeat("?, ", len(data.Columns)), ", ") + ")"
 	for off := 0; off < len(data.Rows); off += syncBatch {
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			return 0, ErrSyncTimeout
@@ -221,13 +218,11 @@ func syncTable(src, dst sqldb.Execer, table string, deadline time.Time) (int, er
 			end = len(data.Rows)
 		}
 		batch := data.Rows[off:end]
-		placeholders := strings.TrimSuffix(strings.Repeat(one+", ", len(batch)), ", ")
 		args := make([]sqldb.Value, 0, len(batch)*len(data.Columns))
 		for _, r := range batch {
 			args = append(args, r...)
 		}
-		q := fmt.Sprintf("INSERT INTO %s (%s) VALUES %s", table, cols, placeholders)
-		if _, err := dst.Exec(q, args...); err != nil {
+		if _, err := dst.Exec(sqldb.InsertSQL(table, data.Columns, len(batch)), args...); err != nil {
 			return 0, err
 		}
 	}

@@ -29,13 +29,13 @@
 package lb
 
 import (
-	"container/list"
 	"strconv"
-	"sync"
+	"strings"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/httpd"
+	"repro/internal/lru"
 )
 
 // ContentEpochHeader carries the app tier's pre-render content epoch on
@@ -73,7 +73,6 @@ type PageCacheStats struct {
 }
 
 type pageEntry struct {
-	key     string
 	resp    *httpd.Response
 	epoch   uint64
 	expires time.Time
@@ -83,7 +82,6 @@ type pageEntry struct {
 // handler. Safe for concurrent use.
 type PageCache struct {
 	next   httpd.Handler
-	max    int
 	ttl    time.Duration
 	epoch  func() uint64
 	cookie string
@@ -92,21 +90,13 @@ type PageCache struct {
 	// the cross-process view of the database's committed-write counter.
 	headerEpoch atomic.Uint64
 
-	mu    sync.Mutex
-	ll    *list.List // front = most recently used
-	byKey map[string]*list.Element
-
-	hits          atomic.Int64
-	misses        atomic.Int64
-	invalidations atomic.Int64
-	bypasses      atomic.Int64
+	pages    *lru.Cache[pageEntry]
+	bypasses atomic.Int64
 }
 
-// NewPageCache wraps next with a page cache.
+// NewPageCache wraps next with a page cache; it panics unless
+// cfg.MaxEntries is positive.
 func NewPageCache(next httpd.Handler, cfg PageCacheConfig) *PageCache {
-	if cfg.MaxEntries <= 0 {
-		panic("lb: PageCacheConfig.MaxEntries must be positive")
-	}
 	ttl := cfg.TTL
 	if ttl <= 0 {
 		ttl = DefaultPageTTL
@@ -117,42 +107,45 @@ func NewPageCache(next httpd.Handler, cfg PageCacheConfig) *PageCache {
 	}
 	return &PageCache{
 		next:   next,
-		max:    cfg.MaxEntries,
 		ttl:    ttl,
 		epoch:  cfg.Epoch,
 		cookie: cookie,
-		ll:     list.New(),
-		byKey:  make(map[string]*list.Element),
+		pages:  lru.New[pageEntry](cfg.MaxEntries),
 	}
 }
 
 // Stats snapshots the counters.
 func (p *PageCache) Stats() PageCacheStats {
-	p.mu.Lock()
-	n := p.ll.Len()
-	p.mu.Unlock()
+	st := p.pages.Stats()
 	return PageCacheStats{
-		Hits:          p.hits.Load(),
-		Misses:        p.misses.Load(),
-		Invalidations: p.invalidations.Load(),
+		Hits:          st.Hits,
+		Misses:        st.Misses,
+		Invalidations: st.Invalidations,
 		Bypasses:      p.bypasses.Load(),
-		Entries:       n,
+		Entries:       st.Len,
 	}
 }
 
-// pageKey identifies a cacheable page: method plus the parsed path and the
-// query re-encoded in sorted-key order. The request line's raw target is
-// deliberately NOT used — "/s?a=1&b=2" and "/s?b=2&a=1" (and two
-// percent-encodings of the same value) are the same page, and keying on the
-// raw bytes would both fragment the cache and let an attacker mint
-// unbounded distinct keys for one page by shuffling parameters.
+// pageKey identifies a cacheable page: method plus the parsed path,
+// re-escaped, and the query re-encoded in sorted-key order. The request
+// line's raw target is deliberately NOT used — "/s?a=1&b=2" and
+// "/s?b=2&a=1" (and two percent-encodings of the same value) are the same
+// page, and keying on the raw bytes would both fragment the cache and let an
+// attacker mint unbounded distinct keys for one page by shuffling
+// parameters. The path is re-escaped because it is decoded: a '?' decoded
+// out of "/x%3Fb=1" must not read as the query separator of "/x?b=1".
 func pageKey(req *httpd.Request) string {
-	target := req.Path
+	target := pathEscaper.Replace(req.Path)
 	if len(req.Query) > 0 {
 		target += "?" + req.Query.Encode()
 	}
 	return req.Method + " " + target
 }
+
+// pathEscaper escapes the two bytes that would make a decoded path
+// ambiguous in a page key: '?' (the query separator) and '%' (so an escaped
+// '?' cannot be mistaken for a decoded one).
+var pathEscaper = strings.NewReplacer("%", "%25", "?", "%3F")
 
 // currentEpoch is the freshest content-epoch view available: the direct
 // in-process reading when configured, never behind the maximum seen on
@@ -195,7 +188,12 @@ func (p *PageCache) ServeHTTP(req *httpd.Request) (*httpd.Response, error) {
 		return p.forward(req)
 	}
 	key := pageKey(req)
-	if resp, ok := p.get(key, time.Now()); ok {
+	// Fresh by both signals, or the entry is removed (per-entry invalidation).
+	now, cur := time.Now(), p.currentEpoch()
+	fresh := func(e pageEntry) bool { return e.epoch == cur && !now.After(e.expires) }
+	if e, ok := p.pages.Get(key, fresh); ok {
+		resp := copyResponse(e.resp) // the stored entry stays pristine
+		resp.Header.Set("X-Cache", "HIT")
 		return resp, nil
 	}
 	// The epoch is captured before the forward: a commit racing the render
@@ -215,7 +213,9 @@ func (p *PageCache) ServeHTTP(req *httpd.Request) (*httpd.Response, error) {
 		e0 = ep
 	}
 	if resp.Status == 200 && resp.Header.Get("Set-Cookie") == "" {
-		p.put(key, resp, e0, time.Now().Add(p.ttl))
+		// A private copy: the server layer may still decorate the
+		// original's headers while writing it out.
+		p.pages.Put(key, pageEntry{resp: copyResponse(resp), epoch: e0, expires: time.Now().Add(p.ttl)})
 	}
 	return resp, err
 }
@@ -228,54 +228,6 @@ func (p *PageCache) forward(req *httpd.Request) (*httpd.Response, error) {
 		p.observe(resp)
 	}
 	return resp, err
-}
-
-// get returns a copy of the cached page when it is still fresh by both
-// signals; a stale entry is removed (per-entry invalidation).
-func (p *PageCache) get(key string, now time.Time) (*httpd.Response, bool) {
-	cur := p.currentEpoch()
-	p.mu.Lock()
-	el, ok := p.byKey[key]
-	if !ok {
-		p.mu.Unlock()
-		p.misses.Add(1)
-		return nil, false
-	}
-	e := el.Value.(*pageEntry)
-	if now.After(e.expires) || e.epoch != cur {
-		p.ll.Remove(el)
-		delete(p.byKey, key)
-		p.mu.Unlock()
-		p.invalidations.Add(1)
-		p.misses.Add(1)
-		return nil, false
-	}
-	p.ll.MoveToFront(el)
-	resp := copyResponse(e.resp)
-	p.mu.Unlock()
-	p.hits.Add(1)
-	resp.Header.Set("X-Cache", "HIT")
-	return resp, true
-}
-
-// put stores a private copy of the response (the server layer may still
-// decorate the original's headers while writing it out), evicting the LRU
-// entry at capacity. Serving copies again, so the entry stays pristine.
-func (p *PageCache) put(key string, resp *httpd.Response, epoch uint64, expires time.Time) {
-	e := &pageEntry{key: key, resp: copyResponse(resp), epoch: epoch, expires: expires}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if el, ok := p.byKey[key]; ok {
-		el.Value = e
-		p.ll.MoveToFront(el)
-		return
-	}
-	for p.ll.Len() >= p.max {
-		back := p.ll.Back()
-		p.ll.Remove(back)
-		delete(p.byKey, back.Value.(*pageEntry).key)
-	}
-	p.byKey[key] = p.ll.PushFront(e)
 }
 
 // copyResponse clones status and headers; the body bytes are shared — a

