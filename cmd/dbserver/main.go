@@ -125,7 +125,7 @@ func main() {
 		// only the missed WAL suffix when the histories still line up.
 		if len(peerList) > 0 {
 			sess := db.NewSession()
-			ok := syncFromPeers(logger, sqldb.SessionExecer{S: sess}, peerList, *peerOp, *syncTO)
+			ok := syncFromPeers(logger, sess, peerList, *peerOp, *syncTO)
 			sess.Close()
 			if !ok {
 				logger.Fatalf("no peer in %q reachable; refusing to serve a stale recovered data set", *peers)

@@ -18,6 +18,10 @@
 //     and internal/chaos/chaos.go calls net.Listen or an Accept() method:
 //     every server accepts, tracks, drains and closes connections through
 //     frame.Listener, and the fault proxy is the one relay.
+//  6. No non-test Go file under internal/ or cmd/ calls (or takes the
+//     method value of) a method named ExecCached, or names SessionExecer but
+//     internal/sqldb/db.go, which declares it: a statement has one call,
+//     Exec, and the deprecated spellings kept for bench/ gain no callers.
 //
 // Usage:
 //
@@ -124,7 +128,8 @@ var flagTokRe = regexp.MustCompile("`-([a-z][a-z0-9-]*)[^`]*`")
 // protocol's private frame reader and cap, and the web server's idle timer;
 // the BENCH_<n>.json recorder, the root think-timer benchmarks and unset
 // core.Config options; the plan cache's whitespace normaliser and the
-// hand-written LRUs internal/lru replaced).
+// hand-written LRUs internal/lru replaced; the wire client's handle API and
+// the pool's notify variant of the second statement call).
 var removedIdents = []string{
 	"execLock", "HoldsLocks", "bracketAll", "kindLock",
 	"shExec", "shBegin", "shCommit", "cluster.Stmt", "Client.Prepare", "topLevelFrom",
@@ -137,6 +142,7 @@ var removedIdents = []string{
 	"EJBQueryTraffic", "RealStackFrontEndCost", "RealStackWorkload", "ClusterReplicaSweep",
 	"ShardSweep", "AppReplicaSweep", "CacheSweep", "TxnContentionSweep", "ReadOnlyTxnSweep",
 	"normalizeQuery", "newPlanCache", "newQueryCache",
+	"ExecPrepared", "ExecCachedNotify", "Pool.Prepare",
 }
 
 // checkFlagDocs verifies that every backticked `-flag` token on a
@@ -293,6 +299,9 @@ func checkPackageComments(root string) int {
 // unsafeHome is the one non-test file allowed to import package unsafe.
 const unsafeHome = "internal/sqldb/value.go"
 
+// sessionExecerHome is the one non-test file allowed to name SessionExecer.
+const sessionExecerHome = "internal/sqldb/db.go"
+
 // acceptHomes are the non-test files allowed to bind and accept: the server
 // skeleton all four servers run on, and the fault proxy — a relay, not a
 // request/response server, and the one documented exception.
@@ -303,8 +312,10 @@ var acceptHomes = map[string]bool{
 
 // checkConfinedCode walks root and reports every non-test Go file that
 // imports package unsafe (other than unsafeHome) or, under internal/ or
-// cmd/, calls net.Listen or an Accept() method (other than acceptHomes): a
-// fifth accept loop is a second copy of frame.Listener.
+// cmd/, calls net.Listen or an Accept() method (other than acceptHomes) — a
+// fifth accept loop is a second copy of frame.Listener — or uses ExecCached
+// or names SessionExecer (other than sessionExecerHome), the deprecated
+// second statement call.
 func checkConfinedCode(root string) int {
 	bad := 0
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -334,23 +345,33 @@ func checkConfinedCode(root string) int {
 				bad++
 			}
 		}
-		if acceptHomes[rel] || !(strings.HasPrefix(rel, "internal/") || strings.HasPrefix(rel, "cmd/")) {
+		if !(strings.HasPrefix(rel, "internal/") || strings.HasPrefix(rel, "cmd/")) {
 			return nil
 		}
 		ast.Inspect(af, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			pkg, _ := sel.X.(*ast.Ident)
-			if (pkg != nil && pkg.Name == "net" && sel.Sel.Name == "Listen") || (sel.Sel.Name == "Accept" && len(call.Args) == 0) {
-				fmt.Fprintf(os.Stderr, "doclint: %s: calls %s; servers accept through frame.Listener (internal/frame/frame.go)\n",
-					fset.Position(call.Pos()), sel.Sel.Name)
-				bad++
+			switch n := n.(type) {
+			case *ast.Ident:
+				if n.Name == "SessionExecer" && rel != sessionExecerHome {
+					fmt.Fprintf(os.Stderr, "doclint: %s: names the deprecated SessionExecer; a *sqldb.Session is an Execer\n",
+						fset.Position(n.Pos()))
+					bad++
+				}
+			case *ast.SelectorExpr:
+				if n.Sel.Name == "ExecCached" {
+					fmt.Fprintf(os.Stderr, "doclint: %s: uses the deprecated ExecCached; call Exec\n", fset.Position(n.Sel.Pos()))
+					bad++
+				}
+			case *ast.CallExpr:
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if !ok || acceptHomes[rel] {
+					return true
+				}
+				pkg, _ := sel.X.(*ast.Ident)
+				if (pkg != nil && pkg.Name == "net" && sel.Sel.Name == "Listen") || (sel.Sel.Name == "Accept" && len(n.Args) == 0) {
+					fmt.Fprintf(os.Stderr, "doclint: %s: calls %s; servers accept through frame.Listener (internal/frame/frame.go)\n",
+						fset.Position(n.Pos()), sel.Sel.Name)
+					bad++
+				}
 			}
 			return true
 		})

@@ -141,7 +141,7 @@ func (a *App) home(ctx *servlet.Context, req *httpd.Request) (*httpd.Response, e
 	if ctx.DB == nil {
 		return nil, servlet.ErrNoDatabase
 	}
-	res, err := ctx.DB.ExecCached("SELECT COUNT(*) FROM items")
+	res, err := ctx.DB.Exec("SELECT COUNT(*) FROM items")
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +156,7 @@ func (a *App) browseCategories(ctx *servlet.Context, req *httpd.Request) (*httpd
 	if ctx.DB == nil {
 		return nil, servlet.ErrNoDatabase
 	}
-	res, err := ctx.DB.ExecCached("SELECT id, name FROM categories ORDER BY id")
+	res, err := ctx.DB.Exec("SELECT id, name FROM categories ORDER BY id")
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +172,7 @@ func (a *App) browseRegions(ctx *servlet.Context, req *httpd.Request) (*httpd.Re
 	if ctx.DB == nil {
 		return nil, servlet.ErrNoDatabase
 	}
-	res, err := ctx.DB.ExecCached("SELECT id, name FROM regions ORDER BY id")
+	res, err := ctx.DB.Exec("SELECT id, name FROM regions ORDER BY id")
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +189,7 @@ func (a *App) browseCategoriesInRegion(ctx *servlet.Context, req *httpd.Request)
 		return nil, servlet.ErrNoDatabase
 	}
 	region := intParam(req, "region", 1)
-	res, err := ctx.DB.ExecCached("SELECT id, name FROM categories ORDER BY id")
+	res, err := ctx.DB.Exec("SELECT id, name FROM categories ORDER BY id")
 	if err != nil {
 		return nil, err
 	}
@@ -206,7 +206,7 @@ func (a *App) searchInCategory(ctx *servlet.Context, req *httpd.Request) (*httpd
 		return nil, servlet.ErrNoDatabase
 	}
 	cat := intParam(req, "category", 1)
-	res, err := ctx.DB.ExecCached(fmt.Sprintf(listSQL, "category_id"), sqldb.Int(cat))
+	res, err := ctx.DB.Exec(fmt.Sprintf(listSQL, "category_id"), sqldb.Int(cat))
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +220,7 @@ func (a *App) searchInRegion(ctx *servlet.Context, req *httpd.Request) (*httpd.R
 	}
 	region := intParam(req, "region", 1)
 	cat := intParam(req, "category", 1)
-	res, err := ctx.DB.ExecCached(
+	res, err := ctx.DB.Exec(
 		`SELECT id, name, max_bid, nb_bids, end_date FROM items
 		 WHERE region_id = ? AND category_id = ? ORDER BY end_date LIMIT 20`,
 		sqldb.Int(region), sqldb.Int(cat))
@@ -236,7 +236,7 @@ func (a *App) viewItem(ctx *servlet.Context, req *httpd.Request) (*httpd.Respons
 		return nil, servlet.ErrNoDatabase
 	}
 	id := intParam(req, "item", 1)
-	res, err := ctx.DB.ExecCached(
+	res, err := ctx.DB.Exec(
 		`SELECT i.name, i.description, i.max_bid, i.nb_bids, i.buy_now, u.nickname
 		 FROM items i JOIN users u ON u.id = i.seller_id WHERE i.id = ?`, sqldb.Int(id))
 	if err != nil {
@@ -259,7 +259,7 @@ func (a *App) viewBidHistory(ctx *servlet.Context, req *httpd.Request) (*httpd.R
 		return nil, servlet.ErrNoDatabase
 	}
 	id := intParam(req, "item", 1)
-	res, err := ctx.DB.ExecCached(
+	res, err := ctx.DB.Exec(
 		`SELECT b.bid, b.bid_date, u.nickname FROM bids b
 		 JOIN users u ON u.id = b.user_id
 		 WHERE b.item_id = ? ORDER BY b.bid DESC LIMIT 20`, sqldb.Int(id))
@@ -278,14 +278,14 @@ func (a *App) viewUserInfo(ctx *servlet.Context, req *httpd.Request) (*httpd.Res
 		return nil, servlet.ErrNoDatabase
 	}
 	id := intParam(req, "user", 1)
-	ures, err := ctx.DB.ExecCached("SELECT nickname, rating, creation FROM users WHERE id = ?", sqldb.Int(id))
+	ures, err := ctx.DB.Exec("SELECT nickname, rating, creation FROM users WHERE id = ?", sqldb.Int(id))
 	if err != nil {
 		return nil, err
 	}
 	if len(ures.Rows) == 0 {
 		return httpd.Error(404, "no such user"), nil
 	}
-	cres, err := ctx.DB.ExecCached(
+	cres, err := ctx.DB.Exec(
 		`SELECT c.rating, c.comment, u.nickname FROM comments c
 		 JOIN users u ON u.id = c.from_user
 		 WHERE c.to_user = ? ORDER BY c.id DESC LIMIT 10`, sqldb.Int(id))
@@ -334,10 +334,10 @@ func (a *App) registerItem(ctx *servlet.Context, req *httpd.Request) (*httpd.Res
 		[]servlet.TableLock{{Table: "items", Write: true}, {Table: "users"}},
 		func(ex sqldb.Execer) error {
 			// Sellers pay a listing fee (§3.2): verify the account exists.
-			if _, err := ex.ExecCached("SELECT balance FROM users WHERE id = ?", sqldb.Int(seller)); err != nil {
+			if _, err := ex.Exec("SELECT balance FROM users WHERE id = ?", sqldb.Int(seller)); err != nil {
 				return err
 			}
-			res, err := ex.ExecCached(
+			res, err := ex.Exec(
 				`INSERT INTO items (name, description, seller_id, category_id, region_id,
 					init_price, reserve, buy_now, nb_bids, max_bid, start_date, end_date)
 				 VALUES (?, ?, ?, ?, ?, ?, ?, ?, 0, ?, 12000, 12007)`,
@@ -368,7 +368,7 @@ func (a *App) registerUser(ctx *servlet.Context, req *httpd.Request) (*httpd.Res
 	var uid int64
 	err := ctx.WithLocks(a.cfg.Sync, []servlet.TableLock{{Table: "users", Write: true}},
 		func(ex sqldb.Execer) error {
-			res, err := ex.ExecCached(
+			res, err := ex.Exec(
 				`INSERT INTO users (fname, lname, nickname, password, region_id, rating, balance, creation)
 				 VALUES (?, ?, ?, ?, ?, 0, 0, 12000)`,
 				sqldb.String(f.Get("fname")), sqldb.String(f.Get("lname")),
@@ -401,15 +401,15 @@ func (a *App) storeBuyNow(ctx *servlet.Context, req *httpd.Request) (*httpd.Resp
 	err := ctx.WithLocks(a.cfg.Sync,
 		[]servlet.TableLock{{Table: "buy_now", Write: true}, {Table: "items", Write: true}},
 		func(ex sqldb.Execer) error {
-			if _, err := ex.ExecCached("SELECT buy_now FROM items WHERE id = ?", sqldb.Int(item)); err != nil {
+			if _, err := ex.Exec("SELECT buy_now FROM items WHERE id = ?", sqldb.Int(item)); err != nil {
 				return err
 			}
-			if _, err := ex.ExecCached(
+			if _, err := ex.Exec(
 				"INSERT INTO buy_now (item_id, buyer_id, qty, bn_date) VALUES (?, ?, ?, 12005)",
 				sqldb.Int(item), sqldb.Int(buyer), sqldb.Int(qty)); err != nil {
 				return err
 			}
-			_, err := ex.ExecCached("UPDATE items SET end_date = 12005 WHERE id = ?", sqldb.Int(item))
+			_, err := ex.Exec("UPDATE items SET end_date = 12005 WHERE id = ?", sqldb.Int(item))
 			return err
 		})
 	if err != nil {
@@ -434,7 +434,7 @@ func (a *App) storeBid(ctx *servlet.Context, req *httpd.Request) (*httpd.Respons
 	err := ctx.WithLocks(a.cfg.Sync,
 		[]servlet.TableLock{{Table: "bids", Write: true}, {Table: "items", Write: true}},
 		func(ex sqldb.Execer) error {
-			res, err := ex.ExecCached("SELECT max_bid FROM items WHERE id = ?", sqldb.Int(item))
+			res, err := ex.Exec("SELECT max_bid FROM items WHERE id = ?", sqldb.Int(item))
 			if err != nil {
 				return err
 			}
@@ -445,13 +445,13 @@ func (a *App) storeBid(ctx *servlet.Context, req *httpd.Request) (*httpd.Respons
 			if bid <= cur {
 				bid = cur + 1
 			}
-			if _, err := ex.ExecCached(
+			if _, err := ex.Exec(
 				`INSERT INTO bids (item_id, user_id, bid, max_bid, qty, bid_date)
 				 VALUES (?, ?, ?, ?, 1, 12006)`,
 				sqldb.Int(item), sqldb.Int(user), sqldb.Float(bid), sqldb.Float(bid*1.1)); err != nil {
 				return err
 			}
-			_, err = ex.ExecCached(
+			_, err = ex.Exec(
 				"UPDATE items SET nb_bids = nb_bids + 1, max_bid = ? WHERE id = ?",
 				sqldb.Float(bid), sqldb.Int(item))
 			return err
@@ -477,14 +477,14 @@ func (a *App) storeComment(ctx *servlet.Context, req *httpd.Request) (*httpd.Res
 	err := ctx.WithLocks(a.cfg.Sync,
 		[]servlet.TableLock{{Table: "comments", Write: true}, {Table: "users", Write: true}},
 		func(ex sqldb.Execer) error {
-			if _, err := ex.ExecCached(
+			if _, err := ex.Exec(
 				`INSERT INTO comments (from_user, to_user, item_id, rating, comment)
 				 VALUES (?, ?, ?, ?, ?)`,
 				sqldb.Int(from), sqldb.Int(to), sqldb.Int(intParam(req, "item", 1)),
 				sqldb.Int(rating), sqldb.String(req.Form().Get("comment"))); err != nil {
 				return err
 			}
-			_, err := ex.ExecCached("UPDATE users SET rating = rating + ? WHERE id = ?",
+			_, err := ex.Exec("UPDATE users SET rating = rating + ? WHERE id = ?",
 				sqldb.Int(rating-2), sqldb.Int(to))
 			return err
 		})
@@ -502,26 +502,26 @@ func (a *App) aboutMe(ctx *servlet.Context, req *httpd.Request) (*httpd.Response
 		return nil, servlet.ErrNoDatabase
 	}
 	uid := intParam(req, "user", 1)
-	ures, err := ctx.DB.ExecCached("SELECT nickname, rating FROM users WHERE id = ?", sqldb.Int(uid))
+	ures, err := ctx.DB.Exec("SELECT nickname, rating FROM users WHERE id = ?", sqldb.Int(uid))
 	if err != nil {
 		return nil, err
 	}
 	if len(ures.Rows) == 0 {
 		return httpd.Error(404, "no such user"), nil
 	}
-	bres, err := ctx.DB.ExecCached(
+	bres, err := ctx.DB.Exec(
 		`SELECT b.bid, i.name FROM bids b JOIN items i ON i.id = b.item_id
 		 WHERE b.user_id = ? ORDER BY b.id DESC LIMIT 10`, sqldb.Int(uid))
 	if err != nil {
 		return nil, err
 	}
-	sres, err := ctx.DB.ExecCached(
+	sres, err := ctx.DB.Exec(
 		"SELECT id, name, max_bid, nb_bids, end_date FROM items WHERE seller_id = ? LIMIT 10",
 		sqldb.Int(uid))
 	if err != nil {
 		return nil, err
 	}
-	bnres, err := ctx.DB.ExecCached(
+	bnres, err := ctx.DB.Exec(
 		"SELECT item_id, qty FROM buy_now WHERE buyer_id = ? LIMIT 10", sqldb.Int(uid))
 	if err != nil {
 		return nil, err
@@ -545,7 +545,7 @@ func (a *App) login(ctx *servlet.Context, req *httpd.Request) (*httpd.Response, 
 		return nil, servlet.ErrNoDatabase
 	}
 	nick := req.Form().Get("nickname")
-	res, err := ctx.DB.ExecCached("SELECT id, password FROM users WHERE nickname = ?", sqldb.String(nick))
+	res, err := ctx.DB.Exec("SELECT id, password FROM users WHERE nickname = ?", sqldb.String(nick))
 	if err != nil {
 		return nil, err
 	}

@@ -17,10 +17,10 @@ func startDB(t testing.TB) string {
 	t.Helper()
 	db := sqldb.New()
 	sess := db.NewSession()
-	if err := CreateSchema(sqldb.SessionExecer{S: sess}); err != nil {
+	if err := CreateSchema(sess); err != nil {
 		t.Fatal(err)
 	}
-	if err := Populate(sqldb.SessionExecer{S: sess}, TinyScale(), 42); err != nil {
+	if err := Populate(sess, TinyScale(), 42); err != nil {
 		t.Fatal(err)
 	}
 	sess.Close()
@@ -244,10 +244,10 @@ func TestPopulateDeterministic(t *testing.T) {
 		db := sqldb.New()
 		s := db.NewSession()
 		defer s.Close()
-		if err := CreateSchema(sqldb.SessionExecer{S: s}); err != nil {
+		if err := CreateSchema(s); err != nil {
 			t.Fatal(err)
 		}
-		if err := Populate(sqldb.SessionExecer{S: s}, TinyScale(), 9); err != nil {
+		if err := Populate(s, TinyScale(), 9); err != nil {
 			t.Fatal(err)
 		}
 		tb, _ := db.Table("bids")
@@ -264,10 +264,10 @@ func TestDenormalizedCountersConsistent(t *testing.T) {
 	db := sqldb.New()
 	s := db.NewSession()
 	defer s.Close()
-	if err := CreateSchema(sqldb.SessionExecer{S: s}); err != nil {
+	if err := CreateSchema(s); err != nil {
 		t.Fatal(err)
 	}
-	if err := Populate(sqldb.SessionExecer{S: s}, TinyScale(), 11); err != nil {
+	if err := Populate(s, TinyScale(), 11); err != nil {
 		t.Fatal(err)
 	}
 	res, err := s.Exec("SELECT id, nb_bids FROM items")

@@ -172,7 +172,7 @@ func (a *App) home(ctx *servlet.Context, req *httpd.Request) (*httpd.Response, e
 	cid := intParam(req, "c_id", 0)
 	var greeting string
 	if cid > 0 {
-		res, err := ctx.DB.ExecCached("SELECT fname, lname FROM customers WHERE id = ?", sqldb.Int(cid))
+		res, err := ctx.DB.Exec("SELECT fname, lname FROM customers WHERE id = ?", sqldb.Int(cid))
 		if err != nil {
 			return nil, err
 		}
@@ -181,7 +181,7 @@ func (a *App) home(ctx *servlet.Context, req *httpd.Request) (*httpd.Response, e
 		}
 	}
 	subject := Subjects[int(cid)%len(Subjects)]
-	res, err := ctx.DB.ExecCached(
+	res, err := ctx.DB.Exec(
 		`SELECT i.id, i.title, a.lname, i.cost FROM items i
 		 JOIN authors a ON a.id = i.author_id
 		 WHERE i.subject = ? ORDER BY i.total_sold DESC LIMIT 5`,
@@ -207,7 +207,7 @@ func (a *App) newProducts(ctx *servlet.Context, req *httpd.Request) (*httpd.Resp
 	if subject == "" {
 		subject = Subjects[0]
 	}
-	res, err := ctx.DB.ExecCached(
+	res, err := ctx.DB.Exec(
 		`SELECT i.id, i.title, a.lname, i.cost FROM items i
 		 JOIN authors a ON a.id = i.author_id
 		 WHERE i.subject = ? ORDER BY i.pub_date DESC LIMIT 50`,
@@ -230,7 +230,7 @@ func (a *App) bestSellers(ctx *servlet.Context, req *httpd.Request) (*httpd.Resp
 	if subject == "" {
 		subject = Subjects[0]
 	}
-	res, err := ctx.DB.ExecCached(
+	res, err := ctx.DB.Exec(
 		`SELECT i.id, i.title, a.lname, i.cost FROM items i
 		 JOIN authors a ON a.id = i.author_id
 		 WHERE i.subject = ? ORDER BY i.total_sold DESC LIMIT 50`,
@@ -250,7 +250,7 @@ func (a *App) productDetail(ctx *servlet.Context, req *httpd.Request) (*httpd.Re
 		return nil, servlet.ErrNoDatabase
 	}
 	id := intParam(req, "i_id", 1)
-	res, err := ctx.DB.ExecCached(
+	res, err := ctx.DB.Exec(
 		`SELECT i.id, i.title, a.lname, i.cost, i.subject, i.descr, i.pub_date, i.stock
 		 FROM items i JOIN authors a ON a.id = i.author_id WHERE i.id = ?`,
 		sqldb.Int(id))
@@ -293,19 +293,19 @@ func (a *App) searchResults(ctx *servlet.Context, req *httpd.Request) (*httpd.Re
 	var err error
 	switch typ {
 	case "title":
-		res, err = ctx.DB.ExecCached(
+		res, err = ctx.DB.Exec(
 			`SELECT i.id, i.title, a.lname, i.cost FROM items i
 			 JOIN authors a ON a.id = i.author_id
 			 WHERE i.title LIKE ? ORDER BY i.title LIMIT 50`,
 			sqldb.String("%"+term+"%"))
 	case "subject":
-		res, err = ctx.DB.ExecCached(
+		res, err = ctx.DB.Exec(
 			`SELECT i.id, i.title, a.lname, i.cost FROM items i
 			 JOIN authors a ON a.id = i.author_id
 			 WHERE i.subject = ? ORDER BY i.title LIMIT 50`,
 			sqldb.String(strings.ToUpper(term)))
 	default: // author
-		res, err = ctx.DB.ExecCached(
+		res, err = ctx.DB.Exec(
 			`SELECT i.id, i.title, a.lname, i.cost FROM items i
 			 JOIN authors a ON a.id = i.author_id
 			 WHERE a.lname LIKE ? ORDER BY i.title LIMIT 50`,
@@ -372,7 +372,7 @@ func (a *App) shoppingCart(ctx *servlet.Context, req *httpd.Request) (*httpd.Res
 			}
 			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 			for _, id := range ids {
-				res, err := ex.ExecCached(
+				res, err := ex.Exec(
 					`SELECT i.id, i.title, a.lname, i.cost FROM items i
 					 JOIN authors a ON a.id = i.author_id WHERE i.id = ?`,
 					sqldb.Int(id))
@@ -415,13 +415,13 @@ func (a *App) register(ctx *servlet.Context, req *httpd.Request) (*httpd.Respons
 	err := ctx.WithLocks(a.cfg.Sync,
 		[]servlet.TableLock{{Table: "customers", Write: true}, {Table: "address", Write: true}},
 		func(ex sqldb.Execer) error {
-			res, err := ex.ExecCached(
+			res, err := ex.Exec(
 				"INSERT INTO address (street, city, country_id) VALUES (?, ?, ?)",
 				sqldb.String(f.Get("street")), sqldb.String(f.Get("city")), sqldb.Int(1))
 			if err != nil {
 				return err
 			}
-			res, err = ex.ExecCached(
+			res, err = ex.Exec(
 				`INSERT INTO customers (uname, passwd, fname, lname, addr_id, phone, email, discount)
 				 VALUES (?, ?, ?, ?, ?, ?, ?, ?)`,
 				sqldb.String(uname), sqldb.String(f.Get("passwd")),
@@ -449,7 +449,7 @@ func (a *App) buyRequest(ctx *servlet.Context, req *httpd.Request) (*httpd.Respo
 		return nil, servlet.ErrNoDatabase
 	}
 	cid := intParam(req, "c_id", 1)
-	res, err := ctx.DB.ExecCached(
+	res, err := ctx.DB.Exec(
 		`SELECT c.fname, c.lname, a.street, a.city FROM customers c
 		 JOIN address a ON a.id = c.addr_id WHERE c.id = ?`, sqldb.Int(cid))
 	if err != nil {
@@ -497,7 +497,7 @@ func (a *App) buyConfirm(ctx *servlet.Context, req *httpd.Request) (*httpd.Respo
 			{Table: "credit_info", Write: true},
 		},
 		func(ex sqldb.Execer) error {
-			cres, err := ex.ExecCached("SELECT discount FROM customers WHERE id = ?", sqldb.Int(cid))
+			cres, err := ex.Exec("SELECT discount FROM customers WHERE id = ?", sqldb.Int(cid))
 			if err != nil {
 				return err
 			}
@@ -512,7 +512,7 @@ func (a *App) buyConfirm(ctx *servlet.Context, req *httpd.Request) (*httpd.Respo
 			}
 			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 			for _, id := range ids {
-				ires, err := ex.ExecCached("SELECT cost FROM items WHERE id = ?", sqldb.Int(id))
+				ires, err := ex.Exec("SELECT cost FROM items WHERE id = ?", sqldb.Int(id))
 				if err != nil {
 					return err
 				}
@@ -524,7 +524,7 @@ func (a *App) buyConfirm(ctx *servlet.Context, req *httpd.Request) (*httpd.Respo
 				time.Sleep(a.cfg.PGEDelay)
 			}
 			total := subtotal * (1 - discount)
-			ores, err := ex.ExecCached(
+			ores, err := ex.Exec(
 				`INSERT INTO orders (customer_id, o_date, subtotal, total, status)
 				 VALUES (?, ?, ?, ?, ?)`,
 				sqldb.Int(cid), sqldb.Int(12000), sqldb.Float(subtotal),
@@ -535,18 +535,18 @@ func (a *App) buyConfirm(ctx *servlet.Context, req *httpd.Request) (*httpd.Respo
 			orderID = ores.LastInsertID
 			for _, id := range ids {
 				qty := ct.Lines[id]
-				if _, err := ex.ExecCached(
+				if _, err := ex.Exec(
 					"INSERT INTO order_line (order_id, item_id, qty, discount) VALUES (?, ?, ?, ?)",
 					sqldb.Int(orderID), sqldb.Int(id), sqldb.Int(qty), sqldb.Float(discount)); err != nil {
 					return err
 				}
-				if _, err := ex.ExecCached(
+				if _, err := ex.Exec(
 					"UPDATE items SET stock = stock - ?, total_sold = total_sold + ? WHERE id = ?",
 					sqldb.Int(qty), sqldb.Int(qty), sqldb.Int(id)); err != nil {
 					return err
 				}
 			}
-			_, err = ex.ExecCached(
+			_, err = ex.Exec(
 				`INSERT INTO credit_info (order_id, cc_type, cc_number, cc_expiry, auth_id)
 				 VALUES (?, ?, ?, ?, ?)`,
 				sqldb.Int(orderID), sqldb.String("VISA"),
@@ -571,7 +571,7 @@ func (a *App) orderInquiry(ctx *servlet.Context, req *httpd.Request) (*httpd.Res
 		return nil, servlet.ErrNoDatabase
 	}
 	cid := intParam(req, "c_id", 1)
-	res, err := ctx.DB.ExecCached("SELECT uname FROM customers WHERE id = ?", sqldb.Int(cid))
+	res, err := ctx.DB.Exec("SELECT uname FROM customers WHERE id = ?", sqldb.Int(cid))
 	if err != nil {
 		return nil, err
 	}
@@ -591,7 +591,7 @@ func (a *App) orderDisplay(ctx *servlet.Context, req *httpd.Request) (*httpd.Res
 		return nil, servlet.ErrNoDatabase
 	}
 	cid := intParam(req, "c_id", 1)
-	res, err := ctx.DB.ExecCached(
+	res, err := ctx.DB.Exec(
 		`SELECT id, o_date, total, status FROM orders
 		 WHERE customer_id = ? ORDER BY id DESC LIMIT 1`, sqldb.Int(cid))
 	if err != nil {
@@ -602,7 +602,7 @@ func (a *App) orderDisplay(ctx *servlet.Context, req *httpd.Request) (*httpd.Res
 		r := res.Rows[0]
 		ov = OrderView{OrderID: r[0].AsInt(), Date: r[1].AsInt(),
 			Total: r[2].AsFloat(), Status: r[3].AsString()}
-		lres, err := ctx.DB.ExecCached(
+		lres, err := ctx.DB.Exec(
 			`SELECT ol.item_id, i.title, ol.qty FROM order_line ol
 			 JOIN items i ON i.id = ol.item_id WHERE ol.order_id = ?`,
 			sqldb.Int(ov.OrderID))
@@ -640,14 +640,14 @@ func (a *App) adminConfirm(ctx *servlet.Context, req *httpd.Request) (*httpd.Res
 	cost := float64(intParam(req, "cost", 25))
 	err := ctx.WithLocks(a.cfg.Sync, []servlet.TableLock{{Table: "items", Write: true}},
 		func(ex sqldb.Execer) error {
-			res, err := ex.ExecCached("SELECT cost FROM items WHERE id = ?", sqldb.Int(id))
+			res, err := ex.Exec("SELECT cost FROM items WHERE id = ?", sqldb.Int(id))
 			if err != nil {
 				return err
 			}
 			if len(res.Rows) == 0 {
 				return nil
 			}
-			_, err = ex.ExecCached("UPDATE items SET cost = ?, pub_date = ? WHERE id = ?",
+			_, err = ex.Exec("UPDATE items SET cost = ?, pub_date = ? WHERE id = ?",
 				sqldb.Float(cost), sqldb.Int(12001), sqldb.Int(id))
 			return err
 		})

@@ -19,10 +19,10 @@ func startDB(t testing.TB) string {
 	t.Helper()
 	db := sqldb.New()
 	sess := db.NewSession()
-	if err := CreateSchema(sqldb.SessionExecer{S: sess}); err != nil {
+	if err := CreateSchema(sess); err != nil {
 		t.Fatal(err)
 	}
-	if err := Populate(sqldb.SessionExecer{S: sess}, TinyScale(), 42); err != nil {
+	if err := Populate(sess, TinyScale(), 42); err != nil {
 		t.Fatal(err)
 	}
 	sess.Close()
@@ -289,10 +289,10 @@ func TestPopulateScalesAndIsDeterministic(t *testing.T) {
 		db := sqldb.New()
 		s := db.NewSession()
 		defer s.Close()
-		if err := CreateSchema(sqldb.SessionExecer{S: s}); err != nil {
+		if err := CreateSchema(s); err != nil {
 			t.Fatal(err)
 		}
-		if err := Populate(sqldb.SessionExecer{S: s}, TinyScale(), 7); err != nil {
+		if err := Populate(s, TinyScale(), 7); err != nil {
 			t.Fatal(err)
 		}
 		return db

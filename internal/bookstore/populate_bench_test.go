@@ -21,11 +21,10 @@ func BenchmarkPopulate(b *testing.B) {
 		b.StartTimer()
 		db := sqldb.New()
 		sess := db.NewSession()
-		ex := sqldb.SessionExecer{S: sess}
-		if err := CreateSchema(ex); err != nil {
+		if err := CreateSchema(sess); err != nil {
 			b.Fatal(err)
 		}
-		if err := Populate(ex, DefaultScale(), 1); err != nil {
+		if err := Populate(sess, DefaultScale(), 1); err != nil {
 			b.Fatal(err)
 		}
 		sess.Close()

@@ -26,12 +26,12 @@ func TestBatchedBroadcastSurvivorsIdentical(t *testing.T) {
 				if w == 0 && i == rounds/2 {
 					reps[2].srv.Close() // mid-batch kill
 				}
-				if _, err := c.ExecCached("INSERT INTO audit (item, delta) VALUES (?, ?)",
+				if _, err := c.Exec("INSERT INTO audit (item, delta) VALUES (?, ?)",
 					sqldb.Int(int64(w)), sqldb.Int(int64(i))); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := c.ExecCached("UPDATE items SET qty = qty + 1 WHERE id = ?",
+				if _, err := c.Exec("UPDATE items SET qty = qty + 1 WHERE id = ?",
 					sqldb.Int(int64(1+i%10))); err != nil {
 					t.Error(err)
 					return
@@ -79,7 +79,7 @@ func TestReadsSkipSyncingReplica(t *testing.T) {
 	// Simulate client a's Rejoin holding the sync window open.
 	flat(a).locks.beginSync(reps[1].addr)
 	for i := 0; i < 30; i++ {
-		if _, err := b.ExecCached("SELECT name FROM items WHERE id = 1"); err != nil {
+		if _, err := b.Exec("SELECT name FROM items WHERE id = 1"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -93,7 +93,7 @@ func TestReadsSkipSyncingReplica(t *testing.T) {
 
 	flat(a).locks.endSync(reps[1].addr, true)
 	for i := 0; i < 30; i++ {
-		if _, err := b.ExecCached("SELECT name FROM items WHERE id = 1"); err != nil {
+		if _, err := b.Exec("SELECT name FROM items WHERE id = 1"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,7 +112,7 @@ func TestReadOnlyTxnSkipsWriteOrderLocks(t *testing.T) {
 	eachReplicaCount(t, func(t *testing.T, reps []*testReplica) {
 		c := newTestClient(t, reps, Config{})
 		err := c.WithReadTx(func(tx *Session) error {
-			res, err := tx.ExecCached("SELECT qty FROM items WHERE id = 1")
+			res, err := tx.Exec("SELECT qty FROM items WHERE id = 1")
 			if err != nil {
 				return err
 			}
@@ -121,12 +121,12 @@ func TestReadOnlyTxnSkipsWriteOrderLocks(t *testing.T) {
 			}
 			// If the read-only transaction held any write-order lock, this
 			// catch-all-conflicting write from the pool would deadlock here.
-			if _, err := c.ExecCached("UPDATE items SET qty = 1 WHERE id = 5"); err != nil {
+			if _, err := c.Exec("UPDATE items SET qty = 1 WHERE id = 5"); err != nil {
 				t.Fatalf("concurrent write blocked by read-only txn: %v", err)
 			}
 			// Writes inside the transaction are rejected without reaching a
 			// replica.
-			if _, err := tx.ExecCached("UPDATE items SET qty = 2 WHERE id = 6"); !errors.Is(err, errReadOnlyTxn) {
+			if _, err := tx.Exec("UPDATE items SET qty = 2 WHERE id = 6"); !errors.Is(err, errReadOnlyTxn) {
 				t.Fatalf("write in RO txn: err %v, want errReadOnlyTxn", err)
 			}
 			return nil
@@ -161,17 +161,17 @@ func TestReadOnlyTxnSkipsWriteOrderLocks(t *testing.T) {
 		if err := s.BeginReadOnly(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.ExecCached("SELECT qty FROM items WHERE id = 1"); err != nil {
+		if _, err := s.Exec("SELECT qty FROM items WHERE id = 1"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.ExecCached("DELETE FROM items WHERE id = 1"); !errors.Is(err, errReadOnlyTxn) {
+		if _, err := s.Exec("DELETE FROM items WHERE id = 1"); !errors.Is(err, errReadOnlyTxn) {
 			t.Fatalf("err %v, want errReadOnlyTxn", err)
 		}
 		if err := s.Commit(); err != nil {
 			t.Fatal(err)
 		}
 		// After COMMIT the session writes normally again.
-		if _, err := s.ExecCached("UPDATE items SET qty = 3 WHERE id = 1"); err != nil {
+		if _, err := s.Exec("UPDATE items SET qty = 3 WHERE id = 1"); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -35,7 +35,7 @@ func BenchmarkClientPaths(b *testing.B) {
 		id := sqldb.Int(3)
 		threeReads := func(tx *Session) error {
 			for _, id := range []int64{1, 2, 3} {
-				if _, err := tx.ExecCached("SELECT qty FROM items WHERE id = ?", sqldb.Int(id)); err != nil {
+				if _, err := tx.Exec("SELECT qty FROM items WHERE id = ?", sqldb.Int(id)); err != nil {
 					return err
 				}
 			}
@@ -72,17 +72,17 @@ func BenchmarkClientPaths(b *testing.B) {
 			rows = append(rows, row{fmt.Sprintf("contend/hot=%d", hot), true, func(seq int64) error {
 				item := sqldb.Int(1 + seq%hot)
 				return c.WithTx([]string{"audit", "items"}, func(tx *Session) error {
-					res, err := tx.ExecCached("SELECT qty FROM items WHERE id = ?", item)
+					res, err := tx.Exec("SELECT qty FROM items WHERE id = ?", item)
 					if err != nil {
 						return err
 					}
 					if len(res.Rows) == 0 {
 						return fmt.Errorf("missing item %v", item)
 					}
-					if _, err := tx.ExecCached("INSERT INTO audit (item, delta) VALUES (?, 1)", item); err != nil {
+					if _, err := tx.Exec("INSERT INTO audit (item, delta) VALUES (?, 1)", item); err != nil {
 						return err
 					}
-					if _, err := tx.ExecCached("UPDATE items SET qty = qty + 1 WHERE id = ?", item); err != nil {
+					if _, err := tx.Exec("UPDATE items SET qty = qty + 1 WHERE id = ?", item); err != nil {
 						return err
 					}
 					if seq%3 == 0 {

@@ -394,7 +394,7 @@ func TestQueryCacheRestampOnRetry(t *testing.T) {
 		// a concurrent client's write commits before the retry.
 		rs.locks.bump([]string{"items"})
 		restamp(1) // the wire layer fires onAttempt before each try
-		return rs.replicas[0].pool.ExecCached(q, args...)
+		return rs.replicas[0].pool.Exec(q, args...)
 	})
 	if err != nil || len(res.Rows) != 1 {
 		t.Fatalf("filling read: %v %v", err, res)

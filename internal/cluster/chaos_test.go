@@ -26,8 +26,8 @@ func (s slowExecer) Exec(q string, args ...sqldb.Value) (*sqldb.Result, error) {
 
 func TestSyncWithinDeadline(t *testing.T) {
 	reps := startReplicas(t, 2)
-	src := sqldb.SessionExecer{S: reps[0].db.NewSession()}
-	dst := sqldb.SessionExecer{S: reps[1].db.NewSession()}
+	src := reps[0].db.NewSession()
+	dst := reps[1].db.NewSession()
 	// Unbounded still works.
 	if _, _, err := SyncWithin(src, dst, 0); err != nil {
 		t.Fatal(err)
@@ -61,14 +61,14 @@ func TestRejoinDeadlineLeavesReplicaEjected(t *testing.T) {
 	c := NewWithConfig(cfg)
 	defer c.Close()
 
-	if _, err := c.ExecCached("UPDATE items SET qty = 7 WHERE id = 1"); err != nil {
+	if _, err := c.Exec("UPDATE items SET qty = 7 WHERE id = 1"); err != nil {
 		t.Fatal(err)
 	}
 
 	// Stall the proxy: the next broadcast's ack from replica 1 times out on
 	// the op deadline and ejects it.
 	px.Set(chaos.Fault{Kind: chaos.Stall})
-	if _, err := c.ExecCached("UPDATE items SET qty = 8 WHERE id = 1"); err != nil {
+	if _, err := c.Exec("UPDATE items SET qty = 8 WHERE id = 1"); err != nil {
 		t.Fatalf("write-all-available write should survive the stalled replica: %v", err)
 	}
 	if c.Healthy() != 1 {
@@ -126,7 +126,7 @@ func TestPoolWaitTimeoutDoesNotEject(t *testing.T) {
 	if err := s.Begin("audit"); err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.ExecCached("SELECT name FROM items WHERE id = 1")
+	_, err = c.Exec("SELECT name FROM items WHERE id = 1")
 	if !errors.Is(err, pool.ErrWaitTimeout) {
 		t.Fatalf("read on exhausted pools = %v, want pool.ErrWaitTimeout", err)
 	}
@@ -137,7 +137,7 @@ func TestPoolWaitTimeoutDoesNotEject(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Put(s, false)
-	if _, err := c.ExecCached("SELECT name FROM items WHERE id = 1"); err != nil {
+	if _, err := c.Exec("SELECT name FROM items WHERE id = 1"); err != nil {
 		t.Fatalf("read after the transaction ended: %v", err)
 	}
 }
@@ -159,11 +159,11 @@ func TestSlowReplicaEjection(t *testing.T) {
 		SlowThreshold: 100 * time.Millisecond,
 	})
 	defer c.Close()
-	if _, err := c.ExecCached("UPDATE items SET qty = 1 WHERE id = 2"); err != nil {
+	if _, err := c.Exec("UPDATE items SET qty = 1 WHERE id = 2"); err != nil {
 		t.Fatal(err)
 	}
 	px.Set(chaos.Fault{Kind: chaos.Latency, Delay: 300 * time.Millisecond})
-	if _, err := c.ExecCached("UPDATE items SET qty = 2 WHERE id = 2"); err != nil {
+	if _, err := c.Exec("UPDATE items SET qty = 2 WHERE id = 2"); err != nil {
 		t.Fatalf("write with a slow replica: %v", err)
 	}
 	if c.Healthy() != 1 {
@@ -174,7 +174,7 @@ func TestSlowReplicaEjection(t *testing.T) {
 	}
 	// Reads now route around it without paying its latency.
 	start := time.Now()
-	if _, err := c.ExecCached("SELECT name FROM items WHERE id = 2"); err != nil {
+	if _, err := c.Exec("SELECT name FROM items WHERE id = 2"); err != nil {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d > 150*time.Millisecond {
@@ -221,7 +221,7 @@ func TestStaleDegradedLatchSelfHeals(t *testing.T) {
 	reps := startReplicas(t, 2)
 	c := newTestClient(t, reps, Config{StrictWrites: true})
 	flat(c).degraded.Store(true)
-	if _, err := c.ExecCached("UPDATE items SET qty = 11 WHERE id = 4"); err != nil {
+	if _, err := c.Exec("UPDATE items SET qty = 11 WHERE id = 4"); err != nil {
 		t.Fatalf("write on a whole healthy cluster = %v, want the stale latch self-healed", err)
 	}
 	if c.Degraded() {
@@ -261,7 +261,7 @@ func TestMissedWriteOnSaturatedPoolEjects(t *testing.T) {
 		Timeouts:     pool.Timeouts{Wait: 60 * time.Millisecond},
 	})
 	defer c.Close()
-	if _, err := c.ExecCached("UPDATE items SET qty = 1 WHERE id = 5"); err != nil {
+	if _, err := c.Exec("UPDATE items SET qty = 1 WHERE id = 5"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -271,11 +271,11 @@ func TestMissedWriteOnSaturatedPoolEjects(t *testing.T) {
 	px.Set(chaos.Fault{Kind: chaos.Latency, Delay: 400 * time.Millisecond})
 	slow := make(chan error, 1)
 	go func() {
-		_, err := c.ExecCached("UPDATE items SET qty = 2 WHERE id = 5")
+		_, err := c.Exec("UPDATE items SET qty = 2 WHERE id = 5")
 		slow <- err
 	}()
 	time.Sleep(100 * time.Millisecond)
-	if _, err := c.ExecCached("INSERT INTO audit (item, delta) VALUES (?, ?)",
+	if _, err := c.Exec("INSERT INTO audit (item, delta) VALUES (?, ?)",
 		sqldb.Int(5), sqldb.Int(-1)); err == nil {
 		t.Fatal("strict write must fail when a replica's pool stays exhausted mid-broadcast")
 	}
@@ -285,7 +285,7 @@ func TestMissedWriteOnSaturatedPoolEjects(t *testing.T) {
 	if !c.Degraded() {
 		t.Fatal("strict missed-write failure must latch degraded mode")
 	}
-	if _, err := c.ExecCached("UPDATE items SET qty = 3 WHERE id = 5"); !errors.Is(err, ErrDegraded) {
+	if _, err := c.Exec("UPDATE items SET qty = 3 WHERE id = 5"); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("write in degraded mode = %v, want ErrDegraded", err)
 	}
 	if err := <-slow; err != nil {
@@ -301,7 +301,7 @@ func TestMissedWriteOnSaturatedPoolEjects(t *testing.T) {
 	if c.Degraded() || c.Healthy() != 2 {
 		t.Fatalf("degraded=%v healthy=%d after full rejoin", c.Degraded(), c.Healthy())
 	}
-	if _, err := c.ExecCached("UPDATE items SET qty = 9 WHERE id = 5"); err != nil {
+	if _, err := c.Exec("UPDATE items SET qty = 9 WHERE id = 5"); err != nil {
 		t.Fatalf("write after recovery: %v", err)
 	}
 	for i, r := range reps {
@@ -332,12 +332,12 @@ func TestDegradedModeReadOnly(t *testing.T) {
 		Timeouts:     pool.Timeouts{Op: 150 * time.Millisecond},
 	})
 	defer c.Close()
-	if _, err := c.ExecCached("UPDATE items SET qty = 5 WHERE id = 3"); err != nil {
+	if _, err := c.Exec("UPDATE items SET qty = 5 WHERE id = 3"); err != nil {
 		t.Fatal(err)
 	}
 
 	px.Set(chaos.Fault{Kind: chaos.Stall})
-	if _, err := c.ExecCached("UPDATE items SET qty = 6 WHERE id = 3"); err == nil {
+	if _, err := c.Exec("UPDATE items SET qty = 6 WHERE id = 3"); err == nil {
 		t.Fatal("strict write must fail when a replica stalls mid-broadcast")
 	}
 	if !c.Degraded() {
@@ -346,7 +346,7 @@ func TestDegradedModeReadOnly(t *testing.T) {
 
 	// Writes now fail FAST with the typed error, without broadcasting.
 	start := time.Now()
-	_, err = c.ExecCached("UPDATE items SET qty = 7 WHERE id = 3")
+	_, err = c.Exec("UPDATE items SET qty = 7 WHERE id = 3")
 	if !errors.Is(err, ErrDegraded) {
 		t.Fatalf("write in degraded mode = %v, want ErrDegraded", err)
 	}
@@ -360,7 +360,7 @@ func TestDegradedModeReadOnly(t *testing.T) {
 
 	// Reads keep flowing off the survivor.
 	for i := 0; i < 5; i++ {
-		if _, err := c.ExecCached("SELECT name FROM items WHERE id = 3"); err != nil {
+		if _, err := c.Exec("SELECT name FROM items WHERE id = 3"); err != nil {
 			t.Fatalf("degraded read: %v", err)
 		}
 	}
@@ -372,7 +372,7 @@ func TestDegradedModeReadOnly(t *testing.T) {
 	if c.Degraded() {
 		t.Fatal("full rejoin must exit degraded mode")
 	}
-	if _, err := c.ExecCached("UPDATE items SET qty = 9 WHERE id = 3"); err != nil {
+	if _, err := c.Exec("UPDATE items SET qty = 9 WHERE id = 3"); err != nil {
 		t.Fatalf("write after recovery: %v", err)
 	}
 	cs := c.ClientStats()

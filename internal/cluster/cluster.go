@@ -6,12 +6,12 @@
 // A Client is a shell over one of two topologies, chosen from the DSN: a
 // replica set (replica.go) or a shard set composing several (shard.go); a
 // Session is the same shell over the topology's transaction. Either way the
-// application sees one surface — Exec/ExecCached, Get/Put, WithTx/WithReadTx
-// — and every statement takes the wire protocol's prepared path: routes and
-// shard plans are memoized per statement text already, so the vocabulary is
-// bounded and Exec and ExecCached are two names for one body. A distinct
-// text is parsed once client-side (route.go's analyze); routing, the query
-// cache's table set and the shard planner all read that one parse.
+// application sees one surface — Exec, Get/Put, WithTx/WithReadTx — and
+// every statement takes the wire protocol's prepared path, the only one the
+// wire client has. A distinct text is parsed once client-side (route.go's
+// analyze); routing, the query cache's table set and the shard planner all
+// read that one parse, and a text the parser rejects fails there, with the
+// error the database would send, before any connection or lock is taken.
 //
 // Two things the tiers above share are declared once: Config is the only
 // declaration of a database-client setting (servlet and ejb embed it whole),
@@ -179,9 +179,9 @@ type backend interface {
 }
 
 // Client is the replicated database client, safe for concurrent use. It
-// presents the same surface as a single wire.Pool — Exec/ExecCached for
-// pool-routed statements, Get/Put for the logical sessions transactions run
-// on — whatever topology the DSN names.
+// presents the same surface as a single wire.Pool — Exec for pool-routed
+// statements, Get/Put for the logical sessions transactions run on —
+// whatever topology the DSN names.
 type Client struct {
 	backend
 	shards int
@@ -215,7 +215,7 @@ func (c *Client) Shards() int { return c.shards }
 // any shard).
 func (c *Client) Degraded() bool { return c.ClientStats().Degraded }
 
-// ExecCached is Exec: the cluster client always takes the prepared path.
+// Deprecated: ExecCached is Exec.
 func (c *Client) ExecCached(query string, args ...sqldb.Value) (*sqldb.Result, error) {
 	return c.Exec(query, args...)
 }
@@ -285,7 +285,7 @@ var (
 	_ sqldb.Execer = (*Session)(nil)
 )
 
-// ExecCached is Exec: sessions, too, always take the prepared path.
+// Deprecated: ExecCached is Exec.
 func (s *Session) ExecCached(query string, args ...sqldb.Value) (*sqldb.Result, error) {
 	return s.Exec(query, args...)
 }

@@ -26,11 +26,10 @@ func startReplicas(t testing.TB, n int) []*testReplica {
 	for i := range reps {
 		db := sqldb.New()
 		sess := db.NewSession()
-		ex := sqldb.SessionExecer{S: sess}
-		mustExec(t, ex, `CREATE TABLE items (id INT PRIMARY KEY AUTO_INCREMENT, name VARCHAR(32), qty INT)`)
-		mustExec(t, ex, `CREATE TABLE audit (id INT PRIMARY KEY AUTO_INCREMENT, item INT, delta INT)`)
+		mustExec(t, sess, `CREATE TABLE items (id INT PRIMARY KEY AUTO_INCREMENT, name VARCHAR(32), qty INT)`)
+		mustExec(t, sess, `CREATE TABLE audit (id INT PRIMARY KEY AUTO_INCREMENT, item INT, delta INT)`)
 		for j := 1; j <= 10; j++ {
-			mustExec(t, ex, "INSERT INTO items (name, qty) VALUES (?, ?)",
+			mustExec(t, sess, "INSERT INTO items (name, qty) VALUES (?, ?)",
 				sqldb.String(fmt.Sprintf("item-%d", j)), sqldb.Int(100))
 		}
 		sess.Close()
@@ -101,7 +100,7 @@ func TestReadsLoadBalance(t *testing.T) {
 	reps := startReplicas(t, 2)
 	c := newTestClient(t, reps, Config{})
 	for i := 0; i < 40; i++ {
-		res, err := c.ExecCached("SELECT name FROM items WHERE id = ?", sqldb.Int(int64(1+i%10)))
+		res, err := c.Exec("SELECT name FROM items WHERE id = ?", sqldb.Int(int64(1+i%10)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +127,7 @@ func TestReadsLoadBalance(t *testing.T) {
 func TestWriteBroadcast(t *testing.T) {
 	reps := startReplicas(t, 3)
 	c := newTestClient(t, reps, Config{})
-	res, err := c.ExecCached("INSERT INTO items (name, qty) VALUES (?, ?)",
+	res, err := c.Exec("INSERT INTO items (name, qty) VALUES (?, ?)",
 		sqldb.String("new"), sqldb.Int(7))
 	if err != nil {
 		t.Fatal(err)
@@ -168,11 +167,11 @@ func TestWriteOrderingUnderConcurrency(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				if _, err := c.ExecCached("UPDATE items SET qty = qty - 1 WHERE id = 1"); err != nil {
+				if _, err := c.Exec("UPDATE items SET qty = qty - 1 WHERE id = 1"); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := c.ExecCached("INSERT INTO audit (item, delta) VALUES (?, ?)",
+				if _, err := c.Exec("INSERT INTO audit (item, delta) VALUES (?, ?)",
 					sqldb.Int(1), sqldb.Int(int64(w*rounds+i))); err != nil {
 					t.Error(err)
 					return
@@ -222,11 +221,11 @@ func TestSessionBracketBroadcast(t *testing.T) {
 	if err := s.Begin("items"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.ExecCached("SELECT qty FROM items WHERE id = 2")
+	res, err := s.Exec("SELECT qty FROM items WHERE id = 2")
 	if err != nil || len(res.Rows) != 1 {
 		t.Fatalf("read in transaction: %v", err)
 	}
-	if _, err := s.ExecCached("UPDATE items SET qty = ? WHERE id = 2", sqldb.Int(55)); err != nil {
+	if _, err := s.Exec("UPDATE items SET qty = ? WHERE id = 2", sqldb.Int(55)); err != nil {
 		t.Fatal(err)
 	}
 	// Nested Begin over a different set: the first transaction commits
@@ -234,12 +233,12 @@ func TestSessionBracketBroadcast(t *testing.T) {
 	if err := s.Begin("audit"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ExecCached("INSERT INTO audit (item, delta) VALUES (2, 5)"); err != nil {
+	if _, err := s.Exec("INSERT INTO audit (item, delta) VALUES (2, 5)"); err != nil {
 		t.Fatal(err)
 	}
 	// A pool write to items goes through while the audit transaction is
 	// still open; run under -timeout, a leaked lock hangs it.
-	if _, err := c.ExecCached("UPDATE items SET qty = 3 WHERE id = 1"); err != nil {
+	if _, err := c.Exec("UPDATE items SET qty = 3 WHERE id = 1"); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Commit(); err != nil {
@@ -272,7 +271,7 @@ func TestFailoverMidWorkload(t *testing.T) {
 	c := newTestClient(t, reps, Config{})
 	// Warm both replicas.
 	for i := 0; i < 10; i++ {
-		if _, err := c.ExecCached("SELECT name FROM items WHERE id = 1"); err != nil {
+		if _, err := c.Exec("SELECT name FROM items WHERE id = 1"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -280,7 +279,7 @@ func TestFailoverMidWorkload(t *testing.T) {
 
 	// Reads keep working; the dead replica is ejected on first contact.
 	for i := 0; i < 20; i++ {
-		if _, err := c.ExecCached("SELECT name FROM items WHERE id = 2"); err != nil {
+		if _, err := c.Exec("SELECT name FROM items WHERE id = 2"); err != nil {
 			t.Fatalf("read %d after failover: %v", i, err)
 		}
 	}
@@ -288,7 +287,7 @@ func TestFailoverMidWorkload(t *testing.T) {
 		t.Fatalf("healthy %d, want 1", h)
 	}
 	// Writes continue on the survivor (write-all-available).
-	if _, err := c.ExecCached("UPDATE items SET qty = 1 WHERE id = 3"); err != nil {
+	if _, err := c.Exec("UPDATE items SET qty = 1 WHERE id = 3"); err != nil {
 		t.Fatalf("write after failover: %v", err)
 	}
 	res := queryReplica(t, reps[0], "SELECT qty FROM items WHERE id = 3")
@@ -307,11 +306,11 @@ func TestStrictWritePolicy(t *testing.T) {
 	reps := startReplicas(t, 2)
 	c := newTestClient(t, reps, Config{StrictWrites: true})
 	// Warm the pools so the failure happens at execution, not dial.
-	if _, err := c.ExecCached("UPDATE items SET qty = 100 WHERE id = 1"); err != nil {
+	if _, err := c.Exec("UPDATE items SET qty = 100 WHERE id = 1"); err != nil {
 		t.Fatal(err)
 	}
 	reps[1].srv.Close()
-	_, err := c.ExecCached("UPDATE items SET qty = 42 WHERE id = 1")
+	_, err := c.Exec("UPDATE items SET qty = 42 WHERE id = 1")
 	if err == nil {
 		t.Fatal("strict policy must error when a replica fails mid-broadcast")
 	}
@@ -321,7 +320,7 @@ func TestStrictWritePolicy(t *testing.T) {
 		t.Fatal("survivor missing the strict-mode write")
 	}
 	// Reads still flow.
-	if _, err := c.ExecCached("SELECT name FROM items WHERE id = 1"); err != nil {
+	if _, err := c.Exec("SELECT name FROM items WHERE id = 1"); err != nil {
 		t.Fatalf("read after strict failure: %v", err)
 	}
 }
@@ -333,7 +332,7 @@ func TestReprepareOnReplica(t *testing.T) {
 	reps := startReplicas(t, 2)
 	c := newTestClient(t, reps, Config{PoolSize: 2})
 	st := func(args ...sqldb.Value) (*sqldb.Result, error) {
-		return c.ExecCached("SELECT name FROM items WHERE id = ?", args...)
+		return c.Exec("SELECT name FROM items WHERE id = ?", args...)
 	}
 	for i := 0; i < 8; i++ {
 		if _, err := st(sqldb.Int(1)); err != nil {
@@ -341,7 +340,7 @@ func TestReprepareOnReplica(t *testing.T) {
 		}
 	}
 	wr := func(args ...sqldb.Value) (*sqldb.Result, error) {
-		return c.ExecCached("UPDATE items SET qty = ? WHERE id = ?", args...)
+		return c.Exec("UPDATE items SET qty = ? WHERE id = ?", args...)
 	}
 	if _, err := wr(sqldb.Int(9), sqldb.Int(4)); err != nil {
 		t.Fatal(err)
@@ -396,11 +395,10 @@ func TestSyncCopiesData(t *testing.T) {
 
 	dst := sqldb.New()
 	sess := dst.NewSession()
-	ex := sqldb.SessionExecer{S: sess}
-	mustExec(t, ex, `CREATE TABLE items (id INT PRIMARY KEY AUTO_INCREMENT, name VARCHAR(32), qty INT)`)
-	mustExec(t, ex, `CREATE TABLE audit (id INT PRIMARY KEY AUTO_INCREMENT, item INT, delta INT)`)
+	mustExec(t, sess, `CREATE TABLE items (id INT PRIMARY KEY AUTO_INCREMENT, name VARCHAR(32), qty INT)`)
+	mustExec(t, sess, `CREATE TABLE audit (id INT PRIMARY KEY AUTO_INCREMENT, item INT, delta INT)`)
 
-	tables, rows, err := Sync(src, ex)
+	tables, rows, err := Sync(src, sess)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,40 +420,61 @@ func TestSyncCopiesData(t *testing.T) {
 	sess.Close()
 }
 
-// TestRouteAnalysis pins the routing classifier's table extraction.
+// TestRouteAnalysis pins the routing classifier: read or write, the
+// write-ordered tables, and the texts it refuses before any connection is
+// borrowed.
 func TestRouteAnalysis(t *testing.T) {
+	const (
+		read  = "read"
+		write = "write"
+	)
+	parseErr := func(q string) string {
+		_, err := sqldb.New().NewSession().Exec(q)
+		return err.Error()
+	}
 	cases := []struct {
 		q      string
-		kind   stmtKind
+		kind   string // read, write, or the error the route refuses with
 		tables string
 	}{
-		{"SELECT * FROM items", kindRead, ""},
-		{"  select id from items where x = ?", kindRead, ""},
-		{"SHOW TABLES", kindRead, ""},
-		{"INSERT INTO orders (a, b) VALUES (?, ?)", kindWrite, "orders"},
-		{"UPDATE Items SET qty = ? WHERE id = ?", kindWrite, "items"},
-		{"DELETE FROM cart_items WHERE cart = ?", kindWrite, "cart_items"},
-		{"CREATE TABLE foo (id INT)", kindWrite, "foo"},
-		{"CREATE TABLE IF NOT EXISTS foo (id INT)", kindWrite, "foo"},
-		{"CREATE UNIQUE INDEX idx_x ON bar (col)", kindWrite, "bar"},
-		{"DROP TABLE IF EXISTS baz", kindWrite, "baz"},
-		{"BEGIN", kindTxnControl, ""},
-		{"start transaction", kindTxnControl, ""},
-		{"COMMIT", kindTxnControl, ""},
-		{"ROLLBACK WORK", kindTxnControl, ""},
-		{"ALTER TABLE t AUTO_INCREMENT OFFSET 1 STRIDE 2", kindWrite, ""},
-		{"SHOW WAL STATUS", kindRead, ""},
-		{"SHOW WAL RECORDS SINCE 3 LIMIT 10", kindRead, ""},
-		{"SHOW WAL CHAIN 7", kindRead, ""},
-		// Not in the dialect: an unknown statement is a catch-all write, and
-		// the database's parse error comes back from every replica.
-		{"LOCK TABLES a READ, b WRITE", kindWrite, ""},
-		{"UNLOCK TABLES", kindWrite, ""},
+		{"SELECT * FROM items", read, ""},
+		{"  select id from items where x = ?", read, ""},
+		{"SHOW TABLES", read, ""},
+		{"INSERT INTO orders (a, b) VALUES (?, ?)", write, "orders"},
+		{"UPDATE Items SET qty = ? WHERE id = ?", write, "items"},
+		{"DELETE FROM cart_items WHERE cart = ?", write, "cart_items"},
+		{"CREATE TABLE foo (id INT)", write, "foo"},
+		{"CREATE TABLE IF NOT EXISTS foo (id INT)", write, "foo"},
+		{"CREATE UNIQUE INDEX idx_x ON bar (col)", write, "bar"},
+		{"DROP TABLE IF EXISTS baz", write, "baz"},
+		{"BEGIN", ErrTxnControlText.Error(), ""},
+		{"start transaction", ErrTxnControlText.Error(), ""},
+		{"COMMIT", ErrTxnControlText.Error(), ""},
+		{"ROLLBACK WORK", ErrTxnControlText.Error(), ""},
+		{"ALTER TABLE t AUTO_INCREMENT OFFSET 1 STRIDE 2", write, ""},
+		{"SHOW WAL STATUS", read, ""},
+		{"SHOW WAL RECORDS SINCE 3 LIMIT 10", read, ""},
+		{"SHOW WAL CHAIN 7", read, ""},
+		// Not in the dialect: refused with the database's own parse error,
+		// as a server error — the client and every replica share one parser.
+		{"LOCK TABLES a READ, b WRITE", parseErr("LOCK TABLES a READ, b WRITE"), ""},
+		{"UNLOCK TABLES", parseErr("UNLOCK TABLES"), ""},
+		{"SELEKT 1", parseErr("SELEKT 1"), ""},
 	}
 	for _, tc := range cases {
 		r := analyze(tc.q)
-		if r.kind != tc.kind {
-			t.Errorf("%q kind %d, want %d", tc.q, r.kind, tc.kind)
+		kind := read
+		switch {
+		case r.err != nil:
+			kind = r.err.Error()
+			if tc.kind != ErrTxnControlText.Error() && !wire.IsServerError(r.err) {
+				t.Errorf("%q refused with %T, want a *wire.ServerError", tc.q, r.err)
+			}
+		case r.write:
+			kind = write
+		}
+		if kind != tc.kind {
+			t.Errorf("%q: %s, want %s", tc.q, kind, tc.kind)
 		}
 		if got := strings.Join(r.tables, ","); got != tc.tables {
 			t.Errorf("%q tables %q, want %q", tc.q, got, tc.tables)
@@ -486,7 +505,7 @@ func TestTxnBroadcastCommit(t *testing.T) {
 	reps := startReplicas(t, 3)
 	c := newTestClient(t, reps, Config{})
 	err := c.WithTx([]string{"items", "audit"}, func(tx *Session) error {
-		res, err := tx.ExecCached("INSERT INTO items (name, qty) VALUES (?, ?)",
+		res, err := tx.Exec("INSERT INTO items (name, qty) VALUES (?, ?)",
 			sqldb.String("txn-item"), sqldb.Int(3))
 		if err != nil {
 			return err
@@ -495,11 +514,11 @@ func TestTxnBroadcastCommit(t *testing.T) {
 			t.Errorf("LastInsertID %d, want 11", res.LastInsertID)
 		}
 		// Read-your-writes on the pinned replica.
-		sel, err := tx.ExecCached("SELECT qty FROM items WHERE id = 11")
+		sel, err := tx.Exec("SELECT qty FROM items WHERE id = 11")
 		if err != nil || len(sel.Rows) != 1 || sel.Rows[0][0].AsInt() != 3 {
 			t.Errorf("read-your-writes inside txn: %v %+v", err, sel)
 		}
-		_, err = tx.ExecCached("INSERT INTO audit (item, delta) VALUES (11, 3)")
+		_, err = tx.Exec("INSERT INTO audit (item, delta) VALUES (11, 3)")
 		return err
 	})
 	if err != nil {
@@ -521,13 +540,13 @@ func TestTxnRollbackKeepsReplicasIdentical(t *testing.T) {
 	before := replicaDump(t, reps[0])
 	sentinel := fmt.Errorf("mid-transaction failure")
 	err := c.WithTx([]string{"items", "audit"}, func(tx *Session) error {
-		if _, err := tx.ExecCached("INSERT INTO items (name, qty) VALUES ('doomed', 1)"); err != nil {
+		if _, err := tx.Exec("INSERT INTO items (name, qty) VALUES ('doomed', 1)"); err != nil {
 			return err
 		}
-		if _, err := tx.ExecCached("UPDATE items SET qty = 0 WHERE id = 1"); err != nil {
+		if _, err := tx.Exec("UPDATE items SET qty = 0 WHERE id = 1"); err != nil {
 			return err
 		}
-		if _, err := tx.ExecCached("DELETE FROM items WHERE id = 2"); err != nil {
+		if _, err := tx.Exec("DELETE FROM items WHERE id = 2"); err != nil {
 			return err
 		}
 		return sentinel
@@ -543,7 +562,7 @@ func TestTxnRollbackKeepsReplicasIdentical(t *testing.T) {
 	// The next transaction reuses the rolled-back AUTO_INCREMENT ids on
 	// every replica.
 	err = c.WithTx([]string{"items"}, func(tx *Session) error {
-		res, err := tx.ExecCached("INSERT INTO items (name, qty) VALUES ('kept', 1)")
+		res, err := tx.Exec("INSERT INTO items (name, qty) VALUES ('kept', 1)")
 		if err != nil {
 			return err
 		}
@@ -575,10 +594,10 @@ func TestTxnContentionReplicasConverge(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				err := c.WithTx([]string{"items", "audit"}, func(tx *Session) error {
-					if _, err := tx.ExecCached("UPDATE items SET qty = qty - 1 WHERE id = 1"); err != nil {
+					if _, err := tx.Exec("UPDATE items SET qty = qty - 1 WHERE id = 1"); err != nil {
 						return err
 					}
-					if _, err := tx.ExecCached("INSERT INTO audit (item, delta) VALUES (?, ?)",
+					if _, err := tx.Exec("INSERT INTO audit (item, delta) VALUES (?, ?)",
 						sqldb.Int(1), sqldb.Int(int64(w*rounds+i))); err != nil {
 						return err
 					}
@@ -629,7 +648,7 @@ func TestTxnSessionEndDiscardsOpenTxn(t *testing.T) {
 		if err := s.Begin("items"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.ExecCached("UPDATE items SET qty = 0 WHERE id = 5"); err != nil {
+		if _, err := s.Exec("UPDATE items SET qty = 0 WHERE id = 5"); err != nil {
 			t.Fatal(err)
 		}
 		c.Put(s, false) // abandoned mid-transaction
@@ -642,7 +661,7 @@ func TestTxnSessionEndDiscardsOpenTxn(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 		}
 		// The pool stays usable.
-		if _, err := c.ExecCached("SELECT qty FROM items WHERE id = 5"); err != nil {
+		if _, err := c.Exec("SELECT qty FROM items WHERE id = 5"); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -661,7 +680,7 @@ func TestWithTxPanicRollsBack(t *testing.T) {
 				}
 			}()
 			_ = c.WithTx([]string{"items"}, func(tx *Session) error {
-				if _, err := tx.ExecCached("UPDATE items SET qty = -1 WHERE id = 1"); err != nil {
+				if _, err := tx.Exec("UPDATE items SET qty = -1 WHERE id = 1"); err != nil {
 					return err
 				}
 				panic("business method exploded")
@@ -684,11 +703,11 @@ func TestTxnReplicaFailureMidTxn(t *testing.T) {
 	reps := startReplicas(t, 3)
 	c := newTestClient(t, reps, Config{})
 	err := c.WithTx([]string{"items"}, func(tx *Session) error {
-		if _, err := tx.ExecCached("UPDATE items SET qty = 41 WHERE id = 1"); err != nil {
+		if _, err := tx.Exec("UPDATE items SET qty = 41 WHERE id = 1"); err != nil {
 			return err
 		}
 		reps[2].srv.Close() // replica dies mid-transaction
-		if _, err := tx.ExecCached("UPDATE items SET qty = 42 WHERE id = 1"); err != nil {
+		if _, err := tx.Exec("UPDATE items SET qty = 42 WHERE id = 1"); err != nil {
 			return err
 		}
 		return nil
@@ -737,13 +756,13 @@ func TestTxnSerializesDeclaredTables(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < rounds; i++ {
 					err := c.WithTx([]string{"items"}, func(tx *Session) error {
-						res, err := tx.ExecCached("SELECT qty FROM items WHERE id = 1")
+						res, err := tx.Exec("SELECT qty FROM items WHERE id = 1")
 						if err != nil {
 							return err
 						}
 						// Write back a value derived from the read: lost
 						// updates would make the final count fall short.
-						_, err = tx.ExecCached("UPDATE items SET qty = ? WHERE id = 1",
+						_, err = tx.Exec("UPDATE items SET qty = ? WHERE id = 1",
 							sqldb.Int(res.Rows[0][0].AsInt()+1))
 						return err
 					})
@@ -787,11 +806,11 @@ func TestWriteOrderSharedAcrossClients(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				err := c.WithTx([]string{"items"}, func(tx *Session) error {
-					res, err := tx.ExecCached("SELECT qty FROM items WHERE id = 2")
+					res, err := tx.Exec("SELECT qty FROM items WHERE id = 2")
 					if err != nil {
 						return err
 					}
-					_, err = tx.ExecCached("UPDATE items SET qty = ? WHERE id = 2",
+					_, err = tx.Exec("UPDATE items SET qty = ? WHERE id = 2",
 						sqldb.Int(res.Rows[0][0].AsInt()+1))
 					return err
 				})
@@ -854,7 +873,7 @@ func TestCatchAllTxnExcludesNamedWriters(t *testing.T) {
 					tables = []string{"audit"} // declared
 				} // odd workers: undeclared -> catch-all
 				err := c.WithTx(tables, func(tx *Session) error {
-					_, err := tx.ExecCached("INSERT INTO audit (item, delta) VALUES (?, ?)",
+					_, err := tx.Exec("INSERT INTO audit (item, delta) VALUES (?, ?)",
 						sqldb.Int(int64(w)), sqldb.Int(int64(i)))
 					return err
 				})
@@ -904,21 +923,21 @@ func txnAbortErrorPoisonsSession(t *testing.T, reps []*testReplica) {
 	if err := s.Begin("items", "audit"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ExecCached("UPDATE items SET qty = 1 WHERE id = 1"); err != nil {
+	if _, err := s.Exec("UPDATE items SET qty = 1 WHERE id = 1"); err != nil {
 		t.Fatal(err)
 	}
 	// A read of the held table waits for nothing and sees committed state.
-	if _, err := s.ExecCached("SELECT delta FROM audit WHERE id = 1"); err != nil {
+	if _, err := s.Exec("SELECT delta FROM audit WHERE id = 1"); err != nil {
 		t.Fatalf("read of a write-held table: %v", err)
 	}
 	// The write against it times out: the server aborts the WHOLE
 	// transaction.
-	if _, err := s.ExecCached("UPDATE audit SET delta = 1 WHERE id = 1"); err == nil {
+	if _, err := s.Exec("UPDATE audit SET delta = 1 WHERE id = 1"); err == nil {
 		t.Fatal("write against a write-held table must time out")
 	}
 	// The session is poisoned: further statements must be refused, so the
 	// caller cannot commit a half-aborted transaction.
-	if _, err := s.ExecCached("UPDATE items SET qty = 2 WHERE id = 1"); err == nil {
+	if _, err := s.Exec("UPDATE items SET qty = 2 WHERE id = 1"); err == nil {
 		t.Fatal("session must refuse statements after a transaction abort")
 	}
 	if _, err := blocker.Exec("ROLLBACK"); err != nil {

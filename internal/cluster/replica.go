@@ -255,10 +255,10 @@ func ejectable(err error) bool {
 // write broadcasts under its tables' write-order locks.
 func (rs *replicaSet) Exec(query string, args ...sqldb.Value) (*sqldb.Result, error) {
 	rt := rs.routes.of(query)
-	if rt.kind == kindTxnControl {
-		return nil, ErrTxnControlText
+	if rt.err != nil {
+		return nil, rt.err
 	}
-	if rt.kind == kindRead {
+	if !rt.write {
 		return rs.cachedRead(rt, query, args, false, func(restamp func(int)) (*sqldb.Result, error) {
 			return rs.readWith(restamp, query, args)
 		})
@@ -279,7 +279,7 @@ func (rs *replicaSet) readWith(restamp func(int), query string, args []sqldb.Val
 			return nil, ErrNoReplicas
 		}
 		start := time.Now()
-		res, err := r.pool.ExecCachedNotify(restamp, query, args...)
+		res, err := r.pool.ExecNotify(restamp, query, args...)
 		if isTransport(err) {
 			if ejectable(err) && rs.eject(r) {
 				continue // fail over to the next healthy replica
@@ -449,7 +449,7 @@ func (rs *replicaSet) writeWith(rt route, query string, args []sqldb.Value) (*sq
 	defer release()
 
 	outs := fanOut(rs.replicas, func(r *replica) bool { return r.healthy.Load() },
-		func(r *replica) (*sqldb.Result, error) { return r.pool.ExecCached(query, args...) })
+		func(r *replica) (*sqldb.Result, error) { return r.pool.Exec(query, args...) })
 	var b bcast
 	b.collect(rs, outs, func(r *replica, err error, applied bool) {
 		// applied: the write landed on another replica, so this one has
@@ -563,10 +563,10 @@ func isTxnAbort(err error) bool {
 // broadcast on every connection the transaction holds.
 func (s *replicaTxn) route(query string, args []sqldb.Value) (*sqldb.Result, error) {
 	rt := s.rs.routes.of(query)
-	if rt.kind == kindTxnControl {
-		return nil, ErrTxnControlText
+	if rt.err != nil {
+		return nil, rt.err
 	}
-	if rt.kind == kindRead {
+	if !rt.write {
 		// A transaction's read runs once, with no retry, so the pre-run
 		// stamp is the attempt's stamp.
 		return s.rs.cachedRead(rt, query, args, s.cacheBypass(rt), func(func(int)) (*sqldb.Result, error) {
@@ -585,7 +585,7 @@ func (s *replicaTxn) route(query string, args []sqldb.Value) (*sqldb.Result, err
 // session: that server rolled its side of the transaction back as the
 // connection died, and the next statement must not write into it.
 func (s *replicaTxn) execRead(query string, args []sqldb.Value) (*sqldb.Result, error) {
-	res, err := s.conns[s.pinned.id].ExecCached(query, args...)
+	res, err := s.conns[s.pinned.id].Exec(query, args...)
 	if isTransport(err) {
 		s.fail(s.pinned, err)
 		s.failed = true
@@ -799,7 +799,7 @@ func (s *replicaTxn) execWrite(query string, args []sqldb.Value, rt route) (*sql
 // for BEGIN would run the rest of the transaction in auto-commit.
 func (s *replicaTxn) broadcast(query string, args []sqldb.Value) (*sqldb.Result, error) {
 	outs := fanOut(s.rs.replicas, s.live, func(r *replica) (*sqldb.Result, error) {
-		return s.conns[r.id].ExecCached(query, args...)
+		return s.conns[r.id].Exec(query, args...)
 	})
 	var b bcast
 	b.collect(s.rs, outs, func(r *replica, err error, _ bool) { s.fail(r, err) })

@@ -7,36 +7,31 @@ import (
 	"sync/atomic"
 
 	"repro/internal/sqldb/sqlparse"
+	"repro/internal/sqldb/wire"
 )
 
-// stmtKind classifies a statement for routing: reads go to one replica,
-// writes broadcast to all, and transaction-control text (BEGIN, START
-// TRANSACTION, COMMIT, ROLLBACK) is refused — the Session API demarcates.
-type stmtKind int
-
-const (
-	kindRead stmtKind = iota
-	kindWrite
-	kindTxnControl
-)
-
-// route is the routing decision for one query text: its kind, and for
-// writes the tables whose cluster-wide write order must be serialized.
+// route is the routing decision for one query text: whether it is a write,
+// and for writes the tables whose cluster-wide write order must be
+// serialized.
 type route struct {
-	kind stmtKind
+	// err refuses the text before any connection is borrowed or lock taken:
+	// the parse error, as the database would report it (every replica
+	// shares the client's parser), or ErrTxnControlText. Nothing else is
+	// set.
+	err   error
+	write bool
 	// stmt is the parsed statement — the one parse the client does per
-	// distinct text, shared with the shard planner (shard.go). nil when the
-	// text is not in the dialect.
+	// distinct text, shared with the shard planner (shard.go).
 	stmt sqlparse.Statement
 	// tables lists the write-ordered tables (lower-cased, sorted, deduped).
-	// Empty for reads; for a write whose table is unknown — unparsable text,
-	// ALTER, PREPARE — it holds the catch-all "".
+	// Empty for reads; for a write whose table the statement does not name —
+	// ALTER, PREPARE TRANSACTION — it holds the catch-all "".
 	tables []string
 	// readTables lists the tables a SELECT references (FROM plus JOINs,
 	// lower-cased, sorted) — the set a cached result for this statement is
 	// validated against. The dialect has no subqueries, so that is the
-	// complete reference set. nil for non-SELECT reads and for statements the
-	// parser rejects, which makes them uncacheable (see cache.go).
+	// complete reference set. nil for every other statement, which makes it
+	// uncacheable (see cache.go).
 	readTables []string
 }
 
@@ -53,29 +48,15 @@ func (rs *routes) of(query string) route {
 	return r
 }
 
-// analyze classifies a statement by parsing it. Text the parser rejects is
-// classified by its first word alone: a SELECT or SHOW is still a read for
-// one replica, transaction control is still refused, and anything else is a
-// write serialized on the catch-all key, so replicas apply it in one order
-// and the database's parse error comes back from every one of them.
+// analyze classifies a statement by parsing it.
 func analyze(query string) route {
 	st, err := sqlparse.Parse(query)
 	if err != nil {
-		head := strings.TrimLeft(query, " \t\n")
-		if i := strings.IndexAny(head, " \t\n,("); i >= 0 {
-			head = head[:i]
-		}
-		switch strings.ToUpper(head) {
-		case "", "SELECT", "SHOW":
-			return route{kind: kindRead}
-		case "BEGIN", "START", "COMMIT", "ROLLBACK":
-			return route{kind: kindTxnControl}
-		}
-		return writeRoute(nil, "")
+		return route{err: &wire.ServerError{Msg: err.Error()}}
 	}
 	switch st := st.(type) {
 	case *sqlparse.Select:
-		rt := route{kind: kindRead, stmt: st}
+		rt := route{stmt: st}
 		if st.From.Table != "" {
 			tables := []string{st.From.Table}
 			for _, j := range st.Joins {
@@ -86,9 +67,9 @@ func analyze(query string) route {
 		return rt
 	case *sqlparse.ShowTables, *sqlparse.ShowTableStatus,
 		*sqlparse.ShowWALStatus, *sqlparse.ShowWALRecords, *sqlparse.ShowWALChain:
-		return route{kind: kindRead, stmt: st}
+		return route{stmt: st}
 	case *sqlparse.Begin, *sqlparse.Commit, *sqlparse.Rollback:
-		return route{kind: kindTxnControl, stmt: st}
+		return route{err: ErrTxnControlText}
 	case *sqlparse.Insert:
 		return writeRoute(st, st.Table)
 	case *sqlparse.Update:
@@ -107,7 +88,7 @@ func analyze(query string) route {
 }
 
 func writeRoute(st sqlparse.Statement, table string) route {
-	return route{kind: kindWrite, stmt: st, tables: []string{strings.ToLower(table)}}
+	return route{write: true, stmt: st, tables: []string{strings.ToLower(table)}}
 }
 
 // normalize lower-cases, sorts and dedupes a table list (the acquisition
@@ -134,12 +115,11 @@ func normalize(tables []string) []string {
 // order — the property that keeps AUTO_INCREMENT assignment and row state
 // identical across backends.
 //
-// The catch-all key "" (a statement whose table is unknown, or a
-// transaction declaring no write set) must conflict with every named
-// writer, not just with other catch-all holders: it takes the global lock
-// exclusively, while named sets share it. Without that, an undeclared
-// transaction's writes could interleave differently with a named writer on
-// different replicas.
+// The catch-all key "" (a write naming no table, or a transaction declaring
+// no write set) must conflict with every named writer, not just with other
+// catch-all holders: it takes the global lock exclusively, while named sets
+// share it. Without that, an undeclared transaction's writes could
+// interleave differently with a named writer on different replicas.
 type writeLocks struct {
 	mu     sync.Mutex
 	m      map[string]*sync.Mutex

@@ -151,8 +151,9 @@ func (sh *shardSet) buildPlan(query string) *shardPlan {
 		p.insert = true
 	case *sqlparse.Update, *sqlparse.Delete:
 	default:
-		// Unparsable text, DDL and the rest: reads run on one shard, writes
-		// broadcast under the route's tables — conservative, never wrong.
+		// DDL and the rest: reads run on one shard, writes broadcast under
+		// the route's tables — conservative, never wrong. (A refused text,
+		// p.rt.err, has no statement and lands here too; Exec returns it.)
 		return p
 	}
 	// First referenced sharded table whose key the statement pins wins:
@@ -258,10 +259,10 @@ func shardIndex(v sqldb.Value, n int) int {
 // Exec routes one pool-level statement through the shard set.
 func (sh *shardSet) Exec(query string, args ...sqldb.Value) (*sqldb.Result, error) {
 	p := sh.planOf(query)
-	switch p.rt.kind {
-	case kindTxnControl:
-		return nil, ErrTxnControlText
-	case kindRead:
+	switch {
+	case p.rt.err != nil:
+		return nil, p.rt.err
+	case !p.rt.write:
 		if !p.sharded {
 			// Global tables are replicated on every shard; any one answers.
 			return sh.shards[sh.rrNext()].Exec(query, args...)
@@ -796,17 +797,17 @@ func (s *shardTxn) Exec(query string, args ...sqldb.Value) (*sqldb.Result, error
 		return sh.Exec(query, args...)
 	}
 	p := sh.planOf(query)
-	if p.rt.kind == kindTxnControl {
-		return nil, ErrTxnControlText
+	if p.rt.err != nil {
+		return nil, p.rt.err
 	}
-	if s.readOnly && p.rt.kind != kindRead {
+	if s.readOnly && p.rt.write {
 		return nil, errReadOnlyTxn
 	}
 	if !p.sharded {
 		// Global table: in a transaction it must still run on a
 		// participating sub-session (reads must see the txn's own writes;
 		// writes are broadcast when the txn was opened all-shard).
-		if p.rt.kind == kindRead {
+		if !p.rt.write {
 			sub, err := s.anySub()
 			if err != nil {
 				return nil, err
@@ -826,7 +827,7 @@ func (s *shardTxn) Exec(query string, args ...sqldb.Value) (*sqldb.Result, error
 		sh.single.Add(1)
 		return s.subExec(sub, query, args)
 	}
-	if p.rt.kind == kindRead {
+	if !p.rt.write {
 		if err := s.allSubs(); err != nil {
 			return nil, err
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/sqldb"
 	"repro/internal/sqldb/wire"
@@ -102,7 +103,7 @@ func TestShardPinnedRouting(t *testing.T) {
 	}
 	// A pinned SELECT must not touch the other shard.
 	before := groups[1][0].srv.QueryCount()
-	res, err := c.ExecCached("SELECT total FROM orders WHERE customer_id = ?", sqldb.Int(3))
+	res, err := c.Exec("SELECT total FROM orders WHERE customer_id = ?", sqldb.Int(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -700,7 +701,6 @@ func TestControlTextRejected(t *testing.T) {
 			}
 			surfaces := []surface{
 				{"Client.Exec", func(q string) error { _, err := c.Exec(q); return err }},
-				{"Client.ExecCached", func(q string) error { _, err := c.ExecCached(q); return err }},
 				{"Session.Exec", func(q string) error { _, err := s.Exec(q); return err }},
 			}
 			check := func(when string) {
@@ -725,7 +725,7 @@ func TestControlTextRejected(t *testing.T) {
 			// Inside the session's transaction the rejections neither end
 			// it nor poison it. The pool surfaces would queue behind the
 			// session's connections here.
-			surfaces = surfaces[2:]
+			surfaces = surfaces[1:]
 			if err := s.Begin("customers"); err != nil {
 				t.Fatal(err)
 			}
@@ -737,7 +737,7 @@ func TestControlTextRejected(t *testing.T) {
 			c.Put(s, false)
 
 			err = c.WithTx([]string{"customers"}, func(tx *Session) error {
-				_, err := tx.ExecCached("INSERT INTO customers (name) VALUES ('after')")
+				_, err := tx.Exec("INSERT INTO customers (name) VALUES ('after')")
 				return err
 			})
 			if err != nil {
@@ -752,5 +752,80 @@ func TestControlTextRejected(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestUnparsableTextFailsFast: a text outside the dialect is refused
+// client-side with the database's own parse error, as a server error, before
+// a connection is borrowed or a write-order lock taken. So it neither waits
+// behind another client's open write transaction on the DSN nor reaches a
+// replica. (Routed as a write on the catch-all key, it used to do both.)
+func TestUnparsableTextFailsFast(t *testing.T) {
+	for _, topo := range [][2]int{{1, 2}, {2, 1}} {
+		t.Run(fmt.Sprintf("%dx%d", topo[0], topo[1]), func(t *testing.T) {
+			groups := startShards(t, topo[0], topo[1])
+			a := newShardClient(t, groups, Config{})
+			b := NewWithConfig(Config{DSN: shardDSN(groups), PoolSize: 4, ShardBy: map[string]string{"orders": "customer_id"}})
+			defer b.Close()
+			s, err := a.Get()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Begin("customers"); err != nil {
+				t.Fatal(err)
+			}
+			// Deferred, so a failure below still frees b's statements.
+			defer func() {
+				s.Commit()
+				a.Put(s, false)
+			}()
+			mustExec(t, s, "INSERT INTO customers (name) VALUES ('open')")
+
+			queries := []string{"SELEKT 1", "LOCK TABLES customers WRITE"}
+			errs := make(chan error, len(queries))
+			go func() {
+				for _, q := range queries {
+					_, err := b.Exec(q)
+					errs <- err
+				}
+			}()
+			for _, q := range queries {
+				_, want := sqldb.New().NewSession().Exec(q)
+				select {
+				case err := <-errs:
+					if !wire.IsServerError(err) || err.Error() != want.Error() {
+						t.Errorf("Exec(%q) = %v, want the server's %q", q, err, want)
+					}
+				case <-time.After(2 * time.Second):
+					t.Fatalf("Exec(%q) waited behind another client's open write transaction", q)
+				}
+			}
+			if st := b.Stats(); st.Gets != 0 {
+				t.Errorf("refused texts borrowed %d connections", st.Gets)
+			}
+		})
+	}
+}
+
+// TestClusterExecCachedForwards pins the deprecated ExecCached spellings on
+// Client and Session: each is Exec.
+func TestClusterExecCachedForwards(t *testing.T) {
+	c := newTestClient(t, startReplicas(t, 1), Config{})
+	res, err := c.ExecCached("SELECT name FROM items WHERE id = ?", sqldb.Int(2))
+	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].AsString() != "item-2" {
+		t.Fatalf("Client.ExecCached: %v %v", err, res)
+	}
+	err = c.WithTx([]string{"items"}, func(tx *Session) error {
+		res, err := tx.ExecCached("UPDATE items SET qty = 7 WHERE id = 2")
+		if err == nil && res.RowsAffected != 1 {
+			err = fmt.Errorf("%d rows updated", res.RowsAffected)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatalf("Session.ExecCached: %v", err)
+	}
+	if got := queryQty(t, c, 2); got != 7 {
+		t.Fatalf("qty = %d, want 7", got)
 	}
 }

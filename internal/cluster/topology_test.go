@@ -65,15 +65,8 @@ var errScriptRollback = errors.New("script: roll back")
 func topologyScript(c *Client) []string {
 	rng := rand.New(rand.NewSource(17))
 	var out []string
-	n := 0
-	// run alternates the two pool/session entry points: they are two names
-	// for one path and must agree.
 	run := func(ex sqldb.Execer, q string, args ...sqldb.Value) {
-		fn := ex.Exec
-		if n++; n%2 == 0 {
-			fn = ex.ExecCached
-		}
-		res, err := fn(q, args...)
+		res, err := ex.Exec(q, args...)
 		out = append(out, fmt.Sprintf("%s %v => %s", q, args, outcome(q, res, err)))
 	}
 	note := func(what string, err error) { out = append(out, fmt.Sprintf("%s => %s", what, outcome("", nil, err))) }

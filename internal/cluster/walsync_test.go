@@ -18,10 +18,9 @@ func startWALReplicas(t *testing.T, n int) []*testReplica {
 	for i := range reps {
 		db := sqldb.New()
 		sess := db.NewSession()
-		ex := sqldb.SessionExecer{S: sess}
-		mustExec(t, ex, `CREATE TABLE items (id INT PRIMARY KEY AUTO_INCREMENT, name VARCHAR(32), qty INT)`)
+		mustExec(t, sess, `CREATE TABLE items (id INT PRIMARY KEY AUTO_INCREMENT, name VARCHAR(32), qty INT)`)
 		for j := 1; j <= 5; j++ {
-			mustExec(t, ex, "INSERT INTO items (name, qty) VALUES (?, ?)",
+			mustExec(t, sess, "INSERT INTO items (name, qty) VALUES (?, ?)",
 				sqldb.String(fmt.Sprintf("item-%d", j)), sqldb.Int(100))
 		}
 		sess.Close()
@@ -61,13 +60,13 @@ func ejectAndRestart(t *testing.T, reps []*testReplica, i int, missed func()) {
 func TestRejoinWALDelta(t *testing.T) {
 	reps := startWALReplicas(t, 2)
 	c := newTestClient(t, reps, Config{})
-	if _, err := c.ExecCached("UPDATE items SET qty = 1 WHERE id = 1"); err != nil {
+	if _, err := c.Exec("UPDATE items SET qty = 1 WHERE id = 1"); err != nil {
 		t.Fatal(err)
 	}
 
 	ejectAndRestart(t, reps, 1, func() {
 		for k := 0; k < 10; k++ {
-			if _, err := c.ExecCached("INSERT INTO items (name, qty) VALUES (?, ?)",
+			if _, err := c.Exec("INSERT INTO items (name, qty) VALUES (?, ?)",
 				sqldb.String(fmt.Sprintf("missed-%d", k)), sqldb.Int(int64(k))); err != nil {
 				t.Fatalf("write during outage: %v", err)
 			}
@@ -99,7 +98,7 @@ func TestRejoinWALDelta(t *testing.T) {
 	}
 
 	// The cluster keeps working and replicating after the rejoin.
-	if _, err := c.ExecCached("UPDATE items SET qty = 2 WHERE id = 2"); err != nil {
+	if _, err := c.Exec("UPDATE items SET qty = 2 WHERE id = 2"); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := replicaDump(t, reps[1]), replicaDump(t, reps[0]); got != want {
@@ -116,7 +115,7 @@ func TestRejoinWALDeltaFallsBackAfterRotation(t *testing.T) {
 	c := newTestClient(t, reps, Config{})
 
 	ejectAndRestart(t, reps, 1, func() {
-		if _, err := c.ExecCached("INSERT INTO items (name, qty) VALUES ('missed', 1)"); err != nil {
+		if _, err := c.Exec("INSERT INTO items (name, qty) VALUES ('missed', 1)"); err != nil {
 			t.Fatalf("write during outage: %v", err)
 		}
 		// The source rotates its log past the joiner's head.
@@ -147,7 +146,7 @@ func TestRejoinWALDeltaRefusesDivergedJoiner(t *testing.T) {
 
 	ejectAndRestart(t, reps, 1, func() {
 		// The source moves on…
-		if _, err := c.ExecCached("INSERT INTO items (name, qty) VALUES ('src-only', 1)"); err != nil {
+		if _, err := c.Exec("INSERT INTO items (name, qty) VALUES ('src-only', 1)"); err != nil {
 			t.Fatal(err)
 		}
 		// …and the downed replica takes a rogue local write at the same LSN.

@@ -230,19 +230,19 @@ func TestChaosDegradedReadOnly(t *testing.T) {
 		DBTimeouts:     pool.Timeouts{Op: 200 * time.Millisecond},
 	})
 	cl := lab.Cluster()
-	if _, err := cl.ExecCached("UPDATE items SET max_bid = 11 WHERE id = 1"); err != nil {
+	if _, err := cl.Exec("UPDATE items SET max_bid = 11 WHERE id = 1"); err != nil {
 		t.Fatal(err)
 	}
 
 	lab.PartitionReplica(1)
-	if _, err := cl.ExecCached("UPDATE items SET max_bid = 12 WHERE id = 1"); err == nil {
+	if _, err := cl.Exec("UPDATE items SET max_bid = 12 WHERE id = 1"); err == nil {
 		t.Fatal("strict write through a partitioned replica must fail")
 	}
 	if !cl.Degraded() {
 		t.Fatal("strict write failure must latch degraded mode")
 	}
 	start := time.Now()
-	_, err := cl.ExecCached("UPDATE items SET max_bid = 13 WHERE id = 1")
+	_, err := cl.Exec("UPDATE items SET max_bid = 13 WHERE id = 1")
 	if !errors.Is(err, cluster.ErrDegraded) {
 		t.Fatalf("degraded write = %v, want cluster.ErrDegraded", err)
 	}
@@ -270,7 +270,7 @@ func TestChaosDegradedReadOnly(t *testing.T) {
 	if cl.Degraded() {
 		t.Fatal("full rejoin must exit degraded mode")
 	}
-	if _, err := cl.ExecCached("UPDATE items SET max_bid = ? WHERE id = 1", sqldb.Float(14)); err != nil {
+	if _, err := cl.Exec("UPDATE items SET max_bid = ? WHERE id = 1", sqldb.Float(14)); err != nil {
 		t.Fatalf("write after recovery: %v", err)
 	}
 	assertReplicasIdentical(t, lab, 2, auctionChaosTables)

@@ -156,7 +156,7 @@ func TestClusterTelemetryDelta(t *testing.T) {
 	// Populate already ran; route some traffic and window it.
 	cl := lab.Cluster()
 	for i := 0; i < 6; i++ {
-		if _, err := cl.ExecCached("SELECT id FROM customers WHERE id = 1"); err != nil {
+		if _, err := cl.Exec("SELECT id FROM customers WHERE id = 1"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -225,7 +225,7 @@ func TestRollbackBookstoreCheckoutE2E(t *testing.T) {
 	before := assertReplicasIdentical(t, lab, 2, bookstoreTxTables)
 	failure := fmt.Errorf("payment authorization declined")
 	err = cl.WithTx([]string{"credit_info", "items", "order_line", "orders"}, func(tx *cluster.Session) error {
-		ores, err := tx.ExecCached(
+		ores, err := tx.Exec(
 			`INSERT INTO orders (customer_id, o_date, subtotal, total, status)
 			 VALUES (?, ?, ?, ?, ?)`,
 			sqldb.Int(1), sqldb.Int(12000), sqldb.Float(30), sqldb.Float(30), sqldb.String("PENDING"))
@@ -233,12 +233,12 @@ func TestRollbackBookstoreCheckoutE2E(t *testing.T) {
 			return err
 		}
 		orderID := ores.LastInsertID
-		if _, err := tx.ExecCached(
+		if _, err := tx.Exec(
 			"INSERT INTO order_line (order_id, item_id, qty, discount) VALUES (?, ?, ?, ?)",
 			sqldb.Int(orderID), sqldb.Int(1), sqldb.Int(2), sqldb.Float(0)); err != nil {
 			return err
 		}
-		if _, err := tx.ExecCached(
+		if _, err := tx.Exec(
 			"UPDATE items SET stock = stock - ?, total_sold = total_sold + ? WHERE id = ?",
 			sqldb.Int(2), sqldb.Int(2), sqldb.Int(1)); err != nil {
 			return err
@@ -254,7 +254,7 @@ func TestRollbackBookstoreCheckoutE2E(t *testing.T) {
 	}
 	// The stack keeps serving checkouts after the abort, reusing the ids.
 	err = cl.WithTx([]string{"credit_info", "items", "order_line", "orders"}, func(tx *cluster.Session) error {
-		_, err := tx.ExecCached(
+		_, err := tx.Exec(
 			`INSERT INTO orders (customer_id, o_date, subtotal, total, status)
 			 VALUES (?, ?, ?, ?, ?)`,
 			sqldb.Int(2), sqldb.Int(12000), sqldb.Float(10), sqldb.Float(10), sqldb.String("PENDING"))
@@ -299,7 +299,7 @@ func TestRollbackAuctionBidRaceE2E(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < bidsEach; i++ {
 				err := cl.WithTx([]string{"bids", "items"}, func(tx *cluster.Session) error {
-					res, err := tx.ExecCached("SELECT max_bid FROM items WHERE id = ?", sqldb.Int(1))
+					res, err := tx.Exec("SELECT max_bid FROM items WHERE id = ?", sqldb.Int(1))
 					if err != nil {
 						return err
 					}
@@ -307,13 +307,13 @@ func TestRollbackAuctionBidRaceE2E(t *testing.T) {
 						return fmt.Errorf("no item")
 					}
 					bid := res.Rows[0][0].AsFloat() + 1
-					if _, err := tx.ExecCached(
+					if _, err := tx.Exec(
 						`INSERT INTO bids (item_id, user_id, bid, max_bid, qty, bid_date)
 						 VALUES (?, ?, ?, ?, 1, 12006)`,
 						sqldb.Int(1), sqldb.Int(int64(b+1)), sqldb.Float(bid), sqldb.Float(bid*1.1)); err != nil {
 						return err
 					}
-					if _, err := tx.ExecCached(
+					if _, err := tx.Exec(
 						"UPDATE items SET nb_bids = nb_bids + 1, max_bid = ? WHERE id = ?",
 						sqldb.Float(bid), sqldb.Int(1)); err != nil {
 						return err
@@ -362,13 +362,13 @@ func TestTxnReplicaKillAndRejoinE2E(t *testing.T) {
 	tables := []string{"items", "bids", "users"}
 
 	err = cl.WithTx([]string{"bids", "items"}, func(tx *cluster.Session) error {
-		if _, err := tx.ExecCached(
+		if _, err := tx.Exec(
 			`INSERT INTO bids (item_id, user_id, bid, max_bid, qty, bid_date)
 			 VALUES (1, 1, 55, 60, 1, 12006)`); err != nil {
 			return err
 		}
 		lab.StopReplica(2) // dies between the transaction's statements
-		_, err := tx.ExecCached("UPDATE items SET nb_bids = nb_bids + 1, max_bid = 55 WHERE id = 1")
+		_, err := tx.Exec("UPDATE items SET nb_bids = nb_bids + 1, max_bid = 55 WHERE id = 1")
 		return err
 	})
 	if err != nil {
@@ -392,7 +392,7 @@ func TestTxnReplicaKillAndRejoinE2E(t *testing.T) {
 	}
 	// And it participates in the next transaction.
 	err = cl.WithTx([]string{"items"}, func(tx *cluster.Session) error {
-		_, err := tx.ExecCached("UPDATE items SET max_bid = 77 WHERE id = 1")
+		_, err := tx.Exec("UPDATE items SET max_bid = 77 WHERE id = 1")
 		return err
 	})
 	if err != nil {

@@ -28,10 +28,10 @@ func TestDatabaseOutageSurfacesAs500(t *testing.T) {
 	// Assemble manually so we own the DB server's lifetime.
 	db := sqldb.New()
 	sess := db.NewSession()
-	if err := auction.CreateSchema(sqldb.SessionExecer{S: sess}); err != nil {
+	if err := auction.CreateSchema(sess); err != nil {
 		t.Fatal(err)
 	}
-	if err := auction.Populate(sqldb.SessionExecer{S: sess}, auction.TinyScale(), 1); err != nil {
+	if err := auction.Populate(sess, auction.TinyScale(), 1); err != nil {
 		t.Fatal(err)
 	}
 	sess.Close()
@@ -71,10 +71,10 @@ func TestDatabaseOutageSurfacesAs500(t *testing.T) {
 func TestDatabaseRestartRecovers(t *testing.T) {
 	db := sqldb.New()
 	sess := db.NewSession()
-	if err := bookstore.CreateSchema(sqldb.SessionExecer{S: sess}); err != nil {
+	if err := bookstore.CreateSchema(sess); err != nil {
 		t.Fatal(err)
 	}
-	if err := bookstore.Populate(sqldb.SessionExecer{S: sess}, bookstore.TinyScale(), 1); err != nil {
+	if err := bookstore.Populate(sess, bookstore.TinyScale(), 1); err != nil {
 		t.Fatal(err)
 	}
 	sess.Close()

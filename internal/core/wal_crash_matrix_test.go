@@ -102,7 +102,7 @@ func TestWALCrashMatrix(t *testing.T) {
 
 			// One serialized write before the fault so every log has a head
 			// past the initial checkpoint — the delta handshake's anchor.
-			if _, err := cl.ExecCached("UPDATE items SET max_bid = 11 WHERE id = 1"); err != nil {
+			if _, err := cl.Exec("UPDATE items SET max_bid = 11 WHERE id = 1"); err != nil {
 				t.Fatal(err)
 			}
 
@@ -150,7 +150,7 @@ func TestWALCrashMatrix(t *testing.T) {
 			// Append-point hooks fire off the workload's own writes; if the
 			// window closed first, push serialized writes until the hook trips.
 			for i := 0; i < 50 && !fired.Load(); i++ {
-				_, _ = cl.ExecCached("UPDATE items SET max_bid = ? WHERE id = 1", sqldb.Float(float64(20+i)))
+				_, _ = cl.Exec("UPDATE items SET max_bid = ? WHERE id = 1", sqldb.Float(float64(20+i)))
 			}
 			if !fired.Load() {
 				t.Fatal("crash point never fired")
@@ -161,7 +161,7 @@ func TestWALCrashMatrix(t *testing.T) {
 				// writes through the stack fail on the dead backend.
 				deadline := time.Now().Add(10 * time.Second)
 				for {
-					if _, err := cl.ExecCached("UPDATE items SET max_bid = 12 WHERE id = 1"); err != nil {
+					if _, err := cl.Exec("UPDATE items SET max_bid = 12 WHERE id = 1"); err != nil {
 						break
 					}
 					if time.Now().After(deadline) {
@@ -199,14 +199,14 @@ func TestWALCrashMatrix(t *testing.T) {
 				if time.Now().After(deadline) {
 					t.Fatalf("crashed replica never ejected: healthy %d", cl.Healthy())
 				}
-				_, _ = cl.ExecCached("UPDATE items SET max_bid = 12 WHERE id = 1")
+				_, _ = cl.Exec("UPDATE items SET max_bid = 12 WHERE id = 1")
 				time.Sleep(20 * time.Millisecond)
 			}
 
 			// Writes the victim misses while down: serialized, so the
 			// survivor's log stays an extension of the victim's history.
 			for k := 0; k < 5; k++ {
-				if _, err := cl.ExecCached("UPDATE items SET max_bid = ? WHERE id = 1",
+				if _, err := cl.Exec("UPDATE items SET max_bid = ? WHERE id = 1",
 					sqldb.Float(float64(50+k))); err != nil {
 					t.Fatalf("write during outage: %v", err)
 				}
@@ -240,7 +240,7 @@ func TestWALCrashMatrix(t *testing.T) {
 
 			// The rejoined backend takes the next write and the recovery is
 			// visible in telemetry.
-			if _, err := cl.ExecCached("UPDATE items SET max_bid = 99 WHERE id = 1"); err != nil {
+			if _, err := cl.Exec("UPDATE items SET max_bid = 99 WHERE id = 1"); err != nil {
 				t.Fatal(err)
 			}
 			assertReplicasIdentical(t, lab, tc.replicas, auctionChaosTables)

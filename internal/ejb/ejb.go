@@ -310,9 +310,9 @@ func (t *Tx) ensureTxn() error {
 func (t *Tx) execRead(query string, args ...sqldb.Value) (*sqldb.Result, error) {
 	t.c.queries.Add(1)
 	if t.sess != nil {
-		return t.sess.ExecCached(query, args...)
+		return t.sess.Exec(query, args...)
 	}
-	return t.c.pool.ExecCached(query, args...)
+	return t.c.pool.Exec(query, args...)
 }
 
 // execWrite runs a CMP write inside the database transaction, opening it
@@ -322,7 +322,7 @@ func (t *Tx) execWrite(query string, args ...sqldb.Value) (*sqldb.Result, error)
 		return nil, err
 	}
 	t.c.queries.Add(1)
-	return t.sess.ExecCached(query, args...)
+	return t.sess.Exec(query, args...)
 }
 
 // end releases the backing session, committing or rolling back first.

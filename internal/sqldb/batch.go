@@ -70,6 +70,6 @@ func (b *InsertBatch) Flush() error {
 	}
 	args := b.args
 	b.args = nil
-	_, err := b.db.ExecCached(InsertSQL(b.table, b.cols, rows), args...)
+	_, err := b.db.Exec(InsertSQL(b.table, b.cols, rows), args...)
 	return err
 }

@@ -129,36 +129,24 @@ func (s *Session) Exec(query string, args ...Value) (*Result, error) {
 	return s.ExecStmt(stmt, args...)
 }
 
-// Execer abstracts the ways statements reach the database: a pooled wire
-// client, a borrowed connection, a cluster client or session, or an
-// in-process session. Text versus prepared is a real distinction on the
-// wire client only (wire.Pool, wire.Conn): there Exec ships SQL text — for
-// unbounded vocabularies, such as the replica sync's formatted SHOW WAL
-// statements, that must not fill statement maps — and ExecCached is the
-// EXECUTE-by-id fast path for statements repeated on every request. For an
-// in-process session (SessionExecer) and for the cluster client and its
-// sessions, which always prepare, the two are one body under two names.
+// Execer is the one way a statement reaches the database, whichever handle
+// carries it: an in-process *Session, a pooled wire client or a borrowed
+// connection (wire.Pool, wire.Conn), or a cluster client or session. Every
+// one of them parses a distinct text once and runs it prepared after that:
+// a session through the database's plan cache, the wire client by
+// statement id on its connection (bounded per connection), the cluster
+// client through both.
 type Execer interface {
 	Exec(query string, args ...Value) (*Result, error)
-	ExecCached(query string, args ...Value) (*Result, error)
 }
 
-// SessionExecer adapts a Session to Execer. Pooled wire clients distinguish
-// Exec (text) from ExecCached (EXECUTE-by-id); for an in-process session
-// the two coincide — Exec already parses through the shared plan cache.
+var _ Execer = (*Session)(nil)
+
+// Deprecated: a *Session is an Execer; SessionExecer{S: s} is s.
 type SessionExecer struct{ S *Session }
 
-var _ Execer = SessionExecer{}
-
 // Exec executes one statement on the session.
-func (e SessionExecer) Exec(q string, args ...Value) (*Result, error) {
-	return e.S.Exec(q, args...)
-}
-
-// ExecCached executes one statement on the session (same as Exec).
-func (e SessionExecer) ExecCached(q string, args ...Value) (*Result, error) {
-	return e.S.Exec(q, args...)
-}
+func (e SessionExecer) Exec(q string, args ...Value) (*Result, error) { return e.S.Exec(q, args...) }
 
 // ExecStmt executes an already-parsed statement. Callers that issue the same
 // query repeatedly (the application tiers) parse once and reuse the AST, as

@@ -67,6 +67,19 @@ func TestInsertSelect(t *testing.T) {
 	}
 }
 
+// TestSessionExecerForwards pins the deprecated SessionExecer adapter: its
+// Exec is the session's own.
+func TestSessionExecerForwards(t *testing.T) {
+	_, s := testDB(t)
+	var ex Execer = SessionExecer{S: s}
+	if r, err := ex.Exec("INSERT INTO items (name) VALUES (?)", String("via adapter")); err != nil || r.LastInsertID != 1 {
+		t.Fatalf("adapter insert: %v %+v", err, r)
+	}
+	if got := mustExec(t, s, "SELECT name FROM items WHERE id = 1"); got.Rows[0][0].AsString() != "via adapter" {
+		t.Fatalf("session sees %+v", got.Rows)
+	}
+}
+
 func TestAutoIncrement(t *testing.T) {
 	_, s := testDB(t)
 	mustExec(t, s, "INSERT INTO items (id, name) VALUES (10, 'explicit')")

@@ -28,11 +28,10 @@ func TestIndexLeafFill(t *testing.T) {
 	} {
 		db := sqldb.New()
 		sess := db.NewSession()
-		ex := sqldb.SessionExecer{S: sess}
-		if err := app.schema(ex); err != nil {
+		if err := app.schema(sess); err != nil {
 			t.Fatal(err)
 		}
-		if err := app.populate(ex); err != nil {
+		if err := app.populate(sess); err != nil {
 			t.Fatal(err)
 		}
 		sess.Close()

@@ -48,15 +48,18 @@ func benchServer(b *testing.B) string {
 const benchQuery = `SELECT i.id, i.title, a.lname, i.cost
 	 FROM items i JOIN authors a ON a.id = i.author_id WHERE i.id = ?`
 
-// BenchmarkExecText is the v1 path: full SQL text on every round trip,
-// parsed server-side (through the plan cache) per request.
-func BenchmarkExecText(b *testing.B) {
+// BenchmarkExecPrepared is Conn.Exec's steady state: EXECUTE-by-id, no SQL
+// text and no parse after the first use.
+func BenchmarkExecPrepared(b *testing.B) {
 	addr := benchServer(b)
 	c, err := Dial(addr)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer c.Close()
+	if _, err := c.Exec(benchQuery, sqldb.Int(1)); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -70,45 +73,19 @@ func BenchmarkExecText(b *testing.B) {
 	}
 }
 
-// BenchmarkExecPrepared is the v2 fast path: EXECUTE-by-id, no SQL text and
-// no parse after the first use.
-func BenchmarkExecPrepared(b *testing.B) {
-	addr := benchServer(b)
-	c, err := Dial(addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.ExecCached(benchQuery, sqldb.Int(1)); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := c.ExecCached(benchQuery, sqldb.Int(int64(1+i%64)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Rows) != 1 {
-			b.Fatalf("rows: %+v", res.Rows)
-		}
-	}
-}
-
-// BenchmarkPoolExecPrepared measures the pooled fast path the application
-// tiers actually use (borrow + EXECUTE-by-id + return).
+// BenchmarkPoolExecPrepared measures Pool.Exec, the pooled path the
+// application tiers actually use (borrow + EXECUTE-by-id + return).
 func BenchmarkPoolExecPrepared(b *testing.B) {
 	addr := benchServer(b)
 	p := NewPool(addr, 4)
 	defer p.Close()
-	stmt := p.Prepare(benchQuery)
-	if _, err := stmt.Exec(sqldb.Int(1)); err != nil {
+	if _, err := p.Exec(benchQuery, sqldb.Int(1)); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := stmt.Exec(sqldb.Int(int64(1 + i%64))); err != nil {
+		if _, err := p.Exec(benchQuery, sqldb.Int(int64(1+i%64))); err != nil {
 			b.Fatal(err)
 		}
 	}

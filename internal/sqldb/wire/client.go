@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/frame"
@@ -16,10 +15,11 @@ import (
 // Pool hands each borrower exclusive access, like a JDBC connection.
 //
 // Conn tracks which statements it has prepared on its server session
-// (query text -> client-assigned id), so the prepared-statement fast path
-// is transparent: ExecCached prepares on first use, pipelining the PREPARE
-// with the first EXECUTE in a single round trip, and a freshly dialed
-// connection simply starts with an empty map and re-prepares.
+// (query text -> client-assigned id), so the prepared-statement path is
+// transparent: Exec prepares on first use, pipelining the PREPARE with the
+// first EXECUTE in a single round trip, and a freshly dialed connection
+// simply starts with an empty map and re-prepares. The map holds at most
+// maxStmtsPerConn texts, the server's cap (see evict).
 type Conn struct {
 	tc   *pool.Conn // socket, buffers and the per-operation deadline (Arm)
 	cols colCache   // column-name reuse across responses
@@ -27,11 +27,12 @@ type Conn struct {
 	stmts  map[string]uint32
 	nextID uint32
 
-	// pendingBegins counts BEGIN frames written but whose replies have not
-	// been read yet: Begin is pipelined — the frame rides to the server with
-	// the transaction's first statement, and the reply is drained just
-	// before that statement's own.
-	pendingBegins int
+	// pending counts frames written whose replies have not been read yet
+	// and carry nothing the caller wants: BEGIN (pipelined with the
+	// transaction's first statement) and an evicting CLOSE-STMT (pipelined
+	// with the PREPARE that takes its slot). Their replies are drained just
+	// before the caller's own.
+	pending int
 }
 
 // Dial connects to a wire server with the default dial and per-operation
@@ -101,12 +102,12 @@ func (c *Conn) readReply() (*sqldb.Result, error) {
 	}
 }
 
-// drainPending reads the replies of pipelined BEGIN frames, keeping the
-// stream in lockstep. Callers invoke it after flushing, before reading
-// their own reply.
+// drainPending reads the replies of the pending frames, keeping the stream
+// in lockstep. Callers invoke it after flushing, before reading their own
+// reply.
 func (c *Conn) drainPending() error {
-	for c.pendingBegins > 0 {
-		c.pendingBegins--
+	for c.pending > 0 {
+		c.pending--
 		if _, err := c.readReply(); err != nil {
 			return err
 		}
@@ -122,7 +123,7 @@ func (c *Conn) Begin() error {
 	if err := frame.Write(c.tc.BW, msgBegin, nil); err != nil {
 		return fmt.Errorf("wire: send: %w", err)
 	}
-	c.pendingBegins++
+	c.pending++
 	return nil
 }
 
@@ -154,73 +155,21 @@ func (c *Conn) txnEnd(typ byte) error {
 	return err
 }
 
-// Exec sends one statement as SQL text and waits for its result (the v1
-// exchange; the server parses through its plan cache).
-func (c *Conn) Exec(query string, args ...sqldb.Value) (*sqldb.Result, error) {
-	c.tc.Arm()
-	e := getEnc()
-	encodeQuery(e, query, args)
-	if err := c.send(msgQuery, e); err != nil {
-		return nil, err
-	}
-	if err := c.flush(); err != nil {
-		return nil, err
-	}
-	if err := c.drainPending(); err != nil {
-		return nil, err
-	}
-	return c.readReply()
-}
-
-// Prepare registers query on the connection's server session and returns
-// its statement id. Most callers never need it: ExecCached prepares
-// implicitly.
-func (c *Conn) Prepare(query string) (uint32, error) {
-	if id, ok := c.stmts[query]; ok {
-		return id, nil
-	}
-	c.tc.Arm()
-	c.nextID++
-	id := c.nextID
-	if err := c.sendPrepare(id, query); err != nil {
-		return 0, err
-	}
-	if err := c.flush(); err != nil {
-		return 0, err
-	}
-	if err := c.drainPending(); err != nil {
-		return 0, err
-	}
-	if _, err := c.readReply(); err != nil {
-		return 0, err
-	}
-	c.stmts[query] = id
-	return id, nil
-}
-
-// ExecPrepared runs a statement previously registered with Prepare.
-func (c *Conn) ExecPrepared(id uint32, args ...sqldb.Value) (*sqldb.Result, error) {
-	c.tc.Arm()
-	if err := c.sendExecStmt(id, args); err != nil {
-		return nil, err
-	}
-	if err := c.flush(); err != nil {
-		return nil, err
-	}
-	if err := c.drainPending(); err != nil {
-		return nil, err
-	}
-	return c.readReply()
-}
-
-// ExecCached runs query over the prepared-statement fast path, preparing it
-// on this connection first if needed. The first use pipelines PREPARE and
+// Exec runs one statement over the prepared-statement path, preparing it on
+// this connection first if needed. The first use pipelines PREPARE and
 // EXECUTE into one round trip; thereafter only the 4-byte statement id and
-// the arguments cross the wire.
-func (c *Conn) ExecCached(query string, args ...sqldb.Value) (*sqldb.Result, error) {
+// the arguments cross the wire. A connection whose table is full retires
+// one statement first (evict), in the same flush, so a one-off text costs
+// one round trip too and never reaches the server's cap.
+func (c *Conn) Exec(query string, args ...sqldb.Value) (*sqldb.Result, error) {
 	c.tc.Arm()
 	id, prepared := c.stmts[query]
 	if !prepared {
+		if len(c.stmts) >= maxStmtsPerConn {
+			if err := c.evict(); err != nil {
+				return nil, err
+			}
+		}
 		c.nextID++
 		id = c.nextID
 		if err := c.sendPrepare(id, query); err != nil {
@@ -251,27 +200,23 @@ func (c *Conn) ExecCached(query string, args ...sqldb.Value) (*sqldb.Result, err
 	return c.readReply()
 }
 
-// CloseStmt retires a prepared statement on both ends.
-func (c *Conn) CloseStmt(query string) error {
-	id, ok := c.stmts[query]
-	if !ok {
-		return nil
+// Deprecated: ExecCached is Exec.
+func (c *Conn) ExecCached(query string, args ...sqldb.Value) (*sqldb.Result, error) {
+	return c.Exec(query, args...)
+}
+
+// evict retires one statement — whichever the map yields first — on both
+// ends: its CLOSE-STMT is framed (unflushed) ahead of the PREPARE that
+// takes its slot, and its reply is drained with the other pipelined ones.
+func (c *Conn) evict() error {
+	for query, id := range c.stmts {
+		delete(c.stmts, query)
+		e := getEnc()
+		encodeCloseStmt(e, id)
+		c.pending++
+		return c.send(msgCloseStmt, e)
 	}
-	c.tc.Arm()
-	delete(c.stmts, query)
-	e := getEnc()
-	encodeCloseStmt(e, id)
-	if err := c.send(msgCloseStmt, e); err != nil {
-		return err
-	}
-	if err := c.flush(); err != nil {
-		return err
-	}
-	if err := c.drainPending(); err != nil {
-		return err
-	}
-	_, err := c.readReply()
-	return err
+	return nil
 }
 
 // Close closes the underlying connection (the server releases its locks
@@ -294,12 +239,7 @@ func IsServerError(err error) bool {
 // the paper's application servers configure. Borrowers block FIFO until a
 // connection frees. It is a typed wrapper over the shared instrumented
 // pool subsystem (internal/pool).
-type Pool struct {
-	p *pool.Pool[*Conn]
-
-	mu    sync.RWMutex // steady state is read-only lookups on the hot path
-	stmts map[string]*Stmt
-}
+type Pool struct{ p *pool.Pool[*Conn] }
 
 // Both statement surfaces of the client side are sqldb.Execers.
 var (
@@ -330,7 +270,6 @@ func NewPoolT(addr string, size int, t pool.Timeouts) *Pool {
 			Size:        size,
 			WaitTimeout: waitTimeout,
 		}),
-		stmts: make(map[string]*Stmt),
 	}
 }
 
@@ -347,60 +286,35 @@ func (p *Pool) Get() (*Conn, error) {
 // error to discard it and free capacity for a fresh dial.
 func (p *Pool) Put(c *Conn, broken bool) { p.p.Put(c, broken) }
 
-// Exec borrows a connection, runs the statement as SQL text, and returns
-// it. A server-side error (IsServerError) keeps the connection; a
-// transport error discards it. The text path never retries.
+// Exec borrows a connection and runs the statement on it (Conn.Exec: by id,
+// prepared on that connection first when needed). A server-side error
+// (IsServerError) keeps the connection; a transport error discards it. An
+// idempotent statement then retries once on a fresh connection, which
+// re-prepares from scratch — statement ids are per-connection state carried
+// by the Conn itself, so no stale id is ever executed. Writes are never
+// retried: the server may have applied the statement before the connection
+// died.
 func (p *Pool) Exec(query string, args ...sqldb.Value) (*sqldb.Result, error) {
+	return p.ExecNotify(nil, query, args...)
+}
+
+// ExecNotify is Exec with a per-attempt hook: onAttempt (when non-nil) runs
+// just before every try, including the retry a stale connection triggers.
+// The cluster's cached-read path uses it to re-capture its cache-version
+// stamp for the attempt that actually produces the rows.
+func (p *Pool) ExecNotify(onAttempt func(int), query string, args ...sqldb.Value) (*sqldb.Result, error) {
 	var res *sqldb.Result
-	err := p.p.Do(false, func(err error) bool { return !IsServerError(err) },
+	err := p.p.DoNotify(retryableStmt(query), func(err error) bool { return !IsServerError(err) },
+		onAttempt,
 		func(c *Conn) error {
 			var err error
 			res, err = c.Exec(query, args...)
 			return err
 		})
+	if errors.Is(err, pool.ErrClosed) {
+		return nil, errors.New("wire: pool closed")
+	}
 	return res, err
-}
-
-// ExecCached runs query over the prepared-statement fast path, managing
-// per-connection statement ids transparently (see Stmt.Exec).
-func (p *Pool) ExecCached(query string, args ...sqldb.Value) (*sqldb.Result, error) {
-	return p.Prepare(query).Exec(args...)
-}
-
-// ExecCachedNotify is ExecCached with a per-attempt hook (see
-// Stmt.ExecNotify).
-func (p *Pool) ExecCachedNotify(onAttempt func(int), query string, args ...sqldb.Value) (*sqldb.Result, error) {
-	return p.Prepare(query).ExecNotify(onAttempt, args...)
-}
-
-// Prepare returns the pool's shared handle for query. No network traffic
-// happens here: each connection registers the statement on first execute,
-// so a Stmt may be created once at startup and used from any goroutine.
-func (p *Pool) Prepare(query string) *Stmt {
-	p.mu.RLock()
-	s, ok := p.stmts[query]
-	p.mu.RUnlock()
-	if ok {
-		return s
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if s, ok := p.stmts[query]; ok {
-		return s
-	}
-	s = &Stmt{p: p, query: query, retry: retryableStmt(query)}
-	p.stmts[query] = s
-	return s
-}
-
-// Stmt is a pool-level prepared statement: the query text plus the pool to
-// run it on. Statement ids live on the individual connections, so the
-// statement survives connection churn — a recycled or freshly dialed
-// connection transparently re-prepares on its next execute.
-type Stmt struct {
-	p     *Pool
-	query string
-	retry bool
 }
 
 // retryableStmt reports whether a statement may safely run twice. Only
@@ -414,36 +328,6 @@ func retryableStmt(query string) bool {
 		i++
 	}
 	return strings.EqualFold(q[:i], "SELECT")
-}
-
-// Exec borrows a connection and runs the statement by id, preparing it on
-// that connection first when needed. For idempotent statements a transport
-// failure discards the broken connection and retries once on a fresh one;
-// because statement ids are per-connection state carried by the Conn
-// itself, the retry re-prepares from scratch rather than executing a stale
-// id. Writes are never retried (the text path never did either): the
-// server may have applied the statement before the connection died.
-func (s *Stmt) Exec(args ...sqldb.Value) (*sqldb.Result, error) {
-	return s.ExecNotify(nil, args...)
-}
-
-// ExecNotify is Exec with a per-attempt hook: onAttempt (when non-nil) runs
-// just before every try, including the retry a stale connection triggers.
-// The cluster's cached-read path uses it to re-capture its cache-version
-// stamp for the attempt that actually produces the rows.
-func (s *Stmt) ExecNotify(onAttempt func(int), args ...sqldb.Value) (*sqldb.Result, error) {
-	var res *sqldb.Result
-	err := s.p.p.DoNotify(s.retry, func(err error) bool { return !IsServerError(err) },
-		onAttempt,
-		func(c *Conn) error {
-			var err error
-			res, err = c.ExecCached(s.query, args...)
-			return err
-		})
-	if errors.Is(err, pool.ErrClosed) {
-		return nil, errors.New("wire: pool closed")
-	}
-	return res, err
 }
 
 // Stats snapshots the pool's saturation counters.

@@ -4,13 +4,13 @@
 // MM-MySQL type-4 JDBC driver; Pool provides the engine-side connection
 // pooling that Tomcat and JOnAS configure in the original system.
 //
-// Protocol v2 adds a prepared-statement fast path alongside the v1 text
-// query frame: PREPARE registers a statement under a client-assigned id on
-// the connection's server session, EXECUTE-by-id runs it with bound
-// arguments without re-sending (or re-parsing) the SQL text, and
-// CLOSE-STMT retires the id. v1 clients that only ever send msgQuery remain
-// fully supported — the frame layout and the text-query exchange are
-// unchanged.
+// Protocol v2 adds a prepared-statement path alongside the v1 text query
+// frame: PREPARE registers a statement under a client-assigned id on the
+// connection's server session, EXECUTE-by-id runs it with bound arguments
+// without re-sending (or re-parsing) the SQL text, and CLOSE-STMT retires
+// the id. This package's client speaks only v2 for statements (Conn.Exec);
+// the server still answers v1 clients that only ever send msgQuery — the
+// frame layout and the text-query exchange are unchanged.
 //
 // Protocol v3 adds transaction control: BEGIN / COMMIT / ROLLBACK frames
 // with empty payloads operating on the connection's server session. The
@@ -158,16 +158,8 @@ func (d *dec) args() []sqldb.Value {
 	return args
 }
 
-// encodeQuery appends a text-query request payload.
-func encodeQuery(e *enc, query string, args []sqldb.Value) {
-	e.Str(query)
-	e.U32(uint32(len(args)))
-	for _, a := range args {
-		e.value(a)
-	}
-}
-
-// decodeQuery parses a text-query request payload.
+// decodeQuery parses a text-query request payload (v1; the client sends
+// none, the server still answers them).
 func decodeQuery(p []byte) (string, []sqldb.Value, error) {
 	d := newDec(p)
 	q := d.Str()

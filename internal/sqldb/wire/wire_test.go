@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"net"
 	"strings"
@@ -46,6 +47,16 @@ func TestFrameRoundtrip(t *testing.T) {
 	typ, got, err := new(frame.Buf).Read(&buf)
 	if err != nil || typ != msgQuery || string(got) != "hello world" {
 		t.Fatalf("roundtrip: %v %x %q", err, typ, got)
+	}
+}
+
+// encodeQuery appends a v1 text-query request payload: the frame the
+// server still answers and no client in the repository sends.
+func encodeQuery(e *enc, query string, args []sqldb.Value) {
+	e.Str(query)
+	e.U32(uint32(len(args)))
+	for _, a := range args {
+		e.value(a)
 	}
 }
 
@@ -264,7 +275,7 @@ func TestLockTablesPerConnection(t *testing.T) {
 		}
 		return res.Rows[0][0].AsInt()
 	}
-	before := count(sqldb.SessionExecer{S: other})
+	before := count(other)
 	if err := c.Begin(); err != nil {
 		t.Fatal(err)
 	}
@@ -275,10 +286,7 @@ func TestLockTablesPerConnection(t *testing.T) {
 		if _, err := c.Exec(q); !IsServerError(err) || !strings.Contains(err.Error(), "unsupported statement") {
 			t.Fatalf("Exec(%q) = %v, want a server-side parse error", q, err)
 		}
-		if _, err := c.ExecCached(q); !IsServerError(err) {
-			t.Fatalf("ExecCached(%q) = %v, want a server error", q, err)
-		}
-		if got := count(sqldb.SessionExecer{S: other}); got != before {
+		if got := count(other); got != before {
 			t.Fatalf("%q committed the open transaction: %d rows visible, want %d", q, got, before)
 		}
 		if got := count(c); got != before+1 {
@@ -409,7 +417,7 @@ func TestConnExecCached(t *testing.T) {
 	defer c.Close()
 	const q = "SELECT v FROM kv WHERE k = ?"
 	for i := 0; i < 3; i++ {
-		res, err := c.ExecCached(q, sqldb.Int(1))
+		res, err := c.Exec(q, sqldb.Int(1))
 		if err != nil {
 			t.Fatalf("exec %d: %v", i, err)
 		}
@@ -420,13 +428,70 @@ func TestConnExecCached(t *testing.T) {
 	if len(c.stmts) != 1 {
 		t.Fatalf("want one cached statement, have %d", len(c.stmts))
 	}
-	if err := c.CloseStmt(q); err != nil {
-		t.Fatalf("close stmt: %v", err)
+	// Evicting frames a CLOSE-STMT that rides with the next flush; the id is
+	// then gone on both ends, and the next Exec must silently re-prepare.
+	if err := c.evict(); err != nil {
+		t.Fatalf("evict: %v", err)
 	}
-	// After CLOSE-STMT the id is gone on both ends; the next ExecCached
-	// must silently re-prepare.
-	if _, err := c.ExecCached(q, sqldb.Int(2)); err != nil {
-		t.Fatalf("exec after close: %v", err)
+	res, err := c.Exec(q, sqldb.Int(2))
+	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].AsString() != "two" {
+		t.Fatalf("exec after eviction: %v %+v", err, res)
+	}
+	if len(c.stmts) != 1 || c.pending != 0 {
+		t.Fatalf("after eviction: %d cached statements, %d pending replies", len(c.stmts), c.pending)
+	}
+}
+
+// TestConnExecCachedForwards pins the deprecated ExecCached spelling: it is
+// Exec, over the same statement table.
+func TestConnExecCachedForwards(t *testing.T) {
+	_, addr := startServer(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const q = "SELECT v FROM kv WHERE k = ?"
+	if _, err := c.Exec(q, sqldb.Int(1)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.ExecCached(q, sqldb.Int(2))
+	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].AsString() != "two" {
+		t.Fatalf("ExecCached: %v %+v", err, res)
+	}
+	if len(c.stmts) != 1 {
+		t.Fatalf("ExecCached prepared its own copy: %d statements", len(c.stmts))
+	}
+}
+
+// TestConnStatementTableBounded: a connection that runs more distinct texts
+// than the server's per-connection cap evicts as it goes — every statement
+// answers, the client's table never outgrows the cap, and a statement used
+// throughout still answers at the end.
+func TestConnStatementTableBounded(t *testing.T) {
+	_, addr := startServer(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const hot = "SELECT v FROM kv WHERE k = ?"
+	for i := 0; i < maxStmtsPerConn+64; i++ {
+		res, err := c.Exec(fmt.Sprintf("SELECT %d FROM kv WHERE k = 1", i))
+		if err != nil || len(res.Rows) != 1 || res.Rows[0][0].AsInt() != int64(i) {
+			t.Fatalf("statement %d: %v %+v", i, err, res)
+		}
+		if len(c.stmts) > maxStmtsPerConn {
+			t.Fatalf("statement %d: %d texts in the table, cap %d", i, len(c.stmts), maxStmtsPerConn)
+		}
+		if i%512 == 0 {
+			if res, err := c.Exec(hot, sqldb.Int(2)); err != nil || res.Rows[0][0].AsString() != "two" {
+				t.Fatalf("hot statement at %d: %v %+v", i, err, res)
+			}
+		}
+	}
+	if res, err := c.Exec(hot, sqldb.Int(1)); err != nil || res.Rows[0][0].AsString() != "one" {
+		t.Fatalf("hot statement after the churn: %v %+v", err, res)
 	}
 }
 
@@ -437,7 +502,15 @@ func TestExecPreparedUnknownID(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	_, err = c.ExecPrepared(999)
+	var e enc
+	encodeExecStmt(&e, 999, nil)
+	if err := frame.Write(c.tc.BW, msgExecStmt, e.B); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.flush(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.readReply()
 	if err == nil || !IsServerError(err) || !strings.Contains(err.Error(), "unknown statement id") {
 		t.Fatalf("want unknown-statement server error, got %v", err)
 	}
@@ -454,7 +527,7 @@ func TestExecCachedParseErrorKeepsConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	_, err = c.ExecCached("SELEKT broken")
+	_, err = c.Exec("SELEKT broken")
 	if err == nil || !IsServerError(err) {
 		t.Fatalf("want server error from pipelined PREPARE, got %v", err)
 	}
@@ -463,7 +536,7 @@ func TestExecCachedParseErrorKeepsConnection(t *testing.T) {
 	}
 	// The pipelined EXECUTE's error response must have been drained: the
 	// stream stays in lockstep.
-	res, err := c.ExecCached("SELECT v FROM kv WHERE k = ?", sqldb.Int(2))
+	res, err := c.Exec("SELECT v FROM kv WHERE k = ?", sqldb.Int(2))
 	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].AsString() != "two" {
 		t.Fatalf("connection out of sync after prepare failure: %v %+v", err, res)
 	}
@@ -500,17 +573,13 @@ func TestPoolStmtExec(t *testing.T) {
 	_, addr := startServer(t)
 	p := NewPool(addr, 2)
 	defer p.Close()
-	stmt := p.Prepare("SELECT v FROM kv WHERE k = ?")
-	if again := p.Prepare("SELECT v FROM kv WHERE k = ?"); again != stmt {
-		t.Fatal("Prepare must return the shared statement handle")
-	}
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 10; j++ {
-				res, err := stmt.Exec(sqldb.Int(2))
+				res, err := p.Exec("SELECT v FROM kv WHERE k = ?", sqldb.Int(2))
 				if err != nil {
 					t.Errorf("stmt exec: %v", err)
 					return
@@ -527,7 +596,7 @@ func TestPoolStmtExec(t *testing.T) {
 
 // TestStmtReconnectReprepares is the regression test for the stale-
 // connection retry: after every pooled connection dies with the server,
-// Stmt.Exec must re-establish statement ids on the replacement connection
+// Pool.Exec must re-establish statement ids on the replacement connection
 // instead of failing with "unknown statement id".
 func TestStmtReconnectReprepares(t *testing.T) {
 	db := sqldb.New()
@@ -548,8 +617,8 @@ func TestStmtReconnectReprepares(t *testing.T) {
 	}
 	p := NewPool(addr.String(), 1)
 	defer p.Close()
-	stmt := p.Prepare("SELECT v FROM kv WHERE k = ?")
-	if _, err := stmt.Exec(sqldb.Int(1)); err != nil {
+	const q = "SELECT v FROM kv WHERE k = ?"
+	if _, err := p.Exec(q, sqldb.Int(1)); err != nil {
 		t.Fatalf("first exec: %v", err)
 	}
 	// Kill the server (dropping the connection holding the statement id)
@@ -562,7 +631,7 @@ func TestStmtReconnectReprepares(t *testing.T) {
 		t.Skipf("could not rebind %s: %v", addr, err)
 	}
 	t.Cleanup(func() { srv2.Close() })
-	res, err := stmt.Exec(sqldb.Int(1))
+	res, err := p.Exec(q, sqldb.Int(1))
 	if err != nil {
 		t.Fatalf("exec after reconnect: %v", err)
 	}
@@ -674,7 +743,7 @@ func TestTxnOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The BEGIN reply is drained transparently before this statement's own.
-	if _, err := c.ExecCached("INSERT INTO kv VALUES (?, ?)", sqldb.Int(3), sqldb.String("three")); err != nil {
+	if _, err := c.Exec("INSERT INTO kv VALUES (?, ?)", sqldb.Int(3), sqldb.String("three")); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Commit(); err != nil {
@@ -684,7 +753,7 @@ func TestTxnOverWire(t *testing.T) {
 	if err := c.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ExecCached("UPDATE kv SET v = ? WHERE k = ?", sqldb.String("mutated"), sqldb.Int(1)); err != nil {
+	if _, err := c.Exec("UPDATE kv SET v = ? WHERE k = ?", sqldb.String("mutated"), sqldb.Int(1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Exec("DELETE FROM kv WHERE k = 2"); err != nil {
@@ -873,8 +942,8 @@ func TestExecNotifyFiresPerAttempt(t *testing.T) {
 
 	p := NewPool(addr.String(), 1)
 	defer p.Close()
-	stmt := p.Prepare("SELECT v FROM kv WHERE k = ?")
-	if _, err := stmt.Exec(sqldb.Int(1)); err != nil {
+	const q = "SELECT v FROM kv WHERE k = ?"
+	if _, err := p.Exec(q, sqldb.Int(1)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -888,7 +957,7 @@ func TestExecNotifyFiresPerAttempt(t *testing.T) {
 	defer srv2.Close()
 
 	var attempts []int
-	res, err := stmt.ExecNotify(func(n int) { attempts = append(attempts, n) }, sqldb.Int(1))
+	res, err := p.ExecNotify(func(n int) { attempts = append(attempts, n) }, q, sqldb.Int(1))
 	if err != nil {
 		t.Fatalf("retried exec: %v", err)
 	}

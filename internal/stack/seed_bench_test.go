@@ -21,11 +21,6 @@ func (c countingExecer) Exec(q string, args ...sqldb.Value) (*sqldb.Result, erro
 	return c.Execer.Exec(q, args...)
 }
 
-func (c countingExecer) ExecCached(q string, args ...sqldb.Value) (*sqldb.Result, error) {
-	c.n.Add(1)
-	return c.Execer.ExecCached(q, args...)
-}
-
 // BenchmarkSeed times seeding one application at DefaultScale two ways: the
 // in-process fill every unsharded backend runs (fill), and the seed a
 // 2-shard × 2-replica tier gets through a cluster client over the wire

@@ -139,7 +139,7 @@ func OpenDB(wal sqldb.WALOptions, fill func(sqldb.Execer) error) (*sqldb.DB, *sq
 	db := sqldb.New()
 	if fill != nil && !(wal.Dir != "" && sqldb.WALDirHasState(wal.Dir)) {
 		sess := db.NewSession()
-		err := fill(sqldb.SessionExecer{S: sess})
+		err := fill(sess)
 		sess.Close()
 		if err != nil {
 			return nil, nil, err
