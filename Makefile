@@ -56,11 +56,12 @@ docs-lint:
 
 lint: fmt vet docs-lint
 
-# Size of the system: non-test Go lines per internal package (nested ones
-# counted on their own) and in total — the number a simplification moves —
-# plus the cluster + core + telemetry sum ROADMAP item 3's target is stated
-# against, the cmd/ total, and internal + cmd: wiring moves across that
-# border, so only the sum says whether the system shrank.
+# Size of the system, ROADMAP item 3's size gauge: non-test Go lines per
+# internal package (nested ones counted on their own) and in total — the
+# number a simplification moves — plus the cluster + core + telemetry sum
+# item 3's target is stated against, the cmd/ total, and internal + cmd:
+# wiring moves across that border, so only the sum says whether the
+# system shrank.
 loc:
 	@for d in $$(find internal -type d | sort); do \
 		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \

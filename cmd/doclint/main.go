@@ -129,7 +129,9 @@ var flagTokRe = regexp.MustCompile("`-([a-z][a-z0-9-]*)[^`]*`")
 // the BENCH_<n>.json recorder, the root think-timer benchmarks and unset
 // core.Config options; the plan cache's whitespace normaliser and the
 // hand-written LRUs internal/lru replaced; the wire client's handle API and
-// the pool's notify variant of the second statement call).
+// the pool's notify variant of the second statement call; the tiers'
+// single-counter accessors the telemetry rows replaced, config fields
+// nothing set, and the rejoin copy's second exported entry point).
 var removedIdents = []string{
 	"execLock", "HoldsLocks", "bracketAll", "kindLock",
 	"shExec", "shBegin", "shCommit", "cluster.Stmt", "Client.Prepare", "topLevelFrom",
@@ -143,6 +145,8 @@ var removedIdents = []string{
 	"ShardSweep", "AppReplicaSweep", "CacheSweep", "TxnContentionSweep", "ReadOnlyTxnSweep",
 	"normalizeQuery", "newPlanCache", "newQueryCache",
 	"ExecPrepared", "ExecCachedNotify", "Pool.Prepare",
+	"EJBQueryCount", "ReplicaQueryCounts", "RequestCount", "ResponseBytes", "LoadCount",
+	"PGEDelay", "CookieName", "SyncWithin",
 }
 
 // checkFlagDocs verifies that every backticked `-flag` token on a

@@ -38,7 +38,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	queries := lab.EJBQueryCount()
+	queries := lab.Telemetry().Tier("ejb").Queries
 	fmt.Printf("Ws-Servlet-EJB-DB bidding mix: %6.0f ipm, mean %5.1fms, errors %d\n",
 		rep.ThroughputIPM, rep.Latency.Mean()*1000, rep.Errors)
 	fmt.Printf("EJB container issued %d statements for %d interactions: %.1f per interaction\n",

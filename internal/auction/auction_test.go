@@ -224,7 +224,7 @@ func TestEJBDeployment(t *testing.T) {
 			t.Errorf("%s -> %d: %s", p, resp.Status, resp.Body)
 		}
 	}
-	if q := ec.QueryCount(); q < 30 {
+	if q := ec.Telemetry().Queries; q < 30 {
 		t.Errorf("EJB issued only %d statements; CMP should flood the DB", q)
 	}
 	// Verify the bid actually landed, through a fresh direct check.

@@ -18,7 +18,7 @@ import (
 // (servlet.SessionStore) and restore it on another backend after failover.
 func init() { gob.Register(&cart{}) }
 
-// Config selects the locking discipline and optional emulated externals.
+// Config selects the locking discipline.
 type Config struct {
 	// Sync moves table locking into the engine-side lock manager (the
 	// paper's "(sync)" configurations); false brackets each read-write
@@ -26,9 +26,6 @@ type Config struct {
 	// failure) — the role the PHP scripts' LOCK TABLES sections played,
 	// with narrower locks.
 	Sync bool
-	// PGEDelay emulates the TPC-W payment gateway authorization latency
-	// during Buy Confirm. Zero keeps tests fast.
-	PGEDelay time.Duration
 }
 
 // App is the hand-written-SQL implementation of the bookstore, deployable
@@ -483,12 +480,6 @@ func (a *App) buyConfirm(ctx *servlet.Context, req *httpd.Request) (*httpd.Respo
 		ct.Lines[1+cid%int64(a.sc.Items)] = 1 // emulated browsers always buy something
 		sess.Set("cart", ct)
 	}
-	// The sync configurations authorize payment before entering the
-	// critical section; the PHP flow holds its LOCK TABLES across the
-	// gateway call (see perfsim's calibration notes).
-	if a.cfg.Sync && a.cfg.PGEDelay > 0 {
-		time.Sleep(a.cfg.PGEDelay)
-	}
 	var orderID int64
 	err := ctx.WithLocks(a.cfg.Sync,
 		[]servlet.TableLock{
@@ -519,9 +510,6 @@ func (a *App) buyConfirm(ctx *servlet.Context, req *httpd.Request) (*httpd.Respo
 				if len(ires.Rows) > 0 {
 					subtotal += ires.Rows[0][0].AsFloat() * float64(ct.Lines[id])
 				}
-			}
-			if !a.cfg.Sync && a.cfg.PGEDelay > 0 {
-				time.Sleep(a.cfg.PGEDelay)
 			}
 			total := subtotal * (1 - discount)
 			ores, err := ex.Exec(

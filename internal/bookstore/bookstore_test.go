@@ -247,11 +247,11 @@ func TestEJBDeployment(t *testing.T) {
 	// The defining EJB property: several statements per interaction (at
 	// TinyScale the list pages return only a handful of rows; full scale
 	// multiplies this further).
-	if q := ec.QueryCount(); q < 28 {
+	if q := ec.Telemetry().Queries; q < 28 {
 		t.Errorf("EJB container issued only %d statements for 7 interactions; CMP should flood the DB", q)
 	}
-	if ec.LoadCount() < 8 {
-		t.Errorf("expected many entity activations, got %d", ec.LoadCount())
+	if ec.Telemetry().Loads < 8 {
+		t.Errorf("expected many entity activations, got %d", ec.Telemetry().Loads)
 	}
 }
 

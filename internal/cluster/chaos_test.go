@@ -29,12 +29,12 @@ func TestSyncWithinDeadline(t *testing.T) {
 	src := reps[0].db.NewSession()
 	dst := reps[1].db.NewSession()
 	// Unbounded still works.
-	if _, _, err := SyncWithin(src, dst, 0); err != nil {
+	if _, _, err := syncWithin(src, dst, 0); err != nil {
 		t.Fatal(err)
 	}
 	// A destination that takes 30ms per statement blows a 20ms budget
 	// within the first table.
-	_, _, err := SyncWithin(src, slowExecer{Execer: dst, delay: 30 * time.Millisecond}, 20*time.Millisecond)
+	_, _, err := syncWithin(src, slowExecer{Execer: dst, delay: 30 * time.Millisecond}, 20*time.Millisecond)
 	if !errors.Is(err, ErrSyncTimeout) {
 		t.Fatalf("err = %v, want ErrSyncTimeout", err)
 	}

@@ -109,7 +109,7 @@ func TestReadsLoadBalance(t *testing.T) {
 		}
 	}
 	for i, r := range reps {
-		if n := r.srv.QueryCount(); n == 0 {
+		if n := r.srv.Telemetry().Queries; n == 0 {
 			t.Errorf("replica %d served no statements; reads did not balance", i)
 		}
 	}
@@ -372,7 +372,7 @@ func TestReprepareOnReplica(t *testing.T) {
 	}
 	// ...and both statements keep executing on both replicas: the new
 	// connections re-prepare behind the scenes.
-	before := reps[1].srv.QueryCount()
+	before := reps[1].srv.Telemetry().Queries
 	for i := 0; i < 20; i++ {
 		if _, err := st(sqldb.Int(2)); err != nil {
 			t.Fatalf("prepared read after rejoin: %v", err)
@@ -381,7 +381,7 @@ func TestReprepareOnReplica(t *testing.T) {
 	if _, err := wr(sqldb.Int(11), sqldb.Int(5)); err != nil {
 		t.Fatalf("prepared write after rejoin: %v", err)
 	}
-	if reps[1].srv.QueryCount() == before {
+	if reps[1].srv.Telemetry().Queries == before {
 		t.Fatal("rejoined replica served nothing; statements not re-prepared there")
 	}
 }
@@ -398,7 +398,7 @@ func TestSyncCopiesData(t *testing.T) {
 	mustExec(t, sess, `CREATE TABLE items (id INT PRIMARY KEY AUTO_INCREMENT, name VARCHAR(32), qty INT)`)
 	mustExec(t, sess, `CREATE TABLE audit (id INT PRIMARY KEY AUTO_INCREMENT, item INT, delta INT)`)
 
-	tables, rows, err := Sync(src, sess)
+	tables, rows, err := syncWithin(src, sess, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,7 +102,7 @@ func TestShardPinnedRouting(t *testing.T) {
 		}
 	}
 	// A pinned SELECT must not touch the other shard.
-	before := groups[1][0].srv.QueryCount()
+	before := groups[1][0].srv.Telemetry().Queries
 	res, err := c.Exec("SELECT total FROM orders WHERE customer_id = ?", sqldb.Int(3))
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestShardPinnedRouting(t *testing.T) {
 	if len(res.Rows) != 1 || res.Rows[0][0].AsInt() != 30 {
 		t.Fatalf("pinned read: %+v", res.Rows)
 	}
-	if groups[1][0].srv.QueryCount() != before {
+	if groups[1][0].srv.Telemetry().Queries != before {
 		t.Error("pinned read reached the non-owning shard")
 	}
 	if st := c.ClientStats(); st.ShardSingle == 0 || st.Shards != 2 {
@@ -247,7 +247,7 @@ func TestShardGlobalTableBroadcast(t *testing.T) {
 func TestShardTxnSingleShard(t *testing.T) {
 	groups := startShards(t, 2, 1)
 	c := newShardClient(t, groups, Config{})
-	before := groups[1][0].srv.QueryCount()
+	before := groups[1][0].srv.Telemetry().Queries
 	err := c.WithTx([]string{"orders"}, func(tx *Session) error {
 		if _, err := tx.Exec("INSERT INTO orders (customer_id, total) VALUES (?, ?)",
 			sqldb.Int(1), sqldb.Int(5)); err != nil {
@@ -265,7 +265,7 @@ func TestShardTxnSingleShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := groups[1][0].srv.QueryCount(); got != before {
+	if got := groups[1][0].srv.Telemetry().Queries; got != before {
 		t.Errorf("single-shard transaction reached shard 1 (%d statements)", got-before)
 	}
 	if st := c.ClientStats(); st.Shard2PCTxns != 0 {
@@ -627,11 +627,11 @@ func TestShardTxnScatterPropagatesPoisoning(t *testing.T) {
 		groups[1][0].srv.Close()
 		_, scatterErr = tx.Exec("SELECT total FROM orders ORDER BY total")
 		for i, g := range groups {
-			served[i] = g[0].srv.QueryCount()
+			served[i] = g[0].srv.Telemetry().Queries
 		}
 		_, nextErr = tx.Exec("SELECT total FROM orders WHERE customer_id = ?", sqldb.Int(1))
 		for i, g := range groups {
-			served[i] = g[0].srv.QueryCount() - served[i]
+			served[i] = g[0].srv.Telemetry().Queries - served[i]
 		}
 		return scatterErr
 	})

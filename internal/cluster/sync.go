@@ -21,31 +21,28 @@ const (
 	walShipMaxRounds = 1024
 )
 
-// ErrSyncTimeout is returned by SyncWithin when the copy outlives its
+// ErrSyncTimeout is returned by SyncAuto when the copy outlives its
 // deadline. The destination holds a half-copied data set; Rejoin reacts by
 // leaving the replica cleanly ejected (and marked mid-sync for every
 // client sharing the DSN) rather than promoting it.
 var ErrSyncTimeout = errors.New("cluster: sync deadline exceeded")
 
-// Sync replays src's data onto dst, table by table: SHOW TABLE STATUS to
-// enumerate the catalog, SELECT * to read each table, DELETE FROM plus
-// batched INSERTs to rewrite it, and ALTER TABLE ... AUTO_INCREMENT to copy
-// the source's id-assignment state exactly. dst must already have the
-// schema (a fresh dbserver creates it before syncing; a rejoining replica
-// kept its own). Row data alone cannot carry the counters: a strided shard
-// counter (offset/stride) or a counter advanced past a deleted row would
-// diverge on the next insert, so the status row's next/offset/stride are
-// replayed verbatim. It returns the tables and rows copied.
-func Sync(src, dst sqldb.Execer) (tables, rows int, err error) {
-	return SyncWithin(src, dst, 0)
-}
-
-// SyncWithin is Sync bounded by a wall-clock budget (0: unbounded). The
-// deadline is checked between tables and between row batches — the units
-// of work whose individual round trips the transport deadlines already
-// bound — so expiry surfaces as ErrSyncTimeout within one round trip
-// rather than hanging for the whole copy of a large data set.
-func SyncWithin(src, dst sqldb.Execer, budget time.Duration) (tables, rows int, err error) {
+// syncWithin is the full copy: it replays src's data onto dst, table by
+// table: SHOW TABLE STATUS to enumerate the catalog, SELECT * to read each
+// table, DELETE FROM plus batched INSERTs to rewrite it, and ALTER TABLE ...
+// AUTO_INCREMENT to copy the source's id-assignment state exactly. dst must
+// already have the schema (a rejoining replica kept its own). Row data
+// alone cannot carry the counters: a strided shard counter (offset/stride)
+// or a counter advanced past a deleted row would diverge on the next
+// insert, so the status row's next/offset/stride are replayed verbatim. It
+// returns the tables and rows copied.
+//
+// The copy is bounded by a wall-clock budget (0: unbounded). The deadline
+// is checked between tables and between row batches — the units of work
+// whose individual round trips the transport deadlines already bound — so
+// expiry surfaces as ErrSyncTimeout within one round trip rather than
+// hanging for the whole copy of a large data set.
+func syncWithin(src, dst sqldb.Execer, budget time.Duration) (tables, rows int, err error) {
 	var deadline time.Time
 	if budget > 0 {
 		deadline = time.Now().Add(budget)
@@ -106,7 +103,7 @@ type SyncStats struct {
 // prefix of src's history — only the statements dst missed are shipped
 // (SHOW WAL RECORDS) and replayed, instead of rewriting every table. Any
 // mismatch, unavailability (dst's position rotated out of src's retained
-// log), or mid-ship divergence falls back to the full SyncWithin copy.
+// log), or mid-ship divergence falls back to the full syncWithin copy.
 func SyncAuto(src, dst sqldb.Execer, budget time.Duration) (SyncStats, error) {
 	if st, err := syncWALDelta(src, dst, budget); err == nil {
 		return st, nil
@@ -114,7 +111,7 @@ func SyncAuto(src, dst sqldb.Execer, budget time.Duration) (SyncStats, error) {
 		// Out of budget: a full copy would only take longer.
 		return st, err
 	}
-	tables, rows, err := SyncWithin(src, dst, budget)
+	tables, rows, err := syncWithin(src, dst, budget)
 	return SyncStats{Tables: tables, Rows: rows}, err
 }
 

@@ -67,13 +67,13 @@ func TestAppTierSessionAffinity(t *testing.T) {
 	}
 
 	pinned := backendIndex(t, route)
-	before := lab.containers[pinned].Stats().Requests
+	before := lab.containers[pinned].Telemetry().Requests
 	for i := 0; i < 8; i++ {
 		if resp, err := c.Get("/tpcw/shoppingcart"); err != nil || resp.Status != 200 {
 			t.Fatalf("pinned request %d: %v %v", i, resp, err)
 		}
 	}
-	if got := lab.containers[pinned].Stats().Requests - before; got != 8 {
+	if got := lab.containers[pinned].Telemetry().Requests - before; got != 8 {
 		t.Fatalf("pinned backend served %d of 8 session requests", got)
 	}
 	snap := lab.Telemetry()
@@ -157,7 +157,7 @@ func TestAppTierSessionFailover(t *testing.T) {
 	wg.Wait()
 
 	survivor := 1 - pinned
-	if lab.containers[survivor].Stats().Requests == 0 {
+	if lab.containers[survivor].Telemetry().Requests == 0 {
 		t.Fatal("survivor served nothing")
 	}
 	snap := lab.Telemetry()
@@ -209,7 +209,7 @@ func TestAppReplicaWorkload(t *testing.T) {
 		t.Fatal("balancer routed nothing during the window")
 	}
 	for i := 0; i < lab.AppBackends(); i++ {
-		if lab.containers[i].Stats().Requests == 0 {
+		if lab.containers[i].Telemetry().Requests == 0 {
 			t.Fatalf("backend %d idle for the whole run", i)
 		}
 	}

@@ -48,9 +48,9 @@ func TestClusterWorkloadReadsBothReplicas(t *testing.T) {
 			if rep.Errors > rep.Interactions/10 {
 				t.Fatalf("error rate too high: %d errors / %d completions", rep.Errors, rep.Interactions)
 			}
-			for i, n := range lab.ReplicaQueryCounts() {
-				if n == 0 {
-					t.Errorf("replica %d served no statements; reads did not spread", i)
+			for _, r := range lab.Telemetry().Replicas {
+				if r.Queries == 0 {
+					t.Errorf("replica %d served no statements; reads did not spread", r.ID)
 				}
 			}
 			// The report's telemetry carries the per-replica section.

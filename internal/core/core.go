@@ -469,17 +469,6 @@ func (l *Lab) ReplicaDB(i int) *sqldb.DB { return l.dbs[i] }
 // ReplicaAddrs returns the database tier's wire addresses.
 func (l *Lab) ReplicaAddrs() []string { return l.dbAddrs }
 
-// ReplicaQueryCounts returns each replica server's served-statement count —
-// the observable behind "reads landed on both replicas". Stopped replicas
-// report their final count.
-func (l *Lab) ReplicaQueryCounts() []int64 {
-	counts := make([]int64, len(l.dbSrvs))
-	for i, srv := range l.dbSrvs {
-		counts[i] = srv.QueryCount()
-	}
-	return counts
-}
-
 // StopReplica kills one database backend — the failover experiment's
 // fault injector. The cluster client ejects it on the next statement it
 // routes there. The server handle is kept so its final counters stay
@@ -670,162 +659,59 @@ func (l *Lab) RejoinAll() error {
 	return firstErr
 }
 
-// EJBQueryCount returns the EJB tier's statement count (0 for non-EJB
-// configurations) — the observable behind §6.1's packet analysis. A
-// replicated tier reports the sum over its backends.
-func (l *Lab) EJBQueryCount() int64 {
-	var n int64
-	for _, ec := range l.ejbCs {
-		n += ec.QueryCount()
-	}
-	return n
-}
-
 // Telemetry snapshots every tier's request/query counters and transport
 // pool saturation — the observable behind the paper's which-tier-saturates
 // analysis. Counters accumulate from boot; diff two snapshots with
-// telemetry.Snapshot.Delta to window them. Replicated tiers aggregate into
-// one tier figure (the paper's per-machine column), with the per-backend
+// telemetry.Snapshot.Delta to window them. Each tier's row is its owners'
+// own rows folded with telemetry.Add — N backends or replicas into one
+// tier figure (the paper's per-machine column) — with the per-backend
 // breakdown in Snapshot.AppBackends / Snapshot.Replicas.
 func (l *Lab) Telemetry() *telemetry.Snapshot {
 	s := &telemetry.Snapshot{
 		Arch:      l.cfg.Arch.String(),
 		Benchmark: l.cfg.Benchmark.String(),
 	}
+	// Web tier: the front's row (page cache, AJP connector pools) first, so
+	// its pool and downstream stand, then the HTTP server's counters.
+	s.Tiers = appendFold(s.Tiers, []telemetry.Tier{l.front.Telemetry(), l.web.Telemetry()})
 
-	// Web tier: requests served, plus the AJP connector pool(s) to the
-	// engine below it (absent in-process). N balanced backends aggregate
-	// into one pool figure, so the bottleneck heuristic keeps working.
-	web := telemetry.Tier{Name: "web"}
-	if l.web != nil {
-		web.Requests = l.web.RequestCount()
-		web.Bytes = l.web.ResponseBytes()
-	}
-	if l.front.PageCache != nil {
-		pcs := l.front.PageCache.Stats()
-		web.PageCacheHits = pcs.Hits
-		web.PageCacheMisses = pcs.Misses
-		web.PageCacheInvalidations = pcs.Invalidations
-		web.PageCacheBypasses = pcs.Bypasses
-	}
-	if l.module == nil {
-		var pools []pool.Stats
-		for _, be := range l.front.Backends {
-			pools = append(pools, be.PoolStats())
-		}
-		ps := sumPools("ajp", pools)
-		web.Pool = &ps
-		web.Downstream = "servlet"
-	}
-	s.Tiers = append(s.Tiers, web)
-
-	// Engine tier: the servlet containers (standalone, in-process module,
-	// or EJB presentation layer). Their pool is whatever they call into —
-	// the database pools, or the RMI client pools in the EJB configuration.
+	// Servlet tier: the containers (standalone, the in-process module's, or
+	// the EJB presentation layer's). The presentation containers have no
+	// database; their downstream is the RMI clients core holds beside them.
 	engine := l.containers
 	if l.module != nil {
 		engine = []*servlet.Container{l.module.Container()}
 	}
-	if len(engine) > 0 {
-		t := telemetry.Tier{Name: "servlet"}
-		var dbPools []pool.Stats
-		for _, c := range engine {
-			cs := c.Stats()
-			t.Requests += cs.Requests
-			if cs.DB != nil {
-				dbPools = append(dbPools, *cs.DB)
-			}
-			if cl := c.Context().DB; cl != nil {
-				cs := cl.ClientStats()
-				t.Shards = cs.Shards // topology, the same on every backend's client
-				telemetry.Add(&t.ClusterStats, cs)
-			}
+	apps := rows(engine)
+	s.Tiers = appendFold(s.Tiers, apps)
+	if len(l.rmiClients) > 0 {
+		pools := make([]pool.Stats, len(l.rmiClients))
+		for i, rc := range l.rmiClients {
+			pools[i] = rc.Stats()
 		}
-		if len(dbPools) > 0 {
-			ps := sumPools("db-cluster", dbPools)
-			t.Pool = &ps
-			t.Downstream = "db"
-		}
-		if len(l.rmiClients) > 0 {
-			var pools []pool.Stats
-			for _, rc := range l.rmiClients {
-				pools = append(pools, rc.Stats())
-			}
-			ps := sumPools("rmi", pools)
-			t.Pool = &ps
-			t.Downstream = "ejb"
-		}
-		s.Tiers = append(s.Tiers, t)
+		ps := pool.Sum(pools[0].Name, pools)
+		t := s.Tier("servlet")
+		t.Pool, t.Downstream = &ps, "ejb"
 	}
 
-	if len(l.ejbCs) > 0 {
-		t := telemetry.Tier{Name: "ejb", Downstream: "db"}
-		var dbPools []pool.Stats
-		for _, ec := range l.ejbCs {
-			es := ec.Stats()
-			t.Queries += es.Queries
-			t.Loads += es.Loads
-			t.Stores += es.Stores
-			t.Commits += es.TxCommits
-			t.Aborts += es.TxAborts
-			// Read-only demarcations: the container's lazy, never-opened
-			// transactions plus any explicit BeginReadOnly the client ran.
-			t.ReadOnlyTxns += es.TxReadOnly
-			cs := ec.DB().ClientStats()
-			t.Shards = cs.Shards
-			telemetry.Add(&t.ClusterStats, cs)
-			dbPools = append(dbPools, es.DB)
-		}
-		ps := sumPools("db-cluster", dbPools)
-		t.Pool = &ps
-		s.Tiers = append(s.Tiers, t)
-	}
+	s.Tiers = appendFold(s.Tiers, rows(l.ejbCs))
 
-	if len(l.dbSrvs) > 0 {
-		// Aggregate the replica servers into the db tier, as the paper's
-		// single "database machine" column.
-		t := telemetry.Tier{Name: "db"}
-		for _, srv := range l.dbSrvs {
-			ds := srv.Stats()
-			t.Queries += ds.Queries
-			t.PreparedExecs += ds.PreparedExecs
-			t.TextExecs += ds.TextExecs
-			t.PlanHits += ds.PlanCache.Hits
-			t.PlanMisses += ds.PlanCache.Misses
-			t.Commits += ds.Txns.Commits
-			t.Aborts += ds.Txns.Rollbacks
-			t.DeadlockTimeouts += ds.Txns.DeadlockTimeouts
-			t.TxnLockWaitNanos += ds.Txns.LockWaitNanos
-			t.SnapshotReads += ds.MVCC.SnapshotReads
-			t.LockBypasses += ds.MVCC.LockBypasses
-			t.SnapshotRefreshes += ds.MVCC.Refreshes
-			t.WALAppends += ds.WAL.Appends
-			t.WALFsyncs += ds.WAL.Fsyncs
-			t.WALBytes += ds.WAL.Bytes
-			t.WALCheckpoints += ds.WAL.Checkpoints
-			t.WALRecoveries += ds.WAL.Recoveries
-		}
-		s.Tiers = append(s.Tiers, t)
-	}
+	// Database tier: the replica servers, as the paper's single "database
+	// machine" column.
+	dbs := rows(l.dbSrvs)
+	s.Tiers = appendFold(s.Tiers, dbs)
 
 	// Per-replica breakdown: the cluster clients' routing views (every app
 	// backend routes independently, so their counters sum), joined with
-	// each replica server's own statement counter and its backend's
-	// write-ahead log counters.
+	// each replica server's own statement and write-ahead log counters.
 	if cl := l.Cluster(); cl != nil && cl.Replicas() > 1 {
 		s.Replicas = aggregateReplicaStats(l.clusterClients())
 		for i := range s.Replicas {
-			id := s.Replicas[i].ID
-			if id < len(l.dbSrvs) {
-				s.Replicas[i].Queries = l.dbSrvs[id].QueryCount()
-			}
-			if id < len(l.dbs) {
-				ws := l.dbs[id].WALStats()
-				s.Replicas[i].WALAppends = ws.Appends
-				s.Replicas[i].WALFsyncs = ws.Fsyncs
-				s.Replicas[i].WALBytes = ws.Bytes
-				s.Replicas[i].Checkpoints = ws.Checkpoints
-				s.Replicas[i].Recoveries = ws.Recoveries
+			r := &s.Replicas[i]
+			if r.ID < len(dbs) {
+				d := dbs[r.ID]
+				r.Queries, r.WALAppends, r.WALFsyncs, r.WALBytes = d.Queries, d.WALAppends, d.WALFsyncs, d.WALBytes
+				r.Checkpoints, r.Recoveries = d.WALCheckpoints, d.WALRecoveries
 			}
 		}
 	}
@@ -835,12 +721,35 @@ func (l *Lab) Telemetry() *telemetry.Snapshot {
 	if l.front.Balancer != nil {
 		s.AppBackends = l.front.Balancer.Stats()
 		for i := range s.AppBackends {
-			if i < len(l.containers) {
-				s.AppBackends[i].Requests = l.containers[i].Stats().Requests
+			if i < len(apps) {
+				s.AppBackends[i].Requests = apps[i].Requests
 			}
 		}
 	}
 	return s
+}
+
+// rows collects each owner's own tier row.
+func rows[O interface{ Telemetry() telemetry.Tier }](owners []O) []telemetry.Tier {
+	out := make([]telemetry.Tier, len(owners))
+	for i, o := range owners {
+		out[i] = o.Telemetry()
+	}
+	return out
+}
+
+// appendFold appends the tier whose owners reported rows, combined with
+// telemetry.Add: counters sum, and the first row's names, gauges and pool
+// name stand. A tier with no owners is absent.
+func appendFold(tiers, owned []telemetry.Tier) []telemetry.Tier {
+	if len(owned) == 0 {
+		return tiers
+	}
+	t := owned[0]
+	for _, r := range owned[1:] {
+		telemetry.Add(&t, r)
+	}
+	return append(tiers, t)
 }
 
 // clusterClients returns every replication-aware database client in the
@@ -882,15 +791,6 @@ func aggregateReplicaStats(clients []*cluster.Client) []telemetry.Replica {
 		}
 	}
 	return out
-}
-
-// sumPools aggregates transport pools into one figure, keeping a single
-// pool's snapshot (and name) untouched.
-func sumPools(name string, pools []pool.Stats) pool.Stats {
-	if len(pools) == 1 {
-		return pools[0]
-	}
-	return pool.Sum(name, pools)
 }
 
 // Run drives the lab with the client emulator and attaches the per-tier

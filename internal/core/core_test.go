@@ -103,14 +103,15 @@ func TestEJBIssuesMoreQueries(t *testing.T) {
 	lab := startLab(t, perfsim.ArchEJB, perfsim.Auction)
 	c := httpclient.New(lab.WebAddr(), 10*time.Second)
 	defer c.Close()
-	before := lab.EJBQueryCount()
+	ejbQueries := func() int64 { return lab.Telemetry().Tier("ejb").Queries }
+	before := ejbQueries()
 	const n = 10
 	for i := 0; i < n; i++ {
 		if _, err := c.Get(fmt.Sprintf("/rubis/viewitem?item=%d", 1+i%5)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	perInteraction := float64(lab.EJBQueryCount()-before) / n
+	perInteraction := float64(ejbQueries()-before) / n
 	if perInteraction < 2 {
 		t.Fatalf("EJB issued %.1f statements/interaction; CMP should need several", perInteraction)
 	}

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/arch"
 	"repro/internal/httpd/httpclient"
 	"repro/internal/perfsim"
 	"repro/internal/telemetry"
@@ -87,6 +90,44 @@ func TestStatusEndpointReportsSaturation(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPoolNamesKeepKindPrefix pins what bench/counts.go keys each
+// *.pool_wait_us_per_op on: a tier's pool name starts with its transport's
+// kind, however many app backends and database replicas the fold combined.
+// The capacities check the fold summed every owner's pool.
+func TestPoolNamesKeepKindPrefix(t *testing.T) {
+	for _, a := range []arch.Arch{arch.Servlet, arch.EJB} {
+		for _, apps := range []int{1, 2} {
+			for _, reps := range []int{1, 2} {
+				t.Run(fmt.Sprintf("%v/apps=%d/replicas=%d", a, apps, reps), func(t *testing.T) {
+					lab, err := Start(Config{Arch: a, Benchmark: arch.Auction, AppReplicas: apps, DBReplicas: reps})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer lab.Close()
+					snap := lab.Telemetry()
+					check := func(tier, kind string, capacity int) {
+						t.Helper()
+						tr := snap.Tier(tier)
+						if tr == nil || tr.Pool == nil {
+							t.Fatalf("%s tier has no pool: %+v", tier, tr)
+						}
+						if !strings.HasPrefix(tr.Pool.Name, kind) || tr.Pool.Capacity != capacity {
+							t.Errorf("%s pool = %q with capacity %d, want a %q pool of %d", tier, tr.Pool.Name, tr.Pool.Capacity, kind, capacity)
+						}
+					}
+					check("web", "ajp", apps*poolSize)
+					if a == arch.EJB {
+						check("servlet", "rmi", apps*poolSize)
+						check("ejb", "db", apps*reps*poolSize)
+					} else {
+						check("servlet", "db", apps*reps*poolSize)
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cluster"
-	"repro/internal/pool"
 	"repro/internal/rmi"
 	"repro/internal/sqldb"
 	"repro/internal/telemetry"
@@ -140,48 +139,23 @@ func (c *Container) meta(name string) (*entityMeta, error) {
 	return m, nil
 }
 
-// QueryCount returns the number of statements the container has issued —
-// the observable behind the paper's ~2,000 packets/s measurement.
-func (c *Container) QueryCount() int64 { return c.queries.Load() }
-
-// LoadCount returns entity activations (single-row SELECTs).
-func (c *Container) LoadCount() int64 { return c.loads.Load() }
-
-// Stats describes the container's load for the cross-tier telemetry: the
-// CMP statement counters, the database pool's aggregate saturation
-// counters, and the per-replica routing breakdown for clustered databases.
-type Stats struct {
-	Queries int64 `json:"queries"`
-	Loads   int64 `json:"loads"`
-	Stores  int64 `json:"stores"`
-	// TxCommits / TxAborts count container-managed transaction outcomes
-	// (RunInTx demarcations and explicit Tx completions).
-	TxCommits int64 `json:"tx_commits"`
-	TxAborts  int64 `json:"tx_aborts"`
-	// TxReadOnly counts the subset of TxCommits whose business method never
-	// wrote: the lazy demarcation left them without a database transaction,
-	// so their reads were pure MVCC snapshot traffic — no write-order locks,
-	// no broadcast, no replica coordination of any kind.
-	TxReadOnly int64               `json:"tx_readonly"`
-	DB         pool.Stats          `json:"db"`
-	Replicas   []telemetry.Replica `json:"replicas,omitempty"`
-}
-
-// Stats snapshots the container.
-func (c *Container) Stats() Stats {
-	s := Stats{
-		Queries:    c.queries.Load(),
-		Loads:      c.loads.Load(),
-		Stores:     c.stores.Load(),
-		TxCommits:  c.txCommits.Load(),
-		TxAborts:   c.txAborts.Load(),
-		TxReadOnly: c.roCommits.Load(),
-		DB:         c.pool.Stats(),
+// Telemetry is the container's ejb-tier row: the statements it issued (the
+// observable behind the paper's ~2,000 packets/s measurement), entity
+// activations and field stores, container-managed transaction outcomes,
+// and its cluster client's counters and pool.
+func (c *Container) Telemetry() telemetry.Tier {
+	ps := c.pool.Stats()
+	t := telemetry.Tier{
+		Name: "ejb", Downstream: "db", Pool: &ps,
+		Queries: c.queries.Load(), Loads: c.loads.Load(), Stores: c.stores.Load(),
+		Commits: c.txCommits.Load(), Aborts: c.txAborts.Load(),
+		ClusterStats: c.pool.ClientStats(),
 	}
-	if c.pool.Replicas() > 1 {
-		s.Replicas = c.pool.ReplicaStats()
-	}
-	return s
+	// Read-only demarcations: the client's explicit BeginReadOnly
+	// transactions plus the container's commits of business methods that
+	// never wrote, whose lazy demarcation opened no database transaction.
+	t.ReadOnlyTxns += c.roCommits.Load()
+	return t
 }
 
 // Entity is an activated entity bean instance: a local copy of one row.

@@ -62,11 +62,11 @@ func TestEntityLoadGetSet(t *testing.T) {
 	if err != nil || nick.AsString() != "alice" {
 		t.Fatalf("nick %v err %v", nick, err)
 	}
-	base := c.QueryCount()
+	base := c.Telemetry().Queries
 	if err := u.Set("rating", sqldb.Int(9)); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.QueryCount() - base; got != 1 {
+	if got := c.Telemetry().Queries - base; got != 1 {
 		t.Fatalf("CMP field store issued %d statements, want exactly 1", got)
 	}
 	if err := tx.Commit(); err != nil {
@@ -90,13 +90,13 @@ func TestFinderReturnsKeysOnly(t *testing.T) {
 		t.Fatalf("keys %v err %v", keys, err)
 	}
 	// N+1 pattern: materializing costs one query per key.
-	base := c.QueryCount()
+	base := c.Telemetry().Queries
 	for _, k := range keys {
 		if _, err := tx.Load("User", k); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := c.QueryCount() - base; got != int64(len(keys)) {
+	if got := c.Telemetry().Queries - base; got != int64(len(keys)) {
 		t.Fatalf("activations issued %d statements, want %d", got, len(keys))
 	}
 }
@@ -144,7 +144,7 @@ func TestWriteBehindBatchesStores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := c.QueryCount()
+	base := c.Telemetry().Queries
 	// Three stores to the same field collapse into one UPDATE at commit.
 	for _, v := range []int64{1, 2, 3} {
 		if err := u.Set("rating", sqldb.Int(v)); err != nil {
@@ -154,13 +154,13 @@ func TestWriteBehindBatchesStores(t *testing.T) {
 	if err := u.Set("balance", sqldb.Float(7)); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.QueryCount() - base; got != 0 {
+	if got := c.Telemetry().Queries - base; got != 0 {
 		t.Fatalf("write-behind issued %d statements before commit", got)
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.QueryCount() - base; got != 2 {
+	if got := c.Telemetry().Queries - base; got != 2 {
 		t.Fatalf("commit issued %d statements, want 2 (one per dirty field)", got)
 	}
 	if err := tx.Commit(); err == nil {
@@ -229,7 +229,7 @@ func (f *UserFacade) Rate(args *RateArgs, reply *RateReply) error {
 			return err
 		}
 		reply.NewRating = r.AsInt() + args.Delta
-		reply.Queries = f.c.QueryCount()
+		reply.Queries = f.c.Telemetry().Queries
 		return nil
 	})
 }
@@ -278,7 +278,7 @@ func TestRunInTxCommitsAndCounts(t *testing.T) {
 	if r, _ := u.Get("rating"); r.AsInt() != 8 {
 		t.Fatalf("rating %v, want 8", r)
 	}
-	if s := c.Stats(); s.TxCommits != 1 || s.TxAborts != 0 {
+	if s := c.Telemetry(); s.Commits != 1 || s.Aborts != 0 {
 		t.Fatalf("tx counters %+v", s)
 	}
 }
@@ -316,7 +316,7 @@ func TestRunInTxErrorRollsBack(t *testing.T) {
 	if keys, _ := tx.FindBy("User", "nick", sqldb.String("phantom"), 0); len(keys) != 0 {
 		t.Fatal("aborted create visible")
 	}
-	if s := c.Stats(); s.TxAborts != 1 {
+	if s := c.Telemetry(); s.Aborts != 1 {
 		t.Fatalf("tx counters %+v", s)
 	}
 }
@@ -349,7 +349,7 @@ func TestRunInTxPanicRollsBack(t *testing.T) {
 	if b, _ := u.Get("balance"); b.AsFloat() != 50.0 {
 		t.Fatalf("balance %v, want 50 (panic must roll back)", b)
 	}
-	if s := c.Stats(); s.TxAborts != 1 {
+	if s := c.Telemetry(); s.Aborts != 1 {
 		t.Fatalf("tx counters %+v", s)
 	}
 }

@@ -17,6 +17,11 @@ import (
 	"strings"
 )
 
+// SessionCookie names the cookie carrying the session id: the servlet
+// tier sets it, the load balancer pins on its route suffix and the page
+// cache bypasses requests that carry it.
+const SessionCookie = "JSESSIONID"
+
 // CookieValue extracts one cookie's value from a Cookie header — the
 // shared parser under the servlet tier's session lookup and the load
 // balancer's affinity routing (they must agree on cookie parsing, or

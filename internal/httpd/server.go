@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/frame"
+	"repro/internal/telemetry"
 )
 
 // maxBodyBytes bounds request bodies, as Apache's LimitRequestBody does.
@@ -33,12 +34,11 @@ type Server struct {
 	respBytes atomic.Int64
 }
 
-// RequestCount returns the number of requests dispatched to the handler —
-// the web tier's work counter in the cross-tier telemetry.
-func (s *Server) RequestCount() int64 { return s.requests.Load() }
-
-// ResponseBytes returns the cumulative response body bytes written.
-func (s *Server) ResponseBytes() int64 { return s.respBytes.Load() }
+// Telemetry is the server's web-tier row: requests dispatched to the
+// handler and the response body bytes written.
+func (s *Server) Telemetry() telemetry.Tier {
+	return telemetry.Tier{Name: "web", Requests: s.requests.Load(), Bytes: s.respBytes.Load()}
+}
 
 // NewServer creates a server dispatching to handler. logger may be nil.
 func NewServer(handler Handler, logger *log.Logger) *Server {

@@ -67,9 +67,6 @@ type Config struct {
 	// RetryAfter is the ejection cooldown before an ejected backend gets a
 	// probe request (default 500ms).
 	RetryAfter time.Duration
-	// CookieName carries the session id whose route suffix pins requests
-	// (default JSESSIONID).
-	CookieName string
 }
 
 // backend is the balancer's per-target state.
@@ -97,7 +94,6 @@ type Balancer struct {
 	backends   []*backend
 	byRoute    map[string]*backend
 	retryAfter time.Duration
-	cookie     string
 	rr         atomic.Uint64
 }
 
@@ -109,13 +105,9 @@ func New(cfg Config) *Balancer {
 	b := &Balancer{
 		byRoute:    make(map[string]*backend, len(cfg.Backends)),
 		retryAfter: cfg.RetryAfter,
-		cookie:     cfg.CookieName,
 	}
 	if b.retryAfter <= 0 {
 		b.retryAfter = 500 * time.Millisecond
-	}
-	if b.cookie == "" {
-		b.cookie = "JSESSIONID"
 	}
 	for i, be := range cfg.Backends {
 		t := &backend{id: be.ID, h: be.Handler, poolStats: be.PoolStats, idx: i}
@@ -245,7 +237,7 @@ func (b *Balancer) claimProbe(be *backend) bool {
 // suffix of its session cookie, or nil for stateless requests and unknown
 // routes.
 func (b *Balancer) pinOf(req *httpd.Request) *backend {
-	id := httpd.CookieValue(req.Header.Get("Cookie"), b.cookie)
+	id := httpd.CookieValue(req.Header.Get("Cookie"), httpd.SessionCookie)
 	if id == "" {
 		return nil
 	}

@@ -58,9 +58,6 @@ type PageCacheConfig struct {
 	// X-Content-Epoch response header, falling back to TTL-only freshness
 	// if the app tier never sends one.
 	Epoch func() uint64
-	// CookieName is the session cookie whose presence marks a request as
-	// session-bound and uncacheable (default JSESSIONID).
-	CookieName string
 }
 
 // PageCacheStats is the cache's observability surface.
@@ -81,10 +78,9 @@ type pageEntry struct {
 // PageCache is a bounded LRU of whole HTTP responses wrapped around a
 // handler. Safe for concurrent use.
 type PageCache struct {
-	next   httpd.Handler
-	ttl    time.Duration
-	epoch  func() uint64
-	cookie string
+	next  httpd.Handler
+	ttl   time.Duration
+	epoch func() uint64
 
 	// headerEpoch is the maximum X-Content-Epoch observed on any response —
 	// the cross-process view of the database's committed-write counter.
@@ -101,16 +97,11 @@ func NewPageCache(next httpd.Handler, cfg PageCacheConfig) *PageCache {
 	if ttl <= 0 {
 		ttl = DefaultPageTTL
 	}
-	cookie := cfg.CookieName
-	if cookie == "" {
-		cookie = "JSESSIONID"
-	}
 	return &PageCache{
-		next:   next,
-		ttl:    ttl,
-		epoch:  cfg.Epoch,
-		cookie: cookie,
-		pages:  lru.New[pageEntry](cfg.MaxEntries),
+		next:  next,
+		ttl:   ttl,
+		epoch: cfg.Epoch,
+		pages: lru.New[pageEntry](cfg.MaxEntries),
 	}
 }
 
@@ -183,7 +174,7 @@ func (p *PageCache) observe(resp *httpd.Response) (uint64, bool) {
 
 // ServeHTTP serves a validated cached page, or forwards and fills.
 func (p *PageCache) ServeHTTP(req *httpd.Request) (*httpd.Response, error) {
-	if req.Method != "GET" || httpd.CookieValue(req.Header.Get("Cookie"), p.cookie) != "" {
+	if req.Method != "GET" || httpd.CookieValue(req.Header.Get("Cookie"), httpd.SessionCookie) != "" {
 		p.bypasses.Add(1)
 		return p.forward(req)
 	}

@@ -25,7 +25,6 @@ import (
 	"repro/internal/ajp"
 	"repro/internal/cluster"
 	"repro/internal/httpd"
-	"repro/internal/pool"
 	"repro/internal/sqldb"
 	"repro/internal/telemetry"
 )
@@ -171,27 +170,16 @@ type Container struct {
 	requests atomic.Int64
 }
 
-// Stats describes the container's load for the cross-tier telemetry:
-// requests dispatched to servlets, the database pool's aggregate
-// saturation counters (nil when the container has no database), and the
-// per-replica routing breakdown when the database is a cluster.
-type Stats struct {
-	Requests int64               `json:"requests"`
-	DB       *pool.Stats         `json:"db,omitempty"`
-	Replicas []telemetry.Replica `json:"replicas,omitempty"`
-}
-
-// Stats snapshots the container.
-func (c *Container) Stats() Stats {
-	s := Stats{Requests: c.requests.Load()}
-	if c.ctx.DB != nil {
-		ps := c.ctx.DB.Stats()
-		s.DB = &ps
-		if c.ctx.DB.Replicas() > 1 {
-			s.Replicas = c.ctx.DB.ReplicaStats()
-		}
+// Telemetry is the container's servlet-tier row: requests dispatched to
+// servlets and, when the container has a database, its cluster client's
+// counters and pool.
+func (c *Container) Telemetry() telemetry.Tier {
+	t := telemetry.Tier{Name: "servlet", Requests: c.requests.Load()}
+	if cl := c.ctx.DB; cl != nil {
+		ps := cl.Stats()
+		t.Pool, t.Downstream, t.ClusterStats = &ps, "db", cl.ClientStats()
 	}
-	return s
+	return t
 }
 
 type registered struct {
@@ -396,7 +384,7 @@ func (lm *LockManager) Acquire(set []TableLock) (release func()) {
 	}
 }
 
-// SessionManager tracks client sessions via the JSESSIONID cookie. In a
+// SessionManager tracks client sessions via the httpd.SessionCookie. In a
 // replicated application tier it is configured (servlet.Config) with a
 // route — appended to session ids as ".route", the jvmRoute the front-end
 // balancer pins on — and a shared SessionStore that every attribute write
@@ -494,7 +482,7 @@ func (m *SessionManager) Len() int {
 // configured, a locally unknown session is restored from the store (the
 // failover path), and a known one is refreshed if the store has moved on.
 func (m *SessionManager) Lookup(req *httpd.Request) *Session {
-	id := httpd.CookieValue(req.Header.Get("Cookie"), "JSESSIONID")
+	id := httpd.CookieValue(req.Header.Get("Cookie"), httpd.SessionCookie)
 	if id == "" {
 		return nil
 	}
@@ -542,7 +530,7 @@ func (m *SessionManager) Ensure(req *httpd.Request, resp *httpd.Response) *Sessi
 	s := &Session{ID: id, store: m.store}
 	m.byID[id] = s
 	m.mu.Unlock()
-	resp.Header.Set("Set-Cookie", "JSESSIONID="+id+"; Path=/")
+	resp.Header.Set("Set-Cookie", httpd.SessionCookie+"="+id+"; Path=/")
 	return s
 }
 

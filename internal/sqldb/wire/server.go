@@ -13,6 +13,7 @@ import (
 	"repro/internal/frame"
 	"repro/internal/sqldb"
 	"repro/internal/sqldb/sqlparse"
+	"repro/internal/telemetry"
 )
 
 // Server serves a sqldb.DB over TCP. Each connection gets its own session,
@@ -29,40 +30,22 @@ type Server struct {
 	queries       atomic.Int64
 	textExecs     atomic.Int64
 	preparedExecs atomic.Int64
-	prepares      atomic.Int64
 }
 
-// QueryCount returns the number of statements served — the database
-// tier's work counter in the cross-tier telemetry.
-func (s *Server) QueryCount() int64 { return s.queries.Load() }
-
-// Stats describes the database tier's protocol traffic for the cross-tier
-// telemetry: total statements, split by arrival path, the shared plan
-// cache's hit/miss counters, the transaction subsystem's
-// commit/abort/deadlock counters, and the snapshot-read (MVCC) counters.
-type Stats struct {
-	Queries       int64 `json:"queries"`
-	TextExecs     int64 `json:"text_execs"`
-	PreparedExecs int64 `json:"prepared_execs"`
-	Prepares      int64 `json:"prepares"`
-
-	PlanCache sqldb.PlanCacheStats `json:"plan_cache"`
-	Txns      sqldb.TxnStats       `json:"txns"`
-	MVCC      sqldb.MVCCStats      `json:"mvcc"`
-	WAL       sqldb.WALStats       `json:"wal"`
-}
-
-// Stats snapshots the server.
-func (s *Server) Stats() Stats {
-	return Stats{
-		Queries:       s.queries.Load(),
-		TextExecs:     s.textExecs.Load(),
-		PreparedExecs: s.preparedExecs.Load(),
-		Prepares:      s.prepares.Load(),
-		PlanCache:     s.db.PlanCacheStats(),
-		Txns:          s.db.TxnStats(),
-		MVCC:          s.db.MVCCStats(),
-		WAL:           s.db.WALStats(),
+// Telemetry is the server's db-tier row: statements served, split by
+// arrival path, and its database's plan cache, transaction, snapshot-read
+// (MVCC) and write-ahead log counters.
+func (s *Server) Telemetry() telemetry.Tier {
+	pc, tx, mv, wal := s.db.PlanCacheStats(), s.db.TxnStats(), s.db.MVCCStats(), s.db.WALStats()
+	return telemetry.Tier{
+		Name:    "db",
+		Queries: s.queries.Load(), PreparedExecs: s.preparedExecs.Load(), TextExecs: s.textExecs.Load(),
+		PlanHits: pc.Hits, PlanMisses: pc.Misses,
+		Commits: tx.Commits, Aborts: tx.Rollbacks,
+		DeadlockTimeouts: tx.DeadlockTimeouts, TxnLockWaitNanos: tx.LockWaitNanos,
+		SnapshotReads: mv.SnapshotReads, LockBypasses: mv.LockBypasses, SnapshotRefreshes: mv.Refreshes,
+		WALAppends: wal.Appends, WALFsyncs: wal.Fsyncs, WALBytes: wal.Bytes,
+		WALCheckpoints: wal.Checkpoints, WALRecoveries: wal.Recoveries,
 	}
 }
 
@@ -117,7 +100,6 @@ func (s *Server) serveConn(_ net.Conn, r *bufio.Reader, w *bufio.Writer) {
 			var query string
 			id, query, err = decodePrepare(payload)
 			if err == nil {
-				s.prepares.Add(1)
 				if _, exists := stmts[id]; !exists && len(stmts) >= maxStmtsPerConn {
 					// The shared plan cache is bounded; the per-connection
 					// id table must be too, or one client could pin

@@ -7,8 +7,8 @@
 // NewFront (web tier). The in-process laboratory (internal/core) and the
 // daemons under cmd/ both build their tiers by calling these, so the
 // deployed stack is the measured stack: a tier is built in one place.
-// Addresses and flags stay with the daemons; topology, chaos proxies and
-// telemetry handles with core.
+// Addresses and flags stay with the daemons; topology and chaos proxies
+// with core, which folds the tiers' telemetry rows.
 package stack
 
 import (
@@ -28,6 +28,7 @@ import (
 	"repro/internal/rmi"
 	"repro/internal/servlet"
 	"repro/internal/sqldb"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -262,6 +263,29 @@ func NewFront(basePath string, backends []lb.Backend, pc lb.PageCacheConfig, ima
 	static.Add("/img/banner.gif", datagen.Image(1001, imageBytes), "image/gif")
 	f.Mux.Handle("/img/", static)
 	return f
+}
+
+// Telemetry is the front's web-tier row: the page cache's counters and,
+// when the backends are AJP connectors, their pools summed, charged to the
+// servlet tier they dial (an in-process module has no pool).
+func (f *Front) Telemetry() telemetry.Tier {
+	t := telemetry.Tier{Name: "web"}
+	if f.PageCache != nil {
+		st := f.PageCache.Stats()
+		t.PageCacheHits, t.PageCacheMisses = st.Hits, st.Misses
+		t.PageCacheInvalidations, t.PageCacheBypasses = st.Invalidations, st.Bypasses
+	}
+	var pools []pool.Stats
+	for _, be := range f.Backends {
+		if be.PoolStats != nil {
+			pools = append(pools, be.PoolStats())
+		}
+	}
+	if len(pools) > 0 {
+		ps := pool.Sum(pools[0].Name, pools)
+		t.Pool, t.Downstream = &ps, "servlet"
+	}
+	return t
 }
 
 // Close closes the backends' AJP connectors.

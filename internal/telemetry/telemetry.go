@@ -4,8 +4,9 @@
 // bottleneck tier — the paper's headline observable (which tier saturates
 // under each middleware configuration, §5–§6).
 //
-// The package is a leaf so every layer can speak the same type:
-// core.Lab builds snapshots and serves them as JSON on /status,
+// The package is a leaf so every layer can speak the same type: each tier
+// owner fills its own Tier row (a Telemetry method), core.Lab folds the
+// rows into snapshots and serves them as JSON on /status,
 // workload.Report embeds a windowed delta, and cmd/loadgen decodes the
 // JSON from a remote server. A counter that crosses tiers is declared here
 // once: the cluster client fills a ClusterStats (cluster.ClientStats is this
