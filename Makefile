@@ -92,9 +92,11 @@ chaos-smoke:
 # WAL torture: the durability battery. Crash points, torn tails, and
 # subprocess kill -9 recovery in sqldb (including short fuzz passes over
 # the record decoder, the copy-on-write tree every table and checkpoint is
-# made of, the stored value against its model, and index probes against a
-# scan), the cluster's log-shipping rejoin, and the full-stack crash matrix
-# in core — all under -race with hard timeouts.
+# made of, the stored value against its model, index probes against a
+# scan, and the SQL parser every logged statement is replayed through:
+# no panic, and no clause outside the dialect accepted), the cluster's
+# log-shipping rejoin, and the full-stack crash matrix in core — all under
+# -race with hard timeouts.
 wal-torture:
 	$(GO) test -race -timeout 300s -run 'WAL|Recover|TornTail|Checkpoint' \
 		./internal/sqldb ./internal/cluster ./internal/core
@@ -102,6 +104,7 @@ wal-torture:
 	$(GO) test -timeout 120s -run '^$$' -fuzz FuzzCowTree -fuzztime 10s ./internal/sqldb
 	$(GO) test -timeout 120s -run '^$$' -fuzz FuzzValue -fuzztime 10s ./internal/sqldb
 	$(GO) test -timeout 120s -run '^$$' -fuzz FuzzIndexProbe -fuzztime 10s ./internal/sqldb
+	$(GO) test -timeout 120s -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/sqldb/sqlparse
 
 # Coverage run with per-package floors: every package reports, the
 # packages named in COVER_FLOORS must clear their floor.

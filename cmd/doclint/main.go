@@ -131,7 +131,9 @@ var flagTokRe = regexp.MustCompile("`-([a-z][a-z0-9-]*)[^`]*`")
 // hand-written LRUs internal/lru replaced; the wire client's handle API and
 // the pool's notify variant of the second statement call; the tiers'
 // single-counter accessors the telemetry rows replaced, config fields
-// nothing set, and the rejoin copy's second exported entry point).
+// nothing set, and the rejoin copy's second exported entry point; the SQL
+// clauses no caller issued — GROUP BY, DISTINCT, OFFSET and every aggregate
+// but COUNT(*) — with their executor and scatter-merge code).
 var removedIdents = []string{
 	"execLock", "HoldsLocks", "bracketAll", "kindLock",
 	"shExec", "shBegin", "shCommit", "cluster.Stmt", "Client.Prepare", "topLevelFrom",
@@ -147,6 +149,7 @@ var removedIdents = []string{
 	"ExecPrepared", "ExecCachedNotify", "Pool.Prepare",
 	"EJBQueryCount", "ReplicaQueryCounts", "RequestCount", "ResponseBytes", "LoadCount",
 	"PGEDelay", "CookieName", "SyncWithin",
+	"GroupBy", "LimitPos", "AggSum", "AggMin", "AggMax", "AggAvg", "dedupRows", "distinctRows", "orderAggRows",
 }
 
 // checkFlagDocs verifies that every backticked `-flag` token on a

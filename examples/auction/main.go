@@ -9,15 +9,15 @@ import (
 	"log"
 	"time"
 
+	"repro/internal/arch"
 	"repro/internal/core"
-	"repro/internal/perfsim"
 	"repro/internal/workload"
 )
 
 func main() {
 	lab, err := core.Start(core.Config{
-		Arch:      perfsim.ArchEJB,
-		Benchmark: perfsim.Auction,
+		Arch:      arch.EJB,
+		Benchmark: arch.Auction,
 		Seed:      1,
 	})
 	if err != nil {

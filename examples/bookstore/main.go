@@ -9,16 +9,16 @@ import (
 	"log"
 	"time"
 
+	"repro/internal/arch"
 	"repro/internal/core"
-	"repro/internal/perfsim"
 	"repro/internal/workload"
 )
 
 func main() {
-	for _, arch := range []perfsim.Arch{perfsim.ArchPHP, perfsim.ArchServletSync} {
+	for _, a := range []arch.Arch{arch.PHP, arch.ServletSync} {
 		lab, err := core.Start(core.Config{
-			Arch:      arch,
-			Benchmark: perfsim.Bookstore,
+			Arch:      a,
+			Benchmark: arch.Bookstore,
 			Seed:      1,
 		})
 		if err != nil {
@@ -39,7 +39,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-22s %6.0f ipm  mean %6.1fms  p95 %6.1fms  errors %d  images %d\n",
-			arch, rep.ThroughputIPM,
+			a, rep.ThroughputIPM,
 			rep.Latency.Mean()*1000, rep.Latency.Percentile(95)*1000,
 			rep.Errors, rep.ImageFetches)
 		for _, name := range []string{"home", "productdetail", "buyconfirm"} {

@@ -11,9 +11,9 @@ import (
 	"log"
 	"time"
 
+	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/httpd/httpclient"
-	"repro/internal/perfsim"
 )
 
 func main() {
@@ -22,8 +22,8 @@ func main() {
 	// 2-replica database tier (reads load-balance, writes broadcast;
 	// DESIGN.md §3).
 	lab, err := core.Start(core.Config{
-		Arch:        perfsim.ArchServletSync,
-		Benchmark:   perfsim.Auction,
+		Arch:        arch.ServletSync,
+		Benchmark:   arch.Auction,
 		Seed:        1,
 		DBReplicas:  2,
 		AppReplicas: 2,
@@ -33,7 +33,7 @@ func main() {
 	}
 	defer lab.Close()
 	fmt.Printf("auction site up as %s at http://%s/rubis/home (app backends: %d, db replicas: %v)\n",
-		perfsim.ArchServletSync, lab.WebAddr(), lab.AppBackends(), lab.ReplicaAddrs())
+		arch.ServletSync, lab.WebAddr(), lab.AppBackends(), lab.ReplicaAddrs())
 
 	c := httpclient.New(lab.WebAddr(), 10*time.Second)
 	defer c.Close()

@@ -15,10 +15,8 @@
 //     into one part per owning shard, run as one unit (shardTxn.split).
 //   - Scatter-gather: a SELECT not pinned to one shard fans out to every
 //     shard and the partial results merge client-side — concatenate,
-//     re-sort by the ORDER BY, re-apply DISTINCT/LIMIT/OFFSET, and combine
-//     no-GROUP-BY aggregates (COUNT/SUM by summing, MIN/MAX by comparing).
-//     GROUP BY and AVG over sharded tables are rejected rather than
-//     silently miscomputed.
+//     re-sort by the ORDER BY and re-apply the LIMIT, or sum a COUNT(*)
+//     select's counts. The dialect has no other clause to merge.
 //   - Broadcast: writes to global (unsharded) tables, unpinned
 //     UPDATE/DELETE on sharded tables (each shard only owns disjoint rows,
 //     so applying everywhere is exact), and DDL run on every shard under a
@@ -363,9 +361,6 @@ func (sh *shardSet) insert(p *shardPlan, query string, args []sqldb.Value) (*sql
 // merges. subs, when non-nil, supplies the per-shard sub-sessions to run on
 // (transactional scatter); otherwise each shard's pool path runs it.
 func (sh *shardSet) scatterRead(p *shardPlan, args []sqldb.Value, subs []*replicaTxn) (*sqldb.Result, error) {
-	if len(p.sel.GroupBy) > 0 {
-		return nil, errors.New("cluster: GROUP BY across shards is not supported")
-	}
 	results, err := sh.onEach(func(i int) (*sqldb.Result, error) {
 		if subs != nil {
 			return subs[i].Exec(p.scatterSQL, args...)
@@ -401,26 +396,16 @@ func (sh *shardSet) onEach(run func(shard int) (*sqldb.Result, error)) ([]*sqldb
 }
 
 // scatterSQL rewrites a SELECT into the text each shard runs when it
-// scatters, splicing at the byte offsets the parser recorded, and reports
-// how many columns it appended to the select list.
-//
-// A window with an OFFSET only means anything against the merged order, so
-// each shard returns its first offset+limit rows and the merge re-applies
-// the window globally. A plain LIMIT is already correct per shard: the
-// global top-k is a subset of the union of per-shard top-ks.
+// scatters, splicing at the byte offset the parser recorded for FROM, and
+// reports how many columns it appended to the select list. The LIMIT stays:
+// the global top n is among the union of the shards' top n.
 //
 // ORDER BY key columns the statement doesn't already select ("SELECT id
 // FROM items ORDER BY end_date") are appended to the select list — the
 // merge needs the key values to re-sort, and projects the appended columns
-// back off afterward. DISTINCT selects are left alone: standard SQL already
-// requires their ORDER BY keys in the select list, and widening would
-// change what "distinct" means per shard.
+// back off afterward.
 func scatterSQL(query string, sel *sqlparse.Select) (string, int) {
-	if sel.Limit >= 0 && sel.Offset > 0 {
-		// The later splice goes first, so FromPos stays valid below.
-		query = query[:sel.LimitPos] + fmt.Sprintf("LIMIT %d", sel.Limit+sel.Offset)
-	}
-	if sel.Star || sel.Distinct || isAggSelect(sel) {
+	if sel.Star || sel.IsCount() {
 		return query, 0
 	}
 	var missing []string
@@ -445,12 +430,12 @@ func scatterSQL(query string, sel *sqlparse.Select) (string, int) {
 }
 
 // mergeScatter combines per-shard partial results into the statement's
-// answer: aggregate combination for no-GROUP-BY aggregates, otherwise
+// answer: the sum of the counts for a COUNT(*) select, otherwise
 // concatenate, re-sort, project off the columns scatterSQL appended (the
-// last `extra`), dedup (DISTINCT) and re-window (OFFSET/LIMIT).
+// last `extra`) and re-apply the LIMIT.
 func mergeScatter(sel *sqlparse.Select, results []*sqldb.Result, extra int) (*sqldb.Result, error) {
-	if isAggSelect(sel) {
-		return mergeAggs(sel, results)
+	if sel.IsCount() {
+		return mergeCounts(results)
 	}
 	out := &sqldb.Result{Columns: results[0].Columns}
 	for _, r := range results {
@@ -485,21 +470,9 @@ func mergeScatter(sel *sqlparse.Select, results []*sqldb.Result, extra int) (*sq
 			out.Rows[i] = r[:len(out.Columns)]
 		}
 	}
-	if sel.Distinct {
-		out.Rows = dedupRows(out.Rows)
+	if sel.Limit >= 0 && sel.Limit < len(out.Rows) {
+		out.Rows = out.Rows[:sel.Limit]
 	}
-	rows := out.Rows
-	if sel.Offset > 0 {
-		if sel.Offset >= len(rows) {
-			rows = rows[:0]
-		} else {
-			rows = rows[sel.Offset:]
-		}
-	}
-	if sel.Limit >= 0 && sel.Limit < len(rows) {
-		rows = rows[:sel.Limit]
-	}
-	out.Rows = rows
 	return out, nil
 }
 
@@ -541,88 +514,20 @@ func selectItemIndex(sel *sqlparse.Select, x *sqlparse.ColRefExpr) int {
 	return -1
 }
 
-// dedupRows drops duplicate rows (full-row equality) preserving order.
-func dedupRows(rows []sqldb.Row) []sqldb.Row {
-	seen := make(map[string]bool, len(rows))
-	out := rows[:0]
-	for _, r := range rows {
-		var b strings.Builder
-		for _, v := range r {
-			b.WriteString(v.AsString())
-			b.WriteByte(0)
-			b.WriteByte(byte(v.Kind()))
-		}
-		k := b.String()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// isAggSelect reports a no-GROUP-BY all-aggregate select list — the one
-// aggregate shape that merges across shards (each shard returns one row).
-func isAggSelect(sel *sqlparse.Select) bool {
-	if sel.Star || len(sel.Items) == 0 {
-		return false
-	}
-	for _, it := range sel.Items {
-		if _, ok := it.Expr.(*sqlparse.AggExpr); !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// mergeAggs combines one-row aggregate results: COUNT and SUM add, MIN and
-// MAX compare. AVG cannot be recomputed from per-shard averages and is
-// rejected rather than miscomputed.
-func mergeAggs(sel *sqlparse.Select, results []*sqldb.Result) (*sqldb.Result, error) {
-	out := &sqldb.Result{Columns: results[0].Columns, Rows: []sqldb.Row{make(sqldb.Row, len(sel.Items))}}
-	for i, it := range sel.Items {
-		agg := it.Expr.(*sqlparse.AggExpr)
-		acc := sqldb.Null()
+// mergeCounts sums the shards' one-row COUNT(*) results, column by column.
+func mergeCounts(results []*sqldb.Result) (*sqldb.Result, error) {
+	out := &sqldb.Result{Columns: results[0].Columns, Rows: []sqldb.Row{make(sqldb.Row, len(results[0].Columns))}}
+	for i := range out.Rows[0] {
+		var n int64
 		for _, r := range results {
 			if len(r.Rows) != 1 || i >= len(r.Rows[0]) {
-				return nil, errors.New("cluster: malformed aggregate partial result")
+				return nil, errors.New("cluster: malformed COUNT(*) partial result")
 			}
-			v := r.Rows[0][i]
-			if v.IsNull() {
-				continue
-			}
-			switch agg.Func {
-			case sqlparse.AggCount, sqlparse.AggSum:
-				acc = addValues(acc, v)
-			case sqlparse.AggMin:
-				if acc.IsNull() || sqldb.Compare(v, acc) < 0 {
-					acc = v
-				}
-			case sqlparse.AggMax:
-				if acc.IsNull() || sqldb.Compare(v, acc) > 0 {
-					acc = v
-				}
-			default:
-				return nil, fmt.Errorf("cluster: %s across shards is not supported", agg.Func)
-			}
+			n += r.Rows[0][i].AsInt()
 		}
-		if acc.IsNull() && agg.Func == sqlparse.AggCount {
-			acc = sqldb.Int(0)
-		}
-		out.Rows[0][i] = acc
+		out.Rows[0][i] = sqldb.Int(n)
 	}
 	return out, nil
-}
-
-// addValues sums two non-null numeric values, promoting to float if either is.
-func addValues(a, b sqldb.Value) sqldb.Value {
-	if a.IsNull() {
-		return b
-	}
-	if a.Kind() == sqldb.KindFloat || b.Kind() == sqldb.KindFloat {
-		return sqldb.Float(a.AsFloat() + b.AsFloat())
-	}
-	return sqldb.Int(a.AsInt() + b.AsInt())
 }
 
 // broadcastAll applies a cross-shard write or DDL on every shard under the

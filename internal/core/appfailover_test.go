@@ -7,8 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/arch"
 	"repro/internal/httpd/httpclient"
-	"repro/internal/perfsim"
 	"repro/internal/workload"
 )
 
@@ -40,7 +40,7 @@ func backendIndex(t *testing.T, route string) int {
 // container has served them all.
 func TestAppTierSessionAffinity(t *testing.T) {
 	lab, err := Start(Config{
-		Arch: perfsim.ArchServletSync, Benchmark: perfsim.Bookstore,
+		Arch: arch.ServletSync, Benchmark: arch.Bookstore,
 		AppReplicas: 3, Seed: 5,
 	})
 	if err != nil {
@@ -91,7 +91,7 @@ func TestAppTierSessionAffinity(t *testing.T) {
 // telemetry must show the ejection and failover.
 func TestAppTierSessionFailover(t *testing.T) {
 	lab, err := Start(Config{
-		Arch: perfsim.ArchServletSync, Benchmark: perfsim.Bookstore,
+		Arch: arch.ServletSync, Benchmark: arch.Bookstore,
 		AppReplicas: 2, Seed: 5,
 	})
 	if err != nil {
@@ -175,7 +175,7 @@ func TestAppTierSessionFailover(t *testing.T) {
 // serving traffic and the per-backend telemetry attached to the report.
 func TestAppReplicaWorkload(t *testing.T) {
 	lab, err := Start(Config{
-		Arch: perfsim.ArchServletSync, Benchmark: perfsim.Auction,
+		Arch: arch.ServletSync, Benchmark: arch.Auction,
 		AppReplicas: 2, Seed: 5,
 	})
 	if err != nil {

@@ -8,11 +8,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/arch"
 	"repro/internal/cluster"
 	"repro/internal/datagen"
 	"repro/internal/httpd/httpclient"
 	"repro/internal/lb"
-	"repro/internal/perfsim"
 	"repro/internal/pool"
 	"repro/internal/servlet"
 	"repro/internal/sqldb"
@@ -36,11 +36,11 @@ var writeInteractions = map[string]bool{
 // architecture, application, scale and seed — and seeds the same database.
 func TestDaemonWiringServesLabPages(t *testing.T) {
 	for _, tc := range []struct {
-		arch  perfsim.Arch
-		bench perfsim.Benchmark
+		arch  arch.Arch
+		bench arch.Benchmark
 	}{
-		{perfsim.ArchServlet, perfsim.Auction},
-		{perfsim.ArchEJB, perfsim.Bookstore},
+		{arch.Servlet, arch.Auction},
+		{arch.EJB, arch.Bookstore},
 	} {
 		tc := tc
 		t.Run(fmt.Sprintf("%v/%v", tc.bench, tc.arch), func(t *testing.T) {
@@ -62,7 +62,7 @@ func TestDaemonWiringServesLabPages(t *testing.T) {
 			dbCfg := cluster.Config{DSN: dbAddr.String(), PoolSize: 12}
 
 			var ajpAddr net.Addr
-			if tc.arch == perfsim.ArchEJB {
+			if tc.arch == arch.EJB {
 				// ejbd -db ... -ajp ...
 				ec, rmiAddr, err := app.EJBServer(dbCfg, "127.0.0.1:0")
 				if err != nil {
@@ -159,10 +159,10 @@ func TestLabCloseLeaksNoGoroutines(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"php", Config{Arch: perfsim.ArchPHP, Benchmark: perfsim.Bookstore}},
-		{"servlet-2-app-replicas", Config{Arch: perfsim.ArchServletSync, Benchmark: perfsim.Auction, AppReplicas: 2}},
-		{"ejb", Config{Arch: perfsim.ArchEJB, Benchmark: perfsim.Auction}},
-		{"2-shards-x-2-replicas", Config{Arch: perfsim.ArchServlet, Benchmark: perfsim.Auction, DBShards: 2, DBReplicas: 2}},
+		{"php", Config{Arch: arch.PHP, Benchmark: arch.Bookstore}},
+		{"servlet-2-app-replicas", Config{Arch: arch.ServletSync, Benchmark: arch.Auction, AppReplicas: 2}},
+		{"ejb", Config{Arch: arch.EJB, Benchmark: arch.Auction}},
+		{"2-shards-x-2-replicas", Config{Arch: arch.Servlet, Benchmark: arch.Auction, DBShards: 2, DBReplicas: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()

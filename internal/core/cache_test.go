@@ -5,8 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/arch"
 	"repro/internal/httpd/httpclient"
-	"repro/internal/perfsim"
 	"repro/internal/telemetry"
 )
 
@@ -17,7 +17,7 @@ import (
 // glossary documents.
 func TestCachingTierEndToEnd(t *testing.T) {
 	lab, err := Start(Config{
-		Arch: perfsim.ArchServlet, Benchmark: perfsim.Auction, Seed: 5,
+		Arch: arch.Servlet, Benchmark: arch.Auction, Seed: 5,
 		DBQueryCache: 256,
 		PageCache:    128,
 		PageCacheTTL: time.Minute,
@@ -103,7 +103,7 @@ func TestCachingTierEndToEnd(t *testing.T) {
 // TestCachingTierDisabledByDefault: with the knobs at zero the stack runs
 // exactly as before — no cache headers, no counters.
 func TestCachingTierDisabledByDefault(t *testing.T) {
-	lab, err := Start(Config{Arch: perfsim.ArchServlet, Benchmark: perfsim.Auction, Seed: 5})
+	lab, err := Start(Config{Arch: arch.Servlet, Benchmark: arch.Auction, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/arch"
 	"repro/internal/chaos"
 	"repro/internal/cluster"
-	"repro/internal/perfsim"
 	"repro/internal/pool"
 	"repro/internal/sqldb"
 	"repro/internal/workload"
@@ -31,9 +31,9 @@ var auctionChaosTables = []string{"items", "bids", "users"}
 func chaosLab(t *testing.T, cfg Config) *Lab {
 	t.Helper()
 	if cfg.Arch == 0 {
-		cfg.Arch = perfsim.ArchServletSync
+		cfg.Arch = arch.ServletSync
 	}
-	cfg.Benchmark = perfsim.Auction
+	cfg.Benchmark = arch.Auction
 	cfg.Seed = 3
 	cfg.DBReplicas = 2
 	cfg.Chaos = true
@@ -225,7 +225,7 @@ func TestChaosScriptedSchedule(t *testing.T) {
 func TestChaosDegradedReadOnly(t *testing.T) {
 	t.Parallel()
 	lab := chaosLab(t, Config{
-		Arch:           perfsim.ArchServlet,
+		Arch:           arch.Servlet,
 		DBStrictWrites: true,
 		DBTimeouts:     pool.Timeouts{Op: 200 * time.Millisecond},
 	})

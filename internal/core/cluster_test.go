@@ -8,8 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/arch"
 	"repro/internal/cluster"
-	"repro/internal/perfsim"
 	"repro/internal/sqldb"
 	"repro/internal/workload"
 )
@@ -21,12 +21,12 @@ import (
 // workload over 2 replicas completes with reads observed on both replicas and
 // consistent state across them.
 func TestClusterWorkloadReadsBothReplicas(t *testing.T) {
-	for _, arch := range []perfsim.Arch{perfsim.ArchServletSync, perfsim.ArchEJB} {
-		arch := arch
-		t.Run(arch.String(), func(t *testing.T) {
+	for _, a := range []arch.Arch{arch.ServletSync, arch.EJB} {
+		a := a
+		t.Run(a.String(), func(t *testing.T) {
 			t.Parallel()
 			lab, err := Start(Config{
-				Arch: arch, Benchmark: perfsim.Auction,
+				Arch: a, Benchmark: arch.Auction,
 				Seed: 3, DBReplicas: 2,
 			})
 			if err != nil {
@@ -63,16 +63,19 @@ func TestClusterWorkloadReadsBothReplicas(t *testing.T) {
 				}
 			}
 			// Writes broadcast: both replicas hold identical bid state.
-			a, err := lab.ReplicaDB(0).NewSession().Exec("SELECT COUNT(*), MAX(id) FROM bids")
-			if err != nil {
-				t.Fatal(err)
+			bids := func(replica int) string {
+				var out []sqldb.Row
+				for _, q := range []string{"SELECT COUNT(*) FROM bids", "SELECT id FROM bids ORDER BY id DESC LIMIT 1"} {
+					res, err := lab.ReplicaDB(replica).NewSession().Exec(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out = append(out, res.Rows...)
+				}
+				return fmt.Sprint(out)
 			}
-			b, err := lab.ReplicaDB(1).NewSession().Exec("SELECT COUNT(*), MAX(id) FROM bids")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(a.Rows) != fmt.Sprint(b.Rows) {
-				t.Fatalf("replicas diverged: bids %v vs %v", a.Rows, b.Rows)
+			if r0, r1 := bids(0), bids(1); r0 != r1 {
+				t.Fatalf("replicas diverged: bids %v vs %v", r0, r1)
 			}
 		})
 	}
@@ -82,7 +85,7 @@ func TestClusterWorkloadReadsBothReplicas(t *testing.T) {
 // workload: the run must keep completing interactions on the survivor.
 func TestClusterSurvivesReplicaFailover(t *testing.T) {
 	lab, err := Start(Config{
-		Arch: perfsim.ArchServletSync, Benchmark: perfsim.Auction,
+		Arch: arch.ServletSync, Benchmark: arch.Auction,
 		Seed: 3, DBReplicas: 2,
 	})
 	if err != nil {
@@ -142,7 +145,7 @@ func TestClusterSurvivesReplicaFailover(t *testing.T) {
 // must both carry the replica section.
 func TestClusterTelemetryDelta(t *testing.T) {
 	lab, err := Start(Config{
-		Arch: perfsim.ArchPHP, Benchmark: perfsim.Bookstore,
+		Arch: arch.PHP, Benchmark: arch.Bookstore,
 		Seed: 2, DBReplicas: 2,
 	})
 	if err != nil {
@@ -213,7 +216,7 @@ var bookstoreTxTables = []string{"customers", "items", "orders", "order_line", "
 // the pre-transaction state (run with -race).
 func TestRollbackBookstoreCheckoutE2E(t *testing.T) {
 	lab, err := Start(Config{
-		Arch: perfsim.ArchServlet, Benchmark: perfsim.Bookstore,
+		Arch: arch.Servlet, Benchmark: arch.Bookstore,
 		Seed: 5, DBReplicas: 2,
 	})
 	if err != nil {
@@ -271,7 +274,7 @@ func TestRollbackBookstoreCheckoutE2E(t *testing.T) {
 // must stay row-for-row identical and reflect committed bids only.
 func TestRollbackAuctionBidRaceE2E(t *testing.T) {
 	lab, err := Start(Config{
-		Arch: perfsim.ArchServlet, Benchmark: perfsim.Auction,
+		Arch: arch.Servlet, Benchmark: arch.Auction,
 		Seed: 5, DBReplicas: 2,
 	})
 	if err != nil {
@@ -351,7 +354,7 @@ func TestRollbackAuctionBidRaceE2E(t *testing.T) {
 // Rejoin — no half-applied transactions anywhere.
 func TestTxnReplicaKillAndRejoinE2E(t *testing.T) {
 	lab, err := Start(Config{
-		Arch: perfsim.ArchServlet, Benchmark: perfsim.Auction,
+		Arch: arch.Servlet, Benchmark: arch.Auction,
 		Seed: 7, DBReplicas: 3,
 	})
 	if err != nil {

@@ -6,12 +6,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/arch"
 	"repro/internal/httpd/httpclient"
-	"repro/internal/perfsim"
 	"repro/internal/workload"
 )
 
-func startLab(t testing.TB, a perfsim.Arch, b perfsim.Benchmark) *Lab {
+func startLab(t testing.TB, a arch.Arch, b arch.Benchmark) *Lab {
 	t.Helper()
 	lab, err := Start(Config{Arch: a, Benchmark: b, Seed: 5})
 	if err != nil {
@@ -24,8 +24,8 @@ func startLab(t testing.TB, a perfsim.Arch, b perfsim.Benchmark) *Lab {
 // TestAllConfigurationsServeBothBenchmarks is the end-to-end functional
 // matrix: 6 architectures x 2 benchmarks over real loopback TCP.
 func TestAllConfigurationsServeBothBenchmarks(t *testing.T) {
-	for _, b := range []perfsim.Benchmark{perfsim.Bookstore, perfsim.Auction} {
-		for _, a := range perfsim.Archs() {
+	for _, b := range []arch.Benchmark{arch.Bookstore, arch.Auction} {
+		for _, a := range arch.Archs() {
 			a, b := a, b
 			t.Run(fmt.Sprintf("%v/%v", b, a), func(t *testing.T) {
 				t.Parallel()
@@ -33,7 +33,7 @@ func TestAllConfigurationsServeBothBenchmarks(t *testing.T) {
 				c := httpclient.New(lab.WebAddr(), 10*time.Second)
 				defer c.Close()
 				paths := []string{"/tpcw/home?c_id=1", "/tpcw/productdetail?i_id=2", "/tpcw/buyconfirm?c_id=3"}
-				if b == perfsim.Auction {
+				if b == arch.Auction {
 					paths = []string{"/rubis/home", "/rubis/viewitem?item=2", "/rubis/storebid?item=2&user=3&bid=999"}
 				}
 				for _, p := range paths {
@@ -58,11 +58,11 @@ func TestAllConfigurationsServeBothBenchmarks(t *testing.T) {
 // TestWorkloadDrivesLab runs the emulator briefly against two archs and
 // checks the measurement plumbing.
 func TestWorkloadDrivesLab(t *testing.T) {
-	for _, a := range []perfsim.Arch{perfsim.ArchPHP, perfsim.ArchServletSync} {
+	for _, a := range []arch.Arch{arch.PHP, arch.ServletSync} {
 		a := a
 		t.Run(a.String(), func(t *testing.T) {
 			t.Parallel()
-			lab := startLab(t, a, perfsim.Auction)
+			lab := startLab(t, a, arch.Auction)
 			rep, err := lab.Run(workload.Config{
 				Clients:     4,
 				Mix:         "bidding",
@@ -100,7 +100,7 @@ func TestWorkloadDrivesLab(t *testing.T) {
 // measures: for the same workload, the EJB configuration issues many more
 // database statements than the hand-written SQL app.
 func TestEJBIssuesMoreQueries(t *testing.T) {
-	lab := startLab(t, perfsim.ArchEJB, perfsim.Auction)
+	lab := startLab(t, arch.EJB, arch.Auction)
 	c := httpclient.New(lab.WebAddr(), 10*time.Second)
 	defer c.Close()
 	ejbQueries := func() int64 { return lab.Telemetry().Tier("ejb").Queries }
@@ -121,8 +121,8 @@ func TestEJBIssuesMoreQueries(t *testing.T) {
 // against the SQL app and the EJB app and compares the visible result — the
 // functional-equivalence check from DESIGN.md's test plan.
 func TestStateConsistencyAcrossArchitectures(t *testing.T) {
-	see := func(a perfsim.Arch) string {
-		lab := startLab(t, a, perfsim.Auction)
+	see := func(a arch.Arch) string {
+		lab := startLab(t, a, arch.Auction)
 		c := httpclient.New(lab.WebAddr(), 10*time.Second)
 		defer c.Close()
 		if _, err := c.Get("/rubis/storebid?item=4&user=2&bid=7777"); err != nil {
@@ -139,7 +139,7 @@ func TestStateConsistencyAcrossArchitectures(t *testing.T) {
 		}
 		return "$7777.00"
 	}
-	if see(perfsim.ArchPHP) != see(perfsim.ArchEJB) {
+	if see(arch.PHP) != see(arch.EJB) {
 		t.Fatal("architectures diverged")
 	}
 }
@@ -148,7 +148,7 @@ func TestStateConsistencyAcrossArchitectures(t *testing.T) {
 // involves only static content": searchrequest works even though it touches
 // no tables.
 func TestBookstoreSearchStaticInteraction(t *testing.T) {
-	lab := startLab(t, perfsim.ArchServlet, perfsim.Bookstore)
+	lab := startLab(t, arch.Servlet, arch.Bookstore)
 	c := httpclient.New(lab.WebAddr(), 10*time.Second)
 	defer c.Close()
 	resp, err := c.Get("/tpcw/searchrequest")

@@ -7,12 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/arch"
 	"repro/internal/auction"
 	"repro/internal/bookstore"
 	"repro/internal/httpd"
 	"repro/internal/httpd/httpclient"
 	"repro/internal/lb"
-	"repro/internal/perfsim"
 	"repro/internal/sqldb"
 	"repro/internal/sqldb/wire"
 	"repro/internal/stack"
@@ -41,7 +41,7 @@ func TestDatabaseOutageSurfacesAs500(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lab := startAppTierOnly(t, Config{Arch: perfsim.ArchServlet, Benchmark: perfsim.Auction}, dbAddr.String())
+	lab := startAppTierOnly(t, Config{Arch: arch.Servlet, Benchmark: arch.Auction}, dbAddr.String())
 	web := newWebServer(t, lab.front.Mux)
 
 	c := httpclient.New(web, 5*time.Second)
@@ -84,7 +84,7 @@ func TestDatabaseRestartRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lab := startAppTierOnly(t, Config{Arch: perfsim.ArchPHP, Benchmark: perfsim.Bookstore}, dbAddr.String())
+	lab := startAppTierOnly(t, Config{Arch: arch.PHP, Benchmark: arch.Bookstore}, dbAddr.String())
 	web := newWebServer(t, lab.front.Mux)
 	c := httpclient.New(web, 5*time.Second)
 	defer c.Close()
@@ -124,11 +124,11 @@ func TestDatabaseRestartRecovers(t *testing.T) {
 // must run on a freshly dialed one — not on the next stale idle connection —
 // so no page fails after the restart, not even the first few.
 func TestPagesSurviveDBRestart(t *testing.T) {
-	for _, a := range []perfsim.Arch{perfsim.ArchPHP, perfsim.ArchServlet, perfsim.ArchEJB} {
+	for _, a := range []arch.Arch{arch.PHP, arch.Servlet, arch.EJB} {
 		a := a
 		t.Run(a.String(), func(t *testing.T) {
 			t.Parallel()
-			lab := startLab(t, a, perfsim.Auction)
+			lab := startLab(t, a, arch.Auction)
 			// Six concurrent clients leave several idle connections per pool.
 			var wg sync.WaitGroup
 			for i := 0; i < 6; i++ {
@@ -170,13 +170,13 @@ func TestPagesSurviveDBRestart(t *testing.T) {
 // 404 "no such item".
 func TestEJBDatabaseFailureIsNot404(t *testing.T) {
 	for _, tc := range []struct {
-		bench perfsim.Benchmark
+		bench arch.Benchmark
 		pages []string
 	}{
-		{perfsim.Auction, []string{"/rubis/viewitem?item=2", "/rubis/viewuserinfo?user=2", "/rubis/aboutme?user=2"}},
-		{perfsim.Bookstore, []string{"/tpcw/productdetail?i_id=2"}},
+		{arch.Auction, []string{"/rubis/viewitem?item=2", "/rubis/viewuserinfo?user=2", "/rubis/aboutme?user=2"}},
+		{arch.Bookstore, []string{"/tpcw/productdetail?i_id=2"}},
 	} {
-		lab := startLab(t, perfsim.ArchEJB, tc.bench)
+		lab := startLab(t, arch.EJB, tc.bench)
 		lab.StopReplica(0)
 		c := httpclient.New(lab.WebAddr(), 5*time.Second)
 		for _, p := range tc.pages {
@@ -195,7 +195,7 @@ func TestEJBDatabaseFailureIsNot404(t *testing.T) {
 // TestAppTierOutage kills the servlet container behind the AJP connector:
 // the web server must answer 500, not hang.
 func TestAppTierOutage(t *testing.T) {
-	lab := startLab(t, perfsim.ArchServletSync, perfsim.Auction)
+	lab := startLab(t, arch.ServletSync, arch.Auction)
 	c := httpclient.New(lab.WebAddr(), 5*time.Second)
 	defer c.Close()
 	if resp, _ := c.Get("/rubis/home"); resp == nil || resp.Status != 200 {

@@ -4,8 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/arch"
 	"repro/internal/chaos"
-	"repro/internal/perfsim"
 	"repro/internal/workload"
 )
 
@@ -25,12 +25,12 @@ func shardOfID(id int64, shards int) int {
 // partitioned by the strided id discipline, and the telemetry carries
 // the per-shard routing section.
 func TestShardedWorkload(t *testing.T) {
-	for _, arch := range []perfsim.Arch{perfsim.ArchServletSync, perfsim.ArchEJB} {
-		arch := arch
-		t.Run(arch.String(), func(t *testing.T) {
+	for _, a := range []arch.Arch{arch.ServletSync, arch.EJB} {
+		a := a
+		t.Run(a.String(), func(t *testing.T) {
 			t.Parallel()
 			lab, err := Start(Config{
-				Arch: arch, Benchmark: perfsim.Auction,
+				Arch: a, Benchmark: arch.Auction,
 				Seed: 3, DBShards: 2,
 			})
 			if err != nil {
@@ -120,7 +120,7 @@ func TestShardedWorkload(t *testing.T) {
 func TestShardedTxnWorkload(t *testing.T) {
 	t.Parallel()
 	lab, err := Start(Config{
-		Arch: perfsim.ArchServlet, Benchmark: perfsim.Bookstore,
+		Arch: arch.Servlet, Benchmark: arch.Bookstore,
 		Seed: 5, DBShards: 2,
 	})
 	if err != nil {

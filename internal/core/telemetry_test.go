@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/httpd/httpclient"
-	"repro/internal/perfsim"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -31,11 +30,11 @@ func shortRun(t *testing.T, lab *Lab) *workload.Report {
 // cross-tier telemetry: after a workload run, GET /status must return
 // non-zero per-tier pool and request metrics for every architecture.
 func TestStatusEndpointReportsSaturation(t *testing.T) {
-	for _, a := range []perfsim.Arch{perfsim.ArchPHP, perfsim.ArchServletSync, perfsim.ArchEJB} {
+	for _, a := range []arch.Arch{arch.PHP, arch.ServletSync, arch.EJB} {
 		a := a
 		t.Run(a.String(), func(t *testing.T) {
 			t.Parallel()
-			lab := startLab(t, a, perfsim.Auction)
+			lab := startLab(t, a, arch.Auction)
 			shortRun(t, lab)
 
 			c := httpclient.New(lab.WebAddr(), 10*time.Second)
@@ -75,7 +74,7 @@ func TestStatusEndpointReportsSaturation(t *testing.T) {
 			if db.PlanHits == 0 || db.PlanMisses == 0 {
 				t.Fatalf("plan cache counters idle: %+v", db)
 			}
-			if a != perfsim.ArchPHP {
+			if a != arch.PHP {
 				if web.Pool == nil || web.Pool.Gets == 0 || web.Pool.Dials == 0 {
 					t.Fatalf("AJP connector pool idle: %+v", web.Pool)
 				}
@@ -83,7 +82,7 @@ func TestStatusEndpointReportsSaturation(t *testing.T) {
 			if sv.Pool == nil || sv.Pool.Gets == 0 {
 				t.Fatalf("servlet downstream pool idle: %+v", sv.Pool)
 			}
-			if a == perfsim.ArchEJB {
+			if a == arch.EJB {
 				ejb := snap.Tier("ejb")
 				if ejb == nil || ejb.Queries == 0 || ejb.Pool.Gets == 0 {
 					t.Fatalf("ejb tier missing or idle: %+v", ejb)
@@ -134,7 +133,7 @@ func TestPoolNamesKeepKindPrefix(t *testing.T) {
 // TestRunAttachesTierDelta checks that Lab.Run windows the telemetry: the
 // report carries per-tier counters for the run and names a bottleneck.
 func TestRunAttachesTierDelta(t *testing.T) {
-	lab := startLab(t, perfsim.ArchServletSync, perfsim.Auction)
+	lab := startLab(t, arch.ServletSync, arch.Auction)
 	rep := shortRun(t, lab)
 	if rep.Tiers == nil {
 		t.Fatal("report has no tier telemetry")

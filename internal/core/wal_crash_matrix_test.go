@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/perfsim"
+	"repro/internal/arch"
 	"repro/internal/pool"
 	"repro/internal/sqldb"
 	"repro/internal/sqldb/walfault"
@@ -28,8 +28,8 @@ import (
 // crashed backend surfaces as a bounded error and gets ejected quickly.
 func walLab(t *testing.T, cfg Config) *Lab {
 	t.Helper()
-	cfg.Arch = perfsim.ArchServletSync
-	cfg.Benchmark = perfsim.Auction
+	cfg.Arch = arch.ServletSync
+	cfg.Benchmark = arch.Auction
 	cfg.Seed = 3
 	cfg.DBDataDir = t.TempDir()
 	cfg.DBTimeouts = pool.Timeouts{Op: 250 * time.Millisecond, Wait: 300 * time.Millisecond}

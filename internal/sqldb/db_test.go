@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -150,6 +151,20 @@ func TestJoinWithIndex(t *testing.T) {
 	}
 }
 
+// TestJoinShadowedAlias: the FROM table is aliased and a joined table takes
+// the FROM table's name as its alias. A predicate on that alias belongs to
+// the joined table; it must not narrow the FROM table's candidates.
+func TestJoinShadowedAlias(t *testing.T) {
+	_, s := testDB(t)
+	mustExec(t, s, "CREATE TABLE b (id INT PRIMARY KEY, category INT)")
+	mustExec(t, s, "INSERT INTO items (name, category) VALUES ('a', 1), ('b', 2)")
+	mustExec(t, s, "INSERT INTO b (id, category) VALUES (1, 7), (2, 7)")
+	got := mustExec(t, s, "SELECT x.name FROM items x JOIN b items ON items.id = x.id WHERE items.category = 7 ORDER BY x.name")
+	if fmt.Sprint(got.Rows) != `[["a"] ["b"]]` {
+		t.Fatalf("shadowed alias join: %v", got.Rows)
+	}
+}
+
 func TestJoinThreeTables(t *testing.T) {
 	_, s := testDB(t)
 	mustExec(t, s, "CREATE TABLE users (id INT PRIMARY KEY, nick VARCHAR(20))")
@@ -165,36 +180,55 @@ func TestJoinThreeTables(t *testing.T) {
 	}
 }
 
+// TestAggregates: COUNT(*) is the one aggregate — one row, the count under
+// each item's name — over a WHERE and over a join.
 func TestAggregates(t *testing.T) {
 	_, s := testDB(t)
+	mustExec(t, s, "INSERT INTO items (name) VALUES ('a'), ('b')")
 	mustExec(t, s, "INSERT INTO bids (item_id, user_id, bid) VALUES (1,1,2.0),(1,2,4.0),(2,1,10.0)")
-	got := mustExec(t, s, "SELECT COUNT(*), MAX(bid), MIN(bid), AVG(bid), SUM(bid) FROM bids WHERE item_id = 1")
-	r := got.Rows[0]
-	if r[0].AsInt() != 2 || r[1].AsFloat() != 4.0 || r[2].AsFloat() != 2.0 ||
-		r[3].AsFloat() != 3.0 || r[4].AsFloat() != 6.0 {
-		t.Fatalf("aggregates: %+v", r)
+	got := mustExec(t, s, "SELECT COUNT(*), COUNT(*) AS n FROM bids WHERE item_id = 1")
+	if len(got.Rows) != 1 || got.Rows[0][0].AsInt() != 2 || got.Rows[0][1].AsInt() != 2 ||
+		strings.Join(got.Columns, ",") != "count,n" {
+		t.Fatalf("count: %v %+v", got.Columns, got.Rows)
+	}
+	got = mustExec(t, s, "SELECT COUNT(*) FROM items i JOIN bids b ON b.item_id = i.id WHERE b.bid > 3")
+	if got.Rows[0][0].AsInt() != 2 {
+		t.Fatalf("count over a join: %+v", got.Rows)
 	}
 }
 
 func TestAggregateEmptyInput(t *testing.T) {
 	_, s := testDB(t)
-	got := mustExec(t, s, "SELECT COUNT(*), MAX(bid) FROM bids")
-	if got.Rows[0][0].AsInt() != 0 || !got.Rows[0][1].IsNull() {
-		t.Fatalf("empty aggregate: %+v", got.Rows[0])
+	got := mustExec(t, s, "SELECT COUNT(*) FROM bids")
+	if len(got.Rows) != 1 || got.Rows[0][0].AsInt() != 0 {
+		t.Fatalf("empty count: %+v", got.Rows)
 	}
 }
 
+// mustNotPrepare checks that q fails at PREPARE with an error naming
+// clause, and that the plan cache keeps nothing for it.
+func mustNotPrepare(t *testing.T, db *DB, s *Session, q, clause string) {
+	t.Helper()
+	before := db.PlanCacheStats().Size
+	if _, err := s.Exec(q); err == nil || !strings.Contains(err.Error(), clause) {
+		t.Fatalf("Exec(%q) = %v, want a parse error naming %s", q, err, clause)
+	}
+	if after := db.PlanCacheStats().Size; after != before {
+		t.Fatalf("plan cache grew %d -> %d on a statement that does not parse", before, after)
+	}
+}
+
+// TestGroupBy: GROUP BY, and the implicit grouping of COUNT(*) beside a
+// column, fail at PREPARE; SUM, MIN, MAX, AVG and COUNT(expr) likewise.
 func TestGroupBy(t *testing.T) {
-	_, s := testDB(t)
+	db, s := testDB(t)
 	mustExec(t, s, "INSERT INTO bids (item_id, user_id, bid) VALUES (1,1,2.0),(1,2,4.0),(2,1,10.0)")
-	got := mustExec(t, s, `SELECT item_id, COUNT(*) AS n, MAX(bid) AS top
-		FROM bids GROUP BY item_id ORDER BY n DESC`)
-	if len(got.Rows) != 2 {
-		t.Fatalf("groups: %+v", got.Rows)
+	mustNotPrepare(t, db, s, "SELECT item_id, COUNT(*) AS n FROM bids GROUP BY item_id ORDER BY n DESC", "GROUP BY")
+	mustNotPrepare(t, db, s, "SELECT item_id, COUNT(*) FROM bids", "GROUP BY")
+	for _, f := range []string{"SUM", "MIN", "MAX", "AVG"} {
+		mustNotPrepare(t, db, s, "SELECT "+f+"(bid) FROM bids", f)
 	}
-	if got.Rows[0][0].AsInt() != 1 || got.Rows[0][1].AsInt() != 2 || got.Rows[0][2].AsFloat() != 4.0 {
-		t.Fatalf("group row: %+v", got.Rows[0])
-	}
+	mustNotPrepare(t, db, s, "SELECT COUNT(bid) FROM bids", "COUNT(expr)")
 }
 
 func TestOrderByUnselectedColumn(t *testing.T) {
@@ -206,28 +240,28 @@ func TestOrderByUnselectedColumn(t *testing.T) {
 	}
 }
 
+// TestLimitOffset: LIMIT n cuts the ordered result; an OFFSET, in either
+// spelling, fails at PREPARE.
 func TestLimitOffset(t *testing.T) {
-	_, s := testDB(t)
+	db, s := testDB(t)
 	for i := 0; i < 10; i++ {
 		mustExec(t, s, "INSERT INTO items (name, price) VALUES (?, ?)", String("x"), Int(int64(i)))
 	}
-	got := mustExec(t, s, "SELECT price FROM items ORDER BY price LIMIT 3 OFFSET 4")
-	if len(got.Rows) != 3 || got.Rows[0][0].AsFloat() != 4 {
-		t.Fatalf("limit/offset: %+v", got.Rows)
+	got := mustExec(t, s, "SELECT price FROM items ORDER BY price DESC LIMIT 3")
+	if len(got.Rows) != 3 || got.Rows[0][0].AsFloat() != 9 || got.Rows[2][0].AsFloat() != 7 {
+		t.Fatalf("limit: %+v", got.Rows)
 	}
-	got = mustExec(t, s, "SELECT price FROM items ORDER BY price LIMIT 100 OFFSET 8")
-	if len(got.Rows) != 2 {
-		t.Fatalf("offset past end: %+v", got.Rows)
+	if got = mustExec(t, s, "SELECT price FROM items LIMIT 100"); len(got.Rows) != 10 {
+		t.Fatalf("limit past end: %+v", got.Rows)
 	}
+	mustNotPrepare(t, db, s, "SELECT price FROM items ORDER BY price LIMIT 3 OFFSET 4", "OFFSET")
+	mustNotPrepare(t, db, s, "SELECT price FROM items ORDER BY price LIMIT 4, 3", "LIMIT offset, count")
 }
 
+// TestDistinct: SELECT DISTINCT fails at PREPARE.
 func TestDistinct(t *testing.T) {
-	_, s := testDB(t)
-	mustExec(t, s, "INSERT INTO items (name, category) VALUES ('a',1),('b',1),('c',2)")
-	got := mustExec(t, s, "SELECT DISTINCT category FROM items ORDER BY category")
-	if len(got.Rows) != 2 {
-		t.Fatalf("distinct: %+v", got.Rows)
-	}
+	db, s := testDB(t)
+	mustNotPrepare(t, db, s, "SELECT DISTINCT category FROM items ORDER BY category", "DISTINCT")
 }
 
 func TestLikeAndIn(t *testing.T) {

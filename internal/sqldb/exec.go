@@ -128,8 +128,6 @@ func (e *env) eval(x sqlparse.Expr) (Value, error) {
 		return boolVal(match != ex.Not), nil
 	case *sqlparse.BinaryExpr:
 		return e.evalBinary(ex)
-	case *sqlparse.AggExpr:
-		return Null(), fmt.Errorf("sqldb: aggregate %v outside SELECT list", ex.Func)
 	default:
 		return Null(), fmt.Errorf("sqldb: cannot evaluate %T", x)
 	}
@@ -393,7 +391,7 @@ type match struct {
 func matchRows(t *Table, where sqlparse.Expr, args []Value) ([]match, error) {
 	var out []match
 	ev := &env{aliases: []string{t.name}, tabs: []*Table{t}, rows: make([]Row, 1), args: args}
-	err := eachCandidate(t, where, args, func(id int64, r Row) error {
+	err := eachCandidate(t, t.name, where, args, func(id int64, r Row) error {
 		if where != nil {
 			ev.rows[0] = r
 			v, err := ev.eval(where)
@@ -408,12 +406,13 @@ func matchRows(t *Table, where sqlparse.Expr, args []Value) ([]match, error) {
 }
 
 // eachCandidate calls fn, in rowid order until it fails, with the rows of t
-// that where may select: those an index probe returns for a top-level
-// equality conjunct on an indexed column when the index can answer it
-// (Table.probe), every row otherwise. fn still evaluates where: the probe
-// narrows what it sees, it does not decide.
-func eachCandidate(t *Table, where sqlparse.Expr, args []Value, fn func(id int64, r Row) error) error {
-	ix, v, err := equalityProbe(t, where, args)
+// (bound in the statement as name: its alias, or its own name) that where
+// may select: those an index probe returns for a top-level equality conjunct
+// on an indexed column when the index can answer it (Table.probe), every row
+// otherwise. fn still evaluates where: the probe narrows what it sees, it
+// does not decide.
+func eachCandidate(t *Table, name string, where sqlparse.Expr, args []Value, fn func(id int64, r Row) error) error {
+	ix, v, err := equalityProbe(t, name, where, args)
 	if err != nil {
 		return err
 	}
@@ -425,18 +424,22 @@ func eachCandidate(t *Table, where sqlparse.Expr, args []Value, fn func(id int64
 
 // equalityProbe finds the first top-level equality conjunct of where between
 // an indexed column of t and a constant, and returns that index and the
-// constant's value; ix is nil when there is none.
-func equalityProbe(t *Table, where sqlparse.Expr, args []Value) (ix *index, v Value, err error) {
+// constant's value; ix is nil when there is none. t is bound as name. A
+// qualified column is t's only when t is unaliased (name is t's own name)
+// and the qualifier is that name: an aliased table is scanned, never probed
+// by a qualified column, so a joined table that takes t's name as its alias
+// cannot narrow t by its own predicate.
+func equalityProbe(t *Table, name string, where sqlparse.Expr, args []Value) (ix *index, v Value, err error) {
 	be, ok := where.(*sqlparse.BinaryExpr)
 	if !ok {
 		return nil, v, nil
 	}
 	switch be.Op {
 	case sqlparse.OpAnd:
-		if ix, v, err = equalityProbe(t, be.L, args); ix != nil || err != nil {
+		if ix, v, err = equalityProbe(t, name, be.L, args); ix != nil || err != nil {
 			return ix, v, err
 		}
-		return equalityProbe(t, be.R, args)
+		return equalityProbe(t, name, be.R, args)
 	case sqlparse.OpEq:
 		col, val := be.L, be.R
 		if _, isCol := col.(*sqlparse.ColRefExpr); !isCol {
@@ -446,7 +449,7 @@ func equalityProbe(t *Table, where sqlparse.Expr, args []Value) (ix *index, v Va
 		if !isCol || !constExpr(val) {
 			return nil, v, nil
 		}
-		if cr.Table != "" && !strings.EqualFold(cr.Table, t.name) {
+		if cr.Table != "" && (name != t.name || !strings.EqualFold(cr.Table, name)) {
 			return nil, v, nil
 		}
 		ci, err := t.colOf(cr.Column)
@@ -493,9 +496,6 @@ func execSelect(tabs []*Table, st *sqlparse.Select, args []Value) (*Result, erro
 	if st.Where != nil {
 		exprs = append(exprs, st.Where)
 	}
-	for i := range st.GroupBy {
-		exprs = append(exprs, &st.GroupBy[i])
-	}
 	for _, oi := range st.OrderBy {
 		// ORDER BY may name a select-list alias instead of a table column.
 		if cr, ok := oi.Expr.(*sqlparse.ColRefExpr); ok && cr.Table == "" {
@@ -514,19 +514,12 @@ func execSelect(tabs []*Table, st *sqlparse.Select, args []Value) (*Result, erro
 		}
 	}
 
-	agg := len(st.GroupBy) > 0
-	for _, it := range st.Items {
-		if containsAgg(it.Expr) {
-			agg = true
-		}
-	}
+	// A COUNT(*) select only counts the rows that qualify.
+	count := st.IsCount()
+	var n int64
 
 	res := &Result{Columns: outputColumns(st, tabs)}
-	var groups *groupSet
-	if agg {
-		groups = newGroupSet(st)
-	}
-	// For non-aggregate selects, ORDER BY keys are evaluated against the
+	// For a projection, ORDER BY keys are evaluated against the
 	// bound rows at emit time so they may name columns outside the select
 	// list (e.g. SELECT name FROM items ORDER BY price).
 	var sortKeys [][]Value
@@ -551,8 +544,9 @@ func execSelect(tabs []*Table, st *sqlparse.Select, args []Value) (*Result, erro
 		return r
 	}
 	emit := func() error {
-		if agg {
-			return groups.add(ev)
+		if count {
+			n++
+			return nil
 		}
 		var out Row
 		if st.Star {
@@ -624,7 +618,7 @@ func execSelect(tabs []*Table, st *sqlparse.Select, args []Value) (*Result, erro
 		t := tabs[level]
 		// Index runs are walked in place: nobody writes what a SELECT reads.
 		if level == 0 {
-			return eachCandidate(t, st.Where, args, func(_ int64, r Row) error {
+			return eachCandidate(t, ev.aliases[0], st.Where, args, func(_ int64, r Row) error {
 				ev.rows[0] = r
 				return joinLevel(1)
 			})
@@ -659,22 +653,18 @@ func execSelect(tabs []*Table, st *sqlparse.Select, args []Value) (*Result, erro
 		return nil, err
 	}
 
-	if agg {
-		rows, err := groups.finish(ev)
-		if err != nil {
-			return nil, err
+	if count {
+		row := make(Row, len(st.Items))
+		for i := range row {
+			row[i] = Int(n)
 		}
-		res.Rows = rows
-		if err := orderAggRows(res, st); err != nil {
-			return nil, err
-		}
-	} else if err := orderPlainRows(res, st, sortKeys); err != nil {
-		return nil, err
+		res.Rows = []Row{row}
+	} else {
+		orderRows(res, st, sortKeys)
 	}
-	if st.Distinct {
-		res.Rows = distinctRows(res.Rows)
+	if st.Limit >= 0 && st.Limit < len(res.Rows) {
+		res.Rows = res.Rows[:st.Limit]
 	}
-	applyLimit(res, st)
 	return res, nil
 }
 
@@ -760,28 +750,8 @@ func validateCols(e sqlparse.Expr, ev *env) error {
 			}
 		}
 		return nil
-	case *sqlparse.AggExpr:
-		if x.Arg != nil {
-			return validateCols(x.Arg, ev)
-		}
-		return nil
 	default:
 		return nil
-	}
-}
-
-func containsAgg(e sqlparse.Expr) bool {
-	switch ex := e.(type) {
-	case *sqlparse.AggExpr:
-		return true
-	case *sqlparse.BinaryExpr:
-		return containsAgg(ex.L) || containsAgg(ex.R)
-	case *sqlparse.NegExpr:
-		return containsAgg(ex.E)
-	case *sqlparse.NotExpr:
-		return containsAgg(ex.E)
-	default:
-		return false
 	}
 }
 
@@ -803,8 +773,8 @@ func outputColumns(st *sqlparse.Select, tabs []*Table) []string {
 		default:
 			if cr, ok := it.Expr.(*sqlparse.ColRefExpr); ok {
 				cols[i] = cr.Column
-			} else if ag, ok := it.Expr.(*sqlparse.AggExpr); ok {
-				cols[i] = strings.ToLower(ag.Func.String())
+			} else if _, ok := it.Expr.(*sqlparse.AggExpr); ok {
+				cols[i] = "count"
 			} else {
 				cols[i] = fmt.Sprintf("expr%d", i+1)
 			}
@@ -813,165 +783,12 @@ func outputColumns(st *sqlparse.Select, tabs []*Table) []string {
 	return cols
 }
 
-// ---- aggregation ----
+// ---- ordering ----
 
-type groupState struct {
-	key    string
-	sample []Row // bound rows of the first member, for non-agg items
-	counts []int64
-	sums   []float64
-	mins   []Value
-	maxs   []Value
-	seen   []bool
-}
-
-type groupSet struct {
-	st     *sqlparse.Select
-	order  []string
-	groups map[string]*groupState
-	aggs   []*sqlparse.AggExpr // aggregates in select-list order (nil gaps)
-}
-
-func newGroupSet(st *sqlparse.Select) *groupSet {
-	gs := &groupSet{st: st, groups: make(map[string]*groupState)}
-	for _, it := range st.Items {
-		if ag, ok := it.Expr.(*sqlparse.AggExpr); ok {
-			gs.aggs = append(gs.aggs, ag)
-		} else {
-			gs.aggs = append(gs.aggs, nil)
-		}
-	}
-	return gs
-}
-
-func (gs *groupSet) add(ev *env) error {
-	var keyParts []string
-	for _, g := range gs.st.GroupBy {
-		g := g
-		v, err := ev.eval(&g)
-		if err != nil {
-			return err
-		}
-		keyParts = append(keyParts, v.String())
-	}
-	key := strings.Join(keyParts, "\x00")
-	g, ok := gs.groups[key]
-	if !ok {
-		g = &groupState{
-			key:    key,
-			counts: make([]int64, len(gs.aggs)),
-			sums:   make([]float64, len(gs.aggs)),
-			mins:   make([]Value, len(gs.aggs)),
-			maxs:   make([]Value, len(gs.aggs)),
-			seen:   make([]bool, len(gs.aggs)),
-		}
-		g.sample = make([]Row, len(ev.rows))
-		// Stored rows are immutable; samples can alias them.
-		copy(g.sample, ev.rows)
-		gs.groups[key] = g
-		gs.order = append(gs.order, key)
-	}
-	for i, ag := range gs.aggs {
-		if ag == nil {
-			continue
-		}
-		if ag.Star {
-			g.counts[i]++
-			continue
-		}
-		v, err := ev.eval(ag.Arg)
-		if err != nil {
-			return err
-		}
-		if v.IsNull() {
-			continue
-		}
-		g.counts[i]++
-		g.sums[i] += v.AsFloat()
-		if !g.seen[i] || Compare(v, g.mins[i]) < 0 {
-			g.mins[i] = v
-		}
-		if !g.seen[i] || Compare(v, g.maxs[i]) > 0 {
-			g.maxs[i] = v
-		}
-		g.seen[i] = true
-	}
-	return nil
-}
-
-func (gs *groupSet) finish(ev *env) ([]Row, error) {
-	var out []Row
-	if len(gs.order) == 0 && len(gs.st.GroupBy) == 0 {
-		// Aggregate over an empty input still yields one row.
-		gs.groups[""] = &groupState{
-			counts: make([]int64, len(gs.aggs)),
-			sums:   make([]float64, len(gs.aggs)),
-			mins:   make([]Value, len(gs.aggs)),
-			maxs:   make([]Value, len(gs.aggs)),
-			seen:   make([]bool, len(gs.aggs)),
-			sample: make([]Row, len(ev.tabs)),
-		}
-		for i, t := range ev.tabs {
-			gs.groups[""].sample[i] = make(Row, len(t.columns))
-		}
-		gs.order = append(gs.order, "")
-	}
-	for _, key := range gs.order {
-		g := gs.groups[key]
-		genv := &env{aliases: ev.aliases, tabs: ev.tabs, rows: g.sample, args: ev.args}
-		row := make(Row, len(gs.st.Items))
-		for i, it := range gs.st.Items {
-			if ag := gs.aggs[i]; ag != nil {
-				row[i] = aggValue(ag, g, i)
-				continue
-			}
-			v, err := genv.eval(it.Expr)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = v
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
-func aggValue(ag *sqlparse.AggExpr, g *groupState, i int) Value {
-	switch ag.Func {
-	case sqlparse.AggCount:
-		return Int(g.counts[i])
-	case sqlparse.AggSum:
-		if g.counts[i] == 0 {
-			return Null()
-		}
-		return Float(g.sums[i])
-	case sqlparse.AggAvg:
-		if g.counts[i] == 0 {
-			return Null()
-		}
-		return Float(g.sums[i] / float64(g.counts[i]))
-	case sqlparse.AggMin:
-		if !g.seen[i] {
-			return Null()
-		}
-		return g.mins[i]
-	case sqlparse.AggMax:
-		if !g.seen[i] {
-			return Null()
-		}
-		return g.maxs[i]
-	default:
-		return Null()
-	}
-}
-
-// ---- ordering, distinct, limit ----
-
-// orderPlainRows sorts a non-aggregate result by the keys captured at emit
-// time.
-func orderPlainRows(res *Result, st *sqlparse.Select, sortKeys [][]Value) error {
+// orderRows sorts a projection's result by the keys captured at emit time.
+func orderRows(res *Result, st *sqlparse.Select, sortKeys [][]Value) {
 	if len(st.OrderBy) == 0 {
-		return nil
+		return
 	}
 	idx := make([]int, len(res.Rows))
 	for i := range idx {
@@ -996,41 +813,6 @@ func orderPlainRows(res *Result, st *sqlparse.Select, sortKeys [][]Value) error 
 		rows[i] = res.Rows[j]
 	}
 	res.Rows = rows
-	return nil
-}
-
-// orderAggRows sorts an aggregate result; keys must name output columns
-// (alias or column name), the only case the benchmarks need after GROUP BY.
-func orderAggRows(res *Result, st *sqlparse.Select) error {
-	if len(st.OrderBy) == 0 {
-		return nil
-	}
-	cols := make([]int, len(st.OrderBy))
-	for i, oi := range st.OrderBy {
-		cr, ok := oi.Expr.(*sqlparse.ColRefExpr)
-		if !ok {
-			return fmt.Errorf("sqldb: ORDER BY after GROUP BY must name an output column")
-		}
-		idx := outputIndex(res.Columns, cr.Column)
-		if idx < 0 {
-			return fmt.Errorf("sqldb: ORDER BY key %q not in select list", cr.Column)
-		}
-		cols[i] = idx
-	}
-	sort.SliceStable(res.Rows, func(a, b int) bool {
-		for k, ci := range cols {
-			c := Compare(res.Rows[a][ci], res.Rows[b][ci])
-			if c == 0 {
-				continue
-			}
-			if st.OrderBy[k].Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-	return nil
 }
 
 func outputIndex(cols []string, name string) int {
@@ -1040,35 +822,4 @@ func outputIndex(cols []string, name string) int {
 		}
 	}
 	return -1
-}
-
-func distinctRows(rows []Row) []Row {
-	seen := make(map[string]bool, len(rows))
-	out := rows[:0]
-	for _, r := range rows {
-		var b strings.Builder
-		for _, v := range r {
-			b.WriteString(v.String())
-			b.WriteByte('\x00')
-		}
-		k := b.String()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-func applyLimit(res *Result, st *sqlparse.Select) {
-	if st.Offset > 0 {
-		if st.Offset >= len(res.Rows) {
-			res.Rows = nil
-		} else {
-			res.Rows = res.Rows[st.Offset:]
-		}
-	}
-	if st.Limit >= 0 && st.Limit < len(res.Rows) {
-		res.Rows = res.Rows[:st.Limit]
-	}
 }

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -62,14 +63,14 @@ func TestLikeMatchPatterns(t *testing.T) {
 	}
 }
 
-// whereOf parses a SELECT and returns its WHERE expression.
-func whereOf(t *testing.T, query string) sqlparse.Expr {
+// selectOf parses a SELECT.
+func selectOf(t *testing.T, query string) *sqlparse.Select {
 	t.Helper()
 	stmt, err := sqlparse.Parse(query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return stmt.(*sqlparse.Select).Where
+	return stmt.(*sqlparse.Select)
 }
 
 // TestCandidateIDsIndexSelection checks when the executor probes an index
@@ -105,10 +106,17 @@ func TestCandidateIDsIndexSelection(t *testing.T) {
 		// A key absent from the index still resolves through it: the empty
 		// posting list means "no rows", not "fall back to a scan".
 		{"miss in index", "SELECT id FROM items WHERE category = 99", nil, true, 0},
+		{"qualified by table name", "SELECT id FROM items WHERE items.category = 2", nil, true, 2},
+		// An aliased FROM table is scanned, not probed (DESIGN.md §4b): the
+		// alias is not compared, and the table's own name may belong to a
+		// joined table's alias, whose predicate must not narrow this one.
+		{"aliased", "SELECT id FROM items i WHERE i.id = 1", nil, false, 0},
+		{"shadowed by a join alias", "SELECT x.name FROM items x JOIN b items ON items.id = x.id WHERE items.category = 7", nil, false, 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			ix, v, err := equalityProbe(tbl, whereOf(t, c.query), c.args)
+			sel := selectOf(t, c.query)
+			ix, v, err := equalityProbe(tbl, strings.ToLower(sel.From.Name()), sel.Where, c.args)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -93,22 +93,28 @@ type Delete struct {
 	Src   string
 }
 
-// Select is a SELECT statement over one table plus inner joins.
+// Select is a SELECT statement over one table plus inner joins. Its select
+// list is either projections or COUNT(*) items, never a mix.
 type Select struct {
-	Items    []SelectItem
-	Star     bool
-	From     TableRef
-	Joins    []Join
-	Where    Expr
-	GroupBy  []ColRefExpr
-	OrderBy  []OrderItem
-	Limit    int // -1 when absent
-	Offset   int
-	Distinct bool
-	// FromPos and LimitPos are the byte offsets of the FROM and LIMIT
-	// keywords in the text given to Parse (LimitPos 0 when Limit is -1),
-	// for callers that rewrite the statement's text around them.
-	FromPos, LimitPos int
+	Items   []SelectItem
+	Star    bool
+	From    TableRef
+	Joins   []Join
+	Where   Expr
+	OrderBy []OrderItem
+	Limit   int // -1 when absent
+	// FromPos is the byte offset of the FROM keyword in the text given to
+	// Parse, for callers that rewrite the select list.
+	FromPos int
+}
+
+// IsCount reports a COUNT(*) select: one row, one count per item.
+func (s *Select) IsCount() bool {
+	if len(s.Items) == 0 {
+		return false
+	}
+	_, ok := s.Items[0].Expr.(*AggExpr)
+	return ok
 }
 
 // SelectItem is one output expression with an optional alias.
@@ -304,40 +310,9 @@ type NullLit struct{}
 // ParamExpr is the i-th '?' placeholder (0-based).
 type ParamExpr struct{ Index int }
 
-// AggFunc enumerates aggregate functions.
-type AggFunc int
-
-const (
-	AggCount AggFunc = iota
-	AggSum
-	AggMin
-	AggMax
-	AggAvg
-)
-
-func (f AggFunc) String() string {
-	switch f {
-	case AggCount:
-		return "COUNT"
-	case AggSum:
-		return "SUM"
-	case AggMin:
-		return "MIN"
-	case AggMax:
-		return "MAX"
-	case AggAvg:
-		return "AVG"
-	default:
-		return "?"
-	}
-}
-
-// AggExpr is an aggregate call; Star is COUNT(*).
-type AggExpr struct {
-	Func AggFunc
-	Arg  Expr
-	Star bool
-}
+// AggExpr is COUNT(*), the dialect's one aggregate. It is only ever a
+// whole select item.
+type AggExpr struct{}
 
 // InExpr is "e IN (list...)" (value lists only).
 type InExpr struct {

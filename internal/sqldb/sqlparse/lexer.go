@@ -1,8 +1,21 @@
 // Package sqlparse implements the SQL dialect used by the repro database
-// engine: the subset of MySQL 3.23 the paper's benchmarks rely on —
-// SELECT with joins, WHERE, GROUP BY, ORDER BY and LIMIT; INSERT, UPDATE,
-// DELETE; CREATE TABLE / CREATE INDEX; and BEGIN / COMMIT / ROLLBACK —
-// the transaction is the dialect's one multi-statement critical section.
+// engine: the subset of MySQL 3.23 the paper's benchmarks issue, and no
+// more.
+//
+//   - SELECT: a projection list, * or COUNT(*) items; FROM one table and
+//     INNER JOIN ... ON; WHERE; ORDER BY; LIMIT n.
+//   - INSERT (multi-row), UPDATE, DELETE.
+//   - CREATE TABLE, CREATE [UNIQUE] INDEX, DROP TABLE, and ALTER TABLE ...
+//     AUTO_INCREMENT [OFFSET o] [STRIDE s] [NEXT n].
+//   - BEGIN / START TRANSACTION, PREPARE TRANSACTION, COMMIT, ROLLBACK: the
+//     transaction is the dialect's one multi-statement critical section.
+//   - SHOW TABLES, SHOW TABLE STATUS and SHOW WAL ..., which replica sync
+//     and log shipping read.
+//
+// GROUP BY, SELECT DISTINCT, LIMIT ... OFFSET, LIMIT offset, count, SUM,
+// MIN, MAX, AVG and COUNT(expr) are not in it: neither application, the EJB
+// container, the cluster nor population issues them, and Parse rejects each
+// with an error naming it.
 package sqlparse
 
 import (

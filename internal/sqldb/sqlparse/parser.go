@@ -50,8 +50,17 @@ type parser struct {
 	params int
 }
 
-func (p *parser) cur() token  { return p.toks[p.i] }
-func (p *parser) next() token { t := p.toks[p.i]; p.i++; return t }
+func (p *parser) cur() token { return p.toks[p.i] }
+
+// next consumes the current token. It never moves past tokEOF, which every
+// later read then sees.
+func (p *parser) next() token {
+	t := p.toks[p.i]
+	if t.kind != tokEOF {
+		p.i++
+	}
+	return t
+}
 
 func (p *parser) at(kind tokKind, text string) bool {
 	t := p.cur()
@@ -250,14 +259,20 @@ func (p *parser) parseShowWAL() (Statement, error) {
 func (p *parser) parseSelect() (*Select, error) {
 	p.next() // SELECT
 	sel := &Select{Limit: -1}
-	sel.Distinct = p.accept(tokKeyword, "DISTINCT")
+	if p.at(tokKeyword, "DISTINCT") {
+		return nil, p.unsupported("SELECT DISTINCT")
+	}
 	if p.accept(tokSymbol, "*") {
 		sel.Star = true
 	} else {
+		counts := 0
 		for {
-			e, err := p.parseExpr()
+			e, err := p.parseSelectExpr()
 			if err != nil {
 				return nil, err
+			}
+			if _, ok := e.(*AggExpr); ok {
+				counts++
 			}
 			item := SelectItem{Expr: e}
 			if p.accept(tokKeyword, "AS") {
@@ -273,6 +288,9 @@ func (p *parser) parseSelect() (*Select, error) {
 			if !p.accept(tokSymbol, ",") {
 				break
 			}
+		}
+		if counts > 0 && counts < len(sel.Items) {
+			return nil, p.unsupported("COUNT(*) beside a column (GROUP BY)")
 		}
 	}
 	kw, err := p.expect(tokKeyword, "FROM")
@@ -313,24 +331,8 @@ func (p *parser) parseSelect() (*Select, error) {
 		}
 		sel.Where = w
 	}
-	if p.accept(tokKeyword, "GROUP") {
-		if _, err := p.expect(tokKeyword, "BY"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			cr, ok := e.(*ColRefExpr)
-			if !ok {
-				return nil, p.errf("GROUP BY supports column references only")
-			}
-			sel.GroupBy = append(sel.GroupBy, *cr)
-			if !p.accept(tokSymbol, ",") {
-				break
-			}
-		}
+	if p.at(tokKeyword, "GROUP") {
+		return nil, p.unsupported("GROUP BY")
 	}
 	if p.accept(tokKeyword, "ORDER") {
 		if _, err := p.expect(tokKeyword, "BY"); err != nil {
@@ -353,30 +355,43 @@ func (p *parser) parseSelect() (*Select, error) {
 			}
 		}
 	}
-	if kw := p.cur(); p.accept(tokKeyword, "LIMIT") {
-		sel.LimitPos = kw.pos
+	if p.accept(tokKeyword, "LIMIT") {
 		n, err := p.parseInt()
 		if err != nil {
 			return nil, err
 		}
 		sel.Limit = n
-		if p.accept(tokKeyword, "OFFSET") {
-			off, err := p.parseInt()
-			if err != nil {
-				return nil, err
-			}
-			sel.Offset = off
-		} else if p.accept(tokSymbol, ",") {
-			// MySQL's LIMIT offset, count
-			cnt, err := p.parseInt()
-			if err != nil {
-				return nil, err
-			}
-			sel.Offset = sel.Limit
-			sel.Limit = cnt
+		switch {
+		case p.at(tokKeyword, "OFFSET"):
+			return nil, p.unsupported("LIMIT ... OFFSET")
+		case p.at(tokSymbol, ","):
+			return nil, p.unsupported("LIMIT offset, count")
 		}
 	}
 	return sel, nil
+}
+
+// parseSelectExpr parses one select item: COUNT(*), or an expression.
+func (p *parser) parseSelectExpr() (Expr, error) {
+	if !p.accept(tokKeyword, "COUNT") {
+		return p.parseExpr()
+	}
+	if _, err := p.expect(tokSymbol, "("); err != nil {
+		return nil, err
+	}
+	if !p.accept(tokSymbol, "*") {
+		return nil, p.unsupported("COUNT(expr)")
+	}
+	if _, err := p.expect(tokSymbol, ")"); err != nil {
+		return nil, err
+	}
+	return &AggExpr{}, nil
+}
+
+// unsupported is the error for a SQL feature the dialect leaves out (see the
+// package comment), naming it.
+func (p *parser) unsupported(feature string) error {
+	return p.errf("%s is not in the dialect", feature)
 }
 
 func (p *parser) parseInt() (int, error) {
@@ -928,8 +943,8 @@ func (p *parser) parsePrimary() (Expr, error) {
 		case "FALSE":
 			p.next()
 			return &IntLit{V: 0}, nil
-		case "COUNT", "SUM", "MIN", "MAX", "AVG":
-			return p.parseAgg()
+		case "SUM", "MIN", "MAX", "AVG":
+			return nil, p.unsupported(t.text + "()")
 		}
 		return nil, p.errf("unexpected keyword %q in expression", t.text)
 	case tokIdent:
@@ -956,41 +971,4 @@ func (p *parser) parsePrimary() (Expr, error) {
 		}
 	}
 	return nil, p.errf("unexpected token %q in expression", t.text)
-}
-
-func (p *parser) parseAgg() (Expr, error) {
-	t := p.next()
-	var f AggFunc
-	switch t.text {
-	case "COUNT":
-		f = AggCount
-	case "SUM":
-		f = AggSum
-	case "MIN":
-		f = AggMin
-	case "MAX":
-		f = AggMax
-	case "AVG":
-		f = AggAvg
-	}
-	if _, err := p.expect(tokSymbol, "("); err != nil {
-		return nil, err
-	}
-	agg := &AggExpr{Func: f}
-	if p.accept(tokSymbol, "*") {
-		if f != AggCount {
-			return nil, p.errf("only COUNT accepts *")
-		}
-		agg.Star = true
-	} else {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		agg.Arg = e
-	}
-	if _, err := p.expect(tokSymbol, ")"); err != nil {
-		return nil, err
-	}
-	return agg, nil
 }

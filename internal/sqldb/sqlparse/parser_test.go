@@ -34,32 +34,61 @@ func TestParseSelectStar(t *testing.T) {
 }
 
 func TestParseSelectFull(t *testing.T) {
-	st := mustParse(t, `SELECT i.id, COUNT(*) AS n
+	st := mustParse(t, `SELECT i.id, b.bid AS n
 		FROM items i JOIN bids b ON b.item_id = i.id
 		WHERE i.category = ? AND b.bid > 10
-		GROUP BY i.id ORDER BY n DESC LIMIT 20 OFFSET 5`).(*Select)
+		ORDER BY n DESC LIMIT 20`).(*Select)
 	if len(st.Joins) != 1 || st.Joins[0].Table.Table != "bids" {
 		t.Fatalf("joins: %+v", st.Joins)
-	}
-	if len(st.GroupBy) != 1 || st.GroupBy[0].Column != "id" {
-		t.Fatalf("group by: %+v", st.GroupBy)
 	}
 	if len(st.OrderBy) != 1 || !st.OrderBy[0].Desc {
 		t.Fatalf("order by: %+v", st.OrderBy)
 	}
-	if st.Limit != 20 || st.Offset != 5 {
-		t.Fatalf("limit/offset: %d/%d", st.Limit, st.Offset)
+	if st.Limit != 20 {
+		t.Fatalf("limit: %d", st.Limit)
 	}
 	if st.Items[1].Alias != "n" {
 		t.Fatalf("alias: %+v", st.Items[1])
 	}
 }
 
+// TestParseMySQLLimitComma: MySQL's LIMIT offset, count is not in the
+// dialect; LIMIT n alone is.
 func TestParseMySQLLimitComma(t *testing.T) {
-	st := mustParse(t, "SELECT id FROM t LIMIT 10, 20").(*Select)
-	if st.Offset != 10 || st.Limit != 20 {
-		t.Fatalf("LIMIT 10,20 -> offset=%d limit=%d", st.Offset, st.Limit)
+	if _, err := Parse("SELECT id FROM t LIMIT 10, 20"); err == nil || !strings.Contains(err.Error(), "LIMIT offset, count") {
+		t.Fatalf("LIMIT 10, 20: %v, want an error naming the clause", err)
 	}
+	if st := mustParse(t, "SELECT id FROM t LIMIT 10").(*Select); st.Limit != 10 {
+		t.Fatalf("LIMIT 10 -> limit=%d", st.Limit)
+	}
+}
+
+// TestDeletedClauses: every SQL feature the dialect leaves out is a parse
+// error that names it.
+func TestDeletedClauses(t *testing.T) {
+	for _, c := range []struct{ sql, names string }{
+		{"SELECT item_id, COUNT(*) FROM bids GROUP BY item_id", "GROUP BY"},
+		{"SELECT id FROM items GROUP BY id", "GROUP BY"},
+		{"SELECT DISTINCT category FROM items", "DISTINCT"},
+		{"SELECT id FROM items ORDER BY id LIMIT 3 OFFSET 4", "OFFSET"},
+		{"SELECT id FROM items LIMIT 4, 3", "LIMIT offset, count"},
+		{"SELECT SUM(bid) FROM bids", "SUM"},
+		{"SELECT MIN(bid) FROM bids", "MIN"},
+		{"SELECT MAX(id) FROM bids", "MAX"},
+		{"SELECT AVG(bid) FROM bids", "AVG"},
+		{"SELECT COUNT(*), MAX(id) FROM bids", "MAX"},
+		{"SELECT id FROM bids WHERE bid > (SELECT MAX(bid) FROM bids)", "MAX"},
+		{"SELECT COUNT(id) FROM bids", "COUNT(expr)"},
+		{"SELECT COUNT(DISTINCT id) FROM bids", "COUNT(expr)"},
+		{"SELECT item_id, COUNT(*) FROM bids", "GROUP BY"},
+	} {
+		_, err := Parse(c.sql)
+		if err == nil || !strings.Contains(err.Error(), c.names) {
+			t.Errorf("Parse(%q) = %v, want an error naming %s", c.sql, err, c.names)
+		}
+	}
+	// OFFSET stays a keyword of ALTER TABLE ... AUTO_INCREMENT.
+	mustParse(t, "ALTER TABLE bids AUTO_INCREMENT OFFSET 2 STRIDE 2")
 }
 
 func TestParseInsert(t *testing.T) {
@@ -210,20 +239,33 @@ func exprString(e Expr) string {
 	case *NegExpr:
 		return "-" + exprString(x.E)
 	case *AggExpr:
-		return x.Func.String()
+		return "COUNT(*)"
 	default:
 		return "?"
 	}
 }
 
+// TestParseAggregates: COUNT(*) is the one aggregate, and only as a whole
+// select item.
 func TestParseAggregates(t *testing.T) {
-	st := mustParse(t, "SELECT COUNT(*), MAX(bid), AVG(price) FROM bids").(*Select)
-	ag := st.Items[0].Expr.(*AggExpr)
-	if ag.Func != AggCount || !ag.Star {
-		t.Fatalf("count(*): %+v", ag)
+	st := mustParse(t, "SELECT COUNT(*), count(*) AS n FROM bids WHERE item_id = ?").(*Select)
+	if len(st.Items) != 2 || !st.IsCount() || st.Items[1].Alias != "n" {
+		t.Fatalf("count(*): %+v", st.Items)
 	}
-	if st.Items[1].Expr.(*AggExpr).Func != AggMax {
-		t.Fatal("max")
+	if _, ok := st.Items[1].Expr.(*AggExpr); !ok {
+		t.Fatalf("second item: %#v", st.Items[1].Expr)
+	}
+	if mustParse(t, "SELECT id FROM bids").(*Select).IsCount() {
+		t.Fatal("a projection is not a COUNT(*) select")
+	}
+	for _, sql := range []string{
+		"SELECT id FROM bids WHERE COUNT(*) > 1",
+		"SELECT COUNT(*) + 1 FROM bids",
+		"SELECT id FROM bids ORDER BY COUNT(*)",
+	} {
+		if _, err := Parse(sql); err == nil {
+			t.Errorf("Parse(%q) succeeded, want error", sql)
+		}
 	}
 }
 
