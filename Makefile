@@ -46,11 +46,13 @@ fmt:
 # an `import "unsafe"` in any non-test file but internal/sqldb/value.go, and
 # a net.Listen or Accept() call in any non-test file under internal/ or cmd/
 # but internal/frame/frame.go and internal/chaos/chaos.go: a fifth accept
-# loop cannot appear unnoticed. So does a use of the deprecated ExecCached
-# or SessionExecer under internal/ or cmd/ (bench/ alone still spells them;
-# a statement has one call, Exec). The lint does not see a second frame codec;
-# `binary.BigEndian.PutUint32(hdr` or a 5-byte header read outside
-# internal/frame is what review looks for.
+# loop cannot appear unnoticed. So does a use of the deprecated ExecCached,
+# WithReadTx or SessionExecer under internal/ or cmd/ (bench/ alone still
+# spells them; a statement has one call, Exec, and read-only work needs no
+# transaction), and a backticked `pkg.Name` in the docs that names nothing
+# declared in that internal/ or cmd/ package. The lint does not see a second
+# frame codec; `binary.BigEndian.PutUint32(hdr` or a 5-byte header read
+# outside internal/frame is what review looks for.
 docs-lint:
 	$(GO) run ./cmd/doclint README.md DESIGN.md PROTOCOL.md PAPER.md PAPERS.md
 

@@ -19,9 +19,17 @@
 //     every server accepts, tracks, drains and closes connections through
 //     frame.Listener, and the fault proxy is the one relay.
 //  6. No non-test Go file under internal/ or cmd/ calls (or takes the
-//     method value of) a method named ExecCached, or names SessionExecer but
-//     internal/sqldb/db.go, which declares it: a statement has one call,
-//     Exec, and the deprecated spellings kept for bench/ gain no callers.
+//     method value of) a method named ExecCached or WithReadTx, or names
+//     SessionExecer but internal/sqldb/db.go, which declares it: a statement
+//     has one call, Exec, read-only work needs no transaction, and the
+//     deprecated spellings kept for bench/ gain no callers.
+//  7. Every backticked `pkg.Name` or `pkg.Name.Member` (optionally called,
+//     `pkg.Name()`) in the checked markdown whose pkg is the last path
+//     element of a package under internal/ or cmd/ must resolve: Name and
+//     Member must each be declared in that package — a top-level name, a
+//     method, a field or an interface method (`pool.Get` is Pool.Get).
+//     Same-named packages (internal/cluster, internal/sim/cluster) are
+//     unioned.
 //
 // Usage:
 //
@@ -70,6 +78,7 @@ func main() {
 	bad += checkPackageComments("internal")
 	bad += checkFlagDocs(files)
 	bad += checkConfinedCode(".")
+	bad += checkGoRefs(files)
 	if bad > 0 {
 		fmt.Fprintf(os.Stderr, "doclint: %d problem(s)\n", bad)
 		os.Exit(1)
@@ -133,7 +142,8 @@ var flagTokRe = regexp.MustCompile("`-([a-z][a-z0-9-]*)[^`]*`")
 // single-counter accessors the telemetry rows replaced, config fields
 // nothing set, and the rejoin copy's second exported entry point; the SQL
 // clauses no caller issued — GROUP BY, DISTINCT, OFFSET and every aggregate
-// but COUNT(*) — with their executor and scatter-merge code).
+// but COUNT(*) — with their executor and scatter-merge code; a name the docs
+// gave the readonly_txns counter, which it never had).
 var removedIdents = []string{
 	"execLock", "HoldsLocks", "bracketAll", "kindLock",
 	"shExec", "shBegin", "shCommit", "cluster.Stmt", "Client.Prepare", "topLevelFrom",
@@ -150,6 +160,7 @@ var removedIdents = []string{
 	"EJBQueryCount", "ReplicaQueryCounts", "RequestCount", "ResponseBytes", "LoadCount",
 	"PGEDelay", "CookieName", "SyncWithin",
 	"GroupBy", "LimitPos", "AggSum", "AggMin", "AggMax", "AggAvg", "dedupRows", "distinctRows", "orderAggRows",
+	"tx_readonly",
 }
 
 // checkFlagDocs verifies that every backticked `-flag` token on a
@@ -309,6 +320,13 @@ const unsafeHome = "internal/sqldb/value.go"
 // sessionExecerHome is the one non-test file allowed to name SessionExecer.
 const sessionExecerHome = "internal/sqldb/db.go"
 
+// deprecatedCalls are the forwarders kept for bench/ alone, with what a
+// caller does instead.
+var deprecatedCalls = map[string]string{
+	"ExecCached": "call Exec",
+	"WithReadTx": "read on a session with no transaction open",
+}
+
 // acceptHomes are the non-test files allowed to bind and accept: the server
 // skeleton all four servers run on, and the fault proxy — a relay, not a
 // request/response server, and the one documented exception.
@@ -320,9 +338,9 @@ var acceptHomes = map[string]bool{
 // checkConfinedCode walks root and reports every non-test Go file that
 // imports package unsafe (other than unsafeHome) or, under internal/ or
 // cmd/, calls net.Listen or an Accept() method (other than acceptHomes) — a
-// fifth accept loop is a second copy of frame.Listener — or uses ExecCached
-// or names SessionExecer (other than sessionExecerHome), the deprecated
-// second statement call.
+// fifth accept loop is a second copy of frame.Listener — or uses a
+// deprecatedCalls forwarder or names SessionExecer (other than
+// sessionExecerHome).
 func checkConfinedCode(root string) int {
 	bad := 0
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -364,8 +382,8 @@ func checkConfinedCode(root string) int {
 					bad++
 				}
 			case *ast.SelectorExpr:
-				if n.Sel.Name == "ExecCached" {
-					fmt.Fprintf(os.Stderr, "doclint: %s: uses the deprecated ExecCached; call Exec\n", fset.Position(n.Sel.Pos()))
+				if fix := deprecatedCalls[n.Sel.Name]; fix != "" {
+					fmt.Fprintf(os.Stderr, "doclint: %s: uses the deprecated %s; %s\n", fset.Position(n.Sel.Pos()), n.Sel.Name, fix)
 					bad++
 				}
 			case *ast.CallExpr:
@@ -389,4 +407,111 @@ func checkConfinedCode(root string) int {
 		bad++
 	}
 	return bad
+}
+
+// goRefRe matches a backticked Go reference to a package-level name:
+// `pkg.Name`, `pkg.Name.Member`, either optionally called. Name must be
+// exported, which keeps file names (`cluster.go`) and bench metric names
+// (`wire.stmts_per_op`) out.
+var goRefRe = regexp.MustCompile("`([a-z][a-z0-9]*)\\.([A-Z][A-Za-z0-9]*)(?:\\.([A-Za-z][A-Za-z0-9]*))?(?:\\(\\))?`")
+
+// checkGoRefs reports every backticked Go reference in docs whose package
+// exists under internal/ or cmd/ but does not declare the name.
+func checkGoRefs(docs []string) int {
+	pkgs := map[string]map[string]bool{} // package name -> declared names
+	for _, root := range []string{"internal", "cmd"} {
+		filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			af, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil // checkConfinedCode already reported it
+			}
+			name := filepath.Base(filepath.Dir(path))
+			if pkgs[name] == nil {
+				pkgs[name] = map[string]bool{}
+			}
+			collectDecls(af, pkgs[name])
+			return nil
+		})
+	}
+	bad := 0
+	for _, path := range docs {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			continue // checkLinks already reported it
+		}
+		inFence := false
+		for i, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				inFence = !inFence
+				continue
+			}
+			if inFence {
+				continue
+			}
+			for _, m := range goRefRe.FindAllStringSubmatch(line, -1) {
+				names := pkgs[m[1]]
+				if names == nil || (names[m[2]] && (m[3] == "" || names[m[3]])) {
+					continue
+				}
+				fmt.Fprintf(os.Stderr, "doclint: %s:%d: %s names nothing declared in package %s\n", path, i+1, m[0], m[1])
+				bad++
+			}
+		}
+	}
+	return bad
+}
+
+// collectDecls adds the names one file declares: functions, methods,
+// types, variables and constants at top level, and the fields and interface
+// methods of every struct and interface type in it.
+func collectDecls(af *ast.File, names map[string]bool) {
+	for _, decl := range af.Decls {
+		switch decl := decl.(type) {
+		case *ast.FuncDecl:
+			names[decl.Name.Name] = true
+		case *ast.GenDecl:
+			for _, spec := range decl.Specs {
+				switch spec := spec.(type) {
+				case *ast.TypeSpec:
+					names[spec.Name.Name] = true
+				case *ast.ValueSpec:
+					for _, n := range spec.Names {
+						names[n.Name] = true
+					}
+				}
+			}
+		}
+	}
+	ast.Inspect(af, func(n ast.Node) bool {
+		var fields *ast.FieldList
+		switch n := n.(type) {
+		case *ast.StructType:
+			fields = n.Fields
+		case *ast.InterfaceType:
+			fields = n.Methods
+		default:
+			return true
+		}
+		for _, f := range fields.List {
+			for _, n := range f.Names {
+				names[n.Name] = true
+			}
+			if len(f.Names) == 0 { // embedded: promoted under its type's name
+				t := f.Type
+				if st, ok := t.(*ast.StarExpr); ok {
+					t = st.X
+				}
+				if sel, ok := t.(*ast.SelectorExpr); ok {
+					t = sel.Sel
+				}
+				if id, ok := t.(*ast.Ident); ok {
+					names[id.Name] = true
+				}
+			}
+		}
+		return true
+	})
 }

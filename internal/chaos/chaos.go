@@ -16,8 +16,8 @@
 //     "but reset connection 3". Jitter is seeded per connection from
 //     (Schedule.Seed, conn id), so one seed replays one fault sequence.
 //   - Manual overrides: Set(fault)/Clear() flip the active fault for new
-//     *and established* connections — the Lab's SlowReplica/
-//     PartitionReplica hooks use this.
+//     *and established* connections — tests reach a core.Lab's proxies
+//     through its DBProxy/AppProxy accessors to do this.
 //
 // Safety invariant — stalls kill: a stalled (blackholed) connection
 // buffers nothing for later. When its stall window ends, or the override

@@ -1,9 +1,9 @@
 package cluster
 
 import (
-	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/sqldb"
 )
@@ -102,77 +102,54 @@ func TestReadsSkipSyncingReplica(t *testing.T) {
 	}
 }
 
-// TestReadOnlyTxnSkipsWriteOrderLocks: a BeginReadOnly transaction takes no
-// cluster-wide write-order locks — a catch-all writer (which excludes every
-// named writer) must proceed while the read-only transaction is open. The
-// transaction's own writes are rejected client-side before touching any
-// replica, whatever the replica count, and once it has committed the same
-// session writes normally again.
+// TestReadOnlyTxnSkipsWriteOrderLocks: read-only work runs on a session
+// with no transaction open and takes no cluster-wide write-order lock — its
+// reads complete while another client holds the catch-all key (which
+// excludes every named writer), whatever the replica count. Once the holder
+// commits, the same session writes to every replica.
 func TestReadOnlyTxnSkipsWriteOrderLocks(t *testing.T) {
 	eachReplicaCount(t, func(t *testing.T, reps []*testReplica) {
 		c := newTestClient(t, reps, Config{})
-		err := c.WithReadTx(func(tx *Session) error {
-			res, err := tx.Exec("SELECT qty FROM items WHERE id = 1")
-			if err != nil {
-				return err
-			}
-			if len(res.Rows) != 1 {
-				t.Fatalf("read in RO txn: %d rows", len(res.Rows))
-			}
-			// If the read-only transaction held any write-order lock, this
-			// catch-all-conflicting write from the pool would deadlock here.
-			if _, err := c.Exec("UPDATE items SET qty = 1 WHERE id = 5"); err != nil {
-				t.Fatalf("concurrent write blocked by read-only txn: %v", err)
-			}
-			// Writes inside the transaction are rejected without reaching a
-			// replica.
-			if _, err := tx.Exec("UPDATE items SET qty = 2 WHERE id = 6"); !errors.Is(err, errReadOnlyTxn) {
-				t.Fatalf("write in RO txn: err %v, want errReadOnlyTxn", err)
-			}
-			return nil
-		})
+		holder := newTestClient(t, reps, Config{})
+		w, err := holder.Get()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := c.ClientStats().ReadOnlyTxns; got != 1 {
-			t.Fatalf("ReadOnlyTxns %d, want 1", got)
+		defer holder.Put(w, false)
+		if err := w.Begin(); err != nil {
+			t.Fatal(err)
 		}
-		// The rejected write never reached any replica: id=6 keeps its seed qty.
-		for i, r := range reps {
-			res := queryReplica(t, r, "SELECT qty FROM items WHERE id = 6")
-			if got := res.Rows[0][0].AsInt(); got != 100 {
-				t.Errorf("replica %d: rejected write leaked, qty %d", i, got)
-			}
-		}
-		// And the concurrent pool write reached every one.
-		for i, r := range reps {
-			res := queryReplica(t, r, "SELECT qty FROM items WHERE id = 5")
-			if got := res.Rows[0][0].AsInt(); got != 1 {
-				t.Errorf("replica %d: concurrent write missing, qty %d", i, got)
-			}
-		}
-
-		// The same on a borrowed session, which outlives the transaction.
 		s, err := c.Get()
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Put(s, false)
-		if err := s.BeginReadOnly(); err != nil {
+		done := make(chan error, 1)
+		go func() {
+			for id := 1; id <= 3; id++ {
+				if _, err := s.Exec("SELECT qty FROM items WHERE id = ?", sqldb.Int(int64(id))); err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("session reads blocked behind another client's write-order locks")
+		}
+		if err := w.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Exec("SELECT qty FROM items WHERE id = 1"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Exec("DELETE FROM items WHERE id = 1"); !errors.Is(err, errReadOnlyTxn) {
-			t.Fatalf("err %v, want errReadOnlyTxn", err)
-		}
-		if err := s.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		// After COMMIT the session writes normally again.
-		if _, err := s.Exec("UPDATE items SET qty = 3 WHERE id = 1"); err != nil {
-			t.Fatal(err)
+		mustExec(t, s, "UPDATE items SET qty = 3 WHERE id = 1")
+		for i, r := range reps {
+			if got := queryReplica(t, r, "SELECT qty FROM items WHERE id = 1").Rows[0][0].AsInt(); got != 3 {
+				t.Errorf("replica %d: session write missing, qty %d", i, got)
+			}
 		}
 	})
 }

@@ -19,9 +19,10 @@ var errAbort = errors.New("contention abort")
 // both sizes run the same code.
 //
 // The parallel rows measure concurrency, not one caller's latency. readtx
-// runs the same three point reads under WithReadTx (pinned replica, MVCC
-// snapshots, no cluster locks) and under WithTx (catch-all write-order lock,
-// BEGIN/COMMIT to every replica, serializing the workers). contend runs the
+// runs the same three point reads on a borrowed session with no transaction
+// open (load-balanced auto-commit reads, MVCC snapshots, no cluster locks) and
+// under WithTx (catch-all write-order lock, BEGIN/COMMIT to every replica,
+// serializing the workers). contend runs the
 // canonical short write transaction — read a row, insert a child, update
 // the row — against 1, 4 and 32 hot rows, a third of the transactions
 // rolling back, and reports replica 0's aborts and deadlock timeouts per op.
@@ -64,7 +65,14 @@ func BenchmarkClientPaths(b *testing.B) {
 					return err
 				})
 			}},
-			{"readtx/WithReadTx", true, func(int64) error { return c.WithReadTx(threeReads) }},
+			{"readtx/session", true, func(int64) error {
+				s, err := c.Get()
+				if err != nil {
+					return err
+				}
+				defer c.Put(s, false)
+				return threeReads(s)
+			}},
 			{"readtx/WithTx", true, func(int64) error { return c.WithTx(nil, threeReads) }},
 		}
 		for _, hot := range []int64{1, 4, 32} {

@@ -214,25 +214,25 @@ func TestQueryCacheTxnBypass(t *testing.T) {
 	}
 }
 
-// TestQueryCacheReadOnlyTxn: reads inside a read-only cluster transaction
-// hold no write locks, so they remain cacheable.
+// TestQueryCacheReadOnlyTxn: read-only work runs on a session with no
+// transaction open, whose reads are the Client's own: they fill the query
+// cache and hit it.
 func TestQueryCacheReadOnlyTxn(t *testing.T) {
 	reps := startReplicas(t, 2)
 	c := newTestClient(t, reps, Config{QueryCache: 32})
-
-	queryQty(t, c, 4) // fill
-	err := c.WithReadTx(func(tx *Session) error {
-		if got := queryQty(t, tx, 4); got != 100 {
-			t.Fatalf("read-only txn qty = %d, want 100", got)
-		}
-		return nil
-	})
+	s, err := c.Get()
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, _, _, _ := cacheStats(c)
-	if hits == 0 {
-		t.Fatal("read inside read-only txn did not use the cache")
+	defer c.Put(s, false)
+
+	for i := 0; i < 2; i++ { // fill, then hit
+		if got := queryQty(t, s, 4); got != 100 {
+			t.Fatalf("session read qty = %d, want 100", got)
+		}
+	}
+	if hits, misses, _, bypasses := cacheStats(c); hits != 1 || misses != 1 || bypasses != 0 {
+		t.Fatalf("session reads: %d hits, %d misses, %d bypasses; want 1, 1, 0", hits, misses, bypasses)
 	}
 }
 

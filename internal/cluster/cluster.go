@@ -6,7 +6,7 @@
 // A Client is a shell over one of two topologies, chosen from the DSN: a
 // replica set (replica.go) or a shard set composing several (shard.go); a
 // Session is the same shell over the topology's transaction. Either way the
-// application sees one surface — Exec, Get/Put, WithTx/WithReadTx — and
+// application sees one surface — Exec, Get/Put, WithTx — and
 // every statement takes the wire protocol's prepared path, the only one the
 // wire client has. A distinct text is parsed once client-side (route.go's
 // analyze); routing, the query cache's table set and the shard planner all
@@ -33,10 +33,9 @@
 // bit-identical (AUTO_INCREMENT assignment included) without a
 // database-level replication log.
 //
-// Read-only transactions (BeginReadOnly / WithReadTx) skip the write-order
-// locks entirely: they open on the session's pinned replica alone, where
-// the engine's MVCC serves their SELECTs from committed snapshots — no
-// broadcast, no cluster-wide serialization, no lock-table interaction.
+// Read-only work needs no transaction: a session's reads outside one take
+// the auto-commit path, where the engine's MVCC serves them from committed
+// snapshots — no broadcast, no write-order lock, no connection held.
 //
 // Which code a statement runs depends on one bit — is a transaction open —
 // not on the replica count and not on whether the caller holds the Client or
@@ -66,9 +65,8 @@ var ErrNoReplicas = errors.New("cluster: no healthy replicas")
 
 // ErrTxnControlText rejects BEGIN, START TRANSACTION, COMMIT and ROLLBACK
 // sent as statement text, before any connection is borrowed: transactions
-// are demarcated with Session.Begin/BeginReadOnly/Commit/Rollback (or
-// WithTx/WithReadTx), which also take the write-order locks the text
-// cannot declare.
+// are demarcated with Session.Begin/Commit/Rollback (or WithTx), which also
+// take the write-order locks the text cannot declare.
 var ErrTxnControlText = errors.New("cluster: transaction control sent as a statement; use Begin/Commit/Rollback or WithTx")
 
 // ErrDegraded fast-fails writes while a StrictWrites cluster is degraded:
@@ -269,15 +267,14 @@ type txn interface {
 	Rollback() error
 
 	begin(tables []string) error // tables normalized
-	beginReadOnly() error
 	state() (open, failed bool)
 	end(broken bool)
 }
 
 // Session is one logical connection over the cluster — what the
-// application borrows around a transaction, demarcated with Begin (or
-// BeginReadOnly) and Commit/Rollback. Not safe for concurrent use, like the
-// wire connection it replaces.
+// application borrows around a transaction, demarcated with Begin and
+// Commit/Rollback. Not safe for concurrent use, like the wire connection it
+// replaces.
 type Session struct{ txn }
 
 var (
@@ -303,38 +300,16 @@ func (s *Session) ExecCached(query string, args ...sqldb.Value) (*sqldb.Result, 
 // transaction already open is committed first, as the database itself would
 // on BEGIN.
 func (s *Session) Begin(tables ...string) error {
-	if err := s.ready(); err != nil {
-		return err
-	}
-	return s.begin(normalize(tables))
-}
-
-// BeginReadOnly opens a read-only transaction on the pinned replica alone.
-// Because the engine serves its reads from MVCC snapshots and a read-only
-// transaction writes nothing, the replication machinery has nothing to
-// order: no cluster-wide write-order locks are taken, there is no
-// broadcast — the transaction costs exactly what it would against a single
-// unreplicated database. Writes inside it are rejected client-side before
-// touching the wire. A transaction already open is committed first, as
-// Begin does.
-func (s *Session) BeginReadOnly() error {
-	if err := s.ready(); err != nil {
-		return err
-	}
-	return s.beginReadOnly()
-}
-
-// ready is what both Begins do first: refuse a failed session, and commit
-// a transaction still open.
-func (s *Session) ready() error {
 	open, failed := s.state()
 	if failed {
 		return errSessionFailed
 	}
 	if open {
-		return s.Commit()
+		if err := s.Commit(); err != nil {
+			return err
+		}
 	}
-	return nil
+	return s.begin(normalize(tables))
 }
 
 // WithTx runs fn inside one database transaction: a session is borrowed, a
@@ -348,15 +323,10 @@ func (c *Client) WithTx(tables []string, fn func(tx *Session) error) error {
 	return c.withTx(func(s *Session) error { return s.Begin(tables...) }, fn)
 }
 
-// WithReadTx runs fn inside a read-only transaction (BeginReadOnly): every
-// SELECT in fn is served from an MVCC snapshot on one pinned replica, with
-// no cluster-wide write-order locks and no broadcast traffic. This is the
-// demarcation for read-only business methods — the replication "correctness
-// tax" drops out of their path entirely. fn's writes fail deterministically;
-// its error (or panic, re-raised after cleanup) rolls the transaction back,
-// nil commits it.
+// Deprecated: WithReadTx runs fn on a borrowed session with no transaction
+// open; read-only work needs none.
 func (c *Client) WithReadTx(fn func(tx *Session) error) error {
-	return c.withTx((*Session).BeginReadOnly, fn)
+	return c.withTx(func(*Session) error { return nil }, fn)
 }
 
 // withTx borrows a session, opens a transaction on it with begin, runs fn

@@ -56,10 +56,9 @@ type replicaSet struct {
 	// (replicaTxn.cacheBypass).
 	cacheBypasses atomic.Int64
 
-	// Broadcast batching and read-only transaction counters (telemetry).
+	// Broadcast batching counters (telemetry).
 	broadcasts    atomic.Int64
 	broadcastAcks atomic.Int64
-	roTxns        atomic.Int64
 
 	// Rejoin data-copy path counters: how many rejoins the WAL delta fast
 	// path served, how many needed the full table copy, and the statements
@@ -107,7 +106,6 @@ func (rs *replicaSet) ClientStats() ClientStats {
 	s := ClientStats{
 		Broadcasts:      rs.broadcasts.Load(),
 		BroadcastAcks:   rs.broadcastAcks.Load(),
-		ReadOnlyTxns:    rs.roTxns.Load(),
 		SlowEjections:   rs.slowEjections.Load(),
 		DegradedEntries: rs.degradedEntries.Load(),
 		DegradedExits:   rs.degradedExits.Load(),
@@ -503,10 +501,9 @@ type replicaTxn struct {
 	conns  []*wire.Conn // by replica id; nil = not in the transaction
 	broken []bool       // dropped from the transaction; connection discarded at its end
 
-	inTxn    bool   // open transaction; writes broadcast unless readOnly
-	readOnly bool   // transaction opened with beginReadOnly: pinned-only, no locks
-	release  func() // the transaction's write-order locks
-	failed   bool
+	inTxn   bool   // open transaction; its writes broadcast
+	release func() // the transaction's write-order locks
+	failed  bool
 
 	// Query-cache bookkeeping (cache.go). writeSet accumulates the tables
 	// this transaction has written — version bumps pending until COMMIT
@@ -543,12 +540,6 @@ func (s *replicaTxn) Exec(query string, args ...sqldb.Value) (*sqldb.Result, err
 	return res, err
 }
 
-// errReadOnlyTxn rejects a mutating statement inside a BeginReadOnly
-// transaction before it reaches any replica — the transaction holds no
-// write-order locks, so letting the write through would break the global
-// write order the replicas depend on.
-var errReadOnlyTxn = errors.New("cluster: write in read-only transaction")
-
 // isTxnAbort reports whether a database-side error also aborted the
 // server's transaction (the engine's deadlock wait timeout does; ordinary
 // statement errors leave the transaction open). Server errors cross the
@@ -572,9 +563,6 @@ func (s *replicaTxn) route(query string, args []sqldb.Value) (*sqldb.Result, err
 		return s.rs.cachedRead(rt, query, args, s.cacheBypass(rt), func(func(int)) (*sqldb.Result, error) {
 			return s.execRead(query, args)
 		})
-	}
-	if s.readOnly {
-		return nil, errReadOnlyTxn
 	}
 	return s.execWrite(query, args, rt)
 }
@@ -645,25 +633,6 @@ func (s *replicaTxn) begin(ordered []string) error {
 	}
 	s.inTxn, s.held = true, ordered
 	s.repin()
-	return nil
-}
-
-func (s *replicaTxn) beginReadOnly() error {
-	// The replica pinned at open may have been ejected since: pin again, by
-	// the same rule, rather than dial a backend known to be down.
-	if !s.pinned.healthy.Load() {
-		r := s.rs.pickRead()
-		if r == nil {
-			return ErrNoReplicas
-		}
-		s.pinned = r
-	}
-	if err := s.join(s.pinned); err != nil {
-		s.failed = true
-		return err
-	}
-	s.inTxn, s.readOnly = true, true
-	s.rs.roTxns.Add(1)
 	return nil
 }
 
@@ -875,7 +844,7 @@ func (s *replicaTxn) closeTxn(discard bool) {
 		s.release = nil
 	}
 	s.held = nil
-	s.inTxn, s.readOnly = false, false
+	s.inTxn = false
 }
 
 // end closes the session. One abandoned with its transaction still open

@@ -676,7 +676,6 @@ type shardTxn struct {
 	subs     []*replicaTxn
 	declared []string
 	inTxn    bool
-	readOnly bool
 	allShard bool
 	failed   bool
 	maxSub   int
@@ -704,9 +703,6 @@ func (s *shardTxn) Exec(query string, args ...sqldb.Value) (*sqldb.Result, error
 	p := sh.planOf(query)
 	if p.rt.err != nil {
 		return nil, p.rt.err
-	}
-	if s.readOnly && p.rt.write {
-		return nil, errReadOnlyTxn
 	}
 	if !p.sharded {
 		// Global table: in a transaction it must still run on a
@@ -857,17 +853,16 @@ func (s *shardTxn) subExec(sub *replicaTxn, query string, args []sqldb.Value) (*
 
 // sub returns shard i's sub-session, opening it and beginning the
 // shard-local transaction with the declared write set on first touch (Exec
-// reaches a sub only inside a transaction). Write transactions may only
-// open shards in ascending order — the same sorted-acquisition discipline
+// reaches a sub only inside a transaction). Transactions may only open
+// shards in ascending order — the same sorted-acquisition discipline
 // the write-order locks use, excluding deadlock between concurrent
-// cross-shard transactions. Read-only transactions hold no locks and open
-// freely.
+// cross-shard transactions.
 func (s *shardTxn) sub(i int) (*replicaTxn, error) {
 	sub := s.subs[i]
 	if sub != nil && sub.inTxn {
 		return sub, nil
 	}
-	if !s.readOnly && !s.allShard && i < s.maxSub {
+	if !s.allShard && i < s.maxSub {
 		s.failed = true
 		return nil, errShardOrder
 	}
@@ -880,12 +875,9 @@ func (s *shardTxn) sub(i int) (*replicaTxn, error) {
 		}
 		s.subs[i] = sub
 	}
-	switch {
-	case sub.failed:
+	if sub.failed {
 		err = errSessionFailed
-	case s.readOnly:
-		err = sub.beginReadOnly()
-	default:
+	} else {
 		err = sub.begin(s.declared)
 	}
 	if err != nil {
@@ -907,15 +899,12 @@ func (s *shardTxn) anySub() (*replicaTxn, error) {
 			return sub, nil
 		}
 	}
-	if s.readOnly {
-		return s.sub(s.sh.rrNext())
-	}
 	return s.sub(0)
 }
 
 // allSubs opens every shard's sub-session (a scatter read or cross-shard
-// write inside the transaction). A write transaction can only be promoted
-// to all-shard while its open set is a contiguous prefix of the shard
+// write inside the transaction). A transaction can only be promoted to
+// all-shard while its open set is a contiguous prefix of the shard
 // order — sub() rejects filling a gap behind maxSub — so a transaction
 // already pinned past a skipped shard fails deterministically instead of
 // risking out-of-order lock acquisition.
@@ -925,9 +914,7 @@ func (s *shardTxn) allSubs() error {
 			return err
 		}
 	}
-	if !s.readOnly {
-		s.allShard = true
-	}
+	s.allShard = true
 	return nil
 }
 
@@ -957,20 +944,12 @@ func (s *shardTxn) begin(declared []string) error {
 	return nil
 }
 
-// beginReadOnly opens a coordinated read-only transaction: shards open
-// lazily, in any order, each on one replica without locks.
-func (s *shardTxn) beginReadOnly() error {
-	s.inTxn, s.readOnly = true, true
-	return nil
-}
-
-// Commit resolves the coordinated transaction. One participant (or a
-// read-only transaction) commits directly — the shard's own ROWA commit is
-// the whole story. More than one write participant runs two-phase commit:
-// every shard's transaction is brought to the prepared state (PREPARE
-// TRANSACTION, wire protocol v4) — past prepare, a shard's commit can no
-// longer fail engine-side — and only when every shard has prepared do the
-// COMMITs go out. A prepare failure aborts every shard: no shard commits
+// Commit resolves the coordinated transaction. One participant commits
+// directly — the shard's own ROWA commit is the whole story. More than one
+// participant runs two-phase commit: every shard's transaction is brought to
+// the prepared state (PREPARE TRANSACTION, wire protocol v4) — past prepare,
+// a shard's commit can no longer fail engine-side — and only when every
+// shard has prepared do the COMMITs go out. A prepare failure aborts every shard: no shard commits
 // unless all can, which is what keeps a multi-shard order atomic.
 func (s *shardTxn) Commit() error {
 	if !s.inTxn {
@@ -979,7 +958,7 @@ func (s *shardTxn) Commit() error {
 	sh := s.sh
 	subs := s.openSubs()
 	defer s.closeTxn()
-	if len(subs) <= 1 || s.readOnly {
+	if len(subs) <= 1 {
 		var err error
 		for _, sub := range subs {
 			if e := sub.Commit(); e != nil && err == nil {
@@ -1032,7 +1011,7 @@ func (s *shardTxn) Rollback() error {
 	return err
 }
 
-func (s *shardTxn) closeTxn() { s.inTxn, s.readOnly, s.allShard, s.maxSub = false, false, false, -1 }
+func (s *shardTxn) closeTxn() { s.inTxn, s.allShard, s.maxSub = false, false, -1 }
 
 // openSubs lists the sub-sessions participating in the open transaction,
 // in shard order.

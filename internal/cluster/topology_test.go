@@ -174,12 +174,14 @@ func topologyScript(c *Client) []string {
 		return errScriptRollback
 	}))
 	run(c, "SELECT COUNT(*) FROM bids")
-	note("WithReadTx", c.WithReadTx(func(tx *Session) error {
-		reads(tx)
-		run(tx, "UPDATE items SET qty = 0 WHERE id = 1")
-		run(tx, "BEGIN")
-		return nil
-	}))
+	// Read-only work: a session's reads with no transaction open.
+	s, err := c.Get()
+	note("Get", err)
+	if err == nil {
+		reads(s)
+		run(s, "BEGIN")
+		c.Put(s, false)
+	}
 	for _, q := range []string{"BEGIN", "START TRANSACTION", "COMMIT", "ROLLBACK"} {
 		run(c, q)
 	}

@@ -96,21 +96,15 @@ func TestChaosMatrix(t *testing.T) {
 			inject := func() {
 				defer close(done)
 				time.Sleep(100 * time.Millisecond)
-				switch {
-				case tc.tier == "db" && tc.kind == chaos.Latency:
-					lab.SlowReplica(1, 150*time.Millisecond)
-				case tc.tier == "db" && tc.kind == chaos.Stall:
-					lab.PartitionReplica(1)
-				case tc.tier == "db":
-					lab.DBProxy(1).Set(chaos.Fault{Kind: chaos.Reset})
-				case tc.kind == chaos.Stall:
-					lab.StallAppBackend(1)
-				default:
-					lab.AppProxy(1).Set(chaos.Fault{Kind: chaos.Reset})
+				fault := chaos.Fault{Kind: tc.kind, Delay: 150 * time.Millisecond} // Delay: Latency only
+				if tc.tier == "db" {
+					lab.DBProxy(1).Set(fault)
+				} else {
+					lab.AppProxy(1).Set(fault)
 				}
 				time.Sleep(200 * time.Millisecond)
-				lab.HealReplica(1)
-				lab.HealAppBackend(1)
+				lab.DBProxy(1).Clear()
+				lab.AppProxy(1).Clear()
 			}
 			rep := runBounded(t, lab, workload.Config{
 				Clients: 6, Mix: "bidding",
@@ -234,7 +228,7 @@ func TestChaosDegradedReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lab.PartitionReplica(1)
+	lab.DBProxy(1).Set(chaos.Fault{Kind: chaos.Stall})
 	if _, err := cl.Exec("UPDATE items SET max_bid = 12 WHERE id = 1"); err == nil {
 		t.Fatal("strict write through a partitioned replica must fail")
 	}
@@ -263,7 +257,7 @@ func TestChaosDegradedReadOnly(t *testing.T) {
 		t.Fatalf("degraded reads erroring: %d errors / %d completions", rep.Errors, rep.Interactions)
 	}
 
-	lab.HealReplica(1)
+	lab.DBProxy(1).Clear()
 	if err := lab.RejoinAll(); err != nil {
 		t.Fatalf("rejoin after heal: %v", err)
 	}

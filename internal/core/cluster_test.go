@@ -17,6 +17,50 @@ import (
 // Clustered-database coverage: the lab with DBReplicas > 1 runs the same
 // stack over a read-one-write-all database tier (DESIGN.md §3).
 
+// TestReadOnlyMixOpensNoTransaction pins what makes a read-only transaction
+// kind unnecessary: the auction browsing mix, which gives no write
+// interaction any weight, opens no database transaction and broadcasts
+// nothing, on the servlet architectures and on EJB, whose lazy demarcation
+// commits every business method without opening one.
+func TestReadOnlyMixOpensNoTransaction(t *testing.T) {
+	for _, a := range []arch.Arch{arch.Servlet, arch.ServletSync, arch.EJB} {
+		a := a
+		t.Run(a.String(), func(t *testing.T) {
+			t.Parallel()
+			lab, err := Start(Config{Arch: a, Benchmark: arch.Auction, Seed: 3, DBReplicas: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lab.Close()
+			begins := func(i int) int64 { return lab.ReplicaDB(i).TxnStats().Begins }
+			before, begins0, begins1 := lab.Telemetry(), begins(0), begins(1)
+			rep, err := lab.Run(workload.Config{
+				Clients: 4, Mix: "browsing",
+				ThinkMean: time.Millisecond, SessionMean: time.Second,
+				Measure: 300 * time.Millisecond, Seed: 11,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Interactions == 0 {
+				t.Fatal("no interactions completed")
+			}
+			if d0, d1 := begins(0)-begins0, begins(1)-begins1; d0 != 0 || d1 != 0 {
+				t.Errorf("replicas began %d / %d transactions under a read-only mix, want 0", d0, d1)
+			}
+			d := lab.Telemetry().Delta(before)
+			for _, tier := range d.Tiers {
+				if tier.Broadcasts != 0 {
+					t.Errorf("%s tier broadcast %d statements under a read-only mix", tier.Name, tier.Broadcasts)
+				}
+			}
+			if ejb := d.Tier("ejb"); ejb != nil && (ejb.Commits == 0 || ejb.Commits != ejb.ReadOnlyTxns) {
+				t.Errorf("ejb tier: %d commits, %d read-only; want every commit read-only", ejb.Commits, ejb.ReadOnlyTxns)
+			}
+		})
+	}
+}
+
 // TestClusterWorkloadReadsBothReplicas is the acceptance run: an emulator
 // workload over 2 replicas completes with reads observed on both replicas and
 // consistent state across them.

@@ -120,13 +120,12 @@ type Config struct {
 	// Chaos interposes a fault-injecting TCP proxy (internal/chaos) on
 	// every cross-tier link: one in front of each database replica (the
 	// app tier dials the proxies) and one in front of each AJP backend.
-	// Faults are scripted ahead of time with DBChaos/AppChaos or injected
-	// at runtime through the Lab's SlowReplica / PartitionReplica /
-	// StallAppBackend hooks.
+	// Faults are scripted ahead of time with DBChaos/AppChaos or set at
+	// runtime on the proxies DBProxy(i) / AppProxy(i) return.
 	Chaos bool
 	// DBChaos / AppChaos script per-backend fault schedules, keyed by
 	// database replica / app backend index. Indexes absent from a map get
-	// a transparent proxy, still controllable through the hooks.
+	// a transparent proxy, still controllable through its Set/Clear.
 	DBChaos  map[int]chaos.Schedule
 	AppChaos map[int]chaos.Schedule
 	// Logger receives tier logs; nil discards them.
@@ -594,53 +593,6 @@ func (l *Lab) AppProxy(i int) *chaos.Proxy {
 		return nil
 	}
 	return l.appProxies[i]
-}
-
-// SlowReplica makes every byte to and from database replica i wait d —
-// the up-but-slow replica. With cluster.Config.SlowThreshold set, the
-// next broadcast ejects it. No-op without Config.Chaos.
-func (l *Lab) SlowReplica(i int, d time.Duration) {
-	if px := l.DBProxy(i); px != nil {
-		px.Set(chaos.Fault{Kind: chaos.Latency, Delay: d})
-	}
-}
-
-// PartitionReplica blackholes database replica i: in-flight and new
-// connections hang (not refuse) until the clients' own deadlines fire —
-// the slow-failure analog of StopReplica. No-op without Config.Chaos.
-func (l *Lab) PartitionReplica(i int) {
-	if px := l.DBProxy(i); px != nil {
-		px.Set(chaos.Fault{Kind: chaos.Stall})
-	}
-}
-
-// HealReplica lifts replica i's injected fault. Connections that were
-// stalled are torn down rather than resumed (the chaos package's
-// stall-kills invariant); the cluster redials, and RejoinAll brings the
-// ejected replica back into rotation.
-func (l *Lab) HealReplica(i int) {
-	if px := l.DBProxy(i); px != nil {
-		px.Clear()
-	}
-}
-
-// StallAppBackend blackholes application backend i's AJP link: the web
-// tier's requests to it hang until the connector's deadline fires and
-// the balancer ejects it. The backend process itself stays healthy —
-// the fault is the link, which is exactly what StopAppBackend cannot
-// model. No-op without Config.Chaos.
-func (l *Lab) StallAppBackend(i int) {
-	if px := l.AppProxy(i); px != nil {
-		px.Set(chaos.Fault{Kind: chaos.Stall})
-	}
-}
-
-// HealAppBackend lifts app backend i's injected fault; the balancer's
-// readmission probes bring it back.
-func (l *Lab) HealAppBackend(i int) {
-	if px := l.AppProxy(i); px != nil {
-		px.Clear()
-	}
 }
 
 // RejoinAll rejoins every ejected database replica on every cluster

@@ -191,13 +191,9 @@ func TestChaosMatrixShardAxis(t *testing.T) {
 			inject := func() {
 				defer close(done)
 				time.Sleep(100 * time.Millisecond)
-				if tc.kind == chaos.Stall {
-					lab.PartitionReplica(victim)
-				} else {
-					lab.DBProxy(victim).Set(chaos.Fault{Kind: chaos.Reset})
-				}
+				lab.DBProxy(victim).Set(chaos.Fault{Kind: tc.kind})
 				time.Sleep(200 * time.Millisecond)
-				lab.HealReplica(victim)
+				lab.DBProxy(victim).Clear()
 			}
 			rep := runBounded(t, lab, workload.Config{
 				Clients: 6, Mix: "bidding",

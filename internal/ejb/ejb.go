@@ -145,17 +145,12 @@ func (c *Container) meta(name string) (*entityMeta, error) {
 // and its cluster client's counters and pool.
 func (c *Container) Telemetry() telemetry.Tier {
 	ps := c.pool.Stats()
-	t := telemetry.Tier{
+	return telemetry.Tier{
 		Name: "ejb", Downstream: "db", Pool: &ps,
 		Queries: c.queries.Load(), Loads: c.loads.Load(), Stores: c.stores.Load(),
-		Commits: c.txCommits.Load(), Aborts: c.txAborts.Load(),
+		Commits: c.txCommits.Load(), Aborts: c.txAborts.Load(), ReadOnlyTxns: c.roCommits.Load(),
 		ClusterStats: c.pool.ClientStats(),
 	}
-	// Read-only demarcations: the client's explicit BeginReadOnly
-	// transactions plus the container's commits of business methods that
-	// never wrote, whose lazy demarcation opened no database transaction.
-	t.ReadOnlyTxns += c.roCommits.Load()
-	return t
 }
 
 // Entity is an activated entity bean instance: a local copy of one row.

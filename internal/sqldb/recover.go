@@ -283,72 +283,6 @@ func scanWALDir(dir string) (ckpts, segs []uint64, err error) {
 
 // ---- checkpoint file parsing ----
 
-// ckptReader is a bounds-checked cursor over a checkpoint body: corrupt
-// input surfaces as an error, never a panic.
-type ckptReader struct {
-	b   []byte
-	err error
-}
-
-func (r *ckptReader) fail() {
-	if r.err == nil {
-		r.err = errors.New("sqldb: checkpoint: truncated")
-	}
-	r.b = nil
-}
-
-func (r *ckptReader) u8() byte {
-	if len(r.b) < 1 {
-		r.fail()
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *ckptReader) u32() uint32 {
-	if len(r.b) < 4 {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b)
-	r.b = r.b[4:]
-	return v
-}
-
-func (r *ckptReader) u64() uint64 {
-	if len(r.b) < 8 {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *ckptReader) str() string {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || n > len(r.b) {
-		r.fail()
-		return ""
-	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s
-}
-
-func (r *ckptReader) value() Value {
-	v, rest, err := decodeWALValue(r.b)
-	if err != nil {
-		r.err = err
-		r.b = nil
-		return Value{}
-	}
-	r.b = rest
-	return v
-}
-
 // loadCheckpoint parses a checkpoint snapshot into detached Tables.
 func loadCheckpoint(path string) (lsn, chain uint64, tables []*Table, err error) {
 	data, err := os.ReadFile(path)
@@ -363,7 +297,7 @@ func loadCheckpoint(path string) (lsn, chain uint64, tables []*Table, err error)
 	if crc32.ChecksumIEEE(body) != crc {
 		return 0, 0, nil, errors.New("sqldb: checkpoint: checksum mismatch")
 	}
-	r := &ckptReader{b: body}
+	r := &leReader{b: body}
 	lsn = r.u64()
 	chain = r.u64()
 	n := int(r.u32())
@@ -383,7 +317,7 @@ func loadCheckpoint(path string) (lsn, chain uint64, tables []*Table, err error)
 	return lsn, chain, tables, nil
 }
 
-func loadCkptTable(r *ckptReader) (*Table, error) {
+func loadCkptTable(r *leReader) (*Table, error) {
 	name := r.str()
 	ncols := int(r.u32())
 	if r.err != nil || ncols < 1 || ncols > 1<<16 {
@@ -399,7 +333,7 @@ func loadCkptTable(r *ckptReader) (*Table, error) {
 		}
 		cols = append(cols, Column{
 			Name:          cname,
-			Type:          colTypeFromByte(typ),
+			Type:          sqlparse.ColType(typ),
 			PrimaryKey:    flags&1 != 0,
 			AutoIncrement: flags&2 != 0,
 			NotNull:       flags&4 != 0,
@@ -447,8 +381,4 @@ func loadCkptTable(r *ckptReader) (*Table, error) {
 		t.put(id, row)
 	}
 	return t, r.err
-}
-
-func colTypeFromByte(b byte) sqlparse.ColType {
-	return sqlparse.ColType(b)
 }

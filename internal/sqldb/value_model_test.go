@@ -202,9 +202,9 @@ func checkValue(t *testing.T, m modelValue) {
 	if want := m.appendWAL(nil); !bytes.Equal(enc, want) {
 		t.Fatalf("%v: WAL bytes %x, model %x", m, enc, want)
 	}
-	back, rest, err := decodeWALValue(enc)
-	if err != nil || len(rest) != 0 || !identical(back, v) {
-		t.Fatalf("%v: WAL round trip gave %v (rest %d, err %v)", m, back, len(rest), err)
+	r := leReader{b: enc}
+	if back := r.value(); r.err != nil || len(r.b) != 0 || !identical(back, v) {
+		t.Fatalf("%v: WAL round trip gave %v (rest %d, err %v)", m, back, len(r.b), r.err)
 	}
 }
 

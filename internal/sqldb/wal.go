@@ -243,14 +243,13 @@ func EncodeWALValues(args []Value) []byte {
 
 // DecodeWALValues is EncodeWALValues' inverse. Trailing garbage is an error.
 func DecodeWALValues(b []byte) ([]Value, error) {
+	r := leReader{b: b}
 	var vals []Value
-	for len(b) > 0 {
-		v, rest, err := decodeWALValue(b)
-		if err != nil {
-			return nil, err
-		}
-		vals = append(vals, v)
-		b = rest
+	for len(r.b) > 0 {
+		vals = append(vals, r.value())
+	}
+	if r.err != nil {
+		return nil, r.err
 	}
 	return vals, nil
 }
@@ -268,37 +267,83 @@ func appendWALValue(b []byte, v Value) []byte {
 	return b
 }
 
-func decodeWALValue(b []byte) (Value, []byte, error) {
-	if len(b) < 1 {
-		return Value{}, nil, errors.New("sqldb: wal value: short kind")
+var errLogTruncated = errors.New("sqldb: log data truncated")
+
+// leReader is the one bounds-checked cursor over the log's little-endian
+// formats — a record's payload, an encoded argument list, a checkpoint
+// body. Reading past the end, or a malformed value, sets err and empties
+// the cursor, so every later read yields zero and corrupt input surfaces as
+// an error, never a panic: callers check err once after a run of reads.
+type leReader struct {
+	b   []byte
+	err error
+}
+
+func (r *leReader) fail(err error) {
+	if r.err == nil {
+		r.err = err
 	}
-	kind, b := Kind(b[0]), b[1:]
-	switch kind {
-	case KindNull:
-		return Null(), b, nil
-	case KindInt:
-		if len(b) < 8 {
-			return Value{}, nil, errors.New("sqldb: wal value: short int")
-		}
-		return Int(int64(binary.LittleEndian.Uint64(b))), b[8:], nil
-	case KindFloat:
-		if len(b) < 8 {
-			return Value{}, nil, errors.New("sqldb: wal value: short float")
-		}
-		return Float(math.Float64frombits(binary.LittleEndian.Uint64(b))), b[8:], nil
-	case KindString:
-		if len(b) < 4 {
-			return Value{}, nil, errors.New("sqldb: wal value: short string length")
-		}
-		n := int(binary.LittleEndian.Uint32(b))
-		b = b[4:]
-		if n < 0 || n > len(b) {
-			return Value{}, nil, errors.New("sqldb: wal value: string length past end")
-		}
-		return String(string(b[:n])), b[n:], nil
+	r.b = nil
+}
+
+// next consumes n bytes; nil once the cursor has failed.
+func (r *leReader) next(n int) []byte {
+	if n < 0 || n > len(r.b) {
+		r.fail(errLogTruncated)
+		return nil
+	}
+	p := r.b[:n]
+	r.b = r.b[n:]
+	return p
+}
+
+func (r *leReader) u8() byte {
+	if p := r.next(1); p != nil {
+		return p[0]
+	}
+	return 0
+}
+
+func (r *leReader) u16() uint16 {
+	if p := r.next(2); p != nil {
+		return binary.LittleEndian.Uint16(p)
+	}
+	return 0
+}
+
+func (r *leReader) u32() uint32 {
+	if p := r.next(4); p != nil {
+		return binary.LittleEndian.Uint32(p)
+	}
+	return 0
+}
+
+func (r *leReader) u64() uint64 {
+	if p := r.next(8); p != nil {
+		return binary.LittleEndian.Uint64(p)
+	}
+	return 0
+}
+
+// str reads appendLenStr's u32-length-prefixed string.
+func (r *leReader) str() string { return string(r.next(int(r.u32()))) }
+
+// value reads one appendWALValue value.
+func (r *leReader) value() Value {
+	switch kind := Kind(r.u8()); {
+	case r.err != nil:
+	case kind == KindNull:
+		return Null()
+	case kind == KindInt:
+		return Int(int64(r.u64()))
+	case kind == KindFloat:
+		return Float(math.Float64frombits(r.u64()))
+	case kind == KindString:
+		return String(r.str())
 	default:
-		return Value{}, nil, fmt.Errorf("sqldb: wal value: unknown kind %d", kind)
+		r.fail(fmt.Errorf("sqldb: wal value: unknown kind %d", kind))
 	}
+	return Value{}
 }
 
 // chainStep folds one statement into the chain hash: fnv-64a over the
@@ -376,45 +421,31 @@ func decodeRecord(b []byte) (stmts []walRecStmt, rest []byte, err error) {
 	if crc32.ChecksumIEEE(payload) != crc {
 		return nil, b, errors.New("sqldb: wal record: checksum mismatch")
 	}
-	firstLSN := binary.LittleEndian.Uint64(payload)
-	count := int(binary.LittleEndian.Uint32(payload[8:]))
-	p := payload[12:]
+	r := leReader{b: payload}
+	firstLSN := r.u64()
+	count := int(r.u32())
 	if count < 1 || count > n {
 		return nil, b, fmt.Errorf("sqldb: wal record: implausible statement count %d", count)
 	}
 	stmts = make([]walRecStmt, 0, count)
-	for i := 0; i < count; i++ {
-		if len(p) < 4 {
-			return nil, b, errors.New("sqldb: wal record: short statement header")
-		}
-		qn := int(binary.LittleEndian.Uint32(p))
-		p = p[4:]
-		if qn < 0 || qn > len(p) {
-			return nil, b, errors.New("sqldb: wal record: query length past end")
-		}
-		q := string(p[:qn])
-		p = p[qn:]
-		if len(p) < 2 {
-			return nil, b, errors.New("sqldb: wal record: short arg count")
-		}
-		nargs := int(binary.LittleEndian.Uint16(p))
-		p = p[2:]
+	for i := 0; i < count && r.err == nil; i++ {
+		q := r.str()
+		nargs := int(r.u16())
 		// Walk the args to find the statement boundary, validating shape.
-		argStart := p
+		args := r.b
 		for a := 0; a < nargs; a++ {
-			_, rest, err := decodeWALValue(p)
-			if err != nil {
-				return nil, b, err
-			}
-			p = rest
+			r.value()
 		}
 		stmts = append(stmts, walRecStmt{
 			lsn:     firstLSN + uint64(i),
 			q:       q,
-			encArgs: argStart[:len(argStart)-len(p)],
+			encArgs: args[:len(args)-len(r.b)],
 		})
 	}
-	if len(p) != 0 {
+	if r.err != nil {
+		return nil, b, r.err
+	}
+	if len(r.b) != 0 {
 		return nil, b, errors.New("sqldb: wal record: trailing bytes in payload")
 	}
 	return stmts, b[8+n:], nil

@@ -31,12 +31,9 @@ import (
 type ClusterStats struct {
 	// Broadcasts counts statements fanned out to all replicas concurrently,
 	// BroadcastAcks the replica acknowledgements they gathered (acks ÷
-	// broadcasts ≈ replicas reached per write), and ReadOnlyTxns the
-	// transactions that declared themselves read-only and skipped the
-	// write-order locks entirely.
+	// broadcasts ≈ replicas reached per write).
 	Broadcasts    int64 `json:"broadcasts,omitempty"`
 	BroadcastAcks int64 `json:"broadcast_acks,omitempty"`
-	ReadOnlyTxns  int64 `json:"readonly_txns,omitempty"`
 	// Robustness counters. The transport-level figures — operation deadlines
 	// hit, pool-wait timeouts — live in Tier.Pool; these are the routing-level
 	// ones: replicas ejected for lagging the broadcast pack, and the
@@ -99,11 +96,14 @@ type Tier struct {
 	PlanMisses    int64 `json:"plan_misses,omitempty"`
 	// Transaction outcomes. For the database tier these are the engine's
 	// counters (every BEGIN/COMMIT/ROLLBACK served); for the EJB tier they
-	// are container-managed demarcation outcomes. DeadlockTimeouts counts
+	// are container-managed demarcation outcomes, and ReadOnlyTxns counts
+	// the commits of business methods that never wrote, whose lazy
+	// demarcation opened no database transaction. DeadlockTimeouts counts
 	// transactions aborted by the lock wait timeout, and TxnLockWaitNanos
 	// is cumulative time transactions spent blocked on table write locks — both
 	// feed the bottleneck heuristic as database-tier saturation evidence.
 	Commits          int64 `json:"commits,omitempty"`
+	ReadOnlyTxns     int64 `json:"readonly_txns,omitempty"`
 	Aborts           int64 `json:"aborts,omitempty"`
 	DeadlockTimeouts int64 `json:"deadlock_timeouts,omitempty"`
 	TxnLockWaitNanos int64 `json:"txn_lock_wait_nanos,omitempty"`
@@ -447,8 +447,8 @@ func (s *Snapshot) Format() string {
 		if t.Commits == 0 && t.Aborts == 0 && t.DeadlockTimeouts == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "%s txns: %d commits / %d aborts (%d deadlock timeouts, %s waiting on locks)\n",
-			t.Name, t.Commits, t.Aborts, t.DeadlockTimeouts,
+		fmt.Fprintf(&b, "%s txns: %d commits (%d read-only) / %d aborts (%d deadlock timeouts, %s waiting on locks)\n",
+			t.Name, t.Commits, t.ReadOnlyTxns, t.Aborts, t.DeadlockTimeouts,
 			time.Duration(t.TxnLockWaitNanos).Round(time.Microsecond))
 	}
 	for _, t := range s.Tiers {
@@ -459,15 +459,11 @@ func (s *Snapshot) Format() string {
 			t.Name, t.SnapshotReads, t.LockBypasses, t.SnapshotRefreshes)
 	}
 	for _, t := range s.Tiers {
-		if t.Broadcasts == 0 && t.ReadOnlyTxns == 0 {
+		if t.Broadcasts == 0 {
 			continue
 		}
-		acksPer := 0.0
-		if t.Broadcasts > 0 {
-			acksPer = float64(t.BroadcastAcks) / float64(t.Broadcasts)
-		}
-		fmt.Fprintf(&b, "%s cluster: %d broadcasts (%.1f acks each), %d read-only txns\n",
-			t.Name, t.Broadcasts, acksPer, t.ReadOnlyTxns)
+		fmt.Fprintf(&b, "%s cluster: %d broadcasts (%.1f acks each)\n",
+			t.Name, t.Broadcasts, float64(t.BroadcastAcks)/float64(t.Broadcasts))
 	}
 	for _, t := range s.Tiers {
 		qn := t.QueryCacheHits + t.QueryCacheMisses
