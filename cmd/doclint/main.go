@@ -7,8 +7,9 @@
 //     `go doc ./internal/...` is usable as operator documentation.
 //  3. Every `-flag` a markdown line attributes to a daemon (a line naming
 //     servletd, webserver, ... alongside the backticked flag) must be
-//     registered by that daemon's cmd/<name>/main.go — documented flags
-//     that no binary accepts fail the build. The same walk fails a line
+//     registered by that daemon's cmd/<name>/main.go, directly or through
+//     the cluster.Config.BindFlags it calls — documented flags that no
+//     binary accepts fail the build. The same walk fails a line
 //     that names an identifier the code no longer has (removedIdents).
 //  4. No non-test Go file but internal/sqldb/value.go imports package unsafe:
 //     the engine's packed value and row reference are the one place the
@@ -143,7 +144,9 @@ var flagTokRe = regexp.MustCompile("`-([a-z][a-z0-9-]*)[^`]*`")
 // nothing set, and the rejoin copy's second exported entry point; the SQL
 // clauses no caller issued — GROUP BY, DISTINCT, OFFSET and every aggregate
 // but COUNT(*) — with their executor and scatter-merge code; a name the docs
-// gave the readonly_txns counter, which it never had).
+// gave the readonly_txns counter, which it never had; the cluster client's
+// second write policy — strict writes, its degraded read-only latch with the
+// latch's error, counters and gate — and core's switch for it).
 var removedIdents = []string{
 	"execLock", "HoldsLocks", "bracketAll", "kindLock",
 	"shExec", "shBegin", "shCommit", "cluster.Stmt", "Client.Prepare", "topLevelFrom",
@@ -161,21 +164,33 @@ var removedIdents = []string{
 	"PGEDelay", "CookieName", "SyncWithin",
 	"GroupBy", "LimitPos", "AggSum", "AggMin", "AggMax", "AggAvg", "dedupRows", "distinctRows", "orderAggRows",
 	"tx_readonly",
+	"StrictWrites", "DBStrictWrites", "ErrDegraded", "DegradedEntries", "DegradedRejects",
+	"writeGate", "enterDegraded", "exitDegradedIfWhole",
 }
 
 // checkFlagDocs verifies that every backticked `-flag` token on a
 // non-fenced doc line that names a daemon is registered by that daemon's
-// main.go. A line naming several daemons passes if any of them accepts
-// the flag (prose like "servletd's -route must match the webserver's
-// -ajp entry" stays legal).
+// main.go (registeredFlags). A line naming several daemons passes if any of
+// them accepts the flag (prose like "servletd's -route must match the
+// webserver's -ajp entry" stays legal).
 func checkFlagDocs(docs []string) int {
 	mains, err := filepath.Glob(filepath.Join("cmd", "*", "main.go"))
 	if err != nil || len(mains) == 0 {
 		return 0 // not run from the repo root; nothing to check against
 	}
+	// The database flags the daemons share are declared once, on the
+	// FlagSet parameter fs of cluster.Config.BindFlags in cluster.go.
+	bound := map[string]bool{}
+	if af, err := parser.ParseFile(token.NewFileSet(), filepath.Join("internal", "cluster", "cluster.go"), nil, 0); err == nil {
+		registeredFlags(af, "fs", nil, bound)
+	}
 	daemons := map[string]map[string]bool{}
 	for _, m := range mains {
-		daemons[filepath.Base(filepath.Dir(m))] = registeredFlags(m)
+		flags := map[string]bool{}
+		if af, err := parser.ParseFile(token.NewFileSet(), m, nil, 0); err == nil {
+			registeredFlags(af, "flag", bound, flags)
+		}
+		daemons[filepath.Base(filepath.Dir(m))] = flags
 	}
 	bad := 0
 	for _, path := range docs {
@@ -231,27 +246,27 @@ func checkFlagDocs(docs []string) int {
 	return bad
 }
 
-// registeredFlags collects the flag names a main.go registers through
-// flag.String/Int/Bool/Duration/... calls (any flag.X whose first argument
-// is a string literal) and their flag.XVar(&dst, "name", ...) forms (the
-// literal comes second).
-func registeredFlags(path string) map[string]bool {
-	flags := map[string]bool{}
-	af, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
-	if err != nil {
-		return flags
-	}
-	ast.Inspect(af, func(n ast.Node) bool {
+// registeredFlags adds to flags the name every recv.X("name", ...) call
+// under n registers — flag.String/Int/Bool/Duration/... — and its
+// recv.XVar(&dst, "name", ...) form (the literal comes second), plus every
+// name in bound when n calls a BindFlags method.
+func registeredFlags(n ast.Node, recv string, bound, flags map[string]bool) {
+	ast.Inspect(n, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok || len(call.Args) == 0 {
+		if !ok {
 			return true
 		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)
 		if !ok {
 			return true
 		}
+		if sel.Sel.Name == "BindFlags" {
+			for name := range bound {
+				flags[name] = true
+			}
+		}
 		pkg, ok := sel.X.(*ast.Ident)
-		if !ok || pkg.Name != "flag" {
+		if !ok || pkg.Name != recv || len(call.Args) == 0 {
 			return true
 		}
 		nameArg := call.Args[0]
@@ -267,7 +282,6 @@ func registeredFlags(path string) map[string]bool {
 		}
 		return true
 	})
-	return flags
 }
 
 // checkPackageComments walks root for Go packages and reports every one

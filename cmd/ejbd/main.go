@@ -28,18 +28,8 @@ import (
 )
 
 func main() {
-	// The database flags bind straight into the cluster client's own
-	// configuration: a setting is declared there, once.
 	var db cluster.Config
-	flag.StringVar(&db.DSN, "db", "127.0.0.1:7306", "database DSN: one wire address, a comma-separated replica list, or semicolon-separated shard groups of replica lists (\"s0r0,s0r1;s1r0,s1r1\" — sharded tiers partition by the benchmark's ShardBy map)")
-	flag.IntVar(&db.PoolSize, "pool", 12, "database connection pool size, per replica")
-	flag.DurationVar(&db.Timeouts.Dial, "db-dial", 0, "database dial timeout (0: default, negative: none)")
-	flag.DurationVar(&db.Timeouts.Op, "db-op", 0, "per-statement database deadline (0: default, negative: none)")
-	flag.DurationVar(&db.Timeouts.Wait, "db-wait", 0, "max wait for a free pooled connection (0: default, negative: unbounded)")
-	flag.DurationVar(&db.SlowThreshold, "db-slow", 0, "eject replicas whose statements exceed this latency (0: disabled)")
-	flag.DurationVar(&db.SyncTimeout, "db-sync", 0, "wall-clock budget for replica rejoin data sync (0: cluster default)")
-	flag.BoolVar(&db.StrictWrites, "db-strict", false, "refuse writes (degraded read-only mode) instead of ejecting replicas on write failure")
-	flag.IntVar(&db.QueryCache, "db-cache", 0, "query-result cache entries, validated by commit-time table versions (0: disabled)")
+	db.BindFlags(flag.CommandLine)
 	var (
 		addr      = flag.String("addr", "127.0.0.1:7099", "RMI listen address")
 		ajpAddr   = flag.String("ajp", "", "also serve presentation servlets on this AJP address")

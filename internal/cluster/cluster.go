@@ -42,15 +42,17 @@
 // a Session: outside a transaction a Session's statements take the Client's
 // auto-commit path, and the session holds no connection.
 //
-// A replica that fails at the transport level is ejected: reads fail over
-// transparently, writes continue on the remaining replicas (or error, with
-// StrictWrites). An ejected replica rejoins through Rejoin, which replays a
-// healthy replica's data over the wire — the same replica-sync path a
-// fresh dbserver -peers uses at startup.
+// The write policy is write-all-available, and there is no other: a replica
+// that fails at the transport level is ejected, reads fail over
+// transparently, and writes succeed on the remaining replicas. An ejected
+// replica rejoins through Rejoin, which replays a healthy replica's data over
+// the wire — the same replica-sync path a fresh dbserver -peers uses at
+// startup.
 package cluster
 
 import (
 	"errors"
+	"flag"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -69,13 +71,6 @@ var ErrNoReplicas = errors.New("cluster: no healthy replicas")
 // take the write-order locks the text cannot declare.
 var ErrTxnControlText = errors.New("cluster: transaction control sent as a statement; use Begin/Commit/Rollback or WithTx")
 
-// ErrDegraded fast-fails writes while a StrictWrites cluster is degraded:
-// one or more replicas are ejected, so no write can satisfy the policy.
-// Reads keep flowing off the healthy replicas; the cluster exits degraded
-// mode when Rejoin restores the full replica set. Callers can surface it
-// as "service read-only" instead of a cascade of per-write errors.
-var ErrDegraded = errors.New("cluster: degraded (read-only): strict write policy unsatisfiable until ejected replicas rejoin")
-
 var errSessionFailed = errors.New("cluster: session failed, discard it")
 
 // DefaultSyncTimeout bounds a rejoin's data copy. Syncing a testbed-scale
@@ -91,13 +86,6 @@ type Config struct {
 	DSN string
 	// PoolSize bounds connections per replica (default 12).
 	PoolSize int
-	// StrictWrites makes a write error when any replica fails mid-broadcast
-	// (after completing the broadcast on the remaining healthy replicas, so
-	// the survivors stay mutually consistent), and puts the cluster in
-	// read-only degraded mode (ErrDegraded) until the replica set is whole
-	// again. The default policy is write-all-available: the failed replica
-	// is ejected and the write succeeds on the rest.
-	StrictWrites bool
 	// Timeouts bounds dials, per-operation round trips and pool borrow
 	// waits on every replica pool (zero fields: pool-package defaults;
 	// negative: unbounded). A stalled replica thus surfaces as a transport
@@ -124,6 +112,20 @@ type Config struct {
 	// shard group (';'-separated); tables absent from the map are global —
 	// replicated on every shard. Names are case-insensitive.
 	ShardBy map[string]string
+}
+
+// BindFlags declares the database-client flags on fs, bound to c's fields.
+// Every daemon with a database tier below it calls this, so the flags are
+// declared once.
+func (c *Config) BindFlags(fs *flag.FlagSet) {
+	fs.StringVar(&c.DSN, "db", "127.0.0.1:7306", "database DSN: one wire address, a comma-separated replica list, or semicolon-separated shard groups of replica lists (\"s0r0,s0r1;s1r0,s1r1\" — sharded tiers partition by the benchmark's ShardBy map)")
+	fs.IntVar(&c.PoolSize, "pool", 12, "database connection pool size, per replica")
+	fs.DurationVar(&c.Timeouts.Dial, "db-dial", 0, "database dial timeout (0: default, negative: none)")
+	fs.DurationVar(&c.Timeouts.Op, "db-op", 0, "per-statement database deadline (0: default, negative: none)")
+	fs.DurationVar(&c.Timeouts.Wait, "db-wait", 0, "max wait for a free pooled connection (0: default, negative: unbounded)")
+	fs.DurationVar(&c.SlowThreshold, "db-slow", 0, "eject replicas whose statements exceed this latency (0: disabled)")
+	fs.DurationVar(&c.SyncTimeout, "db-sync", 0, "wall-clock budget for replica rejoin data sync (0: cluster default)")
+	fs.IntVar(&c.QueryCache, "db-cache", 0, "query-result cache entries, validated by commit-time table versions (0: disabled)")
 }
 
 // ParseDSN splits a multi-backend DSN into its replica addresses.
@@ -191,7 +193,7 @@ type Client struct {
 // type and nothing between here and /status copies fields.
 type ClientStats = telemetry.ClusterStats
 
-// New creates a client over the DSN's replicas with default policy.
+// New creates a client over the DSN's replicas with default settings.
 func New(dsn string, poolSize int) *Client {
 	return NewWithConfig(Config{DSN: dsn, PoolSize: poolSize})
 }
@@ -203,15 +205,11 @@ func NewWithConfig(cfg Config) *Client {
 	if groups := ParseShardDSN(cfg.DSN); len(groups) > 1 {
 		return &Client{backend: newShardSet(cfg, groups), shards: len(groups)}
 	}
-	return &Client{backend: newReplicaSet(cfg, ParseDSN(cfg.DSN)), shards: 1}
+	return &Client{backend: newReplicaSet(cfg, ParseDSN(cfg.DSN), new(routes)), shards: 1}
 }
 
 // Shards returns the number of shard groups (1 for an unsharded client).
 func (c *Client) Shards() int { return c.shards }
-
-// Degraded reports whether the strict-policy read-only latch is set (on
-// any shard).
-func (c *Client) Degraded() bool { return c.ClientStats().Degraded }
 
 // Deprecated: ExecCached is Exec.
 func (c *Client) ExecCached(query string, args ...sqldb.Value) (*sqldb.Result, error) {

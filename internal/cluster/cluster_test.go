@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"flag"
 	"fmt"
 	"strings"
 	"sync"
@@ -300,28 +301,48 @@ func TestFailoverMidWorkload(t *testing.T) {
 	}
 }
 
-// TestStrictWritePolicy: with StrictWrites, a write that loses a replica
-// mid-broadcast errors (after completing on the survivors).
+// TestConfigBindFlags: the database flags bind into Config's own fields.
+func TestConfigBindFlags(t *testing.T) {
+	var cfg Config
+	fs := flag.NewFlagSet("daemon", flag.ContinueOnError)
+	cfg.BindFlags(fs)
+	if err := fs.Parse([]string{"-db", "a:1,a:2", "-pool", "3", "-db-op", "1s", "-db-cache", "7"}); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.DSN != "a:1,a:2" || cfg.PoolSize != 3 || cfg.Timeouts.Op != time.Second || cfg.QueryCache != 7 {
+		t.Fatalf("bound config = %+v", cfg)
+	}
+}
+
+// TestStrictWritePolicy: the one write policy is write-all-available — a
+// write whose broadcast is the first contact with a dead replica succeeds on
+// the survivor and ejects the dead one, and write transactions keep
+// committing on the survivor.
 func TestStrictWritePolicy(t *testing.T) {
 	reps := startReplicas(t, 2)
-	c := newTestClient(t, reps, Config{StrictWrites: true})
+	c := newTestClient(t, reps, Config{})
 	// Warm the pools so the failure happens at execution, not dial.
 	if _, err := c.Exec("UPDATE items SET qty = 100 WHERE id = 1"); err != nil {
 		t.Fatal(err)
 	}
 	reps[1].srv.Close()
-	_, err := c.Exec("UPDATE items SET qty = 42 WHERE id = 1")
-	if err == nil {
-		t.Fatal("strict policy must error when a replica fails mid-broadcast")
+	if _, err := c.Exec("UPDATE items SET qty = 42 WHERE id = 1"); err != nil {
+		t.Fatalf("write losing a replica mid-broadcast = %v, want success on the survivor", err)
 	}
-	// The survivor applied it regardless, staying self-consistent.
-	res := queryReplica(t, reps[0], "SELECT qty FROM items WHERE id = 1")
-	if res.Rows[0][0].AsInt() != 42 {
-		t.Fatal("survivor missing the strict-mode write")
+	if got := queryReplica(t, reps[0], "SELECT qty FROM items WHERE id = 1").Rows[0][0].AsInt(); got != 42 {
+		t.Fatalf("survivor qty = %d, want 42", got)
 	}
-	// Reads still flow.
-	if _, err := c.Exec("SELECT name FROM items WHERE id = 1"); err != nil {
-		t.Fatalf("read after strict failure: %v", err)
+	if rs := c.ReplicaStats(); rs[1].Ejections != 1 || rs[1].Healthy {
+		t.Fatalf("dead replica not ejected once: %+v", rs[1])
+	}
+	if err := c.WithTx([]string{"items"}, func(tx *Session) error {
+		_, err := tx.Exec("UPDATE items SET qty = 43 WHERE id = 1")
+		return err
+	}); err != nil {
+		t.Fatalf("write transaction on the survivor: %v", err)
+	}
+	if got := queryReplica(t, reps[0], "SELECT qty FROM items WHERE id = 1").Rows[0][0].AsInt(); got != 43 {
+		t.Fatalf("survivor qty after WithTx = %d, want 43", got)
 	}
 }
 

@@ -37,20 +37,12 @@ type replicaSet struct {
 	replicas []*replica
 	rr       atomic.Uint64
 	locks    *writeLocks
-	routes   routes
+	routes   *routes                // shared by every shard of a sharded Client
 	qcache   *lru.Cache[cacheEntry] // nil when Config.QueryCache == 0
-	strict   bool
-	slow     time.Duration // SlowThreshold; 0 = disabled
-	syncTO   time.Duration // resolved SyncTimeout; 0 = unbounded
+	slow     time.Duration          // SlowThreshold; 0 = disabled
+	syncTO   time.Duration          // resolved SyncTimeout; 0 = unbounded
 
-	// degraded is the strict-policy read-only latch: set when a write
-	// fails (or would fail) the strict policy, cleared when Rejoin makes
-	// the replica set whole. Writes fast-fail with ErrDegraded while set.
-	degraded        atomic.Bool
-	degradedEntries atomic.Int64
-	degradedExits   atomic.Int64
-	degradedRejects atomic.Int64
-	slowEjections   atomic.Int64
+	slowEjections atomic.Int64
 
 	// cacheBypasses counts the reads a transaction kept off the query cache
 	// (replicaTxn.cacheBypass).
@@ -68,7 +60,7 @@ type replicaSet struct {
 	walDeltaStmts atomic.Int64
 }
 
-func newReplicaSet(cfg Config, addrs []string) *replicaSet {
+func newReplicaSet(cfg Config, addrs []string, rt *routes) *replicaSet {
 	if len(addrs) == 0 {
 		addrs = []string{""}
 	}
@@ -87,7 +79,7 @@ func newReplicaSet(cfg Config, addrs []string) *replicaSet {
 	// in one process-wide global order — see lockRegistry.
 	rs := &replicaSet{
 		locks:  acquireWriteLocks(addrs),
-		strict: cfg.StrictWrites,
+		routes: rt,
 		slow:   cfg.SlowThreshold,
 		syncTO: syncTO,
 	}
@@ -104,16 +96,12 @@ func newReplicaSet(cfg Config, addrs []string) *replicaSet {
 
 func (rs *replicaSet) ClientStats() ClientStats {
 	s := ClientStats{
-		Broadcasts:      rs.broadcasts.Load(),
-		BroadcastAcks:   rs.broadcastAcks.Load(),
-		SlowEjections:   rs.slowEjections.Load(),
-		DegradedEntries: rs.degradedEntries.Load(),
-		DegradedExits:   rs.degradedExits.Load(),
-		DegradedRejects: rs.degradedRejects.Load(),
-		Degraded:        rs.degraded.Load(),
-		WALDeltaSyncs:   rs.walDeltaSyncs.Load(),
-		WALFullSyncs:    rs.walFullSyncs.Load(),
-		WALDeltaStmts:   rs.walDeltaStmts.Load(),
+		Broadcasts:    rs.broadcasts.Load(),
+		BroadcastAcks: rs.broadcastAcks.Load(),
+		SlowEjections: rs.slowEjections.Load(),
+		WALDeltaSyncs: rs.walDeltaSyncs.Load(),
+		WALFullSyncs:  rs.walFullSyncs.Load(),
+		WALDeltaStmts: rs.walDeltaStmts.Load(),
 	}
 	if q := rs.qcache; q != nil {
 		st := q.Stats()
@@ -189,46 +177,6 @@ func (rs *replicaSet) ejectSlow(r *replica) {
 		r.ejections.Add(1)
 		rs.slowEjections.Add(1)
 	}
-}
-
-// enterDegraded latches the strict-policy read-only mode.
-func (rs *replicaSet) enterDegraded() {
-	if rs.strict && rs.degraded.CompareAndSwap(false, true) {
-		rs.degradedEntries.Add(1)
-	}
-}
-
-// exitDegradedIfWhole clears the degraded latch once every replica is back
-// in the healthy set. It runs on rejoin and as writeGate's self-heal: the
-// latch exists to protect a cluster that is missing writes somewhere, so a
-// whole replica set must never stay read-only (a stale latch with all
-// replicas healthy — e.g. a racing rejoin completing between a broadcast's
-// ejection and its enterDegraded — would otherwise wedge writes forever,
-// since no replica is left for Rejoin to bring back).
-func (rs *replicaSet) exitDegradedIfWhole() {
-	if rs.Healthy() == len(rs.replicas) && rs.degraded.CompareAndSwap(true, false) {
-		rs.degradedExits.Add(1)
-	}
-}
-
-// writeGate fast-fails writes that cannot satisfy the strict policy:
-// once any replica is ejected, a strict write is doomed, so it fails with
-// ErrDegraded before acquiring locks or touching the wire — reads keep
-// flowing off the survivors. A degraded latch outliving the last rejoin
-// (every replica healthy again) is stale and self-heals here instead of
-// rejecting writes on a whole cluster. Under the default
-// write-all-available policy the gate is always open.
-func (rs *replicaSet) writeGate() error {
-	if !rs.strict {
-		return nil
-	}
-	if rs.Healthy() == len(rs.replicas) {
-		rs.exitDegradedIfWhole()
-		return nil
-	}
-	rs.enterDegraded()
-	rs.degradedRejects.Add(1)
-	return ErrDegraded
 }
 
 // isTransport reports whether err is a transport-level failure (as opposed
@@ -407,23 +355,17 @@ func (b *bcast) collect(rs *replicaSet, outs []fanResult, onFail func(r *replica
 	}
 }
 
-// result resolves the broadcast under the write policy. The strict-mode
-// degraded latch only ever engages here when the broadcast both applied
-// somewhere AND failed somewhere — and in that case the failure handlers
-// ejected every failed replica (missed-write ejection), so Rejoin always
-// has an unhealthy replica to bring back and clear the latch through; an
-// all-failed broadcast (nothing applied, replicas still identical) returns
-// the transport error without latching.
-func (b *bcast) result(rs *replicaSet) (*sqldb.Result, error) {
+// result resolves the broadcast under the write-all-available policy: a
+// broadcast that applied anywhere returns the canonical answer (the failure
+// handlers have already ejected every replica that missed it), and an
+// all-failed one (nothing applied, replicas still identical) returns the
+// transport error.
+func (b *bcast) result() (*sqldb.Result, error) {
 	if !b.answered {
 		if b.lastErr != nil {
 			return nil, b.lastErr
 		}
 		return nil, ErrNoReplicas
-	}
-	if b.failed && rs.strict {
-		rs.enterDegraded()
-		return nil, fmt.Errorf("cluster: strict write policy: replica failed mid-broadcast (applied on %d remaining)", rs.Healthy())
 	}
 	return b.res, b.first
 }
@@ -440,9 +382,6 @@ func (b *bcast) result(rs *replicaSet) (*sqldb.Result, error) {
 // replica would keep the fast replicas' pools exhausted too
 // (TestMissedWriteOnSaturatedPoolEjects).
 func (rs *replicaSet) writeWith(rt route, query string, args []sqldb.Value) (*sqldb.Result, error) {
-	if err := rs.writeGate(); err != nil {
-		return nil, err
-	}
 	release := rs.locks.acquire(rt.tables)
 	defer release()
 
@@ -466,7 +405,7 @@ func (rs *replicaSet) writeWith(rt route, query string, args []sqldb.Value) (*sq
 	if b.first == nil && (b.answered || b.failed) {
 		rs.locks.bump(rt.tables)
 	}
-	return b.result(rs)
+	return b.result()
 }
 
 // session opens the replica set's session for a Client.
@@ -600,11 +539,6 @@ func (s *replicaTxn) begin(ordered []string) error {
 	if len(ordered) == 0 {
 		ordered = catchAll
 	}
-	// A write transaction that cannot satisfy the strict policy fails at
-	// BEGIN, before any replica opens transaction state.
-	if err := s.rs.writeGate(); err != nil {
-		return err
-	}
 	// The declared write set serializes the whole transaction, reads
 	// included, whatever the replica count: the engine only write-locks a
 	// table at the transaction's first write to it, so without this two
@@ -671,14 +605,12 @@ func (s *replicaTxn) endTxn(op func(*wire.Conn) error, commit bool) (err error) 
 			done++
 		}
 	}
-	failedTransport := false
 	for i, o := range outs {
 		if !o.ran || o.err == nil {
 			continue
 		}
 		lastErr = o.err
 		if isTransport(o.err) {
-			failedTransport = true
 			r := s.rs.replicas[i]
 			s.fail(r, o.err)
 			if done > 0 {
@@ -695,16 +627,6 @@ func (s *replicaTxn) endTxn(op func(*wire.Conn) error, commit bool) (err error) 
 			return lastErr
 		}
 		return ErrNoReplicas
-	}
-	if lastErr != nil && s.rs.strict {
-		// Latch degraded only for a transport failure, which the loop above
-		// turned into an ejection — so a Rejoin exists to clear the latch. A
-		// database-side error deterministically hit every replica alike and
-		// must not leave a whole healthy cluster read-only.
-		if failedTransport {
-			s.rs.enterDegraded()
-		}
-		return fmt.Errorf("cluster: strict write policy: replica failed mid-transaction-end (applied on %d): %w", done, lastErr)
 	}
 	return nil
 }
@@ -762,8 +684,7 @@ func (s *replicaTxn) execWrite(query string, args []sqldb.Value, rt route) (*sql
 
 // broadcast sends one write to every replica in the transaction over the
 // session's connections — concurrently, like the auto-commit fan-out.
-// Transport failures eject the replica and — under the default policy — the
-// broadcast continues; the lowest-id participating replica's answer is
+// Transport failures eject the replica and the broadcast continues; the lowest-id participating replica's answer is
 // canonical. No connection is borrowed here: a replica that was not there
 // for BEGIN would run the rest of the transaction in auto-commit.
 func (s *replicaTxn) broadcast(query string, args []sqldb.Value) (*sqldb.Result, error) {
@@ -789,11 +710,10 @@ func (s *replicaTxn) broadcast(query string, args []sqldb.Value) (*sqldb.Result,
 			}
 		}
 	}
-	res, err := b.result(s.rs)
+	res, err := b.result()
 	// A database-side error in `err` is deterministic and leaves the
-	// session usable; only an unanswered or strict-failed broadcast
-	// poisons it.
-	if !b.answered || (b.failed && s.rs.strict) {
+	// session usable; only an unanswered broadcast poisons it.
+	if !b.answered {
 		s.failed = true
 		return nil, err
 	}
@@ -865,11 +785,7 @@ func (rs *replicaSet) Rejoin(id int, syncData bool) error {
 	}
 	r := rs.replicas[id]
 	if r.healthy.Load() {
-		// Nothing to bring back — but an operator calling Rejoin on an
-		// already-whole cluster is an explicit recovery action, so clear a
-		// stale degraded latch rather than leaving it with no exit path.
-		rs.exitDegradedIfWhole()
-		return nil
+		return nil // nothing to bring back
 	}
 	// The catch-all write-order key, held exclusively: every writer over
 	// this DSN — any client's broadcast or open write transaction — holds it
@@ -905,7 +821,6 @@ func (rs *replicaSet) Rejoin(id int, syncData bool) error {
 		}
 	}
 	r.healthy.Store(true)
-	rs.exitDegradedIfWhole()
 	return nil
 }
 

@@ -83,7 +83,10 @@ type shardSet struct {
 	outer *writeLocks
 	addrs []string
 	plans sync.Map // query text -> *shardPlan
-	rr    atomic.Uint64
+	// routes is every shard's parse memo too: a text is parsed once per
+	// Client, whichever shard or plan reads it.
+	routes *routes
+	rr     atomic.Uint64
 
 	single    atomic.Int64 // statements routed to one owning shard
 	scatter   atomic.Int64 // scatter-gather SELECT fan-outs
@@ -96,13 +99,13 @@ type shardSet struct {
 }
 
 func newShardSet(cfg Config, groups [][]string) *shardSet {
-	sh := &shardSet{byTable: make(map[string]string, len(cfg.ShardBy))}
+	sh := &shardSet{byTable: make(map[string]string, len(cfg.ShardBy)), routes: new(routes)}
 	for t, col := range cfg.ShardBy {
 		sh.byTable[strings.ToLower(t)] = strings.ToLower(col)
 	}
 	for _, g := range groups {
 		sh.addrs = append(sh.addrs, g...)
-		sh.shards = append(sh.shards, newReplicaSet(cfg, g))
+		sh.shards = append(sh.shards, newReplicaSet(cfg, g, sh.routes))
 	}
 	sh.outer = acquireWriteLocks(sh.addrs)
 	return sh
@@ -140,7 +143,7 @@ func (sh *shardSet) planOf(query string) *shardPlan {
 }
 
 func (sh *shardSet) buildPlan(query string) *shardPlan {
-	p := &shardPlan{rt: analyze(query)}
+	p := &shardPlan{rt: sh.routes.of(query)}
 	refs := p.rt.tables
 	switch st := p.rt.stmt.(type) {
 	case *sqlparse.Select:

@@ -204,6 +204,31 @@ func TestShardScatterMerge(t *testing.T) {
 	}
 }
 
+// TestShardParsesOncePerClient: a sharded client parses a distinct text
+// once — the shard planner and every shard's routing read the same parse,
+// for a pinned statement and for a scatter alike.
+func TestShardParsesOncePerClient(t *testing.T) {
+	groups := startShards(t, 2, 1)
+	c := newShardClient(t, groups, Config{})
+	mustExec(t, c, "INSERT INTO orders (customer_id, total) VALUES (?, ?)", sqldb.Int(1), sqldb.Int(10))
+	pinned := "SELECT total FROM orders WHERE customer_id = ?"
+	scatter := "SELECT customer_id FROM orders WHERE total = ?"
+	for _, q := range []string{pinned, scatter} {
+		if _, err := c.Exec(q, sqldb.Int(10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sh := c.backend.(*shardSet)
+	for _, q := range []string{pinned, scatter} {
+		stmt := sh.planOf(q).rt.stmt
+		for i, rs := range sh.shards {
+			if rs.routes.of(q).stmt != stmt {
+				t.Errorf("shard %d parsed %q apart from the planner", i, q)
+			}
+		}
+	}
+}
+
 // TestShardGlobalTableBroadcast: writes to a table outside ShardBy must
 // apply on every shard, so any shard can answer reads for it.
 func TestShardGlobalTableBroadcast(t *testing.T) {

@@ -16,7 +16,6 @@ package core
 
 import (
 	"fmt"
-	"log"
 	"path/filepath"
 	"strings"
 	"time"
@@ -80,11 +79,6 @@ type Config struct {
 	AppReplicas int
 	// Seed drives data generation.
 	Seed int64
-	// DBStrictWrites selects the cluster's strict write policy for the
-	// application tier's database clients. With it, losing a replica drops
-	// the cluster into explicit read-only degradation (cluster.ErrDegraded
-	// on writes) until every replica rejoins.
-	DBStrictWrites bool
 	// DBTimeouts bounds the app→db wire transport: dial, per-statement
 	// round trip, and pool-wait deadlines (pool.Timeouts semantics — zero
 	// fields take the transport defaults, negative disables).
@@ -128,8 +122,6 @@ type Config struct {
 	// a transparent proxy, still controllable through its Set/Clear.
 	DBChaos  map[int]chaos.Schedule
 	AppChaos map[int]chaos.Schedule
-	// Logger receives tier logs; nil discards them.
-	Logger *log.Logger
 }
 
 func (c Config) withDefaults() Config {
@@ -237,7 +229,7 @@ func Start(cfg Config) (lab *Lab, err error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: replica %d: %w", i, err)
 		}
-		srv := wire.NewServer(db, cfg.Logger)
+		srv := wire.NewServer(db, nil)
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			return nil, err
@@ -317,7 +309,7 @@ func Start(cfg Config) (lab *Lab, err error) {
 		resp.Body = l.Telemetry().JSON()
 		return resp, nil
 	})
-	l.web = httpd.NewServer(mux, cfg.Logger)
+	l.web = httpd.NewServer(mux, nil)
 	webAddr, err := l.web.Listen("127.0.0.1:0")
 	if err != nil {
 		return nil, err
@@ -349,8 +341,7 @@ func (l *Lab) startAppTier(dsn string) ([]lb.Backend, error) {
 	// Every database client in the tier — one per servlet backend, or one
 	// per EJB container — is configured alike.
 	dbCfg := cluster.Config{
-		DSN: dsn, PoolSize: poolSize,
-		StrictWrites: cfg.DBStrictWrites, Timeouts: cfg.DBTimeouts,
+		DSN: dsn, PoolSize: poolSize, Timeouts: cfg.DBTimeouts,
 		SlowThreshold: cfg.DBSlowThreshold, QueryCache: cfg.DBQueryCache,
 	}
 	sync := cfg.Arch.EngineSync()
@@ -486,7 +477,7 @@ func (l *Lab) RestartReplica(i int) error {
 	if i < 0 || i >= len(l.dbSrvs) {
 		return fmt.Errorf("core: no replica %d", i)
 	}
-	srv := wire.NewServer(l.dbs[i], l.cfg.Logger)
+	srv := wire.NewServer(l.dbs[i], nil)
 	if _, err := srv.Listen(l.dbAddrs[i]); err != nil {
 		return err
 	}
@@ -533,7 +524,7 @@ func (l *Lab) RestartReplicaFromDisk(i int) (*sqldb.RecoveryInfo, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: recover replica %d: %w", i, err)
 	}
-	srv := wire.NewServer(db, l.cfg.Logger)
+	srv := wire.NewServer(db, nil)
 	if _, err := srv.Listen(l.dbAddrs[i]); err != nil {
 		db.CloseWAL()
 		return nil, err
@@ -737,9 +728,7 @@ func aggregateReplicaStats(clients []*cluster.Client) []telemetry.Replica {
 				out = append(out, r)
 				continue
 			}
-			healthy := out[i].Healthy && r.Healthy
 			telemetry.Add(&out[i], r)
-			out[i].Healthy = healthy
 		}
 	}
 	return out

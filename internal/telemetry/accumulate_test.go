@@ -54,7 +54,8 @@ func filled(t *testing.T, seed int64) *Snapshot {
 }
 
 // checkAccumulated walks got (the result of a += sign·b) against a and b by
-// the rules accumulate documents: int64 counters moved by sign·b, bools set,
+// the rules accumulate documents: int64 counters moved by sign·b, bools (set
+// on both sides) still set,
 // gauges, names and topology figures still a's, the pool combined by the
 // pool package (spot-checked on one counter, one gauge and the name).
 func checkAccumulated(t *testing.T, path string, got, a, b reflect.Value, sign int64) {
@@ -121,17 +122,21 @@ func TestAccumulateCoversEveryField(t *testing.T) {
 		t.Errorf("a snapshot's delta against itself keeps counters: %+v", self)
 	}
 
-	// The latch ORs in from either side of an Add; a Delta reports the
-	// current state, not the previous one's.
-	var latch ClusterStats
-	Add(&latch, ClusterStats{Degraded: true})
-	if !latch.Degraded {
-		t.Error("Add did not OR the Degraded latch in")
+	// Healthy ANDs on Add: two views of one replica merge healthy only when
+	// both are. A Delta reports the current row's state, not the previous
+	// one's, either way round.
+	up := Replica{Healthy: true}
+	Add(&up, Replica{Healthy: false})
+	if up.Healthy {
+		t.Error("Add of a healthy and an unhealthy replica row is healthy")
 	}
-	cleared := filled(t, 1000)
-	cleared.Tiers[0].Degraded = false
-	if cleared.Delta(a).Tiers[0].Degraded {
-		t.Error("Delta took Degraded from the previous snapshot")
+	down := filled(t, 1000)
+	down.Replicas[0].Healthy = false
+	if down.Delta(a).Replicas[0].Healthy {
+		t.Error("Delta took Healthy from the previous snapshot")
+	}
+	if !a.Delta(down).Replicas[0].Healthy {
+		t.Error("Delta took the previous snapshot's unhealthy state")
 	}
 	// A row the other side has no pool for keeps its own.
 	b.Tiers[0].Pool = nil
@@ -160,7 +165,7 @@ func TestStatusJSONKeysStable(t *testing.T) {
 	first := func(list string) any { return m[list].([]any)[0] }
 	for _, c := range []struct{ what, got, want string }{
 		{"tier", keys(first("tiers")),
-			"aborts broadcast_acks broadcasts bytes commits deadlock_timeouts degraded degraded_entries degraded_exits degraded_rejects downstream loads lock_bypasses name page_cache_bypasses page_cache_hits page_cache_invalidations page_cache_misses plan_hits plan_misses pool prepared_execs queries query_cache_bypasses query_cache_hits query_cache_invalidations query_cache_misses readonly_txns requests shard_2pc_txns shard_broadcast shard_scatter shard_single shards slow_ejections snapshot_reads snapshot_refreshes stores text_execs txn_lock_wait_nanos wal_appends wal_bytes wal_checkpoints wal_delta_stmts wal_delta_syncs wal_fsyncs wal_full_syncs wal_recoveries"},
+			"aborts broadcast_acks broadcasts bytes commits deadlock_timeouts downstream loads lock_bypasses name page_cache_bypasses page_cache_hits page_cache_invalidations page_cache_misses plan_hits plan_misses pool prepared_execs queries query_cache_bypasses query_cache_hits query_cache_invalidations query_cache_misses readonly_txns requests shard_2pc_txns shard_broadcast shard_scatter shard_single shards slow_ejections snapshot_reads snapshot_refreshes stores text_execs txn_lock_wait_nanos wal_appends wal_bytes wal_checkpoints wal_delta_stmts wal_delta_syncs wal_fsyncs wal_full_syncs wal_recoveries"},
 		{"replica", keys(first("replicas")),
 			"addr checkpoints ejections healthy id lag_nanos pool queries reads recoveries shard wal_appends wal_bytes wal_fsyncs writes"},
 		{"app backend", keys(first("app_backends")),

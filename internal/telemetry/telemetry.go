@@ -34,17 +34,10 @@ type ClusterStats struct {
 	// broadcasts ≈ replicas reached per write).
 	Broadcasts    int64 `json:"broadcasts,omitempty"`
 	BroadcastAcks int64 `json:"broadcast_acks,omitempty"`
-	// Robustness counters. The transport-level figures — operation deadlines
-	// hit, pool-wait timeouts — live in Tier.Pool; these are the routing-level
-	// ones: replicas ejected for lagging the broadcast pack, and the
-	// strict-write degraded (read-only) mode's entries, exits, and fast-failed
-	// writes. Degraded is the latch itself: true while the cluster (any
-	// shard, any backend's client) is read-only right now.
-	SlowEjections   int64 `json:"slow_ejections,omitempty"`
-	DegradedEntries int64 `json:"degraded_entries,omitempty"`
-	DegradedExits   int64 `json:"degraded_exits,omitempty"`
-	DegradedRejects int64 `json:"degraded_rejects,omitempty"`
-	Degraded        bool  `json:"degraded,omitempty"`
+	// Robustness counter. The transport-level figures — operation deadlines
+	// hit, pool-wait timeouts — live in Tier.Pool; this is the routing-level
+	// one: replicas ejected for lagging the broadcast pack.
+	SlowEjections int64 `json:"slow_ejections,omitempty"`
 	// Sharding counters (a client fronting a horizontally partitioned
 	// database tier): Shards is the shard-group count, ShardSingle the
 	// statements routed to exactly one owning shard, ShardScatter the reads
@@ -274,9 +267,9 @@ var poolStatsType = reflect.TypeOf((*pool.Stats)(nil))
 // per request):
 //
 //   - int64 fields are cumulative counters: they add, or subtract for a Delta.
-//   - bool fields OR on add — the Degraded latch: one contributor suffices to
-//     set it — and a Delta keeps dst's, the current state. (Healthy means the
-//     opposite, so core ANDs it itself when it merges clients' replica views.)
+//   - bool fields AND on add — Healthy, the only kind of bool the rows
+//     carry: a replica or backend two views merge is healthy only when both
+//     say so — and a Delta keeps dst's, the current state.
 //   - int and string fields are gauges, topology figures, ids and names:
 //     dst's value stands.
 //   - *pool.Stats follows the pool package's own rules (Sum, Sub — gauges and
@@ -303,7 +296,7 @@ func accumulate(dst, src reflect.Value, sign int64) {
 		case reflect.Int64:
 			d.SetInt(d.Int() + sign*s.Int())
 		case reflect.Bool:
-			d.SetBool(d.Bool() || (sign > 0 && s.Bool()))
+			d.SetBool(d.Bool() && (sign < 0 || s.Bool()))
 		case reflect.Int, reflect.String:
 		case reflect.Struct:
 			accumulate(d, s, sign)
@@ -507,15 +500,9 @@ func (s *Snapshot) Format() string {
 			t.Name, into, p.OpTimeouts, time.Duration(p.TimeoutNanos).Round(time.Microsecond), p.WaitTimeouts)
 	}
 	for _, t := range s.Tiers {
-		if t.SlowEjections == 0 && t.DegradedEntries == 0 && t.DegradedRejects == 0 && !t.Degraded {
-			continue
+		if t.SlowEjections > 0 {
+			fmt.Fprintf(&b, "%s cluster health: %d slow ejections\n", t.Name, t.SlowEjections)
 		}
-		state := "recovered"
-		if t.Degraded {
-			state = "DEGRADED: read-only"
-		}
-		fmt.Fprintf(&b, "%s cluster health: %d slow ejections; degraded mode %d entries / %d exits, %d writes fast-failed [%s]\n",
-			t.Name, t.SlowEjections, t.DegradedEntries, t.DegradedExits, t.DegradedRejects, state)
 	}
 	if len(s.AppBackends) > 0 {
 		fmt.Fprintf(&b, "%-10s %9s %9s %9s %9s %12s %8s\n",
