@@ -49,30 +49,35 @@ fmt:
 # loop cannot appear unnoticed. So does a use of the deprecated ExecCached,
 # WithReadTx or SessionExecer under internal/ or cmd/ (bench/ alone still
 # spells them; a statement has one call, Exec, and read-only work needs no
-# transaction), and a backticked `pkg.Name` in the docs that names nothing
-# declared in that internal/ or cmd/ package. The lint does not see a second
-# frame codec; `binary.BigEndian.PutUint32(hdr` or a 5-byte header read
-# outside internal/frame is what review looks for.
+# transaction), a backticked `pkg.Name` in the docs that names nothing
+# declared in that internal/ or cmd/ package, a backticked bare `Name` that
+# no Go file declares, and a claim (`**INV-…**` / `**DEV-…**`) that names no
+# test or a test no _test.go file declares. It prints the claim count and
+# the number of distinct tests the claims name. The lint does not see a
+# second frame codec; `binary.BigEndian.PutUint32(hdr` or a 5-byte header
+# read outside internal/frame is what review looks for.
 docs-lint:
 	$(GO) run ./cmd/doclint README.md DESIGN.md PROTOCOL.md PAPER.md PAPERS.md
 
 lint: fmt vet docs-lint
 
 # Size of the system, ROADMAP item 3's size gauge: non-test Go lines per
-# internal package (nested ones counted on their own) and in total — the
-# number a simplification moves — plus the cluster + core + telemetry sum
-# item 3's target is stated against, the cmd/ total, and internal + cmd:
-# wiring moves across that border, so only the sum says whether the
-# system shrank.
+# cmd and internal package (nested ones counted on their own) and the
+# internal total — the number a simplification moves — plus the cluster +
+# core + telemetry sum item 3's target is stated against, the cmd/ total,
+# and internal + cmd: wiring moves across that border, so only the sum
+# says whether the system shrank. Last, the line counts of the three
+# checked design docs: the docs budget.
 loc:
-	@for d in $$(find internal -type d | sort); do \
+	@for d in $$(find internal cmd -type d | sort); do \
 		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 		[ $$n -gt 0 ] && printf '%7d  %s\n' $$n $$d; \
 	done; \
 	printf '%7d  total\n' $$(find internal -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 	printf '%7d  cmd\n' $$(find cmd -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 	printf '%7d  internal + cmd\n' $$(find internal cmd -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
-	printf '%7d  cluster + core + telemetry\n' $$(find internal/cluster internal/core internal/telemetry -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
+	printf '%7d  cluster + core + telemetry\n' $$(find internal/cluster internal/core internal/telemetry -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+	for f in README.md DESIGN.md PROTOCOL.md; do printf '%7d  %s\n' $$(wc -l < $$f) $$f; done
 
 # One-iteration smoke run of the package micro-benchmarks: fails fast when
 # a protocol or API change breaks one, without measuring anything (CI runs

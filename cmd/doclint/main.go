@@ -9,8 +9,7 @@
 //     servletd, webserver, ... alongside the backticked flag) must be
 //     registered by that daemon's cmd/<name>/main.go, directly or through
 //     the cluster.Config.BindFlags it calls — documented flags that no
-//     binary accepts fail the build. The same walk fails a line
-//     that names an identifier the code no longer has (removedIdents).
+//     binary accepts fail the build.
 //  4. No non-test Go file but internal/sqldb/value.go imports package unsafe:
 //     the engine's packed value and row reference are the one place the
 //     repository reads memory by address, and `make race-db` (checkptr)
@@ -30,7 +29,17 @@
 //     Member must each be declared in that package — a top-level name, a
 //     method, a field or an interface method (`pool.Get` is Pool.Get).
 //     Same-named packages (internal/cluster, internal/sim/cluster) are
-//     unioned.
+//     unioned. A bare backticked exported identifier, `Name` or `Name()`
+//     with a capital first letter and a lower-case one after it (so SQL
+//     keywords and acronyms are not identifiers), must be declared in some
+//     Go file of the repository, test files included. A doc naming a
+//     deleted thing fails because the name resolves to nothing.
+//  8. A claim is a markdown list item that opens with a bold id:
+//     `**INV-slug**` for an invariant, `**DEV-slug**` for a deviation from
+//     the paper or from a stated invariant. Every claim names at least one
+//     backticked test (`TestX` or `FuzzX`), every test it names is declared
+//     in a _test.go file, and no id is used twice. The tool prints how many
+//     claims there are and how many distinct tests they name.
 //
 // Usage:
 //
@@ -72,14 +81,8 @@ func main() {
 		}
 	}
 
-	bad := 0
-	for _, f := range files {
-		bad += checkLinks(f)
-	}
-	bad += checkPackageComments("internal")
-	bad += checkFlagDocs(files)
-	bad += checkConfinedCode(".")
-	bad += checkGoRefs(files)
+	bad, summary := lint(files)
+	fmt.Println(summary)
 	if bad > 0 {
 		fmt.Fprintf(os.Stderr, "doclint: %d problem(s)\n", bad)
 		os.Exit(1)
@@ -87,25 +90,28 @@ func main() {
 	fmt.Printf("doclint: ok (%d markdown files, internal packages documented)\n", len(files))
 }
 
+// lint runs every check over the markdown files, from the repository root,
+// and returns the problem count and the one-line claim summary.
+func lint(files []string) (int, string) {
+	bad := 0
+	for _, f := range files {
+		bad += checkLinks(f)
+	}
+	bad += checkPackageComments("internal")
+	bad += checkFlagDocs(files)
+	bad += checkConfinedCode(".")
+	decls := indexDecls(".")
+	bad += checkGoRefs(files, decls)
+	n, summary := checkClaims(files, decls)
+	return bad + n, summary
+}
+
 // checkLinks verifies every relative markdown link in path resolves,
 // ignoring fenced code blocks and absolute URLs.
 func checkLinks(path string) int {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
-		return 1
-	}
 	dir := filepath.Dir(path)
 	bad := 0
-	inFence := false
-	for i, line := range strings.Split(string(data), "\n") {
-		if strings.HasPrefix(strings.TrimSpace(line), "```") {
-			inFence = !inFence
-			continue
-		}
-		if inFence {
-			continue
-		}
+	err := eachLine(path, func(n int, line string) {
 		for _, m := range linkRe.FindAllStringSubmatch(line, -1) {
 			target := strings.TrimSpace(m[1])
 			if target == "" || strings.Contains(target, "://") ||
@@ -114,10 +120,14 @@ func checkLinks(path string) int {
 			}
 			target, _, _ = strings.Cut(target, "#") // strip the anchor
 			if _, err := os.Stat(filepath.Join(dir, target)); err != nil {
-				fmt.Fprintf(os.Stderr, "doclint: %s:%d: dead link %q\n", path, i+1, m[1])
+				fmt.Fprintf(os.Stderr, "doclint: %s:%d: dead link %q\n", path, n, m[1])
 				bad++
 			}
 		}
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
+		return 1
 	}
 	return bad
 }
@@ -125,48 +135,6 @@ func checkLinks(path string) int {
 // flagTokRe matches a backticked flag, optionally carrying a value:
 // `-db-cache`, `-db-cache 256`, `-measure 10s`.
 var flagTokRe = regexp.MustCompile("`-([a-z][a-z0-9-]*)[^`]*`")
-
-// removedIdents are identifiers deleted from the code that the docs used to
-// name: a line still mentioning one describes a shape that no longer
-// exists (the LOCK TABLES bracket and its cluster-side routing; the cluster
-// client's sharded method arms, prepared-handle type and byte-scanning
-// scatter rewrite; core's field-by-field counter copy, the pool's retry
-// backoff and the router's token scanner; core's second copy of the
-// assembly and the BENCH_<n>.json perf gate; the engine's second, locked
-// read path with its refresh policy, and the undo log; the replica set's
-// single-backend statement path and its per-client topology lock; the wire
-// protocol's private frame reader and cap, and the web server's idle timer;
-// the BENCH_<n>.json recorder, the root think-timer benchmarks and unset
-// core.Config options; the plan cache's whitespace normaliser and the
-// hand-written LRUs internal/lru replaced; the wire client's handle API and
-// the pool's notify variant of the second statement call; the tiers'
-// single-counter accessors the telemetry rows replaced, config fields
-// nothing set, and the rejoin copy's second exported entry point; the SQL
-// clauses no caller issued — GROUP BY, DISTINCT, OFFSET and every aggregate
-// but COUNT(*) — with their executor and scatter-merge code; a name the docs
-// gave the readonly_txns counter, which it never had; the cluster client's
-// second write policy — strict writes, its degraded read-only latch with the
-// latch's error, counters and gate — and core's switch for it).
-var removedIdents = []string{
-	"execLock", "HoldsLocks", "bracketAll", "kindLock",
-	"shExec", "shBegin", "shCommit", "cluster.Stmt", "Client.Prepare", "topLevelFrom",
-	"addClusterStats", "RetryAttempts", "RetryBackoff", "RetrySeed", "sleepBackoff", "tokenAfter",
-	"seedShards", "staticImages", "bench-gate",
-	"snapRefreshMin", "refreshSnap", "liveReadLocks", "txnReadLocks", "lockReads", "live_fallbacks", "undoRec", "rowOrder",
-	"singleExec", "topoHeld",
-	"frameBuf", "maxFrameLen", "IdleTimeout",
-	"benchjson", "bench-json", "AppPoolSize", "DBSyncTimeout", "DBCheckpointEvery", "IPCPerCharCost",
-	"EJBQueryTraffic", "RealStackFrontEndCost", "RealStackWorkload", "ClusterReplicaSweep",
-	"ShardSweep", "AppReplicaSweep", "CacheSweep", "TxnContentionSweep", "ReadOnlyTxnSweep",
-	"normalizeQuery", "newPlanCache", "newQueryCache",
-	"ExecPrepared", "ExecCachedNotify", "Pool.Prepare",
-	"EJBQueryCount", "ReplicaQueryCounts", "RequestCount", "ResponseBytes", "LoadCount",
-	"PGEDelay", "CookieName", "SyncWithin",
-	"GroupBy", "LimitPos", "AggSum", "AggMin", "AggMax", "AggAvg", "dedupRows", "distinctRows", "orderAggRows",
-	"tx_readonly",
-	"StrictWrites", "DBStrictWrites", "ErrDegraded", "DegradedEntries", "DegradedRejects",
-	"writeGate", "enterDegraded", "exitDegradedIfWhole",
-}
 
 // checkFlagDocs verifies that every backticked `-flag` token on a
 // non-fenced doc line that names a daemon is registered by that daemon's
@@ -194,25 +162,7 @@ func checkFlagDocs(docs []string) int {
 	}
 	bad := 0
 	for _, path := range docs {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			continue // checkLinks already reported it
-		}
-		inFence := false
-		for i, line := range strings.Split(string(data), "\n") {
-			for _, id := range removedIdents {
-				if strings.Contains(line, id) {
-					fmt.Fprintf(os.Stderr, "doclint: %s:%d: mentions %s, which the code no longer has\n", path, i+1, id)
-					bad++
-				}
-			}
-			if strings.HasPrefix(strings.TrimSpace(line), "```") {
-				inFence = !inFence
-				continue
-			}
-			if inFence {
-				continue
-			}
+		eachLine(path, func(n int, line string) {
 			var named []string
 			for d := range daemons {
 				if strings.Contains(line, d) {
@@ -220,7 +170,7 @@ func checkFlagDocs(docs []string) int {
 				}
 			}
 			if len(named) == 0 {
-				continue
+				return
 			}
 			for _, m := range flagTokRe.FindAllStringSubmatch(line, -1) {
 				fl := m[1]
@@ -237,11 +187,11 @@ func checkFlagDocs(docs []string) int {
 				if !known {
 					sort.Strings(named)
 					fmt.Fprintf(os.Stderr, "doclint: %s:%d: flag -%s is not registered by %s\n",
-						path, i+1, fl, strings.Join(named, " or "))
+						path, n, fl, strings.Join(named, " or "))
 					bad++
 				}
 			}
-		}
+		})
 	}
 	return bad
 }
@@ -423,59 +373,162 @@ func checkConfinedCode(root string) int {
 	return bad
 }
 
+// decls is what the repository's Go code declares, for the doc checks.
+type decls struct {
+	pkgs  map[string]map[string]bool // package name -> names its non-test files under internal/ and cmd/ declare
+	names map[string]bool            // every name any Go file declares, test files included
+	tests map[string]bool            // the Test and Fuzz functions _test.go files declare
+}
+
+// indexDecls parses every Go file under root, skipping dot directories.
+func indexDecls(root string) decls {
+	d := decls{pkgs: map[string]map[string]bool{}, names: map[string]bool{}, tests: map[string]bool{}}
+	filepath.WalkDir(root, func(path string, e os.DirEntry, err error) error {
+		if err != nil {
+			return nil
+		}
+		if e.IsDir() {
+			if path != root && strings.HasPrefix(e.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		af, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil // checkConfinedCode already reported it
+		}
+		collectDecls(af, d.names)
+		if strings.HasSuffix(path, "_test.go") {
+			for _, decl := range af.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && testRe.MatchString(fn.Name.Name) {
+					d.tests[fn.Name.Name] = true
+				}
+			}
+			return nil
+		}
+		rel := filepath.ToSlash(path)
+		if strings.HasPrefix(rel, "internal/") || strings.HasPrefix(rel, "cmd/") {
+			name := filepath.Base(filepath.Dir(path))
+			if d.pkgs[name] == nil {
+				d.pkgs[name] = map[string]bool{}
+			}
+			collectDecls(af, d.pkgs[name])
+		}
+		return nil
+	})
+	return d
+}
+
 // goRefRe matches a backticked Go reference to a package-level name:
 // `pkg.Name`, `pkg.Name.Member`, either optionally called. Name must be
 // exported, which keeps file names (`cluster.go`) and bench metric names
 // (`wire.stmts_per_op`) out.
 var goRefRe = regexp.MustCompile("`([a-z][a-z0-9]*)\\.([A-Z][A-Za-z0-9]*)(?:\\.([A-Za-z][A-Za-z0-9]*))?(?:\\(\\))?`")
 
-// checkGoRefs reports every backticked Go reference in docs whose package
-// exists under internal/ or cmd/ but does not declare the name.
-func checkGoRefs(docs []string) int {
-	pkgs := map[string]map[string]bool{} // package name -> declared names
-	for _, root := range []string{"internal", "cmd"} {
-		filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return nil
-			}
-			af, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return nil // checkConfinedCode already reported it
-			}
-			name := filepath.Base(filepath.Dir(path))
-			if pkgs[name] == nil {
-				pkgs[name] = map[string]bool{}
-			}
-			collectDecls(af, pkgs[name])
-			return nil
-		})
+// bareRefRe matches a backticked bare exported identifier, optionally
+// called: `Name`, `Name()`. checkGoRefs keeps those with a lower-case
+// letter, so `SELECT` and `DSN` are words, not identifiers.
+var bareRefRe = regexp.MustCompile("`([A-Z][A-Za-z0-9_]*)(?:\\(\\))?`")
+
+// eachLine calls fn for every line of the markdown file outside fenced
+// code blocks, with its 1-based number. Only checkLinks reports a file it
+// cannot read; the other checks skip it.
+func eachLine(path string, fn func(n int, line string)) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
 	}
+	inFence := false
+	for i, line := range strings.Split(string(data), "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			inFence = !inFence
+			continue
+		}
+		if !inFence {
+			fn(i+1, line)
+		}
+	}
+	return nil
+}
+
+// checkGoRefs reports every backticked Go reference in docs that resolves
+// to nothing: a `pkg.Name` whose package exists under internal/ or cmd/ but
+// does not declare the name, and a bare `Name` no Go file declares.
+func checkGoRefs(docs []string, d decls) int {
 	bad := 0
 	for _, path := range docs {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			continue // checkLinks already reported it
-		}
-		inFence := false
-		for i, line := range strings.Split(string(data), "\n") {
-			if strings.HasPrefix(strings.TrimSpace(line), "```") {
-				inFence = !inFence
-				continue
-			}
-			if inFence {
-				continue
-			}
+		eachLine(path, func(n int, line string) {
 			for _, m := range goRefRe.FindAllStringSubmatch(line, -1) {
-				names := pkgs[m[1]]
+				names := d.pkgs[m[1]]
 				if names == nil || (names[m[2]] && (m[3] == "" || names[m[3]])) {
 					continue
 				}
-				fmt.Fprintf(os.Stderr, "doclint: %s:%d: %s names nothing declared in package %s\n", path, i+1, m[0], m[1])
+				fmt.Fprintf(os.Stderr, "doclint: %s:%d: %s names nothing declared in package %s\n", path, n, m[0], m[1])
 				bad++
 			}
-		}
+			claim := claimRe.MatchString(line)
+			for _, m := range bareRefRe.FindAllStringSubmatch(line, -1) {
+				if strings.ToUpper(m[1]) == m[1] || d.names[m[1]] || (claim && testRe.MatchString(m[1])) {
+					continue // checkClaims reports a claim's missing test
+				}
+				fmt.Fprintf(os.Stderr, "doclint: %s:%d: %s names nothing declared in the repository\n", path, n, m[0])
+				bad++
+			}
+		})
 	}
 	return bad
+}
+
+// claimRe matches a claim line and captures its id; testRe a test
+// function's name, and testRefRe a backticked one.
+var (
+	claimRe   = regexp.MustCompile(`^\s*[-*] \*\*((?:INV|DEV)-[a-z0-9]+(?:-[a-z0-9]+)*)\*\*`)
+	testRe    = regexp.MustCompile(`^(?:Test|Fuzz)(?:[^a-z].*)?$`)
+	testRefRe = regexp.MustCompile("`((?:Test|Fuzz)[A-Z0-9_][A-Za-z0-9_]*)`")
+)
+
+// checkClaims reports every claim that names no test, names a test no
+// _test.go file declares, or reuses an id, and returns the problem count
+// with the summary line.
+func checkClaims(docs []string, d decls) (int, string) {
+	bad, claims, devs := 0, 0, 0
+	seen := map[string]string{}
+	named := map[string]bool{}
+	for _, path := range docs {
+		eachLine(path, func(n int, line string) {
+			m := claimRe.FindStringSubmatch(line)
+			if m == nil {
+				return
+			}
+			id, at := m[1], fmt.Sprintf("%s:%d", path, n)
+			claims++
+			if strings.HasPrefix(id, "DEV-") {
+				devs++
+			}
+			if prev, dup := seen[id]; dup {
+				fmt.Fprintf(os.Stderr, "doclint: %s: claim %s already stated at %s\n", at, id, prev)
+				bad++
+			}
+			seen[id] = at
+			tests := testRefRe.FindAllStringSubmatch(line, -1)
+			if len(tests) == 0 {
+				fmt.Fprintf(os.Stderr, "doclint: %s: claim %s names no test\n", at, id)
+				bad++
+			}
+			for _, t := range tests {
+				named[t[1]] = true
+				if !d.tests[t[1]] {
+					fmt.Fprintf(os.Stderr, "doclint: %s: claim %s names %s, which no _test.go file declares\n", at, id, t[1])
+					bad++
+				}
+			}
+		})
+	}
+	return bad, fmt.Sprintf("doclint: %d claims (%d invariants, %d deviations) name %d distinct tests",
+		claims, claims-devs, devs, len(named))
 }
 
 // collectDecls adds the names one file declares: functions, methods,

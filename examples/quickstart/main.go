@@ -18,9 +18,9 @@ import (
 
 func main() {
 	// WsServlet-DB(sync): servlet containers with engine-side locking,
-	// 2 app backends behind the load balancer (DESIGN.md §3b), over a
+	// 2 app backends behind the load balancer (DESIGN.md §4), over a
 	// 2-replica database tier (reads load-balance, writes broadcast;
-	// DESIGN.md §3).
+	// DESIGN.md §7).
 	lab, err := core.Start(core.Config{
 		Arch:        arch.ServletSync,
 		Benchmark:   arch.Auction,

@@ -142,7 +142,7 @@ func CreateSchema(db sqldb.Execer) error {
 // Populate fills the database deterministically at the given scale, in
 // multi-row batches (sqldb.InsertBatch). Orders are the exception: each
 // one is its own statement, because the id it is assigned is what places
-// its lines and credit information on its shard (DESIGN.md §11).
+// its lines and credit information on its shard (DESIGN.md §9).
 func Populate(db sqldb.Execer, sc Scale, seed int64) error {
 	g := datagen.New(seed)
 	countries := sqldb.NewInsertBatch(db, "countries", "name")

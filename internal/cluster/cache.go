@@ -1,4 +1,4 @@
-// Query-result cache: the level-1 half of the caching tier (DESIGN.md §10).
+// Query-result cache: the level-1 half of the caching tier (DESIGN.md §8).
 //
 // The cluster client already knows, at commit time, exactly which tables a
 // write touched — that is what the per-DSN write-order lock registry keys
@@ -236,35 +236,27 @@ func (s *replicaTxn) cacheBypass(rt route) bool {
 // read must see the session's own uncommitted writes, so it stays live and
 // fills nothing (the txn's result is not what other clients should see).
 //
-// run receives a restamp hook to hand to the pool as its per-attempt
-// callback (nil when nothing will be filled), so it fires immediately
-// before every attempt that could produce the rows — the pool's
-// stale-connection retry, the read router's failover to the next replica.
-// The stamp that fills the entry must belong to the attempt that actually
-// read: a stamp captured before a failed first attempt predates any write
-// that committed during the retry window, so the fill would be born stale
-// and every lookup a spurious miss (monotone versions keep the error
-// conservative, but the cache stops caching). Paths with no retry may
-// ignore the hook — the pre-run capture below still covers them.
-func (rs *replicaSet) cachedRead(rt route, query string, args []sqldb.Value, bypass bool, run func(restamp func(int)) (*sqldb.Result, error)) (*sqldb.Result, error) {
+// The stamp is taken once, before run's first attempt. A write that commits
+// while a retry or a failover is under way leaves the fill born stale: the
+// next lookup rejects and removes it (lru.Cache.Get), runs live and refills,
+// so a retry costs at most one extra miss and never a stale hit.
+func (rs *replicaSet) cachedRead(rt route, query string, args []sqldb.Value, bypass bool, run func() (*sqldb.Result, error)) (*sqldb.Result, error) {
 	q := rs.qcache
 	// A NUL in the text (legal in a comment or a literal) could run into
 	// cacheKey's argument encoding, so such a text is never cached.
 	if q == nil || rt.readTables == nil || strings.IndexByte(query, 0) >= 0 {
-		return run(nil)
+		return run()
 	}
 	if bypass {
 		rs.cacheBypasses.Add(1)
-		return run(nil)
+		return run()
 	}
 	key := cacheKey(query, args)
 	if e, ok := q.Get(key, rs.locks.validLocked); ok {
 		return copyResult(e.res), nil
 	}
-	var stamp []uint64
-	restamp := func(int) { stamp = rs.locks.stampFor(rt.readTables) }
-	restamp(0)
-	res, err := run(restamp)
+	stamp := rs.locks.stampFor(rt.readTables)
+	res, err := run()
 	if err != nil {
 		return nil, err
 	}

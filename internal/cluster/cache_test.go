@@ -373,15 +373,14 @@ func TestQueryCacheTorture(t *testing.T) {
 	}
 }
 
-// TestQueryCacheRestampOnRetry: when the read that fills a cache entry is
-// retried (stale pooled connection, replica failover), the version stamp
-// must be re-captured for the attempt that actually produced the rows. A
-// stamp captured before a failed first attempt predates any write that
-// commits in the retry window, so the fill would be born stale — every
-// later lookup a spurious miss. The run closure below replays exactly the
-// sequence the wire notify path produces: attempt 0 dies in transport, a
-// write commits, attempt 1 restamps and reads.
-func TestQueryCacheRestampOnRetry(t *testing.T) {
+// TestQueryCacheRetriedFillRefills: the stamp is taken once, before a
+// read's first attempt. When a write commits while that read is retried (a
+// stale pooled connection, a replica failover), the fill is born stale. The
+// lookup after it must reject the entry and read live — one spurious miss,
+// never a stale hit — and the read after that must hit the refilled entry.
+// The run closure below replays that sequence: attempt 0 has died in
+// transport after the stamp, a write commits, attempt 1 reads.
+func TestQueryCacheRetriedFillRefills(t *testing.T) {
 	reps := startReplicas(t, 1)
 	c := newTestClient(t, reps, Config{QueryCache: 8})
 	const q = "SELECT qty FROM items WHERE id = ?"
@@ -389,25 +388,87 @@ func TestQueryCacheRestampOnRetry(t *testing.T) {
 	rs := flat(c)
 	rt := rs.routes.of(q)
 
-	res, err := rs.cachedRead(rt, q, args, false, func(restamp func(int)) (*sqldb.Result, error) {
-		// Attempt 0 failed in transport after the pre-run stamp was taken;
-		// a concurrent client's write commits before the retry.
-		rs.locks.bump([]string{"items"})
-		restamp(1) // the wire layer fires onAttempt before each try
+	res, err := rs.cachedRead(rt, q, args, false, func() (*sqldb.Result, error) {
+		mustExec(t, c, "UPDATE items SET qty = 7 WHERE id = 1")
 		return rs.replicas[0].pool.Exec(q, args...)
 	})
-	if err != nil || len(res.Rows) != 1 {
+	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].AsInt() != 7 {
 		t.Fatalf("filling read: %v %v", err, res)
 	}
 
-	// The entry was filled under the retry's stamp, so it is valid: the
-	// next identical read must hit, not invalidate.
+	for i, want := range []struct{ hits, misses, invals int64 }{
+		{0, 2, 1}, // the born-stale entry is rejected, removed and refilled
+		{1, 2, 1}, // the refilled entry hits
+	} {
+		if got := queryQty(t, c, 1); got != 7 {
+			t.Fatalf("read %d: qty = %d, want 7", i, got)
+		}
+		hits, misses, invals, _ := cacheStats(c)
+		if hits != want.hits || misses != want.misses || invals != want.invals {
+			t.Fatalf("read %d: hits=%d misses=%d invalidations=%d, want %d/%d/%d",
+				i, hits, misses, invals, want.hits, want.misses, want.invals)
+		}
+	}
+}
+
+// TestQueryCacheSkipsTablelessReads: a read that names no table (SHOW) is
+// never cached: it runs live every time and counts neither a hit nor a
+// miss.
+func TestQueryCacheSkipsTablelessReads(t *testing.T) {
+	reps := startReplicas(t, 1)
+	c := newTestClient(t, reps, Config{QueryCache: 8})
+	for i := 0; i < 2; i++ {
+		for _, q := range []string{"SHOW TABLES", "SHOW WAL STATUS"} {
+			if _, err := c.Exec(q); err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+		}
+	}
+	if hits, misses, invals, bypasses := cacheStats(c); hits+misses+invals+bypasses != 0 {
+		t.Fatalf("hits=%d misses=%d invalidations=%d bypasses=%d, want all 0", hits, misses, invals, bypasses)
+	}
+}
+
+// TestQueryCacheResultsAreCopies: a caller that edits the result it got —
+// from the filling read or from a hit — changes nothing the next hit
+// returns.
+func TestQueryCacheResultsAreCopies(t *testing.T) {
+	reps := startReplicas(t, 1)
+	c := newTestClient(t, reps, Config{QueryCache: 8})
+	const q = "SELECT qty FROM items WHERE id = 1"
+	for i := 0; i < 3; i++ {
+		res, err := c.Exec(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Rows[0][0].AsInt(); got != 100 {
+			t.Fatalf("read %d: qty = %d, want 100 (a caller's edit reached the cache)", i, got)
+		}
+		res.Rows[0][0] = sqldb.Int(-1)
+		res.Rows[0] = nil
+	}
+	if hits, _, _, _ := cacheStats(c); hits != 2 {
+		t.Fatalf("hits = %d, want 2", hits)
+	}
+}
+
+// TestQueryCacheDoesNotSpanRegistries pins the query cache's reach: its
+// table versions live on the process's lock registry, so a write through
+// another process's client, which has a registry of its own, invalidates
+// nothing here and the cached result goes on being served.
+func TestQueryCacheDoesNotSpanRegistries(t *testing.T) {
+	reps := startReplicas(t, 1)
+	c := newTestClient(t, reps, Config{QueryCache: 8})
+	other := otherProcessClient(t, Config{DSN: dsnOf(reps), PoolSize: 4})
 	if got := queryQty(t, c, 1); got != 100 {
 		t.Fatalf("qty = %d, want 100", got)
 	}
-	hits, _, invals, _ := cacheStats(c)
-	if hits != 1 || invals != 0 {
-		t.Fatalf("hits=%d invalidations=%d, want 1/0 (entry born stale: stamp not re-captured on retry)", hits, invals)
+	mustExec(t, other, "UPDATE items SET qty = 7 WHERE id = 1")
+	if got := queryQty(t, c, 1); got != 100 {
+		t.Fatalf("qty = %d after another process's write, want the cached 100", got)
+	}
+	if hits, _, invals, _ := cacheStats(c); hits != 1 || invals != 0 {
+		t.Fatalf("hits=%d invalidations=%d, want 1/0", hits, invals)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/pool"
 	"repro/internal/sqldb"
 	"repro/internal/sqldb/wire"
@@ -848,6 +849,160 @@ func TestWriteOrderSharedAcrossClients(t *testing.T) {
 	if got := res.Rows[0][0].AsInt(); got != want {
 		t.Fatalf("qty %d, want %d (cross-client transactions lost updates)", got, want)
 	}
+}
+
+// otherProcessClient builds a client over cfg as a second app process would:
+// with a write-order lock registry of its own. lockRegistry.m is swapped
+// for the client's own map while the client is built and while it is
+// closed, and the process's map is restored in between.
+func otherProcessClient(t *testing.T, cfg Config) *Client {
+	t.Helper()
+	swap := func(m map[string]*sharedLocks) map[string]*sharedLocks {
+		lockRegistry.mu.Lock()
+		defer lockRegistry.mu.Unlock()
+		old := lockRegistry.m
+		lockRegistry.m = m
+		return old
+	}
+	own := map[string]*sharedLocks{}
+	process := swap(own)
+	c := NewWithConfig(cfg)
+	swap(process)
+	t.Cleanup(func() {
+		process := swap(own)
+		c.Close()
+		swap(process)
+	})
+	return c
+}
+
+// TestWriteOrderDoesNotSpanRegistries pins what the write-order locks do not
+// do: they live in one process, so two app processes order their writes
+// independently. A declared write set does not exclude the other process's
+// transaction, two read-modify-write transactions can lose an update, and
+// over two replicas two concurrent INSERTs can apply in opposite orders.
+// TestWriteOrderSharedAcrossClients is the one-registry control.
+func TestWriteOrderDoesNotSpanRegistries(t *testing.T) {
+	t.Run("lock not shared", func(t *testing.T) {
+		reps := startReplicas(t, 2)
+		c1 := newTestClient(t, reps, Config{})
+		same := newTestClient(t, reps, Config{})
+		other := otherProcessClient(t, Config{DSN: dsnOf(reps), PoolSize: 4})
+
+		s, err := c1.Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Begin("audit"); err != nil {
+			t.Fatal(err)
+		}
+		insert := func(c *Client) <-chan error {
+			done := make(chan error, 1)
+			go func() {
+				_, err := c.Exec("INSERT INTO audit (item, delta) VALUES (1, 1)")
+				done <- err
+			}()
+			return done
+		}
+		select {
+		case err := <-insert(other):
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("another registry's INSERT waited for audit's write-order lock")
+		}
+		sameDone := insert(same)
+		select {
+		case <-sameDone:
+			t.Fatal("the same registry's INSERT ran while audit's write-order lock was held")
+		case <-time.After(50 * time.Millisecond):
+		}
+		if err := s.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		c1.Put(s, false)
+		if err := <-sameDone; err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("update lost", func(t *testing.T) {
+		// Engine reads take no lock, and the engine locks a table only at
+		// a transaction's first write, so without a shared registry two
+		// read-modify-write transactions both read before either writes,
+		// even over one replica.
+		reps := startReplicas(t, 1)
+		c1 := newTestClient(t, reps, Config{})
+		c2 := otherProcessClient(t, Config{DSN: dsnOf(reps), PoolSize: 4})
+		var sessions [2]*Session
+		var read [2]int64
+		for i, c := range []*Client{c1, c2} {
+			s, err := c.Get()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Put(s, false)
+			if err := s.Begin("items"); err != nil {
+				t.Fatal(err)
+			}
+			read[i] = queryQty(t, s, 2)
+			sessions[i] = s
+		}
+		for i, s := range sessions {
+			mustExec(t, s, "UPDATE items SET qty = ? WHERE id = 2", sqldb.Int(read[i]+1))
+			if err := s.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := queryReplica(t, reps[0], "SELECT qty FROM items WHERE id = 2").Rows[0][0].AsInt(); got != 101 {
+			t.Fatalf("qty = %d after two increments from 100, want 101: one update lost", got)
+		}
+	})
+
+	t.Run("replicas diverge", func(t *testing.T) {
+		reps := startReplicas(t, 2)
+		slow := chaos.Fault{Kind: chaos.Latency, Delay: 100 * time.Millisecond}
+		px1, err := chaos.Listen("c1-replica1", reps[1].addr, chaos.Schedule{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer px1.Close()
+		px0, err := chaos.Listen("c2-replica0", reps[0].addr, chaos.Schedule{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer px0.Close()
+		px1.Set(slow)
+		px0.Set(slow)
+		c1 := NewWithConfig(Config{DSN: reps[0].addr + "," + px1.Addr(), PoolSize: 2})
+		defer c1.Close()
+		c2 := otherProcessClient(t, Config{DSN: px0.Addr() + "," + reps[1].addr, PoolSize: 2})
+
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for item, c := range []*Client{c1, c2} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if _, err := c.Exec("INSERT INTO audit (item, delta) VALUES (?, 0)", sqldb.Int(int64(item+1))); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if c1.Healthy() != 2 || c2.Healthy() != 2 {
+			t.Fatalf("healthy %d/%d, want 2/2: the divergence raises no ejection", c1.Healthy(), c2.Healthy())
+		}
+		// Replica 0 took client 1's INSERT first, replica 1 client 2's.
+		for i, want := range []string{"[[1 1] [2 2]]", "[[1 2] [2 1]]"} {
+			if got := fmt.Sprint(queryReplica(t, reps[i], "SELECT id, item FROM audit ORDER BY id").Rows); got != want {
+				t.Errorf("replica %d (id, item) = %s, want %s", i, got, want)
+			}
+		}
+	})
 }
 
 // TestLockRegistryRefcounts: closing every client over a DSN must free its

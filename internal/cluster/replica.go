@@ -205,27 +205,26 @@ func (rs *replicaSet) Exec(query string, args ...sqldb.Value) (*sqldb.Result, er
 		return nil, rt.err
 	}
 	if !rt.write {
-		return rs.cachedRead(rt, query, args, false, func(restamp func(int)) (*sqldb.Result, error) {
-			return rs.readWith(restamp, query, args)
+		return rs.cachedRead(rt, query, args, false, func() (*sqldb.Result, error) {
+			return rs.readWith(query, args)
 		})
 	}
 	return rs.writeWith(rt, query, args)
 }
 
 // readWith runs one read on a load-balanced healthy replica's pool,
-// ejecting and failing over on transport errors; restamp fires before every
-// attempt — each pool retry (the wire notify path) and each failover
-// replica. A pool wait timeout surfaces without ejection (the replica is
-// fine; this client is saturated), and a read slower than SlowThreshold
-// ejects the replica from future routing while still returning its answer.
-func (rs *replicaSet) readWith(restamp func(int), query string, args []sqldb.Value) (*sqldb.Result, error) {
+// ejecting and failing over on transport errors. A pool wait timeout
+// surfaces without ejection (the replica is fine; this client is
+// saturated), and a read slower than SlowThreshold ejects the replica from
+// future routing while still returning its answer.
+func (rs *replicaSet) readWith(query string, args []sqldb.Value) (*sqldb.Result, error) {
 	for {
 		r := rs.pickRead()
 		if r == nil {
 			return nil, ErrNoReplicas
 		}
 		start := time.Now()
-		res, err := r.pool.ExecNotify(restamp, query, args...)
+		res, err := r.pool.Exec(query, args...)
 		if isTransport(err) {
 			if ejectable(err) && rs.eject(r) {
 				continue // fail over to the next healthy replica
@@ -497,9 +496,7 @@ func (s *replicaTxn) route(query string, args []sqldb.Value) (*sqldb.Result, err
 		return nil, rt.err
 	}
 	if !rt.write {
-		// A transaction's read runs once, with no retry, so the pre-run
-		// stamp is the attempt's stamp.
-		return s.rs.cachedRead(rt, query, args, s.cacheBypass(rt), func(func(int)) (*sqldb.Result, error) {
+		return s.rs.cachedRead(rt, query, args, s.cacheBypass(rt), func() (*sqldb.Result, error) {
 			return s.execRead(query, args)
 		})
 	}

@@ -1,4 +1,4 @@
-// Horizontal sharding (DESIGN.md §11): a sharded Client partitions tables
+// Horizontal sharding (DESIGN.md §9): a sharded Client partitions tables
 // across N independent replication clusters ("shard groups") by a per-table
 // key column, composing with everything below it — each shard is a full
 // ROWA cluster (M replicas, ejection, rejoin, its own query cache), so a

@@ -253,6 +253,24 @@ func TestShardGlobalTableBroadcast(t *testing.T) {
 	}
 }
 
+// TestShardContentEpochIsSum: a sharded client's content epoch is the sum of
+// its shards' epochs, so it advances with a write to any one shard — a max
+// would stand still while a lagging shard caught up — and a broadcast to
+// every shard advances it once per shard.
+func TestShardContentEpochIsSum(t *testing.T) {
+	groups := startShards(t, 2, 1)
+	c := newShardClient(t, groups, Config{})
+	e0 := c.ContentEpoch()
+	mustExec(t, c, "INSERT INTO orders (customer_id, total) VALUES (?, ?)", sqldb.Int(1), sqldb.Int(5))
+	if got := c.ContentEpoch(); got != e0+1 {
+		t.Fatalf("epoch %d after a pinned write at %d, want one more", got, e0)
+	}
+	mustExec(t, c, "INSERT INTO customers (name) VALUES (?)", sqldb.String("ada"))
+	if got := c.ContentEpoch(); got != e0+3 {
+		t.Fatalf("epoch %d after a broadcast to 2 shards at %d, want two more", got, e0+1)
+	}
+}
+
 // TestShardTxnSingleShard: a transaction that only ever pins one shard must
 // stay on it — no BEGIN on the other shard, no two-phase commit.
 func TestShardTxnSingleShard(t *testing.T) {

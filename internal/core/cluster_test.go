@@ -15,7 +15,7 @@ import (
 )
 
 // Clustered-database coverage: the lab with DBReplicas > 1 runs the same
-// stack over a read-one-write-all database tier (DESIGN.md §3).
+// stack over a read-one-write-all database tier (DESIGN.md §7).
 
 // TestReadOnlyMixOpensNoTransaction pins what makes a read-only transaction
 // kind unnecessary: the auction browsing mix, which gives no write

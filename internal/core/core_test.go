@@ -119,7 +119,7 @@ func TestEJBIssuesMoreQueries(t *testing.T) {
 
 // TestStateConsistencyAcrossArchitectures runs the same deterministic write
 // against the SQL app and the EJB app and compares the visible result — the
-// functional-equivalence check from DESIGN.md's test plan.
+// functional-equivalence check DESIGN.md's INV-archs-equivalent names.
 func TestStateConsistencyAcrossArchitectures(t *testing.T) {
 	see := func(a arch.Arch) string {
 		lab := startLab(t, a, arch.Auction)

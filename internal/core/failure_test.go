@@ -18,7 +18,7 @@ import (
 	"repro/internal/stack"
 )
 
-// Failure-injection coverage (DESIGN.md §9): the stack must degrade to
+// Failure-injection coverage (DESIGN.md §14): the stack must degrade to
 // clean HTTP errors when a tier dies, and recover when it returns.
 
 // TestDatabaseOutageSurfacesAs500 kills the database under a live servlet

@@ -10,7 +10,7 @@ import (
 )
 
 // Sharded-database coverage: the lab with DBShards > 1 runs the same
-// stack over a horizontally partitioned tier (DESIGN.md §11) — the
+// stack over a horizontally partitioned tier (DESIGN.md §9) — the
 // write-heavy auction tables split across shard groups by the
 // auction.ShardBy map while users/categories/regions replicate globally.
 

@@ -1,4 +1,4 @@
-// HTTP page cache: the level-2 half of the caching tier (DESIGN.md §10).
+// HTTP page cache: the level-2 half of the caching tier (DESIGN.md §4).
 //
 // Dynamic pages on the browse-heavy mixes are regenerated for every
 // request even though nothing changed between two requests — the paper's

@@ -4,7 +4,7 @@
 // cache (internal/lb) all store through it. Each owner keeps what differs
 // between them — how a key is built, when an entry is still fresh, and the
 // defensive copies of what it hands out; this package keeps recency,
-// eviction and the hit, miss and invalidation counters (DESIGN.md §10).
+// eviction and the hit, miss and invalidation counters (DESIGN.md §4).
 package lru
 
 import (

@@ -7,7 +7,7 @@ import (
 	"repro/internal/perfsim"
 )
 
-// The ablation benchmarks (DESIGN.md §7): each isolates one mechanism the
+// The ablation benchmarks (DESIGN.md §15): each isolates one mechanism the
 // paper's figures attribute a difference to, by sweeping it alone in the
 // simulator. Run them with
 //

@@ -289,21 +289,8 @@ func (p *Pool[T]) doDestroy(v T) {
 // connection's reset or EOF — are safe to absorb with a retry; a timeout
 // surfaces immediately and the caller decides (eject, fail over, error).
 func (p *Pool[T]) Do(retry bool, isBroken func(error) bool, fn func(T) error) error {
-	return p.DoNotify(retry, isBroken, nil, fn)
-}
-
-// DoNotify is Do with an attempt hook: onAttempt (when non-nil) runs just
-// before each try of fn — attempt 0, then attempt 1 if the round trip is
-// retried. Callers that capture state whose validity is
-// "no newer than the attempt" (the cluster's query-cache version stamps)
-// re-capture there, so a retried round trip cannot carry a stamp taken
-// before an intervening write.
-func (p *Pool[T]) DoNotify(retry bool, isBroken func(error) bool, onAttempt func(int), fn func(T) error) error {
 	var prev error
 	for attempt := 0; ; attempt++ {
-		if onAttempt != nil {
-			onAttempt(attempt)
-		}
 		v, err := p.Get()
 		if err != nil {
 			if prev != nil {

@@ -79,6 +79,25 @@ func TestStaleLocalCopyRefreshes(t *testing.T) {
 	}
 }
 
+// TestInPlaceMutationDoesNotReplicate pins the Set contract: the store holds
+// what the last Set published, so a value mutated in place stays local until
+// it is Set again — the rule Tomcat's session replication puts on
+// setAttribute.
+func TestInPlaceMutationDoesNotReplicate(t *testing.T) {
+	m1, m2, _ := twoManagers()
+	s := m1.Ensure(cookieReq(""), httpd.NewResponse())
+	s.Set("cart", []int{1})
+	v, _ := s.Get("cart")
+	v.([]int)[0] = 2
+	if got, _ := m2.Lookup(cookieReq(s.ID)).Get("cart"); got.([]int)[0] != 1 {
+		t.Fatalf("other backend sees %v before Set, want [1]", got)
+	}
+	s.Set("cart", v)
+	if got, _ := m2.Lookup(cookieReq(s.ID)).Get("cart"); got.([]int)[0] != 2 {
+		t.Fatalf("other backend sees %v after Set, want [2]", got)
+	}
+}
+
 func TestExpireDeletesFromStore(t *testing.T) {
 	m1, m2, store := twoManagers()
 	s := m1.Ensure(cookieReq(""), httpd.NewResponse())

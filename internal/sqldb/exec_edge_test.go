@@ -107,7 +107,7 @@ func TestCandidateIDsIndexSelection(t *testing.T) {
 		// posting list means "no rows", not "fall back to a scan".
 		{"miss in index", "SELECT id FROM items WHERE category = 99", nil, true, 0},
 		{"qualified by table name", "SELECT id FROM items WHERE items.category = 2", nil, true, 2},
-		// An aliased FROM table is scanned, not probed (DESIGN.md §4b): the
+		// An aliased FROM table is scanned, not probed (DESIGN.md §11): the
 		// alias is not compared, and the table's own name may belong to a
 		// joined table's alias, whose predicate must not narrow this one.
 		{"aliased", "SELECT id FROM items i WHERE i.id = 1", nil, false, 0},

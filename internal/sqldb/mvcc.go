@@ -24,7 +24,7 @@ import "sync/atomic"
 // applying itself. A writer that next touches the table copies the nodes on
 // its path (the view still shares them) and nothing else.
 //
-// Visibility rules (DESIGN.md §4b): a read sees every transaction that
+// Visibility rules (DESIGN.md §11): a read sees every transaction that
 // committed before the statement started and nothing of any transaction
 // still in flight; a statement that joins several tables takes each table's
 // latest committed version independently; a transaction reads its own fork

@@ -412,6 +412,40 @@ func TestWALPostAppendPreFsyncCrash(t *testing.T) {
 	}
 }
 
+// TestWALVisibleBeforeDurable pins the order of publication and fsync: a
+// commit is visible to every other session before its record is durable,
+// and only the committer's acknowledgement waits for the fsync. The hook
+// runs on the committing goroutine, between the leader's write and its
+// fsync.
+func TestWALVisibleBeforeDurable(t *testing.T) {
+	dir := t.TempDir()
+	db := New()
+	hook := walfault.New()
+	opts := testWALOpts(dir)
+	opts.Fault = hook
+	if _, err := db.AttachWAL(opts); err != nil {
+		t.Fatal(err)
+	}
+	s := db.NewSession()
+	defer s.Close()
+	walSchema(t, s)
+	var rows, last, durable int64
+	hook.Set(walfault.PostAppendPreFsync, 1, func() {
+		other := db.NewSession()
+		defer other.Close()
+		rows = walMustExec(t, other, "SELECT COUNT(*) FROM items WHERE name = 'early'").Rows[0][0].AsInt()
+		st := walMustExec(t, other, "SHOW WAL STATUS").Rows[0]
+		last, durable = st[1].AsInt(), st[2].AsInt()
+	})
+	walMustExec(t, s, "INSERT INTO items (name, qty) VALUES ('early', 1)")
+	if rows != 1 {
+		t.Fatalf("another session counted %d rows before the fsync, want the commit visible", rows)
+	}
+	if durable >= last {
+		t.Fatalf("durable_lsn %d, last_lsn %d before the fsync: the commit was already durable", durable, last)
+	}
+}
+
 // TestWALPartialAutoCommitReplay: MyISAM partial application — a multi-row
 // auto-commit INSERT that dies on a duplicate key keeps its earlier rows —
 // must reproduce identically through the log.

@@ -90,3 +90,59 @@ func BenchmarkPoolExecPrepared(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkExecPipelined prices a business method's independent point
+// SELECTs sent in one round trip against one round trip each: 20 statements
+// on one connection, as 20 Exec calls, and framed back to back with one
+// flush and the replies read in order. It reports µs per statement for
+// each; the difference is what pipelining a method's reads would save.
+func BenchmarkExecPipelined(b *testing.B) {
+	const stmts = 20
+	addr := benchServer(b)
+	c, err := Dial(addr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	const q = "SELECT title FROM items WHERE id = ?"
+	if _, err := c.Exec(q, sqldb.Int(1)); err != nil {
+		b.Fatal(err)
+	}
+	id := c.stmts[q]
+	perStmt := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*stmts), "us/stmt")
+	}
+	b.Run("exec", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for k := 0; k < stmts; k++ {
+				if _, err := c.Exec(q, sqldb.Int(int64(1+k))); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		perStmt(b)
+	})
+	b.Run("pipelined", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c.tc.Arm()
+			for k := 0; k < stmts; k++ {
+				if err := c.sendExecStmt(id, []sqldb.Value{sqldb.Int(int64(1 + k))}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := c.flush(); err != nil {
+				b.Fatal(err)
+			}
+			for k := 0; k < stmts; k++ {
+				res, err := c.readReply()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Rows) != 1 || res.Rows[0][0].AsString() == "" {
+					b.Fatalf("statement %d: rows %v", k, res.Rows)
+				}
+			}
+		}
+		perStmt(b)
+	})
+}

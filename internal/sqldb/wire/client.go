@@ -295,17 +295,8 @@ func (p *Pool) Put(c *Conn, broken bool) { p.p.Put(c, broken) }
 // retried: the server may have applied the statement before the connection
 // died.
 func (p *Pool) Exec(query string, args ...sqldb.Value) (*sqldb.Result, error) {
-	return p.ExecNotify(nil, query, args...)
-}
-
-// ExecNotify is Exec with a per-attempt hook: onAttempt (when non-nil) runs
-// just before every try, including the retry a stale connection triggers.
-// The cluster's cached-read path uses it to re-capture its cache-version
-// stamp for the attempt that actually produces the rows.
-func (p *Pool) ExecNotify(onAttempt func(int), query string, args ...sqldb.Value) (*sqldb.Result, error) {
 	var res *sqldb.Result
-	err := p.p.DoNotify(retryableStmt(query), func(err error) bool { return !IsServerError(err) },
-		onAttempt,
+	err := p.p.Do(retryableStmt(query), func(err error) bool { return !IsServerError(err) },
 		func(c *Conn) error {
 			var err error
 			res, err = c.Exec(query, args...)

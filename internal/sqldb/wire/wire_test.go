@@ -3,9 +3,11 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -199,6 +201,38 @@ func TestDecodeGarbage(t *testing.T) {
 	}
 	if _, _, err := decodeQuery([]byte{0xff, 0xff, 0xff, 0xff}); err == nil {
 		t.Fatal("garbage query must error")
+	}
+	// An arg vector's count is capped at 65536 before anything is decoded.
+	for n, ok := range map[uint32]bool{1 << 16: true, 1<<16 + 1: false} {
+		var e enc
+		e.Str("SELECT v FROM kv WHERE k = ?")
+		e.U32(n)
+		for i := uint32(0); i < n; i++ {
+			e.value(sqldb.Null())
+		}
+		if _, _, err := decodeQuery(e.B); (err == nil) != ok {
+			t.Fatalf("arg count %d: err = %v, want accepted %v", n, err, ok)
+		}
+	}
+}
+
+// TestUnknownTagHangsUp: a request frame with an unknown type tag is never
+// answered; the server drops the connection.
+func TestUnknownTagHangsUp(t *testing.T) {
+	_, addr := startServer(t)
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if err := frame.Write(nc, 0x7f, nil); err != nil {
+		t.Fatal(err)
+	}
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if typ, _, err := new(frame.Buf).Read(nc); err == nil {
+		t.Fatalf("unknown tag answered with frame 0x%x, want the connection closed", typ)
+	} else if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("unknown tag neither answered nor hung up")
 	}
 }
 
@@ -780,36 +814,50 @@ func TestTxnOverWire(t *testing.T) {
 }
 
 // TestConnDropRollsBackTxn: a connection dying mid-transaction must leave
-// no trace — the server session's auto-ROLLBACK.
+// no trace — the server session's auto-ROLLBACK — and so must one dying
+// with its transaction prepared (PREPARE-TXN): the engine keeps no durable
+// prepare log, so a prepared transaction dies with its connection. Either
+// way the row is gone and its lock is free: another session inserts the
+// same key.
 func TestConnDropRollsBackTxn(t *testing.T) {
-	db, addr := startServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Exec("INSERT INTO kv VALUES (9, 'orphan')"); err != nil {
-		t.Fatal(err)
-	}
-	c.Close() // dies without COMMIT
+	for _, prepared := range []bool{false, true} {
+		t.Run(fmt.Sprintf("prepared=%v", prepared), func(t *testing.T) {
+			db, addr := startServer(t)
+			c, err := Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Begin(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Exec("INSERT INTO kv VALUES (9, 'orphan')"); err != nil {
+				t.Fatal(err)
+			}
+			if prepared {
+				if err := c.PrepareTxn(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.Close() // dies without COMMIT
 
-	sess := db.NewSession()
-	defer sess.Close()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		res, err := sess.Exec("SELECT COUNT(*) FROM kv WHERE k = 9")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Rows[0][0].AsInt() == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("orphaned transaction not rolled back after connection drop")
-		}
-		time.Sleep(5 * time.Millisecond)
+			sess := db.NewSession()
+			defer sess.Close()
+			deadline := time.Now().Add(2 * time.Second)
+			for {
+				_, err := sess.Exec("INSERT INTO kv VALUES (9, 'mine')")
+				if err == nil {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("orphaned transaction not rolled back after connection drop: %v", err)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			res, err := sess.Exec("SELECT v FROM kv WHERE k = 9")
+			if err != nil || len(res.Rows) != 1 || res.Rows[0][0].AsString() != "mine" {
+				t.Fatalf("k = 9: %v %v, want the one row 'mine'", err, res)
+			}
+		})
 	}
 }
 
@@ -920,51 +968,54 @@ func TestPrepareTxnFrame(t *testing.T) {
 	}
 }
 
-// TestExecNotifyFiresPerAttempt: the per-attempt hook must fire before
-// every try, including the retry a stale pooled connection triggers — the
-// contract the cluster's query cache relies on to re-capture its version
-// stamp for the attempt that actually produced the rows.
-func TestExecNotifyFiresPerAttempt(t *testing.T) {
+// TestPoolRetriesReadsNotWrites: after the server restarts, the pool's idle
+// connection is stale. A write on it fails and is not retried — the server
+// may have applied it before the connection died — while a read retries
+// once on a freshly dialed connection and answers.
+func TestPoolRetriesReadsNotWrites(t *testing.T) {
 	db := sqldb.New()
 	s := db.NewSession()
+	defer s.Close()
 	if _, err := s.Exec("CREATE TABLE kv (k INT PRIMARY KEY, v VARCHAR(50))"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Exec("INSERT INTO kv VALUES (1, 'one')"); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
 	srv := NewServer(db, nil)
-	addr, err := srv.Listen("127.0.0.1:0")
+	bound, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	p := NewPool(addr.String(), 1)
+	addr := bound.String()
+	restart := func() {
+		t.Helper()
+		srv.Close()
+		srv = NewServer(db, nil)
+		if _, err := srv.Listen(addr); err != nil {
+			t.Fatalf("rebind %s: %v", addr, err)
+		}
+	}
+	defer func() { srv.Close() }()
+	p := NewPool(addr, 1)
 	defer p.Close()
 	const q = "SELECT v FROM kv WHERE k = ?"
 	if _, err := p.Exec(q, sqldb.Int(1)); err != nil {
 		t.Fatal(err)
 	}
-
-	// Kill the server: the pool's idle connection is now stale. Rebind the
-	// same address over the same database, so the retry's fresh dial lands.
-	srv.Close()
-	srv2 := NewServer(db, nil)
-	if _, err := srv2.Listen(addr.String()); err != nil {
-		t.Fatalf("rebind %s: %v", addr, err)
+	restart()
+	if _, err := p.Exec("INSERT INTO kv VALUES (3, 'three')"); err == nil || IsServerError(err) {
+		t.Fatalf("write on a stale connection: %v, want a transport error", err)
 	}
-	defer srv2.Close()
-
-	var attempts []int
-	res, err := p.ExecNotify(func(n int) { attempts = append(attempts, n) }, q, sqldb.Int(1))
-	if err != nil {
-		t.Fatalf("retried exec: %v", err)
+	if res, err := s.Exec("SELECT COUNT(*) FROM kv WHERE k = 3"); err != nil || res.Rows[0][0].AsInt() != 0 {
+		t.Fatalf("the failed write applied: %v %v", err, res)
 	}
-	if len(res.Rows) != 1 || res.Rows[0][0].AsString() != "one" {
-		t.Fatalf("rows: %v", res.Rows)
+	if _, err := p.Exec(q, sqldb.Int(1)); err != nil {
+		t.Fatal(err)
 	}
-	if len(attempts) != 2 || attempts[0] != 0 || attempts[1] != 1 {
-		t.Fatalf("onAttempt calls = %v, want [0 1] (hook must fire before the retry too)", attempts)
+	restart()
+	res, err := p.Exec(q, sqldb.Int(1))
+	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].AsString() != "one" {
+		t.Fatalf("read on a stale connection: %v %v, want it retried", err, res)
 	}
 }

@@ -49,7 +49,7 @@ type ClusterStats struct {
 	ShardScatter   int64 `json:"shard_scatter,omitempty"`
 	ShardBroadcast int64 `json:"shard_broadcast,omitempty"`
 	Shard2PCTxns   int64 `json:"shard_2pc_txns,omitempty"`
-	// Query-result cache (DESIGN.md §10; zero when disabled): hits were
+	// Query-result cache (DESIGN.md §8; zero when disabled): hits were
 	// served without touching the database tier, invalidations are entries
 	// dropped because a referenced table's commit-time version moved, and
 	// bypasses are reads forced live because the session's transaction
@@ -113,7 +113,7 @@ type Tier struct {
 	// a replicated tier's backends). Its fields are promoted, in Go and in
 	// the JSON alike.
 	ClusterStats
-	// The HTTP page cache (DESIGN.md §10) lives in the web tier: hits were
+	// The HTTP page cache (DESIGN.md §4) lives in the web tier: hits were
 	// served without touching the app tier at all. A tier below a hot cache
 	// sees only the miss traffic — the Format verdict annotates the
 	// bottleneck line so the shrunken load is not misread.

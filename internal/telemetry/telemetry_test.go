@@ -97,6 +97,17 @@ func TestFormatMarksBottleneck(t *testing.T) {
 		!strings.Contains(out, "plan cache: 85 hits / 5 misses") {
 		t.Fatalf("missing prepared/plan-cache line:\n%s", out)
 	}
+	// A cache that hit more than it missed qualifies the verdict: the tiers
+	// below saw only the traffic it let through.
+	const hot = "bottleneck: db (caches hot: tier load is post-cache)"
+	if strings.Contains(out, hot) {
+		t.Fatalf("caches-hot qualifier with no cache traffic:\n%s", out)
+	}
+	s := snap()
+	s.Tiers[1].QueryCacheHits, s.Tiers[1].QueryCacheMisses = 3, 1
+	if out := s.Format(); !strings.Contains(out, hot) {
+		t.Fatalf("missing caches-hot qualifier:\n%s", out)
+	}
 }
 
 func TestBottleneckChargesTimeoutsDownstream(t *testing.T) {
