@@ -102,8 +102,8 @@ chaos-smoke:
 # made of, the stored value against its model, index probes against a
 # scan, and the SQL parser every logged statement is replayed through:
 # no panic, and no clause outside the dialect accepted), the cluster's
-# log-shipping rejoin, and the full-stack crash matrix in core — all under
-# -race with hard timeouts.
+# rejoin of a durable replica (copied, crashed, recovered), and the
+# full-stack crash matrix in core — all under -race with hard timeouts.
 wal-torture:
 	$(GO) test -race -timeout 300s -run 'WAL|Recover|TornTail|Checkpoint' \
 		./internal/sqldb ./internal/cluster ./internal/core

@@ -14,8 +14,8 @@
 // -checkpoint-every log bytes), and a restart
 // over a non-empty directory recovers — checkpoint load plus log replay,
 // torn tail truncated — instead of repopulating. A recovered replica with
-// -peers catches up through the WAL delta fast path when its history is
-// still a prefix of a peer's log, full copy otherwise (cluster.SyncAuto).
+// -peers then copies a peer's data over its own (cluster.Sync), as a fresh
+// one does.
 // $SQLDB_WALFAULT=point:action[:N] arms a crash point for recovery drills
 // (see sqldb/walfault).
 //
@@ -120,9 +120,8 @@ func main() {
 		// a restart, and the disk — not the seed — is the source of truth.
 		logger.Printf("recovered from %s: checkpoint lsn %d, %d statements replayed to lsn %d (torn tail: %v)",
 			*data, info.CheckpointLSN, info.ReplayedStmts, info.ReplayLSN, info.TornTail)
-		// A recovered replica still syncs from its peers — it was down
-		// while they kept committing — but through SyncAuto, which ships
-		// only the missed WAL suffix when the histories still line up.
+		// A recovered replica still syncs from its peers: it was down
+		// while they kept committing.
 		if len(peerList) > 0 {
 			sess := db.NewSession()
 			ok := syncFromPeers(logger, sess, peerList, *peerOp, *syncTO)
@@ -159,12 +158,10 @@ func main() {
 	logger.Printf("drained, bye")
 }
 
-// syncFromPeers replays the first reachable peer's data into the local
-// database — the startup replica-sync path, bounded so a stalled peer
-// fails over to the next one instead of wedging startup. A durable restart
-// takes the WAL delta fast path when its log is still a prefix of the
-// peer's; everything else gets the full table copy (cluster.SyncAuto). It
-// reports whether a peer provided the data.
+// syncFromPeers copies the first reachable peer's data into the local
+// database (cluster.Sync, the replica-sync path Rejoin also takes), bounded
+// so a stalled peer fails over to the next one instead of wedging startup.
+// It reports whether a peer provided the data.
 func syncFromPeers(logger *log.Logger, local sqldb.Execer, peers []string, peerOp, budget time.Duration) bool {
 	for _, peer := range peers {
 		conn, err := wire.DialT(peer, pool.Timeouts{Dial: peerOp, Op: peerOp}.WithDefaults())
@@ -173,17 +170,13 @@ func syncFromPeers(logger *log.Logger, local sqldb.Execer, peers []string, peerO
 			continue
 		}
 		logger.Printf("syncing initial data from peer %s...", peer)
-		st, err := cluster.SyncAuto(conn, local, budget)
+		tables, rows, err := cluster.Sync(conn, local, budget)
 		conn.Close()
 		if err != nil {
 			logger.Printf("sync from %s failed: %v", peer, err)
 			continue
 		}
-		if st.Delta {
-			logger.Printf("caught up from %s: %d missed statements shipped off its log", peer, st.Stmts)
-		} else {
-			logger.Printf("synced %d tables / %d rows from %s", st.Tables, st.Rows, peer)
-		}
+		logger.Printf("synced %d tables / %d rows from %s", tables, rows, peer)
 		return true
 	}
 	return false

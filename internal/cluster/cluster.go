@@ -53,6 +53,7 @@ package cluster
 import (
 	"errors"
 	"flag"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -155,9 +156,11 @@ type backend interface {
 	Healthy() int
 	// Rejoin brings an ejected replica back: its stale pooled connections
 	// are dropped and, with syncData true, a healthy replica's data is
-	// replayed onto it first (the replica-sync path). Rejoin blocks every
-	// client's broadcasts over the DSN until the copy completes, so the
-	// joiner comes back consistent. Ids number shard 0's replicas first,
+	// copied onto it first (Sync, the replica-sync path). Rejoin blocks the
+	// broadcasts of every client in this process over the DSN until the
+	// copy completes, so the joiner comes back consistent; a client in
+	// another process is not blocked (DESIGN.md's
+	// DEV-write-order-one-process). Ids number shard 0's replicas first,
 	// then shard 1's, and so on — the order ReplicaStats reports.
 	Rejoin(id int, syncData bool) error
 	// Stats aggregates the per-replica pools into one pool.Stats — the
@@ -192,6 +195,26 @@ type Client struct {
 // internal/telemetry, so the tier row that owns a client embeds this very
 // type and nothing between here and /status copies fields.
 type ClientStats = telemetry.ClusterStats
+
+// counters is the client's atomic counter cells, embedded by replicaSet and
+// shardSet. Each cell is named after the ClientStats field it fills, so a
+// counter is declared here and in telemetry.ClusterStats and nowhere else.
+type counters struct {
+	Broadcasts, BroadcastAcks, SlowEjections                atomic.Int64
+	ShardSingle, ShardScatter, ShardBroadcast, Shard2PCTxns atomic.Int64
+	QueryCacheBypasses, WALFullSyncs                        atomic.Int64
+}
+
+// stats loads every cell into the ClientStats field of the same name.
+func (c *counters) stats() ClientStats {
+	var s ClientStats
+	cells, dst := reflect.ValueOf(c).Elem(), reflect.ValueOf(&s).Elem()
+	for i := 0; i < cells.NumField(); i++ {
+		n := cells.Field(i).Addr().Interface().(*atomic.Int64).Load()
+		dst.FieldByName(cells.Type().Field(i).Name).SetInt(n)
+	}
+	return s
+}
 
 // New creates a client over the DSN's replicas with default settings.
 func New(dsn string, poolSize int) *Client {

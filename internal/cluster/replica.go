@@ -42,22 +42,10 @@ type replicaSet struct {
 	slow     time.Duration          // SlowThreshold; 0 = disabled
 	syncTO   time.Duration          // resolved SyncTimeout; 0 = unbounded
 
-	slowEjections atomic.Int64
-
-	// cacheBypasses counts the reads a transaction kept off the query cache
-	// (replicaTxn.cacheBypass).
-	cacheBypasses atomic.Int64
-
-	// Broadcast batching counters (telemetry).
-	broadcasts    atomic.Int64
-	broadcastAcks atomic.Int64
-
-	// Rejoin data-copy path counters: how many rejoins the WAL delta fast
-	// path served, how many needed the full table copy, and the statements
-	// the delta path shipped.
-	walDeltaSyncs atomic.Int64
-	walFullSyncs  atomic.Int64
-	walDeltaStmts atomic.Int64
+	// The counter cells. QueryCacheBypasses counts the reads a transaction
+	// kept off the query cache (replicaTxn.cacheBypass); WALFullSyncs the
+	// rejoins whose data copy completed.
+	counters
 }
 
 func newReplicaSet(cfg Config, addrs []string, rt *routes) *replicaSet {
@@ -95,20 +83,10 @@ func newReplicaSet(cfg Config, addrs []string, rt *routes) *replicaSet {
 }
 
 func (rs *replicaSet) ClientStats() ClientStats {
-	s := ClientStats{
-		Broadcasts:    rs.broadcasts.Load(),
-		BroadcastAcks: rs.broadcastAcks.Load(),
-		SlowEjections: rs.slowEjections.Load(),
-		WALDeltaSyncs: rs.walDeltaSyncs.Load(),
-		WALFullSyncs:  rs.walFullSyncs.Load(),
-		WALDeltaStmts: rs.walDeltaStmts.Load(),
-	}
+	s := rs.stats()
 	if q := rs.qcache; q != nil {
 		st := q.Stats()
-		s.QueryCacheHits = st.Hits
-		s.QueryCacheMisses = st.Misses
-		s.QueryCacheInvalidations = st.Invalidations
-		s.QueryCacheBypasses = rs.cacheBypasses.Load()
+		s.QueryCacheHits, s.QueryCacheMisses, s.QueryCacheInvalidations = st.Hits, st.Misses, st.Invalidations
 	}
 	return s
 }
@@ -175,7 +153,7 @@ func (rs *replicaSet) eject(r *replica) bool {
 func (rs *replicaSet) ejectSlow(r *replica) {
 	if !rs.unreplicated() && r.healthy.CompareAndSwap(true, false) {
 		r.ejections.Add(1)
-		rs.slowEjections.Add(1)
+		rs.SlowEjections.Add(1)
 	}
 }
 
@@ -328,8 +306,8 @@ func (b *bcast) collect(rs *replicaSet, outs []fanResult, onFail func(r *replica
 	applied := acks > 0
 	// A set of one counts none: its fan-out is one round trip, no broadcast.
 	if applied && !rs.unreplicated() {
-		rs.broadcasts.Add(1)
-		rs.broadcastAcks.Add(int64(acks))
+		rs.Broadcasts.Add(1)
+		rs.BroadcastAcks.Add(int64(acks))
 	}
 	for i, o := range outs {
 		if !o.ran {
@@ -784,10 +762,11 @@ func (rs *replicaSet) Rejoin(id int, syncData bool) error {
 	if r.healthy.Load() {
 		return nil // nothing to bring back
 	}
-	// The catch-all write-order key, held exclusively: every writer over
-	// this DSN — any client's broadcast or open write transaction — holds it
-	// shared, so none lands on the joiner between the pool reset and the end
-	// of the data copy.
+	// The catch-all write-order key, held exclusively: every writer in this
+	// process over this DSN — any of its clients' broadcasts or open write
+	// transactions — holds it shared, so none of them lands on the joiner
+	// between the pool reset and the end of the data copy. The registry is
+	// process-local: a client in another process is not held back.
 	release := rs.locks.acquire(catchAll)
 	defer release()
 	r.pool.Reset()
@@ -798,10 +777,11 @@ func (rs *replicaSet) Rejoin(id int, syncData bool) error {
 		}
 		// Mark the joiner as mid-sync in the shared (per-DSN) registry: this
 		// client's reads already skip it via the healthy flag, but OTHER
-		// clients over the same backends — which never ejected it and still
-		// see it healthy — must not route reads to a half-copied data set.
+		// clients in this process over the same backends — which never
+		// ejected it and still see it healthy — must not route reads to a
+		// half-copied data set.
 		rs.locks.beginSync(r.addr)
-		st, err := SyncAuto(src.pool, r.pool, rs.syncTO)
+		_, _, err := Sync(src.pool, r.pool, rs.syncTO)
 		rs.locks.endSync(r.addr, err == nil)
 		if err != nil {
 			// The replica stays cleanly ejected: healthy stays false for
@@ -810,12 +790,7 @@ func (rs *replicaSet) Rejoin(id int, syncData bool) error {
 			// Rejoin completes.
 			return fmt.Errorf("cluster: sync replica %d from %d: %w", id, src.id, err)
 		}
-		if st.Delta {
-			rs.walDeltaSyncs.Add(1)
-			rs.walDeltaStmts.Add(int64(st.Stmts))
-		} else {
-			rs.walFullSyncs.Add(1)
-		}
+		rs.WALFullSyncs.Add(1)
 	}
 	r.healthy.Store(true)
 	return nil

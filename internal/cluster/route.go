@@ -65,8 +65,7 @@ func analyze(query string) route {
 			rt.readTables = normalize(tables)
 		}
 		return rt
-	case *sqlparse.ShowTables, *sqlparse.ShowTableStatus,
-		*sqlparse.ShowWALStatus, *sqlparse.ShowWALRecords, *sqlparse.ShowWALChain:
+	case *sqlparse.ShowTables, *sqlparse.ShowTableStatus, *sqlparse.ShowWALStatus:
 		return route{stmt: st}
 	case *sqlparse.Begin, *sqlparse.Commit, *sqlparse.Rollback:
 		return route{err: ErrTxnControlText}

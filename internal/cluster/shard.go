@@ -88,10 +88,9 @@ type shardSet struct {
 	routes *routes
 	rr     atomic.Uint64
 
-	single    atomic.Int64 // statements routed to one owning shard
-	scatter   atomic.Int64 // scatter-gather SELECT fan-outs
-	broadcast atomic.Int64 // cross-shard broadcast writes/DDL
-	txns2pc   atomic.Int64 // transactions committed via two-phase commit
+	// The counter cells: ShardSingle, ShardScatter, ShardBroadcast and
+	// Shard2PCTxns are counted here; the rest sum over the shards.
+	counters
 
 	// betweenPhases, when set (tests), runs between 2PC's PREPARE and
 	// COMMIT phases — the in-doubt window chaos tests kill replicas in.
@@ -269,10 +268,10 @@ func (sh *shardSet) Exec(query string, args ...sqldb.Value) (*sqldb.Result, erro
 			return sh.shards[sh.rrNext()].Exec(query, args...)
 		}
 		if shard, ok := p.shardFor(args, len(sh.shards)); ok {
-			sh.single.Add(1)
+			sh.ShardSingle.Add(1)
 			return sh.shards[shard].Exec(query, args...)
 		}
-		sh.scatter.Add(1)
+		sh.ShardScatter.Add(1)
 		return sh.scatterRead(p, args, nil)
 	default: // writes and DDL
 		if p.sharded && p.insert {
@@ -280,7 +279,7 @@ func (sh *shardSet) Exec(query string, args ...sqldb.Value) (*sqldb.Result, erro
 		}
 		if p.sharded && p.exprs != nil {
 			if shard, ok := p.shardFor(args, len(sh.shards)); ok {
-				sh.single.Add(1)
+				sh.ShardSingle.Add(1)
 				return sh.shards[shard].Exec(query, args...)
 			}
 		}
@@ -342,7 +341,7 @@ func (sh *shardSet) insert(p *shardPlan, query string, args []sqldb.Value) (*sql
 		if shard < 0 {
 			shard = sh.rrNext()
 		}
-		sh.single.Add(1)
+		sh.ShardSingle.Add(1)
 		return sh.shards[shard].Exec(query, args...)
 	}
 	s := sh.newTxn()
@@ -541,7 +540,7 @@ func mergeCounts(results []*sqldb.Result) (*sqldb.Result, error) {
 // Pinned writes never pass through here: shards own disjoint rows, so the
 // owning shard's inner locks are the complete serialization.
 func (sh *shardSet) broadcastAll(query string, args []sqldb.Value, p *shardPlan) (*sqldb.Result, error) {
-	sh.broadcast.Add(1)
+	sh.ShardBroadcast.Add(1)
 	release := sh.outer.acquire(p.rt.tables)
 	defer release()
 	results, err := sh.onEach(func(i int) (*sqldb.Result, error) {
@@ -589,13 +588,8 @@ func (sh *shardSet) strideTable(table string) error {
 }
 
 func (sh *shardSet) ClientStats() ClientStats {
-	s := ClientStats{
-		Shards:         len(sh.shards),
-		ShardSingle:    sh.single.Load(),
-		ShardScatter:   sh.scatter.Load(),
-		ShardBroadcast: sh.broadcast.Load(),
-		Shard2PCTxns:   sh.txns2pc.Load(),
-	}
+	s := sh.stats()
+	s.Shards = len(sh.shards)
 	for _, rs := range sh.shards {
 		telemetry.Add(&s, rs.ClientStats())
 	}
@@ -728,14 +722,14 @@ func (s *shardTxn) Exec(query string, args ...sqldb.Value) (*sqldb.Result, error
 		if err != nil {
 			return nil, err
 		}
-		sh.single.Add(1)
+		sh.ShardSingle.Add(1)
 		return s.subExec(sub, query, args)
 	}
 	if !p.rt.write {
 		if err := s.allSubs(); err != nil {
 			return nil, err
 		}
-		sh.scatter.Add(1)
+		sh.ShardScatter.Add(1)
 		res, err := sh.scatterRead(p, args, s.subs)
 		// The fan-out ran the subs concurrently, past subExec: fold their
 		// poisoning in here, once they have all returned.
@@ -768,7 +762,7 @@ func (s *shardTxn) insert(p *shardPlan, query string, args []sqldb.Value) (*sqld
 	if err != nil {
 		return nil, err
 	}
-	s.sh.single.Add(1)
+	s.sh.ShardSingle.Add(1)
 	return s.subExec(sub, query, args)
 }
 
@@ -832,7 +826,7 @@ func (s *shardTxn) subBroadcast(p *shardPlan, query string, args []sqldb.Value) 
 	if err := s.allSubs(); err != nil {
 		return nil, err
 	}
-	s.sh.broadcast.Add(1)
+	s.sh.ShardBroadcast.Add(1)
 	results := make([]*sqldb.Result, len(s.subs))
 	for i, sub := range s.subs {
 		var err error
@@ -985,7 +979,7 @@ func (s *shardTxn) Commit() error {
 	if sh.betweenPhases != nil {
 		sh.betweenPhases()
 	}
-	sh.txns2pc.Add(1)
+	sh.Shard2PCTxns.Add(1)
 	var err error
 	for _, sub := range subs {
 		if e := sub.Commit(); e != nil {

@@ -11,7 +11,7 @@ import (
 // startWALReplicas boots n identically seeded backends whose databases are
 // durability-attached (populate first, then AttachWAL — the production boot
 // order, so the seed data lands in the initial checkpoint, and every write
-// broadcast afterwards is logged at identical LSNs on every replica).
+// broadcast afterwards is logged on every replica).
 func startWALReplicas(t *testing.T, n int) []*testReplica {
 	t.Helper()
 	reps := make([]*testReplica, n)
@@ -24,7 +24,8 @@ func startWALReplicas(t *testing.T, n int) []*testReplica {
 				sqldb.String(fmt.Sprintf("item-%d", j)), sqldb.Int(100))
 		}
 		sess.Close()
-		if _, err := db.AttachWAL(sqldb.WALOptions{Dir: t.TempDir(), CheckpointBytes: -1}); err != nil {
+		dir := t.TempDir()
+		if _, err := db.AttachWAL(sqldb.WALOptions{Dir: dir, CheckpointBytes: -1}); err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { db.CloseWAL() })
@@ -33,7 +34,7 @@ func startWALReplicas(t *testing.T, n int) []*testReplica {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reps[i] = &testReplica{db: db, srv: srv, addr: addr.String()}
+		reps[i] = &testReplica{db: db, srv: srv, addr: addr.String(), dir: dir}
 		t.Cleanup(func() { srv.Close() })
 	}
 	return reps
@@ -54,10 +55,40 @@ func ejectAndRestart(t *testing.T, reps []*testReplica, i int, missed func()) {
 	reps[i].srv = srv
 }
 
-// TestRejoinWALDelta: a briefly-down replica rejoins via the WAL delta
-// path — only the statements it missed ship, not a full table copy — and
-// ends byte-identical to the survivor.
-func TestRejoinWALDelta(t *testing.T) {
+// durableDump is replicaDump plus every table's id-assignment state, which
+// a copy of the rows alone would not carry.
+func durableDump(t *testing.T, db *sqldb.DB) string {
+	t.Helper()
+	r := &testReplica{db: db}
+	return replicaDump(t, r) + fmt.Sprint(queryReplica(t, r, "SHOW TABLE STATUS").Rows)
+}
+
+// rejoinByCopy rejoins replica 1 through c, checks that the rejoin was one
+// completed copy and that the joiner now equals replica 0, and returns
+// replica 0's durable dump.
+func rejoinByCopy(t *testing.T, c *Client, reps []*testReplica) string {
+	t.Helper()
+	if err := c.Rejoin(1, true); err != nil {
+		t.Fatalf("rejoin: %v", err)
+	}
+	if st := c.ClientStats(); st.WALFullSyncs != 1 {
+		t.Fatalf("rejoin copies = %d, want 1", st.WALFullSyncs)
+	}
+	want := durableDump(t, reps[0].db)
+	if got := durableDump(t, reps[1].db); got != want {
+		t.Fatalf("joiner diverged after rejoin:\n got: %s\nwant: %s", got, want)
+	}
+	return want
+}
+
+// TestRejoinFullCopyWALJoinerRecovers: a durable joiner that diverged (a
+// stray local INSERT) and fell behind a source that checkpointed and
+// deleted a row (its AUTO_INCREMENT counter past its rows) rejoins through
+// the one rejoin path, the full copy, and ends identical to the survivor.
+// The copy went through the joiner's own log: crashed and recovered from
+// its directory, the joiner still equals the survivor and assigns the same
+// next id.
+func TestRejoinFullCopyWALJoinerRecovers(t *testing.T) {
 	reps := startWALReplicas(t, 2)
 	c := newTestClient(t, reps, Config{})
 	if _, err := c.Exec("UPDATE items SET qty = 1 WHERE id = 1"); err != nil {
@@ -65,52 +96,54 @@ func TestRejoinWALDelta(t *testing.T) {
 	}
 
 	ejectAndRestart(t, reps, 1, func() {
-		for k := 0; k < 10; k++ {
+		for k := 0; k < 3; k++ {
 			if _, err := c.Exec("INSERT INTO items (name, qty) VALUES (?, ?)",
 				sqldb.String(fmt.Sprintf("missed-%d", k)), sqldb.Int(int64(k))); err != nil {
 				t.Fatalf("write during outage: %v", err)
 			}
 		}
+		if _, err := c.Exec("DELETE FROM items WHERE name = 'missed-2'"); err != nil {
+			t.Fatalf("delete during outage: %v", err)
+		}
+		if err := reps[0].db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		// The downed replica takes a write the source never saw.
+		sess := reps[1].db.NewSession()
+		mustExec(t, sess, "INSERT INTO items (name, qty) VALUES ('stray', 9)")
+		sess.Close()
 	})
 	srcBytes := reps[0].db.WALStats().Bytes
 
-	if err := c.Rejoin(1, true); err != nil {
-		t.Fatalf("rejoin: %v", err)
-	}
-	st := c.ClientStats()
-	if st.WALDeltaSyncs != 1 || st.WALFullSyncs != 0 {
-		t.Fatalf("rejoin took the wrong path: delta=%d full=%d", st.WALDeltaSyncs, st.WALFullSyncs)
-	}
-	if st.WALDeltaStmts < 10 {
-		t.Fatalf("delta shipped %d statements, want >= 10 (the missed inserts)", st.WALDeltaStmts)
-	}
-	if got, want := replicaDump(t, reps[1]), replicaDump(t, reps[0]); got != want {
-		t.Fatalf("replica diverged after delta rejoin:\n got: %s\nwant: %s", got, want)
-	}
-	// The joiner replayed the delta through its own engine, so its log grew
-	// in step with the source's — LSN-identical histories, ready for the
-	// next delta — rather than being bulk-overwritten.
-	if a, b := reps[0].db.WALStats(), reps[1].db.WALStats(); a.LastLSN != b.LastLSN {
-		t.Fatalf("log heads diverged after delta rejoin: src %d joiner %d", a.LastLSN, b.LastLSN)
-	}
+	want := rejoinByCopy(t, c, reps)
 	if reps[0].db.WALStats().Bytes != srcBytes {
-		t.Fatal("delta rejoin appended to the source's log")
+		t.Fatal("rejoin appended to the source's log")
 	}
 
-	// The cluster keeps working and replicating after the rejoin.
-	if _, err := c.Exec("UPDATE items SET qty = 2 WHERE id = 2"); err != nil {
-		t.Fatal(err)
+	// Power-cut the joiner's log and recover a fresh engine from its
+	// directory: the copy is durable, AUTO_INCREMENT state included.
+	reps[1].db.WAL().Crash()
+	rec := sqldb.New()
+	if _, err := rec.AttachWAL(sqldb.WALOptions{Dir: reps[1].dir, CheckpointBytes: -1}); err != nil {
+		t.Fatalf("recover joiner: %v", err)
 	}
-	if got, want := replicaDump(t, reps[1]), replicaDump(t, reps[0]); got != want {
-		t.Fatal("replicas diverged on the first write after delta rejoin")
+	t.Cleanup(func() { rec.CloseWAL() })
+	if got := durableDump(t, rec); got != want {
+		t.Fatalf("recovered joiner diverged:\n got: %s\nwant: %s", got, want)
+	}
+	var ids [2]int64
+	for i, db := range []*sqldb.DB{reps[0].db, rec} {
+		ids[i] = queryReplica(t, &testReplica{db: db}, "INSERT INTO items (name, qty) VALUES ('next', 0)").LastInsertID
+	}
+	if ids[0] != 9 || ids[1] != ids[0] {
+		t.Fatalf("next ids: survivor %d, recovered joiner %d; want 9 on both", ids[0], ids[1])
 	}
 }
 
-// TestRejoinWALDeltaFallsBackAfterRotation: when the source checkpointed
-// (rotating the log) past the joiner's position while it was down, the
-// delta is gone and Rejoin must fall back to the full copy — and still
-// converge.
-func TestRejoinWALDeltaFallsBackAfterRotation(t *testing.T) {
+// TestRejoinFullCopyAfterSourceCheckpoint: a source that checkpointed
+// (rotating its log) while the joiner was down still rejoins it by copy,
+// and the cluster goes on replicating afterwards.
+func TestRejoinFullCopyAfterSourceCheckpoint(t *testing.T) {
 	reps := startWALReplicas(t, 2)
 	c := newTestClient(t, reps, Config{})
 
@@ -118,52 +151,39 @@ func TestRejoinWALDeltaFallsBackAfterRotation(t *testing.T) {
 		if _, err := c.Exec("INSERT INTO items (name, qty) VALUES ('missed', 1)"); err != nil {
 			t.Fatalf("write during outage: %v", err)
 		}
-		// The source rotates its log past the joiner's head.
 		if err := reps[0].db.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 	})
+	rejoinByCopy(t, c, reps)
 
-	if err := c.Rejoin(1, true); err != nil {
-		t.Fatalf("rejoin: %v", err)
+	if _, err := c.Exec("UPDATE items SET qty = 2 WHERE id = 2"); err != nil {
+		t.Fatal(err)
 	}
-	st := c.ClientStats()
-	if st.WALFullSyncs != 1 || st.WALDeltaSyncs != 0 {
-		t.Fatalf("rejoin took the wrong path: delta=%d full=%d", st.WALDeltaSyncs, st.WALFullSyncs)
-	}
-	if got, want := replicaDump(t, reps[1]), replicaDump(t, reps[0]); got != want {
-		t.Fatalf("replica diverged after fallback rejoin:\n got: %s\nwant: %s", got, want)
+	if got, want := durableDump(t, reps[1].db), durableDump(t, reps[0].db); got != want {
+		t.Fatalf("replicas diverged on the first write after rejoin:\n got: %s\nwant: %s", got, want)
 	}
 }
 
-// TestRejoinWALDeltaRefusesDivergedJoiner: a joiner whose history is NOT a
-// prefix of the source's (it applied a write the source never saw) must
-// not be delta-synced — the chain handshake detects the divergence and the
-// full copy restores consistency.
-func TestRejoinWALDeltaRefusesDivergedJoiner(t *testing.T) {
+// TestRejoinFullCopyOverwritesDivergedWALJoiner: a joiner that applied a
+// write the source never saw, at the same position in its log as the
+// source's missed write, is overwritten by the copy, not merged with it.
+func TestRejoinFullCopyOverwritesDivergedWALJoiner(t *testing.T) {
 	reps := startWALReplicas(t, 2)
 	c := newTestClient(t, reps, Config{})
 
 	ejectAndRestart(t, reps, 1, func() {
-		// The source moves on…
 		if _, err := c.Exec("INSERT INTO items (name, qty) VALUES ('src-only', 1)"); err != nil {
 			t.Fatal(err)
 		}
-		// …and the downed replica takes a rogue local write at the same LSN.
 		sess := reps[1].db.NewSession()
-		if _, err := sess.Exec("INSERT INTO items (name, qty) VALUES ('rogue', 9)"); err != nil {
-			t.Fatal(err)
-		}
+		mustExec(t, sess, "INSERT INTO items (name, qty) VALUES ('rogue', 9)")
 		sess.Close()
 	})
+	rejoinByCopy(t, c, reps)
 
-	if err := c.Rejoin(1, true); err != nil {
-		t.Fatalf("rejoin: %v", err)
-	}
-	if st := c.ClientStats(); st.WALDeltaSyncs != 0 || st.WALFullSyncs != 1 {
-		t.Fatalf("diverged joiner must full-copy: delta=%d full=%d", st.WALDeltaSyncs, st.WALFullSyncs)
-	}
-	if got, want := replicaDump(t, reps[1]), replicaDump(t, reps[0]); got != want {
-		t.Fatalf("replica diverged after divergence fallback:\n got: %s\nwant: %s", got, want)
+	r := &testReplica{db: reps[1].db}
+	if n := len(queryReplica(t, r, "SELECT id FROM items WHERE name = 'rogue'").Rows); n != 0 {
+		t.Fatalf("rogue row survived the copy (%d rows)", n)
 	}
 }

@@ -101,7 +101,7 @@ func TestWALCrashMatrix(t *testing.T) {
 			cl := lab.Cluster()
 
 			// One serialized write before the fault so every log has a head
-			// past the initial checkpoint — the delta handshake's anchor.
+			// past the initial checkpoint.
 			if _, err := cl.Exec("UPDATE items SET max_bid = 11 WHERE id = 1"); err != nil {
 				t.Fatal(err)
 			}
@@ -203,8 +203,8 @@ func TestWALCrashMatrix(t *testing.T) {
 				time.Sleep(20 * time.Millisecond)
 			}
 
-			// Writes the victim misses while down: serialized, so the
-			// survivor's log stays an extension of the victim's history.
+			// Writes the victim misses while down, which the rejoin's copy
+			// must carry over.
 			for k := 0; k < 5; k++ {
 				if _, err := cl.Exec("UPDATE items SET max_bid = ? WHERE id = 1",
 					sqldb.Float(float64(50+k))); err != nil {
@@ -219,22 +219,9 @@ func TestWALCrashMatrix(t *testing.T) {
 			if err := cl.Rejoin(victim, true); err != nil {
 				t.Fatalf("rejoin: %v", err)
 			}
-			st := cl.ClientStats()
-			if st.WALDeltaSyncs+st.WALFullSyncs < 1 {
-				t.Fatalf("rejoin synced nothing: %+v", st)
-			}
-			if tc.point == "" {
-				// The power-cut/browsing case is order-deterministic (the mix
-				// carries no writes, every write above was serialized), so the
-				// rejoin MUST take the log-shipping fast path — and ship at
-				// least the five missed writes, not a full copy.
-				if st.WALDeltaSyncs != 1 || st.WALFullSyncs != 0 {
-					t.Fatalf("rejoin took the wrong path: delta=%d full=%d",
-						st.WALDeltaSyncs, st.WALFullSyncs)
-				}
-				if st.WALDeltaStmts < 5 {
-					t.Fatalf("delta shipped %d statements, want >= 5", st.WALDeltaStmts)
-				}
+			// Every rejoin is the full copy: exactly one, this one.
+			if st := cl.ClientStats(); st.WALFullSyncs != 1 {
+				t.Fatalf("rejoin copies = %d, want 1: %+v", st.WALFullSyncs, st)
 			}
 			assertReplicasIdentical(t, lab, tc.replicas, auctionChaosTables)
 

@@ -208,10 +208,6 @@ func (s *Session) execStmt(stmt sqlparse.Statement, args []Value) (*Result, erro
 		return s.db.execShowTableStatus()
 	case *sqlparse.ShowWALStatus:
 		return s.db.execShowWALStatus()
-	case *sqlparse.ShowWALChain:
-		return s.db.execShowWALChain(uint64(st.AtLSN))
-	case *sqlparse.ShowWALRecords:
-		return s.db.execShowWALRecords(uint64(st.SinceLSN), st.Limit)
 	case *sqlparse.AlterAutoInc:
 		s.implicitCommit()
 		return s.db.execAlterAutoInc(s, st)

@@ -118,8 +118,7 @@ func (db *DB) AttachWAL(opts WALOptions) (*RecoveryInfo, error) {
 			t.version.Add(1)
 		}
 		db.mu.Unlock()
-		w.ckptLSN, w.ckptChain = lsn, chain
-		w.chain = chain
+		w.ckptLSN, w.chain = lsn, chain
 		info.CheckpointLSN = lsn
 		break
 	}

@@ -173,27 +173,10 @@ type AlterAutoInc struct {
 }
 
 // ShowWALStatus is SHOW WAL STATUS: one row describing the write-ahead log —
-// whether one is attached, the last assigned LSN, the chain hash at that LSN,
-// and the durable checkpoint LSN. The cluster's log-shipping rejoin path uses
-// it to decide between a delta replay and a full copy.
+// whether one is attached, the last assigned LSN, the durable LSN, the chain
+// hash at the last LSN, and the checkpoint LSN. It is the only view of a
+// backend's log on the wire.
 type ShowWALStatus struct{}
-
-// ShowWALRecords is SHOW WAL RECORDS SINCE n LIMIT m: up to m logged
-// statements with LSN > n, in LSN order — one row per statement carrying
-// (lsn, query text, base64-encoded args). The log-shipping sync path pages
-// through it to replay a peer's tail.
-type ShowWALRecords struct {
-	SinceLSN int64
-	Limit    int64
-}
-
-// ShowWALChain is SHOW WAL CHAIN n: the chain hash as of LSN n, if the log
-// still reaches back that far. The sync path compares it against the
-// joiner's own chain to prove the joiner's state is a prefix of the
-// source's statement stream before shipping a delta.
-type ShowWALChain struct {
-	AtLSN int64
-}
 
 // PrepareTxn is PREPARE TRANSACTION — phase one of two-phase commit. The
 // open transaction keeps its locks and undo log but accepts no further
@@ -220,8 +203,6 @@ func (*Select) stmt()          {}
 func (*ShowTables) stmt()      {}
 func (*ShowTableStatus) stmt() {}
 func (*ShowWALStatus) stmt()   {}
-func (*ShowWALRecords) stmt()  {}
-func (*ShowWALChain) stmt()    {}
 func (*AlterAutoInc) stmt()    {}
 func (*PrepareTxn) stmt()      {}
 func (*Begin) stmt()           {}

@@ -9,13 +9,13 @@
 //     AUTO_INCREMENT [OFFSET o] [STRIDE s] [NEXT n].
 //   - BEGIN / START TRANSACTION, PREPARE TRANSACTION, COMMIT, ROLLBACK: the
 //     transaction is the dialect's one multi-statement critical section.
-//   - SHOW TABLES, SHOW TABLE STATUS and SHOW WAL ..., which replica sync
-//     and log shipping read.
+//   - SHOW TABLES and SHOW TABLE STATUS, which replica sync reads, and SHOW
+//     WAL STATUS, the one view of a backend's write-ahead log.
 //
 // GROUP BY, SELECT DISTINCT, LIMIT ... OFFSET, LIMIT offset, count, SUM,
 // MIN, MAX, AVG and COUNT(expr) are not in it: neither application, the EJB
 // container, the cluster nor population issues them, and Parse rejects each
-// with an error naming it.
+// with an error naming it. Nor is any SHOW WAL form but STATUS.
 package sqlparse
 
 import (

@@ -118,7 +118,10 @@ func (p *parser) parseStatement() (Statement, error) {
 		// WAL, like STATUS below, is contextual: nothing stops a schema
 		// from having a column named "wal".
 		if p.acceptIdent("WAL") {
-			return p.parseShowWAL()
+			if !p.acceptIdent("STATUS") {
+				return nil, p.errf("expected STATUS after SHOW WAL, found %q", p.cur().text)
+			}
+			return &ShowWALStatus{}, nil
 		}
 		if p.accept(tokKeyword, "TABLE") {
 			// STATUS is contextual, not reserved: it is a live column name
@@ -220,40 +223,6 @@ func (p *parser) parseIdent() (string, error) {
 		return p.next().text, nil
 	}
 	return "", p.errf("expected identifier, found %q", p.cur().text)
-}
-
-// parseShowWAL parses the tail of SHOW WAL: STATUS, CHAIN n, or
-// RECORDS SINCE n [LIMIT m]. SHOW WAL itself was already consumed.
-func (p *parser) parseShowWAL() (Statement, error) {
-	switch {
-	case p.acceptIdent("STATUS"):
-		return &ShowWALStatus{}, nil
-	case p.acceptIdent("CHAIN"):
-		n, err := p.parseInt()
-		if err != nil {
-			return nil, err
-		}
-		return &ShowWALChain{AtLSN: int64(n)}, nil
-	case p.acceptIdent("RECORDS"):
-		if !p.acceptIdent("SINCE") {
-			return nil, p.errf("expected SINCE after SHOW WAL RECORDS")
-		}
-		n, err := p.parseInt()
-		if err != nil {
-			return nil, err
-		}
-		rec := &ShowWALRecords{SinceLSN: int64(n), Limit: -1}
-		if p.accept(tokKeyword, "LIMIT") {
-			m, err := p.parseInt()
-			if err != nil {
-				return nil, err
-			}
-			rec.Limit = int64(m)
-		}
-		return rec, nil
-	default:
-		return nil, p.errf("expected STATUS, CHAIN or RECORDS after SHOW WAL")
-	}
 }
 
 func (p *parser) parseSelect() (*Select, error) {

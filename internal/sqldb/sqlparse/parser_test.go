@@ -81,6 +81,8 @@ func TestDeletedClauses(t *testing.T) {
 		{"SELECT COUNT(id) FROM bids", "COUNT(expr)"},
 		{"SELECT COUNT(DISTINCT id) FROM bids", "COUNT(expr)"},
 		{"SELECT item_id, COUNT(*) FROM bids", "GROUP BY"},
+		{"SHOW WAL CHAIN 1", `found "CHAIN"`},
+		{"SHOW WAL RECORDS SINCE 1 LIMIT 256", `found "RECORDS"`},
 	} {
 		_, err := Parse(c.sql)
 		if err == nil || !strings.Contains(err.Error(), c.names) {

@@ -212,8 +212,6 @@ SELECT o.customer_id, o.o_date, l.item_id, l.qty, l.discount FROM order_line l J
 SELECT ol.item_id, i.title, ol.qty FROM order_line ol JOIN items i ON i.id = ol.item_id WHERE ol.order_id = ?
 SELECT uname FROM customers WHERE id = ?
 SHOW TABLE STATUS
-SHOW WAL CHAIN 1
-SHOW WAL RECORDS SINCE 1 LIMIT 256
 SHOW WAL STATUS
 UPDATE items SET cost = ? WHERE id = ?
 UPDATE items SET cost = ?, pub_date = ? WHERE id = ?

@@ -38,8 +38,8 @@ package sqldb
 // record past it, and truncates the tail at the first bad checksum — a torn
 // record is a commit that was never acknowledged, so dropping it is correct
 // (torn-tail rule). The chain hash — fnv64a folded over every statement
-// since LSN 0 — rides along so a rejoining replica can prove its state is a
-// prefix of a peer's stream before asking for a delta (cluster.SyncAuto).
+// since LSN 0 — rides along in every checkpoint and in SHOW WAL STATUS, a
+// fingerprint of the statement history two replicas can compare.
 //
 // Checkpoints. Checkpoint clones every table's committed state at a cut
 // between commit sections (DB.commitMu and the catalog lock held for the
@@ -52,7 +52,6 @@ package sqldb
 // transitions for the kill-and-recover matrix.
 
 import (
-	"encoding/base64"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -157,9 +156,9 @@ type WAL struct {
 	// table locks) → mu; never the reverse.
 	mu sync.Mutex
 	// buf collects records no leader has taken yet. A leader swaps it with
-	// flight and writes flight to the segment; flight keeps its bytes until
-	// fSize covers them, so a scanView never finds a batch in neither place.
-	// The two arrays are reused, one filling while the other is written.
+	// flight and writes flight to the segment, so appenders keep filling
+	// buf while the write and the fsync run. The two arrays are reused, one
+	// filling while the other is written.
 	buf            []byte
 	flight         []byte
 	bufLast        uint64 // last LSN sitting in buf
@@ -170,7 +169,6 @@ type WAL struct {
 	syncedSize     int64        // bytes of f known fsynced
 	segs           []walSegment // ascending firstLSN; last is active
 	ckptLSN        uint64
-	ckptChain      uint64
 	bytesSinceCkpt int64
 	crashed        bool
 	closed         bool
@@ -230,29 +228,6 @@ func (db *DB) WALStats() WALStats {
 }
 
 // ---- value / statement / record codec ----
-
-// EncodeWALValues encodes bound arguments in the WAL's value format — the
-// representation SHOW WAL RECORDS ships (base64ed) to a rejoining replica.
-func EncodeWALValues(args []Value) []byte {
-	var b []byte
-	for _, v := range args {
-		b = appendWALValue(b, v)
-	}
-	return b
-}
-
-// DecodeWALValues is EncodeWALValues' inverse. Trailing garbage is an error.
-func DecodeWALValues(b []byte) ([]Value, error) {
-	r := leReader{b: b}
-	var vals []Value
-	for len(r.b) > 0 {
-		vals = append(vals, r.value())
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	return vals, nil
-}
 
 func appendWALValue(b []byte, v Value) []byte {
 	kind := v.Kind()
@@ -397,7 +372,18 @@ type walRecStmt struct {
 	encArgs []byte
 }
 
-func (s walRecStmt) values() ([]Value, error) { return DecodeWALValues(s.encArgs) }
+// values decodes the statement's arguments. Trailing garbage is an error.
+func (s walRecStmt) values() ([]Value, error) {
+	r := leReader{b: s.encArgs}
+	var vals []Value
+	for len(r.b) > 0 {
+		vals = append(vals, r.value())
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	return vals, nil
+}
 
 // decodeRecord parses one record from b. It returns the decoded statements
 // and the remaining bytes. io-style sentinel behavior: (nil, b, errWALNeedMore)
@@ -543,8 +529,6 @@ func (w *WAL) flush() error {
 	_, err := f.Write(batch)
 	w.mu.Lock()
 	if err != nil {
-		// flight stays as it is: the log is dead, and a scan still finds
-		// every record that was numbered.
 		return w.fail(fmt.Errorf("sqldb: wal write: %w", err))
 	}
 	w.fSize += int64(len(batch))
@@ -701,7 +685,7 @@ func (w *WAL) Checkpoint() error {
 		return err
 	}
 	w.mu.Lock()
-	w.ckptLSN, w.ckptChain = lsn, chain
+	w.ckptLSN = lsn
 	w.bytesSinceCkpt = 0
 	w.mu.Unlock()
 	w.checkpoints.Add(1)
@@ -938,86 +922,7 @@ func fsyncDir(dir string) error {
 	return err
 }
 
-// ---- log scanning (SHOW WAL ... and recovery share this) ----
-
-// scanState captures a consistent read view of the log: finished bytes of
-// every on-disk segment plus the tail not yet counted in fSize — the group in
-// flight, if any, then the buffer behind it.
-type scanState struct {
-	segs    []walSegment
-	activeN int64 // bytes of the active (last) segment to trust
-	tail    []byte
-	lastLSN uint64
-	durable uint64
-	chain   uint64
-	ckptLSN uint64
-	ckptCh  uint64
-}
-
-func (w *WAL) scanView() scanState {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return scanState{
-		segs:    append([]walSegment(nil), w.segs...),
-		activeN: w.fSize,
-		tail:    append(append([]byte(nil), w.flight...), w.buf...),
-		lastLSN: w.nextLSN - 1,
-		durable: w.durableLSN,
-		chain:   w.chain,
-		ckptLSN: w.ckptLSN,
-		ckptCh:  w.ckptChain,
-	}
-}
-
-// scanStmts streams every logged statement in the view with lsn > after, in
-// LSN order, until fn returns false. Statements at or below the checkpoint
-// may appear in pre-GC segments; they are skipped via the after filter the
-// callers pass.
-func (v scanState) scanStmts(after uint64, fn func(walRecStmt) bool) error {
-	emit := func(b []byte) (bool, error) {
-		for len(b) > 0 {
-			stmts, rest, err := decodeRecord(b)
-			if err != nil {
-				return false, err
-			}
-			for _, st := range stmts {
-				if st.lsn <= after {
-					continue
-				}
-				if !fn(st) {
-					return false, nil
-				}
-			}
-			b = rest
-		}
-		return true, nil
-	}
-	for i, s := range v.segs {
-		data, err := os.ReadFile(s.path)
-		if err != nil {
-			return err
-		}
-		if len(data) < walSegHeaderSize {
-			return errors.New("sqldb: wal segment: short header")
-		}
-		body := data[walSegHeaderSize:]
-		if i == len(v.segs)-1 {
-			// The active segment may have grown past the captured view;
-			// only the captured prefix is record-aligned for sure.
-			if n := v.activeN - walSegHeaderSize; int64(len(body)) > n {
-				body = body[:n]
-			}
-			body = append(body, v.tail...)
-		}
-		cont, err := emit(body)
-		if err != nil || !cont {
-			return err
-		}
-	}
-	return nil
-}
-
-// ---- SHOW WAL executors ----
+// ---- SHOW WAL STATUS ----
 
 // execShowWALStatus serves SHOW WAL STATUS. LSNs and hashes are reported as
 // int64 bit patterns (the engine's integer type); consumers compare them
@@ -1029,88 +934,9 @@ func (db *DB) execShowWALStatus() (*Result, error) {
 		res.Rows = append(res.Rows, Row{Int(0), Int(0), Int(0), Int(0), Int(0)})
 		return res, nil
 	}
-	v := w.scanView()
-	res.Rows = append(res.Rows, Row{
-		Int(1), Int(int64(v.lastLSN)), Int(int64(v.durable)),
-		Int(int64(v.chain)), Int(int64(v.ckptLSN)),
-	})
-	return res, nil
-}
-
-// execShowWALChain serves SHOW WAL CHAIN n: (lsn, chain, available). The
-// chain at n is reconstructible only while n is at or past the checkpoint
-// the log was last rotated against.
-func (db *DB) execShowWALChain(at uint64) (*Result, error) {
-	res := &Result{Columns: []string{"lsn", "chain", "available"}}
-	w := db.wal
-	if w == nil {
-		res.Rows = append(res.Rows, Row{Int(int64(at)), Int(0), Int(0)})
-		return res, nil
-	}
-	v := w.scanView()
-	chain, ok := v.chainAt(at)
-	avail := Int(0)
-	if ok {
-		avail = Int(1)
-	}
-	res.Rows = append(res.Rows, Row{Int(int64(at)), Int(int64(chain)), avail})
-	return res, nil
-}
-
-func (v scanState) chainAt(at uint64) (uint64, bool) {
-	switch {
-	case at > v.lastLSN || at < v.ckptLSN:
-		return 0, false
-	case at == v.lastLSN:
-		return v.chain, true
-	case at == v.ckptLSN:
-		return v.ckptCh, true
-	}
-	chain := v.ckptCh
-	reached := false
-	err := v.scanStmts(v.ckptLSN, func(st walRecStmt) bool {
-		chain = chainStep(chain, st.q, st.encArgs)
-		if st.lsn == at {
-			reached = true
-			return false
-		}
-		return true
-	})
-	if err != nil || !reached {
-		return 0, false
-	}
-	return chain, true
-}
-
-// execShowWALRecords serves SHOW WAL RECORDS SINCE n LIMIT m: the logged
-// statements with LSN > n as (lsn, query, base64(args)) rows — the
-// log-shipping payload a rejoining replica replays. Asking below the
-// retained horizon is an error (the caller must fall back to a full copy).
-func (db *DB) execShowWALRecords(since uint64, limit int64) (*Result, error) {
-	w := db.wal
-	if w == nil {
-		return nil, errors.New("sqldb: no wal attached")
-	}
-	v := w.scanView()
-	if since < v.ckptLSN {
-		return nil, fmt.Errorf("sqldb: wal records before lsn %d rotated away (asked since %d)", v.ckptLSN, since)
-	}
-	if limit < 0 {
-		limit = int64(^uint64(0) >> 1)
-	}
-	res := &Result{Columns: []string{"lsn", "query", "args"}}
-	err := v.scanStmts(since, func(st walRecStmt) bool {
-		if int64(len(res.Rows)) >= limit {
-			return false
-		}
-		res.Rows = append(res.Rows, Row{
-			Int(int64(st.lsn)), String(st.q),
-			String(base64.StdEncoding.EncodeToString(st.encArgs)),
-		})
-		return int64(len(res.Rows)) < limit
-	})
-	if err != nil {
-		return nil, err
-	}
+	w.mu.Lock()
+	row := Row{Int(1), Int(int64(w.nextLSN - 1)), Int(int64(w.durableLSN)), Int(int64(w.chain)), Int(int64(w.ckptLSN))}
+	w.mu.Unlock()
+	res.Rows = append(res.Rows, row)
 	return res, nil
 }

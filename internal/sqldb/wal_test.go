@@ -1,7 +1,6 @@
 package sqldb
 
 import (
-	"encoding/base64"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -675,49 +674,6 @@ func TestWALWriteErrorIsSticky(t *testing.T) {
 	}
 }
 
-// TestShowWALRecordsSeesGroupInFlight: SHOW WAL RECORDS, racing a committer,
-// always returns every LSN up to a last_lsn read before it — the group a
-// leader is writing at that moment included. (A view that has handed the
-// batch to the writer but not yet counted it in the file would ship a
-// rejoining replica a stream with a hole.)
-func TestShowWALRecordsSeesGroupInFlight(t *testing.T) {
-	db := New()
-	if _, err := db.AttachWAL(testWALOpts(t.TempDir())); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { db.CloseWAL() })
-	s := db.NewSession()
-	defer s.Close()
-	walSchema(t, s)
-
-	var stop atomic.Bool
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		s2 := db.NewSession()
-		defer s2.Close()
-		for scan := 0; !stop.Load(); scan++ {
-			last := walMustExec(t, s2, "SHOW WAL STATUS").Rows[0][1].AsInt()
-			recs := walMustExec(t, s2, "SHOW WAL RECORDS SINCE 0").Rows
-			if int64(len(recs)) < last {
-				t.Errorf("scan %d: %d records, but last_lsn was already %d", scan, len(recs), last)
-				return
-			}
-			for i, row := range recs {
-				if row[0].AsInt() != int64(i+1) {
-					t.Errorf("scan %d: record %d has lsn %d", scan, i, row[0].AsInt())
-					return
-				}
-			}
-		}
-	}()
-	for i := 0; i < 400; i++ {
-		walMustExec(t, s, "INSERT INTO audit (item, delta) VALUES (?, ?)", Int(1), Int(int64(i)))
-	}
-	stop.Store(true)
-	<-done
-}
-
 // TestChainStepMatchesFNV pins the chain hash to its definition: the replicas
 // of one cluster and the checkpoints on disk all carry this value.
 func TestChainStepMatchesFNV(t *testing.T) {
@@ -730,7 +686,10 @@ func TestChainStepMatchesFNV(t *testing.T) {
 		{1, "DELETE FROM t", nil},
 		{0xfedcba9876543210, "INSERT INTO t VALUES (?, ?, ?, ?)", []Value{Int(-7), String("x\x00y"), Float(2.5), Null()}},
 	} {
-		enc := EncodeWALValues(tc.args)
+		var enc []byte
+		for _, v := range tc.args {
+			enc = appendWALValue(enc, v)
+		}
 		h := fnv.New64a()
 		var b [8]byte
 		binary.LittleEndian.PutUint64(b[:], tc.prev)
@@ -744,92 +703,39 @@ func TestChainStepMatchesFNV(t *testing.T) {
 	}
 }
 
-// TestShowWALStatements: the SQL surface the log-shipping rejoin uses.
+// TestShowWALStatements: SHOW WAL STATUS, the one view of a backend's log
+// on the wire, reports the log's own counters.
 func TestShowWALStatements(t *testing.T) {
-	dir := t.TempDir()
 	db := New()
-	if _, err := db.AttachWAL(testWALOpts(dir)); err != nil {
+	if _, err := db.AttachWAL(testWALOpts(t.TempDir())); err != nil {
 		t.Fatal(err)
 	}
+	defer db.CloseWAL()
 	s := db.NewSession()
 	defer s.Close()
 	walSchema(t, s)
 	walMustExec(t, s, "INSERT INTO items (name, qty) VALUES (?, ?)", String("x"), Int(1))
-
-	st := walMustExec(t, s, "SHOW WAL STATUS")
-	if st.Rows[0][0].AsInt() != 1 {
-		t.Fatal("SHOW WAL STATUS says no wal attached")
-	}
-	last := st.Rows[0][1].AsInt()
-	if last < 4 {
-		t.Fatalf("last_lsn %d, want >= 4 (3 DDL + 1 insert)", last)
-	}
-
-	// The chain at last_lsn equals the status chain; records page through.
-	ch := walMustExec(t, s, fmt.Sprintf("SHOW WAL CHAIN %d", last))
-	if ch.Rows[0][2].AsInt() != 1 {
-		t.Fatal("chain at last_lsn unavailable")
-	}
-	if ch.Rows[0][1].AsInt() != st.Rows[0][3].AsInt() {
-		t.Fatal("SHOW WAL CHAIN at head disagrees with SHOW WAL STATUS")
-	}
-	recs := walMustExec(t, s, "SHOW WAL RECORDS SINCE 0 LIMIT 2")
-	if len(recs.Rows) != 2 || recs.Rows[0][0].AsInt() != 1 || recs.Rows[1][0].AsInt() != 2 {
-		t.Fatalf("paging: got %v", recs.Rows)
-	}
-	recs = walMustExec(t, s, fmt.Sprintf("SHOW WAL RECORDS SINCE %d LIMIT 100", last))
-	if len(recs.Rows) != 0 {
-		t.Fatalf("records past head: %v", recs.Rows)
-	}
-
-	// Replaying the shipped records into a second engine converges chains —
-	// the delta-sync core.
-	db2 := New()
-	if _, err := db2.AttachWAL(testWALOpts(t.TempDir())); err != nil {
-		t.Fatal(err)
-	}
-	defer db2.CloseWAL()
-	s2 := db2.NewSession()
-	defer s2.Close()
-	all := walMustExec(t, s, "SHOW WAL RECORDS SINCE 0 LIMIT 10000")
-	for _, row := range all.Rows {
-		args, err := DecodeWALValues(mustB64(t, row[2].AsString()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s2.Exec(row[1].AsString(), args...); err != nil {
-			t.Fatalf("replay %q: %v", row[1].AsString(), err)
-		}
-	}
-	a := walMustExec(t, s, "SHOW WAL STATUS").Rows[0]
-	b := walMustExec(t, s2, "SHOW WAL STATUS").Rows[0]
-	if a[1].AsInt() != b[1].AsInt() || a[3].AsInt() != b[3].AsInt() {
-		t.Fatalf("chains diverged after full replay: src=%v dst=%v", a, b)
-	}
-
-	// After a checkpoint rotates history away, records below the horizon
-	// are refused (the caller must full-copy instead).
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Exec("SHOW WAL RECORDS SINCE 0 LIMIT 1"); err == nil {
-		t.Fatal("records below the rotated horizon should be refused")
+
+	row := walMustExec(t, s, "SHOW WAL STATUS").Rows[0]
+	ws := db.WALStats()
+	if row[0].AsInt() != 1 {
+		t.Fatal("SHOW WAL STATUS says no wal attached")
 	}
-	if err := db.CloseWAL(); err != nil {
-		t.Fatal(err)
+	if last := row[1].AsInt(); last < 4 || uint64(last) != ws.LastLSN {
+		t.Fatalf("last_lsn %d, want >= 4 (3 DDL + 1 insert) and WALStats' %d", last, ws.LastLSN)
+	}
+	if uint64(row[2].AsInt()) != ws.DurableLSN || uint64(row[4].AsInt()) != ws.CheckpointLSN {
+		t.Fatalf("durable/checkpoint lsn %v, want WALStats' %d/%d", row, ws.DurableLSN, ws.CheckpointLSN)
+	}
+	if row[3].AsInt() == 0 {
+		t.Fatal("chain hash is zero after logged statements")
 	}
 }
 
-func mustB64(t *testing.T, s string) []byte {
-	t.Helper()
-	b, err := base64.StdEncoding.DecodeString(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-// TestWALOnNilIsInert: a DB without a WAL answers the SHOW WAL surface
+// TestWALOnNilIsInert: a DB without a WAL answers SHOW WAL STATUS
 // gracefully and pays no durability cost.
 func TestWALOnNilIsInert(t *testing.T) {
 	db := New()
@@ -839,9 +745,6 @@ func TestWALOnNilIsInert(t *testing.T) {
 	st := walMustExec(t, s, "SHOW WAL STATUS")
 	if st.Rows[0][0].AsInt() != 0 {
 		t.Fatal("no-wal status should report attached=0")
-	}
-	if _, err := s.Exec("SHOW WAL RECORDS SINCE 0 LIMIT 1"); err == nil {
-		t.Fatal("records on a wal-less engine should error")
 	}
 	if got := db.WALStats(); got.Attached {
 		t.Fatal("WALStats on wal-less engine")

@@ -165,7 +165,7 @@ func TestStatusJSONKeysStable(t *testing.T) {
 	first := func(list string) any { return m[list].([]any)[0] }
 	for _, c := range []struct{ what, got, want string }{
 		{"tier", keys(first("tiers")),
-			"aborts broadcast_acks broadcasts bytes commits deadlock_timeouts downstream loads lock_bypasses name page_cache_bypasses page_cache_hits page_cache_invalidations page_cache_misses plan_hits plan_misses pool prepared_execs queries query_cache_bypasses query_cache_hits query_cache_invalidations query_cache_misses readonly_txns requests shard_2pc_txns shard_broadcast shard_scatter shard_single shards slow_ejections snapshot_reads snapshot_refreshes stores text_execs txn_lock_wait_nanos wal_appends wal_bytes wal_checkpoints wal_delta_stmts wal_delta_syncs wal_fsyncs wal_full_syncs wal_recoveries"},
+			"aborts broadcast_acks broadcasts bytes commits deadlock_timeouts downstream loads lock_bypasses name page_cache_bypasses page_cache_hits page_cache_invalidations page_cache_misses plan_hits plan_misses pool prepared_execs queries query_cache_bypasses query_cache_hits query_cache_invalidations query_cache_misses readonly_txns requests shard_2pc_txns shard_broadcast shard_scatter shard_single shards slow_ejections snapshot_reads snapshot_refreshes stores text_execs txn_lock_wait_nanos wal_appends wal_bytes wal_checkpoints wal_fsyncs wal_full_syncs wal_recoveries"},
 		{"replica", keys(first("replicas")),
 			"addr checkpoints ejections healthy id lag_nanos pool queries reads recoveries shard wal_appends wal_bytes wal_fsyncs writes"},
 		{"app backend", keys(first("app_backends")),

@@ -27,7 +27,7 @@ import (
 
 // ClusterStats is the cluster client's counters (internal/cluster fills it;
 // cluster.ClientStats is this type). To add one: declare the field here, and
-// count it in the cluster package where ClientStats() is assembled.
+// an atomic cell of the same name in the cluster package's counters struct.
 type ClusterStats struct {
 	// Broadcasts counts statements fanned out to all replicas concurrently,
 	// BroadcastAcks the replica acknowledgements they gathered (acks ÷
@@ -58,11 +58,9 @@ type ClusterStats struct {
 	QueryCacheMisses        int64 `json:"query_cache_misses,omitempty"`
 	QueryCacheInvalidations int64 `json:"query_cache_invalidations,omitempty"`
 	QueryCacheBypasses      int64 `json:"query_cache_bypasses,omitempty"`
-	// Rejoin data copies by path (DESIGN.md §12): log-shipping delta (and
-	// the statements it replayed) versus full table copy.
-	WALDeltaSyncs int64 `json:"wal_delta_syncs,omitempty"`
-	WALFullSyncs  int64 `json:"wal_full_syncs,omitempty"`
-	WALDeltaStmts int64 `json:"wal_delta_stmts,omitempty"`
+	// WALFullSyncs counts the rejoins whose data copy (cluster.Sync, the
+	// one rejoin path) completed.
+	WALFullSyncs int64 `json:"wal_full_syncs,omitempty"`
 }
 
 // Tier is one tier's counters. The Pool is the tier's client-side pool to
@@ -476,16 +474,16 @@ func (s *Snapshot) Format() string {
 		}
 	}
 	for _, t := range s.Tiers {
-		if t.WALAppends == 0 && t.WALRecoveries == 0 && t.WALDeltaSyncs == 0 && t.WALFullSyncs == 0 {
+		if t.WALAppends == 0 && t.WALRecoveries == 0 && t.WALFullSyncs == 0 {
 			continue
 		}
 		perFsync := 0.0
 		if t.WALFsyncs > 0 {
 			perFsync = float64(t.WALAppends) / float64(t.WALFsyncs)
 		}
-		fmt.Fprintf(&b, "%s wal: %d appends / %d fsyncs (%.1f per fsync), %.1f MB, %d checkpoints, %d recoveries; rejoins %d delta (%d stmts) / %d full\n",
+		fmt.Fprintf(&b, "%s wal: %d appends / %d fsyncs (%.1f per fsync), %.1f MB, %d checkpoints, %d recoveries; %d rejoin copies\n",
 			t.Name, t.WALAppends, t.WALFsyncs, perFsync, float64(t.WALBytes)/(1<<20),
-			t.WALCheckpoints, t.WALRecoveries, t.WALDeltaSyncs, t.WALDeltaStmts, t.WALFullSyncs)
+			t.WALCheckpoints, t.WALRecoveries, t.WALFullSyncs)
 	}
 	for _, t := range s.Tiers {
 		p := t.Pool
