@@ -15,9 +15,9 @@
 //     repository reads memory by address, and `make race-db` (checkptr)
 //     is aimed at exactly that file.
 //  5. No non-test Go file under internal/ or cmd/ but internal/frame/frame.go
-//     and internal/chaos/chaos.go calls net.Listen or an Accept() method:
-//     every server accepts, tracks, drains and closes connections through
-//     frame.Listener, and the fault proxy is the one relay.
+//     calls net.Listen or an Accept() method: every server, and the fault
+//     proxy's relay, accepts, tracks, drains and closes connections through
+//     frame.Listener.
 //  6. No non-test Go file under internal/ or cmd/ calls (or takes the
 //     method value of) a method named ExecCached or WithReadTx, or names
 //     SessionExecer but internal/sqldb/db.go, which declares it: a statement
@@ -281,6 +281,10 @@ func checkPackageComments(root string) int {
 // unsafeHome is the one non-test file allowed to import package unsafe.
 const unsafeHome = "internal/sqldb/value.go"
 
+// acceptHome is the one non-test file under internal/ or cmd/ allowed to
+// bind and accept: the listener every server and the fault proxy run on.
+const acceptHome = "internal/frame/frame.go"
+
 // sessionExecerHome is the one non-test file allowed to name SessionExecer.
 const sessionExecerHome = "internal/sqldb/db.go"
 
@@ -291,17 +295,9 @@ var deprecatedCalls = map[string]string{
 	"WithReadTx": "read on a session with no transaction open",
 }
 
-// acceptHomes are the non-test files allowed to bind and accept: the server
-// skeleton all four servers run on, and the fault proxy — a relay, not a
-// request/response server, and the one documented exception.
-var acceptHomes = map[string]bool{
-	"internal/frame/frame.go": true,
-	"internal/chaos/chaos.go": true,
-}
-
 // checkConfinedCode walks root and reports every non-test Go file that
 // imports package unsafe (other than unsafeHome) or, under internal/ or
-// cmd/, calls net.Listen or an Accept() method (other than acceptHomes) — a
+// cmd/, calls net.Listen or an Accept() method (other than acceptHome) — a
 // fifth accept loop is a second copy of frame.Listener — or uses a
 // deprecatedCalls forwarder or names SessionExecer (other than
 // sessionExecerHome).
@@ -352,7 +348,7 @@ func checkConfinedCode(root string) int {
 				}
 			case *ast.CallExpr:
 				sel, ok := n.Fun.(*ast.SelectorExpr)
-				if !ok || acceptHomes[rel] {
+				if !ok || rel == acceptHome {
 					return true
 				}
 				pkg, _ := sel.X.(*ast.Ident)

@@ -73,24 +73,29 @@ func TestLintDocs(t *testing.T) {
 // TestLintConfinedCode: each confinement rule fails a fixture file that
 // breaks it.
 func TestLintConfinedCode(t *testing.T) {
-	cases := map[string]string{
-		"unsafe outside value.go": "package foo\n\nimport _ \"unsafe\"\n",
-		"a second accept loop":    "package foo\n\nimport \"net\"\n\nfunc listen() { net.Listen(\"tcp\", \":0\") }\n",
-		"a deprecated call":       "package foo\n\nfunc read(c interface{ ExecCached(string) }) { c.ExecCached(\"\") }\n",
+	extra := filepath.Join("internal", "foo", "extra.go")
+	cases := map[string]struct{ path, src string }{
+		"unsafe outside value.go": {extra, "package foo\n\nimport _ \"unsafe\"\n"},
+		"a second accept loop":    {extra, "package foo\n\nimport \"net\"\n\nfunc listen() { net.Listen(\"tcp\", \":0\") }\n"},
+		"a deprecated call":       {extra, "package foo\n\nfunc read(c interface{ ExecCached(string) }) { c.ExecCached(\"\") }\n"},
+		"an accept loop in the fault proxy": {filepath.Join("internal", "chaos", "chaos.go"),
+			"// Package chaos is a fixture.\npackage chaos\n\nimport \"net\"\n\nfunc listen() { net.Listen(\"tcp\", \":0\") }\n"},
 	}
 	inFixture(t)
 	if err := os.WriteFile("DOC.md", nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	extra := filepath.Join("internal", "foo", "extra.go")
-	for name, src := range cases {
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
-			if err := os.WriteFile(extra, []byte(src), 0o644); err != nil {
+			if err := os.MkdirAll(filepath.Dir(tc.path), 0o755); err != nil {
 				t.Fatal(err)
 			}
-			defer os.Remove(extra)
+			if err := os.WriteFile(tc.path, []byte(tc.src), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			defer os.Remove(tc.path)
 			if bad, _ := lint([]string{"DOC.md"}); bad != 1 {
-				t.Errorf("%d problem(s), want 1 in:\n%s", bad, src)
+				t.Errorf("%d problem(s), want 1 in %s:\n%s", bad, tc.path, tc.src)
 			}
 		})
 	}

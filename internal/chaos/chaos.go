@@ -8,32 +8,38 @@
 // tests can replay the same fault sequence deterministically and assert
 // the stack degrades instead of hanging.
 //
-// Faults are scheduled two ways, composable:
+// A proxy has one fault state: a Schedule and the time it started. A
+// schedule is an ordered list of rules (fault + time window relative to
+// its start); the last matching rule wins, so a broad "slow everything"
+// rule can be overridden by a narrow "but reset from 200ms to 300ms".
+// Play replaces the schedule and counts its windows from the call; Set is
+// a one-rule, open-ended schedule and Clear the empty one. Each applies to
+// new *and established* connections — tests reach a core.Lab's proxies
+// through its DBProxy/AppProxy accessors to do this.
 //
-//   - A Schedule: an ordered list of rules (connection matcher + fault +
-//     time window relative to proxy start). The last matching rule wins,
-//     so a broad "slow everything" rule can be overridden by a narrow
-//     "but reset connection 3". Jitter is seeded per connection from
-//     (Schedule.Seed, conn id), so one seed replays one fault sequence.
-//   - Manual overrides: Set(fault)/Clear() flip the active fault for new
-//     *and established* connections — tests reach a core.Lab's proxies
-//     through its DBProxy/AppProxy accessors to do this.
+// Jitter is seeded per connection from (Schedule.Seed, conn id), so one
+// seed replays one fault sequence. Connection ids count connections in
+// the order their relays start, which the listener's one goroutine per
+// accept leaves close to, but not strictly, accept order.
 //
 // Safety invariant — stalls kill: a stalled (blackholed) connection
-// buffers nothing for later. When its stall window ends, or the override
-// clears, the connection is torn down, never resumed. Resuming would
+// buffers nothing for later. When its stall window ends, or the schedule
+// changes, the connection is torn down, never resumed. Resuming would
 // deliver a write the client long since timed out on — applied on a
 // replica the cluster already ejected, silently diverging the very
 // byte-identical invariant the chaos tests assert.
 package chaos
 
 import (
+	"bufio"
 	"errors"
 	"math/rand/v2"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/frame"
 )
 
 // Kind names a fault class.
@@ -51,55 +57,21 @@ const (
 	// Reset tears the connection down mid-stream (RST-like: close with
 	// pending data) and closes new connections immediately on accept.
 	Reset
-	// Throttle caps forwarding to BytesPerSec, the saturated-uplink shape.
-	Throttle
 )
-
-func (k Kind) String() string {
-	switch k {
-	case None:
-		return "none"
-	case Latency:
-		return "latency"
-	case Stall:
-		return "stall"
-	case Reset:
-		return "reset"
-	case Throttle:
-		return "throttle"
-	}
-	return "unknown"
-}
 
 // Fault is one concrete fault: a kind plus its parameters.
 type Fault struct {
-	Kind        Kind
-	Delay       time.Duration // Latency: fixed delay per read
-	Jitter      time.Duration // Latency: additional seeded random delay in [0,Jitter)
-	BytesPerSec int           // Throttle: forwarding cap
+	Kind   Kind
+	Delay  time.Duration // Latency: fixed delay per read
+	Jitter time.Duration // Latency: additional seeded random delay in [0,Jitter)
 }
 
-// Rule scripts a fault for a slice of connections and a slice of time.
-// Zero-value matchers match everything: From==0,To==0 means the whole
-// run; Conn==0 means every connection (connection ids start at 1).
+// Rule scripts a fault for a slice of time. From==0,To==0 means the whole
+// run.
 type Rule struct {
 	Fault Fault
-	From  time.Duration // window start, relative to proxy start
+	From  time.Duration // window start, relative to the schedule's start
 	To    time.Duration // window end (0 = open-ended)
-	Conn  int           // match one connection id (0 = all)
-}
-
-func (r Rule) matches(connID int, since time.Duration) bool {
-	if r.Conn != 0 && r.Conn != connID {
-		return false
-	}
-	if since < r.From {
-		return false
-	}
-	if r.To != 0 && since >= r.To {
-		return false
-	}
-	return true
 }
 
 // Schedule is a deterministic fault script. Rules are evaluated in order
@@ -122,6 +94,25 @@ func (s *Schedule) Flap(from time.Duration, cycles int, down, up time.Duration) 
 	}
 }
 
+// playing is the proxy's one fault state: a schedule and when it started.
+type playing struct {
+	Schedule
+	start time.Time
+}
+
+// fault resolves the active fault right now: the last rule whose window
+// holds.
+func (s *playing) fault() Fault {
+	since := time.Since(s.start)
+	var f Fault
+	for _, r := range s.Rules {
+		if since >= r.From && (r.To == 0 || since < r.To) {
+			f = r.Fault
+		}
+	}
+	return f
+}
+
 // Stats counts what the proxy did to its traffic.
 type Stats struct {
 	Conns     int64 `json:"conns"`
@@ -131,20 +122,15 @@ type Stats struct {
 }
 
 // Proxy is a fault-injecting TCP forwarder. Create with Listen, point
-// clients at Addr(), and script faults via the Schedule or Set/Clear.
+// clients at Addr(), and script faults with Play, Set and Clear.
 type Proxy struct {
-	name    string
 	backend string
-	ln      net.Listener
-	sched   Schedule
-	start   time.Time
+	l       *frame.Listener
+	addr    string
+	state   atomic.Pointer[playing]
 
-	override atomic.Pointer[Fault] // manual Set/Clear, wins over the schedule
-
-	mu     sync.Mutex
-	conns  map[*proxyConn]struct{}
-	closed bool
-	nextID int
+	mu    sync.Mutex
+	conns map[*proxyConn]struct{}
 
 	conns_    atomic.Int64
 	resets    atomic.Int64
@@ -152,50 +138,46 @@ type Proxy struct {
 	delayedIO atomic.Int64
 }
 
-// Listen starts a proxy on a fresh loopback port forwarding to backend.
-func Listen(name, backend string, sched Schedule) (*Proxy, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+// Listen starts a transparent proxy on a fresh loopback port forwarding to
+// backend.
+func Listen(backend string) (*Proxy, error) {
+	p := &Proxy{backend: backend, conns: make(map[*proxyConn]struct{})}
+	p.state.Store(&playing{start: time.Now()})
+	p.l = frame.NewListener("chaos", nil, p.serve)
+	addr, err := p.l.Listen("127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
-	p := &Proxy{
-		name:    name,
-		backend: backend,
-		ln:      ln,
-		sched:   sched,
-		start:   time.Now(),
-		conns:   make(map[*proxyConn]struct{}),
-	}
-	go p.acceptLoop()
+	p.addr = addr.String()
 	return p, nil
 }
 
 // Addr returns the proxy's listen address — what clients dial instead of
 // the backend.
-func (p *Proxy) Addr() string { return p.ln.Addr().String() }
+func (p *Proxy) Addr() string { return p.addr }
 
-// Backend returns the address the proxy forwards to.
-func (p *Proxy) Backend() string { return p.backend }
-
-// Set overrides the schedule with a manual fault for all connections,
-// current and future, until Clear. Setting a Stall freezes established
-// connections in place; per the stall-kills invariant they are torn down
-// when the override changes.
-func (p *Proxy) Set(f Fault) {
-	p.override.Store(&f)
-	p.poke(f)
+// Play replaces the proxy's schedule with s, its windows counted from
+// now, for all connections, current and future. Connections stalled
+// under the old schedule are torn down (the stall-kills invariant), and
+// every connection's jitter stream restarts from (s.Seed, conn id).
+func (p *Proxy) Play(s Schedule) {
+	p.state.Store(&playing{Schedule: s, start: time.Now()})
+	p.poke()
 }
 
-// Clear removes the manual override, returning control to the schedule.
-func (p *Proxy) Clear() {
-	p.override.Store(nil)
-	p.poke(Fault{Kind: None})
-}
+// Set plays f for all connections, current and future, until the next
+// Play, Set or Clear. Setting a Stall freezes established connections in
+// place.
+func (p *Proxy) Set(f Fault) { p.Play(Schedule{Rules: []Rule{{Fault: f}}}) }
 
-// poke re-evaluates established connections after an override flip:
-// stalled connections are killed (never resumed), and a Reset override
+// Clear plays the empty schedule: bytes flow untouched.
+func (p *Proxy) Clear() { p.Play(Schedule{}) }
+
+// poke re-evaluates established connections after the schedule changed:
+// stalled connections are killed (never resumed), and a Reset in force
 // kills everything immediately.
-func (p *Proxy) poke(now Fault) {
+func (p *Proxy) poke() {
+	reset := p.fault().Kind == Reset
 	p.mu.Lock()
 	conns := make([]*proxyConn, 0, len(p.conns))
 	for c := range p.conns {
@@ -203,18 +185,17 @@ func (p *Proxy) poke(now Fault) {
 	}
 	p.mu.Unlock()
 	for _, c := range conns {
-		if now.Kind == Reset {
-			c.kill()
-			p.resets.Add(1)
-			continue
-		}
-		if c.wasStalled.Load() {
+		if reset {
+			c.reset()
+		} else if c.wasStalled.Load() {
 			// The stall is over one way or another; late delivery of the
 			// bytes buffered behind it is forbidden.
 			c.kill()
 		}
 	}
 }
+
+func (p *Proxy) fault() Fault { return p.state.Load().fault() }
 
 // Stats snapshots the proxy's fault counters.
 func (p *Proxy) Stats() Stats {
@@ -226,64 +207,19 @@ func (p *Proxy) Stats() Stats {
 	}
 }
 
-// Close stops accepting and tears down every proxied connection.
+// Close stops accepting and tears down every proxied connection. The
+// schedule is cleared first: a stalled or delayed relay exits only when it
+// is killed or its fault lifts, and the listener's Close waits for every
+// relay.
 func (p *Proxy) Close() error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil
-	}
-	p.closed = true
-	conns := make([]*proxyConn, 0, len(p.conns))
-	for c := range p.conns {
-		conns = append(conns, c)
-	}
-	p.mu.Unlock()
-	err := p.ln.Close()
-	for _, c := range conns {
-		c.kill()
-	}
-	return err
+	p.Clear()
+	return p.l.Close()
 }
 
-func (p *Proxy) acceptLoop() {
-	for {
-		cl, err := p.ln.Accept()
-		if err != nil {
-			return
-		}
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			cl.Close()
-			return
-		}
-		p.nextID++
-		id := p.nextID
-		p.mu.Unlock()
-		p.conns_.Add(1)
-		go p.serve(cl, id)
-	}
-}
-
-// faultFor resolves the active fault for a connection right now: the
-// manual override if set, else the last matching schedule rule.
-func (p *Proxy) faultFor(connID int) Fault {
-	if f := p.override.Load(); f != nil {
-		return *f
-	}
-	since := time.Since(p.start)
-	active := Fault{Kind: None}
-	for _, r := range p.sched.Rules {
-		if r.matches(connID, since) {
-			active = r.Fault
-		}
-	}
-	return active
-}
-
-func (p *Proxy) serve(cl net.Conn, id int) {
-	if p.faultFor(id).Kind == Reset {
+// serve relays one accepted connection; the listener closes cl on return.
+func (p *Proxy) serve(cl net.Conn, _ *bufio.Reader, _ *bufio.Writer) {
+	id := p.conns_.Add(1)
+	if p.fault().Kind == Reset {
 		// Accept-then-slam: the flapping listener's signature.
 		p.resets.Add(1)
 		abortiveClose(cl)
@@ -291,21 +227,10 @@ func (p *Proxy) serve(cl net.Conn, id int) {
 	}
 	be, err := net.DialTimeout("tcp", p.backend, 5*time.Second)
 	if err != nil {
-		cl.Close()
 		return
 	}
-	c := &proxyConn{p: p, id: id, cl: cl, be: be,
-		// rng is per-connection and seeded from (schedule seed, conn id):
-		// jitter replays exactly for a given seed, independent of
-		// goroutine interleaving across connections.
-		rng: rand.New(rand.NewPCG(p.sched.Seed, uint64(id)))}
+	c := &proxyConn{p: p, id: uint64(id), cl: cl, be: be}
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		cl.Close()
-		be.Close()
-		return
-	}
 	p.conns[c] = struct{}{}
 	p.mu.Unlock()
 
@@ -322,10 +247,12 @@ func (p *Proxy) serve(cl net.Conn, id int) {
 
 type proxyConn struct {
 	p      *Proxy
-	id     int
+	id     uint64
 	cl, be net.Conn
-	rng    *rand.Rand
+
 	rngMu  sync.Mutex // two pumps share the seeded stream
+	rng    *rand.Rand
+	rngFor *playing // the schedule rng was seeded for
 
 	killed     atomic.Bool
 	wasStalled atomic.Bool
@@ -339,6 +266,12 @@ func (c *proxyConn) kill() {
 		abortiveClose(c.cl)
 		c.be.Close()
 	}
+}
+
+// reset counts and kills: the connection met a Reset.
+func (c *proxyConn) reset() {
+	c.p.resets.Add(1)
+	c.kill()
 }
 
 // abortiveClose makes Close send RST instead of FIN where the platform
@@ -370,11 +303,9 @@ func (c *proxyConn) pump(src, dst net.Conn) {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
 				// Idle poll tick: re-check the schedule, keep pumping.
-				f := c.p.faultFor(c.id)
-				switch f.Kind {
+				switch c.p.fault().Kind {
 				case Reset:
-					c.p.resets.Add(1)
-					c.kill()
+					c.reset()
 					return
 				case Stall:
 					if !c.stall() {
@@ -392,10 +323,10 @@ func (c *proxyConn) pump(src, dst net.Conn) {
 // apply forwards one chunk under the currently active fault. Returns
 // false when the connection died.
 func (c *proxyConn) apply(chunk []byte, dst net.Conn) bool {
-	switch f := c.p.faultFor(c.id); f.Kind {
+	st := c.p.state.Load()
+	switch f := st.fault(); f.Kind {
 	case Reset:
-		c.p.resets.Add(1)
-		c.kill()
+		c.reset()
 		return false
 	case Stall:
 		// stall blackholes until the window ends, then kills (the
@@ -404,19 +335,9 @@ func (c *proxyConn) apply(chunk []byte, dst net.Conn) bool {
 	case Latency:
 		d := f.Delay
 		if f.Jitter > 0 {
-			c.rngMu.Lock()
-			d += time.Duration(c.rng.Int64N(int64(f.Jitter)))
-			c.rngMu.Unlock()
+			d += c.jitter(st, f.Jitter)
 		}
 		if d > 0 {
-			c.p.delayedIO.Add(1)
-			if !c.sleep(d) {
-				return false
-			}
-		}
-	case Throttle:
-		if f.BytesPerSec > 0 {
-			d := time.Duration(float64(len(chunk)) / float64(f.BytesPerSec) * float64(time.Second))
 			c.p.delayedIO.Add(1)
 			if !c.sleep(d) {
 				return false
@@ -431,6 +352,18 @@ func (c *proxyConn) apply(chunk []byte, dst net.Conn) bool {
 	return true
 }
 
+// jitter draws a delay in [0,max) from the connection's stream for the
+// schedule st, seeded from (st.Seed, conn id): jitter replays exactly for
+// a given seed, independent of goroutine interleaving across connections.
+func (c *proxyConn) jitter(st *playing, max time.Duration) time.Duration {
+	c.rngMu.Lock()
+	defer c.rngMu.Unlock()
+	if c.rngFor != st {
+		c.rng, c.rngFor = rand.New(rand.NewPCG(st.Seed, c.id)), st
+	}
+	return time.Duration(c.rng.Int64N(int64(max)))
+}
+
 // stall blackholes the connection until its stall window ends, then kills
 // it (see the package invariant). Always leaves the connection dead;
 // returns false for the caller's convenience.
@@ -438,39 +371,29 @@ func (c *proxyConn) stall() bool {
 	if c.wasStalled.CompareAndSwap(false, true) {
 		c.p.stalled.Add(1)
 	}
-	for !c.killed.Load() {
-		f := c.p.faultFor(c.id)
-		if f.Kind != Stall {
-			break
-		}
+	for !c.killed.Load() && c.p.fault().Kind == Stall {
 		time.Sleep(5 * time.Millisecond)
 	}
 	c.kill()
 	return false
 }
 
-// sleep waits d in small slices so a Reset window opening mid-delay still
-// kills the connection promptly. Returns false if killed.
+// sleep waits d in small slices, re-checking the fault after each: a Reset
+// or Stall window opening mid-delay kills the connection promptly, and a
+// lifted fault ends the delay. Returns false if killed.
 func (c *proxyConn) sleep(d time.Duration) bool {
-	const slice = 10 * time.Millisecond
-	for d > 0 {
-		if c.killed.Load() {
-			return false
-		}
-		step := d
-		if step > slice {
-			step = slice
-		}
+	for d > 0 && !c.killed.Load() {
+		step := min(d, 10*time.Millisecond)
 		time.Sleep(step)
 		d -= step
-		if f := c.p.faultFor(c.id); f.Kind == Reset || f.Kind == Stall {
-			if f.Kind == Reset {
-				c.p.resets.Add(1)
-			} else {
-				c.stall()
-			}
-			c.kill()
+		switch c.p.fault().Kind {
+		case Reset:
+			c.reset()
 			return false
+		case Stall:
+			return c.stall()
+		case None:
+			d = 0
 		}
 	}
 	return !c.killed.Load()

@@ -47,7 +47,7 @@ func TestSyncWithinDeadline(t *testing.T) {
 // hanging forever, the pre-deadline behavior).
 func TestRejoinDeadlineLeavesReplicaEjected(t *testing.T) {
 	reps := startReplicas(t, 2)
-	px, err := chaos.Listen("replica1", reps[1].addr, chaos.Schedule{})
+	px, err := chaos.Listen(reps[1].addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestPoolWaitTimeoutDoesNotEject(t *testing.T) {
 // down to its speed.
 func TestSlowReplicaEjection(t *testing.T) {
 	reps := startReplicas(t, 2)
-	px, err := chaos.Listen("replica1", reps[1].addr, chaos.Schedule{})
+	px, err := chaos.Listen(reps[1].addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestStaleDegradedLatchSelfHeals(t *testing.T) {
 // succeeds on the replica that took it.
 func TestMissedWriteOnSaturatedPoolEjects(t *testing.T) {
 	reps := startReplicas(t, 2)
-	px, err := chaos.Listen("replica1", reps[1].addr, chaos.Schedule{})
+	px, err := chaos.Listen(reps[1].addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestMissedWriteOnSaturatedPoolEjects(t *testing.T) {
 // replica back identical.
 func TestDegradedModeReadOnly(t *testing.T) {
 	reps := startReplicas(t, 2)
-	px, err := chaos.Listen("replica1", reps[1].addr, chaos.Schedule{})
+	px, err := chaos.Listen(reps[1].addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +434,7 @@ func TestReadOnlyTxnSkipsEjectedPinnedReplica(t *testing.T) {
 // survivor alone — at the survivor's speed.
 func TestSlowReplicaEjectedByTxnWrite(t *testing.T) {
 	reps := startReplicas(t, 2)
-	px, err := chaos.Listen("replica1", reps[1].addr, chaos.Schedule{})
+	px, err := chaos.Listen(reps[1].addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -962,12 +962,12 @@ func TestWriteOrderDoesNotSpanRegistries(t *testing.T) {
 	t.Run("replicas diverge", func(t *testing.T) {
 		reps := startReplicas(t, 2)
 		slow := chaos.Fault{Kind: chaos.Latency, Delay: 100 * time.Millisecond}
-		px1, err := chaos.Listen("c1-replica1", reps[1].addr, chaos.Schedule{})
+		px1, err := chaos.Listen(reps[1].addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer px1.Close()
-		px0, err := chaos.Listen("c2-replica0", reps[0].addr, chaos.Schedule{})
+		px0, err := chaos.Listen(reps[0].addr)
 		if err != nil {
 			t.Fatal(err)
 		}

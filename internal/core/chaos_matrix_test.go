@@ -157,24 +157,21 @@ func TestChaosScriptedSchedule(t *testing.T) {
 	}}
 	appSched := chaos.Schedule{Seed: 42}
 	appSched.Flap(300*time.Millisecond, 2, 80*time.Millisecond, 120*time.Millisecond)
-	// Windows are offsets from proxy start, which precedes the run: a
-	// measurement window longer than the last To outlasts the schedule
-	// however long the lab took to finish starting.
+	// Windows are offsets from Play, which precedes the run: a
+	// measurement window longer than the last To outlasts the schedule.
 	var scheduleEnd time.Duration
 	for _, r := range append(dbSched.Rules, appSched.Rules...) {
 		scheduleEnd = max(scheduleEnd, r.To)
 	}
-	lab := chaosLab(t, Config{
-		AppReplicas: 2,
-		DBChaos:     map[int]chaos.Schedule{1: dbSched},
-		AppChaos:    map[int]chaos.Schedule{1: appSched},
-	})
+	lab := chaosLab(t, Config{AppReplicas: 2})
 	wcfg := workload.Config{
 		Clients: 6, Mix: "bidding",
 		ThinkMean: time.Millisecond, SessionMean: time.Second,
 		RampUp: 30 * time.Millisecond, Measure: scheduleEnd + 100*time.Millisecond,
 		Seed: 19,
 	}
+	lab.DBProxy(1).Play(dbSched)
+	lab.AppProxy(1).Play(appSched)
 	rep := runBounded(t, lab, wcfg)
 	if rep.Interactions == 0 {
 		t.Fatal("no interactions completed under the scripted schedule")

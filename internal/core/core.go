@@ -114,14 +114,9 @@ type Config struct {
 	// Chaos interposes a fault-injecting TCP proxy (internal/chaos) on
 	// every cross-tier link: one in front of each database replica (the
 	// app tier dials the proxies) and one in front of each AJP backend.
-	// Faults are scripted ahead of time with DBChaos/AppChaos or set at
-	// runtime on the proxies DBProxy(i) / AppProxy(i) return.
+	// The proxies start transparent; faults are played on the proxies
+	// DBProxy(i) / AppProxy(i) return.
 	Chaos bool
-	// DBChaos / AppChaos script per-backend fault schedules, keyed by
-	// database replica / app backend index. Indexes absent from a map get
-	// a transparent proxy, still controllable through its Set/Clear.
-	DBChaos  map[int]chaos.Schedule
-	AppChaos map[int]chaos.Schedule
 }
 
 func (c Config) withDefaults() Config {
@@ -278,7 +273,7 @@ func Start(cfg Config) (lab *Lab, err error) {
 	if cfg.Chaos {
 		dialAddrs = make([]string, len(l.dbAddrs))
 		for i, addr := range l.dbAddrs {
-			px, err := chaos.Listen(fmt.Sprintf("db%d", i), addr, cfg.DBChaos[i])
+			px, err := chaos.Listen(addr)
 			if err != nil {
 				return nil, err
 			}
@@ -386,8 +381,7 @@ func (l *Lab) startAppTier(dsn string) ([]lb.Backend, error) {
 		}
 		dial := addr.String()
 		if cfg.Chaos {
-			i := len(dials)
-			px, err := chaos.Listen(fmt.Sprintf("app%d", i), dial, cfg.AppChaos[i])
+			px, err := chaos.Listen(dial)
 			if err != nil {
 				return err
 			}

@@ -1,6 +1,7 @@
 // Package frame is what the stack's four servers — the web server
 // (internal/httpd), the servlet container's connector (internal/ajp), the
-// EJB server (internal/rmi) and the database (internal/sqldb/wire) — share:
+// EJB server (internal/rmi) and the database (internal/sqldb/wire) — share,
+// with the fault proxy's relay (internal/chaos) as the Listener's fifth user:
 // the life of a server socket (Listener: bind, one accept loop that outlives
 // transient errors, one tracked goroutine per connection, Drain that lets
 // work in flight finish, Close that waits for every handler) and, for the
@@ -141,7 +142,7 @@ func (d *Dec) Bytes() []byte    { return d.take(int(d.U32()), "bytes") }
 // goroutine, over a 32 KiB buffered reader/writer pair; the connection is
 // closed when serve returns.
 type Listener struct {
-	proto string // error prefix: "httpd", "ajp", "rmi", "wire"
+	proto string // error prefix: "httpd", "ajp", "rmi", "wire", "chaos"
 	logf  func(format string, args ...any)
 	fn    func(conn net.Conn, br *bufio.Reader, bw *bufio.Writer)
 

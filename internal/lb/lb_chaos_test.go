@@ -30,7 +30,7 @@ func TestProbeAgainstStalledBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	px, err := chaos.Listen("app1", addr.String(), chaos.Schedule{})
+	px, err := chaos.Listen(addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,7 +108,7 @@ func (db *DB) AttachWAL(opts WALOptions) (*RecoveryInfo, error) {
 	// never got renamed, so a *named* checkpoint is complete by
 	// construction — the fallback guards against disk-level corruption).
 	for i := len(ckpts) - 1; i >= 0; i-- {
-		lsn, chain, tables, err := loadCheckpoint(ckptPath(opts.Dir, ckpts[i]))
+		lsn, tables, err := loadCheckpoint(ckptPath(opts.Dir, ckpts[i]))
 		if err != nil {
 			continue
 		}
@@ -118,7 +118,7 @@ func (db *DB) AttachWAL(opts WALOptions) (*RecoveryInfo, error) {
 			t.version.Add(1)
 		}
 		db.mu.Unlock()
-		w.ckptLSN, w.chain = lsn, chain
+		w.ckptLSN = lsn
 		info.CheckpointLSN = lsn
 		break
 	}
@@ -173,7 +173,6 @@ func (db *DB) AttachWAL(opts WALOptions) (*RecoveryInfo, error) {
 				if _, xerr := sess.Exec(st.q, vals...); xerr != nil {
 					info.ReplayErrors++
 				}
-				w.chain = chainStep(w.chain, st.q, st.encArgs)
 				applied = st.lsn
 				info.ReplayedStmts++
 			}
@@ -283,37 +282,37 @@ func scanWALDir(dir string) (ckpts, segs []uint64, err error) {
 // ---- checkpoint file parsing ----
 
 // loadCheckpoint parses a checkpoint snapshot into detached Tables.
-func loadCheckpoint(path string) (lsn, chain uint64, tables []*Table, err error) {
+func loadCheckpoint(path string) (lsn uint64, tables []*Table, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return 0, 0, nil, err
+		return 0, nil, err
 	}
 	if len(data) < 8+4 || [8]byte(data[:8]) != walCkptMagic {
-		return 0, 0, nil, errors.New("sqldb: checkpoint: bad magic")
+		return 0, nil, errors.New("sqldb: checkpoint: bad magic")
 	}
 	body := data[8 : len(data)-4]
 	crc := binary.LittleEndian.Uint32(data[len(data)-4:])
 	if crc32.ChecksumIEEE(body) != crc {
-		return 0, 0, nil, errors.New("sqldb: checkpoint: checksum mismatch")
+		return 0, nil, errors.New("sqldb: checkpoint: checksum mismatch")
 	}
 	r := &leReader{b: body}
 	lsn = r.u64()
-	chain = r.u64()
+	r.u64() // unused header word
 	n := int(r.u32())
 	if r.err != nil || n < 0 || n > 1<<20 {
-		return 0, 0, nil, errors.New("sqldb: checkpoint: bad table count")
+		return 0, nil, errors.New("sqldb: checkpoint: bad table count")
 	}
 	for i := 0; i < n; i++ {
 		t, terr := loadCkptTable(r)
 		if terr != nil {
-			return 0, 0, nil, terr
+			return 0, nil, terr
 		}
 		tables = append(tables, t)
 	}
 	if len(r.b) != 0 {
-		return 0, 0, nil, errors.New("sqldb: checkpoint: trailing bytes")
+		return 0, nil, errors.New("sqldb: checkpoint: trailing bytes")
 	}
-	return lsn, chain, tables, nil
+	return lsn, tables, nil
 }
 
 func loadCkptTable(r *leReader) (*Table, error) {

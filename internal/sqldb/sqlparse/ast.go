@@ -173,9 +173,8 @@ type AlterAutoInc struct {
 }
 
 // ShowWALStatus is SHOW WAL STATUS: one row describing the write-ahead log —
-// whether one is attached, the last assigned LSN, the durable LSN, the chain
-// hash at the last LSN, and the checkpoint LSN. It is the only view of a
-// backend's log on the wire.
+// whether one is attached, the last assigned LSN, the durable LSN and the
+// checkpoint LSN. It is the only view of a backend's log on the wire.
 type ShowWALStatus struct{}
 
 // PrepareTxn is PREPARE TRANSACTION — phase one of two-phase commit. The

@@ -37,9 +37,7 @@ package sqldb
 // Recovery (recover.go) loads the newest valid checkpoint, replays every
 // record past it, and truncates the tail at the first bad checksum — a torn
 // record is a commit that was never acknowledged, so dropping it is correct
-// (torn-tail rule). The chain hash — fnv64a folded over every statement
-// since LSN 0 — rides along in every checkpoint and in SHOW WAL STATUS, a
-// fingerprint of the statement history two replicas can compare.
+// (torn-tail rule).
 //
 // Checkpoints. Checkpoint clones every table's committed state at a cut
 // between commit sections (DB.commitMu and the catalog lock held for the
@@ -150,7 +148,7 @@ type WAL struct {
 	fault     *walfault.Hook
 	ckptBytes int64
 
-	// mu guards the append state: the group buffers, LSN/chain counters, the
+	// mu guards the append state: the group buffers, LSN counters, the
 	// active segment handle and the segment list. Appenders hold it only
 	// long enough to encode into buf. Lock order: engine locks (db.mu /
 	// table locks) → mu; never the reverse.
@@ -163,7 +161,6 @@ type WAL struct {
 	flight         []byte
 	bufLast        uint64 // last LSN sitting in buf
 	nextLSN        uint64 // LSN the next statement gets
-	chain          uint64 // chain hash through nextLSN-1
 	f              *os.File
 	fSize          int64        // bytes written to f (record boundary)
 	syncedSize     int64        // bytes of f known fsynced
@@ -321,30 +318,10 @@ func (r *leReader) value() Value {
 	return Value{}
 }
 
-// chainStep folds one statement into the chain hash: fnv-64a over the
-// previous hash (8B LE), the query text, a zero byte and the encoded
-// arguments. The chain is comparable across replicas because the ROWA cluster
-// delivers every replica the same ordered statement stream.
-func chainStep(prev uint64, q string, encArgs []byte) uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for i := 0; i < 8; i++ {
-		h = (h ^ uint64(byte(prev>>(8*i)))) * prime64
-	}
-	for i := 0; i < len(q); i++ {
-		h = (h ^ uint64(q[i])) * prime64
-	}
-	h *= prime64 // the zero separator: h ^ 0 == h
-	for _, c := range encArgs {
-		h = (h ^ uint64(c)) * prime64
-	}
-	return h
-}
-
-// appendRecord encodes one commit unit (length + crc + payload) onto b and
-// folds its statements into chain. The record is built in place: the group
-// buffer is the only copy the commit path makes.
-func appendRecord(b []byte, firstLSN uint64, stmts []walStmt, chain uint64) ([]byte, uint64) {
+// appendRecord encodes one commit unit (length + crc + payload) onto b. The
+// record is built in place: the group buffer is the only copy the commit
+// path makes.
+func appendRecord(b []byte, firstLSN uint64, stmts []walStmt) []byte {
 	start := len(b)
 	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0) // length and crc, set below
 	b = binary.LittleEndian.AppendUint64(b, firstLSN)
@@ -353,16 +330,14 @@ func appendRecord(b []byte, firstLSN uint64, stmts []walStmt, chain uint64) ([]b
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(st.q)))
 		b = append(b, st.q...)
 		b = binary.LittleEndian.AppendUint16(b, uint16(len(st.args)))
-		args := len(b)
 		for _, v := range st.args {
 			b = appendWALValue(b, v)
 		}
-		chain = chainStep(chain, st.q, b[args:])
 	}
 	payload := b[start+8:]
 	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(b[start+4:], crc32.ChecksumIEEE(payload))
-	return b, chain
+	return b
 }
 
 // walRecStmt is one decoded logged statement.
@@ -457,9 +432,9 @@ func (w *WAL) appendBatch(stmts []walStmt) uint64 {
 	w.nextLSN = first + uint64(len(stmts))
 	last := w.nextLSN - 1
 	start := len(w.buf)
-	w.buf, w.chain = appendRecord(w.buf, first, stmts, w.chain)
+	w.buf = appendRecord(w.buf, first, stmts)
 	if w.closed || w.crashed {
-		// A dead log still numbers and chains the unit (WaitDurable reports
+		// A dead log still numbers the unit (WaitDurable reports
 		// why it is not durable) but keeps none of it.
 		w.buf = w.buf[:start]
 		return last
@@ -658,12 +633,12 @@ func (w *WAL) Checkpoint() error {
 
 	// Every append happens inside a commit section or under the catalog
 	// write lock, so with both excluded no record is in flight while we
-	// capture (LSN, chain) and the states — the snapshot is exactly the
+	// capture the LSN and the states — the snapshot is exactly the
 	// state through that LSN.
 	db.mu.RLock()
 	db.commitMu.Lock()
 	w.mu.Lock()
-	lsn, chain := w.nextLSN-1, w.chain
+	lsn := w.nextLSN - 1
 	crashed := w.crashed || w.closed
 	w.mu.Unlock()
 	var states []*Table
@@ -681,7 +656,7 @@ func (w *WAL) Checkpoint() error {
 		return ErrWALCrashed
 	}
 
-	if err := w.writeCheckpoint(lsn, chain, states); err != nil {
+	if err := w.writeCheckpoint(lsn, states); err != nil {
 		return err
 	}
 	w.mu.Lock()
@@ -704,9 +679,9 @@ func segPath(dir string, firstLSN uint64) string {
 // temp file, fsync, rename, directory fsync — the standard atomic-publish
 // dance, so a crash leaves either the old checkpoint set or the new one,
 // never a half-written file under the real name.
-func (w *WAL) writeCheckpoint(lsn, chain uint64, tables []*Table) error {
+func (w *WAL) writeCheckpoint(lsn uint64, tables []*Table) error {
 	body := binary.LittleEndian.AppendUint64(nil, lsn)
-	body = binary.LittleEndian.AppendUint64(body, chain)
+	body = binary.LittleEndian.AppendUint64(body, 0) // unused header word
 	body = binary.LittleEndian.AppendUint32(body, uint32(len(tables)))
 	for _, t := range tables {
 		body = appendCkptTable(body, t)
@@ -924,18 +899,17 @@ func fsyncDir(dir string) error {
 
 // ---- SHOW WAL STATUS ----
 
-// execShowWALStatus serves SHOW WAL STATUS. LSNs and hashes are reported as
-// int64 bit patterns (the engine's integer type); consumers compare them
-// for equality only.
+// execShowWALStatus serves SHOW WAL STATUS. LSNs are reported as int64 bit
+// patterns (the engine's integer type).
 func (db *DB) execShowWALStatus() (*Result, error) {
-	res := &Result{Columns: []string{"attached", "last_lsn", "durable_lsn", "chain", "checkpoint_lsn"}}
+	res := &Result{Columns: []string{"attached", "last_lsn", "durable_lsn", "checkpoint_lsn"}}
 	w := db.wal
 	if w == nil {
-		res.Rows = append(res.Rows, Row{Int(0), Int(0), Int(0), Int(0), Int(0)})
+		res.Rows = append(res.Rows, Row{Int(0), Int(0), Int(0), Int(0)})
 		return res, nil
 	}
 	w.mu.Lock()
-	row := Row{Int(1), Int(int64(w.nextLSN - 1)), Int(int64(w.durableLSN)), Int(int64(w.chain)), Int(int64(w.ckptLSN))}
+	row := Row{Int(1), Int(int64(w.nextLSN - 1)), Int(int64(w.durableLSN)), Int(int64(w.ckptLSN))}
 	w.mu.Unlock()
 	res.Rows = append(res.Rows, row)
 	return res, nil

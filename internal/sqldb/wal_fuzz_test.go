@@ -41,7 +41,7 @@ func FuzzWALRecord(f *testing.F) {
 			args = append(args, Null())
 		}
 		stmts := []walStmt{{q: q, args: args}, {q: q + "/2", args: nil}}
-		rec, _ := appendRecord(nil, 41, stmts, 0)
+		rec := appendRecord(nil, 41, stmts)
 
 		got, rest, err := decodeRecord(rec)
 		if err != nil || len(rest) != 0 {

@@ -1,10 +1,8 @@
 package sqldb
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -674,35 +672,6 @@ func TestWALWriteErrorIsSticky(t *testing.T) {
 	}
 }
 
-// TestChainStepMatchesFNV pins the chain hash to its definition: the replicas
-// of one cluster and the checkpoints on disk all carry this value.
-func TestChainStepMatchesFNV(t *testing.T) {
-	for _, tc := range []struct {
-		prev uint64
-		q    string
-		args []Value
-	}{
-		{0, "", nil},
-		{1, "DELETE FROM t", nil},
-		{0xfedcba9876543210, "INSERT INTO t VALUES (?, ?, ?, ?)", []Value{Int(-7), String("x\x00y"), Float(2.5), Null()}},
-	} {
-		var enc []byte
-		for _, v := range tc.args {
-			enc = appendWALValue(enc, v)
-		}
-		h := fnv.New64a()
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], tc.prev)
-		h.Write(b[:])
-		h.Write([]byte(tc.q))
-		h.Write([]byte{0})
-		h.Write(enc)
-		if got, want := chainStep(tc.prev, tc.q, enc), h.Sum64(); got != want {
-			t.Errorf("chainStep(%#x, %q) = %#x, want %#x", tc.prev, tc.q, got, want)
-		}
-	}
-}
-
 // TestShowWALStatements: SHOW WAL STATUS, the one view of a backend's log
 // on the wire, reports the log's own counters.
 func TestShowWALStatements(t *testing.T) {
@@ -727,11 +696,8 @@ func TestShowWALStatements(t *testing.T) {
 	if last := row[1].AsInt(); last < 4 || uint64(last) != ws.LastLSN {
 		t.Fatalf("last_lsn %d, want >= 4 (3 DDL + 1 insert) and WALStats' %d", last, ws.LastLSN)
 	}
-	if uint64(row[2].AsInt()) != ws.DurableLSN || uint64(row[4].AsInt()) != ws.CheckpointLSN {
+	if uint64(row[2].AsInt()) != ws.DurableLSN || uint64(row[3].AsInt()) != ws.CheckpointLSN {
 		t.Fatalf("durable/checkpoint lsn %v, want WALStats' %d/%d", row, ws.DurableLSN, ws.CheckpointLSN)
-	}
-	if row[3].AsInt() == 0 {
-		t.Fatal("chain hash is zero after logged statements")
 	}
 }
 
@@ -874,7 +840,7 @@ func TestWALCheckpointWhileTxnOpen(t *testing.T) {
 		t.Fatal("the checkpoint waited for the open transaction")
 	}
 	lsn := db.WALStats().CheckpointLSN
-	_, _, tables, err := loadCheckpoint(ckptPath(dir, lsn))
+	_, tables, err := loadCheckpoint(ckptPath(dir, lsn))
 	if err != nil {
 		t.Fatal(err)
 	}
