@@ -65,7 +65,7 @@ func analyze(query string) route {
 			rt.readTables = normalize(tables)
 		}
 		return rt
-	case *sqlparse.ShowTables, *sqlparse.ShowTableStatus, *sqlparse.ShowWALStatus:
+	case *sqlparse.ShowTableStatus, *sqlparse.ShowWALStatus:
 		return route{stmt: st}
 	case *sqlparse.Begin, *sqlparse.Commit, *sqlparse.Rollback:
 		return route{err: ErrTxnControlText}
@@ -79,8 +79,6 @@ func analyze(query string) route {
 		return writeRoute(st, st.Name)
 	case *sqlparse.CreateIndex:
 		return writeRoute(st, st.Table)
-	case *sqlparse.DropTable:
-		return writeRoute(st, st.Name)
 	default:
 		return writeRoute(st, "")
 	}

@@ -44,6 +44,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -183,7 +184,7 @@ func (sh *shardSet) buildPlan(query string) *shardPlan {
 
 // shardFor evaluates the plan's key expressions against the call's
 // arguments. ok only when every expression resolves and all agree on one
-// shard — an IN list spanning shards scatters rather than mis-routing.
+// shard — a multi-row INSERT whose rows span shards is not pinned.
 func (p *shardPlan) shardFor(args []sqldb.Value, n int) (int, bool) {
 	if p.exprs == nil {
 		return 0, false
@@ -407,15 +408,12 @@ func (sh *shardSet) onEach(run func(shard int) (*sqldb.Result, error)) ([]*sqldb
 // merge needs the key values to re-sort, and projects the appended columns
 // back off afterward.
 func scatterSQL(query string, sel *sqlparse.Select) (string, int) {
-	if sel.Star || sel.IsCount() {
+	if sel.Star || sel.Count {
 		return query, 0
 	}
 	var missing []string
 	for _, o := range sel.OrderBy {
-		x, ok := o.Expr.(*sqlparse.ColRefExpr)
-		if !ok {
-			continue // positional literals resolve; anything else won't rewrite
-		}
+		x := o.Col
 		if selectItemIndex(sel, x) >= 0 {
 			continue
 		}
@@ -436,7 +434,7 @@ func scatterSQL(query string, sel *sqlparse.Select) (string, int) {
 // concatenate, re-sort, project off the columns scatterSQL appended (the
 // last `extra`) and re-apply the LIMIT.
 func mergeScatter(sel *sqlparse.Select, results []*sqldb.Result, extra int) (*sqldb.Result, error) {
-	if sel.IsCount() {
+	if sel.Count {
 		return mergeCounts(results)
 	}
 	out := &sqldb.Result{Columns: results[0].Columns}
@@ -445,10 +443,17 @@ func mergeScatter(sel *sqlparse.Select, results []*sqldb.Result, extra int) (*sq
 	}
 	if len(sel.OrderBy) > 0 {
 		cols := make([]int, len(sel.OrderBy))
+		next := len(sel.Columns) // where scatterSQL appended the unselected keys, in key order
 		for i, o := range sel.OrderBy {
-			c := orderCol(o.Expr, sel, out.Columns)
-			if c < 0 {
-				return nil, fmt.Errorf("cluster: cannot merge scatter ORDER BY key %d (not in the select list)", i+1)
+			c := selectItemIndex(sel, o.Col)
+			switch {
+			case sel.Star:
+				c = slices.IndexFunc(out.Columns, func(name string) bool { return strings.EqualFold(name, o.Col.Column) })
+			case c < 0:
+				c, next = next, next+1
+			}
+			if c < 0 || c >= len(out.Columns) {
+				return nil, fmt.Errorf("cluster: cannot merge scatter ORDER BY key %d (not in the result)", i+1)
 			}
 			cols[i] = c
 		}
@@ -478,58 +483,27 @@ func mergeScatter(sel *sqlparse.Select, results []*sqldb.Result, extra int) (*sq
 	return out, nil
 }
 
-// orderCol resolves one ORDER BY key to a result-column index: a 1-based
-// positional literal, a select-item alias, a qualified match against a
-// select-item column reference, or a bare result-column name.
-func orderCol(e sqlparse.Expr, sel *sqlparse.Select, cols []string) int {
-	switch x := e.(type) {
-	case *sqlparse.IntLit:
-		if x.V >= 1 && int(x.V) <= len(cols) {
-			return int(x.V) - 1
-		}
-	case *sqlparse.ColRefExpr:
-		if i := selectItemIndex(sel, x); i >= 0 {
-			return i
-		}
-		for i, c := range cols {
-			if strings.EqualFold(c, x.Column) {
-				return i
-			}
-		}
-	}
-	return -1
-}
-
-// selectItemIndex resolves a column reference to a select-item index: an
-// alias match, or a qualified match against a select-item column reference.
+// selectItemIndex resolves a column reference to the index of the selected
+// column it names, or -1.
 func selectItemIndex(sel *sqlparse.Select, x *sqlparse.ColRefExpr) int {
-	for i, it := range sel.Items {
-		if it.Alias != "" && strings.EqualFold(it.Alias, x.Column) {
-			return i
-		}
-		if cr, ok := it.Expr.(*sqlparse.ColRefExpr); ok &&
-			strings.EqualFold(cr.Column, x.Column) &&
-			(x.Table == "" || strings.EqualFold(cr.Table, x.Table)) {
+	for i, cr := range sel.Columns {
+		if strings.EqualFold(cr.Column, x.Column) && (x.Table == "" || strings.EqualFold(cr.Table, x.Table)) {
 			return i
 		}
 	}
 	return -1
 }
 
-// mergeCounts sums the shards' one-row COUNT(*) results, column by column.
+// mergeCounts sums the shards' one-row, one-column COUNT(*) results.
 func mergeCounts(results []*sqldb.Result) (*sqldb.Result, error) {
-	out := &sqldb.Result{Columns: results[0].Columns, Rows: []sqldb.Row{make(sqldb.Row, len(results[0].Columns))}}
-	for i := range out.Rows[0] {
-		var n int64
-		for _, r := range results {
-			if len(r.Rows) != 1 || i >= len(r.Rows[0]) {
-				return nil, errors.New("cluster: malformed COUNT(*) partial result")
-			}
-			n += r.Rows[0][i].AsInt()
+	var n int64
+	for _, r := range results {
+		if len(r.Rows) != 1 || len(r.Rows[0]) != 1 {
+			return nil, errors.New("cluster: malformed COUNT(*) partial result")
 		}
-		out.Rows[0][i] = sqldb.Int(n)
+		n += r.Rows[0][0].AsInt()
 	}
-	return out, nil
+	return &sqldb.Result{Columns: results[0].Columns, Rows: []sqldb.Row{{sqldb.Int(n)}}}, nil
 }
 
 // broadcastAll applies a cross-shard write or DDL on every shard under the

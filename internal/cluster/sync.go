@@ -8,9 +8,6 @@ import (
 	"repro/internal/sqldb"
 )
 
-// syncBatch bounds rows per INSERT during a replica sync.
-const syncBatch = 64
-
 // ErrSyncTimeout is returned by Sync when the copy outlives its deadline.
 // The destination holds a half-copied data set; Rejoin reacts by leaving
 // the replica cleanly ejected (and marked mid-sync for every client in this
@@ -79,6 +76,9 @@ func syncAutoInc(dst sqldb.Execer, table string, next, offset, stride int64) err
 	return err
 }
 
+// syncTable rewrites dst's table as src's, in the multi-row INSERTs of a
+// sqldb.InsertBatch, checking the deadline before each row it adds — so
+// between batches too.
 func syncTable(src, dst sqldb.Execer, table string, deadline time.Time) (int, error) {
 	data, err := src.Exec("SELECT * FROM " + table)
 	if err != nil {
@@ -87,25 +87,17 @@ func syncTable(src, dst sqldb.Execer, table string, deadline time.Time) (int, er
 	if _, err := dst.Exec("DELETE FROM " + table); err != nil {
 		return 0, err
 	}
-	if len(data.Rows) == 0 {
-		return 0, nil
-	}
-	for off := 0; off < len(data.Rows); off += syncBatch {
+	b := sqldb.NewInsertBatch(dst, table, data.Columns...)
+	for _, r := range data.Rows {
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			return 0, ErrSyncTimeout
 		}
-		end := off + syncBatch
-		if end > len(data.Rows) {
-			end = len(data.Rows)
-		}
-		batch := data.Rows[off:end]
-		args := make([]sqldb.Value, 0, len(batch)*len(data.Columns))
-		for _, r := range batch {
-			args = append(args, r...)
-		}
-		if _, err := dst.Exec(sqldb.InsertSQL(table, data.Columns, len(batch)), args...); err != nil {
+		if err := b.Add(r...); err != nil {
 			return 0, err
 		}
+	}
+	if err := b.Flush(); err != nil {
+		return 0, err
 	}
 	return len(data.Rows), nil
 }

@@ -103,13 +103,18 @@ func TestFinderReturnsKeysOnly(t *testing.T) {
 
 func TestFindWhere(t *testing.T) {
 	c := newTestContainer(t, Config{})
-	keys, err := c.Begin().FindWhere("User", "rating > ?",
-		[]sqldb.Value{sqldb.Int(2)}, "rating DESC", 10)
+	keys, err := c.Begin().FindWhere("User", "nick LIKE ?",
+		[]sqldb.Value{sqldb.String("%")}, "rating DESC", 10)
 	if err != nil || len(keys) != 2 {
 		t.Fatalf("keys %v err %v", keys, err)
 	}
 	if keys[0].AsInt() != 1 {
 		t.Fatalf("order: %v", keys)
+	}
+	keys, err = c.Begin().FindWhere("User", "nick LIKE ?",
+		[]sqldb.Value{sqldb.String("%b%")}, "rating DESC", 10)
+	if err != nil || len(keys) != 1 || keys[0].AsInt() != 2 {
+		t.Fatalf("filtered keys %v err %v", keys, err)
 	}
 }
 

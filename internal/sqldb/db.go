@@ -199,11 +199,6 @@ func (s *Session) execStmt(stmt sqlparse.Statement, args []Value) (*Result, erro
 	case *sqlparse.CreateIndex:
 		s.implicitCommit()
 		return s.db.execCreateIndex(s, st)
-	case *sqlparse.DropTable:
-		s.implicitCommit()
-		return s.db.execDropTable(s, st)
-	case *sqlparse.ShowTables:
-		return s.db.execShowTables()
 	case *sqlparse.ShowTableStatus:
 		return s.db.execShowTableStatus()
 	case *sqlparse.ShowWALStatus:
@@ -298,9 +293,7 @@ func (s *Session) logAutoCommit(src string, args []Value) {
 
 // DDL executors log to the WAL inside their exclusive section (the catalog
 // lock, or the table's commit section) so the log's statement order matches
-// apply order, and
-// only on success with an actual state change — a no-op IF EXISTS / IF NOT
-// EXISTS outcome changed nothing and replays as nothing.
+// apply order, and only on success.
 func (db *DB) execCreateTable(s *Session, st *sqlparse.CreateTable) (*Result, error) {
 	cols := make([]Column, 0, len(st.Columns))
 	for _, c := range st.Columns {
@@ -319,9 +312,6 @@ func (db *DB) execCreateTable(s *Session, st *sqlparse.CreateTable) (*Result, er
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if _, dup := db.tables[t.name]; dup {
-		if st.IfNotExists {
-			return &Result{}, nil
-		}
 		return nil, fmt.Errorf("sqldb: table %q already exists", st.Name)
 	}
 	db.tables[t.name] = t
@@ -329,16 +319,6 @@ func (db *DB) execCreateTable(s *Session, st *sqlparse.CreateTable) (*Result, er
 		s.notePending(db.wal.appendOne(st.Src, nil))
 	}
 	return &Result{}, nil
-}
-
-// execShowTables lists the catalog, one row per table in sorted order.
-func (db *DB) execShowTables() (*Result, error) {
-	names := db.TableNames()
-	res := &Result{Columns: []string{"table"}}
-	for _, n := range names {
-		res.Rows = append(res.Rows, Row{String(n)})
-	}
-	return res, nil
 }
 
 // execShowTableStatus reports each table's row count and AUTO_INCREMENT
@@ -349,7 +329,7 @@ func (db *DB) execShowTableStatus() (*Result, error) {
 	for _, n := range db.TableNames() {
 		t, err := db.table(n)
 		if err != nil {
-			continue // dropped between catalog read and lookup
+			return nil, err
 		}
 		t.mu.Lock() // four words of the committed state: not worth a view
 		res.Rows = append(res.Rows, Row{
@@ -399,23 +379,6 @@ func (db *DB) execCreateIndex(s *Session, st *sqlparse.CreateIndex) (*Result, er
 		}
 		return &Result{}, nil
 	})
-}
-
-func (db *DB) execDropTable(s *Session, st *sqlparse.DropTable) (*Result, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	name := strings.ToLower(st.Name)
-	if _, ok := db.tables[name]; !ok {
-		if st.IfExists {
-			return &Result{}, nil
-		}
-		return nil, fmt.Errorf("sqldb: %w: %q", ErrNoTable, st.Name)
-	}
-	delete(db.tables, name)
-	if db.wal != nil && st.Src != "" {
-		s.notePending(db.wal.appendOne(st.Src, nil))
-	}
-	return &Result{}, nil
 }
 
 // execSelect resolves the statement's tables and executes it against what

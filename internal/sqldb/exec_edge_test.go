@@ -96,12 +96,12 @@ func TestCandidateIDsIndexSelection(t *testing.T) {
 		{"indexed equality param", "SELECT id FROM items WHERE category = ?", []Value{Int(3)}, true, 1},
 		{"primary key", "SELECT id FROM items WHERE id = 1", nil, true, 1},
 		{"reversed operands", "SELECT id FROM items WHERE 2 = category", nil, true, 2},
-		{"conjunct uses index", "SELECT id FROM items WHERE category = 2 AND stock > 2", nil, true, 2},
-		{"right conjunct", "SELECT id FROM items WHERE stock > 0 AND category = 2", nil, true, 2},
+		{"conjunct uses index", "SELECT id FROM items WHERE category = 2 AND stock = 2", nil, true, 2},
+		{"right conjunct", "SELECT id FROM items WHERE stock = 2 AND category = 2", nil, true, 2},
 		{"unindexed column", "SELECT id FROM items WHERE name = 'a'", nil, false, 0},
-		{"range predicate", "SELECT id FROM items WHERE category > 1", nil, false, 0},
+		{"LIKE on an indexed column", "SELECT id FROM items WHERE category LIKE 2", nil, false, 0},
 		{"column = column", "SELECT id FROM items WHERE category = stock", nil, false, 0},
-		{"OR disjunction", "SELECT id FROM items WHERE category = 2 OR category = 3", nil, false, 0},
+		{"arithmetic on the column", "SELECT id FROM items WHERE category + 0 = 2", nil, false, 0},
 		{"no where", "SELECT id FROM items", nil, false, 0},
 		// A key absent from the index still resolves through it: the empty
 		// posting list means "no rows", not "fall back to a scan".
@@ -153,9 +153,9 @@ func TestMatchRowsIndexAndScanAgree(t *testing.T) {
 	}
 	for _, q := range queries {
 		indexed := mustExec(t, s, q)
-		// Defeat the index by wrapping the equality so equalityProbe cannot
-		// see a top-level conjunct (0 + category = 3 is not a ColRef = const).
-		scan := mustExec(t, s, "SELECT id FROM items WHERE NOT (NOT ("+q[len("SELECT id FROM items WHERE "):len(q)-len(" ORDER BY id")]+")) ORDER BY id")
+		// Defeat the index: equalityProbe sees no column = constant
+		// conjunct in category + 0 = 3.
+		scan := mustExec(t, s, strings.ReplaceAll(q, " = ", " + 0 = "))
 		if len(indexed.Rows) == 0 {
 			t.Fatalf("%s: empty result", q)
 		}

@@ -36,10 +36,9 @@ type ColumnDef struct {
 
 // CreateTable is CREATE TABLE name (cols...).
 type CreateTable struct {
-	Name        string
-	IfNotExists bool
-	Columns     []ColumnDef
-	Src         string // original statement text (see Statement Src note below)
+	Name    string
+	Columns []ColumnDef
+	Src     string // original statement text (see Statement Src note below)
 }
 
 // CreateIndex is CREATE [UNIQUE] INDEX name ON table (column).
@@ -49,13 +48,6 @@ type CreateIndex struct {
 	Column string
 	Unique bool
 	Src    string
-}
-
-// DropTable is DROP TABLE [IF EXISTS] name.
-type DropTable struct {
-	Name     string
-	IfExists bool
-	Src      string
 }
 
 // Insert is INSERT INTO table [(cols)] VALUES (exprs), (exprs)...
@@ -93,11 +85,13 @@ type Delete struct {
 	Src   string
 }
 
-// Select is a SELECT statement over one table plus inner joins. Its select
-// list is either projections or COUNT(*) items, never a mix.
+// Select is a SELECT statement over one table plus joins. Its select list
+// is *, COUNT(*) (one row, one column: the number of qualifying rows) or
+// column references.
 type Select struct {
-	Items   []SelectItem
 	Star    bool
+	Count   bool
+	Columns []*ColRefExpr // the select list when it is neither * nor COUNT(*)
 	From    TableRef
 	Joins   []Join
 	Where   Expr
@@ -106,21 +100,6 @@ type Select struct {
 	// FromPos is the byte offset of the FROM keyword in the text given to
 	// Parse, for callers that rewrite the select list.
 	FromPos int
-}
-
-// IsCount reports a COUNT(*) select: one row, one count per item.
-func (s *Select) IsCount() bool {
-	if len(s.Items) == 0 {
-		return false
-	}
-	_, ok := s.Items[0].Expr.(*AggExpr)
-	return ok
-}
-
-// SelectItem is one output expression with an optional alias.
-type SelectItem struct {
-	Expr  Expr
-	Alias string
 }
 
 // TableRef names a table with an optional alias.
@@ -137,22 +116,18 @@ func (t TableRef) Name() string {
 	return t.Table
 }
 
-// Join is INNER JOIN table ON left = right (equijoins only, which is all the
+// Join is JOIN table ON left = right (equijoins only, which is all the
 // benchmarks use).
 type Join struct {
 	Table TableRef
 	On    Expr
 }
 
-// OrderItem is one ORDER BY key.
+// OrderItem is one ORDER BY key: a column, ascending unless Desc.
 type OrderItem struct {
-	Expr Expr
+	Col  *ColRefExpr
 	Desc bool
 }
-
-// ShowTables is SHOW TABLES — the catalog query the cluster replica-sync
-// path uses to enumerate what to copy.
-type ShowTables struct{}
 
 // ShowTableStatus is SHOW TABLE STATUS: one row per table with its row count
 // and AUTO_INCREMENT state (next value, offset, stride). The replica-sync
@@ -194,12 +169,10 @@ type Rollback struct{}
 
 func (*CreateTable) stmt()     {}
 func (*CreateIndex) stmt()     {}
-func (*DropTable) stmt()       {}
 func (*Insert) stmt()          {}
 func (*Update) stmt()          {}
 func (*Delete) stmt()          {}
 func (*Select) stmt()          {}
-func (*ShowTables) stmt()      {}
 func (*ShowTableStatus) stmt() {}
 func (*ShowWALStatus) stmt()   {}
 func (*AlterAutoInc) stmt()    {}
@@ -216,17 +189,9 @@ type BinaryOp int
 
 const (
 	OpEq BinaryOp = iota
-	OpNe
-	OpLt
-	OpLe
-	OpGt
-	OpGe
 	OpAnd
-	OpOr
 	OpAdd
 	OpSub
-	OpMul
-	OpDiv
 	OpLike
 )
 
@@ -234,28 +199,12 @@ func (op BinaryOp) String() string {
 	switch op {
 	case OpEq:
 		return "="
-	case OpNe:
-		return "<>"
-	case OpLt:
-		return "<"
-	case OpLe:
-		return "<="
-	case OpGt:
-		return ">"
-	case OpGe:
-		return ">="
 	case OpAnd:
 		return "AND"
-	case OpOr:
-		return "OR"
 	case OpAdd:
 		return "+"
 	case OpSub:
 		return "-"
-	case OpMul:
-		return "*"
-	case OpDiv:
-		return "/"
 	case OpLike:
 		return "LIKE"
 	default:
@@ -268,9 +217,6 @@ type BinaryExpr struct {
 	Op   BinaryOp
 	L, R Expr
 }
-
-// NotExpr is logical negation.
-type NotExpr struct{ E Expr }
 
 // NegExpr is arithmetic negation.
 type NegExpr struct{ E Expr }
@@ -290,38 +236,11 @@ type NullLit struct{}
 // ParamExpr is the i-th '?' placeholder (0-based).
 type ParamExpr struct{ Index int }
 
-// AggExpr is COUNT(*), the dialect's one aggregate. It is only ever a
-// whole select item.
-type AggExpr struct{}
-
-// InExpr is "e IN (list...)" (value lists only).
-type InExpr struct {
-	E    Expr
-	List []Expr
-	Not  bool
-}
-
-// IsNullExpr is "e IS [NOT] NULL".
-type IsNullExpr struct {
-	E   Expr
-	Not bool
-}
-
-// BetweenExpr is "e BETWEEN lo AND hi".
-type BetweenExpr struct {
-	E, Lo, Hi Expr
-}
-
-func (*BinaryExpr) expr()  {}
-func (*NotExpr) expr()     {}
-func (*NegExpr) expr()     {}
-func (*ColRefExpr) expr()  {}
-func (*IntLit) expr()      {}
-func (*FloatLit) expr()    {}
-func (*StringLit) expr()   {}
-func (*NullLit) expr()     {}
-func (*ParamExpr) expr()   {}
-func (*AggExpr) expr()     {}
-func (*InExpr) expr()      {}
-func (*IsNullExpr) expr()  {}
-func (*BetweenExpr) expr() {}
+func (*BinaryExpr) expr() {}
+func (*NegExpr) expr()    {}
+func (*ColRefExpr) expr() {}
+func (*IntLit) expr()     {}
+func (*FloatLit) expr()   {}
+func (*StringLit) expr()  {}
+func (*NullLit) expr()    {}
+func (*ParamExpr) expr()  {}

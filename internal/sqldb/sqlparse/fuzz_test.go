@@ -42,51 +42,87 @@ func TestParseTraffic(t *testing.T) {
 	}
 }
 
-// deletedClause names the first clause in toks that the dialect leaves out,
+// deletedClause names the first form in toks that the dialect leaves out,
 // or returns "".
 func deletedClause(toks []token) string {
-	sym := func(i int, text string) bool {
-		return i < len(toks) && toks[i].kind == tokSymbol && toks[i].text == text
-	}
-	for i, t := range toks {
-		if t.kind != tokKeyword {
-			continue
+	is := func(i int, kind tokKind, texts ...string) bool {
+		if i < 0 || i >= len(toks) || toks[i].kind != kind {
+			return false
 		}
-		switch t.text {
-		case "GROUP", "DISTINCT", "SUM", "MIN", "MAX", "AVG":
-			return t.text
-		case "OFFSET":
-			if toks[0].text != "ALTER" {
-				return t.text
+		if len(texts) == 0 {
+			return true
+		}
+		for _, text := range texts {
+			if toks[i].text == text {
+				return true
 			}
-		case "COUNT":
+		}
+		return false
+	}
+	kw := func(i int, texts ...string) bool { return is(i, tokKeyword, texts...) }
+	sym := func(i int, texts ...string) bool { return is(i, tokSymbol, texts...) }
+	if kw(0, "SHOW") && is(1, tokIdent, "WAL", "wal") && !is(2, tokIdent, "STATUS", "status") {
+		return "SHOW WAL " + toks[2].text
+	}
+	inSelect := kw(0, "SELECT") // reading the select list
+	inOrderBy := false
+	counts := 0
+	for i, t := range toks {
+		if kw(i, "FROM", "LIMIT") {
+			inSelect, inOrderBy = false, false
+		}
+		switch {
+		case kw(i, "GROUP", "DISTINCT", "SUM", "MIN", "MAX", "AVG", "OR", "IN", "BETWEEN", "IS",
+			"TRUE", "FALSE", "ASC", "INNER", "DROP", "IF", "EXISTS", "DEFAULT",
+			"INTEGER", "BIGINT", "DOUBLE", "DATETIME", "CHAR", "TABLES"):
+			return t.text
+		case sym(i, "<>", "!=", "<", "<=", ">", ">=", "/", "%"):
+			return "operator " + t.text
+		case kw(i, "NOT") && !kw(i+1, "NULL"):
+			return "NOT"
+		case kw(i, "OFFSET") && !kw(0, "ALTER"):
+			return "OFFSET"
+		case kw(i, "COUNT"):
 			if !sym(i+1, "(") || !sym(i+2, "*") || !sym(i+3, ")") {
 				return "COUNT(expr)"
 			}
-		case "LIMIT":
-			if sym(i+2, ",") {
-				return "LIMIT offset, count"
+			if counts++; counts > 1 {
+				return "more than one COUNT(*)"
 			}
+			if inSelect && i > 1 {
+				return "COUNT(*) beside a column (GROUP BY)"
+			}
+		case kw(i, "LIMIT") && sym(i+2, ","):
+			return "LIMIT offset, count"
+		case sym(i, "*") && !(i == 1 && inSelect) && !(sym(i-1, "(") && kw(i-2, "COUNT")):
+			return "operator *"
+		case sym(i, "(") && (kw(i-1, "WHERE", "ON", "AND", "NOT", "LIKE") || sym(i-1, "=", "+", "-", "(")):
+			return "parenthesized expression"
+		case inSelect && i > 0 && (kw(i, "AS") || t.kind == tokIdent && (is(i-1, tokIdent) || sym(i-1, ")"))):
+			return "select-item alias"
+		case inSelect && t.kind == tokIdent && counts > 0:
+			return "COUNT(*) beside a column (GROUP BY)"
+		case inSelect && i > 0 && (t.kind == tokNumber || t.kind == tokString || t.kind == tokParam ||
+			kw(i, "NULL") || sym(i, "+", "-", "=")):
+			return "select item other than a column"
+		case inOrderBy && !(t.kind == tokIdent || t.kind == tokEOF || kw(i, "DESC") || sym(i, ".", ",", ";")):
+			return "ORDER BY key other than a column"
+		}
+		if kw(i, "BY") && kw(i-1, "ORDER") {
+			inOrderBy = true
 		}
 	}
 	return ""
 }
 
-// FuzzParse: Parse never panics, and a statement that uses a clause the
+// FuzzParse: Parse never panics, and a statement that uses a form the
 // dialect leaves out is always an error.
 func FuzzParse(f *testing.F) {
 	for _, q := range trafficTexts(f) {
 		f.Add(q)
 	}
-	for _, q := range []string{
-		"SELECT item_id, COUNT(*) FROM bids GROUP BY item_id",
-		"SELECT DISTINCT category FROM items",
-		"SELECT id FROM items ORDER BY id LIMIT 3 OFFSET 4",
-		"SELECT id FROM items LIMIT 4, 3",
-		"SELECT SUM(bid), MIN(bid), MAX(bid), AVG(bid) FROM bids",
-		"SELECT COUNT(id) FROM bids",
-	} {
-		f.Add(q)
+	for _, c := range deletedForms {
+		f.Add(c.sql)
 	}
 	f.Fuzz(func(t *testing.T, q string) {
 		_, err := Parse(q)

@@ -1,21 +1,31 @@
 // Package sqlparse implements the SQL dialect used by the repro database
-// engine: the subset of MySQL 3.23 the paper's benchmarks issue, and no
-// more.
+// engine: the statements the paper's benchmarks issue, and no more.
 //
-//   - SELECT: a projection list, * or COUNT(*) items; FROM one table and
-//     INNER JOIN ... ON; WHERE; ORDER BY; LIMIT n.
-//   - INSERT (multi-row), UPDATE, DELETE.
-//   - CREATE TABLE, CREATE [UNIQUE] INDEX, DROP TABLE, and ALTER TABLE ...
+//   - SELECT *, SELECT COUNT(*) or SELECT col, ... FROM one table [alias],
+//     JOIN table [alias] ON expr ..., WHERE expr, ORDER BY col [DESC], ...,
+//     LIMIT n.
+//   - INSERT INTO t [(cols)] VALUES (exprs), ...; UPDATE t SET col = expr, ...
+//     [WHERE expr]; DELETE FROM t [WHERE expr].
+//   - CREATE TABLE (INT, FLOAT, VARCHAR[(n)] and TEXT columns; PRIMARY KEY,
+//     AUTO_INCREMENT, NOT NULL), CREATE [UNIQUE] INDEX, and ALTER TABLE ...
 //     AUTO_INCREMENT [OFFSET o] [STRIDE s] [NEXT n].
 //   - BEGIN / START TRANSACTION, PREPARE TRANSACTION, COMMIT, ROLLBACK: the
 //     transaction is the dialect's one multi-statement critical section.
-//   - SHOW TABLES and SHOW TABLE STATUS, which replica sync reads, and SHOW
-//     WAL STATUS, the one view of a backend's write-ahead log.
+//   - SHOW TABLE STATUS, which replica sync reads, and SHOW WAL STATUS, the
+//     one view of a backend's write-ahead log.
 //
-// GROUP BY, SELECT DISTINCT, LIMIT ... OFFSET, LIMIT offset, count, SUM,
-// MIN, MAX, AVG and COUNT(expr) are not in it: neither application, the EJB
-// container, the cluster nor population issues them, and Parse rejects each
-// with an error naming it. Nor is any SHOW WAL form but STATUS.
+// An expression is built from literals, NULL, '?' placeholders and
+// (qualified) column references with =, LIKE, AND, binary + and - and
+// unary minus.
+//
+// Nothing else is in it: neither application, the EJB container, the
+// cluster nor population issues anything else, and Parse rejects each
+// left-out form it recognizes — GROUP BY, DISTINCT, OFFSET, aggregates but
+// one COUNT(*), select-list expressions and aliases, OR, NOT, IN, BETWEEN,
+// IS NULL, every other operator, parentheses, TRUE and FALSE, ASC, INNER,
+// DROP TABLE, IF NOT EXISTS, DEFAULT, the other column types and SHOW
+// TABLES — with an error naming it. The keywords stay reserved so that it
+// can.
 package sqlparse
 
 import (

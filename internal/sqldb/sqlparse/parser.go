@@ -35,8 +35,6 @@ func Parse(src string) (Statement, error) {
 		st.Src = src
 	case *CreateIndex:
 		st.Src = src
-	case *DropTable:
-		st.Src = src
 	case *AlterAutoInc:
 		st.Src = src
 	}
@@ -112,7 +110,7 @@ func (p *parser) parseStatement() (Statement, error) {
 	case p.at(tokKeyword, "CREATE"):
 		return p.parseCreate()
 	case p.at(tokKeyword, "DROP"):
-		return p.parseDrop()
+		return nil, p.unsupported("DROP TABLE")
 	case p.at(tokKeyword, "SHOW"):
 		p.next()
 		// WAL, like STATUS below, is contextual: nothing stops a schema
@@ -131,10 +129,10 @@ func (p *parser) parseStatement() (Statement, error) {
 			}
 			return &ShowTableStatus{}, nil
 		}
-		if _, err := p.expect(tokKeyword, "TABLES"); err != nil {
-			return nil, err
+		if p.at(tokKeyword, "TABLES") {
+			return nil, p.unsupported("SHOW TABLES")
 		}
-		return &ShowTables{}, nil
+		return nil, p.errf("expected TABLE STATUS or WAL STATUS after SHOW, found %q", p.cur().text)
 	case p.at(tokKeyword, "ALTER"):
 		return p.parseAlter()
 	case p.at(tokKeyword, "BEGIN"):
@@ -234,31 +232,30 @@ func (p *parser) parseSelect() (*Select, error) {
 	if p.accept(tokSymbol, "*") {
 		sel.Star = true
 	} else {
-		counts := 0
 		for {
-			e, err := p.parseSelectExpr()
-			if err != nil {
-				return nil, err
-			}
-			if _, ok := e.(*AggExpr); ok {
-				counts++
-			}
-			item := SelectItem{Expr: e}
-			if p.accept(tokKeyword, "AS") {
-				a, err := p.parseIdent()
+			if p.accept(tokKeyword, "COUNT") {
+				if err := p.parseCountStar(); err != nil {
+					return nil, err
+				}
+				if sel.Count {
+					return nil, p.unsupported("more than one COUNT(*)")
+				}
+				sel.Count = true
+			} else {
+				col, err := p.parseColumn("select item")
 				if err != nil {
 					return nil, err
 				}
-				item.Alias = a
-			} else if p.at(tokIdent, "") {
-				item.Alias = p.next().text
+				sel.Columns = append(sel.Columns, col)
 			}
-			sel.Items = append(sel.Items, item)
+			if p.at(tokKeyword, "AS") || p.at(tokIdent, "") {
+				return nil, p.unsupported("select-item alias")
+			}
 			if !p.accept(tokSymbol, ",") {
 				break
 			}
 		}
-		if counts > 0 && counts < len(sel.Items) {
+		if sel.Count && len(sel.Columns) > 0 {
 			return nil, p.unsupported("COUNT(*) beside a column (GROUP BY)")
 		}
 	}
@@ -273,25 +270,24 @@ func (p *parser) parseSelect() (*Select, error) {
 	}
 	sel.From = from
 	for {
-		if p.accept(tokKeyword, "INNER") || p.at(tokKeyword, "JOIN") {
-			if _, err := p.expect(tokKeyword, "JOIN"); err != nil {
-				return nil, err
-			}
-			tr, err := p.parseTableRef()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(tokKeyword, "ON"); err != nil {
-				return nil, err
-			}
-			on, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			sel.Joins = append(sel.Joins, Join{Table: tr, On: on})
-			continue
+		if p.at(tokKeyword, "INNER") {
+			return nil, p.unsupported("INNER JOIN")
 		}
-		break
+		if !p.accept(tokKeyword, "JOIN") {
+			break
+		}
+		tr, err := p.parseTableRef()
+		if err != nil {
+			return nil, err
+		}
+		if _, err := p.expect(tokKeyword, "ON"); err != nil {
+			return nil, err
+		}
+		on, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		sel.Joins = append(sel.Joins, Join{Table: tr, On: on})
 	}
 	if p.accept(tokKeyword, "WHERE") {
 		w, err := p.parseExpr()
@@ -308,17 +304,14 @@ func (p *parser) parseSelect() (*Select, error) {
 			return nil, err
 		}
 		for {
-			e, err := p.parseExpr()
+			col, err := p.parseColumn("ORDER BY key")
 			if err != nil {
 				return nil, err
 			}
-			oi := OrderItem{Expr: e}
-			if p.accept(tokKeyword, "DESC") {
-				oi.Desc = true
-			} else {
-				p.accept(tokKeyword, "ASC")
+			if p.at(tokKeyword, "ASC") {
+				return nil, p.unsupported("ASC")
 			}
-			sel.OrderBy = append(sel.OrderBy, oi)
+			sel.OrderBy = append(sel.OrderBy, OrderItem{Col: col, Desc: p.accept(tokKeyword, "DESC")})
 			if !p.accept(tokSymbol, ",") {
 				break
 			}
@@ -340,21 +333,30 @@ func (p *parser) parseSelect() (*Select, error) {
 	return sel, nil
 }
 
-// parseSelectExpr parses one select item: COUNT(*), or an expression.
-func (p *parser) parseSelectExpr() (Expr, error) {
-	if !p.accept(tokKeyword, "COUNT") {
-		return p.parseExpr()
-	}
+// parseCountStar parses the "(*)" after COUNT.
+func (p *parser) parseCountStar() error {
 	if _, err := p.expect(tokSymbol, "("); err != nil {
-		return nil, err
+		return err
 	}
 	if !p.accept(tokSymbol, "*") {
-		return nil, p.unsupported("COUNT(expr)")
+		return p.unsupported("COUNT(expr)")
 	}
-	if _, err := p.expect(tokSymbol, ")"); err != nil {
+	_, err := p.expect(tokSymbol, ")")
+	return err
+}
+
+// parseColumn parses a select item or an ORDER BY key (what): a column
+// reference, the one expression the dialect allows there.
+func (p *parser) parseColumn(what string) (*ColRefExpr, error) {
+	e, err := p.parseAdd()
+	if err != nil {
 		return nil, err
 	}
-	return &AggExpr{}, nil
+	col, ok := e.(*ColRefExpr)
+	if !ok {
+		return nil, p.unsupported(what + " other than a column")
+	}
+	return col, nil
 }
 
 // unsupported is the error for a SQL feature the dialect leaves out (see the
@@ -510,14 +512,8 @@ func (p *parser) parseCreate() (Statement, error) {
 	switch {
 	case p.accept(tokKeyword, "TABLE"):
 		ct := &CreateTable{}
-		if p.accept(tokKeyword, "IF") {
-			if _, err := p.expect(tokKeyword, "NOT"); err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(tokKeyword, "EXISTS"); err != nil {
-				return nil, err
-			}
-			ct.IfNotExists = true
+		if p.at(tokKeyword, "IF") {
+			return nil, p.unsupported("IF NOT EXISTS")
 		}
 		name, err := p.parseIdent()
 		if err != nil {
@@ -608,14 +604,14 @@ func (p *parser) parseColumnDef() (ColumnDef, error) {
 		return cd, p.errf("expected column type, found %q", t.text)
 	}
 	switch t.text {
-	case "INT", "INTEGER", "BIGINT", "DATETIME":
+	case "INT":
 		cd.Type = TypeInt
-	case "FLOAT", "DOUBLE":
+	case "FLOAT":
 		cd.Type = TypeFloat
-	case "VARCHAR", "TEXT", "CHAR":
+	case "VARCHAR", "TEXT":
 		cd.Type = TypeString
 	default:
-		return cd, p.errf("unsupported column type %q", t.text)
+		return cd, p.unsupported("column type " + t.text)
 	}
 	// optional (length)
 	if p.accept(tokSymbol, "(") {
@@ -640,229 +636,100 @@ func (p *parser) parseColumnDef() (ColumnDef, error) {
 				return cd, err
 			}
 			cd.NotNull = true
-		case p.accept(tokKeyword, "DEFAULT"):
-			// accept and ignore a literal default
-			if _, err := p.parsePrimary(); err != nil {
-				return cd, err
-			}
+		case p.at(tokKeyword, "DEFAULT"):
+			return cd, p.unsupported("column DEFAULT")
 		default:
 			return cd, nil
 		}
 	}
 }
 
-func (p *parser) parseDrop() (Statement, error) {
-	p.next() // DROP
-	if _, err := p.expect(tokKeyword, "TABLE"); err != nil {
-		return nil, err
-	}
-	dt := &DropTable{}
-	if p.accept(tokKeyword, "IF") {
-		if _, err := p.expect(tokKeyword, "EXISTS"); err != nil {
-			return nil, err
-		}
-		dt.IfExists = true
-	}
-	name, err := p.parseIdent()
-	if err != nil {
-		return nil, err
-	}
-	dt.Name = name
-	return dt, nil
-}
-
 // Expression grammar, lowest to highest precedence:
 //
-//	or   := and (OR and)*
-//	and  := not (AND not)*
-//	not  := NOT not | cmp
-//	cmp  := add ((=|<>|<|<=|>|>=|LIKE) add | IS [NOT] NULL |
-//	        [NOT] IN (list) | BETWEEN add AND add)?
-//	add  := mul ((+|-) mul)*
-//	mul  := unary ((*|/) unary)*
-//	unary:= - unary | primary
-func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
-
-func (p *parser) parseOr() (Expr, error) {
-	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.accept(tokKeyword, "OR") {
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinaryExpr{Op: OpOr, L: l, R: r}
-	}
-	return l, nil
-}
-
-func (p *parser) parseAnd() (Expr, error) {
-	l, err := p.parseNot()
+//	and    := cmp (AND cmp)*
+//	cmp    := add [(= | LIKE) add]
+//	add    := unary ((+ | -) unary)*
+//	unary  := - unary | primary
+//	primary:= literal | NULL | ? | column | table.column
+//
+// An operator the dialect leaves out fails where it stands, naming itself.
+func (p *parser) parseExpr() (Expr, error) {
+	l, err := p.parseCmp()
 	if err != nil {
 		return nil, err
 	}
 	for p.accept(tokKeyword, "AND") {
-		r, err := p.parseNot()
+		r, err := p.parseCmp()
 		if err != nil {
 			return nil, err
 		}
 		l = &BinaryExpr{Op: OpAnd, L: l, R: r}
 	}
+	if p.at(tokKeyword, "OR") {
+		return nil, p.unsupported("OR")
+	}
 	return l, nil
 }
 
-func (p *parser) parseNot() (Expr, error) {
-	if p.accept(tokKeyword, "NOT") {
-		e, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return &NotExpr{E: e}, nil
-	}
-	return p.parseCmp()
-}
-
 func (p *parser) parseCmp() (Expr, error) {
+	if p.at(tokKeyword, "NOT") {
+		return nil, p.unsupported("NOT")
+	}
 	l, err := p.parseAdd()
 	if err != nil {
 		return nil, err
 	}
+	op := OpEq
 	switch {
-	case p.at(tokSymbol, "="), p.at(tokSymbol, "<>"), p.at(tokSymbol, "!="),
-		p.at(tokSymbol, "<"), p.at(tokSymbol, "<="), p.at(tokSymbol, ">"),
-		p.at(tokSymbol, ">="):
-		opTok := p.next().text
-		r, err := p.parseAdd()
-		if err != nil {
-			return nil, err
-		}
-		var op BinaryOp
-		switch opTok {
-		case "=":
-			op = OpEq
-		case "<>", "!=":
-			op = OpNe
-		case "<":
-			op = OpLt
-		case "<=":
-			op = OpLe
-		case ">":
-			op = OpGt
-		case ">=":
-			op = OpGe
-		}
-		return &BinaryExpr{Op: op, L: l, R: r}, nil
+	case p.accept(tokSymbol, "="):
 	case p.accept(tokKeyword, "LIKE"):
-		r, err := p.parseAdd()
-		if err != nil {
-			return nil, err
-		}
-		return &BinaryExpr{Op: OpLike, L: l, R: r}, nil
-	case p.accept(tokKeyword, "IS"):
-		not := p.accept(tokKeyword, "NOT")
-		if _, err := p.expect(tokKeyword, "NULL"); err != nil {
-			return nil, err
-		}
-		return &IsNullExpr{E: l, Not: not}, nil
-	case p.accept(tokKeyword, "BETWEEN"):
-		lo, err := p.parseAdd()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokKeyword, "AND"); err != nil {
-			return nil, err
-		}
-		hi, err := p.parseAdd()
-		if err != nil {
-			return nil, err
-		}
-		return &BetweenExpr{E: l, Lo: lo, Hi: hi}, nil
-	case p.at(tokKeyword, "IN"), p.at(tokKeyword, "NOT"):
-		not := false
-		if p.at(tokKeyword, "NOT") {
-			// only consume NOT IN here; bare NOT was handled above
-			if p.i+1 < len(p.toks) && p.toks[p.i+1].text == "IN" {
-				p.next()
-				not = true
-			} else {
-				return l, nil
-			}
-		}
-		if !p.accept(tokKeyword, "IN") {
-			return l, nil
-		}
-		if _, err := p.expect(tokSymbol, "("); err != nil {
-			return nil, err
-		}
-		in := &InExpr{E: l, Not: not}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			in.List = append(in.List, e)
-			if !p.accept(tokSymbol, ",") {
-				break
-			}
-		}
-		if _, err := p.expect(tokSymbol, ")"); err != nil {
-			return nil, err
-		}
-		return in, nil
+		op = OpLike
+	default:
+		return l, nil
 	}
-	return l, nil
-}
-
-func (p *parser) parseAdd() (Expr, error) {
-	l, err := p.parseMul()
+	r, err := p.parseAdd()
 	if err != nil {
 		return nil, err
 	}
-	for {
-		switch {
-		case p.accept(tokSymbol, "+"):
-			r, err := p.parseMul()
-			if err != nil {
-				return nil, err
-			}
-			l = &BinaryExpr{Op: OpAdd, L: l, R: r}
-		case p.accept(tokSymbol, "-"):
-			r, err := p.parseMul()
-			if err != nil {
-				return nil, err
-			}
-			l = &BinaryExpr{Op: OpSub, L: l, R: r}
-		default:
-			return l, nil
-		}
-	}
+	return &BinaryExpr{Op: op, L: l, R: r}, nil
 }
 
-func (p *parser) parseMul() (Expr, error) {
+func (p *parser) parseAdd() (Expr, error) {
 	l, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
 	for {
+		op := OpAdd
 		switch {
-		case p.accept(tokSymbol, "*"):
-			r, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			l = &BinaryExpr{Op: OpMul, L: l, R: r}
-		case p.accept(tokSymbol, "/"):
-			r, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			l = &BinaryExpr{Op: OpDiv, L: l, R: r}
+		case p.accept(tokSymbol, "+"):
+		case p.accept(tokSymbol, "-"):
+			op = OpSub
 		default:
-			return l, nil
+			return l, p.leftOutOperator()
 		}
+		r, err := p.parseUnary()
+		if err != nil {
+			return nil, err
+		}
+		l = &BinaryExpr{Op: op, L: l, R: r}
 	}
+}
+
+// leftOutOperator is the error for an operator the dialect leaves out
+// standing after an operand, naming it; nil when the token is none.
+func (p *parser) leftOutOperator() error {
+	t := p.cur()
+	if t.kind != tokSymbol && t.kind != tokKeyword {
+		return nil
+	}
+	switch t.text {
+	case "<>", "!=", "<", "<=", ">", ">=", "*", "/", "%", "IN", "NOT", "BETWEEN":
+		return p.unsupported("operator " + t.text)
+	case "IS":
+		return p.unsupported("IS [NOT] NULL")
+	}
+	return nil
 }
 
 func (p *parser) parseUnary() (Expr, error) {
@@ -906,12 +773,8 @@ func (p *parser) parsePrimary() (Expr, error) {
 		case "NULL":
 			p.next()
 			return &NullLit{}, nil
-		case "TRUE":
-			p.next()
-			return &IntLit{V: 1}, nil
-		case "FALSE":
-			p.next()
-			return &IntLit{V: 0}, nil
+		case "TRUE", "FALSE":
+			return nil, p.unsupported(t.text)
 		case "SUM", "MIN", "MAX", "AVG":
 			return nil, p.unsupported(t.text + "()")
 		}
@@ -928,15 +791,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		return &ColRefExpr{Column: t.text}, nil
 	case tokSymbol:
 		if t.text == "(" {
-			p.next()
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(tokSymbol, ")"); err != nil {
-				return nil, err
-			}
-			return e, nil
+			return nil, p.unsupported("parenthesized expression")
 		}
 	}
 	return nil, p.errf("unexpected token %q in expression", t.text)

@@ -17,7 +17,7 @@ func mustParse(t *testing.T, sql string) Statement {
 
 func TestParseSelectBasic(t *testing.T) {
 	st := mustParse(t, "SELECT id, name FROM items WHERE id = 7").(*Select)
-	if len(st.Items) != 2 || st.From.Table != "items" {
+	if len(st.Columns) != 2 || st.From.Table != "items" {
 		t.Fatalf("unexpected select: %+v", st)
 	}
 	be, ok := st.Where.(*BinaryExpr)
@@ -34,21 +34,21 @@ func TestParseSelectStar(t *testing.T) {
 }
 
 func TestParseSelectFull(t *testing.T) {
-	st := mustParse(t, `SELECT i.id, b.bid AS n
+	st := mustParse(t, `SELECT i.id, b.bid
 		FROM items i JOIN bids b ON b.item_id = i.id
-		WHERE i.category = ? AND b.bid > 10
-		ORDER BY n DESC LIMIT 20`).(*Select)
+		WHERE i.category = ? AND b.bid = 10
+		ORDER BY b.bid DESC, i.id LIMIT 20`).(*Select)
 	if len(st.Joins) != 1 || st.Joins[0].Table.Table != "bids" {
 		t.Fatalf("joins: %+v", st.Joins)
 	}
-	if len(st.OrderBy) != 1 || !st.OrderBy[0].Desc {
+	if len(st.OrderBy) != 2 || !st.OrderBy[0].Desc || st.OrderBy[0].Col.Table != "b" || st.OrderBy[1].Desc {
 		t.Fatalf("order by: %+v", st.OrderBy)
 	}
 	if st.Limit != 20 {
 		t.Fatalf("limit: %d", st.Limit)
 	}
-	if st.Items[1].Alias != "n" {
-		t.Fatalf("alias: %+v", st.Items[1])
+	if c := st.Columns[1]; c.Table != "b" || c.Column != "bid" {
+		t.Fatalf("qualified column: %+v", c)
 	}
 }
 
@@ -63,30 +63,80 @@ func TestParseMySQLLimitComma(t *testing.T) {
 	}
 }
 
+// deletedForms are statements that each use a form the dialect leaves out,
+// with what Parse's error names it. FuzzParse seeds from them.
+var deletedForms = []struct{ sql, names string }{
+	{"SELECT item_id, COUNT(*) FROM bids GROUP BY item_id", "GROUP BY"},
+	{"SELECT id FROM items GROUP BY id", "GROUP BY"},
+	{"SELECT DISTINCT category FROM items", "DISTINCT"},
+	{"SELECT id FROM items ORDER BY id LIMIT 3 OFFSET 4", "OFFSET"},
+	{"SELECT id FROM items LIMIT 4, 3", "LIMIT offset, count"},
+	{"SELECT SUM(bid) FROM bids", "SUM"},
+	{"SELECT MIN(bid) FROM bids", "MIN"},
+	{"SELECT MAX(id) FROM bids", "MAX"},
+	{"SELECT AVG(bid) FROM bids", "AVG"},
+	{"SELECT COUNT(*), MAX(id) FROM bids", "MAX"},
+	{"SELECT id FROM bids WHERE bid = (SELECT MAX(bid) FROM bids)", "parenthesized expression"},
+	{"SELECT COUNT(id) FROM bids", "COUNT(expr)"},
+	{"SELECT COUNT(DISTINCT id) FROM bids", "COUNT(expr)"},
+	{"SELECT item_id, COUNT(*) FROM bids", "GROUP BY"},
+	{"SHOW WAL CHAIN 1", `found "CHAIN"`},
+	{"SHOW WAL RECORDS SINCE 1 LIMIT 256", `found "RECORDS"`},
+	// The expression grammar is the traffic's: =, LIKE, AND, + and -.
+	{"SELECT id FROM items WHERE a = 1 OR b = 2", "OR"},
+	{"SELECT id FROM items WHERE NOT a = 1", "NOT"},
+	{"DELETE FROM items WHERE id IN (1, 2)", "operator IN"},
+	{"SELECT id FROM items WHERE id NOT IN (1, 2)", "operator NOT"},
+	{"SELECT id FROM items WHERE id BETWEEN 1 AND 2", "operator BETWEEN"},
+	{"SELECT id FROM items WHERE name IS NULL", "IS [NOT] NULL"},
+	{"SELECT id FROM items WHERE name IS NOT NULL", "IS [NOT] NULL"},
+	{"SELECT id FROM items WHERE id <> 1", "operator <>"},
+	{"SELECT id FROM items WHERE id != 1", "operator !="},
+	{"SELECT id FROM items WHERE id < ?", "operator <"},
+	{"SELECT id FROM items WHERE id <= ?", "operator <="},
+	{"UPDATE items SET qty = 1 WHERE id > ?", "operator >"},
+	{"SELECT id FROM items WHERE id >= ?", "operator >="},
+	{"UPDATE items SET qty = qty * 2", "operator *"},
+	{"UPDATE items SET qty = qty / 2", "operator /"},
+	{"SELECT id FROM items WHERE (id = 1)", "parenthesized expression"},
+	{"UPDATE items SET qty = 2 - (qty + 1)", "parenthesized expression"},
+	{"SELECT id FROM items WHERE flag = TRUE", "TRUE"},
+	{"INSERT INTO items (flag) VALUES (FALSE)", "FALSE"},
+	// The select list is *, one COUNT(*) or column references.
+	{"SELECT id AS n FROM items", "select-item alias"},
+	{"SELECT id n FROM items", "select-item alias"},
+	{"SELECT COUNT(*) AS n FROM items", "select-item alias"},
+	{"SELECT COUNT(*), COUNT(*) FROM items", "more than one COUNT(*)"},
+	{"SELECT qty + 1 FROM items", "select item other than a column"},
+	{"SELECT 1 FROM items", "select item other than a column"},
+	{"SELECT id FROM items ORDER BY 1", "ORDER BY key other than a column"},
+	{"SELECT id FROM items ORDER BY qty + 1", "ORDER BY key other than a column"},
+	{"SELECT id FROM items ORDER BY id ASC", "ASC"},
+	{"SELECT i.id FROM items i INNER JOIN bids b ON b.item_id = i.id", "INNER JOIN"},
+	// DDL extras.
+	{"DROP TABLE items", "DROP TABLE"},
+	{"DROP TABLE IF EXISTS items", "DROP TABLE"},
+	{"CREATE TABLE IF NOT EXISTS t (id INT)", "IF NOT EXISTS"},
+	{"CREATE TABLE t (id INT, name VARCHAR(10) DEFAULT 'x')", "column DEFAULT"},
+	{"CREATE TABLE t (id INTEGER)", "column type INTEGER"},
+	{"CREATE TABLE t (id BIGINT)", "column type BIGINT"},
+	{"CREATE TABLE t (x DOUBLE)", "column type DOUBLE"},
+	{"CREATE TABLE t (at DATETIME)", "column type DATETIME"},
+	{"CREATE TABLE t (c CHAR(2))", "column type CHAR"},
+	{"SHOW TABLES", "SHOW TABLES"},
+}
+
 // TestDeletedClauses: every SQL feature the dialect leaves out is a parse
-// error that names it.
+// error that names it, and FuzzParse's oracle knows it.
 func TestDeletedClauses(t *testing.T) {
-	for _, c := range []struct{ sql, names string }{
-		{"SELECT item_id, COUNT(*) FROM bids GROUP BY item_id", "GROUP BY"},
-		{"SELECT id FROM items GROUP BY id", "GROUP BY"},
-		{"SELECT DISTINCT category FROM items", "DISTINCT"},
-		{"SELECT id FROM items ORDER BY id LIMIT 3 OFFSET 4", "OFFSET"},
-		{"SELECT id FROM items LIMIT 4, 3", "LIMIT offset, count"},
-		{"SELECT SUM(bid) FROM bids", "SUM"},
-		{"SELECT MIN(bid) FROM bids", "MIN"},
-		{"SELECT MAX(id) FROM bids", "MAX"},
-		{"SELECT AVG(bid) FROM bids", "AVG"},
-		{"SELECT COUNT(*), MAX(id) FROM bids", "MAX"},
-		{"SELECT id FROM bids WHERE bid > (SELECT MAX(bid) FROM bids)", "MAX"},
-		{"SELECT COUNT(id) FROM bids", "COUNT(expr)"},
-		{"SELECT COUNT(DISTINCT id) FROM bids", "COUNT(expr)"},
-		{"SELECT item_id, COUNT(*) FROM bids", "GROUP BY"},
-		{"SHOW WAL CHAIN 1", `found "CHAIN"`},
-		{"SHOW WAL RECORDS SINCE 1 LIMIT 256", `found "RECORDS"`},
-	} {
+	for _, c := range deletedForms {
 		_, err := Parse(c.sql)
-		if err == nil || !strings.Contains(err.Error(), c.names) {
+		// The name must be in the message itself, not in the quoted text.
+		if err == nil || !strings.Contains(strings.Split(err.Error(), " (at byte")[0], c.names) {
 			t.Errorf("Parse(%q) = %v, want an error naming %s", c.sql, err, c.names)
+		}
+		if toks, err := lex(c.sql); err != nil || deletedClause(toks) == "" {
+			t.Errorf("FuzzParse's oracle does not flag %q", c.sql)
 		}
 	}
 	// OFFSET stays a keyword of ALTER TABLE ... AUTO_INCREMENT.
@@ -132,7 +182,7 @@ func TestParseCreateTable(t *testing.T) {
 		id INT PRIMARY KEY AUTO_INCREMENT,
 		name VARCHAR(100) NOT NULL,
 		price FLOAT,
-		descr TEXT DEFAULT 'none'
+		descr TEXT
 	)`).(*CreateTable)
 	if st.Name != "items" || len(st.Columns) != 4 {
 		t.Fatalf("create: %+v", st)
@@ -177,40 +227,39 @@ func TestParseLockTables(t *testing.T) {
 	mustParse(t, "SELECT read, write FROM lock WHERE unlock = 1")
 }
 
+// TestParseExprPrecedence: AND binds loosest, then = and LIKE, then + and
+// -: a = 1 + 2 AND b LIKE c parses as (a = (1 + 2)) AND (b LIKE c).
 func TestParseExprPrecedence(t *testing.T) {
-	st := mustParse(t, "SELECT a FROM t WHERE a = 1 OR b = 2 AND c = 3").(*Select)
-	// Must parse as a=1 OR (b=2 AND c=3).
-	or, ok := st.Where.(*BinaryExpr)
-	if !ok || or.Op != OpOr {
-		t.Fatalf("top must be OR: %#v", st.Where)
-	}
-	and, ok := or.R.(*BinaryExpr)
-	if !ok || and.Op != OpAnd {
-		t.Fatalf("right must be AND: %#v", or.R)
+	st := mustParse(t, "SELECT a FROM t WHERE a = 1 + 2 AND b LIKE c").(*Select)
+	if got := exprString(st.Where); got != "((a=(v+v))AND(bLIKEc))" {
+		t.Fatalf("where parsed as %s", got)
 	}
 }
 
+// TestParseArithmeticPrecedence: + and - associate left, and unary minus
+// binds tighter than either.
 func TestParseArithmeticPrecedence(t *testing.T) {
-	st := mustParse(t, "SELECT a + b * 2 FROM t").(*Select)
-	add, ok := st.Items[0].Expr.(*BinaryExpr)
-	if !ok || add.Op != OpAdd {
-		t.Fatalf("top must be +: %#v", st.Items[0].Expr)
-	}
-	if mul, ok := add.R.(*BinaryExpr); !ok || mul.Op != OpMul {
-		t.Fatalf("right must be *: %#v", add.R)
+	st := mustParse(t, "UPDATE t SET a = a - b + -c WHERE id = ?").(*Update)
+	if got := exprString(st.Set[0].Value); got != "((a-b)+-c)" {
+		t.Fatalf("a - b + -c parsed as %s", got)
 	}
 }
 
+// TestParseInBetweenLikeIsNull: of the four predicates, only LIKE is in the
+// dialect; IN, BETWEEN and IS [NOT] NULL fail naming themselves.
 func TestParseInBetweenLikeIsNull(t *testing.T) {
-	st := mustParse(t, `SELECT a FROM t WHERE a IN (1,2,3) AND b BETWEEN 2 AND 9
-		AND name LIKE '%go%' AND c IS NOT NULL AND d NOT IN (4)`).(*Select)
-	if st.Where == nil {
-		t.Fatal("where missing")
+	st := mustParse(t, "SELECT a FROM t WHERE name LIKE '%go%' AND b = 2").(*Select)
+	if got := exprString(st.Where); got != "((nameLIKEv)AND(b=v))" {
+		t.Fatalf("where parsed as %s", got)
 	}
-	s := exprString(st.Where)
-	for _, want := range []string{"IN", "BETWEEN", "LIKE", "ISNOTNULL", "NOTIN"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("parsed where %q missing %s", s, want)
+	for _, c := range []struct{ where, names string }{
+		{"a IN (1,2,3)", "IN"},
+		{"b BETWEEN 2 AND 9", "BETWEEN"},
+		{"c IS NOT NULL", "IS [NOT] NULL"},
+		{"d NOT IN (4)", "NOT"},
+	} {
+		if _, err := Parse("SELECT a FROM t WHERE " + c.where); err == nil || !strings.Contains(err.Error(), c.names) {
+			t.Errorf("WHERE %s: %v, want an error naming %s", c.where, err, c.names)
 		}
 	}
 }
@@ -220,50 +269,34 @@ func exprString(e Expr) string {
 	switch x := e.(type) {
 	case *BinaryExpr:
 		return "(" + exprString(x.L) + x.Op.String() + exprString(x.R) + ")"
-	case *InExpr:
-		if x.Not {
-			return exprString(x.E) + "NOTIN"
-		}
-		return exprString(x.E) + "IN"
-	case *BetweenExpr:
-		return exprString(x.E) + "BETWEEN"
-	case *IsNullExpr:
-		if x.Not {
-			return exprString(x.E) + "ISNOTNULL"
-		}
-		return exprString(x.E) + "ISNULL"
 	case *ColRefExpr:
 		return x.Column
 	case *IntLit, *FloatLit, *StringLit, *NullLit, *ParamExpr:
 		return "v"
-	case *NotExpr:
-		return "NOT" + exprString(x.E)
 	case *NegExpr:
 		return "-" + exprString(x.E)
-	case *AggExpr:
-		return "COUNT(*)"
 	default:
 		return "?"
 	}
 }
 
-// TestParseAggregates: COUNT(*) is the one aggregate, and only as a whole
-// select item.
+// TestParseAggregates: COUNT(*) is the one aggregate, and only as the whole
+// select list.
 func TestParseAggregates(t *testing.T) {
-	st := mustParse(t, "SELECT COUNT(*), count(*) AS n FROM bids WHERE item_id = ?").(*Select)
-	if len(st.Items) != 2 || !st.IsCount() || st.Items[1].Alias != "n" {
-		t.Fatalf("count(*): %+v", st.Items)
+	for _, q := range []string{"SELECT COUNT(*) FROM bids WHERE item_id = ?", "select count(*) from bids"} {
+		if st := mustParse(t, q).(*Select); !st.Count || st.Star || len(st.Columns) != 0 {
+			t.Fatalf("%s: %+v", q, st)
+		}
 	}
-	if _, ok := st.Items[1].Expr.(*AggExpr); !ok {
-		t.Fatalf("second item: %#v", st.Items[1].Expr)
-	}
-	if mustParse(t, "SELECT id FROM bids").(*Select).IsCount() {
+	if mustParse(t, "SELECT id FROM bids").(*Select).Count {
 		t.Fatal("a projection is not a COUNT(*) select")
 	}
 	for _, sql := range []string{
-		"SELECT id FROM bids WHERE COUNT(*) > 1",
+		"SELECT id FROM bids WHERE COUNT(*) = 1",
 		"SELECT COUNT(*) + 1 FROM bids",
 		"SELECT id FROM bids ORDER BY COUNT(*)",
+		"SELECT COUNT(*), COUNT(*) FROM bids",
+		"SELECT id, COUNT(*) FROM bids",
 	} {
 		if _, err := Parse(sql); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", sql)
@@ -289,9 +322,9 @@ func TestParseComments(t *testing.T) {
 }
 
 func TestParseNegativeNumbers(t *testing.T) {
-	st := mustParse(t, "SELECT a FROM t WHERE a > -5 AND b = -2.5").(*Select)
-	if st.Where == nil {
-		t.Fatal("where")
+	st := mustParse(t, "SELECT a FROM t WHERE a = -5 AND b = -2.5").(*Select)
+	if got := exprString(st.Where); got != "((a=-v)AND(b=-v))" {
+		t.Fatalf("where parsed as %s", got)
 	}
 }
 
@@ -384,7 +417,7 @@ func TestParseTxnControl(t *testing.T) {
 	}
 	// The new keywords must not break identifiers that contain them.
 	st := mustParse(t, "SELECT start_date FROM items").(*Select)
-	if cr, ok := st.Items[0].Expr.(*ColRefExpr); !ok || cr.Column != "start_date" {
-		t.Errorf("start_date mislexed: %+v", st.Items[0].Expr)
+	if cr := st.Columns[0]; cr.Column != "start_date" {
+		t.Errorf("start_date mislexed: %+v", cr)
 	}
 }

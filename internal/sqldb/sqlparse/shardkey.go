@@ -6,9 +6,8 @@ import "strings"
 // find the expressions that pin every affected row of that table to specific
 // key values. The cluster's shard router evaluates those expressions against
 // the statement's arguments at execution time — when they all hash to one
-// shard, the statement ships to that shard alone; when extraction fails
-// (range predicate, OR at the top level, key column absent) the statement
-// scatter-gathers.
+// shard, the statement ships to that shard alone; when extraction fails (no
+// equality conjunct on the key column) the statement scatter-gathers.
 //
 // Extraction is conservative by construction: it only claims a pin when the
 // predicate structure guarantees that any row the statement touches carries
@@ -19,10 +18,10 @@ import "strings"
 // ShardExprs returns the expressions constraining table's shard column in st.
 //
 // For INSERT the returned slice holds one expression per VALUES row (the
-// value landing in column). For SELECT/UPDATE/DELETE it holds the values of
-// an equality or IN conjunct on the column that every matching row must
-// satisfy. Each returned expression is constant — a literal, a '?' parameter,
-// or a negation of one — so callers can evaluate it with only the statement
+// value landing in column). For SELECT/UPDATE/DELETE it holds the value of
+// an equality conjunct on the column that every matching row must satisfy.
+// Each returned expression is constant — a literal, a '?' parameter, or a
+// negation of one — so callers can evaluate it with only the statement
 // arguments.
 //
 // ok=false means the statement is not provably pinned and must be treated as
@@ -98,45 +97,28 @@ func tableNames(sel *Select, table string) []string {
 }
 
 // whereShardExprs walks the top-level AND conjuncts of where for an equality
-// or IN predicate on the shard column. Only conjuncts can pin: a predicate
-// under OR or NOT constrains nothing on its own.
+// between the shard column and a constant.
 func whereShardExprs(where Expr, quals []string, column string) ([]Expr, bool) {
-	if where == nil {
+	e, ok := where.(*BinaryExpr)
+	if !ok {
 		return nil, false
 	}
-	switch e := where.(type) {
-	case *BinaryExpr:
-		switch e.Op {
-		case OpAnd:
-			if exprs, ok := whereShardExprs(e.L, quals, column); ok {
-				return exprs, true
-			}
-			return whereShardExprs(e.R, quals, column)
-		case OpEq:
-			col, val := e.L, e.R
-			if _, isCol := col.(*ColRefExpr); !isCol {
-				col, val = val, col
-			}
-			cr, isCol := col.(*ColRefExpr)
-			if !isCol || !shardConst(val) || !colMatches(cr, quals, column) {
-				return nil, false
-			}
-			return []Expr{val}, true
+	switch e.Op {
+	case OpAnd:
+		if exprs, ok := whereShardExprs(e.L, quals, column); ok {
+			return exprs, true
 		}
-	case *InExpr:
-		if e.Not {
+		return whereShardExprs(e.R, quals, column)
+	case OpEq:
+		col, val := e.L, e.R
+		if _, isCol := col.(*ColRefExpr); !isCol {
+			col, val = val, col
+		}
+		cr, isCol := col.(*ColRefExpr)
+		if !isCol || !shardConst(val) || !colMatches(cr, quals, column) {
 			return nil, false
 		}
-		cr, isCol := e.E.(*ColRefExpr)
-		if !isCol || !colMatches(cr, quals, column) {
-			return nil, false
-		}
-		for _, item := range e.List {
-			if !shardConst(item) {
-				return nil, false
-			}
-		}
-		return e.List, len(e.List) > 0
+		return []Expr{val}, true
 	}
 	return nil, false
 }

@@ -26,7 +26,7 @@ func TestCheckpointTableBytesGolden(t *testing.T) {
 		"INSERT INTO c (name, grp, score) VALUES ('a', 1, 1.5), ('b', 2, NULL), ('c', 1, 3.25), ('d', NULL, 4)",
 		"INSERT INTO c (id, name, grp, score) VALUES (20, 'e', 2, 5)",
 		"DELETE FROM c WHERE name = 'b'",
-		"UPDATE c SET grp = 7, score = score * 2 WHERE grp = 1",
+		"UPDATE c SET grp = 7, score = score + score WHERE grp = 1",
 		"BEGIN",
 		"INSERT INTO c (name, grp, score) VALUES ('ghost', 9, 9)",
 		"ROLLBACK",

@@ -403,7 +403,7 @@ func TestPoolConcurrentUse(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	res, err := p.Exec("SELECT COUNT(*) FROM kv WHERE k >= 100")
+	res, err := p.Exec("SELECT COUNT(*) FROM kv WHERE v = 'v'")
 	if err != nil || res.Rows[0][0].AsInt() != 16 {
 		t.Fatalf("count: %v %+v", err, res)
 	}
@@ -510,8 +510,20 @@ func TestConnStatementTableBounded(t *testing.T) {
 	}
 	defer c.Close()
 	const hot = "SELECT v FROM kv WHERE k = ?"
-	for i := 0; i < maxStmtsPerConn+64; i++ {
-		res, err := c.Exec(fmt.Sprintf("SELECT %d FROM kv WHERE k = 1", i))
+	const n = maxStmtsPerConn + 64
+	b := sqldb.NewInsertBatch(c, "kv", "k", "v")
+	for i := 0; i < n; i++ {
+		if i != 1 && i != 2 { // the fixture's rows
+			if err := b.Add(sqldb.Int(int64(i)), sqldb.String("x")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		res, err := c.Exec(fmt.Sprintf("SELECT k FROM kv WHERE k = %d", i))
 		if err != nil || len(res.Rows) != 1 || res.Rows[0][0].AsInt() != int64(i) {
 			t.Fatalf("statement %d: %v %+v", i, err, res)
 		}
