@@ -66,10 +66,12 @@ import (
 // ErrNoReplicas is returned when every replica has been ejected.
 var ErrNoReplicas = errors.New("cluster: no healthy replicas")
 
-// ErrTxnControlText rejects BEGIN, START TRANSACTION, COMMIT and ROLLBACK
-// sent as statement text, before any connection is borrowed: transactions
-// are demarcated with Session.Begin/Commit/Rollback (or WithTx), which also
-// take the write-order locks the text cannot declare.
+// ErrTxnControlText rejects BEGIN, COMMIT and ROLLBACK sent as statement
+// text, before any connection is borrowed: transactions are demarcated with
+// Session.Begin/Commit/Rollback (or WithTx), which also take the
+// write-order locks the text cannot declare. The spellings the dialect
+// leaves out (START TRANSACTION, BEGIN WORK, ...) are the database's parse
+// error, refused at the same point.
 var ErrTxnControlText = errors.New("cluster: transaction control sent as a statement; use Begin/Commit/Rollback or WithTx")
 
 var errSessionFailed = errors.New("cluster: session failed, discard it")

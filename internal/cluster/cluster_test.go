@@ -469,9 +469,8 @@ func TestRouteAnalysis(t *testing.T) {
 		{"CREATE TABLE foo (id INT)", write, "foo"},
 		{"CREATE UNIQUE INDEX idx_x ON bar (col)", write, "bar"},
 		{"BEGIN", ErrTxnControlText.Error(), ""},
-		{"start transaction", ErrTxnControlText.Error(), ""},
 		{"COMMIT", ErrTxnControlText.Error(), ""},
-		{"ROLLBACK WORK", ErrTxnControlText.Error(), ""},
+		{"ROLLBACK", ErrTxnControlText.Error(), ""},
 		{"ALTER TABLE t AUTO_INCREMENT OFFSET 1 STRIDE 2", write, ""},
 		{"SHOW WAL STATUS", read, ""},
 		// Not in the dialect: refused with the database's own parse error,
@@ -481,6 +480,8 @@ func TestRouteAnalysis(t *testing.T) {
 		{"SELEKT 1", parseErr("SELEKT 1"), ""},
 		{"DROP TABLE baz", parseErr("DROP TABLE baz"), ""},
 		{"SHOW TABLES", parseErr("SHOW TABLES"), ""},
+		{"start transaction", parseErr("start transaction"), ""},
+		{"ROLLBACK WORK", parseErr("ROLLBACK WORK"), ""},
 	}
 	for _, tc := range cases {
 		r := analyze(tc.q)

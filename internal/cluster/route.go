@@ -27,7 +27,7 @@ type route struct {
 	// Empty for reads; for a write whose table the statement does not name —
 	// ALTER, PREPARE TRANSACTION — it holds the catch-all "".
 	tables []string
-	// readTables lists the tables a SELECT references (FROM plus JOINs,
+	// readTables lists the tables a SELECT references (FROM and its JOIN,
 	// lower-cased, sorted) — the set a cached result for this statement is
 	// validated against. The dialect has no subqueries, so that is the
 	// complete reference set. nil for every other statement, which makes it
@@ -59,8 +59,8 @@ func analyze(query string) route {
 		rt := route{stmt: st}
 		if st.From.Table != "" {
 			tables := []string{st.From.Table}
-			for _, j := range st.Joins {
-				tables = append(tables, j.Table.Table)
+			if st.Join != nil {
+				tables = append(tables, st.Join.Table.Table)
 			}
 			rt.readTables = normalize(tables)
 		}

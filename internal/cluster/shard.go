@@ -127,10 +127,10 @@ type shardPlan struct {
 	// value the router cannot resolve ahead of the engine (exprs is nil).
 	keyed bool
 	// scatterSQL is the text each shard runs when a SELECT on a sharded
-	// table scatters, and extra the number of ORDER BY key columns it
-	// appends to the select list for the merge to sort on and project off.
+	// table scatters, and appended whether it appends the ORDER BY key to
+	// the select list for the merge to sort on and project off.
 	scatterSQL string
-	extra      int
+	appended   bool
 }
 
 func (sh *shardSet) planOf(query string) *shardPlan {
@@ -177,7 +177,7 @@ func (sh *shardSet) buildPlan(query string) *shardPlan {
 		}
 	}
 	if p.sel != nil && p.sharded {
-		p.scatterSQL, p.extra = scatterSQL(query, p.sel)
+		p.scatterSQL, p.appended = scatterSQL(query, p.sel)
 	}
 	return p
 }
@@ -209,12 +209,8 @@ func (p *shardPlan) shardFor(args []sqldb.Value, n int) (int, bool) {
 // of either.
 func shardValue(e sqlparse.Expr, args []sqldb.Value) (sqldb.Value, bool) {
 	switch x := e.(type) {
-	case *sqlparse.NullLit:
-		return sqldb.Null(), true
 	case *sqlparse.IntLit:
 		return sqldb.Int(x.V), true
-	case *sqlparse.FloatLit:
-		return sqldb.Float(x.V), true
 	case *sqlparse.StringLit:
 		return sqldb.String(x.V), true
 	case *sqlparse.ParamExpr:
@@ -373,7 +369,7 @@ func (sh *shardSet) scatterRead(p *shardPlan, args []sqldb.Value, subs []*replic
 	if err != nil {
 		return nil, err
 	}
-	return mergeScatter(p.sel, results, p.extra)
+	return mergeScatter(p.sel, results, p.appended)
 }
 
 // onEach runs run once per shard, concurrently, and returns the per-shard
@@ -400,40 +396,30 @@ func (sh *shardSet) onEach(run func(shard int) (*sqldb.Result, error)) ([]*sqldb
 
 // scatterSQL rewrites a SELECT into the text each shard runs when it
 // scatters, splicing at the byte offset the parser recorded for FROM, and
-// reports how many columns it appended to the select list. The LIMIT stays:
+// reports whether it appended a column to the select list. The LIMIT stays:
 // the global top n is among the union of the shards' top n.
 //
-// ORDER BY key columns the statement doesn't already select ("SELECT id
-// FROM items ORDER BY end_date") are appended to the select list — the
-// merge needs the key values to re-sort, and projects the appended columns
-// back off afterward.
-func scatterSQL(query string, sel *sqlparse.Select) (string, int) {
-	if sel.Star || sel.Count {
-		return query, 0
+// An ORDER BY key the statement doesn't already select ("SELECT id FROM
+// items ORDER BY end_date") is appended to the select list — the merge
+// needs the key values to re-sort, and projects the appended column back
+// off afterward.
+func scatterSQL(query string, sel *sqlparse.Select) (string, bool) {
+	if sel.Star || sel.Count || sel.OrderBy == nil || selectItemIndex(sel, sel.OrderBy.Col) >= 0 {
+		return query, false
 	}
-	var missing []string
-	for _, o := range sel.OrderBy {
-		x := o.Col
-		if selectItemIndex(sel, x) >= 0 {
-			continue
-		}
-		col := x.Column
-		if x.Table != "" {
-			col = x.Table + "." + x.Column
-		}
-		missing = append(missing, col)
+	x := sel.OrderBy.Col
+	col := x.Column
+	if x.Table != "" {
+		col = x.Table + "." + x.Column
 	}
-	if len(missing) == 0 {
-		return query, 0
-	}
-	return query[:sel.FromPos] + ", " + strings.Join(missing, ", ") + " " + query[sel.FromPos:], len(missing)
+	return query[:sel.FromPos] + ", " + col + " " + query[sel.FromPos:], true
 }
 
 // mergeScatter combines per-shard partial results into the statement's
 // answer: the sum of the counts for a COUNT(*) select, otherwise
-// concatenate, re-sort, project off the columns scatterSQL appended (the
-// last `extra`) and re-apply the LIMIT.
-func mergeScatter(sel *sqlparse.Select, results []*sqldb.Result, extra int) (*sqldb.Result, error) {
+// concatenate, re-sort, project off the column scatterSQL appended (the
+// last, when appended) and re-apply the LIMIT.
+func mergeScatter(sel *sqlparse.Select, results []*sqldb.Result, appended bool) (*sqldb.Result, error) {
 	if sel.Count {
 		return mergeCounts(results)
 	}
@@ -441,38 +427,27 @@ func mergeScatter(sel *sqlparse.Select, results []*sqldb.Result, extra int) (*sq
 	for _, r := range results {
 		out.Rows = append(out.Rows, r.Rows...)
 	}
-	if len(sel.OrderBy) > 0 {
-		cols := make([]int, len(sel.OrderBy))
-		next := len(sel.Columns) // where scatterSQL appended the unselected keys, in key order
-		for i, o := range sel.OrderBy {
-			c := selectItemIndex(sel, o.Col)
-			switch {
-			case sel.Star:
-				c = slices.IndexFunc(out.Columns, func(name string) bool { return strings.EqualFold(name, o.Col.Column) })
-			case c < 0:
-				c, next = next, next+1
-			}
-			if c < 0 || c >= len(out.Columns) {
-				return nil, fmt.Errorf("cluster: cannot merge scatter ORDER BY key %d (not in the result)", i+1)
-			}
-			cols[i] = c
+	if o := sel.OrderBy; o != nil {
+		c := selectItemIndex(sel, o.Col)
+		switch {
+		case sel.Star:
+			c = slices.IndexFunc(out.Columns, func(name string) bool { return strings.EqualFold(name, o.Col.Column) })
+		case appended:
+			c = len(out.Columns) - 1
+		}
+		if c < 0 || c >= len(out.Columns) {
+			return nil, errors.New("cluster: cannot merge scatter ORDER BY key (not in the result)")
 		}
 		sort.SliceStable(out.Rows, func(a, b int) bool {
-			for i, c := range cols {
-				cmp := sqldb.Compare(out.Rows[a][c], out.Rows[b][c])
-				if cmp == 0 {
-					continue
-				}
-				if sel.OrderBy[i].Desc {
-					return cmp > 0
-				}
-				return cmp < 0
+			cmp := sqldb.Compare(out.Rows[a][c], out.Rows[b][c])
+			if o.Desc {
+				return cmp > 0
 			}
-			return false
+			return cmp < 0
 		})
 	}
-	if extra > 0 {
-		out.Columns = out.Columns[:len(out.Columns)-extra]
+	if appended {
+		out.Columns = out.Columns[:len(out.Columns)-1]
 		for i, r := range out.Rows {
 			out.Rows[i] = r[:len(out.Columns)]
 		}

@@ -445,6 +445,46 @@ func shardTotals(t *testing.T, groups [][]*testReplica) [][]int64 {
 	return out
 }
 
+// TestShardedColumnlessInsertRefused: an INSERT that does not name its
+// columns hides its shard key from the router, which would send the row to
+// any shard and leave it where a pinned read never looks. It is not in the
+// dialect: each one is the database's parse error, refused before a
+// connection is borrowed, and no shard holds a row.
+func TestShardedColumnlessInsertRefused(t *testing.T) {
+	groups := startShards(t, 2, 1)
+	c := newShardClient(t, groups, Config{})
+	const q = "INSERT INTO orders VALUES (?, ?, 5)"
+	gets := c.Stats().Gets
+	misses := 0
+	for cust := int64(1); cust <= 20; cust++ {
+		_, err := c.Exec(q, sqldb.Int(100+cust), sqldb.Int(cust))
+		if err == nil {
+			res, err := c.Exec("SELECT total FROM orders WHERE customer_id = ?", sqldb.Int(cust))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != 1 {
+				misses++
+			}
+			continue
+		}
+		if !wire.IsServerError(err) || !strings.Contains(err.Error(), "INSERT without a column list is not in the dialect") {
+			t.Fatalf("Exec(%q) = %v, want the parse error", q, err)
+		}
+	}
+	if misses > 0 {
+		t.Errorf("%d of 20 pinned reads missed the row a column-less INSERT wrote", misses)
+	}
+	if got := c.Stats().Gets - gets; got != 0 {
+		t.Errorf("column-less INSERTs borrowed %d connections", got)
+	}
+	for si, g := range groups {
+		if n := queryReplica(t, g[0], "SELECT COUNT(*) FROM orders").Rows[0][0].AsInt(); n != 0 {
+			t.Errorf("shard %d holds %d rows", si, n)
+		}
+	}
+}
+
 // TestShardedMultiRowInsert: a multi-row INSERT whose rows belong to
 // different shards is split by owner — each shard gets its rows in
 // statement order — and runs as one unit: all-or-nothing in auto-commit,
@@ -727,9 +767,10 @@ func dumpReplica(t *testing.T, r *testReplica) string {
 }
 
 // TestControlTextRejected pins the one multi-statement mode on every
-// topology (shards × replicas): LOCK/UNLOCK TABLES is the database's parse
-// error like any unknown statement, and transaction-control text is refused
-// with ErrTxnControlText before a connection is borrowed — through the
+// topology (shards × replicas): LOCK/UNLOCK TABLES, START TRANSACTION and
+// the WORK spellings are the database's parse error like any unknown
+// statement, and transaction-control text is refused with
+// ErrTxnControlText before a connection is borrowed — through the
 // pool paths and a session, inside a transaction and out. Nothing is left
 // behind on a pooled connection: a following WithTx write to the same table
 // commits on every backend. Run under -timeout: a stranded BEGIN or lock
@@ -756,12 +797,13 @@ func TestControlTextRejected(t *testing.T) {
 			check := func(when string) {
 				t.Helper()
 				for _, sf := range surfaces {
-					for _, q := range []string{"LOCK TABLES customers WRITE", "UNLOCK TABLES"} {
-						if err := sf.run(q); !wire.IsServerError(err) || !strings.Contains(err.Error(), "unsupported statement") {
-							t.Errorf("%s %s(%q) = %v, want the database's parse error", when, sf.name, q, err)
+					for _, q := range []string{"LOCK TABLES customers WRITE", "UNLOCK TABLES", "START TRANSACTION", "ROLLBACK WORK", " begin work"} {
+						_, want := sqldb.New().NewSession().Exec(q)
+						if err := sf.run(q); !wire.IsServerError(err) || err.Error() != want.Error() {
+							t.Errorf("%s %s(%q) = %v, want the database's parse error %v", when, sf.name, q, err, want)
 						}
 					}
-					for _, q := range []string{"BEGIN", "START TRANSACTION", "COMMIT", "ROLLBACK", " begin work"} {
+					for _, q := range []string{"BEGIN", "COMMIT", "ROLLBACK"} {
 						if err := sf.run(q); !errors.Is(err, ErrTxnControlText) {
 							t.Errorf("%s %s(%q) = %v, want ErrTxnControlText", when, sf.name, q, err)
 						}
@@ -831,7 +873,7 @@ func TestUnparsableTextFailsFast(t *testing.T) {
 			}()
 			mustExec(t, s, "INSERT INTO customers (name) VALUES ('open')")
 
-			queries := []string{"SELEKT 1", "LOCK TABLES customers WRITE"}
+			queries := []string{"SELEKT 1", "LOCK TABLES customers WRITE", "START TRANSACTION", "INSERT INTO orders VALUES (?, ?, 5)"}
 			errs := make(chan error, len(queries))
 			go func() {
 				for _, q := range queries {

@@ -109,7 +109,7 @@ func topologyScript(c *Client) []string {
 		// COUNT(*), a join against a global table.
 		run(ex, "SELECT id, end_date FROM items ORDER BY end_date DESC LIMIT 5")
 		run(ex, "SELECT id FROM items ORDER BY end_date LIMIT 5")
-		run(ex, "SELECT id, qty FROM items ORDER BY qty, id LIMIT 6")
+		run(ex, "SELECT id, qty FROM items ORDER BY id DESC LIMIT 6")
 		run(ex, "SELECT id FROM items WHERE qty = ?", i64(rng.Intn(10)))
 		run(ex, "SELECT COUNT(*) FROM items")
 		run(ex, "SELECT COUNT(*) FROM bids WHERE amount = ?", i64(100+rng.Intn(nBids)))

@@ -14,12 +14,15 @@ func startDB(t testing.TB) string {
 	db := sqldb.New()
 	s := db.NewSession()
 	defer s.Close()
-	for _, q := range []string{
-		`CREATE TABLE users (id INT PRIMARY KEY AUTO_INCREMENT, nick VARCHAR(30), rating INT, balance FLOAT)`,
-		`INSERT INTO users (nick, rating, balance) VALUES ('alice', 5, 100.0), ('bob', 3, 50.0)`,
-		`CREATE INDEX idx_nick ON users (nick)`,
+	for _, q := range []struct {
+		sql  string
+		args []sqldb.Value
+	}{
+		{sql: `CREATE TABLE users (id INT PRIMARY KEY AUTO_INCREMENT, nick VARCHAR(30), rating INT, balance FLOAT)`},
+		{`INSERT INTO users (nick, rating, balance) VALUES ('alice', 5, ?), ('bob', 3, ?)`, []sqldb.Value{sqldb.Float(100), sqldb.Float(50)}},
+		{sql: `CREATE INDEX idx_nick ON users (nick)`},
 	} {
-		if _, err := s.Exec(q); err != nil {
+		if _, err := s.Exec(q.sql, q.args...); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -80,7 +80,7 @@ func TestContainerWithDatabase(t *testing.T) {
 	if _, err := sess.Exec("CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR(10))"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Exec("INSERT INTO t VALUES (1, 'hi')"); err != nil {
+	if _, err := sess.Exec("INSERT INTO t (id, v) VALUES (1, 'hi')"); err != nil {
 		t.Fatal(err)
 	}
 	sess.Close()

@@ -384,17 +384,17 @@ func (db *DB) execCreateIndex(s *Session, st *sqlparse.CreateIndex) (*Result, er
 // execSelect resolves the statement's tables and executes it against what
 // this session may see of each (mvcc.go): no lock, no wait.
 func (s *Session) execSelect(st *sqlparse.Select, args []Value) (*Result, error) {
-	tabs := make([]*Table, 1+len(st.Joins))
-	for i := range tabs {
-		name := st.From.Table
-		if i > 0 {
-			name = st.Joins[i-1].Table.Table
-		}
-		t, err := s.db.table(name)
+	from, err := s.db.table(st.From.Table)
+	if err != nil {
+		return nil, err
+	}
+	tabs := append(make([]*Table, 0, 2), from)
+	if st.Join != nil {
+		t, err := s.db.table(st.Join.Table.Table)
 		if err != nil {
 			return nil, err
 		}
-		tabs[i] = t
+		tabs = append(tabs, t)
 	}
 	return execSelect(s.views(tabs), st, args)
 }

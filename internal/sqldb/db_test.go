@@ -50,12 +50,12 @@ func mustExec(t *testing.T, s *Session, q string, args ...Value) *Result {
 }
 
 func TestInsertSelect(t *testing.T) {
-	_, s := testDB(t)
-	r := mustExec(t, s, "INSERT INTO items (name, category, price, stock) VALUES ('go book', 3, 29.5, 10)")
+	db, s := testDB(t)
+	r := mustExec(t, s, "INSERT INTO items (name, category, price, stock) VALUES ('go book', 3, ?, 10)", Float(29.5))
 	if r.RowsAffected != 1 || r.LastInsertID != 1 {
 		t.Fatalf("insert result: %+v", r)
 	}
-	mustExec(t, s, "INSERT INTO items (name, category, price, stock) VALUES ('db book', 3, 49.0, 5), ('net book', 4, 19.0, 0)")
+	mustExec(t, s, "INSERT INTO items (name, category, price, stock) VALUES ('db book', 3, ?, 5), ('net book', 4, ?, 0)", Float(49), Float(19))
 	got := mustExec(t, s, "SELECT name, price FROM items WHERE category = 3 ORDER BY price DESC")
 	if len(got.Rows) != 2 {
 		t.Fatalf("rows: %+v", got.Rows)
@@ -66,6 +66,9 @@ func TestInsertSelect(t *testing.T) {
 	if got.Columns[0] != "name" || got.Columns[1] != "price" {
 		t.Fatalf("columns: %v", got.Columns)
 	}
+	// An INSERT names its columns, and a float reaches it as a '?' argument.
+	mustNotPrepare(t, db, s, "INSERT INTO items VALUES (9, 'x', 1, 1.5, 1)", "INSERT without a column list")
+	mustNotPrepare(t, db, s, "INSERT INTO items (name, price) VALUES ('x', 1.5)", "float literal")
 }
 
 // TestSessionExecerForwards pins the deprecated SessionExecer adapter: its
@@ -104,7 +107,7 @@ func TestSelectStarAndParams(t *testing.T) {
 
 func TestUpdate(t *testing.T) {
 	_, s := testDB(t)
-	mustExec(t, s, "INSERT INTO items (name, stock, price) VALUES ('a', 5, 2.0), ('b', 1, 3.0)")
+	mustExec(t, s, "INSERT INTO items (name, stock, price) VALUES ('a', 5, ?), ('b', 1, ?)", Float(2), Float(3))
 	r := mustExec(t, s, "UPDATE items SET stock = stock - 1, price = price + price WHERE name = 'a'")
 	if r.RowsAffected != 1 {
 		t.Fatalf("affected %d", r.RowsAffected)
@@ -141,14 +144,19 @@ func TestDelete(t *testing.T) {
 }
 
 func TestJoinWithIndex(t *testing.T) {
-	_, s := testDB(t)
+	db, s := testDB(t)
 	mustExec(t, s, "INSERT INTO items (name, category) VALUES ('a', 1), ('b', 2)")
-	mustExec(t, s, "INSERT INTO bids (item_id, user_id, bid) VALUES (1, 100, 5.0), (1, 101, 6.0), (2, 100, 9.0)")
+	mustExec(t, s, "INSERT INTO bids (item_id, user_id, bid) VALUES (1, 100, ?), (1, 101, ?), (2, 100, ?)", Float(5), Float(6), Float(9))
 	got := mustExec(t, s, `SELECT i.name, b.bid FROM items i
 		JOIN bids b ON b.item_id = i.id WHERE i.id = 1 ORDER BY b.bid DESC`)
 	if len(got.Rows) != 2 || got.Rows[0][1].AsFloat() != 6.0 {
 		t.Fatalf("join rows: %+v", got.Rows)
 	}
+	// One JOIN, on a column equality, and not under SELECT *.
+	mustNotPrepare(t, db, s, `SELECT i.name FROM items i JOIN bids b ON b.item_id = i.id
+		JOIN bids c ON c.item_id = i.id`, "more than one JOIN")
+	mustNotPrepare(t, db, s, "SELECT i.name FROM items i JOIN bids b ON b.item_id = 1", "JOIN ON other than column = column")
+	mustNotPrepare(t, db, s, "SELECT * FROM items i JOIN bids b ON b.item_id = i.id", "SELECT * over a JOIN")
 }
 
 // TestJoinShadowedAlias: the FROM table is aliased and a joined table takes
@@ -165,27 +173,12 @@ func TestJoinShadowedAlias(t *testing.T) {
 	}
 }
 
-func TestJoinThreeTables(t *testing.T) {
-	_, s := testDB(t)
-	mustExec(t, s, "CREATE TABLE users (id INT PRIMARY KEY, nick VARCHAR(20))")
-	mustExec(t, s, "INSERT INTO users VALUES (100, 'alice'), (101, 'bob')")
-	mustExec(t, s, "INSERT INTO items (name) VALUES ('a')")
-	mustExec(t, s, "INSERT INTO bids (item_id, user_id, bid) VALUES (1, 100, 5.0), (1, 101, 7.0)")
-	got := mustExec(t, s, `SELECT u.nick FROM items i
-		JOIN bids b ON b.item_id = i.id
-		JOIN users u ON u.id = b.user_id
-		WHERE i.id = 1 ORDER BY b.bid DESC LIMIT 1`)
-	if len(got.Rows) != 1 || got.Rows[0][0].AsString() != "bob" {
-		t.Fatalf("top bidder: %+v", got.Rows)
-	}
-}
-
 // TestAggregates: COUNT(*) is the one aggregate — one row, one column
 // named count — over a WHERE and over a join.
 func TestAggregates(t *testing.T) {
 	_, s := testDB(t)
 	mustExec(t, s, "INSERT INTO items (name) VALUES ('a'), ('b')")
-	mustExec(t, s, "INSERT INTO bids (item_id, user_id, bid) VALUES (1,1,2.0),(1,2,4.0),(2,1,10.0)")
+	mustExec(t, s, "INSERT INTO bids (item_id, user_id, bid) VALUES (1,1,?),(1,2,?),(2,1,?)", Float(2), Float(4), Float(10))
 	got := mustExec(t, s, "SELECT COUNT(*) FROM bids WHERE item_id = 1")
 	if len(got.Rows) != 1 || got.Rows[0][0].AsInt() != 2 || strings.Join(got.Columns, ",") != "count" {
 		t.Fatalf("count: %v %+v", got.Columns, got.Rows)
@@ -221,7 +214,7 @@ func mustNotPrepare(t *testing.T, db *DB, s *Session, q, clause string) {
 // column, fail at PREPARE; SUM, MIN, MAX, AVG and COUNT(expr) likewise.
 func TestGroupBy(t *testing.T) {
 	db, s := testDB(t)
-	mustExec(t, s, "INSERT INTO bids (item_id, user_id, bid) VALUES (1,1,2.0),(1,2,4.0),(2,1,10.0)")
+	mustExec(t, s, "INSERT INTO bids (item_id, user_id, bid) VALUES (1,1,?),(1,2,?),(2,1,?)", Float(2), Float(4), Float(10))
 	mustNotPrepare(t, db, s, "SELECT item_id, COUNT(*) AS n FROM bids GROUP BY item_id ORDER BY n DESC", "GROUP BY")
 	mustNotPrepare(t, db, s, "SELECT item_id, COUNT(*) FROM bids", "GROUP BY")
 	for _, f := range []string{"SUM", "MIN", "MAX", "AVG"} {
@@ -231,12 +224,13 @@ func TestGroupBy(t *testing.T) {
 }
 
 func TestOrderByUnselectedColumn(t *testing.T) {
-	_, s := testDB(t)
-	mustExec(t, s, "INSERT INTO items (name, price) VALUES ('cheap', 1.0), ('dear', 9.0)")
+	db, s := testDB(t)
+	mustExec(t, s, "INSERT INTO items (name, price) VALUES ('cheap', ?), ('dear', ?)", Float(1), Float(9))
 	got := mustExec(t, s, "SELECT name FROM items ORDER BY price DESC")
 	if got.Rows[0][0].AsString() != "dear" {
 		t.Fatalf("order by unselected: %+v", got.Rows)
 	}
+	mustNotPrepare(t, db, s, "SELECT name FROM items ORDER BY price DESC, name", "more than one ORDER BY key")
 }
 
 // TestLimitOffset: LIMIT n cuts the ordered result; an OFFSET, in either
@@ -277,11 +271,11 @@ func TestLikeAndIn(t *testing.T) {
 
 // TestNullSemantics: = NULL matches nothing, a NULL operand makes + NULL
 // and LIKE false; IS [NOT] NULL, which no application sends, fails at
-// PREPARE.
+// PREPARE. NULL reaches a statement as a '?' argument.
 func TestNullSemantics(t *testing.T) {
 	db, s := testDB(t)
-	mustExec(t, s, "INSERT INTO items (name, category) VALUES ('a', NULL), ('b', 2)")
-	if got := mustExec(t, s, "SELECT name FROM items WHERE category = NULL"); len(got.Rows) != 0 {
+	mustExec(t, s, "INSERT INTO items (name, category) VALUES ('a', ?), ('b', 2)", Null())
+	if got := mustExec(t, s, "SELECT name FROM items WHERE category = ?", Null()); len(got.Rows) != 0 {
 		t.Fatalf("= NULL must match nothing: %+v", got.Rows)
 	}
 	mustExec(t, s, "UPDATE items SET stock = category + 1")
@@ -291,6 +285,7 @@ func TestNullSemantics(t *testing.T) {
 	if got := mustExec(t, s, "SELECT name FROM items WHERE category LIKE '%'"); len(got.Rows) != 1 {
 		t.Fatalf("NULL LIKE: %+v", got.Rows)
 	}
+	mustNotPrepare(t, db, s, "SELECT name FROM items WHERE category = NULL", "NULL literal is not in the dialect")
 	mustNotPrepare(t, db, s, "SELECT name FROM items WHERE category IS NULL", "IS [NOT] NULL is not in the dialect")
 	mustNotPrepare(t, db, s, "SELECT name FROM items WHERE category IS NOT NULL", "IS [NOT] NULL is not in the dialect")
 }
@@ -310,7 +305,7 @@ func TestUniqueViolation(t *testing.T) {
 
 func TestNotNullViolation(t *testing.T) {
 	_, s := testDB(t)
-	if _, err := s.Exec("INSERT INTO items (name) VALUES (NULL)"); err == nil {
+	if _, err := s.Exec("INSERT INTO items (name) VALUES (?)", Null()); err == nil {
 		t.Fatal("NULL into NOT NULL must fail")
 	}
 }

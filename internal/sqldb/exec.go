@@ -9,7 +9,7 @@ import (
 )
 
 // env is the evaluation context for expressions: the tables bound by the
-// current FROM/JOIN row combination plus statement parameters.
+// current FROM/JOIN row pair plus statement parameters.
 type env struct {
 	aliases []string // lower-cased alias (or table name) per bound table
 	tabs    []*Table
@@ -54,12 +54,8 @@ func (e *env) eval(x sqlparse.Expr) (Value, error) {
 	switch ex := x.(type) {
 	case *sqlparse.IntLit:
 		return Int(ex.V), nil
-	case *sqlparse.FloatLit:
-		return Float(ex.V), nil
 	case *sqlparse.StringLit:
 		return String(ex.V), nil
-	case *sqlparse.NullLit:
-		return Null(), nil
 	case *sqlparse.ParamExpr:
 		if ex.Index >= len(e.args) {
 			return Null(), fmt.Errorf("sqldb: missing argument for placeholder %d", ex.Index+1)
@@ -167,15 +163,8 @@ func likeMatch(s, pattern string) bool {
 // the counters it drew itself, in place; what becomes of them is the
 // caller's policy (db.go execDML, txn.go execTxnDML).
 func execInsert(t *Table, st *sqlparse.Insert, args []Value) (*Result, error) {
-	cols := st.Columns
-	if len(cols) == 0 {
-		cols = make([]string, len(t.columns))
-		for i, c := range t.columns {
-			cols[i] = c.Name
-		}
-	}
-	colPos := make([]int, len(cols))
-	for i, c := range cols {
+	colPos := make([]int, len(st.Columns))
+	for i, c := range st.Columns {
 		p, err := t.colOf(c)
 		if err != nil {
 			return nil, err
@@ -185,9 +174,9 @@ func execInsert(t *Table, st *sqlparse.Insert, args []Value) (*Result, error) {
 	ev := &env{args: args}
 	res := &Result{}
 	for _, exprRow := range st.Rows {
-		if len(exprRow) != len(cols) {
+		if len(exprRow) != len(colPos) {
 			return nil, fmt.Errorf("sqldb: %d values for %d columns in INSERT into %q",
-				len(exprRow), len(cols), t.name)
+				len(exprRow), len(colPos), t.name)
 		}
 		row := make(Row, len(t.columns))
 		provided := make([]bool, len(t.columns))
@@ -365,8 +354,7 @@ func equalityProbe(t *Table, name string, where sqlparse.Expr, args []Value) (ix
 // constExpr reports whether e evaluates without row context.
 func constExpr(e sqlparse.Expr) bool {
 	switch ex := e.(type) {
-	case *sqlparse.IntLit, *sqlparse.FloatLit, *sqlparse.StringLit,
-		*sqlparse.NullLit, *sqlparse.ParamExpr:
+	case *sqlparse.IntLit, *sqlparse.StringLit, *sqlparse.ParamExpr:
 		return true
 	case *sqlparse.NegExpr:
 		return constExpr(ex.E)
@@ -379,8 +367,8 @@ func constExpr(e sqlparse.Expr) bool {
 
 func execSelect(tabs []*Table, st *sqlparse.Select, args []Value) (*Result, error) {
 	aliases := []string{strings.ToLower(st.From.Name())}
-	for _, j := range st.Joins {
-		aliases = append(aliases, strings.ToLower(j.Table.Name()))
+	if st.Join != nil {
+		aliases = append(aliases, strings.ToLower(st.Join.Table.Name()))
 	}
 	ev := &env{aliases: aliases, tabs: tabs, args: args,
 		rows: make([]Row, len(tabs))}
@@ -394,30 +382,37 @@ func execSelect(tabs []*Table, st *sqlparse.Select, args []Value) (*Result, erro
 	if st.Where != nil {
 		exprs = append(exprs, st.Where)
 	}
-	for _, oi := range st.OrderBy {
-		exprs = append(exprs, oi.Col)
-	}
-	for _, j := range st.Joins {
-		exprs = append(exprs, j.On)
+	if st.OrderBy != nil {
+		exprs = append(exprs, st.OrderBy.Col)
 	}
 	for _, x := range exprs {
 		if err := validateCols(x, ev); err != nil {
 			return nil, err
 		}
 	}
+	var on [2]slot // the ON columns' (table, column) slots
+	if st.Join != nil {
+		for i, cr := range []*sqlparse.ColRefExpr{st.Join.L, st.Join.R} {
+			ti, ci, err := ev.resolve(cr.Table, cr.Column)
+			if err != nil {
+				return nil, err
+			}
+			on[i] = slot{ti, ci}
+		}
+	}
 
 	// A COUNT(*) select only counts the rows that qualify.
 	var n int64
 
-	res := &Result{Columns: outputColumns(st, tabs)}
-	// For a projection, ORDER BY keys are evaluated against the
-	// bound rows at emit time so they may name columns outside the select
-	// list (e.g. SELECT name FROM items ORDER BY price).
-	var sortKeys [][]Value
+	res := &Result{Columns: outputColumns(st, tabs[0])}
+	// For a projection, the ORDER BY key is evaluated against the bound
+	// rows at emit time so it may name a column outside the select list
+	// (e.g. SELECT name FROM items ORDER BY price).
+	var sortKeys []Value
 
 	// Result rows are carved from slab allocations rather than one slice per
 	// row; stored rows are immutable (updates are copy-on-write), so a
-	// single-table SELECT * shares them outright with no copy at all.
+	// SELECT * (one table) shares them outright with no copy at all.
 	// Slabs start at one row and double up to 64 rows per allocation: a
 	// point lookup pays for exactly one row, a big scan amortizes to a
 	// handful of allocations.
@@ -434,22 +429,20 @@ func execSelect(tabs []*Table, st *sqlparse.Select, args []Value) (*Result, erro
 		slab = slab[w:]
 		return r
 	}
-	emit := func() error {
+	// qualify emits the bound rows when WHERE holds for them.
+	qualify := func() error {
+		if st.Where != nil {
+			v, err := ev.eval(st.Where)
+			if err != nil || !v.Truthy() {
+				return err
+			}
+		}
 		if st.Count {
 			n++
 			return nil
 		}
-		var out Row
-		if st.Star {
-			if len(ev.rows) == 1 {
-				out = ev.rows[0]
-			} else {
-				out = newRow(len(res.Columns))
-				for _, r := range ev.rows {
-					out = append(out, r...)
-				}
-			}
-		} else {
+		out := ev.rows[0]
+		if !st.Star {
 			out = newRow(len(res.Columns))
 			for _, c := range st.Columns {
 				v, err := ev.eval(c)
@@ -459,85 +452,65 @@ func execSelect(tabs []*Table, st *sqlparse.Select, args []Value) (*Result, erro
 				out = append(out, v)
 			}
 		}
-		if len(st.OrderBy) > 0 {
-			keys := make([]Value, len(st.OrderBy))
-			for i, oi := range st.OrderBy {
-				v, err := ev.eval(oi.Col)
-				if err != nil {
-					return err
-				}
-				keys[i] = v
+		if st.OrderBy != nil {
+			v, err := ev.eval(st.OrderBy.Col)
+			if err != nil {
+				return err
 			}
-			sortKeys = append(sortKeys, keys)
+			sortKeys = append(sortKeys, v)
 		}
 		res.Rows = append(res.Rows, out)
 		return nil
 	}
 
-	// Nested-loop join over From and Joins, index-accelerated on the From
-	// table's WHERE equalities and each join's ON equality. How a join
-	// level is entered depends on the statement, not on the outer row, so
-	// it is worked out here, once.
-	probes := make([]joinProbe, len(tabs))
-	for level := 1; level < len(tabs); level++ {
-		probes[level] = joinLookup(ev, level, st.Joins[level-1].On)
-	}
-	var joinLevel func(level int) error
-	joinLevel = func(level int) error {
-		if level == len(tabs) {
-			if st.Where != nil {
-				v, err := ev.eval(st.Where)
-				if err != nil {
+	// The joined table's rows for the outer row: a probe of the index on
+	// its ON column with the outer row's value when the ON pairs the two
+	// tables and an index covers it and can answer for that value, a scan
+	// otherwise.
+	inner := qualify
+	if st.Join != nil {
+		jt := tabs[1]
+		outer, own := on[0], on[1]
+		if outer.tab == 1 {
+			outer, own = own, outer
+		}
+		var ix *index
+		if outer.tab == 0 && own.tab == 1 {
+			ix = jt.indexOn(own.col)
+		}
+		inner = func() error {
+			if ix != nil {
+				var err error
+				if jt.probe(ix, ev.rows[0][outer.col], func(_ int64, r Row) bool {
+					ev.rows[1] = r
+					err = qualify()
+					return err == nil
+				}) {
 					return err
 				}
-				if !v.Truthy() {
+			}
+			return jt.scan(func(_ int64, r Row) error {
+				ev.rows[1] = r
+				if !Equal(ev.rows[on[0].tab][on[0].col], ev.rows[on[1].tab][on[1].col]) {
 					return nil
 				}
-			}
-			return emit()
-		}
-		t := tabs[level]
-		// Index runs are walked in place: nobody writes what a SELECT reads.
-		if level == 0 {
-			return eachCandidate(t, ev.aliases[0], st.Where, args, func(_ int64, r Row) error {
-				ev.rows[0] = r
-				return joinLevel(1)
+				return qualify()
 			})
 		}
-		// Join level: probe with the ON equality's outer value when an index
-		// covers it and can answer for that value, scan otherwise.
-		on := st.Joins[level-1].On
-		if p := probes[level]; p.ix != nil {
-			var err error
-			if t.probe(p.ix, ev.rows[p.tab][p.col], func(_ int64, r Row) bool {
-				ev.rows[level] = r
-				err = joinLevel(level + 1)
-				return err == nil
-			}) {
-				return err
-			}
-		}
-		return t.scan(func(_ int64, r Row) error {
-			ev.rows[level] = r
-			okv, err := (&env{aliases: ev.aliases[:level+1], tabs: ev.tabs[:level+1],
-				rows: ev.rows[:level+1], args: args}).eval(on)
-			if err != nil {
-				return err
-			}
-			if !okv.Truthy() {
-				return nil
-			}
-			return joinLevel(level + 1)
-		})
 	}
-	if err := joinLevel(0); err != nil {
+	// The FROM table's candidates come from its WHERE equalities. Index
+	// runs are walked in place: nobody writes what a SELECT reads.
+	if err := eachCandidate(tabs[0], aliases[0], st.Where, args, func(_ int64, r Row) error {
+		ev.rows[0] = r
+		return inner()
+	}); err != nil {
 		return nil, err
 	}
 
 	if st.Count {
 		res.Rows = []Row{{Int(n)}}
 	} else {
-		orderRows(res, st, sortKeys)
+		orderRows(res, st.OrderBy, sortKeys)
 	}
 	if st.Limit >= 0 && st.Limit < len(res.Rows) {
 		res.Rows = res.Rows[:st.Limit]
@@ -545,47 +518,8 @@ func execSelect(tabs []*Table, st *sqlparse.Select, args []Value) (*Result, erro
 	return res, nil
 }
 
-// joinProbe is how a join level finds its rows by index: probe ix with the
-// value of column col of the already-bound table tab. ix is nil when the
-// level has to scan.
-type joinProbe struct {
-	ix       *index
-	tab, col int
-}
-
-// joinLookup resolves "a.x = b.y" where one side references the level's
-// table on an indexed column and the other references an already-bound
-// table.
-func joinLookup(ev *env, level int, on sqlparse.Expr) (none joinProbe) {
-	be, ok := on.(*sqlparse.BinaryExpr)
-	if !ok || be.Op != sqlparse.OpEq {
-		return none
-	}
-	lc, lok := be.L.(*sqlparse.ColRefExpr)
-	rc, rok := be.R.(*sqlparse.ColRefExpr)
-	if !lok || !rok {
-		return none
-	}
-	levelAlias := ev.aliases[level]
-	var newSide, boundSide *sqlparse.ColRefExpr
-	switch {
-	case strings.EqualFold(lc.Table, levelAlias):
-		newSide, boundSide = lc, rc
-	case strings.EqualFold(rc.Table, levelAlias):
-		newSide, boundSide = rc, lc
-	default:
-		return none
-	}
-	ci, err := ev.tabs[level].colOf(newSide.Column)
-	if err != nil {
-		return none
-	}
-	bi, bc, err := (&env{aliases: ev.aliases[:level], tabs: ev.tabs[:level]}).resolve(boundSide.Table, boundSide.Column)
-	if err != nil {
-		return none
-	}
-	return joinProbe{ix: ev.tabs[level].indexOn(ci), tab: bi, col: bc}
-}
+// slot is where a column reference reads: bound table tab, column col.
+type slot struct{ tab, col int }
 
 // validateCols resolves every column reference in e against the bound
 // tables, returning an error for unknown or ambiguous names.
@@ -606,14 +540,12 @@ func validateCols(e sqlparse.Expr, ev *env) error {
 	}
 }
 
-func outputColumns(st *sqlparse.Select, tabs []*Table) []string {
+func outputColumns(st *sqlparse.Select, from *Table) []string {
 	switch {
 	case st.Star:
-		var cols []string
-		for _, t := range tabs {
-			for _, c := range t.Columns() {
-				cols = append(cols, c.Name)
-			}
+		cols := make([]string, len(from.columns))
+		for i, c := range from.columns {
+			cols[i] = c.Name
 		}
 		return cols
 	case st.Count:
@@ -628,9 +560,9 @@ func outputColumns(st *sqlparse.Select, tabs []*Table) []string {
 
 // ---- ordering ----
 
-// orderRows sorts a projection's result by the keys captured at emit time.
-func orderRows(res *Result, st *sqlparse.Select, sortKeys [][]Value) {
-	if len(st.OrderBy) == 0 {
+// orderRows sorts a projection's result by the key captured at emit time.
+func orderRows(res *Result, by *sqlparse.OrderItem, sortKeys []Value) {
+	if by == nil {
 		return
 	}
 	idx := make([]int, len(res.Rows))
@@ -638,18 +570,11 @@ func orderRows(res *Result, st *sqlparse.Select, sortKeys [][]Value) {
 		idx[i] = i
 	}
 	sort.SliceStable(idx, func(a, b int) bool {
-		ka, kb := sortKeys[idx[a]], sortKeys[idx[b]]
-		for k, oi := range st.OrderBy {
-			c := Compare(ka[k], kb[k])
-			if c == 0 {
-				continue
-			}
-			if oi.Desc {
-				return c > 0
-			}
-			return c < 0
+		c := Compare(sortKeys[idx[a]], sortKeys[idx[b]])
+		if by.Desc {
+			return c > 0
 		}
-		return false
+		return c < 0
 	})
 	rows := make([]Row, len(res.Rows))
 	for i, j := range idx {

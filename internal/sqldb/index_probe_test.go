@@ -79,7 +79,7 @@ func checkProbeOracle(t *testing.T, script []byte) {
 				row[c], script = oracleValue(script)
 			}
 			for _, s := range []*Session{indexed, plain} {
-				mustExec(t, s, "INSERT INTO "+tab+" VALUES (?, ?, ?, ?)", row...)
+				mustExec(t, s, "INSERT INTO "+tab+" (id, i, f, s) VALUES (?, ?, ?, ?)", row...)
 			}
 		}
 	}
@@ -150,8 +150,8 @@ func TestIndexProbeMatchesScan(t *testing.T) {
 	mustExec(t, s, "CREATE TABLE a (id INT PRIMARY KEY, x INT)")
 	mustExec(t, s, "CREATE TABLE b (id INT PRIMARY KEY, y INT)")
 	mustExec(t, s, "CREATE INDEX b_y ON b (y)")
-	mustExec(t, s, "INSERT INTO a VALUES (1, NULL)")
-	mustExec(t, s, "INSERT INTO b VALUES (1, NULL)")
+	mustExec(t, s, "INSERT INTO a (id, x) VALUES (1, ?)", Null())
+	mustExec(t, s, "INSERT INTO b (id, y) VALUES (1, ?)", Null())
 	if res := mustExec(t, s, "SELECT a.id, b.id FROM a JOIN b ON b.y = a.x"); len(res.Rows) != 0 {
 		t.Errorf("NULL = NULL joined by index: %v", res.Rows)
 	}
@@ -187,7 +187,7 @@ func TestIndexWordCollision(t *testing.T) {
 	defer s.Close()
 	mustExec(t, s, "CREATE TABLE t (id INT PRIMARY KEY, s VARCHAR(8))")
 	mustExec(t, s, "CREATE UNIQUE INDEX t_s ON t (s)")
-	mustExec(t, s, "INSERT INTO t VALUES (1, 'a')")
+	mustExec(t, s, "INSERT INTO t (id, s) VALUES (1, 'a')")
 	tab, err := db.Table("t")
 	if err != nil {
 		t.Fatal(err)
@@ -198,8 +198,8 @@ func TestIndexWordCollision(t *testing.T) {
 	if res := mustExec(t, s, "SELECT id FROM t WHERE s = 'b'"); len(res.Rows) != 0 {
 		t.Fatalf("probe for 'b' returned %v, which holds 'a'", res.Rows)
 	}
-	mustExec(t, s, "INSERT INTO t VALUES (2, 'b')") // not a duplicate of row 1
-	if _, err := s.Exec("INSERT INTO t VALUES (3, 'b')"); err == nil {
+	mustExec(t, s, "INSERT INTO t (id, s) VALUES (2, 'b')") // not a duplicate of row 1
+	if _, err := s.Exec("INSERT INTO t (id, s) VALUES (3, 'b')"); err == nil {
 		t.Fatal("a second 'b' passed the UNIQUE check")
 	}
 	for q, want := range map[string]string{

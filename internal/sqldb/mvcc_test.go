@@ -297,7 +297,7 @@ func buyLoop(t *testing.T, db *DB, stop *atomic.Bool) int {
 		for _, q := range []string{
 			"BEGIN",
 			"UPDATE items SET stock = stock + 1 WHERE id = 1",
-			"INSERT INTO bids (item_id, user_id, bid) VALUES (1, 1, 1.0)",
+			"INSERT INTO bids (item_id, user_id, bid) VALUES (1, 1, 1)",
 			"COMMIT",
 		} {
 			if _, err := s.Exec(q); err != nil {

@@ -50,7 +50,7 @@ type CreateIndex struct {
 	Src    string
 }
 
-// Insert is INSERT INTO table [(cols)] VALUES (exprs), (exprs)...
+// Insert is INSERT INTO table (cols) VALUES (exprs), (exprs)...
 //
 // Mutation statements carry Src, the exact source text Parse consumed: the
 // write-ahead log records mutations logically (statement text + bound args),
@@ -85,24 +85,24 @@ type Delete struct {
 	Src   string
 }
 
-// Select is a SELECT statement over one table plus joins. Its select list
-// is *, COUNT(*) (one row, one column: the number of qualifying rows) or
-// column references.
+// Select is a SELECT statement over one table, or two joined on a column
+// equality. Its select list is * (one table only), COUNT(*) (one row, one
+// column: the number of qualifying rows) or column references.
 type Select struct {
 	Star    bool
 	Count   bool
 	Columns []*ColRefExpr // the select list when it is neither * nor COUNT(*)
 	From    TableRef
-	Joins   []Join
+	Join    *Join // nil without a JOIN
 	Where   Expr
-	OrderBy []OrderItem
-	Limit   int // -1 when absent
+	OrderBy *OrderItem // nil without ORDER BY
+	Limit   int        // -1 when absent
 	// FromPos is the byte offset of the FROM keyword in the text given to
 	// Parse, for callers that rewrite the select list.
 	FromPos int
 }
 
-// TableRef names a table with an optional alias.
+// TableRef names a table with an optional alias (FROM items i; no AS).
 type TableRef struct {
 	Table string
 	Alias string
@@ -116,14 +116,14 @@ func (t TableRef) Name() string {
 	return t.Table
 }
 
-// Join is JOIN table ON left = right (equijoins only, which is all the
-// benchmarks use).
+// Join is JOIN table ON l = r: an equality of two columns, which is every
+// join the benchmarks issue.
 type Join struct {
 	Table TableRef
-	On    Expr
+	L, R  *ColRefExpr
 }
 
-// OrderItem is one ORDER BY key: a column, ascending unless Desc.
+// OrderItem is the ORDER BY key: one column, ascending unless Desc.
 type OrderItem struct {
 	Col  *ColRefExpr
 	Desc bool
@@ -157,14 +157,13 @@ type ShowWALStatus struct{}
 // statements until COMMIT or ROLLBACK.
 type PrepareTxn struct{}
 
-// Begin is BEGIN [WORK] / START TRANSACTION: it opens a multi-statement
-// transaction on the session.
+// Begin is BEGIN: it opens a multi-statement transaction on the session.
 type Begin struct{}
 
-// Commit is COMMIT [WORK].
+// Commit is COMMIT.
 type Commit struct{}
 
-// Rollback is ROLLBACK [WORK].
+// Rollback is ROLLBACK.
 type Rollback struct{}
 
 func (*CreateTable) stmt()     {}
@@ -227,11 +226,9 @@ type ColRefExpr struct {
 	Column string
 }
 
-// IntLit / FloatLit / StringLit / NullLit are literals.
+// IntLit / StringLit are literals. A float or NULL value is a '?' argument.
 type IntLit struct{ V int64 }
-type FloatLit struct{ V float64 }
 type StringLit struct{ V string }
-type NullLit struct{}
 
 // ParamExpr is the i-th '?' placeholder (0-based).
 type ParamExpr struct{ Index int }
@@ -240,7 +237,5 @@ func (*BinaryExpr) expr() {}
 func (*NegExpr) expr()    {}
 func (*ColRefExpr) expr() {}
 func (*IntLit) expr()     {}
-func (*FloatLit) expr()   {}
 func (*StringLit) expr()  {}
-func (*NullLit) expr()    {}
 func (*ParamExpr) expr()  {}

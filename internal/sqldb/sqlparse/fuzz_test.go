@@ -64,9 +64,12 @@ func deletedClause(toks []token) string {
 	if kw(0, "SHOW") && is(1, tokIdent, "WAL", "wal") && !is(2, tokIdent, "STATUS", "status") {
 		return "SHOW WAL " + toks[2].text
 	}
+	if kw(0, "INSERT") && !sym(3, "(") {
+		return "INSERT without a column list"
+	}
 	inSelect := kw(0, "SELECT") // reading the select list
 	inOrderBy := false
-	counts := 0
+	counts, joins := 0, 0
 	for i, t := range toks {
 		if kw(i, "FROM", "LIMIT") {
 			inSelect, inOrderBy = false, false
@@ -74,8 +77,25 @@ func deletedClause(toks []token) string {
 		switch {
 		case kw(i, "GROUP", "DISTINCT", "SUM", "MIN", "MAX", "AVG", "OR", "IN", "BETWEEN", "IS",
 			"TRUE", "FALSE", "ASC", "INNER", "DROP", "IF", "EXISTS", "DEFAULT",
-			"INTEGER", "BIGINT", "DOUBLE", "DATETIME", "CHAR", "TABLES"):
+			"INTEGER", "BIGINT", "DOUBLE", "DATETIME", "CHAR", "TABLES", "AS", "WORK", "START"):
 			return t.text
+		case kw(i, "NULL") && !kw(i-1, "NOT"):
+			return "NULL literal"
+		case t.kind == tokNumber && strings.Contains(t.text, "."):
+			return "float literal"
+		case kw(i, "PRIMARY") && sym(i-1, "(", ","):
+			return "PRIMARY KEY (col) table constraint"
+		case kw(0, "SELECT") && kw(i, "JOIN"):
+			if joins++; joins > 1 {
+				return "more than one JOIN"
+			}
+			if sym(1, "*") {
+				return "SELECT * over a JOIN"
+			}
+		case kw(0, "SELECT") && kw(i, "ON") && !joinOnColumns(toks[i+1:]):
+			return "JOIN ON other than column = column"
+		case inOrderBy && sym(i, ","):
+			return "more than one ORDER BY key"
 		case sym(i, "<>", "!=", "<", "<=", ">", ">=", "/", "%"):
 			return "operator " + t.text
 		case kw(i, "NOT") && !kw(i+1, "NULL"):
@@ -98,14 +118,14 @@ func deletedClause(toks []token) string {
 			return "operator *"
 		case sym(i, "(") && (kw(i-1, "WHERE", "ON", "AND", "NOT", "LIKE") || sym(i-1, "=", "+", "-", "(")):
 			return "parenthesized expression"
-		case inSelect && i > 0 && (kw(i, "AS") || t.kind == tokIdent && (is(i-1, tokIdent) || sym(i-1, ")"))):
+		case inSelect && i > 0 && t.kind == tokIdent && (is(i-1, tokIdent) || sym(i-1, ")")):
 			return "select-item alias"
 		case inSelect && t.kind == tokIdent && counts > 0:
 			return "COUNT(*) beside a column (GROUP BY)"
 		case inSelect && i > 0 && (t.kind == tokNumber || t.kind == tokString || t.kind == tokParam ||
 			kw(i, "NULL") || sym(i, "+", "-", "=")):
 			return "select item other than a column"
-		case inOrderBy && !(t.kind == tokIdent || t.kind == tokEOF || kw(i, "DESC") || sym(i, ".", ",", ";")):
+		case inOrderBy && !(t.kind == tokIdent || t.kind == tokEOF || kw(i, "DESC") || sym(i, ".", ";")):
 			return "ORDER BY key other than a column"
 		}
 		if kw(i, "BY") && kw(i-1, "ORDER") {
@@ -113,6 +133,40 @@ func deletedClause(toks []token) string {
 		}
 	}
 	return ""
+}
+
+// joinOnColumns reports whether toks, what follows a SELECT's ON, open with
+// column = column and then end the join.
+func joinOnColumns(toks []token) bool {
+	i := 0
+	column := func() bool {
+		if toks[i].kind != tokIdent {
+			return false
+		}
+		if i++; toks[i].kind == tokSymbol && toks[i].text == "." {
+			if i++; toks[i].kind != tokIdent {
+				return false
+			}
+			i++
+		}
+		return true
+	}
+	if !column() || toks[i].kind != tokSymbol || toks[i].text != "=" {
+		return false
+	}
+	i++
+	if !column() {
+		return false
+	}
+	switch t := toks[i]; t.kind {
+	case tokEOF:
+		return true
+	case tokKeyword:
+		return t.text == "WHERE" || t.text == "ORDER" || t.text == "LIMIT"
+	case tokSymbol:
+		return t.text == ";"
+	}
+	return false
 }
 
 // FuzzParse: Parse never panics, and a statement that uses a form the

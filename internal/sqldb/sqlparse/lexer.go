@@ -1,31 +1,35 @@
 // Package sqlparse implements the SQL dialect used by the repro database
-// engine: the statements the paper's benchmarks issue, and no more.
+// engine: the statements the paper's benchmarks issue, each in one shape,
+// and no more.
 //
 //   - SELECT *, SELECT COUNT(*) or SELECT col, ... FROM one table [alias],
-//     JOIN table [alias] ON expr ..., WHERE expr, ORDER BY col [DESC], ...,
-//     LIMIT n.
-//   - INSERT INTO t [(cols)] VALUES (exprs), ...; UPDATE t SET col = expr, ...
+//     at most one JOIN table [alias] ON col = col (not under SELECT *),
+//     WHERE expr, ORDER BY one col [DESC], LIMIT n.
+//   - INSERT INTO t (cols) VALUES (exprs), ...; UPDATE t SET col = expr, ...
 //     [WHERE expr]; DELETE FROM t [WHERE expr].
 //   - CREATE TABLE (INT, FLOAT, VARCHAR[(n)] and TEXT columns; PRIMARY KEY,
 //     AUTO_INCREMENT, NOT NULL), CREATE [UNIQUE] INDEX, and ALTER TABLE ...
 //     AUTO_INCREMENT [OFFSET o] [STRIDE s] [NEXT n].
-//   - BEGIN / START TRANSACTION, PREPARE TRANSACTION, COMMIT, ROLLBACK: the
-//     transaction is the dialect's one multi-statement critical section.
+//   - BEGIN, PREPARE TRANSACTION, COMMIT, ROLLBACK: the transaction is the
+//     dialect's one multi-statement critical section.
 //   - SHOW TABLE STATUS, which replica sync reads, and SHOW WAL STATUS, the
 //     one view of a backend's write-ahead log.
 //
-// An expression is built from literals, NULL, '?' placeholders and
-// (qualified) column references with =, LIKE, AND, binary + and - and
-// unary minus.
+// An expression is built from integer and string literals, '?'
+// placeholders and (qualified) column references with =, LIKE, AND,
+// binary + and - and unary minus. A float or NULL value is a '?' argument.
 //
 // Nothing else is in it: neither application, the EJB container, the
 // cluster nor population issues anything else, and Parse rejects each
 // left-out form it recognizes — GROUP BY, DISTINCT, OFFSET, aggregates but
-// one COUNT(*), select-list expressions and aliases, OR, NOT, IN, BETWEEN,
-// IS NULL, every other operator, parentheses, TRUE and FALSE, ASC, INNER,
-// DROP TABLE, IF NOT EXISTS, DEFAULT, the other column types and SHOW
-// TABLES — with an error naming it. The keywords stay reserved so that it
-// can.
+// one COUNT(*), select-list expressions and aliases, a second JOIN, an ON
+// other than col = col, SELECT * over a JOIN, a second ORDER BY key, OR,
+// NOT, IN, BETWEEN, IS NULL, every other operator, parentheses, NULL,
+// float, TRUE and FALSE literals, ASC, INNER, AS before a table alias, an
+// INSERT without a column list, DROP TABLE, IF NOT EXISTS, DEFAULT, the
+// PRIMARY KEY (col) table constraint, the other column types, SHOW TABLES,
+// START TRANSACTION and WORK — with an error naming it. The keywords stay
+// reserved so that it can.
 package sqlparse
 
 import (

@@ -135,24 +135,14 @@ func (p *parser) parseStatement() (Statement, error) {
 		return nil, p.errf("expected TABLE STATUS or WAL STATUS after SHOW, found %q", p.cur().text)
 	case p.at(tokKeyword, "ALTER"):
 		return p.parseAlter()
-	case p.at(tokKeyword, "BEGIN"):
-		p.next()
-		p.accept(tokKeyword, "WORK")
-		return &Begin{}, nil
 	case p.at(tokKeyword, "START"):
-		p.next()
-		if _, err := p.expect(tokKeyword, "TRANSACTION"); err != nil {
-			return nil, err
-		}
-		return &Begin{}, nil
-	case p.at(tokKeyword, "COMMIT"):
-		p.next()
-		p.accept(tokKeyword, "WORK")
-		return &Commit{}, nil
-	case p.at(tokKeyword, "ROLLBACK"):
-		p.next()
-		p.accept(tokKeyword, "WORK")
-		return &Rollback{}, nil
+		return nil, p.unsupported("START TRANSACTION")
+	case p.accept(tokKeyword, "BEGIN"):
+		return &Begin{}, p.noWork()
+	case p.accept(tokKeyword, "COMMIT"):
+		return &Commit{}, p.noWork()
+	case p.accept(tokKeyword, "ROLLBACK"):
+		return &Rollback{}, p.noWork()
 	default:
 		// PREPARE is contextual (tokIdent) so columns named "prepare" would
 		// still lex as identifiers elsewhere.
@@ -164,6 +154,14 @@ func (p *parser) parseStatement() (Statement, error) {
 		}
 		return nil, p.errf("unsupported statement beginning with %q", p.cur().text)
 	}
+}
+
+// noWork refuses the WORK after BEGIN, COMMIT or ROLLBACK.
+func (p *parser) noWork() error {
+	if p.at(tokKeyword, "WORK") {
+		return p.unsupported("WORK")
+	}
+	return nil
 }
 
 // acceptIdent consumes an identifier matching text case-insensitively —
@@ -269,25 +267,19 @@ func (p *parser) parseSelect() (*Select, error) {
 		return nil, err
 	}
 	sel.From = from
-	for {
-		if p.at(tokKeyword, "INNER") {
-			return nil, p.unsupported("INNER JOIN")
+	if p.at(tokKeyword, "INNER") {
+		return nil, p.unsupported("INNER JOIN")
+	}
+	if p.accept(tokKeyword, "JOIN") {
+		if sel.Star {
+			return nil, p.unsupported("SELECT * over a JOIN")
 		}
-		if !p.accept(tokKeyword, "JOIN") {
-			break
-		}
-		tr, err := p.parseTableRef()
-		if err != nil {
+		if sel.Join, err = p.parseJoin(); err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(tokKeyword, "ON"); err != nil {
-			return nil, err
+		if p.at(tokKeyword, "JOIN") {
+			return nil, p.unsupported("more than one JOIN")
 		}
-		on, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		sel.Joins = append(sel.Joins, Join{Table: tr, On: on})
 	}
 	if p.accept(tokKeyword, "WHERE") {
 		w, err := p.parseExpr()
@@ -303,18 +295,16 @@ func (p *parser) parseSelect() (*Select, error) {
 		if _, err := p.expect(tokKeyword, "BY"); err != nil {
 			return nil, err
 		}
-		for {
-			col, err := p.parseColumn("ORDER BY key")
-			if err != nil {
-				return nil, err
-			}
-			if p.at(tokKeyword, "ASC") {
-				return nil, p.unsupported("ASC")
-			}
-			sel.OrderBy = append(sel.OrderBy, OrderItem{Col: col, Desc: p.accept(tokKeyword, "DESC")})
-			if !p.accept(tokSymbol, ",") {
-				break
-			}
+		col, err := p.parseColumn("ORDER BY key")
+		if err != nil {
+			return nil, err
+		}
+		if p.at(tokKeyword, "ASC") {
+			return nil, p.unsupported("ASC")
+		}
+		sel.OrderBy = &OrderItem{Col: col, Desc: p.accept(tokKeyword, "DESC")}
+		if p.at(tokSymbol, ",") {
+			return nil, p.unsupported("more than one ORDER BY key")
 		}
 	}
 	if p.accept(tokKeyword, "LIMIT") {
@@ -331,6 +321,30 @@ func (p *parser) parseSelect() (*Select, error) {
 		}
 	}
 	return sel, nil
+}
+
+// parseJoin parses what follows JOIN: table ON column = column.
+func (p *parser) parseJoin() (*Join, error) {
+	tr, err := p.parseTableRef()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := p.expect(tokKeyword, "ON"); err != nil {
+		return nil, err
+	}
+	on, err := p.parseExpr()
+	if err != nil {
+		return nil, err
+	}
+	j := &Join{Table: tr}
+	if be, ok := on.(*BinaryExpr); ok && be.Op == OpEq {
+		j.L, _ = be.L.(*ColRefExpr)
+		j.R, _ = be.R.(*ColRefExpr)
+	}
+	if j.L == nil || j.R == nil {
+		return nil, p.unsupported("JOIN ON other than column = column")
+	}
+	return j, nil
 }
 
 // parseCountStar parses the "(*)" after COUNT.
@@ -383,13 +397,10 @@ func (p *parser) parseTableRef() (TableRef, error) {
 		return TableRef{}, err
 	}
 	tr := TableRef{Table: name}
-	if p.accept(tokKeyword, "AS") {
-		a, err := p.parseIdent()
-		if err != nil {
-			return TableRef{}, err
-		}
-		tr.Alias = a
-	} else if p.at(tokIdent, "") {
+	if p.at(tokKeyword, "AS") {
+		return tr, p.unsupported("AS table alias")
+	}
+	if p.at(tokIdent, "") {
 		tr.Alias = p.next().text
 	}
 	return tr, nil
@@ -405,20 +416,21 @@ func (p *parser) parseInsert() (*Insert, error) {
 		return nil, err
 	}
 	ins := &Insert{Table: table}
-	if p.accept(tokSymbol, "(") {
-		for {
-			c, err := p.parseIdent()
-			if err != nil {
-				return nil, err
-			}
-			ins.Columns = append(ins.Columns, c)
-			if !p.accept(tokSymbol, ",") {
-				break
-			}
-		}
-		if _, err := p.expect(tokSymbol, ")"); err != nil {
+	if !p.accept(tokSymbol, "(") {
+		return nil, p.unsupported("INSERT without a column list")
+	}
+	for {
+		c, err := p.parseIdent()
+		if err != nil {
 			return nil, err
 		}
+		ins.Columns = append(ins.Columns, c)
+		if !p.accept(tokSymbol, ",") {
+			break
+		}
+	}
+	if _, err := p.expect(tokSymbol, ")"); err != nil {
+		return nil, err
 	}
 	if _, err := p.expect(tokKeyword, "VALUES"); err != nil {
 		return nil, err
@@ -524,38 +536,14 @@ func (p *parser) parseCreate() (Statement, error) {
 			return nil, err
 		}
 		for {
-			if p.accept(tokKeyword, "PRIMARY") {
-				// PRIMARY KEY (col) table constraint
-				if _, err := p.expect(tokKeyword, "KEY"); err != nil {
-					return nil, err
-				}
-				if _, err := p.expect(tokSymbol, "("); err != nil {
-					return nil, err
-				}
-				col, err := p.parseIdent()
-				if err != nil {
-					return nil, err
-				}
-				if _, err := p.expect(tokSymbol, ")"); err != nil {
-					return nil, err
-				}
-				found := false
-				for i := range ct.Columns {
-					if strings.EqualFold(ct.Columns[i].Name, col) {
-						ct.Columns[i].PrimaryKey = true
-						found = true
-					}
-				}
-				if !found {
-					return nil, p.errf("PRIMARY KEY names unknown column %q", col)
-				}
-			} else {
-				cd, err := p.parseColumnDef()
-				if err != nil {
-					return nil, err
-				}
-				ct.Columns = append(ct.Columns, cd)
+			if p.at(tokKeyword, "PRIMARY") {
+				return nil, p.unsupported("PRIMARY KEY (col) table constraint")
 			}
+			cd, err := p.parseColumnDef()
+			if err != nil {
+				return nil, err
+			}
+			ct.Columns = append(ct.Columns, cd)
 			if !p.accept(tokSymbol, ",") {
 				break
 			}
@@ -615,7 +603,7 @@ func (p *parser) parseColumnDef() (ColumnDef, error) {
 	}
 	// optional (length)
 	if p.accept(tokSymbol, "(") {
-		if _, err := p.expect(tokNumber, ""); err != nil {
+		if _, err := p.parseInt(); err != nil {
 			return cd, err
 		}
 		if _, err := p.expect(tokSymbol, ")"); err != nil {
@@ -650,7 +638,7 @@ func (p *parser) parseColumnDef() (ColumnDef, error) {
 //	cmp    := add [(= | LIKE) add]
 //	add    := unary ((+ | -) unary)*
 //	unary  := - unary | primary
-//	primary:= literal | NULL | ? | column | table.column
+//	primary:= integer | string | ? | column | table.column
 //
 // An operator the dialect leaves out fails where it stands, naming itself.
 func (p *parser) parseExpr() (Expr, error) {
@@ -747,14 +735,10 @@ func (p *parser) parsePrimary() (Expr, error) {
 	t := p.cur()
 	switch t.kind {
 	case tokNumber:
-		p.next()
 		if strings.Contains(t.text, ".") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return nil, p.errf("bad number %q", t.text)
-			}
-			return &FloatLit{V: f}, nil
+			return nil, p.unsupported("float literal")
 		}
+		p.next()
 		n, err := strconv.ParseInt(t.text, 10, 64)
 		if err != nil {
 			return nil, p.errf("bad number %q", t.text)
@@ -771,8 +755,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 	case tokKeyword:
 		switch t.text {
 		case "NULL":
-			p.next()
-			return &NullLit{}, nil
+			return nil, p.unsupported("NULL literal")
 		case "TRUE", "FALSE":
 			return nil, p.unsupported(t.text)
 		case "SUM", "MIN", "MAX", "AVG":

@@ -37,11 +37,12 @@ func TestParseSelectFull(t *testing.T) {
 	st := mustParse(t, `SELECT i.id, b.bid
 		FROM items i JOIN bids b ON b.item_id = i.id
 		WHERE i.category = ? AND b.bid = 10
-		ORDER BY b.bid DESC, i.id LIMIT 20`).(*Select)
-	if len(st.Joins) != 1 || st.Joins[0].Table.Table != "bids" {
-		t.Fatalf("joins: %+v", st.Joins)
+		ORDER BY b.bid DESC LIMIT 20`).(*Select)
+	if j := st.Join; j == nil || j.Table.Table != "bids" || j.Table.Alias != "b" ||
+		j.L.Table != "b" || j.L.Column != "item_id" || j.R.Table != "i" || j.R.Column != "id" {
+		t.Fatalf("join: %+v", st.Join)
 	}
-	if len(st.OrderBy) != 2 || !st.OrderBy[0].Desc || st.OrderBy[0].Col.Table != "b" || st.OrderBy[1].Desc {
+	if o := st.OrderBy; o == nil || !o.Desc || o.Col.Table != "b" || o.Col.Column != "bid" {
 		t.Fatalf("order by: %+v", st.OrderBy)
 	}
 	if st.Limit != 20 {
@@ -124,6 +125,37 @@ var deletedForms = []struct{ sql, names string }{
 	{"CREATE TABLE t (at DATETIME)", "column type DATETIME"},
 	{"CREATE TABLE t (c CHAR(2))", "column type CHAR"},
 	{"SHOW TABLES", "SHOW TABLES"},
+	// One shape per statement: at most one JOIN, on a column equality; one
+	// ORDER BY key; INSERT names its columns; no AS before a table alias;
+	// no PRIMARY KEY table constraint; values that are neither integers
+	// nor strings are '?' arguments; BEGIN, COMMIT and ROLLBACK bare.
+	{"SELECT i.id FROM items i JOIN bids b ON b.item_id = i.id JOIN users u ON u.id = b.user_id", "more than one JOIN"},
+	{"SELECT COUNT(*) FROM a JOIN b ON b.x = a.x JOIN c ON c.y = b.y", "more than one JOIN"},
+	{"SELECT i.id FROM items i JOIN bids b ON b.item_id = i.id AND b.qty = 1", "JOIN ON other than column = column"},
+	{"SELECT i.id FROM items i JOIN bids b ON b.item_id = 7", "JOIN ON other than column = column"},
+	{"SELECT i.id FROM items i JOIN bids b ON b.item_id = i.id + 1", "JOIN ON other than column = column"},
+	{"SELECT i.id FROM items i JOIN bids b ON i.name LIKE b.name", "JOIN ON other than column = column"},
+	{"SELECT * FROM items i JOIN bids b ON b.item_id = i.id", "SELECT * over a JOIN"},
+	{"SELECT id FROM items ORDER BY qty, id", "more than one ORDER BY key"},
+	{"SELECT id FROM items ORDER BY qty DESC, id DESC LIMIT 5", "more than one ORDER BY key"},
+	{"INSERT INTO items VALUES (1, 'a')", "INSERT without a column list"},
+	{"INSERT INTO items VALUES (?, ?), (?, ?)", "INSERT without a column list"},
+	{"SELECT i.id FROM items AS i", "AS table alias"},
+	{"SELECT i.id FROM items i JOIN bids AS b ON b.item_id = i.id", "AS table alias"},
+	{"CREATE TABLE t (a INT, b INT, PRIMARY KEY (b))", "PRIMARY KEY (col) table constraint"},
+	{"CREATE TABLE t (a INT, b VARCHAR(10), PRIMARY KEY (a))", "PRIMARY KEY (col) table constraint"},
+	{"INSERT INTO items (id, name) VALUES (1, NULL)", "NULL literal"},
+	{"UPDATE items SET name = NULL WHERE id = 1", "NULL literal"},
+	{"SELECT id FROM items WHERE name = NULL", "NULL literal"},
+	{"INSERT INTO items (id, price) VALUES (1, 2.5)", "float literal"},
+	{"UPDATE items SET price = price + .5", "float literal"},
+	{"SELECT id FROM items WHERE price = -2.5", "float literal"},
+	{"BEGIN WORK", "WORK"},
+	{"begin work;", "WORK"},
+	{"COMMIT WORK", "WORK"},
+	{"ROLLBACK WORK", "WORK"},
+	{"START TRANSACTION", "START TRANSACTION"},
+	{"start transaction;", "START TRANSACTION"},
 }
 
 // TestDeletedClauses: every SQL feature the dialect leaves out is a parse
@@ -144,7 +176,7 @@ func TestDeletedClauses(t *testing.T) {
 }
 
 func TestParseInsert(t *testing.T) {
-	st := mustParse(t, "INSERT INTO users (id, name, balance) VALUES (1, 'bob', 3.5), (2, 'eve', 0)").(*Insert)
+	st := mustParse(t, "INSERT INTO users (id, name, balance) VALUES (1, 'bob', ?), (2, 'eve', 0)").(*Insert)
 	if st.Table != "users" || len(st.Columns) != 3 || len(st.Rows) != 2 {
 		t.Fatalf("insert: %+v", st)
 	}
@@ -153,9 +185,14 @@ func TestParseInsert(t *testing.T) {
 	}
 }
 
+// TestParseInsertNoColumns: an INSERT names its columns; the values of a
+// row bind to them by position, '?' by '?'.
 func TestParseInsertNoColumns(t *testing.T) {
-	st := mustParse(t, "INSERT INTO t VALUES (?, ?, NULL)").(*Insert)
-	if len(st.Columns) != 0 || len(st.Rows[0]) != 3 {
+	if _, err := Parse("INSERT INTO t VALUES (?, ?, ?)"); err == nil || !strings.Contains(err.Error(), "INSERT without a column list") {
+		t.Fatalf("column-less INSERT: %v, want an error naming the form", err)
+	}
+	st := mustParse(t, "INSERT INTO t (a, b, c) VALUES (?, ?, ?)").(*Insert)
+	if len(st.Columns) != 3 || len(st.Rows[0]) != 3 {
 		t.Fatalf("insert: %+v", st)
 	}
 	if p, ok := st.Rows[0][1].(*ParamExpr); !ok || p.Index != 1 {
@@ -196,10 +233,15 @@ func TestParseCreateTable(t *testing.T) {
 	}
 }
 
+// TestParseCreateTableConstraint: the primary key is a column constraint;
+// the PRIMARY KEY (col) table constraint is not in the dialect.
 func TestParseCreateTableConstraint(t *testing.T) {
-	st := mustParse(t, "CREATE TABLE t (a INT, b INT, PRIMARY KEY (b))").(*CreateTable)
+	st := mustParse(t, "CREATE TABLE t (a INT, b INT PRIMARY KEY)").(*CreateTable)
 	if st.Columns[0].PrimaryKey || !st.Columns[1].PrimaryKey {
 		t.Fatalf("constraint: %+v", st.Columns)
+	}
+	if _, err := Parse("CREATE TABLE t (a INT, b INT, PRIMARY KEY (b))"); err == nil || !strings.Contains(err.Error(), "PRIMARY KEY (col) table constraint") {
+		t.Fatalf("table constraint: %v, want an error naming it", err)
 	}
 }
 
@@ -271,7 +313,7 @@ func exprString(e Expr) string {
 		return "(" + exprString(x.L) + x.Op.String() + exprString(x.R) + ")"
 	case *ColRefExpr:
 		return x.Column
-	case *IntLit, *FloatLit, *StringLit, *NullLit, *ParamExpr:
+	case *IntLit, *StringLit, *ParamExpr:
 		return "v"
 	case *NegExpr:
 		return "-" + exprString(x.E)
@@ -322,7 +364,7 @@ func TestParseComments(t *testing.T) {
 }
 
 func TestParseNegativeNumbers(t *testing.T) {
-	st := mustParse(t, "SELECT a FROM t WHERE a = -5 AND b = -2.5").(*Select)
+	st := mustParse(t, "SELECT a FROM t WHERE a = -5 AND b = -?").(*Select)
 	if got := exprString(st.Where); got != "((a=-v)AND(b=-v))" {
 		t.Fatalf("where parsed as %s", got)
 	}
@@ -401,19 +443,21 @@ func TestParamIndexing(t *testing.T) {
 }
 
 func TestParseTxnControl(t *testing.T) {
-	for _, q := range []string{"BEGIN", "begin work", "START TRANSACTION"} {
+	for _, q := range []string{"BEGIN", "begin;"} {
 		if _, ok := mustParse(t, q).(*Begin); !ok {
 			t.Errorf("%q did not parse as Begin", q)
 		}
 	}
-	if _, ok := mustParse(t, "COMMIT WORK;").(*Commit); !ok {
-		t.Error("COMMIT WORK did not parse as Commit")
+	if _, ok := mustParse(t, "COMMIT;").(*Commit); !ok {
+		t.Error("COMMIT did not parse as Commit")
 	}
 	if _, ok := mustParse(t, "rollback").(*Rollback); !ok {
 		t.Error("rollback did not parse as Rollback")
 	}
-	if _, err := Parse("START"); err == nil {
-		t.Error("bare START must not parse")
+	for _, q := range []string{"START", "begin work", "START TRANSACTION", "COMMIT WORK"} {
+		if _, err := Parse(q); err == nil {
+			t.Errorf("%q must not parse", q)
+		}
 	}
 	// The new keywords must not break identifiers that contain them.
 	st := mustParse(t, "SELECT start_date FROM items").(*Select)

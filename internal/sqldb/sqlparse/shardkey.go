@@ -29,7 +29,7 @@ import "strings"
 func ShardExprs(st Statement, table, column string) (exprs []Expr, ok bool) {
 	switch s := st.(type) {
 	case *Insert:
-		if !strings.EqualFold(s.Table, table) || len(s.Columns) == 0 {
+		if !strings.EqualFold(s.Table, table) {
 			return nil, false
 		}
 		pos := -1
@@ -90,8 +90,8 @@ func tableNames(sel *Select, table string) []string {
 		}
 	}
 	add(sel.From)
-	for _, j := range sel.Joins {
-		add(j.Table)
+	if sel.Join != nil {
+		add(sel.Join.Table)
 	}
 	return names
 }
@@ -144,7 +144,7 @@ func colMatches(cr *ColRefExpr, quals []string, column string) bool {
 // that lets the router compute the key before shipping the statement.
 func shardConst(e Expr) bool {
 	switch x := e.(type) {
-	case *IntLit, *FloatLit, *StringLit, *ParamExpr:
+	case *IntLit, *StringLit, *ParamExpr:
 		return true
 	case *NegExpr:
 		return shardConst(x.E)

@@ -18,21 +18,25 @@ func TestCheckpointTableBytesGolden(t *testing.T) {
 	db := New()
 	s := db.NewSession()
 	defer s.Close()
-	for _, q := range []string{
-		"CREATE TABLE c (id INT PRIMARY KEY AUTO_INCREMENT, name VARCHAR(16) NOT NULL, grp INT, score FLOAT)",
-		"CREATE UNIQUE INDEX c_name ON c (name)",
-		"CREATE INDEX c_grp ON c (grp)",
-		"ALTER TABLE c AUTO_INCREMENT OFFSET 1 STRIDE 2",
-		"INSERT INTO c (name, grp, score) VALUES ('a', 1, 1.5), ('b', 2, NULL), ('c', 1, 3.25), ('d', NULL, 4)",
-		"INSERT INTO c (id, name, grp, score) VALUES (20, 'e', 2, 5)",
-		"DELETE FROM c WHERE name = 'b'",
-		"UPDATE c SET grp = 7, score = score + score WHERE grp = 1",
-		"BEGIN",
-		"INSERT INTO c (name, grp, score) VALUES ('ghost', 9, 9)",
-		"ROLLBACK",
-		"INSERT INTO c (name, grp, score) VALUES ('f', 7, 6)",
+	for _, q := range []struct {
+		sql  string
+		args []Value
+	}{
+		{sql: "CREATE TABLE c (id INT PRIMARY KEY AUTO_INCREMENT, name VARCHAR(16) NOT NULL, grp INT, score FLOAT)"},
+		{sql: "CREATE UNIQUE INDEX c_name ON c (name)"},
+		{sql: "CREATE INDEX c_grp ON c (grp)"},
+		{sql: "ALTER TABLE c AUTO_INCREMENT OFFSET 1 STRIDE 2"},
+		{"INSERT INTO c (name, grp, score) VALUES ('a', 1, ?), ('b', 2, ?), ('c', 1, ?), ('d', ?, 4)",
+			[]Value{Float(1.5), Null(), Float(3.25), Null()}},
+		{sql: "INSERT INTO c (id, name, grp, score) VALUES (20, 'e', 2, 5)"},
+		{sql: "DELETE FROM c WHERE name = 'b'"},
+		{sql: "UPDATE c SET grp = 7, score = score + score WHERE grp = 1"},
+		{sql: "BEGIN"},
+		{sql: "INSERT INTO c (name, grp, score) VALUES ('ghost', 9, 9)"},
+		{sql: "ROLLBACK"},
+		{sql: "INSERT INTO c (name, grp, score) VALUES ('f', 7, 6)"},
 	} {
-		mustExec(t, s, q)
+		mustExec(t, s, q.sql, q.args...)
 	}
 	tab, err := db.Table("c")
 	if err != nil {
@@ -159,4 +163,49 @@ func TestBulkPathsBuildInPlace(t *testing.T) {
 		t.Fatalf("recovery: %+v, want a checkpoint and 305 replayed statements", info)
 	}
 	check(db2, "checkpoint load + replay")
+}
+
+// TestWALRemovedFormSkippedOnReplay: a log record an older engine wrote
+// with a form the dialect has since dropped (here a column-less INSERT)
+// does not replay. Recovery counts it in ReplayErrors and goes on with the
+// records after it.
+func TestWALRemovedFormSkippedOnReplay(t *testing.T) {
+	dir := t.TempDir()
+	db := New()
+	if _, err := db.AttachWAL(testWALOpts(dir)); err != nil {
+		t.Fatal(err)
+	}
+	s := db.NewSession()
+	mustExec(t, s, "CREATE TABLE fz (id INT PRIMARY KEY, v INT)")
+	mustExec(t, s, "INSERT INTO fz (id, v) VALUES (1, 1)")
+	s.Close()
+	last := db.WALStats().LastLSN
+	if err := db.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	_, segs, err := scanWALDir(dir)
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("segments: %v", err)
+	}
+	fh, err := os.OpenFile(segPath(dir, segs[len(segs)-1]), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := appendRecord(nil, last+1, []walStmt{
+		{q: "INSERT INTO fz VALUES (2, 2)"},
+		{q: "INSERT INTO fz (id, v) VALUES (3, ?)", args: []Value{Int(3)}},
+	})
+	if _, err := fh.Write(rec); err != nil {
+		t.Fatal(err)
+	}
+	fh.Close()
+
+	db2, info := recoverDB(t, dir)
+	if info.ReplayErrors != 1 || info.ReplayLSN != last+2 {
+		t.Fatalf("replay: %d errors, stopped at LSN %d; want 1 error, LSN %d", info.ReplayErrors, info.ReplayLSN, last+2)
+	}
+	got := mustExec(t, db2.NewSession(), "SELECT id FROM fz ORDER BY id")
+	if fmt.Sprint(got.Rows) != "[[1] [3]]" {
+		t.Fatalf("recovered rows %v, want [[1] [3]]", got.Rows)
+	}
 }

@@ -122,7 +122,7 @@ func (tx *txn) fork(t *Table) *Table {
 func (s *Session) InTxn() bool { return s.tx != nil }
 
 // execBegin opens a transaction. A transaction already open is implicitly
-// committed first — MySQL's rule for START TRANSACTION.
+// committed first — MySQL's rule for BEGIN.
 func (s *Session) execBegin() (*Result, error) {
 	s.implicitCommit()
 	s.tx = &txn{}

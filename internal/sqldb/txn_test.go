@@ -236,7 +236,7 @@ func TestTxnImplicitBoundaries(t *testing.T) {
 	if got := mustTx(t, s, "SELECT COUNT(*) FROM audit").Rows[0][0].AsInt(); got != 2 {
 		t.Fatalf("audit rows %d, want 2 (both implicitly committed)", got)
 	}
-	mustTx(t, s, "START TRANSACTION")
+	mustTx(t, s, "BEGIN")
 	mustTx(t, s, "INSERT INTO audit (item, delta) VALUES (3, 3)")
 	s.Close() // disconnect: auto-ROLLBACK
 	s2 := db.NewSession()

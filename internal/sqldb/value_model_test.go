@@ -391,7 +391,7 @@ func TestPutRejectsWrongWidth(t *testing.T) {
 func TestResultRowAppendDoesNotAliasStorage(t *testing.T) {
 	s := New().NewSession()
 	mustExec(t, s, "CREATE TABLE t (id INT PRIMARY KEY, name VARCHAR(10))")
-	mustExec(t, s, "INSERT INTO t VALUES (1, 'one'), (2, 'two'), (3, 'three')")
+	mustExec(t, s, "INSERT INTO t (id, name) VALUES (1, 'one'), (2, 'two'), (3, 'three')")
 	for _, q := range []string{"SELECT * FROM t", "SELECT * FROM t WHERE id = 2"} {
 		res := mustExec(t, s, q)
 		for i, r := range res.Rows {

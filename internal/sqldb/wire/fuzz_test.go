@@ -28,7 +28,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	}
 	args := []sqldb.Value{sqldb.Int(42), sqldb.String("x"), sqldb.Null(), sqldb.Float(1.5)}
 	seed(msgQuery, func(e *enc) { encodeQuery(e, "SELECT * FROM kv WHERE k = ?", args) })
-	seed(msgPrepare, func(e *enc) { encodePrepare(e, 7, "INSERT INTO kv VALUES (?, ?)") })
+	seed(msgPrepare, func(e *enc) { encodePrepare(e, 7, "INSERT INTO kv (k, v) VALUES (?, ?)") })
 	seed(msgExecStmt, func(e *enc) { encodeExecStmt(e, 7, args) })
 	seed(msgCloseStmt, func(e *enc) { encodeCloseStmt(e, 7) })
 	seed(msgBegin, func(*enc) {})

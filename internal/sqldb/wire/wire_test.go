@@ -25,7 +25,7 @@ func startServer(t *testing.T) (*sqldb.DB, string) {
 	defer s.Close()
 	for _, q := range []string{
 		"CREATE TABLE kv (k INT PRIMARY KEY, v VARCHAR(50))",
-		"INSERT INTO kv VALUES (1, 'one'), (2, 'two')",
+		"INSERT INTO kv (k, v) VALUES (1, 'one'), (2, 'two')",
 	} {
 		if _, err := s.Exec(q); err != nil {
 			t.Fatal(err)
@@ -259,7 +259,7 @@ func TestClientServerWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	res, err := c.Exec("INSERT INTO kv VALUES (3, 'three')")
+	res, err := c.Exec("INSERT INTO kv (k, v) VALUES (3, 'three')")
 	if err != nil || res.RowsAffected != 1 {
 		t.Fatalf("insert: %v %+v", err, res)
 	}
@@ -313,7 +313,7 @@ func TestLockTablesPerConnection(t *testing.T) {
 	if err := c.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Exec("INSERT INTO kv VALUES (9, 'nine')"); err != nil {
+	if _, err := c.Exec("INSERT INTO kv (k, v) VALUES (9, 'nine')"); err != nil {
 		t.Fatal(err)
 	}
 	for _, q := range []string{"LOCK TABLES kv WRITE", "LOCK TABLES kv READ", "UNLOCK TABLES"} {
@@ -396,7 +396,7 @@ func TestPoolConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := p.Exec("INSERT INTO kv VALUES (?, ?)",
+			if _, err := p.Exec("INSERT INTO kv (k, v) VALUES (?, ?)",
 				sqldb.Int(int64(100+i)), sqldb.String("v")); err != nil {
 				t.Errorf("pool exec: %v", err)
 			}
@@ -649,7 +649,7 @@ func TestStmtReconnectReprepares(t *testing.T) {
 	s := db.NewSession()
 	for _, q := range []string{
 		"CREATE TABLE kv (k INT PRIMARY KEY, v VARCHAR(50))",
-		"INSERT INTO kv VALUES (1, 'one')",
+		"INSERT INTO kv (k, v) VALUES (1, 'one')",
 	} {
 		if _, err := s.Exec(q); err != nil {
 			t.Fatal(err)
@@ -712,7 +712,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	if _, err := s.Exec("CREATE TABLE kv (k INT PRIMARY KEY, v VARCHAR(50))"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Exec("INSERT INTO kv VALUES (1, 'one')"); err != nil {
+	if _, err := s.Exec("INSERT INTO kv (k, v) VALUES (1, 'one')"); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -732,7 +732,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	if err := a.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Exec("INSERT INTO kv VALUES (2, 'two')"); err != nil {
+	if _, err := a.Exec("INSERT INTO kv (k, v) VALUES (2, 'two')"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -789,7 +789,7 @@ func TestTxnOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The BEGIN reply is drained transparently before this statement's own.
-	if _, err := c.Exec("INSERT INTO kv VALUES (?, ?)", sqldb.Int(3), sqldb.String("three")); err != nil {
+	if _, err := c.Exec("INSERT INTO kv (k, v) VALUES (?, ?)", sqldb.Int(3), sqldb.String("three")); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Commit(); err != nil {
@@ -842,7 +842,7 @@ func TestConnDropRollsBackTxn(t *testing.T) {
 			if err := c.Begin(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c.Exec("INSERT INTO kv VALUES (9, 'orphan')"); err != nil {
+			if _, err := c.Exec("INSERT INTO kv (k, v) VALUES (9, 'orphan')"); err != nil {
 				t.Fatal(err)
 			}
 			if prepared {
@@ -856,7 +856,7 @@ func TestConnDropRollsBackTxn(t *testing.T) {
 			defer sess.Close()
 			deadline := time.Now().Add(2 * time.Second)
 			for {
-				_, err := sess.Exec("INSERT INTO kv VALUES (9, 'mine')")
+				_, err := sess.Exec("INSERT INTO kv (k, v) VALUES (9, 'mine')")
 				if err == nil {
 					break
 				}
@@ -882,7 +882,7 @@ func TestShutdownAbortsInFlightTxn(t *testing.T) {
 	if _, err := s.Exec("CREATE TABLE kv (k INT PRIMARY KEY, v VARCHAR(50))"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Exec("INSERT INTO kv VALUES (1, 'one')"); err != nil {
+	if _, err := s.Exec("INSERT INTO kv (k, v) VALUES (1, 'one')"); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -905,7 +905,7 @@ func TestShutdownAbortsInFlightTxn(t *testing.T) {
 	if _, err := c.Exec("UPDATE kv SET v = 'dirty' WHERE k = 1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Exec("INSERT INTO kv VALUES (2, 'uncommitted')"); err != nil {
+	if _, err := c.Exec("INSERT INTO kv (k, v) VALUES (2, 'uncommitted')"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -961,13 +961,13 @@ func TestPrepareTxnFrame(t *testing.T) {
 	if err := c.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Exec("INSERT INTO kv VALUES (3, 'three')"); err != nil {
+	if _, err := c.Exec("INSERT INTO kv (k, v) VALUES (3, 'three')"); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.PrepareTxn(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Exec("INSERT INTO kv VALUES (4, 'four')"); err == nil ||
+	if _, err := c.Exec("INSERT INTO kv (k, v) VALUES (4, 'four')"); err == nil ||
 		!strings.Contains(err.Error(), "prepared") {
 		t.Fatalf("statement on a prepared transaction: err = %v", err)
 	}
@@ -991,7 +991,7 @@ func TestPoolRetriesReadsNotWrites(t *testing.T) {
 	if _, err := s.Exec("CREATE TABLE kv (k INT PRIMARY KEY, v VARCHAR(50))"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Exec("INSERT INTO kv VALUES (1, 'one')"); err != nil {
+	if _, err := s.Exec("INSERT INTO kv (k, v) VALUES (1, 'one')"); err != nil {
 		t.Fatal(err)
 	}
 	srv := NewServer(db, nil)
@@ -1016,7 +1016,7 @@ func TestPoolRetriesReadsNotWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	restart()
-	if _, err := p.Exec("INSERT INTO kv VALUES (3, 'three')"); err == nil || IsServerError(err) {
+	if _, err := p.Exec("INSERT INTO kv (k, v) VALUES (3, 'three')"); err == nil || IsServerError(err) {
 		t.Fatalf("write on a stale connection: %v, want a transport error", err)
 	}
 	if res, err := s.Exec("SELECT COUNT(*) FROM kv WHERE k = 3"); err != nil || res.Rows[0][0].AsInt() != 0 {
