@@ -124,8 +124,8 @@ func main() {
 	fmt.Printf("throughput   %8.0f interactions/min (%d completed, %d errors)\n",
 		rep.ThroughputIPM, rep.Interactions, rep.Errors)
 	fmt.Printf("latency      mean %.1fms  p50 %.1fms  p95 %.1fms  p99 %.1fms\n",
-		rep.Latency.Mean()*1000, rep.Latency.Percentile(50)*1000,
-		rep.Latency.Percentile(95)*1000, rep.Latency.Percentile(99)*1000)
+		rep.Latency.Mean().Seconds()*1000, rep.Latency.Percentile(50).Seconds()*1000,
+		rep.Latency.Percentile(95).Seconds()*1000, rep.Latency.Percentile(99).Seconds()*1000)
 	fmt.Printf("images       %d fetched\n", rep.ImageFetches)
 	fmt.Println("per-interaction completions:")
 	for name, n := range rep.ByInteraction {

@@ -40,7 +40,7 @@ func main() {
 	}
 	queries := lab.Telemetry().Tier("ejb").Queries
 	fmt.Printf("Ws-Servlet-EJB-DB bidding mix: %6.0f ipm, mean %5.1fms, errors %d\n",
-		rep.ThroughputIPM, rep.Latency.Mean()*1000, rep.Errors)
+		rep.ThroughputIPM, rep.Latency.Mean().Seconds()*1000, rep.Errors)
 	fmt.Printf("EJB container issued %d statements for %d interactions: %.1f per interaction\n",
 		queries, rep.Interactions, float64(queries)/float64(rep.Interactions+1))
 	fmt.Println("(§6.1: \"a very large number of small packets ... accesses to fields in")

@@ -40,7 +40,7 @@ func main() {
 		}
 		fmt.Printf("%-22s %6.0f ipm  mean %6.1fms  p95 %6.1fms  errors %d  images %d\n",
 			a, rep.ThroughputIPM,
-			rep.Latency.Mean()*1000, rep.Latency.Percentile(95)*1000,
+			rep.Latency.Mean().Seconds()*1000, rep.Latency.Percentile(95).Seconds()*1000,
 			rep.Errors, rep.ImageFetches)
 		for _, name := range []string{"home", "productdetail", "buyconfirm"} {
 			fmt.Printf("  %-20s %d completions\n", name, rep.ByInteraction[name])

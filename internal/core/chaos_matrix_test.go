@@ -179,7 +179,7 @@ func TestChaosScriptedSchedule(t *testing.T) {
 	// Bounded outcomes: every deadline on the path is at most 500ms
 	// (chaosLab), so an interaction that waited one out and then completed
 	// elsewhere still finishes well inside this.
-	if worst := time.Duration(rep.Latency.Max() * float64(time.Second)); worst > 3*time.Second {
+	if worst := rep.Latency.Max(); worst > 3*time.Second {
 		t.Errorf("an interaction took %v — it outlasted the transport deadlines", worst)
 	}
 	// The schedule fired for real: replica 1's link saw delayed or stalled

@@ -4,8 +4,8 @@
 // (internal/rmi). The paper's analysis hinges on identifying which tier
 // saturates under each middleware configuration, so unlike the three
 // channel pools it replaces, this one is instrumented: every pool counts
-// dials, borrows, waits, cumulative wait time and discards, and samples
-// borrow latency into a stats.Reservoir, so the tiers above can report
+// dials, borrows, waits, cumulative wait time and discards, and records
+// every borrow's latency in a stats.Histogram, so the tiers above can report
 // where requests spend their time queueing.
 //
 // Semantics: connections are dialed lazily up to a fixed capacity;
@@ -141,7 +141,7 @@ type Pool[T any] struct {
 	waitTimeouts atomic.Int64
 	opTimeouts   atomic.Int64
 	timeoutNanos atomic.Int64
-	borrow       *stats.Reservoir // borrow latency, seconds
+	borrow       stats.Histogram
 }
 
 // New creates a pool.
@@ -167,7 +167,6 @@ func New[T any](cfg Config[T]) *Pool[T] {
 		waitTimeout: waitTimeout,
 		permits:     make(chan struct{}, size),
 		done:        make(chan struct{}),
-		borrow:      stats.NewReservoir(1024, 1),
 	}
 	for i := 0; i < size; i++ {
 		p.permits <- struct{}{}
@@ -219,10 +218,13 @@ func (p *Pool[T]) Get() (T, error) {
 		return zero, ErrClosed
 	}
 	if len(p.idle) > 0 {
+		// Shift down rather than reslice, so Put's append reuses the array.
 		v := p.idle[0]
-		p.idle = p.idle[1:]
+		n := copy(p.idle, p.idle[1:])
+		p.idle[n] = zero
+		p.idle = p.idle[:n]
 		p.mu.Unlock()
-		p.borrow.Add(time.Since(start).Seconds())
+		p.borrow.Record(time.Since(start))
 		return v, nil
 	}
 	p.opened++
@@ -236,7 +238,7 @@ func (p *Pool[T]) Get() (T, error) {
 		p.releasePermit()
 		return zero, err
 	}
-	p.borrow.Add(time.Since(start).Seconds())
+	p.borrow.Record(time.Since(start))
 	return v, nil
 }
 
@@ -381,15 +383,13 @@ type Stats struct {
 	WaitTimeouts int64 `json:"wait_timeouts,omitempty"`
 	OpTimeouts   int64 `json:"op_timeouts,omitempty"`
 	TimeoutNanos int64 `json:"timeout_nanos,omitempty"`
-	// Borrow latency from the reservoir, milliseconds.
-	BorrowMeanMillis float64 `json:"borrow_mean_ms"`
-	BorrowP95Millis  float64 `json:"borrow_p95_ms"`
-	BorrowMaxMillis  float64 `json:"borrow_max_ms"`
+	// Borrow is the latency of every successful Get, from call to return.
+	Borrow stats.Histogram `json:"borrow"`
 }
 
 // InUse returns the number of borrowed connections right now — the cheap
 // instantaneous load gauge the cluster read router balances on (the full
-// Stats snapshot walks the latency reservoir, too heavy for a hot path).
+// Stats snapshot copies the latency histogram, too heavy for a hot path).
 func (p *Pool[T]) InUse() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -402,22 +402,20 @@ func (p *Pool[T]) Stats() Stats {
 	idle, opened := len(p.idle), p.opened
 	p.mu.Unlock()
 	return Stats{
-		Name:             p.name,
-		Capacity:         p.limit,
-		InUse:            opened - idle,
-		Idle:             idle,
-		Dials:            p.dials.Load(),
-		Gets:             p.gets.Load(),
-		Waits:            p.waits.Load(),
-		WaitNanos:        p.waitNanos.Load(),
-		Discards:         p.discards.Load(),
-		Retries:          p.retries.Load(),
-		WaitTimeouts:     p.waitTimeouts.Load(),
-		OpTimeouts:       p.opTimeouts.Load(),
-		TimeoutNanos:     p.timeoutNanos.Load(),
-		BorrowMeanMillis: p.borrow.Mean() * 1000,
-		BorrowP95Millis:  p.borrow.Percentile(95) * 1000,
-		BorrowMaxMillis:  p.borrow.Max() * 1000,
+		Name:         p.name,
+		Capacity:     p.limit,
+		InUse:        opened - idle,
+		Idle:         idle,
+		Dials:        p.dials.Load(),
+		Gets:         p.gets.Load(),
+		Waits:        p.waits.Load(),
+		WaitNanos:    p.waitNanos.Load(),
+		Discards:     p.discards.Load(),
+		Retries:      p.retries.Load(),
+		WaitTimeouts: p.waitTimeouts.Load(),
+		OpTimeouts:   p.opTimeouts.Load(),
+		TimeoutNanos: p.timeoutNanos.Load(),
+		Borrow:       p.borrow.Snapshot(),
 	}
 }
 
@@ -431,9 +429,8 @@ func (s Stats) Utilization() float64 {
 
 // Sum aggregates snapshots of several pools into one figure — the rule the
 // cluster client uses for its per-replica pools and the core lab for a
-// replicated app tier's connector pools: capacities, gauges and counters
-// sum; latency estimates take the worst pool (cumulative-sample estimates
-// cannot be averaged meaningfully).
+// replicated app tier's connector pools: capacities, gauges, counters and
+// borrow histograms sum, so the borrow percentiles are the tier's.
 func Sum(name string, pools []Stats) Stats {
 	agg := Stats{Name: name}
 	for _, ps := range pools {
@@ -449,21 +446,13 @@ func Sum(name string, pools []Stats) Stats {
 		agg.WaitTimeouts += ps.WaitTimeouts
 		agg.OpTimeouts += ps.OpTimeouts
 		agg.TimeoutNanos += ps.TimeoutNanos
-		if ps.BorrowMeanMillis > agg.BorrowMeanMillis {
-			agg.BorrowMeanMillis = ps.BorrowMeanMillis
-		}
-		if ps.BorrowP95Millis > agg.BorrowP95Millis {
-			agg.BorrowP95Millis = ps.BorrowP95Millis
-		}
-		if ps.BorrowMaxMillis > agg.BorrowMaxMillis {
-			agg.BorrowMaxMillis = ps.BorrowMaxMillis
-		}
+		agg.Borrow.Add(&ps.Borrow)
 	}
 	return agg
 }
 
-// Sub returns the counter deltas s−prev, keeping s's gauges and latency
-// figures (which are cumulative-sample estimates, not differentiable).
+// Sub returns the counter and borrow-histogram deltas s−prev, keeping s's
+// gauges: the borrows recorded between the two snapshots.
 func (s Stats) Sub(prev Stats) Stats {
 	d := s
 	d.Dials -= prev.Dials
@@ -475,5 +464,6 @@ func (s Stats) Sub(prev Stats) Stats {
 	d.WaitTimeouts -= prev.WaitTimeouts
 	d.OpTimeouts -= prev.OpTimeouts
 	d.TimeoutNanos -= prev.TimeoutNanos
+	d.Borrow.Sub(&prev.Borrow)
 	return d
 }

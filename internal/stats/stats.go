@@ -1,176 +1,119 @@
-// Package stats provides the measurement utilities the experiment harness
-// uses: latency reservoirs with percentiles, counters, and interval
-// throughput — the role the sysstat post-mortem analysis plays in the
-// paper's methodology (§4.5).
+// Package stats is the latency record the stack measures with: one
+// fixed-bucket Histogram that a hot path updates with atomic adds alone, and
+// whose snapshots add and subtract exactly — so a replicated tier's figure
+// is the merge of its pools and a measured window is the difference of two
+// snapshots. It plays the role of the sysstat post-mortem analysis in the
+// paper's methodology (§4.5), which requires measurement that does not
+// perturb what it measures.
 package stats
 
 import (
 	"math"
-	"math/rand"
-	"sort"
-	"sync"
+	"math/bits"
+	"sync/atomic"
+	"time"
 )
 
-// Reservoir is a fixed-size uniform sample of observations (Vitter's
-// algorithm R), safe for concurrent use.
-type Reservoir struct {
-	mu    sync.Mutex
-	cap   int
-	seen  int64
-	vals  []float64
-	sum   float64
-	sumSq float64
-	min   float64
-	max   float64
-	r     *rand.Rand
+// buckets is the number of Histogram buckets: one per nanosecond below
+// 16 ns, then 16 per power of two from 2^4 up to 2^40 ns (≈ 18 min).
+const buckets = 16 + 36*16
+
+// Histogram counts durations in fixed log-linear buckets. A bucket's width
+// is at most 1/16 of its lower bound, so Percentile is within 1/16 (6.25 %)
+// of the exact nearest-rank value; durations of 2^40 ns or more share the
+// last bucket. Record is safe for concurrent use and takes no lock; the
+// other methods read a value that is no longer written — a Snapshot, or a
+// histogram whose writers have finished. The zero value is empty.
+type Histogram struct {
+	Counts [buckets]int64 `json:"counts"`
+	SumNs  int64          `json:"sum_ns"`
 }
 
-// NewReservoir creates a reservoir keeping up to capacity samples.
-func NewReservoir(capacity int, seed int64) *Reservoir {
-	if capacity <= 0 {
-		capacity = 1024
+// bucket returns d's bucket index. Below 32 ns the index is d itself; above,
+// the top five bits of d select one of 16 sub-buckets of its octave.
+func bucket(d time.Duration) int {
+	v := max(int64(d), 0)
+	if v >= 1<<40 {
+		return buckets - 1
 	}
-	return &Reservoir{cap: capacity, r: rand.New(rand.NewSource(seed)),
-		min: math.Inf(1), max: math.Inf(-1)}
+	shift := max(bits.Len64(uint64(v))-5, 0)
+	return shift*16 + int(v>>shift)
 }
 
-// Add records one observation.
-func (rv *Reservoir) Add(v float64) {
-	rv.mu.Lock()
-	defer rv.mu.Unlock()
-	rv.seen++
-	rv.sum += v
-	rv.sumSq += v * v
-	if v < rv.min {
-		rv.min = v
+// upper returns the largest duration in bucket i.
+func upper(i int) time.Duration {
+	shift := max(i/16-1, 0)
+	return time.Duration((int64(i-shift*16)+1)<<shift - 1)
+}
+
+// Record adds one observation.
+func (h *Histogram) Record(d time.Duration) {
+	atomic.AddInt64(&h.Counts[bucket(d)], 1)
+	atomic.AddInt64(&h.SumNs, int64(d))
+}
+
+// Snapshot returns a copy of h that concurrent Records do not touch.
+func (h *Histogram) Snapshot() Histogram {
+	var s Histogram
+	for i := range h.Counts {
+		s.Counts[i] = atomic.LoadInt64(&h.Counts[i])
 	}
-	if v > rv.max {
-		rv.max = v
+	s.SumNs = atomic.LoadInt64(&h.SumNs)
+	return s
+}
+
+// Add merges o into h: the result is the histogram of both sets of
+// observations.
+func (h *Histogram) Add(o *Histogram) {
+	for i, n := range o.Counts {
+		h.Counts[i] += n
 	}
-	if len(rv.vals) < rv.cap {
-		rv.vals = append(rv.vals, v)
-		return
+	h.SumNs += o.SumNs
+}
+
+// Sub removes o from h. With o an earlier snapshot of the same histogram,
+// the result holds exactly the observations recorded in between.
+func (h *Histogram) Sub(o *Histogram) {
+	for i, n := range o.Counts {
+		h.Counts[i] -= n
 	}
-	if j := rv.r.Int63n(rv.seen); j < int64(rv.cap) {
-		rv.vals[j] = v
-	}
+	h.SumNs -= o.SumNs
 }
 
 // Count returns the number of observations.
-func (rv *Reservoir) Count() int64 {
-	rv.mu.Lock()
-	defer rv.mu.Unlock()
-	return rv.seen
+func (h *Histogram) Count() int64 {
+	var n int64
+	for _, c := range h.Counts {
+		n += c
+	}
+	return n
 }
 
-// Mean returns the exact mean over all observations (not just the sample).
-func (rv *Reservoir) Mean() float64 {
-	rv.mu.Lock()
-	defer rv.mu.Unlock()
-	if rv.seen == 0 {
+// Mean returns the exact mean observation (0 when empty).
+func (h *Histogram) Mean() time.Duration {
+	n := h.Count()
+	if n == 0 {
 		return 0
 	}
-	return rv.sum / float64(rv.seen)
+	return time.Duration(h.SumNs / n)
 }
 
-// StdDev returns the exact population standard deviation.
-func (rv *Reservoir) StdDev() float64 {
-	rv.mu.Lock()
-	defer rv.mu.Unlock()
-	if rv.seen == 0 {
+// Percentile returns the nearest-rank p-th percentile (0 < p ≤ 100) as the
+// upper bound of the bucket holding it, or 0 when empty.
+func (h *Histogram) Percentile(p float64) time.Duration {
+	n := h.Count()
+	if n == 0 {
 		return 0
 	}
-	m := rv.sum / float64(rv.seen)
-	v := rv.sumSq/float64(rv.seen) - m*m
-	if v < 0 {
-		v = 0
+	rank := max(int64(math.Ceil(p*float64(n)/100)), 1)
+	var seen int64
+	for i, c := range h.Counts {
+		if seen += c; seen >= rank {
+			return upper(i)
+		}
 	}
-	return math.Sqrt(v)
+	return upper(buckets - 1)
 }
 
-// Min returns the smallest observation (0 when empty).
-func (rv *Reservoir) Min() float64 {
-	rv.mu.Lock()
-	defer rv.mu.Unlock()
-	if rv.seen == 0 {
-		return 0
-	}
-	return rv.min
-}
-
-// Max returns the largest observation (0 when empty).
-func (rv *Reservoir) Max() float64 {
-	rv.mu.Lock()
-	defer rv.mu.Unlock()
-	if rv.seen == 0 {
-		return 0
-	}
-	return rv.max
-}
-
-// Percentile estimates the p-th percentile (0 < p < 100) from the sample.
-func (rv *Reservoir) Percentile(p float64) float64 {
-	rv.mu.Lock()
-	defer rv.mu.Unlock()
-	if len(rv.vals) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), rv.vals...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(rank)
-	frac := rank - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[len(sorted)-1]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
-
-// Counter is a concurrent event counter with per-key breakdown.
-type Counter struct {
-	mu    sync.Mutex
-	total int64
-	byKey map[string]int64
-}
-
-// NewCounter returns an empty counter.
-func NewCounter() *Counter { return &Counter{byKey: make(map[string]int64)} }
-
-// Inc adds one event under key.
-func (c *Counter) Inc(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.total++
-	c.byKey[key]++
-}
-
-// Total returns the event count.
-func (c *Counter) Total() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.total
-}
-
-// Get returns the count for one key.
-func (c *Counter) Get(key string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.byKey[key]
-}
-
-// Snapshot returns a copy of the per-key counts.
-func (c *Counter) Snapshot() map[string]int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]int64, len(c.byKey))
-	for k, v := range c.byKey {
-		out[k] = v
-	}
-	return out
-}
+// Max returns the upper bound of the highest occupied bucket.
+func (h *Histogram) Max() time.Duration { return h.Percentile(100) }

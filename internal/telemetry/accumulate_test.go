@@ -11,10 +11,11 @@ import (
 	"repro/internal/pool"
 )
 
-// fill gives every field of the struct v — embedded structs and the pool
-// snapshot behind a pointer included — a distinct non-zero value counting up
-// from *next, and fails on a field kind it does not know: a new kind must be
-// given an accumulate rule and a line here before it can ship.
+// fill gives every field of the struct v — embedded structs, int64 arrays
+// and the pool snapshot behind a pointer included — a distinct non-zero
+// value counting up from *next, and fails on a field kind it does not know:
+// a new kind must be given an accumulate rule and a line here before it can
+// ship.
 func fill(t *testing.T, v reflect.Value, next *int64) {
 	t.Helper()
 	for i := 0; i < v.NumField(); i++ {
@@ -31,6 +32,11 @@ func fill(t *testing.T, v reflect.Value, next *int64) {
 			f.SetBool(true)
 		case f.Kind() == reflect.Struct:
 			fill(t, f, next)
+		case f.Kind() == reflect.Array && f.Type().Elem().Kind() == reflect.Int64:
+			for j := 0; j < f.Len(); j++ {
+				*next++
+				f.Index(j).SetInt(*next)
+			}
 		case f.Type() == poolStatsType:
 			p := &pool.Stats{}
 			fill(t, reflect.ValueOf(p).Elem(), next)
@@ -57,7 +63,8 @@ func filled(t *testing.T, seed int64) *Snapshot {
 // the rules accumulate documents: int64 counters moved by sign·b, bools (set
 // on both sides) still set,
 // gauges, names and topology figures still a's, the pool combined by the
-// pool package (spot-checked on one counter, one gauge and the name).
+// pool package (spot-checked on one counter, one gauge and the name; its
+// borrow histogram exactly a ± b, bucket by bucket).
 func checkAccumulated(t *testing.T, path string, got, a, b reflect.Value, sign int64) {
 	t.Helper()
 	for i := 0; i < got.NumField(); i++ {
@@ -88,6 +95,16 @@ func checkAccumulated(t *testing.T, path string, got, a, b reflect.Value, sign i
 			}
 			if sign < 0 && gp.Capacity != ap.Capacity {
 				t.Errorf("%s capacity = %d, want the receiver's gauge %d kept", name, gp.Capacity, ap.Capacity)
+			}
+			gh, ah, bh := gp.Borrow, ap.Borrow, bp.Borrow
+			if gh.SumNs != ah.SumNs+sign*bh.SumNs {
+				t.Errorf("%s borrow time = %d, want %d%+d", name, gh.SumNs, ah.SumNs, sign*bh.SumNs)
+			}
+			for j := range gh.Counts {
+				if gh.Counts[j] != ah.Counts[j]+sign*bh.Counts[j] {
+					t.Errorf("%s borrow bucket %d = %d, want %d%+d", name, j, gh.Counts[j], ah.Counts[j], sign*bh.Counts[j])
+					break
+				}
 			}
 		default:
 			t.Fatalf("%s has kind %s: no rule checked", name, g.Kind())
@@ -170,9 +187,11 @@ func TestStatusJSONKeysStable(t *testing.T) {
 			"addr checkpoints ejections healthy id lag_nanos pool queries reads recoveries shard wal_appends wal_bytes wal_fsyncs writes"},
 		{"app backend", keys(first("app_backends")),
 			"affinity ejections errors failovers healthy id in_flight pool requests routed"},
-		// The pool object lost backoff_nanos and backoffs with the backoff itself.
+		// The pool object lost backoff_nanos and backoffs with the backoff
+		// itself, and borrow_mean_ms / borrow_p95_ms / borrow_max_ms to the
+		// one borrow histogram, which merges and windows exactly.
 		{"pool", keys(first("tiers").(map[string]any)["pool"]),
-			"borrow_max_ms borrow_mean_ms borrow_p95_ms capacity dials discards gets idle in_use name op_timeouts retries timeout_nanos wait_nanos wait_timeouts waits"},
+			"borrow capacity dials discards gets idle in_use name op_timeouts retries timeout_nanos wait_nanos wait_timeouts waits"},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s keys changed:\n got %s\nwant %s", c.what, c.got, c.want)

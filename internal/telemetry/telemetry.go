@@ -271,7 +271,7 @@ var poolStatsType = reflect.TypeOf((*pool.Stats)(nil))
 //   - int and string fields are gauges, topology figures, ids and names:
 //     dst's value stands.
 //   - *pool.Stats follows the pool package's own rules (Sum, Sub — gauges and
-//     latency estimates included); a nil side leaves dst's pointer alone.
+//     the borrow histogram included); a nil side leaves dst's pointer alone.
 //   - embedded structs recurse.
 //
 // Any other kind panics: a new float64 or nested type must be given a rule
@@ -418,7 +418,7 @@ func (s *Snapshot) Format() string {
 			poolCol = fmt.Sprintf("%d/%d busy", t.Pool.InUse, t.Pool.Capacity)
 			waits = fmt.Sprintf("%d", t.Pool.Waits)
 			waitTime = time.Duration(t.Pool.WaitNanos).Round(time.Microsecond).String()
-			p95 = fmt.Sprintf("%.2fms", t.Pool.BorrowP95Millis)
+			p95 = fmt.Sprintf("%.2fms", t.Pool.Borrow.Percentile(95).Seconds()*1000)
 		}
 		fmt.Fprintf(&b, "%s%-9s %9d %9d %8s %12s %8s %10s %9s\n",
 			mark, t.Name, t.Requests, t.Queries, mb, poolCol, waits, waitTime, p95)

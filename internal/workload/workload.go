@@ -97,7 +97,7 @@ type Report struct {
 	ThroughputIPM   float64 // interactions per minute
 	Errors          int64
 	ImageFetches    int64
-	Latency         *stats.Reservoir
+	Latency         stats.Histogram // completed interactions, in the window
 	ByInteraction   map[string]int64
 	MeasureDuration time.Duration
 	// Tiers is the server stack's per-tier saturation over the run —
@@ -142,8 +142,8 @@ func Run(addr string, p *Profile, cfg Config) (*Report, error) {
 		imgFetches atomic.Int64
 		inWindow   atomic.Bool
 	)
-	latency := stats.NewReservoir(8192, cfg.Seed)
-	byInter := stats.NewCounter()
+	var latency stats.Histogram
+	byInter := make([]atomic.Int64, len(p.Interactions)) // completions, indexed like p.Interactions
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -157,7 +157,7 @@ func Run(addr string, p *Profile, cfg Config) (*Report, error) {
 				g:    datagen.New(cfg.Seed + int64(i)*7919),
 				stop: stop,
 			}
-			c.run(&completed, &errors, &imgFetches, &inWindow, latency, byInter)
+			c.run(&completed, &errors, &imgFetches, &inWindow, &latency, byInter)
 		}()
 	}
 
@@ -178,6 +178,12 @@ func Run(addr string, p *Profile, cfg Config) (*Report, error) {
 	wg.Wait()
 
 	n := completed.Load()
+	counts := make(map[string]int64)
+	for i, in := range p.Interactions {
+		if k := byInter[i].Load(); k > 0 {
+			counts[in.Name] += k
+		}
+	}
 	return &Report{
 		Mix:             cfg.Mix,
 		Clients:         cfg.Clients,
@@ -186,7 +192,7 @@ func Run(addr string, p *Profile, cfg Config) (*Report, error) {
 		Errors:          errors.Load(),
 		ImageFetches:    imgFetches.Load(),
 		Latency:         latency,
-		ByInteraction:   byInter.Snapshot(),
+		ByInteraction:   counts,
 		MeasureDuration: measured,
 	}, nil
 }
@@ -211,7 +217,7 @@ type emulatedClient struct {
 }
 
 func (c *emulatedClient) run(completed, errors, imgFetches *atomic.Int64,
-	inWindow *atomic.Bool, latency *stats.Reservoir, byInter *stats.Counter) {
+	inWindow *atomic.Bool, latency *stats.Histogram, byInter []atomic.Int64) {
 	for {
 		select {
 		case <-c.stop:
@@ -229,16 +235,15 @@ func (c *emulatedClient) run(completed, errors, imgFetches *atomic.Int64,
 			default:
 			}
 			idx := c.pick()
-			inter := c.profile.Interactions[idx]
-			req := inter.Build(c.g)
+			req := c.profile.Interactions[idx].Build(c.g)
 			start := time.Now()
 			ok := c.doInteraction(hc, req, imgFetches)
 			elapsed := time.Since(start)
 			if inWindow.Load() {
 				if ok {
 					completed.Add(1)
-					latency.Add(elapsed.Seconds())
-					byInter.Inc(inter.Name)
+					latency.Record(elapsed)
+					byInter[idx].Add(1)
 				} else {
 					errors.Add(1)
 				}

@@ -88,6 +88,15 @@ func TestRunCollectsMetrics(t *testing.T) {
 	if rep.ByInteraction["read"] < rep.ByInteraction["write"] {
 		t.Fatalf("mix not respected: %+v", rep.ByInteraction)
 	}
+	// Every completion in the window is timed once and counted once under
+	// its interaction, from 4 clients at once.
+	var byName int64
+	for _, n := range rep.ByInteraction {
+		byName += n
+	}
+	if rep.Latency.Count() != rep.Interactions || byName != rep.Interactions {
+		t.Fatalf("%d completions, %d timed, %d counted by interaction", rep.Interactions, rep.Latency.Count(), byName)
+	}
 	_ = writes
 }
 
