@@ -36,7 +36,7 @@ func startDB(t testing.TB) string {
 func newAppContainer(t testing.TB, sync bool) *servlet.Container {
 	t.Helper()
 	c := servlet.NewContainer(servlet.Config{DB: cluster.Config{DSN: startDB(t), PoolSize: 8}})
-	New(TinyScale(), Config{Sync: sync}).Register(c)
+	New(Config{Sync: sync}).Register(c)
 	if err := c.Init(); err != nil {
 		t.Fatal(err)
 	}
@@ -172,6 +172,20 @@ func TestRegisterItemVisibleInCategory(t *testing.T) {
 	}
 }
 
+// TestRegisterUserRequiresNickname: registration without a nickname is a
+// 400 on every path (the handler is shared) and writes no row.
+func TestRegisterUserRequiresNickname(t *testing.T) {
+	c := newAppContainer(t, false)
+	resp := doGet(t, c.Handler(), BasePath+"registeruser?fname=A&lname=B&region=2")
+	if resp.Status != 400 {
+		t.Fatalf("registeruser without nickname -> %d: %s", resp.Status, resp.Body)
+	}
+	res, err := c.Context().DB.Exec("SELECT COUNT(*) FROM users")
+	if err != nil || res.Rows[0][0].AsInt() != int64(TinyScale().Users) {
+		t.Fatalf("users after a refused registration: %v %v", res, err)
+	}
+}
+
 func TestLogin(t *testing.T) {
 	c := newAppContainer(t, false)
 	h := c.Handler()
@@ -195,7 +209,7 @@ func TestEJBDeployment(t *testing.T) {
 	if err := RegisterEntities(ec); err != nil {
 		t.Fatal(err)
 	}
-	if err := ec.RegisterFacade(FacadeName, &Facade{C: ec}); err != nil {
+	if err := ec.RegisterFacade(FacadeName, &CMP{C: ec}); err != nil {
 		t.Fatal(err)
 	}
 	rmiAddr, err := ec.Serve("127.0.0.1:0")
@@ -205,7 +219,7 @@ func TestEJBDeployment(t *testing.T) {
 	client := rmi.NewClient(rmiAddr.String(), 4)
 	t.Cleanup(client.Close)
 	sc := servlet.NewContainer(servlet.Config{})
-	NewPresentationApp(client, TinyScale()).Register(sc)
+	NewRemote(client).Register(sc)
 	if err := sc.Init(); err != nil {
 		t.Fatal(err)
 	}

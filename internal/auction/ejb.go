@@ -2,19 +2,16 @@ package auction
 
 import (
 	"errors"
-	"fmt"
-	"strings"
 
 	"repro/internal/ejb"
-	"repro/internal/httpd"
 	"repro/internal/rmi"
-	"repro/internal/servlet"
 	"repro/internal/sqldb"
 )
 
-// EJB deployment of the auction site: entity beans for the nine tables, a
-// stateless session façade (§4.2), and presentation servlets calling it
-// over RMI under the same URLs as the direct app.
+// EJB deployment of the auction site: entity beans for the nine tables, the
+// stateless session façade holding the business logic (§4.2), and the RMI
+// stub through which the presentation — the same pages every architecture
+// serves — calls it.
 
 // RegisterEntities declares the entity beans.
 func RegisterEntities(c *ejb.Container) error {
@@ -46,20 +43,13 @@ func RegisterEntities(c *ejb.Container) error {
 // FacadeName is the RMI service name of the auction façade.
 const FacadeName = "AuctionFacade"
 
-// Facade is the stateless session bean with the auction business logic.
-type Facade struct {
+// CMP is the stateless session bean: the Facade over container-managed
+// entity beans. Every row it shows costs a finder and one load (one
+// single-row SELECT) per entity; the only reads outside the beans are the
+// home page's item count and the category and region lists (Tx.Query).
+type CMP struct {
 	C *ejb.Container
 }
-
-// ListArgs selects a listing page; Region 0 means category-only.
-type ListArgs struct {
-	Category int64
-	Region   int64
-	Limit    int
-}
-
-// ListReply carries listing rows.
-type ListReply struct{ Items []ItemRow }
 
 func itemRowOf(tx *ejb.Tx, pk sqldb.Value) (ItemRow, error) {
 	it, err := tx.Load("Item", pk)
@@ -68,21 +58,59 @@ func itemRowOf(tx *ejb.Tx, pk sqldb.Value) (ItemRow, error) {
 	}
 	get := func(f string) sqldb.Value { v, _ := it.Get(f); return v }
 	return ItemRow{ID: pk.AsInt(), Name: get("name").AsString(),
-		MaxBid: get("max_bid").AsFloat(), NBids: get("nb_bids").AsInt(),
-		EndDate: get("end_date").AsInt()}, nil
+		MaxBid: get("max_bid").AsFloat(), NBids: get("nb_bids").AsInt()}, nil
+}
+
+// field reads one managed field of the entity pk, activating it.
+func field(tx *ejb.Tx, entity string, pk sqldb.Value, name string) (sqldb.Value, error) {
+	e, err := tx.Load(entity, pk)
+	if err != nil {
+		return sqldb.Null(), err
+	}
+	return e.Get(name)
+}
+
+// Home counts the items: one statement, not a finder and a load per item.
+func (f *CMP) Home(_ *HomeArgs, reply *HomeReply) error {
+	return f.C.RunInTx(func(tx *ejb.Tx) error {
+		res, err := tx.Query("SELECT COUNT(*) FROM items")
+		if err != nil {
+			return err
+		}
+		reply.Items = res.Rows[0][0].AsInt()
+		return nil
+	})
+}
+
+// Refs reads the category or region list in one statement.
+func (f *CMP) Refs(args *RefsArgs, reply *RefsReply) error {
+	return f.C.RunInTx(func(tx *ejb.Tx) error {
+		query := "SELECT id, name FROM categories ORDER BY id"
+		if args.Regions {
+			query = "SELECT id, name FROM regions ORDER BY id"
+		}
+		res, err := tx.Query(query)
+		if err != nil {
+			return err
+		}
+		for _, r := range res.Rows {
+			reply.Refs = append(reply.Refs, Ref{ID: r[0].AsInt(), Name: r[1].AsString()})
+		}
+		return nil
+	})
 }
 
 // List is the category/region finder plus per-row activations.
-func (f *Facade) List(args *ListArgs, reply *ListReply) error {
+func (f *CMP) List(args *ListArgs, reply *ListReply) error {
 	return f.C.RunInTx(func(tx *ejb.Tx) error {
 		var keys []sqldb.Value
 		var err error
-		if args.Region > 0 {
+		if args.InRegion {
 			keys, err = tx.FindWhere("Item", "region_id = ? AND category_id = ?",
-				[]sqldb.Value{sqldb.Int(args.Region), sqldb.Int(args.Category)}, "end_date", args.Limit)
+				[]sqldb.Value{sqldb.Int(args.Region), sqldb.Int(args.Category)}, "end_date", 20)
 		} else {
 			keys, err = tx.FindWhere("Item", "category_id = ?",
-				[]sqldb.Value{sqldb.Int(args.Category)}, "end_date", args.Limit)
+				[]sqldb.Value{sqldb.Int(args.Category)}, "end_date", 20)
 		}
 		if err != nil {
 			return err
@@ -98,20 +126,8 @@ func (f *Facade) List(args *ListArgs, reply *ListReply) error {
 	})
 }
 
-// ViewArgs / ViewReply serve the item page.
-type ViewArgs struct{ ItemID int64 }
-type ViewReply struct {
-	Found  bool
-	Name   string
-	Descr  string
-	MaxBid float64
-	NBids  int64
-	BuyNow float64
-	Seller string
-}
-
 // View activates the item and its seller.
-func (f *Facade) View(args *ViewArgs, reply *ViewReply) error {
+func (f *CMP) View(args *ItemArgs, reply *ViewReply) error {
 	return f.C.RunInTx(func(tx *ejb.Tx) error {
 		it, err := tx.Load("Item", sqldb.Int(args.ItemID))
 		if errors.Is(err, ejb.ErrNotFound) {
@@ -120,34 +136,24 @@ func (f *Facade) View(args *ViewArgs, reply *ViewReply) error {
 		if err != nil {
 			return err
 		}
-		get := func(field string) sqldb.Value { v, _ := it.Get(field); return v }
-		seller, err := tx.Load("User", get("seller_id"))
+		get := func(name string) sqldb.Value { v, _ := it.Get(name); return v }
+		seller, err := field(tx, "User", get("seller_id"), "nickname")
 		if err != nil {
 			return err
 		}
-		nick, _ := seller.Get("nickname")
-		reply.Found = true
-		reply.Name = get("name").AsString()
-		reply.Descr = get("description").AsString()
-		reply.MaxBid = get("max_bid").AsFloat()
-		reply.NBids = get("nb_bids").AsInt()
-		reply.BuyNow = get("buy_now").AsFloat()
-		reply.Seller = nick.AsString()
+		*reply = ViewReply{Found: true, Name: get("name").AsString(),
+			Descr: get("description").AsString(), MaxBid: get("max_bid").AsFloat(),
+			NBids: get("nb_bids").AsInt(), BuyNow: get("buy_now").AsFloat(),
+			Seller: seller.AsString()}
 		return nil
 	})
 }
 
-// HistoryArgs / HistoryReply serve the bid history.
-type HistoryArgs struct{ ItemID int64 }
-type HistoryReply struct {
-	Bids  []float64
-	Users []string
-}
-
-// History runs the bids finder and activates each bid and bidder.
-func (f *Facade) History(args *HistoryArgs, reply *HistoryReply) error {
+// History finds the item's highest bids and activates each bid and bidder.
+func (f *CMP) History(args *ItemArgs, reply *HistoryReply) error {
 	return f.C.RunInTx(func(tx *ejb.Tx) error {
-		keys, err := tx.FindBy("Bid", "item_id", sqldb.Int(args.ItemID), 20)
+		keys, err := tx.FindWhere("Bid", "item_id = ?",
+			[]sqldb.Value{sqldb.Int(args.ItemID)}, "bid DESC", 20)
 		if err != nil {
 			return err
 		}
@@ -158,29 +164,18 @@ func (f *Facade) History(args *HistoryArgs, reply *HistoryReply) error {
 			}
 			amount, _ := b.Get("bid")
 			uid, _ := b.Get("user_id")
-			u, err := tx.Load("User", uid)
+			nick, err := field(tx, "User", uid, "nickname")
 			if err != nil {
 				return err
 			}
-			nick, _ := u.Get("nickname")
-			reply.Bids = append(reply.Bids, amount.AsFloat())
-			reply.Users = append(reply.Users, nick.AsString())
+			reply.Bids = append(reply.Bids, BidLine{Amount: amount.AsFloat(), Name: nick.AsString()})
 		}
 		return nil
 	})
 }
 
-// UserArgs / UserReply serve user info with recent comments.
-type UserArgs struct{ UserID int64 }
-type UserReply struct {
-	Found    bool
-	Nickname string
-	Rating   int64
-	Comments []string
-}
-
-// UserInfo activates the user and each recent comment (plus authors).
-func (f *Facade) UserInfo(args *UserArgs, reply *UserReply) error {
+// UserInfo activates the user, its ten newest comments and their authors.
+func (f *CMP) UserInfo(args *UserArgs, reply *UserReply) error {
 	return f.C.RunInTx(func(tx *ejb.Tx) error {
 		u, err := tx.Load("User", sqldb.Int(args.UserID))
 		if errors.Is(err, ejb.ErrNotFound) {
@@ -189,12 +184,11 @@ func (f *Facade) UserInfo(args *UserArgs, reply *UserReply) error {
 		if err != nil {
 			return err
 		}
-		nick, _ := u.Get("nickname")
-		rating, _ := u.Get("rating")
-		reply.Found = true
-		reply.Nickname = nick.AsString()
-		reply.Rating = rating.AsInt()
-		keys, err := tx.FindBy("Comment", "to_user", sqldb.Int(args.UserID), 10)
+		get := func(name string) sqldb.Value { v, _ := u.Get(name); return v }
+		reply.Found, reply.Nickname = true, get("nickname").AsString()
+		reply.Rating, reply.Creation = get("rating").AsInt(), get("creation").AsInt()
+		keys, err := tx.FindWhere("Comment", "to_user = ?",
+			[]sqldb.Value{sqldb.Int(args.UserID)}, "id DESC", 10)
 		if err != nil {
 			return err
 		}
@@ -203,24 +197,91 @@ func (f *Facade) UserInfo(args *UserArgs, reply *UserReply) error {
 			if err != nil {
 				return err
 			}
+			rating, _ := c.Get("rating")
 			text, _ := c.Get("comment")
-			reply.Comments = append(reply.Comments, text.AsString())
+			from, _ := c.Get("from_user")
+			author, err := field(tx, "User", from, "nickname")
+			if err != nil {
+				return err
+			}
+			reply.Comments = append(reply.Comments, CommentLine{Rating: rating.AsInt(),
+				Text: text.AsString(), Author: author.AsString()})
 		}
 		return nil
 	})
 }
 
-// BidArgs / BidReply store a bid.
-type BidArgs struct {
-	ItemID int64
-	UserID int64
-	Amount float64
+// About runs the myEbay page's finders: the user's ten newest bids (each
+// bid and its item activated), the items the user sells, and the buy-now
+// purchases (counted).
+func (f *CMP) About(args *UserArgs, reply *AboutReply) error {
+	return f.C.RunInTx(func(tx *ejb.Tx) error {
+		uid := sqldb.Int(args.UserID)
+		u, err := tx.Load("User", uid)
+		if errors.Is(err, ejb.ErrNotFound) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		nick, _ := u.Get("nickname")
+		rating, _ := u.Get("rating")
+		reply.Found, reply.Nickname, reply.Rating = true, nick.AsString(), rating.AsInt()
+		bidKeys, err := tx.FindWhere("Bid", "user_id = ?", []sqldb.Value{uid}, "id DESC", 10)
+		if err != nil {
+			return err
+		}
+		for _, bk := range bidKeys {
+			b, err := tx.Load("Bid", bk)
+			if err != nil {
+				return err
+			}
+			amount, _ := b.Get("bid")
+			itemID, _ := b.Get("item_id")
+			name, err := field(tx, "Item", itemID, "name")
+			if err != nil {
+				return err
+			}
+			reply.Bids = append(reply.Bids, BidLine{Amount: amount.AsFloat(), Name: name.AsString()})
+		}
+		sellKeys, err := tx.FindBy("Item", "seller_id", uid, 10)
+		if err != nil {
+			return err
+		}
+		for _, pk := range sellKeys {
+			row, err := itemRowOf(tx, pk)
+			if err != nil {
+				return err
+			}
+			reply.Selling = append(reply.Selling, row)
+		}
+		buyKeys, err := tx.FindBy("BuyNow", "buyer_id", uid, 10)
+		reply.BuyNows = len(buyKeys)
+		return err
+	})
 }
-type BidReply struct{ Accepted float64 }
+
+// Login finds the user by nickname and checks the password.
+func (f *CMP) Login(args *LoginArgs, reply *LoginReply) error {
+	return f.C.RunInTx(func(tx *ejb.Tx) error {
+		keys, err := tx.FindBy("User", "nickname", sqldb.String(args.Nickname), 0)
+		if err != nil || len(keys) == 0 {
+			return err
+		}
+		pw, err := field(tx, "User", keys[0], "password")
+		if err != nil {
+			return err
+		}
+		if pw.AsString() == args.Password {
+			reply.OK, reply.UserID = true, keys[0].AsInt()
+		}
+		return nil
+	})
+}
 
 // StoreBid creates the bid entity and maintains the denormalized counters
 // with two single-column CMP stores.
-func (f *Facade) StoreBid(args *BidArgs, reply *BidReply) error {
+func (f *CMP) StoreBid(args *BidArgs, reply *BidReply) error {
 	return f.C.RunInTx(func(tx *ejb.Tx) error {
 		it, err := tx.Load("Item", sqldb.Int(args.ItemID))
 		if err != nil {
@@ -248,16 +309,8 @@ func (f *Facade) StoreBid(args *BidArgs, reply *BidReply) error {
 	})
 }
 
-// BuyNowArgs / BuyNowReply store a direct purchase.
-type BuyNowArgs struct {
-	ItemID int64
-	UserID int64
-	Qty    int64
-}
-type BuyNowReply struct{ OK bool }
-
 // StoreBuyNow creates the purchase and closes the auction.
-func (f *Facade) StoreBuyNow(args *BuyNowArgs, reply *BuyNowReply) error {
+func (f *CMP) StoreBuyNow(args *BuyNowArgs, _ *BuyNowReply) error {
 	return f.C.RunInTx(func(tx *ejb.Tx) error {
 		it, err := tx.Load("Item", sqldb.Int(args.ItemID))
 		if err != nil {
@@ -268,23 +321,12 @@ func (f *Facade) StoreBuyNow(args *BuyNowArgs, reply *BuyNowReply) error {
 			sqldb.Int(args.Qty), sqldb.Int(12005)}); err != nil {
 			return err
 		}
-		if err := it.Set("end_date", sqldb.Int(12005)); err != nil {
-			return err
-		}
-		reply.OK = true
-		return nil
+		return it.Set("end_date", sqldb.Int(12005))
 	})
 }
 
-// CommentArgs / CommentReply store a comment and rating delta.
-type CommentArgs struct {
-	From, To, ItemID, Rating int64
-	Text                     string
-}
-type CommentReply struct{ OK bool }
-
 // StoreComment creates the comment and updates the rating field.
-func (f *Facade) StoreComment(args *CommentArgs, reply *CommentReply) error {
+func (f *CMP) StoreComment(args *CommentArgs, _ *CommentReply) error {
 	return f.C.RunInTx(func(tx *ejb.Tx) error {
 		if _, err := tx.Create("Comment", []sqldb.Value{
 			sqldb.Int(args.From), sqldb.Int(args.To), sqldb.Int(args.ItemID),
@@ -296,26 +338,12 @@ func (f *Facade) StoreComment(args *CommentArgs, reply *CommentReply) error {
 			return err
 		}
 		r, _ := u.Get("rating")
-		if err := u.Set("rating", sqldb.Int(r.AsInt()+args.Rating-2)); err != nil {
-			return err
-		}
-		reply.OK = true
-		return nil
+		return u.Set("rating", sqldb.Int(r.AsInt()+args.Rating-2))
 	})
 }
 
-// SellArgs / SellReply list a new item.
-type SellArgs struct {
-	Name     string
-	Seller   int64
-	Category int64
-	Region   int64
-	Price    float64
-}
-type SellReply struct{ ItemID int64 }
-
 // Sell verifies the seller and creates the item entity.
-func (f *Facade) Sell(args *SellArgs, reply *SellReply) error {
+func (f *CMP) Sell(args *SellArgs, reply *SellReply) error {
 	return f.C.RunInTx(func(tx *ejb.Tx) error {
 		if _, err := tx.Load("User", sqldb.Int(args.Seller)); err != nil {
 			return err
@@ -334,19 +362,12 @@ func (f *Facade) Sell(args *SellArgs, reply *SellReply) error {
 	})
 }
 
-// RegisterArgs / RegisterReply create a user.
-type RegisterArgs struct {
-	Nickname string
-	Region   int64
-}
-type RegisterReply struct{ UserID int64 }
-
 // Register creates the user entity.
-func (f *Facade) Register(args *RegisterArgs, reply *RegisterReply) error {
+func (f *CMP) Register(args *RegisterArgs, reply *RegisterReply) error {
 	return f.C.RunInTx(func(tx *ejb.Tx) error {
 		pk, err := tx.Create("User", []sqldb.Value{
-			sqldb.String("F"), sqldb.String("L"), sqldb.String(args.Nickname),
-			sqldb.String("pw"), sqldb.Int(args.Region), sqldb.Int(0),
+			sqldb.String(args.Fname), sqldb.String(args.Lname), sqldb.String(args.Nickname),
+			sqldb.String(args.Password), sqldb.Int(args.Region), sqldb.Int(0),
 			sqldb.Float(0), sqldb.Int(12000)})
 		if err != nil {
 			return err
@@ -356,245 +377,32 @@ func (f *Facade) Register(args *RegisterArgs, reply *RegisterReply) error {
 	})
 }
 
-// AboutArgs / AboutReply serve the myEbay page.
-type AboutArgs struct{ UserID int64 }
-type AboutReply struct {
-	Found    bool
-	Nickname string
-	BidCount int
-	Selling  []ItemRow
+// remote is the EJB presentation tier's Facade: each method is one RMI
+// call to the CMP façade.
+type remote struct{ rc *rmi.Client }
+
+func (r remote) call(method string, args, reply any) error {
+	return r.rc.Call(FacadeName+"."+method, args, reply)
 }
 
-// About runs the user's finders and activations.
-func (f *Facade) About(args *AboutArgs, reply *AboutReply) error {
-	return f.C.RunInTx(func(tx *ejb.Tx) error {
-		u, err := tx.Load("User", sqldb.Int(args.UserID))
-		if errors.Is(err, ejb.ErrNotFound) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		nick, _ := u.Get("nickname")
-		reply.Found = true
-		reply.Nickname = nick.AsString()
-		bidKeys, err := tx.FindBy("Bid", "user_id", sqldb.Int(args.UserID), 10)
-		if err != nil {
-			return err
-		}
-		reply.BidCount = len(bidKeys)
-		sellKeys, err := tx.FindBy("Item", "seller_id", sqldb.Int(args.UserID), 10)
-		if err != nil {
-			return err
-		}
-		for _, pk := range sellKeys {
-			row, err := itemRowOf(tx, pk)
-			if err != nil {
-				return err
-			}
-			reply.Selling = append(reply.Selling, row)
-		}
-		return nil
-	})
+func (r remote) Home(a *HomeArgs, re *HomeReply) error { return r.call("Home", a, re) }
+func (r remote) Refs(a *RefsArgs, re *RefsReply) error { return r.call("Refs", a, re) }
+func (r remote) List(a *ListArgs, re *ListReply) error { return r.call("List", a, re) }
+func (r remote) View(a *ItemArgs, re *ViewReply) error { return r.call("View", a, re) }
+func (r remote) History(a *ItemArgs, re *HistoryReply) error {
+	return r.call("History", a, re)
 }
-
-// PresentationApp is the servlet-side presentation tier of the EJB
-// deployment.
-type PresentationApp struct {
-	rmi *rmi.Client
-	sc  Scale
+func (r remote) UserInfo(a *UserArgs, re *UserReply) error { return r.call("UserInfo", a, re) }
+func (r remote) About(a *UserArgs, re *AboutReply) error   { return r.call("About", a, re) }
+func (r remote) Login(a *LoginArgs, re *LoginReply) error  { return r.call("Login", a, re) }
+func (r remote) Sell(a *SellArgs, re *SellReply) error     { return r.call("Sell", a, re) }
+func (r remote) Register(a *RegisterArgs, re *RegisterReply) error {
+	return r.call("Register", a, re)
 }
-
-// NewPresentationApp wires the presentation servlets to an RMI client.
-func NewPresentationApp(client *rmi.Client, sc Scale) *PresentationApp {
-	return &PresentationApp{rmi: client, sc: sc}
+func (r remote) StoreBuyNow(a *BuyNowArgs, re *BuyNowReply) error {
+	return r.call("StoreBuyNow", a, re)
 }
-
-func (p *PresentationApp) call(method string, args, reply any) error {
-	return p.rmi.Call(FacadeName+"."+method, args, reply)
-}
-
-// Register installs the 26 presentation servlets under the same URLs.
-func (p *PresentationApp) Register(c *servlet.Container) {
-	a := &App{sc: p.sc} // reuse the static forms and logout
-	type h = func(*servlet.Context, *httpd.Request) (*httpd.Response, error)
-	list := func(regionParam bool) h {
-		return func(_ *servlet.Context, req *httpd.Request) (*httpd.Response, error) {
-			args := ListArgs{Category: intParam(req, "category", 1), Limit: 20}
-			if regionParam {
-				args.Region = intParam(req, "region", 1)
-			}
-			var reply ListReply
-			if err := p.call("List", &args, &reply); err != nil {
-				return nil, err
-			}
-			return page("Items", func(b *strings.Builder) { renderListing(b, reply.Items) }), nil
-		}
-	}
-	viewItem := func(_ *servlet.Context, req *httpd.Request) (*httpd.Response, error) {
-		var reply ViewReply
-		id := intParam(req, "item", 1)
-		if err := p.call("View", &ViewArgs{ItemID: id}, &reply); err != nil {
-			return nil, err
-		}
-		if !reply.Found {
-			return httpd.Error(404, "no such item"), nil
-		}
-		return page("Item: "+reply.Name, func(b *strings.Builder) {
-			fmt.Fprintf(b, `<img src="/img/item_%d.gif"><p>%s</p><p>$%.2f (%d bids), seller %s</p>`+"\n",
-				id%64, reply.Descr, reply.MaxBid, reply.NBids, reply.Seller)
-		}), nil
-	}
-	userInfo := func(_ *servlet.Context, req *httpd.Request) (*httpd.Response, error) {
-		var reply UserReply
-		if err := p.call("UserInfo", &UserArgs{UserID: intParam(req, "user", 1)}, &reply); err != nil {
-			return nil, err
-		}
-		if !reply.Found {
-			return httpd.Error(404, "no such user"), nil
-		}
-		return page("User "+reply.Nickname, func(b *strings.Builder) {
-			fmt.Fprintf(b, "<p>Rating %d</p>\n", reply.Rating)
-			for _, c := range reply.Comments {
-				fmt.Fprintf(b, "<p>%s</p>\n", c)
-			}
-		}), nil
-	}
-	routes := map[string]h{
-		"home": func(_ *servlet.Context, _ *httpd.Request) (*httpd.Response, error) {
-			return page("RUBiS Auction (EJB)", func(b *strings.Builder) {
-				fmt.Fprintf(b, `<p><a href="%sbrowsecategories">Browse</a></p>`+"\n", BasePath)
-			}), nil
-		},
-		"browsecategories": func(_ *servlet.Context, _ *httpd.Request) (*httpd.Response, error) {
-			return page("Categories", func(b *strings.Builder) {
-				for i := 1; i <= p.sc.Categories; i++ {
-					fmt.Fprintf(b, `<p><a href="%ssearchitemsincategory?category=%d">cat %d</a></p>`+"\n", BasePath, i, i)
-				}
-			}), nil
-		},
-		"browseregions": func(_ *servlet.Context, _ *httpd.Request) (*httpd.Response, error) {
-			return page("Regions", func(b *strings.Builder) {
-				for i := 1; i <= p.sc.Regions; i++ {
-					fmt.Fprintf(b, `<p><a href="%sbrowsecategoriesinregion?region=%d">region %d</a></p>`+"\n", BasePath, i, i)
-				}
-			}), nil
-		},
-		"browsecategoriesinregion": func(_ *servlet.Context, req *httpd.Request) (*httpd.Response, error) {
-			region := intParam(req, "region", 1)
-			return page("Categories in region", func(b *strings.Builder) {
-				for i := 1; i <= p.sc.Categories; i++ {
-					fmt.Fprintf(b, `<p><a href="%ssearchitemsinregion?region=%d&category=%d">cat %d</a></p>`+"\n", BasePath, region, i, i)
-				}
-			}), nil
-		},
-		"searchitemsincategory": list(false),
-		"searchitemsinregion":   list(true),
-		"viewitem":              viewItem,
-		"buynow":                viewItem,
-		"putbid":                viewItem,
-		"viewbidhistory": func(_ *servlet.Context, req *httpd.Request) (*httpd.Response, error) {
-			var reply HistoryReply
-			if err := p.call("History", &HistoryArgs{ItemID: intParam(req, "item", 1)}, &reply); err != nil {
-				return nil, err
-			}
-			return page("Bid history", func(b *strings.Builder) {
-				for i := range reply.Bids {
-					fmt.Fprintf(b, "<p>$%.2f by %s</p>\n", reply.Bids[i], reply.Users[i])
-				}
-			}), nil
-		},
-		"viewuserinfo": userInfo,
-		"putcomment":   userInfo,
-		"sellitemform": a.staticForm("Sell an item", "registeritem"),
-		"registeritem": func(_ *servlet.Context, req *httpd.Request) (*httpd.Response, error) {
-			var reply SellReply
-			err := p.call("Sell", &SellArgs{Name: "listed item",
-				Seller:   intParam(req, "seller", 1),
-				Category: intParam(req, "category", 1),
-				Region:   intParam(req, "region", 1),
-				Price:    float64(intParam(req, "price", 10))}, &reply)
-			if err != nil {
-				return nil, err
-			}
-			return page("Item listed", func(b *strings.Builder) {
-				fmt.Fprintf(b, "<p>Item #%d on sale.</p>\n", reply.ItemID)
-			}), nil
-		},
-		"registeruserform": a.staticForm("Register", "registeruser"),
-		"registeruser": func(_ *servlet.Context, req *httpd.Request) (*httpd.Response, error) {
-			nick := req.Form().Get("nickname")
-			if nick == "" {
-				nick = fmt.Sprintf("ejbnick%d", intParam(req, "seed", 1))
-			}
-			var reply RegisterReply
-			if err := p.call("Register", &RegisterArgs{Nickname: nick,
-				Region: intParam(req, "region", 1)}, &reply); err != nil {
-				return nil, err
-			}
-			return page("Registered", func(b *strings.Builder) {
-				fmt.Fprintf(b, "<p>User #%d created.</p>\n", reply.UserID)
-			}), nil
-		},
-		"buynowauth": a.staticForm("Buy Now: log in", "buynow"),
-		"storebuynow": func(_ *servlet.Context, req *httpd.Request) (*httpd.Response, error) {
-			var reply BuyNowReply
-			if err := p.call("StoreBuyNow", &BuyNowArgs{
-				ItemID: intParam(req, "item", 1), UserID: intParam(req, "user", 1),
-				Qty: intParam(req, "qty", 1)}, &reply); err != nil {
-				return nil, err
-			}
-			return page("Purchase complete", func(b *strings.Builder) {
-				fmt.Fprintf(b, "<p>ok=%v</p>\n", reply.OK)
-			}), nil
-		},
-		"putbidauth": a.staticForm("Bid: log in", "putbid"),
-		"storebid": func(_ *servlet.Context, req *httpd.Request) (*httpd.Response, error) {
-			var reply BidReply
-			if err := p.call("StoreBid", &BidArgs{
-				ItemID: intParam(req, "item", 1), UserID: intParam(req, "user", 1),
-				Amount: float64(intParam(req, "bid", 0))}, &reply); err != nil {
-				return nil, err
-			}
-			return page("Bid stored", func(b *strings.Builder) {
-				fmt.Fprintf(b, "<p>Accepted $%.2f</p>\n", reply.Accepted)
-			}), nil
-		},
-		"putcommentauth": a.staticForm("Comment: log in", "putcomment"),
-		"storecomment": func(_ *servlet.Context, req *httpd.Request) (*httpd.Response, error) {
-			var reply CommentReply
-			if err := p.call("StoreComment", &CommentArgs{
-				From: intParam(req, "user", 1), To: intParam(req, "to", 1),
-				ItemID: intParam(req, "item", 1), Rating: intParam(req, "rating", 3),
-				Text: req.Form().Get("comment")}, &reply); err != nil {
-				return nil, err
-			}
-			return page("Comment stored", func(b *strings.Builder) {
-				fmt.Fprintf(b, "<p>ok=%v</p>\n", reply.OK)
-			}), nil
-		},
-		"aboutmeauth": a.staticForm("About Me: log in", "aboutme"),
-		"aboutme": func(_ *servlet.Context, req *httpd.Request) (*httpd.Response, error) {
-			var reply AboutReply
-			if err := p.call("About", &AboutArgs{UserID: intParam(req, "user", 1)}, &reply); err != nil {
-				return nil, err
-			}
-			if !reply.Found {
-				return httpd.Error(404, "no such user"), nil
-			}
-			return page("About "+reply.Nickname, func(b *strings.Builder) {
-				fmt.Fprintf(b, "<p>%d bids</p>\n", reply.BidCount)
-				renderListing(b, reply.Selling)
-			}), nil
-		},
-		"login": func(_ *servlet.Context, req *httpd.Request) (*httpd.Response, error) {
-			return page("Login", func(b *strings.Builder) {
-				b.WriteString("<p>Logged in.</p>\n")
-			}), nil
-		},
-		"logout": a.logout,
-	}
-	for name, fn := range routes {
-		c.Register(BasePath+name, servlet.Func(fn))
-	}
+func (r remote) StoreBid(a *BidArgs, re *BidReply) error { return r.call("StoreBid", a, re) }
+func (r remote) StoreComment(a *CommentArgs, re *CommentReply) error {
+	return r.call("StoreComment", a, re)
 }

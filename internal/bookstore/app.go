@@ -6,11 +6,10 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/httpd"
+	"repro/internal/rmi"
 	"repro/internal/servlet"
-	"repro/internal/sqldb"
 )
 
 // The cart lives in the HTTP session; registering it with gob is what lets
@@ -28,18 +27,33 @@ type Config struct {
 	Sync bool
 }
 
-// App is the hand-written-SQL implementation of the bookstore, deployable
-// both in-process with the web server (the PHP analog) and in a remote
-// servlet container: both issue exactly the same statements, which is the
-// paper's controlled variable (§4.2).
+// App is the bookstore's presentation: one servlet per interaction, each
+// reading its parameters and the session cart, calling the Facade and
+// rendering the page. Every architecture serves these same pages; they
+// differ in the Facade behind them. Over the hand-written SQL façade (New)
+// the app deploys in-process with the web server (the PHP analog) or in a
+// remote servlet container, and both issue exactly the same statements,
+// the paper's controlled variable (§4.2); over the CMP session bean
+// reached by RMI (NewRemote) it is the EJB architecture's presentation
+// tier.
 type App struct {
-	sc  Scale
-	cfg Config
+	sc     Scale
+	facade func(*servlet.Context) Facade
 }
 
-// New creates the application. The database pool comes from the hosting
-// container's context at request time.
-func New(sc Scale, cfg Config) *App { return &App{sc: sc, cfg: cfg} }
+// New creates the application over the hand-written SQL façade, bound to
+// the hosting container's context: the database pool comes from the
+// container.
+func New(sc Scale, cfg Config) *App {
+	return &App{sc: sc, facade: func(ctx *servlet.Context) Facade { return sqlFacade{ctx: ctx, sync: cfg.Sync} }}
+}
+
+// NewRemote creates the application over the CMP façade reached through
+// rc: the EJB architecture's presentation tier.
+func NewRemote(sc Scale, rc *rmi.Client) *App {
+	f := remote{rc}
+	return &App{sc: sc, facade: func(*servlet.Context) Facade { return f }}
+}
 
 // BasePath is the URL prefix of every bookstore interaction.
 const BasePath = "/tpcw/"
@@ -55,64 +69,38 @@ func Interactions() []string {
 	}
 }
 
+// handler is one interaction's presentation over a façade; ctx carries the
+// session the cart lives in.
+type handler = func(ctx *servlet.Context, f Facade, req *httpd.Request) (*httpd.Response, error)
+
 // Register installs all interaction servlets on a container.
 func (a *App) Register(c *servlet.Container) {
-	type h = func(*servlet.Context, *httpd.Request) (*httpd.Response, error)
-	routes := map[string]h{
-		"home":                 a.home,
-		"newproducts":          a.newProducts,
-		"bestsellers":          a.bestSellers,
-		"productdetail":        a.productDetail,
-		"searchrequest":        a.searchRequest,
-		"searchresults":        a.searchResults,
-		"shoppingcart":         a.shoppingCart,
-		"customerregistration": a.register,
-		"buyrequest":           a.buyRequest,
+	routes := map[string]handler{
+		"home":                 home,
+		"newproducts":          list("New Products", true),
+		"bestsellers":          list("Best Sellers", false),
+		"productdetail":        productDetail,
+		"searchrequest":        searchRequest,
+		"searchresults":        searchResults,
+		"shoppingcart":         shoppingCart,
+		"customerregistration": register,
+		"buyrequest":           buyRequest,
 		"buyconfirm":           a.buyConfirm,
-		"orderinquiry":         a.orderInquiry,
-		"orderdisplay":         a.orderDisplay,
-		"adminrequest":         a.adminRequest,
-		"adminconfirm":         a.adminConfirm,
+		"orderinquiry":         orderInquiry,
+		"orderdisplay":         orderDisplay,
+		"adminrequest":         productDetail, // show the item to edit
+		"adminconfirm":         adminConfirm,
 	}
+	f := a.facade(c.Context())
 	for name, fn := range routes {
-		c.Register(BasePath+name, servlet.Func(fn))
+		fn := fn
+		c.Register(BasePath+name, servlet.Func(func(ctx *servlet.Context, req *httpd.Request) (*httpd.Response, error) {
+			return fn(ctx, f, req)
+		}))
 	}
 }
 
-// ---- shared row shapes and rendering ----
-
-// ItemSummary is a list entry on home/new/best/search pages.
-type ItemSummary struct {
-	ID     int64
-	Title  string
-	Author string
-	Cost   float64
-}
-
-// ItemDetail is the product-detail page payload.
-type ItemDetail struct {
-	ItemSummary
-	Subject string
-	Descr   string
-	PubDate int64
-	Stock   int64
-}
-
-// OrderView is the order-display payload.
-type OrderView struct {
-	OrderID int64
-	Date    int64
-	Total   float64
-	Status  string
-	Lines   []OrderLineView
-}
-
-// OrderLineView is one line of an order.
-type OrderLineView struct {
-	ItemID int64
-	Title  string
-	Qty    int64
-}
+// ---- rendering ----
 
 func page(title string, body func(b *strings.Builder)) *httpd.Response {
 	resp := httpd.NewResponse()
@@ -135,17 +123,6 @@ func renderItems(b *strings.Builder, items []ItemSummary) {
 	b.WriteString("</table>\n")
 }
 
-func itemSummaries(res *sqldb.Result) []ItemSummary {
-	out := make([]ItemSummary, 0, len(res.Rows))
-	for _, r := range res.Rows {
-		out = append(out, ItemSummary{
-			ID: r[0].AsInt(), Title: r[1].AsString(),
-			Author: r[2].AsString(), Cost: r[3].AsFloat(),
-		})
-	}
-	return out
-}
-
 // intParam reads an integer query/form parameter with a fallback.
 func intParam(req *httpd.Request, key string, def int64) int64 {
 	v := req.Form().Get(key)
@@ -159,163 +136,7 @@ func intParam(req *httpd.Request, key string, def int64) int64 {
 	return n
 }
 
-// ---- the fourteen interactions ----
-
-// home (read-only): greeting plus five promotional items.
-func (a *App) home(ctx *servlet.Context, req *httpd.Request) (*httpd.Response, error) {
-	if ctx.DB == nil {
-		return nil, servlet.ErrNoDatabase
-	}
-	cid := intParam(req, "c_id", 0)
-	var greeting string
-	if cid > 0 {
-		res, err := ctx.DB.Exec("SELECT fname, lname FROM customers WHERE id = ?", sqldb.Int(cid))
-		if err != nil {
-			return nil, err
-		}
-		if len(res.Rows) > 0 {
-			greeting = res.Rows[0][0].AsString() + " " + res.Rows[0][1].AsString()
-		}
-	}
-	subject := Subjects[int(cid)%len(Subjects)]
-	res, err := ctx.DB.Exec(
-		`SELECT i.id, i.title, a.lname, i.cost FROM items i
-		 JOIN authors a ON a.id = i.author_id
-		 WHERE i.subject = ? ORDER BY i.total_sold DESC LIMIT 5`,
-		sqldb.String(subject))
-	if err != nil {
-		return nil, err
-	}
-	items := itemSummaries(res)
-	return page("TPC-W Home", func(b *strings.Builder) {
-		if greeting != "" {
-			fmt.Fprintf(b, "<p>Welcome back, %s!</p>\n", greeting)
-		}
-		renderItems(b, items)
-	}), nil
-}
-
-// newProducts (read-only): newest 50 in a subject.
-func (a *App) newProducts(ctx *servlet.Context, req *httpd.Request) (*httpd.Response, error) {
-	if ctx.DB == nil {
-		return nil, servlet.ErrNoDatabase
-	}
-	subject := req.Form().Get("subject")
-	if subject == "" {
-		subject = Subjects[0]
-	}
-	res, err := ctx.DB.Exec(
-		`SELECT i.id, i.title, a.lname, i.cost FROM items i
-		 JOIN authors a ON a.id = i.author_id
-		 WHERE i.subject = ? ORDER BY i.pub_date DESC LIMIT 50`,
-		sqldb.String(subject))
-	if err != nil {
-		return nil, err
-	}
-	items := itemSummaries(res)
-	return page("New Products: "+subject, func(b *strings.Builder) {
-		renderItems(b, items)
-	}), nil
-}
-
-// bestSellers (read-only): the heavy decision-support query of the mix.
-func (a *App) bestSellers(ctx *servlet.Context, req *httpd.Request) (*httpd.Response, error) {
-	if ctx.DB == nil {
-		return nil, servlet.ErrNoDatabase
-	}
-	subject := req.Form().Get("subject")
-	if subject == "" {
-		subject = Subjects[0]
-	}
-	res, err := ctx.DB.Exec(
-		`SELECT i.id, i.title, a.lname, i.cost FROM items i
-		 JOIN authors a ON a.id = i.author_id
-		 WHERE i.subject = ? ORDER BY i.total_sold DESC LIMIT 50`,
-		sqldb.String(subject))
-	if err != nil {
-		return nil, err
-	}
-	items := itemSummaries(res)
-	return page("Best Sellers: "+subject, func(b *strings.Builder) {
-		renderItems(b, items)
-	}), nil
-}
-
-// productDetail (read-only).
-func (a *App) productDetail(ctx *servlet.Context, req *httpd.Request) (*httpd.Response, error) {
-	if ctx.DB == nil {
-		return nil, servlet.ErrNoDatabase
-	}
-	id := intParam(req, "i_id", 1)
-	res, err := ctx.DB.Exec(
-		`SELECT i.id, i.title, a.lname, i.cost, i.subject, i.descr, i.pub_date, i.stock
-		 FROM items i JOIN authors a ON a.id = i.author_id WHERE i.id = ?`,
-		sqldb.Int(id))
-	if err != nil {
-		return nil, err
-	}
-	if len(res.Rows) == 0 {
-		return httpd.Error(404, "no such item"), nil
-	}
-	r := res.Rows[0]
-	d := ItemDetail{
-		ItemSummary: ItemSummary{ID: r[0].AsInt(), Title: r[1].AsString(),
-			Author: r[2].AsString(), Cost: r[3].AsFloat()},
-		Subject: r[4].AsString(), Descr: r[5].AsString(),
-		PubDate: r[6].AsInt(), Stock: r[7].AsInt(),
-	}
-	return page("Product Detail", func(b *strings.Builder) {
-		fmt.Fprintf(b, `<img src="/img/item_%d.gif"><h2>%s</h2><p>by %s</p><p>%s</p><p>$%.2f (%d in stock)</p>`+"\n",
-			d.ID%64, d.Title, d.Author, d.Descr, d.Cost, d.Stock)
-	}), nil
-}
-
-// searchRequest is the one all-static interaction of the benchmark (§3.1).
-func (a *App) searchRequest(*servlet.Context, *httpd.Request) (*httpd.Response, error) {
-	return page("Search", func(b *strings.Builder) {
-		fmt.Fprintf(b, `<form action="%ssearchresults"><select name="type">
-<option>author</option><option>title</option><option>subject</option></select>
-<input name="term"><input type="submit"></form>`+"\n", BasePath)
-	}), nil
-}
-
-// searchResults (read-only): author / title / subject searches.
-func (a *App) searchResults(ctx *servlet.Context, req *httpd.Request) (*httpd.Response, error) {
-	if ctx.DB == nil {
-		return nil, servlet.ErrNoDatabase
-	}
-	f := req.Form()
-	typ, term := f.Get("type"), f.Get("term")
-	var res *sqldb.Result
-	var err error
-	switch typ {
-	case "title":
-		res, err = ctx.DB.Exec(
-			`SELECT i.id, i.title, a.lname, i.cost FROM items i
-			 JOIN authors a ON a.id = i.author_id
-			 WHERE i.title LIKE ? ORDER BY i.title LIMIT 50`,
-			sqldb.String("%"+term+"%"))
-	case "subject":
-		res, err = ctx.DB.Exec(
-			`SELECT i.id, i.title, a.lname, i.cost FROM items i
-			 JOIN authors a ON a.id = i.author_id
-			 WHERE i.subject = ? ORDER BY i.title LIMIT 50`,
-			sqldb.String(strings.ToUpper(term)))
-	default: // author
-		res, err = ctx.DB.Exec(
-			`SELECT i.id, i.title, a.lname, i.cost FROM items i
-			 JOIN authors a ON a.id = i.author_id
-			 WHERE a.lname LIKE ? ORDER BY i.title LIMIT 50`,
-			sqldb.String(term+"%"))
-	}
-	if err != nil {
-		return nil, err
-	}
-	items := itemSummaries(res)
-	return page("Search Results", func(b *strings.Builder) {
-		renderItems(b, items)
-	}), nil
-}
+// ---- the session cart ----
 
 // cart is the session-resident shopping cart (TPC-W keeps cart state with
 // the application tier; the paper's eight tables exclude it).
@@ -333,12 +154,95 @@ func sessionCart(ctx *servlet.Context, req *httpd.Request, resp *httpd.Response)
 	return sess, c
 }
 
-// shoppingCart (read-write interaction): add/update lines, then price the
-// cart against the items table under the locking discipline.
-func (a *App) shoppingCart(ctx *servlet.Context, req *httpd.Request) (*httpd.Response, error) {
-	if ctx.DB == nil {
-		return nil, servlet.ErrNoDatabase
+// lines lists the cart by item id: both façades price and order it in this
+// order, so the subtotal sums in one order and order lines get their ids
+// in one order.
+func (c *cart) lines() (ids, qtys []int64) {
+	for id := range c.Lines {
+		ids = append(ids, id)
 	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		qtys = append(qtys, c.Lines[id])
+	}
+	return ids, qtys
+}
+
+// ---- the fourteen interactions ----
+
+// home (read-only): greeting plus five promotional items.
+func home(_ *servlet.Context, f Facade, req *httpd.Request) (*httpd.Response, error) {
+	cid := intParam(req, "c_id", 0)
+	var r HomeReply
+	if err := f.Home(&HomeArgs{CustomerID: cid, Subject: Subjects[int(cid)%len(Subjects)]}, &r); err != nil {
+		return nil, err
+	}
+	return page("TPC-W Home", func(b *strings.Builder) {
+		if r.Greeting != "" {
+			fmt.Fprintf(b, "<p>Welcome back, %s!</p>\n", r.Greeting)
+		}
+		renderItems(b, r.Items)
+	}), nil
+}
+
+// list serves new products (newest first) and best sellers: fifty items
+// in a subject.
+func list(title string, newest bool) handler {
+	return func(_ *servlet.Context, f Facade, req *httpd.Request) (*httpd.Response, error) {
+		subject := req.Form().Get("subject")
+		if subject == "" {
+			subject = Subjects[0]
+		}
+		var r ListReply
+		if err := f.List(&ListArgs{Subject: subject, Newest: newest, Limit: 50}, &r); err != nil {
+			return nil, err
+		}
+		return page(title+": "+subject, func(b *strings.Builder) {
+			renderItems(b, r.Items)
+		}), nil
+	}
+}
+
+// productDetail (read-only).
+func productDetail(_ *servlet.Context, f Facade, req *httpd.Request) (*httpd.Response, error) {
+	var r DetailReply
+	if err := f.Detail(&ItemArgs{ItemID: intParam(req, "i_id", 1)}, &r); err != nil {
+		return nil, err
+	}
+	if !r.Found {
+		return httpd.Error(404, "no such item"), nil
+	}
+	d := r.D
+	return page("Product Detail", func(b *strings.Builder) {
+		fmt.Fprintf(b, `<img src="/img/item_%d.gif"><h2>%s</h2><p>by %s</p><p>%s</p><p>$%.2f (%d in stock)</p>`+"\n",
+			d.ID%64, d.Title, d.Author, d.Descr, d.Cost, d.Stock)
+	}), nil
+}
+
+// searchRequest is the one all-static interaction of the benchmark (§3.1).
+func searchRequest(*servlet.Context, Facade, *httpd.Request) (*httpd.Response, error) {
+	return page("Search", func(b *strings.Builder) {
+		fmt.Fprintf(b, `<form action="%ssearchresults"><select name="type">
+<option>author</option><option>title</option><option>subject</option></select>
+<input name="term"><input type="submit"></form>`+"\n", BasePath)
+	}), nil
+}
+
+// searchResults (read-only): author / title / subject searches.
+func searchResults(_ *servlet.Context, f Facade, req *httpd.Request) (*httpd.Response, error) {
+	form := req.Form()
+	var r ListReply
+	if err := f.Search(&SearchArgs{Type: form.Get("type"), Term: form.Get("term")}, &r); err != nil {
+		return nil, err
+	}
+	return page("Search Results", func(b *strings.Builder) {
+		renderItems(b, r.Items)
+	}), nil
+}
+
+// shoppingCart (read-write interaction): add/update lines, then price the
+// cart against the items table.
+func shoppingCart(ctx *servlet.Context, f Facade, req *httpd.Request) (*httpd.Response, error) {
 	resp := httpd.NewResponse()
 	sess, ct := sessionCart(ctx, req, resp)
 	if id := intParam(req, "i_id", 0); id > 0 {
@@ -350,115 +254,54 @@ func (a *App) shoppingCart(ctx *servlet.Context, req *httpd.Request) (*httpd.Res
 		}
 		sess.Set("cart", ct) // publish the mutation to the session store
 	}
-	type priced struct {
-		ItemSummary
-		Qty int64
-	}
-	var lines []priced
-	var total float64
-	// The cart page's per-item reads: sync serializes them in the engine;
-	// non-sync runs them unbracketed (a read-only set opens no
-	// transaction), so each SELECT sees the latest committed prices —
-	// per-statement consistency, like the EJB configuration's reads.
-	err := ctx.WithLocks(a.cfg.Sync,
-		[]servlet.TableLock{{Table: "items"}, {Table: "authors"}},
-		func(ex sqldb.Execer) error {
-			ids := make([]int64, 0, len(ct.Lines))
-			for id := range ct.Lines {
-				ids = append(ids, id)
-			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			for _, id := range ids {
-				res, err := ex.Exec(
-					`SELECT i.id, i.title, a.lname, i.cost FROM items i
-					 JOIN authors a ON a.id = i.author_id WHERE i.id = ?`,
-					sqldb.Int(id))
-				if err != nil {
-					return err
-				}
-				if len(res.Rows) == 0 {
-					continue
-				}
-				s := itemSummaries(res)[0]
-				lines = append(lines, priced{s, ct.Lines[id]})
-				total += s.Cost * float64(ct.Lines[id])
-			}
-			return nil
-		})
-	if err != nil {
+	var args CartArgs
+	args.ItemIDs, args.Qtys = ct.lines()
+	var r CartReply
+	if err := f.Cart(&args, &r); err != nil {
 		return nil, err
 	}
 	out := page("Shopping Cart", func(b *strings.Builder) {
-		for _, l := range lines {
+		for _, l := range r.Lines {
 			fmt.Fprintf(b, "<p>%s x%d = $%.2f</p>\n", l.Title, l.Qty, l.Cost*float64(l.Qty))
 		}
-		fmt.Fprintf(b, "<p>Total: $%.2f</p>\n", total)
+		fmt.Fprintf(b, "<p>Total: $%.2f</p>\n", r.Total)
 	})
 	out.Header = resp.Header // keep Set-Cookie
 	return out, nil
 }
 
-// register (read-write): create address + customer.
-func (a *App) register(ctx *servlet.Context, req *httpd.Request) (*httpd.Response, error) {
-	if ctx.DB == nil {
-		return nil, servlet.ErrNoDatabase
+// register (read-write): create address + customer; a user name is
+// required.
+func register(_ *servlet.Context, f Facade, req *httpd.Request) (*httpd.Response, error) {
+	form := req.Form()
+	args := RegisterArgs{Uname: form.Get("uname"), Passwd: form.Get("passwd"),
+		Fname: form.Get("fname"), Lname: form.Get("lname"), Phone: form.Get("phone"),
+		Street: form.Get("street"), City: form.Get("city")}
+	if args.Uname == "" {
+		return httpd.Error(400, "uname required"), nil
 	}
-	f := req.Form()
-	uname := f.Get("uname")
-	if uname == "" {
-		uname = fmt.Sprintf("newuser%d", time.Now().UnixNano())
-	}
-	var cid int64
-	err := ctx.WithLocks(a.cfg.Sync,
-		[]servlet.TableLock{{Table: "customers", Write: true}, {Table: "address", Write: true}},
-		func(ex sqldb.Execer) error {
-			res, err := ex.Exec(
-				"INSERT INTO address (street, city, country_id) VALUES (?, ?, ?)",
-				sqldb.String(f.Get("street")), sqldb.String(f.Get("city")), sqldb.Int(1))
-			if err != nil {
-				return err
-			}
-			res, err = ex.Exec(
-				`INSERT INTO customers (uname, passwd, fname, lname, addr_id, phone, email, discount)
-				 VALUES (?, ?, ?, ?, ?, ?, ?, ?)`,
-				sqldb.String(uname), sqldb.String(f.Get("passwd")),
-				sqldb.String(f.Get("fname")), sqldb.String(f.Get("lname")),
-				sqldb.Int(res.LastInsertID), sqldb.String(f.Get("phone")),
-				sqldb.String(uname+"@example.com"), sqldb.Float(0))
-			if err != nil {
-				return err
-			}
-			cid = res.LastInsertID
-			return nil
-		})
-	if err != nil {
+	var r RegisterReply
+	if err := f.Register(&args, &r); err != nil {
 		return nil, err
 	}
 	return page("Registered", func(b *strings.Builder) {
-		fmt.Fprintf(b, "<p>Welcome %s, customer #%d</p>\n", uname, cid)
+		fmt.Fprintf(b, "<p>Welcome %s, customer #%d</p>\n", args.Uname, r.CustomerID)
 	}), nil
 }
 
 // buyRequest (read-write class in TPC-W; reads here): show the cart with
 // customer info before purchase.
-func (a *App) buyRequest(ctx *servlet.Context, req *httpd.Request) (*httpd.Response, error) {
-	if ctx.DB == nil {
-		return nil, servlet.ErrNoDatabase
-	}
+func buyRequest(ctx *servlet.Context, f Facade, req *httpd.Request) (*httpd.Response, error) {
 	cid := intParam(req, "c_id", 1)
-	res, err := ctx.DB.Exec(
-		`SELECT c.fname, c.lname, a.street, a.city FROM customers c
-		 JOIN address a ON a.id = c.addr_id WHERE c.id = ?`, sqldb.Int(cid))
-	if err != nil {
+	var r BuyRequestReply
+	if err := f.BuyRequest(&CustomerArgs{CustomerID: cid}, &r); err != nil {
 		return nil, err
 	}
 	resp := httpd.NewResponse()
 	_, ct := sessionCart(ctx, req, resp)
 	out := page("Buy Request", func(b *strings.Builder) {
-		if len(res.Rows) > 0 {
-			r := res.Rows[0]
-			fmt.Fprintf(b, "<p>Ship to %s %s, %s, %s</p>\n",
-				r[0].AsString(), r[1].AsString(), r[2].AsString(), r[3].AsString())
+		if r.Found {
+			fmt.Fprintf(b, "<p>Ship to %s %s, %s, %s</p>\n", r.Fname, r.Lname, r.Street, r.City)
 		}
 		fmt.Fprintf(b, "<p>%d cart lines</p>\n", len(ct.Lines))
 		fmt.Fprintf(b, `<form action="%sbuyconfirm"><input type="hidden" name="c_id" value="%d"><input type="submit" value="Confirm"></form>`+"\n", BasePath, cid)
@@ -469,10 +312,7 @@ func (a *App) buyRequest(ctx *servlet.Context, req *httpd.Request) (*httpd.Respo
 
 // buyConfirm (read-write): the purchase transaction — the lock-holding
 // critical section of the benchmark (§5.1).
-func (a *App) buyConfirm(ctx *servlet.Context, req *httpd.Request) (*httpd.Response, error) {
-	if ctx.DB == nil {
-		return nil, servlet.ErrNoDatabase
-	}
+func (a *App) buyConfirm(ctx *servlet.Context, f Facade, req *httpd.Request) (*httpd.Response, error) {
 	cid := intParam(req, "c_id", 1)
 	resp := httpd.NewResponse()
 	sess, ct := sessionCart(ctx, req, resp)
@@ -480,169 +320,59 @@ func (a *App) buyConfirm(ctx *servlet.Context, req *httpd.Request) (*httpd.Respo
 		ct.Lines[1+cid%int64(a.sc.Items)] = 1 // emulated browsers always buy something
 		sess.Set("cart", ct)
 	}
-	var orderID int64
-	err := ctx.WithLocks(a.cfg.Sync,
-		[]servlet.TableLock{
-			{Table: "customers"}, {Table: "items", Write: true},
-			{Table: "orders", Write: true}, {Table: "order_line", Write: true},
-			{Table: "credit_info", Write: true},
-		},
-		func(ex sqldb.Execer) error {
-			cres, err := ex.Exec("SELECT discount FROM customers WHERE id = ?", sqldb.Int(cid))
-			if err != nil {
-				return err
-			}
-			discount := 0.0
-			if len(cres.Rows) > 0 {
-				discount = cres.Rows[0][0].AsFloat()
-			}
-			var subtotal float64
-			ids := make([]int64, 0, len(ct.Lines))
-			for id := range ct.Lines {
-				ids = append(ids, id)
-			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			for _, id := range ids {
-				ires, err := ex.Exec("SELECT cost FROM items WHERE id = ?", sqldb.Int(id))
-				if err != nil {
-					return err
-				}
-				if len(ires.Rows) > 0 {
-					subtotal += ires.Rows[0][0].AsFloat() * float64(ct.Lines[id])
-				}
-			}
-			total := subtotal * (1 - discount)
-			ores, err := ex.Exec(
-				`INSERT INTO orders (customer_id, o_date, subtotal, total, status)
-				 VALUES (?, ?, ?, ?, ?)`,
-				sqldb.Int(cid), sqldb.Int(12000), sqldb.Float(subtotal),
-				sqldb.Float(total), sqldb.String("PENDING"))
-			if err != nil {
-				return err
-			}
-			orderID = ores.LastInsertID
-			for _, id := range ids {
-				qty := ct.Lines[id]
-				if _, err := ex.Exec(
-					"INSERT INTO order_line (order_id, item_id, qty, discount) VALUES (?, ?, ?, ?)",
-					sqldb.Int(orderID), sqldb.Int(id), sqldb.Int(qty), sqldb.Float(discount)); err != nil {
-					return err
-				}
-				if _, err := ex.Exec(
-					"UPDATE items SET stock = stock - ?, total_sold = total_sold + ? WHERE id = ?",
-					sqldb.Int(qty), sqldb.Int(qty), sqldb.Int(id)); err != nil {
-					return err
-				}
-			}
-			_, err = ex.Exec(
-				`INSERT INTO credit_info (order_id, cc_type, cc_number, cc_expiry, auth_id)
-				 VALUES (?, ?, ?, ?, ?)`,
-				sqldb.Int(orderID), sqldb.String("VISA"),
-				sqldb.String("4111111111111111"), sqldb.Int(13000),
-				sqldb.String("AUTH-OK"))
-			return err
-		})
-	if err != nil {
+	args := BuyArgs{CustomerID: cid}
+	args.ItemIDs, args.Qtys = ct.lines()
+	var r BuyReply
+	if err := f.Buy(&args, &r); err != nil {
 		return nil, err
 	}
 	sess.Set("cart", &cart{Lines: make(map[int64]int64)})
 	out := page("Order Confirmed", func(b *strings.Builder) {
-		fmt.Fprintf(b, "<p>Order #%d placed.</p>\n", orderID)
+		fmt.Fprintf(b, "<p>Order #%d placed.</p>\n", r.OrderID)
 	})
 	out.Header = resp.Header
 	return out, nil
 }
 
 // orderInquiry (read-only): login form validation.
-func (a *App) orderInquiry(ctx *servlet.Context, req *httpd.Request) (*httpd.Response, error) {
-	if ctx.DB == nil {
-		return nil, servlet.ErrNoDatabase
-	}
+func orderInquiry(_ *servlet.Context, f Facade, req *httpd.Request) (*httpd.Response, error) {
 	cid := intParam(req, "c_id", 1)
-	res, err := ctx.DB.Exec("SELECT uname FROM customers WHERE id = ?", sqldb.Int(cid))
-	if err != nil {
+	var r InquiryReply
+	if err := f.Inquiry(&CustomerArgs{CustomerID: cid}, &r); err != nil {
 		return nil, err
-	}
-	uname := ""
-	if len(res.Rows) > 0 {
-		uname = res.Rows[0][0].AsString()
 	}
 	return page("Order Inquiry", func(b *strings.Builder) {
 		fmt.Fprintf(b, `<form action="%sorderdisplay"><input type="hidden" name="c_id" value="%d">%s<input type="submit"></form>`+"\n",
-			BasePath, cid, uname)
+			BasePath, cid, r.Uname)
 	}), nil
 }
 
 // orderDisplay (read-only): the customer's most recent order.
-func (a *App) orderDisplay(ctx *servlet.Context, req *httpd.Request) (*httpd.Response, error) {
-	if ctx.DB == nil {
-		return nil, servlet.ErrNoDatabase
-	}
-	cid := intParam(req, "c_id", 1)
-	res, err := ctx.DB.Exec(
-		`SELECT id, o_date, total, status FROM orders
-		 WHERE customer_id = ? ORDER BY id DESC LIMIT 1`, sqldb.Int(cid))
-	if err != nil {
+func orderDisplay(_ *servlet.Context, f Facade, req *httpd.Request) (*httpd.Response, error) {
+	var r OrderReply
+	if err := f.LastOrder(&CustomerArgs{CustomerID: intParam(req, "c_id", 1)}, &r); err != nil {
 		return nil, err
 	}
-	var ov OrderView
-	if len(res.Rows) > 0 {
-		r := res.Rows[0]
-		ov = OrderView{OrderID: r[0].AsInt(), Date: r[1].AsInt(),
-			Total: r[2].AsFloat(), Status: r[3].AsString()}
-		lres, err := ctx.DB.Exec(
-			`SELECT ol.item_id, i.title, ol.qty FROM order_line ol
-			 JOIN items i ON i.id = ol.item_id WHERE ol.order_id = ?`,
-			sqldb.Int(ov.OrderID))
-		if err != nil {
-			return nil, err
-		}
-		for _, lr := range lres.Rows {
-			ov.Lines = append(ov.Lines, OrderLineView{
-				ItemID: lr[0].AsInt(), Title: lr[1].AsString(), Qty: lr[2].AsInt()})
-		}
-	}
 	return page("Order Display", func(b *strings.Builder) {
-		if ov.OrderID == 0 {
+		if !r.Found {
 			b.WriteString("<p>No orders on file.</p>\n")
 			return
 		}
-		fmt.Fprintf(b, "<p>Order #%d (%s): $%.2f</p>\n", ov.OrderID, ov.Status, ov.Total)
-		for _, l := range ov.Lines {
+		o := r.Order
+		fmt.Fprintf(b, "<p>Order #%d (%s): $%.2f</p>\n", o.OrderID, o.Status, o.Total)
+		for _, l := range o.Lines {
 			fmt.Fprintf(b, "<p>%s x%d</p>\n", l.Title, l.Qty)
 		}
 	}), nil
 }
 
-// adminRequest (read-only): show the item to edit.
-func (a *App) adminRequest(ctx *servlet.Context, req *httpd.Request) (*httpd.Response, error) {
-	return a.productDetail(ctx, req)
-}
-
 // adminConfirm (read-write): the administrative item update.
-func (a *App) adminConfirm(ctx *servlet.Context, req *httpd.Request) (*httpd.Response, error) {
-	if ctx.DB == nil {
-		return nil, servlet.ErrNoDatabase
-	}
-	id := intParam(req, "i_id", 1)
-	cost := float64(intParam(req, "cost", 25))
-	err := ctx.WithLocks(a.cfg.Sync, []servlet.TableLock{{Table: "items", Write: true}},
-		func(ex sqldb.Execer) error {
-			res, err := ex.Exec("SELECT cost FROM items WHERE id = ?", sqldb.Int(id))
-			if err != nil {
-				return err
-			}
-			if len(res.Rows) == 0 {
-				return nil
-			}
-			_, err = ex.Exec("UPDATE items SET cost = ?, pub_date = ? WHERE id = ?",
-				sqldb.Float(cost), sqldb.Int(12001), sqldb.Int(id))
-			return err
-		})
-	if err != nil {
+func adminConfirm(_ *servlet.Context, f Facade, req *httpd.Request) (*httpd.Response, error) {
+	args := AdminArgs{ItemID: intParam(req, "i_id", 1), Cost: float64(intParam(req, "cost", 25))}
+	if err := f.Admin(&args, &AdminReply{}); err != nil {
 		return nil, err
 	}
 	return page("Admin Confirm", func(b *strings.Builder) {
-		fmt.Fprintf(b, "<p>Item %d updated to $%.2f</p>\n", id, cost)
+		fmt.Fprintf(b, "<p>Item %d updated to $%.2f</p>\n", args.ItemID, args.Cost)
 	}), nil
 }

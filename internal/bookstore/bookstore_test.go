@@ -166,6 +166,24 @@ func TestRegisterCreatesCustomer(t *testing.T) {
 	}
 }
 
+// TestRegisterRequiresUname: registration without a user name is a 400
+// on every path (the handler is shared) and writes no row.
+func TestRegisterRequiresUname(t *testing.T) {
+	c := newAppContainer(t, false)
+	req := &httpd.Request{Method: "POST", Path: BasePath + "customerregistration",
+		Header: httpd.Header{}, Query: map[string][]string{},
+		Body: []byte("passwd=x&fname=A&lname=B&street=S&city=C")}
+	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	resp, err := c.Handler().ServeHTTP(req)
+	if err != nil || resp.Status != 400 {
+		t.Fatalf("registration without uname: %v %d %s", err, resp.Status, resp.Body)
+	}
+	res, err := c.Context().DB.Exec("SELECT COUNT(*) FROM customers")
+	if err != nil || res.Rows[0][0].AsInt() != int64(TinyScale().Customers) {
+		t.Fatalf("customers after a refused registration: %v %v", res, err)
+	}
+}
+
 func TestCartSessionPersistsAcrossRequests(t *testing.T) {
 	c := newAppContainer(t, false)
 	h := c.Handler()
@@ -211,7 +229,7 @@ func TestEJBDeployment(t *testing.T) {
 	if err := RegisterEntities(ec); err != nil {
 		t.Fatal(err)
 	}
-	if err := ec.RegisterFacade(FacadeName, &Facade{C: ec}); err != nil {
+	if err := ec.RegisterFacade(FacadeName, &CMP{C: ec}); err != nil {
 		t.Fatal(err)
 	}
 	rmiAddr, err := ec.Serve("127.0.0.1:0")
@@ -222,7 +240,7 @@ func TestEJBDeployment(t *testing.T) {
 	t.Cleanup(client.Close)
 
 	sc := servlet.NewContainer(servlet.Config{})
-	NewPresentationApp(client, TinyScale()).Register(sc)
+	NewRemote(TinyScale(), client).Register(sc)
 	if err := sc.Init(); err != nil {
 		t.Fatal(err)
 	}

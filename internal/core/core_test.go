@@ -118,8 +118,9 @@ func TestEJBIssuesMoreQueries(t *testing.T) {
 }
 
 // TestStateConsistencyAcrossArchitectures runs the same deterministic write
-// against the SQL app and the EJB app and compares the visible result — the
-// functional-equivalence check DESIGN.md's INV-archs-equivalent names.
+// on each software path and compares the item page it leaves: the bodies
+// must be byte-identical, and show the bid. TestArchitecturesServeSamePages
+// is the generated version of this check.
 func TestStateConsistencyAcrossArchitectures(t *testing.T) {
 	see := func(a arch.Arch) string {
 		lab := startLab(t, a, arch.Auction)
@@ -133,14 +134,16 @@ func TestStateConsistencyAcrossArchitectures(t *testing.T) {
 			t.Fatal(err)
 		}
 		body := string(resp.Body)
-		i := strings.Index(body, "$7777.00")
-		if i < 0 {
-			t.Fatalf("%v: bid not visible: %s", a, body)
+		if resp.Status != 200 || !strings.Contains(body, "$7777.00") {
+			t.Fatalf("%v: bid not visible: %d %s", a, resp.Status, body)
 		}
-		return "$7777.00"
+		return body
 	}
-	if see(arch.PHP) != see(arch.EJB) {
-		t.Fatal("architectures diverged")
+	want := see(arch.PHP)
+	for _, a := range []arch.Arch{arch.Servlet, arch.ServletSync, arch.EJB} {
+		if got := see(a); got != want {
+			t.Errorf("%v's item page differs from %v's:\n%s\nvs\n%s", a, arch.PHP, got, want)
+		}
 	}
 }
 

@@ -167,14 +167,15 @@ func TestPagesSurviveDBRestart(t *testing.T) {
 // TestEJBDatabaseFailureIsNot404: a façade answers "not found" only when
 // the row is missing (ejb.ErrNotFound). With the database down the pages
 // that activate one entity must answer 500, as the servlet path does — not
-// 404 "no such item".
+// 404 "no such item" — and the cart, which leaves out only items that no
+// longer exist, must not price itself as empty.
 func TestEJBDatabaseFailureIsNot404(t *testing.T) {
 	for _, tc := range []struct {
 		bench arch.Benchmark
 		pages []string
 	}{
 		{arch.Auction, []string{"/rubis/viewitem?item=2", "/rubis/viewuserinfo?user=2", "/rubis/aboutme?user=2"}},
-		{arch.Bookstore, []string{"/tpcw/productdetail?i_id=2"}},
+		{arch.Bookstore, []string{"/tpcw/productdetail?i_id=2", "/tpcw/shoppingcart?i_id=2&qty=1"}},
 	} {
 		lab := startLab(t, arch.EJB, tc.bench)
 		lab.StopReplica(0)

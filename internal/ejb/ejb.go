@@ -272,11 +272,13 @@ func (t *Tx) ensureTxn() error {
 	return nil
 }
 
-// execRead runs a read — a CMP load or dynamically built finder SQL: on
-// the transaction's session once one is open (read-your-writes), otherwise
-// through the pool. Either way the cluster client caches a prepared
-// statement per distinct text, so even finders run prepared after first use.
-func (t *Tx) execRead(query string, args ...sqldb.Value) (*sqldb.Result, error) {
+// Query runs a read — a CMP load, a finder, or a façade's own read outside
+// the beans (a count, a reference list): on the transaction's session once
+// one is open (read-your-writes), otherwise through the pool. It counts as
+// one of the container's statements. Either way the cluster client caches
+// a prepared statement per distinct text, so even finders run prepared
+// after first use.
+func (t *Tx) Query(query string, args ...sqldb.Value) (*sqldb.Result, error) {
 	t.c.queries.Add(1)
 	if t.sess != nil {
 		return t.sess.Exec(query, args...)
@@ -379,7 +381,7 @@ func (t *Tx) Load(entity string, pk sqldb.Value) (*Entity, error) {
 		return nil, err
 	}
 	t.c.loads.Add(1)
-	res, err := t.execRead(m.load, pk)
+	res, err := t.Query(m.load, pk)
 	if err != nil {
 		return nil, err
 	}
@@ -404,7 +406,7 @@ func (t *Tx) FindBy(entity, col string, v sqldb.Value, limit int) ([]sqldb.Value
 	if limit > 0 {
 		q += fmt.Sprintf(" LIMIT %d", limit)
 	}
-	res, err := t.execRead(q, v)
+	res, err := t.Query(q, v)
 	if err != nil {
 		return nil, err
 	}
@@ -428,7 +430,7 @@ func (t *Tx) FindWhere(entity, whereSQL string, args []sqldb.Value, orderBy stri
 	if limit > 0 {
 		q += fmt.Sprintf(" LIMIT %d", limit)
 	}
-	res, err := t.execRead(q, args...)
+	res, err := t.Query(q, args...)
 	if err != nil {
 		return nil, err
 	}
@@ -489,7 +491,6 @@ func (c *Container) Close() error {
 	return err
 }
 
-// DB exposes the pooled database client for session beans that need
-// non-CMP access (the paper's façades occasionally run read-only finders
-// directly).
+// DB exposes the container's database client (its counters and pool, for
+// telemetry); a session bean's own reads go through Tx.Query.
 func (c *Container) DB() *cluster.Client { return c.pool }

@@ -178,9 +178,10 @@ SELECT id , end_date FROM items WHERE category_id = ? ORDER BY end_date LIMIT 20
 SELECT id , end_date FROM items WHERE region_id = ? AND category_id = ? ORDER BY end_date LIMIT 20
 SELECT id FROM bids
 SELECT id FROM bids ORDER BY id DESC LIMIT 1
-SELECT id FROM bids WHERE item_id = ? LIMIT 20
-SELECT id FROM bids WHERE user_id = ? LIMIT 10
-SELECT id FROM comments WHERE to_user = ? LIMIT 10
+SELECT id FROM bids WHERE item_id = ? ORDER BY bid DESC LIMIT 20
+SELECT id FROM bids WHERE user_id = ? ORDER BY id DESC LIMIT 10
+SELECT id FROM buy_now WHERE buyer_id = ? LIMIT 10
+SELECT id FROM comments WHERE to_user = ? ORDER BY id DESC LIMIT 10
 SELECT id FROM customers WHERE id = 1
 SELECT id FROM items WHERE category_id = ? ORDER BY end_date LIMIT 20
 SELECT id FROM items WHERE region_id = ? AND category_id = ? ORDER BY end_date LIMIT 20
@@ -190,6 +191,7 @@ SELECT id FROM items WHERE subject = ? ORDER BY title LIMIT 50
 SELECT id FROM items WHERE subject = ? ORDER BY total_sold DESC LIMIT 5
 SELECT id FROM order_line WHERE order_id = ?
 SELECT id FROM orders WHERE customer_id = ? ORDER BY id DESC LIMIT 1
+SELECT id FROM users WHERE nickname = ?
 SELECT id, customer_id, o_date, subtotal, total, status FROM orders WHERE id = ?
 SELECT id, fname, lname FROM authors WHERE id = ?
 SELECT id, fname, lname, nickname, password, region_id, rating, balance, creation FROM users WHERE id = ?
@@ -205,6 +207,7 @@ SELECT id, nb_bids FROM items
 SELECT id, o_date, total, status FROM orders WHERE customer_id = ? ORDER BY id DESC LIMIT 1
 SELECT id, order_id, item_id, qty, discount FROM order_line WHERE id = ?
 SELECT id, password FROM users WHERE nickname = ?
+SELECT id, street, city, country_id FROM address WHERE id = ?
 SELECT id, title, author_id, pub_date, subject, descr, cost, stock, total_sold FROM items WHERE id = ?
 SELECT id, uname, passwd, fname, lname, addr_id, phone, email, discount FROM customers WHERE id = ?
 SELECT item_id, buyer_id, qty, bn_date FROM buy_now

@@ -43,14 +43,15 @@ type App struct {
 	Profile      *workload.Profile
 	CreateSchema func(db sqldb.Execer) error
 	Populate     func(db sqldb.Execer, seed int64) error
-	// Servlets registers the SQL-issuing servlet set (the PHP and servlet
-	// architectures); sync selects engine-side locking.
-	Servlets func(c *servlet.Container, sync bool)
-	// Beans registers the entity beans and the session façade.
-	Beans func(c *ejb.Container) error
-	// Presentation registers the EJB architecture's presentation servlets,
-	// which call the façade through rc.
+	// Servlets and Presentation register the application's one set of
+	// servlets: Servlets over the hand-written SQL façade (the PHP and
+	// servlet architectures; sync selects engine-side locking),
+	// Presentation over the CMP façade reached through rc (the EJB
+	// architecture).
+	Servlets     func(c *servlet.Container, sync bool)
 	Presentation func(c *servlet.Container, rc *rmi.Client)
+	// Beans registers the entity beans and the CMP session façade.
+	Beans func(c *ejb.Container) error
 }
 
 // Bookstore describes the TPC-W bookstore at scale sc.
@@ -66,10 +67,10 @@ func Bookstore(sc bookstore.Scale) *App {
 			if err := bookstore.RegisterEntities(c); err != nil {
 				return err
 			}
-			return c.RegisterFacade(bookstore.FacadeName, &bookstore.Facade{C: c})
+			return c.RegisterFacade(bookstore.FacadeName, &bookstore.CMP{C: c})
 		},
 		Presentation: func(c *servlet.Container, rc *rmi.Client) {
-			bookstore.NewPresentationApp(rc, sc).Register(c)
+			bookstore.NewRemote(sc, rc).Register(c)
 		},
 	}
 }
@@ -81,16 +82,16 @@ func Auction(sc auction.Scale) *App {
 		Profile: auction.Profile(sc), CreateSchema: auction.CreateSchema,
 		Populate: func(db sqldb.Execer, seed int64) error { return auction.Populate(db, sc, seed) },
 		Servlets: func(c *servlet.Container, sync bool) {
-			auction.New(sc, auction.Config{Sync: sync}).Register(c)
+			auction.New(auction.Config{Sync: sync}).Register(c)
 		},
 		Beans: func(c *ejb.Container) error {
 			if err := auction.RegisterEntities(c); err != nil {
 				return err
 			}
-			return c.RegisterFacade(auction.FacadeName, &auction.Facade{C: c})
+			return c.RegisterFacade(auction.FacadeName, &auction.CMP{C: c})
 		},
 		Presentation: func(c *servlet.Container, rc *rmi.Client) {
-			auction.NewPresentationApp(rc, sc).Register(c)
+			auction.NewRemote(rc).Register(c)
 		},
 	}
 }
@@ -187,9 +188,9 @@ func (a *App) EJBServer(db cluster.Config, addr string) (*ejb.Container, net.Add
 }
 
 // PresentationBackend builds the other half of an EJB backend pair: an RMI
-// client (size pooled connections) to the EJB server at rmiAddr and the
-// container of presentation servlets calling through it. Start serves the
-// container over AJP.
+// client (size pooled connections) to the EJB server at rmiAddr and a
+// container of the application's servlets calling the façade through it.
+// Start serves the container over AJP.
 func (a *App) PresentationBackend(rmiAddr string, size int, t pool.Timeouts, cfg servlet.Config) (*rmi.Client, *servlet.Container) {
 	rc := rmi.NewClientT(rmiAddr, size, t)
 	c := servlet.NewContainer(cfg)

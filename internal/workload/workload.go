@@ -234,7 +234,7 @@ func (c *emulatedClient) run(completed, errors, imgFetches *atomic.Int64,
 				return
 			default:
 			}
-			idx := c.pick()
+			idx := Pick(c.g, c.weights)
 			req := c.profile.Interactions[idx].Build(c.g)
 			start := time.Now()
 			ok := c.doInteraction(hc, req, imgFetches)
@@ -296,17 +296,18 @@ func imageSrcs(html string) []string {
 	}
 }
 
-// pick samples the next interaction from the transition matrix row.
-func (c *emulatedClient) pick() int {
-	x := c.g.Float64()
+// Pick samples an interaction index from a mix's weights (one row of the
+// transition matrix), drawing one number from g.
+func Pick(g *datagen.Gen, weights []float64) int {
+	x := g.Float64()
 	var cum float64
-	for i, w := range c.weights {
+	for i, w := range weights {
 		cum += w
 		if x < cum {
 			return i
 		}
 	}
-	return len(c.weights) - 1
+	return len(weights) - 1
 }
 
 // think sleeps a negative-exponential think time truncated at 10x the mean

@@ -150,10 +150,10 @@ func TestImageSrcParsing(t *testing.T) {
 
 func TestDeterministicPick(t *testing.T) {
 	p := testProfile()
-	c1 := emulatedClient{profile: p, weights: p.Mixes["mostly-read"], g: datagen.New(7)}
-	c2 := emulatedClient{profile: p, weights: p.Mixes["mostly-read"], g: datagen.New(7)}
+	w := p.Mixes["mostly-read"]
+	g1, g2 := datagen.New(7), datagen.New(7)
 	for i := 0; i < 100; i++ {
-		if c1.pick() != c2.pick() {
+		if Pick(g1, w) != Pick(g2, w) {
 			t.Fatal("same seed diverged")
 		}
 	}
