@@ -100,13 +100,14 @@ chaos-smoke:
 		./internal/core ./internal/cluster ./internal/lb
 
 # WAL torture: the durability battery. Crash points, torn tails, and
-# subprocess kill -9 recovery in sqldb (including short fuzz passes over
-# the record decoder, the copy-on-write tree every table and checkpoint is
-# made of, the stored value against its model, index probes against a
-# scan, and the SQL parser every logged statement is replayed through:
-# no panic, and no clause outside the dialect accepted), the cluster's
-# rejoin of a durable replica (copied, crashed, recovered), and the
-# full-stack crash matrix in core — all under -race with hard timeouts.
+# subprocess kill -9 recovery in sqldb; short fuzz passes over the record
+# decoder, the copy-on-write tree every table and checkpoint is made of,
+# the stored value against its model, index probes against a scan, the SQL
+# parser every logged statement is replayed through (no panic, and no
+# clause outside the dialect accepted) and the shard router's pins against
+# one engine holding every row; the cluster's rejoin of a durable replica
+# (copied, crashed, recovered), and the full-stack crash matrix in core —
+# all under -race with hard timeouts but the fuzz passes.
 wal-torture:
 	$(GO) test -race -timeout 300s -run 'WAL|Recover|TornTail|Checkpoint' \
 		./internal/sqldb ./internal/cluster ./internal/core
@@ -115,6 +116,7 @@ wal-torture:
 	$(GO) test -timeout 120s -run '^$$' -fuzz FuzzValue -fuzztime 10s ./internal/sqldb
 	$(GO) test -timeout 120s -run '^$$' -fuzz FuzzIndexProbe -fuzztime 10s ./internal/sqldb
 	$(GO) test -timeout 120s -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/sqldb/sqlparse
+	$(GO) test -timeout 120s -run '^$$' -fuzz FuzzShardPins -fuzztime 10s ./internal/cluster
 
 # Coverage run with per-package floors: every package reports, the
 # packages named in COVER_FLOORS must clear their floor.

@@ -35,7 +35,6 @@
 package cluster
 
 import (
-	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -82,39 +81,23 @@ func (w *writeLocks) stampFor(readTables []string) []uint64 {
 	return stamp
 }
 
-// cacheKey builds the lookup key for (statement, args). The statement text
-// is used verbatim — routes already memoizes per distinct text, and two
-// spellings of the same query simply occupy two entries. Each arg follows a
-// NUL byte with a kind tag, so Int(1) and String("1") cannot collide, and a
-// string is length-prefixed, so one holding a NUL cannot run into the next
-// arg. cachedRead caches no text holding a NUL, so the key is injective.
+// cacheKey builds the lookup key for (statement, args): the text verbatim,
+// then a NUL and the engine's encoding of each argument (sqldb.AppendValue:
+// its kind, then the fixed-width number or the length-prefixed string). The
+// text is used verbatim — routes already memoizes per distinct text, and two
+// spellings of the same query simply occupy two entries. cachedRead caches
+// no text holding a NUL and each encoding delimits itself, so the key is
+// injective. A key up to the buffer's size is built on the stack.
 func cacheKey(query string, args []sqldb.Value) string {
 	if len(args) == 0 {
 		return query
 	}
-	var b strings.Builder
-	b.Grow(len(query) + 16*len(args))
-	b.WriteString(query)
+	var buf [256]byte
+	b := append(buf[:0], query...)
 	for _, a := range args {
-		b.WriteByte(0)
-		switch a.Kind() {
-		case sqldb.KindNull:
-			b.WriteByte('n')
-		case sqldb.KindInt:
-			b.WriteByte('i')
-			b.WriteString(strconv.FormatInt(a.AsInt(), 10))
-		case sqldb.KindFloat:
-			b.WriteByte('f')
-			b.WriteString(strconv.FormatFloat(a.AsFloat(), 'g', -1, 64))
-		default:
-			s := a.AsString()
-			b.WriteByte('s')
-			b.WriteString(strconv.Itoa(len(s)))
-			b.WriteByte(':')
-			b.WriteString(s)
-		}
+		b = sqldb.AppendValue(append(b, 0), a)
 	}
-	return b.String()
+	return string(b)
 }
 
 // copyResult deep-copies rows (one flat backing array, two allocations)

@@ -7,7 +7,8 @@
 // Routing, in decreasing order of preference:
 //
 //   - Single-shard: the statement provably touches rows of one shard
-//     (shardkey.go extracts the key expressions; hashing them at execution
+//     (sqlparse.ShardExprs extracts the key expressions and sqldb.EvalConst
+//     evaluates them as the engine does; hashing them at execution
 //     time agrees on one shard). It ships to that shard's client alone —
 //     the scaling fast path, for writes especially: a pinned write costs
 //     one shard's broadcast instead of every replica in the system.
@@ -191,8 +192,8 @@ func (p *shardPlan) shardFor(args []sqldb.Value, n int) (int, bool) {
 	}
 	shard := -1
 	for _, e := range p.exprs {
-		v, ok := shardValue(e, args)
-		if !ok {
+		v, err := sqldb.EvalConst(e, args)
+		if err != nil {
 			return 0, false
 		}
 		s := shardIndex(v, n)
@@ -202,36 +203,6 @@ func (p *shardPlan) shardFor(args []sqldb.Value, n int) (int, bool) {
 		shard = s
 	}
 	return shard, shard >= 0
-}
-
-// shardValue resolves one constant expression — a key, or a value of a
-// split INSERT's row: a literal, a '?' parameter from args, or a negation
-// of either.
-func shardValue(e sqlparse.Expr, args []sqldb.Value) (sqldb.Value, bool) {
-	switch x := e.(type) {
-	case *sqlparse.IntLit:
-		return sqldb.Int(x.V), true
-	case *sqlparse.StringLit:
-		return sqldb.String(x.V), true
-	case *sqlparse.ParamExpr:
-		if x.Index < 0 || x.Index >= len(args) {
-			return sqldb.Null(), false
-		}
-		return args[x.Index], true
-	case *sqlparse.NegExpr:
-		v, ok := shardValue(x.E, args)
-		if !ok {
-			return v, false
-		}
-		switch v.Kind() {
-		case sqldb.KindInt:
-			return sqldb.Int(-v.AsInt()), true
-		case sqldb.KindFloat:
-			return sqldb.Float(-v.AsFloat()), true
-		}
-		return sqldb.Null(), false
-	}
-	return sqldb.Null(), false
 }
 
 // shardIndex hashes a key value to its owning shard. Integral keys map by
@@ -304,8 +275,8 @@ func (p *shardPlan) insertTarget(args []sqldb.Value, n int) (shard int, owners [
 		return -1, nil, nil
 	}
 	for i, e := range p.exprs {
-		v, ok := shardValue(e, args)
-		if !ok {
+		v, err := sqldb.EvalConst(e, args)
+		if err != nil {
 			return 0, nil, errInsertSpansShards
 		}
 		s := shardIndex(v, n)
@@ -733,8 +704,8 @@ func (s *shardTxn) split(p *shardPlan, owners []int, args []sqldb.Value) (*sqldb
 			return nil, fmt.Errorf("cluster: %d values for %d columns in INSERT into %q", len(ins.Rows[row]), width, ins.Table)
 		}
 		for _, e := range ins.Rows[row] {
-			v, ok := shardValue(e, args)
-			if !ok {
+			v, err := sqldb.EvalConst(e, args)
+			if err != nil {
 				return nil, errInsertSpansShards
 			}
 			vals[shard] = append(vals[shard], v)

@@ -14,7 +14,7 @@ import (
 // startEmptyReplicas boots n backends with no schema: shard tests create
 // tables through the sharded client so the automatic AUTO_INCREMENT
 // striding applies.
-func startEmptyReplicas(t *testing.T, n int) []*testReplica {
+func startEmptyReplicas(t testing.TB, n int) []*testReplica {
 	t.Helper()
 	reps := make([]*testReplica, n)
 	for i := range reps {
@@ -31,7 +31,7 @@ func startEmptyReplicas(t *testing.T, n int) []*testReplica {
 }
 
 // startShards boots nShards groups of nReplicas backends each.
-func startShards(t *testing.T, nShards, nReplicas int) [][]*testReplica {
+func startShards(t testing.TB, nShards, nReplicas int) [][]*testReplica {
 	t.Helper()
 	groups := make([][]*testReplica, nShards)
 	for i := range groups {

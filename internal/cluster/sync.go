@@ -61,8 +61,8 @@ func Sync(src, dst sqldb.Execer, budget time.Duration) (tables, rows int, err er
 }
 
 // syncAutoInc replays one table's id-assignment state onto dst. OFFSET and
-// STRIDE are included only when set on the source — ALTER treats zero as
-// "leave alone", and an unstrided source must not disturb defaults.
+// STRIDE are included only when set on the source — ALTER refuses a zero
+// clause, and an unstrided source must not disturb defaults.
 func syncAutoInc(dst sqldb.Execer, table string, next, offset, stride int64) error {
 	q := fmt.Sprintf("ALTER TABLE %s AUTO_INCREMENT", table)
 	if offset > 0 {

@@ -318,6 +318,17 @@ func TestUnknownTableAndColumn(t *testing.T) {
 	if _, err := s.Exec("SELECT nope FROM items"); err == nil {
 		t.Fatal("unknown column must fail")
 	}
+	// A write fails on an unknown column whether or not a row matches, so
+	// its outcome cannot depend on which rows a shard holds.
+	for _, q := range []string{
+		"UPDATE items SET stock = 0 WHERE id = -1 AND bids.id = 1",
+		"UPDATE items SET stock = nope WHERE id = -1",
+		"DELETE FROM items WHERE id = -1 AND nope = 1",
+	} {
+		if _, err := s.Exec(q); err == nil {
+			t.Errorf("%s: matches no row, yet an unknown column must fail", q)
+		}
+	}
 }
 
 // TestLockTablesRejected: LOCK TABLES / UNLOCK TABLES are not in the dialect.

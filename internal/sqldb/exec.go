@@ -83,6 +83,16 @@ func (e *env) eval(x sqlparse.Expr) (Value, error) {
 	}
 }
 
+// EvalConst evaluates a constant expression (sqlparse.Const) against a
+// statement's arguments: the value an index probe looks up and the shard
+// router hashes. Any other expression is refused.
+func EvalConst(e sqlparse.Expr, args []Value) (Value, error) {
+	if !sqlparse.Const(e) {
+		return Null(), fmt.Errorf("sqldb: %T is not a constant", e)
+	}
+	return (&env{args: args}).eval(e)
+}
+
 func boolVal(b bool) Value {
 	if b {
 		return Int(1)
@@ -221,12 +231,18 @@ func coerce(v Value, t sqlparse.ColType) Value {
 	}
 }
 
-// execUpdate applies an UPDATE, row by row in rowid order.
+// execUpdate applies an UPDATE, row by row in rowid order. Like the WHERE
+// clause (matchRows), every SET value's columns must resolve whether or not
+// a row matches.
 func execUpdate(t *Table, st *sqlparse.Update, args []Value) (*Result, error) {
+	ev := &env{aliases: []string{t.name}, tabs: []*Table{t}, rows: make([]Row, 1), args: args}
 	setPos := make([]int, len(st.Set))
 	for i, a := range st.Set {
 		p, err := t.colOf(a.Column)
 		if err != nil {
+			return nil, err
+		}
+		if err := validateCols(a.Value, ev); err != nil {
 			return nil, err
 		}
 		setPos[i] = p
@@ -237,7 +253,7 @@ func execUpdate(t *Table, st *sqlparse.Update, args []Value) (*Result, error) {
 	}
 	res := &Result{}
 	for _, m := range matches {
-		ev := &env{aliases: []string{t.name}, tabs: []*Table{t}, rows: []Row{m.r}, args: args}
+		ev.rows[0] = m.r
 		set := make(map[int]Value, len(st.Set))
 		for i, a := range st.Set {
 			v, err := ev.eval(a.Value)
@@ -274,10 +290,15 @@ type match struct {
 
 // matchRows returns the rows satisfying where (all rows when where is nil),
 // in rowid order, using an index for a top-level equality conjunct when it
-// can. They are collected before the caller writes any of them.
+// can. They are collected before the caller writes any of them. As for a
+// SELECT, an unknown column fails the statement even when no row is read,
+// so whether it fails never depends on which rows the table holds.
 func matchRows(t *Table, where sqlparse.Expr, args []Value) ([]match, error) {
 	var out []match
 	ev := &env{aliases: []string{t.name}, tabs: []*Table{t}, rows: make([]Row, 1), args: args}
+	if err := validateCols(where, ev); err != nil {
+		return nil, err
+	}
 	err := eachCandidate(t, t.name, where, args, func(id int64, r Row) error {
 		if where != nil {
 			ev.rows[0] = r
@@ -317,50 +338,21 @@ func eachCandidate(t *Table, name string, where sqlparse.Expr, args []Value, fn 
 // by a qualified column, so a joined table that takes t's name as its alias
 // cannot narrow t by its own predicate.
 func equalityProbe(t *Table, name string, where sqlparse.Expr, args []Value) (ix *index, v Value, err error) {
-	be, ok := where.(*sqlparse.BinaryExpr)
-	if !ok {
-		return nil, v, nil
-	}
-	switch be.Op {
-	case sqlparse.OpAnd:
-		if ix, v, err = equalityProbe(t, name, be.L, args); ix != nil || err != nil {
-			return ix, v, err
-		}
-		return equalityProbe(t, name, be.R, args)
-	case sqlparse.OpEq:
-		col, val := be.L, be.R
-		if _, isCol := col.(*sqlparse.ColRefExpr); !isCol {
-			col, val = val, col
-		}
-		cr, isCol := col.(*sqlparse.ColRefExpr)
-		if !isCol || !constExpr(val) {
-			return nil, v, nil
-		}
+	sqlparse.Equalities(where, func(cr *sqlparse.ColRefExpr, val sqlparse.Expr) bool {
 		if cr.Table != "" && (name != t.name || !strings.EqualFold(cr.Table, name)) {
-			return nil, v, nil
+			return false
 		}
-		ci, err := t.colOf(cr.Column)
-		if err != nil {
-			return nil, v, nil // not this table's column
+		ci, cerr := t.colOf(cr.Column)
+		if cerr != nil {
+			return false // not this table's column
 		}
-		if v, err = (&env{args: args}).eval(val); err != nil {
-			return nil, v, err
+		if v, err = EvalConst(val, args); err != nil {
+			return true
 		}
-		return t.indexOn(ci), v, nil
-	}
-	return nil, v, nil
-}
-
-// constExpr reports whether e evaluates without row context.
-func constExpr(e sqlparse.Expr) bool {
-	switch ex := e.(type) {
-	case *sqlparse.IntLit, *sqlparse.StringLit, *sqlparse.ParamExpr:
-		return true
-	case *sqlparse.NegExpr:
-		return constExpr(ex.E)
-	default:
-		return false
-	}
+		ix = t.indexOn(ci)
+		return ix != nil
+	})
+	return ix, v, err
 }
 
 // ---- SELECT ----

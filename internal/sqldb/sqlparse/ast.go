@@ -137,8 +137,9 @@ type ShowTableStatus struct{}
 // AlterAutoInc is ALTER TABLE t AUTO_INCREMENT [OFFSET o] [STRIDE s] [NEXT n]:
 // it configures strided id assignment (MySQL's auto_increment_offset /
 // auto_increment_increment) so each shard of a partitioned table draws ids
-// from a disjoint congruence class. A zero field leaves that setting
-// unchanged; NEXT pins the counter exactly (the sync path's use).
+// from a disjoint congruence class. A zero field is a clause the statement
+// leaves out, so that setting stays (Parse refuses a zero clause); NEXT pins
+// the counter exactly (the sync path's use).
 type AlterAutoInc struct {
 	Table  string
 	Offset int64

@@ -176,6 +176,7 @@ func (p *parser) acceptIdent(text string) bool {
 }
 
 // parseAlter parses ALTER TABLE t AUTO_INCREMENT [OFFSET o] [STRIDE s] [NEXT n].
+// Each clause takes a positive integer: the AST's zero is a clause left out.
 func (p *parser) parseAlter() (Statement, error) {
 	p.next() // ALTER
 	if _, err := p.expect(tokKeyword, "TABLE"); err != nil {
@@ -192,13 +193,14 @@ func (p *parser) parseAlter() (Statement, error) {
 	seen := false
 	for {
 		var dst *int64
+		var clause string
 		switch {
 		case p.accept(tokKeyword, "OFFSET"):
-			dst = &al.Offset
+			dst, clause = &al.Offset, "OFFSET"
 		case p.acceptIdent("STRIDE"):
-			dst = &al.Stride
+			dst, clause = &al.Stride, "STRIDE"
 		case p.acceptIdent("NEXT"):
-			dst = &al.Next
+			dst, clause = &al.Next, "NEXT"
 		default:
 			if !seen {
 				return nil, p.errf("ALTER TABLE ... AUTO_INCREMENT needs OFFSET, STRIDE or NEXT")
@@ -208,6 +210,9 @@ func (p *parser) parseAlter() (Statement, error) {
 		n, err := p.parseInt()
 		if err != nil {
 			return nil, err
+		}
+		if n == 0 {
+			return nil, p.errf("ALTER TABLE ... AUTO_INCREMENT %s 0: the value must be at least 1", clause)
 		}
 		*dst = int64(n)
 		seen = true

@@ -1,6 +1,9 @@
 package sqlparse
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestShardExprsPinned(t *testing.T) {
 	cases := []struct {
@@ -31,7 +34,7 @@ func TestShardExprsPinned(t *testing.T) {
 			t.Errorf("%q: got %d key exprs, want %d", c.src, len(exprs), c.want)
 		}
 		for _, e := range exprs {
-			if !shardConst(e) {
+			if !Const(e) {
 				t.Errorf("%q: non-constant key expr %T", c.src, e)
 			}
 		}
@@ -56,6 +59,12 @@ func TestShardExprsScatter(t *testing.T) {
 		// Qualified reference to a different table's column of the same name.
 		{"SELECT b.bid FROM bids b JOIN items i ON i.id = b.item_id WHERE i.id = ?",
 			"bids", "item_id"},
+		// A qualifier is the bound name it equals, as the engine resolves
+		// it: under an alias, a table's own name is another entry's.
+		{"SELECT i.name FROM bids items JOIN items i ON i.id = items.item_id WHERE items.id = ?",
+			"items", "id"},
+		{"SELECT x.name FROM items x JOIN users items ON items.id = x.seller WHERE items.id = ?",
+			"items", "id"},
 		// Wrong table entirely.
 		{"SELECT * FROM authors WHERE id = ?", "items", "id"},
 		// INSERT missing the key column.
@@ -81,6 +90,13 @@ func TestParseShardStatements(t *testing.T) {
 	}
 	if _, err := Parse("ALTER TABLE orders AUTO_INCREMENT"); err == nil {
 		t.Fatal("ALTER without clauses should fail")
+	}
+	// A zero would read as a clause left out and change nothing.
+	for _, clause := range []string{"OFFSET", "STRIDE", "NEXT"} {
+		_, err := Parse("ALTER TABLE orders AUTO_INCREMENT " + clause + " 0")
+		if err == nil || !strings.Contains(err.Error(), clause+" 0") {
+			t.Errorf("ALTER with %s 0: %v, want an error naming it", clause, err)
+		}
 	}
 	if st := mustParse(t, "PREPARE TRANSACTION"); st != (Statement)(st.(*PrepareTxn)) {
 		t.Fatalf("PREPARE TRANSACTION parsed as %T", st)

@@ -198,7 +198,7 @@ func checkValue(t *testing.T, m modelValue) {
 	if v.word() != m.word() {
 		t.Fatalf("%v: word %#x, model %#x", m, v.word(), m.word())
 	}
-	enc := appendWALValue(nil, v)
+	enc := AppendValue(nil, v)
 	if want := m.appendWAL(nil); !bytes.Equal(enc, want) {
 		t.Fatalf("%v: WAL bytes %x, model %x", m, enc, want)
 	}

@@ -34,6 +34,11 @@ package sqldb
 //	statement: u32 len | query text | u16 nArgs | nArgs × value
 //	value: u8 kind | int64/float64 (8B LE) or u32 len + bytes (strings)
 //
+// The value encoding is AppendValue, the engine's one encoding of a value:
+// injective and self-delimiting, it is also what a checkpoint stores, what
+// the cluster's query cache keys an argument by, and what ROADMAP item 22's
+// per-table digest will hash.
+//
 // Recovery (recover.go) loads the newest valid checkpoint, replays every
 // record past it, and truncates the tail at the first bad checksum — a torn
 // record is a commit that was never acknowledged, so dropping it is correct
@@ -226,7 +231,9 @@ func (db *DB) WALStats() WALStats {
 
 // ---- value / statement / record codec ----
 
-func appendWALValue(b []byte, v Value) []byte {
+// AppendValue appends v's encoding to b: its kind byte, then the integer or
+// the float's bits (8 bytes, little-endian) or a u32-length-prefixed string.
+func AppendValue(b []byte, v Value) []byte {
 	kind := v.Kind()
 	b = append(b, byte(kind))
 	switch kind {
@@ -300,7 +307,7 @@ func (r *leReader) u64() uint64 {
 // str reads appendLenStr's u32-length-prefixed string.
 func (r *leReader) str() string { return string(r.next(int(r.u32()))) }
 
-// value reads one appendWALValue value.
+// value reads one AppendValue value.
 func (r *leReader) value() Value {
 	switch kind := Kind(r.u8()); {
 	case r.err != nil:
@@ -331,7 +338,7 @@ func appendRecord(b []byte, firstLSN uint64, stmts []walStmt) []byte {
 		b = append(b, st.q...)
 		b = binary.LittleEndian.AppendUint16(b, uint16(len(st.args)))
 		for _, v := range st.args {
-			b = appendWALValue(b, v)
+			b = AppendValue(b, v)
 		}
 	}
 	payload := b[start+8:]
@@ -769,7 +776,7 @@ func appendCkptTable(b []byte, t *Table) []byte {
 	t.rows.ascend(nil, func(id int64, ref rowRef) bool {
 		b = binary.LittleEndian.AppendUint64(b, uint64(id))
 		for _, v := range ref.row(len(t.columns)) {
-			b = appendWALValue(b, v)
+			b = AppendValue(b, v)
 		}
 		return true
 	})
