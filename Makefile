@@ -66,9 +66,11 @@ lint: fmt vet docs-lint
 # internal total — the number a simplification moves — plus the cluster +
 # core + telemetry sum item 3's target is stated against, the auction +
 # bookstore sum item 23's one-presentation target is stated against, the
-# cmd/ total, and internal + cmd: wiring moves across that border, so only
-# the sum says whether the system shrank. Last, the line counts of the
-# three checked design docs: the docs budget.
+# servlet + ejb + rmi + scriptmod sum of the middle tiers (the container
+# API the six configurations call), the cmd/ total, and internal + cmd:
+# wiring moves across that border, so only the sum says whether the
+# system shrank. Last, the line counts of the three checked design docs:
+# the docs budget.
 loc:
 	@for d in $$(find internal cmd -type d | sort); do \
 		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
@@ -79,6 +81,7 @@ loc:
 	printf '%7d  internal + cmd\n' $$(find internal cmd -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 	printf '%7d  cluster + core + telemetry\n' $$(find internal/cluster internal/core internal/telemetry -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 	printf '%7d  auction + bookstore\n' $$(find internal/auction internal/bookstore -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+	printf '%7d  servlet + ejb + rmi + scriptmod\n' $$(find internal/servlet internal/ejb internal/rmi internal/scriptmod -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 	for f in README.md DESIGN.md PROTOCOL.md; do printf '%7d  %s\n' $$(wc -l < $$f) $$f; done
 
 # One-iteration smoke run of the package micro-benchmarks: fails fast when

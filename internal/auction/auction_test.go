@@ -37,9 +37,6 @@ func newAppContainer(t testing.TB, sync bool) *servlet.Container {
 	t.Helper()
 	c := servlet.NewContainer(servlet.Config{DB: cluster.Config{DSN: startDB(t), PoolSize: 8}})
 	New(Config{Sync: sync}).Register(c)
-	if err := c.Init(); err != nil {
-		t.Fatal(err)
-	}
 	t.Cleanup(func() { c.Close() })
 	return c
 }
@@ -220,9 +217,6 @@ func TestEJBDeployment(t *testing.T) {
 	t.Cleanup(client.Close)
 	sc := servlet.NewContainer(servlet.Config{})
 	NewRemote(client).Register(sc)
-	if err := sc.Init(); err != nil {
-		t.Fatal(err)
-	}
 	t.Cleanup(func() { sc.Close() })
 	h := sc.Handler()
 

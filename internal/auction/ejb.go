@@ -244,7 +244,7 @@ func (f *CMP) About(args *UserArgs, reply *AboutReply) error {
 			}
 			reply.Bids = append(reply.Bids, BidLine{Amount: amount.AsFloat(), Name: name.AsString()})
 		}
-		sellKeys, err := tx.FindBy("Item", "seller_id", uid, 10)
+		sellKeys, err := tx.FindWhere("Item", "seller_id = ?", []sqldb.Value{uid}, "", 10)
 		if err != nil {
 			return err
 		}
@@ -255,7 +255,7 @@ func (f *CMP) About(args *UserArgs, reply *AboutReply) error {
 			}
 			reply.Selling = append(reply.Selling, row)
 		}
-		buyKeys, err := tx.FindBy("BuyNow", "buyer_id", uid, 10)
+		buyKeys, err := tx.FindWhere("BuyNow", "buyer_id = ?", []sqldb.Value{uid}, "", 10)
 		reply.BuyNows = len(buyKeys)
 		return err
 	})
@@ -264,7 +264,7 @@ func (f *CMP) About(args *UserArgs, reply *AboutReply) error {
 // Login finds the user by nickname and checks the password.
 func (f *CMP) Login(args *LoginArgs, reply *LoginReply) error {
 	return f.C.RunInTx(func(tx *ejb.Tx) error {
-		keys, err := tx.FindBy("User", "nickname", sqldb.String(args.Nickname), 0)
+		keys, err := tx.FindWhere("User", "nickname = ?", []sqldb.Value{sqldb.String(args.Nickname)}, "", 0)
 		if err != nil || len(keys) == 0 {
 			return err
 		}

@@ -14,7 +14,7 @@ import (
 
 // The cart lives in the HTTP session; registering it with gob is what lets
 // a replicated application tier write it through the shared session store
-// (servlet.SessionStore) and restore it on another backend after failover.
+// (servlet.MemStore) and restore it on another backend after failover.
 func init() { gob.Register(&cart{}) }
 
 // Config selects the locking discipline.

@@ -40,9 +40,6 @@ func newAppContainer(t testing.TB, sync bool) *servlet.Container {
 	t.Helper()
 	c := servlet.NewContainer(servlet.Config{DB: cluster.Config{DSN: startDB(t), PoolSize: 8}})
 	New(TinyScale(), Config{Sync: sync}).Register(c)
-	if err := c.Init(); err != nil {
-		t.Fatal(err)
-	}
 	t.Cleanup(func() { c.Close() })
 	return c
 }
@@ -241,9 +238,6 @@ func TestEJBDeployment(t *testing.T) {
 
 	sc := servlet.NewContainer(servlet.Config{})
 	NewRemote(TinyScale(), client).Register(sc)
-	if err := sc.Init(); err != nil {
-		t.Fatal(err)
-	}
 	t.Cleanup(func() { sc.Close() })
 	h := sc.Handler()
 

@@ -179,7 +179,7 @@ func (f *CMP) Search(args *SearchArgs, reply *ListReply) error {
 				return err
 			}
 			for _, ak := range authorKeys {
-				iks, ferr := tx.FindBy("Item", "author_id", ak, 10)
+				iks, ferr := tx.FindWhere("Item", "author_id = ?", []sqldb.Value{ak}, "", 10)
 				if ferr != nil {
 					return ferr
 				}
@@ -348,7 +348,7 @@ func (f *CMP) LastOrder(args *CustomerArgs, reply *OrderReply) error {
 		reply.Found = true
 		reply.Order = OrderView{OrderID: keys[0].AsInt(), Total: get("total").AsFloat(),
 			Status: get("status").AsString()}
-		lineKeys, err := tx.FindBy("OrderLine", "order_id", keys[0], 0)
+		lineKeys, err := tx.FindWhere("OrderLine", "order_id = ?", []sqldb.Value{keys[0]}, "", 0)
 		if err != nil {
 			return err
 		}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -98,11 +99,12 @@ var (
 
 func (g *pinGen) of(s []string) string { return s[g.pick(len(s))] }
 
-// konst is a constant: a literal, a '?' (its argument appended to args), or
-// the negation of either.
+// konst is a constant: a literal, a '?' (its argument appended to args),
+// the negation of either, or an integer as a string, quoted or as a string
+// argument — the engine compares it with an INT column as a number.
 func (g *pinGen) konst(args *[]sqldb.Value) string {
 	k := int64(g.pick(4) + 1)
-	switch g.pick(4) {
+	switch g.pick(6) {
 	case 0:
 		return strconv.FormatInt(k, 10)
 	case 1:
@@ -110,10 +112,18 @@ func (g *pinGen) konst(args *[]sqldb.Value) string {
 		return "?"
 	case 2:
 		return "-" + strconv.FormatInt(k%3, 10)
-	default:
+	case 3:
 		*args = append(*args, sqldb.Int(k%3))
 		return "-?"
 	}
+	if g.pick(2) == 0 {
+		k = -(k % 3)
+	}
+	if g.pick(2) == 0 {
+		return "'" + strconv.FormatInt(k, 10) + "'"
+	}
+	*args = append(*args, sqldb.String(strconv.FormatInt(k, 10)))
+	return "?"
 }
 
 // col is a column, qualified by one of quals ("" leaves it unqualified).
@@ -258,24 +268,44 @@ func TestShardPinShadowedAlias(t *testing.T) {
 	}
 }
 
+// TestShardPinNaNScatters: the engine compares a number with NaN as equal,
+// so a NaN key matches every row and must pin no shard.
+func TestShardPinNaNScatters(t *testing.T) {
+	p := newPinTier(t)
+	p.populate(t)
+	for _, arg := range []sqldb.Value{sqldb.String("NaN"), sqldb.Float(math.NaN())} {
+		if got, want := p.run("SELECT id FROM orders WHERE customer_id = ?", arg); got != want {
+			t.Errorf("customer_id = %v\n 2x1: %s\n 1x1: %s", arg, got, want)
+		}
+	}
+}
+
 // FuzzShardPins: a fuzz input is a path through the oracle's SELECT
 // generator, one byte per choice (0 once the input runs out), run on a 2×1
 // tier and on one engine holding the same rows. The seeds are paths the
-// seeded generator took.
+// seeded generator took to statements the engine accepts, and the paths to
+// SELECT * FROM orders WHERE customer_id = '-1' and to the same with
+// customer_id = ? bound to the string "-2": a string key pins the shard of
+// the number the engine compares it as.
 func FuzzShardPins(f *testing.F) {
+	p := newPinTier(f)
+	p.populate(f)
 	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 32; i++ {
+	for seeds := 0; seeds < 32; {
 		var path []byte
 		g := &pinGen{pick: func(n int) int {
 			c := rng.Intn(n)
 			path = append(path, byte(c))
 			return c
 		}}
-		g.selectStmt()
-		f.Add(path)
+		q, args := g.selectStmt()
+		if _, err := p.ref.Exec(q, args...); err == nil {
+			f.Add(path)
+			seeds++
+		}
 	}
-	p := newPinTier(f)
-	p.populate(f)
+	f.Add([]byte{0, 0, 0, 2, 1, 3, 0, 0, 0, 4, 0, 0})
+	f.Add([]byte{0, 0, 0, 2, 1, 3, 0, 0, 1, 4, 0, 1})
 	f.Fuzz(func(t *testing.T, path []byte) {
 		g := &pinGen{pick: func(n int) int {
 			if len(path) == 0 {

@@ -43,7 +43,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math/bits"
 	"slices"
 	"sort"
@@ -183,9 +182,9 @@ func (sh *shardSet) buildPlan(query string) *shardPlan {
 	return p
 }
 
-// shardFor evaluates the plan's key expressions against the call's
+// shardFor evaluates the plan's WHERE key expressions against the call's
 // arguments. ok only when every expression resolves and all agree on one
-// shard — a multi-row INSERT whose rows span shards is not pinned.
+// shard.
 func (p *shardPlan) shardFor(args []sqldb.Value, n int) (int, bool) {
 	if p.exprs == nil {
 		return 0, false
@@ -196,7 +195,17 @@ func (p *shardPlan) shardFor(args []sqldb.Value, n int) (int, bool) {
 		if err != nil {
 			return 0, false
 		}
-		s := shardIndex(v, n)
+		// The engine compares a key with the INT column as a number, by
+		// its AsFloat, and a NaN compares equal to every row.
+		k := v.AsInt()
+		if v.Kind() != sqldb.KindInt {
+			f := v.AsFloat()
+			if f != f {
+				return 0, false
+			}
+			k = int64(f)
+		}
+		s := shardIndex(k, n)
 		if shard >= 0 && s != shard {
 			return 0, false
 		}
@@ -205,23 +214,12 @@ func (p *shardPlan) shardFor(args []sqldb.Value, n int) (int, bool) {
 	return shard, shard >= 0
 }
 
-// shardIndex hashes a key value to its owning shard. Integral keys map by
-// congruence — shard i of n owns ids ≡ i+1 (mod n) — which is exactly the
-// class a strided AUTO_INCREMENT (OFFSET i+1 STRIDE n) assigns, so
-// generated ids route back to the shard that generated them. Strings hash
-// by FNV-1a.
-func shardIndex(v sqldb.Value, n int) int {
-	switch v.Kind() {
-	case sqldb.KindInt:
-		return int(((v.AsInt()-1)%int64(n) + int64(n)) % int64(n))
-	case sqldb.KindFloat:
-		i := int64(v.AsFloat())
-		return int(((i-1)%int64(n) + int64(n)) % int64(n))
-	default:
-		h := fnv.New32a()
-		h.Write([]byte(v.AsString()))
-		return int(h.Sum32() % uint32(n))
-	}
+// shardIndex maps an INT shard key to its owning shard by congruence —
+// shard i of n owns keys ≡ i+1 (mod n) — which is exactly the class a
+// strided AUTO_INCREMENT (OFFSET i+1 STRIDE n) assigns, so generated ids
+// route back to the shard that generated them.
+func shardIndex(k int64, n int) int {
+	return int(((k-1)%int64(n) + int64(n)) % int64(n))
 }
 
 // Exec routes one pool-level statement through the shard set.
@@ -279,7 +277,8 @@ func (p *shardPlan) insertTarget(args []sqldb.Value, n int) (shard int, owners [
 		if err != nil {
 			return 0, nil, errInsertSpansShards
 		}
-		s := shardIndex(v, n)
+		// The INT key column stores the value's AsInt.
+		s := shardIndex(v.AsInt(), n)
 		switch {
 		case i == 0:
 			shard = s

@@ -165,7 +165,6 @@ type Lab struct {
 	containers []*servlet.Container
 	ejbCs      []*ejb.Container
 	rmiClients []*rmi.Client
-	sessions   *servlet.MemStore
 	// front is the web tier: the connectors to those backends, the
 	// balancer over them and the page cache (stack.NewFront).
 	front *stack.Front
@@ -349,13 +348,11 @@ func (l *Lab) startAppTier(dsn string) ([]lb.Backend, error) {
 	// Replicated backends share the session store AND the engine-side lock
 	// manager: the (sync) configurations' correctness rests on one
 	// process-wide lock table — per-backend managers would let two
-	// backends' read-modify-write interactions interleave. store stays a
-	// properly nil interface when the tier is unreplicated.
-	var store servlet.SessionStore
+	// backends' read-modify-write interactions interleave.
+	var sessions *servlet.MemStore
 	var sharedLocks *servlet.LockManager
 	if replicas > 1 {
-		l.sessions = servlet.NewMemStore()
-		store, sharedLocks = l.sessions, servlet.NewLockManager()
+		sessions, sharedLocks = servlet.NewMemStore(), servlet.NewLockManager()
 	}
 	// appRoute names backend i; with one backend there is no balancer and
 	// session ids stay bare (the pre-replication behavior).
@@ -367,7 +364,7 @@ func (l *Lab) startAppTier(dsn string) ([]lb.Backend, error) {
 	}
 	newAppContainer := func(i int) *servlet.Container {
 		return app.ServletBackend(servlet.Config{
-			DB: dbCfg, Route: appRoute(i), SessionStore: store, Locks: sharedLocks,
+			DB: dbCfg, Route: appRoute(i), SessionStore: sessions, Locks: sharedLocks,
 		}, sync)
 	}
 	// startBackend serves an initialized container over AJP as the next
@@ -396,12 +393,8 @@ func (l *Lab) startAppTier(dsn string) ([]lb.Backend, error) {
 	case arch.PHP:
 		// In-process script module: generator in the web server's address
 		// space, no IPC (§2.1) — and therefore no replication axis.
-		m, err := scriptmod.Mount(newAppContainer(0))
-		if err != nil {
-			return nil, err
-		}
-		l.module = m
-		return []lb.Backend{{Handler: m}}, nil
+		l.module = scriptmod.Mount(newAppContainer(0))
+		return []lb.Backend{{Handler: l.module}}, nil
 
 	case arch.Servlet, arch.ServletSync, arch.ServletDedicated, arch.ServletDedicatedSync:
 		// Servlet containers in their own process boundary, reached over
@@ -425,7 +418,7 @@ func (l *Lab) startAppTier(dsn string) ([]lb.Backend, error) {
 			}
 			l.ejbCs = append(l.ejbCs, ec)
 			rc, pc := app.PresentationBackend(rmiAddr.String(), poolSize, cfg.AppTimeouts,
-				servlet.Config{Route: appRoute(i), SessionStore: store})
+				servlet.Config{Route: appRoute(i), SessionStore: sessions})
 			l.rmiClients = append(l.rmiClients, rc)
 			if err := startBackend(pc); err != nil {
 				return nil, err

@@ -44,13 +44,12 @@ type EntityDef struct {
 
 // entityMeta holds the container-generated SQL for one entity, built once
 // at deployment: every CMP access (activation SELECT, field-store UPDATE,
-// create INSERT, remove DELETE) is one of these fixed texts, which the
-// cluster client runs over the wire protocol's EXECUTE-by-id fast path.
+// create INSERT) is one of these fixed texts, which the cluster client
+// runs over the wire protocol's EXECUTE-by-id fast path.
 type entityMeta struct {
 	def        EntityDef
 	load       string            // SELECT key, fields WHERE key = ?
 	insert     string            // INSERT (fields...)
-	delete     string            // DELETE WHERE key = ?
 	update     map[string]string // per-field single-column UPDATE
 	fieldIndex map[string]int    // field -> position in load results
 }
@@ -61,16 +60,11 @@ type Config struct {
 	// size, write policy, deadlines, query cache: cluster.Config documents
 	// each, and is the one place a setting is declared.
 	DB cluster.Config
-	// WriteBehind batches field stores until Tx.Commit instead of issuing
-	// one UPDATE per Set — the ablation knob for the CMP-granularity
-	// experiment. The paper's measured system behaves like false.
-	WriteBehind bool
 }
 
 // Container manages entity beans and hosts session beans over RMI.
 type Container struct {
-	pool        *cluster.Client
-	writeBehind bool
+	pool *cluster.Client
 
 	mu       sync.RWMutex
 	entities map[string]*entityMeta
@@ -91,10 +85,9 @@ func NewContainer(cfg Config) (*Container, error) {
 		return nil, fmt.Errorf("ejb: DB.DSN required")
 	}
 	return &Container{
-		pool:        cluster.NewWithConfig(cfg.DB),
-		writeBehind: cfg.WriteBehind,
-		entities:    make(map[string]*entityMeta),
-		rmiServer:   rmi.NewServer(),
+		pool:      cluster.NewWithConfig(cfg.DB),
+		entities:  make(map[string]*entityMeta),
+		rmiServer: rmi.NewServer(),
 	}, nil
 }
 
@@ -114,7 +107,6 @@ func (c *Container) DefineEntity(def EntityDef) error {
 	ph := strings.TrimSuffix(strings.Repeat("?, ", len(def.Fields)), ", ")
 	m.insert = fmt.Sprintf("INSERT INTO %s (%s) VALUES (%s)",
 		def.Table, strings.Join(def.Fields, ", "), ph)
-	m.delete = fmt.Sprintf("DELETE FROM %s WHERE %s = ?", def.Table, def.Key)
 	for i, f := range def.Fields {
 		m.update[f] = fmt.Sprintf("UPDATE %s SET %s = ? WHERE %s = ?",
 			def.Table, f, def.Key)
@@ -175,10 +167,9 @@ func (e *Entity) Get(field string) (sqldb.Value, error) {
 }
 
 // Set stores a managed field. With container-managed persistence each store
-// is one single-column UPDATE (unless the transaction batches writes). The
-// first store opens the transaction's database transaction: every
-// subsequent statement of the business method runs inside it, and a
-// rollback revokes them all.
+// is one single-column UPDATE. The first store opens the transaction's
+// database transaction: every subsequent statement of the business method
+// runs inside it, and a rollback revokes them all.
 func (e *Entity) Set(field string, v sqldb.Value) error {
 	i, ok := e.meta.fieldIndex[field]
 	if !ok {
@@ -186,10 +177,6 @@ func (e *Entity) Set(field string, v sqldb.Value) error {
 	}
 	e.fields[i] = v
 	e.c.stores.Add(1)
-	if e.tx != nil && e.c.writeBehind {
-		e.tx.addDirty(e, field, v)
-		return nil
-	}
 	_, err := e.tx.execWrite(e.meta.update[field], v, e.pk)
 	return err
 }
@@ -214,16 +201,9 @@ func (e *Entity) Set(field string, v sqldb.Value) error {
 // without ever opening a database transaction: snapshot-only, zero
 // replication coordination.
 type Tx struct {
-	c     *Container
-	sess  *cluster.Session
-	dirty []dirtyField
-	done  bool
-}
-
-type dirtyField struct {
-	e     *Entity
-	field string
-	v     sqldb.Value
+	c    *Container
+	sess *cluster.Session
+	done bool
 }
 
 // Begin opens a container-managed transaction. Most callers should use
@@ -314,35 +294,10 @@ func (t *Tx) end(commit bool) error {
 	return err
 }
 
-func (t *Tx) addDirty(e *Entity, field string, v sqldb.Value) {
-	t.dirty = append(t.dirty, dirtyField{e, field, v})
-}
-
-// Commit flushes deferred field stores (one UPDATE per dirty field, last
-// write wins per field) and commits the database transaction.
+// Commit commits the database transaction, if a write opened one.
 func (t *Tx) Commit() error {
 	if t.done {
 		return fmt.Errorf("ejb: transaction already completed")
-	}
-	type key struct {
-		e     *Entity
-		field string
-	}
-	last := make(map[key]sqldb.Value, len(t.dirty))
-	order := make([]key, 0, len(t.dirty))
-	for _, d := range t.dirty {
-		k := key{d.e, d.field}
-		if _, seen := last[k]; !seen {
-			order = append(order, k)
-		}
-		last[k] = d.v
-	}
-	for _, k := range order {
-		if _, err := t.execWrite(k.e.meta.update[k.field], last[k], k.e.pk); err != nil {
-			_ = t.end(false)
-			t.c.txAborts.Add(1)
-			return err
-		}
 	}
 	// A method that never wrote has no backing database transaction: its
 	// reads ran as MVCC snapshot statements on pooled connections, and its
@@ -360,15 +315,14 @@ func (t *Tx) Commit() error {
 	return nil
 }
 
-// Rollback aborts the transaction: deferred stores are discarded and the
-// database transaction (if any statement opened one) rolls back on every
-// replica. Without an open database transaction it is a no-op — a failing
-// read-only method has nothing to undo.
+// Rollback aborts the transaction: the database transaction (if any
+// statement opened one) rolls back on every replica. Without an open
+// database transaction it is a no-op — a failing read-only method has
+// nothing to undo.
 func (t *Tx) Rollback() error {
 	if t.done {
 		return nil
 	}
-	t.dirty = nil
 	err := t.end(false)
 	t.c.txAborts.Add(1)
 	return err
@@ -388,33 +342,16 @@ func (t *Tx) Load(entity string, pk sqldb.Value) (*Entity, error) {
 	if len(res.Rows) == 0 {
 		return nil, fmt.Errorf("ejb: %s[%v] %w", entity, pk, ErrNotFound)
 	}
-	// The entity's field slice is a private copy: SetField mutates it in
+	// The entity's field slice is a private copy: Set mutates it in
 	// place, and the loaded row may be shared — the cluster's query cache
 	// serves result rows to many callers.
 	return &Entity{meta: m, c: t.c, tx: t, pk: res.Rows[0][0],
 		fields: append(sqldb.Row(nil), res.Rows[0]...)}, nil
 }
 
-// FindBy runs a CMP finder: SELECT key FROM table WHERE col = ? [LIMIT n],
+// FindWhere runs a CMP finder with a caller-supplied condition (the EJB-QL
+// analog): SELECT key FROM table [WHERE …] [ORDER BY …] [LIMIT n],
 // returning primary keys only — materializing each result costs a Load.
-func (t *Tx) FindBy(entity, col string, v sqldb.Value, limit int) ([]sqldb.Value, error) {
-	m, err := t.c.meta(entity)
-	if err != nil {
-		return nil, err
-	}
-	q := fmt.Sprintf("SELECT %s FROM %s WHERE %s = ?", m.def.Key, m.def.Table, col)
-	if limit > 0 {
-		q += fmt.Sprintf(" LIMIT %d", limit)
-	}
-	res, err := t.Query(q, v)
-	if err != nil {
-		return nil, err
-	}
-	return keysOf(res), nil
-}
-
-// FindWhere runs a finder with a caller-supplied condition (the EJB-QL
-// analog), still returning primary keys only.
 func (t *Tx) FindWhere(entity, whereSQL string, args []sqldb.Value, orderBy string, limit int) ([]sqldb.Value, error) {
 	m, err := t.c.meta(entity)
 	if err != nil {
@@ -462,16 +399,6 @@ func (t *Tx) Create(entity string, values []sqldb.Value) (sqldb.Value, error) {
 		return sqldb.Null(), err
 	}
 	return sqldb.Int(res.LastInsertID), nil
-}
-
-// Remove deletes an entity row.
-func (t *Tx) Remove(entity string, pk sqldb.Value) error {
-	m, err := t.c.meta(entity)
-	if err != nil {
-		return err
-	}
-	_, err = t.execWrite(m.delete, pk)
-	return err
 }
 
 // RegisterFacade exposes a stateless session bean over RMI under name.

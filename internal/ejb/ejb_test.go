@@ -88,7 +88,7 @@ func TestEntityLoadGetSet(t *testing.T) {
 func TestFinderReturnsKeysOnly(t *testing.T) {
 	c := newTestContainer(t, Config{})
 	tx := c.Begin()
-	keys, err := tx.FindBy("User", "nick", sqldb.String("bob"), 0)
+	keys, err := tx.FindWhere("User", "nick = ?", []sqldb.Value{sqldb.String("bob")}, "", 0)
 	if err != nil || len(keys) != 1 || keys[0].AsInt() != 2 {
 		t.Fatalf("keys %v err %v", keys, err)
 	}
@@ -121,6 +121,9 @@ func TestFindWhere(t *testing.T) {
 	}
 }
 
+// TestCreateAndRemove: Create returns the AUTO_INCREMENT key, the new entity
+// loads inside the same transaction, and a committed transaction cannot
+// commit again.
 func TestCreateAndRemove(t *testing.T) {
 	c := newTestContainer(t, Config{})
 	tx := c.Begin()
@@ -131,52 +134,18 @@ func TestCreateAndRemove(t *testing.T) {
 	if pk.AsInt() != 3 {
 		t.Fatalf("pk %v", pk)
 	}
-	if _, err := tx.Load("User", pk); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Remove("User", pk); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tx.Load("User", pk); err == nil {
-		t.Fatal("removed entity still loads")
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWriteBehindBatchesStores(t *testing.T) {
-	c := newTestContainer(t, Config{WriteBehind: true})
-	tx := c.Begin()
-	u, err := tx.Load("User", sqldb.Int(1))
+	u, err := tx.Load("User", pk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := c.Telemetry().Queries
-	// Three stores to the same field collapse into one UPDATE at commit.
-	for _, v := range []int64{1, 2, 3} {
-		if err := u.Set("rating", sqldb.Int(v)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := u.Set("balance", sqldb.Float(7)); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Telemetry().Queries - base; got != 0 {
-		t.Fatalf("write-behind issued %d statements before commit", got)
+	if nick, _ := u.Get("nick"); nick.AsString() != "carol" {
+		t.Fatalf("nick %v", nick)
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Telemetry().Queries - base; got != 2 {
-		t.Fatalf("commit issued %d statements, want 2 (one per dirty field)", got)
-	}
 	if err := tx.Commit(); err == nil {
 		t.Fatal("double commit must fail")
-	}
-	u2, _ := c.Begin().Load("User", sqldb.Int(1))
-	if r, _ := u2.Get("rating"); r.AsInt() != 3 {
-		t.Fatalf("last write must win: %v", r)
 	}
 }
 
@@ -321,7 +290,7 @@ func TestRunInTxErrorRollsBack(t *testing.T) {
 	if r, _ := u.Get("rating"); r.AsInt() != 5 {
 		t.Fatalf("aborted store visible: rating %v", r)
 	}
-	if keys, _ := tx.FindBy("User", "nick", sqldb.String("phantom"), 0); len(keys) != 0 {
+	if keys, _ := tx.FindWhere("User", "nick = ?", []sqldb.Value{sqldb.String("phantom")}, "", 0); len(keys) != 0 {
 		t.Fatal("aborted create visible")
 	}
 	if s := c.Telemetry(); s.Aborts != 1 {

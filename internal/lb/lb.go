@@ -18,7 +18,7 @@
 //   - A transport-level failure ejects the backend and the request is
 //     retried transparently on another healthy one. Pinned sessions fail
 //     over the same way; with the containers sharing a
-//     servlet.SessionStore, the survivor restores the session's
+//     servlet.MemStore, the survivor restores the session's
 //     replicated state and the failover is invisible to the client.
 //     Caveat, shared with mod_jk's worker recovery (and with the AJP
 //     connector's own single retry underneath): a backend that dies

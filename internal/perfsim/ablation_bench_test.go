@@ -34,9 +34,9 @@ func BenchmarkAblationSyncLocking(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCMPGranularity compares per-field CMP stores against
-// write-behind batching (ejb.Config.WriteBehind) in the simulation's terms:
-// the CMP fanout knob.
+// BenchmarkAblationCMPGranularity varies the simulation's CMP fanout knob —
+// how many short generated queries replace one hand-written query step —
+// and reports the EJB configuration's throughput at each setting.
 func BenchmarkAblationCMPGranularity(b *testing.B) {
 	for _, fanout := range []int{1, 4, 7, 12} {
 		fanout := fanout

@@ -52,14 +52,6 @@ type run struct {
 	lockWait0 float64
 }
 
-// engineMachine returns the machine hosting the dynamic-content generator.
-func (r *run) engineMachine() *cluster.Machine {
-	if r.app != nil {
-		return r.app
-	}
-	return r.web
-}
-
 // newRun wires up machines, locks and workload weights for one experiment.
 func newRun(b Benchmark, m Mix, a Arch, opt Options) *run {
 	spec := specFor(b)

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"net"
 	"reflect"
-	"strings"
 	"sync"
 
 	"repro/internal/frame"
@@ -284,12 +283,3 @@ func roundTrip(cc *clientConn, methodName string, args, reply any) error {
 
 // Close closes pooled connections.
 func (c *Client) Close() { c.pool.Close() }
-
-// MethodName builds "Svc.Method" with validation, for callers constructing
-// names dynamically.
-func MethodName(service, method string) (string, error) {
-	if service == "" || method == "" || strings.ContainsAny(service+method, ".\x00") {
-		return "", fmt.Errorf("rmi: invalid method name %q.%q", service, method)
-	}
-	return service + "." + method, nil
-}

@@ -109,17 +109,6 @@ func TestConcurrentCalls(t *testing.T) {
 	wg.Wait()
 }
 
-func TestMethodName(t *testing.T) {
-	if _, err := MethodName("Svc", "M"); err != nil {
-		t.Fatal(err)
-	}
-	for _, bad := range [][2]string{{"", "M"}, {"S", ""}, {"a.b", "M"}, {"S", "m\x00"}} {
-		if _, err := MethodName(bad[0], bad[1]); err == nil {
-			t.Errorf("MethodName(%q,%q) should fail", bad[0], bad[1])
-		}
-	}
-}
-
 func BenchmarkRMICall(b *testing.B) {
 	s := NewServer()
 	if err := s.Register("Calc", &Calc{}); err != nil {

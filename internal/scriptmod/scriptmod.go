@@ -17,13 +17,10 @@ type Module struct {
 	container *servlet.Container
 }
 
-// Mount initializes the container's application logic and returns it as an
-// in-process module. The container must not also be started on AJP.
-func Mount(c *servlet.Container) (*Module, error) {
-	if err := c.Init(); err != nil {
-		return nil, err
-	}
-	return &Module{container: c}, nil
+// Mount returns the container as an in-process module. The container must
+// not also be started on AJP.
+func Mount(c *servlet.Container) *Module {
+	return &Module{container: c}
 }
 
 // ServeHTTP dispatches in-process (no IPC).

@@ -1,46 +1,21 @@
 package scriptmod
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/httpd"
 	"repro/internal/servlet"
 )
 
-type initServlet struct {
-	inited   bool
-	failInit bool
-}
-
-func (s *initServlet) Init(*servlet.Context) error {
-	if s.failInit {
-		return errors.New("init refused")
-	}
-	s.inited = true
-	return nil
-}
-
-func (s *initServlet) Service(_ *servlet.Context, req *httpd.Request) (*httpd.Response, error) {
-	r := httpd.NewResponse()
-	r.WriteString("in-process:" + req.Path)
-	return r, nil
-}
-
-func (s *initServlet) Destroy() {}
-
 func TestMountDispatchesInProcess(t *testing.T) {
 	c := servlet.NewContainer(servlet.Config{})
-	sv := &initServlet{}
-	c.Register("/app/", sv)
-	m, err := Mount(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c.Register("/app/", func(_ *servlet.Context, req *httpd.Request) (*httpd.Response, error) {
+		r := httpd.NewResponse()
+		r.WriteString("in-process:" + req.Path)
+		return r, nil
+	})
+	m := Mount(c)
 	defer m.Close()
-	if !sv.inited {
-		t.Fatal("Mount must run servlet Init")
-	}
 	resp, err := m.ServeHTTP(&httpd.Request{Method: "GET", Path: "/app/x",
 		Header: httpd.Header{}, Query: map[string][]string{}})
 	if err != nil {
@@ -49,12 +24,7 @@ func TestMountDispatchesInProcess(t *testing.T) {
 	if string(resp.Body) != "in-process:/app/x" {
 		t.Fatalf("body %q", resp.Body)
 	}
-}
-
-func TestMountPropagatesInitError(t *testing.T) {
-	c := servlet.NewContainer(servlet.Config{})
-	c.Register("/app/", &initServlet{failInit: true})
-	if _, err := Mount(c); err == nil {
-		t.Fatal("Mount must surface Init errors")
+	if n := m.Container().Telemetry().Requests; n != 1 {
+		t.Fatalf("container counted %d requests, want 1", n)
 	}
 }

@@ -1,8 +1,8 @@
 // Package servlet is an application container in the mold of the Tomcat
-// servlet engine the paper measures: servlets are registered under URL
-// patterns, initialized once with a shared context (database connection
-// pool, session manager, engine-side lock manager), and invoked for each
-// request arriving over the AJP listener — or directly in-process when the
+// servlet engine the paper measures: servlets are functions registered
+// under URL patterns, called with a shared context (database connection
+// pool, session manager, engine-side lock manager) for each request
+// arriving over the AJP listener — or directly in-process when the
 // container is co-located with the web server.
 //
 // The engine-side lock manager is the container's analog of the Java
@@ -38,21 +38,6 @@ type Context struct {
 	Locks *LockManager
 	// Sessions tracks client sessions by cookie.
 	Sessions *SessionManager
-
-	mu    sync.RWMutex
-	attrs map[string]any
-}
-
-// Tx runs fn inside one database transaction — the explicit transaction API
-// servlets use for atomic multi-statement work. writeTables declares the
-// tables fn intends to write (the cluster serializes conflicting
-// transactions on them); fn returning nil commits, an error or panic rolls
-// back, leaving every replica bit-identical to its pre-transaction state.
-func (c *Context) Tx(writeTables []string, fn func(tx *cluster.Session) error) error {
-	if c.DB == nil {
-		return ErrNoDatabase
-	}
-	return c.DB.WithTx(writeTables, fn)
 }
 
 // WithLocks runs fn under one of the two concurrency disciplines the paper
@@ -81,50 +66,12 @@ func (c *Context) WithLocks(engineSync bool, set []TableLock, fn func(ex sqldb.E
 	if len(writes) == 0 {
 		return fn(c.DB)
 	}
-	return c.Tx(writes, func(tx *cluster.Session) error { return fn(tx) })
+	return c.DB.WithTx(writes, func(tx *cluster.Session) error { return fn(tx) })
 }
 
-// SetAttr stores a container-scoped attribute (the ServletContext analog).
-func (c *Context) SetAttr(key string, v any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.attrs == nil {
-		c.attrs = make(map[string]any)
-	}
-	c.attrs[key] = v
-}
-
-// Attr loads a container-scoped attribute.
-func (c *Context) Attr(key string) (any, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	v, ok := c.attrs[key]
-	return v, ok
-}
-
-// Servlet is the unit of application logic.
-type Servlet interface {
-	// Init runs once before the first request.
-	Init(ctx *Context) error
-	// Service handles one request.
-	Service(ctx *Context, req *httpd.Request) (*httpd.Response, error)
-	// Destroy runs at container shutdown.
-	Destroy()
-}
-
-// Func adapts a function into a Servlet with no lifecycle.
+// Func is a servlet: the application logic for one URL pattern, called for
+// each request with the container's shared context.
 type Func func(ctx *Context, req *httpd.Request) (*httpd.Response, error)
-
-// Init implements Servlet.
-func (Func) Init(*Context) error { return nil }
-
-// Service implements Servlet.
-func (f Func) Service(ctx *Context, req *httpd.Request) (*httpd.Response, error) {
-	return f(ctx, req)
-}
-
-// Destroy implements Servlet.
-func (Func) Destroy() {}
 
 // Config configures a container.
 type Config struct {
@@ -144,7 +91,7 @@ type Config struct {
 	// when a pinned backend dies, the survivor restores the session from
 	// the store. Nil keeps sessions container-local (affinity still works;
 	// failover loses session state).
-	SessionStore SessionStore
+	SessionStore *MemStore
 	// Locks overrides the container's engine-side lock manager. A
 	// replicated tier in one process must share one manager across its
 	// backends, or the (sync) configurations' engine-side table locks
@@ -162,10 +109,9 @@ type Container struct {
 	mux      *httpd.Mux
 	listener *ajp.Listener
 
-	mu       sync.Mutex
-	servlets []registered
-	started  bool
-	closed   bool
+	mu      sync.Mutex
+	started bool
+	closed  bool
 
 	requests atomic.Int64
 }
@@ -180,11 +126,6 @@ func (c *Container) Telemetry() telemetry.Tier {
 		t.Pool, t.Downstream, t.ClusterStats = &ps, "db", cl.ClientStats()
 	}
 	return t
-}
-
-type registered struct {
-	pattern string
-	s       Servlet
 }
 
 // NewContainer creates a container. Call Register, then Start (AJP) and/or
@@ -211,13 +152,12 @@ func (c *Container) Context() *Context { return c.ctx }
 
 // Register adds a servlet under a URL pattern (httpd.Mux semantics). It
 // must be called before Start.
-func (c *Container) Register(pattern string, s Servlet) {
+func (c *Container) Register(pattern string, s Func) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.started {
 		panic("servlet: Register after Start")
 	}
-	c.servlets = append(c.servlets, registered{pattern, s})
 	c.mux.Handle(pattern, httpd.HandlerFunc(func(req *httpd.Request) (*httpd.Response, error) {
 		c.requests.Add(1)
 		// The content epoch is captured BEFORE the servlet renders: if a
@@ -229,7 +169,7 @@ func (c *Container) Register(pattern string, s Servlet) {
 		if c.ctx.DB != nil {
 			epoch = c.ctx.DB.ContentEpoch()
 		}
-		resp, err := s.Service(c.ctx, req)
+		resp, err := s(c.ctx, req)
 		if resp != nil && c.ctx.DB != nil {
 			resp.Header.Set("X-Content-Epoch", strconv.FormatUint(epoch, 10))
 		}
@@ -237,29 +177,12 @@ func (c *Container) Register(pattern string, s Servlet) {
 	}))
 }
 
-// Init runs every servlet's Init. Start calls it; call it directly when
-// mounting the container in-process only.
-func (c *Container) Init() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.started {
-		return nil
-	}
-	for _, r := range c.servlets {
-		if err := r.s.Init(c.ctx); err != nil {
-			return fmt.Errorf("servlet: init %s: %w", r.pattern, err)
-		}
-	}
-	c.started = true
-	return nil
-}
-
-// Start initializes servlets and serves AJP on addr, returning the bound
-// address.
+// Start serves AJP on addr, returning the bound address. Register panics
+// from then on.
 func (c *Container) Start(addr string) (net.Addr, error) {
-	if err := c.Init(); err != nil {
-		return nil, err
-	}
+	c.mu.Lock()
+	c.started = true
+	c.mu.Unlock()
 	l := ajp.NewListener(c.mux)
 	bound, err := l.Listen(addr)
 	if err != nil {
@@ -276,7 +199,7 @@ func (c *Container) Start(addr string) (net.Addr, error) {
 // benchmarks use AJP even co-located, as Apache+Tomcat do).
 func (c *Container) Handler() httpd.Handler { return c.mux }
 
-// Close stops the listener, destroys servlets and closes the DB pool.
+// Close stops the listener and closes the DB pool.
 func (c *Container) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -285,13 +208,9 @@ func (c *Container) Close() error {
 	}
 	c.closed = true
 	l := c.listener
-	servlets := c.servlets
 	c.mu.Unlock()
 	if l != nil {
 		l.Close()
-	}
-	for _, r := range servlets {
-		r.s.Destroy()
 	}
 	if c.ctx.DB != nil {
 		c.ctx.DB.Close()
@@ -331,8 +250,8 @@ type TableLock struct {
 }
 
 // WriteTables extracts the write-intent tables of a lock set, sorted — the
-// table declaration the applications hand to Context.Tx when a lock set
-// runs as a database transaction instead of engine locks.
+// table declaration WithLocks gives the database transaction a lock set
+// runs as when it does not take engine locks.
 func WriteTables(set []TableLock) []string {
 	var out []string
 	for _, tl := range set {
@@ -387,11 +306,11 @@ func (lm *LockManager) Acquire(set []TableLock) (release func()) {
 // SessionManager tracks client sessions via the httpd.SessionCookie. In a
 // replicated application tier it is configured (servlet.Config) with a
 // route — appended to session ids as ".route", the jvmRoute the front-end
-// balancer pins on — and a shared SessionStore that every attribute write
+// balancer pins on — and a shared MemStore that every attribute write
 // goes through, so any replica can restore a session it has never seen.
 type SessionManager struct {
 	route string
-	store SessionStore
+	store *MemStore
 
 	mu   sync.Mutex
 	next int64
@@ -399,14 +318,14 @@ type SessionManager struct {
 }
 
 // Session is per-client state. Attribute values must be gob-encodable
-// (register custom types with gob.Register) when a SessionStore is
+// (register custom types with gob.Register) when a session store is
 // configured; mutating a stored value in place does not replicate — call
 // Set again to publish, the same contract Java session replication places
 // on setAttribute.
 type Session struct {
 	ID string
 
-	store SessionStore
+	store *MemStore
 	mu    sync.Mutex
 	attrs map[string]any
 	ver   uint64 // store version this copy reflects
@@ -532,16 +451,6 @@ func (m *SessionManager) Ensure(req *httpd.Request, resp *httpd.Response) *Sessi
 	m.mu.Unlock()
 	resp.Header.Set("Set-Cookie", httpd.SessionCookie+"="+id+"; Path=/")
 	return s
-}
-
-// Expire drops a session, from the replication store too.
-func (m *SessionManager) Expire(id string) {
-	m.mu.Lock()
-	delete(m.byID, id)
-	m.mu.Unlock()
-	if m.store != nil {
-		m.store.Delete(id)
-	}
 }
 
 // ErrNoDatabase is returned by servlets that need a database when the

@@ -3,6 +3,7 @@ package servlet
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,39 +14,15 @@ import (
 	"repro/internal/sqldb/wire"
 )
 
-type countingServlet struct {
-	mu       sync.Mutex
-	inits    int
-	destroys int
-	served   int
-}
-
-func (c *countingServlet) Init(*Context) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.inits++
-	return nil
-}
-
-func (c *countingServlet) Service(_ *Context, req *httpd.Request) (*httpd.Response, error) {
-	c.mu.Lock()
-	c.served++
-	c.mu.Unlock()
-	r := httpd.NewResponse()
-	r.WriteString("ok:" + req.Path)
-	return r, nil
-}
-
-func (c *countingServlet) Destroy() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.destroys++
-}
-
 func TestContainerLifecycle(t *testing.T) {
 	c := NewContainer(Config{})
-	cs := &countingServlet{}
-	c.Register("/app/", cs)
+	var served atomic.Int64
+	c.Register("/app/", func(_ *Context, req *httpd.Request) (*httpd.Response, error) {
+		served.Add(1)
+		r := httpd.NewResponse()
+		r.WriteString("ok:" + req.Path)
+		return r, nil
+	})
 	addr, err := c.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -67,10 +44,11 @@ func TestContainerLifecycle(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if cs.inits != 1 || cs.destroys != 1 || cs.served != 3 {
-		t.Fatalf("lifecycle counts: %+v", cs)
+	if n := served.Load(); n != 3 {
+		t.Fatalf("served %d requests, want 3", n)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
 	}
 }
 
@@ -242,26 +220,12 @@ func TestSessions(t *testing.T) {
 	if v, ok := s2.Get("cart"); !ok || v.(int) != 42 {
 		t.Fatal("session attrs not shared")
 	}
-	sm.Expire(s.ID)
-	if sm.Lookup(req2) != nil {
-		t.Fatal("expired session still resolvable")
-	}
-}
-
-func TestContextAttrs(t *testing.T) {
-	ctx := &Context{}
-	ctx.SetAttr("k", "v")
-	if v, ok := ctx.Attr("k"); !ok || v.(string) != "v" {
-		t.Fatal("attrs")
-	}
-	if _, ok := ctx.Attr("missing"); ok {
-		t.Fatal("missing attr reported present")
-	}
 }
 
 func TestRegisterAfterStartPanics(t *testing.T) {
 	c := NewContainer(Config{})
-	c.Register("/a", &countingServlet{})
+	noop := func(*Context, *httpd.Request) (*httpd.Response, error) { return httpd.NewResponse(), nil }
+	c.Register("/a", noop)
 	if _, err := c.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -271,5 +235,5 @@ func TestRegisterAfterStartPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	c.Register("/b", &countingServlet{})
+	c.Register("/b", noop)
 }

@@ -6,33 +6,19 @@ import (
 	"sync"
 )
 
-// SessionStore is the write-through replication target for HTTP session
+// MemStore is the write-through replication target for HTTP session
 // state: every Session.Set publishes the session's serialized attributes
 // here, and a container that has no local copy of a session (or a stale
 // one) restores it from here. Sharing one store across the replicated
 // application tier is what makes load-balancer failover transparent — the
 // surviving backend picks the session up mid-flight with its state intact.
+// It is a mutex-guarded map shared by every container replica in the
+// process: the lab's stand-in for a replication bus.
 //
 // Blobs are opaque to the store (the session manager gob-encodes the
 // attribute map); versions are assigned by the store, monotonically per
 // session, so a backend can cheaply detect that its local copy is behind
 // (the session served requests on another backend since) and refresh.
-type SessionStore interface {
-	// Save replaces the session's blob and returns its new version.
-	Save(id string, data []byte) uint64
-	// Load returns the blob and its version.
-	Load(id string) (data []byte, version uint64, ok bool)
-	// Version returns the current version without the blob — the cheap
-	// staleness probe on the session lookup path.
-	Version(id string) (uint64, bool)
-	// Delete drops the session (explicit expiry).
-	Delete(id string)
-}
-
-// MemStore is the in-process SessionStore: a mutex-guarded map shared by
-// every container replica in the process (the lab's stand-in for a
-// replication bus; the interface accommodates an external store for
-// multi-process deployments).
 type MemStore struct {
 	mu   sync.Mutex
 	byID map[string]memEntry
@@ -48,7 +34,7 @@ func NewMemStore() *MemStore {
 	return &MemStore{byID: make(map[string]memEntry)}
 }
 
-// Save implements SessionStore.
+// Save replaces the session's blob and returns its new version.
 func (m *MemStore) Save(id string, data []byte) uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -59,7 +45,7 @@ func (m *MemStore) Save(id string, data []byte) uint64 {
 	return e.ver
 }
 
-// Load implements SessionStore.
+// Load returns the session's blob and its version.
 func (m *MemStore) Load(id string) ([]byte, uint64, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -67,19 +53,13 @@ func (m *MemStore) Load(id string) ([]byte, uint64, bool) {
 	return e.data, e.ver, ok
 }
 
-// Version implements SessionStore.
+// Version returns the session's current version without the blob — the
+// cheap staleness probe on the session lookup path.
 func (m *MemStore) Version(id string) (uint64, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	e, ok := m.byID[id]
 	return e.ver, ok
-}
-
-// Delete implements SessionStore.
-func (m *MemStore) Delete(id string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.byID, id)
 }
 
 // Len returns the number of stored sessions.

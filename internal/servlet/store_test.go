@@ -98,19 +98,6 @@ func TestInPlaceMutationDoesNotReplicate(t *testing.T) {
 	}
 }
 
-func TestExpireDeletesFromStore(t *testing.T) {
-	m1, m2, store := twoManagers()
-	s := m1.Ensure(cookieReq(""), httpd.NewResponse())
-	s.Set("k", "v")
-	m1.Expire(s.ID)
-	if store.Len() != 0 {
-		t.Fatalf("store still holds %d sessions", store.Len())
-	}
-	if got := m2.Lookup(cookieReq(s.ID)); got != nil {
-		t.Fatalf("expired session restored: %v", got)
-	}
-}
-
 func TestNoStoreKeepsLocalSemantics(t *testing.T) {
 	m := NewSessionManager()
 	resp := httpd.NewResponse()
