@@ -1,8 +1,8 @@
 # Paper-reproduction build targets. `make ci` mirrors the GitHub workflow
-# locally: lint, build, race tests and the bench smoke, which runs every
-# package micro-benchmark (and the perfsim ablations) once. Performance is
-# measured and claimed on bench/ (see bench/README.md); the paper's figures
-# are printed by `go run ./cmd/repro`.
+# locally: lint, build, race tests, the paper's shape claims and the bench
+# smoke, which runs every package micro-benchmark (and the perfsim
+# ablations) once. Performance is measured and claimed on bench/ (see
+# bench/README.md); the paper's figures are printed by `go run ./cmd/repro`.
 
 GO ?= go
 
@@ -12,7 +12,7 @@ GO ?= go
 # durability work (write-ahead log, recovery, crash harness).
 COVER_FLOORS ?= repro/internal/sqldb:80 repro/internal/cluster:60
 
-.PHONY: build test race race-db vet lint fmt docs-lint loc bench-smoke chaos-smoke wal-torture cover ci
+.PHONY: build test race race-db vet lint fmt docs-lint loc bench-smoke chaos-smoke wal-torture cover repro ci
 
 build:
 	$(GO) build ./...
@@ -136,5 +136,11 @@ cover:
 		else echo "cover: ok $$pkg $$pct% (floor $$floor%)"; fi; \
 	done; exit $$fail
 
+# The simulated Figures 5-14 in short windows, each followed by the verdicts
+# of its shape claims (perfsim.Claims); a failed claim fails the target.
+# Each (benchmark, mix) experiment is simulated once, on GOMAXPROCS workers.
+repro:
+	$(GO) run ./cmd/repro -quick
+
 # Mirror of .github/workflows/ci.yml for local runs.
-ci: lint build race chaos-smoke wal-torture cover bench-smoke
+ci: lint build race chaos-smoke wal-torture cover repro bench-smoke

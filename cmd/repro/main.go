@@ -7,13 +7,15 @@
 //
 // Without -figure it regenerates Figures 5-14. Output is aligned text: one
 // block per figure, one line per sweep point (throughput figures) or per
-// configuration (CPU figures).
+// configuration (CPU figures), then one verdict line per shape claim checked
+// under that figure (perfsim.Claims). The exit status is 1 if a claim fails.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/perfsim"
 )
@@ -37,15 +39,39 @@ func main() {
 	if *figure != 0 {
 		figs = []perfsim.FigureID{perfsim.FigureID(*figure)}
 	}
+	failed := false
+	var fd perfsim.FigureData
 	for _, id := range figs {
-		fd := perfsim.Figure(id, opt)
-		printFigure(os.Stdout, fd)
+		// A CPU figure plots the experiment of the throughput figure
+		// before it, so each experiment is simulated once.
+		if !id.CPU() || fd.Curves == nil {
+			fd = perfsim.Figure(id, opt)
+		}
+		printFigure(os.Stdout, id, fd)
+		for _, c := range perfsim.Claims() {
+			if c.Figure != id {
+				continue
+			}
+			var fails []string
+			c.Check(fd, func(format string, args ...any) {
+				fails = append(fails, fmt.Sprintf(format, args...))
+			})
+			if len(fails) == 0 {
+				fmt.Printf("# claim %s: holds\n", c.Name)
+			} else {
+				fmt.Printf("# claim %s: FAILS: %s\n", c.Name, strings.Join(fails, "; "))
+				failed = true
+			}
+		}
+	}
+	if failed {
+		os.Exit(1)
 	}
 }
 
-func printFigure(w *os.File, fd perfsim.FigureData) {
-	fmt.Fprintf(w, "\n=== Figure %d: %s ===\n", fd.ID, fd.Title)
-	if fd.CPU {
+func printFigure(w *os.File, id perfsim.FigureID, fd perfsim.FigureData) {
+	fmt.Fprintf(w, "\n=== Figure %d: %s ===\n", id, id.Title())
+	if id.CPU() {
 		fmt.Fprintf(w, "%-22s %8s %10s %8s %8s %8s %8s %9s\n",
 			"configuration", "clients", "peak ipm", "Web%", "Servlet%", "EJB%", "DB%", "NIC Mb/s")
 		for _, c := range fd.Curves {

@@ -77,8 +77,6 @@ type Costs struct {
 	// CMPFanout is how many short automatically-generated queries replace
 	// one hand-written query step (entity-bean field loads/stores).
 	CMPFanout int
-	// CMPQueryCPUDB is database CPU per short CMP query.
-	CMPQueryCPUDB float64
 	// CMPQueryCPUEJB is container CPU per short CMP query.
 	CMPQueryCPUEJB float64
 	// CMPQueryBytes is the wire size of one CMP query+reply ("a very large
@@ -132,7 +130,6 @@ func DefaultCosts() Costs {
 		EJBPresentFactor: 0.45,
 		EJBLogicFactor:   2.2,
 		CMPFanout:        7,       // ~29 small queries per auction interaction
-		CMPQueryCPUDB:    0.00009, // 90 µs of DB CPU per tiny query
 		CMPQueryCPUEJB:   0.00030, // container overhead per tiny query
 		CMPQueryBytes:    250,
 

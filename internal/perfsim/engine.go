@@ -20,11 +20,8 @@ type lockRef struct {
 type run struct {
 	s     *sim.Sim
 	cl    *cluster.Cluster
-	opt   Options
 	spec  *workloadSpec
 	arch  Arch
-	bench Benchmark
-	mix   Mix
 	costs *Costs
 
 	web *cluster.Machine // always present
@@ -47,7 +44,6 @@ type run struct {
 	winEnd    float64
 	completed int64
 	respSum   float64
-	respN     int64
 	mark      *cluster.Mark
 	lockWait0 float64
 }
@@ -62,8 +58,7 @@ func newRun(b Benchmark, m Mix, a Arch, opt Options) *run {
 	s := sim.New()
 	cl := cluster.New(s, cluster.DefaultConfig())
 	r := &run{
-		s: s, cl: cl, opt: opt, spec: spec, arch: a, bench: b, mix: m,
-		costs: opt.Costs, weights: weights,
+		s: s, cl: cl, spec: spec, arch: a, costs: opt.Costs, weights: weights,
 	}
 	r.web = cl.AddMachine("web")
 	if a.DedicatedEngine() {
@@ -144,8 +139,8 @@ func Run(b Benchmark, m Mix, a Arch, clients int, opt Options) Result {
 		ThroughputIPM: float64(r.completed) / opt.Measure * 60,
 		CPU:           make(map[Tier]float64),
 	}
-	if r.respN > 0 {
-		res.MeanResponse = r.respSum / float64(r.respN)
+	if r.completed > 0 {
+		res.MeanResponse = r.respSum / float64(r.completed)
 	}
 	res.CPU[TierWeb] = 100 * r.cl.CPUUtilization(r.mark, r.web)
 	res.CPU[TierDB] = 100 * r.cl.CPUUtilization(r.mark, r.db)
@@ -171,10 +166,15 @@ func (r *run) totalLockWait() float64 {
 	return sum
 }
 
+// thinkTime is the emulated clients' mean think time in seconds (TPC-W
+// clause 5.3.1.1).
+const thinkTime = 7.0
+
 // scheduleThink puts a client into its think state and then starts the next
-// interaction (TPC-W: negative-exponential think time, mean 7 s).
+// interaction (TPC-W: negative-exponential think time, truncated at 10x the
+// mean).
 func (r *run) scheduleThink(g *sim.RNG) {
-	r.s.Schedule(g.TruncExp(r.opt.ThinkTime, 10*r.opt.ThinkTime), func() {
+	r.s.Schedule(g.TruncExp(thinkTime, 10*thinkTime), func() {
 		r.startInteraction(g)
 	})
 }
@@ -187,7 +187,6 @@ func (r *run) startInteraction(g *sim.RNG) {
 		if end >= r.winStart && end < r.winEnd {
 			r.completed++
 			r.respSum += end - start
-			r.respN++
 		}
 		r.scheduleThink(g)
 	})
@@ -471,9 +470,10 @@ func (r *run) dbCPUUse(cpu float64, done func()) {
 // finder (scaled by the benchmark's cmpFinderFactor) plus CMPFanout short
 // bean-state queries, and materializing the page costs one short query per
 // row. Short queries skip explicit locking — they are single-row primary-key
-// statements whose implicit lock hold is their own execution time, which the
-// per-query path models; batching them here keeps the event count tractable
-// while preserving their CPU and wire cost.
+// statements whose implicit lock hold is their own execution time. They are
+// not batched: smallQ runs each one as its own pool checkout, round trip,
+// database CPU and EJB CPU chain, so an interaction's event count grows with
+// CMPFanout and rows.
 func (r *run) execCMPSteps(c *class, done func()) {
 	co := r.costs
 	var step func(i int)

@@ -1,6 +1,12 @@
 package perfsim
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+	"sort"
+	"sync"
+	"sync/atomic"
+)
 
 // FigureID identifies one of the paper's evaluation figures.
 type FigureID int
@@ -82,6 +88,13 @@ func ClientSweep(b Benchmark, m Mix) []int {
 	}
 }
 
+// Title is the figure's caption.
+func (id FigureID) Title() string { return specOfFigure(id).title }
+
+// CPU reports whether the figure plots per-tier CPU utilization at each
+// configuration's peak rather than throughput curves.
+func (id FigureID) CPU() bool { return specOfFigure(id).cpuBars }
+
 // Curve is one configuration's series in a throughput figure.
 type Curve struct {
 	Arch    Arch
@@ -99,36 +112,88 @@ func (c Curve) Peak() Result {
 	return best
 }
 
-// FigureData is a fully evaluated figure: for throughput figures, one curve
-// per configuration; for CPU figures, the per-tier utilization at each
-// configuration's peak.
+// FigureData is one evaluated (benchmark, mix) experiment: one curve per
+// configuration. The paper plots each experiment twice, as a throughput
+// figure and as the CPU-at-peak bar chart after it.
 type FigureData struct {
-	ID     FigureID
-	Title  string
 	Bench  Benchmark
 	Mix    Mix
-	CPU    bool
 	Curves []Curve
 }
 
-// Sweep runs one configuration across a client sweep.
-func Sweep(b Benchmark, m Mix, a Arch, clients []int, opt Options) Curve {
-	c := Curve{Arch: a}
-	for _, n := range clients {
-		c.Results = append(c.Results, Run(b, m, a, n, opt))
+// Curve returns configuration a's curve; it panics if fd has none.
+func (fd FigureData) Curve(a Arch) Curve {
+	for _, c := range fd.Curves {
+		if c.Arch == a {
+			return c
+		}
 	}
-	return c
+	panic(fmt.Sprintf("perfsim: %v/%v has no %v curve", fd.Bench, fd.Mix, a))
 }
 
-// Figure evaluates a figure for all six configurations. CPU figures reuse
-// the throughput sweep of the same benchmark/mix and report utilization at
-// each configuration's peak, exactly as the paper's bar charts do.
+// At returns configuration a's result at n clients; it panics if fd did not
+// simulate that point.
+func (fd FigureData) At(a Arch, n int) Result {
+	for _, r := range fd.Curve(a).Results {
+		if r.Clients == n {
+			return r
+		}
+	}
+	panic(fmt.Sprintf("perfsim: %v/%v has no %v point at %d clients", fd.Bench, fd.Mix, a, n))
+}
+
+// Evaluate simulates the (b, m) experiment at the client counts asked for
+// each configuration: one Curve per configuration in clients, in Archs()
+// order, one Result per client count, in the order asked. The points run on
+// runtime.GOMAXPROCS(0) goroutines; each Run writes its own slot, so the
+// data equals that of serial Run calls.
+func Evaluate(b Benchmark, m Mix, clients map[Arch][]int, opt Options) FigureData {
+	fd := FigureData{Bench: b, Mix: m}
+	type point struct{ curve, i, clients int }
+	var points []point
+	for _, a := range Archs() {
+		ns, ok := clients[a]
+		if !ok {
+			continue
+		}
+		for i, n := range ns {
+			points = append(points, point{len(fd.Curves), i, n})
+		}
+		fd.Curves = append(fd.Curves, Curve{Arch: a, Results: make([]Result, len(ns))})
+	}
+	// Largest client counts first: they run longest, and starting them
+	// early keeps every worker busy until the end.
+	sort.SliceStable(points, func(i, j int) bool { return points[i].clients > points[j].clients })
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(points)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				k := int(next.Add(1)) - 1
+				if k >= len(points) {
+					return
+				}
+				p := points[k]
+				c := &fd.Curves[p.curve]
+				c.Results[p.i] = Run(b, m, c.Arch, p.clients, opt)
+			}
+		}()
+	}
+	wg.Wait()
+	return fd
+}
+
+// Figure evaluates the experiment figure id plots: every configuration
+// across ClientSweep. A throughput figure and the CPU figure after it plot
+// the same experiment.
 func Figure(id FigureID, opt Options) FigureData {
 	fs := specOfFigure(id)
-	fd := FigureData{ID: id, Title: fs.title, Bench: fs.bench, Mix: fs.mix, CPU: fs.cpuBars}
 	sweep := ClientSweep(fs.bench, fs.mix)
+	clients := make(map[Arch][]int)
 	for _, a := range Archs() {
-		fd.Curves = append(fd.Curves, Sweep(fs.bench, fs.mix, a, sweep, opt))
+		clients[a] = sweep
 	}
-	return fd
+	return Evaluate(fs.bench, fs.mix, clients, opt)
 }

@@ -91,9 +91,6 @@ type Options struct {
 	RampUp float64
 	// Measure is the virtual measurement window in seconds.
 	Measure float64
-	// ThinkTime overrides the mean think time (default 7s per TPC-W
-	// clause 5.3.1.1).
-	ThinkTime float64
 	// Costs overrides the calibrated cost table; nil uses DefaultCosts.
 	Costs *Costs
 }
@@ -107,9 +104,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Measure <= 0 {
 		o.Measure = 360
-	}
-	if o.ThinkTime <= 0 {
-		o.ThinkTime = 7.0
 	}
 	if o.Costs == nil {
 		c := DefaultCosts()

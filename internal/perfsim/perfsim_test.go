@@ -2,6 +2,9 @@ package perfsim
 
 import (
 	"math"
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -9,42 +12,6 @@ import (
 // because short windows are noisier than the defaults used by cmd/repro.
 func fastOpt() Options {
 	return Options{Seed: 7, RampUp: 60, Measure: 120}
-}
-
-func TestArchString(t *testing.T) {
-	want := map[Arch]string{
-		ArchPHP:                  "WsPhp-DB",
-		ArchServlet:              "WsServlet-DB",
-		ArchServletSync:          "WsServlet-DB(sync)",
-		ArchServletDedicated:     "Ws-Servlet-DB",
-		ArchServletDedicatedSync: "Ws-Servlet-DB(sync)",
-		ArchEJB:                  "Ws-Servlet-EJB-DB",
-	}
-	for a, w := range want {
-		if a.String() != w {
-			t.Errorf("%d.String() = %q, want %q", a, a.String(), w)
-		}
-	}
-	if len(Archs()) != 6 {
-		t.Fatalf("Archs() = %d entries, want 6", len(Archs()))
-	}
-}
-
-func TestArchPredicates(t *testing.T) {
-	if !ArchServletSync.EngineSync() || !ArchServletDedicatedSync.EngineSync() {
-		t.Error("sync variants must report EngineSync")
-	}
-	if ArchPHP.EngineSync() || ArchEJB.EngineSync() {
-		t.Error("non-sync variants must not report EngineSync")
-	}
-	for _, a := range []Arch{ArchServletDedicated, ArchServletDedicatedSync, ArchEJB} {
-		if !a.DedicatedEngine() {
-			t.Errorf("%v must report DedicatedEngine", a)
-		}
-	}
-	if ArchPHP.DedicatedEngine() || ArchServlet.DedicatedEngine() {
-		t.Error("co-located variants must not report DedicatedEngine")
-	}
 }
 
 func TestMixWeightsSumToOne(t *testing.T) {
@@ -171,194 +138,88 @@ func TestThroughputConservation(t *testing.T) {
 	opt := fastOpt()
 	n := 100
 	r := Run(Auction, BrowsingMix, ArchServletDedicated, n, opt)
-	maxPerClient := opt.Measure / opt.ThinkTimeOrDefault() * 1.6
+	maxPerClient := opt.Measure / thinkTime * 1.6
 	if got := float64(r.Completed) / float64(n); got > maxPerClient {
 		t.Fatalf("%.2f completions/client exceeds think-time bound %.2f", got, maxPerClient)
 	}
 }
 
-// --- Figure-shape assertions (the paper's qualitative results) ---
-
-// TestFig11Shape asserts the auction bidding ordering: dedicated servlets >
-// PHP > co-located servlets > EJB, with sync == non-sync.
-func TestFig11Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation sweep")
-	}
+// TestEvaluateEqualsSerialRun checks that the concurrent evaluator returns,
+// point for point, what serial Run calls return.
+func TestEvaluateEqualsSerialRun(t *testing.T) {
 	opt := fastOpt()
-	peak := func(a Arch) float64 {
-		best := 0.0
-		for _, n := range []int{700, 1100, 1500} {
-			if r := Run(Auction, BiddingMix, a, n, opt); r.ThroughputIPM > best {
-				best = r.ThroughputIPM
+	for _, tc := range []struct {
+		b       Benchmark
+		m       Mix
+		clients map[Arch][]int
+	}{
+		{Bookstore, ShoppingMix, map[Arch][]int{ArchPHP: {25, 10}, ArchServletSync: {10}, ArchEJB: {10}}},
+		{Auction, BiddingMix, map[Arch][]int{ArchServlet: {50, 25}, ArchServletDedicated: {25}, ArchEJB: {25}}},
+	} {
+		fd := Evaluate(tc.b, tc.m, tc.clients, opt)
+		if len(fd.Curves) != len(tc.clients) {
+			t.Fatalf("%v/%v: %d curves, want %d", tc.b, tc.m, len(fd.Curves), len(tc.clients))
+		}
+		for i, c := range fd.Curves {
+			if i > 0 && c.Arch <= fd.Curves[i-1].Arch {
+				t.Errorf("%v/%v: curves out of Archs() order", tc.b, tc.m)
+			}
+			var want []Result
+			for _, n := range tc.clients[c.Arch] {
+				want = append(want, Run(tc.b, tc.m, c.Arch, n, opt))
+			}
+			if !reflect.DeepEqual(c.Results, want) {
+				t.Errorf("%v/%v %v: Evaluate %+v, serial Run %+v", tc.b, tc.m, c.Arch, c.Results, want)
 			}
 		}
-		return best
-	}
-	php := peak(ArchPHP)
-	coloc := peak(ArchServlet)
-	ded := peak(ArchServletDedicated)
-	ejb := peak(ArchEJB)
-	if !(ded > php && php > coloc && coloc > ejb) {
-		t.Fatalf("bidding peaks: ded=%.0f php=%.0f coloc=%.0f ejb=%.0f; want ded>php>coloc>ejb",
-			ded, php, coloc, ejb)
-	}
-	// Paper: PHP ≈ 33% over co-located servlets; dedicated ≈ 7% over PHP.
-	if ratio := php / coloc; ratio < 1.15 || ratio > 1.55 {
-		t.Errorf("php/coloc ratio %.2f, want ~1.33", ratio)
-	}
-	if ratio := ejb / php; ratio > 0.60 {
-		t.Errorf("ejb/php ratio %.2f, want well below 0.6 (paper 0.42)", ratio)
 	}
 }
 
-// TestFig11SyncCoincides asserts §6.1: no DB lock contention on the auction,
-// so engine-side locking changes nothing.
-func TestFig11SyncCoincides(t *testing.T) {
+// TestShapeClaims checks every claim in short windows. The union of the
+// points the claims declare is evaluated once per (benchmark, mix)
+// experiment; Fig11Shape's peaks are over whatever points its curves hold.
+func TestShapeClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	opt := fastOpt()
-	a := Run(Auction, BiddingMix, ArchServlet, 700, opt)
-	b := Run(Auction, BiddingMix, ArchServletSync, 700, opt)
-	diff := math.Abs(a.ThroughputIPM-b.ThroughputIPM) / a.ThroughputIPM
-	if diff > 0.08 {
-		t.Fatalf("sync and non-sync differ by %.1f%% on auction bidding, want ~0", diff*100)
+	type experiment struct {
+		b Benchmark
+		m Mix
 	}
-}
-
-// TestFig5Shape asserts the bookstore shopping mix: engine-side locking
-// beats database locking, PHP equals servlets (same queries), EJB is worst.
-func TestFig5Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation sweep")
-	}
-	opt := fastOpt()
-	at := func(a Arch, n int) float64 { return Run(Bookstore, ShoppingMix, a, n, opt).ThroughputIPM }
-	php := at(ArchPHP, 200)
-	servlet := at(ArchServlet, 200)
-	sync := at(ArchServletSync, 200)
-	ded := at(ArchServletDedicated, 200)
-	ejb := at(ArchEJB, 200)
-	if math.Abs(php-servlet)/php > 0.07 {
-		t.Errorf("PHP %.0f vs servlet %.0f: same DB interface must give same throughput", php, servlet)
-	}
-	if math.Abs(php-ded)/php > 0.07 {
-		t.Errorf("moving servlets to a dedicated machine must not help a DB-bound workload: %.0f vs %.0f", php, ded)
-	}
-	if sync < php*1.04 {
-		t.Errorf("sync %.0f must beat non-sync %.0f on the shopping mix", sync, php)
-	}
-	if ejb > php*0.85 {
-		t.Errorf("EJB %.0f must be clearly worst (php %.0f)", ejb, php)
-	}
-}
-
-// TestFig5DBUtilization asserts §5.1: without sync the DB CPU is capped by
-// lock contention; with sync it saturates.
-func TestFig5DBUtilization(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation sweep")
-	}
-	opt := fastOpt()
-	ns := Run(Bookstore, ShoppingMix, ArchPHP, 300, opt)
-	sy := Run(Bookstore, ShoppingMix, ArchServletSync, 300, opt)
-	if ns.CPU[TierDB] > 93 {
-		t.Errorf("non-sync DB CPU %.0f%%, want capped below saturation by lock contention", ns.CPU[TierDB])
-	}
-	if sy.CPU[TierDB] < 90 {
-		t.Errorf("sync DB CPU %.0f%%, want ~100%%", sy.CPU[TierDB])
-	}
-	if ns.DBLockWaitFrac < sy.DBLockWaitFrac {
-		t.Errorf("non-sync lock wait %.3f must exceed sync %.3f", ns.DBLockWaitFrac, sy.DBLockWaitFrac)
-	}
-}
-
-// TestFig9Shape asserts the ordering mix: sync is much better than non-sync.
-func TestFig9Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation sweep")
-	}
-	opt := fastOpt()
-	ns := Run(Bookstore, OrderingMix, ArchPHP, 300, opt)
-	sy := Run(Bookstore, OrderingMix, ArchServletSync, 300, opt)
-	if sy.ThroughputIPM < ns.ThroughputIPM*1.4 {
-		t.Fatalf("ordering mix: sync %.0f vs non-sync %.0f, want much better (>1.4x)",
-			sy.ThroughputIPM, ns.ThroughputIPM)
-	}
-}
-
-// TestFig7AllEqual asserts the browsing mix: read-dominated, no contention,
-// every non-EJB configuration performs the same; EJB trails.
-func TestFig7AllEqual(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation sweep")
-	}
-	opt := fastOpt()
-	var base float64
-	for _, a := range []Arch{ArchPHP, ArchServlet, ArchServletSync, ArchServletDedicated, ArchServletDedicatedSync} {
-		r := Run(Bookstore, BrowsingMix, a, 150, opt)
-		if base == 0 {
-			base = r.ThroughputIPM
-			continue
+	points := make(map[experiment]map[Arch][]int)
+	for _, c := range Claims() {
+		fs := specOfFigure(c.Figure)
+		e := experiment{fs.bench, fs.mix}
+		if points[e] == nil {
+			points[e] = make(map[Arch][]int)
 		}
-		if math.Abs(r.ThroughputIPM-base)/base > 0.08 {
-			t.Errorf("%v: %.0f differs from %.0f by more than 8%%", a, r.ThroughputIPM, base)
+		for a, ns := range c.Points {
+			for _, n := range ns {
+				if !slices.Contains(points[e][a], n) {
+					points[e][a] = append(points[e][a], n)
+				}
+			}
 		}
 	}
-	ejb := Run(Bookstore, BrowsingMix, ArchEJB, 150, opt)
-	if ejb.ThroughputIPM > base*0.85 {
-		t.Errorf("EJB browsing %.0f must be clearly below %.0f", ejb.ThroughputIPM, base)
+	// The experiments are evaluated side by side, so no CPU idles while a
+	// small one finishes.
+	data := make(map[experiment]FigureData)
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for e, p := range points {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fd := Evaluate(e.b, e.m, p, fastOpt())
+			mu.Lock()
+			data[e] = fd
+			mu.Unlock()
+		}()
 	}
-}
-
-// TestFig13Shape asserts the auction browsing mix ordering.
-func TestFig13Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation sweep")
-	}
-	opt := fastOpt()
-	php := Run(Auction, BrowsingMix, ArchPHP, 1800, opt).ThroughputIPM
-	coloc := Run(Auction, BrowsingMix, ArchServlet, 1800, opt).ThroughputIPM
-	ded := Run(Auction, BrowsingMix, ArchServletDedicated, 1800, opt).ThroughputIPM
-	ejb := Run(Auction, BrowsingMix, ArchEJB, 1800, opt).ThroughputIPM
-	if !(ded > php && php > coloc && coloc > ejb) {
-		t.Fatalf("browsing: ded=%.0f php=%.0f coloc=%.0f ejb=%.0f; want ded>php>coloc>ejb",
-			ded, php, coloc, ejb)
-	}
-	// Paper §6.2: PHP ≈ 25% over co-located servlets.
-	if ratio := php / coloc; ratio < 1.1 || ratio > 1.5 {
-		t.Errorf("php/coloc browsing ratio %.2f, want ~1.25", ratio)
-	}
-}
-
-// TestFig12EJBServerSaturates asserts §6.1: the EJB server CPU is the
-// bidding-mix bottleneck with modest utilization elsewhere.
-func TestFig12EJBServerSaturates(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation sweep")
-	}
-	r := Run(Auction, BiddingMix, ArchEJB, 900, fastOpt())
-	if r.CPU[TierEJB] < 92 {
-		t.Errorf("EJB server CPU %.0f%%, want ~99%%", r.CPU[TierEJB])
-	}
-	if r.CPU[TierDB] > 65 {
-		t.Errorf("DB CPU %.0f%%, paper reports 17%% (low)", r.CPU[TierDB])
-	}
-	if r.CPU[TierServlet] > 70 {
-		t.Errorf("servlet CPU %.0f%%, paper reports 32%% (modest)", r.CPU[TierServlet])
-	}
-}
-
-// TestWebNICTraffic asserts the browsing mix pushes substantial traffic
-// through the web NIC in the dedicated configuration (paper: 94 Mb/s).
-func TestWebNICTraffic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation sweep")
-	}
-	r := Run(Auction, BrowsingMix, ArchServletDedicated, 2500, fastOpt())
-	if r.WebNICMbps < 50 {
-		t.Errorf("web NIC %.0f Mb/s at browsing peak, want high (paper 94)", r.WebNICMbps)
+	wg.Wait()
+	for _, c := range Claims() {
+		fs := specOfFigure(c.Figure)
+		t.Run(c.Name, func(t *testing.T) { c.Check(data[experiment{fs.bench, fs.mix}], t.Errorf) })
 	}
 }
 
@@ -386,9 +247,4 @@ func TestCurvePeak(t *testing.T) {
 	if p := c.Peak(); p.Clients != 20 {
 		t.Fatalf("Peak at %d clients, want 20", p.Clients)
 	}
-}
-
-// ThinkTimeOrDefault exposes the defaulted think time for tests.
-func (o Options) ThinkTimeOrDefault() float64 {
-	return o.withDefaults().ThinkTime
 }

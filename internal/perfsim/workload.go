@@ -43,7 +43,6 @@ type class struct {
 
 // workloadSpec is a complete benchmark description.
 type workloadSpec struct {
-	name    string
 	tables  []string
 	classes []class
 	// mixes maps a Mix to per-class probabilities (summing to 1).
@@ -71,7 +70,6 @@ const (
 
 func bookstoreSpec() *workloadSpec {
 	s := &workloadSpec{
-		name:            "bookstore",
 		tables:          []string{"items", "orders", "customers", "carts", "misc"},
 		cmpFinderFactor: 1.0,
 		cmpRowQueryCPU:  0.0022,
@@ -188,7 +186,6 @@ const (
 
 func auctionSpec() *workloadSpec {
 	s := &workloadSpec{
-		name:            "auction",
 		tables:          []string{"items", "bids", "users", "comments", "buynow", "misc"},
 		cmpFinderFactor: 0.5,
 		cmpRowQueryCPU:  0.00009,
