@@ -8,9 +8,10 @@ GO ?= go
 
 # Per-package statement-coverage floors for `make cover` (pkg:percent).
 # The transaction-bearing packages are held to a floor: advisory on pull
-# requests in CI, enforced on pushes to main. The sqldb floor rose with the
-# durability work (write-ahead log, recovery, crash harness).
-COVER_FLOORS ?= repro/internal/sqldb:80 repro/internal/cluster:60
+# requests in CI, enforced on pushes to main. Both floors sit a few points
+# under what the packages hold (about 91 % each), so a change that drops a
+# tested path shows.
+COVER_FLOORS ?= repro/internal/sqldb:88 repro/internal/cluster:88
 
 .PHONY: build test race race-db vet lint fmt docs-lint loc bench-smoke chaos-smoke wal-torture cover repro ci
 
@@ -65,7 +66,7 @@ lint: fmt vet docs-lint
 # cmd and internal package (nested ones counted on their own) and the
 # internal total — the number a simplification moves — plus the cluster +
 # core + telemetry sum item 3's target is stated against, the auction +
-# bookstore sum item 23's one-presentation target is stated against, the
+# bookstore sum of the two applications' code, the
 # servlet + ejb + rmi + scriptmod sum of the middle tiers (the container
 # API the six configurations call), the cmd/ total, and internal + cmd:
 # wiring moves across that border, so only the sum says whether the

@@ -191,7 +191,7 @@ func (s *replicaTxn) discardWrites() { s.writeSet = nil }
 // the read must run live to see the session's own uncommitted writes, and
 // its result must not be published as what other clients should see. A
 // read-only transaction has neither set and bypasses nothing.
-func (s *replicaTxn) cacheBypass(rt route) bool {
+func (s *replicaTxn) cacheBypass(rt *route) bool {
 	if s.writeSet[""] {
 		return true
 	}
@@ -223,7 +223,7 @@ func (s *replicaTxn) cacheBypass(rt route) bool {
 // while a retry or a failover is under way leaves the fill born stale: the
 // next lookup rejects and removes it (lru.Cache.Get), runs live and refills,
 // so a retry costs at most one extra miss and never a stale hit.
-func (rs *replicaSet) cachedRead(rt route, query string, args []sqldb.Value, bypass bool, run func() (*sqldb.Result, error)) (*sqldb.Result, error) {
+func (rs *replicaSet) cachedRead(rt *route, query string, args []sqldb.Value, bypass bool, run func() (*sqldb.Result, error)) (*sqldb.Result, error) {
 	q := rs.qcache
 	// A NUL in the text (legal in a comment or a literal) could run into
 	// cacheKey's argument encoding, so such a text is never cached.

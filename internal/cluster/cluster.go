@@ -8,10 +8,11 @@
 // Session is the same shell over the topology's transaction. Either way the
 // application sees one surface — Exec, Get/Put, WithTx — and
 // every statement takes the wire protocol's prepared path, the only one the
-// wire client has. A distinct text is parsed once client-side (route.go's
-// analyze); routing, the query cache's table set and the shard planner all
-// read that one parse, and a text the parser rejects fails there, with the
-// error the database would send, before any connection or lock is taken.
+// wire client has. A distinct text is parsed and planned once client-side
+// (route.go's analyze); routing, the query cache's table set and the shard
+// target all read that one plan, and a text the parser rejects fails there,
+// with the error the database would send, before any connection or lock is
+// taken.
 //
 // Two things the tiers above share are declared once: Config is the only
 // declaration of a database-client setting (servlet and ejb embed it whole),
@@ -179,7 +180,7 @@ type backend interface {
 	// republishes it per response as the X-Content-Epoch header.
 	ContentEpoch() uint64
 
-	session() (txn, error)
+	session() (*Session, error)
 	close()
 }
 
@@ -249,11 +250,7 @@ func (c *Client) Get() (*Session, error) {
 	if c.closed.Load() {
 		return nil, errors.New("cluster: client closed")
 	}
-	t, err := c.session()
-	if err != nil {
-		return nil, err
-	}
-	return &Session{t}, nil
+	return c.session()
 }
 
 // Put returns a session. Pass broken=true when its transaction did not end
@@ -277,8 +274,8 @@ func (c *Client) Close() {
 // txn is a topology's session: the replica set's own transaction, or the
 // shard coordinator's over one of those per participating shard.
 type txn interface {
-	// Exec runs one statement on the session.
-	Exec(query string, args ...sqldb.Value) (*sqldb.Result, error)
+	// exec runs one statement, planned by rt, on the session.
+	exec(rt *route, query string, args []sqldb.Value) (*sqldb.Result, error)
 	// Commit commits the open transaction on every replica it was opened on
 	// and releases its write-order locks; with more than one participating
 	// shard it runs two-phase commit (shard.go). Without an open
@@ -298,12 +295,29 @@ type txn interface {
 // application borrows around a transaction, demarcated with Begin and
 // Commit/Rollback. Not safe for concurrent use, like the wire connection it
 // replaces.
-type Session struct{ txn }
+type Session struct {
+	txn
+	routes *routes // the client's plan memo
+}
 
 var (
 	_ sqldb.Execer = (*Client)(nil)
 	_ sqldb.Execer = (*Session)(nil)
 )
+
+// Exec runs one statement on the session. DDL the engine commits an open
+// transaction before — CREATE TABLE, CREATE INDEX, ALTER TABLE …
+// AUTO_INCREMENT — commits the session's transaction first and runs in
+// auto-commit, on every topology, as Begin does for a nested BEGIN.
+func (s *Session) Exec(query string, args ...sqldb.Value) (*sqldb.Result, error) {
+	rt := s.routes.of(query)
+	if open, failed := s.state(); rt.commits && open && !failed {
+		if err := s.Commit(); err != nil {
+			return nil, err
+		}
+	}
+	return s.exec(rt, query, args)
+}
 
 // Deprecated: ExecCached is Exec.
 func (s *Session) ExecCached(query string, args ...sqldb.Value) (*sqldb.Result, error) {

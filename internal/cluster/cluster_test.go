@@ -484,7 +484,7 @@ func TestRouteAnalysis(t *testing.T) {
 		{"ROLLBACK WORK", parseErr("ROLLBACK WORK"), ""},
 	}
 	for _, tc := range cases {
-		r := analyze(tc.q)
+		r := analyze(tc.q, nil)
 		kind := read
 		switch {
 		case r.err != nil:

@@ -15,10 +15,10 @@ import (
 // The pin oracle: shard-key extraction checked against brute-force
 // evaluation. Generated statements over one sharded table (orders, by
 // customer_id) and one global table (notes), with aliases drawn from a pool
-// that holds both table names, run on a 2×1 tier and on one engine holding
-// every row; each statement's sorted rows and RowsAffected must agree. A pin
-// the router takes through the wrong table loses the rows the other shard
-// holds.
+// that holds both table names, run on a 2×1 tier — in auto-commit and each
+// in its own transaction — and on one engine holding every row; each
+// statement's sorted rows and RowsAffected must agree. A pin the router
+// takes through the wrong table loses the rows the other shard holds.
 
 // pinTier is a 2×1 sharded client beside the one engine it must equal.
 type pinTier struct {
@@ -51,20 +51,35 @@ func newPinTier(t testing.TB) *pinTier {
 // run executes one statement on both sides and returns the two outcomes:
 // "error", or the columns, the rows sorted and RowsAffected.
 func (p *pinTier) run(q string, args ...sqldb.Value) (got, want string) {
-	canon := func(res *sqldb.Result, err error) string {
-		if err != nil {
-			return "error"
-		}
-		rows := make([]string, len(res.Rows))
-		for i, r := range res.Rows {
-			rows[i] = fmt.Sprint(r)
-		}
-		sort.Strings(rows)
-		return fmt.Sprintf("%v %v affected=%d", res.Columns, rows, res.RowsAffected)
+	return pinOutcome(p.c.Exec(q, args...)), pinOutcome(p.ref.Exec(q, args...))
+}
+
+// runTx is run with the tier's side in its own transaction, declaring
+// writes as its write set (nothing for a read).
+func (p *pinTier) runTx(q, writes string, args ...sqldb.Value) (got, want string) {
+	var declared []string
+	if writes != "" {
+		declared = []string{writes}
 	}
-	got = canon(p.c.Exec(q, args...))
-	want = canon(p.ref.Exec(q, args...))
-	return got, want
+	var res *sqldb.Result
+	err := p.c.WithTx(declared, func(tx *Session) error {
+		var err error
+		res, err = tx.Exec(q, args...)
+		return err
+	})
+	return pinOutcome(res, err), pinOutcome(p.ref.Exec(q, args...))
+}
+
+func pinOutcome(res *sqldb.Result, err error) string {
+	if err != nil {
+		return "error"
+	}
+	rows := make([]string, len(res.Rows))
+	for i, r := range res.Rows {
+		rows[i] = fmt.Sprint(r)
+	}
+	sort.Strings(rows)
+	return fmt.Sprintf("%v %v affected=%d", res.Columns, rows, res.RowsAffected)
 }
 
 // populate gives orders 16 rows over customers -2…4 (both shards, negated
@@ -126,18 +141,25 @@ func (g *pinGen) konst(args *[]sqldb.Value) string {
 	return "?"
 }
 
-// col is a column, qualified by one of quals ("" leaves it unqualified).
-func (g *pinGen) col(quals []string) string {
+// col is a column, qualified by a name the statement binds, or unqualified
+// when it binds one table (a JOIN's tables share every column name, so an
+// unqualified one is ambiguous). One draw in eight qualifies it by a table
+// name whatever the statement binds to it: a table under an alias, which
+// the engine does not reach by its own name, or the other table, unbound.
+func (g *pinGen) col(bound []string) string {
 	c := g.of(pinCols)
-	if q := g.of(quals); q != "" {
-		return q + "." + c
+	switch {
+	case g.pick(8) == 0:
+		return g.of(pinTables) + "." + c
+	case len(bound) == 1 && g.pick(2) == 0:
+		return c
 	}
-	return c
+	return g.of(bound) + "." + c
 }
 
 // where is zero to three conjuncts, at least min: `col = const` with the
 // column on either side, and the LIKE and `col = col` distractors.
-func (g *pinGen) where(quals []string, min int, args *[]sqldb.Value) string {
+func (g *pinGen) where(bound []string, min int, args *[]sqldb.Value) string {
 	n := g.pick(4)
 	if n < min {
 		n = min
@@ -146,14 +168,14 @@ func (g *pinGen) where(quals []string, min int, args *[]sqldb.Value) string {
 	for i := range conj {
 		switch g.pick(4) {
 		case 0:
-			conj[i] = g.col(quals) + " LIKE '1%'"
+			conj[i] = g.col(bound) + " LIKE '1%'"
 		case 1:
-			conj[i] = g.col(quals) + " = " + g.col(quals)
+			conj[i] = g.col(bound) + " = " + g.col(bound)
 		case 2:
 			k := g.konst(args)
-			conj[i] = k + " = " + g.col(quals)
+			conj[i] = k + " = " + g.col(bound)
 		default:
-			c := g.col(quals)
+			c := g.col(bound)
 			conj[i] = c + " = " + g.konst(args)
 		}
 	}
@@ -163,7 +185,9 @@ func (g *pinGen) where(quals []string, min int, args *[]sqldb.Value) string {
 	return " WHERE " + strings.Join(conj, " AND ")
 }
 
-// entry is a FROM or JOIN entry's text and its bound name.
+// entry is a FROM or JOIN entry's text and its bound name. One entry in
+// four is aliased with the other table's name, shadowing it, as in
+// TestShardPinShadowedAlias.
 func (g *pinGen) entry(table string) (text, bound string) {
 	if a := g.of(pinAliases); a != "" {
 		return table + " " + a, a
@@ -172,6 +196,8 @@ func (g *pinGen) entry(table string) (text, bound string) {
 }
 
 // selectStmt is a SELECT of one table or of both joined, in either order.
+// A JOIN selects COUNT(*) or qualified columns: the dialect has no * over
+// a JOIN.
 func (g *pinGen) selectStmt() (string, []sqldb.Value) {
 	var args []sqldb.Value
 	from := g.pick(2)
@@ -188,62 +214,92 @@ func (g *pinGen) selectStmt() (string, []sqldb.Value) {
 		list = "COUNT(*)"
 	case 1:
 		list = g.of(refs) + ".id, " + g.of(refs) + ".total"
+	default:
+		if len(refs) > 1 {
+			list = g.of(refs) + ".id, " + g.of(refs) + ".customer_id"
+		}
 	}
-	quals := append([]string{"", "orders", "notes"}, refs...)
-	return "SELECT " + list + " FROM " + text + g.where(quals, 0, &args), args
+	return "SELECT " + list + " FROM " + text + g.where(refs, 0, &args), args
 }
 
-// stmt is a SELECT, UPDATE, INSERT or DELETE. Writes never change an id or
-// a shard key, and INSERTs take fresh ids: the rows stay where they are
-// routed and ids stay unique across shards.
-func (g *pinGen) stmt() (string, []sqldb.Value) {
-	var args []sqldb.Value
+// stmt is a SELECT, UPDATE, INSERT or DELETE, and the table it writes ("" for
+// a SELECT). Writes never change an id or a shard key, and INSERTs take
+// fresh ids: the rows stay where they are routed and ids stay unique across
+// shards.
+func (g *pinGen) stmt() (q string, args []sqldb.Value, writes string) {
 	table := g.of(pinTables)
-	quals := []string{"", table, pinTables[0], pinTables[1]}
+	bound := []string{table}
 	switch k := g.pick(25); {
 	case k < 15:
-		return g.selectStmt()
+		q, args = g.selectStmt()
+		return q, args, ""
 	case k < 20:
 		set := "total + 1"
 		if g.pick(2) == 0 {
 			set = g.konst(&args)
 		}
-		return "UPDATE " + table + " SET total = " + set + g.where(quals, 0, &args), args
+		q = "UPDATE " + table + " SET total = " + set + g.where(bound, 0, &args)
 	case k < 23:
 		g.nextID++
 		key := g.konst(&args)
-		return fmt.Sprintf("INSERT INTO %s (id, customer_id, total) VALUES (%d, %s, %d)", table, g.nextID, key, g.pick(5)), args
+		q = fmt.Sprintf("INSERT INTO %s (id, customer_id, total) VALUES (%d, %s, %d)", table, g.nextID, key, g.pick(5))
 	default:
-		return "DELETE FROM " + table + g.where(quals, 1, &args), args
+		q = "DELETE FROM " + table + g.where(bound, 1, &args)
 	}
+	return q, args, table
 }
+
+// maxPinRefused bounds the share of generated statements the engine
+// refuses: a refused statement tests no pin, only that both sides refuse.
+const maxPinRefused = 0.15
 
 // TestShardPinOracle runs seeded generated streams, writes included, on a
 // 2×1 tier and on one engine, statement by statement, then compares the
-// final tables.
+// final tables. Each stream runs twice, on fresh sides: in auto-commit, and
+// with each statement in its own transaction declaring the table it writes.
 func TestShardPinOracle(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
-		p := newPinTier(t)
-		p.populate(t)
-		rng := rand.New(rand.NewSource(seed))
-		g := &pinGen{pick: rng.Intn, nextID: 100}
-		bad := 0
-		for i := 0; i < 200; i++ {
-			q, args := g.stmt()
-			if got, want := p.run(q, args...); got != want {
-				if bad++; bad <= 5 {
-					t.Errorf("seed %d, statement %d: %s %v\n 2x1: %s\n 1x1: %s", seed, i, q, args, got, want)
+	for _, inTx := range []bool{false, true} {
+		name := map[bool]string{false: "autocommit", true: "txn"}[inTx]
+		t.Run(name, func(t *testing.T) {
+			refused, total := 0, 0
+			for seed := int64(1); seed <= 8; seed++ {
+				p := newPinTier(t)
+				p.populate(t)
+				rng := rand.New(rand.NewSource(seed))
+				g := &pinGen{pick: rng.Intn, nextID: 100}
+				bad := 0
+				for i := 0; i < 200; i++ {
+					q, args, writes := g.stmt()
+					var got, want string
+					if inTx {
+						got, want = p.runTx(q, writes, args...)
+					} else {
+						got, want = p.run(q, args...)
+					}
+					if total++; want == "error" {
+						refused++
+					}
+					if got != want {
+						if bad++; bad <= 5 {
+							t.Errorf("seed %d, statement %d: %s %v\n 2x1: %s\n 1x1: %s", seed, i, q, args, got, want)
+						}
+					}
+				}
+				for _, q := range []string{"SELECT * FROM orders", "SELECT * FROM notes"} {
+					if got, want := p.run(q); got != want {
+						t.Errorf("seed %d, final %s\n 2x1: %s\n 1x1: %s", seed, q, got, want)
+					}
+				}
+				if bad > 5 {
+					t.Errorf("seed %d: %d more differing statements", seed, bad-5)
 				}
 			}
-		}
-		for _, q := range []string{"SELECT * FROM orders", "SELECT * FROM notes"} {
-			if got, want := p.run(q); got != want {
-				t.Errorf("seed %d, final %s\n 2x1: %s\n 1x1: %s", seed, q, got, want)
+			frac := float64(refused) / float64(total)
+			t.Logf("the engine refused %d of %d statements (%.1f%%)", refused, total, 100*frac)
+			if frac > maxPinRefused {
+				t.Errorf("the engine refused %.1f%% of the statements, above %.0f%%", 100*frac, 100*maxPinRefused)
 			}
-		}
-		if bad > 5 {
-			t.Errorf("seed %d: %d more differing statements", seed, bad-5)
-		}
+		})
 	}
 }
 
@@ -282,11 +338,12 @@ func TestShardPinNaNScatters(t *testing.T) {
 
 // FuzzShardPins: a fuzz input is a path through the oracle's SELECT
 // generator, one byte per choice (0 once the input runs out), run on a 2×1
-// tier and on one engine holding the same rows. The seeds are paths the
-// seeded generator took to statements the engine accepts, and the paths to
-// SELECT * FROM orders WHERE customer_id = '-1' and to the same with
-// customer_id = ? bound to the string "-2": a string key pins the shard of
-// the number the engine compares it as.
+// tier — in auto-commit and in its own transaction — and on one engine
+// holding the same rows. The seeds are paths the seeded generator took to
+// statements the engine accepts, and the paths to SELECT * FROM orders
+// WHERE customer_id = '-1' and to the same with customer_id = ? bound to
+// the string "-2": a string key pins the shard of the number the engine
+// compares it as.
 func FuzzShardPins(f *testing.F) {
 	p := newPinTier(f)
 	p.populate(f)
@@ -304,20 +361,39 @@ func FuzzShardPins(f *testing.F) {
 			seeds++
 		}
 	}
-	f.Add([]byte{0, 0, 0, 2, 1, 3, 0, 0, 0, 4, 0, 0})
-	f.Add([]byte{0, 0, 0, 2, 1, 3, 0, 0, 1, 4, 0, 1})
+	for _, seed := range []struct {
+		path []byte
+		want string
+	}{
+		{[]byte{0, 0, 0, 2, 1, 3, 0, 1, 0, 0, 4, 0, 0}, "SELECT * FROM orders WHERE customer_id = '-1' []"},
+		{[]byte{0, 0, 0, 2, 1, 3, 0, 1, 0, 1, 4, 0, 1}, `SELECT * FROM orders WHERE customer_id = ? ["-2"]`},
+	} {
+		q, args := pathGen(seed.path).selectStmt()
+		if got := fmt.Sprint(q, " ", args); got != seed.want {
+			f.Fatalf("seed path %v gives %s, want %s", seed.path, got, seed.want)
+		}
+		f.Add(seed.path)
+	}
 	f.Fuzz(func(t *testing.T, path []byte) {
-		g := &pinGen{pick: func(n int) int {
-			if len(path) == 0 {
-				return 0
-			}
-			c := int(path[0]) % n
-			path = path[1:]
-			return c
-		}}
-		q, args := g.selectStmt()
+		q, args := pathGen(path).selectStmt()
 		if got, want := p.run(q, args...); got != want {
 			t.Fatalf("%s %v\n 2x1: %s\n 1x1: %s", q, args, got, want)
 		}
+		if got, want := p.runTx(q, "", args...); got != want {
+			t.Fatalf("in a transaction: %s %v\n 2x1: %s\n 1x1: %s", q, args, got, want)
+		}
 	})
+}
+
+// pathGen is a generator whose choices are the path's bytes, 0 once it
+// runs out.
+func pathGen(path []byte) *pinGen {
+	return &pinGen{pick: func(n int) int {
+		if len(path) == 0 {
+			return 0
+		}
+		c := int(path[0]) % n
+		path = path[1:]
+		return c
+	}}
 }

@@ -178,7 +178,10 @@ func ejectable(err error) bool {
 // the other): a read runs on one load-balanced replica with failover, a
 // write broadcasts under its tables' write-order locks.
 func (rs *replicaSet) Exec(query string, args ...sqldb.Value) (*sqldb.Result, error) {
-	rt := rs.routes.of(query)
+	return rs.exec(rs.routes.of(query), query, args)
+}
+
+func (rs *replicaSet) exec(rt *route, query string, args []sqldb.Value) (*sqldb.Result, error) {
 	if rt.err != nil {
 		return nil, rt.err
 	}
@@ -358,7 +361,7 @@ func (b *bcast) result() (*sqldb.Result, error) {
 // session holds every replica's connection until the slowest ack — one slow
 // replica would keep the fast replicas' pools exhausted too
 // (TestMissedWriteOnSaturatedPoolEjects).
-func (rs *replicaSet) writeWith(rt route, query string, args []sqldb.Value) (*sqldb.Result, error) {
+func (rs *replicaSet) writeWith(rt *route, query string, args []sqldb.Value) (*sqldb.Result, error) {
 	release := rs.locks.acquire(rt.tables)
 	defer release()
 
@@ -386,12 +389,12 @@ func (rs *replicaSet) writeWith(rt route, query string, args []sqldb.Value) (*sq
 }
 
 // session opens the replica set's session for a Client.
-func (rs *replicaSet) session() (txn, error) {
+func (rs *replicaSet) session() (*Session, error) {
 	s, err := rs.open()
 	if err != nil {
-		return nil, err // not a nil *replicaTxn inside a non-nil txn
+		return nil, err
 	}
-	return s, nil
+	return &Session{s, rs.routes}, nil
 }
 
 func (rs *replicaSet) open() (*replicaTxn, error) {
@@ -433,17 +436,17 @@ type replicaTxn struct {
 
 func (s *replicaTxn) state() (open, failed bool) { return s.inTxn, s.failed }
 
-// Exec runs one statement on the path the session's one bit selects: with
+// exec runs one statement on the path the session's one bit selects: with
 // no transaction open the session adds nothing over the set's auto-commit
 // path; inside one, the statement runs on the transaction's connections.
-func (s *replicaTxn) Exec(query string, args ...sqldb.Value) (*sqldb.Result, error) {
+func (s *replicaTxn) exec(rt *route, query string, args []sqldb.Value) (*sqldb.Result, error) {
 	if s.failed {
 		return nil, errSessionFailed
 	}
 	if !s.inTxn {
-		return s.rs.Exec(query, args...)
+		return s.rs.exec(rt, query, args)
 	}
-	res, err := s.route(query, args)
+	res, err := s.route(rt, query, args)
 	// A lock-wait-timeout abort rolled the WHOLE transaction back on the
 	// replica that reported it, while the others still hold theirs open.
 	// The session must not be used further: statements after the abort
@@ -468,8 +471,7 @@ func isTxnAbort(err error) bool {
 // route is the transactional path, the set's other one (see
 // replicaSet.Exec): reads on the pinned replica's connection, writes
 // broadcast on every connection the transaction holds.
-func (s *replicaTxn) route(query string, args []sqldb.Value) (*sqldb.Result, error) {
-	rt := s.rs.routes.of(query)
+func (s *replicaTxn) route(rt *route, query string, args []sqldb.Value) (*sqldb.Result, error) {
 	if rt.err != nil {
 		return nil, rt.err
 	}
@@ -649,7 +651,7 @@ func (s *replicaTxn) prepare() error {
 // begin took. The version bump stays pending until the transaction ends,
 // unless the failure was deterministic database-side: a transport-failed
 // broadcast may have applied on some replica.
-func (s *replicaTxn) execWrite(query string, args []sqldb.Value, rt route) (*sqldb.Result, error) {
+func (s *replicaTxn) execWrite(query string, args []sqldb.Value, rt *route) (*sqldb.Result, error) {
 	res, err := s.broadcast(query, args)
 	if err == nil || !wire.IsServerError(err) {
 		s.notePublish(rt.tables)

@@ -10,9 +10,9 @@ import (
 	"repro/internal/sqldb/wire"
 )
 
-// route is the routing decision for one query text: whether it is a write,
-// and for writes the tables whose cluster-wide write order must be
-// serialized.
+// route is the client's one plan for a query text: whether it is a write,
+// for writes the tables whose cluster-wide write order must be serialized,
+// and on a sharded client where its rows live.
 type route struct {
 	// err refuses the text before any connection is borrowed or lock taken:
 	// the parse error, as the database would report it (every replica
@@ -20,8 +20,12 @@ type route struct {
 	// set.
 	err   error
 	write bool
+	// commits marks the DDL the engine commits an open transaction before
+	// (CREATE TABLE, CREATE INDEX, ALTER TABLE … AUTO_INCREMENT): a session
+	// commits its transaction first and runs it in auto-commit.
+	commits bool
 	// stmt is the parsed statement — the one parse the client does per
-	// distinct text, shared with the shard planner (shard.go).
+	// distinct text.
 	stmt sqlparse.Statement
 	// tables lists the write-ordered tables (lower-cased, sorted, deduped).
 	// Empty for reads; for a write whose table the statement does not name —
@@ -33,59 +37,83 @@ type route struct {
 	// complete reference set. nil for every other statement, which makes it
 	// uncacheable (see cache.go).
 	readTables []string
+
+	// The shard plan (shard.go's planShards), on a sharded client only.
+	sharded bool            // a SELECT or DML referencing a sharded table
+	exprs   []sqlparse.Expr // the shard-key expressions; nil: not pinned
+	// keyed marks an INSERT naming its table's key column with a value the
+	// router cannot resolve ahead of the engine.
+	keyed bool
+	// scatterSQL is the text each shard runs when a sharded SELECT
+	// scatters, and appended whether it appends the ORDER BY key to the
+	// select list for the merge to sort on and project off.
+	scatterSQL string
+	appended   bool
 }
 
-// routes memoizes analyze per query text. The workloads repeat a small
-// fixed statement set, so the parse is a one-time cost per distinct text.
-type routes struct{ m sync.Map }
+// routes memoizes analyze per query text, one per client. The workloads
+// repeat a small fixed statement set, so the parse and the shard plan are a
+// one-time cost per distinct text.
+type routes struct {
+	m       sync.Map          // query text -> *route
+	byTable map[string]string // lower-cased sharded table -> key column; nil unsharded
+}
 
-func (rs *routes) of(query string) route {
+func (rs *routes) of(query string) *route {
 	if v, ok := rs.m.Load(query); ok {
-		return v.(route)
+		return v.(*route)
 	}
-	r := analyze(query)
+	r := analyze(query, rs.byTable)
 	rs.m.Store(query, r)
 	return r
 }
 
-// analyze classifies a statement by parsing it.
-func analyze(query string) route {
+// analyze classifies a statement by parsing it and, given the sharded
+// tables, plans where its rows live.
+func analyze(query string, byTable map[string]string) *route {
 	st, err := sqlparse.Parse(query)
 	if err != nil {
-		return route{err: &wire.ServerError{Msg: err.Error()}}
+		return &route{err: &wire.ServerError{Msg: err.Error()}}
 	}
+	r := &route{stmt: st}
 	switch st := st.(type) {
 	case *sqlparse.Select:
-		rt := route{stmt: st}
 		if st.From.Table != "" {
 			tables := []string{st.From.Table}
 			if st.Join != nil {
 				tables = append(tables, st.Join.Table.Table)
 			}
-			rt.readTables = normalize(tables)
+			r.readTables = normalize(tables)
 		}
-		return rt
 	case *sqlparse.ShowTableStatus, *sqlparse.ShowWALStatus:
-		return route{stmt: st}
 	case *sqlparse.Begin, *sqlparse.Commit, *sqlparse.Rollback:
-		return route{err: ErrTxnControlText}
+		return &route{err: ErrTxnControlText}
 	case *sqlparse.Insert:
-		return writeRoute(st, st.Table)
+		r.writes(st.Table)
 	case *sqlparse.Update:
-		return writeRoute(st, st.Table)
+		r.writes(st.Table)
 	case *sqlparse.Delete:
-		return writeRoute(st, st.Table)
+		r.writes(st.Table)
 	case *sqlparse.CreateTable:
-		return writeRoute(st, st.Name)
+		r.writes(st.Name)
+		r.commits = true
 	case *sqlparse.CreateIndex:
-		return writeRoute(st, st.Table)
+		r.writes(st.Table)
+		r.commits = true
+	case *sqlparse.AlterAutoInc:
+		r.writes("")
+		r.commits = true
 	default:
-		return writeRoute(st, "")
+		r.writes("")
 	}
+	if byTable != nil {
+		r.planShards(query, byTable)
+	}
+	return r
 }
 
-func writeRoute(st sqlparse.Statement, table string) route {
-	return route{write: true, stmt: st, tables: []string{strings.ToLower(table)}}
+func (r *route) writes(table string) {
+	r.write, r.tables = true, []string{strings.ToLower(table)}
 }
 
 // normalize lower-cases, sorts and dedupes a table list (the acquisition

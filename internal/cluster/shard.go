@@ -4,32 +4,31 @@
 // ROWA cluster (M replicas, ejection, rejoin, its own query cache), so a
 // "2x3" topology is two shards of three replicas each.
 //
-// Routing, in decreasing order of preference:
+// One plan, one decision. A text's plan is its route, memoized once per
+// client and read by every shard: planShards adds the shard-key
+// expressions that pin it (sqlparse.ShardExprs, evaluated by
+// sqldb.EvalConst as the engine evaluates them). target maps the plan and
+// the arguments to where the statement runs; shardSet.exec carries that out
+// on the shards' replica sets in auto-commit, shardTxn.exec on the
+// transaction's sub-sessions. In decreasing order of preference:
 //
-//   - Single-shard: the statement provably touches rows of one shard
-//     (sqlparse.ShardExprs extracts the key expressions and sqldb.EvalConst
-//     evaluates them as the engine does; hashing them at execution
-//     time agrees on one shard). It ships to that shard's client alone —
-//     the scaling fast path, for writes especially: a pinned write costs
-//     one shard's broadcast instead of every replica in the system.
+//   - One shard: every touched row lives there — the scaling fast path, for
+//     writes especially: a pinned write costs one shard's broadcast, not
+//     every replica's. A global-table read or a keyless INSERT runs on any
+//     one shard.
 //   - Split: a multi-row INSERT whose rows belong to several shards is cut
 //     into one part per owning shard, run as one unit (shardTxn.split).
-//   - Scatter-gather: a SELECT not pinned to one shard fans out to every
-//     shard and the partial results merge client-side — concatenate,
-//     re-sort by the ORDER BY and re-apply the LIMIT, or sum a COUNT(*)
-//     select's counts. The dialect has no other clause to merge.
-//   - Broadcast: writes to global (unsharded) tables, unpinned
-//     UPDATE/DELETE on sharded tables (each shard only owns disjoint rows,
-//     so applying everywhere is exact), and DDL run on every shard under a
-//     shard-set-wide write-order lock, so cross-shard statements land in
-//     one global order on every shard.
+//   - Scatter: an unpinned SELECT runs on every shard and the partial
+//     results merge client-side — concatenate, re-sort by the ORDER BY and
+//     re-apply the LIMIT, or sum a COUNT(*) select's counts.
+//   - Broadcast: global-table writes, unpinned UPDATE/DELETE (each shard
+//     owns disjoint rows, so applying everywhere is exact) and DDL run on
+//     every shard, in auto-commit under a shard-set-wide write-order lock,
+//     so cross-shard statements land in one order on every shard.
 //
-// Id assignment: a CREATE TABLE for a sharded table automatically strides
-// that table's AUTO_INCREMENT (shard i of n counts i+1, i+1+n, i+1+2n, ...),
-// so generated ids hash back to the shard that created the row — and a row
-// keyed by another sharded table's generated id (order_line by order_id)
-// colocates with its parent, because the parent's id carries its shard's
-// congruence class.
+// A CREATE TABLE for a sharded table strides its AUTO_INCREMENT (shard i of
+// n counts i+1, i+1+n, ...), so a generated id hashes back to its shard and
+// a row keyed by it (order_line by order_id) colocates with its parent.
 //
 // Transactions: a sharded Session (shardTxn) coordinates one sub-session per
 // participating shard, opened lazily as statements pin shards (in ascending
@@ -70,27 +69,24 @@ func ParseShardDSN(dsn string) [][]string {
 }
 
 // shardSet is the backend of a sharded Client: one replica set per shard
-// group (each with its own pools, health tracking and query cache), the
-// table→key map, and the memoized per-statement plans. It keeps no query
-// cache of its own — pinned statements hit the owning shard's cache, and
+// group (each with its own pools, health tracking and query cache) and the
+// client's plan memo, which every shard reads too. It keeps no query cache
+// of its own — pinned statements hit the owning shard's cache, and
 // cross-shard merges are recomputed (their invalidation scope spans shards).
 type shardSet struct {
-	shards  []*replicaSet
-	byTable map[string]string // lower-cased table -> shard key column
+	shards []*replicaSet
 	// outer serializes cross-shard broadcasts (global-table writes, DDL)
 	// over the full address set, so every shard applies them in one order.
 	// Single-shard statements never touch it — the owning shard's own
 	// write-order locks suffice, because shards own disjoint rows.
-	outer *writeLocks
-	addrs []string
-	plans sync.Map // query text -> *shardPlan
-	// routes is every shard's parse memo too: a text is parsed once per
-	// Client, whichever shard or plan reads it.
+	outer  *writeLocks
+	addrs  []string
 	routes *routes
 	rr     atomic.Uint64
 
-	// The counter cells: ShardSingle, ShardScatter, ShardBroadcast and
-	// Shard2PCTxns are counted here; the rest sum over the shards.
+	// The counter cells: ShardSingle, ShardScatter and ShardBroadcast are
+	// counted in target, Shard2PCTxns in Commit; the rest sum over the
+	// shards.
 	counters
 
 	// betweenPhases, when set (tests), runs between 2PC's PREPARE and
@@ -99,13 +95,14 @@ type shardSet struct {
 }
 
 func newShardSet(cfg Config, groups [][]string) *shardSet {
-	sh := &shardSet{byTable: make(map[string]string, len(cfg.ShardBy)), routes: new(routes)}
+	rt := &routes{byTable: make(map[string]string, len(cfg.ShardBy))}
 	for t, col := range cfg.ShardBy {
-		sh.byTable[strings.ToLower(t)] = strings.ToLower(col)
+		rt.byTable[strings.ToLower(t)] = strings.ToLower(col)
 	}
+	sh := &shardSet{routes: rt}
 	for _, g := range groups {
 		sh.addrs = append(sh.addrs, g...)
-		sh.shards = append(sh.shards, newReplicaSet(cfg, g, sh.routes))
+		sh.shards = append(sh.shards, newReplicaSet(cfg, g, rt))
 	}
 	sh.outer = acquireWriteLocks(sh.addrs)
 	return sh
@@ -113,84 +110,48 @@ func newShardSet(cfg Config, groups [][]string) *shardSet {
 
 func (sh *shardSet) rrNext() int { return int(sh.rr.Add(1) % uint64(len(sh.shards))) }
 
-// shardPlan is the memoized routing decision for one statement text: its
-// route (kind, tables and the parsed statement — route.go's one parse),
-// whether it references a sharded table, and — when the predicate structure
-// pins every touched row — the shard-key expressions to hash.
-type shardPlan struct {
-	rt      route
-	sel     *sqlparse.Select // non-nil for parsed SELECTs
-	insert  bool
-	sharded bool            // references at least one sharded table
-	exprs   []sqlparse.Expr // nil: not pinned (scatter / broadcast)
-	// keyed marks an INSERT that names its table's shard key column with a
-	// value the router cannot resolve ahead of the engine (exprs is nil).
-	keyed bool
-	// scatterSQL is the text each shard runs when a SELECT on a sharded
-	// table scatters, and appended whether it appends the ORDER BY key to
-	// the select list for the merge to sort on and project off.
-	scatterSQL string
-	appended   bool
-}
-
-func (sh *shardSet) planOf(query string) *shardPlan {
-	if v, ok := sh.plans.Load(query); ok {
-		return v.(*shardPlan)
-	}
-	p := sh.buildPlan(query)
-	sh.plans.Store(query, p)
-	return p
-}
-
-func (sh *shardSet) buildPlan(query string) *shardPlan {
-	p := &shardPlan{rt: sh.routes.of(query)}
-	refs := p.rt.tables
-	switch st := p.rt.stmt.(type) {
+// planShards sets the route's shard plan from the sharded tables' key
+// columns. DDL and the rest keep an empty plan: reads run on one shard,
+// writes broadcast under the route's tables — conservative, never wrong.
+func (r *route) planShards(query string, byTable map[string]string) {
+	refs := r.tables
+	switch r.stmt.(type) {
 	case *sqlparse.Select:
-		p.sel, refs = st, p.rt.readTables
-	case *sqlparse.Insert:
-		p.insert = true
-	case *sqlparse.Update, *sqlparse.Delete:
+		refs = r.readTables
+	case *sqlparse.Insert, *sqlparse.Update, *sqlparse.Delete:
 	default:
-		// DDL and the rest: reads run on one shard, writes broadcast under
-		// the route's tables — conservative, never wrong. (A refused text,
-		// p.rt.err, has no statement and lands here too; Exec returns it.)
-		return p
+		return
 	}
 	// First referenced sharded table whose key the statement pins wins:
 	// with colocated tables (order_line by order_id) any pin lands on the
 	// same shard, so "first" is a tie-break, not a semantic choice.
 	for _, table := range refs {
-		col, sharded := sh.byTable[table]
+		col, sharded := byTable[table]
 		if !sharded {
 			continue
 		}
-		p.sharded = true
-		if p.exprs == nil {
-			if exprs, ok := sqlparse.ShardExprs(p.rt.stmt, table, col); ok {
-				p.exprs = exprs
-			} else if ins, ok := p.rt.stmt.(*sqlparse.Insert); ok {
+		r.sharded = true
+		if r.exprs == nil {
+			if exprs, ok := sqlparse.ShardExprs(r.stmt, table, col); ok {
+				r.exprs = exprs
+			} else if ins, ok := r.stmt.(*sqlparse.Insert); ok {
 				for _, c := range ins.Columns {
-					p.keyed = p.keyed || strings.EqualFold(c, col)
+					r.keyed = r.keyed || strings.EqualFold(c, col)
 				}
 			}
 		}
 	}
-	if p.sel != nil && p.sharded {
-		p.scatterSQL, p.appended = scatterSQL(query, p.sel)
+	if sel, ok := r.stmt.(*sqlparse.Select); ok && r.sharded {
+		r.scatterSQL, r.appended = scatterSQL(query, sel)
 	}
-	return p
 }
 
 // shardFor evaluates the plan's WHERE key expressions against the call's
 // arguments. ok only when every expression resolves and all agree on one
 // shard.
-func (p *shardPlan) shardFor(args []sqldb.Value, n int) (int, bool) {
-	if p.exprs == nil {
-		return 0, false
-	}
+func (r *route) shardFor(args []sqldb.Value, n int) (int, bool) {
 	shard := -1
-	for _, e := range p.exprs {
+	for _, e := range r.exprs {
 		v, err := sqldb.EvalConst(e, args)
 		if err != nil {
 			return 0, false
@@ -222,35 +183,99 @@ func shardIndex(k int64, n int) int {
 	return int(((k-1)%int64(n) + int64(n)) % int64(n))
 }
 
+// reach is where a statement runs on the shard set.
+type reach uint8
+
+const (
+	reachAny       reach = iota // any one shard
+	reachOne                    // target.shard
+	reachScatter                // every shard, the partial results merged
+	reachBroadcast              // every shard, the same write
+	reachSplit                  // each INSERT row on its owner, target.owners
+)
+
+// target is one routing decision: where, the shard of reachOne, and for
+// reachSplit each row's owning shard in statement order.
+type target struct {
+	reach  reach
+	shard  int
+	owners []int
+}
+
+// target decides where a statement runs, for both the auto-commit and the
+// transactional path, and counts the decision — the one place ShardSingle,
+// ShardScatter and ShardBroadcast advance. A global-table read runs on any
+// shard, uncounted: every shard holds the table. A keyless INSERT runs on
+// any one shard too: its strided counter assigns an id that routes back to
+// it.
+func (sh *shardSet) target(p *route, args []sqldb.Value) (t target, err error) {
+	switch _, insert := p.stmt.(*sqlparse.Insert); {
+	case p.err != nil:
+		return t, p.err
+	case !p.sharded && !p.write:
+		return t, nil
+	case p.sharded && insert:
+		if t, err = p.insertTarget(args, len(sh.shards)); err != nil {
+			return t, err
+		}
+	default:
+		var ok bool
+		if t.shard, ok = p.shardFor(args, len(sh.shards)); ok {
+			t.reach = reachOne
+		} else if p.write {
+			t.reach = reachBroadcast
+		} else {
+			t.reach = reachScatter
+		}
+	}
+	switch t.reach {
+	case reachAny, reachOne:
+		sh.ShardSingle.Add(1)
+	case reachScatter:
+		sh.ShardScatter.Add(1)
+	case reachBroadcast:
+		sh.ShardBroadcast.Add(1)
+	}
+	return t, nil
+}
+
 // Exec routes one pool-level statement through the shard set.
 func (sh *shardSet) Exec(query string, args ...sqldb.Value) (*sqldb.Result, error) {
-	p := sh.planOf(query)
-	switch {
-	case p.rt.err != nil:
-		return nil, p.rt.err
-	case !p.rt.write:
-		if !p.sharded {
-			// Global tables are replicated on every shard; any one answers.
-			return sh.shards[sh.rrNext()].Exec(query, args...)
-		}
-		if shard, ok := p.shardFor(args, len(sh.shards)); ok {
-			sh.ShardSingle.Add(1)
-			return sh.shards[shard].Exec(query, args...)
-		}
-		sh.ShardScatter.Add(1)
-		return sh.scatterRead(p, args, nil)
-	default: // writes and DDL
-		if p.sharded && p.insert {
-			return sh.insert(p, query, args)
-		}
-		if p.sharded && p.exprs != nil {
-			if shard, ok := p.shardFor(args, len(sh.shards)); ok {
-				sh.ShardSingle.Add(1)
-				return sh.shards[shard].Exec(query, args...)
-			}
-		}
-		return sh.broadcastAll(query, args, p)
+	return sh.exec(sh.routes.of(query), query, args)
+}
+
+// exec carries a statement's target out on the shards' replica sets. A
+// split runs in a coordinated transaction over the owning shards — its
+// parts in ascending shard order, then two-phase commit — so the statement
+// applies on every shard or on none.
+func (sh *shardSet) exec(p *route, query string, args []sqldb.Value) (*sqldb.Result, error) {
+	t, err := sh.target(p, args)
+	if err != nil {
+		return nil, err
 	}
+	switch t.reach {
+	case reachAny:
+		return sh.shards[sh.rrNext()].exec(p, query, args)
+	case reachOne:
+		return sh.shards[t.shard].exec(p, query, args)
+	case reachScatter:
+		return sh.scatterRead(p, args, nil)
+	case reachBroadcast:
+		return sh.broadcastAll(p, query, args)
+	}
+	s := sh.newTxn()
+	defer s.end(false)
+	if err := s.begin(p.tables); err != nil {
+		return nil, err
+	}
+	res, err := s.split(p, t.owners, args)
+	if err == nil {
+		err = s.Commit()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 var errInsertSpansShards = errors.New("cluster: INSERT on a sharded table whose rows' shard keys or values are not literals or '?' parameters")
@@ -262,84 +287,49 @@ var errInsertSpansShards = errors.New("cluster: INSERT on a sharded table whose 
 var ErrSplitInsertAborted = errors.New("cluster: a shard's part of a multi-row INSERT failed; transaction rolled back")
 
 // insertTarget resolves where an INSERT on a sharded table goes: to one
-// shard (every row's key hashes there), to any shard (keyless, shard -1:
-// the shard's strided counter assigns an id that routes back to it), or
-// split (owners non-nil: each row's owning shard, in statement order).
-func (p *shardPlan) insertTarget(args []sqldb.Value, n int) (shard int, owners []int, err error) {
+// shard (every row's key hashes there), to any shard (keyless), or split
+// by owner.
+func (p *route) insertTarget(args []sqldb.Value, n int) (target, error) {
 	if p.exprs == nil {
 		if p.keyed {
-			return 0, nil, errInsertSpansShards
+			return target{}, errInsertSpansShards
 		}
-		return -1, nil, nil
+		return target{reach: reachAny}, nil
 	}
+	t := target{reach: reachOne}
 	for i, e := range p.exprs {
 		v, err := sqldb.EvalConst(e, args)
 		if err != nil {
-			return 0, nil, errInsertSpansShards
+			return target{}, errInsertSpansShards
 		}
-		// The INT key column stores the value's AsInt.
-		s := shardIndex(v.AsInt(), n)
-		switch {
-		case i == 0:
-			shard = s
-		case owners == nil && s != shard:
-			owners = make([]int, i, len(p.exprs))
-			for j := range owners {
-				owners[j] = shard
-			}
+		s := shardIndex(v.AsInt(), n) // the INT key column stores the value's AsInt
+		if i == 0 {
+			t.shard = s
+		} else if s != t.shard && t.owners == nil {
+			t.reach, t.owners = reachSplit, slices.Repeat([]int{t.shard}, i)
 		}
-		if owners != nil {
-			owners = append(owners, s)
+		if t.owners != nil {
+			t.owners = append(t.owners, s)
 		}
 	}
-	return shard, owners, nil
-}
-
-// insert routes an auto-commit INSERT on a sharded table. A split runs in
-// a coordinated transaction over the owning shards — its parts in
-// ascending shard order, then two-phase commit — so the statement applies
-// on every shard or on none.
-func (sh *shardSet) insert(p *shardPlan, query string, args []sqldb.Value) (*sqldb.Result, error) {
-	shard, owners, err := p.insertTarget(args, len(sh.shards))
-	if err != nil {
-		return nil, err
-	}
-	if owners == nil {
-		if shard < 0 {
-			shard = sh.rrNext()
-		}
-		sh.ShardSingle.Add(1)
-		return sh.shards[shard].Exec(query, args...)
-	}
-	s := sh.newTxn()
-	defer func() { s.end(false) }()
-	if err := s.begin(p.rt.tables); err != nil {
-		return nil, err
-	}
-	res, err := s.split(p, owners, args)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Commit(); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return t, nil
 }
 
 // scatterRead fans a SELECT on a sharded table out to every shard and
 // merges. subs, when non-nil, supplies the per-shard sub-sessions to run on
 // (transactional scatter); otherwise each shard's pool path runs it.
-func (sh *shardSet) scatterRead(p *shardPlan, args []sqldb.Value, subs []*replicaTxn) (*sqldb.Result, error) {
+func (sh *shardSet) scatterRead(p *route, args []sqldb.Value, subs []*replicaTxn) (*sqldb.Result, error) {
+	sp := sh.routes.of(p.scatterSQL)
 	results, err := sh.onEach(func(i int) (*sqldb.Result, error) {
 		if subs != nil {
-			return subs[i].Exec(p.scatterSQL, args...)
+			return subs[i].exec(sp, p.scatterSQL, args)
 		}
-		return sh.shards[i].Exec(p.scatterSQL, args...)
+		return sh.shards[i].exec(sp, p.scatterSQL, args)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return mergeScatter(p.sel, results, p.appended)
+	return mergeScatter(p.stmt.(*sqlparse.Select), results, p.appended)
 }
 
 // onEach runs run once per shard, concurrently, and returns the per-shard
@@ -458,17 +448,16 @@ func mergeCounts(results []*sqldb.Result) (*sqldb.Result, error) {
 // and leave the "replicated everywhere" tables diverged between shards.
 // Pinned writes never pass through here: shards own disjoint rows, so the
 // owning shard's inner locks are the complete serialization.
-func (sh *shardSet) broadcastAll(query string, args []sqldb.Value, p *shardPlan) (*sqldb.Result, error) {
-	sh.ShardBroadcast.Add(1)
-	release := sh.outer.acquire(p.rt.tables)
+func (sh *shardSet) broadcastAll(p *route, query string, args []sqldb.Value) (*sqldb.Result, error) {
+	release := sh.outer.acquire(p.tables)
 	defer release()
 	results, err := sh.onEach(func(i int) (*sqldb.Result, error) {
-		return sh.shards[i].Exec(query, args...)
+		return sh.shards[i].exec(p, query, args)
 	})
 	if err != nil {
 		return nil, err
 	}
-	if ct, ok := p.rt.stmt.(*sqlparse.CreateTable); ok {
+	if ct, ok := p.stmt.(*sqlparse.CreateTable); ok {
 		if err := sh.strideTable(ct.Name); err != nil {
 			return nil, err
 		}
@@ -480,7 +469,7 @@ func (sh *shardSet) broadcastAll(query string, args []sqldb.Value, p *shardPlan)
 // table every shard did the same thing and any one answer is the answer;
 // on a sharded table each shard touched its own disjoint rows, so the
 // statement's row count is the sum.
-func (p *shardPlan) mergeWrite(results []*sqldb.Result) *sqldb.Result {
+func (p *route) mergeWrite(results []*sqldb.Result) *sqldb.Result {
 	if p.sharded {
 		for _, r := range results[1:] {
 			results[0].RowsAffected += r.RowsAffected
@@ -494,7 +483,7 @@ func (p *shardPlan) mergeWrite(results []*sqldb.Result) *sqldb.Result {
 // shardIndex). Global tables keep the default dense counter — their writes
 // broadcast, so every shard assigns the same ids anyway.
 func (sh *shardSet) strideTable(table string) error {
-	if _, ok := sh.byTable[strings.ToLower(table)]; !ok {
+	if _, ok := sh.routes.byTable[strings.ToLower(table)]; !ok {
 		return nil
 	}
 	for i, s := range sh.shards {
@@ -597,7 +586,7 @@ type shardTxn struct {
 	maxSub   int
 }
 
-func (sh *shardSet) session() (txn, error) { return sh.newTxn(), nil }
+func (sh *shardSet) session() (*Session, error) { return &Session{sh.newTxn(), sh.routes}, nil }
 
 func (sh *shardSet) newTxn() *shardTxn {
 	return &shardTxn{sh: sh, subs: make([]*replicaTxn, len(sh.shards)), maxSub: -1}
@@ -605,84 +594,49 @@ func (sh *shardSet) newTxn() *shardTxn {
 
 func (s *shardTxn) state() (open, failed bool) { return s.inTxn, s.failed }
 
-// Exec routes one session statement. Outside a transaction the session
-// adds nothing over the pool path; inside one, statements run on the
-// participating shards' sub-sessions.
-func (s *shardTxn) Exec(query string, args ...sqldb.Value) (*sqldb.Result, error) {
+// exec routes one session statement. Outside a transaction the session
+// adds nothing over the pool path; inside one, the statement's target is
+// carried out on the participating shards' sub-sessions. A global-table
+// statement in a transaction still runs on a participating sub-session:
+// its reads must see the transaction's own writes, and its writes reach
+// every shard because the transaction was opened all-shard.
+func (s *shardTxn) exec(p *route, query string, args []sqldb.Value) (*sqldb.Result, error) {
 	if s.failed {
 		return nil, errSessionFailed
 	}
-	sh := s.sh
 	if !s.inTxn {
-		return sh.Exec(query, args...)
+		return s.sh.exec(p, query, args)
 	}
-	p := sh.planOf(query)
-	if p.rt.err != nil {
-		return nil, p.rt.err
+	t, err := s.sh.target(p, args)
+	if err != nil {
+		return nil, err
 	}
-	if !p.sharded {
-		// Global table: in a transaction it must still run on a
-		// participating sub-session (reads must see the txn's own writes;
-		// writes are broadcast when the txn was opened all-shard).
-		if !p.rt.write {
-			sub, err := s.anySub()
-			if err != nil {
-				return nil, err
-			}
-			return s.subExec(sub, query, args)
-		}
-		return s.subBroadcast(p, query, args)
-	}
-	if p.insert {
-		return s.insert(p, query, args)
-	}
-	if shard, ok := p.shardFor(args, len(sh.shards)); ok {
-		sub, err := s.sub(shard)
-		if err != nil {
-			return nil, err
-		}
-		sh.ShardSingle.Add(1)
-		return s.subExec(sub, query, args)
-	}
-	if !p.rt.write {
+	var sub *replicaTxn
+	switch t.reach {
+	case reachAny:
+		sub, err = s.anySub()
+	case reachOne:
+		sub, err = s.sub(t.shard)
+	case reachScatter:
 		if err := s.allSubs(); err != nil {
 			return nil, err
 		}
-		sh.ShardScatter.Add(1)
-		res, err := sh.scatterRead(p, args, s.subs)
+		res, err := s.sh.scatterRead(p, args, s.subs)
 		// The fan-out ran the subs concurrently, past subExec: fold their
 		// poisoning in here, once they have all returned.
 		for _, sub := range s.subs {
 			s.failed = s.failed || sub.failed
 		}
 		return res, err
-	}
-	return s.subBroadcast(p, query, args)
-}
-
-// insert routes an INSERT on a sharded table inside the transaction: to
-// its one shard's sub-session, to any participating one when keyless (its
-// strided counter assigns an id that routes back to it), or split across
-// the owning shards' sub-sessions.
-func (s *shardTxn) insert(p *shardPlan, query string, args []sqldb.Value) (*sqldb.Result, error) {
-	shard, owners, err := p.insertTarget(args, len(s.sh.shards))
-	if err != nil {
-		return nil, err
-	}
-	if owners != nil {
-		return s.split(p, owners, args)
-	}
-	var sub *replicaTxn
-	if shard < 0 {
-		sub, err = s.anySub()
-	} else {
-		sub, err = s.sub(shard)
+	case reachBroadcast:
+		return s.subBroadcast(p, query, args)
+	case reachSplit:
+		return s.split(p, t.owners, args)
 	}
 	if err != nil {
 		return nil, err
 	}
-	s.sh.ShardSingle.Add(1)
-	return s.subExec(sub, query, args)
+	return s.subExec(sub, p, query, args)
 }
 
 // split runs a multi-row INSERT whose rows belong to several shards as one
@@ -694,8 +648,8 @@ func (s *shardTxn) insert(p *shardPlan, query string, args []sqldb.Value) (*sqld
 // the shard holding the statement's last row. A part that fails rolls the
 // transaction back and fails the session: the parts already applied on
 // other shards cannot be undone one by one.
-func (s *shardTxn) split(p *shardPlan, owners []int, args []sqldb.Value) (*sqldb.Result, error) {
-	ins := p.rt.stmt.(*sqlparse.Insert)
+func (s *shardTxn) split(p *route, owners []int, args []sqldb.Value) (*sqldb.Result, error) {
+	ins := p.stmt.(*sqlparse.Insert)
 	width := len(ins.Columns)
 	vals := make([][]sqldb.Value, len(s.subs)) // by shard, row-major
 	for row, shard := range owners {
@@ -726,7 +680,8 @@ func (s *shardTxn) split(p *shardPlan, owners []int, args []sqldb.Value) (*sqldb
 		}
 		for len(v) > 0 {
 			k := 1 << (bits.Len(uint(len(v)/width)) - 1)
-			res, err := s.subExec(sub, sqldb.InsertSQL(ins.Table, ins.Columns, k), v[:k*width])
+			q := sqldb.InsertSQL(ins.Table, ins.Columns, k)
+			res, err := s.subExec(sub, s.sh.routes.of(q), q, v[:k*width])
 			if err != nil {
 				return fail(err)
 			}
@@ -741,15 +696,14 @@ func (s *shardTxn) split(p *shardPlan, owners []int, args []sqldb.Value) (*sqldb
 }
 
 // subBroadcast runs an unpinned write on every shard's sub-session.
-func (s *shardTxn) subBroadcast(p *shardPlan, query string, args []sqldb.Value) (*sqldb.Result, error) {
+func (s *shardTxn) subBroadcast(p *route, query string, args []sqldb.Value) (*sqldb.Result, error) {
 	if err := s.allSubs(); err != nil {
 		return nil, err
 	}
-	s.sh.ShardBroadcast.Add(1)
 	results := make([]*sqldb.Result, len(s.subs))
 	for i, sub := range s.subs {
 		var err error
-		if results[i], err = s.subExec(sub, query, args); err != nil {
+		if results[i], err = s.subExec(sub, p, query, args); err != nil {
 			return nil, err
 		}
 	}
@@ -759,8 +713,8 @@ func (s *shardTxn) subBroadcast(p *shardPlan, query string, args []sqldb.Value) 
 // subExec runs one statement on a sub-session, propagating its poisoning:
 // a sub that aborted or transport-failed takes the whole coordinated
 // transaction with it.
-func (s *shardTxn) subExec(sub *replicaTxn, query string, args []sqldb.Value) (*sqldb.Result, error) {
-	res, err := sub.Exec(query, args...)
+func (s *shardTxn) subExec(sub *replicaTxn, p *route, query string, args []sqldb.Value) (*sqldb.Result, error) {
+	res, err := sub.exec(p, query, args)
 	if sub.failed {
 		s.failed = true
 	}
@@ -844,12 +798,11 @@ func (s *shardTxn) begin(declared []string) error {
 	s.inTxn = true
 	all := len(declared) == 0
 	for _, t := range declared {
-		if _, sharded := s.sh.byTable[t]; !sharded {
+		if _, sharded := s.sh.routes.byTable[t]; !sharded {
 			all = true
 		}
 	}
 	if all {
-		s.allShard = true
 		if err := s.allSubs(); err != nil {
 			// Best-effort rollback of what did open; the session stays
 			// failed and its conns are discarded at Put.

@@ -221,9 +221,9 @@ func TestShardScatterMerge(t *testing.T) {
 	}
 }
 
-// TestShardParsesOncePerClient: a sharded client parses a distinct text
-// once — the shard planner and every shard's routing read the same parse,
-// for a pinned statement and for a scatter alike.
+// TestShardParsesOncePerClient: a sharded client plans a distinct text
+// once — the router, every shard's replica set and every session read the
+// same memoized plan, for a pinned statement and for a scatter alike.
 func TestShardParsesOncePerClient(t *testing.T) {
 	groups := startShards(t, 2, 1)
 	c := newShardClient(t, groups, Config{})
@@ -236,11 +236,23 @@ func TestShardParsesOncePerClient(t *testing.T) {
 		}
 	}
 	sh := c.backend.(*shardSet)
+	s, err := c.Get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Put(s, false)
 	for _, q := range []string{pinned, scatter} {
-		stmt := sh.planOf(q).rt.stmt
+		v, ok := sh.routes.m.Load(q)
+		if !ok {
+			t.Fatalf("%q ran without a memoized plan", q)
+		}
+		p := v.(*route)
+		if !p.sharded || s.routes.of(q) != p {
+			t.Errorf("%q: the session reads a plan apart from the router's", q)
+		}
 		for i, rs := range sh.shards {
-			if rs.routes.of(q).stmt != stmt {
-				t.Errorf("shard %d parsed %q apart from the planner", i, q)
+			if rs.routes.of(q) != p {
+				t.Errorf("shard %d planned %q apart from the router", i, q)
 			}
 		}
 	}

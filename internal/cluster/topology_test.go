@@ -262,3 +262,59 @@ func topologyState(t *testing.T, groups [][]*testReplica) []string {
 	}
 	return out
 }
+
+// TestTxnDDLCommitsFirst: DDL inside a transaction commits it first and
+// runs in auto-commit, as the engine does, on 1x1, 1x2 and 2x1 alike. The
+// transaction's INSERT into a global table is committed, and the sharded
+// CREATE TABLE is strided like one run outside a transaction: four keyless
+// INSERTs get distinct ids, each on the shard its id hashes to.
+func TestTxnDDLCommitsFirst(t *testing.T) {
+	for _, topo := range [][2]int{{1, 1}, {1, 2}, {2, 1}} {
+		t.Run(fmt.Sprintf("%dx%d", topo[0], topo[1]), func(t *testing.T) {
+			groups := startShards(t, topo[0], topo[1])
+			c := NewWithConfig(Config{DSN: shardDSN(groups), PoolSize: 2, ShardBy: map[string]string{"orders": "customer_id"}})
+			defer c.Close()
+			mustExec(t, c, "CREATE TABLE notes (id INT PRIMARY KEY, body VARCHAR(16))")
+			err := c.WithTx([]string{"notes"}, func(tx *Session) error {
+				if _, err := tx.Exec("INSERT INTO notes (id, body) VALUES (1, 'kept')"); err != nil {
+					return err
+				}
+				_, err := tx.Exec("CREATE TABLE orders (id INT PRIMARY KEY AUTO_INCREMENT, customer_id INT, total INT)")
+				return err
+			})
+			if err != nil {
+				t.Fatalf("WithTx: %v", err)
+			}
+			ids := map[int64]bool{}
+			for i := 0; i < 4; i++ {
+				res, err := c.Exec("INSERT INTO orders (total) VALUES (?)", sqldb.Int(int64(i)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ids[res.LastInsertID] {
+					t.Errorf("id %d assigned twice", res.LastInsertID)
+				}
+				ids[res.LastInsertID] = true
+			}
+			held := 0
+			for si, g := range groups {
+				for ri, r := range g {
+					if res := queryReplica(t, r, "SELECT body FROM notes WHERE id = 1"); len(res.Rows) != 1 {
+						t.Errorf("shard %d replica %d: the transaction's INSERT is not committed: %v", si, ri, res.Rows)
+					}
+					for _, row := range queryReplica(t, r, "SELECT id FROM orders").Rows {
+						if id := row[0].AsInt(); shardIndex(id, len(groups)) != si {
+							t.Errorf("shard %d replica %d holds id %d, which hashes to shard %d", si, ri, id, shardIndex(id, len(groups)))
+						}
+						if ri == 0 {
+							held++
+						}
+					}
+				}
+			}
+			if held != 4 {
+				t.Errorf("%d orders rows over the shards, want 4", held)
+			}
+		})
+	}
+}
