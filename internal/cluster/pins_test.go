@@ -222,14 +222,29 @@ func (g *pinGen) selectStmt() (string, []sqldb.Value) {
 	return "SELECT " + list + " FROM " + text + g.where(refs, 0, &args), args
 }
 
-// stmt is a SELECT, UPDATE, INSERT or DELETE, and the table it writes ("" for
-// a SELECT). Writes never change an id or a shard key, and INSERTs take
-// fresh ids: the rows stay where they are routed and ids stay unique across
-// shards.
+// shadowed is the join of TestShardPinShadowedAlias: orders under another
+// name, then notes under the name orders, filtered through that name.
+// orders.customer_id is a column of notes and pins no shard; a router that
+// bound the qualifier to the table named orders would read one shard.
+func (g *pinGen) shadowed() (string, []sqldb.Value) {
+	var args []sqldb.Value
+	o := g.of([]string{"o", "notes"})
+	list := g.of([]string{"COUNT(*)", o + ".id, orders.total"})
+	on := "orders." + g.of(pinCols) + " = " + o + "." + g.of(pinCols)
+	return "SELECT " + list + " FROM orders " + o + " JOIN notes orders ON " + on + " WHERE orders.customer_id = " + g.konst(&args), args
+}
+
+// stmt is a SELECT (one in 26 the shadowing join), UPDATE, INSERT or
+// DELETE, and the table it writes ("" for a SELECT). Writes never change an
+// id or a shard key, and INSERTs take fresh ids: the rows stay where they
+// are routed and ids stay unique across shards.
 func (g *pinGen) stmt() (q string, args []sqldb.Value, writes string) {
 	table := g.of(pinTables)
 	bound := []string{table}
-	switch k := g.pick(25); {
+	switch k := g.pick(26); {
+	case k == 25:
+		q, args = g.shadowed()
+		return q, args, ""
 	case k < 15:
 		q, args = g.selectStmt()
 		return q, args, ""

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 // PSResource models a processor-sharing resource such as a single CPU or a
 // network link. When n jobs are in service, each progresses at speed/n work
@@ -12,16 +9,19 @@ import (
 //
 // The implementation uses the classic virtual-time formulation: virtual time
 // V advances at rate speed/n, each job completes when V reaches its arrival
-// value plus its demand, so arrivals and completions cost O(log n).
+// value plus its demand, so arrivals and completions cost O(log n). The
+// resource keeps one completion event, queued while a job is in service;
+// an arrival moves it in place to the smallest target's new time.
 type PSResource struct {
 	sim   *Sim
 	name  string
 	speed float64
 
-	jobs    jobHeap
-	lastT   float64 // real time of last state update
-	v       float64 // virtual time
-	pending *Timer
+	jobs  heap[psJob]
+	lastT float64  // real time of last state update
+	v     float64  // virtual time
+	next  event    // the completion of the job with the smallest target
+	dones []func() // complete's list of finished jobs, reused
 
 	busy float64 // integral of 1{n>0} dt
 }
@@ -33,7 +33,9 @@ func NewPSResource(s *Sim, name string, speed float64) *PSResource {
 	if speed <= 0 || math.IsNaN(speed) {
 		panic("sim: PSResource speed must be positive")
 	}
-	return &PSResource{sim: s, name: name, speed: speed, lastT: s.Now()}
+	r := &PSResource{sim: s, name: name, speed: speed, lastT: s.Now()}
+	r.next = event{fn: r.complete, i: -1}
+	return r
 }
 
 // Name returns the resource name given at construction.
@@ -54,61 +56,45 @@ func (r *PSResource) Use(demand float64, done func()) {
 		r.sim.Schedule(0, done)
 		return
 	}
-	j := &psJob{target: r.v + demand, done: done}
-	heap.Push(&r.jobs, j)
-	r.reschedule()
+	r.jobs.push(psJob{target: r.v + demand, done: done})
+	r.arm()
 }
 
 // advance brings the virtual clock and accounting integrals up to the
 // simulator's current time.
 func (r *PSResource) advance() {
 	now := r.sim.Now()
-	dt := now - r.lastT
-	if dt > 0 {
-		if n := r.jobs.Len(); n > 0 {
-			r.v += dt * r.speed / float64(n)
-			r.busy += dt
-		}
-		r.lastT = now
-	} else {
-		r.lastT = now
+	if dt := now - r.lastT; dt > 0 && len(r.jobs) > 0 {
+		r.v += dt * r.speed / float64(len(r.jobs))
+		r.busy += dt
 	}
+	r.lastT = now
 }
 
-// reschedule (re)arms the completion event for the job with the smallest
-// virtual-time target.
-func (r *PSResource) reschedule() {
-	if r.pending != nil {
-		r.pending.Cancel()
-		r.pending = nil
-	}
-	if r.jobs.Len() == 0 {
-		return
-	}
-	minTarget := r.jobs[0].target
-	n := float64(r.jobs.Len())
-	dt := (minTarget - r.v) * n / r.speed
-	if dt < 0 {
-		dt = 0
-	}
-	r.pending = r.sim.Schedule(dt, r.complete)
+// arm moves the completion event to when the job with the smallest
+// virtual-time target finishes at the current share.
+func (r *PSResource) arm() {
+	dt := (r.jobs[0].target - r.v) * float64(len(r.jobs)) / r.speed
+	r.sim.arm(&r.next, dt)
 }
 
 func (r *PSResource) complete() {
-	r.pending = nil
 	r.advance()
 	// Pop every job whose target has been reached. Tolerance covers float
 	// drift when many equal-demand jobs share the resource.
 	const eps = 1e-9
-	var dones []func()
-	for r.jobs.Len() > 0 && r.jobs[0].target <= r.v+eps*(1+math.Abs(r.v)) {
-		j := heap.Pop(&r.jobs).(*psJob)
-		dones = append(dones, j.done)
+	dones := r.dones[:0]
+	for len(r.jobs) > 0 && r.jobs[0].target <= r.v+eps*(1+math.Abs(r.v)) {
+		dones = append(dones, r.jobs.pop().done)
 	}
-	r.reschedule()
+	if len(r.jobs) > 0 {
+		r.arm()
+	}
 	for _, d := range dones {
 		d()
 	}
+	clear(dones)
+	r.dones = dones
 }
 
 // BusyTime returns the accumulated time during which at least one job was in
@@ -138,21 +124,8 @@ func (r *PSResource) UtilizationSince(busy0, t0 float64) float64 {
 type psJob struct {
 	target float64 // virtual time at which service completes
 	done   func()
-	index  int
 }
 
-type jobHeap []*psJob
+func (j psJob) before(o psJob) bool { return j.target < o.target }
 
-func (h jobHeap) Len() int           { return len(h) }
-func (h jobHeap) Less(i, j int) bool { return h[i].target < h[j].target }
-func (h jobHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].index = i; h[j].index = j }
-func (h *jobHeap) Push(x any)        { j := x.(*psJob); j.index = len(*h); *h = append(*h, j) }
-func (h *jobHeap) Pop() any {
-	old := *h
-	n := len(old)
-	j := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	j.index = -1
-	return j
-}
+func (psJob) moved(int) {}

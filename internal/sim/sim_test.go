@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -41,18 +42,6 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 			t.Fatalf("simultaneous events out of order: %v", got)
 		}
 	}
-}
-
-func TestTimerCancel(t *testing.T) {
-	s := New()
-	fired := false
-	tm := s.Schedule(1, func() { fired = true })
-	tm.Cancel()
-	s.Run()
-	if fired {
-		t.Fatal("cancelled timer fired")
-	}
-	tm.Cancel() // double-cancel is a no-op
 }
 
 func TestRunUntil(t *testing.T) {
@@ -257,6 +246,122 @@ func TestPSResourceCompletionOrderProperty(t *testing.T) {
 	}
 }
 
+// psReference returns each job's completion time under exact processor
+// sharing at the given speed, by brute force: it steps from event to event
+// (an arrival or the smallest remaining work running out), taking the
+// served work from every active job's remaining work.
+func psReference(arrive, demand []float64, speed float64) []float64 {
+	order := make([]int, len(arrive))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return arrive[order[a]] < arrive[order[b]] })
+	end := make([]float64, len(arrive))
+	rem := make(map[int]float64)
+	now, next := 0.0, 0
+	for next < len(order) || len(rem) > 0 {
+		for next < len(order) && arrive[order[next]] <= now {
+			i := order[next]
+			next++
+			if demand[i] <= 0 {
+				end[i] = arrive[i]
+			} else {
+				rem[i] = demand[i]
+			}
+		}
+		if len(rem) == 0 {
+			if next < len(order) {
+				now = arrive[order[next]]
+			}
+			continue
+		}
+		rate := speed / float64(len(rem))
+		least := math.Inf(1)
+		for _, w := range rem {
+			least = math.Min(least, w)
+		}
+		t, served := now+least/rate, least
+		if next < len(order) && arrive[order[next]] < t {
+			t = arrive[order[next]]
+			served = (t - now) * rate
+		}
+		now = t
+		for i, w := range rem {
+			if w -= served; w <= 1e-12*demand[i] {
+				end[i] = now
+				delete(rem, i)
+			} else {
+				rem[i] = w
+			}
+		}
+	}
+	return end
+}
+
+// TestPSResourceOracle checks generated streams against psReference job by
+// job, within 1e-9 relative: staggered arrivals (some at equal times),
+// demands drawn from a small set (exact ties), at random and zero, and
+// random speeds. The streams must reach the re-arm path, an arrival while
+// a completion is pending, and simultaneous completions, where one
+// completion event pops several jobs.
+func TestPSResourceOracle(t *testing.T) {
+	rearms, simultaneous := 0, 0
+	for seed := int64(1); seed <= 300; seed++ {
+		g := NewRNG(seed)
+		n := 1 + g.Intn(40)
+		speed := 0.5 + 3.5*g.Float64()
+		arrive, demand := make([]float64, n), make([]float64, n)
+		for i := range arrive {
+			switch {
+			case i > 0 && g.Float64() < 0.3:
+				arrive[i] = arrive[i-1]
+			default:
+				arrive[i] = 2 * g.Float64()
+			}
+			switch p := g.Float64(); {
+			case p < 0.05:
+				demand[i] = 0
+			case p < 0.5:
+				demand[i] = []float64{0.1, 0.25, 0.5}[g.Intn(3)]
+			default:
+				demand[i] = 0.01 + g.Float64()
+			}
+		}
+		s := New()
+		r := NewPSResource(s, "cpu", speed)
+		got := make([]float64, n)
+		lastEnd := -1.0
+		for i := range arrive {
+			s.Schedule(arrive[i], func() {
+				if r.next.i >= 0 {
+					rearms++
+				}
+				r.Use(demand[i], func() {
+					got[i] = s.Now()
+					if demand[i] > 0 {
+						if got[i] == lastEnd {
+							simultaneous++
+						}
+						lastEnd = got[i]
+					}
+				})
+			})
+		}
+		s.Run()
+		want := psReference(arrive, demand, speed)
+		for i := range want {
+			if math.Abs(got[i]-want[i]) > 1e-9*want[i] {
+				t.Fatalf("seed %d speed %g: job %d (arrive %g, demand %g) done at %.17g, reference %.17g",
+					seed, speed, i, arrive[i], demand[i], got[i], want[i])
+			}
+		}
+	}
+	if rearms == 0 || simultaneous == 0 {
+		t.Fatalf("streams reached %d re-arms and %d simultaneous completions; want both", rearms, simultaneous)
+	}
+	t.Logf("%d re-arms, %d simultaneous completions", rearms, simultaneous)
+}
+
 func TestRWLockSharedReaders(t *testing.T) {
 	s := New()
 	l := NewRWLock(s, "t")
@@ -407,23 +512,129 @@ func TestSeedDistinct(t *testing.T) {
 	}
 }
 
-func TestDeterminism(t *testing.T) {
-	run := func() (float64, int64) {
-		s := New()
-		r := NewPSResource(s, "cpu", 1.0)
-		g := NewRNG(99)
-		done := 0
-		for i := 0; i < 100; i++ {
-			s.Schedule(g.Float64()*10, func() {
-				r.Use(0.01+g.Float64()*0.1, func() { done++ })
-			})
+// pinRun plays a seeded schedule that mixes equal-time Schedule calls,
+// arrivals while a completion is pending (the completion moves), zero-demand
+// Use, equal-demand jobs arriving together and apart, and arrivals from
+// inside completion callbacks. It returns the clock's bits, the step count
+// and an FNV-1a fold of the callback sequence (the id of each completed job
+// or fired arrival event, and the clock's bits), and fails t if a job
+// completes other than once.
+func pinRun(t *testing.T) (nowBits uint64, steps int64, seq uint64) {
+	s := New()
+	rs := []*PSResource{NewPSResource(s, "cpu", 1), NewPSResource(s, "link", 2)}
+	g := NewRNG(99)
+	seq = 14695981039346656037
+	fold := func(x uint64) { seq = (seq ^ x) * 1099511628211 }
+	var count []int
+	var use func(r *PSResource, d float64, then func())
+	use = func(r *PSResource, d float64, then func()) {
+		id := len(count)
+		count = append(count, 0)
+		r.Use(d, func() {
+			count[id]++
+			fold(uint64(id))
+			fold(math.Float64bits(s.Now()))
+			if then != nil {
+				then()
+			}
+		})
+	}
+	// A moved completion takes the next place in scheduling order: on a
+	// resource of its own, job 0 alone would end at 1/8; job 1, arriving
+	// with it, moves the completion to 1/4, after the probe scheduled
+	// between the two for the same time.
+	own := NewPSResource(s, "own", 1)
+	use(own, 1.0/8, nil)
+	s.Schedule(1.0/4, func() { fold(1 << 33) })
+	use(own, 1.0/8, nil)
+	// Demands from a small set of binary fractions on a binary time grid:
+	// equal demands recur, together and apart in time, and many sums are
+	// exact.
+	demands := []float64{1.0 / 32, 1.0 / 16, 1.0 / 8}
+	for i := 0; i < 300; i++ {
+		at := float64(g.Intn(48)) / 16
+		kind := g.Intn(5)
+		r, other := rs[i%2], rs[1-i%2]
+		s.Schedule(at, func() {
+			fold(1<<32 + uint64(i))
+			fold(math.Float64bits(s.Now()))
+			switch kind {
+			case 0:
+				use(r, 0, nil)
+			case 1:
+				d := demands[g.Intn(len(demands))]
+				use(r, d, nil)
+				use(r, d, nil)
+			case 2:
+				use(r, demands[g.Intn(len(demands))], nil)
+			case 3:
+				use(r, 0.01+g.Float64()*0.2, func() { use(other, 0.01+g.Float64()*0.1, nil) })
+			default:
+				use(r, 0.01+g.Float64()*0.2, nil)
+			}
+		})
+	}
+	s.Run()
+	for id, c := range count {
+		if c != 1 {
+			t.Fatalf("job %d completed %d times, want once", id, c)
 		}
-		s.Run()
-		return s.Now(), s.Steps()
 	}
-	t1, n1 := run()
-	t2, n2 := run()
-	if t1 != t2 || n1 != n2 {
-		t.Fatalf("non-deterministic: (%g,%d) vs (%g,%d)", t1, n1, t2, n2)
+	return math.Float64bits(s.Now()), s.Steps(), seq
+}
+
+// TestDeterminism pins the kernel's event order. Events fire in (time,
+// scheduling order) and a PS resource's one pending completion moves to
+// its new time with the next sequence number on every arrival, so the
+// schedule in pinRun must end at the clock, step count and callback
+// sequence recorded from the kernel that cancelled the superseded
+// completion and pushed a fresh one. A superseded completion that fired
+// would add steps and reorder callbacks.
+func TestDeterminism(t *testing.T) {
+	const (
+		wantNow   = uint64(0x402e2d3d6b7db336) // 15.088359221548313
+		wantSteps = int64(644)
+		wantSeq   = uint64(0x445fb98a38449b69)
+	)
+	now, steps, seq := pinRun(t)
+	if now != wantNow || steps != wantSteps || seq != wantSeq {
+		t.Fatalf("pinned schedule: now %#x (%g), steps %d, sequence %#x; want now %#x, steps %d, sequence %#x",
+			now, math.Float64frombits(now), steps, seq, wantNow, wantSteps, wantSeq)
 	}
+	if now2, steps2, seq2 := pinRun(t); now2 != now || steps2 != steps || seq2 != seq {
+		t.Fatal("pinned schedule differs between two runs")
+	}
+}
+
+// BenchmarkKernel runs a processor-sharing-heavy closed loop: 64 clients
+// alternate an exponential think time with a job on one of four saturated
+// PS resources, so most events are arrivals that move a pending completion
+// or completions that pop one. It reports the kernel's cost per executed
+// event.
+func BenchmarkKernel(b *testing.B) {
+	var events int64
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		s := New()
+		rs := make([]*PSResource, 4)
+		for i := range rs {
+			rs[i] = NewPSResource(s, "cpu", 1)
+		}
+		g := NewRNG(1)
+		var client func()
+		client = func() {
+			rs[g.Intn(len(rs))].Use(g.Exp(0.01), func() { s.Schedule(g.Exp(0.05), client) })
+		}
+		for c := 0; c < 64; c++ {
+			s.Schedule(g.Exp(0.05), client)
+		}
+		s.RunUntil(20)
+		events += s.Steps()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&m1)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(events), "allocs/event")
 }
