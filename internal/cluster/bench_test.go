@@ -111,7 +111,7 @@ func BenchmarkClientPaths(b *testing.B) {
 					}
 					return
 				}
-				before := reps[0].db.TxnStats()
+				before := reps[0].db.Telemetry()
 				var seq atomic.Int64
 				b.RunParallel(func(pb *testing.PB) {
 					for pb.Next() {
@@ -122,8 +122,8 @@ func BenchmarkClientPaths(b *testing.B) {
 					}
 				})
 				b.StopTimer()
-				st := reps[0].db.TxnStats()
-				b.ReportMetric(float64(st.Rollbacks-before.Rollbacks)/float64(b.N), "aborts/op")
+				st := reps[0].db.Telemetry()
+				b.ReportMetric(float64(st.Aborts-before.Aborts)/float64(b.N), "aborts/op")
 				b.ReportMetric(float64(st.DeadlockTimeouts-before.DeadlockTimeouts)/float64(b.N), "dl_timeouts/op")
 			})
 		}

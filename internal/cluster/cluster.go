@@ -54,7 +54,6 @@ package cluster
 import (
 	"errors"
 	"flag"
-	"reflect"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -200,23 +199,14 @@ type Client struct {
 type ClientStats = telemetry.ClusterStats
 
 // counters is the client's atomic counter cells, embedded by replicaSet and
-// shardSet. Each cell is named after the ClientStats field it fills, so a
-// counter is declared here and in telemetry.ClusterStats and nowhere else.
+// shardSet. Each cell is named after the ClientStats field it fills
+// (telemetry.Load), so a counter is declared here and in
+// telemetry.ClusterStats and nowhere else.
 type counters struct {
-	Broadcasts, BroadcastAcks, SlowEjections                atomic.Int64
-	ShardSingle, ShardScatter, ShardBroadcast, Shard2PCTxns atomic.Int64
-	QueryCacheBypasses, WALFullSyncs                        atomic.Int64
-}
-
-// stats loads every cell into the ClientStats field of the same name.
-func (c *counters) stats() ClientStats {
-	var s ClientStats
-	cells, dst := reflect.ValueOf(c).Elem(), reflect.ValueOf(&s).Elem()
-	for i := 0; i < cells.NumField(); i++ {
-		n := cells.Field(i).Addr().Interface().(*atomic.Int64).Load()
-		dst.FieldByName(cells.Type().Field(i).Name).SetInt(n)
-	}
-	return s
+	Broadcasts, BroadcastAcks, SlowEjections                  atomic.Int64
+	ShardSingle, ShardScatter, ShardBroadcast, Shard2PCTxns   atomic.Int64
+	QueryCacheHits, QueryCacheMisses, QueryCacheInvalidations atomic.Int64
+	QueryCacheBypasses, WALFullSyncs                          atomic.Int64
 }
 
 // New creates a client over the DSN's replicas with default settings.

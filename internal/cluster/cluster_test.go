@@ -3,6 +3,7 @@ package cluster
 import (
 	"flag"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/pool"
 	"repro/internal/sqldb"
 	"repro/internal/sqldb/wire"
+	"repro/internal/telemetry"
 )
 
 // testReplica is one backend under test: its database and wire server.
@@ -1186,6 +1188,16 @@ func TestTxnBeginSkipsEjectedPinnedReplica(t *testing.T) {
 		t.Fatalf("first read of the transaction = %d, want 1 from the survivor", got)
 	}
 	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestClientStatsCells: every ClientStats counter has exactly one same-named
+// cell, and every cell names a counter (telemetry.Load's rule); Shards, a
+// gauge, is set by the shard set itself.
+func TestClientStatsCells(t *testing.T) {
+	stats := reflect.TypeOf(ClientStats{})
+	if err := telemetry.CheckCells(stats, stats, reflect.TypeOf(counters{})); err != nil {
 		t.Fatal(err)
 	}
 }

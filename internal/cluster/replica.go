@@ -42,9 +42,10 @@ type replicaSet struct {
 	slow     time.Duration          // SlowThreshold; 0 = disabled
 	syncTO   time.Duration          // resolved SyncTimeout; 0 = unbounded
 
-	// The counter cells. QueryCacheBypasses counts the reads a transaction
-	// kept off the query cache (replicaTxn.cacheBypass); WALFullSyncs the
-	// rejoins whose data copy completed.
+	// The counter cells. The query cache's LRU counts its hits, misses and
+	// invalidations; QueryCacheBypasses counts the reads a transaction kept
+	// off it (replicaTxn.cacheBypass), WALFullSyncs the rejoins whose data
+	// copy completed.
 	counters
 }
 
@@ -72,7 +73,8 @@ func newReplicaSet(cfg Config, addrs []string, rt *routes) *replicaSet {
 		syncTO: syncTO,
 	}
 	if cfg.QueryCache > 0 {
-		rs.qcache = lru.New[cacheEntry](cfg.QueryCache)
+		rs.qcache = lru.New[cacheEntry](cfg.QueryCache, lru.Counters{
+			Hits: &rs.QueryCacheHits, Misses: &rs.QueryCacheMisses, Invalidations: &rs.QueryCacheInvalidations})
 	}
 	for i, addr := range addrs {
 		r := &replica{id: i, addr: addr, pool: wire.NewPoolT(addr, size, cfg.Timeouts)}
@@ -83,11 +85,8 @@ func newReplicaSet(cfg Config, addrs []string, rt *routes) *replicaSet {
 }
 
 func (rs *replicaSet) ClientStats() ClientStats {
-	s := rs.stats()
-	if q := rs.qcache; q != nil {
-		st := q.Stats()
-		s.QueryCacheHits, s.QueryCacheMisses, s.QueryCacheInvalidations = st.Hits, st.Misses, st.Invalidations
-	}
+	var s ClientStats
+	telemetry.Load(&s, &rs.counters)
 	return s
 }
 

@@ -496,7 +496,8 @@ func (sh *shardSet) strideTable(table string) error {
 }
 
 func (sh *shardSet) ClientStats() ClientStats {
-	s := sh.stats()
+	var s ClientStats
+	telemetry.Load(&s, &sh.counters)
 	s.Shards = len(sh.shards)
 	for _, rs := range sh.shards {
 		telemetry.Add(&s, rs.ClientStats())

@@ -113,10 +113,10 @@ func TestRejoinFullCopyWALJoinerRecovers(t *testing.T) {
 		mustExec(t, sess, "INSERT INTO items (name, qty) VALUES ('stray', 9)")
 		sess.Close()
 	})
-	srcBytes := reps[0].db.WALStats().Bytes
+	srcBytes := reps[0].db.Telemetry().WALBytes
 
 	want := rejoinByCopy(t, c, reps)
-	if reps[0].db.WALStats().Bytes != srcBytes {
+	if reps[0].db.Telemetry().WALBytes != srcBytes {
 		t.Fatal("rejoin appended to the source's log")
 	}
 

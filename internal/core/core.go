@@ -152,6 +152,10 @@ type Lab struct {
 	web     *httpd.Server
 	webAddr string
 
+	// dbRetired[i] is what the servers and engines of backend i that a
+	// restart replaced counted, so its counters never go backwards.
+	dbRetired []telemetry.Tier
+
 	// Chaos proxies (Config.Chaos): dbProxies[i] fronts database replica
 	// i — the app tier dials it instead of dbAddrs[i] — and appProxies[i]
 	// fronts app backend i's AJP listener.
@@ -230,13 +234,14 @@ func Start(cfg Config) (lab *Lab, err error) {
 		}
 		l.dbs = append(l.dbs, db)
 		l.dbSrvs = append(l.dbSrvs, srv)
+		l.dbRetired = append(l.dbRetired, telemetry.Tier{})
 		l.dbAddrs = append(l.dbAddrs, addr.String())
 		l.walDirs = append(l.walDirs, walDir)
 	}
 	if cfg.DBShards > 1 {
 		recovered := 0
 		for _, db := range l.dbs {
-			if db.WALStats().Attached {
+			if db.WAL() != nil {
 				recovered++
 			}
 		}
@@ -468,6 +473,7 @@ func (l *Lab) RestartReplica(i int) error {
 	if _, err := srv.Listen(l.dbAddrs[i]); err != nil {
 		return err
 	}
+	telemetry.Add(&l.dbRetired[i], l.dbSrvs[i].Telemetry())
 	l.dbSrvs[i] = srv
 	return nil
 }
@@ -517,6 +523,8 @@ func (l *Lab) RestartReplicaFromDisk(i int) (*sqldb.RecoveryInfo, error) {
 		return nil, err
 	}
 	l.dbs[i].CloseWAL() // the predecessor's segment file, if still open
+	telemetry.Add(&l.dbRetired[i], l.dbSrvs[i].Telemetry())
+	telemetry.Add(&l.dbRetired[i], l.dbs[i].Telemetry())
 	l.dbs[i] = db
 	l.dbSrvs[i] = srv
 	return info, nil
@@ -626,9 +634,14 @@ func (l *Lab) Telemetry() *telemetry.Snapshot {
 
 	s.Tiers = appendFold(s.Tiers, rows(l.ejbCs))
 
-	// Database tier: the replica servers, as the paper's single "database
+	// Database tier: each backend's server and engine rows, plus what the
+	// ones a restart replaced counted, as the paper's single "database
 	// machine" column.
 	dbs := rows(l.dbSrvs)
+	for i := range dbs {
+		telemetry.Add(&dbs[i], l.dbs[i].Telemetry())
+		telemetry.Add(&dbs[i], l.dbRetired[i])
+	}
 	s.Tiers = appendFold(s.Tiers, dbs)
 
 	// Per-replica breakdown: the cluster clients' routing views (every app

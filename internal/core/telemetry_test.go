@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -162,4 +163,83 @@ func TestRunAttachesTierDelta(t *testing.T) {
 	if w2 := rep2.Tiers.Tier("web").Requests; w2 <= 0 || w2 >= total {
 		t.Fatalf("window not differenced: run2=%d cumulative=%d", w2, total)
 	}
+}
+
+// TestCountersSurviveReplicaRestart: restarting a database backend replaces
+// the objects that own its counters — the server alone, or from disk the
+// server and its engine. The lab folds each replaced one's last row into the
+// backend's, so no counter windowed across a restart goes backwards, in the
+// db tier or in the replica's row.
+func TestCountersSurviveReplicaRestart(t *testing.T) {
+	for _, fromDisk := range []bool{false, true} {
+		fromDisk := fromDisk
+		t.Run(fmt.Sprintf("fromDisk=%v", fromDisk), func(t *testing.T) {
+			t.Parallel()
+			cfg := Config{Arch: arch.Servlet, Benchmark: arch.Auction, Seed: 3, DBReplicas: 2}
+			if fromDisk {
+				cfg.DBDataDir = t.TempDir()
+			}
+			lab, err := Start(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lab.Close()
+			views := func(n int) {
+				c := httpclient.New(lab.WebAddr(), 5*time.Second)
+				defer c.Close()
+				for i := 0; i < n; i++ {
+					c.Get(fmt.Sprintf("/rubis/viewitem?item=%d", 1+i%20))
+				}
+			}
+			views(50)
+			before := lab.Telemetry()
+			if fromDisk {
+				if err := lab.CrashReplica(1); err != nil {
+					t.Fatal(err)
+				}
+				restartFromDiskOrSkip(t, lab, 1)
+			} else {
+				lab.StopReplica(1)
+				if err := lab.RestartReplica(1); err != nil {
+					t.Skipf("cannot rebind the database: %v", err)
+				}
+			}
+			if err := lab.RejoinAll(); err != nil {
+				t.Fatal(err)
+			}
+			views(10)
+			d := lab.Telemetry().Delta(before)
+			var neg []string
+			for _, tier := range d.Tiers {
+				neg = append(neg, negative(tier.Name+".", reflect.ValueOf(tier))...)
+			}
+			for _, r := range d.Replicas {
+				neg = append(neg, negative(fmt.Sprintf("replica %d.", r.ID), reflect.ValueOf(r))...)
+			}
+			if len(neg) > 0 {
+				t.Errorf("counters went backwards across the restart: %s", strings.Join(neg, ", "))
+			}
+			if db := d.Tier("db"); db.Queries <= 0 {
+				t.Errorf("db tier served %d statements in the window", db.Queries)
+			}
+		})
+	}
+}
+
+// negative lists the counters of the row v (its int64 fields, embedded
+// structs included) that are below zero.
+func negative(prefix string, v reflect.Value) []string {
+	var out []string
+	for i := 0; i < v.NumField(); i++ {
+		f, name := v.Field(i), prefix+v.Type().Field(i).Name
+		switch f.Kind() {
+		case reflect.Int64:
+			if f.Int() < 0 {
+				out = append(out, fmt.Sprintf("%s = %d", name, f.Int()))
+			}
+		case reflect.Struct:
+			out = append(out, negative(name+".", f)...)
+		}
+	}
+	return out
 }

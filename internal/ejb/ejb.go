@@ -71,12 +71,13 @@ type Container struct {
 
 	rmiServer *rmi.Server
 
-	queries   atomic.Int64 // statements issued, for the packet-count analysis
-	loads     atomic.Int64
-	stores    atomic.Int64
-	txCommits atomic.Int64
-	txAborts  atomic.Int64
-	roCommits atomic.Int64 // commits of transactions that never wrote
+	// The counter cells, each named after the telemetry.Tier field it
+	// fills: statements issued (for the packet-count analysis), entity
+	// activations and field stores, and transaction outcomes — ReadOnlyTxns
+	// the commits of transactions that never wrote.
+	ctr struct {
+		Queries, Loads, Stores, Commits, Aborts, ReadOnlyTxns atomic.Int64
+	}
 }
 
 // NewContainer creates a container connected to the database.
@@ -137,12 +138,9 @@ func (c *Container) meta(name string) (*entityMeta, error) {
 // and its cluster client's counters and pool.
 func (c *Container) Telemetry() telemetry.Tier {
 	ps := c.pool.Stats()
-	return telemetry.Tier{
-		Name: "ejb", Downstream: "db", Pool: &ps,
-		Queries: c.queries.Load(), Loads: c.loads.Load(), Stores: c.stores.Load(),
-		Commits: c.txCommits.Load(), Aborts: c.txAborts.Load(), ReadOnlyTxns: c.roCommits.Load(),
-		ClusterStats: c.pool.ClientStats(),
-	}
+	t := telemetry.Tier{Name: "ejb", Downstream: "db", Pool: &ps, ClusterStats: c.pool.ClientStats()}
+	telemetry.Load(&t, &c.ctr)
+	return t
 }
 
 // Entity is an activated entity bean instance: a local copy of one row.
@@ -176,7 +174,7 @@ func (e *Entity) Set(field string, v sqldb.Value) error {
 		return fmt.Errorf("ejb: entity %q has no field %q", e.meta.def.Name, field)
 	}
 	e.fields[i] = v
-	e.c.stores.Add(1)
+	e.c.ctr.Stores.Add(1)
 	_, err := e.tx.execWrite(e.meta.update[field], v, e.pk)
 	return err
 }
@@ -259,7 +257,7 @@ func (t *Tx) ensureTxn() error {
 // a prepared statement per distinct text, so even finders run prepared
 // after first use.
 func (t *Tx) Query(query string, args ...sqldb.Value) (*sqldb.Result, error) {
-	t.c.queries.Add(1)
+	t.c.ctr.Queries.Add(1)
 	if t.sess != nil {
 		return t.sess.Exec(query, args...)
 	}
@@ -272,7 +270,7 @@ func (t *Tx) execWrite(query string, args ...sqldb.Value) (*sqldb.Result, error)
 	if err := t.ensureTxn(); err != nil {
 		return nil, err
 	}
-	t.c.queries.Add(1)
+	t.c.ctr.Queries.Add(1)
 	return t.sess.Exec(query, args...)
 }
 
@@ -305,12 +303,12 @@ func (t *Tx) Commit() error {
 	// of the transaction volume paid zero replication tax.
 	ro := t.sess == nil
 	if err := t.end(true); err != nil {
-		t.c.txAborts.Add(1)
+		t.c.ctr.Aborts.Add(1)
 		return err
 	}
-	t.c.txCommits.Add(1)
+	t.c.ctr.Commits.Add(1)
 	if ro {
-		t.c.roCommits.Add(1)
+		t.c.ctr.ReadOnlyTxns.Add(1)
 	}
 	return nil
 }
@@ -324,7 +322,7 @@ func (t *Tx) Rollback() error {
 		return nil
 	}
 	err := t.end(false)
-	t.c.txAborts.Add(1)
+	t.c.ctr.Aborts.Add(1)
 	return err
 }
 
@@ -334,7 +332,7 @@ func (t *Tx) Load(entity string, pk sqldb.Value) (*Entity, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.c.loads.Add(1)
+	t.c.ctr.Loads.Add(1)
 	res, err := t.Query(m.load, pk)
 	if err != nil {
 		return nil, err

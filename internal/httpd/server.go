@@ -30,14 +30,16 @@ type Server struct {
 	logger  *log.Logger
 	l       *frame.Listener
 
-	requests  atomic.Int64
-	respBytes atomic.Int64
+	// The counter cells, named after the telemetry.Tier fields they fill.
+	ctr struct{ Requests, Bytes atomic.Int64 }
 }
 
 // Telemetry is the server's web-tier row: requests dispatched to the
 // handler and the response body bytes written.
 func (s *Server) Telemetry() telemetry.Tier {
-	return telemetry.Tier{Name: "web", Requests: s.requests.Load(), Bytes: s.respBytes.Load()}
+	t := telemetry.Tier{Name: "web"}
+	telemetry.Load(&t, &s.ctr)
+	return t
 }
 
 // NewServer creates a server dispatching to handler. logger may be nil.
@@ -78,7 +80,7 @@ func (s *Server) serveConn(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) {
 		}
 		req.RemoteAddr = conn.RemoteAddr().String()
 
-		s.requests.Add(1)
+		s.ctr.Requests.Add(1)
 		resp, herr := s.handler.ServeHTTP(req)
 		if herr != nil {
 			s.logf("handler %s %s: %v", req.Method, req.Path, herr)
@@ -101,7 +103,7 @@ func (s *Server) serveConn(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) {
 			return
 		}
 		if !headOnly {
-			s.respBytes.Add(int64(len(resp.Body)))
+			s.ctr.Bytes.Add(int64(len(resp.Body)))
 		}
 		if !keepAlive {
 			return

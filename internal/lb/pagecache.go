@@ -36,6 +36,7 @@ import (
 
 	"repro/internal/httpd"
 	"repro/internal/lru"
+	"repro/internal/telemetry"
 )
 
 // ContentEpochHeader carries the app tier's pre-render content epoch on
@@ -60,15 +61,6 @@ type PageCacheConfig struct {
 	Epoch func() uint64
 }
 
-// PageCacheStats is the cache's observability surface.
-type PageCacheStats struct {
-	Hits          int64 `json:"hits"`
-	Misses        int64 `json:"misses"`
-	Invalidations int64 `json:"invalidations"`
-	Bypasses      int64 `json:"bypasses"`
-	Entries       int   `json:"entries"`
-}
-
 type pageEntry struct {
 	resp    *httpd.Response
 	epoch   uint64
@@ -86,8 +78,15 @@ type PageCache struct {
 	// the cross-process view of the database's committed-write counter.
 	headerEpoch atomic.Uint64
 
-	pages    *lru.Cache[pageEntry]
-	bypasses atomic.Int64
+	pages *lru.Cache[pageEntry]
+	ctr   pageCells
+}
+
+// pageCells is the cache's atomic counter cells, each named after the
+// telemetry.PageCacheStats field it fills; the LRU counts into the first
+// three.
+type pageCells struct {
+	PageCacheHits, PageCacheMisses, PageCacheInvalidations, PageCacheBypasses atomic.Int64
 }
 
 // NewPageCache wraps next with a page cache; it panics unless
@@ -97,24 +96,17 @@ func NewPageCache(next httpd.Handler, cfg PageCacheConfig) *PageCache {
 	if ttl <= 0 {
 		ttl = DefaultPageTTL
 	}
-	return &PageCache{
-		next:  next,
-		ttl:   ttl,
-		epoch: cfg.Epoch,
-		pages: lru.New[pageEntry](cfg.MaxEntries),
-	}
+	p := &PageCache{next: next, ttl: ttl, epoch: cfg.Epoch}
+	p.pages = lru.New[pageEntry](cfg.MaxEntries, lru.Counters{
+		Hits: &p.ctr.PageCacheHits, Misses: &p.ctr.PageCacheMisses, Invalidations: &p.ctr.PageCacheInvalidations})
+	return p
 }
 
 // Stats snapshots the counters.
-func (p *PageCache) Stats() PageCacheStats {
-	st := p.pages.Stats()
-	return PageCacheStats{
-		Hits:          st.Hits,
-		Misses:        st.Misses,
-		Invalidations: st.Invalidations,
-		Bypasses:      p.bypasses.Load(),
-		Entries:       st.Len,
-	}
+func (p *PageCache) Stats() telemetry.PageCacheStats {
+	var s telemetry.PageCacheStats
+	telemetry.Load(&s, &p.ctr)
+	return s
 }
 
 // pageKey identifies a cacheable page: method plus the parsed path,
@@ -175,7 +167,7 @@ func (p *PageCache) observe(resp *httpd.Response) (uint64, bool) {
 // ServeHTTP serves a validated cached page, or forwards and fills.
 func (p *PageCache) ServeHTTP(req *httpd.Request) (*httpd.Response, error) {
 	if req.Method != "GET" || httpd.CookieValue(req.Header.Get("Cookie"), httpd.SessionCookie) != "" {
-		p.bypasses.Add(1)
+		p.ctr.PageCacheBypasses.Add(1)
 		return p.forward(req)
 	}
 	key := pageKey(req)

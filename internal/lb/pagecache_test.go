@@ -3,11 +3,13 @@ package lb
 import (
 	"fmt"
 	"net/url"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/httpd"
+	"repro/internal/telemetry"
 )
 
 // countingApp is a stub app tier: every render bumps a counter into the
@@ -76,9 +78,8 @@ func TestPageCacheHit(t *testing.T) {
 	if app.renders.Load() != 2 {
 		t.Fatalf("app rendered %d times after a different page, want 2", app.renders.Load())
 	}
-	st := p.Stats()
-	if st.Hits != 1 || st.Misses != 2 || st.Entries != 2 {
-		t.Fatalf("stats = %+v, want 1 hit / 2 misses / 2 entries", st)
+	if st, n := p.Stats(), p.pages.Len(); st.PageCacheHits != 1 || st.PageCacheMisses != 2 || n != 2 {
+		t.Fatalf("stats = %+v, %d entries, want 1 hit / 2 misses / 2 entries", st, n)
 	}
 }
 
@@ -95,9 +96,8 @@ func TestPageCacheSessionBypass(t *testing.T) {
 	if app.renders.Load() != 2 {
 		t.Fatalf("session requests rendered %d times, want 2 (no caching)", app.renders.Load())
 	}
-	st := p.Stats()
-	if st.Bypasses != 2 || st.Entries != 0 {
-		t.Fatalf("stats = %+v, want 2 bypasses / 0 entries", st)
+	if st, n := p.Stats(), p.pages.Len(); st.PageCacheBypasses != 2 || n != 0 {
+		t.Fatalf("stats = %+v, %d entries, want 2 bypasses / 0 entries", st, n)
 	}
 	// An anonymous GET after the session traffic still misses: nothing
 	// was stored for it.
@@ -117,8 +117,8 @@ func TestPageCachePOSTBypass(t *testing.T) {
 	if app.renders.Load() != 2 {
 		t.Fatalf("POSTs rendered %d times, want 2", app.renders.Load())
 	}
-	if st := p.Stats(); st.Bypasses != 2 || st.Entries != 0 {
-		t.Fatalf("stats = %+v, want 2 bypasses / 0 entries", st)
+	if st, n := p.Stats(), p.pages.Len(); st.PageCacheBypasses != 2 || n != 0 {
+		t.Fatalf("stats = %+v, %d entries, want 2 bypasses / 0 entries", st, n)
 	}
 }
 
@@ -169,7 +169,7 @@ func TestPageCacheEpochInvalidation(t *testing.T) {
 	if resp.Header.Get("X-Cache") == "HIT" {
 		t.Fatal("post-commit fill marked as a hit")
 	}
-	if st := p.Stats(); st.Invalidations != 1 {
+	if st := p.Stats(); st.PageCacheInvalidations != 1 {
 		t.Fatalf("stats = %+v, want 1 invalidation", st)
 	}
 	// The refilled entry is fresh under the new epoch.
@@ -232,8 +232,8 @@ func TestPageCacheLRUEviction(t *testing.T) {
 	getPage(t, p, "/b", nil)
 	getPage(t, p, "/a", nil) // touch /a: /b becomes LRU
 	getPage(t, p, "/c", nil) // evicts /b
-	if st := p.Stats(); st.Entries != 2 {
-		t.Fatalf("entries = %d, want 2", st.Entries)
+	if n := p.pages.Len(); n != 2 {
+		t.Fatalf("entries = %d, want 2", n)
 	}
 	renders := app.renders.Load()
 	getPage(t, p, "/a", nil)
@@ -289,5 +289,14 @@ func TestPageCacheKeyCanonicalization(t *testing.T) {
 		if resp.Header.Get("X-Cache") == "HIT" || app.renders.Load() != int64(i+2) {
 			t.Fatalf("GET %s aliased another page", raw)
 		}
+	}
+}
+
+// TestPageCacheCells: every PageCacheStats counter has exactly one
+// same-named cell, and every cell names a counter (telemetry.Load's rule).
+func TestPageCacheCells(t *testing.T) {
+	stats := reflect.TypeOf(telemetry.PageCacheStats{})
+	if err := telemetry.CheckCells(stats, stats, reflect.TypeOf(pageCells{})); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -4,12 +4,14 @@
 // cache (internal/lb) all store through it. Each owner keeps what differs
 // between them — how a key is built, when an entry is still fresh, and the
 // defensive copies of what it hands out; this package keeps recency,
-// eviction and the hit, miss and invalidation counters (DESIGN.md §4).
+// eviction, and counts hits, misses and invalidations into cells its owner
+// names (DESIGN.md §4).
 package lru
 
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
 )
 
 // Cache holds at most Max entries, evicting the least recently used.
@@ -22,7 +24,14 @@ type Cache[V any] struct {
 	ll    list.List // front = most recently used; values are *entry[V]
 	items map[string]*list.Element
 
-	hits, misses, invalidations int64
+	ctr Counters
+}
+
+// Counters are the owner's cells a cache counts its lookups into. An owner
+// names them after the telemetry fields they fill (telemetry.Load); a nil
+// cell is not counted.
+type Counters struct {
+	Hits, Misses, Invalidations *atomic.Int64
 }
 
 type entry[V any] struct {
@@ -30,18 +39,13 @@ type entry[V any] struct {
 	val V
 }
 
-// Stats is a snapshot of a cache's counters and size.
-type Stats struct {
-	Hits, Misses, Invalidations int64
-	Len, Max                    int
-}
-
-// New returns an empty cache bounded at max entries, which must be positive.
-func New[V any](max int) *Cache[V] {
+// New returns an empty cache bounded at max entries, which must be
+// positive, counting its lookups into ctr's cells.
+func New[V any](max int, ctr Counters) *Cache[V] {
 	if max <= 0 {
 		panic("lru: max must be positive")
 	}
-	return &Cache[V]{max: max, items: make(map[string]*list.Element)}
+	return &Cache[V]{max: max, items: make(map[string]*list.Element), ctr: ctr}
 }
 
 // Get returns the value stored under key and marks it most recently used.
@@ -56,14 +60,14 @@ func (c *Cache[V]) Get(key string, fresh func(V) bool) (V, bool) {
 		e := el.Value.(*entry[V])
 		if fresh == nil || fresh(e.val) {
 			c.ll.MoveToFront(el)
-			c.hits++
+			count(c.ctr.Hits)
 			return e.val, true
 		}
 		c.ll.Remove(el)
 		delete(c.items, key)
-		c.invalidations++
+		count(c.ctr.Invalidations)
 	}
-	c.misses++
+	count(c.ctr.Misses)
 	var zero V
 	return zero, false
 }
@@ -86,9 +90,15 @@ func (c *Cache[V]) Put(key string, v V) {
 	}
 }
 
-// Stats snapshots the counters and the current size.
-func (c *Cache[V]) Stats() Stats {
+func count(cell *atomic.Int64) {
+	if cell != nil {
+		cell.Add(1)
+	}
+}
+
+// Len returns the number of entries held.
+func (c *Cache[V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return Stats{Hits: c.hits, Misses: c.misses, Invalidations: c.invalidations, Len: c.ll.Len(), Max: c.max}
+	return c.ll.Len()
 }

@@ -8,15 +8,20 @@ import (
 	"testing"
 )
 
+// cells are a test owner's counter cells.
+type cells struct{ hits, misses, invalidations atomic.Int64 }
+
+func (c *cells) counters() Counters { return Counters{&c.hits, &c.misses, &c.invalidations} }
+
 // TestEvictsLeastRecentlyUsed: filling past Max evicts the entry touched
 // longest ago, and a Get counts as a touch.
 func TestEvictsLeastRecentlyUsed(t *testing.T) {
-	c := New[int](2)
+	c := New[int](2, Counters{})
 	c.Put("a", 1)
 	c.Put("b", 2)
 	c.Put("c", 3) // evicts "a"
-	if st := c.Stats(); st.Len != 2 || st.Max != 2 {
-		t.Fatalf("stats %+v, want 2 of 2", st)
+	if n := c.Len(); n != 2 {
+		t.Fatalf("%d entries, want 2", n)
 	}
 	if _, ok := c.Get("a", nil); ok {
 		t.Fatal("oldest entry should have been evicted")
@@ -56,7 +61,8 @@ func TestModel(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		max := 1 + rng.Intn(6)
-		c := New[int](max)
+		var ctr cells
+		c := New[int](max, ctr.counters())
 		var model []kv // front = most recently used
 		var hits, misses, invalidations int64
 		find := func(key string) int {
@@ -103,10 +109,9 @@ func TestModel(t *testing.T) {
 					misses++
 				}
 			}
-			st := c.Stats()
-			if st.Len != len(model) || st.Hits != hits || st.Misses != misses || st.Invalidations != invalidations {
-				t.Fatalf("seed %d op %d: stats %+v, model len %d hits %d misses %d invalidations %d",
-					seed, op, st, len(model), hits, misses, invalidations)
+			if n, h, m, inv := c.Len(), ctr.hits.Load(), ctr.misses.Load(), ctr.invalidations.Load(); n != len(model) || h != hits || m != misses || inv != invalidations {
+				t.Fatalf("seed %d op %d: len %d hits %d misses %d invalidations %d, model len %d hits %d misses %d invalidations %d",
+					seed, op, n, h, m, inv, len(model), hits, misses, invalidations)
 			}
 		}
 		// The model's recency order is the cache's: once the cache is full,
@@ -128,7 +133,8 @@ func TestModel(t *testing.T) {
 // the value stored under its key.
 func TestConcurrent(t *testing.T) {
 	const workers, ops, max = 8, 2000, 16
-	c := New[string](max)
+	var ctr cells
+	c := New[string](max, ctr.counters())
 	var gets atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -152,11 +158,11 @@ func TestConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	st := c.Stats()
-	if st.Len > max || st.Hits == 0 || st.Invalidations == 0 {
-		t.Fatalf("stats %+v", st)
+	n, hits, misses, inv := c.Len(), ctr.hits.Load(), ctr.misses.Load(), ctr.invalidations.Load()
+	if n > max || hits == 0 || inv == 0 {
+		t.Fatalf("len %d, %d hits, %d invalidations", n, hits, inv)
 	}
-	if st.Hits+st.Misses != gets.Load() {
-		t.Fatalf("stats %+v: %d Gets made", st, gets.Load())
+	if hits+misses != gets.Load() {
+		t.Fatalf("%d hits + %d misses: %d Gets made", hits, misses, gets.Load())
 	}
 }

@@ -113,14 +113,16 @@ type Container struct {
 	started bool
 	closed  bool
 
-	requests atomic.Int64
+	// ctr is the counter cell, named after the telemetry.Tier field it fills.
+	ctr struct{ Requests atomic.Int64 }
 }
 
 // Telemetry is the container's servlet-tier row: requests dispatched to
 // servlets and, when the container has a database, its cluster client's
 // counters and pool.
 func (c *Container) Telemetry() telemetry.Tier {
-	t := telemetry.Tier{Name: "servlet", Requests: c.requests.Load()}
+	t := telemetry.Tier{Name: "servlet"}
+	telemetry.Load(&t, &c.ctr)
 	if cl := c.ctx.DB; cl != nil {
 		ps := cl.Stats()
 		t.Pool, t.Downstream, t.ClusterStats = &ps, "db", cl.ClientStats()
@@ -159,7 +161,7 @@ func (c *Container) Register(pattern string, s Func) {
 		panic("servlet: Register after Start")
 	}
 	c.mux.Handle(pattern, httpd.HandlerFunc(func(req *httpd.Request) (*httpd.Response, error) {
-		c.requests.Add(1)
+		c.ctr.Requests.Add(1)
 		// The content epoch is captured BEFORE the servlet renders: if a
 		// commit lands mid-render the page's tag understates its freshness
 		// and an edge page cache (internal/lb.PageCache) discards it — the

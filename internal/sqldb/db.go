@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/lru"
 	"repro/internal/sqldb/sqlparse"
+	"repro/internal/telemetry"
 )
 
 // DB is an in-memory database instance. It is safe for concurrent use by
@@ -32,17 +33,37 @@ type DB struct {
 	// instance. Set once by AttachWAL before the DB serves traffic.
 	wal *WAL
 
-	txns          txnCounters
-	mvcc          mvccCounters
+	ctr           counters
 	lockWaitNanos atomic.Int64 // configured txn lock-wait timeout (0 = default)
+}
+
+// counters is the engine's atomic counter cells, each named after the
+// telemetry.Tier field it fills (the log's are on the WAL): transaction
+// outcomes (txn.go), the read path (mvcc.go) and the plan cache, whose LRU
+// counts into them (plancache.go).
+type counters struct {
+	Commits, Aborts, DeadlockTimeouts, TxnLockWaitNanos atomic.Int64
+	SnapshotReads, LockBypasses, SnapshotRefreshes      atomic.Int64
+	PlanHits, PlanMisses                                atomic.Int64
+}
+
+// Telemetry is the engine's database-tier row: its transaction, read-path,
+// plan cache and write-ahead log counters since it was created.
+func (db *DB) Telemetry() telemetry.Tier {
+	t := telemetry.Tier{Name: "db"}
+	telemetry.Load(&t, &db.ctr)
+	if w := db.wal; w != nil {
+		telemetry.Load(&t, &w.ctr)
+	}
+	return t
 }
 
 // New creates an empty database.
 func New() *DB {
-	return &DB{
-		tables: make(map[string]*Table),
-		plans:  lru.New[sqlparse.Statement](defaultPlanCacheSize),
-	}
+	db := &DB{tables: make(map[string]*Table)}
+	db.plans = lru.New[sqlparse.Statement](defaultPlanCacheSize,
+		lru.Counters{Hits: &db.ctr.PlanHits, Misses: &db.ctr.PlanMisses})
+	return db
 }
 
 // ErrNoTable is wrapped by errors returned for statements that reference an

@@ -201,11 +201,11 @@ func TestAggregateEmptyInput(t *testing.T) {
 // clause, and that the plan cache keeps nothing for it.
 func mustNotPrepare(t *testing.T, db *DB, s *Session, q, clause string) {
 	t.Helper()
-	before := db.PlanCacheStats().Size
+	before := db.plans.Len()
 	if _, err := s.Exec(q); err == nil || !strings.Contains(err.Error(), clause) {
 		t.Fatalf("Exec(%q) = %v, want a parse error naming %s", q, err, clause)
 	}
-	if after := db.PlanCacheStats().Size; after != before {
+	if after := db.plans.Len(); after != before {
 		t.Fatalf("plan cache grew %d -> %d on a statement that does not parse", before, after)
 	}
 }

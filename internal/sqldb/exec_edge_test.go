@@ -221,11 +221,11 @@ func TestConcurrentPreparedExecution(t *testing.T) {
 	wg.Wait()
 
 	// The same statements re-prepared must be cache hits.
-	before := db.PlanCacheStats().Hits
+	before := db.Telemetry().PlanHits
 	if _, err := db.Prepare("SELECT id, name, price FROM items WHERE category = ?"); err != nil {
 		t.Fatal(err)
 	}
-	if db.PlanCacheStats().Hits != before+1 {
+	if db.Telemetry().PlanHits != before+1 {
 		t.Fatal("re-prepare missed the plan cache")
 	}
 }

@@ -1,7 +1,5 @@
 package sqldb
 
-import "sync/atomic"
-
 // This file is the read path — there is one. A table's committed state is a
 // few copy-on-write tree headers (table.go, cowtree.go), so handing it to a
 // reader is an O(1) clone, and every SELECT, inside a transaction or not,
@@ -31,36 +29,6 @@ import "sync/atomic"
 // of every table it has written (read-your-writes) and committed views of
 // everything else.
 
-// MVCCStats is the read path's observability surface.
-type MVCCStats struct {
-	// SnapshotReads counts SELECT statements served entirely from committed
-	// views — every SELECT but those that read a fork of their own
-	// transaction.
-	SnapshotReads int64 `json:"snapshot_reads"`
-	// LockBypasses counts per-table reads of an installed view that was
-	// still current: one atomic load, no mutex.
-	LockBypasses int64 `json:"lock_bypasses"`
-	// Refreshes counts views cloned — one O(1) clone per (publication, first
-	// subsequent reader) pair.
-	Refreshes int64 `json:"refreshes"`
-}
-
-// mvccCounters aggregates the DB-wide read-path counters.
-type mvccCounters struct {
-	snapReads    atomic.Int64
-	lockBypasses atomic.Int64
-	refreshes    atomic.Int64
-}
-
-// MVCCStats snapshots the read-path counters.
-func (db *DB) MVCCStats() MVCCStats {
-	return MVCCStats{
-		SnapshotReads: db.mvcc.snapReads.Load(),
-		LockBypasses:  db.mvcc.lockBypasses.Load(),
-		Refreshes:     db.mvcc.refreshes.Load(),
-	}
-}
-
 // TableVersion reports a table's commit-time version counter: it advances
 // once per committed publication of the table's state (write commits and
 // DDL), never on aborted transactions — the rolled-back writes were never
@@ -77,10 +45,12 @@ func (db *DB) TableVersion(name string) uint64 {
 }
 
 // committed returns t's last committed state as a detached table nobody
-// writes: the installed view when it is still current, else a fresh clone.
-func (t *Table) committed(c *mvccCounters) *Table {
+// writes: the installed view when it is still current (a lock bypass: one
+// atomic load), else a fresh clone (a snapshot refresh, once per
+// publication and first subsequent reader).
+func (t *Table) committed(c *counters) *Table {
 	if v := t.view.Load(); v != nil && v.seq == t.version.Load() {
-		c.lockBypasses.Add(1)
+		c.LockBypasses.Add(1)
 		return v
 	}
 	t.mu.Lock()
@@ -91,7 +61,7 @@ func (t *Table) committed(c *mvccCounters) *Table {
 	v := t.detach()
 	v.seq = t.version.Load()
 	t.view.Store(v)
-	c.refreshes.Add(1)
+	c.SnapshotRefreshes.Add(1)
 	return v
 }
 
@@ -108,10 +78,10 @@ func (s *Session) views(tabs []*Table) []*Table {
 				continue
 			}
 		}
-		views[i] = t.committed(&s.db.mvcc)
+		views[i] = t.committed(&s.db.ctr)
 	}
 	if !own {
-		s.db.mvcc.snapReads.Add(1)
+		s.db.ctr.SnapshotReads.Add(1)
 	}
 	return views
 }

@@ -102,11 +102,11 @@ func TestMVCCSnapshotTorture(t *testing.T) {
 	}
 	wg.Wait()
 
-	st := db.MVCCStats()
+	st := db.Telemetry()
 	if st.SnapshotReads == 0 || st.LockBypasses == 0 {
 		t.Errorf("snapshot read path never engaged: %+v", st)
 	}
-	if st.Refreshes == 0 {
+	if st.SnapshotRefreshes == 0 {
 		t.Errorf("writers published versions but no snapshot was ever rebuilt: %+v", st)
 	}
 }
@@ -236,23 +236,23 @@ func TestMVCCStatsCounters(t *testing.T) {
 	s := db.NewSession()
 	defer s.Close()
 
-	before := db.MVCCStats()
+	before := db.Telemetry()
 	mustTx(t, s, "SELECT * FROM acct") // cold: refresh, no bypass
-	mid := db.MVCCStats()
+	mid := db.Telemetry()
 	if mid.SnapshotReads != before.SnapshotReads+1 {
 		t.Fatalf("SnapshotReads %d, want %d", mid.SnapshotReads, before.SnapshotReads+1)
 	}
-	if mid.Refreshes != before.Refreshes+1 {
-		t.Fatalf("Refreshes %d, want %d", mid.Refreshes, before.Refreshes+1)
+	if mid.SnapshotRefreshes != before.SnapshotRefreshes+1 {
+		t.Fatalf("Refreshes %d, want %d", mid.SnapshotRefreshes, before.SnapshotRefreshes+1)
 	}
 	for i := 0; i < 5; i++ {
 		mustTx(t, s, "SELECT * FROM acct") // warm: pure bypass
 	}
-	after := db.MVCCStats()
+	after := db.Telemetry()
 	if after.LockBypasses != mid.LockBypasses+5 {
 		t.Fatalf("LockBypasses %d, want %d", after.LockBypasses, mid.LockBypasses+5)
 	}
-	if after.Refreshes != mid.Refreshes {
+	if after.SnapshotRefreshes != mid.SnapshotRefreshes {
 		t.Fatalf("warm reads rebuilt snapshots: %+v", after)
 	}
 }
@@ -340,7 +340,7 @@ func TestLiveJoinNeverCyclesWithTxn(t *testing.T) {
 	time.Sleep(time.Second)
 	stop.Store(true)
 	wg.Wait()
-	if n := db.TxnStats().DeadlockTimeouts; n != 0 {
+	if n := db.Telemetry().DeadlockTimeouts; n != 0 {
 		t.Errorf("%d transactions aborted on a lock-wait timeout", n)
 	}
 	if txns < 20 || joins < 20 {
@@ -361,15 +361,15 @@ func TestReadsReturnToSnapshotsAfterWritesStop(t *testing.T) {
 	mustTx(t, s, "SELECT * FROM acct")
 	mustTx(t, s, "UPDATE acct SET bal = bal + 1 WHERE id = 1")
 	mustTx(t, s, "UPDATE acct SET bal = bal - 1 WHERE id = 1")
-	before := db.MVCCStats()
+	before := db.Telemetry()
 	for i := 0; i < 1000; i++ {
 		mustTx(t, s, "SELECT bal FROM acct WHERE id = 2")
 	}
-	after := db.MVCCStats()
+	after := db.Telemetry()
 	if got := after.SnapshotReads - before.SnapshotReads; got != 1000 {
 		t.Errorf("%d of 1000 reads after the writes stopped were snapshot reads", got)
 	}
-	if got := after.Refreshes - before.Refreshes; got > 1 {
+	if got := after.SnapshotRefreshes - before.SnapshotRefreshes; got > 1 {
 		t.Errorf("%d refreshes for 1000 reads of an unchanging table, want at most 1", got)
 	}
 	if got := after.LockBypasses - before.LockBypasses; got < 999 {
@@ -388,9 +388,9 @@ func TestSnapshotReadsCountEverySelectOutsideOwnWrites(t *testing.T) {
 	defer b.Close()
 	step := func(s *Session, q string, counted bool) {
 		t.Helper()
-		before := db.MVCCStats().SnapshotReads
+		before := db.Telemetry().SnapshotReads
 		mustTx(t, s, q)
-		if got := db.MVCCStats().SnapshotReads - before; (got == 1) != counted || got > 1 {
+		if got := db.Telemetry().SnapshotReads - before; (got == 1) != counted || got > 1 {
 			t.Errorf("%s moved SnapshotReads by %d, want counted = %v", q, got, counted)
 		}
 	}
@@ -449,7 +449,7 @@ func TestReadersNeverWaitForTableLock(t *testing.T) {
 	mustTx(t, a, "INSERT INTO order_line (item_id, qty) VALUES (1, 99)")
 	mustTx(t, b, "BEGIN")
 	mustTx(t, b, "INSERT INTO cart (n) VALUES (1)")
-	before := db.TxnStats()
+	before := db.Telemetry()
 
 	// A read that met a's locks would wait for a forever (auto-commit) or
 	// for the timeout (b): the watchdog is only there to fail instead.
@@ -491,7 +491,7 @@ func TestReadersNeverWaitForTableLock(t *testing.T) {
 	if !b.InTxn() {
 		t.Error("the reading transaction was aborted")
 	}
-	if after := db.TxnStats(); after.LockWaitNanos != before.LockWaitNanos || after.DeadlockTimeouts != before.DeadlockTimeouts {
+	if after := db.Telemetry(); after.TxnLockWaitNanos != before.TxnLockWaitNanos || after.DeadlockTimeouts != before.DeadlockTimeouts {
 		t.Errorf("reads met the lock manager: %+v -> %+v", before, after)
 	}
 	mustTx(t, a, "COMMIT")

@@ -7,21 +7,6 @@ import "repro/internal/sqldb/sqlparse"
 // still capping memory against pathological clients.
 const defaultPlanCacheSize = 1024
 
-// PlanCacheStats is the cache's observability surface, reported by the
-// database tier's telemetry.
-type PlanCacheStats struct {
-	Hits     int64 `json:"hits"`
-	Misses   int64 `json:"misses"`
-	Size     int   `json:"size"`
-	Capacity int   `json:"capacity"`
-}
-
-// PlanCacheStats snapshots the plan cache.
-func (db *DB) PlanCacheStats() PlanCacheStats {
-	st := db.plans.Stats()
-	return PlanCacheStats{Hits: st.Hits, Misses: st.Misses, Size: st.Len, Capacity: st.Max}
-}
-
 // Prepare parses query through the plan cache, returning the shared AST.
 //
 // The plan cache is the database's shared prepared-statement cache: parsed

@@ -16,12 +16,8 @@ func TestPlanCacheHitMissCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := db.PlanCacheStats()
-	if st.Misses != 1 || st.Hits != 3 || st.Size != 1 {
-		t.Fatalf("stats: %+v", st)
-	}
-	if st.Capacity != defaultPlanCacheSize {
-		t.Fatalf("capacity: %+v", st)
+	if st, n := db.Telemetry(), db.plans.Len(); st.PlanMisses != 1 || st.PlanHits != 3 || n != 1 {
+		t.Fatalf("%d misses, %d hits, %d entries; want 1, 3, 1", st.PlanMisses, st.PlanHits, n)
 	}
 }
 
@@ -47,8 +43,8 @@ func TestPlanCacheParseErrorNotCached(t *testing.T) {
 			t.Fatal("want parse error")
 		}
 	}
-	if st := db.PlanCacheStats(); st.Size != 0 {
-		t.Fatalf("parse errors must not be cached: %+v", st)
+	if n := db.plans.Len(); n != 0 {
+		t.Fatalf("parse errors must not be cached: %d entries", n)
 	}
 }
 
@@ -75,8 +71,7 @@ func TestPlanCacheConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	st := db.PlanCacheStats()
-	if st.Size == 0 || st.Hits+st.Misses != 1600 {
-		t.Fatalf("stats: %+v", st)
+	if st, n := db.Telemetry(), db.plans.Len(); n == 0 || st.PlanHits+st.PlanMisses != 1600 {
+		t.Fatalf("%d entries, %d hits + %d misses; want 1600 lookups", n, st.PlanHits, st.PlanMisses)
 	}
 }

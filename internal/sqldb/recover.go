@@ -226,8 +226,7 @@ func (db *DB) AttachWAL(opts WALOptions) (*RecoveryInfo, error) {
 	}
 
 	if hasState {
-		w.recoveries.Store(1)
-		w.replayed.Store(int64(info.ReplayedStmts))
+		w.ctr.WALRecoveries.Store(1)
 	}
 	db.wal = w
 

@@ -179,7 +179,7 @@ func TestWALRemovedFormSkippedOnReplay(t *testing.T) {
 	mustExec(t, s, "CREATE TABLE fz (id INT PRIMARY KEY, v INT)")
 	mustExec(t, s, "INSERT INTO fz (id, v) VALUES (1, 1)")
 	s.Close()
-	last := db.WALStats().LastLSN
+	last, _, _ := walStatus(t, db)
 	if err := db.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}

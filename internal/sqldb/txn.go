@@ -3,7 +3,6 @@ package sqldb
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
@@ -55,39 +54,6 @@ func (db *DB) lockWait() time.Duration {
 	return defaultLockWait
 }
 
-// TxnStats is the transaction subsystem's observability surface: counters
-// since boot, reported by the database tier's telemetry.
-type TxnStats struct {
-	Begins           int64 `json:"begins"`
-	Commits          int64 `json:"commits"`
-	Rollbacks        int64 `json:"rollbacks"`
-	DeadlockTimeouts int64 `json:"deadlock_timeouts"`
-	// LockWaitNanos is cumulative time transactions spent blocked waiting
-	// for table locks — the contention observable the bottleneck heuristic
-	// charges to the database tier.
-	LockWaitNanos int64 `json:"lock_wait_nanos"`
-}
-
-// txnCounters aggregates the DB-wide transaction counters.
-type txnCounters struct {
-	begins           atomic.Int64
-	commits          atomic.Int64
-	rollbacks        atomic.Int64
-	deadlockTimeouts atomic.Int64
-	lockWaitNanos    atomic.Int64
-}
-
-// TxnStats snapshots the transaction counters.
-func (db *DB) TxnStats() TxnStats {
-	return TxnStats{
-		Begins:           db.txns.begins.Load(),
-		Commits:          db.txns.commits.Load(),
-		Rollbacks:        db.txns.rollbacks.Load(),
-		DeadlockTimeouts: db.txns.deadlockTimeouts.Load(),
-		LockWaitNanos:    db.txns.lockWaitNanos.Load(),
-	}
-}
-
 // txn is a session's active transaction: the tables whose write lock it
 // holds until commit or rollback, and its private fork of each.
 type txn struct {
@@ -126,7 +92,6 @@ func (s *Session) InTxn() bool { return s.tx != nil }
 func (s *Session) execBegin() (*Result, error) {
 	s.implicitCommit()
 	s.tx = &txn{}
-	s.db.txns.begins.Add(1)
 	return &Result{}, nil
 }
 
@@ -182,13 +147,13 @@ func (s *Session) commitTxn() {
 	}
 	s.db.commitMu.RUnlock()
 	s.endTxn()
-	s.db.txns.commits.Add(1)
+	s.db.ctr.Commits.Add(1)
 }
 
 // rollbackTxn drops the forks: no other session ever saw them.
 func (s *Session) rollbackTxn() {
 	s.endTxn()
-	s.db.txns.rollbacks.Add(1)
+	s.db.ctr.Aborts.Add(1)
 }
 
 // endTxn releases the held write locks in reverse acquisition order.
@@ -203,7 +168,7 @@ func (s *Session) endTxn() {
 // wrapped ErrLockWaitTimeout for the statement that timed out.
 func (s *Session) abortTxn(table string) error {
 	s.rollbackTxn()
-	s.db.txns.deadlockTimeouts.Add(1)
+	s.db.ctr.DeadlockTimeouts.Add(1)
 	return fmt.Errorf("sqldb: %w (table %q)", ErrLockWaitTimeout, table)
 }
 
@@ -217,7 +182,7 @@ func (s *Session) txnFork(t *Table) (*Table, error) {
 	}
 	start := time.Now()
 	ok := t.lock.lockTimed(s.db.lockWait())
-	s.db.txns.lockWaitNanos.Add(time.Since(start).Nanoseconds())
+	s.db.ctr.TxnLockWaitNanos.Add(time.Since(start).Nanoseconds())
 	if !ok {
 		return nil, s.abortTxn(t.name)
 	}

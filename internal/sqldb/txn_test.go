@@ -75,8 +75,8 @@ func TestTxnCommitPersists(t *testing.T) {
 	if res.Rows[0][0].AsInt() != 9 {
 		t.Fatalf("committed update missing: %v", res.Rows)
 	}
-	st := db.TxnStats()
-	if st.Begins != 1 || st.Commits != 1 || st.Rollbacks != 0 {
+	st := db.Telemetry()
+	if st.Commits != 1 || st.Aborts != 0 {
 		t.Fatalf("stats %+v", st)
 	}
 }
@@ -203,8 +203,8 @@ func TestTxnDeadlockTimeoutAborts(t *testing.T) {
 	if aborted == 0 {
 		t.Fatal("deadlock resolved without any abort")
 	}
-	if db.TxnStats().DeadlockTimeouts != int64(aborted) {
-		t.Fatalf("deadlock counter %d, want %d", db.TxnStats().DeadlockTimeouts, aborted)
+	if db.Telemetry().DeadlockTimeouts != int64(aborted) {
+		t.Fatalf("deadlock counter %d, want %d", db.Telemetry().DeadlockTimeouts, aborted)
 	}
 	// Finish the survivors; aborted transactions are already rolled back
 	// (their sessions are back in autocommit).
@@ -244,7 +244,7 @@ func TestTxnImplicitBoundaries(t *testing.T) {
 	if got := mustTx(t, s2, "SELECT COUNT(*) FROM audit").Rows[0][0].AsInt(); got != 2 {
 		t.Fatalf("audit rows %d after disconnect, want 2 (open txn rolled back)", got)
 	}
-	if db.TxnStats().Rollbacks == 0 {
+	if db.Telemetry().Aborts == 0 {
 		t.Fatal("disconnect rollback not counted")
 	}
 }

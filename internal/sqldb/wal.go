@@ -110,29 +110,6 @@ type WALOptions struct {
 	Fault *walfault.Hook
 }
 
-// WALStats is the log's observability surface, reported per replica by the
-// database tier's telemetry.
-type WALStats struct {
-	Attached bool `json:"attached"`
-	// Appends counts record batches (commit units) entering the log;
-	// Stmts counts the statements inside them.
-	Appends int64 `json:"wal_appends"`
-	Stmts   int64 `json:"wal_stmts"`
-	// Fsyncs counts fsync calls on the active segment — Appends/Fsyncs is
-	// the group-commit amortization factor.
-	Fsyncs int64 `json:"wal_fsyncs"`
-	// Bytes counts record bytes appended (log volume, not file size).
-	Bytes       int64 `json:"wal_bytes"`
-	Checkpoints int64 `json:"checkpoints"`
-	// Recoveries is 1 when this process recovered state from disk at
-	// attach; ReplayedStmts counts statements replayed doing so.
-	Recoveries    int64  `json:"recoveries"`
-	ReplayedStmts int64  `json:"replayed_stmts"`
-	LastLSN       uint64 `json:"last_lsn"`
-	DurableLSN    uint64 `json:"durable_lsn"`
-	CheckpointLSN uint64 `json:"checkpoint_lsn"`
-}
-
 // walStmt is one logged statement: the source text and its bound arguments.
 type walStmt struct {
 	q    string
@@ -192,42 +169,21 @@ type WAL struct {
 	ckptMu   sync.Mutex
 	ckptBusy atomic.Bool
 
-	appends     atomic.Int64
-	stmts       atomic.Int64
-	fsyncs      atomic.Int64
-	bytes       atomic.Int64
-	checkpoints atomic.Int64
-	recoveries  atomic.Int64
-	replayed    atomic.Int64
+	ctr walCounters
+}
+
+// walCounters is the log's atomic counter cells, each named after the
+// telemetry.DBStats field it fills: record batches (commit units) entering
+// the log, fsyncs on the active segment (appends ÷ fsyncs is the
+// group-commit amortization), record bytes appended (log volume, not file
+// size), checkpoints taken, and 1 when this process recovered state from
+// disk at attach. Its LSN gauges are read with SHOW WAL STATUS.
+type walCounters struct {
+	WALAppends, WALFsyncs, WALBytes, WALCheckpoints, WALRecoveries atomic.Int64
 }
 
 // WAL returns the attached log, or nil.
 func (db *DB) WAL() *WAL { return db.wal }
-
-// WALStats snapshots the log counters; the zero struct when no log is
-// attached.
-func (db *DB) WALStats() WALStats {
-	w := db.wal
-	if w == nil {
-		return WALStats{}
-	}
-	w.mu.Lock()
-	last, durable, ckpt := w.nextLSN-1, w.durableLSN, w.ckptLSN
-	w.mu.Unlock()
-	return WALStats{
-		Attached:      true,
-		Appends:       w.appends.Load(),
-		Stmts:         w.stmts.Load(),
-		Fsyncs:        w.fsyncs.Load(),
-		Bytes:         w.bytes.Load(),
-		Checkpoints:   w.checkpoints.Load(),
-		Recoveries:    w.recoveries.Load(),
-		ReplayedStmts: w.replayed.Load(),
-		LastLSN:       last,
-		DurableLSN:    durable,
-		CheckpointLSN: ckpt,
-	}
-}
 
 // ---- value / statement / record codec ----
 
@@ -449,9 +405,8 @@ func (w *WAL) appendBatch(stmts []walStmt) uint64 {
 	n := int64(len(w.buf) - start)
 	w.bufLast = last
 	w.bytesSinceCkpt += n
-	w.appends.Add(1)
-	w.stmts.Add(int64(len(stmts)))
-	w.bytes.Add(n)
+	w.ctr.WALAppends.Add(1)
+	w.ctr.WALBytes.Add(n)
 	return last
 }
 
@@ -535,7 +490,7 @@ func (w *WAL) flush() error {
 	if err != nil {
 		return w.fail(fmt.Errorf("sqldb: wal fsync: %w", err))
 	}
-	w.fsyncs.Add(1)
+	w.ctr.WALFsyncs.Add(1)
 	w.syncedSize = w.fSize
 	w.durableLSN = last
 	return nil
@@ -670,7 +625,7 @@ func (w *WAL) Checkpoint() error {
 	w.ckptLSN = lsn
 	w.bytesSinceCkpt = 0
 	w.mu.Unlock()
-	w.checkpoints.Add(1)
+	w.ctr.WALCheckpoints.Add(1)
 	return w.rotate(lsn)
 }
 

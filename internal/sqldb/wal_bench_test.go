@@ -44,8 +44,8 @@ func BenchmarkWALCommitSweep(b *testing.B) {
 				}
 			})
 			b.StopTimer()
-			if ws := db.WALStats(); ws.Fsyncs > 0 {
-				b.ReportMetric(float64(ws.Appends)/float64(ws.Fsyncs), "appends/fsync")
+			if ws := db.Telemetry(); ws.WALFsyncs > 0 {
+				b.ReportMetric(float64(ws.WALAppends)/float64(ws.WALFsyncs), "appends/fsync")
 			}
 		})
 	}

@@ -113,7 +113,7 @@ func FuzzWALRecord(f *testing.F) {
 		}
 		s.Close()
 		want := dbDump(t, db)
-		wantLSN := db.WALStats().LastLSN
+		wantLSN, _, _ := walStatus(t, db)
 		if err := db.CloseWAL(); err != nil {
 			t.Fatal(err)
 		}

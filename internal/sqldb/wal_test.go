@@ -20,6 +20,16 @@ func testWALOpts(dir string) WALOptions {
 	return WALOptions{Dir: dir, CheckpointBytes: -1}
 }
 
+// walStatus reads the log's LSN gauges through SHOW WAL STATUS, their one
+// read path.
+func walStatus(t *testing.T, db *DB) (last, durable, ckpt uint64) {
+	t.Helper()
+	s := db.NewSession()
+	defer s.Close()
+	row := walMustExec(t, s, "SHOW WAL STATUS").Rows[0]
+	return uint64(row[1].AsInt()), uint64(row[2].AsInt()), uint64(row[3].AsInt())
+}
+
 func walMustExec(t *testing.T, s *Session, q string, args ...Value) *Result {
 	t.Helper()
 	res, err := s.Exec(q, args...)
@@ -225,17 +235,17 @@ func TestWALCheckpointAndRecover(t *testing.T) {
 	}
 	s.Close()
 	want := dbDump(t, db)
-	stats := db.WALStats()
-	if stats.Checkpoints != 1 || stats.CheckpointLSN == 0 {
-		t.Fatalf("checkpoint not recorded: %+v", stats)
+	_, _, ckptLSN := walStatus(t, db)
+	if n := db.Telemetry().WALCheckpoints; n != 1 || ckptLSN == 0 {
+		t.Fatalf("checkpoint not recorded: %d checkpoints, checkpoint lsn %d", n, ckptLSN)
 	}
 	if err := db.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
 
 	db2, info := recoverDB(t, dir)
-	if info.CheckpointLSN != stats.CheckpointLSN {
-		t.Fatalf("recovered from checkpoint %d, want %d", info.CheckpointLSN, stats.CheckpointLSN)
+	if info.CheckpointLSN != ckptLSN {
+		t.Fatalf("recovered from checkpoint %d, want %d", info.CheckpointLSN, ckptLSN)
 	}
 	// Only the post-checkpoint suffix should replay.
 	if info.ReplayedStmts != 7 {
@@ -490,7 +500,7 @@ func TestWALPopulateThenAttach(t *testing.T) {
 	if info.Recovered {
 		t.Fatal("fresh dir should not report recovery")
 	}
-	if db.WALStats().Checkpoints != 1 {
+	if db.Telemetry().WALCheckpoints != 1 {
 		t.Fatal("populate-then-attach should write the initial checkpoint")
 	}
 	db.WAL().Crash() // nothing logged since attach; the checkpoint carries it all
@@ -520,14 +530,14 @@ func TestWALGroupCommit(t *testing.T) {
 	s := db.NewSession()
 	walSchema(t, s)
 	s.Close()
-	base := db.WALStats()
+	base := db.Telemetry()
 
 	const workers, each = 8, 25
 	// Hold the first leader between write and fsync until every worker has
 	// appended: the next group then covers all the others at once, however
 	// fast this disk's fsync is.
 	hook.Set(walfault.PostAppendPreFsync, 1, func() {
-		for deadline := time.Now().Add(5 * time.Second); db.WALStats().Appends-base.Appends < workers; {
+		for deadline := time.Now().Add(5 * time.Second); db.Telemetry().WALAppends-base.WALAppends < workers; {
 			if time.Now().After(deadline) {
 				t.Error("workers never queued behind the first leader")
 				return
@@ -552,17 +562,17 @@ func TestWALGroupCommit(t *testing.T) {
 		}(wkr)
 	}
 	wg.Wait()
-	st := db.WALStats()
-	appends := st.Appends - base.Appends
-	fsyncs := st.Fsyncs - base.Fsyncs
+	st := db.Telemetry()
+	appends := st.WALAppends - base.WALAppends
+	fsyncs := st.WALFsyncs - base.WALFsyncs
 	if appends != workers*each {
 		t.Fatalf("appends %d, want %d", appends, workers*each)
 	}
 	if fsyncs >= appends {
 		t.Fatalf("no group commit: %d fsyncs for %d appends", fsyncs, appends)
 	}
-	if st.DurableLSN < st.LastLSN {
-		t.Fatalf("acked commits not durable: durable %d < last %d", st.DurableLSN, st.LastLSN)
+	if last, durable, _ := walStatus(t, db); durable < last {
+		t.Fatalf("acked commits not durable: durable %d < last %d", durable, last)
 	}
 	db.WAL().Crash()
 
@@ -595,17 +605,17 @@ func TestWALLoneCommitterOneFsyncEach(t *testing.T) {
 	}
 	s := db.NewSession()
 	walSchema(t, s)
-	base := db.WALStats()
+	base := db.Telemetry()
 	for i := 0; i < 200; i++ {
 		walMustExec(t, s, "INSERT INTO audit (item, delta) VALUES (?, ?)", Int(1), Int(int64(i)))
 	}
 	s.Close()
-	st := db.WALStats()
-	if a, f := st.Appends-base.Appends, st.Fsyncs-base.Fsyncs; a != 200 || f != a {
+	st := db.Telemetry()
+	if a, f := st.WALAppends-base.WALAppends, st.WALFsyncs-base.WALFsyncs; a != 200 || f != a {
 		t.Fatalf("%d appends, %d fsyncs; want 200 of each", a, f)
 	}
-	if st.DurableLSN != st.LastLSN {
-		t.Fatalf("durable %d, last %d", st.DurableLSN, st.LastLSN)
+	if last, durable, _ := walStatus(t, db); durable != last {
+		t.Fatalf("durable %d, last %d", durable, last)
 	}
 	if err := db.CloseWAL(); err != nil {
 		t.Fatal(err)
@@ -627,7 +637,7 @@ func TestWALCloseFlushesUnwaitedTail(t *testing.T) {
 	walSchema(t, s)
 	s.Close()
 	lsn := db.WAL().appendOne("INSERT INTO items (name, qty) VALUES ('tail', 1)", nil)
-	if d := db.WALStats().DurableLSN; d >= lsn {
+	if _, d, _ := walStatus(t, db); d >= lsn {
 		t.Fatalf("record %d durable (%d) before anyone waited", lsn, d)
 	}
 	if err := db.CloseWAL(); err != nil {
@@ -656,7 +666,7 @@ func TestWALWriteErrorIsSticky(t *testing.T) {
 	s := db.NewSession()
 	defer s.Close()
 	walSchema(t, s)
-	durable := db.WALStats().DurableLSN
+	_, durable, _ := walStatus(t, db)
 	db.WAL().f.Close() // every write from here on fails
 	_, first := s.Exec("INSERT INTO items (name, qty) VALUES ('a', 1)")
 	if first == nil || !errors.Is(first, os.ErrClosed) {
@@ -667,8 +677,8 @@ func TestWALWriteErrorIsSticky(t *testing.T) {
 			t.Fatalf("later commit %d: %v, want the first failure %v", i, err, first)
 		}
 	}
-	if st := db.WALStats(); st.DurableLSN != durable {
-		t.Fatalf("durability frontier moved %d → %d on a dead log", durable, st.DurableLSN)
+	if _, d, _ := walStatus(t, db); d != durable {
+		t.Fatalf("durability frontier moved %d → %d on a dead log", durable, d)
 	}
 }
 
@@ -689,15 +699,15 @@ func TestShowWALStatements(t *testing.T) {
 	}
 
 	row := walMustExec(t, s, "SHOW WAL STATUS").Rows[0]
-	ws := db.WALStats()
+	w := db.WAL()
 	if row[0].AsInt() != 1 {
 		t.Fatal("SHOW WAL STATUS says no wal attached")
 	}
-	if last := row[1].AsInt(); last < 4 || uint64(last) != ws.LastLSN {
-		t.Fatalf("last_lsn %d, want >= 4 (3 DDL + 1 insert) and WALStats' %d", last, ws.LastLSN)
+	if last := row[1].AsInt(); last < 4 || uint64(last) != w.nextLSN-1 {
+		t.Fatalf("last_lsn %d, want >= 4 (3 DDL + 1 insert) and the log's %d", last, w.nextLSN-1)
 	}
-	if uint64(row[2].AsInt()) != ws.DurableLSN || uint64(row[3].AsInt()) != ws.CheckpointLSN {
-		t.Fatalf("durable/checkpoint lsn %v, want WALStats' %d/%d", row, ws.DurableLSN, ws.CheckpointLSN)
+	if uint64(row[2].AsInt()) != w.durableLSN || uint64(row[3].AsInt()) != w.ckptLSN || w.ckptLSN == 0 {
+		t.Fatalf("durable/checkpoint lsn %v, want the log's %d/%d", row, w.durableLSN, w.ckptLSN)
 	}
 }
 
@@ -712,8 +722,8 @@ func TestWALOnNilIsInert(t *testing.T) {
 	if st.Rows[0][0].AsInt() != 0 {
 		t.Fatal("no-wal status should report attached=0")
 	}
-	if got := db.WALStats(); got.Attached {
-		t.Fatal("WALStats on wal-less engine")
+	if st := db.Telemetry(); st.WALAppends != 0 || st.WALFsyncs != 0 || st.WALBytes != 0 {
+		t.Fatalf("wal-less engine counts log work: %+v", st.DBStats)
 	}
 }
 
@@ -758,7 +768,7 @@ func TestWALAutoCheckpoint(t *testing.T) {
 	}
 	s.Close()
 	deadline := time.Now().Add(5 * time.Second)
-	for db.WALStats().Checkpoints == 0 {
+	for db.Telemetry().WALCheckpoints == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no automatic checkpoint after crossing CheckpointBytes")
 		}
@@ -802,7 +812,7 @@ func TestWALCheckpointNeverCyclesWithTxn(t *testing.T) {
 	}
 	stop.Store(true)
 	<-done
-	if n := db.TxnStats().DeadlockTimeouts; n != 0 {
+	if n := db.Telemetry().DeadlockTimeouts; n != 0 {
 		t.Errorf("%d transactions aborted on a lock-wait timeout", n)
 	}
 	if txns < 20 || ckpts < 5 {
@@ -839,7 +849,7 @@ func TestWALCheckpointWhileTxnOpen(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("the checkpoint waited for the open transaction")
 	}
-	lsn := db.WALStats().CheckpointLSN
+	_, _, lsn := walStatus(t, db)
 	_, tables, err := loadCheckpoint(ckptPath(dir, lsn))
 	if err != nil {
 		t.Fatal(err)

@@ -27,26 +27,23 @@ type Server struct {
 	logger *log.Logger
 	l      *frame.Listener
 
-	queries       atomic.Int64
-	textExecs     atomic.Int64
-	preparedExecs atomic.Int64
+	ctr counters
 }
 
-// Telemetry is the server's db-tier row: statements served, split by
-// arrival path, and its database's plan cache, transaction, snapshot-read
-// (MVCC) and write-ahead log counters.
+// counters is the server's atomic counter cells, each named after the
+// telemetry.Tier field it fills: statements served, and their split by
+// arrival path (SQL text or EXECUTE-by-id).
+type counters struct {
+	Queries, TextExecs, PreparedExecs atomic.Int64
+}
+
+// Telemetry is the server's share of the db-tier row: the statements it
+// served. The engine's counters are its database's own row
+// (sqldb.DB.Telemetry); they outlive the server when a backend restarts.
 func (s *Server) Telemetry() telemetry.Tier {
-	pc, tx, mv, wal := s.db.PlanCacheStats(), s.db.TxnStats(), s.db.MVCCStats(), s.db.WALStats()
-	return telemetry.Tier{
-		Name:    "db",
-		Queries: s.queries.Load(), PreparedExecs: s.preparedExecs.Load(), TextExecs: s.textExecs.Load(),
-		PlanHits: pc.Hits, PlanMisses: pc.Misses,
-		Commits: tx.Commits, Aborts: tx.Rollbacks,
-		DeadlockTimeouts: tx.DeadlockTimeouts, TxnLockWaitNanos: tx.LockWaitNanos,
-		SnapshotReads: mv.SnapshotReads, LockBypasses: mv.LockBypasses, SnapshotRefreshes: mv.Refreshes,
-		WALAppends: wal.Appends, WALFsyncs: wal.Fsyncs, WALBytes: wal.Bytes,
-		WALCheckpoints: wal.Checkpoints, WALRecoveries: wal.Recoveries,
-	}
+	t := telemetry.Tier{Name: "db"}
+	telemetry.Load(&t, &s.ctr)
+	return t
 }
 
 // NewServer creates a server for db. logger may be nil to discard logs.
@@ -91,8 +88,8 @@ func (s *Server) serveConn(_ net.Conn, r *bufio.Reader, w *bufio.Writer) {
 			var args []sqldb.Value
 			query, args, err = decodeQuery(payload)
 			if err == nil {
-				s.queries.Add(1)
-				s.textExecs.Add(1)
+				s.ctr.Queries.Add(1)
+				s.ctr.TextExecs.Add(1)
 				res, err = sess.Exec(query, args...)
 			}
 		case msgPrepare:
@@ -123,8 +120,8 @@ func (s *Server) serveConn(_ net.Conn, r *bufio.Reader, w *bufio.Writer) {
 				if !ok {
 					err = fmt.Errorf("wire: unknown statement id %d", id)
 				} else {
-					s.queries.Add(1)
-					s.preparedExecs.Add(1)
+					s.ctr.Queries.Add(1)
+					s.ctr.PreparedExecs.Add(1)
 					res, err = sess.ExecStmt(stmt, args...)
 				}
 			}
@@ -139,7 +136,7 @@ func (s *Server) serveConn(_ net.Conn, r *bufio.Reader, w *bufio.Writer) {
 			// Transaction control frames carry no payload; they run the
 			// corresponding statement on the session. queries counts them:
 			// they are statements the tier served, arriving framed.
-			s.queries.Add(1)
+			s.ctr.Queries.Add(1)
 			_, err = sess.ExecStmt(txnStmts[typ])
 			if err == nil {
 				outTyp = msgTxnOK

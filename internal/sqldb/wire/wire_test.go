@@ -8,6 +8,7 @@ import (
 	"math"
 	"net"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -16,9 +17,17 @@ import (
 
 	"repro/internal/frame"
 	"repro/internal/sqldb"
+	"repro/internal/telemetry"
 )
 
 func startServer(t *testing.T) (*sqldb.DB, string) {
+	t.Helper()
+	db, _, addr := serveKV(t)
+	return db, addr
+}
+
+// serveKV serves a fresh database holding a two-row kv table.
+func serveKV(t *testing.T) (*sqldb.DB, *Server, string) {
 	t.Helper()
 	db := sqldb.New()
 	s := db.NewSession()
@@ -37,7 +46,7 @@ func startServer(t *testing.T) (*sqldb.DB, string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	return db, addr.String()
+	return db, srv, addr.String()
 }
 
 func TestFrameRoundtrip(t *testing.T) {
@@ -339,7 +348,7 @@ func TestLockTablesPerConnection(t *testing.T) {
 // ends — a second connection's write waits behind them — and a connection
 // that drops mid-transaction ends it: rolled back, locks released.
 func TestDisconnectReleasesLocks(t *testing.T) {
-	db, addr := startServer(t)
+	_, srv, addr := serveKV(t)
 	c1, _ := Dial(addr)
 	if err := c1.Begin(); err != nil {
 		t.Fatal(err)
@@ -360,9 +369,9 @@ func TestDisconnectReleasesLocks(t *testing.T) {
 		}
 		done <- err
 	}()
-	// c2's BEGIN rides with its UPDATE, so once the server has counted it
-	// the UPDATE is at (or about to reach) c1's write lock.
-	for deadline := time.Now().Add(5 * time.Second); db.TxnStats().Begins < 2; {
+	// c2's BEGIN rides with its UPDATE, so once the server has counted both
+	// (after c1's two) the UPDATE is at (or about to reach) c1's write lock.
+	for deadline := time.Now().Add(5 * time.Second); srv.Telemetry().Queries < 4; {
 		if time.Now().After(deadline) {
 			t.Fatal("second transaction never reached the server")
 		}
@@ -819,9 +828,8 @@ func TestTxnOverWire(t *testing.T) {
 	if got := valuesString(res.Rows); got != want {
 		t.Fatalf("kv after commit+rollback: %s, want %s", got, want)
 	}
-	st := db.TxnStats()
-	if st.Begins != 2 || st.Commits != 1 || st.Rollbacks != 1 {
-		t.Fatalf("txn stats %+v", st)
+	if st := db.Telemetry(); st.Commits != 1 || st.Aborts != 1 {
+		t.Fatalf("%d commits, %d aborts; want 1 of each", st.Commits, st.Aborts)
 	}
 }
 
@@ -919,8 +927,8 @@ func TestShutdownAbortsInFlightTxn(t *testing.T) {
 	if got := valuesString(res.Rows); got != `[[1 "one"]]` {
 		t.Fatalf("shutdown kept uncommitted transaction state: %s", got)
 	}
-	if db.TxnStats().Rollbacks != 1 {
-		t.Fatalf("rollbacks %d, want 1", db.TxnStats().Rollbacks)
+	if n := db.Telemetry().Aborts; n != 1 {
+		t.Fatalf("rollbacks %d, want 1", n)
 	}
 }
 
@@ -1029,5 +1037,24 @@ func TestPoolRetriesReadsNotWrites(t *testing.T) {
 	res, err := p.Exec(q, sqldb.Int(1))
 	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].AsString() != "one" {
 		t.Fatalf("read on a stale connection: %v %v, want it retried", err, res)
+	}
+}
+
+// TestDBStatsCells: the database tier's counters are filled from three cell
+// structs — this server's, the engine's and its log's — and every DBStats
+// counter has exactly one same-named cell among them, while every cell
+// names a field of the tier row (telemetry.Load's rule).
+func TestDBStatsCells(t *testing.T) {
+	cells := func(owner any) reflect.Type {
+		f, ok := reflect.TypeOf(owner).Elem().FieldByName("ctr")
+		if !ok {
+			t.Fatalf("%T has no ctr cells", owner)
+		}
+		return f.Type
+	}
+	err := telemetry.CheckCells(reflect.TypeOf(telemetry.Tier{}), reflect.TypeOf(telemetry.DBStats{}),
+		cells((*Server)(nil)), cells((*sqldb.DB)(nil)), cells((*sqldb.WAL)(nil)))
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -272,9 +272,7 @@ func NewFront(basePath string, backends []lb.Backend, pc lb.PageCacheConfig, ima
 func (f *Front) Telemetry() telemetry.Tier {
 	t := telemetry.Tier{Name: "web"}
 	if f.PageCache != nil {
-		st := f.PageCache.Stats()
-		t.PageCacheHits, t.PageCacheMisses = st.Hits, st.Misses
-		t.PageCacheInvalidations, t.PageCacheBypasses = st.Invalidations, st.Bypasses
+		t.PageCacheStats = f.PageCache.Stats()
 	}
 	var pools []pool.Stats
 	for _, be := range f.Backends {

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
+	"os"
 	"reflect"
 	"sort"
 	"strings"
@@ -195,6 +196,80 @@ func TestStatusJSONKeysStable(t *testing.T) {
 	} {
 		if c.got != c.want {
 			t.Errorf("%s keys changed:\n got %s\nwant %s", c.what, c.got, c.want)
+		}
+	}
+}
+
+// TestTierFieldNamesUnique: a Go name declared at two depths of Tier would
+// leave the deeper field shadowed, so every field of Tier and of the
+// counter structs it embeds has a name of its own.
+func TestTierFieldNamesUnique(t *testing.T) {
+	seen := map[string]string{}
+	var walk func(reflect.Type)
+	walk = func(typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if f.Anonymous {
+				walk(f.Type)
+				continue
+			}
+			if in, dup := seen[f.Name]; dup {
+				t.Errorf("%s is declared in %s and in %s", f.Name, in, typ.Name())
+			}
+			seen[f.Name] = typ.Name()
+		}
+	}
+	walk(reflect.TypeOf(Tier{}))
+}
+
+// TestStatusGlossary: README's /status field glossary has a row for every
+// JSON key of a tier, a replica and an app-backend object, and its rows
+// name no other key. A row's first cell names its keys: `tiers[].requests`
+// / `queries` is two tier keys.
+func TestStatusGlossary(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "### `/status` field glossary")
+	if !ok {
+		t.Fatal("README has no /status field glossary")
+	}
+	section, _, _ = strings.Cut(section, "\n#")
+	documented := map[string]bool{}
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "| `") {
+			continue
+		}
+		list, cell := "", strings.Split(line, "|")[1]
+		for i, tok := range strings.Split(cell, "`") {
+			if i%2 == 0 { // outside backticks
+				continue
+			}
+			if l, key, ok := strings.Cut(tok, "[]."); ok {
+				list, tok = l, key
+			}
+			documented[list+"."+tok] = true
+		}
+	}
+	var m map[string]any
+	if err := json.Unmarshal(filled(t, 100).JSON(), &m); err != nil {
+		t.Fatal(err)
+	}
+	keys := map[string]bool{}
+	for _, list := range []string{"tiers", "replicas", "app_backends"} {
+		for k := range m[list].([]any)[0].(map[string]any) {
+			keys[list+"."+k] = true
+		}
+	}
+	for k := range keys {
+		if !documented[k] {
+			t.Errorf("/status key %s has no glossary row", k)
+		}
+	}
+	for k := range documented {
+		if !keys[k] {
+			t.Errorf("glossary row names %s, which /status does not carry", k)
 		}
 	}
 }

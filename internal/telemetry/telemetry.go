@@ -8,18 +8,23 @@
 // owner fills its own Tier row (a Telemetry method), core.Lab folds the
 // rows into snapshots and serves them as JSON on /status,
 // workload.Report embeds a windowed delta, and cmd/loadgen decodes the
-// JSON from a remote server. A counter that crosses tiers is declared here
-// once: the cluster client fills a ClusterStats (cluster.ClientStats is this
-// type) and the Tier row of whichever tier owns the client embeds it, so
-// nothing in between copies fields. Add and Delta (accumulate, below) are
-// the only code that combines rows, and they walk the struct.
+// JSON from a remote server. A counter is declared here once, as a field
+// of one of the counter structs a row embeds — ClusterStats (the cluster
+// client; cluster.ClientStats is this type), DBStats (the engine, its log
+// and the wire server) and PageCacheStats (internal/lb) — and in its owner
+// as an atomic cell of the same name. Load is the one walk from cells to
+// fields, so nothing in between copies a counter. Add and Delta
+// (accumulate, below) are the only code that combines rows, and they walk
+// the struct too.
 package telemetry
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/pool"
@@ -63,6 +68,103 @@ type ClusterStats struct {
 	WALFullSyncs int64 `json:"wal_full_syncs,omitempty"`
 }
 
+// DBStats is the database tier's counters: the engine (internal/sqldb) and
+// its write-ahead log fill them, and the wire server adds the arrival-path
+// split. To add one: declare the field here, and an atomic cell of the same
+// name in its owner's cell struct.
+type DBStats struct {
+	// Statements by arrival path — EXECUTE-by-id (prepared) vs SQL text —
+	// and the shared plan cache, the statements-parsed-once observable of
+	// the wire protocol v2 work.
+	PreparedExecs int64 `json:"prepared_execs,omitempty"`
+	TextExecs     int64 `json:"text_execs,omitempty"`
+	PlanHits      int64 `json:"plan_hits,omitempty"`
+	PlanMisses    int64 `json:"plan_misses,omitempty"`
+	// DeadlockTimeouts counts transactions aborted by the lock wait timeout,
+	// and TxnLockWaitNanos is cumulative time transactions spent blocked on
+	// table write locks — both feed the bottleneck heuristic as
+	// database-tier saturation evidence.
+	DeadlockTimeouts int64 `json:"deadlock_timeouts,omitempty"`
+	TxnLockWaitNanos int64 `json:"txn_lock_wait_nanos,omitempty"`
+	// MVCC read-path counters: SELECT statements served from committed
+	// views (all but a transaction's reads of its own writes), per-table
+	// reads of an installed view that was still current (one atomic load),
+	// and views re-taken after a commit — an O(1) clone under the table's
+	// leaf mutex, then every reader until the next write rides it.
+	SnapshotReads     int64 `json:"snapshot_reads,omitempty"`
+	LockBypasses      int64 `json:"lock_bypasses,omitempty"`
+	SnapshotRefreshes int64 `json:"snapshot_refreshes,omitempty"`
+	// Durability counters (DESIGN.md §12), over the tier's write-ahead logs:
+	// record batches appended, fsyncs issued (appends ÷ fsyncs is the
+	// group-commit amortization), log bytes written, checkpoints taken, and
+	// boot-time recoveries.
+	WALAppends     int64 `json:"wal_appends,omitempty"`
+	WALFsyncs      int64 `json:"wal_fsyncs,omitempty"`
+	WALBytes       int64 `json:"wal_bytes,omitempty"`
+	WALCheckpoints int64 `json:"wal_checkpoints,omitempty"`
+	WALRecoveries  int64 `json:"wal_recoveries,omitempty"`
+}
+
+// PageCacheStats is the HTTP page cache's counters (DESIGN.md §4; the web
+// tier's, filled by internal/lb). Hits were served without touching the
+// app tier at all; a tier below a hot cache sees only the miss traffic, and
+// the Format verdict annotates the bottleneck line so the shrunken load is
+// not misread.
+type PageCacheStats struct {
+	PageCacheHits          int64 `json:"page_cache_hits,omitempty"`
+	PageCacheMisses        int64 `json:"page_cache_misses,omitempty"`
+	PageCacheInvalidations int64 `json:"page_cache_invalidations,omitempty"`
+	PageCacheBypasses      int64 `json:"page_cache_bypasses,omitempty"`
+}
+
+// Load is the one walk from an owner's counter cells to its row: cells
+// points at a struct of atomic.Int64 cells, and each cell's value is stored
+// in the field of *dst with the cell's name (promoted fields included). It
+// runs when a snapshot is taken, never per request, and panics on a cell
+// that names no field of T or a field of cells that is not a cell:
+// CheckCells holds every owner to that in its package's tests.
+func Load[T any](dst *T, cells any) {
+	d, c := reflect.ValueOf(dst).Elem(), reflect.ValueOf(cells).Elem()
+	for i := 0; i < c.NumField(); i++ {
+		name := c.Type().Field(i).Name
+		cell, ok := c.Field(i).Addr().Interface().(*atomic.Int64)
+		f := d.FieldByName(name)
+		if !ok || !f.IsValid() || f.Kind() != reflect.Int64 {
+			panic(fmt.Sprintf("telemetry: %s.%s is not a cell of a %s counter", c.Type(), name, d.Type()))
+		}
+		f.SetInt(cell.Load())
+	}
+}
+
+var cellType = reflect.TypeOf((*atomic.Int64)(nil)).Elem()
+
+// CheckCells holds an owner's cell structs to the rule Load relies on, in
+// both directions: every cell is an atomic.Int64 that names an int64 field
+// of row (the type its owner loads into), and every int64 field of stats —
+// the counter struct the owners fill between them — is named by exactly one
+// cell. A misnamed cell fails its package's tests instead of reading as a
+// silent 0 in a snapshot.
+func CheckCells(row, stats reflect.Type, cells ...reflect.Type) error {
+	var errs []error
+	named := map[string]int{}
+	for _, c := range cells {
+		for i := 0; i < c.NumField(); i++ {
+			cf := c.Field(i)
+			f, ok := row.FieldByName(cf.Name)
+			if cf.Type != cellType || !ok || f.Type.Kind() != reflect.Int64 {
+				errs = append(errs, fmt.Errorf("%s.%s is not a cell of a %s counter", c, cf.Name, row))
+			}
+			named[cf.Name]++
+		}
+	}
+	for i := 0; i < stats.NumField(); i++ {
+		if f := stats.Field(i); f.Type.Kind() == reflect.Int64 && named[f.Name] != 1 {
+			errs = append(errs, fmt.Errorf("%s.%s is named by %d cells, want 1", stats, f.Name, named[f.Name]))
+		}
+	}
+	return errors.Join(errs...)
+}
+
 // Tier is one tier's counters. The Pool is the tier's client-side pool to
 // the tier below it, so its wait time measures downstream saturation as
 // seen from this tier (e.g. the servlet tier's pool is its database
@@ -78,56 +180,22 @@ type Tier struct {
 	// CPU figures).
 	Bytes int64       `json:"bytes,omitempty"`
 	Pool  *pool.Stats `json:"pool,omitempty"`
-	// The database tier splits Queries by arrival path — EXECUTE-by-id
-	// (prepared) vs SQL text — and reports its shared plan cache, the
-	// statements-parsed-once observable of the wire protocol v2 work.
-	PreparedExecs int64 `json:"prepared_execs,omitempty"`
-	TextExecs     int64 `json:"text_execs,omitempty"`
-	PlanHits      int64 `json:"plan_hits,omitempty"`
-	PlanMisses    int64 `json:"plan_misses,omitempty"`
-	// Transaction outcomes. For the database tier these are the engine's
-	// counters (every BEGIN/COMMIT/ROLLBACK served); for the EJB tier they
-	// are container-managed demarcation outcomes, and ReadOnlyTxns counts
-	// the commits of business methods that never wrote, whose lazy
-	// demarcation opened no database transaction. DeadlockTimeouts counts
-	// transactions aborted by the lock wait timeout, and TxnLockWaitNanos
-	// is cumulative time transactions spent blocked on table write locks — both
-	// feed the bottleneck heuristic as database-tier saturation evidence.
-	Commits          int64 `json:"commits,omitempty"`
-	ReadOnlyTxns     int64 `json:"readonly_txns,omitempty"`
-	Aborts           int64 `json:"aborts,omitempty"`
-	DeadlockTimeouts int64 `json:"deadlock_timeouts,omitempty"`
-	TxnLockWaitNanos int64 `json:"txn_lock_wait_nanos,omitempty"`
-	// MVCC read-path counters (database tier): SELECT statements served from
-	// committed views (all but a transaction's reads of its own writes),
-	// per-table reads of an installed view that was still current (one
-	// atomic load), and views re-taken after a commit — an O(1) clone under
-	// the table's leaf mutex, then every reader until the next write rides
-	// it.
-	SnapshotReads     int64 `json:"snapshot_reads,omitempty"`
-	LockBypasses      int64 `json:"lock_bypasses,omitempty"`
-	SnapshotRefreshes int64 `json:"snapshot_refreshes,omitempty"`
+	// Transaction outcomes: for the database tier the engine's (every
+	// COMMIT and ROLLBACK served), for the EJB tier container-managed
+	// demarcation outcomes, where ReadOnlyTxns counts the commits of
+	// business methods that never wrote, whose lazy demarcation opened no
+	// database transaction.
+	Commits      int64 `json:"commits,omitempty"`
+	ReadOnlyTxns int64 `json:"readonly_txns,omitempty"`
+	Aborts       int64 `json:"aborts,omitempty"`
+	// The embedded counter structs, each declared once above and filled by
+	// its owners with Load. Their fields are promoted, in Go and in the
+	// JSON alike.
+	DBStats
 	// ClusterStats is the tier's cluster client (servlet or ejb; summed over
-	// a replicated tier's backends). Its fields are promoted, in Go and in
-	// the JSON alike.
+	// a replicated tier's backends).
 	ClusterStats
-	// The HTTP page cache (DESIGN.md §4) lives in the web tier: hits were
-	// served without touching the app tier at all. A tier below a hot cache
-	// sees only the miss traffic — the Format verdict annotates the
-	// bottleneck line so the shrunken load is not misread.
-	PageCacheHits          int64 `json:"page_cache_hits,omitempty"`
-	PageCacheMisses        int64 `json:"page_cache_misses,omitempty"`
-	PageCacheInvalidations int64 `json:"page_cache_invalidations,omitempty"`
-	PageCacheBypasses      int64 `json:"page_cache_bypasses,omitempty"`
-	// Durability counters (DESIGN.md §12), aggregated over the database
-	// tier's write-ahead logs: record batches appended, fsyncs issued
-	// (appends ÷ fsyncs is the group-commit amortization), log bytes written,
-	// checkpoints taken, and boot-time recoveries.
-	WALAppends     int64 `json:"wal_appends,omitempty"`
-	WALFsyncs      int64 `json:"wal_fsyncs,omitempty"`
-	WALBytes       int64 `json:"wal_bytes,omitempty"`
-	WALCheckpoints int64 `json:"wal_checkpoints,omitempty"`
-	WALRecoveries  int64 `json:"wal_recoveries,omitempty"`
+	PageCacheStats
 	// Downstream names the tier Pool dials into. Pool wait time is
 	// evidence that *that* tier's connections are all busy, so
 	// Bottleneck charges the wait there, not to the pool's holder.

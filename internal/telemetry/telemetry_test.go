@@ -15,8 +15,8 @@ func snap() *Snapshot {
 				Pool: &pool.Stats{Name: "ajp", Capacity: 8, Gets: 40}},
 			{Name: "servlet", Requests: 40, Downstream: "db",
 				Pool: &pool.Stats{Name: "db", Capacity: 8, Gets: 90, Waits: 12, WaitNanos: 5e6}},
-			{Name: "db", Queries: 90, PreparedExecs: 70, TextExecs: 20,
-				PlanHits: 85, PlanMisses: 5},
+			{Name: "db", Queries: 90, DBStats: DBStats{PreparedExecs: 70, TextExecs: 20,
+				PlanHits: 85, PlanMisses: 5}},
 		},
 	}
 }
