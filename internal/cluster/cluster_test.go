@@ -1201,3 +1201,13 @@ func TestClientStatsCells(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReplicaCells: every per-replica routing counter has exactly one
+// same-named cell on the replica, and every cell names one.
+func TestReplicaCells(t *testing.T) {
+	err := telemetry.CheckCells(reflect.TypeOf(telemetry.Replica{}), reflect.TypeOf(telemetry.ReplicaRouting{}),
+		reflect.TypeOf(replicaCells{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+}

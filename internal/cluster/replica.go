@@ -21,11 +21,14 @@ type replica struct {
 	addr string
 	pool *wire.Pool
 
-	healthy   atomic.Bool
-	reads     atomic.Int64
-	writes    atomic.Int64
-	ejections atomic.Int64
-	lagNanos  atomic.Int64
+	healthy atomic.Bool
+	replicaCells
+}
+
+// replicaCells is a replica's routing counter cells, each named after the
+// telemetry.ReplicaRouting field it fills (telemetry.Load).
+type replicaCells struct {
+	Reads, Writes, Ejections, LagNanos atomic.Int64
 }
 
 // replicaSet is one read-one-write-all replication group: the backend of an
@@ -140,7 +143,7 @@ func (rs *replicaSet) eject(r *replica) bool {
 		return false
 	}
 	if r.healthy.CompareAndSwap(true, false) {
-		r.ejections.Add(1)
+		r.Ejections.Add(1)
 	}
 	return true
 }
@@ -151,7 +154,7 @@ func (rs *replicaSet) eject(r *replica) bool {
 // down to its speed.
 func (rs *replicaSet) ejectSlow(r *replica) {
 	if !rs.unreplicated() && r.healthy.CompareAndSwap(true, false) {
-		r.ejections.Add(1)
+		r.Ejections.Add(1)
 		rs.SlowEjections.Add(1)
 	}
 }
@@ -214,7 +217,7 @@ func (rs *replicaSet) readWith(query string, args []sqldb.Value) (*sqldb.Result,
 		if rs.slow > 0 && time.Since(start) > rs.slow {
 			rs.ejectSlow(r)
 		}
-		r.reads.Add(1)
+		r.Reads.Add(1)
 		return res, err
 	}
 }
@@ -321,12 +324,12 @@ func (b *bcast) collect(rs *replicaSet, outs []fanResult, onFail func(r *replica
 			b.fail(o.err)
 			continue
 		}
-		r.writes.Add(1)
+		r.Writes.Add(1)
 		if !b.answered {
 			b.res, b.first, b.answered = o.res, o.err, true
 		}
 		if lag := o.dur - minDur; lag > 0 {
-			r.lagNanos.Add(lag.Nanoseconds())
+			r.LagNanos.Add(lag.Nanoseconds())
 			if rs.slow > 0 && lag > rs.slow {
 				rs.ejectSlow(r)
 			}
@@ -494,7 +497,7 @@ func (s *replicaTxn) execRead(query string, args []sqldb.Value) (*sqldb.Result, 
 		s.failed = true
 		return nil, err
 	}
-	s.pinned.reads.Add(1)
+	s.pinned.Reads.Add(1)
 	return res, err
 }
 
@@ -798,31 +801,22 @@ func (rs *replicaSet) Rejoin(id int, syncData bool) error {
 }
 
 func (rs *replicaSet) Stats() pool.Stats {
-	pools := make([]pool.Stats, len(rs.replicas))
-	for i, r := range rs.replicas {
-		pools[i] = r.pool.Stats()
-	}
-	name := "db-cluster"
+	s := pool.Stats{Name: "db-cluster"}
 	if rs.unreplicated() {
-		name = "db@" + rs.replicas[0].addr
+		s.Name = "db@" + rs.replicas[0].addr
 	}
-	return pool.Sum(name, pools)
+	for _, r := range rs.replicas {
+		telemetry.Add(&s, r.pool.Stats())
+	}
+	return s
 }
 
 func (rs *replicaSet) ReplicaStats() []telemetry.Replica {
-	out := make([]telemetry.Replica, 0, len(rs.replicas))
-	for _, r := range rs.replicas {
+	out := make([]telemetry.Replica, len(rs.replicas))
+	for i, r := range rs.replicas {
 		ps := r.pool.Stats()
-		out = append(out, telemetry.Replica{
-			ID:        r.id,
-			Addr:      r.addr,
-			Healthy:   r.healthy.Load(),
-			Reads:     r.reads.Load(),
-			Writes:    r.writes.Load(),
-			Ejections: r.ejections.Load(),
-			LagNanos:  r.lagNanos.Load(),
-			Pool:      &ps,
-		})
+		out[i] = telemetry.Replica{ID: r.id, Addr: r.addr, Healthy: r.healthy.Load(), Pool: &ps}
+		telemetry.Load(&out[i], &r.replicaCells)
 	}
 	return out
 }

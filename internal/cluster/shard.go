@@ -527,11 +527,11 @@ func (sh *shardSet) Rejoin(id int, syncData bool) error {
 }
 
 func (sh *shardSet) Stats() pool.Stats {
-	pools := make([]pool.Stats, len(sh.shards))
-	for i, rs := range sh.shards {
-		pools[i] = rs.Stats()
+	s := pool.Stats{Name: "db-shards"}
+	for _, rs := range sh.shards {
+		telemetry.Add(&s, rs.Stats())
 	}
-	return pool.Sum("db-shards", pools)
+	return s
 }
 
 // ReplicaStats concatenates the shards' replicas in shard order, renumbered

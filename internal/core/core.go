@@ -623,11 +623,10 @@ func (l *Lab) Telemetry() *telemetry.Snapshot {
 	apps := rows(engine)
 	s.Tiers = appendFold(s.Tiers, apps)
 	if len(l.rmiClients) > 0 {
-		pools := make([]pool.Stats, len(l.rmiClients))
-		for i, rc := range l.rmiClients {
-			pools[i] = rc.Stats()
+		ps := l.rmiClients[0].Stats()
+		for _, rc := range l.rmiClients[1:] {
+			telemetry.Add(&ps, rc.Stats())
 		}
-		ps := pool.Sum(pools[0].Name, pools)
 		t := s.Tier("servlet")
 		t.Pool, t.Downstream = &ps, "ejb"
 	}
@@ -646,15 +645,12 @@ func (l *Lab) Telemetry() *telemetry.Snapshot {
 
 	// Per-replica breakdown: the cluster clients' routing views (every app
 	// backend routes independently, so their counters sum), joined with
-	// each replica server's own statement and write-ahead log counters.
+	// each replica's own backend row: its statements and its DBStats.
 	if cl := l.Cluster(); cl != nil && cl.Replicas() > 1 {
 		s.Replicas = aggregateReplicaStats(l.clusterClients())
 		for i := range s.Replicas {
-			r := &s.Replicas[i]
-			if r.ID < len(dbs) {
-				d := dbs[r.ID]
-				r.Queries, r.WALAppends, r.WALFsyncs, r.WALBytes = d.Queries, d.WALAppends, d.WALFsyncs, d.WALBytes
-				r.Checkpoints, r.Recoveries = d.WALCheckpoints, d.WALRecoveries
+			if r := &s.Replicas[i]; r.ID < len(dbs) {
+				r.DBStats, r.Queries = dbs[r.ID].DBStats, dbs[r.ID].Queries
 			}
 		}
 	}

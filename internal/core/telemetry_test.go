@@ -114,7 +114,7 @@ func TestPoolNamesKeepKindPrefix(t *testing.T) {
 						if tr == nil || tr.Pool == nil {
 							t.Fatalf("%s tier has no pool: %+v", tier, tr)
 						}
-						if !strings.HasPrefix(tr.Pool.Name, kind) || tr.Pool.Capacity != capacity {
+						if !strings.HasPrefix(tr.Pool.Name, kind) || int(tr.Pool.Capacity) != capacity {
 							t.Errorf("%s pool = %q with capacity %d, want a %q pool of %d", tier, tr.Pool.Name, tr.Pool.Capacity, kind, capacity)
 						}
 					}
@@ -169,7 +169,8 @@ func TestRunAttachesTierDelta(t *testing.T) {
 // the objects that own its counters — the server alone, or from disk the
 // server and its engine. The lab folds each replaced one's last row into the
 // backend's, so no counter windowed across a restart goes backwards, in the
-// db tier or in the replica's row.
+// db tier or in the replica's row, and the replica's row carries the
+// backend's DBStats.
 func TestCountersSurviveReplicaRestart(t *testing.T) {
 	for _, fromDisk := range []bool{false, true} {
 		fromDisk := fromDisk
@@ -221,6 +222,17 @@ func TestCountersSurviveReplicaRestart(t *testing.T) {
 			}
 			if db := d.Tier("db"); db.Queries <= 0 {
 				t.Errorf("db tier served %d statements in the window", db.Queries)
+			}
+			// Each replica row carries its backend's DBStats — its server's,
+			// its engine's and what their replaced predecessors counted —
+			// field for field, with nothing in core naming a field.
+			for _, r := range lab.Telemetry().Replicas {
+				want := lab.dbSrvs[r.ID].Telemetry()
+				telemetry.Add(&want, lab.dbs[r.ID].Telemetry())
+				telemetry.Add(&want, lab.dbRetired[r.ID])
+				if r.DBStats != want.DBStats || r.SnapshotReads == 0 {
+					t.Errorf("replica %d DBStats = %+v, want its backend's %+v", r.ID, r.DBStats, want.DBStats)
+				}
 			}
 		})
 	}

@@ -233,7 +233,7 @@ func TestWALCrashMatrix(t *testing.T) {
 			assertReplicasIdentical(t, lab, tc.replicas, auctionChaosTables)
 			tel := lab.Telemetry()
 			dt := tel.Tier("db")
-			if dt == nil || dt.WALRecoveries < 1 || tel.Replicas[victim].Recoveries < 1 {
+			if dt == nil || dt.WALRecoveries < 1 || tel.Replicas[victim].WALRecoveries < 1 {
 				t.Fatalf("telemetry missed the recovery: tier %+v replicas %+v", dt, tel.Replicas)
 			}
 			if dt.WALAppends == 0 || dt.WALFsyncs == 0 {

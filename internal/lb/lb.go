@@ -41,6 +41,7 @@ import (
 
 	"repro/internal/httpd"
 	"repro/internal/pool"
+	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
@@ -80,12 +81,14 @@ type backend struct {
 	ejectedAt atomic.Int64 // unix nanos of the last ejection
 	probing   atomic.Bool  // one probe request at a time
 
-	inFlight  atomic.Int64
-	routed    atomic.Int64
-	affinity  atomic.Int64
-	failovers atomic.Int64
-	errors    atomic.Int64
-	ejections atomic.Int64
+	inFlight atomic.Int64
+	backendCells
+}
+
+// backendCells is a backend's routing counter cells, each named after the
+// telemetry.BackendRouting field it fills (telemetry.Load).
+type backendCells struct {
+	Routed, Affinity, Failovers, Errors, Ejections atomic.Int64
 }
 
 // Balancer dispatches requests across backends. It is safe for concurrent
@@ -144,7 +147,7 @@ func (b *Balancer) ServeHTTP(req *httpd.Request) (*httpd.Response, error) {
 		}
 		// The pin is down (or just died under this request): the session
 		// fails over to whichever backend the loop below picks.
-		p.failovers.Add(1)
+		p.Failovers.Add(1)
 	}
 	for {
 		be := b.pick(tried)
@@ -167,15 +170,15 @@ func (b *Balancer) ServeHTTP(req *httpd.Request) (*httpd.Response, error) {
 // health. Any handler error is transport-level (container-side failures
 // come back as HTTP 5xx responses, not errors) and ejects the backend.
 func (b *Balancer) do(be *backend, req *httpd.Request, viaAffinity bool) (*httpd.Response, error) {
-	be.routed.Add(1)
+	be.Routed.Add(1)
 	if viaAffinity {
-		be.affinity.Add(1)
+		be.Affinity.Add(1)
 	}
 	be.inFlight.Add(1)
 	resp, err := be.h.ServeHTTP(req)
 	be.inFlight.Add(-1)
 	if err != nil {
-		be.errors.Add(1)
+		be.Errors.Add(1)
 		b.eject(be)
 		be.probing.Store(false)
 		return nil, err
@@ -216,7 +219,7 @@ func (b *Balancer) pick(tried []bool) *backend {
 // eject marks the backend out of rotation and stamps the cooldown clock.
 func (b *Balancer) eject(be *backend) {
 	if be.healthy.CompareAndSwap(true, false) {
-		be.ejections.Add(1)
+		be.Ejections.Add(1)
 	}
 	be.ejectedAt.Store(time.Now().UnixNano())
 }
@@ -263,16 +266,8 @@ func (b *Balancer) Healthy() int {
 func (b *Balancer) Stats() []telemetry.AppBackend {
 	out := make([]telemetry.AppBackend, 0, len(b.backends))
 	for _, be := range b.backends {
-		a := telemetry.AppBackend{
-			ID:        be.id,
-			Healthy:   be.healthy.Load(),
-			Routed:    be.routed.Load(),
-			Affinity:  be.affinity.Load(),
-			Failovers: be.failovers.Load(),
-			Errors:    be.errors.Load(),
-			Ejections: be.ejections.Load(),
-			InFlight:  int(be.inFlight.Load()),
-		}
+		a := telemetry.AppBackend{ID: be.id, Healthy: be.healthy.Load(), InFlight: stats.Gauge(be.inFlight.Load())}
+		telemetry.Load(&a, &be.backendCells)
 		if be.poolStats != nil {
 			ps := be.poolStats()
 			a.Pool = &ps

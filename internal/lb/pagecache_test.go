@@ -300,3 +300,13 @@ func TestPageCacheCells(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBackendCells: every per-backend routing counter has exactly one
+// same-named cell on the balancer's backend, and every cell names one.
+func TestBackendCells(t *testing.T) {
+	err := telemetry.CheckCells(reflect.TypeOf(telemetry.AppBackend{}), reflect.TypeOf(telemetry.BackendRouting{}),
+		reflect.TypeOf(backendCells{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+}

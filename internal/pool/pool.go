@@ -358,13 +358,14 @@ func (p *Pool[T]) Close() {
 }
 
 // Stats is a point-in-time snapshot of a pool's gauges and counters.
-// Counter fields are cumulative; Sub turns two snapshots into a window.
+// Counter fields are cumulative: internal/telemetry's Add sums several
+// pools' snapshots and its Snapshot.Delta windows two of one pool.
 type Stats struct {
-	Name     string `json:"name,omitempty"`
-	Capacity int    `json:"capacity"`
+	Name     string      `json:"name,omitempty"`
+	Capacity stats.Gauge `json:"capacity"`
 	// InUse / Idle are gauges at snapshot time.
-	InUse int `json:"in_use"`
-	Idle  int `json:"idle"`
+	InUse stats.Gauge `json:"in_use"`
+	Idle  stats.Gauge `json:"idle"`
 	// Dials counts connections opened; Gets counts borrows; Waits counts
 	// borrows that blocked on an exhausted pool; WaitNanos is the
 	// cumulative time those borrowers spent blocked — the saturation
@@ -403,9 +404,9 @@ func (p *Pool[T]) Stats() Stats {
 	p.mu.Unlock()
 	return Stats{
 		Name:         p.name,
-		Capacity:     p.limit,
-		InUse:        opened - idle,
-		Idle:         idle,
+		Capacity:     stats.Gauge(p.limit),
+		InUse:        stats.Gauge(opened - idle),
+		Idle:         stats.Gauge(idle),
 		Dials:        p.dials.Load(),
 		Gets:         p.gets.Load(),
 		Waits:        p.waits.Load(),
@@ -425,45 +426,4 @@ func (s Stats) Utilization() float64 {
 		return 0
 	}
 	return float64(s.InUse) / float64(s.Capacity)
-}
-
-// Sum aggregates snapshots of several pools into one figure — the rule the
-// cluster client uses for its per-replica pools and the core lab for a
-// replicated app tier's connector pools: capacities, gauges, counters and
-// borrow histograms sum, so the borrow percentiles are the tier's.
-func Sum(name string, pools []Stats) Stats {
-	agg := Stats{Name: name}
-	for _, ps := range pools {
-		agg.Capacity += ps.Capacity
-		agg.InUse += ps.InUse
-		agg.Idle += ps.Idle
-		agg.Dials += ps.Dials
-		agg.Gets += ps.Gets
-		agg.Waits += ps.Waits
-		agg.WaitNanos += ps.WaitNanos
-		agg.Discards += ps.Discards
-		agg.Retries += ps.Retries
-		agg.WaitTimeouts += ps.WaitTimeouts
-		agg.OpTimeouts += ps.OpTimeouts
-		agg.TimeoutNanos += ps.TimeoutNanos
-		agg.Borrow.Add(&ps.Borrow)
-	}
-	return agg
-}
-
-// Sub returns the counter and borrow-histogram deltas s−prev, keeping s's
-// gauges: the borrows recorded between the two snapshots.
-func (s Stats) Sub(prev Stats) Stats {
-	d := s
-	d.Dials -= prev.Dials
-	d.Gets -= prev.Gets
-	d.Waits -= prev.Waits
-	d.WaitNanos -= prev.WaitNanos
-	d.Discards -= prev.Discards
-	d.Retries -= prev.Retries
-	d.WaitTimeouts -= prev.WaitTimeouts
-	d.OpTimeouts -= prev.OpTimeouts
-	d.TimeoutNanos -= prev.TimeoutNanos
-	d.Borrow.Sub(&prev.Borrow)
-	return d
 }

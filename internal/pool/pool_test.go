@@ -525,67 +525,6 @@ func borrow(t *testing.T, p *Pool[int], n int, discard bool) {
 	}
 }
 
-// TestSumMergesBorrow: a replicated tier's borrow percentiles are those of
-// all its borrows. 1000 fast borrows on one pool and 10 slow ones on another
-// put the slow ones above the tier's 99th percentile, so the tier's P95 is
-// the fast pool's 960th borrow — not the slow pool's P95, which Sum reported
-// when it took the worst pool's figure.
-func TestSumMergesBorrow(t *testing.T) {
-	var slow atomic.Bool
-	fast, slowPool := slowDialPool(&slow), slowDialPool(&slow)
-	defer fast.Close()
-	defer slowPool.Close()
-	borrow(t, fast, 1000, false)
-	slow.Store(true)
-	borrow(t, slowPool, 10, true)
-
-	f, s := fast.Stats(), slowPool.Stats()
-	sum := Sum("tier", []Stats{f, s})
-	if sum.Borrow.Count() != 1010 || sum.Gets != 1010 {
-		t.Fatalf("merged %d borrows over %d gets, want 1010", sum.Borrow.Count(), sum.Gets)
-	}
-	if s.Borrow.Percentile(95) < slowDial {
-		t.Fatalf("slow pool's P95 %v, want at least %v", s.Borrow.Percentile(95), slowDial)
-	}
-	// Rank ceil(0.95·1010) = 960 of the tier is rank 960 of the fast pool.
-	if got, want := sum.Borrow.Percentile(95), f.Borrow.Percentile(96); got != want || got >= slowDial {
-		t.Fatalf("tier P95 = %v, want the fast pool's 960th borrow %v", got, want)
-	}
-	if sum.Borrow.SumNs != f.Borrow.SumNs+s.Borrow.SumNs {
-		t.Fatal("merged borrow time is not the sum of the pools'")
-	}
-}
-
-// TestSubWindowsBorrow: the delta of two snapshots holds exactly the
-// borrows between them, so a run-windowed table's borrow P95 is the
-// window's. Slow borrows before the first snapshot must not show in it, as
-// they did when Sub kept the boot-to-end latency figures.
-func TestSubWindowsBorrow(t *testing.T) {
-	var slow atomic.Bool
-	p := slowDialPool(&slow)
-	defer p.Close()
-	slow.Store(true)
-	borrow(t, p, 10, true)
-	slow.Store(false)
-	before := p.Stats()
-	borrow(t, p, 100, false)
-	after := p.Stats()
-
-	d := after.Sub(before)
-	if d.Gets != 100 || d.Borrow.Count() != 100 {
-		t.Fatalf("window: %d gets, %d borrows timed, want 100", d.Gets, d.Borrow.Count())
-	}
-	if after.Borrow.Max() < slowDial {
-		t.Fatalf("boot-to-end max %v, want the slow borrows' %v or more", after.Borrow.Max(), slowDial)
-	}
-	if p95, worst := d.Borrow.Percentile(95), d.Borrow.Max(); worst >= slowDial || p95 > worst {
-		t.Fatalf("window P95 %v max %v: the slow borrows before the window leaked in", p95, worst)
-	}
-	if d.Borrow.SumNs != after.Borrow.SumNs-before.Borrow.SumNs {
-		t.Fatal("window borrow time is not the difference of the snapshots'")
-	}
-}
-
 // TestIdleGetPutAllocs: borrowing an idle connection and returning it
 // allocates nothing — timing the borrow included.
 func TestIdleGetPutAllocs(t *testing.T) {

@@ -142,28 +142,33 @@ func (e *env) evalBinary(ex *sqlparse.BinaryExpr) (Value, error) {
 }
 
 // likeMatch implements SQL LIKE with % (any run) and _ (any single byte).
+// It runs once per scanned row of a LIKE search, so it allocates nothing:
+// a % first matches the empty run, and on a later mismatch the match
+// resumes after the last % seen with that run one byte longer. Returning to
+// the last % alone suffices — whatever an earlier % could absorb, the last
+// one can absorb too — so the walk is O(len(s)·len(pattern)) at worst.
 func likeMatch(s, pattern string) bool {
-	// Dynamic-programming match over bytes.
-	n, m := len(s), len(pattern)
-	prev := make([]bool, n+1)
-	cur := make([]bool, n+1)
-	prev[0] = true
-	for j := 1; j <= m; j++ {
-		pc := pattern[j-1]
-		cur[0] = prev[0] && pc == '%'
-		for i := 1; i <= n; i++ {
-			switch pc {
-			case '%':
-				cur[i] = cur[i-1] || prev[i]
-			case '_':
-				cur[i] = prev[i-1]
-			default:
-				cur[i] = prev[i-1] && s[i-1] == pc
-			}
+	i, j := 0, 0
+	star, run := -1, 0 // the last % in pattern, and the end in s of the run it absorbs
+	for i < len(s) {
+		switch {
+		case j < len(pattern) && pattern[j] == '%':
+			star, run = j, i
+			j++
+		case j < len(pattern) && (pattern[j] == '_' || pattern[j] == s[i]):
+			i++
+			j++
+		case star >= 0:
+			run++
+			i, j = run, star+1
+		default:
+			return false
 		}
-		prev, cur = cur, prev
 	}
-	return prev[n]
+	for j < len(pattern) && pattern[j] == '%' {
+		j++
+	}
+	return j == len(pattern)
 }
 
 // ---- INSERT / UPDATE / DELETE ----

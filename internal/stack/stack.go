@@ -274,15 +274,15 @@ func (f *Front) Telemetry() telemetry.Tier {
 	if f.PageCache != nil {
 		t.PageCacheStats = f.PageCache.Stats()
 	}
-	var pools []pool.Stats
 	for _, be := range f.Backends {
-		if be.PoolStats != nil {
-			pools = append(pools, be.PoolStats())
+		if be.PoolStats == nil {
+			continue
 		}
-	}
-	if len(pools) > 0 {
-		ps := pool.Sum(pools[0].Name, pools)
-		t.Pool, t.Downstream = &ps, "servlet"
+		if ps := be.PoolStats(); t.Pool == nil {
+			t.Pool, t.Downstream = &ps, "servlet"
+		} else {
+			telemetry.Add(t.Pool, ps)
+		}
 	}
 	return t
 }

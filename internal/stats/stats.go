@@ -2,9 +2,10 @@
 // fixed-bucket Histogram that a hot path updates with atomic adds alone, and
 // whose snapshots add and subtract exactly — so a replicated tier's figure
 // is the merge of its pools and a measured window is the difference of two
-// snapshots. It plays the role of the sysstat post-mortem analysis in the
-// paper's methodology (§4.5), which requires measurement that does not
-// perturb what it measures.
+// snapshots — beside the Gauge, a level read at snapshot time. It plays the
+// role of the sysstat post-mortem analysis in the paper's methodology
+// (§4.5), which requires measurement that does not perturb what it
+// measures.
 package stats
 
 import (
@@ -13,6 +14,12 @@ import (
 	"sync/atomic"
 	"time"
 )
+
+// Gauge is a level at snapshot time — connections in use, requests in
+// flight — not a count since boot: rows of several owners sum their gauges,
+// and a measured window keeps the current reading (internal/telemetry's
+// accumulate holds every row to that).
+type Gauge int
 
 // buckets is the number of Histogram buckets: one per nanosecond below
 // 16 ns, then 16 per power of two from 2^4 up to 2^40 ns (≈ 18 min).

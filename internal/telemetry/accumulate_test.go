@@ -9,14 +9,13 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/pool"
+	"repro/internal/stats"
 )
 
 // fill gives every field of the struct v — embedded structs, int64 arrays
-// and the pool snapshot behind a pointer included — a distinct non-zero
-// value counting up from *next, and fails on a field kind it does not know:
-// a new kind must be given an accumulate rule and a line here before it can
-// ship.
+// and the struct behind a pointer included — a distinct non-zero value
+// counting up from *next, and fails on a field kind it does not know: a new
+// kind must be given an accumulate rule and a line here before it can ship.
 func fill(t *testing.T, v reflect.Value, next *int64) {
 	t.Helper()
 	for i := 0; i < v.NumField(); i++ {
@@ -38,10 +37,10 @@ func fill(t *testing.T, v reflect.Value, next *int64) {
 				*next++
 				f.Index(j).SetInt(*next)
 			}
-		case f.Type() == poolStatsType:
-			p := &pool.Stats{}
-			fill(t, reflect.ValueOf(p).Elem(), next)
-			f.Set(reflect.ValueOf(p))
+		case f.Kind() == reflect.Pointer && f.Type().Elem().Kind() == reflect.Struct:
+			p := reflect.New(f.Type().Elem())
+			fill(t, p.Elem(), next)
+			f.Set(p)
 		default:
 			t.Fatalf("%s.%s has kind %s: teach accumulate and this test what to do with it",
 				v.Type(), v.Type().Field(i).Name, f.Kind())
@@ -61,17 +60,35 @@ func filled(t *testing.T, seed int64) *Snapshot {
 }
 
 // checkAccumulated walks got (the result of a += sign·b) against a and b by
-// the rules accumulate documents: int64 counters moved by sign·b, bools (set
-// on both sides) still set,
-// gauges, names and topology figures still a's, the pool combined by the
-// pool package (spot-checked on one counter, one gauge and the name; its
-// borrow histogram exactly a ± b, bucket by bucket).
+// the rules accumulate documents: int64 counters moved by sign·b, gauges
+// summed on Add and a's on a Delta, histograms a ± b bucket by bucket, bools
+// (set on both sides) still set, ids and names still a's, the struct behind
+// a pointer by the same rules on a copy of its own.
 func checkAccumulated(t *testing.T, path string, got, a, b reflect.Value, sign int64) {
 	t.Helper()
 	for i := 0; i < got.NumField(); i++ {
 		name := path + "." + got.Type().Field(i).Name
 		g, av, bv := got.Field(i), a.Field(i), b.Field(i)
 		switch {
+		case g.Type() == gaugeType:
+			want := av.Int()
+			if sign > 0 {
+				want += bv.Int()
+			}
+			if g.Int() != want {
+				t.Errorf("%s = %d, want gauge %d", name, g.Int(), want)
+			}
+		case g.Type() == histogramType:
+			gh, ah, bh := g.Interface().(stats.Histogram), av.Interface().(stats.Histogram), bv.Interface().(stats.Histogram)
+			if gh.SumNs != ah.SumNs+sign*bh.SumNs {
+				t.Errorf("%s time = %d, want %d%+d", name, gh.SumNs, ah.SumNs, sign*bh.SumNs)
+			}
+			for j := range gh.Counts {
+				if gh.Counts[j] != ah.Counts[j]+sign*bh.Counts[j] {
+					t.Errorf("%s bucket %d = %d, want %d%+d", name, j, gh.Counts[j], ah.Counts[j], sign*bh.Counts[j])
+					break
+				}
+			}
 		case g.Kind() == reflect.Int64:
 			if want := av.Int() + sign*bv.Int(); g.Int() != want {
 				t.Errorf("%s = %d, want counter %d%+d", name, g.Int(), av.Int(), sign*bv.Int())
@@ -86,38 +103,23 @@ func checkAccumulated(t *testing.T, path string, got, a, b reflect.Value, sign i
 			}
 		case g.Kind() == reflect.Struct:
 			checkAccumulated(t, name, g, av, bv, sign)
-		case g.Type() == poolStatsType:
-			gp, ap, bp := g.Interface().(*pool.Stats), av.Interface().(*pool.Stats), bv.Interface().(*pool.Stats)
-			if gp == ap {
-				t.Errorf("%s still points at the input's pool snapshot", name)
+		case g.Kind() == reflect.Pointer:
+			if g.Pointer() == av.Pointer() {
+				t.Errorf("%s still points at the input's value", name)
 			}
-			if gp.Gets != ap.Gets+sign*bp.Gets || gp.Name != ap.Name {
-				t.Errorf("%s = %+v, want gets %d%+d under the receiver's name", name, gp, ap.Gets, sign*bp.Gets)
-			}
-			if sign < 0 && gp.Capacity != ap.Capacity {
-				t.Errorf("%s capacity = %d, want the receiver's gauge %d kept", name, gp.Capacity, ap.Capacity)
-			}
-			gh, ah, bh := gp.Borrow, ap.Borrow, bp.Borrow
-			if gh.SumNs != ah.SumNs+sign*bh.SumNs {
-				t.Errorf("%s borrow time = %d, want %d%+d", name, gh.SumNs, ah.SumNs, sign*bh.SumNs)
-			}
-			for j := range gh.Counts {
-				if gh.Counts[j] != ah.Counts[j]+sign*bh.Counts[j] {
-					t.Errorf("%s borrow bucket %d = %d, want %d%+d", name, j, gh.Counts[j], ah.Counts[j], sign*bh.Counts[j])
-					break
-				}
-			}
+			checkAccumulated(t, name, g.Elem(), av.Elem(), bv.Elem(), sign)
 		default:
 			t.Fatalf("%s has kind %s: no rule checked", name, g.Kind())
 		}
 	}
 }
 
-// TestAccumulateCoversEveryField populates every field of Tier, Replica and
-// AppBackend by reflection and holds Add and Delta to accumulate's rules
-// field by field, so a counter added to any of the structs is summed and
-// windowed without anyone writing a line for it — and a field of a kind the
-// rules do not cover fails here instead of being skipped.
+// TestAccumulateCoversEveryField populates every field of Tier, Replica,
+// AppBackend and pool.Stats by reflection and holds Add and Delta to
+// accumulate's rules field by field, so a counter added to any of the
+// structs is summed and windowed without anyone writing a line for it — and
+// a field of a kind the rules do not cover fails here instead of being
+// skipped.
 func TestAccumulateCoversEveryField(t *testing.T) {
 	a, b := filled(t, 1000), filled(t, 100)
 	// Delta pairs rows by name / id.
@@ -136,6 +138,12 @@ func TestAccumulateCoversEveryField(t *testing.T) {
 		checkAccumulated(t, c.name+" Replica", reflect.ValueOf(c.got.Replicas[0]), reflect.ValueOf(a.Replicas[0]), reflect.ValueOf(b.Replicas[0]), c.sign)
 		checkAccumulated(t, c.name+" AppBackend", reflect.ValueOf(c.got.AppBackends[0]), reflect.ValueOf(a.AppBackends[0]), reflect.ValueOf(b.AppBackends[0]), c.sign)
 	}
+	// A pool row on its own: how the owners fold several pools into one.
+	pa, pb := *a.Tiers[0].Pool, *b.Tiers[0].Pool
+	psum := pa
+	Add(&psum, pb)
+	checkAccumulated(t, "Add pool.Stats", reflect.ValueOf(psum), reflect.ValueOf(pa), reflect.ValueOf(pb), +1)
+
 	if self := a.Delta(a).Tiers[0]; self.Broadcasts != 0 || self.Requests != 0 || self.Pool.Gets != 0 {
 		t.Errorf("a snapshot's delta against itself keeps counters: %+v", self)
 	}
@@ -167,6 +175,9 @@ func TestAccumulateCoversEveryField(t *testing.T) {
 // and an app-backend object to the list the hand-declared structs produced
 // before ClusterStats was embedded in Tier: embedding must flatten into the
 // same keys, or cmd/loadgen and anything else decoding the payload breaks.
+// A replica carries its backend's DBStats under the db tier's keys
+// (`wal_checkpoints` and `wal_recoveries` were `checkpoints` and
+// `recoveries` before).
 func TestStatusJSONKeysStable(t *testing.T) {
 	var m map[string]any
 	if err := json.Unmarshal(filled(t, 100).JSON(), &m); err != nil {
@@ -185,7 +196,7 @@ func TestStatusJSONKeysStable(t *testing.T) {
 		{"tier", keys(first("tiers")),
 			"aborts broadcast_acks broadcasts bytes commits deadlock_timeouts downstream loads lock_bypasses name page_cache_bypasses page_cache_hits page_cache_invalidations page_cache_misses plan_hits plan_misses pool prepared_execs queries query_cache_bypasses query_cache_hits query_cache_invalidations query_cache_misses readonly_txns requests shard_2pc_txns shard_broadcast shard_scatter shard_single shards slow_ejections snapshot_reads snapshot_refreshes stores text_execs txn_lock_wait_nanos wal_appends wal_bytes wal_checkpoints wal_fsyncs wal_full_syncs wal_recoveries"},
 		{"replica", keys(first("replicas")),
-			"addr checkpoints ejections healthy id lag_nanos pool queries reads recoveries shard wal_appends wal_bytes wal_fsyncs writes"},
+			"addr deadlock_timeouts ejections healthy id lag_nanos lock_bypasses plan_hits plan_misses pool prepared_execs queries reads shard snapshot_reads snapshot_refreshes text_execs txn_lock_wait_nanos wal_appends wal_bytes wal_checkpoints wal_fsyncs wal_recoveries writes"},
 		{"app backend", keys(first("app_backends")),
 			"affinity ejections errors failovers healthy id in_flight pool requests routed"},
 		// The pool object lost backoff_nanos and backoffs with the backoff
@@ -200,11 +211,11 @@ func TestStatusJSONKeysStable(t *testing.T) {
 	}
 }
 
-// TestTierFieldNamesUnique: a Go name declared at two depths of Tier would
-// leave the deeper field shadowed, so every field of Tier and of the
-// counter structs it embeds has a name of its own.
+// TestTierFieldNamesUnique: a Go name declared at two depths of a row would
+// leave the deeper field shadowed, so every field of Tier, Replica and
+// AppBackend and of the counter structs each embeds has a name of its own.
 func TestTierFieldNamesUnique(t *testing.T) {
-	seen := map[string]string{}
+	var seen map[string]string
 	var walk func(reflect.Type)
 	walk = func(typ reflect.Type) {
 		for i := 0; i < typ.NumField(); i++ {
@@ -219,7 +230,10 @@ func TestTierFieldNamesUnique(t *testing.T) {
 			seen[f.Name] = typ.Name()
 		}
 	}
-	walk(reflect.TypeOf(Tier{}))
+	for _, row := range []any{Tier{}, Replica{}, AppBackend{}} {
+		seen = map[string]string{}
+		walk(reflect.TypeOf(row))
+	}
 }
 
 // TestStatusGlossary: README's /status field glossary has a row for every

@@ -11,11 +11,13 @@
 // JSON from a remote server. A counter is declared here once, as a field
 // of one of the counter structs a row embeds — ClusterStats (the cluster
 // client; cluster.ClientStats is this type), DBStats (the engine, its log
-// and the wire server) and PageCacheStats (internal/lb) — and in its owner
-// as an atomic cell of the same name. Load is the one walk from cells to
-// fields, so nothing in between copies a counter. Add and Delta
-// (accumulate, below) are the only code that combines rows, and they walk
-// the struct too.
+// and the wire server; a tier row and a replica row both embed it),
+// PageCacheStats (internal/lb), ReplicaRouting (the cluster client, per
+// replica) and BackendRouting (the balancer, per app backend) — and in its
+// owner as an atomic cell of the same name. Load is the one walk from cells
+// to fields, so nothing in between copies a counter. Add and Delta
+// (accumulate, below) are the only code that combines rows — pool.Stats
+// rows included — and they walk the struct too.
 package telemetry
 
 import (
@@ -28,6 +30,7 @@ import (
 	"time"
 
 	"repro/internal/pool"
+	"repro/internal/stats"
 )
 
 // ClusterStats is the cluster client's counters (internal/cluster fills it;
@@ -204,10 +207,8 @@ type Tier struct {
 
 // Replica is one database backend's view in a replicated (read-one-write-
 // all) run: how the cluster client routed traffic to it, its health, and —
-// when the snapshot owner also runs the servers — the statements it served.
-// Lag is the cumulative time this replica's write acknowledgements trailed
-// the fastest acknowledgement of each (concurrent) broadcast — zero on
-// whichever replica answered first.
+// when the snapshot owner also runs the servers — the statements it served
+// and its DBStats, as the db tier's.
 type Replica struct {
 	ID int `json:"id"`
 	// Shard is the owning shard group's index on a sharded cluster
@@ -215,51 +216,60 @@ type Replica struct {
 	Shard   int    `json:"shard"`
 	Addr    string `json:"addr,omitempty"`
 	Healthy bool   `json:"healthy"`
-	// Reads / Writes count statements the cluster client routed here;
-	// Ejections counts health ejections after transport failures.
-	Reads     int64 `json:"reads"`
-	Writes    int64 `json:"writes"`
-	Ejections int64 `json:"ejections,omitempty"`
-	LagNanos  int64 `json:"lag_nanos,omitempty"`
+	ReplicaRouting
 	// Queries is the replica server's own statement counter (server-side
 	// view; 0 when the snapshot was taken from the client side only).
 	Queries int64       `json:"queries,omitempty"`
 	Pool    *pool.Stats `json:"pool,omitempty"`
-	// Write-ahead log counters for this replica's backend (zero when the
-	// snapshot owner does not run the servers, or the backend has no WAL):
-	// appends/fsyncs/bytes measure the log, Checkpoints the snapshots it
-	// rotated against, Recoveries whether this process recovered its state
-	// from disk at boot.
-	WALAppends  int64 `json:"wal_appends,omitempty"`
-	WALFsyncs   int64 `json:"wal_fsyncs,omitempty"`
-	WALBytes    int64 `json:"wal_bytes,omitempty"`
-	Checkpoints int64 `json:"checkpoints,omitempty"`
-	Recoveries  int64 `json:"recoveries,omitempty"`
+	// DBStats is this backend's engine, log and wire-server counters, the
+	// same fields its row adds to the db tier (zero when the snapshot owner
+	// does not run the servers).
+	DBStats
+}
+
+// ReplicaRouting is the cluster client's counters for one replica
+// (internal/cluster fills it, one same-named cell per field). Reads /
+// Writes count statements routed here; Ejections counts health ejections
+// after transport failures; LagNanos is the cumulative time this replica's
+// write acknowledgements trailed the fastest acknowledgement of each
+// (concurrent) broadcast — zero on whichever replica answered first.
+type ReplicaRouting struct {
+	Reads     int64 `json:"reads"`
+	Writes    int64 `json:"writes"`
+	Ejections int64 `json:"ejections,omitempty"`
+	LagNanos  int64 `json:"lag_nanos,omitempty"`
 }
 
 // AppBackend is one application-tier backend's view in a load-balanced
 // (replicated application tier) run: how the front-end balancer
 // (internal/lb) routed traffic to it, its health, and — when the snapshot
-// owner also runs the containers — the requests it served. Routed counts
-// balancer dispatches; Affinity counts the subset pinned here by session
-// affinity; Failovers counts pinned requests redirected to another backend
-// because this one was down.
+// owner also runs the containers — the requests it served.
 type AppBackend struct {
-	ID        string `json:"id"`
-	Healthy   bool   `json:"healthy"`
-	Routed    int64  `json:"routed"`
-	Affinity  int64  `json:"affinity,omitempty"`
-	Failovers int64  `json:"failovers,omitempty"`
-	Errors    int64  `json:"errors,omitempty"`
-	Ejections int64  `json:"ejections,omitempty"`
+	ID      string `json:"id"`
+	Healthy bool   `json:"healthy"`
+	BackendRouting
 	// InFlight is the balancer's requests-outstanding gauge at snapshot
 	// time — the least-in-flight routing signal.
-	InFlight int `json:"in_flight"`
+	InFlight stats.Gauge `json:"in_flight"`
 	// Requests is the backend container's own served count (container-side
 	// view; 0 when the snapshot was taken from the balancer side only).
 	Requests int64 `json:"requests,omitempty"`
 	// Pool is the balancer-side connector pool into this backend.
 	Pool *pool.Stats `json:"pool,omitempty"`
+}
+
+// BackendRouting is the balancer's counters for one app backend
+// (internal/lb fills it, one same-named cell per field). Routed counts
+// dispatches; Affinity the subset pinned here by session affinity;
+// Failovers the pinned requests redirected to another backend because this
+// one was down; Errors the failed dispatches; Ejections the health
+// ejections.
+type BackendRouting struct {
+	Routed    int64 `json:"routed"`
+	Affinity  int64 `json:"affinity,omitempty"`
+	Failovers int64 `json:"failovers,omitempty"`
+	Errors    int64 `json:"errors,omitempty"`
+	Ejections int64 `json:"ejections,omitempty"`
 }
 
 // Snapshot is the whole stack at one moment (or, after Delta, over one
@@ -316,55 +326,70 @@ func (s *Snapshot) Delta(prev *Snapshot) *Snapshot {
 }
 
 // Add sums src into dst — two backends' rows for one tier, two clients'
-// views of one replica, a shard's ClusterStats into its client's. T is
-// ClusterStats or one of the Snapshot row types.
+// views of one replica, a shard's ClusterStats into its client's, several
+// pools' snapshots into one (whose Name the caller sets). T is a struct
+// whose every field accumulate has a rule for.
 func Add[T any](dst *T, src T) {
-	accumulate(reflect.ValueOf(dst).Elem(), reflect.ValueOf(src), +1)
+	accumulate(reflect.ValueOf(dst).Elem(), reflect.ValueOf(&src).Elem(), +1)
 }
 
 func sub[T any](dst *T, prev T) {
-	accumulate(reflect.ValueOf(dst).Elem(), reflect.ValueOf(prev), -1)
+	accumulate(reflect.ValueOf(dst).Elem(), reflect.ValueOf(&prev).Elem(), -1)
 }
 
-var poolStatsType = reflect.TypeOf((*pool.Stats)(nil))
+var (
+	gaugeType     = reflect.TypeOf(stats.Gauge(0))
+	histogramType = reflect.TypeOf(stats.Histogram{})
+)
 
 // accumulate is the one rule for combining two rows of the same struct type,
 // dst += sign·src, field by field (it runs when a snapshot is taken, never
-// per request):
+// per request). The rule is the field's kind:
 //
 //   - int64 fields are cumulative counters: they add, or subtract for a Delta.
+//   - stats.Gauge fields are levels: they add — two pools' connections in
+//     use are the tier's — and a Delta keeps dst's, the current reading.
+//   - stats.Histogram fields merge, or window, exactly, bucket by bucket.
 //   - bool fields AND on add — Healthy, the only kind of bool the rows
 //     carry: a replica or backend two views merge is healthy only when both
 //     say so — and a Delta keeps dst's, the current state.
-//   - int and string fields are gauges, topology figures, ids and names:
-//     dst's value stands.
-//   - *pool.Stats follows the pool package's own rules (Sum, Sub — gauges and
-//     the borrow histogram included); a nil side leaves dst's pointer alone.
-//   - embedded structs recurse.
+//   - int and string fields are identity — ids, shard indexes, names,
+//     topology figures: dst's value stands.
+//   - a pointer to a struct recurses on a fresh copy (dst may share its
+//     pointer with the snapshot it was copied from); a nil side leaves
+//     dst's pointer alone.
+//   - struct fields, embedded or not, recurse.
 //
-// Any other kind panics: a new float64 or nested type must be given a rule
-// here before it can ship (TestAccumulateCoversEveryField).
+// Any other kind panics: a new float64 or slice must be given a rule here
+// before it can ship (TestAccumulateCoversEveryField).
 func accumulate(dst, src reflect.Value, sign int64) {
 	for i := 0; i < dst.NumField(); i++ {
 		d, s := dst.Field(i), src.Field(i)
-		if d.Type() == poolStatsType {
-			if dp, sp := d.Interface().(*pool.Stats), s.Interface().(*pool.Stats); dp != nil && sp != nil {
-				// A fresh value: dst may share its pointer with the snapshot it was copied from.
-				sum := dp.Sub(*sp)
-				if sign > 0 {
-					sum = pool.Sum(dp.Name, []pool.Stats{*dp, *sp})
-				}
-				d.Set(reflect.ValueOf(&sum))
+		switch {
+		case d.Type() == gaugeType:
+			if sign > 0 {
+				d.SetInt(d.Int() + s.Int())
 			}
-			continue
-		}
-		switch d.Kind() {
-		case reflect.Int64:
+		case d.Type() == histogramType:
+			h, o := d.Addr().Interface().(*stats.Histogram), s.Addr().Interface().(*stats.Histogram)
+			if sign > 0 {
+				h.Add(o)
+			} else {
+				h.Sub(o)
+			}
+		case d.Kind() == reflect.Int64:
 			d.SetInt(d.Int() + sign*s.Int())
-		case reflect.Bool:
+		case d.Kind() == reflect.Bool:
 			d.SetBool(d.Bool() && (sign < 0 || s.Bool()))
-		case reflect.Int, reflect.String:
-		case reflect.Struct:
+		case d.Kind() == reflect.Int || d.Kind() == reflect.String:
+		case d.Kind() == reflect.Pointer && d.Type().Elem().Kind() == reflect.Struct:
+			if !d.IsNil() && !s.IsNil() {
+				c := reflect.New(d.Type().Elem())
+				c.Elem().Set(d.Elem())
+				accumulate(c.Elem(), s.Elem(), sign)
+				d.Set(c)
+			}
+		case d.Kind() == reflect.Struct:
 			accumulate(d, s, sign)
 		default:
 			panic(fmt.Sprintf("telemetry: no accumulate rule for %s.%s (%s)", dst.Type(), dst.Type().Field(i).Name, d.Type()))
