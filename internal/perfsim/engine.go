@@ -68,14 +68,14 @@ func newRun(b Benchmark, m Mix, a Arch, opt Options) *run {
 		r.ejb = cl.AddMachine("ejb")
 	}
 	r.db = cl.AddMachine("db")
-	for _, t := range spec.tables {
+	for range spec.tables {
 		// MyISAM gives pending write locks priority over pending reads; the
 		// engine-side lock manager of the (sync) variants is a fair queue.
-		r.dbLocks = append(r.dbLocks, sim.NewWriterPriorityRWLock(s, "db/"+t))
-		r.engLocks = append(r.engLocks, sim.NewRWLock(s, "eng/"+t))
+		r.dbLocks = append(r.dbLocks, sim.NewWriterPriorityRWLock(s))
+		r.engLocks = append(r.engLocks, sim.NewRWLock(s))
 	}
 	r.locksFor = lockIntents(spec)
-	r.dbPool = sim.NewSemaphore(s, "dbpool", opt.Costs.DBPoolSize)
+	r.dbPool = sim.NewSemaphore(s, opt.Costs.DBPoolSize)
 	return r
 }
 

@@ -1,6 +1,9 @@
 package perfsim
 
 import (
+	"cmp"
+	"fmt"
+	"maps"
 	"math"
 	"reflect"
 	"slices"
@@ -175,9 +178,48 @@ func TestEvaluateEqualsSerialRun(t *testing.T) {
 	}
 }
 
+// fold adds v to the FNV-1a hash h: every float by its bits, and every
+// integer, string, struct field, slice element and map entry (in key
+// order), so a change to any bit of v changes the fold, bar a collision.
+func fold(h uint64, v reflect.Value) uint64 {
+	mix := func(x uint64) { h = (h ^ x) * 1099511628211 }
+	switch v.Kind() {
+	case reflect.Float64:
+		mix(math.Float64bits(v.Float()))
+	case reflect.Int, reflect.Int64:
+		mix(uint64(v.Int()))
+	case reflect.String:
+		for _, b := range []byte(v.String()) {
+			mix(uint64(b))
+		}
+		mix(1 << 8) // ends the string
+	case reflect.Struct:
+		for i := range v.NumField() {
+			h = fold(h, v.Field(i))
+		}
+	case reflect.Slice:
+		for i := range v.Len() {
+			h = fold(h, v.Index(i))
+		}
+	case reflect.Map:
+		keys := v.MapKeys()
+		slices.SortFunc(keys, func(a, b reflect.Value) int { return cmp.Compare(fmt.Sprint(a), fmt.Sprint(b)) })
+		for _, k := range keys {
+			h = fold(fold(h, k), v.MapIndex(k))
+		}
+	default:
+		panic("fold: unhandled kind " + v.Kind().String())
+	}
+	return h
+}
+
 // TestShapeClaims checks every claim in short windows. The union of the
 // points the claims declare is evaluated once per (benchmark, mix)
 // experiment; Fig11Shape's peaks are over whatever points its curves hold.
+// The same data, every Result field to the last bit, is pinned by a
+// fingerprint: a change that is meant to leave the figures alone (the
+// kernel's event order, the engine's bookkeeping) must keep it, and one
+// that moves them on purpose re-pins it.
 func TestShapeClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
@@ -220,6 +262,17 @@ func TestShapeClaims(t *testing.T) {
 	for _, c := range Claims() {
 		fs := specOfFigure(c.Figure)
 		t.Run(c.Name, func(t *testing.T) { c.Check(data[experiment{fs.bench, fs.mix}], t.Errorf) })
+	}
+	const wantFingerprint = uint64(0xc39c27b01df1cdf8)
+	es := slices.SortedFunc(maps.Keys(data), func(a, b experiment) int {
+		return cmp.Or(cmp.Compare(a.b, b.b), cmp.Compare(a.m, b.m))
+	})
+	h := uint64(14695981039346656037)
+	for _, e := range es {
+		h = fold(h, reflect.ValueOf(data[e]))
+	}
+	if h != wantFingerprint {
+		t.Errorf("figure data fingerprint %#x, want %#x: the simulated figures moved", h, wantFingerprint)
 	}
 }
 

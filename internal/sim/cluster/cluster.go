@@ -43,7 +43,6 @@ type Cluster struct {
 	sim      *sim.Sim
 	cfg      Config
 	machines map[string]*Machine
-	order    []string
 }
 
 // New creates an empty cluster attached to s.
@@ -65,25 +64,12 @@ func (c *Cluster) AddMachine(name string) *Machine {
 	}
 	m := &Machine{
 		Name: name,
-		CPU:  sim.NewPSResource(c.sim, name+"/cpu", c.cfg.CPUSpeed),
-		TX:   sim.NewPSResource(c.sim, name+"/tx", c.cfg.LinkBandwidth),
-		RX:   sim.NewPSResource(c.sim, name+"/rx", c.cfg.LinkBandwidth),
+		CPU:  sim.NewPSResource(c.sim, c.cfg.CPUSpeed),
+		TX:   sim.NewPSResource(c.sim, c.cfg.LinkBandwidth),
+		RX:   sim.NewPSResource(c.sim, c.cfg.LinkBandwidth),
 	}
 	c.machines[name] = m
-	c.order = append(c.order, name)
 	return m
-}
-
-// Machine returns a machine by name, or nil.
-func (c *Cluster) Machine(name string) *Machine { return c.machines[name] }
-
-// Machines returns the machines in creation order.
-func (c *Cluster) Machines() []*Machine {
-	ms := make([]*Machine, 0, len(c.order))
-	for _, n := range c.order {
-		ms = append(ms, c.machines[n])
-	}
-	return ms
 }
 
 // Send models transferring size bytes from machine a to machine b through

@@ -112,24 +112,3 @@ func TestNICThroughput(t *testing.T) {
 		t.Fatalf("NIC throughput %g, want 500", got)
 	}
 }
-
-func TestMachinesOrder(t *testing.T) {
-	s := sim.New()
-	c := New(s, DefaultConfig())
-	names := []string{"web", "servlet", "ejb", "db"}
-	for _, n := range names {
-		c.AddMachine(n)
-	}
-	ms := c.Machines()
-	if len(ms) != len(names) {
-		t.Fatalf("got %d machines, want %d", len(ms), len(names))
-	}
-	for i, m := range ms {
-		if m.Name != names[i] {
-			t.Fatalf("machine %d = %q, want %q", i, m.Name, names[i])
-		}
-	}
-	if c.Machine("db") == nil || c.Machine("nope") != nil {
-		t.Fatal("Machine lookup broken")
-	}
-}

@@ -15,37 +15,27 @@ package sim
 //     past the peak on the bookstore write mixes (§5.1).
 type RWLock struct {
 	sim      *Sim
-	name     string
 	writePri bool
 	readers  int
 	writer   bool
 
-	rq []*lockWaiter // waiting readers, FIFO
-	wq []*lockWaiter // waiting writers, FIFO
+	rq waiters // waiting readers
+	wq waiters // waiting writers
 
 	seq int64 // per-lock arrival counter for FCFS ordering
 
 	waitAcc float64 // accumulated waiting time over all grants
 }
 
-type lockWaiter struct {
-	since   float64
-	granted func()
-	seq     int64
-}
-
 // NewRWLock creates a FCFS lock attached to s.
-func NewRWLock(s *Sim, name string) *RWLock {
-	return &RWLock{sim: s, name: name}
+func NewRWLock(s *Sim) *RWLock {
+	return &RWLock{sim: s}
 }
 
 // NewWriterPriorityRWLock creates a lock with MyISAM-style writer priority.
-func NewWriterPriorityRWLock(s *Sim, name string) *RWLock {
-	return &RWLock{sim: s, name: name, writePri: true}
+func NewWriterPriorityRWLock(s *Sim) *RWLock {
+	return &RWLock{sim: s, writePri: true}
 }
-
-// Name returns the lock name.
-func (l *RWLock) Name() string { return l.name }
 
 // Acquire requests the lock. granted runs (synchronously if the lock is
 // immediately available, otherwise when predecessors release) once the lock
@@ -54,18 +44,14 @@ func (l *RWLock) Acquire(write bool, granted func()) {
 	if granted == nil {
 		panic("sim: RWLock.Acquire with nil granted")
 	}
-	w := &lockWaiter{since: l.sim.Now(), granted: granted, seq: l.nextSeq()}
+	l.seq++
+	w := waiter{since: l.sim.Now(), seq: l.seq, granted: granted}
 	if write {
-		l.wq = append(l.wq, w)
+		l.wq.push(w)
 	} else {
-		l.rq = append(l.rq, w)
+		l.rq.push(w)
 	}
 	l.dispatch()
-}
-
-func (l *RWLock) nextSeq() int64 {
-	l.seq++
-	return l.seq
 }
 
 // Release releases one hold on the lock. write must match the corresponding
@@ -85,49 +71,25 @@ func (l *RWLock) Release(write bool) {
 	l.dispatch()
 }
 
-// dispatch grants as many waiters as the policy allows.
+// dispatch grants as many waiters as the policy allows. The next candidate
+// is the oldest writer under writer priority (MyISAM: all pending writes
+// before any pending read) while one waits, and under FCFS whichever queue
+// head arrived first.
 func (l *RWLock) dispatch() {
 	for {
-		var w *lockWaiter
-		var write bool
+		write := len(l.wq) > 0 && (l.writePri || len(l.rq) == 0 || l.wq[0].seq < l.rq[0].seq)
+		var w waiter
 		switch {
-		case l.writePri:
-			// MyISAM: all pending writes before any pending read.
-			if len(l.wq) > 0 {
-				if l.writer || l.readers > 0 {
-					return
-				}
-				w, write = l.wq[0], true
-			} else if len(l.rq) > 0 {
-				if l.writer {
-					return
-				}
-				w = l.rq[0]
-			} else {
+		case write:
+			if l.writer || l.readers > 0 {
 				return
 			}
-		default:
-			// FCFS: strict arrival order across both queues.
-			switch {
-			case len(l.wq) == 0 && len(l.rq) == 0:
-				return
-			case len(l.rq) == 0 || (len(l.wq) > 0 && l.wq[0].seq < l.rq[0].seq):
-				if l.writer || l.readers > 0 {
-					return
-				}
-				w, write = l.wq[0], true
-			default:
-				if l.writer {
-					return
-				}
-				w = l.rq[0]
-			}
-		}
-		if write {
-			l.wq = l.wq[1:]
+			w = l.wq.pop()
 			l.writer = true
-		} else {
-			l.rq = l.rq[1:]
+		case len(l.rq) == 0 || l.writer:
+			return
+		default:
+			w = l.rq.pop()
 			l.readers++
 		}
 		l.waitAcc += l.sim.Now() - w.since

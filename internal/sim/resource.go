@@ -10,17 +10,17 @@ import "math"
 // The implementation uses the classic virtual-time formulation: virtual time
 // V advances at rate speed/n, each job completes when V reaches its arrival
 // value plus its demand, so arrivals and completions cost O(log n). The
-// resource keeps one completion event, queued while a job is in service;
-// an arrival moves it in place to the smallest target's new time.
+// resource keeps its one completion event itself, armed while a job is in
+// service; an arrival restamps it with the smallest target's new time.
 type PSResource struct {
 	sim   *Sim
-	name  string
 	speed float64
 
-	jobs  heap[psJob]
+	jobs  queue    // jobs in service: at is the virtual-time target, seq 0
 	lastT float64  // real time of last state update
 	v     float64  // virtual time
 	next  event    // the completion of the job with the smallest target
+	armed bool     // next is pending
 	dones []func() // complete's list of finished jobs, reused
 
 	busy float64 // integral of 1{n>0} dt
@@ -29,17 +29,15 @@ type PSResource struct {
 // NewPSResource creates a processor-sharing resource attached to s.
 // speed is the work-unit rate when a single job is in service and must be
 // positive.
-func NewPSResource(s *Sim, name string, speed float64) *PSResource {
+func NewPSResource(s *Sim, speed float64) *PSResource {
 	if speed <= 0 || math.IsNaN(speed) {
 		panic("sim: PSResource speed must be positive")
 	}
-	r := &PSResource{sim: s, name: name, speed: speed, lastT: s.Now()}
-	r.next = event{fn: r.complete, i: -1}
+	r := &PSResource{sim: s, speed: speed, lastT: s.Now()}
+	r.next.fn = r.complete
+	s.ps = append(s.ps, r)
 	return r
 }
-
-// Name returns the resource name given at construction.
-func (r *PSResource) Name() string { return r.name }
 
 // Speed returns the full-speed service rate.
 func (r *PSResource) Speed() float64 { return r.speed }
@@ -56,7 +54,7 @@ func (r *PSResource) Use(demand float64, done func()) {
 		r.sim.Schedule(0, done)
 		return
 	}
-	r.jobs.push(psJob{target: r.v + demand, done: done})
+	r.jobs.push(event{at: r.v + demand, fn: done})
 	r.arm()
 }
 
@@ -71,11 +69,12 @@ func (r *PSResource) advance() {
 	r.lastT = now
 }
 
-// arm moves the completion event to when the job with the smallest
+// arm restamps the completion event with when the job with the smallest
 // virtual-time target finishes at the current share.
 func (r *PSResource) arm() {
-	dt := (r.jobs[0].target - r.v) * float64(len(r.jobs)) / r.speed
-	r.sim.arm(&r.next, dt)
+	dt := (r.jobs[0].at - r.v) * float64(len(r.jobs)) / r.speed
+	r.next.at, r.next.seq = r.sim.stamp(dt)
+	r.armed = true
 }
 
 func (r *PSResource) complete() {
@@ -84,8 +83,8 @@ func (r *PSResource) complete() {
 	// drift when many equal-demand jobs share the resource.
 	const eps = 1e-9
 	dones := r.dones[:0]
-	for len(r.jobs) > 0 && r.jobs[0].target <= r.v+eps*(1+math.Abs(r.v)) {
-		dones = append(dones, r.jobs.pop().done)
+	for len(r.jobs) > 0 && r.jobs[0].at <= r.v+eps*(1+math.Abs(r.v)) {
+		dones = append(dones, r.jobs.pop().fn)
 	}
 	if len(r.jobs) > 0 {
 		r.arm()
@@ -120,12 +119,3 @@ func (r *PSResource) UtilizationSince(busy0, t0 float64) float64 {
 	}
 	return u
 }
-
-type psJob struct {
-	target float64 // virtual time at which service completes
-	done   func()
-}
-
-func (j psJob) before(o psJob) bool { return j.target < o.target }
-
-func (psJob) moved(int) {}

@@ -7,28 +7,41 @@ package sim
 // time-slicing hundreds of queries at once.
 type Semaphore struct {
 	sim   *Sim
-	name  string
 	cap   int
 	held  int
-	queue []func()
+	queue waiters
 
 	waitAcc float64
-	waitT   []float64 // arrival times of queued waiters (parallel to queue)
+}
+
+// waiter is a parked request: when it arrived, its place in arrival order
+// where a lock keeps two queues, and what runs once it is granted.
+type waiter struct {
+	since   float64
+	seq     int64
+	granted func()
+}
+
+// waiters is a FIFO of parked requests. pop clears the slot it vacates, so
+// the backing array keeps no granted closure reachable.
+type waiters []waiter
+
+func (q *waiters) push(w waiter) { *q = append(*q, w) }
+
+func (q *waiters) pop() waiter {
+	w := (*q)[0]
+	(*q)[0] = waiter{}
+	*q = (*q)[1:]
+	return w
 }
 
 // NewSemaphore creates a semaphore with the given capacity (>0).
-func NewSemaphore(s *Sim, name string, capacity int) *Semaphore {
+func NewSemaphore(s *Sim, capacity int) *Semaphore {
 	if capacity <= 0 {
 		panic("sim: Semaphore capacity must be positive")
 	}
-	return &Semaphore{sim: s, name: name, cap: capacity}
+	return &Semaphore{sim: s, cap: capacity}
 }
-
-// Name returns the semaphore name.
-func (sem *Semaphore) Name() string { return sem.name }
-
-// QueueLen returns the number of waiters.
-func (sem *Semaphore) QueueLen() int { return len(sem.queue) }
 
 // TotalWait returns the accumulated waiting time across grants.
 func (sem *Semaphore) TotalWait() float64 { return sem.waitAcc }
@@ -44,8 +57,7 @@ func (sem *Semaphore) Acquire(granted func()) {
 		granted()
 		return
 	}
-	sem.queue = append(sem.queue, granted)
-	sem.waitT = append(sem.waitT, sem.sim.Now())
+	sem.queue.push(waiter{since: sem.sim.Now(), granted: granted})
 }
 
 // Release frees one slot, granting the oldest waiter if any.
@@ -55,11 +67,9 @@ func (sem *Semaphore) Release() {
 	}
 	sem.held--
 	if len(sem.queue) > 0 {
-		granted := sem.queue[0]
-		sem.queue = sem.queue[1:]
-		sem.waitAcc += sem.sim.Now() - sem.waitT[0]
-		sem.waitT = sem.waitT[1:]
+		w := sem.queue.pop()
+		sem.waitAcc += sem.sim.Now() - w.since
 		sem.held++
-		granted()
+		w.granted()
 	}
 }

@@ -6,10 +6,12 @@
 // lock primitives used to model database table locking.
 //
 // All times are float64 seconds of virtual time. A Sim is single-threaded
-// and deterministic: events fire in (time, scheduling order). The queue owns
-// every pending event and never cancels one: a processor-sharing resource
-// keeps one pending completion and moves it in place, to its new time and
-// the next place in scheduling order, when a job arrives.
+// and deterministic: events fire in (time, scheduling order). Scheduled
+// callbacks wait as values in one binary min-heap that only pushes and pops.
+// A processor-sharing resource keeps its one pending completion beside that
+// heap, restamped with a new time and the next place in scheduling order
+// when a job arrives; each step fires the earlier of the heap's head and
+// the armed completions.
 package sim
 
 import (
@@ -20,25 +22,22 @@ import (
 // Sim is a discrete-event simulator. The zero value is not usable; call New.
 type Sim struct {
 	now    float64
-	events heap[*event] // ordered by (at, seq)
+	events queue         // scheduled callbacks, ordered by (at, seq)
+	ps     []*PSResource // every resource, each with at most one completion armed
 	seq    int64
 	steps  int64
 }
 
-// event is one pending callback; i is its index in the queue, -1 when it is
-// not queued.
+// event is one pending callback, fired in (at, seq) order.
 type event struct {
 	at  float64
 	seq int64
 	fn  func()
-	i   int
 }
 
 func (e *event) before(o *event) bool {
 	return e.at < o.at || e.at == o.at && e.seq < o.seq
 }
-
-func (e *event) moved(i int) { e.i = i }
 
 // New returns an empty simulator with the clock at zero.
 func New() *Sim {
@@ -57,32 +56,43 @@ func (s *Sim) Schedule(delay float64, fn func()) {
 	if fn == nil {
 		panic("sim: Schedule with nil fn")
 	}
-	s.arm(&event{fn: fn, i: -1}, delay)
+	at, seq := s.stamp(delay)
+	s.events.push(event{at: at, seq: seq, fn: fn})
 }
 
-// arm sets ev to fire delay seconds from now, after every event scheduled
-// before it for the same time: it queues ev, or moves it in place if it is
-// already queued.
-func (s *Sim) arm(ev *event, delay float64) {
+// stamp returns the time delay seconds from now and the next sequence
+// number, which orders an event after every one stamped before it for the
+// same time.
+func (s *Sim) stamp(delay float64) (float64, int64) {
 	if delay < 0 || math.IsNaN(delay) {
 		delay = 0
 	}
 	s.seq++
-	ev.at, ev.seq = s.now+delay, s.seq
-	if ev.i < 0 {
-		s.events.push(ev)
-	} else {
-		s.events.fix(ev.i)
-	}
+	return s.now + delay, s.seq
 }
 
-// Step executes the next pending event. It returns false when no events
-// remain.
-func (s *Sim) Step() bool {
-	if len(s.events) == 0 {
+// step executes the next pending event if it is due by until. It returns
+// false when none is.
+func (s *Sim) step(until float64) bool {
+	var head *event
+	if len(s.events) > 0 {
+		head = &s.events[0]
+	}
+	var from *PSResource
+	for _, r := range s.ps {
+		if r.armed && (head == nil || r.next.before(head)) {
+			head, from = &r.next, r
+		}
+	}
+	if head == nil || head.at > until {
 		return false
 	}
-	ev := s.events.pop()
+	ev := *head
+	if from != nil {
+		from.armed = false
+	} else {
+		s.events.pop()
+	}
 	if ev.at < s.now {
 		panic(fmt.Sprintf("sim: time went backwards: %g < %g", ev.at, s.now))
 	}
@@ -94,87 +104,61 @@ func (s *Sim) Step() bool {
 
 // Run executes events until none remain.
 func (s *Sim) Run() {
-	for s.Step() {
+	for s.step(math.Inf(1)) {
 	}
 }
 
 // RunUntil executes events with timestamps <= t, then advances the clock to
 // exactly t. Events scheduled for later remain pending.
 func (s *Sim) RunUntil(t float64) {
-	for len(s.events) > 0 && s.events[0].at <= t {
-		s.Step()
+	for s.step(t) {
 	}
 	if t > s.now {
 		s.now = t
 	}
 }
 
-// heap is container/heap's binary min-heap over a typed slice: the same
-// sift rules, so items with equal keys leave in the same order, without
-// boxing each item in an interface. moved tells an item its new index (or
-// -1 once popped).
-type heap[T interface {
-	before(T) bool
-	moved(int)
-}] []T
+// queue is a binary min-heap of events with container/heap's sift rules, so
+// events with equal keys leave in the same order as there. A processor-
+// sharing resource keeps its jobs in one with seq 0, ordered by at alone.
+type queue []event
 
-func (h *heap[T]) push(x T) {
-	x.moved(len(*h))
-	*h = append(*h, x)
-	h.up(len(*h) - 1)
-}
-
-func (h *heap[T]) pop() T {
-	n := len(*h) - 1
-	h.swap(0, n)
-	h.down(0, n)
-	x := (*h)[n]
-	var zero T
-	(*h)[n] = zero
-	*h = (*h)[:n]
-	x.moved(-1)
-	return x
-}
-
-// fix restores the order after the item at i changed its key.
-func (h heap[T]) fix(i int) {
-	if !h.down(i, len(h)) {
-		h.up(i)
-	}
-}
-
-func (h heap[T]) swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].moved(i)
-	h[j].moved(j)
-}
-
-func (h heap[T]) up(j int) {
-	for {
+func (q *queue) push(e event) {
+	*q = append(*q, e)
+	h := *q
+	j := len(h) - 1
+	for j > 0 {
 		i := (j - 1) / 2 // parent
-		if i == j || !h[j].before(h[i]) {
+		if !e.before(&h[i]) {
 			break
 		}
-		h.swap(i, j)
+		h[j] = h[i]
 		j = i
 	}
+	h[j] = e
 }
 
-func (h heap[T]) down(i0, n int) bool {
-	i := i0
+func (q *queue) pop() event {
+	h := *q
+	n := len(h) - 1
+	top, e := h[0], h[n]
+	i := 0
 	for {
 		j := 2*i + 1 // left child
-		if j >= n || j < 0 {
+		if j >= n {
 			break
 		}
-		if j2 := j + 1; j2 < n && h[j2].before(h[j]) {
+		if j2 := j + 1; j2 < n && h[j2].before(&h[j]) {
 			j = j2 // right child
 		}
-		if !h[j].before(h[i]) {
+		if !h[j].before(&e) {
 			break
 		}
-		h.swap(i, j)
+		h[i] = h[j]
 		i = j
 	}
-	return i > i0
+	h[i] = e
+	h[n] = event{}
+	*q = h[:n]
+	return top
 }
