@@ -28,11 +28,11 @@
 //     element of a package under internal/ or cmd/ must resolve: Name and
 //     Member must each be declared in that package — a top-level name, a
 //     method, a field or an interface method (`pool.Get` is Pool.Get).
-//     Same-named packages (internal/cluster, internal/sim/cluster) are
-//     unioned. A bare backticked exported identifier, `Name` or `Name()`
-//     with a capital first letter and a lower-case one after it (so SQL
-//     keywords and acronyms are not identifiers), must be declared in some
-//     Go file of the repository, test files included. A doc naming a
+//     Packages that share a last path element are unioned. A bare
+//     backticked exported identifier, `Name` or `Name()` with a capital
+//     first letter and a lower-case one after it (so SQL keywords and
+//     acronyms are not identifiers), must be declared in some Go file of
+//     the repository, test files included. A doc naming a
 //     deleted thing fails because the name resolves to nothing.
 //  8. A claim is a markdown list item that opens with a bold id:
 //     `**INV-slug**` for an invariant, `**DEV-slug**` for a deviation from

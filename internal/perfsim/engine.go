@@ -2,11 +2,51 @@ package perfsim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/sim"
-	"repro/internal/sim/cluster"
 )
+
+// The testbed's switched 100 Mb/s Ethernet: each NIC link moves
+// linkBandwidth bytes/second, and a transfer crosses the switch in
+// linkLatency seconds.
+const (
+	linkBandwidth = 12.5e6
+	linkLatency   = 100e-6
+)
+
+// machine is one single-CPU host of the paper's testbed: a processor-sharing
+// CPU whose demands are seconds on the paper's 1.33 GHz Athlon, and a
+// full-duplex NIC whose transmit and receive links are separate resources.
+// That is how a switched LAN behaves: flows to different hosts do not
+// contend with each other, only flows sharing an endpoint do.
+type machine struct {
+	cpu, tx, rx *sim.PSResource
+	cpu0, tx0   float64 // busy times at the window's start
+}
+
+func newMachine(s *sim.Sim) *machine {
+	return &machine{
+		cpu: sim.NewPSResource(s, 1),
+		tx:  sim.NewPSResource(s, linkBandwidth),
+		rx:  sim.NewPSResource(s, linkBandwidth),
+	}
+}
+
+// mark opens the measurement window. The receive link is read too, though
+// its busy time is never reported: a read advances a resource's virtual
+// clock, and where that sum is split can round later completions apart.
+func (m *machine) mark() {
+	m.cpu0, m.tx0 = m.cpu.BusyTime(), m.tx.BusyTime()
+	m.rx.BusyTime()
+}
+
+// txRate is the bytes/second transmitted over the dt seconds since the window
+// opened: the work a PS link does while busy is exactly the bytes it moves.
+func (m *machine) txRate(dt float64) float64 {
+	return (m.tx.BusyTime() - m.tx0) * linkBandwidth / dt
+}
 
 // lockRef is one table in a LOCK TABLES statement with its intent, e.g.
 // "LOCK TABLES items WRITE, carts READ".
@@ -15,25 +55,81 @@ type lockRef struct {
 	write bool
 }
 
+// stageKind is what one stage of an interaction does with the kernel.
+type stageKind uint8
+
+const (
+	stUse      stageKind = iota // amount of work on res (a CPU or a NIC link)
+	stWait                      // amount seconds on no resource
+	stQuery                     // amount seconds of database CPU on res, inflated when it starts
+	stQueryEnd                  // the query before it is over
+	stLock                      // acquire lk, for writing if write
+	stUnlock                    // release it
+	stConn                      // check a connection out of the engine's pool
+	stFree                      // return it
+)
+
+// stage is one step of an interaction's compiled pipeline: one kernel call.
+type stage struct {
+	kind   stageKind
+	write  bool
+	amount float64
+	res    *sim.PSResource
+	lk     *sim.RWLock
+}
+
+// pipeline is the stage list of one class on one configuration.
+type pipeline []stage
+
+func (p *pipeline) add(st stage) { *p = append(*p, st) }
+
+func (p *pipeline) use(res *sim.PSResource, amount float64) {
+	p.add(stage{kind: stUse, res: res, amount: amount})
+}
+
+func (p *pipeline) wait(d float64) { p.add(stage{kind: stWait, amount: d}) }
+
+// send moves size bytes from machine a to machine b through the switch: the
+// bytes occupy a's transmit link, cross the wire, then occupy b's receive
+// link. Loopback costs nothing but a zero wait, as same-machine IPC is
+// accounted as CPU time instead.
+func (p *pipeline) send(a, b *machine, size float64) {
+	if a == b {
+		p.wait(0)
+		return
+	}
+	p.use(a.tx, size)
+	p.wait(linkLatency)
+	p.use(b.rx, size)
+}
+
+// locks takes (stLock) or releases (stUnlock) the refs' locks in their
+// sorted order, MySQL's deadlock-avoidance discipline.
+func (p *pipeline) locks(kind stageKind, locks []*sim.RWLock, refs []lockRef) {
+	for _, ref := range refs {
+		p.add(stage{kind: kind, lk: locks[ref.table], write: ref.write})
+	}
+}
+
 // run is one simulated experiment: a benchmark mix on one architecture at a
 // fixed client count.
 type run struct {
 	s     *sim.Sim
-	cl    *cluster.Cluster
 	spec  *workloadSpec
 	arch  Arch
 	costs *Costs
 
-	web *cluster.Machine // always present
-	app *cluster.Machine // dedicated generator machine (nil if co-located)
-	ejb *cluster.Machine // EJB server (ArchEJB only)
-	db  *cluster.Machine
+	hosts map[Tier]*machine // the configuration's machines
+	web   *machine          // always present
+	app   *machine          // dedicated generator machine (nil if co-located)
+	ejb   *machine          // EJB server (ArchEJB only)
+	db    *machine
 
 	dbLocks  []*sim.RWLock  // database table locks
 	engLocks []*sim.RWLock  // engine-side locks for the (sync) variants
 	dbPool   *sim.Semaphore // engine-side database connection pool
 	weights  []float64
-	locksFor map[string][]lockRef
+	pipes    [][]stage // each class's pipeline, compiled once
 
 	// activeQueries counts queries executing on the DB CPU; each
 	// concurrent query inflates demand by Costs.DBConcOverhead.
@@ -44,11 +140,11 @@ type run struct {
 	winEnd    float64
 	completed int64
 	respSum   float64
-	mark      *cluster.Mark
 	lockWait0 float64
 }
 
-// newRun wires up machines, locks and workload weights for one experiment.
+// newRun wires up machines, locks and workload weights for one experiment
+// and compiles every class's pipeline.
 func newRun(b Benchmark, m Mix, a Arch, opt Options) *run {
 	spec := specFor(b)
 	weights, ok := spec.mixes[m]
@@ -56,26 +152,28 @@ func newRun(b Benchmark, m Mix, a Arch, opt Options) *run {
 		panic(fmt.Sprintf("perfsim: mix %v not defined for benchmark %v", m, b))
 	}
 	s := sim.New()
-	cl := cluster.New(s, cluster.DefaultConfig())
-	r := &run{
-		s: s, cl: cl, spec: spec, arch: a, costs: opt.Costs, weights: weights,
-	}
-	r.web = cl.AddMachine("web")
+	r := &run{s: s, spec: spec, arch: a, costs: opt.Costs, weights: weights}
+	r.hosts = map[Tier]*machine{TierWeb: newMachine(s)}
 	if a.DedicatedEngine() {
-		r.app = cl.AddMachine("servlet")
+		r.hosts[TierServlet] = newMachine(s)
 	}
 	if a == ArchEJB {
-		r.ejb = cl.AddMachine("ejb")
+		r.hosts[TierEJB] = newMachine(s)
 	}
-	r.db = cl.AddMachine("db")
+	r.hosts[TierDB] = newMachine(s)
+	r.web, r.app, r.ejb, r.db = r.hosts[TierWeb], r.hosts[TierServlet], r.hosts[TierEJB], r.hosts[TierDB]
 	for range spec.tables {
 		// MyISAM gives pending write locks priority over pending reads; the
 		// engine-side lock manager of the (sync) variants is a fair queue.
 		r.dbLocks = append(r.dbLocks, sim.NewWriterPriorityRWLock(s))
 		r.engLocks = append(r.engLocks, sim.NewRWLock(s))
 	}
-	r.locksFor = lockIntents(spec)
 	r.dbPool = sim.NewSemaphore(s, opt.Costs.DBPoolSize)
+	intents := lockIntents(spec)
+	for i := range spec.classes {
+		c := &spec.classes[i]
+		r.pipes = append(r.pipes, r.compile(c, intents[c.name]))
+	}
 	return r
 }
 
@@ -107,6 +205,12 @@ func lockIntents(spec *workloadSpec) map[string][]lockRef {
 
 // Run executes one experiment and returns its Result.
 func Run(b Benchmark, m Mix, a Arch, clients int, opt Options) Result {
+	res, _ := simulate(b, m, a, clients, opt)
+	return res
+}
+
+// simulate is Run that also returns how many events the kernel executed.
+func simulate(b Benchmark, m Mix, a Arch, clients int, opt Options) (Result, int64) {
 	opt = opt.withDefaults()
 	r := newRun(b, m, a, opt)
 	// Past saturation, response times grow with the client count and the
@@ -124,11 +228,14 @@ func Run(b Benchmark, m Mix, a Arch, clients int, opt Options) Result {
 	r.winEnd = ramp + opt.Measure
 
 	for i := 0; i < clients; i++ {
-		g := sim.NewRNG(sim.Seed(opt.Seed, i))
-		r.scheduleThink(g)
+		c := &client{r: r, g: sim.NewRNG(sim.Seed(opt.Seed, i))}
+		c.resume, c.think = c.next, c.begin
+		r.s.Schedule(c.g.TruncExp(thinkTime, 10*thinkTime), c.think)
 	}
 	r.s.Schedule(r.winStart, func() {
-		r.mark = r.cl.MarkNow()
+		for _, h := range r.hosts {
+			h.mark()
+		}
 		r.lockWait0 = r.totalLockWait()
 	})
 	r.s.RunUntil(r.winEnd)
@@ -142,20 +249,15 @@ func Run(b Benchmark, m Mix, a Arch, clients int, opt Options) Result {
 	if r.completed > 0 {
 		res.MeanResponse = r.respSum / float64(r.completed)
 	}
-	res.CPU[TierWeb] = 100 * r.cl.CPUUtilization(r.mark, r.web)
-	res.CPU[TierDB] = 100 * r.cl.CPUUtilization(r.mark, r.db)
-	if r.app != nil {
-		res.CPU[TierServlet] = 100 * r.cl.CPUUtilization(r.mark, r.app)
+	for tier, h := range r.hosts {
+		res.CPU[tier] = 100 * h.cpu.UtilizationSince(h.cpu0, r.winStart)
 	}
-	if r.ejb != nil {
-		res.CPU[TierEJB] = 100 * r.cl.CPUUtilization(r.mark, r.ejb)
-	}
-	res.WebNICMbps = r.cl.NICThroughput(r.mark, r.web) * 8 / 1e6
-	if clients > 0 && opt.Measure > 0 {
+	res.WebNICMbps = r.web.txRate(r.s.Now()-r.winStart) * 8 / 1e6
+	if clients > 0 {
 		res.DBLockWaitFrac = (r.totalLockWait() - r.lockWait0) /
 			(float64(clients) * opt.Measure)
 	}
-	return res
+	return res, r.s.Steps()
 }
 
 func (r *run) totalLockWait() float64 {
@@ -170,363 +272,273 @@ func (r *run) totalLockWait() float64 {
 // clause 5.3.1.1).
 const thinkTime = 7.0
 
-// scheduleThink puts a client into its think state and then starts the next
-// interaction (TPC-W: negative-exponential think time, truncated at 10x the
-// mean).
-func (r *run) scheduleThink(g *sim.RNG) {
-	r.s.Schedule(g.TruncExp(thinkTime, 10*thinkTime), func() {
-		r.startInteraction(g)
-	})
+// client is one emulated browser: it thinks, picks an interaction class and
+// walks that class's pipeline, one stage per kernel call.
+type client struct {
+	r      *run
+	g      *sim.RNG
+	stages []stage // the interaction under way
+	pc     int     // its next stage
+	start  float64 // when it began
+	resume func()  // c.next, bound once: every stage that waits ends here
+	think  func()  // c.begin, bound once: the think timer's callback
 }
 
-func (r *run) startInteraction(g *sim.RNG) {
-	c := &r.spec.classes[g.Pick(r.weights)]
-	start := r.s.Now()
-	r.execInteraction(g, c, func() {
-		end := r.s.Now()
-		if end >= r.winStart && end < r.winEnd {
-			r.completed++
-			r.respSum += end - start
-		}
-		r.scheduleThink(g)
-	})
+// begin starts the client's next interaction.
+func (c *client) begin() {
+	r := c.r
+	c.stages, c.pc, c.start = r.pipes[c.g.Pick(r.weights)], 0, r.s.Now()
+	c.next()
 }
 
-// execInteraction runs the full interaction pipeline: web-server request
-// handling, architecture-specific dynamic content generation, and the
-// response transmission back to the client.
-func (r *run) execInteraction(g *sim.RNG, c *class, done func()) {
-	co := r.costs
-	finish := func() {
-		// Response path: web-server CPU per byte (kernel copies and
-		// interrupts) and the client-facing NIC.
-		total := c.dynBytes + c.staticBytes
-		r.web.CPU.Use(co.WebCPUPerByte*total, func() {
-			r.web.TX.Use(total, done)
-		})
-	}
-	r.web.CPU.Use(co.WebFixedCPU, func() {
-		switch r.arch {
-		case ArchPHP:
-			r.web.CPU.Use(c.genCPU*co.PHPGenFactor, func() {
-				r.execSteps(c, r.web, co.PHPDriverPerQuery, finish)
-			})
-		case ArchServlet, ArchServletSync:
-			// The servlet engine is a separate process on the web-server
-			// machine: the AJP protocol cost of both sides lands on the
-			// same CPU (§6.1: this IPC is why co-located servlets trail
-			// PHP).
-			ipc := 2*co.AJPFixedCPU + 2*co.AJPPerByte*c.dynBytes
-			r.web.CPU.Use(ipc+c.genCPU, func() {
-				r.execSteps(c, r.web, co.JDBCDriverPerQuery, finish)
-			})
-		case ArchServletDedicated, ArchServletDedicatedSync:
-			r.web.CPU.Use(co.AJPFixedCPU, func() {
-				r.cl.Send(r.web, r.app, co.RequestBytes, func() {
-					r.app.CPU.Use(co.AJPFixedCPU+c.genCPU, func() {
-						r.execSteps(c, r.app, co.JDBCDriverPerQuery, func() {
-							r.app.CPU.Use(co.AJPPerByte*c.dynBytes, func() {
-								r.cl.Send(r.app, r.web, c.dynBytes, func() {
-									r.web.CPU.Use(co.AJPPerByte*c.dynBytes, finish)
-								})
-							})
-						})
-					})
-				})
-			})
-		case ArchEJB:
-			r.execEJB(c, finish)
-		default:
-			panic("perfsim: unknown architecture")
-		}
-	})
-}
-
-// execEJB models the four-tier pipeline: the servlet keeps only the
-// presentation logic and calls a stateless session façade over RMI; the
-// façade's entity beans turn each hand-written query into finder plus
-// per-row state queries (container-managed persistence).
-func (r *run) execEJB(c *class, finish func()) {
-	co := r.costs
-	presCPU := c.genCPU * co.EJBPresentFactor
-	logicCPU := c.genCPU * (1 - co.EJBPresentFactor) * co.EJBLogicFactor
-	r.web.CPU.Use(co.AJPFixedCPU, func() {
-		r.cl.Send(r.web, r.app, co.RequestBytes, func() {
-			r.app.CPU.Use(co.AJPFixedCPU+presCPU+co.RMIFixedCPU, func() {
-				r.cl.Send(r.app, r.ejb, co.RMIBytes, func() {
-					r.ejb.CPU.Use(co.RMIFixedCPU+logicCPU, func() {
-						r.execCMPSteps(c, func() {
-							r.cl.Send(r.ejb, r.app, co.RMIBytes+c.dynBytes, func() {
-								r.app.CPU.Use(co.RMIFixedCPU+co.AJPPerByte*c.dynBytes, func() {
-									r.cl.Send(r.app, r.web, c.dynBytes, func() {
-										r.web.CPU.Use(co.AJPPerByte*c.dynBytes, finish)
-									})
-								})
-							})
-						})
-					})
-				})
-			})
-		})
-	})
-}
-
-// execSteps runs a class's hand-written query sequence from the engine
-// machine, applying the configuration's locking discipline:
-//
-//   - non-sync configurations wrap lock-taking classes in database-side
-//     LOCK TABLES ... UNLOCK TABLES (extra statements plus two round trips),
-//     during which per-query locks on held tables are unnecessary;
-//   - (sync) configurations serialize the same classes on engine-side locks
-//     instead, and every query takes only its own short implicit table lock
-//     at the database.
-func (r *run) execSteps(c *class, mach *cluster.Machine, driverCPU float64, done func()) {
-	refs := r.locksFor[c.name]
-	if len(refs) == 0 {
-		r.runQueries(c, mach, driverCPU, nil, 0, done)
+// next resumes the interaction. Once its last stage is done the interaction
+// counts if it ended inside the window, and the client thinks again (TPC-W:
+// negative-exponential think time, truncated at 10x the mean).
+func (c *client) next() {
+	if c.walk() {
 		return
 	}
-	if r.arch.EngineSync() {
-		// Engine-side locking: the Java implementation performs the
-		// result processing and the external payment authorization BEFORE
+	r := c.r
+	if end := r.s.Now(); end >= r.winStart && end < r.winEnd {
+		r.completed++
+		r.respSum += end - c.start
+	}
+	r.s.Schedule(c.g.TruncExp(thinkTime, 10*thinkTime), c.think)
+}
+
+// walk takes stages from c.pc on until one waits, and reports whether one
+// does. A waiting stage hands c.resume to the kernel, which calls it at once
+// when a lock or pool slot is free: the walk goes on in that call, and this
+// one returns.
+func (c *client) walk() bool {
+	r := c.r
+	for c.pc < len(c.stages) {
+		st := &c.stages[c.pc]
+		c.pc++
+		switch st.kind {
+		case stUse:
+			st.res.Use(st.amount, c.resume)
+			return true
+		case stWait:
+			r.s.Schedule(st.amount, c.resume)
+			return true
+		case stQuery:
+			// The concurrency overhead models MySQL thread thrash under
+			// many simultaneous queries.
+			eff := st.amount * (1 + r.costs.DBConcOverhead*float64(r.activeQueries))
+			r.activeQueries++
+			st.res.Use(eff, c.resume)
+			return true
+		case stQueryEnd:
+			r.activeQueries--
+		case stLock:
+			st.lk.Acquire(st.write, c.resume)
+			return true
+		case stUnlock:
+			st.lk.Release(st.write)
+		case stConn:
+			r.dbPool.Acquire(c.resume)
+			return true
+		case stFree:
+			r.dbPool.Release()
+		}
+	}
+	return false
+}
+
+// compile lowers class c onto the run's configuration: web-server request
+// handling, architecture-specific dynamic content generation, and the
+// response transmission back to the client. refs are c's LOCK TABLES
+// intents.
+func (r *run) compile(c *class, refs []lockRef) pipeline {
+	co := r.costs
+	var p pipeline
+	p.use(r.web.cpu, co.WebFixedCPU)
+	switch r.arch {
+	case ArchPHP:
+		p.use(r.web.cpu, c.genCPU*co.PHPGenFactor)
+		r.steps(&p, c, refs, r.web, co.PHPDriverPerQuery)
+	case ArchServlet, ArchServletSync:
+		// The servlet engine is a separate process on the web-server
+		// machine: the AJP protocol cost of both sides lands on the same
+		// CPU (§6.1: this IPC is why co-located servlets trail PHP).
+		ipc := 2*co.AJPFixedCPU + 2*co.AJPPerByte*c.dynBytes
+		p.use(r.web.cpu, ipc+c.genCPU)
+		r.steps(&p, c, refs, r.web, co.JDBCDriverPerQuery)
+	case ArchServletDedicated, ArchServletDedicatedSync:
+		p.use(r.web.cpu, co.AJPFixedCPU)
+		p.send(r.web, r.app, co.RequestBytes)
+		p.use(r.app.cpu, co.AJPFixedCPU+c.genCPU)
+		r.steps(&p, c, refs, r.app, co.JDBCDriverPerQuery)
+		p.use(r.app.cpu, co.AJPPerByte*c.dynBytes)
+		p.send(r.app, r.web, c.dynBytes)
+		p.use(r.web.cpu, co.AJPPerByte*c.dynBytes)
+	case ArchEJB:
+		// The four-tier pipeline: the servlet keeps only the presentation
+		// logic and calls a stateless session façade over RMI.
+		presCPU := c.genCPU * co.EJBPresentFactor
+		logicCPU := c.genCPU * (1 - co.EJBPresentFactor) * co.EJBLogicFactor
+		p.use(r.web.cpu, co.AJPFixedCPU)
+		p.send(r.web, r.app, co.RequestBytes)
+		p.use(r.app.cpu, co.AJPFixedCPU+presCPU+co.RMIFixedCPU)
+		p.send(r.app, r.ejb, co.RMIBytes)
+		p.use(r.ejb.cpu, co.RMIFixedCPU+logicCPU)
+		r.cmpSteps(&p, c)
+		p.send(r.ejb, r.app, co.RMIBytes+c.dynBytes)
+		p.use(r.app.cpu, co.RMIFixedCPU+co.AJPPerByte*c.dynBytes)
+		p.send(r.app, r.web, c.dynBytes)
+		p.use(r.web.cpu, co.AJPPerByte*c.dynBytes)
+	default:
+		panic("perfsim: unknown architecture")
+	}
+	// Response path: web-server CPU per byte (kernel copies and
+	// interrupts) and the client-facing NIC.
+	total := c.dynBytes + c.staticBytes
+	p.use(r.web.cpu, co.WebCPUPerByte*total)
+	p.use(r.web.tx, total)
+	return p
+}
+
+// steps compiles a class's hand-written query sequence from the engine
+// machine, applying the configuration's locking discipline to a class that
+// has LOCK TABLES intents:
+//
+//   - non-sync configurations wrap it in database-side LOCK TABLES ...
+//     UNLOCK TABLES (extra statements plus two round trips) on a pinned
+//     connection, during which per-query locks on held tables are
+//     unnecessary;
+//   - (sync) configurations serialize it on engine-side locks instead, and
+//     every query takes only its own short implicit table lock at the
+//     database.
+//
+// Without intents every query checks a pooled connection out for its own
+// round trip.
+func (r *run) steps(p *pipeline, c *class, refs []lockRef, mach *machine, driverCPU float64) {
+	co := r.costs
+	pinned := len(refs) > 0
+	sync := pinned && r.arch.EngineSync()
+	switch {
+	case sync:
+		// Engine-side locking: the Java implementation performs the result
+		// processing and the external payment authorization BEFORE
 		// entering the synchronized block, so the critical section is just
-		// the back-to-back query sequence on one pinned connection. This
-		// is precisely why the (sync) configurations let the database
-		// reach 100% CPU (§5.1, §5.3).
+		// the back-to-back query sequence on one pinned connection. This is
+		// precisely why the (sync) configurations let the database reach
+		// 100% CPU (§5.1, §5.3).
 		var gaps, ext float64
 		for i := range c.steps {
 			gaps += c.steps[i].gap
 			ext += c.steps[i].extDelay
 		}
-		enter := func() {
-			r.acquireAll(r.engLocks, refs, 0, func() {
-				r.dbPool.Acquire(func() {
-					r.runQueries(c, mach, driverCPU, nil, connHeld|skipStalls, func() {
-						r.dbPool.Release()
-						r.releaseAll(r.engLocks, refs)
-						done()
-					})
-				})
-			})
+		p.use(mach.cpu, gaps)
+		if ext > 0 {
+			p.wait(ext)
 		}
-		mach.CPU.Use(gaps, func() {
-			if ext > 0 {
-				r.s.Schedule(ext, enter)
-			} else {
-				enter()
-			}
-		})
-		return
+		p.locks(stLock, r.engLocks, refs)
+		p.add(stage{kind: stConn})
+	case pinned:
+		// LOCK TABLES: pin a connection, one round trip and statement, then
+		// the atomic multi-table grant in sorted order (MySQL's
+		// discipline).
+		p.add(stage{kind: stConn})
+		p.send(mach, r.db, co.QueryBytes)
+		p.locks(stLock, r.dbLocks, refs)
+		r.query(p, co.LockStmtCPU)
+		p.send(r.db, mach, 64)
 	}
-	// LOCK TABLES: pin a connection, one round trip and statement, then the
-	// atomic multi-table grant in sorted order (MySQL's discipline).
-	co := r.costs
-	held := make(map[int]bool, len(refs))
-	for _, ref := range refs {
-		held[ref.table] = true
-	}
-	r.dbPool.Acquire(func() {
-		r.cl.Send(mach, r.db, co.QueryBytes, func() {
-			r.acquireAll(r.dbLocks, refs, 0, func() {
-				r.dbCPUUse(co.LockStmtCPU, func() {
-					r.cl.Send(r.db, mach, 64, func() {
-						r.runQueries(c, mach, driverCPU, held, connHeld, func() {
-							// UNLOCK TABLES round trip.
-							r.cl.Send(mach, r.db, co.QueryBytes, func() {
-								r.dbCPUUse(co.LockStmtCPU, func() {
-									r.releaseAll(r.dbLocks, refs)
-									r.cl.Send(r.db, mach, 64, func() {
-										r.dbPool.Release()
-										done()
-									})
-								})
-							})
-						})
-					})
-				})
-			})
-		})
-	})
-}
-
-// acquireAll acquires refs[i:] in order (the list is pre-sorted, MySQL's
-// deadlock-avoidance discipline) and then calls done.
-func (r *run) acquireAll(locks []*sim.RWLock, refs []lockRef, i int, done func()) {
-	if i >= len(refs) {
-		done()
-		return
-	}
-	locks[refs[i].table].Acquire(refs[i].write, func() {
-		r.acquireAll(locks, refs, i+1, done)
-	})
-}
-
-func (r *run) releaseAll(locks []*sim.RWLock, refs []lockRef) {
-	for _, ref := range refs {
-		locks[ref.table].Release(ref.write)
-	}
-}
-
-// queryFlags adjusts runQueries behaviour.
-type queryFlags int
-
-const (
-	// connHeld: the caller already pinned a pooled connection; otherwise
-	// each query checks one out for its own round trip.
-	connHeld queryFlags = 1 << iota
-	// skipStalls: engine gaps and external delays were paid up front (the
-	// sync configurations hoist them out of the critical section).
-	skipStalls
-)
-
-// runQueries executes the step list sequentially. held marks tables already
-// covered by LOCK TABLES (no per-query lock needed); nil means every query
-// takes its own short table lock, as MyISAM does implicitly.
-func (r *run) runQueries(c *class, mach *cluster.Machine, driverCPU float64, held map[int]bool, flags queryFlags, done func()) {
-	co := r.costs
-	var step func(i int)
-	step = func(i int) {
-		if i >= len(c.steps) {
-			done()
-			return
-		}
+	for i := range c.steps {
 		st := &c.steps[i]
-		next := func() {
-			mach.CPU.Use(driverCPU, func() { step(i + 1) })
-		}
-		exec := func() {
-			r.withConn(flags&connHeld != 0, next, func(release func()) {
-				r.cl.Send(mach, r.db, co.QueryBytes, func() {
-					r.dbQuery(st.table, st.write, co.DBStmtFixedCPU+st.dbCPU, held, func() {
-						r.cl.Send(r.db, mach, co.ResultBytes, release)
-					})
-				})
-			})
-		}
-		if flags&skipStalls != 0 {
-			exec()
-			return
-		}
-		afterGap := func() {
+		if !sync {
+			if st.gap > 0 {
+				p.use(mach.cpu, st.gap)
+			}
 			if st.extDelay > 0 {
-				r.s.Schedule(st.extDelay, exec)
-			} else {
-				exec()
+				p.wait(st.extDelay)
 			}
 		}
-		if st.gap > 0 {
-			mach.CPU.Use(st.gap, afterGap)
-		} else {
-			afterGap()
+		if !pinned {
+			p.add(stage{kind: stConn})
 		}
+		p.send(mach, r.db, co.QueryBytes)
+		held := pinned && !sync &&
+			slices.ContainsFunc(refs, func(ref lockRef) bool { return ref.table == st.table })
+		r.dbQuery(p, st, co.DBStmtFixedCPU+st.dbCPU, !held)
+		p.send(r.db, mach, co.ResultBytes)
+		if !pinned {
+			p.add(stage{kind: stFree})
+		}
+		p.use(mach.cpu, driverCPU)
 	}
-	step(0)
+	switch {
+	case sync:
+		p.add(stage{kind: stFree})
+		p.locks(stUnlock, r.engLocks, refs)
+	case pinned:
+		// UNLOCK TABLES round trip.
+		p.send(mach, r.db, co.QueryBytes)
+		r.query(p, co.LockStmtCPU)
+		p.locks(stUnlock, r.dbLocks, refs)
+		p.send(r.db, mach, 64)
+		p.add(stage{kind: stFree})
+	}
 }
 
-// withConn runs body with a database connection: if haveConn, the caller's
-// pinned connection is reused and body's release continues straight to next;
-// otherwise a pool slot is checked out and returned before next runs.
-func (r *run) withConn(haveConn bool, next func(), body func(release func())) {
-	if haveConn {
-		body(next)
-		return
-	}
-	r.dbPool.Acquire(func() {
-		body(func() {
-			r.dbPool.Release()
-			next()
-		})
-	})
+// query runs cpu seconds of database work (inflated as it starts by the
+// queries already running).
+func (r *run) query(p *pipeline, cpu float64) {
+	p.add(stage{kind: stQuery, res: r.db.cpu, amount: cpu})
+	p.add(stage{kind: stQueryEnd})
 }
 
 // dbQuery executes one statement's CPU demand on the database, bracketed by
-// the table's implicit lock unless the table is already held.
-func (r *run) dbQuery(table int, write bool, cpu float64, held map[int]bool, done func()) {
-	if held != nil && held[table] {
-		r.dbCPUUse(cpu, done)
-		return
+// the table's implicit lock unless LOCK TABLES already holds it.
+func (r *run) dbQuery(p *pipeline, st *opStep, cpu float64, implicit bool) {
+	var own []lockRef
+	if implicit {
+		own = []lockRef{{st.table, st.write}}
 	}
-	l := r.dbLocks[table]
-	l.Acquire(write, func() {
-		r.dbCPUUse(cpu, func() {
-			l.Release(write)
-			done()
-		})
-	})
+	p.locks(stLock, r.dbLocks, own)
+	r.query(p, cpu)
+	p.locks(stUnlock, r.dbLocks, own)
 }
 
-// dbCPUUse runs cpu seconds of database work, inflated by the concurrency
-// overhead that models MySQL thread thrash under many simultaneous queries.
-func (r *run) dbCPUUse(cpu float64, done func()) {
-	eff := cpu * (1 + r.costs.DBConcOverhead*float64(r.activeQueries))
-	r.activeQueries++
-	r.db.CPU.Use(eff, func() {
-		r.activeQueries--
-		done()
-	})
-}
-
-// execCMPSteps is the EJB query plan: each hand-written step becomes a
-// finder (scaled by the benchmark's cmpFinderFactor) plus CMPFanout short
-// bean-state queries, and materializing the page costs one short query per
-// row. Short queries skip explicit locking — they are single-row primary-key
-// statements whose implicit lock hold is their own execution time. They are
-// not batched: smallQ runs each one as its own pool checkout, round trip,
-// database CPU and EJB CPU chain, so an interaction's event count grows with
-// CMPFanout and rows.
-func (r *run) execCMPSteps(c *class, done func()) {
+// cmpSteps is the EJB query plan: the façade's entity beans turn each
+// hand-written step into a finder (scaled by the benchmark's
+// cmpFinderFactor) plus CMPFanout short bean-state queries, and
+// materializing the page costs one short query per row. Short queries skip
+// explicit locking — they are single-row primary-key statements whose
+// implicit lock hold is their own execution time. They are not batched:
+// each is its own pool checkout, round trip, database CPU and EJB CPU, so an
+// interaction's event count grows with CMPFanout and rows.
+func (r *run) cmpSteps(p *pipeline, c *class) {
 	co := r.costs
-	var step func(i int)
-	smallQ := func(n int, after func()) {
-		var one func(j int)
-		one = func(j int) {
-			if j >= n {
-				after()
-				return
-			}
-			r.withConn(false, func() { one(j + 1) }, func(release func()) {
-				r.cl.Send(r.ejb, r.db, co.CMPQueryBytes, func() {
-					r.dbCPUUse(r.spec.cmpRowQueryCPU, func() {
-						r.cl.Send(r.db, r.ejb, co.CMPQueryBytes, func() {
-							r.ejb.CPU.Use(co.CMPQueryCPUEJB, release)
-						})
-					})
-				})
-			})
+	short := func(n int) {
+		for range n {
+			p.add(stage{kind: stConn})
+			p.send(r.ejb, r.db, co.CMPQueryBytes)
+			r.query(p, r.spec.cmpRowQueryCPU)
+			p.send(r.db, r.ejb, co.CMPQueryBytes)
+			p.use(r.ejb.cpu, co.CMPQueryCPUEJB)
+			p.add(stage{kind: stFree})
 		}
-		one(0)
 	}
-	step = func(i int) {
-		if i >= len(c.steps) {
-			// Row materialization: one short query per result row.
-			smallQ(c.rows, done)
-			return
-		}
+	for i := range c.steps {
 		st := &c.steps[i]
-		run := func() {
-			r.withConn(false, func() { smallQ(co.CMPFanout, func() { step(i + 1) }) }, func(release func()) {
-				r.cl.Send(r.ejb, r.db, co.QueryBytes, func() {
-					cpu := co.DBStmtFixedCPU + st.dbCPU*r.spec.cmpFinderFactor
-					r.dbQuery(st.table, st.write, cpu, nil, func() {
-						r.cl.Send(r.db, r.ejb, co.ResultBytes, release)
-					})
-				})
-			})
-		}
-		afterGap := func() {
-			// External delays (the payment gateway) apply regardless of
-			// middleware; EJB transactions hold no table locks across them.
-			if st.extDelay > 0 {
-				r.s.Schedule(st.extDelay, run)
-			} else {
-				run()
-			}
-		}
 		if st.gap > 0 {
-			r.ejb.CPU.Use(st.gap, afterGap)
-		} else {
-			afterGap()
+			p.use(r.ejb.cpu, st.gap)
 		}
+		// External delays (the payment gateway) apply regardless of
+		// middleware; EJB transactions hold no table locks across them.
+		if st.extDelay > 0 {
+			p.wait(st.extDelay)
+		}
+		p.add(stage{kind: stConn})
+		p.send(r.ejb, r.db, co.QueryBytes)
+		r.dbQuery(p, st, co.DBStmtFixedCPU+st.dbCPU*r.spec.cmpFinderFactor, true)
+		p.send(r.db, r.ejb, co.ResultBytes)
+		p.add(stage{kind: stFree})
+		short(co.CMPFanout)
 	}
-	step(0)
+	// Row materialization: one short query per result row.
+	short(c.rows)
 }

@@ -8,9 +8,9 @@
 // auction site). The original results depend on which physical machine's CPU
 // saturates and on MySQL table-lock contention, neither of which can be
 // observed by running all tiers on a single host. perfsim therefore models
-// the cluster (internal/sim/cluster) and replays the benchmarks' interaction
-// classes through each architecture's tier graph, with per-tier service
-// demands calibrated from the paper's own measurements (see calibrate.go).
+// the cluster on the internal/sim kernel and compiles each interaction class
+// into a list of stages through the architecture's tier graph, with per-tier
+// service demands calibrated from the paper's own measurements (calibrate.go).
 //
 // Absolute interactions/minute are not the goal; the reproduced quantity is
 // the shape of every figure: which configuration wins, by what factor, where

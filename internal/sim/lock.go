@@ -77,7 +77,7 @@ func (l *RWLock) Release(write bool) {
 // head arrived first.
 func (l *RWLock) dispatch() {
 	for {
-		write := len(l.wq) > 0 && (l.writePri || len(l.rq) == 0 || l.wq[0].seq < l.rq[0].seq)
+		write := l.wq.len() > 0 && (l.writePri || l.rq.len() == 0 || l.wq.front().seq < l.rq.front().seq)
 		var w waiter
 		switch {
 		case write:
@@ -86,7 +86,7 @@ func (l *RWLock) dispatch() {
 			}
 			w = l.wq.pop()
 			l.writer = true
-		case len(l.rq) == 0 || l.writer:
+		case l.rq.len() == 0 || l.writer:
 			return
 		default:
 			w = l.rq.pop()
@@ -106,7 +106,7 @@ func (l *RWLock) Holders() int {
 }
 
 // QueueLen returns the number of waiters not yet granted.
-func (l *RWLock) QueueLen() int { return len(l.rq) + len(l.wq) }
+func (l *RWLock) QueueLen() int { return l.rq.len() + l.wq.len() }
 
 // TotalWait returns the accumulated waiting time across all grants.
 func (l *RWLock) TotalWait() float64 { return l.waitAcc }

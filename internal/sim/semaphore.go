@@ -23,16 +23,31 @@ type waiter struct {
 }
 
 // waiters is a FIFO of parked requests. pop clears the slot it vacates, so
-// the backing array keeps no granted closure reachable.
-type waiters []waiter
+// the backing array keeps no granted closure reachable, and advances head.
+// Once half the slice or more is vacated, the live waiters move down to its
+// start: the array is reused, and a pop stays amortised O(1).
+type waiters struct {
+	q    []waiter
+	head int
+}
 
-func (q *waiters) push(w waiter) { *q = append(*q, w) }
+func (w *waiters) len() int { return len(w.q) - w.head }
 
-func (q *waiters) pop() waiter {
-	w := (*q)[0]
-	(*q)[0] = waiter{}
-	*q = (*q)[1:]
-	return w
+// front is the oldest waiter; the queue must not be empty.
+func (w *waiters) front() *waiter { return &w.q[w.head] }
+
+func (w *waiters) push(x waiter) { w.q = append(w.q, x) }
+
+func (w *waiters) pop() waiter {
+	x := w.q[w.head]
+	w.q[w.head] = waiter{}
+	w.head++
+	if 2*w.head >= len(w.q) {
+		n := copy(w.q, w.q[w.head:])
+		clear(w.q[n:])
+		w.q, w.head = w.q[:n], 0
+	}
+	return x
 }
 
 // NewSemaphore creates a semaphore with the given capacity (>0).
@@ -52,7 +67,7 @@ func (sem *Semaphore) Acquire(granted func()) {
 	if granted == nil {
 		panic("sim: Semaphore.Acquire with nil granted")
 	}
-	if sem.held < sem.cap && len(sem.queue) == 0 {
+	if sem.held < sem.cap && sem.queue.len() == 0 {
 		sem.held++
 		granted()
 		return
@@ -66,7 +81,7 @@ func (sem *Semaphore) Release() {
 		panic("sim: Semaphore.Release without hold")
 	}
 	sem.held--
-	if len(sem.queue) > 0 {
+	if sem.queue.len() > 0 {
 		w := sem.queue.pop()
 		sem.waitAcc += sem.sim.Now() - w.since
 		sem.held++
