@@ -54,7 +54,9 @@ fmt:
 # declared in that internal/ or cmd/ package, a backticked bare `Name` that
 # no Go file declares, and a claim (`**INV-…**` / `**DEV-…**`) that names no
 # test or a test no _test.go file declares. It prints the claim count and
-# the number of distinct tests the claims name. The lint does not see a
+# the number of distinct tests the claims name. A `-run` alternative or a
+# `-fuzz` target in this Makefile that names no test of the packages on its
+# line fails it too, so a renamed test cannot drop out of a gate. The lint does not see a
 # second frame codec; `binary.BigEndian.PutUint32(hdr` or a 5-byte header
 # read outside internal/frame is what review looks for.
 docs-lint:

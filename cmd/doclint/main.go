@@ -40,6 +40,11 @@
 //     backticked test (`TestX` or `FuzzX`), every test it names is declared
 //     in a _test.go file, and no id is used twice. The tool prints how many
 //     claims there are and how many distinct tests they name.
+//  9. On every Makefile recipe line, each alternative of a `-run '…'`
+//     pattern must match a Test or Fuzz function, and each `-fuzz` target a
+//     Fuzz function, declared in a _test.go file of a package the line
+//     names (`./dir` or `./dir/...`): a renamed test cannot silently drop
+//     out of a gate. The `-run '^$$'` that runs no test is exempt.
 //
 // Usage:
 //
@@ -57,6 +62,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -102,6 +108,7 @@ func lint(files []string) (int, string) {
 	bad += checkConfinedCode(".")
 	decls := indexDecls(".")
 	bad += checkGoRefs(files, decls)
+	bad += checkMakeTests("Makefile", decls)
 	n, summary := checkClaims(files, decls)
 	return bad + n, summary
 }
@@ -371,14 +378,15 @@ func checkConfinedCode(root string) int {
 
 // decls is what the repository's Go code declares, for the doc checks.
 type decls struct {
-	pkgs  map[string]map[string]bool // package name -> names its non-test files under internal/ and cmd/ declare
-	names map[string]bool            // every name any Go file declares, test files included
-	tests map[string]bool            // the Test and Fuzz functions _test.go files declare
+	pkgs   map[string]map[string]bool // package name -> names its non-test files under internal/ and cmd/ declare
+	names  map[string]bool            // every name any Go file declares, test files included
+	tests  map[string]bool            // the Test and Fuzz functions _test.go files declare
+	testIn map[string][]string        // directory -> the Test and Fuzz functions its _test.go files declare
 }
 
 // indexDecls parses every Go file under root, skipping dot directories.
 func indexDecls(root string) decls {
-	d := decls{pkgs: map[string]map[string]bool{}, names: map[string]bool{}, tests: map[string]bool{}}
+	d := decls{pkgs: map[string]map[string]bool{}, names: map[string]bool{}, tests: map[string]bool{}, testIn: map[string][]string{}}
 	filepath.WalkDir(root, func(path string, e os.DirEntry, err error) error {
 		if err != nil {
 			return nil
@@ -401,6 +409,8 @@ func indexDecls(root string) decls {
 			for _, decl := range af.Decls {
 				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && testRe.MatchString(fn.Name.Name) {
 					d.tests[fn.Name.Name] = true
+					dir := filepath.ToSlash(filepath.Dir(path))
+					d.testIn[dir] = append(d.testIn[dir], fn.Name.Name)
 				}
 			}
 			return nil
@@ -525,6 +535,66 @@ func checkClaims(docs []string, d decls) (int, string) {
 	}
 	return bad, fmt.Sprintf("doclint: %d claims (%d invariants, %d deviations) name %d distinct tests",
 		claims, claims-devs, devs, len(named))
+}
+
+// makeRunRe matches a -run pattern, quoted or not; makeFuzzRe a -fuzz
+// target; makePkgRe a package argument, `./dir` or `./dir/...`.
+var (
+	makeRunRe  = regexp.MustCompile(`-run (?:'([^']*)'|(\S+))`)
+	makeFuzzRe = regexp.MustCompile(`-fuzz (\S+)`)
+	makePkgRe  = regexp.MustCompile(`(?:^|\s)\./(\S*)`)
+)
+
+// checkMakeTests reports every -run alternative and -fuzz target on a
+// recipe line of the Makefile at path (continuations joined) that matches
+// no Test or Fuzz function declared in the packages that line names.
+func checkMakeTests(path string, d decls) int {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return 0 // no Makefile: nothing to check
+	}
+	bad := 0
+	lines := strings.Split(string(data), "\n")
+	for i := 0; i < len(lines); i++ {
+		at, line := i+1, lines[i]
+		for strings.HasSuffix(line, "\\") && i+1 < len(lines) {
+			i++
+			line = strings.TrimSuffix(line, "\\") + " " + lines[i]
+		}
+		if strings.HasPrefix(strings.TrimSpace(line), "#") {
+			continue
+		}
+		line = strings.ReplaceAll(line, "$$", "$")
+		var tests []string
+		for _, m := range makePkgRe.FindAllStringSubmatch(line, -1) {
+			dir, all := strings.CutSuffix(m[1], "...")
+			dir = strings.TrimSuffix(dir, "/")
+			for td, names := range d.testIn {
+				if td == dir || dir == "" && all || all && strings.HasPrefix(td, dir+"/") {
+					tests = append(tests, names...)
+				}
+			}
+		}
+		check := func(flag, pat, prefix string) {
+			re, err := regexp.Compile(pat)
+			if err == nil && slices.ContainsFunc(tests, func(t string) bool { return strings.HasPrefix(t, prefix) && re.MatchString(t) }) {
+				return
+			}
+			fmt.Fprintf(os.Stderr, "doclint: %s:%d: %s %s matches no test in the packages the line names\n", path, at, flag, pat)
+			bad++
+		}
+		for _, m := range makeRunRe.FindAllStringSubmatch(line, -1) {
+			for _, alt := range strings.Split(m[1]+m[2], "|") {
+				if alt != "^$" {
+					check("-run", alt, "")
+				}
+			}
+		}
+		for _, m := range makeFuzzRe.FindAllStringSubmatch(line, -1) {
+			check("-fuzz", m[1], "Fuzz")
+		}
+	}
+	return bad
 }
 
 // collectDecls adds the names one file declares: functions, methods,

@@ -101,6 +101,40 @@ func TestLintConfinedCode(t *testing.T) {
 	}
 }
 
+// TestLintMakeTests: a -run alternative or a -fuzz target that names no
+// test in the packages of its line fails; live names, `./...` and the
+// -run '^$$' that runs nothing pass.
+func TestLintMakeTests(t *testing.T) {
+	cases := []struct {
+		name, makefile string
+		bad            int
+	}{
+		{"live names", "x:\n\t$(GO) test -run 'WidgetSpins|Widget' ./internal/foo\n" +
+			"\t$(GO) test -run '^$$' -fuzz FuzzWidget -fuzztime 1s ./internal/foo\n" +
+			"\t$(GO) test -run '^$$' -bench . ./...\n", 0},
+		{"continued line", "x:\n\t$(GO) test -race \\\n\t\t-run 'WidgetSpins|Widget' \\\n\t\t./internal/...\n", 0},
+		{"a renamed test", "x:\n\t$(GO) test -run 'WidgetSpins|WidgetFlies' ./internal/foo\n", 1},
+		{"a test of another package", "x:\n\t$(GO) test -run WidgetSpins ./internal/bar\n", 1},
+		{"a function outside a _test.go file", "x:\n\t$(GO) test -run 'Lookalike' ./internal/foo\n", 1},
+		{"a fuzz target that is a test", "x:\n\t$(GO) test -run '^$$' -fuzz TestWidgetSpins ./internal/foo\n", 1},
+		{"a comment is not a recipe", "# $(GO) test -run 'Gadget' ./internal/foo\n", 0},
+	}
+	inFixture(t)
+	if err := os.WriteFile("DOC.md", nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if err := os.WriteFile("Makefile", []byte(c.makefile), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if bad, _ := lint([]string{"DOC.md"}); bad != c.bad {
+				t.Errorf("%d problem(s), want %d in:\n%s", bad, c.bad, c.makefile)
+			}
+		})
+	}
+}
+
 // inFixture writes the fixture repository to a temporary directory and
 // makes it the working directory for the rest of the test.
 func inFixture(t *testing.T) {

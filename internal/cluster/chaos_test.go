@@ -379,7 +379,9 @@ func TestDegradedModeReadOnly(t *testing.T) {
 // TestTxnPinnedReadFailurePoisonsSession: when the replica a transaction
 // reads from dies under it, that server has rolled its side back; the
 // session is poisoned there and then, at every replica count, instead of
-// the next statement writing into the dead connection.
+// the next statement writing into the dead connection. A session whose
+// ROLLBACK then reaches no replica is poisoned too, rather than running its
+// next statement in auto-commit.
 func TestTxnPinnedReadFailurePoisonsSession(t *testing.T) {
 	eachReplicaCount(t, func(t *testing.T, reps []*testReplica) {
 		c := newTestClient(t, reps, Config{})
@@ -392,18 +394,37 @@ func TestTxnPinnedReadFailurePoisonsSession(t *testing.T) {
 			t.Fatal(err)
 		}
 		mustExec(t, s, "UPDATE items SET qty = 1 WHERE id = 1")
-		reps[s.txn.(*replicaTxn).pinned.id].srv.Close()
+		other, err := c.Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Put(other, true)
+		if err := other.Begin("audit"); err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, other, "UPDATE audit SET delta = 1 WHERE id = 1")
+		reps[s.subs[0].pinned.id].srv.Close()
 		if _, err := s.Exec("SELECT qty FROM items WHERE id = 1"); !isTransport(err) {
 			t.Fatalf("read on the dead pinned replica = %v, want a transport error", err)
 		}
 		if _, err := s.Exec("SELECT qty FROM items WHERE id = 1"); !errors.Is(err, errSessionFailed) {
 			t.Fatalf("statement after the failed read = %v, want errSessionFailed", err)
 		}
+		for _, r := range reps {
+			r.srv.Close()
+		}
+		if err := other.Rollback(); err == nil {
+			t.Fatal("ROLLBACK with every replica dead succeeded")
+		}
+		if _, err := other.Exec("SELECT qty FROM items WHERE id = 1"); !errors.Is(err, errSessionFailed) {
+			t.Fatalf("statement after the failed ROLLBACK = %v, want errSessionFailed", err)
+		}
 	})
 }
 
-// TestReadOnlyTxnSkipsEjectedPinnedReplica: a session is pinned at Get, and
-// its replica may be ejected before it reads. Read-only work runs with no
+// TestReadOnlyTxnSkipsEjectedPinnedReplica: a session's sub-session stays
+// pinned to the read replica its first transaction picked, and that replica
+// may be ejected before the session reads again. Read-only work runs with no
 // transaction open, so its reads take the load-balanced path and land on
 // the survivor, not on the dead pinned replica.
 func TestReadOnlyTxnSkipsEjectedPinnedReplica(t *testing.T) {
@@ -414,7 +435,13 @@ func TestReadOnlyTxnSkipsEjectedPinnedReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Put(s, false)
-	dead := s.txn.(*replicaTxn).pinned
+	if err := s.Begin("items"); err != nil {
+		t.Fatal(err)
+	}
+	dead := s.subs[0].pinned
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
 	reps[dead.id].srv.Close()
 	flat(c).eject(dead)
 	for id := 1; id <= 3; id++ {
@@ -450,11 +477,11 @@ func TestSlowReplicaEjectedByTxnWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Put(s, false)
-	s.txn.(*replicaTxn).pinned = flat(c).replicas[1] // reads start on the replica about to lag
-	px.Set(chaos.Fault{Kind: chaos.Latency, Delay: 300 * time.Millisecond})
 	if err := s.Begin("items"); err != nil {
 		t.Fatal(err)
 	}
+	s.subs[0].pinned = flat(c).replicas[1] // reads start on the replica about to lag
+	px.Set(chaos.Fault{Kind: chaos.Latency, Delay: 300 * time.Millisecond})
 	mustExec(t, s, "UPDATE items SET qty = 1 WHERE id = 2")
 	if c.Healthy() != 1 {
 		t.Fatalf("healthy = %d after the first transactional write, want the slow replica ejected", c.Healthy())
@@ -559,7 +586,7 @@ func TestChaosShardSplitInsert(t *testing.T) {
 						groups[v[0]][v[1]].srv.Close()
 					}
 				}
-				sh := c.backend.(*shardSet)
+				sh := c.shardSet
 				if cell.between {
 					sh.betweenPhases = kill
 				} else {

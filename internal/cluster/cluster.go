@@ -3,12 +3,12 @@
 // read-one-write-all semantics, the C-JDBC-style clustering middleware the
 // paper's authors name as the way past the single-database bottleneck.
 //
-// A Client is a shell over one of two topologies, chosen from the DSN: a
-// replica set (replica.go) or a shard set composing several (shard.go); a
-// Session is the same shell over the topology's transaction. Either way the
-// application sees one surface — Exec, Get/Put, WithTx — and
-// every statement takes the wire protocol's prepared path, the only one the
-// wire client has. A distinct text is parsed and planned once client-side
+// A Client is one topology, a shard set (shard.go) of replica-set groups
+// (replica.go), whatever the DSN names: a DSN with no ';' is a set of one
+// group, run by the same code, and a Session is the shard set's transaction
+// coordinator. The application sees one surface — Exec, Get/Put, WithTx —
+// and every statement takes the wire protocol's prepared path, the only one
+// the wire client has. A distinct text is parsed and planned once client-side
 // (route.go's analyze); routing, the query cache's table set and the shard
 // target all read that one plan, and a text the parser rejects fails there,
 // with the error the database would send, before any connection or lock is
@@ -142,54 +142,12 @@ func ParseDSN(dsn string) []string {
 	return addrs
 }
 
-// backend is what a Client routes over: one replica set, or a shard set
-// composing several. It is embedded in Client, so its exported methods are
-// the Client's own and neither topology's state is reachable from the other.
-type backend interface {
-	// Exec routes one statement: reads run on one load-balanced replica (of
-	// the owning shard, or merged across shards), writes broadcast to all
-	// healthy replicas in order under the table write-order lock.
-	Exec(query string, args ...sqldb.Value) (*sqldb.Result, error)
-	// ClientStats snapshots the counters (summed over shards).
-	ClientStats() ClientStats
-	// Replicas returns the number of configured replicas (over all shards).
-	Replicas() int
-	// Healthy returns the number of replicas currently accepting traffic.
-	Healthy() int
-	// Rejoin brings an ejected replica back: its stale pooled connections
-	// are dropped and, with syncData true, a healthy replica's data is
-	// copied onto it first (Sync, the replica-sync path). Rejoin blocks the
-	// broadcasts of every client in this process over the DSN until the
-	// copy completes, so the joiner comes back consistent; a client in
-	// another process is not blocked (DESIGN.md's
-	// DEV-write-order-one-process). Ids number shard 0's replicas first,
-	// then shard 1's, and so on — the order ReplicaStats reports.
-	Rejoin(id int, syncData bool) error
-	// Stats aggregates the per-replica pools into one pool.Stats — the
-	// single "connections into the database tier" figure the cross-tier
-	// bottleneck heuristic consumes. Counters sum; latency figures take the
-	// worst replica.
-	Stats() pool.Stats
-	// ReplicaStats reports the per-replica routing view for telemetry, in
-	// Rejoin's id order.
-	ReplicaStats() []telemetry.Replica
-	// ContentEpoch reports the cluster-wide write epoch: it advances on
-	// every committed write through any client sharing this DSN. The HTTP
-	// page cache keys freshness on it (internal/lb.PageCache); the app tier
-	// republishes it per response as the X-Content-Epoch header.
-	ContentEpoch() uint64
-
-	session() (*Session, error)
-	close()
-}
-
 // Client is the replicated database client, safe for concurrent use. It
 // presents the same surface as a single wire.Pool — Exec for pool-routed
 // statements, Get/Put for the logical sessions transactions run on —
 // whatever topology the DSN names.
 type Client struct {
-	backend
-	shards int
+	*shardSet
 	closed atomic.Bool
 }
 
@@ -214,33 +172,28 @@ func New(dsn string, poolSize int) *Client {
 	return NewWithConfig(Config{DSN: dsn, PoolSize: poolSize})
 }
 
-// NewWithConfig creates a client. A DSN naming more than one ';'-separated
-// shard group builds a sharded client (shard.go) whose per-shard replica
-// sets each get this same configuration over their own replica subset.
+// NewWithConfig creates a client over the DSN's shard groups (shard.go),
+// each a replica set with this same configuration over its own replica
+// subset. A DSN with no ';' is a set of one group.
 func NewWithConfig(cfg Config) *Client {
-	if groups := ParseShardDSN(cfg.DSN); len(groups) > 1 {
-		return &Client{backend: newShardSet(cfg, groups), shards: len(groups)}
-	}
-	return &Client{backend: newReplicaSet(cfg, ParseDSN(cfg.DSN), new(routes)), shards: 1}
+	return &Client{shardSet: newShardSet(cfg, ParseShardDSN(cfg.DSN))}
 }
-
-// Shards returns the number of shard groups (1 for an unsharded client).
-func (c *Client) Shards() int { return c.shards }
 
 // Deprecated: ExecCached is Exec.
 func (c *Client) ExecCached(query string, args ...sqldb.Value) (*sqldb.Result, error) {
 	return c.Exec(query, args...)
 }
 
-// Get opens a logical session, the unit a transaction runs on. A
-// transaction's reads pin to one load-balanced replica and its writes
-// broadcast to every healthy replica in order; with no transaction open the
-// session's statements are the Client's own.
+// Get opens a logical session, the unit a transaction runs on. It borrows
+// nothing: a transaction's reads pin to one load-balanced replica, picked
+// when the transaction begins, and its writes broadcast to every healthy
+// replica in order; with no transaction open the session's statements are
+// the Client's own.
 func (c *Client) Get() (*Session, error) {
 	if c.closed.Load() {
 		return nil, errors.New("cluster: client closed")
 	}
-	return c.session()
+	return &Session{c.newTxn()}, nil
 }
 
 // Put returns a session. Pass broken=true when its transaction did not end
@@ -261,33 +214,13 @@ func (c *Client) Close() {
 	}
 }
 
-// txn is a topology's session: the replica set's own transaction, or the
-// shard coordinator's over one of those per participating shard.
-type txn interface {
-	// exec runs one statement, planned by rt, on the session.
-	exec(rt *route, query string, args []sqldb.Value) (*sqldb.Result, error)
-	// Commit commits the open transaction on every replica it was opened on
-	// and releases its write-order locks; with more than one participating
-	// shard it runs two-phase commit (shard.go). Without an open
-	// transaction it is a no-op, like the database's own COMMIT.
-	Commit() error
-	// Rollback rolls the open transaction back everywhere. The database's
-	// undo logs restore each replica to its pre-transaction state, so the
-	// replicas stay bit-identical across the abort.
-	Rollback() error
-
-	begin(tables []string) error // tables normalized
-	state() (open, failed bool)
-	end(broken bool)
-}
-
 // Session is one logical connection over the cluster — what the
 // application borrows around a transaction, demarcated with Begin and
-// Commit/Rollback. Not safe for concurrent use, like the wire connection it
-// replaces.
+// Commit/Rollback. It is the shard set's transaction coordinator (shardTxn),
+// over one group as over several. Not safe for concurrent use, like the wire
+// connection it replaces.
 type Session struct {
-	txn
-	routes *routes // the client's plan memo
+	*shardTxn
 }
 
 var (
@@ -300,8 +233,8 @@ var (
 // AUTO_INCREMENT — commits the session's transaction first and runs in
 // auto-commit, on every topology, as Begin does for a nested BEGIN.
 func (s *Session) Exec(query string, args ...sqldb.Value) (*sqldb.Result, error) {
-	rt := s.routes.of(query)
-	if open, failed := s.state(); rt.commits && open && !failed {
+	rt := s.sh.routes.of(query)
+	if rt.commits && s.inTxn && !s.failed {
 		if err := s.Commit(); err != nil {
 			return nil, err
 		}
@@ -327,11 +260,10 @@ func (s *Session) ExecCached(query string, args ...sqldb.Value) (*sqldb.Result, 
 // transaction already open is committed first, as the database itself would
 // on BEGIN.
 func (s *Session) Begin(tables ...string) error {
-	open, failed := s.state()
-	if failed {
+	if s.failed {
 		return errSessionFailed
 	}
-	if open {
+	if s.inTxn {
 		if err := s.Commit(); err != nil {
 			return err
 		}
@@ -371,7 +303,7 @@ func (c *Client) withTx(begin func(*Session) error, fn func(tx *Session) error) 
 			c.Put(s, true)
 			panic(r)
 		}
-		if open, _ := s.state(); !committed && open {
+		if !committed && s.inTxn {
 			if rbErr := s.Rollback(); rbErr != nil {
 				broken = true
 			}

@@ -64,9 +64,9 @@ func dsnOf(reps []*testReplica) string {
 	return strings.Join(addrs, ",")
 }
 
-// flat reaches an unsharded client's replica set, for tests that drive its
-// internals.
-func flat(c *Client) *replicaSet { return c.backend.(*replicaSet) }
+// flat reaches an unsharded client's one replica set, for tests that drive
+// its internals.
+func flat(c *Client) *replicaSet { return c.shards[0] }
 
 // eachReplicaCount runs a test of count-agnostic behaviour over one backend
 // and over two: the same statement paths serve both, so the replica count is
@@ -1163,8 +1163,9 @@ func TestSessionBetweenTransactionsHoldsNoConnection(t *testing.T) {
 	})
 }
 
-// TestTxnBeginSkipsEjectedPinnedReplica: a session whose read replica was
-// ejected before its transaction began reads inside the transaction from a
+// TestTxnBeginSkipsEjectedPinnedReplica: a session keeps the read replica
+// its first transaction picked, and one whose read replica was ejected
+// before its next transaction began reads inside that transaction from a
 // replica that is in it, not over a fresh connection — outside the
 // transaction — to the ejected one.
 func TestTxnBeginSkipsEjectedPinnedReplica(t *testing.T) {
@@ -1175,7 +1176,13 @@ func TestTxnBeginSkipsEjectedPinnedReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Put(s, false)
-	pinned := s.txn.(*replicaTxn).pinned.id
+	if err := s.Begin("items"); err != nil {
+		t.Fatal(err)
+	}
+	pinned := s.subs[0].pinned.id
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
 	reps[pinned].srv.Close()
 	mustExec(t, c, "UPDATE items SET qty = 1 WHERE id = 1") // the broadcast finds it dead
 	if c.Healthy() != 1 {

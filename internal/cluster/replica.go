@@ -31,16 +31,16 @@ type replicaCells struct {
 	Reads, Writes, Ejections, LagNanos atomic.Int64
 }
 
-// replicaSet is one read-one-write-all replication group: the backend of an
-// unsharded Client. A statement takes one of two paths through it, chosen
-// by whether a transaction is open — Exec (auto-commit) or replicaTxn.route
-// (transactional) — and by nothing else: a single backend is a group of
-// one, running the same code.
+// replicaSet is one read-one-write-all replication group: one shard group of
+// a Client, the only one when the DSN names no shards. A statement takes one
+// of two paths through it, chosen by whether a transaction is open — exec
+// (auto-commit) or replicaTxn.exec (transactional) — and by nothing else: a
+// single backend is a group of one, running the same code.
 type replicaSet struct {
 	replicas []*replica
 	rr       atomic.Uint64
 	locks    *writeLocks
-	routes   *routes                // shared by every shard of a sharded Client
+	routes   *routes                // the Client's plan memo, shared by every shard
 	qcache   *lru.Cache[cacheEntry] // nil when Config.QueryCache == 0
 	slow     time.Duration          // SlowThreshold; 0 = disabled
 	syncTO   time.Duration          // resolved SyncTimeout; 0 = unbounded
@@ -53,9 +53,6 @@ type replicaSet struct {
 }
 
 func newReplicaSet(cfg Config, addrs []string, rt *routes) *replicaSet {
-	if len(addrs) == 0 {
-		addrs = []string{""}
-	}
 	size := cfg.PoolSize
 	if size <= 0 {
 		size = 12
@@ -92,20 +89,6 @@ func (rs *replicaSet) ClientStats() ClientStats {
 	telemetry.Load(&s, &rs.counters)
 	return s
 }
-
-func (rs *replicaSet) Replicas() int { return len(rs.replicas) }
-
-func (rs *replicaSet) Healthy() int {
-	n := 0
-	for _, r := range rs.replicas {
-		if r.healthy.Load() {
-			n++
-		}
-	}
-	return n
-}
-
-func (rs *replicaSet) ContentEpoch() uint64 { return rs.locks.epoch.Load() }
 
 // pickRead selects the read replica: the healthy replica with the fewest
 // borrowed connections (the pool's InUse gauge), round-robin on ties.
@@ -176,13 +159,9 @@ func ejectable(err error) bool {
 	return isTransport(err) && !errors.Is(err, pool.ErrWaitTimeout)
 }
 
-// Exec is the auto-commit path, one of the set's two (replicaTxn.route is
+// exec is the auto-commit path, one of the set's two (replicaTxn.exec is
 // the other): a read runs on one load-balanced replica with failover, a
 // write broadcasts under its tables' write-order locks.
-func (rs *replicaSet) Exec(query string, args ...sqldb.Value) (*sqldb.Result, error) {
-	return rs.exec(rs.routes.of(query), query, args)
-}
-
 func (rs *replicaSet) exec(rt *route, query string, args []sqldb.Value) (*sqldb.Result, error) {
 	if rt.err != nil {
 		return nil, rt.err
@@ -390,15 +369,8 @@ func (rs *replicaSet) writeWith(rt *route, query string, args []sqldb.Value) (*s
 	return b.result()
 }
 
-// session opens the replica set's session for a Client.
-func (rs *replicaSet) session() (*Session, error) {
-	s, err := rs.open()
-	if err != nil {
-		return nil, err
-	}
-	return &Session{s, rs.routes}, nil
-}
-
+// open starts a shard coordinator's sub-session on the set, pinned to a
+// load-balanced read replica; it borrows nothing until begin.
 func (rs *replicaSet) open() (*replicaTxn, error) {
 	pinned := rs.pickRead()
 	if pinned == nil {
@@ -412,10 +384,10 @@ func (rs *replicaSet) open() (*replicaTxn, error) {
 	}, nil
 }
 
-// replicaTxn is a session over one replica set. With no transaction open it
-// is a handle on the set's auto-commit path and holds nothing; an open
-// transaction holds a connection to every participating replica and the
-// write-order locks, from begin to closeTxn.
+// replicaTxn is a shard coordinator's sub-session over one replica set. The
+// coordinator reaches it only inside a transaction; between transactions it
+// holds nothing, and an open transaction holds a connection to every
+// participating replica and the write-order locks, from begin to closeTxn.
 type replicaTxn struct {
 	rs     *replicaSet
 	pinned *replica
@@ -436,19 +408,22 @@ type replicaTxn struct {
 	held     []string
 }
 
-func (s *replicaTxn) state() (open, failed bool) { return s.inTxn, s.failed }
-
-// exec runs one statement on the path the session's one bit selects: with
-// no transaction open the session adds nothing over the set's auto-commit
-// path; inside one, the statement runs on the transaction's connections.
-func (s *replicaTxn) exec(rt *route, query string, args []sqldb.Value) (*sqldb.Result, error) {
-	if s.failed {
+// exec is the transactional path, the set's other one (see
+// replicaSet.exec): reads on the pinned replica's connection, writes
+// broadcast on every connection the transaction holds.
+func (s *replicaTxn) exec(rt *route, query string, args []sqldb.Value) (res *sqldb.Result, err error) {
+	switch {
+	case s.failed:
 		return nil, errSessionFailed
+	case rt.err != nil:
+		return nil, rt.err
+	case !rt.write:
+		res, err = s.rs.cachedRead(rt, query, args, s.cacheBypass(rt), func() (*sqldb.Result, error) {
+			return s.execRead(query, args)
+		})
+	default:
+		res, err = s.execWrite(query, args, rt)
 	}
-	if !s.inTxn {
-		return s.rs.exec(rt, query, args)
-	}
-	res, err := s.route(rt, query, args)
 	// A lock-wait-timeout abort rolled the WHOLE transaction back on the
 	// replica that reported it, while the others still hold theirs open.
 	// The session must not be used further: statements after the abort
@@ -468,21 +443,6 @@ func (s *replicaTxn) exec(rt *route, query string, args []sqldb.Value) (*sqldb.R
 func isTxnAbort(err error) bool {
 	return wire.IsServerError(err) &&
 		strings.Contains(err.Error(), sqldb.ErrLockWaitTimeout.Error())
-}
-
-// route is the transactional path, the set's other one (see
-// replicaSet.Exec): reads on the pinned replica's connection, writes
-// broadcast on every connection the transaction holds.
-func (s *replicaTxn) route(rt *route, query string, args []sqldb.Value) (*sqldb.Result, error) {
-	if rt.err != nil {
-		return nil, rt.err
-	}
-	if !rt.write {
-		return s.rs.cachedRead(rt, query, args, s.cacheBypass(rt), func() (*sqldb.Result, error) {
-			return s.execRead(query, args)
-		})
-	}
-	return s.execWrite(query, args, rt)
 }
 
 // execRead runs a read on the pinned replica's connection. Inside a write
@@ -809,16 +769,6 @@ func (rs *replicaSet) Stats() pool.Stats {
 		telemetry.Add(&s, r.pool.Stats())
 	}
 	return s
-}
-
-func (rs *replicaSet) ReplicaStats() []telemetry.Replica {
-	out := make([]telemetry.Replica, len(rs.replicas))
-	for i, r := range rs.replicas {
-		ps := r.pool.Stats()
-		out[i] = telemetry.Replica{ID: r.id, Addr: r.addr, Healthy: r.healthy.Load(), Pool: &ps}
-		telemetry.Load(&out[i], &r.replicaCells)
-	}
-	return out
 }
 
 func (rs *replicaSet) close() {

@@ -1,8 +1,11 @@
-// Horizontal sharding (DESIGN.md §9): a sharded Client partitions tables
-// across N independent replication clusters ("shard groups") by a per-table
-// key column, composing with everything below it — each shard is a full
-// ROWA cluster (M replicas, ejection, rejoin, its own query cache), so a
-// "2x3" topology is two shards of three replicas each.
+// Horizontal sharding (DESIGN.md §9): a Client partitions tables across N
+// independent replication clusters ("shard groups") by a per-table key
+// column, composing with everything below it — each shard is a full ROWA
+// cluster (M replicas, ejection, rejoin, its own query cache), so a "2x3"
+// topology is two shards of three replicas each. An unsharded Client is the
+// same shard set at N = 1: its router has no shard map, every statement goes
+// to the one group uncounted, and its locks and telemetry rows are the
+// group's own.
 //
 // One plan, one decision. A text's plan is its route, memoized once per
 // client and read by every shard: planShards adds the shard-key
@@ -30,7 +33,7 @@
 // n counts i+1, i+1+n, ...), so a generated id hashes back to its shard and
 // a row keyed by it (order_line by order_id) colocates with its parent.
 //
-// Transactions: a sharded Session (shardTxn) coordinates one sub-session per
+// Transactions: a Session (shardTxn) coordinates one sub-session per
 // participating shard, opened lazily as statements pin shards (in ascending
 // shard order, which is what excludes cross-transaction deadlock on the
 // per-shard write-order locks). COMMIT with more than one participant runs
@@ -68,17 +71,20 @@ func ParseShardDSN(dsn string) [][]string {
 	return groups
 }
 
-// shardSet is the backend of a sharded Client: one replica set per shard
-// group (each with its own pools, health tracking and query cache) and the
+// shardSet is what a Client routes over: one replica set per shard group
+// (each with its own pools, health tracking and query cache) and the
 // client's plan memo, which every shard reads too. It keeps no query cache
 // of its own — pinned statements hit the owning shard's cache, and
 // cross-shard merges are recomputed (their invalidation scope spans shards).
+// Its exported methods are the Client's own.
 type shardSet struct {
 	shards []*replicaSet
 	// outer serializes cross-shard broadcasts (global-table writes, DDL)
 	// over the full address set, so every shard applies them in one order.
 	// Single-shard statements never touch it — the owning shard's own
-	// write-order locks suffice, because shards own disjoint rows.
+	// write-order locks suffice, because shards own disjoint rows. With one
+	// group it is that group's locks, not a second registry reference to
+	// the same address set.
 	outer  *writeLocks
 	addrs  []string
 	routes *routes
@@ -94,19 +100,35 @@ type shardSet struct {
 	betweenPhases func()
 }
 
+// newShardSet builds the set over the DSN's groups; no group at all is one
+// group of the empty address. With one group, ShardBy is ignored: the
+// router gets no shard map.
 func newShardSet(cfg Config, groups [][]string) *shardSet {
-	rt := &routes{byTable: make(map[string]string, len(cfg.ShardBy))}
-	for t, col := range cfg.ShardBy {
-		rt.byTable[strings.ToLower(t)] = strings.ToLower(col)
+	if len(groups) == 0 {
+		groups = [][]string{{""}}
+	}
+	rt := new(routes)
+	if len(groups) > 1 {
+		rt.byTable = make(map[string]string, len(cfg.ShardBy))
+		for t, col := range cfg.ShardBy {
+			rt.byTable[strings.ToLower(t)] = strings.ToLower(col)
+		}
 	}
 	sh := &shardSet{routes: rt}
 	for _, g := range groups {
 		sh.addrs = append(sh.addrs, g...)
 		sh.shards = append(sh.shards, newReplicaSet(cfg, g, rt))
 	}
-	sh.outer = acquireWriteLocks(sh.addrs)
+	sh.outer = sh.shards[0].locks
+	if sh.sharded() {
+		sh.outer = acquireWriteLocks(sh.addrs)
+	}
 	return sh
 }
+
+// sharded reports a set of more than one group. A set of one looks
+// unsharded from outside, as its callers say: no lock or count of its own.
+func (sh *shardSet) sharded() bool { return len(sh.shards) > 1 }
 
 func (sh *shardSet) rrNext() int { return int(sh.rr.Add(1) % uint64(len(sh.shards))) }
 
@@ -204,14 +226,16 @@ type target struct {
 
 // target decides where a statement runs, for both the auto-commit and the
 // transactional path, and counts the decision — the one place ShardSingle,
-// ShardScatter and ShardBroadcast advance. A global-table read runs on any
-// shard, uncounted: every shard holds the table. A keyless INSERT runs on
-// any one shard too: its strided counter assigns an id that routes back to
-// it.
+// ShardScatter and ShardBroadcast advance. A set of one sends everything to
+// its one shard, uncounted. A global-table read runs on any shard,
+// uncounted: every shard holds the table. A keyless INSERT runs on any one
+// shard too: its strided counter assigns an id that routes back to it.
 func (sh *shardSet) target(p *route, args []sqldb.Value) (t target, err error) {
 	switch _, insert := p.stmt.(*sqlparse.Insert); {
 	case p.err != nil:
 		return t, p.err
+	case !sh.sharded():
+		return target{reach: reachOne}, nil
 	case !p.sharded && !p.write:
 		return t, nil
 	case p.sharded && insert:
@@ -239,7 +263,9 @@ func (sh *shardSet) target(p *route, args []sqldb.Value) (t target, err error) {
 	return t, nil
 }
 
-// Exec routes one pool-level statement through the shard set.
+// Exec routes one statement: reads run on one load-balanced replica (of the
+// owning shard, or merged across shards), writes broadcast to all healthy
+// replicas in order under the table write-order lock.
 func (sh *shardSet) Exec(query string, args ...sqldb.Value) (*sqldb.Result, error) {
 	return sh.exec(sh.routes.of(query), query, args)
 }
@@ -488,33 +514,51 @@ func (sh *shardSet) strideTable(table string) error {
 	}
 	for i, s := range sh.shards {
 		q := fmt.Sprintf("ALTER TABLE %s AUTO_INCREMENT OFFSET %d STRIDE %d", table, i+1, len(sh.shards))
-		if _, err := s.Exec(q); err != nil {
+		if _, err := s.exec(sh.routes.of(q), q, nil); err != nil {
 			return fmt.Errorf("cluster: stride %s on shard %d: %w", table, i, err)
 		}
 	}
 	return nil
 }
 
+// ClientStats snapshots the counters, summed over shards. A set of one
+// leaves Shards at 0: its row is its one group's.
 func (sh *shardSet) ClientStats() ClientStats {
 	var s ClientStats
 	telemetry.Load(&s, &sh.counters)
-	s.Shards = len(sh.shards)
+	if sh.sharded() {
+		s.Shards = len(sh.shards)
+	}
 	for _, rs := range sh.shards {
 		telemetry.Add(&s, rs.ClientStats())
 	}
 	return s
 }
 
+// Replicas returns the number of configured replicas, over all shards.
 func (sh *shardSet) Replicas() int { return len(sh.addrs) }
 
+// Healthy returns the number of replicas currently accepting traffic.
 func (sh *shardSet) Healthy() int {
 	n := 0
 	for _, rs := range sh.shards {
-		n += rs.Healthy()
+		for _, r := range rs.replicas {
+			if r.healthy.Load() {
+				n++
+			}
+		}
 	}
 	return n
 }
 
+// Rejoin brings an ejected replica back: its stale pooled connections are
+// dropped and, with syncData true, a healthy replica's data is copied onto
+// it first (Sync, the replica-sync path). Rejoin blocks the broadcasts of
+// every client in this process over the DSN until the copy completes, so
+// the joiner comes back consistent; a client in another process is not
+// blocked (DESIGN.md's DEV-write-order-one-process). Ids number shard 0's
+// replicas first, then shard 1's, and so on — the order ReplicaStats
+// reports.
 func (sh *shardSet) Rejoin(id int, syncData bool) error {
 	rest := id
 	for _, rs := range sh.shards {
@@ -526,7 +570,14 @@ func (sh *shardSet) Rejoin(id int, syncData bool) error {
 	return fmt.Errorf("cluster: no replica %d", id)
 }
 
+// Stats aggregates the per-replica pools into one pool.Stats — the single
+// "connections into the database tier" figure the cross-tier bottleneck
+// heuristic consumes. Counters sum; latency figures take the worst replica.
+// A set of one reports its group's row, under the group's pool name.
 func (sh *shardSet) Stats() pool.Stats {
+	if !sh.sharded() {
+		return sh.shards[0].Stats()
+	}
 	s := pool.Stats{Name: "db-shards"}
 	for _, rs := range sh.shards {
 		telemetry.Add(&s, rs.Stats())
@@ -534,21 +585,28 @@ func (sh *shardSet) Stats() pool.Stats {
 	return s
 }
 
-// ReplicaStats concatenates the shards' replicas in shard order, renumbered
-// globally, each entry's Shard field set.
+// ReplicaStats reports the per-replica routing view for telemetry, in
+// Rejoin's id order: the shards' replicas in shard order, each entry's Shard
+// field set.
 func (sh *shardSet) ReplicaStats() []telemetry.Replica {
 	var out []telemetry.Replica
 	for si, rs := range sh.shards {
-		for _, r := range rs.ReplicaStats() {
-			r.ID = len(out)
-			r.Shard = si
-			out = append(out, r)
+		for _, r := range rs.replicas {
+			ps := r.pool.Stats()
+			row := telemetry.Replica{ID: len(out), Shard: si, Addr: r.addr, Healthy: r.healthy.Load(), Pool: &ps}
+			telemetry.Load(&row, &r.replicaCells)
+			out = append(out, row)
 		}
 	}
 	return out
 }
 
-// ContentEpoch is the SUM of the per-shard epochs — every shard's committed
+// ContentEpoch reports the cluster-wide write epoch: it advances on every
+// committed write through any client sharing this DSN. The HTTP page cache
+// keys freshness on it (internal/lb.PageCache); the app tier republishes it
+// per response as the X-Content-Epoch header.
+//
+// It is the SUM of the per-shard epochs — every shard's committed
 // writes advance it, so a page cached under the combined epoch is
 // invalidated by a write through any shard. (A max would not be safe: two
 // shards advancing in lockstep could leave the max unchanged while content
@@ -556,7 +614,7 @@ func (sh *shardSet) ReplicaStats() []telemetry.Replica {
 func (sh *shardSet) ContentEpoch() uint64 {
 	var e uint64
 	for _, rs := range sh.shards {
-		e += rs.ContentEpoch()
+		e += rs.locks.epoch.Load()
 	}
 	return e
 }
@@ -565,10 +623,12 @@ func (sh *shardSet) close() {
 	for _, rs := range sh.shards {
 		rs.close()
 	}
-	releaseWriteLocks(sh.addrs)
+	if sh.sharded() {
+		releaseWriteLocks(sh.addrs)
+	}
 }
 
-// ---- sharded sessions: per-shard sub-sessions and two-phase commit ----
+// ---- sessions: per-shard sub-sessions and two-phase commit ----
 
 var errShardOrder = errors.New("cluster: transaction touched shards out of ascending order; declare a global table at Begin to open all shards up front")
 
@@ -587,13 +647,9 @@ type shardTxn struct {
 	maxSub   int
 }
 
-func (sh *shardSet) session() (*Session, error) { return &Session{sh.newTxn(), sh.routes}, nil }
-
 func (sh *shardSet) newTxn() *shardTxn {
 	return &shardTxn{sh: sh, subs: make([]*replicaTxn, len(sh.shards)), maxSub: -1}
 }
-
-func (s *shardTxn) state() (open, failed bool) { return s.inTxn, s.failed }
 
 // exec routes one session statement. Outside a transaction the session
 // adds nothing over the pool path; inside one, the statement's target is
@@ -821,6 +877,9 @@ func (s *shardTxn) begin(declared []string) error {
 // a shard's commit can no longer fail engine-side — and only when every
 // shard has prepared do the COMMITs go out. A prepare failure aborts every shard: no shard commits
 // unless all can, which is what keeps a multi-shard order atomic.
+//
+// Without an open transaction Commit is a no-op, like the database's own
+// COMMIT.
 func (s *shardTxn) Commit() error {
 	if !s.inTxn {
 		return nil
@@ -869,12 +928,16 @@ func (s *shardTxn) Commit() error {
 	return nil
 }
 
-// Rollback aborts the coordinated transaction on every open shard.
+// Rollback aborts the coordinated transaction on every open shard. The
+// database's undo logs restore each replica to its pre-transaction state, so
+// the replicas stay bit-identical across the abort. A shard whose rollback
+// reached no replica fails the session.
 func (s *shardTxn) Rollback() error {
 	var err error
 	for _, sub := range s.openSubs() {
 		if e := sub.Rollback(); e != nil {
 			err = e
+			s.failed = true
 		}
 	}
 	s.closeTxn()

@@ -82,8 +82,8 @@ func TestParseShardDSN(t *testing.T) {
 func TestShardPinnedRouting(t *testing.T) {
 	groups := startShards(t, 2, 1)
 	c := newShardClient(t, groups, Config{})
-	if c.Shards() != 2 || c.Replicas() != 2 {
-		t.Fatalf("topology: %d shards / %d replicas", c.Shards(), c.Replicas())
+	if st := c.ClientStats(); st.Shards != 2 || c.Replicas() != 2 {
+		t.Fatalf("topology: %d shards / %d replicas", st.Shards, c.Replicas())
 	}
 	for cust := 1; cust <= 8; cust++ {
 		mustExec(t, c, "INSERT INTO orders (customer_id, total) VALUES (?, ?)",
@@ -235,7 +235,7 @@ func TestShardParsesOncePerClient(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sh := c.backend.(*shardSet)
+	sh := c.shardSet
 	s, err := c.Get()
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +247,7 @@ func TestShardParsesOncePerClient(t *testing.T) {
 			t.Fatalf("%q ran without a memoized plan", q)
 		}
 		p := v.(*route)
-		if !p.sharded || s.routes.of(q) != p {
+		if !p.sharded || s.sh.routes.of(q) != p {
 			t.Errorf("%q: the session reads a plan apart from the router's", q)
 		}
 		for i, rs := range sh.shards {
@@ -439,7 +439,7 @@ func TestShardReadOnlyTxnScatter(t *testing.T) {
 	if got := c.ClientStats().ShardScatter - before; got != 1 {
 		t.Fatalf("scatter reads rose by %d, want 1", got)
 	}
-	if subs := s.txn.(*shardTxn).openSubs(); len(subs) != 0 {
+	if subs := s.openSubs(); len(subs) != 0 {
 		t.Fatalf("%d sub-sessions opened by a read outside a transaction", len(subs))
 	}
 }
@@ -653,7 +653,7 @@ func TestShardMid2PCReplicaKillRejoin(t *testing.T) {
 	groups := startShards(t, 2, 2)
 	c := newShardClient(t, groups, Config{})
 	victim := groups[0][1] // shard 0, replica 1 -> global replica id 1
-	sh := c.backend.(*shardSet)
+	sh := c.shardSet
 	sh.betweenPhases = func() { victim.srv.Close() }
 	err := c.WithTx([]string{"orders", "customers"}, func(tx *Session) error {
 		for cust := 1; cust <= 2; cust++ {

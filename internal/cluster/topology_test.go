@@ -267,7 +267,11 @@ func topologyState(t *testing.T, groups [][]*testReplica) []string {
 // runs in auto-commit, as the engine does, on 1x1, 1x2 and 2x1 alike. The
 // transaction's INSERT into a global table is committed, and the sharded
 // CREATE TABLE is strided like one run outside a transaction: four keyless
-// INSERTs get distinct ids, each on the shard its id hashes to.
+// INSERTs get distinct ids, each on the shard its id hashes to, and a
+// COUNT(*) through the client finds all four. On one group the outside view
+// is the unsharded one: ShardBy is ignored, no shard count or routing
+// decision is reported, and the pool is named after its replicas (db@<addr>
+// for one, db-cluster for several).
 func TestTxnDDLCommitsFirst(t *testing.T) {
 	for _, topo := range [][2]int{{1, 1}, {1, 2}, {2, 1}} {
 		t.Run(fmt.Sprintf("%dx%d", topo[0], topo[1]), func(t *testing.T) {
@@ -314,6 +318,27 @@ func TestTxnDDLCommitsFirst(t *testing.T) {
 			}
 			if held != 4 {
 				t.Errorf("%d orders rows over the shards, want 4", held)
+			}
+			if res, err := c.Exec("SELECT COUNT(*) FROM orders"); err != nil || res.Rows[0][0].AsInt() != 4 {
+				t.Errorf("COUNT(*) through the client = %v, %v; want 4", res, err)
+			}
+			if topo[0] > 1 {
+				return
+			}
+			if c.routes.byTable != nil {
+				t.Error("one group's router got ShardBy's shard map")
+			}
+			st := c.ClientStats()
+			if st.Shards != 0 || st.ShardSingle+st.ShardScatter+st.ShardBroadcast+st.Shard2PCTxns != 0 {
+				t.Errorf("one group reports shards %d, decisions %d/%d/%d/%d; want all 0",
+					st.Shards, st.ShardSingle, st.ShardScatter, st.ShardBroadcast, st.Shard2PCTxns)
+			}
+			want := "db-cluster"
+			if topo[1] == 1 {
+				want = "db@" + groups[0][0].addr
+			}
+			if name := c.Stats().Name; name != want {
+				t.Errorf("one group's pool is named %q, want %q", name, want)
 			}
 		})
 	}

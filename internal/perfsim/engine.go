@@ -34,12 +34,9 @@ func newMachine(s *sim.Sim) *machine {
 	}
 }
 
-// mark opens the measurement window. The receive link is read too, though
-// its busy time is never reported: a read advances a resource's virtual
-// clock, and where that sum is split can round later completions apart.
+// mark opens the measurement window.
 func (m *machine) mark() {
 	m.cpu0, m.tx0 = m.cpu.BusyTime(), m.tx.BusyTime()
-	m.rx.BusyTime()
 }
 
 // txRate is the bytes/second transmitted over the dt seconds since the window
@@ -91,13 +88,9 @@ func (p *pipeline) wait(d float64) { p.add(stage{kind: stWait, amount: d}) }
 
 // send moves size bytes from machine a to machine b through the switch: the
 // bytes occupy a's transmit link, cross the wire, then occupy b's receive
-// link. Loopback costs nothing but a zero wait, as same-machine IPC is
-// accounted as CPU time instead.
+// link. Every send crosses machines: same-machine IPC is accounted as CPU
+// time instead.
 func (p *pipeline) send(a, b *machine, size float64) {
-	if a == b {
-		p.wait(0)
-		return
-	}
 	p.use(a.tx, size)
 	p.wait(linkLatency)
 	p.use(b.rx, size)

@@ -44,16 +44,6 @@ func TestSendLatencyAndBandwidth(t *testing.T) {
 	}
 }
 
-func TestLoopbackIsFree(t *testing.T) {
-	r := &run{s: sim.New()}
-	a := newMachine(r.s)
-	end := sendAlone(r, a, a, 1e9)
-	r.s.Run()
-	if *end != 0 {
-		t.Fatalf("loopback delivered at %g, want 0", *end)
-	}
-}
-
 func TestSwitchedFabricNoCrossContention(t *testing.T) {
 	// a->b and x->y transfer concurrently at full speed on a switch: a
 	// second on each transmit link, the wire, a second on each receive link.

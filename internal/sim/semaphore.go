@@ -10,8 +10,6 @@ type Semaphore struct {
 	cap   int
 	held  int
 	queue waiters
-
-	waitAcc float64
 }
 
 // waiter is a parked request: when it arrived, its place in arrival order
@@ -58,9 +56,6 @@ func NewSemaphore(s *Sim, capacity int) *Semaphore {
 	return &Semaphore{sim: s, cap: capacity}
 }
 
-// TotalWait returns the accumulated waiting time across grants.
-func (sem *Semaphore) TotalWait() float64 { return sem.waitAcc }
-
 // Acquire requests a slot; granted runs synchronously if one is free,
 // otherwise when a predecessor releases.
 func (sem *Semaphore) Acquire(granted func()) {
@@ -72,7 +67,7 @@ func (sem *Semaphore) Acquire(granted func()) {
 		granted()
 		return
 	}
-	sem.queue.push(waiter{since: sem.sim.Now(), granted: granted})
+	sem.queue.push(waiter{granted: granted})
 }
 
 // Release frees one slot, granting the oldest waiter if any.
@@ -83,7 +78,6 @@ func (sem *Semaphore) Release() {
 	sem.held--
 	if sem.queue.len() > 0 {
 		w := sem.queue.pop()
-		sem.waitAcc += sem.sim.Now() - w.since
 		sem.held++
 		w.granted()
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/frame"
 	"repro/internal/pool"
@@ -48,8 +47,10 @@ func DialT(addr string, t pool.Timeouts) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Conn{tc: tc, stmts: make(map[string]uint32)}, nil
+	return newConn(tc), nil
 }
+
+func newConn(tc *pool.Conn) *Conn { return &Conn{tc: tc, stmts: make(map[string]uint32)} }
 
 // send writes one request frame from a pooled encoder (unflushed) and
 // returns the encoder to the pool.
@@ -253,24 +254,11 @@ func NewPool(addr string, size int) *Pool {
 	return NewPoolT(addr, size, pool.Timeouts{})
 }
 
-// NewPoolT creates a pool of up to size connections to addr, bounding
-// dials, operations and borrow waits with t (zero fields take the
-// pool-package defaults; negative fields disable a bound).
+// NewPoolT creates the pool "db@<addr>" of up to size connections to addr
+// (pool.NewTCP), bounding dials, operations and borrow waits with t (zero
+// fields take the pool-package defaults; negative fields disable a bound).
 func NewPoolT(addr string, size int, t pool.Timeouts) *Pool {
-	t = t.WithDefaults()
-	waitTimeout := time.Duration(-1)
-	if t.Wait > 0 {
-		waitTimeout = t.Wait
-	}
-	return &Pool{
-		p: pool.New(pool.Config[*Conn]{
-			Name:        "db@" + addr,
-			Dial:        func() (*Conn, error) { return DialT(addr, t) },
-			Destroy:     func(c *Conn) { c.Close() },
-			Size:        size,
-			WaitTimeout: waitTimeout,
-		}),
-	}
+	return &Pool{p: pool.NewTCP("db", addr, size, t, newConn)}
 }
 
 // Get borrows a connection, dialing a new one if the pool has capacity.
