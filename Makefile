@@ -69,8 +69,8 @@ lint: fmt vet docs-lint
 # internal total — the number a simplification moves — plus the cluster +
 # core + telemetry sum item 3's target is stated against, the auction +
 # bookstore sum of the two applications' code, the
-# servlet + ejb + rmi + scriptmod sum of the middle tiers (the container
-# API the six configurations call), the cmd/ total, and internal + cmd:
+# servlet + ejb + rmi sum of the middle tiers (the container API the six
+# configurations call), the cmd/ total, and internal + cmd:
 # wiring moves across that border, so only the sum says whether the
 # system shrank. Last, the line counts of the three checked design docs:
 # the docs budget.
@@ -84,7 +84,7 @@ loc:
 	printf '%7d  internal + cmd\n' $$(find internal cmd -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 	printf '%7d  cluster + core + telemetry\n' $$(find internal/cluster internal/core internal/telemetry -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 	printf '%7d  auction + bookstore\n' $$(find internal/auction internal/bookstore -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
-	printf '%7d  servlet + ejb + rmi + scriptmod\n' $$(find internal/servlet internal/ejb internal/rmi internal/scriptmod -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+	printf '%7d  servlet + ejb + rmi\n' $$(find internal/servlet internal/ejb internal/rmi -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 	for f in README.md DESIGN.md PROTOCOL.md; do printf '%7d  %s\n' $$(wc -l < $$f) $$f; done
 
 # One-iteration smoke run of the package micro-benchmarks: fails fast when
@@ -98,12 +98,18 @@ bench-smoke:
 # deaths around a multi-row INSERT split across shards (SplitInsert),
 # under -race with a hard timeout — a hang past a deadline is itself the
 # bug. The proxy's own tests run three times: a Close that hangs behind a
-# stalled relay fails the target rather than a lucky single pass.
+# stalled relay fails the target rather than a lucky single pass. Last,
+# short fuzz passes over what arrives from another process on the web and
+# middle tiers: HTTP messages through httpd's one reader, AJP payloads and
+# RMI call frames (no panic; a malformed call is a fault and a hang-up).
 chaos-smoke:
 	$(GO) test -race -count=3 -timeout 120s ./internal/chaos
 	$(GO) test -race -timeout 180s \
 		-run 'Chaos|SplitInsert|Degraded|SlowReplica|PinnedRead|ReadOnlyTxnSkipsEjectedPinnedReplica|RejoinDeadline|RejoinExcludes|SyncWithin|PoolWaitTimeout|StalledBackend|DBRestart|Not404' \
 		./internal/core ./internal/cluster ./internal/lb
+	$(GO) test -timeout 120s -run '^$$' -fuzz FuzzReadMessage -fuzztime 10s ./internal/httpd
+	$(GO) test -timeout 120s -run '^$$' -fuzz FuzzAJPPayload -fuzztime 10s ./internal/ajp
+	$(GO) test -timeout 120s -run '^$$' -fuzz FuzzRMICall -fuzztime 10s ./internal/rmi
 
 # WAL torture: the durability battery. Crash points, torn tails, and
 # subprocess kill -9 recovery in sqldb; short fuzz passes over the record

@@ -9,7 +9,6 @@ package ajp
 import (
 	"bufio"
 	"bytes"
-	"errors"
 	"fmt"
 	"net"
 	"net/url"
@@ -24,52 +23,59 @@ const (
 	frameResponse = 0x03
 )
 
-// encodeRequest flattens an httpd.Request.
+// encodeRequest and encodeResponse flatten an httpd message: its first
+// fields, the header block, then the body.
 func encodeRequest(req *httpd.Request) []byte {
 	var e frame.Enc
 	e.Str(req.Method)
 	e.Str(req.Path)
 	e.Str(req.Query.Encode())
-	e.U32(uint32(len(req.Header)))
-	for _, k := range headerKeys(req.Header) {
-		e.Str(k)
-		e.Str(req.Header[k])
-	}
+	encodeHeader(&e, req.Header)
 	e.Bytes(req.Body)
 	return e.B
 }
 
-func headerKeys(h httpd.Header) []string {
-	ks := make([]string, 0, len(h))
-	for k := range h {
-		ks = append(ks, k)
+func encodeResponse(resp *httpd.Response) []byte {
+	var e frame.Enc
+	e.U32(uint32(resp.Status))
+	encodeHeader(&e, resp.Header)
+	e.Bytes(resp.Body)
+	return e.B
+}
+
+// encodeHeader writes the header block of both directions: a count, then
+// each name and value in sorted name order.
+func encodeHeader(e *frame.Enc, h httpd.Header) {
+	e.U32(uint32(len(h)))
+	for _, k := range h.Keys() {
+		e.Str(k)
+		e.Str(h[k])
 	}
-	// insertion-order independence: sort
-	for i := 1; i < len(ks); i++ {
-		for j := i; j > 0 && ks[j] < ks[j-1]; j-- {
-			ks[j], ks[j-1] = ks[j-1], ks[j]
-		}
+}
+
+// decodeHeader reads encodeHeader's block; a count over 1000 latches an
+// error on d.
+func decodeHeader(d *frame.Dec) httpd.Header {
+	n := int(d.U32())
+	if n > 1000 {
+		d.Fail("absurd header count")
+		return nil
 	}
-	return ks
+	h := httpd.Header{}
+	for i := 0; i < n && d.Err == nil; i++ {
+		k := d.Str()
+		h.Set(k, d.Str())
+	}
+	return h
 }
 
 // decodeRequest and decodeResponse copy every field out of p, which aliases
 // the connection's frame.Buf.
 func decodeRequest(p []byte) (*httpd.Request, error) {
 	d := &frame.Dec{Proto: "ajp", B: p}
-	req := &httpd.Request{Header: httpd.Header{}}
-	req.Method = d.Str()
-	req.Path = d.Str()
+	req := &httpd.Request{Method: d.Str(), Path: d.Str()}
 	rawQ := d.Str()
-	n := int(d.U32())
-	if n > 1000 {
-		return nil, errors.New("ajp: absurd header count")
-	}
-	for i := 0; i < n && d.Err == nil; i++ {
-		k := d.Str()
-		v := d.Str()
-		req.Header.Set(k, v)
-	}
+	req.Header = decodeHeader(d)
 	req.Body = bytes.Clone(d.Bytes())
 	if d.Err != nil {
 		return nil, d.Err
@@ -82,30 +88,9 @@ func decodeRequest(p []byte) (*httpd.Request, error) {
 	return req, nil
 }
 
-func encodeResponse(resp *httpd.Response) []byte {
-	var e frame.Enc
-	e.U32(uint32(resp.Status))
-	e.U32(uint32(len(resp.Header)))
-	for _, k := range headerKeys(resp.Header) {
-		e.Str(k)
-		e.Str(resp.Header[k])
-	}
-	e.Bytes(resp.Body)
-	return e.B
-}
-
 func decodeResponse(p []byte) (*httpd.Response, error) {
 	d := &frame.Dec{Proto: "ajp", B: p}
-	resp := &httpd.Response{Status: int(d.U32()), Header: httpd.Header{}}
-	n := int(d.U32())
-	if n > 1000 {
-		return nil, errors.New("ajp: absurd header count")
-	}
-	for i := 0; i < n && d.Err == nil; i++ {
-		k := d.Str()
-		v := d.Str()
-		resp.Header.Set(k, v)
-	}
+	resp := &httpd.Response{Status: int(d.U32()), Header: decodeHeader(d)}
 	resp.Body = bytes.Clone(d.Bytes())
 	if d.Err != nil {
 		return nil, d.Err

@@ -1,6 +1,7 @@
 package ajp
 
 import (
+	"bytes"
 	"fmt"
 	"net/url"
 	"sync"
@@ -156,4 +157,42 @@ func TestConnectorReconnectsAfterListenerRestart(t *testing.T) {
 	if _, err := c.ServeHTTP(req); err != nil {
 		t.Fatalf("retry after restart failed: %v", err)
 	}
+}
+
+// FuzzAJPPayload: arbitrary bytes decoded as a request and as a response
+// never panic, and whatever decodes survives encode → decode unchanged
+// (its encoding is a fixed point). The seeds are well-formed payloads of
+// both directions and a header count past maxHeaders.
+func FuzzAJPPayload(f *testing.F) {
+	req := &httpd.Request{Method: "POST", Path: "/tpcw/buyconfirm", Header: httpd.Header{},
+		Query: url.Values{"c_id": {"7"}, "x": {"a b", "&"}}, Body: []byte("a=1&b=2")}
+	req.Header.Set("cookie", "JSESSIONID=s1.a0")
+	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	resp := httpd.Error(404, "")
+	resp.Header.Set("Set-Cookie", "JSESSIONID=s2; Path=/")
+	f.Add(encodeRequest(req))
+	f.Add(encodeResponse(resp))
+	f.Add([]byte{0, 0, 0, 200, 0, 0, 0x03, 0xe9})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		if req, err := decodeRequest(p); err == nil {
+			enc := encodeRequest(req)
+			again, err := decodeRequest(enc)
+			if err != nil {
+				t.Fatalf("re-encoded request %q: %v", enc, err)
+			}
+			if enc2 := encodeRequest(again); !bytes.Equal(enc, enc2) {
+				t.Fatalf("request round trip moved: %q -> %q", enc, enc2)
+			}
+		}
+		if resp, err := decodeResponse(p); err == nil {
+			enc := encodeResponse(resp)
+			again, err := decodeResponse(enc)
+			if err != nil {
+				t.Fatalf("re-encoded response %q: %v", enc, err)
+			}
+			if enc2 := encodeResponse(again); !bytes.Equal(enc, enc2) {
+				t.Fatalf("response round trip moved: %q -> %q", enc, enc2)
+			}
+		}
+	})
 }

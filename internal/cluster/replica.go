@@ -516,9 +516,11 @@ func (s *replicaTxn) Rollback() error { return s.endTxn((*wire.Conn).Rollback, f
 // endTxn runs op (COMMIT or ROLLBACK) on every connection participating in
 // the transaction — concurrently, like the statement broadcasts; the
 // write-order locks are still held until closeTxn below, so the commit
-// itself stays inside the transaction's serialized window.
+// itself stays inside the transaction's serialized window. A session with
+// no transaction open, or none at all (a shard the coordinator's
+// transaction never reached), ends nothing.
 func (s *replicaTxn) endTxn(op func(*wire.Conn) error, commit bool) (err error) {
-	if !s.inTxn {
+	if !s.open() {
 		return nil
 	}
 	defer func() {

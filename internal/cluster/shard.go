@@ -82,9 +82,8 @@ type shardSet struct {
 	// outer serializes cross-shard broadcasts (global-table writes, DDL)
 	// over the full address set, so every shard applies them in one order.
 	// Single-shard statements never touch it — the owning shard's own
-	// write-order locks suffice, because shards own disjoint rows. With one
-	// group it is that group's locks, not a second registry reference to
-	// the same address set.
+	// write-order locks suffice, because shards own disjoint rows. A set of
+	// one group has none: target never broadcasts there.
 	outer  *writeLocks
 	addrs  []string
 	routes *routes
@@ -119,7 +118,6 @@ func newShardSet(cfg Config, groups [][]string) *shardSet {
 		sh.addrs = append(sh.addrs, g...)
 		sh.shards = append(sh.shards, newReplicaSet(cfg, g, rt))
 	}
-	sh.outer = sh.shards[0].locks
 	if sh.sharded() {
 		sh.outer = acquireWriteLocks(sh.addrs)
 	}
@@ -885,11 +883,16 @@ func (s *shardTxn) Commit() error {
 		return nil
 	}
 	sh := s.sh
-	subs := s.openSubs()
 	defer s.closeTxn()
-	if len(subs) <= 1 {
+	open := 0
+	for _, sub := range s.subs {
+		if sub.open() {
+			open++
+		}
+	}
+	if open <= 1 {
 		var err error
-		for _, sub := range subs {
+		for _, sub := range s.subs {
 			if e := sub.Commit(); e != nil && err == nil {
 				err = e
 			}
@@ -899,11 +902,12 @@ func (s *shardTxn) Commit() error {
 		}
 		return err
 	}
-	for _, sub := range subs {
+	for _, sub := range s.subs {
+		if !sub.open() {
+			continue
+		}
 		if err := sub.prepare(); err != nil {
-			for _, r := range subs {
-				r.Rollback()
-			}
+			s.Rollback()
 			s.failed = true
 			return fmt.Errorf("cluster: 2pc prepare: %w", err)
 		}
@@ -913,7 +917,7 @@ func (s *shardTxn) Commit() error {
 	}
 	sh.Shard2PCTxns.Add(1)
 	var err error
-	for _, sub := range subs {
+	for _, sub := range s.subs {
 		if e := sub.Commit(); e != nil {
 			err = e
 		}
@@ -934,7 +938,7 @@ func (s *shardTxn) Commit() error {
 // reached no replica fails the session.
 func (s *shardTxn) Rollback() error {
 	var err error
-	for _, sub := range s.openSubs() {
+	for _, sub := range s.subs {
 		if e := sub.Rollback(); e != nil {
 			err = e
 			s.failed = true
@@ -946,17 +950,9 @@ func (s *shardTxn) Rollback() error {
 
 func (s *shardTxn) closeTxn() { s.inTxn, s.allShard, s.maxSub = false, false, -1 }
 
-// openSubs lists the sub-sessions participating in the open transaction,
-// in shard order.
-func (s *shardTxn) openSubs() []*replicaTxn {
-	var out []*replicaTxn
-	for _, sub := range s.subs {
-		if sub != nil && sub.inTxn {
-			out = append(out, sub)
-		}
-	}
-	return out
-}
+// open reports a sub-session participating in the open transaction; a
+// shard the transaction never reached has none.
+func (s *replicaTxn) open() bool { return s != nil && s.inTxn }
 
 // end returns every sub-session to its shard.
 func (s *shardTxn) end(broken bool) {

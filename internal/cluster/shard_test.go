@@ -439,8 +439,10 @@ func TestShardReadOnlyTxnScatter(t *testing.T) {
 	if got := c.ClientStats().ShardScatter - before; got != 1 {
 		t.Fatalf("scatter reads rose by %d, want 1", got)
 	}
-	if subs := s.openSubs(); len(subs) != 0 {
-		t.Fatalf("%d sub-sessions opened by a read outside a transaction", len(subs))
+	for i, sub := range s.subs {
+		if sub.open() {
+			t.Fatalf("shard %d's sub-session opened by a read outside a transaction", i)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/arch"
+	"repro/internal/httpd"
 	"repro/internal/httpd/httpclient"
 	"repro/internal/telemetry"
 )
@@ -29,7 +30,7 @@ func TestCachingTierEndToEnd(t *testing.T) {
 	c := httpclient.New(lab.WebAddr(), 10*time.Second)
 	defer c.Close()
 
-	get := func(path string) *httpclient.Response {
+	get := func(path string) *httpd.Response {
 		t.Helper()
 		resp, err := c.Get(path)
 		if err != nil {
@@ -44,7 +45,7 @@ func TestCachingTierEndToEnd(t *testing.T) {
 	// Anonymous browse page: second request is served by the page cache.
 	first := get("/rubis/viewitem?item=4")
 	second := get("/rubis/viewitem?item=4")
-	if second.Header["x-cache"] != "HIT" {
+	if second.Header.Get("X-Cache") != "HIT" {
 		t.Fatal("second anonymous GET not served from the page cache")
 	}
 	if string(second.Body) != string(first.Body) {
@@ -55,7 +56,7 @@ func TestCachingTierEndToEnd(t *testing.T) {
 	// must show the new price, not replay the pre-write page.
 	get("/rubis/storebid?item=4&user=2&bid=7777")
 	after := get("/rubis/viewitem?item=4")
-	if after.Header["x-cache"] == "HIT" {
+	if after.Header.Get("X-Cache") == "HIT" {
 		t.Fatal("page cache served across a committed write")
 	}
 	if !strings.Contains(string(after.Body), "$7777.00") {
@@ -63,7 +64,7 @@ func TestCachingTierEndToEnd(t *testing.T) {
 	}
 	// And the refreshed page is cacheable again.
 	again := get("/rubis/viewitem?item=4")
-	if again.Header["x-cache"] != "HIT" {
+	if again.Header.Get("X-Cache") != "HIT" {
 		t.Fatal("refilled page did not hit")
 	}
 	if !strings.Contains(string(again.Body), "$7777.00") {
@@ -74,7 +75,7 @@ func TestCachingTierEndToEnd(t *testing.T) {
 	// its own commit makes the stored copy stale immediately.
 	get("/rubis/storebid?item=5&user=2&bid=1234")
 	bid2 := get("/rubis/storebid?item=5&user=2&bid=1234")
-	if bid2.Header["x-cache"] == "HIT" {
+	if bid2.Header.Get("X-Cache") == "HIT" {
 		t.Fatal("a committing interaction was replayed from the page cache")
 	}
 
@@ -115,7 +116,7 @@ func TestCachingTierDisabledByDefault(t *testing.T) {
 		if err != nil || resp.Status != 200 {
 			t.Fatalf("GET: %v %d", err, resp.Status)
 		}
-		if resp.Header["x-cache"] == "HIT" {
+		if resp.Header.Get("X-Cache") == "HIT" {
 			t.Fatal("page cache active without being configured")
 		}
 	}

@@ -30,7 +30,6 @@ import (
 	"repro/internal/lb"
 	"repro/internal/pool"
 	"repro/internal/rmi"
-	"repro/internal/scriptmod"
 	"repro/internal/servlet"
 	"repro/internal/sqldb"
 	"repro/internal/sqldb/walfault"
@@ -162,10 +161,10 @@ type Lab struct {
 	dbProxies  []*chaos.Proxy
 	appProxies []*chaos.Proxy
 
-	module *scriptmod.Module
 	// The application tier: index i across these slices is one backend
 	// (route "a<i>"). One entry and no balancer in the paper's single
-	// container setups; N entries behind the balancer with AppReplicas.
+	// container setups, the PHP configuration's in-process one included;
+	// N entries behind the balancer with AppReplicas.
 	containers []*servlet.Container
 	ejbCs      []*ejb.Container
 	rmiClients []*rmi.Client
@@ -332,8 +331,8 @@ func (l *Lab) shardDSN(addrs []string) string {
 
 // startAppTier builds the dynamic-content generator for the configured
 // architecture out of the stack constructors and returns what the web tier
-// dispatches to: the in-process module or one AJP connector as a single
-// backend, or — with AppReplicas > 1 — N container backends sharing a
+// dispatches to: the in-process container's handler or one AJP connector as
+// a single backend, or — with AppReplicas > 1 — N container backends sharing a
 // write-through session store, for the front-end load balancer.
 func (l *Lab) startAppTier(dsn string) ([]lb.Backend, error) {
 	cfg, app := l.cfg, l.app
@@ -396,10 +395,12 @@ func (l *Lab) startAppTier(dsn string) ([]lb.Backend, error) {
 
 	switch cfg.Arch {
 	case arch.PHP:
-		// In-process script module: generator in the web server's address
-		// space, no IPC (§2.1) — and therefore no replication axis.
-		l.module = scriptmod.Mount(newAppContainer(0))
-		return []lb.Backend{{Handler: l.module}}, nil
+		// mod_php: the generator runs in the web server's address space, so
+		// dispatch is a call of the container's handler, no IPC (§2.1) —
+		// and therefore no replication axis.
+		c := newAppContainer(0)
+		l.containers = append(l.containers, c)
+		return []lb.Backend{{Handler: c.Handler()}}, nil
 
 	case arch.Servlet, arch.ServletSync, arch.ServletDedicated, arch.ServletDedicatedSync:
 		// Servlet containers in their own process boundary, reached over
@@ -613,14 +614,10 @@ func (l *Lab) Telemetry() *telemetry.Snapshot {
 	// its pool and downstream stand, then the HTTP server's counters.
 	s.Tiers = appendFold(s.Tiers, []telemetry.Tier{l.front.Telemetry(), l.web.Telemetry()})
 
-	// Servlet tier: the containers (standalone, the in-process module's, or
+	// Servlet tier: the containers (standalone, PHP's in-process one, or
 	// the EJB presentation layer's). The presentation containers have no
 	// database; their downstream is the RMI clients core holds beside them.
-	engine := l.containers
-	if l.module != nil {
-		engine = []*servlet.Container{l.module.Container()}
-	}
-	apps := rows(engine)
+	apps := rows(l.containers)
 	s.Tiers = appendFold(s.Tiers, apps)
 	if len(l.rmiClients) > 0 {
 		ps := l.rmiClients[0].Stats()
@@ -692,20 +689,14 @@ func appendFold(tiers, owned []telemetry.Tier) []telemetry.Tier {
 }
 
 // clusterClients returns every replication-aware database client in the
-// application tier: one per servlet backend (or the in-process module's),
-// plus each EJB container's.
+// application tier: one per servlet backend (PHP's in-process container
+// included), plus each EJB container's.
 func (l *Lab) clusterClients() []*cluster.Client {
 	var out []*cluster.Client
-	add := func(c *servlet.Container) {
-		if c != nil && c.Context().DB != nil {
-			out = append(out, c.Context().DB)
-		}
-	}
-	if l.module != nil {
-		add(l.module.Container())
-	}
 	for _, c := range l.containers {
-		add(c)
+		if db := c.Context().DB; db != nil {
+			out = append(out, db)
+		}
 	}
 	for _, ec := range l.ejbCs {
 		out = append(out, ec.DB())
@@ -765,9 +756,6 @@ func (l *Lab) Close() {
 	}
 	if l.front != nil {
 		l.front.Close()
-	}
-	if l.module != nil {
-		l.module.Close()
 	}
 	for _, c := range l.containers {
 		c.Close()

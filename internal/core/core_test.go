@@ -55,6 +55,31 @@ func TestAllConfigurationsServeBothBenchmarks(t *testing.T) {
 	}
 }
 
+// TestMountDispatchesInProcess: the PHP configuration's generator runs in
+// the web server's process (§2.1). Its web tier dials no AJP pool, it has
+// one app backend, and the container the web server calls counts the
+// request the page was served from.
+func TestMountDispatchesInProcess(t *testing.T) {
+	lab := startLab(t, arch.PHP, arch.Bookstore)
+	c := httpclient.New(lab.WebAddr(), 10*time.Second)
+	defer c.Close()
+	before := lab.Telemetry()
+	resp, err := c.Get("/tpcw/home?c_id=1")
+	if err != nil || resp.Status != 200 {
+		t.Fatalf("GET home: %v %v", err, resp)
+	}
+	tiers := lab.Telemetry().Delta(before)
+	if web := tiers.Tier("web"); web == nil || web.Pool != nil {
+		t.Fatal("the web tier is missing or dials a pool")
+	}
+	if app := tiers.Tier("servlet"); app == nil || app.Requests != 1 {
+		t.Fatal("the container did not count exactly the one request")
+	}
+	if n := lab.AppBackends(); n != 1 {
+		t.Fatalf("AppBackends = %d, want 1", n)
+	}
+}
+
 // TestWorkloadDrivesLab runs the emulator briefly against two archs and
 // checks the measurement plumbing.
 func TestWorkloadDrivesLab(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/arch"
+	"repro/internal/httpd"
 	"repro/internal/httpd/httpclient"
 )
 
@@ -93,7 +94,7 @@ func TestStatementsPerInteraction(t *testing.T) {
 				defer c.Close()
 				for _, row := range table {
 					before := lab.Telemetry().Tier(tier)
-					var resp *httpclient.Response
+					var resp *httpd.Response
 					var err error
 					if path, post := strings.CutPrefix(row.path, "POST:"); post {
 						path, form, _ := strings.Cut(path, "?")

@@ -27,15 +27,15 @@ import (
 // MaxLen caps one frame's payload.
 const MaxLen = 16 << 20
 
-// Write sends one frame. The caller flushes.
-func Write(w io.Writer, typ byte, payload []byte) error {
+// Write sends one frame. The caller flushes. The header is built in w's
+// free buffer space, so it allocates only when fewer than five bytes are
+// free.
+func Write(w *bufio.Writer, typ byte, payload []byte) error {
 	if len(payload) > MaxLen {
 		return fmt.Errorf("frame: frame of %d bytes exceeds limit", len(payload))
 	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
+	hdr := binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(len(payload)))
+	if _, err := w.Write(append(hdr, typ)); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
@@ -47,15 +47,17 @@ func Write(w io.Writer, typ byte, payload []byte) error {
 // conversation's working-set size. A payload aliases the buffer and is only
 // valid until the next Read: decoders copy what they keep (string
 // conversions and value constructors do).
-type Buf struct{ b []byte }
+type Buf struct {
+	b   []byte
+	hdr [5]byte
+}
 
 // Read receives one frame.
 func (fb *Buf) Read(r io.Reader) (typ byte, payload []byte, err error) {
-	var hdr [5]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
+	if _, err = io.ReadFull(r, fb.hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:4]))
+	n := int(binary.BigEndian.Uint32(fb.hdr[:4]))
 	if n > MaxLen {
 		return 0, nil, fmt.Errorf("frame: oversized frame (%d bytes)", n)
 	}
@@ -66,7 +68,7 @@ func (fb *Buf) Read(r io.Reader) (typ byte, payload []byte, err error) {
 	if _, err = io.ReadFull(r, payload); err != nil {
 		return 0, nil, err
 	}
-	return hdr[4], payload, nil
+	return fb.hdr[4], payload, nil
 }
 
 // Enc appends payload fields to B: big-endian integers, length-prefixed

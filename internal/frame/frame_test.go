@@ -15,12 +15,14 @@ import (
 
 func TestCodecRoundTripAndLimits(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, 7, []byte("first")); err != nil {
+	w := bufio.NewWriter(&buf)
+	if err := Write(w, 7, []byte("first")); err != nil {
 		t.Fatal(err)
 	}
-	if err := Write(&buf, 8, nil); err != nil {
+	if err := Write(w, 8, nil); err != nil {
 		t.Fatal(err)
 	}
+	w.Flush()
 	typ, first, err := new(Buf).Read(&buf)
 	if err != nil || typ != 7 || string(first) != "first" {
 		t.Fatalf("Read = %d %q %v", typ, first, err)
@@ -33,7 +35,7 @@ func TestCodecRoundTripAndLimits(t *testing.T) {
 	if string(first) != "first" {
 		t.Fatalf("payload overwritten: %q", first)
 	}
-	if err := Write(&buf, 1, make([]byte, MaxLen+1)); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+	if err := Write(w, 1, make([]byte, MaxLen+1)); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("oversized write: %v", err)
 	}
 	if _, _, err := new(Buf).Read(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff, 1})); err == nil || !strings.Contains(err.Error(), "oversized frame") {
@@ -75,11 +77,14 @@ func TestCloseWaitsForServe(t *testing.T) {
 
 // TestBufReusesAndBounds: two frames through one Buf share backing storage
 // — the first payload is overwritten by the second, the documented contract
-// — and a header past MaxLen is refused before anything is allocated.
+// — a warmed Write plus Read allocates nothing, and a header past MaxLen is
+// refused before anything is allocated.
 func TestBufReusesAndBounds(t *testing.T) {
 	var wire bytes.Buffer
-	Write(&wire, 1, []byte("first"))
-	Write(&wire, 2, []byte("again"))
+	w := bufio.NewWriter(&wire)
+	Write(w, 1, []byte("first"))
+	Write(w, 2, []byte("again"))
+	w.Flush()
 	var fb Buf
 	_, first, err := fb.Read(&wire)
 	if err != nil || string(first) != "first" {
@@ -91,6 +96,16 @@ func TestBufReusesAndBounds(t *testing.T) {
 	}
 	if &first[0] != &second[0] || string(first) != "again" {
 		t.Fatalf("frames do not share storage: first now reads %q", first)
+	}
+	payload := []byte("steady")
+	if n := testing.AllocsPerRun(100, func() {
+		Write(w, 3, payload)
+		w.Flush()
+		if _, p, err := fb.Read(&wire); err != nil || string(p) != "steady" {
+			t.Fatalf("steady frame: %q %v", p, err)
+		}
+	}); n != 0 {
+		t.Fatalf("a warmed Write plus Read allocated %v times", n)
 	}
 	var big Buf
 	if _, _, err := big.Read(bytes.NewReader([]byte{0x01, 0x00, 0x00, 0x01, 9})); err == nil || !strings.Contains(err.Error(), "oversized frame") {

@@ -1,7 +1,9 @@
 // Package httpclient is a persistent-connection HTTP/1.1 client for the
 // client-browser emulator: the paper's emulated browsers open one
 // keep-alive connection per session and issue every interaction (and its
-// embedded image fetches) over it.
+// embedded image fetches) over it. It writes requests; it reads responses
+// with the web server's own reader (httpd.ReadResponse), under the same
+// limits the server puts on requests.
 package httpclient
 
 import (
@@ -10,17 +12,11 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strconv"
 	"strings"
 	"time"
-)
 
-// Response is a parsed HTTP response.
-type Response struct {
-	Status int
-	Header map[string]string
-	Body   []byte
-}
+	"repro/internal/httpd"
+)
 
 // Client is a single-connection HTTP client. Not safe for concurrent use;
 // each emulated browser session owns one, matching the paper's model. It
@@ -78,18 +74,18 @@ func (c *Client) closeConn() {
 func (c *Client) Close() { c.closeConn() }
 
 // Get issues a GET for path (which may include a query string).
-func (c *Client) Get(path string) (*Response, error) {
+func (c *Client) Get(path string) (*httpd.Response, error) {
 	return c.Do("GET", path, "", nil)
 }
 
 // PostForm issues an application/x-www-form-urlencoded POST.
-func (c *Client) PostForm(path, form string) (*Response, error) {
+func (c *Client) PostForm(path, form string) (*httpd.Response, error) {
 	return c.Do("POST", path, "application/x-www-form-urlencoded", []byte(form))
 }
 
 // Do issues one request, transparently reconnecting once if the persistent
 // connection went stale (server idle-closed it between interactions).
-func (c *Client) Do(method, path, contentType string, body []byte) (*Response, error) {
+func (c *Client) Do(method, path, contentType string, body []byte) (*httpd.Response, error) {
 	fresh := false
 	if c.conn == nil {
 		if err := c.connect(); err != nil {
@@ -108,7 +104,7 @@ func (c *Client) Do(method, path, contentType string, body []byte) (*Response, e
 		c.closeConn()
 		return nil, err
 	}
-	if sc := resp.Header["set-cookie"]; sc != "" {
+	if sc := resp.Header.Get("Set-Cookie"); sc != "" {
 		// First attribute is the NAME=VALUE pair; the rest (Path, ...) are
 		// directives this single-site client does not need.
 		pair, _, _ := strings.Cut(sc, ";")
@@ -119,7 +115,7 @@ func (c *Client) Do(method, path, contentType string, body []byte) (*Response, e
 			c.jar[name] = value
 		}
 	}
-	if strings.EqualFold(resp.Header["connection"], "close") {
+	if strings.EqualFold(resp.Header.Get("Connection"), "close") {
 		c.closeConn()
 	}
 	return resp, nil
@@ -136,7 +132,7 @@ func retriable(err error) bool {
 		strings.Contains(err.Error(), "broken pipe")
 }
 
-func (c *Client) attempt(method, path, contentType string, body []byte) (*Response, error) {
+func (c *Client) attempt(method, path, contentType string, body []byte) (*httpd.Response, error) {
 	if c.timeout > 0 {
 		if now := time.Now(); c.armedUntil.Sub(now) <= c.timeout-c.timeout/4 {
 			c.armedUntil = now.Add(c.timeout)
@@ -175,68 +171,5 @@ func (c *Client) attempt(method, path, contentType string, body []byte) (*Respon
 	if err := c.bw.Flush(); err != nil {
 		return nil, err
 	}
-	return readResponse(c.br, method == "HEAD")
-}
-
-func readResponse(br *bufio.Reader, headOnly bool) (*Response, error) {
-	status, err := readLine(br)
-	if err != nil {
-		return nil, err
-	}
-	parts := strings.SplitN(status, " ", 3)
-	if len(parts) < 2 || !strings.HasPrefix(parts[0], "HTTP/1.") {
-		return nil, fmt.Errorf("httpclient: malformed status line %q", status)
-	}
-	code, err := strconv.Atoi(parts[1])
-	if err != nil {
-		return nil, fmt.Errorf("httpclient: bad status code in %q", status)
-	}
-	resp := &Response{Status: code, Header: make(map[string]string)}
-	for {
-		line, err := readLine(br)
-		if err != nil {
-			return nil, err
-		}
-		if line == "" {
-			break
-		}
-		name, value, ok := strings.Cut(line, ":")
-		if !ok {
-			return nil, fmt.Errorf("httpclient: malformed header %q", line)
-		}
-		resp.Header[strings.ToLower(strings.TrimSpace(name))] = strings.TrimSpace(value)
-	}
-	if headOnly {
-		return resp, nil
-	}
-	cl := resp.Header["content-length"]
-	if cl == "" {
-		return resp, nil
-	}
-	n, err := strconv.Atoi(cl)
-	if err != nil || n < 0 {
-		return nil, fmt.Errorf("httpclient: bad Content-Length %q", cl)
-	}
-	resp.Body = make([]byte, n)
-	if _, err := io.ReadFull(br, resp.Body); err != nil {
-		return nil, fmt.Errorf("httpclient: short body: %w", err)
-	}
-	return resp, nil
-}
-
-func readLine(br *bufio.Reader) (string, error) {
-	var b strings.Builder
-	for {
-		chunk, isPrefix, err := br.ReadLine()
-		if err != nil {
-			return "", err
-		}
-		b.Write(chunk)
-		if b.Len() > 64<<10 {
-			return "", errors.New("httpclient: line too long")
-		}
-		if !isPrefix {
-			return b.String(), nil
-		}
-	}
+	return httpd.ReadResponse(c.br, method == "HEAD")
 }

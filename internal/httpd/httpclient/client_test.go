@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -78,7 +79,7 @@ func TestGetParsesStatusHeadersBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Status != 201 || resp.Header["x-custom"] != "Yes" || string(resp.Body) != "hello" {
+	if resp.Status != 201 || resp.Header.Get("X-Custom") != "Yes" || string(resp.Body) != "hello" {
 		t.Fatalf("resp: %+v %q", resp, resp.Body)
 	}
 }
@@ -130,18 +131,37 @@ func TestStaleKeepAliveRetry(t *testing.T) {
 	}
 }
 
+// TestMalformedStatusLine: a response the server's reader refuses is an
+// error. That covers a status line that is not HTTP and a Content-Length
+// past the body limit the server holds requests to, which is refused before
+// a buffer of that size is allocated.
 func TestMalformedStatusLine(t *testing.T) {
-	addr := rawServer(t, func(conn net.Conn, br *bufio.Reader) {
-		defer conn.Close()
-		if !readRawRequest(br) {
-			return
-		}
-		fmt.Fprintf(conn, "TOTALLY/NOT HTTP\r\n\r\n")
-	})
-	c := New(addr, 2*time.Second)
-	defer c.Close()
-	if _, err := c.Get("/"); err == nil {
-		t.Fatal("malformed status line must error")
+	const overLimit = 4<<20 + 1 // one byte past httpd's body limit
+	for _, tc := range []struct{ name, resp, want string }{
+		{"status line", "TOTALLY/NOT HTTP\r\n\r\n", "malformed status line"},
+		{"body over limit", fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n", overLimit), "exceeds limit"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr := rawServer(t, func(conn net.Conn, br *bufio.Reader) {
+				defer conn.Close()
+				if !readRawRequest(br) {
+					return
+				}
+				fmt.Fprint(conn, tc.resp)
+			})
+			c := New(addr, 2*time.Second)
+			defer c.Close()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := c.Get("/")
+			runtime.ReadMemStats(&after)
+			if n := after.TotalAlloc - before.TotalAlloc; n >= overLimit {
+				t.Fatalf("refusing the response allocated %d bytes", n)
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err %v, want one containing %q", err, tc.want)
+			}
+		})
 	}
 }
 

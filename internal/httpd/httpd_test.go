@@ -165,8 +165,8 @@ func TestStaticSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Header["content-type"] != "image/gif" {
-		t.Fatalf("content type %q", resp.Header["content-type"])
+	if resp.Header.Get("Content-Type") != "image/gif" {
+		t.Fatalf("content type %q", resp.Header.Get("Content-Type"))
 	}
 	if string(resp.Body) != "GIF89a..." {
 		t.Fatalf("body %q", resp.Body)
@@ -268,8 +268,8 @@ func TestHEADOmitsBody(t *testing.T) {
 	if len(resp.Body) != 0 {
 		t.Fatalf("HEAD returned body %q", resp.Body)
 	}
-	if resp.Header["content-length"] != "4" {
-		t.Fatalf("content-length %q", resp.Header["content-length"])
+	if resp.Header.Get("Content-Length") != "4" {
+		t.Fatalf("content-length %q", resp.Header.Get("Content-Length"))
 	}
 	// Connection must remain usable after HEAD.
 	if _, err := c.Get("/"); err != nil {

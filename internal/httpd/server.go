@@ -7,7 +7,6 @@ import (
 	"io"
 	"log"
 	"net"
-	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -16,12 +15,6 @@ import (
 	"repro/internal/frame"
 	"repro/internal/telemetry"
 )
-
-// maxBodyBytes bounds request bodies, as Apache's LimitRequestBody does.
-const maxBodyBytes = 4 << 20
-
-// maxHeaderLines bounds header count against malicious requests.
-const maxHeaderLines = 100
 
 // Server accepts HTTP/1.x connections and dispatches requests to a Handler.
 // Accepting, tracking, draining and closing connections are frame.Listener's.
@@ -120,97 +113,6 @@ func wantKeepAlive(req *Request) bool {
 	return c != "close"
 }
 
-// readRequest parses one request from br.
-func readRequest(br *bufio.Reader) (*Request, error) {
-	line, err := readLine(br)
-	if err != nil {
-		return nil, err
-	}
-	parts := strings.SplitN(line, " ", 3)
-	if len(parts) != 3 {
-		return nil, fmt.Errorf("httpd: malformed request line %q", line)
-	}
-	method, rawPath, proto := parts[0], parts[1], parts[2]
-	switch method {
-	case "GET", "POST", "HEAD":
-	default:
-		return nil, fmt.Errorf("httpd: unsupported method %q", method)
-	}
-	if proto != "HTTP/1.1" && proto != "HTTP/1.0" {
-		return nil, fmt.Errorf("httpd: unsupported protocol %q", proto)
-	}
-	req := &Request{Method: method, RawPath: rawPath, Proto: proto, Header: Header{}}
-
-	// Split query, decode path.
-	pathPart, queryPart, _ := strings.Cut(rawPath, "?")
-	decoded, err := url.PathUnescape(pathPart)
-	if err != nil {
-		return nil, fmt.Errorf("httpd: bad path %q: %w", pathPart, err)
-	}
-	req.Path = decoded
-	if queryPart != "" {
-		q, err := url.ParseQuery(queryPart)
-		if err != nil {
-			return nil, fmt.Errorf("httpd: bad query %q: %w", queryPart, err)
-		}
-		req.Query = q
-	} else {
-		req.Query = url.Values{}
-	}
-
-	for i := 0; ; i++ {
-		if i > maxHeaderLines {
-			return nil, errors.New("httpd: too many header lines")
-		}
-		h, err := readLine(br)
-		if err != nil {
-			return nil, err
-		}
-		if h == "" {
-			break
-		}
-		name, value, ok := strings.Cut(h, ":")
-		if !ok {
-			return nil, fmt.Errorf("httpd: malformed header %q", h)
-		}
-		req.Header.Set(strings.TrimSpace(name), strings.TrimSpace(value))
-	}
-
-	if cl := req.Header.Get("Content-Length"); cl != "" {
-		n, err := strconv.Atoi(cl)
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("httpd: bad Content-Length %q", cl)
-		}
-		if n > maxBodyBytes {
-			return nil, fmt.Errorf("httpd: body of %d bytes exceeds limit", n)
-		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(br, body); err != nil {
-			return nil, fmt.Errorf("httpd: short body: %w", err)
-		}
-		req.Body = body
-	}
-	return req, nil
-}
-
-// readLine reads a CRLF- (or LF-) terminated line without the terminator.
-func readLine(br *bufio.Reader) (string, error) {
-	var b strings.Builder
-	for {
-		chunk, isPrefix, err := br.ReadLine()
-		if err != nil {
-			return "", err
-		}
-		b.Write(chunk)
-		if b.Len() > 16<<10 {
-			return "", errors.New("httpd: header line too long")
-		}
-		if !isPrefix {
-			return b.String(), nil
-		}
-	}
-}
-
 // writeResponse serializes resp.
 func writeResponse(w *bufio.Writer, resp *Response, proto string, headOnly bool, connHeader string) error {
 	if resp.Header == nil {
@@ -223,7 +125,7 @@ func writeResponse(w *bufio.Writer, resp *Response, proto string, headOnly bool,
 	}
 	resp.Header.Set("Connection", connHeader)
 	resp.Header.Set("Server", "repro-httpd/1.0")
-	for _, k := range resp.Header.keys() {
+	for _, k := range resp.Header.Keys() {
 		fmt.Fprintf(w, "%s: %s\r\n", k, resp.Header[k])
 	}
 	if _, err := io.WriteString(w, "\r\n"); err != nil {

@@ -1,10 +1,14 @@
 package rmi
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/frame"
 )
 
 type CalcArgs struct{ A, B int }
@@ -129,4 +133,63 @@ func BenchmarkRMICall(b *testing.B) {
 		}
 	}
 	_ = fmt.Sprint()
+}
+
+// Echo's one method never fails, so every fault it answers is a dispatch
+// fault.
+type Echo struct{}
+
+func (Echo) Add(args *CalcArgs, reply *CalcReply) error {
+	reply.Sum = args.A + args.B
+	return nil
+}
+
+// FuzzRMICall: an arbitrary call payload through the server's connection
+// loop never panics. It is answered by exactly one frame: a reply, after
+// which the connection goes on serving (a trailing call to a missing method
+// is answered too), or a fault, after which the server hangs up (the
+// trailing call goes unread).
+func FuzzRMICall(f *testing.F) {
+	call := func(name string, args any) []byte {
+		gs := newGobStream()
+		gs.buf.WriteString(name + "\x00")
+		if args != nil {
+			if err := gs.enc.Encode(args); err != nil {
+				f.Fatal(err)
+			}
+		}
+		return gs.buf.Bytes()
+	}
+	f.Add(call("Echo.Add", &CalcArgs{A: 2, B: 3}))
+	f.Add(call("Echo.Add", &CalcReply{Sum: 1}))
+	f.Add(call("Echo.Add", nil))
+	f.Add(call("Echo.Nope", &CalcArgs{}))
+	f.Add([]byte("Echo.Add"))
+	s := NewServer()
+	if err := s.Register("Echo", Echo{}); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, p []byte) {
+		var in, out bytes.Buffer
+		w := bufio.NewWriter(&in)
+		frame.Write(w, frameCall, p)
+		frame.Write(w, frameCall, []byte("Echo.Missing\x00"))
+		w.Flush()
+		w.Reset(&out)
+		s.serve(nil, bufio.NewReader(&in), w)
+		var fb frame.Buf
+		typ, _, err := fb.Read(&out)
+		if err != nil {
+			t.Fatalf("call %q went unanswered: %v", p, err)
+		}
+		next, _, err := fb.Read(&out)
+		switch {
+		case typ == frameReply && (err != nil || next != frameFault):
+			t.Fatalf("after a reply to %q the connection stopped serving (%v)", p, err)
+		case typ == frameFault && err == nil:
+			t.Fatalf("after a fault on %q the connection served on", p)
+		case typ != frameReply && typ != frameFault:
+			t.Fatalf("call %q answered with frame 0x%x", p, typ)
+		}
+	})
 }

@@ -21,7 +21,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		e := &enc{}
 		build(e)
 		var buf bytes.Buffer
-		if err := frame.Write(&buf, typ, e.B); err != nil {
+		if err := writeFrame(&buf, typ, e.B); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())

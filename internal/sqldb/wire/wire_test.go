@@ -1,10 +1,12 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"os"
@@ -49,10 +51,19 @@ func serveKV(t *testing.T) (*sqldb.DB, *Server, string) {
 	return db, srv, addr.String()
 }
 
+// writeFrame sends one frame on w and flushes it.
+func writeFrame(w io.Writer, typ byte, payload []byte) error {
+	bw := bufio.NewWriter(w)
+	if err := frame.Write(bw, typ, payload); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
 func TestFrameRoundtrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("hello world")
-	if err := frame.Write(&buf, msgQuery, payload); err != nil {
+	if err := writeFrame(&buf, msgQuery, payload); err != nil {
 		t.Fatal(err)
 	}
 	typ, got, err := new(frame.Buf).Read(&buf)
@@ -234,7 +245,7 @@ func TestUnknownTagHangsUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	if err := frame.Write(nc, 0x7f, nil); err != nil {
+	if err := writeFrame(nc, 0x7f, nil); err != nil {
 		t.Fatal(err)
 	}
 	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -611,7 +622,7 @@ func TestTextProtocolBackwardCompat(t *testing.T) {
 	e.Str("SELECT v FROM kv WHERE k = ?")
 	e.U32(1)
 	e.value(sqldb.Int(1))
-	if err := frame.Write(nc, msgQuery, e.B); err != nil {
+	if err := writeFrame(nc, msgQuery, e.B); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := new(frame.Buf).Read(nc)

@@ -158,8 +158,8 @@ func OpenDB(wal sqldb.WALOptions, fill func(sqldb.Execer) error) (*sqldb.DB, *sq
 }
 
 // ServletBackend builds a container holding the application's SQL-issuing
-// servlets over the database client cfg.DB. Start serves it over AJP;
-// scriptmod.Mount runs it inside the web server.
+// servlets over the database client cfg.DB. Start serves it over AJP; the
+// PHP configuration's web server calls its Handler in process.
 func (a *App) ServletBackend(cfg servlet.Config, sync bool) *servlet.Container {
 	cfg.DB.ShardBy = a.ShardBy
 	c := servlet.NewContainer(cfg)

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/datagen"
+	"repro/internal/httpd"
 	"repro/internal/httpd/httpclient"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -256,7 +257,7 @@ func (c *emulatedClient) run(completed, errors, imgFetches *atomic.Int64,
 
 // doInteraction performs the request plus embedded image fetches.
 func (c *emulatedClient) doInteraction(hc *httpclient.Client, req Request, imgFetches *atomic.Int64) bool {
-	var resp *httpclient.Response
+	var resp *httpd.Response
 	var err error
 	if req.Method == "POST" {
 		resp, err = hc.PostForm(req.Path, req.Body)
